@@ -3,12 +3,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test race shards policies pipeline cluster lowslow check bench profile experiments metrics-smoke serve-smoke clean
+.PHONY: all build fmt-check vet test race shards policies pipeline cluster lowslow check bench profile experiments metrics-smoke serve-smoke clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails when gofmt would change any file.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -75,7 +79,7 @@ lowslow:
 		./internal/trace/ ./internal/detect/ ./internal/host/ ./internal/flowcache/ ./internal/core/
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
-check: vet build test race
+check: fmt-check vet build test race
 
 # Performance snapshot (see DESIGN.md §7.4). Writes BENCH_dev.json; rename
 # to BENCH_<pr>.json when committing a PR's trajectory point.

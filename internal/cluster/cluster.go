@@ -294,8 +294,8 @@ type Runner struct {
 	torn  bool
 
 	stop atomic.Bool
-	// Router parking for the fold/drain barrier (mirrors the flowcache
-	// pool's protocol).
+	// Router parking for every wait on a feeder — full ring, empty free
+	// ring, fold/drain barrier (mirrors the flowcache pool's protocol).
 	routerWaiting atomic.Bool
 	routerWake    chan struct{}
 
@@ -710,29 +710,23 @@ func (r *Runner) dispatch(w *worker) error {
 	return r.push(w, w.buf, w)
 }
 
-// push queues buf onto target's ingress ring, stalling (with yields)
-// while the ring is full. A stall past StallTimeout either re-steers the
-// buffer to the ring successor (SteerLoad) or fails the run (SteerHash).
-// owner is the worker whose buffer slot gets the recycled replacement.
+// push queues buf onto target's ingress ring, stalling (spin-then-park,
+// see await) while the ring is full. A stall past StallTimeout either
+// re-steers the buffer to the ring successor (SteerLoad) or fails the run
+// (SteerHash). owner is the worker whose buffer slot gets the recycled
+// replacement.
 func (r *Runner) push(target *worker, buf []packet.Packet, owner *worker) error {
 	if !target.in.TryPush(buf) {
 		target.stalls.Add(1)
-		var deadline time.Time
-		if r.cfg.StallTimeout > 0 {
-			deadline = time.Now().Add(r.cfg.StallTimeout)
-		}
-		for !target.in.TryPush(buf) {
-			runtime.Gosched()
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				if r.cfg.Steer == SteerLoad {
-					alt := r.workers[(target.id+1)&(r.w-1)]
-					if alt != target && alt != owner {
-						r.resteers.Add(1)
-						return r.push(alt, buf, owner)
-					}
+		if !r.await(func() bool { return target.in.TryPush(buf) }, r.stallDeadline()) {
+			if r.cfg.Steer == SteerLoad {
+				alt := r.workers[(target.id+1)&(r.w-1)]
+				if alt != target && alt != owner {
+					r.resteers.Add(1)
+					return r.push(alt, buf, owner)
 				}
-				return r.failRun(&WorkerError{Worker: target.id, Err: ErrWorkerStalled})
 			}
+			return r.failRun(&WorkerError{Worker: target.id, Err: ErrWorkerStalled})
 		}
 	}
 	target.issued++
@@ -762,21 +756,58 @@ func (r *Runner) popFree(w *worker) []packet.Packet {
 	b, ok := w.free.TryPop()
 	if !ok {
 		w.stalls.Add(1)
-		var deadline time.Time
-		if r.cfg.StallTimeout > 0 {
-			deadline = time.Now().Add(r.cfg.StallTimeout)
-		}
-		for {
-			runtime.Gosched()
-			if b, ok = w.free.TryPop(); ok {
-				break
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return make([]packet.Packet, 0, r.cfg.QueueBatch)
-			}
+		if !r.await(func() bool { b, ok = w.free.TryPop(); return ok }, r.stallDeadline()) {
+			return make([]packet.Packet, 0, r.cfg.QueueBatch)
 		}
 	}
 	return b
+}
+
+// stallDeadline is when a stall starting now gives up (zero = never).
+func (r *Runner) stallDeadline() time.Time {
+	if r.cfg.StallTimeout > 0 {
+		return time.Now().Add(r.cfg.StallTimeout)
+	}
+	return time.Time{}
+}
+
+// await blocks the router until cond holds: spinPasses yield-and-recheck
+// passes, then parked on routerWake, which a feeder signals after every
+// batch it completes. (Ring space frees a little earlier, at the feeder's
+// pop, but the push that wanted it needs that batch's recycled buffer
+// next anyway.) The router parks rather than yield-spins because spinning
+// keeps its P: with no P to spare, the worker it waits for sits queued
+// behind the other one, the wait lasts as long as the scheduler's
+// placement makes it, and the cycles burnt are taken from the very work
+// being waited for. Past a non-zero deadline await gives up and reports
+// false — a wedged feeder never signals.
+func (r *Runner) await(cond func() bool, deadline time.Time) bool {
+	for pass := 0; pass < spinPasses; pass++ {
+		runtime.Gosched()
+		if cond() {
+			return true
+		}
+	}
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
+	for {
+		r.routerWaiting.Store(true)
+		if cond() {
+			r.routerWaiting.Store(false)
+			return true
+		}
+		select {
+		case <-r.routerWake: // possibly stale: cond is rechecked
+			r.routerWaiting.Store(false)
+		case <-expired:
+			r.routerWaiting.Store(false)
+			return cond()
+		}
+	}
 }
 
 // syncLocked is one control epoch: flush every partial buffer, barrier
@@ -826,28 +857,9 @@ func (r *Runner) fold() {
 // any worker failure.
 func (r *Runner) barrier() error {
 	for _, w := range r.workers {
-		if w.completed.Load() == w.issued {
-			continue
+		if w.completed.Load() != w.issued {
+			r.await(func() bool { return w.completed.Load() == w.issued }, time.Time{})
 		}
-		for pass := 0; pass < spinPasses; pass++ {
-			runtime.Gosched()
-			if w.completed.Load() == w.issued {
-				break
-			}
-		}
-		for w.completed.Load() != w.issued {
-			r.routerWaiting.Store(true)
-			if w.completed.Load() == w.issued {
-				r.routerWaiting.Store(false)
-				break
-			}
-			<-r.routerWake
-			r.routerWaiting.Store(false)
-		}
-	}
-	select {
-	case <-r.routerWake: // drain a stale wakeup
-	default:
 	}
 	return r.checkFailures()
 }

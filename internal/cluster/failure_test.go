@@ -303,3 +303,45 @@ func TestClusterPushResteersOnFullRing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAwaitParksUntilSignalledOrDeadline pins the router's one wait
+// primitive: it parks (no busy loop) until a feeder-style signal makes
+// the condition true, tolerates a stale wake token, and with a deadline
+// gives up once nothing signals.
+func TestAwaitParksUntilSignalledOrDeadline(t *testing.T) {
+	r := New(Config{Workers: 2, Worker: core.Config{IntervalNs: 1e15}})
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	var done atomic.Bool
+	var polls int
+	r.routerWake <- struct{}{} // stale token from an earlier wait
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		done.Store(true)
+		if r.routerWaiting.Load() { // the feeder's completion signal
+			r.routerWake <- struct{}{}
+		}
+	}()
+	if !r.await(func() bool { polls++; return done.Load() }, time.Time{}) {
+		t.Fatal("await without a deadline reported failure")
+	}
+	// spinPasses polls, one per park attempt (stale token, real wake) and
+	// the final recheck — not one per scheduler yield for 20 ms.
+	if polls > spinPasses+4 {
+		t.Errorf("condition polled %d times: await spun instead of parking", polls)
+	}
+
+	start := time.Now()
+	if r.await(func() bool { return false }, start.Add(10*time.Millisecond)) {
+		t.Error("await reported success for a condition that never held")
+	}
+	if d := time.Since(start); d < 10*time.Millisecond || d > 2*time.Second {
+		t.Errorf("await gave up after %v, want about the 10ms deadline", d)
+	}
+	if r.routerWaiting.Load() {
+		t.Error("routerWaiting left set after await returned")
+	}
+}

@@ -43,7 +43,7 @@ func (pl *Platform) legacyEndInterval(ts int64) {
 	}
 	pl.store.DrainRings(pl.cache.Rings())
 	pl.ports.Tick(ts)
-	_ = pl.kv.FlushInterval(ts, pl.store)
+	pl.flusher.Flush(ts)
 }
 
 // legacyHandler is the monolithic sNIC application logic: FlowCache

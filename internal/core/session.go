@@ -148,7 +148,7 @@ type Session struct {
 	finished chan struct{}
 	result   chan Report
 
-	final   Report
+	final Report
 	// driveErr records a recovered drive-goroutine panic; written before
 	// finished closes, read by Drain after the result arrives.
 	driveErr error
@@ -289,7 +289,9 @@ func (s *Session) Snapshot() *IntervalSnapshot { return s.snap.Load() }
 
 // Drain closes ingestion, waits for the drive to run the final interval
 // close and the lossless flow-log flush, and returns the final Report —
-// the exact tail sequence of the pre-session one-shot Run.
+// the exact tail sequence of the pre-session one-shot Run. When a
+// flow-log flush failed the Report is complete and the error is its
+// FlowLogErr.
 func (s *Session) Drain() (Report, error) {
 	s.mu.Lock()
 	switch s.state {
@@ -302,7 +304,7 @@ func (s *Session) Drain() (Report, error) {
 	case SessionDone:
 		rep := s.final
 		s.mu.Unlock()
-		return rep, nil
+		return rep, rep.FlowLogErr
 	}
 	s.state = SessionDraining
 	s.mu.Unlock()
@@ -313,6 +315,9 @@ func (s *Session) Drain() (Report, error) {
 
 	rep := <-s.result
 	err := s.driveErr // written before finished closed; result receive orders the read
+	if err == nil {
+		err = rep.FlowLogErr
+	}
 
 	s.mu.Lock()
 	s.final = rep

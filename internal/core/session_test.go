@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
+	"smartwatch/internal/flowcache"
+	"smartwatch/internal/host"
 	"smartwatch/internal/obs"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/snic"
@@ -443,6 +446,60 @@ func TestSessionIngestStreamChunkAlignment(t *testing.T) {
 		}
 		if rep.Counts.Total != ses.Ingested() {
 			t.Errorf("chunk=%d: total %d != ingested %d", chunk, rep.Counts.Total, ses.Ingested())
+		}
+	}
+}
+
+// brokenLog fails its n-th Write and every one after.
+type brokenLog struct{ n, calls int }
+
+var errBrokenLog = errors.New("flow log device gone")
+
+func (w *brokenLog) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls >= w.n {
+		return 0, errBrokenLog
+	}
+	return len(p), nil
+}
+
+// A failing flow-log writer must not be swallowed: the drive completes,
+// the Report is whole, and Drain / Run hand the failure back — on the tier
+// pipeline and the legacy wiring alike.
+func TestFlowLogWriteFailureSurfaces(t *testing.T) {
+	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 5, Flows: 300, PacketRate: 1e6, Duration: 2e8})
+	pkts := packet.Collect(w.Stream())
+	for _, legacy := range []bool{false, true} {
+		cfg := Config{IntervalNs: 20e6, LegacyPipeline: legacy}
+		cfg.Cache = flowcache.DefaultConfig(4) // tiny table: every interval evicts into the log
+		healthy := New(cfg).Run(packet.StreamOf(pkts))
+		if healthy.FlowLogErr != nil {
+			t.Fatalf("legacy=%v: healthy run reported %v", legacy, healthy.FlowLogErr)
+		}
+
+		cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
+		pl := New(cfg)
+		ses := pl.NewSession()
+		if err := ses.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ses.Ingest(pkts); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ses.Drain()
+		if !errors.Is(err, errBrokenLog) {
+			t.Fatalf("legacy=%v: Drain error = %v, want it to wrap %v", legacy, err, errBrokenLog)
+		}
+		if rep.Counts != healthy.Counts || rep.Cache != healthy.Cache {
+			t.Errorf("legacy=%v: report changed by the log failure:\n got %+v\nwant %+v", legacy, rep.Counts, healthy.Counts)
+		}
+		if _, again := ses.Drain(); !errors.Is(again, errBrokenLog) {
+			t.Errorf("legacy=%v: second Drain error = %v", legacy, again)
+		}
+
+		cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
+		if rep := New(cfg).Run(packet.StreamOf(pkts)); !errors.Is(rep.FlowLogErr, errBrokenLog) {
+			t.Errorf("legacy=%v: Run's FlowLogErr = %v", legacy, rep.FlowLogErr)
 		}
 	}
 }

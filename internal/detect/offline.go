@@ -28,8 +28,10 @@ func HeavyHittersOffline(fs *host.FlowStore, threshold uint64) []sketch.HeavyHit
 	return out
 }
 
-// HeavyChangesOffline compares two logged intervals and returns flows
-// whose packet count changed by at least threshold.
+// HeavyChangesOffline compares two logged intervals (prevTs before curTs)
+// and returns flows whose packet count changed by at least threshold. The
+// flow log is cumulative, so every flow of prevTs is still in curTs: a
+// stalled flow shows a change of 0, a new one counts from 0.
 func HeavyChangesOffline(kv *host.KVStore, prevTs, curTs int64, threshold uint64) []packet.FlowKey {
 	prev := map[packet.FlowKey]uint64{}
 	kv.Scan(prevTs, func(hr host.HostRecord) bool {
@@ -43,19 +45,12 @@ func HeavyChangesOffline(kv *host.KVStore, prevTs, curTs int64, threshold uint64
 		return b - a
 	}
 	var out []packet.FlowKey
-	seen := map[packet.FlowKey]bool{}
 	kv.Scan(curTs, func(hr host.HostRecord) bool {
 		if diff(hr.Pkts, prev[hr.Key]) >= threshold {
 			out = append(out, hr.Key)
 		}
-		seen[hr.Key] = true
 		return true
 	})
-	for k, c := range prev {
-		if !seen[k] && c >= threshold {
-			out = append(out, k)
-		}
-	}
 	return out
 }
 

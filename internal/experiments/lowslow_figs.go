@@ -314,6 +314,6 @@ func lsDriveTracked(cache *lsTrackingCache, det *detect.LowSlow, s packet.Stream
 
 type lsTrackedHooks struct{ cache *lsTrackingCache }
 
-func (h *lsTrackedHooks) Unpin(k packet.FlowKey) { h.cache.Unpin(k) }
+func (h *lsTrackedHooks) Unpin(k packet.FlowKey)   { h.cache.Unpin(k) }
 func (h *lsTrackedHooks) Whitelist(packet.FlowKey) {}
 func (h *lsTrackedHooks) Blacklist(packet.Addr)    {}

@@ -134,7 +134,7 @@ func TestCleanRowsBoundedMatchesEager(t *testing.T) {
 	}
 	// After full coverage the table is clean: another pass is a no-op,
 	// and the cursor keeps wrapping harmlessly.
-	if bounded.CleanRowsBounded(1 << 20) != 0 {
+	if bounded.CleanRowsBounded(1<<20) != 0 {
 		t.Error("rows left dirty after full bounded coverage")
 	}
 	if bounded.CleanRowsBounded(0) != 0 {

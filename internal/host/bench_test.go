@@ -37,3 +37,29 @@ func BenchmarkFlowStoreIngest(b *testing.B) {
 		fs.Ingest(flowcache.Record{Key: hkey(rng.IntN(100000)), Pkts: 1, Bytes: 64})
 	}
 }
+
+// One steady-state interval flush: 100 k resident flows, 256 of them
+// touched since the previous flush, under the daemon's retention bound.
+func BenchmarkKVFlushInterval(b *testing.B) {
+	const resident, dirty = 100_000, 256
+	fs := NewFlowStore(DefaultCostModel())
+	kv := NewKVStore(nil)
+	kv.SetRetention(8)
+	for i := 0; i < resident; i++ {
+		fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: 64})
+	}
+	if err := kv.FlushInterval(0, fs); err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRand(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < dirty; j++ {
+			fs.Ingest(flowcache.Record{Key: hkey(rng.IntN(resident)), Pkts: 1, Bytes: 64})
+		}
+		if err := kv.FlushInterval(int64(i+1), fs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

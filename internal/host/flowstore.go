@@ -41,10 +41,20 @@ func DefaultCostModel() CostModel { return CostModel{RecordNs: 180, PacketNs: 52
 // of every record the sNIC exported, flushed per measurement interval to
 // the KV flow log.
 type FlowStore struct {
-	cost    CostModel
-	flows   map[packet.FlowKey]*HostRecord
+	cost  CostModel
+	flows map[packet.FlowKey]*flowEntry
+	// dirty lists, each once, the aggregates Ingest changed since the last
+	// flush: an interval flush costs those, not every flow ever seen.
+	dirty   []*flowEntry
+	drain   []flowcache.Record // DrainRings scratch
 	cpuNs   float64
 	ingests uint64
+}
+
+// flowEntry is one aggregate plus its membership in the dirty list.
+type flowEntry struct {
+	HostRecord
+	dirty bool
 }
 
 // NewFlowStore builds a store with the given cost model.
@@ -52,7 +62,7 @@ func NewFlowStore(cost CostModel) *FlowStore {
 	if cost.RecordNs <= 0 {
 		cost = DefaultCostModel()
 	}
-	return &FlowStore{cost: cost, flows: map[packet.FlowKey]*HostRecord{}}
+	return &FlowStore{cost: cost, flows: map[packet.FlowKey]*flowEntry{}}
 }
 
 // Ingest merges one exported sNIC record.
@@ -61,8 +71,12 @@ func (fs *FlowStore) Ingest(rec flowcache.Record) {
 	fs.cpuNs += fs.cost.RecordNs
 	hr := fs.flows[rec.Key]
 	if hr == nil {
-		hr = &HostRecord{Key: rec.Key, FirstTs: rec.FirstTs, StateTs: rec.StateTs, State: rec.State}
+		hr = &flowEntry{HostRecord: HostRecord{Key: rec.Key, FirstTs: rec.FirstTs, StateTs: rec.StateTs, State: rec.State}}
 		fs.flows[rec.Key] = hr
+	}
+	if !hr.dirty {
+		hr.dirty = true
+		fs.dirty = append(fs.dirty, hr)
 	}
 	hr.Pkts += rec.Pkts
 	hr.Bytes += rec.Bytes
@@ -78,17 +92,26 @@ func (fs *FlowStore) Ingest(rec flowcache.Record) {
 	hr.Exports++
 }
 
+// takeDirty visits every aggregate Ingest changed since the previous call
+// and empties the set.
+func (fs *FlowStore) takeDirty(fn func(HostRecord)) {
+	for _, e := range fs.dirty {
+		e.dirty = false
+		fn(e.HostRecord)
+	}
+	fs.dirty = fs.dirty[:0]
+}
+
 // DrainRings pulls everything buffered in the sNIC eviction rings into the
 // store and returns the record count (the periodic snapshotter thread).
 func (fs *FlowStore) DrainRings(rings []*flowcache.Ring) int {
 	n := 0
-	var buf []flowcache.Record
 	for _, r := range rings {
-		buf = r.Drain(buf[:0], 0)
-		for i := range buf {
-			fs.Ingest(buf[i])
+		fs.drain = r.Drain(fs.drain[:0], 0)
+		for i := range fs.drain {
+			fs.Ingest(fs.drain[i])
 		}
-		n += len(buf)
+		n += len(fs.drain)
 	}
 	return n
 }
@@ -99,7 +122,7 @@ func (fs *FlowStore) Get(k packet.FlowKey) (HostRecord, bool) {
 	if !ok {
 		return HostRecord{}, false
 	}
-	return *hr, true
+	return hr.HostRecord, true
 }
 
 // Len returns the distinct-flow count.
@@ -108,7 +131,7 @@ func (fs *FlowStore) Len() int { return len(fs.flows) }
 // Each visits every aggregate.
 func (fs *FlowStore) Each(fn func(HostRecord) bool) {
 	for _, hr := range fs.flows {
-		if !fn(*hr) {
+		if !fn(hr.HostRecord) {
 			return
 		}
 	}
@@ -122,7 +145,3 @@ func (fs *FlowStore) CPUNs() float64 { return fs.cpuNs }
 
 // Ingests returns the number of records merged.
 func (fs *FlowStore) Ingests() uint64 { return fs.ingests }
-
-// Reset clears aggregates for a new measurement interval (after flushing
-// to the KV log) but keeps cumulative CPU accounting.
-func (fs *FlowStore) Reset() { fs.flows = map[packet.FlowKey]*HostRecord{} }

@@ -2,6 +2,7 @@ package host
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -286,5 +287,74 @@ func TestPortsRouting(t *testing.T) {
 	ps.Tick(100)
 	if ssh.ticks != 1 || all.ticks != 1 {
 		t.Errorf("ticks: ssh=%d all=%d", ssh.ticks, all.ticks)
+	}
+}
+
+// failingWriter fails its n-th Write and every one after.
+type failingWriter struct {
+	n, calls int
+}
+
+var errLogFull = errors.New("log device full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls >= w.n {
+		return 0, errLogFull
+	}
+	return len(p), nil
+}
+
+func TestFlusherKeepsFlushErrors(t *testing.T) {
+	fs := NewFlowStore(DefaultCostModel())
+	f := &Flusher{Store: fs, Ports: NewPorts(fs), KV: NewKVStore(&failingWriter{n: 3})}
+	for ts := int64(1); ts <= 5; ts++ {
+		fs.Ingest(flowcache.Record{Key: hkey(int(ts)), Pkts: 1})
+		f.OnInterval(ts)
+		if ts == 2 && f.Err() != nil {
+			t.Fatalf("error before the writer failed: %v", f.Err())
+		}
+	}
+	fs.Ingest(flowcache.Record{Key: hkey(6), Pkts: 1})
+	f.FinalFlush(6, func(func(flowcache.Record) bool) {})
+	err := f.Err()
+	if !errors.Is(err, errLogFull) {
+		t.Fatalf("Err = %v, want it to wrap %v", err, errLogFull)
+	}
+	if f.flushErrs != 4 { // intervals 3, 4, 5 and the final flush
+		t.Errorf("failed flushes = %d, want 4", f.flushErrs)
+	}
+	// The in-memory log is still complete.
+	if n := len(scanMap(t, f.KV, 6)); n != 6 {
+		t.Errorf("in-memory view holds %d flows after the writer failed, want 6", n)
+	}
+	if f.Stats() != (FlusherStats{Flushes: 5}) {
+		t.Errorf("stats = %+v", f.Stats())
+	}
+}
+
+// An NF attached on several ports is one function: one tick per interval,
+// in attach order.
+func TestPortsTickOncePerNF(t *testing.T) {
+	ps := NewPorts(nil)
+	a, b := &fakeNF{name: "a"}, &fakeNF{name: "b"}
+	for port, nf := range map[uint16]NF{80: a, 8080: a, 443: b} {
+		if err := ps.Attach(port, nf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ps.Attach(0, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := ps.Attach(0, b); err == nil {
+		t.Error("second catch-all accepted")
+	}
+	ps.Tick(1)
+	ps.Tick(2)
+	if a.ticks != 2 || b.ticks != 2 {
+		t.Errorf("ticks after two intervals: a=%d b=%d, want 2 each", a.ticks, b.ticks)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ps.Tick(3) }); allocs != 0 {
+		t.Errorf("Tick allocates %v times per interval", allocs)
 	}
 }

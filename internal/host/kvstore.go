@@ -2,10 +2,12 @@ package host
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 
 	"smartwatch/internal/packet"
@@ -14,60 +16,73 @@ import (
 // KVStore is the flow-logging datastore standing in for the paper's Redis
 // instance: per measurement interval the host cache flushes its aggregates
 // here for offline forensics (heavy hitters, cardinality, Slowloris...).
-// It is an in-memory map with optional append-only persistence, exposing
-// the handful of operations the monitoring pipeline needs.
+// It is an in-memory store with optional append-only persistence, exposing
+// the handful of operations the monitoring pipeline needs. The log is
+// cumulative, but an interval stores only the aggregates that changed in
+// it: the view as of an interval is the newest version of every key at or
+// before it, which Scan and Get resolve newest-first.
 type KVStore struct {
-	mu        sync.RWMutex
-	intervals map[int64]map[packet.FlowKey]HostRecord
-	aof       *bufio.Writer
-	writes    uint64
-	// retention bounds the in-memory interval map for long-running
-	// sessions (0 = unbounded, the batch-experiment default). When set,
-	// the oldest intervals are dropped from memory once more than
-	// retention are resident; AOF persistence, if configured, still holds
-	// every record ever flushed.
+	mu sync.RWMutex
+	// layers[1:] are the resident intervals, ascending by ts; layers[0] is
+	// the base under them, every interval retention evicted folded in one.
+	layers []kvLayer
+	aof    *bufio.Writer
+	writes uint64
+	// retention bounds the resident intervals for long-running sessions
+	// (0 = unbounded, the batch-experiment default); older ones are folded
+	// into the base: they leave Intervals, no flow leaves the view. AOF
+	// persistence, if configured, still holds every record ever flushed.
 	retention int
 	dropped   uint64
 }
 
+// kvLayer holds the aggregates that changed in one interval.
+type kvLayer struct {
+	ts    int64
+	delta map[packet.FlowKey]HostRecord
+}
+
 // NewKVStore returns an empty store. If aof is non-nil, every flushed
-// record is appended to it in a compact binary format (see WriteRecord).
+// record is appended to it in a compact binary format (see ReadRecords).
 func NewKVStore(aof io.Writer) *KVStore {
-	kv := &KVStore{intervals: map[int64]map[packet.FlowKey]HostRecord{}}
+	kv := &KVStore{layers: []kvLayer{{ts: math.MinInt64}}}
 	if aof != nil {
 		kv.aof = bufio.NewWriterSize(aof, 1<<16)
 	}
 	return kv
 }
 
-// FlushInterval stores a snapshot of the flow aggregates under the
-// interval's start timestamp.
+// FlushInterval logs the store's aggregates under the interval's start
+// timestamp. It takes only the records fs ingested since its previous
+// flush, so one FlowStore feeds one KVStore. The log is cumulative:
+// Scan(intervalTs) then visits every flow fs has ever held at its value as
+// of this flush, and a flow without traffic keeps its last value and never
+// leaves. Timestamps must not go backwards; the newest may repeat.
 func (kv *KVStore) FlushInterval(intervalTs int64, fs *FlowStore) error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	m := kv.intervals[intervalTs]
-	if m == nil {
-		m = map[packet.FlowKey]HostRecord{}
-		kv.intervals[intervalTs] = m
+	top := &kv.layers[len(kv.layers)-1]
+	if intervalTs < top.ts {
+		return fmt.Errorf("host: flush of interval %d behind the newest logged interval %d", intervalTs, top.ts)
 	}
-	var err error
-	fs.Each(func(hr HostRecord) bool {
-		m[hr.Key] = hr
+	if intervalTs > top.ts {
+		kv.layers = append(kv.layers, kvLayer{intervalTs, make(map[packet.FlowKey]HostRecord, len(fs.dirty))})
+		top = &kv.layers[len(kv.layers)-1]
+	}
+	fs.takeDirty(func(hr HostRecord) {
+		top.delta[hr.Key] = hr
 		kv.writes++
 		if kv.aof != nil {
-			if werr := writeRecord(kv.aof, intervalTs, hr); werr != nil {
-				err = werr
-				return false
-			}
+			// bufio.Writer keeps its first error and returns it from
+			// Flush below; the in-memory log stays complete meanwhile.
+			_ = writeRecord(kv.aof, intervalTs, hr)
 		}
-		return true
 	})
-	if err != nil {
-		return err
-	}
 	kv.enforceRetention()
 	if kv.aof != nil {
-		return kv.aof.Flush()
+		if err := kv.aof.Flush(); err != nil {
+			return fmt.Errorf("host: appending interval %d to the flow log: %w", intervalTs, err)
+		}
 	}
 	return nil
 }
@@ -75,7 +90,7 @@ func (kv *KVStore) FlushInterval(intervalTs int64, fs *FlowStore) error {
 // SetRetention bounds how many intervals stay resident in memory (0 =
 // unbounded). The daemon's soak path sets this so an unbounded run keeps a
 // flat heap; the final lossless flush is unaffected (it always lands in
-// the newest interval).
+// the newest interval, and folding keeps every flow in the view).
 func (kv *KVStore) SetRetention(n int) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -91,51 +106,85 @@ func (kv *KVStore) DroppedIntervals() uint64 {
 	return kv.dropped
 }
 
-// enforceRetention evicts oldest intervals beyond the cap. Caller holds mu.
+// enforceRetention folds the oldest intervals beyond the cap into the
+// base, oldest first so newer versions overwrite. Caller holds mu.
 func (kv *KVStore) enforceRetention() {
-	if kv.retention <= 0 {
+	excess := len(kv.layers) - 1 - kv.retention
+	if kv.retention <= 0 || excess <= 0 {
 		return
 	}
-	for len(kv.intervals) > kv.retention {
-		oldest := int64(0)
-		first := true
-		for ts := range kv.intervals {
-			if first || ts < oldest {
-				oldest, first = ts, false
-			}
+	base := &kv.layers[0]
+	for _, l := range kv.layers[1 : 1+excess] {
+		if len(base.delta) == 0 {
+			base.delta = l.delta
+			continue
 		}
-		delete(kv.intervals, oldest)
-		kv.dropped++
+		for k, hr := range l.delta {
+			base.delta[k] = hr
+		}
 	}
+	kv.dropped += uint64(excess)
+	kv.layers = slices.Delete(kv.layers, 1, 1+excess)
 }
 
-// Get fetches one flow's aggregate in one interval.
+// find returns the layer of the resident interval ts. Caller holds mu.
+func (kv *KVStore) find(ts int64) (int, bool) {
+	i, ok := slices.BinarySearchFunc(kv.layers, ts, func(l kvLayer, ts int64) int { return cmp.Compare(l.ts, ts) })
+	return i, ok && i > 0
+}
+
+// Get fetches one flow's aggregate as of one interval.
 func (kv *KVStore) Get(intervalTs int64, k packet.FlowKey) (HostRecord, bool) {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	hr, ok := kv.intervals[intervalTs][k]
-	return hr, ok
+	i, ok := kv.find(intervalTs)
+	for ; ok && i >= 0; i-- {
+		if hr, hit := kv.layers[i].delta[k]; hit {
+			return hr, true
+		}
+	}
+	return HostRecord{}, false
 }
 
 // Intervals lists stored interval timestamps in ascending order.
 func (kv *KVStore) Intervals() []int64 {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	out := make([]int64, 0, len(kv.intervals))
-	for ts := range kv.intervals {
-		out = append(out, ts)
+	out := make([]int64, 0, len(kv.layers)-1)
+	for _, l := range kv.layers[1:] {
+		out = append(out, l.ts)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// Scan visits every record of one interval.
+// Scan visits every record of the cumulative view as of one interval,
+// each flow once.
 func (kv *KVStore) Scan(intervalTs int64, fn func(HostRecord) bool) {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	for _, hr := range kv.intervals[intervalTs] {
-		if !fn(hr) {
-			return
+	top, ok := kv.find(intervalTs)
+	if !ok {
+		return
+	}
+	// Newest layer first: the first version of a key met is the one in
+	// force, and seen skips its older versions. The oldest non-empty layer
+	// shadows nothing, so a view living in one layer builds no set.
+	oldest := 0
+	for oldest < top && len(kv.layers[oldest].delta) == 0 {
+		oldest++
+	}
+	seen := map[packet.FlowKey]struct{}{}
+	for i := top; i >= oldest; i-- {
+		for k, hr := range kv.layers[i].delta {
+			if _, shadowed := seen[k]; shadowed {
+				continue
+			}
+			if i > oldest {
+				seen[k] = struct{}{}
+			}
+			if !fn(hr) {
+				return
+			}
 		}
 	}
 }
@@ -171,6 +220,10 @@ func writeRecord(w io.Writer, intervalTs int64, hr HostRecord) error {
 }
 
 // ReadRecords parses an append-only log produced with an AOF-backed store.
+// It holds per-interval deltas, not snapshots: under each timestamp, in
+// append order, the aggregates that changed then (none: interval absent).
+// To rebuild the view as of T, replay the intervals up to T in ascending
+// order into one map keyed by flow, later records overwriting earlier.
 func ReadRecords(r io.Reader) (map[int64][]HostRecord, error) {
 	br := bufio.NewReader(r)
 	out := map[int64][]HostRecord{}

@@ -51,8 +51,10 @@ type NF interface {
 type Ports struct {
 	byService map[uint16]NF
 	catchAll  NF
-	store     *FlowStore
-	stats     map[string]*PortStats
+	// ticked lists each attached NF once (by name), in attach order.
+	ticked []NF
+	store  *FlowStore
+	stats  map[string]*PortStats
 }
 
 // PortStats counts one NF's traffic.
@@ -75,6 +77,9 @@ func (ps *Ports) Attach(service uint16, nf NF) error {
 		return fmt.Errorf("host: nil NF")
 	}
 	if service == 0 {
+		if ps.catchAll != nil {
+			return fmt.Errorf("host: catch-all NF already attached")
+		}
 		ps.catchAll = nf
 	} else {
 		if _, dup := ps.byService[service]; dup {
@@ -82,7 +87,10 @@ func (ps *Ports) Attach(service uint16, nf NF) error {
 		}
 		ps.byService[service] = nf
 	}
-	ps.stats[nf.Name()] = &PortStats{}
+	if ps.stats[nf.Name()] == nil {
+		ps.stats[nf.Name()] = &PortStats{}
+		ps.ticked = append(ps.ticked, nf)
+	}
 	return nil
 }
 
@@ -114,17 +122,10 @@ func (ps *Ports) Deliver(p *packet.Packet) Verdict {
 	return v
 }
 
-// Tick fans an interval tick to every attached NF.
+// Tick fans an interval tick to every attached NF, once per NF name.
 func (ps *Ports) Tick(now int64) {
-	seen := map[string]bool{}
-	for _, nf := range ps.byService {
-		if !seen[nf.Name()] {
-			seen[nf.Name()] = true
-			nf.Tick(now)
-		}
-	}
-	if ps.catchAll != nil && !seen[ps.catchAll.Name()] {
-		ps.catchAll.Tick(now)
+	for _, nf := range ps.ticked {
+		nf.Tick(now)
 	}
 }
 

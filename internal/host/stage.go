@@ -1,6 +1,8 @@
 package host
 
 import (
+	"fmt"
+
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/tier"
 )
@@ -42,6 +44,9 @@ type Flusher struct {
 
 	flushes uint64
 	drained uint64
+	// flushErr is the first failed flow-log flush of flushErrs.
+	flushErr  error
+	flushErrs uint64
 }
 
 // FlusherStats summarises the flusher's cumulative work.
@@ -61,13 +66,33 @@ func (f *Flusher) Stats() FlusherStats {
 	return FlusherStats{Flushes: f.flushes, Drained: f.drained}
 }
 
+// Err is nil when every flush reached the flow log, otherwise the first
+// failure and how many flushes failed.
+func (f *Flusher) Err() error {
+	if f.flushErr == nil {
+		return nil
+	}
+	return fmt.Errorf("host: %d flow-log flush(es) failed, first: %w", f.flushErrs, f.flushErr)
+}
+
+// Flush persists the store's changes under ts. The drive cannot stop for
+// a failing log writer mid-interval, so a failure is kept for Err.
+func (f *Flusher) Flush(ts int64) {
+	if err := f.KV.FlushInterval(ts, f.Store); err != nil {
+		f.flushErrs++
+		if f.flushErr == nil {
+			f.flushErr = err
+		}
+	}
+}
+
 // OnInterval runs the per-interval host work in the legacy order: rings,
 // NF timers, flow-log flush.
 func (f *Flusher) OnInterval(ts int64) {
 	f.drained += uint64(f.Store.DrainRings(f.Rings))
 	f.flushes++
 	f.Ports.Tick(ts)
-	_ = f.KV.FlushInterval(ts, f.Store)
+	f.Flush(ts)
 }
 
 // FinalFlush is the lossless end-of-run export: drain the rings, ingest
@@ -80,5 +105,5 @@ func (f *Flusher) FinalFlush(ts int64, snapshot func(func(flowcache.Record) bool
 		f.Store.Ingest(r)
 		return true
 	})
-	_ = f.KV.FlushInterval(ts, f.Store)
+	f.Flush(ts)
 }

@@ -10,13 +10,13 @@ import "testing"
 // tick late, which is what the pre-fix offset arithmetic did.
 func TestTimingWheelWraparoundTable(t *testing.T) {
 	cases := []struct {
-		name         string
-		slots        int
-		tick         int64
-		preAdvance   int64 // move the cursor mid-rotation before scheduling
-		deadline     int64
-		notFiredBy   int64 // Advance to here must NOT release the entry
-		firedBy      int64 // Advance to here MUST release it
+		name       string
+		slots      int
+		tick       int64
+		preAdvance int64 // move the cursor mid-rotation before scheduling
+		deadline   int64
+		notFiredBy int64 // Advance to here must NOT release the entry
+		firedBy    int64 // Advance to here MUST release it
 	}{
 		{name: "within-first-revolution", slots: 8, tick: 100,
 			deadline: 350, notFiredBy: 300, firedBy: 400},

@@ -75,12 +75,12 @@ func TestBufferedEarlyStop(t *testing.T) {
 // tail carries the remainder, and concatenation reproduces the source.
 func TestBufferedBatchesShape(t *testing.T) {
 	for _, tc := range []struct{ n, batch int }{
-		{1000, 64},  // odd tail: 1000 = 15*64 + 40
-		{1000, 7},   // odd tail: 1000 = 142*7 + 6
-		{512, 256},  // exact multiple, no tail
-		{5, 256},    // single short batch
-		{1000, 1},   // degenerate batch size
-		{100, 0},    // default batch (256) larger than stream
+		{1000, 64}, // odd tail: 1000 = 15*64 + 40
+		{1000, 7},  // odd tail: 1000 = 142*7 + 6
+		{512, 256}, // exact multiple, no tail
+		{5, 256},   // single short batch
+		{1000, 1},  // degenerate batch size
+		{100, 0},   // default batch (256) larger than stream
 	} {
 		var got []Packet
 		batches := 0

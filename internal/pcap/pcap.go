@@ -133,6 +133,9 @@ type Reader struct {
 	count    int64
 	skipped  int64
 	maxFrame int
+	// hdr is the record-header scratch: a local would escape through
+	// io.ReadFull and cost one heap allocation per record.
+	hdr [pktHdrLen]byte
 }
 
 // fileHeader is the decoded global pcap header, shared by Reader and
@@ -200,8 +203,8 @@ func (r *Reader) SnapLen() int { return r.snapLen }
 // and passed over. io.EOF signals a clean end of file.
 func (r *Reader) Next() (packet.Packet, error) {
 	for {
-		var hdr [pktHdrLen]byte
-		if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+		hdr := r.hdr[:]
+		if _, err := io.ReadFull(r.r, hdr); err != nil {
 			if err == io.EOF {
 				return packet.Packet{}, io.EOF
 			}

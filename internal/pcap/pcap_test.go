@@ -229,3 +229,35 @@ func TestWriterPropagatesIOErrors(t *testing.T) {
 		t.Fatal("write failures must surface, not vanish in buffering")
 	}
 }
+
+// The decode loop runs once per packet of every file-fed drive; in steady
+// state (frame buffer grown) it must not allocate.
+func TestReaderNextDoesNotAllocate(t *testing.T) {
+	const runs = 200
+	var buf bytes.Buffer
+	w := NewWriter(&buf, WriterConfig{})
+	for i := 0; i < runs+2; i++ {
+		p := mkPkt(int64(i+1)*1e6, uint16(1000+i), 120)
+		if err := w.WritePacket(&p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Next(); err != nil { // grows the frame buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reader.Next allocates %v times per record, want 0", allocs)
+	}
+}

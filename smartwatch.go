@@ -481,7 +481,9 @@ type HostRecord = host.HostRecord
 // NF is a host network function behind an SR-IOV port.
 type NF = host.NF
 
-// FlowLog is the Redis-style per-interval flow datastore.
+// FlowLog is the Redis-style per-interval flow datastore. Reads are
+// cumulative: Scan(ts) and Get(ts, k) give every flow logged so far at its
+// value as of interval ts.
 type FlowLog = host.KVStore
 
 // NewFlowLog returns a flow log; a non-nil aof gets every flushed record
@@ -490,7 +492,11 @@ type FlowLog = host.KVStore
 func NewFlowLog(aof io.Writer) *FlowLog { return host.NewKVStore(aof) }
 
 // ReadFlowLog parses an append-only flow log back into per-interval
-// records (offline forensics over a previous run).
+// records (offline forensics over a previous run). The log holds deltas,
+// not snapshots: each interval lists, in append order, the aggregates that
+// changed in it. Replay the intervals up to T in ascending order into one
+// map keyed by flow, later records overwriting earlier ones, to rebuild
+// the view as of T.
 func ReadFlowLog(r io.Reader) (map[int64][]HostRecord, error) { return host.ReadRecords(r) }
 
 // SNIC hardware profiles ------------------------------------------------------
