@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race shards policies pipeline cluster lowslow check bench profile experiments metrics-smoke serve-smoke clean
+.PHONY: all build fmt-check vet test race shards policies pipeline cluster lowslow check bench bench-ab profile experiments metrics-smoke serve-smoke clean
 
 all: check
 
@@ -23,9 +23,13 @@ test:
 # Race-detector pass over the concurrency-bearing packages: the FlowCache
 # latch protocol, the sNIC engine, the platform control loop, the parallel
 # experiment runner and the buffered stream bridge. -short skips the
-# full-sweep determinism test (covered by `make test`).
+# full-sweep determinism test (covered by `make test`) and shortens, not
+# skips, the sNIC scheduler's ring-vs-heap oracle. The concurrent-Close
+# test then runs 20 more times: its race lost about one run in eight
+# before Session.Close decided under the session mutex.
 race:
 	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/core/ ./internal/experiments/ ./internal/packet/
+	$(GO) test -race -count=20 -run TestReleaseWorkersConcurrentClose ./internal/core/
 
 # Shard-determinism gate (DESIGN.md §8.4, §9, §12): the sharded FlowCache,
 # the tier pipeline, the event bus, the batched datapath and the session
@@ -85,6 +89,13 @@ check: fmt-check vet build test race
 # to BENCH_<pr>.json when committing a PR's trajectory point.
 bench:
 	$(GO) run ./cmd/bench -out BENCH_dev.json
+
+# Same-box A/B of the repo's benchmark (benchmark/, BENCHMARK.json): the
+# base commit against the working tree as alternating pairs, both result
+# files left under benchmark/out/. What every perf PR has to show.
+#   make bench-ab [BASE=HEAD~1] [PAIRS=10] [SEED=1]
+bench-ab:
+	GO="$(GO)" BASE="$(BASE)" PAIRS="$(PAIRS)" SEED="$(SEED)" sh scripts/bench_ab.sh
 
 # CPU and heap profiles of the micro-benchmark hot paths, for
 # `go tool pprof prof/bench.cpu.pprof`. cmd/experiments takes the same

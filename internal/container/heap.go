@@ -1,8 +1,8 @@
 // Package container holds the small specialised data structures shared by
-// the simulator's hot paths. Its flat 4-ary min-heap replaced two
-// hand-rolled copies of the same code: the sNIC thread scheduler
-// (internal/snic, the dispatch loop's only data structure) and the switch
-// whitelist top-k selection (internal/core).
+// the simulator's hot paths. Its flat 4-ary min-heap serves the switch
+// whitelist top-k selection (internal/core); it was also the sNIC thread
+// scheduler until a sorted ring replaced it there (DESIGN.md §17), and
+// remains the oracle internal/snic's tests hold the ring to.
 package container
 
 import "cmp"
@@ -12,8 +12,7 @@ import "cmp"
 //
 // Both key fields are constrained to cmp.Ordered so the comparison below
 // compiles to inlined machine compares per instantiation — no
-// sort.Interface boxing and no dynamic dispatch, which is what keeps the
-// sNIC dispatch loop allocation-free and branch-cheap (see DESIGN.md §7).
+// sort.Interface boxing and no dynamic dispatch (see DESIGN.md §7).
 type Item[P cmp.Ordered, T cmp.Ordered, V any] struct {
 	Pri P
 	Tie T
@@ -95,8 +94,8 @@ func (h *Heap[P, T, V]) PopMin() Item[P, T, V] {
 func (h *Heap[P, T, V]) Root() *Item[P, T, V] { return &h.items[0] }
 
 // FixRoot restores the heap property after the root item was mutated in
-// place — the scheduler's dispatch pattern (peek root, grow its key,
-// re-sink), which avoids a Pop+Push pair.
+// place (peek root, replace or grow it, re-sink), which avoids a Pop+Push
+// pair.
 func (h *Heap[P, T, V]) FixRoot() { h.siftDown(0) }
 
 // Items exposes the backing slice in heap (not sorted) order, for bulk

@@ -67,7 +67,7 @@ func TestHeapInitHeapifies(t *testing.T) {
 	}
 }
 
-// TestHeapFixRootScheduler exercises the sNIC dispatch pattern: repeatedly
+// TestHeapFixRootScheduler exercises the scheduling pattern: repeatedly
 // read the root, grow its priority, FixRoot — the selection sequence must
 // equal a reference simulation over a sorted multiset.
 func TestHeapFixRootScheduler(t *testing.T) {

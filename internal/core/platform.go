@@ -158,7 +158,7 @@ type Platform struct {
 
 	// metrics / emitter implement the observability layer (nil when
 	// Config.Metrics is unset); engine is the platform's sNIC simulator,
-	// constructed once in New so thread-heap and dispatch state persist
+	// constructed once in New so thread-scheduler and dispatch state persist
 	// across drives (segmented runs equal one-shot runs) and so the
 	// metrics collector can sample live datapath counters at any time.
 	metrics *obs.Registry
@@ -286,7 +286,7 @@ func New(cfg Config) *Platform {
 		handler = pl.legacyHandler
 	}
 	// The engine lives as long as the platform: sequential drives continue
-	// from its thread-heap/dispatch state exactly as they continue from the
+	// from its thread-scheduler/dispatch state exactly as they continue from the
 	// FlowCache, so a trace split across segments reproduces the one-shot
 	// drive (TestSegmentedRunMatchesOneShot).
 	pl.engine = snic.New(cfg.SNIC, handler)
@@ -588,7 +588,7 @@ type Report struct {
 
 // Run replays the stream through the full platform and returns the
 // report. Each call continues from the platform's current state (the
-// FlowCache, the sNIC engine's thread heap, the flow log), so
+// FlowCache, the sNIC engine's thread ring, the flow log), so
 // multi-interval experiments can call Run repeatedly with consecutive
 // trace segments. Each Run ends with a flow-log flush that snapshots the
 // records still resident in the FlowCache under that flush's interval

@@ -308,7 +308,12 @@ func (s *Session) Drain() (Report, error) {
 	}
 	s.state = SessionDraining
 	s.mu.Unlock()
+	return s.finishDrain()
+}
 
+// finishDrain runs the drain for the one caller that moved the session
+// Running -> Draining under s.mu.
+func (s *Session) finishDrain() (Report, error) {
 	s.ioMu.Lock()
 	close(s.in)
 	s.ioMu.Unlock()
@@ -344,23 +349,33 @@ func (s *Session) Report() (Report, bool) {
 // or idle session just transitions to Done. Either way the platform's
 // lazily started background workers (prep worker, shard worker pool) are
 // released — a closed session leaves no goroutines behind; they restart
-// lazily if the platform drives again. Idempotent.
+// lazily if the platform drives again. Idempotent, and safe to call
+// concurrently with itself and with Drain: one caller drains and returns
+// the drain's error, the rest wait for the final flush and return nil.
 func (s *Session) Close() error {
-	switch s.State() {
+	// Decide under s.mu, so of several concurrent Closes (SIGTERM,
+	// /control/drain, a deferred cleanup) exactly one claims the drain.
+	s.mu.Lock()
+	st := s.state
+	switch st {
 	case SessionRunning:
-		_, err := s.Drain()
-		s.pl.ReleaseWorkers()
-		return err
+		s.state = SessionDraining
 	case SessionIdle:
-		s.mu.Lock()
 		s.state = SessionDone
-		s.mu.Unlock()
-		s.pl.ReleaseWorkers()
-		return nil
-	default:
-		s.pl.ReleaseWorkers()
-		return nil
 	}
+	s.mu.Unlock()
+
+	var err error
+	switch st {
+	case SessionRunning:
+		_, err = s.finishDrain()
+	case SessionDraining:
+		// Another caller owns the drain and reports its error; wait until
+		// the drive has run the final flush.
+		<-s.finished
+	}
+	s.pl.ReleaseWorkers()
+	return err
 }
 
 // drive is the session's only worker: it feeds the platform's filter

@@ -100,12 +100,12 @@ func splitAtIntervalCrossings(pkts []packet.Packet, boundaries ...int64) [][]pac
 
 // TestSegmentedRunMatchesOneShot is the engine-hoist golden (ISSUE 7
 // satellite): snic.New moved from Platform.Run into New, so the engine's
-// thread-heap and dispatch state persist across drives and a trace split
+// thread-scheduler and dispatch state persist across drives and a trace split
 // into sequential Run calls reproduces the one-shot drive's datapath
 // exactly. The proof is per-packet: an SNIC observer records every
 // (timestamp, modelled latency) pair, and the segmented trace must equal
 // the one-shot trace float-for-float — any reconstructed engine state
-// (idle dispatch port, cold thread heap) would shift the very first
+// (idle dispatch port, cold thread ring) would shift the very first
 // latencies of a later segment. Segments are split at interval-boundary
 // crossings, where the per-Run drive tail (forced interval close + final
 // flow-log flush) performs exactly the interval work the one-shot drive

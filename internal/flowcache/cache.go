@@ -1,8 +1,10 @@
 package flowcache
 
 import (
+	"os"
 	"smartwatch/internal/packet"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Cache is the sNIC FlowCache. The hot path is Process, which classifies
@@ -97,6 +99,16 @@ func (s *statShard) finish(res *Result) {
 
 // New builds a cache from cfg. It panics on invalid configuration (these
 // are programmer errors; use cfg.Validate to pre-check user input).
+//
+// The table is physically backed when New returns, as the sNIC's EMEM
+// allocation is at firmware load: New stores to every OS page of the bucket
+// array (and the loop that slices it up writes every row header). A large
+// make is otherwise lazily mapped, and the datapath would take two page
+// faults per table page — the probe's read maps the shared zero page, the
+// insert's write then copies it — inside the time the packet is charged
+// for (DESIGN.md §17). The process's resident set therefore includes the
+// whole configured table (Rows x Buckets x 80 B) from construction, whether
+// or not traffic ever fills it.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -105,6 +117,13 @@ func New(cfg Config) *Cache {
 	c.kind, c.policyP, c.policyE, c.policy = resolvePolicy(cfg)
 	c.rows = make([]row, cfg.Rows())
 	store := make([]Record, cfg.Rows()*cfg.Buckets) // contiguous, like the sNIC allocation
+	// Whole records per page, rounded down, so no page falls between two
+	// stores; the last record covers the tail.
+	step := max(1, os.Getpagesize()/int(unsafe.Sizeof(Record{})))
+	for i := 0; i < len(store); i += step {
+		store[i].occupied = false
+	}
+	store[len(store)-1].occupied = false
 	for i := range c.rows {
 		c.rows[i].buckets = store[i*cfg.Buckets : (i+1)*cfg.Buckets : (i+1)*cfg.Buckets]
 	}

@@ -57,8 +57,11 @@ type Switch struct {
 	queries []Query
 	regs    [][]uint64 // [query][slot]
 	// steer holds per-query sets of fired (masked) keys whose subsequent
-	// packets are mirrored to the sNIC.
-	steer map[string]map[packet.Addr]bool
+	// packets are mirrored to the sNIC, by query name: entries outlive a
+	// re-programmed query set. steerOf[i] is steer[queries[i].Name], so the
+	// per-packet path indexes instead of hashing the name.
+	steer   map[string]map[packet.Addr]bool
+	steerOf []map[packet.Addr]bool
 	// whitelist short-circuits benign flows past steering.
 	whitelist map[packet.FlowKey]bool
 	// blacklist drops confirmed attackers at line rate.
@@ -126,7 +129,17 @@ func (s *Switch) InstallQueries(queries []Query) error {
 	for i, q := range queries {
 		s.regs[i] = make([]uint64, q.Slots)
 	}
+	s.bindSteer()
 	return nil
+}
+
+// bindSteer re-derives steerOf after the query set or the set of steer
+// maps changed.
+func (s *Switch) bindSteer() {
+	s.steerOf = make([]map[packet.Addr]bool, len(s.queries))
+	for i := range s.queries {
+		s.steerOf[i] = s.steer[s.queries[i].Name]
+	}
 }
 
 // Queries returns the installed query set.
@@ -181,8 +194,9 @@ func (s *Switch) Process(p *packet.Packet) Action {
 		s.stats.RegisterOps++
 	}
 
-	// Whitelisted flows bypass steering (the hoverboard shortcut).
-	if s.whitelist[p.Key()] {
+	// Whitelisted flows bypass steering (the hoverboard shortcut). The
+	// probe canonicalises and hashes the key, so skip it while empty.
+	if len(s.whitelist) != 0 && s.whitelist[p.Key()] {
 		s.stats.Forwarded++
 		s.stats.WhitelistHits++
 		return Forward
@@ -193,7 +207,7 @@ func (s *Switch) Process(p *packet.Packet) Action {
 	// key field and its reverse) so responses transit the sNIC too.
 	for i := range s.queries {
 		q := &s.queries[i]
-		keys := s.steer[q.Name]
+		keys := s.steerOf[i]
 		if len(keys) == 0 || !q.Filter.Match(p) {
 			continue
 		}
@@ -260,6 +274,7 @@ func (s *Switch) Steer(fk FiredKey) error {
 	if m == nil {
 		m = map[packet.Addr]bool{}
 		s.steer[fk.Query] = m
+		s.bindSteer()
 	}
 	m[fk.Key] = true
 	return nil

@@ -108,6 +108,50 @@ func TestSteeringDirectsSubsetToSNIC(t *testing.T) {
 	}
 }
 
+// TestSteerEntriesFollowQueryNames: steer entries are keyed by query name,
+// not by position — one installed before its query exists, or while the
+// query sits at another index, still applies after the set is re-programmed.
+func TestSteerEntriesFollowQueryNames(t *testing.T) {
+	sw := New(DefaultConfig())
+	fk := FiredKey{Query: "ssh-conns", Key: packet.MustParseAddr("10.1.0.0"), PrefixBits: 16}
+	if err := sw.Steer(fk); err != nil { // no query of that name yet
+		t.Fatal(err)
+	}
+	in := synPkt("9.9.9.9", "10.1.44.3", 22)
+	if got := sw.Process(&in); got != Forward {
+		t.Errorf("entry without a query: %v, want forward", got)
+	}
+	other := sshQuery()
+	other.Name, other.Filter.DstPort = "telnet-conns", 23
+	for _, qs := range [][]Query{{sshQuery()}, {other, sshQuery()}, {sshQuery(), other}} {
+		if err := sw.InstallQueries(qs); err != nil {
+			t.Fatal(err)
+		}
+		if got := sw.Process(&in); got != ToSNIC {
+			t.Errorf("%d queries installed: %v, want to-snic", len(qs), got)
+		}
+	}
+	tel := synPkt("9.9.9.9", "10.1.44.3", 23)
+	if got := sw.Process(&tel); got != Forward {
+		t.Errorf("other query has no entries: %v, want forward", got)
+	}
+	if err := sw.Steer(FiredKey{Query: "telnet-conns", Key: fk.Key, PrefixBits: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sw.Process(&tel); got != ToSNIC {
+		t.Errorf("first entry of an installed query: %v, want to-snic", got)
+	}
+	if err := sw.InstallQueries([]Query{other}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sw.Process(&in); got != Forward {
+		t.Errorf("query uninstalled: %v, want forward", got)
+	}
+	if sw.SteerCount() != 2 {
+		t.Errorf("steer entries = %d, want 2 (they outlive their query)", sw.SteerCount())
+	}
+}
+
 func TestWhitelistBypassesSteering(t *testing.T) {
 	sw := New(DefaultConfig())
 	if err := sw.InstallQueries([]Query{sshQuery()}); err != nil {

@@ -1,7 +1,6 @@
 package snic
 
 import (
-	"smartwatch/internal/container"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/stats"
 )
@@ -83,20 +82,68 @@ func (r Report) LossRate() float64 {
 	return float64(r.Dropped) / float64(t)
 }
 
-// threadHeap orders micro-engine threads by next-free time (Pri), then PME
-// index (Tie): the global load balancer always hands the packet to the
-// earliest-available thread, with ties breaking toward the lower PME index
-// so thread selection is fully deterministic and independent of heap
-// history. container.Heap is the same flat 4-ary layout the dispatch loop
-// always used; its cmp.Ordered keys keep every comparison an inlined float
-// compare (no sort.Interface boxing, no dynamic dispatch).
-type threadHeap = container.Heap[float64, int, struct{}]
+// thread is one micro-engine thread: the virtual time it is next free and
+// the PME it runs on.
+type thread struct {
+	free float64
+	pme  int
+}
+
+// threadRing is the global load balancer's view of the threads: all of them,
+// sorted by (free, pme) ascending in a power-of-two ring, so the head is
+// always the earliest-available thread with ties toward the lower PME.
+// Dispatch pops the head and re-inserts it at its new free time by scanning
+// back from the tail. A re-armed thread is nearly always among the latest to
+// come free, so the scan moves a handful of slots where a heap sifts the
+// full depth on every packet; the worst case is one pass over the profile's
+// threads. Threads with equal (free, pme) are interchangeable, so any
+// structure that yields the (free, pme) minimum selects the same thread:
+// the order is fully deterministic and independent of history
+// (DESIGN.md §17).
+type threadRing struct {
+	slots []thread
+	head  int // slot of the earliest-free thread, always < len(slots)
+	n     int // threads held
+}
+
+func newThreadRing(pmes, threadsPerPME int) threadRing {
+	n := pmes * threadsPerPME
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	r := threadRing{slots: make([]thread, size), n: n}
+	// All free at 0: (free, pme) order is PME order.
+	for i := 0; i < n; i++ {
+		r.slots[i].pme = i / threadsPerPME
+	}
+	return r
+}
+
+// earliest returns the thread the next packet goes to.
+func (r *threadRing) earliest() thread { return r.slots[r.head] }
+
+// rearm moves the earliest thread to its new free time.
+func (r *threadRing) rearm(free float64) {
+	slots, mask := r.slots, len(r.slots)-1
+	pme := slots[r.head].pme
+	r.head = (r.head + 1) & mask
+	i := r.head + r.n - 1 // the slot past the remaining n-1 threads
+	for ; i > r.head; i-- {
+		prev := slots[(i-1)&mask]
+		if prev.free < free || (prev.free == free && prev.pme <= pme) {
+			break
+		}
+		slots[i&mask] = prev
+	}
+	slots[i&mask] = thread{free: free, pme: pme}
+}
 
 // Engine is the discrete-event sNIC simulator.
 type Engine struct {
 	cfg        Config
 	handler    Handler
-	threads    threadHeap
+	threads    threadRing
 	engineFree []float64 // per-PME engine availability
 	dispatch   float64   // scatter-gather front-end availability
 	// live points at the running Run's report so LiveCounts can surface
@@ -117,13 +164,7 @@ func New(cfg Config, handler Handler) *Engine {
 	}
 	e := &Engine{cfg: cfg, handler: handler}
 	e.engineFree = make([]float64, cfg.Profile.PMEs)
-	slots := make([]container.Item[float64, int, struct{}], 0, cfg.Profile.PMEs*cfg.Profile.ThreadsPerPME)
-	for pme := 0; pme < cfg.Profile.PMEs; pme++ {
-		for t := 0; t < cfg.Profile.ThreadsPerPME; t++ {
-			slots = append(slots, container.Item[float64, int, struct{}]{Tie: pme})
-		}
-	}
-	e.threads.Init(slots)
+	e.threads = newThreadRing(cfg.Profile.PMEs, cfg.Profile.ThreadsPerPME)
 	return e
 }
 
@@ -158,10 +199,6 @@ func (e *Engine) Run(s packet.Stream) Report {
 		latency     = rep.Latency
 		cur         packet.Packet
 	)
-	// The heap's root slot address is stable across FixRoot calls (no
-	// Push/Pop happens in the loop), so it is resolved once.
-	root := threads.Root()
-
 	for p := range s {
 		cur = p
 		arrival := float64(cur.Ts)
@@ -182,16 +219,17 @@ func (e *Engine) Run(s packet.Stream) Report {
 		ready := e.dispatch
 
 		// Global load balancer: earliest-available thread.
+		next := threads.earliest()
 		start := ready
-		if root.Pri > start {
-			start = root.Pri
+		if next.free > start {
+			start = next.free
 		}
 		if start-arrival > queueDropNs {
 			// Input buffer overrun: the packet is lost before processing.
 			rep.Dropped++
 			continue
 		}
-		pme := root.Tie
+		pme := next.pme
 
 		cost := handler(&cur, Ctx{QueueDelayNs: start - arrival})
 		engineTime := baseNs +
@@ -209,8 +247,7 @@ func (e *Engine) Run(s packet.Stream) Report {
 		// (yielding the engine to sibling threads meanwhile).
 		threadEnd := engineEnd + float64(cost.Reads)*readStallNs
 
-		root.Pri = threadEnd
-		threads.FixRoot()
+		threads.rearm(threadEnd)
 
 		rep.Processed++
 		rep.EngineBusyNs += engineTime

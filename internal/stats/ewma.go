@@ -72,8 +72,10 @@ func (m *RateMeter) Observe(ts int64, n int64) float64 {
 	if !m.hasWindow {
 		m.start, m.hasWindow = ts, true
 	}
-	if k := (ts - m.start) / m.windowNs; k > 0 {
-		m.closeWindows(k)
+	// Compare before dividing: almost every call lands inside the open
+	// window, and a 64-bit divide per packet showed in the drive's profile.
+	if el := ts - m.start; el >= m.windowNs {
+		m.closeWindows(el / m.windowNs)
 	}
 	m.count += n
 	return m.ewma.Value()
