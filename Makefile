@@ -72,11 +72,13 @@ cluster:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./internal/cluster/
 
-# Low-and-slow gate (DESIGN.md §15): the injector/detector suite, the
-# timing-wheel wraparound audit, the pin-budget boundary race, the
-# Lite-mode pinned-retention oracles and the platform determinism sweep
-# with the wheel-backed detector in the loop — all under the race
-# detector — then the lowslow experiment table at reduced scale.
+# Low-and-slow gate (DESIGN.md §15, §18): the injector/detector suite,
+# the flow-table model test and the map-backed LowSlow oracle, the
+# timing-wheel wraparound and hostile-time audit, the pin-budget boundary
+# race, the Lite-mode pinned-retention oracles and the platform
+# determinism sweep with the wheel-backed detector in the loop — all
+# under the race detector — then the lowslow experiment table at reduced
+# scale.
 lowslow:
 	$(GO) vet ./...
 	$(GO) test -race -run 'LowSlow|SlowRead|SlowPost|ConnExhaust|TimingWheel|PinBudget|PinStarve|PinAge|CleanRowParks|UnpinParked|ModeChurn|UpdateStatePin' \

@@ -93,20 +93,24 @@ func (d *BruteForce) server(p *packet.Packet) packet.Addr {
 }
 
 // OnPacket implements Detector.
-func (d *BruteForce) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *BruteForce) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *BruteForce) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	if p.Tuple.DstPort != d.service && p.Tuple.SrcPort != d.service {
-		return Reaction{}
+		return 0, 0
 	}
 	d.totalPkts++
-	r := Reaction{ExtraCycles: d.detectorCycles}
 	if rec == nil {
-		return r
+		return 0, d.detectorCycles
 	}
+	var v verdict
 
 	// New connection: pin until the host decides the auth outcome.
 	if rec.State&(stateAuthPending|stateAuthOK|stateAuthFailed) == 0 {
 		rec.State |= stateAuthPending
-		r.Pin = true
+		v |= vPin
 	}
 
 	switch p.App.AuthOutcome {
@@ -114,30 +118,27 @@ func (d *BruteForce) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ct
 		rec.State &^= stateAuthPending
 		rec.State |= stateAuthOK
 		// Benign: whitelist at the switch, unpin, stop host processing.
-		r.Whitelist = true
-		r.Unpin = true
-		r.ToHost = true // this final packet still transits the host NF
+		// This final packet still transits the host NF.
+		v |= vWhitelist | vUnpin | vToHost
 		d.hostPkts++
 	case packet.AuthFailure:
 		rec.State &^= stateAuthPending
 		rec.State |= stateAuthFailed
-		r.Unpin = true
-		r.ToHost = true
+		v |= vUnpin | vToHost
 		d.hostPkts++
 		src := d.remote(p)
 		d.recordFailure(src, d.server(p), p.Ts)
 	default:
 		if rec.State&stateAuthPending != 0 {
 			// Auth phase in progress: Zeek on the host sees these packets.
-			r.ToHost = true
+			v |= vToHost
 			d.hostPkts++
 		}
 	}
 	if d.flagged[d.remote(p)] {
-		r.BlacklistSrc = true
-		r.DropPacket = true
+		v |= vBlacklistSrc | vDrop
 	}
-	return r
+	return v, d.detectorCycles
 }
 
 func (d *BruteForce) recordFailure(src, server packet.Addr, ts int64) {

@@ -86,25 +86,29 @@ func (d *CovertTiming) Program(k packet.FlowKey) {
 func (d *CovertTiming) ProgramAll() { d.programAll = true }
 
 // OnPacket implements Detector.
-func (d *CovertTiming) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *CovertTiming) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *CovertTiming) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	k := p.Key()
 	cf := d.flows[k]
 	if cf == nil {
 		if !d.programAll {
-			return Reaction{}
+			return 0, 0
 		}
 		d.Program(k)
 		cf = d.flows[k]
 	}
-	r := Reaction{ExtraCycles: 25}
+	var v verdict
 	if rec != nil && !rec.Pinned {
-		r.Pin = true // programmed flows must not be evicted (§5.2.1)
+		v = vPin // programmed flows must not be evicted (§5.2.1)
 	}
 	if cf.hasLast {
 		cf.hist.Add(float64(p.Ts - cf.lastTs))
 	}
 	cf.lastTs, cf.hasLast = p.Ts, true
-	return r
+	return v, 25
 }
 
 // Tick runs the CME-side KS tests for flows with enough samples.

@@ -67,22 +67,26 @@ func (d *Fingerprint) Program(k packet.FlowKey) {
 func (d *Fingerprint) ProgramAll() { d.programAll = true }
 
 // OnPacket implements Detector.
-func (d *Fingerprint) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *Fingerprint) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *Fingerprint) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	k := p.Key()
 	f := d.flows[k]
 	if f == nil {
 		if !d.programAll {
-			return Reaction{}
+			return 0, 0
 		}
 		d.Program(k)
 		f = d.flows[k]
 	}
-	r := Reaction{ExtraCycles: 20}
+	var v verdict
 	if rec != nil && !rec.Pinned {
-		r.Pin = true
+		v = vPin
 	}
 	f.hist.Add(float64(p.Size))
-	return r
+	return v, 20
 }
 
 // Tick classifies flows with enough samples (the CME timer).

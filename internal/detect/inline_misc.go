@@ -18,6 +18,7 @@ type Incomplete struct {
 	threshold int
 	hooks     Hooks
 	pending   map[packet.FlowKey]pendingProbe
+	due       []dueProbe // Tick's scratch
 	counts    map[packet.Addr]int
 	flagged   map[packet.Addr]bool
 	// hostPkts counts SYN records the host examines (Table 2).
@@ -48,9 +49,13 @@ func NewIncomplete(timeoutNs int64, threshold int, hooks Hooks) *Incomplete {
 func (d *Incomplete) Name() string { return "tcp-incomplete" }
 
 // OnPacket implements Detector.
-func (d *Incomplete) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *Incomplete) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *Incomplete) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	if !p.IsTCP() || rec == nil {
-		return Reaction{}
+		return 0, 0
 	}
 	d.totalPkts++
 	k := p.Key()
@@ -60,34 +65,32 @@ func (d *Incomplete) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ct
 			rec.State |= stateSYNSeen
 			d.pending[k] = pendingProbe{src: p.Tuple.SrcIP, dst: p.Tuple.DstIP, ts: p.Ts}
 			d.hostPkts++ // flow record examined host-side
-			return Reaction{Pin: true, ExtraCycles: 25}
+			return vPin, 25
 		}
 	case p.PayloadLen > 0:
 		if rec.State&stateDataSeen == 0 {
 			rec.State |= stateDataSeen
 			if _, ok := d.pending[k]; ok {
 				delete(d.pending, k)
-				return Reaction{Unpin: true, ExtraCycles: 25}
+				return vUnpin, 25
 			}
 		}
 	}
-	return Reaction{ExtraCycles: 8}
+	return 0, 8
 }
 
-// Tick expires silent half-open flows and counts them per source.
+// Tick expires silent half-open flows, oldest first, and counts them per
+// source.
 func (d *Incomplete) Tick(now int64) {
-	for k, pp := range d.pending {
-		if now-pp.ts < d.timeoutNs {
-			continue
-		}
-		delete(d.pending, k)
-		d.hooks.Unpin(k)
-		d.counts[pp.src]++
-		if d.counts[pp.src] >= d.threshold && !d.flagged[pp.src] {
-			d.flagged[pp.src] = true
+	d.due = takeDue(d.pending, now, d.timeoutNs, d.due)
+	for _, e := range d.due {
+		d.hooks.Unpin(e.key)
+		d.counts[e.src]++
+		if d.counts[e.src] >= d.threshold && !d.flagged[e.src] {
+			d.flagged[e.src] = true
 			d.emit(Alert{
-				Detector: "tcp-incomplete", Ts: now, Attacker: pp.src, Victim: pp.dst,
-				Info: fmt.Sprintf("%d incomplete flows", d.counts[pp.src]),
+				Detector: "tcp-incomplete", Ts: now, Attacker: e.src, Victim: e.dst,
+				Info: fmt.Sprintf("%d incomplete flows", d.counts[e.src]),
 			})
 		}
 	}
@@ -131,9 +134,13 @@ func NewDNSAmplification(factor float64, minResp uint64) *DNSAmplification {
 func (d *DNSAmplification) Name() string { return "dns-amplification" }
 
 // OnPacket implements Detector.
-func (d *DNSAmplification) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *DNSAmplification) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *DNSAmplification) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	if !p.IsUDP() || (p.Tuple.DstPort != 53 && p.Tuple.SrcPort != 53) || rec == nil {
-		return Reaction{}
+		return 0, 0
 	}
 	req := rec.State & 0xffffffff
 	resp := rec.State >> 32
@@ -167,7 +174,7 @@ func (d *DNSAmplification) OnPacket(p *packet.Packet, rec *flowcache.Record, _ s
 			Info: fmt.Sprintf("amplification %0.1fx (%dB resp / %dB req)", float64(resp)/float64(req), resp, req),
 		})
 	}
-	return Reaction{ExtraCycles: 20}
+	return 0, 20
 }
 
 // Tick implements Detector.
@@ -208,15 +215,19 @@ func NewWorm(threshold, maxSigs int) *Worm {
 func (d *Worm) Name() string { return "earlybird-worm" }
 
 // OnPacket implements Detector.
-func (d *Worm) OnPacket(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *Worm) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *Worm) inspect(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	sig := p.App.PayloadSig
 	if sig == 0 {
-		return Reaction{}
+		return 0, 0
 	}
 	dsts := d.sigs[sig]
 	if dsts == nil {
 		if len(d.sigs) >= d.maxSigs {
-			return Reaction{ExtraCycles: 15}
+			return 0, 15
 		}
 		dsts = map[packet.Addr]bool{}
 		d.sigs[sig] = dsts
@@ -233,7 +244,7 @@ func (d *Worm) OnPacket(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) React
 			})
 		}
 	}
-	return Reaction{ExtraCycles: 25}
+	return 0, 25
 }
 
 // Tick implements Detector.
@@ -264,13 +275,17 @@ func NewSSLExpiry(horizonNs int64) *SSLExpiry {
 func (d *SSLExpiry) Name() string { return "ssl-expiry" }
 
 // OnPacket implements Detector.
-func (d *SSLExpiry) OnPacket(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *SSLExpiry) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *SSLExpiry) inspect(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	if p.Tuple.DstPort != 443 && p.Tuple.SrcPort != 443 {
-		return Reaction{}
+		return 0, 0
 	}
 	d.totalPkts++
 	if p.App.TLSCertExpiry == 0 {
-		return Reaction{ExtraCycles: 5}
+		return 0, 5
 	}
 	// Certificate packets go to the host NF for parsing.
 	d.hostPkts++
@@ -282,7 +297,7 @@ func (d *SSLExpiry) OnPacket(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) 
 			Info: fmt.Sprintf("certificate expires within horizon (notAfter=%d)", p.App.TLSCertExpiry),
 		})
 	}
-	return Reaction{ToHost: true, ExtraCycles: 30}
+	return vToHost, 30
 }
 
 // Tick implements Detector.

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"math"
+
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/host"
 	"smartwatch/internal/packet"
@@ -29,12 +31,18 @@ import (
 // in-line detector. All bookkeeping is driven by packet order and wheel
 // slot order — never map iteration — so alert emission is deterministic
 // across batch sizes and shard counts.
+//
+// The per-flow accumulators live in lsTable, keyed by the canonical
+// session key and probed with the hash the FlowCache lookup already
+// produced (Record.Hash, which caches Record.Key.Hash()). The state does
+// not live in the record: a flow is tracked from its SYN whether or not
+// it has a record (punts, denied pins) and across evict-then-reinsert.
 type LowSlow struct {
 	alertBuf
 	cfg   LowSlowConfig
 	hooks Hooks
 	wheel *host.TimingWheel
-	flows map[packet.FlowKey]*lsFlow
+	flows *lsTable
 	// exhaust groups idle-established flows by (victim, source /24).
 	exhaust map[lsGroup]*lsGroupState
 
@@ -69,20 +77,38 @@ type LowSlowConfig struct {
 	Hooks Hooks
 }
 
-// lsFlow is the per-flow accumulator, keyed by canonical session key.
+// lsFlow is the per-flow accumulator, keyed by canonical session key. It
+// is stored inline in lsTable's slots, so its size is the table's memory
+// and its 40 bytes are what make a slot one cache line: the endpoints are
+// read off the key (clientIsLo says which is which), and the drip
+// counters are 32-bit and saturate (inc32), which leaves every signature
+// as it was for any flow under 2^31 packets.
 type lsFlow struct {
-	client      packet.Addr // SYN sender
-	victim      packet.Addr // SYN receiver
 	firstTs     int64
 	lastTs      int64
+	clientData  int32 // client data packets
+	clientTiny  int32 // ... of which sub-TinyPayload slivers
+	clientAcks  int32 // client payload-free ACKs after establishment
+	serverData  int32 // server data packets
 	established bool
 	closed      bool // FIN or RST seen: a finishing flow is not low-and-slow
-	clientData  int  // client data packets
-	clientTiny  int  // ... of which sub-TinyPayload slivers
-	clientAcks  int  // client payload-free ACKs after establishment
-	serverData  int  // server data packets
-	alerted     bool
 	scheduled   bool // a live wheel entry exists for this flow
+	clientIsLo  bool // the SYN sender is the key's Lo endpoint
+}
+
+// endpoints returns the SYN sender and receiver of the flow stored under k.
+func (f *lsFlow) endpoints(k packet.FlowKey) (client, victim packet.Addr) {
+	if f.clientIsLo {
+		return k.LoIP, k.HiIP
+	}
+	return k.HiIP, k.LoIP
+}
+
+// inc32 counts one more packet, stopping at the top of the range.
+func inc32(c *int32) {
+	if *c < math.MaxInt32 {
+		*c++
+	}
 }
 
 // lsGroup identifies one connection-exhaustion aggregation bucket.
@@ -96,8 +122,8 @@ type lsGroupState struct {
 	alerted bool
 }
 
-// NewLowSlow builds the detector.
-func NewLowSlow(cfg LowSlowConfig) *LowSlow {
+// withDefaults fills the zero fields.
+func (cfg LowSlowConfig) withDefaults() LowSlowConfig {
 	if cfg.IdleNs <= 0 {
 		cfg.IdleNs = 500e6
 	}
@@ -122,11 +148,17 @@ func NewLowSlow(cfg LowSlowConfig) *LowSlow {
 	if cfg.Hooks == nil {
 		cfg.Hooks = NopHooks{}
 	}
+	return cfg
+}
+
+// NewLowSlow builds the detector.
+func NewLowSlow(cfg LowSlowConfig) *LowSlow {
+	cfg = cfg.withDefaults()
 	return &LowSlow{
 		cfg:     cfg,
 		hooks:   cfg.Hooks,
 		wheel:   host.NewTimingWheel(cfg.WheelSlots, cfg.WheelTickNs),
-		flows:   make(map[packet.FlowKey]*lsFlow),
+		flows:   newLSTable(),
 		exhaust: make(map[lsGroup]*lsGroupState),
 	}
 }
@@ -150,38 +182,52 @@ func (d *LowSlow) Wheel() *host.TimingWheel { return d.wheel }
 func block24(a packet.Addr) packet.Addr { return a &^ 0xff }
 
 // OnPacket implements Detector.
-func (d *LowSlow) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *LowSlow) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *LowSlow) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	if !p.IsTCP() {
-		return Reaction{}
+		return 0, 0
 	}
-	k := p.Key()
-	f := d.flows[k]
+	// The FlowCache lookup that produced rec already canonicalised and
+	// hashed this packet; only a punt (no record) pays for it again.
+	var (
+		k packet.FlowKey
+		h uint64
+	)
+	if rec != nil {
+		k, h = rec.Key, rec.Hash
+	} else {
+		k = p.Key()
+		h = k.Hash()
+	}
+	f := d.flows.get(h, k)
 
 	if p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK) {
 		if f == nil {
-			f = &lsFlow{
-				client: p.Tuple.SrcIP, victim: p.Tuple.DstIP,
-				firstTs: p.Ts, lastTs: p.Ts,
-			}
-			d.flows[k] = f
+			f = d.flows.put(h, k)
+			f.clientIsLo = p.Tuple.SrcIP == k.LoIP
+			f.firstTs, f.lastTs = p.Ts, p.Ts
 		}
 		if rec != nil {
 			rec.State |= stateSYNSeen
 		}
 		if !f.scheduled {
 			f.scheduled = true
-			d.wheel.Schedule(k.Hash(), p.Ts+d.cfg.IdleNs, k)
+			d.wheel.Schedule(h, p.Ts+d.cfg.IdleNs, k)
 		}
 		d.Pinned++
 		// Pin at SYN: the record must survive replacement while the flow
 		// plays dead — that longevity is the detection signal.
-		return Reaction{Pin: true, ExtraCycles: 30}
+		return vPin, 30
 	}
 	if f == nil {
-		return Reaction{ExtraCycles: 5}
+		return 0, 5
 	}
 
-	fromClient := p.Tuple.SrcIP == f.client
+	client, _ := f.endpoints(k)
+	fromClient := p.Tuple.SrcIP == client
 	wasEstablished := f.established
 	switch {
 	case p.Flags.Has(packet.FlagFIN) || p.Flags.Has(packet.FlagRST):
@@ -201,84 +247,82 @@ func (d *LowSlow) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) 
 			rec.State |= stateDataSeen
 		}
 		if fromClient {
-			f.clientData++
+			inc32(&f.clientData)
 			if int(p.PayloadLen) <= d.cfg.TinyPayload {
-				f.clientTiny++
+				inc32(&f.clientTiny)
 			}
 		} else {
-			f.serverData++
+			inc32(&f.serverData)
 		}
 	} else if fromClient && wasEstablished && p.Flags.Has(packet.FlagACK) {
-		f.clientAcks++
+		inc32(&f.clientAcks)
 	}
 	f.lastTs = p.Ts
-	return Reaction{ExtraCycles: 8}
+	return 0, 8
 }
 
 // Tick advances the idle wheel and classifies every expired flow — the
-// Advance-driven confirmation pass.
+// Advance-driven confirmation pass. Ticks can arrive from more than one
+// cadence source (packet-driven and wall-driven); the wheel answers a
+// stale one with nothing.
 func (d *LowSlow) Tick(now int64) {
-	if now < d.wheel.Now() {
-		// Ticks can arrive from more than one cadence source (packet-driven
-		// and wall-driven); a stale one is a no-op, not a panic.
-		return
-	}
 	for _, e := range d.wheel.Advance(now) {
 		d.Expiries++
-		k := e.Payload.(packet.FlowKey)
-		f := d.flows[k]
+		// The wheel entry was scheduled under the flow's hash.
+		k, h := e.Payload.(packet.FlowKey), e.Key
+		f := d.flows.get(h, k)
 		if f == nil {
 			continue
 		}
 		f.scheduled = false
 
-		if f.closed || f.alerted {
-			// Finished (or already confirmed) flows leave the tracker.
-			delete(d.flows, k)
+		if f.closed {
+			// Finished flows leave the tracker.
+			d.flows.del(h, k)
 			continue
 		}
 		if !f.established {
 			// Half-open and idle: not this detector's attack (a SYN flood
 			// trips volumetric counters instead). Release the pin.
 			d.hooks.Unpin(k)
-			delete(d.flows, k)
+			d.flows.del(h, k)
 			continue
 		}
 
 		if f.lastTs+d.cfg.IdleNs <= e.Deadline {
 			// Established and idle for a full deadline: connection
 			// accretion. Count it against its (victim, /24) group.
-			d.expireIdle(k, f, e.Deadline)
+			d.expireIdle(h, k, f, e.Deadline)
 			continue
 		}
 
 		// Still active: check the drip signatures, then re-arm.
-		if d.classifyDrip(k, f, e.Deadline) {
+		if d.classifyDrip(h, k, f, e.Deadline) {
 			continue
 		}
 		f.scheduled = true
-		d.wheel.Schedule(k.Hash(), f.lastTs+d.cfg.IdleNs, k)
+		d.wheel.Schedule(h, f.lastTs+d.cfg.IdleNs, k)
 	}
 }
 
 // classifyDrip fires the slow-post/slow-read signatures on a long-lived
 // active flow. Returns true when the flow was confirmed and removed.
-func (d *LowSlow) classifyDrip(k packet.FlowKey, f *lsFlow, now int64) bool {
+func (d *LowSlow) classifyDrip(h uint64, k packet.FlowKey, f *lsFlow, now int64) bool {
 	if f.lastTs-f.firstTs < d.cfg.MinAgeNs {
 		return false
 	}
 	switch {
-	case f.clientTiny >= d.cfg.MinDrips && f.clientData-f.clientTiny <= 1:
+	case int(f.clientTiny) >= d.cfg.MinDrips && f.clientData-f.clientTiny <= 1:
 		// Every client data segment after (at most) one header is a
 		// sliver: slow-post (or slowloris — header trickles look identical
 		// on the wire; both hold a worker).
-		d.confirm(k, f, now, "slow-post",
+		d.confirm(h, k, f, now, "slow-post",
 			"byte-at-a-time request body under the rate threshold")
 		return true
-	case f.clientAcks >= d.cfg.MinDrips && f.serverData > 0 && f.clientData <= 1:
+	case int(f.clientAcks) >= d.cfg.MinDrips && f.serverData > 0 && f.clientData <= 1:
 		// The client only ever dribbles window updates against server
 		// data: slow-read.
-		d.confirm(k, f, now, "slow-read",
+		d.confirm(h, k, f, now, "slow-read",
 			"receive-window drip against outstanding server data")
 		return true
 	}
@@ -286,9 +330,11 @@ func (d *LowSlow) classifyDrip(k packet.FlowKey, f *lsFlow, now int64) bool {
 }
 
 // expireIdle books an idle-established flow against its exhaustion group
-// and confirms the group once it crosses the threshold.
-func (d *LowSlow) expireIdle(k packet.FlowKey, f *lsFlow, now int64) {
-	g := lsGroup{victim: f.victim, block: block24(f.client)}
+// and confirms the group once it crosses the threshold. The flow leaves
+// the table on every path.
+func (d *LowSlow) expireIdle(h uint64, k packet.FlowKey, f *lsFlow, now int64) {
+	client, victim := f.endpoints(k)
+	g := lsGroup{victim: victim, block: block24(client)}
 	gs := d.exhaust[g]
 	if gs == nil {
 		gs = &lsGroupState{}
@@ -299,7 +345,7 @@ func (d *LowSlow) expireIdle(k packet.FlowKey, f *lsFlow, now int64) {
 	case gs.alerted:
 		// The block is already condemned: every further idle flow from it
 		// is confirmed immediately.
-		d.confirm(k, f, now, "conn-exhaust", "idle flow from blacklisted /24")
+		d.confirm(h, k, f, now, "conn-exhaust", "idle flow from blacklisted /24")
 	case gs.idle >= d.cfg.ExhaustThreshold:
 		gs.alerted = true
 		d.Confirmed++
@@ -308,28 +354,29 @@ func (d *LowSlow) expireIdle(k packet.FlowKey, f *lsFlow, now int64) {
 			Attacker: g.block, Victim: g.victim, Flow: k,
 			Info: "sustained sub-threshold connection accretion from /24",
 		})
-		d.hooks.Blacklist(f.client)
+		d.hooks.Blacklist(client)
 		d.hooks.Unpin(k)
-		delete(d.flows, k)
+		d.flows.del(h, k)
 	default:
 		// Below threshold: release the pin (the flow stays observable via
 		// its record if it wakes) but keep the accumulator out of the
 		// table — an idle benign flow must not hold budget forever.
 		d.hooks.Unpin(k)
-		delete(d.flows, k)
+		d.flows.del(h, k)
 	}
 }
 
-// confirm emits the alert and pushes the control-loop reactions.
-func (d *LowSlow) confirm(k packet.FlowKey, f *lsFlow, now int64, label, info string) {
-	f.alerted = true
+// confirm emits the alert, pushes the control-loop reactions and drops
+// the flow from the table (f is dead after the del).
+func (d *LowSlow) confirm(h uint64, k packet.FlowKey, f *lsFlow, now int64, label, info string) {
+	client, victim := f.endpoints(k)
 	d.Confirmed++
 	d.emit(Alert{
 		Detector: label, Ts: now,
-		Attacker: f.client, Victim: f.victim, Flow: k,
+		Attacker: client, Victim: victim, Flow: k,
 		Info: info,
 	})
-	d.hooks.Blacklist(f.client)
+	d.hooks.Blacklist(client)
 	d.hooks.Unpin(k)
-	delete(d.flows, k)
+	d.flows.del(h, k)
 }

@@ -57,7 +57,11 @@ func NewMicroburst(thresholdNs float64, maxEntries int) *Microburst {
 func (d *Microburst) Name() string { return "microburst" }
 
 // OnPacket implements Detector.
-func (d *Microburst) OnPacket(p *packet.Packet, _ *flowcache.Record, ctx snic.Ctx) Reaction {
+func (d *Microburst) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *Microburst) inspect(p *packet.Packet, _ *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
 	switch {
 	case ctx.QueueDelayNs >= d.thresholdNs:
 		if !d.active {
@@ -72,11 +76,11 @@ func (d *Microburst) OnPacket(p *packet.Packet, _ *flowcache.Record, ctx snic.Ct
 		} else {
 			d.overflowed = true
 		}
-		return Reaction{ExtraCycles: 30}
+		return 0, 30
 	case d.active && ctx.QueueDelayNs < d.thresholdNs*d.endFraction:
 		d.finish(p.Ts)
 	}
-	return Reaction{ExtraCycles: 5}
+	return 0, 5
 }
 
 // finish closes the burst: the CME scan of L.

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"sort"
 
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
@@ -21,6 +22,7 @@ type PortScan struct {
 	hooks   Hooks
 	trw     map[packet.Addr]*stats.TRW
 	pending map[packet.FlowKey]pendingProbe
+	due     []dueProbe // Tick's scratch
 	flagged map[packet.Addr]bool
 }
 
@@ -28,6 +30,52 @@ type pendingProbe struct {
 	src packet.Addr
 	dst packet.Addr
 	ts  int64
+}
+
+// dueProbe is a pending probe whose response timeout has run out.
+type dueProbe struct {
+	key packet.FlowKey
+	pendingProbe
+}
+
+// takeDue removes from pending every probe that has waited timeoutNs by
+// now and returns them oldest first, equal timestamps by key. Tick acts in
+// that order — the alerts it emits, and whose destination a
+// threshold-crossing alert names — never in the map's. buf is reused.
+func takeDue(pending map[packet.FlowKey]pendingProbe, now, timeoutNs int64, buf []dueProbe) []dueProbe {
+	buf = buf[:0]
+	for k, pp := range pending {
+		if now-pp.ts >= timeoutNs {
+			buf = append(buf, dueProbe{k, pp})
+			delete(pending, k)
+		}
+	}
+	if len(buf) < 2 {
+		return buf // most ticks: nothing to order, and sort.Slice allocates
+	}
+	sort.Slice(buf, func(i, j int) bool {
+		a, b := &buf[i], &buf[j]
+		if a.ts != b.ts {
+			return a.ts < b.ts
+		}
+		return keyLess(a.key, b.key)
+	})
+	return buf
+}
+
+// keyLess orders flow keys field by field.
+func keyLess(a, b packet.FlowKey) bool {
+	switch {
+	case a.LoIP != b.LoIP:
+		return a.LoIP < b.LoIP
+	case a.HiIP != b.HiIP:
+		return a.HiIP < b.HiIP
+	case a.LoPort != b.LoPort:
+		return a.LoPort < b.LoPort
+	case a.HiPort != b.HiPort:
+		return a.HiPort < b.HiPort
+	}
+	return a.Proto < b.Proto
 }
 
 // PortScanConfig parameterises the detector.
@@ -69,11 +117,15 @@ func NewPortScan(cfg PortScanConfig) *PortScan {
 func (d *PortScan) Name() string { return "portscan" }
 
 // OnPacket implements Detector.
-func (d *PortScan) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *PortScan) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *PortScan) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	if !p.IsTCP() || rec == nil {
-		return Reaction{}
+		return 0, 0
 	}
-	r := Reaction{ExtraCycles: 30}
+	var v verdict
 	k := p.Key()
 	switch {
 	case p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK):
@@ -81,7 +133,7 @@ func (d *PortScan) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 			rec.State |= stateSYNSeen
 			rec.StateTs = p.Ts
 			// Pin until the outcome is determined (§3.2 pinning).
-			r.Pin = true
+			v |= vPin
 			if len(d.pending) < d.cfg.MaxPending {
 				d.pending[k] = pendingProbe{src: p.Tuple.SrcIP, dst: p.Tuple.DstIP, ts: p.Ts}
 			}
@@ -89,7 +141,7 @@ func (d *PortScan) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 	case p.Flags.Has(packet.FlagSYN | packet.FlagACK):
 		if rec.State&stateSYNSeen != 0 && rec.State&stateOutcomeReported == 0 {
 			rec.State |= stateSYNACKSeen | stateOutcomeReported
-			r.Unpin = true
+			v |= vUnpin
 			if pp, ok := d.pending[k]; ok {
 				d.observe(pp.src, true, p.Ts)
 				delete(d.pending, k)
@@ -99,7 +151,7 @@ func (d *PortScan) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 		// RST answering a probe: failed attempt (closed port).
 		if rec.State&stateSYNSeen != 0 && rec.State&stateOutcomeReported == 0 {
 			rec.State |= stateOutcomeReported
-			r.Unpin = true
+			v |= vUnpin
 			if pp, ok := d.pending[k]; ok {
 				d.observe(pp.src, false, p.Ts)
 				delete(d.pending, k)
@@ -107,9 +159,9 @@ func (d *PortScan) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 		}
 	}
 	if d.flagged[p.Tuple.SrcIP] {
-		r.DropPacket = true
+		v |= vDrop
 	}
-	return r
+	return v, 30
 }
 
 // observe feeds one indicator variable into the source's TRW.
@@ -129,15 +181,13 @@ func (d *PortScan) observe(src packet.Addr, success bool, ts int64) {
 	}
 }
 
-// Tick sweeps timed-out probes: no response means a failed attempt
-// (filtered port / dead host).
+// Tick sweeps timed-out probes, oldest first: no response means a failed
+// attempt (filtered port / dead host).
 func (d *PortScan) Tick(now int64) {
-	for k, pp := range d.pending {
-		if now-pp.ts >= d.cfg.ResponseTimeoutNs {
-			delete(d.pending, k)
-			d.hooks.Unpin(k)
-			d.observe(pp.src, false, now)
-		}
+	d.due = takeDue(d.pending, now, d.cfg.ResponseTimeoutNs, d.due)
+	for _, e := range d.due {
+		d.hooks.Unpin(e.key)
+		d.observe(e.src, false, now)
 	}
 }
 

@@ -89,9 +89,13 @@ func rstID(k packet.FlowKey, seq uint32) uint64 {
 }
 
 // OnPacket implements Detector.
-func (d *ForgedRST) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
+func (d *ForgedRST) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
+	return expand(d.inspect(p, rec, ctx))
+}
+
+func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
 	if !p.IsTCP() || rec == nil {
-		return Reaction{}
+		return 0, 0
 	}
 	k := p.Key()
 	switch {
@@ -109,7 +113,7 @@ func (d *ForgedRST) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx
 					Attacker: p.Tuple.SrcIP, Victim: p.Tuple.DstIP,
 					Info: "duplicate RST while one is buffered",
 				})
-				return Reaction{DropPacket: true, ExtraCycles: 80}
+				return vDrop, 80
 			}
 		} else {
 			d.BloomFastPath++
@@ -119,7 +123,7 @@ func (d *ForgedRST) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx
 		rec.StateTs = p.Ts
 		// Hold the RST: pinned on the sNIC, buffered on the host until T.
 		d.wheel.Schedule(k.Hash(), p.Ts+d.cfg.TNs, rstEntry{pkt: *p, key: k})
-		return Reaction{Pin: true, ToHost: true, ExtraCycles: 60}
+		return vPin | vToHost, 60
 
 	case p.PayloadLen > 0 && rec.State&stateRSTSeen != 0:
 		// Race: genuine data while an RST is buffered -> the RST was
@@ -134,10 +138,10 @@ func (d *ForgedRST) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx
 				})
 			}
 			rec.State &^= stateRSTSeen
-			return Reaction{Unpin: true, ExtraCycles: 50}
+			return vUnpin, 50
 		}
 	}
-	return Reaction{ExtraCycles: 10}
+	return 0, 10
 }
 
 // Tick advances the wheel: expired RSTs were genuine and are released to

@@ -1,7 +1,5 @@
 package host
 
-import "fmt"
-
 // TimingWheel is a hashed timing wheel after Varghese & Lauck (SOSP '87),
 // the structure the paper's host NF uses to buffer potentially forged TCP
 // RST packets for T = 2 s: the packet is released to its destination when
@@ -17,6 +15,8 @@ type TimingWheel struct {
 	cursor int
 	size   int
 	scans  uint64 // entries examined by Scan (the cost Fig. 8b measures)
+	// regressions counts Advance calls that asked for a time before now.
+	regressions uint64
 }
 
 type wheelSlot struct {
@@ -117,13 +117,27 @@ func (w *TimingWheel) Scan(pred func(key uint64, payload interface{}) bool) []Ex
 func (w *TimingWheel) ScanCost() uint64 { return w.scans }
 
 // Advance moves virtual time forward to now, returning entries whose
-// deadlines expired, in slot order.
+// deadlines expired, in slot order. Time never moves backwards: an Advance
+// to before Now() — a stale tick from a second cadence source, a capture
+// with out-of-order timestamps — releases nothing, leaves the wheel where
+// it is and is counted in Regressions. This is the wheel's whole
+// hostile-time contract; its users carry no guard of their own.
 func (w *TimingWheel) Advance(now int64) []Expired {
 	if now < w.now {
-		panic(fmt.Sprintf("host: timing wheel moved backwards: %d < %d", now, w.now))
+		w.regressions++
+		return nil
 	}
 	var out []Expired
-	for w.now+w.tickNs <= now {
+	for now-w.now >= w.tickNs {
+		if w.size == 0 {
+			// Nothing left to release: cross the remaining ticks in one
+			// step, so an Advance into the far future costs the entries it
+			// frees, not the distance.
+			ticks, n := (now-w.now)/w.tickNs, int64(len(w.slots))
+			w.now += ticks * w.tickNs
+			w.cursor = int((int64(w.cursor) + ticks%n) % n)
+			break
+		}
 		slot := &w.slots[w.cursor]
 		kept := slot.entries[:0]
 		for _, e := range slot.entries {
@@ -146,3 +160,7 @@ func (w *TimingWheel) Advance(now int64) []Expired {
 
 // Now returns the wheel's current virtual time (start of tick).
 func (w *TimingWheel) Now() int64 { return w.now }
+
+// Regressions returns how many Advance calls were refused for asking the
+// wheel to move backwards.
+func (w *TimingWheel) Regressions() uint64 { return w.regressions }

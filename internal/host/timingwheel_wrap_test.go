@@ -1,6 +1,9 @@
 package host
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Wraparound / boundary audit for the hashed timing wheel (ISSUE 10
 // satellite): deadlines beyond one revolution must ride the rounds
@@ -108,5 +111,91 @@ func TestTimingWheelMultiRevolutionSweep(t *testing.T) {
 	}
 	if w.Len() != 0 {
 		t.Fatalf("wheel not drained: %d", w.Len())
+	}
+}
+
+// TestTimingWheelHostileTime is the wheel's time contract: Advance never
+// panics and never moves backwards — a stale now is a counted no-op — a
+// repeated or zero Advance releases nothing twice, an Advance into the
+// far future releases what is due and costs no more than that, and a
+// deadline already in the past fires on the next tick.
+func TestTimingWheelHostileTime(t *testing.T) {
+	w := NewTimingWheel(8, 100)
+	if out := w.Advance(0); len(out) != 0 || w.Now() != 0 {
+		t.Fatalf("Advance(0) on a new wheel: %v, now %d", out, w.Now())
+	}
+	w.Schedule(1, 250, "a")
+	w.Schedule(2, 950, "b")
+	w.Schedule(3, 5000, "c") // six revolutions out
+
+	if out := w.Advance(300); len(out) != 1 || out[0].Payload != "a" {
+		t.Fatalf("Advance(300) released %v, want a", out)
+	}
+	// Backwards, by a little and all the way: nothing moves.
+	for _, now := range []int64{299, 0, -1, math.MinInt64} {
+		if out := w.Advance(now); len(out) != 0 {
+			t.Fatalf("Advance(%d) after 300 released %v", now, out)
+		}
+		if w.Now() != 300 || w.Len() != 2 {
+			t.Fatalf("Advance(%d) after 300 moved the wheel: now %d, %d entries", now, w.Now(), w.Len())
+		}
+	}
+	if w.Regressions() != 4 {
+		t.Fatalf("regressions = %d, want 4", w.Regressions())
+	}
+	// Repeated: the same now twice releases nothing more.
+	if out := w.Advance(300); len(out) != 0 || w.Regressions() != 4 {
+		t.Fatalf("repeated Advance(300) released %v (regressions %d)", out, w.Regressions())
+	}
+	// A deadline in the past — before now, before zero — fires on the next
+	// tick, not never and not at once.
+	w.Schedule(4, 100, "past")
+	w.Schedule(5, math.MinInt64, "long past")
+	if w.Len() != 4 {
+		t.Fatalf("len = %d after scheduling in the past, want 4", w.Len())
+	}
+	out := w.Advance(400)
+	if len(out) != 2 || out[0].Payload != "past" || out[1].Payload != "long past" {
+		t.Fatalf("Advance(400) released %v, want the two past deadlines", out)
+	}
+
+	// Far future: every live entry is released, multi-round ones included,
+	// and the call returns — it does not walk 2^63/100 ticks.
+	out = w.Advance(math.MaxInt64)
+	if len(out) != 2 || out[0].Payload != "b" || out[1].Payload != "c" {
+		t.Fatalf("Advance(MaxInt64) released %v, want b then c", out)
+	}
+	if w.Len() != 0 || math.MaxInt64-w.Now() >= 100 {
+		t.Fatalf("after Advance(MaxInt64): %d entries, now %d", w.Len(), w.Now())
+	}
+	// The wheel still works out there, and still refuses to go back.
+	w.Schedule(6, math.MaxInt64, "edge")
+	if out := w.Advance(1 << 62); len(out) != 0 || w.Regressions() != 5 {
+		t.Fatalf("Advance(2^62) after MaxInt64 released %v (regressions %d)", out, w.Regressions())
+	}
+	if w.Len() != 1 {
+		t.Fatalf("len = %d at the edge of time, want 1", w.Len())
+	}
+
+	// The cursor a jump lands on is the one walking would have reached.
+	walked, jumped := NewTimingWheel(8, 100), NewTimingWheel(8, 100)
+	for now := int64(0); now <= 12345; now += 100 {
+		walked.Schedule(9, now, nil) // keeps the walker non-empty: no jump
+		walked.Advance(now)
+	}
+	walked.Advance(12345)
+	jumped.Advance(12345)
+	walked.Schedule(7, 12700, "x")
+	jumped.Schedule(7, 12700, "x")
+	for _, w := range []*TimingWheel{walked, jumped} {
+		if out := w.Advance(12600); len(out) != 0 {
+			t.Fatalf("released %v before its deadline", out)
+		}
+		if out := w.Advance(12700); len(out) != 1 {
+			t.Fatalf("released %v at its deadline, want x", out)
+		}
+	}
+	if walked.Now() != jumped.Now() {
+		t.Fatalf("walked to %d, jumped to %d", walked.Now(), jumped.Now())
 	}
 }
