@@ -24,12 +24,15 @@ test:
 # latch protocol, the sNIC engine, the platform control loop, the parallel
 # experiment runner and the buffered stream bridge. -short skips the
 # full-sweep determinism test (covered by `make test`) and shortens, not
-# skips, the sNIC scheduler's ring-vs-heap oracle. The concurrent-Close
-# test then runs 20 more times: its race lost about one run in eight
-# before Session.Close decided under the session mutex.
+# skips, the sNIC scheduler's ring-vs-heap oracle. The session's
+# concurrency tests then run 20 more times: the concurrent-Close race lost
+# about one run in eight before Session.Close decided under the session
+# mutex, and Ingest / Exec / Snapshot / Close from four goroutines is the
+# whole contract of a drive that runs on its callers' goroutines
+# (DESIGN.md §12.1).
 race:
 	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/core/ ./internal/experiments/ ./internal/packet/
-	$(GO) test -race -count=20 -run TestReleaseWorkersConcurrentClose ./internal/core/
+	$(GO) test -race -count=20 -run 'TestReleaseWorkersConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 
 # Shard-determinism gate (DESIGN.md §8.4, §9, §12): the sharded FlowCache,
 # the tier pipeline, the event bus, the batched datapath and the session
@@ -41,16 +44,12 @@ shards:
 	$(GO) vet ./...
 	$(GO) test -race -run 'Shard|Bus|Pipeline|Event|TierPipeline|AtomicCounts|Batch|Session' ./internal/flowcache/ ./internal/tier/ ./internal/core/
 
-# Pipelined-drive gate (DESIGN.md §13): the SPSC ring, the persistent
-# shard worker pool (steady-state alloc-freedom, goroutine-leak /
-# restart lifecycle), and the tier-overlap determinism sweep — the
-# pipelined drive must be byte-identical to the sequential oracle at
-# every Shards × BatchSize combination, including mid-stream Exec
-# barriers — all under the race detector. The sweep replays the full
-# platform dozens of times; allow a generous timeout on slow boxes.
+# Worker-plumbing gate (DESIGN.md §13): the SPSC ring and the persistent
+# shard worker pool (steady-state alloc-freedom, goroutine-leak / restart
+# lifecycle) under the race detector.
 pipeline:
 	$(GO) vet ./...
-	$(GO) test -race -timeout 45m -run 'SPSC|Pool|Pipelined' ./internal/container/ ./internal/flowcache/ ./internal/core/
+	$(GO) test -race -run 'SPSC|Pool' ./internal/container/ ./internal/flowcache/
 
 # Replacement-policy / adaptive-controller gate (DESIGN.md §11): golden
 # LRU-LPC extraction, policy divergence + determinism, controller

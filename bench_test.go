@@ -177,35 +177,6 @@ func BenchmarkPlatformPipelineBatched(b *testing.B) {
 	})
 }
 
-// BenchmarkPlatformPipelineOverlapped is BenchmarkPlatformPipelineBatched
-// with Pipelined set: flow-identity prep of the next 64-packet chunk
-// overlaps the stateful tier work of the current one on the persistent
-// prep worker. Results are byte-identical to the batched drive; only the
-// wall-clock differs.
-func BenchmarkPlatformPipelineOverlapped(b *testing.B) {
-	w := smartwatch.NewWorkload(smartwatch.WorkloadConfig{
-		Seed: 1, Flows: 5000, PacketRate: 2e6, Duration: 1e12,
-	})
-	pl := smartwatch.New(smartwatch.Config{IntervalNs: 100e6, BatchSize: 64, Pipelined: true})
-	b.ResetTimer()
-	n := int64(0)
-	pl.Run(func(yield func(smartwatch.Packet) bool) {
-		for p := range w.Stream() {
-			if n >= int64(b.N) {
-				return
-			}
-			n++
-			if !yield(p) {
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	if err := pl.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkSNICDispatch measures the discrete-event dispatch loop: thread
 // scheduling, cycle accounting and latency bookkeeping per packet, with the
 // application handler stubbed to a fixed cost. Must be 0 allocs/op at

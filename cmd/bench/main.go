@@ -7,12 +7,11 @@
 //   - micro: the FlowCache Process hot path, the sNIC dispatch loop, the
 //     buffered stream bridge, the sharded FlowCache datapath (sequential
 //     vs pooled workers vs spawn-per-call fan-out, 64k packets per op)
-//     end-to-end session ingest (sequential vs pipelined drive), the
-//     cluster steering decision and the cluster drive at 1/2/4 workers,
-//     via testing.Benchmark (ns/op, allocs/op); micros whose parallelism
-//     cannot exist on the current box (pipelined ingest, multi-worker
-//     cluster drives on GOMAXPROCS=1) are skipped and noted rather than
-//     measured as noise;
+//     end-to-end session ingest, the cluster steering decision and the
+//     cluster drive at 1/2/4 workers, via testing.Benchmark (ns/op,
+//     allocs/op); micros whose parallelism cannot exist on the current
+//     box (multi-worker cluster drives on GOMAXPROCS=1) are skipped and
+//     noted rather than measured as noise;
 //   - macro: wall-clock for the full `experiments all` sweep at a small
 //     scale, sequential vs parallel, plus the resulting speedup.
 //
@@ -336,35 +335,20 @@ func main() {
 	}))
 
 	// End-to-end session ingest: one op pushes the whole 64k-packet slice
-	// through a live session in 512-packet vectors on the batched drive
-	// (sharded platform), sequential vs pipelined. The session — and so the
-	// prep worker and any pool goroutines — persists across ops, measuring
-	// the steady state the -serve daemon runs in.
+	// through a live session in 512-packet vectors (sharded platform,
+	// batch=64). The session persists across ops, measuring the steady
+	// state the -serve daemon runs in.
 	multiCore := runtime.GOMAXPROCS(0) >= 2
-	for _, sc := range []struct {
-		name      string
-		pipelined bool
-	}{
-		{"session_ingest_64k", false},
-		{"session_ingest_pipelined_64k", true},
-	} {
-		if sc.pipelined && !multiCore {
-			// The pipelined drive needs a second core for the prep worker to
-			// overlap with; on one core the micro only measures scheduler
-			// churn and poisons -compare across box sizes.
-			snap.Notes = append(snap.Notes, sc.name+" skipped: GOMAXPROCS=1, no prep/stateful overlap possible")
-			fmt.Fprintf(os.Stderr, "bench: %s skipped (GOMAXPROCS=1)\n", sc.name)
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "bench: session ingest, pipelined=%v (64k pkts/op, batch=64) ...\n", sc.pipelined)
+	{
+		fmt.Fprintln(os.Stderr, "bench: session ingest (64k pkts/op, batch=64) ...")
 		spkts := append([]packet.Packet(nil), pkts...)
-		pl := core.New(core.Config{IntervalNs: 100e6, Shards: 4, BatchSize: 64, Pipelined: sc.pipelined})
+		pl := core.New(core.Config{IntervalNs: 100e6, Shards: 4, BatchSize: 64})
 		ses := pl.NewSession()
 		if err := ses.Start(); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
-		snap.Micro[sc.name] = toMicro(testing.Benchmark(func(b *testing.B) {
+		snap.Micro["session_ingest_64k"] = toMicro(testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				span := int64(len(spkts))

@@ -41,8 +41,7 @@ func main() {
 		intervalMs  = flag.Int("interval", 100, "monitoring interval (virtual ms)")
 		rowBits     = flag.Int("rowbits", 14, "FlowCache rows = 2^rowbits (x12 buckets)")
 		shards      = flag.Int("shards", 1, "FlowCache shards (power of two; capacity is split, not multiplied)")
-		batch       = flag.Int("batch", 1, "ingest batch size (vectors of this many packets; 1 = per-packet drive)")
-		pipeline    = flag.Bool("pipeline", false, "overlap flow-identity prep of the next batch with stateful work of the current one (requires -batch > 1; byte-identical results)")
+		batch       = flag.Int("batch", 1, "ingest batch size (vectors of this many packets; byte-identical results at every size)")
 		policy      = flag.String("policy", "", "FlowCache replacement policy: lru-lpc (default), lru, s3fifo")
 		adaptive    = flag.Bool("adaptive", false, "self-tuning mode controllers (metrics-driven threshold + pin-budget feedback)")
 		verbose     = flag.Bool("v", false, "print every alert")
@@ -75,10 +74,6 @@ func main() {
 		Detectors:  dets,
 		Shards:     *shards,
 		BatchSize:  *batch,
-		Pipelined:  *pipeline,
-	}
-	if *pipeline && *batch <= 1 {
-		fatal(fmt.Errorf("-pipeline requires -batch > 1"))
 	}
 	if *rowBits > 0 {
 		cfg.Cache = flowcache.DefaultConfig(*rowBits)
@@ -223,7 +218,7 @@ func main() {
 	// Buffered moves pcap decoding to its own goroutine so trace reading
 	// overlaps platform replay (order-preserving, batched handoff).
 	rep := pl.Run(packet.Buffered(pcap.ReadStream(r), 512))
-	if err := pl.Close(); err != nil { // release prep/pool workers before lingering for -expvar
+	if err := pl.Close(); err != nil { // release pool workers before lingering for -expvar
 		fatal(err)
 	}
 

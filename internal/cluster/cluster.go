@@ -1,8 +1,9 @@
 // Package cluster scales SmartWatch horizontally (DESIGN.md §14): one
 // shared P4 switch steering tier in front of N fully independent
 // core.Platform workers, each with its own sNIC engine, FlowCache,
-// detectors and host tier, each driven on its own goroutine through the
-// persistent pipelined drive. Packets fan out by consistent hashing over
+// detectors and host tier, each driven by one goroutine — its feeder,
+// which runs the worker's session on its own thread (a session starts no
+// goroutine of its own). Packets fan out by consistent hashing over
 // the canonical flow key — the same hash the workers need anyway, so the
 // cluster adds no hashing — and the per-worker reports fold back into one
 // merged cluster report at drain.
@@ -244,8 +245,9 @@ type worker struct {
 	batches atomic.Uint64
 	wakeups atomic.Uint64
 
-	// evMu guards events: appended by bus subscribers on the worker's
-	// drive goroutine, drained by the router at each fold.
+	// evMu guards events: appended by bus subscribers inside the worker
+	// session's Ingest (on the feeder goroutine), drained by the router at
+	// each fold.
 	evMu   sync.Mutex
 	events []ctlEvent
 }
@@ -369,7 +371,8 @@ func New(cfg Config) *Runner {
 		w.pl = core.New(r.workerConfig(i))
 		if r.sw != nil {
 			// Capture detector feedback for the epoch fold. The handlers
-			// run on the worker's drive goroutine inside Publish.
+			// run inside Publish, on the goroutine that called the worker
+			// session's Ingest (its feeder).
 			w.pl.Bus().Subscribe(tier.KindWhitelist, "cluster-uplink", func(e tier.Event) {
 				w.addEvent(ctlEvent{kind: tier.KindWhitelist, key: e.(tier.WhitelistEvent).Key})
 			})
@@ -531,9 +534,9 @@ func (r *Runner) Start() error {
 }
 
 // feeder is one worker's persistent ingress consumer: it pops full
-// buffers from the ring, feeds them through the worker session (a
-// synchronous rendezvous — the drive processes the whole vector before
-// Ingest returns), recycles the buffer and bumps the completion counter.
+// buffers from the ring, runs them through the worker session (Ingest
+// processes the whole vector on this goroutine before it returns),
+// recycles the buffer and bumps the completion counter.
 // After a worker failure it keeps popping and recycling WITHOUT feeding,
 // so the router's barriers and buffer circulation never wedge on a dead
 // lane.

@@ -162,7 +162,6 @@ func oracleAConfig(workers, shards, batch int) Config {
 			IntervalNs:   20e6,
 			Shards:       shards,
 			BatchSize:    batch,
-			Pipelined:    batch > 1,
 		},
 		Detectors:   detectorFactory(),
 		QueueBatch:  64,

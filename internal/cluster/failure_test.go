@@ -15,7 +15,7 @@ import (
 )
 
 // crashDetector panics after `after` packets — a corrupted in-line
-// detector taking its worker's drive goroutine down mid-run.
+// detector taking its worker's drive down mid-run.
 type crashDetector struct {
 	n, after int
 }

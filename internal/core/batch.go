@@ -1,69 +1,71 @@
-// Batched drive (DESIGN.md §9): Config.BatchSize > 1 drains ingest in
-// vectors, amortising per-packet dispatch without changing a single
-// observable byte. The invariant the whole file is built around:
-// batching may only move work that commutes — counter folds, stat-delta
-// accumulation, hash pre-computation, producer decoupling — and must
-// keep every stateful sequence in per-packet order. Concretely:
+// Vectored drive (DESIGN.md §9): ingest is consumed in chunks of
+// Config.BatchSize packets (a chunk of one when BatchSize ≤ 1),
+// amortising per-packet dispatch without changing a single observable
+// byte. The invariant the whole file is built around: batching may only
+// move work that commutes — counter folds, stat-delta accumulation, hash
+// pre-computation — and must keep every stateful sequence in per-packet
+// order. Concretely:
 //
 //   - Timer work (detector ticks, interval closes) fires between packets
-//     exactly where the per-packet drive fires it: each vector is split
-//     into sub-batches at the next timer boundary, with the boundary
-//     recomputed after the tick that opens each sub-batch.
+//     exactly where a chunk of one fires it: each chunk is split into
+//     sub-batches at the next timer boundary, with the boundary recomputed
+//     after the tick that opens each sub-batch.
 //   - Steering stays per-packet, interleaved with sNIC processing:
 //     detector reactions publish blacklist/whitelist events that rewrite
-//     the switch tables mid-stream, so pre-steering a vector would let a
-//     later packet see a stale table. The pull-based stream composition
-//     already gives the exact interleave; the drive just feeds it.
+//     the switch tables mid-stream, so pre-steering a chunk would let a
+//     later packet see a stale table.
 //   - The sNIC side stays per-packet too: the DES charges packet i+1's
 //     queueing against packet i's cost, and detectors read live records.
+//     Each steered packet is stepped through the engine to completion
+//     before the next one is steered.
 //
-// What does batch: the ingest tier (one counter fold per vector via
+// What does batch: the ingest tier (one counter fold per sub-batch via
 // tier.BatchStage), flow-identity pre-computation (one canonicalisation
-// + hash per packet, reused by steer-side bookkeeping and the FlowCache),
-// FlowCache stat accounting (plain accumulator, one atomic flush per
-// sub-batch), and the producer handoff (packet.BufferedBatches recycles
-// whole vectors instead of yielding packet by packet).
+// + hash per packet, reused by steer-side bookkeeping and the FlowCache)
+// and FlowCache stat accounting (plain accumulator, one atomic flush per
+// sub-batch).
 package core
 
 import (
-	"iter"
-
 	"smartwatch/internal/packet"
 	"smartwatch/internal/tier"
 )
 
-// batchedFilter is the vectorised twin of the per-packet filtered
-// stream: it yields exactly the packets the per-packet drive would yield,
-// in the same order, with identical side effects on the platform. It
-// consumes pre-chunked vectors (the session re-chunks its ingest to exact
-// BatchSize boundaries with rechunk, reproducing the vector boundaries
-// packet.BufferedBatches used to produce here) so that the entire pull
-// chain — source, chunking, filtering, engine — runs synchronously on the
-// one drive goroutine; that is what makes Session.Exec's packet-boundary
-// control ops race-free.
-func (pl *Platform) batchedFilter(vecs iter.Seq[[]packet.Packet]) packet.Stream {
-	return func(yield func(packet.Packet) bool) {
-		size := pl.cfg.BatchSize
-		ctxStore := make([]tier.Context, size)
-		ctxs := make([]*tier.Context, size)
-		for i := range ctxs {
-			ctxs[i] = &ctxStore[i]
+// ingestVector runs one ingested vector to completion on the caller's
+// goroutine. The tier drive re-chunks it to exact BatchSize boundaries
+// (every chunk holds exactly BatchSize packets except the drive's last, so
+// results do not depend on how the caller cut its vectors): aligned input
+// — the common case, since the one-shot Run wrapper ingests in multiples
+// of BatchSize — is consumed in place, stragglers wait in the carry for
+// the next vector or endDrive. b is not retained.
+func (pl *Platform) ingestVector(b []packet.Packet) {
+	if pl.cfg.LegacyPipeline {
+		for i := range b {
+			pl.legacyStep(&b[i])
 		}
-		for batch := range vecs {
-			prepIdentity(batch, ctxs)
-			if !pl.consumePrepped(batch, ctxs, yield) {
-				return
-			}
-		}
+		return
 	}
+	size := pl.cfg.BatchSize
+	if len(pl.carry) > 0 {
+		n := min(size-len(pl.carry), len(b))
+		pl.carry = append(pl.carry, b[:n]...)
+		b = b[n:]
+		if len(pl.carry) < size {
+			return
+		}
+		pl.consume(pl.carry)
+		pl.carry = pl.carry[:0]
+	}
+	for len(b) >= size {
+		pl.consume(b[:size])
+		b = b[size:]
+	}
+	pl.carry = append(pl.carry, b...)
 }
 
 // prepIdentity fills ctxs[0:len(batch)] with each packet's flow identity
-// — context reset, canonical key, flow hash. It is PURE with respect to
-// platform state (it touches only the context vector and reads only the
-// packets), which is the property the pipelined drive exploits: prep for
-// chunk N+1 may run on another goroutine while chunk N's stateful
-// ingest/steer/sNIC work is still in flight (pipeline.go).
+// — context reset, canonical key, flow hash. It touches only the context
+// vector and reads only the packets.
 func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
 	for j := range batch {
 		c := ctxs[j]
@@ -74,23 +76,22 @@ func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
 	}
 }
 
-// consumePrepped runs one identity-prepped chunk through the stateful
-// half of the batched drive — timer-split sub-batches, vectored ingest,
-// per-packet steer, yield into the sNIC engine — exactly as the original
-// batched filter did. Returns false when the engine stopped pulling
-// (yield returned false); counters are flushed either way. Must run on
-// the drive goroutine.
-func (pl *Platform) consumePrepped(batch []packet.Packet, ctxs []*tier.Context, yield func(packet.Packet) bool) bool {
+// consume runs one chunk (at most BatchSize packets) through the platform:
+// identity prep for the whole chunk, then timer-split sub-batches of
+// vectored ingest, per-packet steer and one engine.Step per steered
+// packet. The engine calls tierHandler synchronously inside Step, so each
+// packet is fully processed — FlowCache, detectors, reactions — before
+// the next one is steered.
+func (pl *Platform) consume(batch []packet.Packet) {
+	ctxs := pl.ctxs[:len(batch)]
+	prepIdentity(batch, ctxs)
 	for lo := 0; lo < len(batch); {
-		// Fire timers due at the sub-batch head FIRST, then bound
-		// the sub-batch below the next timer so nothing can fire
-		// inside it — interval flushes and detector ticks observe
-		// exactly the state the per-packet drive would show them.
+		// Fire timers due at the sub-batch head FIRST, then bound the
+		// sub-batch below the next timer so nothing can fire inside it —
+		// interval flushes and detector ticks observe exactly the state a
+		// chunk of one would show them.
 		pl.maybeTick(batch[lo].Ts)
-		bound := pl.nextTick
-		if pl.nextInterval < bound {
-			bound = pl.nextInterval
-		}
+		bound := min(pl.nextTick, pl.nextInterval)
 		hi := lo + 1
 		for hi < len(batch) && batch[hi].Ts < bound {
 			hi++
@@ -99,41 +100,33 @@ func (pl *Platform) consumePrepped(batch []packet.Packet, ctxs []*tier.Context, 
 		cs := ctxs[lo:hi]
 
 		if pl.steer == nil {
-			// Wire pipeline is ingest-only: run it as one vector
-			// through the tier batch API (which observes metrics
-			// itself).
+			// Wire pipeline is ingest-only: run it as one vector through
+			// the tier batch API (which observes metrics itself).
 			pl.wire.ProcessBatch(cs)
 		} else {
 			pl.ingest.ProcessBatch(cs)
 			if pl.metrics != nil {
-				// Stage-level metrics parity with the per-packet
-				// drive: ingest ran outside the pipeline walk, so
-				// observe it here (stage 0 of the wire pipeline).
-				for j := range sub {
-					pl.wire.ObserveStage(0, cs[j])
+				// Ingest ran outside the pipeline walk, so observe it
+				// here (stage 0 of the wire pipeline).
+				for _, c := range cs {
+					pl.wire.ObserveStage(0, c)
 				}
 			}
 		}
 
-		// Verdict counters fold once per sub-batch: nothing reads
-		// them until Report, so deferring the atomic adds commutes.
-		var direct, dropped, toSNIC uint64
-		flush := func() {
-			pl.counts.forwardedDirect.Add(direct)
-			pl.counts.droppedAtSwitch.Add(dropped)
-			pl.counts.toSNIC.Add(toSNIC)
-			pl.cache.FlushAcc(&pl.batchAcc)
-		}
+		// Verdict counters fold once per sub-batch: nothing reads them
+		// until the next timer, so deferring the atomic adds commutes.
+		var direct, dropped uint64
 		for j := range sub {
 			c := cs[j]
 			if pl.steer != nil {
-				// Steer per-packet: the sNIC processing of the
-				// previous packet (inside the last yield) may have
-				// programmed the switch tables this decision reads.
+				// Steer per-packet: the sNIC processing of the previous
+				// packet (inside the last Step) may have programmed the
+				// switch tables this decision reads.
 				pl.steer.Handle(c)
 				if pl.metrics != nil {
 					// Stage 1 of the wire pipeline, run outside the
-					// pipeline walk — observe for metric parity.
+					// pipeline walk.
 					pl.wire.ObserveStage(1, c)
 				}
 				if c.Verdict == tier.ForwardDirect {
@@ -145,73 +138,17 @@ func (pl *Platform) consumePrepped(batch []packet.Packet, ctxs []*tier.Context, 
 					continue
 				}
 			}
-			toSNIC++
-			pl.pendHash, pl.pendKey, pl.pendValid = c.Hash, c.Key, true
-			if !yield(sub[j]) {
-				flush()
-				return false
-			}
+			pl.cur = c
+			pl.engine.Step(&sub[j])
 		}
-		// Flush before the next maybeTick: interval observers must
-		// see aggregate stats exactly as the per-packet drive left
-		// them.
-		flush()
+		// Fold before the next maybeTick: interval observers must see
+		// aggregate stats exactly as a chunk of one leaves them.
+		if direct|dropped != 0 {
+			pl.counts.forwardedDirect.Add(direct)
+			pl.counts.droppedAtSwitch.Add(dropped)
+		}
+		pl.counts.toSNIC.Add(uint64(len(sub)) - direct - dropped)
+		pl.cache.FlushAcc(&pl.batchAcc)
 		lo = hi
-	}
-	return true
-}
-
-// flatten unrolls ingested vectors into the per-packet stream the
-// unbatched and legacy filters consume. Synchronous: the caller's
-// goroutine is the only one that ever touches the vectors.
-func flatten(vecs iter.Seq[[]packet.Packet]) packet.Stream {
-	return func(yield func(packet.Packet) bool) {
-		for b := range vecs {
-			for i := range b {
-				if !yield(b[i]) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// rechunk re-vectors an ingest sequence to exact size boundaries,
-// reproducing packet.BufferedBatches' vector shape (every yielded vector
-// holds exactly size packets except possibly the last) without a producer
-// goroutine. Aligned input vectors — the common case, since the one-shot
-// Run wrapper ingests in multiples of BatchSize — are subsliced in place;
-// stragglers accumulate in a carry buffer. Yielded vectors are only valid
-// until the next iteration, same contract as BufferedBatches.
-func rechunk(vecs iter.Seq[[]packet.Packet], size int) iter.Seq[[]packet.Packet] {
-	return func(yield func([]packet.Packet) bool) {
-		carry := make([]packet.Packet, 0, size)
-		for b := range vecs {
-			if len(carry) > 0 {
-				n := size - len(carry)
-				if n > len(b) {
-					n = len(b)
-				}
-				carry = append(carry, b[:n]...)
-				b = b[n:]
-				if len(carry) < size {
-					continue
-				}
-				if !yield(carry) {
-					return
-				}
-				carry = carry[:0]
-			}
-			for len(b) >= size {
-				if !yield(b[:size]) {
-					return
-				}
-				b = b[size:]
-			}
-			carry = append(carry, b...)
-		}
-		if len(carry) > 0 {
-			yield(carry)
-		}
 	}
 }

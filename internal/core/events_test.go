@@ -124,10 +124,14 @@ func TestDetectorReactionsBecomeEvents(t *testing.T) {
 			Proto: packet.ProtoTCP},
 		Size: 64,
 	}
-	// Drive the sNIC-side pipeline directly: with the switch enabled the
-	// wire side would fast-path this unsteered packet, and the point here
-	// is the datapath stage's event publication.
-	pl.tierHandler(&p, snic.Ctx{})
+	// Drive the sNIC-side pipeline directly, on a context prepped as the
+	// wire side leaves it: with the switch enabled the wire side would
+	// fast-path this unsteered packet, and the point here is the datapath
+	// stage's event publication.
+	pkts := []packet.Packet{p}
+	prepIdentity(pkts, pl.ctxs)
+	pl.cur = pl.ctxs[0]
+	pl.tierHandler(&pkts[0], snic.Ctx{})
 	if !pl.Switch().Blacklisted(src) {
 		t.Error("detector blacklist reaction never reached the switch")
 	}

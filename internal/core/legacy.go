@@ -81,28 +81,22 @@ func (pl *Platform) legacyHandler(p *packet.Packet, ctx snic.Ctx) snic.Cost {
 	return cost
 }
 
-// legacyFilter is the monolithic wire side: accounting, timers and the
-// inline switch tier.
-func (pl *Platform) legacyFilter(s packet.Stream) packet.Stream {
-	return func(yield func(packet.Packet) bool) {
-		for p := range s {
-			pl.counts.total.Add(1)
-			pl.maybeTick(p.Ts)
-			if pl.sw != nil {
-				pl.tracker.Observe(&p)
-				switch pl.sw.Process(&p) {
-				case p4switch.Forward:
-					pl.counts.forwardedDirect.Add(1)
-					continue
-				case p4switch.Drop:
-					pl.counts.droppedAtSwitch.Add(1)
-					continue
-				}
-			}
-			pl.counts.toSNIC.Add(1)
-			if !yield(p) {
-				return
-			}
+// legacyStep is the monolithic wire side for one packet: accounting,
+// timers and the inline switch tier, then the sNIC engine.
+func (pl *Platform) legacyStep(p *packet.Packet) {
+	pl.counts.total.Add(1)
+	pl.maybeTick(p.Ts)
+	if pl.sw != nil {
+		pl.tracker.Observe(p)
+		switch pl.sw.Process(p) {
+		case p4switch.Forward:
+			pl.counts.forwardedDirect.Add(1)
+			return
+		case p4switch.Drop:
+			pl.counts.droppedAtSwitch.Add(1)
+			return
 		}
 	}
+	pl.counts.toSNIC.Add(1)
+	pl.engine.Step(p)
 }

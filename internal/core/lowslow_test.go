@@ -95,8 +95,8 @@ func TestLowSlowBlacklistReachesSwitch(t *testing.T) {
 
 // TestLowSlowDeterminismAcrossBatch: the determinism contract must hold
 // with the timing-wheel detector in the loop — reports, alert sequences
-// and flow logs stay byte-identical across BatchSize and the pipelined
-// drive, at one and several shards. This is the oracle that keeps the
+// and flow logs stay byte-identical across BatchSize, at one and several
+// shards. This is the oracle that keeps the
 // wheel's Advance cadence tied to packet time, not drive shape.
 func TestLowSlowDeterminismAcrossBatch(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -111,24 +111,14 @@ func TestLowSlowDeterminismAcrossBatch(t *testing.T) {
 			t.Fatalf("shards=%d: reference run raised no alerts — oracle is vacuous", shards)
 		}
 
-		variants := []struct {
-			name      string
-			batch     int
-			pipelined bool
-		}{
-			{"batch7", 7, false},
-			{"batch64", 64, false},
-			{"batch64-pipelined", 64, true},
-		}
-		for _, v := range variants {
+		for _, batch := range []int{7, 64} {
 			cfg := base
-			cfg.BatchSize = v.batch
-			cfg.Pipelined = v.pipelined
+			cfg.BatchSize = batch
 			cfg.Detectors = lowslowDetectors() // detectors are stateful: fresh per run
 			pl := New(cfg)
 			dump := canonicalDump(pl, pl.Run(lowslowStream())) + kvDump(pl)
 			if dump != refDump {
-				t.Errorf("shards=%d %s diverged:\n%s", shards, v.name, firstDiffLine(refDump, dump))
+				t.Errorf("shards=%d batch=%d diverged:\n%s", shards, batch, firstDiffLine(refDump, dump))
 			}
 		}
 	}

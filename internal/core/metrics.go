@@ -118,22 +118,17 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 		s.SetCounter(pfx+"pin_refused", sh.PinRefused())
 	}
 
-	// Parallel-drive plumbing. Both series are conditional on their
-	// feature actually running so the deterministic-subset comparisons
-	// across configurations stay byte-identical when the feature is off:
-	// flowcache.pool.* appears only once the shard worker pool has
-	// started (external RunParallel drives — the platform's own datapath
-	// never starts it), pipeline.* only under the pipelined drive.
+	// Shard worker pool. The series is conditional on the pool actually
+	// running so the deterministic-subset comparisons across
+	// configurations stay byte-identical when it is off: flowcache.pool.*
+	// appears only once the pool has started (external RunParallel drives
+	// — the platform's own datapath never starts it).
 	for i, ws := range pl.cache.PoolStats() {
 		pfx := fmt.Sprintf("flowcache.pool.%02d.", i)
 		s.SetGauge(pfx+"ring_hwm", float64(ws.RingHWM))
 		s.SetCounter(pfx+"stalls", ws.Stalls)
 		s.SetCounter(pfx+"batches", ws.Batches)
 		s.SetCounter(pfx+"wakeups", ws.Wakeups)
-	}
-	if pl.cfg.Pipelined && pl.cfg.BatchSize > 1 {
-		s.SetCounter("pipeline.prep_chunks", pl.prepChunks.Load())
-		s.SetCounter("pipeline.overlap_barrier_flushes", pl.overlapBarriers.Load())
 	}
 
 	// sNIC datapath: input-buffer loss and engine occupancy.

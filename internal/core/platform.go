@@ -14,11 +14,16 @@
 // (legacy.go) alive as a determinism oracle: at Shards=1 both paths must
 // produce byte-identical reports, which TestTierPipelineMatchesLegacy
 // checks.
+//
+// The drive is a push (DESIGN.md §12.1, §19): beginDrive opens the sNIC
+// engine, ingestVector runs one caller-supplied packet vector to
+// completion — wire stages, engine.Step, sNIC stages, detectors — and
+// endDrive performs the final flush. All three run on the goroutine of
+// whoever called Session.Start / Ingest / Drain.
 package core
 
 import (
 	"io"
-	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -88,21 +93,10 @@ type Config struct {
 	// §9): the drive pre-computes flow hashes per vector, amortises the
 	// platform counters and FlowCache stat updates across it, and splits
 	// it at every timer boundary so batching never reorders control-plane
-	// work relative to the per-packet drive — reports stay byte-identical.
-	// 0 or 1 keeps the per-packet drive; LegacyPipeline ignores it (the
+	// work relative to a vector of one — reports stay byte-identical.
+	// 0 or 1 is a vector of one packet; LegacyPipeline ignores it (the
 	// oracle stays exactly as it was).
 	BatchSize int
-	// Pipelined overlaps the tiers of the batched drive across chunks
-	// (DESIGN.md §13): a persistent prep worker computes the NEXT chunk's
-	// pure flow-identity work (context reset, canonical key, flow hash)
-	// while the drive goroutine runs the CURRENT chunk's stateful
-	// ingest/steer/sNIC work, with a barrier draining the overlap before
-	// Session Exec closures, interval timer edges and mode-switch bus
-	// events. Reports and state stay byte-identical to the sequential
-	// batched drive at every Shards×BatchSize. Requires BatchSize > 1
-	// (there is no chunk to overlap otherwise — the flag is then inert)
-	// and the tier pipeline (ignored under LegacyPipeline).
-	Pipelined bool
 	// Metrics, when set, instruments every tier into this registry and
 	// snapshots it at each interval close (DESIGN.md §10). nil disables
 	// metrics entirely — the hot paths then pay only nil-check branches.
@@ -137,20 +131,17 @@ type Platform struct {
 	// rewrite mid-stream; see batch.go).
 	ingest *ingestStage
 	steer  tier.Stage
-	// wireCtx / nicCtx are reused across packets (one driving goroutine
-	// each), keeping the hot path allocation-free.
-	wireCtx tier.Context
-	nicCtx  tier.Context
 
-	// batchAcc absorbs FlowCache stat deltas on the batched drive; pendKey
-	// et al. hand the pre-computed flow identity of the packet just
-	// yielded into the engine across to tierHandler (the engine calls the
-	// handler synchronously inside the pull, at most once per yield, so
-	// the pending identity can never pair with the wrong packet).
-	batchAcc  flowcache.BatchAcc
-	pendHash  uint64
-	pendKey   packet.FlowKey
-	pendValid bool
+	// The drive's vector state (batch.go): ctxs is the context vector of
+	// the chunk being consumed, BatchSize long and reused for every chunk;
+	// carry holds ingested packets that have not filled a chunk yet; cur is
+	// the context of the packet inside engine.Step, which tierHandler
+	// carries on into the sNIC-side pipeline. batchAcc absorbs FlowCache
+	// stat deltas between sub-batch flushes.
+	ctxs     []*tier.Context
+	carry    []packet.Packet
+	cur      *tier.Context
+	batchAcc flowcache.BatchAcc
 
 	nextInterval int64
 	nextTick     int64
@@ -171,20 +162,8 @@ type Platform struct {
 	sessionBusy atomic.Bool
 	// releaseMu serialises concurrent ReleaseWorkers calls: Session.Close
 	// and a -serve SIGTERM drain may both reach the release path at once,
-	// and the prep-channel close plus the shard pool teardown are not
-	// individually reentrant (see pipeline.go).
+	// and the shard pool teardown is not reentrant.
 	releaseMu sync.Mutex
-
-	// prepReq / prepDone / prepRunning are the pipelined drive's
-	// persistent identity-prefetch worker (pipeline.go); prepChunks and
-	// overlapBarriers are its observability counters (atomics only
-	// because the -expvar observer may snapshot concurrently — all
-	// writes happen on the drive goroutine).
-	prepReq         chan prepReq
-	prepDone        chan struct{}
-	prepRunning     bool
-	prepChunks      atomic.Uint64
-	overlapBarriers atomic.Uint64
 }
 
 // Counts aggregates platform-level packet accounting.
@@ -293,6 +272,12 @@ func New(cfg Config) *Platform {
 	if !cfg.LegacyPipeline {
 		pl.wireBus()
 		pl.buildPipelines()
+		store := make([]tier.Context, cfg.BatchSize)
+		pl.ctxs = make([]*tier.Context, cfg.BatchSize)
+		for i := range pl.ctxs {
+			pl.ctxs[i] = &store[i]
+		}
+		pl.carry = make([]packet.Packet, 0, cfg.BatchSize)
 		if cfg.Metrics != nil {
 			pl.instrumentMetrics()
 		}
@@ -407,8 +392,8 @@ func (pl *Platform) Blacklist(a packet.Addr) {
 
 // AdvanceClock runs every detector tick and interval close due at or
 // before ts, exactly as the arrival of a packet stamped ts would. The
-// cluster runner calls it (through Session.Exec, so it lands on the drive
-// goroutine at a packet boundary) on each worker before draining: workers
+// cluster runner calls it (through Session.Exec, so it lands between
+// vectors) on each worker before draining: workers
 // only see their steered substream, so without this a worker whose last
 // packet predates the global maximum timestamp would close fewer
 // intervals than its peers and the merged flow log would disagree with
@@ -443,9 +428,9 @@ func (pl *Platform) endInterval(ts int64) {
 	}
 	pl.bus.Publish(tier.IntervalEvent{Ts: ts, Seq: seq})
 	// Capture the session's live delta snapshot after every interval
-	// subscriber (switch steer, host flush, metrics emit) has run, still on
-	// the drive goroutine. Pure read + atomic publish: no observable state
-	// changes, so the one-shot Run wrapper stays byte-identical.
+	// subscriber (switch steer, host flush, metrics emit) has run. Pure
+	// read + atomic publish: no observable state changes, so the one-shot
+	// Run wrapper stays byte-identical.
 	if pl.session != nil {
 		pl.session.captureSnapshot(ts, seq)
 	}
@@ -493,20 +478,10 @@ func (s *datapathStage) Name() string { return "datapath" }
 func (s *datapathStage) Handle(ctx *tier.Context) {
 	pl := s.pl
 	p := ctx.Pkt
-	var (
-		rec *flowcache.Record
-		res flowcache.Result
-		k   packet.FlowKey
-	)
-	if ctx.HasFlowID {
-		// Batched drive: hash/key were pre-computed for the whole vector
-		// and stat deltas accumulate in batchAcc (flushed per sub-batch).
-		k = ctx.Key
-		rec, res = pl.cache.ObserveProcessHashed(p, ctx.Hash, k, &pl.batchAcc)
-	} else {
-		k = p.Key()
-		rec, res = pl.cache.ObserveProcess(p)
-	}
+	// Hash and key were computed for the whole chunk (prepIdentity); stat
+	// deltas accumulate in batchAcc, flushed per sub-batch.
+	k := ctx.Key
+	rec, res := pl.cache.ObserveProcessHashed(p, ctx.Hash, k, &pl.batchAcc)
 	ctx.Rec, ctx.Res = rec, res
 	if rec == nil && res.Outcome == flowcache.HostPunt {
 		// No sNIC record possible: the host takes the packet whole.
@@ -536,17 +511,14 @@ func (s *datapathStage) Handle(ctx *tier.Context) {
 }
 
 // tierHandler adapts the sNIC-side pipeline to the simulator's handler
-// contract, folding the context back into platform counters.
-func (pl *Platform) tierHandler(p *packet.Packet, sctx snic.Ctx) snic.Cost {
-	ctx := &pl.nicCtx
-	ctx.Reset(p)
+// contract, folding the context back into platform counters. The packet's
+// context is the one the wire side prepped and steered (pl.cur, set by
+// consume just before engine.Step): a packet that reaches the sNIC left
+// the wire stages with only its flow identity filled in, so the sNIC
+// stages carry on in it instead of resetting a second one.
+func (pl *Platform) tierHandler(_ *packet.Packet, sctx snic.Ctx) snic.Cost {
+	ctx := pl.cur
 	ctx.SNIC = sctx
-	if pl.pendValid {
-		// The batched drive parked this packet's pre-computed flow
-		// identity just before yielding it into the engine.
-		ctx.Hash, ctx.Key, ctx.HasFlowID = pl.pendHash, pl.pendKey, true
-		pl.pendValid = false
-	}
 	pl.nic.Process(ctx)
 	if ctx.HostDeliveries > 0 {
 		pl.counts.toHost.Add(uint64(ctx.HostDeliveries))
@@ -617,48 +589,23 @@ func (pl *Platform) Run(s packet.Stream) Report {
 	return rep
 }
 
-// driveBatches is the drive path shared by Run and Session: it feeds the
-// ingested vectors through the configured filter chain into the sNIC
-// engine and performs the end-of-drive tail (accumulator flush, final
-// interval close, lossless flow-log flush, report assembly). It runs
-// entirely on the session's drive goroutine.
-func (pl *Platform) driveBatches(vecs iter.Seq[[]packet.Packet]) Report {
-	var filtered packet.Stream
-	switch {
-	case pl.cfg.LegacyPipeline:
-		filtered = pl.legacyFilter(flatten(vecs))
-	case pl.cfg.Pipelined && pl.cfg.BatchSize > 1:
-		// Tier-overlapped drive: chunk N+1's identity prep runs on the
-		// prep worker while chunk N's stateful work runs here
-		// (pipeline.go). Re-chunks internally.
-		filtered = pl.pipelinedFilter(vecs)
-	case pl.cfg.BatchSize > 1:
-		filtered = pl.batchedFilter(rechunk(vecs, pl.cfg.BatchSize))
-	default:
-		s := flatten(vecs)
-		filtered = func(yield func(packet.Packet) bool) {
-			ctx := &pl.wireCtx
-			for p := range s {
-				ctx.Reset(&p)
-				switch pl.wire.Process(ctx) {
-				case tier.ForwardDirect:
-					pl.counts.forwardedDirect.Add(1)
-					continue
-				case tier.DropAtSwitch:
-					pl.counts.droppedAtSwitch.Add(1)
-					continue
-				}
-				pl.counts.toSNIC.Add(1)
-				if !yield(p) {
-					return
-				}
-			}
-		}
+// beginDrive opens a drive: a fresh sNIC report over the engine's
+// persistent scheduler state, and an empty carry (a drive that failed
+// mid-vector may have left stragglers behind).
+func (pl *Platform) beginDrive() {
+	pl.engine.Begin()
+	pl.carry = pl.carry[:0]
+}
+
+// endDrive closes the drive: the stragglers still in the carry, then the
+// end-of-drive tail (final interval close, lossless flow-log flush, report
+// assembly).
+func (pl *Platform) endDrive() Report {
+	if len(pl.carry) > 0 {
+		pl.consume(pl.carry)
+		pl.carry = pl.carry[:0]
 	}
-	rep := pl.engine.Run(filtered)
-	// The batched drive flushes its accumulator at every sub-batch end;
-	// this covers an engine that stopped pulling mid-vector.
-	pl.cache.FlushAcc(&pl.batchAcc)
+	rep := pl.engine.End()
 	// Final interval close, then the lossless flow-log flush: every record
 	// still resident in the FlowCache is exported exactly once, so evicted
 	// epochs plus the final snapshot account for every processed packet.
@@ -692,6 +639,35 @@ func (pl *Platform) driveBatches(vecs iter.Seq[[]packet.Packet]) Report {
 		}
 	}
 	return out
+}
+
+// ReleaseWorkers stops the FlowCache's lazily started shard worker pool
+// (external RunParallel drives start it; the platform's own datapath
+// never does). Safe when it never started, idempotent, and it restarts
+// lazily on next use. A no-op while a session is active; Session.Close
+// calls it after the drain, so a fully closed platform holds no
+// goroutines. Safe for concurrent callers: Session.Close and the -serve
+// drain path (SIGTERM plus /control/drain) can both land here at once.
+func (pl *Platform) ReleaseWorkers() {
+	if pl.sessionBusy.Load() {
+		return
+	}
+	pl.releaseMu.Lock()
+	defer pl.releaseMu.Unlock()
+	pl.cache.Close()
+}
+
+// Close tears the platform down: it refuses while a session is active,
+// otherwise releases all background workers. The platform remains usable
+// afterwards (workers restart lazily); Close exists so embedders — the
+// serve control plane, tests, benchmarks — can assert goroutine
+// hygiene without finalizers.
+func (pl *Platform) Close() error {
+	if pl.sessionBusy.Load() {
+		return ErrSessionActive
+	}
+	pl.ReleaseWorkers()
+	return nil
 }
 
 // Alerts returns everything raised so far.

@@ -72,11 +72,11 @@ func burstTrace(n int) []packet.Packet {
 // TestReleaseWorkersConcurrentClose: the -serve double-drain shape —
 // several Session.Close calls (SIGTERM plus /control/drain plus a
 // deferred cleanup) racing each other and a bare Platform.ReleaseWorkers.
-// Every path funnels into ReleaseWorkers, whose releaseMu makes the
-// losers no-ops instead of double-closing the prep channel or tearing
-// the shard pool down twice. Run under -race.
+// One Close drains under the session mutex and the rest see a done
+// session; every path then funnels into ReleaseWorkers, whose releaseMu
+// keeps the shard pool from being torn down twice. Run under -race.
 func TestReleaseWorkersConcurrentClose(t *testing.T) {
-	pl := New(Config{Shards: 2, IntervalNs: 50e6, BatchSize: 64, Pipelined: true})
+	pl := New(Config{Shards: 2, IntervalNs: 50e6, BatchSize: 64})
 	pkts := burstTrace(4_096)
 	for iter := 0; iter < 50; iter++ {
 		ses := pl.NewSession()

@@ -3,34 +3,33 @@
 // IPS the paper describes. A Session owns one pass of a Platform's run
 // loop and splits it into explicit phases:
 //
-//	Start   — launch the drive goroutine; the (already constructed)
-//	          engine and pipelines begin pulling from the ingest channel.
-//	Ingest  — hand one packet vector to the drive. The call returns only
-//	          after the vector is fully processed, so the caller may
-//	          recycle the slice (packet.BufferedBatches feeds it
-//	          directly) and gets natural backpressure.
+//	Start   — open the drive (the already constructed engine and
+//	          pipelines begin a fresh report). Starts no goroutine.
+//	Ingest  — run one packet vector through the platform, to completion,
+//	          on the caller's goroutine. When the call returns the caller
+//	          may recycle the slice (packet.BufferedBatches feeds it
+//	          directly); backpressure is the call itself.
 //	Snapshot — read the latest interval-boundary report delta (captured
-//	          by the drive at every interval close; lock-free for
-//	          observers on any goroutine).
-//	Drain   — close ingestion, run the final interval close and the
-//	          lossless flow-log flush, and return the end-of-session
-//	          Report — exactly the tail the old one-shot Run performed.
+//	          at every interval close; lock-free for observers on any
+//	          goroutine).
+//	Drain   — run the final interval close and the lossless flow-log
+//	          flush, and return the end-of-session Report — exactly the
+//	          tail the old one-shot Run performed.
 //	Close   — idempotent teardown (drains first if still running).
 //
-// Everything stateful runs on the single drive goroutine: the engine
-// pulls the tier filters, the filters pull the session's vector stream,
-// and that stream is the only place that touches the ingest and control
-// channels. Control closures submitted with Exec therefore run at packet
-// boundaries with no packet in flight anywhere — the operator plane
-// needs no locks around platform state, and a session that receives no
-// Exec calls is observationally identical to the pre-session drive
-// (Platform.Run is a thin wrapper over a Session and stays byte-exact).
+// There is no drive goroutine: the paper's sNIC runs each packet to
+// completion on one PME thread, and so does this — packet vector to flow
+// log on the goroutine that called Ingest. Everything stateful runs under
+// the session mutex, so control closures submitted with Exec land between
+// vectors with no packet in flight anywhere — the operator plane needs no
+// locks around platform state, and a session that receives no Exec calls
+// is observationally identical to the pre-session drive (Platform.Run is
+// a thin wrapper over a Session and stays byte-exact).
 package core
 
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -39,8 +38,8 @@ import (
 	"smartwatch/internal/packet"
 )
 
-// ErrSessionClosed is returned by Ingest/Exec/Drain once the session's
-// drive has finished (after Drain or Close).
+// ErrSessionClosed is returned by Ingest/Exec once the session's drive has
+// finished (after Drain or Close) or failed.
 var ErrSessionClosed = errors.New("core: session closed")
 
 // ErrSessionState is returned for calls outside their lifecycle phase
@@ -51,12 +50,11 @@ var ErrSessionState = errors.New("core: session in wrong state")
 // running session (a platform drives at most one at a time).
 var ErrSessionActive = errors.New("core: platform already has an active session")
 
-// ErrDriveFailed wraps a panic that escaped the drive goroutine (a
-// crashing detector, a corrupted stage). The session converts it into an
-// error instead of killing the process: Ingest/Exec callers get
-// ErrSessionClosed, Drain returns the wrapped panic, and the cluster
-// runner surfaces it as a typed per-worker failure without deadlocking
-// its ingress backpressure.
+// ErrDriveFailed wraps a panic that escaped the datapath (a crashing
+// detector, a corrupted stage). The session recovers it on the calling
+// goroutine instead of letting it kill the process: that Ingest/Exec and
+// every later one get ErrSessionClosed, Drain returns the wrapped panic,
+// and the cluster runner surfaces it as a typed per-worker failure.
 var ErrDriveFailed = errors.New("core: session drive failed")
 
 // SessionState is the lifecycle phase of a Session.
@@ -66,7 +64,7 @@ type SessionState int32
 const (
 	// SessionIdle: constructed, not yet started.
 	SessionIdle SessionState = iota
-	// SessionRunning: drive goroutine live, accepting Ingest/Exec.
+	// SessionRunning: drive open, accepting Ingest/Exec.
 	SessionRunning
 	// SessionDraining: ingestion closed, final flush in progress.
 	SessionDraining
@@ -120,12 +118,6 @@ type IntervalSnapshot struct {
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 }
 
-// ctlOp is one control closure queued for the drive goroutine.
-type ctlOp struct {
-	fn   func(*Platform)
-	done chan struct{}
-}
-
 // Session is one lifecycle-managed streaming pass over a Platform. Create
 // with Platform.NewSession; a Platform runs at most one session at a time
 // (sequential sessions continue from the platform's accumulated state,
@@ -133,99 +125,95 @@ type ctlOp struct {
 type Session struct {
 	pl *Platform
 
-	mu    sync.Mutex
-	state SessionState
-
-	// ioMu serialises Ingest bodies against Drain's close(in), so a send
-	// can never race the close.
-	ioMu sync.Mutex
-
-	in  chan []packet.Packet
-	ack chan struct{}
-	ctl chan ctlOp
-	// finished closes when the drive goroutine stops servicing in/ctl;
-	// it unblocks stragglers so no caller can hang on a dead session.
-	finished chan struct{}
-	result   chan Report
-
+	// mu serialises the datapath and the lifecycle: the bodies of Start,
+	// Ingest, Exec, Drain and Close run under it on their caller's
+	// goroutine, so at most one of them touches the platform at a time.
+	mu sync.Mutex
+	// state is written under mu; atomic so State never waits for a vector.
+	state atomic.Int32
 	final Report
-	// driveErr records a recovered drive-goroutine panic; written before
-	// finished closes, read by Drain after the result arrives.
+	// driveErr records a panic recovered from the datapath; once set the
+	// session accepts no more work and Drain skips the final flush.
 	driveErr error
+
 	snap     atomic.Pointer[IntervalSnapshot]
 	ingested atomic.Uint64
 
-	// previous-interval baselines for delta computation (drive-goroutine
-	// only).
+	// previous-interval baselines for delta computation (under mu).
 	prevCounts Counts
 	prevCache  flowcache.Stats
 	prevAlerts int
 }
 
 // NewSession returns an idle session over the platform. Call Start to
-// launch the drive.
-func (pl *Platform) NewSession() *Session {
-	return &Session{
-		pl:       pl,
-		in:       make(chan []packet.Packet),
-		ack:      make(chan struct{}),
-		ctl:      make(chan ctlOp),
-		finished: make(chan struct{}),
-		result:   make(chan Report, 1),
-	}
-}
+// open the drive.
+func (pl *Platform) NewSession() *Session { return &Session{pl: pl} }
 
-// State reports the session's lifecycle phase.
-func (s *Session) State() SessionState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
+// State reports the session's lifecycle phase. Safe from any goroutine,
+// including inside an Exec closure.
+func (s *Session) State() SessionState { return SessionState(s.state.Load()) }
 
 // Ingested reports the total packets offered via Ingest so far.
 func (s *Session) Ingested() uint64 { return s.ingested.Load() }
 
-// Start launches the drive goroutine. It fails if the session was already
-// started or the platform has another active session.
+// Start opens the drive. It fails if the session was already started or
+// the platform has another active session.
 func (s *Session) Start() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != SessionIdle {
+	if s.State() != SessionIdle {
 		return ErrSessionState
 	}
 	if !s.pl.sessionBusy.CompareAndSwap(false, true) {
 		return ErrSessionActive
 	}
 	s.pl.session = s
-	s.state = SessionRunning
-	go s.drive()
+	s.pl.beginDrive()
+	s.state.Store(int32(SessionRunning))
 	return nil
 }
 
-// Ingest hands one packet vector to the drive and returns once it has been
-// fully processed (the slice may be reused immediately — recycled
-// packet.BufferedBatches vectors feed it directly). Timestamps must be
+// admit reports whether the session takes datapath work. Called under mu.
+func (s *Session) admit() error {
+	switch {
+	case s.State() == SessionIdle:
+		return ErrSessionState
+	case s.State() != SessionRunning || s.driveErr != nil:
+		return ErrSessionClosed
+	}
+	return nil
+}
+
+// protect runs one step of the drive and reports whether it completed. A
+// panic in it (a crashing detector, a corrupted stage) is recovered into
+// driveErr: the platform may be half-updated, so the session takes no
+// more work, but the caller — a cluster feeder, the -serve ingest loop —
+// gets an error instead of a dead process.
+func (s *Session) protect(step func()) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.driveErr = fmt.Errorf("%w: %v", ErrDriveFailed, r)
+		}
+	}()
+	step()
+	return true
+}
+
+// Ingest runs one packet vector through the platform on the caller's
+// goroutine and returns once it has been fully processed (the slice may be
+// reused immediately — recycled packet.BufferedBatches vectors feed it
+// directly). Concurrent callers are serialised. Timestamps must be
 // non-decreasing across the whole session, as everywhere else.
 func (s *Session) Ingest(batch []packet.Packet) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if st := s.State(); st != SessionRunning {
-		if st == SessionIdle {
-			return ErrSessionState
-		}
-		return ErrSessionClosed
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.admit(); err != nil {
+		return err
 	}
-	s.ioMu.Lock()
-	defer s.ioMu.Unlock()
-	select {
-	case s.in <- batch:
-	case <-s.finished:
-		return ErrSessionClosed
-	}
-	select {
-	case <-s.ack:
-	case <-s.finished:
+	if !s.protect(func() { s.pl.ingestVector(batch) }) {
 		return ErrSessionClosed
 	}
 	s.ingested.Add(uint64(len(batch)))
@@ -239,8 +227,8 @@ func (s *Session) IngestStream(src packet.Stream, chunk int) error {
 	if chunk < 1 {
 		chunk = 512
 		if bs := s.pl.cfg.BatchSize; bs > 1 {
-			// Round up to a BatchSize multiple so the batched drive's
-			// re-chunker subslices without ever copying into its carry.
+			// Round up to a BatchSize multiple so the drive consumes every
+			// vector in place without ever copying into its carry.
 			chunk = ((chunk + bs - 1) / bs) * bs
 		}
 	}
@@ -252,93 +240,65 @@ func (s *Session) IngestStream(src packet.Stream, chunk int) error {
 	return nil
 }
 
-// Exec runs fn on the drive goroutine at the next packet boundary (between
-// ingest vectors, or immediately when ingestion is idle) and returns after
-// fn completes. This is the operator plane's safe point: no packet is in
-// flight anywhere in the pipeline while fn runs, so fn may publish bus
-// events, reprogram the switch, or read any platform state without
-// additional locking.
+// Exec runs fn under the session lock, between ingest vectors (or
+// immediately when ingestion is idle), and returns after fn completes.
+// This is the operator plane's safe point: no packet is in flight anywhere
+// in the pipeline while fn runs, so fn may publish bus events, reprogram
+// the switch, or read any platform state without additional locking. fn
+// must not call back into the session's Ingest, Exec, Drain or Close.
 func (s *Session) Exec(fn func(*Platform)) error {
-	if st := s.State(); st == SessionIdle {
-		return ErrSessionState
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.admit(); err != nil {
+		return err
 	}
-	op := ctlOp{fn: fn, done: make(chan struct{})}
-	select {
-	case s.ctl <- op:
-		select {
-		case <-op.done:
-			return nil
-		case <-s.finished:
-			// The drive stopped (or crashed inside fn) before signalling
-			// completion. Prefer the completion signal if it raced in.
-			select {
-			case <-op.done:
-				return nil
-			default:
-			}
-			return ErrSessionClosed
-		}
-	case <-s.finished:
+	if !s.protect(func() { fn(s.pl) }) {
 		return ErrSessionClosed
 	}
+	return nil
 }
 
 // Snapshot returns the most recent interval-boundary delta snapshot (nil
 // before the first interval close). Safe from any goroutine.
 func (s *Session) Snapshot() *IntervalSnapshot { return s.snap.Load() }
 
-// Drain closes ingestion, waits for the drive to run the final interval
-// close and the lossless flow-log flush, and returns the final Report —
-// the exact tail sequence of the pre-session one-shot Run. When a
-// flow-log flush failed the Report is complete and the error is its
-// FlowLogErr.
+// Drain closes ingestion, runs the final interval close and the lossless
+// flow-log flush, and returns the final Report — the exact tail sequence
+// of the pre-session one-shot Run. When a flow-log flush failed the Report
+// is complete and the error is its FlowLogErr; when the drive failed the
+// Report is empty and the error wraps ErrDriveFailed. Drain on a drained
+// session returns the same pair again.
 func (s *Session) Drain() (Report, error) {
 	s.mu.Lock()
-	switch s.state {
-	case SessionIdle:
-		s.mu.Unlock()
-		return Report{}, ErrSessionState
-	case SessionDraining:
-		s.mu.Unlock()
-		return Report{}, ErrSessionState
-	case SessionDone:
-		rep := s.final
-		s.mu.Unlock()
-		return rep, rep.FlowLogErr
-	}
-	s.state = SessionDraining
-	s.mu.Unlock()
-	return s.finishDrain()
+	defer s.mu.Unlock()
+	return s.drain()
 }
 
-// finishDrain runs the drain for the one caller that moved the session
-// Running -> Draining under s.mu.
-func (s *Session) finishDrain() (Report, error) {
-	s.ioMu.Lock()
-	close(s.in)
-	s.ioMu.Unlock()
-
-	rep := <-s.result
-	err := s.driveErr // written before finished closed; result receive orders the read
-	if err == nil {
-		err = rep.FlowLogErr
+// drain is Drain under mu.
+func (s *Session) drain() (Report, error) {
+	switch s.State() {
+	case SessionIdle:
+		return Report{}, ErrSessionState
+	case SessionRunning:
+		s.state.Store(int32(SessionDraining))
+		if s.driveErr == nil {
+			s.protect(func() { s.final = s.pl.endDrive() })
+		}
+		s.state.Store(int32(SessionDone))
+		s.pl.session = nil
+		s.pl.sessionBusy.Store(false)
 	}
-
-	s.mu.Lock()
-	s.final = rep
-	s.state = SessionDone
-	s.mu.Unlock()
-
-	s.pl.session = nil
-	s.pl.sessionBusy.Store(false)
-	return rep, err
+	if s.driveErr != nil {
+		return s.final, s.driveErr
+	}
+	return s.final, s.final.FlowLogErr
 }
 
 // Report returns the final report after Drain (zero Report, false before).
 func (s *Session) Report() (Report, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state != SessionDone {
+	if s.State() != SessionDone {
 		return Report{}, false
 	}
 	return s.final, true
@@ -347,85 +307,28 @@ func (s *Session) Report() (Report, bool) {
 // Close tears the session down. A running session is drained first (the
 // final flush still happens — Close is the polite SIGTERM path); a drained
 // or idle session just transitions to Done. Either way the platform's
-// lazily started background workers (prep worker, shard worker pool) are
-// released — a closed session leaves no goroutines behind; they restart
-// lazily if the platform drives again. Idempotent, and safe to call
-// concurrently with itself and with Drain: one caller drains and returns
-// the drain's error, the rest wait for the final flush and return nil.
+// lazily started shard worker pool is released — a closed session leaves
+// no goroutines behind; it restarts lazily if the platform drives again.
+// Idempotent, and safe to call concurrently with itself and with Drain:
+// one caller drains and returns the drain's error, the rest wait for the
+// final flush and return nil.
 func (s *Session) Close() error {
-	// Decide under s.mu, so of several concurrent Closes (SIGTERM,
-	// /control/drain, a deferred cleanup) exactly one claims the drain.
 	s.mu.Lock()
-	st := s.state
-	switch st {
+	var err error
+	switch s.State() {
 	case SessionRunning:
-		s.state = SessionDraining
+		_, err = s.drain()
 	case SessionIdle:
-		s.state = SessionDone
+		s.state.Store(int32(SessionDone))
 	}
 	s.mu.Unlock()
-
-	var err error
-	switch st {
-	case SessionRunning:
-		_, err = s.finishDrain()
-	case SessionDraining:
-		// Another caller owns the drain and reports its error; wait until
-		// the drive has run the final flush.
-		<-s.finished
-	}
 	s.pl.ReleaseWorkers()
 	return err
 }
 
-// drive is the session's only worker: it feeds the platform's filter
-// chain (and through it the sNIC engine) from the ingest channel and
-// services control closures whenever no vector is mid-flight. A panic
-// anywhere in the drive (a crashing detector, a corrupted stage) is
-// converted into ErrDriveFailed instead of killing the process: without
-// the recover, Ingest callers — a cluster feeder, the -serve ingest loop
-// — would block forever on a session whose drive goroutine is gone.
-func (s *Session) drive() {
-	var rep Report
-	defer func() {
-		if r := recover(); r != nil {
-			s.driveErr = fmt.Errorf("%w: %v", ErrDriveFailed, r)
-		}
-		// From here no ingest or control work is accepted; unblock
-		// stragglers.
-		close(s.finished)
-		s.result <- rep
-	}()
-	rep = s.pl.driveBatches(s.vectors())
-}
-
-// vectors adapts the ingest/control channels into the vector sequence the
-// platform filters consume. It runs entirely on the drive goroutine (the
-// engine's pull chain), which is what makes Exec closures safe.
-func (s *Session) vectors() iter.Seq[[]packet.Packet] {
-	return func(yield func([]packet.Packet) bool) {
-		for {
-			select {
-			case op := <-s.ctl:
-				op.fn(s.pl)
-				close(op.done)
-			case b, ok := <-s.in:
-				if !ok {
-					return
-				}
-				more := yield(b)
-				s.ack <- struct{}{}
-				if !more {
-					return
-				}
-			}
-		}
-	}
-}
-
 // captureSnapshot records the interval-boundary delta; called from
-// endInterval on the drive goroutine after every interval subscriber
-// (host flush, metrics emit) has run.
+// endInterval (so under mu) after every interval subscriber (host flush,
+// metrics emit) has run.
 func (s *Session) captureSnapshot(ts int64, seq uint64) {
 	counts := s.pl.counts.snapshot()
 	cache := s.pl.cache.Stats()

@@ -3,12 +3,17 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/host"
 	"smartwatch/internal/obs"
+	"smartwatch/internal/p4switch"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/snic"
 	"smartwatch/internal/tier"
@@ -500,6 +505,306 @@ func TestFlowLogWriteFailureSurfaces(t *testing.T) {
 		cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
 		if rep := New(cfg).Run(packet.StreamOf(pkts)); !errors.Is(rep.FlowLogErr, errBrokenLog) {
 			t.Errorf("legacy=%v: Run's FlowLogErr = %v", legacy, rep.FlowLogErr)
+		}
+	}
+}
+
+// establishedVector is n TCP data packets (ACK only — no SYN, so nothing
+// schedules a wheel entry or opens a half-open probe) over flows distinct
+// flows, 100 ns apart (10 Mpps: the sNIC keeps up) starting at ts.
+func establishedVector(n, flows int, ts int64) []packet.Packet {
+	pkts := make([]packet.Packet, n)
+	for i := range pkts {
+		fl := i % flows
+		pkts[i] = packet.Packet{
+			Ts: ts + int64(i)*100,
+			Tuple: packet.FiveTuple{
+				SrcIP: packet.Addr(0x0a000000 + fl), DstIP: packet.Addr(0x0a010000 + fl*7),
+				SrcPort: uint16(20000 + fl), DstPort: 22, Proto: packet.ProtoTCP,
+			},
+			Size: 200, Flags: packet.FlagACK,
+		}
+	}
+	return pkts
+}
+
+// steerEstablished installs the steer entry that sends establishedVector's
+// destinations (10.1/16, port 22) through the sNIC, from the session's
+// safe point. Without it the switch forwards them all directly.
+func steerEstablished(t *testing.T, ses *Session) {
+	t.Helper()
+	err := ses.Exec(func(pl *Platform) {
+		fk := p4switch.FiredKey{Query: "ssh-conns", Key: packet.MustParseAddr("10.1.0.0"), PrefixBits: 16}
+		if err := pl.Switch().Steer(fk); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pushConfigs are the three shapes of the one drive: the vectored tier
+// pipeline, the legacy oracle wiring and a chunk of one.
+func pushConfigs() map[string]Config {
+	tierCfg := fullConfig(false, 1)
+	tierCfg.BatchSize = 64
+	return map[string]Config{"tier": tierCfg, "legacy": fullConfig(true, 1), "batch1": fullConfig(false, 1)}
+}
+
+// TestSessionStartsNoGoroutine: the session drives the platform on its
+// caller's goroutine — Start, Ingest, Exec and Drain leave the process's
+// goroutine count where it was — and the platform refuses to Close under a
+// live session.
+func TestSessionStartsNoGoroutine(t *testing.T) {
+	for name, cfg := range pushConfigs() {
+		pl := New(cfg)
+		vec := establishedVector(4096, 300, 1e6)
+		before := runtime.NumGoroutine()
+		check := func(when string) {
+			t.Helper()
+			// <=: a goroutine left over from an earlier test may still exit.
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%s: %d goroutines %s, %d before Start", name, n, when, before)
+			}
+		}
+		ses := pl.NewSession()
+		if err := ses.Start(); err != nil {
+			t.Fatal(err)
+		}
+		check("after Start")
+		steerEstablished(t, ses)
+		for lo := 0; lo < len(vec); lo += 500 {
+			if err := ses.Ingest(vec[lo:min(lo+500, len(vec))]); err != nil {
+				t.Fatal(err)
+			}
+			check("after Ingest")
+		}
+		if err := ses.Exec(func(*Platform) { check("inside Exec") }); err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.Close(); err != ErrSessionActive {
+			t.Errorf("%s: Platform.Close under a live session = %v, want ErrSessionActive", name, err)
+		}
+		rep, err := ses.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("after Drain")
+		if rep.Counts.Total != uint64(len(vec)) || rep.Counts.ToSNIC != rep.Counts.Total || rep.SNIC.Processed != rep.Counts.ToSNIC {
+			t.Errorf("%s: report %+v / snic %d+%d after %d packets", name, rep.Counts, rep.SNIC.Processed, rep.SNIC.Dropped, len(vec))
+		}
+		if err := ses.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := pl.Close(); err != nil {
+			t.Errorf("%s: Platform.Close after the session = %v", name, err)
+		}
+	}
+}
+
+// bomb panics on its after-th packet.
+type bomb struct{ after, seen int }
+
+func (d *bomb) Name() string { return "bomb" }
+func (d *bomb) OnPacket(*packet.Packet, *flowcache.Record, snic.Ctx) detect.Reaction {
+	if d.seen++; d.seen == d.after {
+		panic("bomb: boom")
+	}
+	return detect.Reaction{}
+}
+func (d *bomb) Tick(int64)            {}
+func (d *bomb) Drain() []detect.Alert { return nil }
+
+// TestSessionPanicSurfacesOnCaller: a detector that panics mid-vector
+// takes down neither the process nor the caller. The Ingest that hit it
+// and every later Ingest/Exec return ErrSessionClosed, Drain (and a second
+// Drain, and Close) return the panic wrapped in ErrDriveFailed, nothing
+// blocks, and the platform is free for a new session afterwards. A panic
+// inside an Exec closure is handled the same way.
+func TestSessionPanicSurfacesOnCaller(t *testing.T) {
+	vec := establishedVector(2048, 100, 1e6)
+	for name, cfg := range pushConfigs() {
+		cfg.EnableSwitch = false // every packet reaches the detector
+		cfg.Detectors = []detect.Detector{&bomb{after: 1500}}
+		pl := New(cfg)
+		ses := pl.NewSession()
+		if err := ses.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ses.Ingest(vec[:1024]); err != nil {
+			t.Fatalf("%s: Ingest before the bomb: %v", name, err)
+		}
+		if err := ses.Ingest(vec[1024:]); err != ErrSessionClosed {
+			t.Fatalf("%s: Ingest that hit the bomb = %v, want ErrSessionClosed", name, err)
+		}
+		if err := ses.Ingest(vec[:1]); err != ErrSessionClosed {
+			t.Errorf("%s: Ingest after the bomb = %v, want ErrSessionClosed", name, err)
+		}
+		if err := ses.Exec(func(*Platform) { t.Errorf("%s: Exec closure ran on a failed session", name) }); err != ErrSessionClosed {
+			t.Errorf("%s: Exec after the bomb = %v, want ErrSessionClosed", name, err)
+		}
+		if got := ses.Ingested(); got != 1024 {
+			t.Errorf("%s: Ingested() = %d, want the 1024 packets of the completed vector", name, got)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := ses.Drain(); !errors.Is(err, ErrDriveFailed) || !strings.Contains(err.Error(), "boom") {
+				t.Errorf("%s: Drain #%d = %v, want ErrDriveFailed carrying the panic", name, i+1, err)
+			}
+		}
+		if got := ses.State(); got != SessionDone {
+			t.Errorf("%s: state after Drain = %v", name, got)
+		}
+		if err := ses.Close(); err != nil {
+			t.Errorf("%s: Close after Drain = %v", name, err)
+		}
+		next := pl.NewSession()
+		if err := next.Start(); err != nil {
+			t.Errorf("%s: platform not released by the failed session: %v", name, err)
+		}
+	}
+
+	pl := New(Config{IntervalNs: 20e6})
+	ses := pl.NewSession()
+	if err := ses.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ses.Exec(func(*Platform) { panic("operator: boom") }); err != ErrSessionClosed {
+		t.Errorf("Exec whose closure panicked = %v, want ErrSessionClosed", err)
+	}
+	if err := ses.Close(); !errors.Is(err, ErrDriveFailed) {
+		t.Errorf("Close after a panicking Exec = %v, want ErrDriveFailed", err)
+	}
+}
+
+// TestSessionIngestExecCloseRace: Ingest, Exec, Snapshot/State and Close
+// from four goroutines at once, Close landing mid-stream. Run under -race
+// (make race runs it 20 times). Every call returns; calls that lose to
+// Close get ErrSessionClosed; the report accounts for exactly the vectors
+// whose Ingest succeeded; no Exec closure ever sees a vector half done.
+func TestSessionIngestExecCloseRace(t *testing.T) {
+	cfg := fullConfig(false, 2)
+	cfg.BatchSize = 64
+	cfg.IntervalNs = 1e6
+	pl := New(cfg)
+	ses := pl.NewSession()
+	if err := ses.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const vecLen, vectors = 256, 400
+	pkts := establishedVector(vecLen*vectors, 500, 1e5)
+	for i := range pkts {
+		pkts[i].Ts = 1e5 + int64(i)*50 // cross an interval every ~78 vectors
+	}
+
+	var wg sync.WaitGroup
+	var accepted atomic.Uint64
+	closeAt := make(chan struct{})
+	wg.Add(4)
+	go func() { // ingest
+		defer wg.Done()
+		for v := 0; v < vectors; v++ {
+			if v == vectors/2 {
+				close(closeAt)
+			}
+			switch err := ses.Ingest(pkts[v*vecLen : (v+1)*vecLen]); err {
+			case nil:
+				accepted.Add(vecLen)
+			case ErrSessionClosed:
+				return
+			default:
+				t.Errorf("Ingest vector %d: %v", v, err)
+				return
+			}
+		}
+	}()
+	go func() { // control plane
+		defer wg.Done()
+		for {
+			var total uint64
+			err := ses.Exec(func(pl *Platform) { total = pl.counts.total.Load() })
+			if err == ErrSessionClosed {
+				return
+			}
+			if err != nil {
+				t.Errorf("Exec: %v", err)
+				return
+			}
+			// The carry holds back at most BatchSize-1 packets of a vector;
+			// vecLen is a BatchSize multiple, so it stays empty here.
+			if total%vecLen != 0 {
+				t.Errorf("Exec saw %d packets counted: a vector was in flight", total)
+				return
+			}
+		}
+	}()
+	go func() { // observers
+		defer wg.Done()
+		for ses.State() != SessionDone {
+			if s := ses.Snapshot(); s != nil && s.Seq == 0 {
+				t.Error("published snapshot with zero seq")
+				return
+			}
+			_ = ses.Ingested()
+			runtime.Gosched()
+		}
+	}()
+	go func() { // SIGTERM
+		defer wg.Done()
+		<-closeAt
+		if err := ses.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	}()
+	wg.Wait()
+
+	rep, ok := ses.Report()
+	if !ok {
+		t.Fatal("no report after Close")
+	}
+	if rep.Counts.Total != accepted.Load() || ses.Ingested() != accepted.Load() {
+		t.Errorf("report total %d, Ingested() %d, accepted by Ingest %d", rep.Counts.Total, ses.Ingested(), accepted.Load())
+	}
+	if accepted.Load() < vecLen*vectors/2 {
+		t.Errorf("only %d packets accepted before Close; it was released after %d", accepted.Load(), vecLen*vectors/2)
+	}
+}
+
+// TestSessionStepDoesNotAllocate: off the SYN path a steady-state vector
+// costs no allocation from Ingest to the FlowCache and back — no closure
+// for the recover guard, no boxed packet on the way into the engine, no
+// context vector — on the tier pipeline (switch, detector, 64-packet
+// chunks and a chunk of one) and on the legacy wiring.
+func TestSessionStepDoesNotAllocate(t *testing.T) {
+	for name, cfg := range pushConfigs() {
+		cfg.IntervalNs = 1e15 // no interval close inside the measured vectors
+		pl := New(cfg)
+		ses := pl.NewSession()
+		if err := ses.Start(); err != nil {
+			t.Fatal(err)
+		}
+		steerEstablished(t, ses)
+		vec := establishedVector(500, 120, 1e6) // 500: the carry path is in the loop
+		ingest := func() {
+			if err := ses.Ingest(vec); err != nil {
+				t.Fatal(err)
+			}
+			for i := range vec {
+				vec[i].Ts += int64(len(vec)) * 100
+			}
+		}
+		for i := 0; i < 10; i++ { // insert the flows, size the carry
+			ingest()
+		}
+		if avg := testing.AllocsPerRun(50, ingest); avg != 0 {
+			t.Errorf("%s: %.2f allocations per steady-state vector, want 0", name, avg)
+		}
+		rep, err := ses.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.SNIC.Processed != rep.Counts.Total || rep.Cache.Misses > 120 {
+			t.Errorf("%s: %d of %d packets processed on the sNIC, %d FlowCache misses: not the steady state", name, rep.SNIC.Processed, rep.Counts.Total, rep.Cache.Misses)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 
 	"smartwatch/internal/flowcache"
@@ -139,9 +138,8 @@ func TestOnPacketMatchesChain(t *testing.T) {
 			if acted == 0 {
 				t.Errorf("%s never reacted to the mixed trace: the comparison is vacuous", name)
 			}
-			// Same alerts; CovertTiming and Fingerprint still decide their
-			// flows in map order inside one Tick, so compare as sets.
-			if a, b := sortedAlerts(ra.det.Drain()), sortedAlerts(rb.det.Drain()); !reflect.DeepEqual(a, b) {
+			// Same alerts in the same sequence: no Tick emits in map order.
+			if a, b := ra.det.Drain(), rb.det.Drain(); !reflect.DeepEqual(a, b) {
 				t.Errorf("alerts differ: %d bare, %d chained", len(a), len(b))
 			}
 		})
@@ -149,15 +147,6 @@ func TestOnPacketMatchesChain(t *testing.T) {
 	if all := vPin | vUnpin | vToHost | vWhitelist | vBlacklistSrc | vDrop; seen != all {
 		t.Errorf("the trace exercised verdict bits %#x, want all of %#x", seen, all)
 	}
-}
-
-func sortedAlerts(as []Alert) []string {
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.String() + " " + a.Flow.String()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // A chain mixing package detectors with a foreign one merges exactly as

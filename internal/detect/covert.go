@@ -116,6 +116,7 @@ func (d *CovertTiming) Tick(now int64) {
 	if d.reference.Total() == 0 {
 		return
 	}
+	n := len(d.alerts)
 	for k, cf := range d.flows {
 		if cf.decided || cf.hist.Total() < d.cfg.MinSamples {
 			continue
@@ -130,6 +131,7 @@ func (d *CovertTiming) Tick(now int64) {
 			})
 		}
 	}
+	d.sortTick(n)
 }
 
 // Verdicts returns per-flow decisions (true = modulated channel) for

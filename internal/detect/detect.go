@@ -15,6 +15,7 @@ package detect
 
 import (
 	"fmt"
+	"sort"
 
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
@@ -142,6 +143,17 @@ type alertBuf struct{ alerts []Alert }
 func (b *alertBuf) emit(a Alert)     { b.alerts = append(b.alerts, a) }
 func (b *alertBuf) Drain() []Alert   { out := b.alerts; b.alerts = nil; return out }
 func (b *alertBuf) Pending() []Alert { return b.alerts }
+
+// sortTick orders the alerts emitted since the buffer held n by flow key.
+// A Tick that decides flows while walking a map calls it last, so one
+// tick's alerts come out in the keys' order, never the map's.
+func (b *alertBuf) sortTick(n int) {
+	tick := b.alerts[n:]
+	if len(tick) < 2 {
+		return
+	}
+	sort.Slice(tick, func(i, j int) bool { return keyLess(tick[i].Flow, tick[j].Flow) })
+}
 
 // Chain runs several detectors as one, merging reactions.
 type Chain struct {

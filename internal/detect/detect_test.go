@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"reflect"
 	"testing"
 
 	"smartwatch/internal/flowcache"
@@ -424,5 +425,65 @@ func TestFingerprintAccuracy(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(total); acc < 0.8 {
 		t.Errorf("fingerprint accuracy %.2f (%d/%d), want >= 0.8", acc, correct, total)
+	}
+}
+
+// TestMapWalkingTicksEmitInKeyOrder: CovertTiming and Fingerprint decide
+// every flow with enough samples inside one Tick by walking a map. The
+// alerts of that tick must come out ordered by flow key — so two identical
+// runs give the same sequence — not in whatever order the map iterates.
+func TestMapWalkingTicksEmitInKeyOrder(t *testing.T) {
+	covert := func() []Alert {
+		inj := trace.CovertTiming(trace.CovertTimingConfig{Seed: 10, Flows: 40, ModulatedFraction: 0.5, PacketsPerFlow: 150})
+		det := NewCovertTiming(CovertTimingConfig{
+			BinNs: 1e3, Bins: 100,
+			BenignIPDs: inj.BenignIPDSample(5000),
+			DThreshold: 0.25, MinSamples: 60,
+		})
+		det.ProgramAll()
+		newDriver(det).run(inj.Stream(), 0) // no ticks: every flow decides in the last one
+		return det.Drain()
+	}
+	fingerprint := func() []Alert {
+		inj := trace.Fingerprint(trace.FingerprintConfig{Seed: 11, Sites: 4, FlowsPerSite: 8, PacketsPerFlow: 120, Bins: 32})
+		pkts := packet.Collect(inj.Stream())
+		nb := stats.NewNaiveBayes(32)
+		hists := map[int]*stats.Histogram{}
+		for i := 0; i < inj.NumFlows(); i++ {
+			k := inj.FlowTuple(i).Canonical()
+			h := hists[inj.FlowSite(i)]
+			if h == nil {
+				h = stats.NewHistogram(0, 1500, 32)
+				hists[inj.FlowSite(i)] = h
+			}
+			for _, p := range pkts {
+				if p.Key() == k {
+					h.Add(float64(p.Size))
+				}
+			}
+		}
+		for s, name := range inj.Sites() {
+			if err := nb.Train(name, hists[s].Counts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		det := NewFingerprint(32, 1500, 40, nb, inj.Sites())
+		det.ProgramAll()
+		newDriver(det).run(packet.StreamOf(pkts), 0)
+		return det.Drain()
+	}
+	for name, run := range map[string]func() []Alert{"covert-timing": covert, "website-fingerprint": fingerprint} {
+		first := run()
+		if len(first) < 8 {
+			t.Fatalf("%s: %d alerts in the deciding tick; the order check needs several", name, len(first))
+		}
+		for i := 1; i < len(first); i++ {
+			if !keyLess(first[i-1].Flow, first[i].Flow) {
+				t.Fatalf("%s: alert %d (%v) not after alert %d (%v) in key order", name, i, first[i].Flow, i-1, first[i-1].Flow)
+			}
+		}
+		if second := run(); !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: two identical runs emitted different alert sequences", name)
+		}
 	}
 }

@@ -94,6 +94,7 @@ func (d *Fingerprint) Tick(now int64) {
 	if d.classifier == nil {
 		return
 	}
+	n := len(d.alerts)
 	for k, f := range d.flows {
 		if f.decided || f.hist.Total() < d.minPkts {
 			continue
@@ -111,6 +112,7 @@ func (d *Fingerprint) Tick(now int64) {
 			})
 		}
 	}
+	d.sortTick(n)
 }
 
 // Classifications returns decided flow labels.

@@ -82,29 +82,60 @@ func (c *Cache) CleanRowsBounded(maxRows int) int {
 // makes the Lite probe path fall back to a full-row scan until the
 // parked population drains.
 //
+// The reorder goes through one row-sized scratch: a counting sort groups
+// the row's records by Lite slice (bucket order kept within a slice), each
+// slice is trimmed and written back in place, and pinned overflow is
+// compacted toward the front of the same scratch until every slice is
+// placed. Rows of up to cleanRowStack buckets — every shipped geometry is
+// 12 — never touch the heap.
+//
 // It returns the number of records evicted during the reorder. The caller
 // holds the row latch.
 func (c *Cache) cleanRow(rw *row) int {
 	b := c.cfg.LiteBuckets
 	B := c.cfg.Buckets
 	slices := B / b
+	rowBits := uint(c.cfg.RowBits)
 
-	// Bin occupied records by their Lite slice.
-	bins := make([][]Record, slices)
+	var (
+		recBuf [cleanRowStack]Record
+		endBuf [cleanRowStack]int
+	)
+	recs, end := recBuf[:], endBuf[:]
+	if B > cleanRowStack {
+		recs, end = make([]Record, B), make([]int, slices)
+	}
+	end = end[:slices]
+
+	// Count per slice, turn the counts into start offsets, then move each
+	// record to its slice's next free scratch slot: end[s] finishes one
+	// past slice s's last record, which is where slice s+1 starts.
+	for i := 0; i < B; i++ {
+		if rec := &rw.buckets[i]; rec.occupied {
+			end[int((rec.Hash>>rowBits)%uint64(slices))]++
+		}
+	}
+	sum := 0
+	for s, n := range end {
+		end[s] = sum
+		sum += n
+	}
 	for i := 0; i < B; i++ {
 		rec := &rw.buckets[i]
 		if !rec.occupied {
 			continue
 		}
-		s := int((rec.Hash >> uint(c.cfg.RowBits)) % uint64(slices))
-		bins[s] = append(bins[s], *rec)
+		s := int((rec.Hash >> rowBits) % uint64(slices))
+		recs[end[s]] = *rec
+		end[s]++
 		rec.occupied = false
 	}
 	rw.parked = 0
 
-	evicted := 0
-	var parked []Record
-	for s, entries := range bins {
+	evicted, parked, start := 0, 0, 0
+	for s := 0; s < slices; s++ {
+		entries := recs[start:end[s]]
+		start = end[s]
 		// Evict the oldest UNPINNED records until the slice fits — the
 		// GetOldest loop of Alg. 3. If only pinned records remain and the
 		// slice still overflows, the overflow parks instead of evicting.
@@ -126,28 +157,27 @@ func (c *Cache) cleanRow(rw *row) int {
 			entries[oldest] = entries[len(entries)-1]
 			entries = entries[:len(entries)-1]
 		}
+		copy(rw.buckets[s*b:], entries[:min(b, len(entries))])
 		if len(entries) > b {
-			parked = append(parked, entries[b:]...)
-			entries = entries[:b]
-		}
-		lo := s * b
-		for i, rec := range entries {
-			rw.buckets[lo+i] = rec
+			// recs[:parked] holds the overflow of earlier slices; it ends
+			// at or before this slice's first record, so the move is
+			// toward the front and never over a record still to be read.
+			parked += copy(recs[parked:], entries[b:])
 		}
 	}
 
 	// Park pinned overflow in the free buckets the reorder left behind.
 	// Capacity argument: the row held at most B records, each slice keeps
-	// at most b in place, so free buckets >= len(parked).
-	if len(parked) > 0 {
-		j := 0
-		for i := 0; i < B && j < len(parked); i++ {
-			if !rw.buckets[i].occupied {
-				rw.buckets[i] = parked[j]
-				j++
-				rw.parked++
-			}
+	// at most b in place, so free buckets >= parked.
+	for i, j := 0, 0; j < parked; i++ {
+		if !rw.buckets[i].occupied {
+			rw.buckets[i] = recs[j]
+			j++
+			rw.parked++
 		}
 	}
 	return evicted
 }
+
+// cleanRowStack is the widest row cleanRow reorders without allocating.
+const cleanRowStack = 16

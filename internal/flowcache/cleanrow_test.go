@@ -1,0 +1,174 @@
+package flowcache
+
+import (
+	"testing"
+
+	"smartwatch/internal/packet"
+	"smartwatch/internal/stats"
+)
+
+// cleanRowRef is the Alg.-3 reorder as it was before the single-scratch
+// rewrite: one grown slice per Lite slice plus a parked list. It is the
+// oracle for eviction order (what reaches the rings, in which sequence)
+// and final bucket placement.
+func cleanRowRef(c *Cache, rw *row) int {
+	b := c.cfg.LiteBuckets
+	B := c.cfg.Buckets
+	slices := B / b
+
+	bins := make([][]Record, slices)
+	for i := 0; i < B; i++ {
+		rec := &rw.buckets[i]
+		if !rec.occupied {
+			continue
+		}
+		s := int((rec.Hash >> uint(c.cfg.RowBits)) % uint64(slices))
+		bins[s] = append(bins[s], *rec)
+		rec.occupied = false
+	}
+	rw.parked = 0
+
+	evicted := 0
+	var parked []Record
+	for s, entries := range bins {
+		for len(entries) > b {
+			oldest := -1
+			for i := range entries {
+				if entries[i].Pinned {
+					continue
+				}
+				if oldest == -1 || entries[i].LastTs < entries[oldest].LastTs {
+					oldest = i
+				}
+			}
+			if oldest == -1 {
+				break
+			}
+			c.pushRing(entries[oldest])
+			evicted++
+			entries[oldest] = entries[len(entries)-1]
+			entries = entries[:len(entries)-1]
+		}
+		if len(entries) > b {
+			parked = append(parked, entries[b:]...)
+			entries = entries[:b]
+		}
+		lo := s * b
+		for i, rec := range entries {
+			rw.buckets[lo+i] = rec
+		}
+	}
+	if len(parked) > 0 {
+		j := 0
+		for i := 0; i < B && j < len(parked); i++ {
+			if !rw.buckets[i].occupied {
+				rw.buckets[i] = parked[j]
+				j++
+				rw.parked++
+			}
+		}
+	}
+	return evicted
+}
+
+// randomRow fills rw with a random population: random occupancy, hashes
+// spread over the Lite slices (with LastTs ties, so the first-oldest rule
+// is exercised) and a random share of pins, sometimes enough to overflow a
+// slice with pinned records alone.
+func randomRow(rng *stats.Rand, rw *row) {
+	pinShare := rng.IntN(4) // 0: none .. 3: three in four
+	for i := range rw.buckets {
+		rw.buckets[i] = Record{}
+		if rng.IntN(8) == 0 {
+			continue
+		}
+		h := rng.Uint64()
+		rw.buckets[i] = Record{
+			Key:      packet.FlowKey{LoIP: packet.Addr(h), HiIP: packet.Addr(h >> 32), LoPort: uint16(i)},
+			Hash:     h,
+			Pkts:     uint64(i + 1),
+			LastTs:   int64(rng.IntN(6)),
+			Pinned:   rng.IntN(4) < pinShare,
+			occupied: true,
+		}
+	}
+	rw.dirty, rw.parked = true, rng.IntN(3)
+}
+
+// TestCleanRowMatchesReference: on random rows — sparse to full, unpinned
+// to pin-saturated, at the shipped 12/2 geometry, a 16/4 one and a
+// 24-bucket row that takes the heap fallback — the single-scratch reorder
+// leaves exactly the buckets, the parked count, the eviction count and the
+// ring sequence the reference does.
+func TestCleanRowMatchesReference(t *testing.T) {
+	geoms := []struct{ buckets, primary, lite int }{{12, 8, 2}, {16, 12, 4}, {24, 16, 3}, {12, 8, 12}, {12, 8, 1}}
+	for _, g := range geoms {
+		cfg := DefaultConfig(4)
+		cfg.Buckets, cfg.PrimaryBuckets, cfg.EvictionBuckets, cfg.LiteBuckets = g.buckets, g.primary, g.buckets-g.primary, g.lite
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		got, want := New(cfg), New(cfg)
+		rng := stats.NewRand(uint64(g.buckets*100 + g.lite))
+		var parkedRows, evictions int
+		for iter := 0; iter < 2000; iter++ {
+			rwGot, rwWant := &got.rows[iter%len(got.rows)], &want.rows[iter%len(want.rows)]
+			randomRow(rng, rwGot)
+			copy(rwWant.buckets, rwGot.buckets)
+			rwWant.parked = rwGot.parked
+
+			nGot, nWant := got.cleanRow(rwGot), cleanRowRef(want, rwWant)
+			if nGot != nWant || rwGot.parked != rwWant.parked {
+				t.Fatalf("%+v iter %d: evicted %d parked %d, reference %d / %d", g, iter, nGot, rwGot.parked, nWant, rwWant.parked)
+			}
+			for i := range rwGot.buckets {
+				a, b := rwGot.buckets[i], rwWant.buckets[i]
+				if a.occupied != b.occupied || (a.occupied && a != b) {
+					t.Fatalf("%+v iter %d: bucket %d = %+v, reference %+v", g, iter, i, a, b)
+				}
+			}
+			ringGot, ringWant := drainAllRings(got), drainAllRings(want)
+			if len(ringGot) != len(ringWant) {
+				t.Fatalf("%+v iter %d: %d records reached the rings, reference %d", g, iter, len(ringGot), len(ringWant))
+			}
+			for i := range ringGot {
+				if ringGot[i] != ringWant[i] {
+					t.Fatalf("%+v iter %d: ring record %d = %+v, reference %+v", g, iter, i, ringGot[i], ringWant[i])
+				}
+			}
+			evictions += nGot
+			if rwGot.parked > 0 {
+				parkedRows++
+			}
+		}
+		if g.lite < g.buckets && g.lite > 1 && (parkedRows == 0 || evictions == 0) {
+			t.Errorf("%+v: %d rows parked, %d evictions: the rows must exercise both", g, parkedRows, evictions)
+		}
+	}
+}
+
+// TestCleanRowDoesNotAllocate: the lazy clean-up a General->Lite flip
+// leaves behind runs on the packet path (one per dirty row touched), so at
+// the shipped row width it must not touch the heap — including rows that
+// evict and rows that park pinned overflow.
+func TestCleanRowDoesNotAllocate(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.RingEntries = 1 << 16
+	c := New(cfg)
+	rng := stats.NewRand(3)
+	rw := &c.rows[0]
+	saved := make([]Record, len(rw.buckets))
+	for trial := 0; trial < 50; trial++ {
+		randomRow(rng, rw)
+		copy(saved, rw.buckets)
+		if avg := testing.AllocsPerRun(20, func() {
+			copy(rw.buckets, saved)
+			c.cleanRow(rw)
+		}); avg != 0 {
+			t.Fatalf("trial %d: cleanRow allocates %.1f times per call", trial, avg)
+		}
+		for _, r := range c.Rings() {
+			r.Drain(nil, 1<<20) // keep the rings from filling
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package p4switch
 
-import "smartwatch/internal/packet"
+import (
+	"slices"
+
+	"smartwatch/internal/packet"
+)
 
 // Tracker collects the distinct candidate keys each query saw during an
 // interval, the control-plane side channel EndInterval needs to attribute
@@ -9,8 +13,10 @@ import "smartwatch/internal/packet"
 // maxKeys per query to stay honest about control-plane memory.
 type Tracker struct {
 	maxKeys int
-	seen    map[string]map[packet.Addr]bool
 	queries []Query
+	// seen[i] is queries[i]'s key set: the per-packet path indexes by
+	// position, only Candidates deals in names.
+	seen []map[packet.Addr]bool
 }
 
 // NewTracker builds a tracker for the installed query set.
@@ -18,9 +24,9 @@ func NewTracker(queries []Query, maxKeys int) *Tracker {
 	if maxKeys <= 0 {
 		maxKeys = 1 << 20
 	}
-	t := &Tracker{maxKeys: maxKeys, seen: map[string]map[packet.Addr]bool{}, queries: queries}
-	for _, q := range queries {
-		t.seen[q.Name] = map[packet.Addr]bool{}
+	t := &Tracker{maxKeys: maxKeys, queries: queries, seen: make([]map[packet.Addr]bool, len(queries))}
+	for i := range t.seen {
+		t.seen[i] = map[packet.Addr]bool{}
 	}
 	return t
 }
@@ -32,7 +38,7 @@ func (t *Tracker) Observe(p *packet.Packet) {
 		if !q.Filter.Match(p) || q.amount(p) == 0 {
 			continue
 		}
-		m := t.seen[q.Name]
+		m := t.seen[i]
 		if len(m) >= t.maxKeys {
 			continue
 		}
@@ -43,14 +49,15 @@ func (t *Tracker) Observe(p *packet.Packet) {
 // Candidates returns the per-query key sets and resets them for the next
 // interval.
 func (t *Tracker) Candidates() map[string][]packet.Addr {
-	out := map[string][]packet.Addr{}
-	for name, m := range t.seen {
-		keys := make([]packet.Addr, 0, len(m))
+	out := make(map[string][]packet.Addr, len(t.seen))
+	for i, m := range t.seen {
+		name := t.queries[i].Name
+		keys := slices.Grow(out[name], len(m))
 		for k := range m {
 			keys = append(keys, k)
 		}
 		out[name] = keys
-		t.seen[name] = map[packet.Addr]bool{}
+		t.seen[i] = map[packet.Addr]bool{}
 	}
 	return out
 }

@@ -106,6 +106,10 @@ const stagesPerQuery = 2
 // fixedStages covers forwarding, whitelist, blacklist and steering tables.
 const fixedStages = 4
 
+// maxQueries bounds the installed set: Process keeps one match bit per
+// query in a word. A real pipeline runs out of stages long before.
+const maxQueries = 64
+
 // InstallQueries replaces the query set (the control loop re-programs the
 // switch between intervals). It fails if the set exceeds the pipeline or
 // SRAM budget; previously collected register state is discarded.
@@ -113,6 +117,9 @@ func (s *Switch) InstallQueries(queries []Query) error {
 	need := fixedStages + stagesPerQuery*len(queries)
 	if need > s.cfg.Stages {
 		return fmt.Errorf("p4switch: %d queries need %d stages, have %d", len(queries), need, s.cfg.Stages)
+	}
+	if len(queries) > maxQueries {
+		return fmt.Errorf("p4switch: %d queries, at most %d can be installed", len(queries), maxQueries)
 	}
 	bytes := 0
 	for _, q := range queries {
@@ -179,12 +186,16 @@ func (s *Switch) Process(p *packet.Packet) Action {
 		return Drop
 	}
 
-	// Query register updates (constant work per query).
+	// Query register updates (constant work per query). Each filter is
+	// evaluated once per packet: matched bit i carries query i's outcome
+	// to the steering tables below.
+	var matched uint64
 	for i := range s.queries {
 		q := &s.queries[i]
 		if !q.Filter.Match(p) {
 			continue
 		}
+		matched |= 1 << uint(i)
 		amt := q.amount(p)
 		if amt == 0 {
 			continue
@@ -208,7 +219,7 @@ func (s *Switch) Process(p *packet.Packet) Action {
 	for i := range s.queries {
 		q := &s.queries[i]
 		keys := s.steerOf[i]
-		if len(keys) == 0 || !q.Filter.Match(p) {
+		if len(keys) == 0 || matched&(1<<uint(i)) == 0 {
 			continue
 		}
 		var fwd, rev packet.Addr

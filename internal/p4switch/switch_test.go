@@ -1,6 +1,7 @@
 package p4switch
 
 import (
+	"fmt"
 	"testing"
 
 	"smartwatch/internal/packet"
@@ -224,6 +225,40 @@ func TestStageBudget(t *testing.T) {
 	}
 	if err := sw.InstallQueries([]Query{mk("a"), mk("b"), mk("c")}); err == nil {
 		t.Error("3 queries must exceed 8 stages")
+	}
+}
+
+// TestQueryCountBound: Process keeps one match bit per query, so the set
+// is bounded at 64 however deep the pipeline is configured — and the last
+// admissible query (bit 63) still steers.
+func TestQueryCountBound(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Stages = 1000
+	sw := New(cfg)
+	qs := make([]Query, maxQueries+1)
+	for i := range qs {
+		qs[i] = sshQuery()
+		qs[i].Name = fmt.Sprintf("q%02d", i)
+		qs[i].Filter.DstPort = uint16(1000 + i)
+		qs[i].Slots = 16
+	}
+	if err := sw.InstallQueries(qs); err == nil {
+		t.Fatalf("%d queries installed, want an error past %d", len(qs), maxQueries)
+	}
+	if err := sw.InstallQueries(qs[:maxQueries]); err != nil {
+		t.Fatal(err)
+	}
+	last := qs[maxQueries-1]
+	if err := sw.Steer(FiredKey{Query: last.Name, Key: packet.MustParseAddr("10.1.0.0"), PrefixBits: 16}); err != nil {
+		t.Fatal(err)
+	}
+	in := synPkt("9.9.9.9", "10.1.44.3", last.Filter.DstPort)
+	if got := sw.Process(&in); got != ToSNIC {
+		t.Errorf("packet of query %d's fired subset: %v, want to-snic", maxQueries-1, got)
+	}
+	miss := synPkt("9.9.9.9", "10.1.44.3", 22)
+	if got := sw.Process(&miss); got != Forward {
+		t.Errorf("packet matching no filter: %v, want forward", got)
 	}
 }
 

@@ -146,9 +146,17 @@ type Engine struct {
 	threads    threadRing
 	engineFree []float64 // per-PME engine availability
 	dispatch   float64   // scatter-gather front-end availability
-	// live points at the running Run's report so LiveCounts can surface
-	// mid-run progress; valid only on the driving goroutine.
-	live *Report
+
+	// The per-packet cycle model, pre-reduced to nanosecond coefficients in
+	// New: one multiply per cost term instead of a cycles->seconds division
+	// per packet.
+	nsPerCycle, baseNs, readCostNs, writeCostNs float64
+
+	// State of the drive in progress (Begin .. End). rep doubles as
+	// LiveCounts' source; it must only be read on the driving goroutine.
+	rep               Report
+	firstTs, lastDone float64
+	started           bool
 }
 
 // New builds a simulator; handler must not be nil.
@@ -165,118 +173,117 @@ func New(cfg Config, handler Handler) *Engine {
 	e := &Engine{cfg: cfg, handler: handler}
 	e.engineFree = make([]float64, cfg.Profile.PMEs)
 	e.threads = newThreadRing(cfg.Profile.PMEs, cfg.Profile.ThreadsPerPME)
+	e.nsPerCycle = 1e9 / cfg.Profile.ClockHz
+	e.baseNs = cfg.Profile.BaseCycles * e.nsPerCycle
+	e.readCostNs = cfg.Profile.CyclesPerRead * e.nsPerCycle
+	e.writeCostNs = cfg.Profile.CyclesPerWrite * e.nsPerCycle
 	return e
 }
 
-// Run replays the stream through the datapath and returns the report.
-//
-// The inner loop is the simulator's hot path: profile constants are
-// hoisted out of the loop, the per-packet cycle model is pre-reduced to
-// nanosecond coefficients (one multiply per cost term instead of a
-// cycles->seconds division per packet), and the loop performs no
-// allocations — the packet copy handed to the handler lives in a single
-// stack slot reused across iterations.
+// Run replays the stream through the datapath and returns the report: a
+// Begin, one Step per packet, an End. The packet handed to Step lives in
+// one slot reused across iterations, so the loop does not allocate.
 func (e *Engine) Run(s packet.Stream) Report {
-	prof := e.cfg.Profile
-	rep := Report{Latency: stats.NewQuantiles(e.cfg.LatencySamples)}
-	e.live = &rep
-	var firstTs, lastDone float64
-	first := true
-
-	// Hot-path constants, hoisted once per run.
-	var (
-		queueDropNs = e.cfg.QueueDropNs
-		dispatchNs  = prof.DispatchNsPerPkt
-		nsPerCycle  = 1e9 / prof.ClockHz
-		baseNs      = prof.BaseCycles * nsPerCycle
-		readCostNs  = prof.CyclesPerRead * nsPerCycle
-		writeCostNs = prof.CyclesPerWrite * nsPerCycle
-		readStallNs = prof.ReadNs
-		observer    = e.cfg.Observer
-		handler     = e.handler
-		threads     = &e.threads
-		engineFree  = e.engineFree
-		latency     = rep.Latency
-		cur         packet.Packet
-	)
+	e.Begin()
+	var cur packet.Packet
 	for p := range s {
 		cur = p
-		arrival := float64(cur.Ts)
-		if first {
-			firstTs, first = arrival, false
-		}
+		e.Step(&cur)
+	}
+	return e.End()
+}
 
-		// Scatter-gather front end: fixed per-packet service.
-		dispatchStart := arrival
-		if e.dispatch > dispatchStart {
-			dispatchStart = e.dispatch
-		}
-		if dispatchStart-arrival > queueDropNs {
-			rep.Dropped++
-			continue
-		}
-		e.dispatch = dispatchStart + dispatchNs
-		ready := e.dispatch
+// Begin opens a drive: a fresh report and latency reservoir. The thread
+// ring, the per-PME engines and the dispatch port carry over from earlier
+// drives, so a trace split across drives is scheduled as one.
+func (e *Engine) Begin() {
+	e.rep = Report{Latency: stats.NewQuantiles(e.cfg.LatencySamples)}
+	e.firstTs, e.lastDone, e.started = 0, 0, false
+}
 
-		// Global load balancer: earliest-available thread.
-		next := threads.earliest()
-		start := ready
-		if next.free > start {
-			start = next.free
-		}
-		if start-arrival > queueDropNs {
-			// Input buffer overrun: the packet is lost before processing.
-			rep.Dropped++
-			continue
-		}
-		pme := next.pme
-
-		cost := handler(&cur, Ctx{QueueDelayNs: start - arrival})
-		engineTime := baseNs +
-			readCostNs*float64(cost.Reads) +
-			writeCostNs*float64(cost.Writes) +
-			cost.ExtraCycles*nsPerCycle
-
-		engineStart := start
-		if engineFree[pme] > engineStart {
-			engineStart = engineFree[pme]
-		}
-		engineEnd := engineStart + engineTime
-		engineFree[pme] = engineEnd
-		// The packet's thread additionally waits out its DRAM reads
-		// (yielding the engine to sibling threads meanwhile).
-		threadEnd := engineEnd + float64(cost.Reads)*readStallNs
-
-		threads.rearm(threadEnd)
-
-		rep.Processed++
-		rep.EngineBusyNs += engineTime
-		latency.Add(threadEnd - arrival)
-		if observer != nil {
-			observer(&cur, threadEnd-arrival)
-		}
-		if threadEnd > lastDone {
-			lastDone = threadEnd
-		}
+// Step offers one packet to the datapath, in arrival order. The handler
+// (and the observer) see p itself, not a copy, and only for the duration
+// of the call: a caller stepping through a vector passes &vec[i]. Step
+// does not allocate.
+func (e *Engine) Step(p *packet.Packet) {
+	queueDropNs := e.cfg.QueueDropNs
+	arrival := float64(p.Ts)
+	if !e.started {
+		e.firstTs, e.started = arrival, true
 	}
 
-	rep.SpanNs = lastDone - firstTs
+	// Scatter-gather front end: fixed per-packet service.
+	dispatchStart := arrival
+	if e.dispatch > dispatchStart {
+		dispatchStart = e.dispatch
+	}
+	if dispatchStart-arrival > queueDropNs {
+		e.rep.Dropped++
+		return
+	}
+	e.dispatch = dispatchStart + e.cfg.Profile.DispatchNsPerPkt
+	ready := e.dispatch
+
+	// Global load balancer: earliest-available thread.
+	next := e.threads.earliest()
+	start := ready
+	if next.free > start {
+		start = next.free
+	}
+	if start-arrival > queueDropNs {
+		// Input buffer overrun: the packet is lost before processing.
+		e.rep.Dropped++
+		return
+	}
+	pme := next.pme
+
+	cost := e.handler(p, Ctx{QueueDelayNs: start - arrival})
+	engineTime := e.baseNs +
+		e.readCostNs*float64(cost.Reads) +
+		e.writeCostNs*float64(cost.Writes) +
+		cost.ExtraCycles*e.nsPerCycle
+
+	engineStart := start
+	if e.engineFree[pme] > engineStart {
+		engineStart = e.engineFree[pme]
+	}
+	engineEnd := engineStart + engineTime
+	e.engineFree[pme] = engineEnd
+	// The packet's thread additionally waits out its DRAM reads
+	// (yielding the engine to sibling threads meanwhile).
+	threadEnd := engineEnd + float64(cost.Reads)*e.cfg.Profile.ReadNs
+
+	e.threads.rearm(threadEnd)
+
+	e.rep.Processed++
+	e.rep.EngineBusyNs += engineTime
+	e.rep.Latency.Add(threadEnd - arrival)
+	if e.cfg.Observer != nil {
+		e.cfg.Observer(p, threadEnd-arrival)
+	}
+	if threadEnd > e.lastDone {
+		e.lastDone = threadEnd
+	}
+}
+
+// End closes the drive Begin opened and returns its report.
+func (e *Engine) End() Report {
+	rep := &e.rep
+	rep.SpanNs = e.lastDone - e.firstTs
 	if rep.SpanNs > 0 {
 		total := float64(rep.Processed + rep.Dropped)
 		rep.OfferedMpps = total / rep.SpanNs * 1e3
 		rep.AchievedMpps = float64(rep.Processed) / rep.SpanNs * 1e3
 	}
-	return rep
+	return *rep
 }
 
-// LiveCounts reports Run progress: packets processed so far, input-buffer
-// drops, and accumulated engine busy time. During a Run it must be called
-// from the driving goroutine (a handler or something it invokes
-// synchronously, e.g. an interval metrics collector); after Run returns it
-// reports the final totals. It returns zeros before the first Run.
+// LiveCounts reports the progress of the current drive: packets processed
+// so far, input-buffer drops, and accumulated engine busy time. During a
+// drive it must be called from the driving goroutine (a handler or
+// something it invokes synchronously, e.g. an interval metrics collector);
+// after End it reports the final totals. It returns zeros before the first
+// drive.
 func (e *Engine) LiveCounts() (processed, dropped uint64, engineBusyNs float64) {
-	if e.live == nil {
-		return 0, 0, 0
-	}
-	return e.live.Processed, e.live.Dropped, e.live.EngineBusyNs
+	return e.rep.Processed, e.rep.Dropped, e.rep.EngineBusyNs
 }

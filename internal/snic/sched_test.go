@@ -154,14 +154,10 @@ func oracleRun(cfg Config, handler Handler, pkts []packet.Packet) (rep Report, p
 	return rep, perPkt
 }
 
-// TestEngineHostileTime feeds Engine.Run arrival timestamps a capture can
-// really contain — duplicates, backwards steps, zero, negative, a
-// far-future jump and a return from it — and requires no panic, every
-// offered packet accounted for, and per-packet agreement with the heap
-// oracle. The model's defined behaviour for the far-future packet is that
-// it is processed and drags the front end's clock with it, so every later
-// packet waits past the input buffer and drops.
-func TestEngineHostileTime(t *testing.T) {
+// hostileArrivals is TestEngineHostileTime's trace: mostly duplicates and
+// small steps, with backwards steps, a zero, a negative and a far-future
+// timestamp mixed in.
+func hostileArrivals() []packet.Packet {
 	rng := stats.NewRand(99)
 	var pkts []packet.Packet
 	add := func(ts int64) {
@@ -185,6 +181,18 @@ func TestEngineHostileTime(t *testing.T) {
 		}
 		add(ts)
 	}
+	return pkts
+}
+
+// TestEngineHostileTime feeds Engine.Run arrival timestamps a capture can
+// really contain — duplicates, backwards steps, zero, negative, a
+// far-future jump and a return from it — and requires no panic, every
+// offered packet accounted for, and per-packet agreement with the heap
+// oracle. The model's defined behaviour for the far-future packet is that
+// it is processed and drags the front end's clock with it, so every later
+// packet waits past the input buffer and drops.
+func TestEngineHostileTime(t *testing.T) {
+	pkts := hostileArrivals()
 	for _, prof := range []Profile{Netronome(), BlueField(), Netronome().WithPMEs(1)} {
 		cfg := DefaultConfig()
 		cfg.Profile = prof
@@ -219,6 +227,73 @@ func TestEngineHostileTime(t *testing.T) {
 				t.Fatalf("%s: packet %d (queue delay, latency) = %v, oracle %v", prof.Name, i, got[i], wantPkts[i])
 			}
 		}
+	}
+}
+
+// TestEngineStepMatchesRun: Run is Begin, a Step per packet, End — so a
+// caller that steps through its own vector gets Run's report bit for bit
+// (every float, p50 and p99 included) on the golden trace at the four
+// golden profiles and on the hostile arrivals. Step hands the handler and
+// the observer the caller's packet itself, and allocates nothing.
+func TestEngineStepMatchesRun(t *testing.T) {
+	type tc struct {
+		name string
+		prof Profile
+		pkts []packet.Packet
+	}
+	golden, hostile := goldenTrace(200_000, 0x5eed), hostileArrivals()
+	cases := []tc{{"hostile", Netronome(), hostile}}
+	for _, prof := range []Profile{Netronome(), BlueField(), LiquidIO(), Netronome().WithPMEs(1)} {
+		cases = append(cases, tc{"golden", prof, golden})
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.Profile = c.prof
+		want := New(cfg, goldenCost).Run(packet.StreamOf(c.pkts))
+
+		var cur *packet.Packet
+		var foreign int
+		cfg.Observer = func(p *packet.Packet, _ float64) {
+			if p != cur {
+				foreign++
+			}
+		}
+		e := New(cfg, func(p *packet.Packet, ctx Ctx) Cost {
+			if p != cur {
+				foreign++
+			}
+			return goldenCost(p, ctx)
+		})
+		e.Begin()
+		for i := range c.pkts {
+			cur = &c.pkts[i]
+			e.Step(cur)
+		}
+		got := e.End()
+
+		if foreign != 0 {
+			t.Errorf("%s %s x%d: handler/observer saw a packet other than the stepped one %d times", c.name, c.prof.Name, c.prof.PMEs, foreign)
+		}
+		gl, wl := got.Latency, want.Latency
+		got.Latency, want.Latency = nil, nil
+		if got != want {
+			t.Errorf("%s %s x%d: stepped report %+v, Run %+v", c.name, c.prof.Name, c.prof.PMEs, got, want)
+		}
+		for _, q := range []float64{0.5, 0.99} {
+			if g, w := gl.Quantile(q), wl.Quantile(q); g != w {
+				t.Errorf("%s %s x%d: stepped p%v = %v, Run %v", c.name, c.prof.Name, c.prof.PMEs, q*100, g, w)
+			}
+		}
+		if p, d, busy := e.LiveCounts(); p != got.Processed || d != got.Dropped || busy != got.EngineBusyNs {
+			t.Errorf("%s: LiveCounts after End = %d/%d/%v, report %d/%d/%v", c.name, p, d, busy, got.Processed, got.Dropped, got.EngineBusyNs)
+		}
+	}
+
+	e := New(DefaultConfig(), goldenCost)
+	e.Begin()
+	i := 0
+	if avg := testing.AllocsPerRun(10_000, func() { e.Step(&golden[i]); i++ }); avg != 0 {
+		t.Errorf("Step allocates %.2f times per packet", avg)
 	}
 }
 
