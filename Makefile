@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race shards policies pipeline cluster lowslow check bench bench-ab profile experiments metrics-smoke serve-smoke clean
+.PHONY: all build fmt-check vet test race shards policies cluster lowslow check bench-ab experiments metrics-smoke serve-smoke clean
 
 all: check
 
@@ -22,7 +22,8 @@ test:
 
 # Race-detector pass over the concurrency-bearing packages: the FlowCache
 # latch protocol, the sNIC engine, the platform control loop, the parallel
-# experiment runner and the buffered stream bridge. -short skips the
+# experiment runner, the buffered stream bridge and the SPSC ring under
+# the cluster's ingress lanes. -short skips the
 # full-sweep determinism test (covered by `make test`) and shortens, not
 # skips, the sNIC scheduler's ring-vs-heap oracle. The session's
 # concurrency tests then run 20 more times: the concurrent-Close race lost
@@ -31,25 +32,18 @@ test:
 # whole contract of a drive that runs on its callers' goroutines
 # (DESIGN.md §12.1).
 race:
-	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/core/ ./internal/experiments/ ./internal/packet/
-	$(GO) test -race -count=20 -run 'TestReleaseWorkersConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
+	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/
+	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 
 # Shard-determinism gate (DESIGN.md §8.4, §9, §12): the sharded FlowCache,
 # the tier pipeline, the event bus, the batched datapath and the session
-# lifecycle under the race detector — parallel replay must reproduce
-# sequential state, the tiered platform must match legacy, every batch
-# size must be byte-identical to the per-packet drive, and the session
+# lifecycle under the race detector — the tiered platform must match
+# legacy, every batch size and shard count must be byte-identical to the
+# per-packet drive, and the session
 # control plane must be race-free against a live ingest.
 shards:
 	$(GO) vet ./...
 	$(GO) test -race -run 'Shard|Bus|Pipeline|Event|TierPipeline|AtomicCounts|Batch|Session' ./internal/flowcache/ ./internal/tier/ ./internal/core/
-
-# Worker-plumbing gate (DESIGN.md §13): the SPSC ring and the persistent
-# shard worker pool (steady-state alloc-freedom, goroutine-leak / restart
-# lifecycle) under the race detector.
-pipeline:
-	$(GO) vet ./...
-	$(GO) test -race -run 'SPSC|Pool' ./internal/container/ ./internal/flowcache/
 
 # Replacement-policy / adaptive-controller gate (DESIGN.md §11): golden
 # LRU-LPC extraction, policy divergence + determinism, controller
@@ -84,12 +78,10 @@ lowslow:
 		./internal/trace/ ./internal/detect/ ./internal/host/ ./internal/flowcache/ ./internal/core/
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
+# The last step is the detector chain's 0-allocs guard (DESIGN.md §18):
+# the LowSlow / Chain micros off the SYN path must report 0 allocs/op.
 check: fmt-check vet build test race
-
-# Performance snapshot (see DESIGN.md §7.4). Writes BENCH_dev.json; rename
-# to BENCH_<pr>.json when committing a PR's trajectory point.
-bench:
-	$(GO) run ./cmd/bench -out BENCH_dev.json
+	$(GO) test -run '^$$' -bench 'LowSlow|Chain' -benchtime 10x ./internal/detect/
 
 # Same-box A/B of the repo's benchmark (benchmark/, BENCHMARK.json): the
 # base commit against the working tree as alternating pairs, both result
@@ -97,14 +89,6 @@ bench:
 #   make bench-ab [BASE=HEAD~1] [PAIRS=10] [SEED=1]
 bench-ab:
 	GO="$(GO)" BASE="$(BASE)" PAIRS="$(PAIRS)" SEED="$(SEED)" sh scripts/bench_ab.sh
-
-# CPU and heap profiles of the micro-benchmark hot paths, for
-# `go tool pprof prof/bench.cpu.pprof`. cmd/experiments takes the same
-# -cpuprofile/-memprofile flags for profiling the evaluation harnesses.
-profile:
-	mkdir -p prof
-	$(GO) run ./cmd/bench -out prof/BENCH_prof.json \
-		-cpuprofile prof/bench.cpu.pprof -memprofile prof/bench.mem.pprof
 
 # Full-scale regeneration of every table/figure (EXPERIMENTS.md sizes).
 experiments:
@@ -128,6 +112,6 @@ metrics-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
+# What benchmark/run.sh and bench-ab leave behind (both git-ignored).
 clean:
-	rm -f BENCH_dev.json
-	rm -rf prof
+	rm -rf .bench_build benchmark/out

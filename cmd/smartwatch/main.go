@@ -14,6 +14,7 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"math/bits"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
@@ -100,6 +101,9 @@ func main() {
 		fatal(fmt.Errorf("-workers must be a power of two, got %d", *workers))
 	}
 	cfg.Workers = *workers
+	if err := checkShards(*shards, *workers, cfg.Cache.RowBits); err != nil {
+		fatal(err)
+	}
 	var metricsFile *os.File
 	if *metricsOut != "" || *expvarAddr != "" || *serve {
 		cfg.Metrics = obs.NewRegistry()
@@ -218,9 +222,6 @@ func main() {
 	// Buffered moves pcap decoding to its own goroutine so trace reading
 	// overlaps platform replay (order-preserving, batched handoff).
 	rep := pl.Run(packet.Buffered(pcap.ReadStream(r), 512))
-	if err := pl.Close(); err != nil { // release pool workers before lingering for -expvar
-		fatal(err)
-	}
 
 	printReport(pl, rep, *verbose)
 	if skipped := r.Skipped(); skipped > 0 {
@@ -229,6 +230,24 @@ func main() {
 
 	finishOutputs(pl, *ipfixOut, *emitP4, metricsFile, *metricsOut)
 	lingerExpvar(*expvarAddr)
+}
+
+// checkShards rejects a -shards value core.New would panic on. The shard
+// index is the flow hash's top bits, so the count is a power of two, and
+// each shard needs at least one row bit of the table left once the
+// -workers split has taken log2(workers) of them. workers is already
+// validated; rowBits 0 is core.New's default table.
+func checkShards(shards, workers, rowBits int) error {
+	if shards < 1 || shards&(shards-1) != 0 {
+		return fmt.Errorf("-shards must be a power of two >= 1, got %d", shards)
+	}
+	if rowBits == 0 {
+		rowBits = 12
+	}
+	if left := rowBits - bits.TrailingZeros(uint(workers)) - bits.TrailingZeros(uint(shards)); left < 1 {
+		return fmt.Errorf("-shards %d x -workers %d leave %d of %d row bits per shard (need >= 1): raise -rowbits", shards, workers, left, rowBits)
+	}
+	return nil
 }
 
 // lingerExpvar keeps the process alive after a batch run so the -expvar

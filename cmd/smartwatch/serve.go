@@ -163,12 +163,6 @@ func (d *daemon) drain() {
 			}
 		} else {
 			d.rep, d.drainErr = d.ses.Drain()
-			// The session is done: release the platform's persistent workers
-			// (prep goroutine, flowcache shard pool) so the drained daemon
-			// holds no background goroutines while it lingers for reporting.
-			if err := d.pl.Close(); err != nil && d.drainErr == nil {
-				d.drainErr = err
-			}
 		}
 		close(d.drained)
 	})

@@ -634,7 +634,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 		if r.steer != nil {
 			ctx := &r.sctx
 			ctx.Reset(p)
-			ctx.Hash, ctx.Key, ctx.HasFlowID = hash, key, true
+			ctx.Hash, ctx.Key = hash, key
 			r.steer.Handle(ctx)
 			switch ctx.Verdict {
 			case tier.ForwardDirect:

@@ -72,7 +72,6 @@ func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
 		c.Reset(&batch[j])
 		c.Key = batch[j].Key()
 		c.Hash = c.Key.Hash()
-		c.HasFlowID = true
 	}
 }
 

@@ -118,19 +118,6 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 		s.SetCounter(pfx+"pin_refused", sh.PinRefused())
 	}
 
-	// Shard worker pool. The series is conditional on the pool actually
-	// running so the deterministic-subset comparisons across
-	// configurations stay byte-identical when it is off: flowcache.pool.*
-	// appears only once the pool has started (external RunParallel drives
-	// — the platform's own datapath never starts it).
-	for i, ws := range pl.cache.PoolStats() {
-		pfx := fmt.Sprintf("flowcache.pool.%02d.", i)
-		s.SetGauge(pfx+"ring_hwm", float64(ws.RingHWM))
-		s.SetCounter(pfx+"stalls", ws.Stalls)
-		s.SetCounter(pfx+"batches", ws.Batches)
-		s.SetCounter(pfx+"wakeups", ws.Wakeups)
-	}
-
 	// sNIC datapath: input-buffer loss and engine occupancy.
 	if pl.engine != nil {
 		processed, dropped, busyNs := pl.engine.LiveCounts()

@@ -24,7 +24,6 @@ package core
 
 import (
 	"io"
-	"sync"
 	"sync/atomic"
 
 	"smartwatch/internal/container"
@@ -160,10 +159,6 @@ type Platform struct {
 	// (session.go); Run is itself a session internally.
 	session     *Session
 	sessionBusy atomic.Bool
-	// releaseMu serialises concurrent ReleaseWorkers calls: Session.Close
-	// and a -serve SIGTERM drain may both reach the release path at once,
-	// and the shard pool teardown is not reentrant.
-	releaseMu sync.Mutex
 }
 
 // Counts aggregates platform-level packet accounting.
@@ -184,9 +179,9 @@ type Counts struct {
 	Intervals uint64
 }
 
-// atomicCounts is the shard-safe accumulator behind Counts: parallel
-// shard workers may bump ToHost/Blocked concurrently, so every field is
-// atomic. snapshot() materialises the exported plain struct.
+// atomicCounts is the accumulator behind Counts: the drive bumps it while
+// metrics collectors and observers on other goroutines read it, so every
+// field is atomic. snapshot() materialises the exported plain struct.
 type atomicCounts struct {
 	total, forwardedDirect, droppedAtSwitch atomic.Uint64
 	toSNIC, toHost, blocked, intervals      atomic.Uint64
@@ -641,32 +636,15 @@ func (pl *Platform) endDrive() Report {
 	return out
 }
 
-// ReleaseWorkers stops the FlowCache's lazily started shard worker pool
-// (external RunParallel drives start it; the platform's own datapath
-// never does). Safe when it never started, idempotent, and it restarts
-// lazily on next use. A no-op while a session is active; Session.Close
-// calls it after the drain, so a fully closed platform holds no
-// goroutines. Safe for concurrent callers: Session.Close and the -serve
-// drain path (SIGTERM plus /control/drain) can both land here at once.
-func (pl *Platform) ReleaseWorkers() {
-	if pl.sessionBusy.Load() {
-		return
-	}
-	pl.releaseMu.Lock()
-	defer pl.releaseMu.Unlock()
-	pl.cache.Close()
-}
-
-// Close tears the platform down: it refuses while a session is active,
-// otherwise releases all background workers. The platform remains usable
-// afterwards (workers restart lazily); Close exists so embedders — the
-// serve control plane, tests, benchmarks — can assert goroutine
-// hygiene without finalizers.
+// Close reports whether the platform can be let go: ErrSessionActive
+// while a session is live, nil otherwise. The platform owns no goroutines
+// (a drive runs on its caller's), so there is nothing to release; Close
+// exists so embedders — the serve control plane, tests, benchmarks — have
+// one call that refuses to abandon a running session.
 func (pl *Platform) Close() error {
 	if pl.sessionBusy.Load() {
 		return ErrSessionActive
 	}
-	pl.ReleaseWorkers()
 	return nil
 }
 

@@ -306,24 +306,22 @@ func (s *Session) Report() (Report, bool) {
 
 // Close tears the session down. A running session is drained first (the
 // final flush still happens — Close is the polite SIGTERM path); a drained
-// or idle session just transitions to Done. Either way the platform's
-// lazily started shard worker pool is released — a closed session leaves
-// no goroutines behind; it restarts lazily if the platform drives again.
-// Idempotent, and safe to call concurrently with itself and with Drain:
-// one caller drains and returns the drain's error, the rest wait for the
-// final flush and return nil.
+// or idle session just transitions to Done. The session started no
+// goroutine, so there is nothing else to stop. Idempotent, and safe to
+// call concurrently with itself and with Drain: one caller drains and
+// returns the drain's error, the rest wait for the final flush and return
+// nil.
 func (s *Session) Close() error {
 	s.mu.Lock()
-	var err error
+	defer s.mu.Unlock()
 	switch s.State() {
 	case SessionRunning:
-		_, err = s.drain()
+		_, err := s.drain()
+		return err
 	case SessionIdle:
 		s.state.Store(int32(SessionDone))
 	}
-	s.mu.Unlock()
-	s.pl.ReleaseWorkers()
-	return err
+	return nil
 }
 
 // captureSnapshot records the interval-boundary delta; called from

@@ -554,10 +554,14 @@ func pushConfigs() map[string]Config {
 
 // TestSessionStartsNoGoroutine: the session drives the platform on its
 // caller's goroutine — Start, Ingest, Exec and Drain leave the process's
-// goroutine count where it was — and the platform refuses to Close under a
-// live session.
+// goroutine count where it was, at four shards as at one — and the
+// platform refuses to Close under a live session.
 func TestSessionStartsNoGoroutine(t *testing.T) {
-	for name, cfg := range pushConfigs() {
+	cfgs := pushConfigs()
+	shards4 := fullConfig(false, 4)
+	shards4.BatchSize = 64
+	cfgs["shards4"] = shards4
+	for name, cfg := range cfgs {
 		pl := New(cfg)
 		vec := establishedVector(4096, 300, 1e6)
 		before := runtime.NumGoroutine()

@@ -98,8 +98,8 @@ func clusterKVSig(pls []*core.Platform) string {
 // a drop-free datapath (oracle B) — and the table reports the
 // deterministic fan-out behaviour plus both equivalence verdicts. No
 // wall-clock values appear: the table is byte-stable across runs and
-// machines; wall-clock speedup is tracked by the cluster_drive_64k_w*
-// micros in BENCH_*.json.
+// machines; wall-clock speedup is the fanout2 workload's
+// cluster.speedup_vs_backbone in benchmark/.
 //
 // balanced_speedup is the upper bound consistent hashing admits on this
 // stream: offered / max(per-worker share) — what a perfectly overlapped
@@ -185,6 +185,6 @@ func ClusterScaling(scale float64) *Table {
 		"parallel_identical: the feeder-goroutine drive reproduces the sequential reference byte-for-byte (oracle A)",
 		"single_platform_identical: merged counts, cache stats, rings and flow-log union equal a single platform sharded W ways on a drop-free datapath (oracle B)",
 		"balanced_speedup: offered/max(lane share) — the hash-balance ceiling on parallel speedup, machine-independent",
-		"wall-clock speedup is tracked by the cluster_drive_64k_w* micros in BENCH_*.json, not here")
+		"wall-clock speedup is the fanout2 workload's cluster.speedup_vs_backbone in benchmark/, not here")
 	return t
 }

@@ -2,7 +2,7 @@
 // SmartWatch paper's evaluation (§5). Each Fig*/Table* function runs the
 // corresponding workload through the simulated platform and returns a
 // Table whose rows mirror the series the paper plots; cmd/experiments
-// prints them and bench_test.go runs them under testing.B.
+// prints them.
 //
 // The Scale knob shrinks workload sizes proportionally (virtual time makes
 // rates exact regardless); Scale 1 is the default used for EXPERIMENTS.md,

@@ -21,8 +21,8 @@ import (
 //
 // All figures are modelled/deterministic: hit rate and eviction counts
 // from the cache counters, latency percentiles from the DES cost model.
-// Wall-clock ns/op per policy lives in BENCH_*.json (cmd/bench), never
-// in experiment tables.
+// Wall-clock cost is measured by benchmark/ (BENCHMARK.json), never in
+// experiment tables.
 
 // policyPresetRun drives n packets of one CAIDA-year preset through the
 // DES with the named replacement policy.
@@ -77,6 +77,6 @@ func PoliciesTable(scale float64) *Table {
 	t.Notes = append(t.Notes,
 		"table undersized vs live flows (3,072 entries) so replacement decisions dominate",
 		"measured shape: s3fifo edges out lru-lpc on the heavier-tailed 2016-2019 presets (freq aging evicts dead session tuples that LPC's packet counts pin in E) with fewer evictions and ring drops; lru-lpc keeps the flattest 2015 preset where full-precision counts beat a 2-bit freq",
-		"wall-clock per-policy ns/op is tracked in BENCH_*.json via cmd/bench, not here")
+		"wall-clock cost is measured by benchmark/ (BENCHMARK.json), not here")
 	return t
 }

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/stats"
@@ -12,8 +9,7 @@ import (
 // shardBurstStream synthesises the shard-scaling workload: a Zipf flow
 // population whose arrival rate bursts past the switchover threshold and
 // then relaxes below it, so every shard's controller flips in both
-// directions. Returned as a slice because the parallel path replays it
-// twice (sequential oracle + per-shard workers).
+// directions.
 func shardBurstStream(n, flows int, seed uint64) []packet.Packet {
 	rng := stats.NewRand(seed)
 	z := stats.NewZipf(rng, flows, 1.1)
@@ -38,25 +34,11 @@ func shardBurstStream(n, flows int, seed uint64) []packet.Packet {
 	return pkts
 }
 
-// shardStateSig canonicalises a sharded cache's observable state: summed
-// stats plus every resident record in snapshot order.
-func shardStateSig(s *flowcache.Sharded) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%+v\n", s.Stats())
-	s.Snapshot(func(r flowcache.Record) bool {
-		fmt.Fprintf(&b, "%s %d %d %d %d\n", r.Key.String(), r.Pkts, r.Bytes, r.FirstTs, r.LastTs)
-		return true
-	})
-	return b.String()
-}
-
 // ShardedScaling characterises the sharded FlowCache datapath: for each
-// power-of-two shard count, the same burst workload runs once through a
-// sequential ObserveProcess loop and once with one worker per shard, and
-// the table reports the (modelled, deterministic) cache behaviour plus
-// whether the parallel replay reproduced the sequential state exactly —
-// the per-island determinism claim of DESIGN.md §8.4. No wall-clock
-// values appear: the table is byte-stable across runs and machines.
+// power-of-two shard count, the same burst workload runs through a
+// sequential ObserveProcess loop and the table reports the (modelled,
+// deterministic) cache behaviour. No wall-clock values appear: the table
+// is byte-stable across runs and machines.
 func ShardedScaling(scale float64) *Table {
 	n := scaleInt(240_000, scale)
 	flows := scaleInt(40_000, scale)
@@ -65,19 +47,13 @@ func ShardedScaling(scale float64) *Table {
 
 	t := &Table{
 		ID: "shards", Title: "Sharded FlowCache scaling (per-island partitions, capacity-invariant)",
-		Columns: []string{"shards", "rows_per_shard", "hit_rate", "evictions", "punts", "switchovers", "parallel_identical"},
+		Columns: []string{"shards", "rows_per_shard", "hit_rate", "evictions", "punts", "switchovers"},
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		trace := shardBurstStream(n, flows, 9)
 		seq := flowcache.NewSharded(shards, cfg, ctlCfg)
 		for i := range trace {
 			seq.ObserveProcess(&trace[i])
-		}
-		par := flowcache.NewSharded(shards, cfg, ctlCfg)
-		par.RunParallel(shardBurstStream(n, flows, 9), 256)
-		identical := "no"
-		if shardStateSig(par) == shardStateSig(seq) {
-			identical = "yes"
 		}
 		st := seq.Stats()
 		t.AddRow(
@@ -87,12 +63,10 @@ func ShardedScaling(scale float64) *Table {
 			d(st.Evictions),
 			d(st.HostPunts),
 			d(seq.Switchovers()),
-			identical,
 		)
 	}
 	t.Notes = append(t.Notes,
 		"total capacity is constant: rows_per_shard = 2^(RowBits - log2(shards))",
-		"parallel_identical: one goroutine per shard reproduces the sequential state byte-for-byte",
 		"switchovers rise with shards: each island meters its own slice of the aggregate rate")
 	return t
 }

@@ -173,10 +173,27 @@ func TestFlushAccEmptyIsNoop(t *testing.T) {
 	}
 }
 
-// TestShardedBatchesMatchSequential: RunParallelBatches must land in the
-// exact state of a sequential ObserveProcess loop for every shard count
-// and batch size, including batches that do not divide the stream.
-// Run under -race by `make race` and the CI shards job.
+// driveVectors is the platform's batched drive in miniature: every packet
+// through ObserveProcessHashed with a caller-computed identity, and one
+// FlushAcc per vec packets (plus one for the tail).
+func driveVectors(s *Sharded, pkts []packet.Packet, vec int) {
+	var acc BatchAcc
+	for i := range pkts {
+		p := &pkts[i]
+		key := p.Key()
+		s.ObserveProcessHashed(p, key.Hash(), key, &acc)
+		if (i+1)%vec == 0 {
+			s.FlushAcc(&acc)
+		}
+	}
+	s.FlushAcc(&acc)
+}
+
+// TestShardedBatchesMatchSequential: the batched drive (ObserveProcessHashed
+// with one FlushAcc per vector, what the platform's datapath stage does)
+// must land in the exact state of a sequential ObserveProcess loop for
+// every shard count and vector size, including vectors that do not divide
+// the stream.
 func TestShardedBatchesMatchSequential(t *testing.T) {
 	cfg := smallConfig()
 	ctlCfg := ControllerConfig{Alpha: 0.75, WindowNs: 1e6, EtaHigh: 30e6, EtaLow: 25e6}
@@ -194,9 +211,7 @@ func TestShardedBatchesMatchSequential(t *testing.T) {
 
 		for _, batch := range []int{1, 7, 256, len(trace) + 1} {
 			par := NewSharded(shards, cfg, ctlCfg)
-			if n := par.RunParallelBatches(trace, batch); n != uint64(len(trace)) {
-				t.Fatalf("shards=%d batch=%d: processed %d, want %d", shards, batch, n, len(trace))
-			}
+			driveVectors(par, trace, batch)
 			if got, wantSw := par.Switchovers(), seq.Switchovers(); got != wantSw {
 				t.Errorf("shards=%d batch=%d: switchovers = %d, want %d", shards, batch, got, wantSw)
 			}
@@ -221,16 +236,27 @@ func TestObserveProcessHashedMatchesObserveProcess(t *testing.T) {
 	}
 
 	b := NewSharded(4, cfg, ctlCfg)
-	var acc BatchAcc
-	for i := range trace {
-		p := &trace[i]
-		key := p.Key()
-		b.ObserveProcessHashed(p, key.Hash(), key, &acc)
-	}
-	b.FlushAcc(&acc)
+	driveVectors(b, trace, len(trace))
 
 	wantDump, gotDump := dumpState(a), dumpState(b)
 	if wantDump != gotDump {
 		t.Errorf("ObserveProcessHashed diverged:\n%s", firstDiff(wantDump, gotDump))
+	}
+}
+
+// BenchmarkProcessBatch measures the vectored hot path on the paper's
+// (4,8) layout: hashes pre-computed per 64-packet vector and stat
+// counters flushed once per vector. One op is one packet, so it compares
+// directly with BenchmarkProcessHit/Churn. Must be 0 allocs/op.
+func BenchmarkProcessBatch(b *testing.B) {
+	c := New(DefaultConfig(10))
+	pkts := shardTrace(1 << 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; {
+		off := i & (len(pkts) - 1)
+		n := min(64, len(pkts)-off, b.N-i)
+		c.ProcessBatch(pkts[off : off+n])
+		i += n
 	}
 }

@@ -19,8 +19,7 @@ import (
 // deferred through batch accumulators — and retunes the effective
 // thresholds and the pin budget. Because every input is a deterministic
 // function of the shard's packet prefix and windows are cut by virtual
-// time, the adaptive trajectory is byte-identical across batch sizes
-// and under Sharded.RunParallelBatches.
+// time, the adaptive trajectory is byte-identical across batch sizes.
 type Controller struct {
 	cache *Cache
 	meter *stats.RateMeter

@@ -1,6 +1,7 @@
 package flowcache
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -306,12 +307,14 @@ func adaptiveStream(n int) []packet.Packet {
 }
 
 // TestAdaptiveDeterminism: the adaptive trajectory — cache end state AND
-// controller tuned state, per shard — must be byte-identical across the
-// sequential drive, RunParallel, and RunParallelBatches at different
-// batch sizes.
+// each shard's tuned controller state — must be byte-identical across
+// the sequential drive and the batched drive (ObserveProcessHashed, one
+// FlushAcc per vector) at different vector sizes. The cache state is
+// compared whole: a batched flush lands every shard's stat deltas in
+// shard 0, which only the aggregate view is blind to.
 func TestAdaptiveDeterminism(t *testing.T) {
 	type result struct {
-		sigs   []uint64
+		dump   string
 		states []ControllerState
 		flips  uint64
 	}
@@ -321,10 +324,10 @@ func TestAdaptiveDeterminism(t *testing.T) {
 		drive(s, adaptiveStream(60_000))
 		var r result
 		for i := 0; i < s.NumShards(); i++ {
-			r.sigs = append(r.sigs, stateSig(s.Shard(i)))
 			r.states = append(r.states, s.ShardController(i).State())
 		}
 		r.flips = s.Switchovers()
+		r.dump = dumpState(s)
 		return r
 	}
 	ref := run(func(s *Sharded, pkts []packet.Packet) {
@@ -344,20 +347,16 @@ func TestAdaptiveDeterminism(t *testing.T) {
 	if !anyRetune {
 		t.Fatal("no controller retuned; determinism check too weak")
 	}
-	drives := map[string]func(s *Sharded, pkts []packet.Packet){
-		"parallel":  func(s *Sharded, pkts []packet.Packet) { s.RunParallel(pkts, 64) },
-		"batch-32":  func(s *Sharded, pkts []packet.Packet) { s.RunParallelBatches(pkts, 32) },
-		"batch-512": func(s *Sharded, pkts []packet.Packet) { s.RunParallelBatches(pkts, 512) },
-	}
-	for name, drive := range drives {
-		got := run(drive)
+	for _, vec := range []int{32, 512} {
+		name := fmt.Sprintf("batch-%d", vec)
+		got := run(func(s *Sharded, pkts []packet.Packet) { driveVectors(s, pkts, vec) })
 		if got.flips != ref.flips {
 			t.Errorf("%s: switchovers = %d, want %d", name, got.flips, ref.flips)
 		}
-		for i := range ref.sigs {
-			if got.sigs[i] != ref.sigs[i] {
-				t.Errorf("%s: shard %d state signature %#x != sequential %#x", name, i, got.sigs[i], ref.sigs[i])
-			}
+		if got.dump != ref.dump {
+			t.Errorf("%s: cache state diverged from sequential:\n%s", name, firstDiff(ref.dump, got.dump))
+		}
+		for i := range ref.states {
 			if got.states[i] != ref.states[i] {
 				t.Errorf("%s: shard %d controller state %+v != sequential %+v", name, i, got.states[i], ref.states[i])
 			}
@@ -366,8 +365,8 @@ func TestAdaptiveDeterminism(t *testing.T) {
 }
 
 // TestControllerStateRace: metrics collectors read per-shard controller
-// state and obs gauges while shard workers drive the adaptive loop. Run
-// under -race (make race / CI) to validate the locking.
+// state and obs gauges while another goroutine drives the adaptive loop.
+// Run under -race (make race / CI) to validate the locking.
 func TestControllerStateRace(t *testing.T) {
 	cfg, ctlCfg := adaptiveShardedCfg()
 	s := NewSharded(4, cfg, ctlCfg)
@@ -394,7 +393,9 @@ func TestControllerStateRace(t *testing.T) {
 			_ = sink
 		}
 	}()
-	s.RunParallel(pkts, 64)
+	for i := range pkts {
+		s.ObserveProcess(&pkts[i])
+	}
 	close(done)
 	wg.Wait()
 }

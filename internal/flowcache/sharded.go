@@ -3,7 +3,6 @@ package flowcache
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"smartwatch/internal/packet"
 )
@@ -38,13 +37,9 @@ type Sharded struct {
 	// per-shard flow islands of one Workers×Shards-way sharded cache.
 	preshift uint
 	base     Config
-	// pool is the persistent shard worker pool (pool.go), created lazily
-	// on the first parallel drive and reused until Close.
-	pool *workerPool
 
-	// OnModeSwitch, when set, observes every per-shard mode flip. With
-	// RunParallel it may be called from multiple shard workers
-	// concurrently; publishing to a tier.Bus is safe (the bus locks).
+	// OnModeSwitch, when set, observes every per-shard mode flip, on the
+	// goroutine that drove the packet which caused it.
 	OnModeSwitch func(shard int, m Mode, rate float64, ts int64)
 }
 
@@ -276,118 +271,4 @@ func (s *Sharded) Switchovers() uint64 {
 		n += ctl.Switchovers()
 	}
 	return n
-}
-
-// RunParallel processes pkts with one persistent worker goroutine per
-// shard (pool.go): a router walks the slice in order, computes each
-// packet's flow identity once, and hands batches to the owning shard's
-// worker over SPSC rings. Because shards share no rows and each shard
-// still sees ITS packets in arrival order, the final cache state is
-// identical to a sequential ObserveProcess loop over the same slice —
-// the determinism the `make shards` CI job checks under -race. queue is
-// the per-shard handoff batch size (≤0 means 256; it was the channel
-// depth before the pool, and keeps the same default). Returns the number
-// of packets processed.
-func (s *Sharded) RunParallel(pkts []packet.Packet, queue int) uint64 {
-	return s.RunParallelBatches(pkts, queue)
-}
-
-// RunParallelBatches processes pkts through the persistent shard worker
-// pool in batches of batch packets per handoff (≤0 means 256). The pool
-// is created lazily on the first call and reused by every subsequent
-// drive: a steady-state call spawns no goroutines, allocates nothing and
-// performs no channel operations — full batches and recycled buffers
-// flow through per-shard SPSC rings, and workers park on a wake channel
-// only when the stream goes idle. The router computes each packet's
-// canonical key and flow hash exactly once and ships both through the
-// handoff, so workers never re-canonicalise; workers batch their stat
-// flush through a BatchAcc.
-//
-// Determinism: each shard still sees its packets in arrival order, and
-// shards share no state, so the final cache state is identical to a
-// sequential ObserveProcess loop. Returns the number of packets
-// processed.
-//
-// Single-caller contract (unchanged): at most one goroutine may drive
-// RunParallel/RunParallelBatches at a time.
-func (s *Sharded) RunParallelBatches(pkts []packet.Packet, batch int) uint64 {
-	if batch <= 0 {
-		batch = 256
-	}
-	if len(s.shards) == 1 {
-		// Single shard: no fan-out to batch, but keep the amortised stat
-		// flush and hoisted hashing so shards=1 measures the same datapath.
-		ctl, c := s.ctls[0], s.shards[0]
-		var acc BatchAcc
-		for i := range pkts {
-			p := &pkts[i]
-			key := p.Key()
-			ctl.Observe(p.Ts, 1)
-			c.ProcessHashedAcc(p, key.Hash(), key, &acc)
-		}
-		c.FlushAcc(&acc)
-		return uint64(len(pkts))
-	}
-	if len(pkts) == 0 {
-		return 0
-	}
-	s.ensurePool(batch).run(pkts)
-	return uint64(len(pkts))
-}
-
-// RunParallelBatchesSpawn is the pre-pool fan-out, retained as the A/B
-// baseline for the persistent worker pool: every call spawns one
-// goroutine and one buffered channel per shard and allocates fresh batch
-// buffers, exactly what RunParallelBatches did before pool.go. Results
-// are identical (same per-shard arrival order, hoisted hashing,
-// amortised stat flush); only the per-call setup cost differs, which is
-// the delta cmd/bench's spawn-vs-pool micros track. Not a production
-// path — use RunParallelBatches.
-func (s *Sharded) RunParallelBatchesSpawn(pkts []packet.Packet, batch int) uint64 {
-	if batch <= 0 {
-		batch = 256
-	}
-	if len(s.shards) == 1 {
-		return s.RunParallelBatches(pkts, batch)
-	}
-	chans := make([]chan []fanEntry, len(s.shards))
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		chans[i] = make(chan []fanEntry, poolDepth)
-		wg.Add(1)
-		go func(c *Cache, ctl *Controller, in <-chan []fanEntry) {
-			defer wg.Done()
-			var acc BatchAcc
-			for b := range in {
-				for _, e := range b {
-					ctl.Observe(e.p.Ts, 1)
-					c.ProcessHashedAcc(e.p, e.hash, e.key, &acc)
-				}
-			}
-			c.FlushAcc(&acc)
-		}(s.shards[i], s.ctls[i], chans[i])
-	}
-	bufs := make([][]fanEntry, len(s.shards))
-	for i := range bufs {
-		bufs[i] = make([]fanEntry, 0, batch)
-	}
-	for i := range pkts {
-		p := &pkts[i]
-		key := p.Key()
-		hash := key.Hash()
-		sh := s.shardOf(hash)
-		bufs[sh] = append(bufs[sh], fanEntry{p: p, hash: hash, key: key})
-		if len(bufs[sh]) == batch {
-			chans[sh] <- bufs[sh]
-			bufs[sh] = make([]fanEntry, 0, batch)
-		}
-	}
-	for i, b := range bufs {
-		if len(b) > 0 {
-			chans[i] <- b
-		}
-		close(chans[i])
-	}
-	wg.Wait()
-	return uint64(len(pkts))
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // counterShards is the fan-out of a Counter. Shard selection is by caller
-// worker index (AddShard), so parallel shard workers never contend on the
+// worker index (AddShard), so parallel workers never contend on the
 // same cache line. 16 covers every worker count the simulator uses.
 const counterShards = 16
 

@@ -208,3 +208,16 @@ func TestBufferedBatchesRecyclingNoAliasing(t *testing.T) {
 		t.Fatalf("consumed %d packets, want %d", next, n)
 	}
 }
+
+// BenchmarkBuffered measures the producer/consumer stream bridge: the
+// per-packet overhead of handing batches across the goroutine boundary.
+func BenchmarkBuffered(b *testing.B) {
+	b.ReportAllocs()
+	n := 0
+	for range Buffered(seqStream(b.N), 512) {
+		n++
+	}
+	if n != b.N {
+		b.Fatalf("saw %d packets, want %d", n, b.N)
+	}
+}

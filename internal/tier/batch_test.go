@@ -170,9 +170,8 @@ func TestContextResetClearsFlowID(t *testing.T) {
 	ctx.Reset(&p)
 	ctx.Hash = 42
 	ctx.Key = packet.FlowKey{LoPort: 1}
-	ctx.HasFlowID = true
 	ctx.Reset(&p)
-	if ctx.Hash != 0 || ctx.HasFlowID || ctx.Key != (packet.FlowKey{}) {
+	if ctx.Hash != 0 || ctx.Key != (packet.FlowKey{}) {
 		t.Errorf("Reset left flow-ID residue: %+v", ctx)
 	}
 }

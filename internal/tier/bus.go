@@ -175,7 +175,7 @@ func (s BusStats) PublishedFor(k Kind) uint64 {
 // subscriber is isolated: the panic is recovered, counted, and the
 // remaining subscribers still receive the event.
 //
-// Bus is safe for concurrent use; publishes from parallel shard workers
+// Bus is safe for concurrent use; publishes from several goroutines
 // serialise on an internal mutex (control events are rare, so the lock is
 // uncontended in practice).
 type Bus struct {

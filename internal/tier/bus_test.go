@@ -101,7 +101,7 @@ func TestBusEventKinds(t *testing.T) {
 	}
 }
 
-// TestBusConcurrentPublish: parallel shard workers may publish control
+// TestBusConcurrentPublish: several goroutines may publish control
 // events concurrently; the bus must serialise them without loss (run
 // under -race by the `make shards` job).
 func TestBusConcurrentPublish(t *testing.T) {

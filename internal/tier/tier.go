@@ -75,13 +75,11 @@ type Context struct {
 	// Cost is the sNIC cost the datapath reports to the simulator.
 	Cost snic.Cost
 
-	// Hash and Key are the packet's flow hash and canonical key when
-	// HasFlowID is set — pre-computed by a batching driver so stages need
-	// not re-canonicalise the tuple. Stages must treat them as read-only
-	// and fall back to Pkt.Hash()/Pkt.Key() when HasFlowID is false.
-	Hash      uint64
-	Key       packet.FlowKey
-	HasFlowID bool
+	// Hash and Key are the packet's flow hash and canonical key, set by
+	// the driver after Reset so stages need not re-canonicalise the
+	// tuple. Stages must treat them as read-only.
+	Hash uint64
+	Key  packet.FlowKey
 }
 
 // Reset prepares the context for a new packet, clearing every per-packet
