@@ -101,7 +101,7 @@ func main() {
 		fatal(fmt.Errorf("-workers must be a power of two, got %d", *workers))
 	}
 	cfg.Workers = *workers
-	if err := checkShards(*shards, *workers, cfg.Cache.RowBits); err != nil {
+	if err := checkGeometry(cfg.Cache, *shards, *workers); err != nil {
 		fatal(err)
 	}
 	var metricsFile *os.File
@@ -230,6 +230,19 @@ func main() {
 
 	finishOutputs(pl, *ipfixOut, *emitP4, metricsFile, *metricsOut)
 	lingerExpvar(*expvarAddr)
+}
+
+// checkGeometry rejects a table core.New would panic on: a FlowCache
+// layout its own Validate refuses (-rowbits out of range, a row wider than
+// the occupancy mask), then a shard split that does not fit it. The zero
+// Config is core.New's default table.
+func checkGeometry(cache flowcache.Config, shards, workers int) error {
+	if cache.RowBits != 0 {
+		if err := cache.Validate(); err != nil {
+			return err
+		}
+	}
+	return checkShards(shards, workers, cache.RowBits)
 }
 
 // checkShards rejects a -shards value core.New would panic on. The shard

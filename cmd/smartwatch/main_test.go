@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"smartwatch/internal/flowcache"
 )
 
 // TestCheckShards: every -shards / -workers / -rowbits geometry that
@@ -28,6 +30,40 @@ func TestCheckShards(t *testing.T) {
 	}
 	for _, tc := range cases {
 		err := checkShards(tc.shards, tc.workers, tc.rowBits)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckGeometry: a FlowCache layout flowcache.New would panic on —
+// `-rowbits 40` did, with a goroutine dump — is an error naming the field,
+// and the shard check still runs behind a layout that passes.
+func TestCheckGeometry(t *testing.T) {
+	wide := flowcache.DefaultConfig(14)
+	wide.Buckets, wide.EvictionBuckets = 60, 56
+	widest := flowcache.DefaultConfig(14)
+	widest.Buckets, widest.EvictionBuckets = flowcache.MaxBuckets, flowcache.MaxBuckets-4
+	cases := []struct {
+		name            string
+		cache           flowcache.Config
+		shards, workers int
+		want            string // error substring; "" = valid
+	}{
+		{"default flag", flowcache.DefaultConfig(14), 1, 1, ""},
+		{"core's default table", flowcache.Config{}, 4, 2, ""},
+		{"largest table", flowcache.DefaultConfig(28), 1, 1, ""},
+		{"widest row", widest, 1, 1, ""},
+		{"rowbits 40", flowcache.DefaultConfig(40), 1, 1, "RowBits 40 out of range"},
+		{"rowbits 29", flowcache.DefaultConfig(29), 4, 2, "RowBits 29 out of range"},
+		{"row wider than the mask", wide, 1, 1, "Buckets 60 out of range"},
+		{"valid layout, bad split", flowcache.DefaultConfig(2), 4, 1, "leave 0 of 2 row bits"},
+	}
+	for _, tc := range cases {
+		err := checkGeometry(tc.cache, tc.shards, tc.workers)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: unexpected error %v", tc.name, err)

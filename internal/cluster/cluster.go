@@ -635,7 +635,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 			ctx := &r.sctx
 			ctx.Reset(p)
 			ctx.Hash, ctx.Key = hash, key
-			r.steer.Handle(ctx)
+			r.steer.HandleKeyed(ctx)
 			switch ctx.Verdict {
 			case tier.ForwardDirect:
 				r.direct.Add(1)

@@ -84,6 +84,11 @@ func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
 func (pl *Platform) consume(batch []packet.Packet) {
 	ctxs := pl.ctxs[:len(batch)]
 	prepIdentity(batch, ctxs)
+	// The chunk's table rows, requested a vector ahead of their probes so
+	// up to BatchSize misses are in flight at once instead of one per Step.
+	for _, c := range ctxs {
+		pl.cache.Prefetch(c.Hash)
+	}
 	for lo := 0; lo < len(batch); {
 		// Fire timers due at the sub-batch head FIRST, then bound the
 		// sub-batch below the next timer so nothing can fire inside it —
@@ -122,7 +127,7 @@ func (pl *Platform) consume(batch []packet.Packet) {
 				// Steer per-packet: the sNIC processing of the previous
 				// packet (inside the last Step) may have programmed the
 				// switch tables this decision reads.
-				pl.steer.Handle(c)
+				pl.steer.HandleKeyed(c)
 				if pl.metrics != nil {
 					// Stage 1 of the wire pipeline, run outside the
 					// pipeline walk.

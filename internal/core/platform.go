@@ -129,7 +129,7 @@ type Platform struct {
 	// per-packet (steering reads tables that nic-side detector events
 	// rewrite mid-stream; see batch.go).
 	ingest *ingestStage
-	steer  tier.Stage
+	steer  *p4switch.SteerStage
 
 	// The drive's vector state (batch.go): ctxs is the context vector of
 	// the chunk being consumed, BatchSize long and reused for every chunk;
@@ -314,10 +314,11 @@ func (pl *Platform) wireBus() {
 // buildPipelines assembles the wire-side and sNIC-side stage chains.
 func (pl *Platform) buildPipelines() {
 	pl.ingest = &ingestStage{pl}
+	pl.wire = tier.NewPipeline(pl.ingest)
 	if pl.sw != nil {
 		pl.steer = &p4switch.SteerStage{SW: pl.sw, Tracker: pl.tracker}
+		pl.wire = tier.NewPipeline(pl.ingest, pl.steer)
 	}
-	pl.wire = tier.NewPipeline(pl.ingest, pl.steer)
 	pl.nic = tier.NewPipeline(&datapathStage{pl}, pl.hostStage)
 }
 

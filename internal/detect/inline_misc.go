@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
@@ -237,7 +238,13 @@ func (d *Worm) inspect(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) (verdi
 	d.srcs[sig][p.Tuple.SrcIP] = true
 	if len(dsts) >= d.threshold && !d.alerted[sig] {
 		d.alerted[sig] = true
+		// One alert per source, in address order — never the map's.
+		srcs := make([]packet.Addr, 0, len(d.srcs[sig]))
 		for src := range d.srcs[sig] {
+			srcs = append(srcs, src)
+		}
+		slices.Sort(srcs)
+		for _, src := range srcs {
 			d.emit(Alert{
 				Detector: "earlybird-worm", Ts: p.Ts, Attacker: src,
 				Info: fmt.Sprintf("signature %#x hit %d destinations", sig, len(dsts)),

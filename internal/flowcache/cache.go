@@ -1,6 +1,7 @@
 package flowcache
 
 import (
+	"math/bits"
 	"os"
 	"smartwatch/internal/packet"
 	"sync/atomic"
@@ -25,6 +26,13 @@ import (
 // latch is effectively uncontended; the simulator still charges the
 // *hardware* cost model (atomic add for updates, latch+swap for inserts)
 // via the Reads/Writes counts each call reports.
+//
+// The latch is the top bit of the row's word (row.go), which also carries
+// the row's dirty flag, parked count and occupancy mask. Bucket memory is
+// read and written only by the latch holder; the word itself is only ever
+// accessed atomically, so a reader that has not latched may still load it
+// — Snapshot does, to pass over rows whose mask is empty, and Prefetch
+// names addresses without loading from them at all.
 type Cache struct {
 	cfg Config
 	// kind / policyP / policyE / policy are the resolved replacement
@@ -35,30 +43,16 @@ type Cache struct {
 	policyP, policyE Policy
 	policy           ReplacementPolicy
 	mode             atomic.Uint32
-	rows             []row
-	rings            []*Ring
-	stats            statCounters
-	fb               feedback
+	// words[i] is row i's word (row.go); its buckets are
+	// store[i*B : (i+1)*B], one contiguous table like the sNIC allocation.
+	words []atomic.Uint64
+	store []Record
+	rings []*Ring
+	stats statCounters
+	fb    feedback
 	// sweepCursor is CleanRowsBounded's persistent position (clean.go).
 	// Single-caller discipline: the maintenance tick owns it.
 	sweepCursor int
-}
-
-type row struct {
-	latch atomic.Int32
-	dirty bool // needs Alg-3 reorder before Lite probing; guarded by latch
-	// parked counts pinned records parked outside their own Lite slice by
-	// cleanRow (slice overflow during a General->Lite switch: pinned
-	// records are never evicted, so the overflow is stashed in whichever
-	// buckets the reorder left free). While parked > 0, Lite-mode probes
-	// that miss their slice fall back to a full-row scan so the parked
-	// records stay reachable. Guarded by the latch; recomputed from
-	// scratch by every cleanRow, so it may only over-count between
-	// cleanups (costing reads, never reachability).
-	parked int
-	// buckets[0:P] is the Primary buffer, buckets[P:B] the Eviction buffer
-	// in General mode; Lite mode probes a b-wide slice (Alg. 1).
-	buckets []Record
 }
 
 // statShards is the number of counter shards. Shards are selected by the
@@ -102,31 +96,30 @@ func (s *statShard) finish(res *Result) {
 //
 // The table is physically backed when New returns, as the sNIC's EMEM
 // allocation is at firmware load: New stores to every OS page of the bucket
-// array (and the loop that slices it up writes every row header). A large
-// make is otherwise lazily mapped, and the datapath would take two page
-// faults per table page — the probe's read maps the shared zero page, the
-// insert's write then copies it — inside the time the packet is charged
-// for (DESIGN.md §17). The process's resident set therefore includes the
-// whole configured table (Rows x Buckets x 80 B) from construction, whether
-// or not traffic ever fills it.
+// array and to every row word. A large make is otherwise lazily mapped, and
+// the datapath would take two page faults per table page — the probe's read
+// maps the shared zero page, the insert's write then copies it — inside the
+// time the packet is charged for (DESIGN.md §17). The process's resident set
+// therefore includes the whole configured table (Rows x Buckets x 80 B)
+// from construction, whether or not traffic ever fills it.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg}
 	c.kind, c.policyP, c.policyE, c.policy = resolvePolicy(cfg)
-	c.rows = make([]row, cfg.Rows())
-	store := make([]Record, cfg.Rows()*cfg.Buckets) // contiguous, like the sNIC allocation
+	c.words = make([]atomic.Uint64, cfg.Rows())
+	for i := range c.words {
+		c.words[i].Store(0)
+	}
+	c.store = make([]Record, cfg.Rows()*cfg.Buckets) // contiguous, like the sNIC allocation
 	// Whole records per page, rounded down, so no page falls between two
 	// stores; the last record covers the tail.
 	step := max(1, os.Getpagesize()/int(unsafe.Sizeof(Record{})))
-	for i := 0; i < len(store); i += step {
-		store[i].occupied = false
+	for i := 0; i < len(c.store); i += step {
+		c.store[i].Pinned = false
 	}
-	store[len(store)-1].occupied = false
-	for i := range c.rows {
-		c.rows[i].buckets = store[i*cfg.Buckets : (i+1)*cfg.Buckets : (i+1)*cfg.Buckets]
-	}
+	c.store[len(c.store)-1].Pinned = false
 	c.rings = make([]*Ring, cfg.Rings)
 	for i := range c.rings {
 		c.rings[i] = NewRing(cfg.RingEntries)
@@ -151,11 +144,8 @@ func (c *Cache) Mode() Mode { return Mode(c.mode.Load()) }
 // record still sitting outside its slice and inserts a duplicate.
 func (c *Cache) SetMode(m Mode) {
 	if m == Lite && c.Mode() != Lite {
-		for i := range c.rows {
-			rw := &c.rows[i]
-			rw.acquire()
-			rw.dirty = true
-			rw.release()
+		for i := range c.words {
+			markDirty(&c.words[i])
 		}
 	}
 	c.mode.Store(uint32(m))
@@ -179,13 +169,24 @@ func (c *Cache) liteSlice(hash uint64) (int, int) {
 	return off, off + b
 }
 
-// acquire takes the row latch (the test_and_set of Alg. 2).
-func (r *row) acquire() {
-	for !r.latch.CompareAndSwap(0, 1) {
+// Prefetch requests the memory Process will read first for a flow with
+// this hash — the row's word and the two cache lines that hold the first
+// bucket of the slice the current mode probes — without reading any of it.
+// A driver that knows a vector of hashes ahead of time calls it for the
+// whole vector before processing the first packet, so the misses overlap
+// instead of queueing behind one another. It changes no state and is safe
+// against concurrent Process calls (see prefetcht0).
+func (c *Cache) Prefetch(hash uint64) {
+	ri := c.rowIndex(hash)
+	prefetcht0(unsafe.Pointer(&c.words[ri]))
+	lo := 0
+	if c.Mode() == Lite {
+		lo, _ = c.liteSlice(hash)
 	}
+	first := unsafe.Pointer(&c.store[ri*uint64(c.cfg.Buckets)+uint64(lo)])
+	prefetcht0(first)
+	prefetcht0(unsafe.Add(first, 64)) // a Record is 80 B: still inside it
 }
-
-func (r *row) release() { r.latch.Store(0) }
 
 // Process runs the full FlowCache update for one packet and returns the
 // flow record (nil on HostPunt) plus the operation report. The returned
@@ -237,8 +238,8 @@ func (c *Cache) ProcessAcc(p *packet.Packet, acc *BatchAcc) (*Record, Result) {
 // directly are the eviction/ring pair inside pushRing — those depend on
 // ring occupancy at push time and cannot be reconstructed afterwards.
 func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey, res *Result) *Record {
-	rw := &c.rows[c.rowIndex(hash)]
-	rw.acquire()
+	var rw row
+	c.acquire(c.rowIndex(hash), &rw)
 
 	// The mode is read under the row latch: concurrent Process calls on
 	// one row are serialized, so the second caller sees both the first
@@ -246,9 +247,9 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 	// duplicate-insert window around switchovers.
 	mode := c.Mode()
 
-	if mode == Lite && rw.dirty {
-		res.CleanupEvicted = c.cleanRow(rw)
-		rw.dirty = false
+	if mode == Lite && rw.word&dirtyBit != 0 {
+		res.CleanupEvicted = c.cleanRow(&rw)
+		rw.word &^= dirtyBit
 		res.RowCleaned = true
 	}
 
@@ -261,7 +262,9 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 		pEnd = hi // single buffer: the whole slice is "P"
 	}
 
-	if rec, idx := c.probe(rw, hash, key, lo, hi, res); rec != nil {
+	if idx := rw.find(hash, key, lo, hi); idx >= 0 {
+		rec := &rw.buckets[idx]
+		res.Reads += idx - lo + 1
 		if idx < pEnd {
 			rec.update(p)
 			if c.kind != kindBuffers {
@@ -285,7 +288,7 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 				return rec
 			}
 		}
-		rec = c.promote(rw, idx, lo, pEnd, res)
+		rec = c.promote(&rw, idx, lo, pEnd, res)
 		rec.update(p)
 		res.Outcome = EHit
 		res.Writes++
@@ -297,8 +300,9 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 	// slice: scan the rest of the row before declaring a miss, or the
 	// parked record's flow would re-insert as a duplicate and its pinned
 	// state would go dark (the Lite-mode state-loss bug).
-	if mode == Lite && rw.parked > 0 {
-		if rec := c.probeOutside(rw, hash, key, lo, hi, res); rec != nil {
+	res.Reads += hi - lo
+	if mode == Lite && rw.parked() > 0 {
+		if rec := c.probeOutside(&rw, hash, key, lo, hi, res); rec != nil {
 			rec.update(p)
 			if c.kind != kindBuffers {
 				c.onHit(rec, BufferP)
@@ -310,7 +314,7 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 		}
 	}
 
-	rec := c.insert(rw, hash, key, p, lo, pEnd, hi, res)
+	rec := c.insert(&rw, hash, key, p, lo, pEnd, hi, res)
 	if rec == nil {
 		if c.fb.track {
 			c.fb.punts.Add(1)
@@ -356,32 +360,21 @@ func (c *Cache) applyStats(hash uint64, res *Result) {
 	sh.finish(res)
 }
 
-// probe scans candidate buckets for the key, counting reads.
-func (c *Cache) probe(rw *row, hash uint64, key packet.FlowKey, lo, hi int, res *Result) (*Record, int) {
-	for i := lo; i < hi; i++ {
-		rec := &rw.buckets[i]
-		res.Reads++
-		if rec.occupied && rec.Hash == hash && rec.Key == key {
-			return rec, i
-		}
-	}
-	return nil, -1
-}
-
 // probeOutside scans the row's buckets OUTSIDE [lo,hi) for the key — the
 // Lite-mode fallback that keeps cleanRow-parked records reachable. Reads
-// are billed like any probe; the fallback only runs while row.parked > 0.
+// are billed like any probe — every bucket up to the hit, empty ones
+// included — the fallback only runs while the row's parked count > 0.
 func (c *Cache) probeOutside(rw *row, hash uint64, key packet.FlowKey, lo, hi int, res *Result) *Record {
-	for i := range rw.buckets {
-		if i >= lo && i < hi {
-			continue
-		}
-		rec := &rw.buckets[i]
-		res.Reads++
-		if rec.occupied && rec.Hash == hash && rec.Key == key {
-			return rec
-		}
+	B := len(rw.buckets)
+	if i := rw.find(hash, key, 0, lo); i >= 0 {
+		res.Reads += i + 1
+		return &rw.buckets[i]
 	}
+	if i := rw.find(hash, key, hi, B); i >= 0 {
+		res.Reads += i + 1 - (hi - lo)
+		return &rw.buckets[i]
+	}
+	res.Reads += B - (hi - lo)
 	return nil
 }
 
@@ -396,13 +389,13 @@ func (r *Record) update(p *packet.Packet) {
 // skipping pinned entries; -1 when every entry is pinned. A free slot wins
 // immediately.
 func (c *Cache) victimIndex(rw *row, lo, hi int, policy Policy, res *Result) int {
+	if i := rw.freeSlot(lo, hi, res); i >= 0 {
+		return i
+	}
+	res.Reads += hi - lo
 	victim := -1
 	for i := lo; i < hi; i++ {
 		rec := &rw.buckets[i]
-		res.Reads++
-		if !rec.occupied {
-			return i
-		}
 		if rec.Pinned {
 			continue
 		}
@@ -438,7 +431,12 @@ func (c *Cache) promote(rw *row, eIdx, pLo, pEnd int, res *Result) *Record {
 		return &rw.buckets[eIdx]
 	}
 	a, b := &rw.buckets[pIdx], &rw.buckets[eIdx]
-	*a, *b = *b, *a
+	if rw.holds(pIdx) {
+		*a, *b = *b, *a
+	} else {
+		rw.put(pIdx, b)
+		rw.drop(eIdx)
+	}
 	res.Writes += 2
 	return a
 }
@@ -451,7 +449,6 @@ func (c *Cache) insert(rw *row, hash uint64, key packet.FlowKey, p *packet.Packe
 		Key: key, Hash: hash,
 		Pkts: 1, Bytes: uint64(p.Size),
 		FirstTs: p.Ts, LastTs: p.Ts,
-		occupied: true,
 	}
 
 	pIdx := c.victimP(rw, lo, pEnd, res)
@@ -473,12 +470,7 @@ func (c *Cache) insert(rw *row, hash uint64, key packet.FlowKey, p *packet.Packe
 			}
 			if eIdx != -1 {
 				c.evictOccupied(rw, eIdx, res)
-				rw.buckets[eIdx] = newRec
-				res.Writes++
-				if c.fb.track {
-					c.fb.occupied.Add(1)
-				}
-				return &rw.buckets[eIdx]
+				return c.place(rw, eIdx, &newRec, res)
 			}
 		}
 		if c.cfg.PinStarveEvict {
@@ -489,20 +481,15 @@ func (c *Cache) insert(rw *row, hash uint64, key packet.FlowKey, p *packet.Packe
 			if sIdx := c.stalestPinned(rw, lo, hi, res); sIdx != -1 {
 				c.evictOccupied(rw, sIdx, res)
 				res.StarveEvicted = true
-				rw.buckets[sIdx] = newRec
-				res.Writes++
-				if c.fb.track {
-					c.fb.occupied.Add(1)
-				}
-				return &rw.buckets[sIdx]
+				return c.place(rw, sIdx, &newRec, res)
 			}
 		}
 		// Caller counts pinDenied from the HostPunt outcome.
 		return nil
 	}
 
-	pVictim := &rw.buckets[pIdx]
-	if pVictim.occupied {
+	if rw.holds(pIdx) {
+		pVictim := &rw.buckets[pIdx]
 		if pEnd < hi && c.demoteToE(pVictim) {
 			// Demote P's victim into E, evicting E's victim to a ring.
 			eIdx := c.victimE(rw, pEnd, hi, res)
@@ -511,7 +498,7 @@ func (c *Cache) insert(rw *row, hash uint64, key packet.FlowKey, p *packet.Packe
 				c.evictOccupied(rw, pIdx, res)
 			} else {
 				c.evictOccupied(rw, eIdx, res)
-				rw.buckets[eIdx] = *pVictim
+				rw.put(eIdx, pVictim)
 				res.Writes++
 			}
 		} else {
@@ -520,27 +507,38 @@ func (c *Cache) insert(rw *row, hash uint64, key packet.FlowKey, p *packet.Packe
 			c.evictOccupied(rw, pIdx, res)
 		}
 	}
-	rw.buckets[pIdx] = newRec
+	return c.place(rw, pIdx, &newRec, res)
+}
+
+// place writes the new flow's record into bucket idx (free, or holding a
+// record that has just been evicted or demoted).
+func (c *Cache) place(rw *row, idx int, rec *Record, res *Result) *Record {
+	rw.put(idx, rec)
 	res.Writes++
 	if c.fb.track {
 		c.fb.occupied.Add(1)
 	}
-	return &rw.buckets[pIdx]
+	return &rw.buckets[idx]
 }
 
 // evictOccupied pushes the record at idx to its ring if occupied and marks
 // the slot free.
 func (c *Cache) evictOccupied(rw *row, idx int, res *Result) {
-	rec := &rw.buckets[idx]
-	if !rec.occupied {
+	if !rw.holds(idx) {
 		return
 	}
-	out := *rec
-	rec.occupied = false
-	c.noteRemoval(rw, out.Hash, idx)
-	c.pushRing(out)
+	c.remove(rw, idx)
 	res.Writes++
 	res.Evicted = true
+}
+
+// remove takes the record at idx out of the table and delivers it to its
+// ring.
+func (c *Cache) remove(rw *row, idx int) {
+	out := rw.buckets[idx]
+	rw.drop(idx)
+	c.noteRemoval(rw, out.Hash, idx)
+	c.pushRing(out)
 }
 
 // agePins strips the pin from occupied candidates in [lo,hi) whose LastTs
@@ -549,10 +547,10 @@ func (c *Cache) evictOccupied(rw *row, idx int, res *Result) {
 // when victim selection starved, so it never costs the unstarved path.
 func (c *Cache) agePins(rw *row, lo, hi int, now int64, res *Result) int {
 	aged := 0
-	for i := lo; i < hi; i++ {
-		rec := &rw.buckets[i]
-		res.Reads++
-		if rec.occupied && rec.Pinned && now-rec.LastTs >= c.cfg.PinAgeNs {
+	res.Reads += hi - lo
+	for m := rw.mask(lo, hi); m != 0; m &= m - 1 {
+		rec := &rw.buckets[bits.TrailingZeros64(m)]
+		if rec.Pinned && now-rec.LastTs >= c.cfg.PinAgeNs {
 			rec.Pinned = false
 			aged++
 			if c.fb.track {
@@ -568,31 +566,31 @@ func (c *Cache) agePins(rw *row, lo, hi int, now int64, res *Result) int {
 // in [lo,hi) — the pin-starvation eviction victim.
 func (c *Cache) stalestPinned(rw *row, lo, hi int, res *Result) int {
 	victim := -1
-	for i := lo; i < hi; i++ {
-		rec := &rw.buckets[i]
-		res.Reads++
-		if !rec.occupied || !rec.Pinned {
+	res.Reads += hi - lo
+	for m := rw.mask(lo, hi); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if !rw.buckets[i].Pinned {
 			continue
 		}
-		if victim == -1 || rec.LastTs < rw.buckets[victim].LastTs {
+		if victim == -1 || rw.buckets[i].LastTs < rw.buckets[victim].LastTs {
 			victim = i
 		}
 	}
 	return victim
 }
 
-// noteRemoval maintains row.parked: when a record sitting outside its own
-// Lite slice leaves the table, the out-of-slice population shrinks. The
-// counter is only consulted by Lite-mode probes and recomputed from
-// scratch by every cleanRow, so a stale decrement while the cache runs in
-// General mode is harmless. Callers hold the row latch.
+// noteRemoval maintains the row's parked count: when a record sitting
+// outside its own Lite slice leaves the table, the out-of-slice population
+// shrinks. The counter is only consulted by Lite-mode probes and recomputed
+// from scratch by every cleanRow, so a stale decrement while the cache runs
+// in General mode is harmless. Callers hold the row latch.
 func (c *Cache) noteRemoval(rw *row, hash uint64, idx int) {
-	if rw.parked == 0 {
+	if rw.parked() == 0 {
 		return
 	}
 	lo, hi := c.liteSlice(hash)
 	if idx < lo || idx >= hi {
-		rw.parked--
+		rw.word -= parkedOne
 	}
 }
 
@@ -620,14 +618,11 @@ func (c *Cache) pushRing(out Record) {
 // value to keep readers race-free.
 func (c *Cache) Lookup(key packet.FlowKey) (Record, bool) {
 	hash := key.Hash()
-	rw := &c.rows[c.rowIndex(hash)]
-	rw.acquire()
+	var rw row
+	c.acquire(c.rowIndex(hash), &rw)
 	defer rw.release()
-	for i := range rw.buckets {
-		rec := &rw.buckets[i]
-		if rec.occupied && rec.Hash == hash && rec.Key == key {
-			return *rec, true
-		}
+	if i := rw.find(hash, key, 0, len(rw.buckets)); i >= 0 {
+		return rw.buckets[i], true
 	}
 	return Record{}, false
 }
@@ -642,49 +637,44 @@ func (c *Cache) Unpin(key packet.FlowKey) bool { return c.setPinned(key, false) 
 
 func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 	hash := key.Hash()
-	rw := &c.rows[c.rowIndex(hash)]
-	rw.acquire()
+	var rw row
+	c.acquire(c.rowIndex(hash), &rw)
 	defer rw.release()
-	for i := range rw.buckets {
-		rec := &rw.buckets[i]
-		if !rec.occupied || rec.Hash != hash || rec.Key != key {
-			continue
-		}
-		switch {
-		case v && !rec.Pinned:
-			// Pin-budget admission (adaptive controller feedback loop):
-			// refuse new pins once the live pinned population reaches the
-			// budget; 0 means unlimited — the seed behaviour. The slot is
-			// reserved with a CAS so concurrent pins on different rows
-			// cannot both pass a load/compare and overshoot the budget,
-			// and a refused pin never touches the counter — closing the
-			// over-refuse/double-count window the old compensating-add
-			// scheme had under the parallel shard drive.
-			if c.fb.track && !c.fb.reservePin() {
-				return false
-			}
-			rec.Pinned = true
-		case !v && rec.Pinned:
-			rec.Pinned = false
-			if c.fb.track {
-				c.fb.pinned.Add(-1)
-			}
-			if c.Mode() == Lite && rw.parked > 0 {
-				// An unpinned record parked outside its Lite slice would
-				// become unreachable once the parked survivors drain (the
-				// fallback probe stops). Hand it to the host through the
-				// rings instead of leaving dark state in the table.
-				if lo, hi := c.liteSlice(rec.Hash); i < lo || i >= hi {
-					out := *rec
-					rec.occupied = false
-					rw.parked--
-					c.pushRing(out)
-				}
-			}
-		}
-		return true
+	i := rw.find(hash, key, 0, len(rw.buckets))
+	if i < 0 {
+		return false
 	}
-	return false
+	rec := &rw.buckets[i]
+	switch {
+	case v && !rec.Pinned:
+		// Pin-budget admission (adaptive controller feedback loop):
+		// refuse new pins once the live pinned population reaches the
+		// budget; 0 means unlimited — the seed behaviour. The slot is
+		// reserved with a CAS so concurrent pins on different rows
+		// cannot both pass a load/compare and overshoot the budget,
+		// and a refused pin never touches the counter — closing the
+		// over-refuse/double-count window the old compensating-add
+		// scheme had under the parallel shard drive.
+		if c.fb.track && !c.fb.reservePin() {
+			return false
+		}
+		rec.Pinned = true
+	case !v && rec.Pinned:
+		rec.Pinned = false
+		if c.fb.track {
+			c.fb.pinned.Add(-1)
+		}
+		if c.Mode() == Lite && rw.parked() > 0 {
+			// An unpinned record parked outside its Lite slice would
+			// become unreachable once the parked survivors drain (the
+			// fallback probe stops). Hand it to the host through the
+			// rings instead of leaving dark state in the table.
+			if lo, hi := c.liteSlice(hash); i < lo || i >= hi {
+				c.remove(&rw, i)
+			}
+		}
+	}
+	return true
 }
 
 // UpdateState runs fn on the flow's record under the row latch, for
@@ -692,31 +682,26 @@ func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 // the flow was present.
 func (c *Cache) UpdateState(key packet.FlowKey, fn func(*Record)) bool {
 	hash := key.Hash()
-	rw := &c.rows[c.rowIndex(hash)]
-	rw.acquire()
+	var rw row
+	c.acquire(c.rowIndex(hash), &rw)
 	defer rw.release()
-	for i := range rw.buckets {
-		rec := &rw.buckets[i]
-		if rec.occupied && rec.Hash == hash && rec.Key == key {
-			if c.fb.track {
-				// Track pin transitions regardless of which caller (Pin,
-				// Unpin, or a detector's fn) flips the bit.
-				was := rec.Pinned
-				fn(rec)
-				if rec.Pinned != was {
-					if rec.Pinned {
-						c.fb.pinned.Add(1)
-					} else {
-						c.fb.pinned.Add(-1)
-					}
-				}
-				return true
-			}
-			fn(rec)
-			return true
+	i := rw.find(hash, key, 0, len(rw.buckets))
+	if i < 0 {
+		return false
+	}
+	rec := &rw.buckets[i]
+	// Track pin transitions regardless of which caller (Pin, Unpin, or a
+	// detector's fn) flips the bit.
+	was := rec.Pinned
+	fn(rec)
+	if c.fb.track && rec.Pinned != was {
+		if rec.Pinned {
+			c.fb.pinned.Add(1)
+		} else {
+			c.fb.pinned.Add(-1)
 		}
 	}
-	return false
+	return true
 }
 
 // Evict removes the flow's record (pinned or not) and delivers it to its
@@ -724,45 +709,47 @@ func (c *Cache) UpdateState(key packet.FlowKey, fn func(*Record)) bool {
 // a flow is reclassified (e.g. whitelisted) and its sNIC state can go.
 func (c *Cache) Evict(key packet.FlowKey) bool {
 	hash := key.Hash()
-	rw := &c.rows[c.rowIndex(hash)]
-	rw.acquire()
+	var rw row
+	c.acquire(c.rowIndex(hash), &rw)
 	defer rw.release()
-	for i := range rw.buckets {
-		rec := &rw.buckets[i]
-		if rec.occupied && rec.Hash == hash && rec.Key == key {
-			out := *rec
-			rec.occupied = false
-			c.noteRemoval(rw, out.Hash, i)
-			c.pushRing(out)
-			return true
-		}
+	i := rw.find(hash, key, 0, len(rw.buckets))
+	if i < 0 {
+		return false
 	}
-	return false
+	c.remove(&rw, i)
+	return true
 }
 
 // Snapshot copies every occupied record to fn, row by row under the row
-// latch — the periodic host flush. fn returning false stops the walk.
+// latch and in bucket order within a row — the periodic host flush. fn
+// returning false stops the walk. A row whose mask is empty is passed over
+// on one atomic load of its word, without taking its latch or touching its
+// buckets: it held nothing at that instant, which is all a walk that
+// latches one row at a time ever promised.
 func (c *Cache) Snapshot(fn func(Record) bool) {
-	for ri := range c.rows {
-		rw := &c.rows[ri]
-		rw.acquire()
-		for i := range rw.buckets {
-			rec := &rw.buckets[i]
-			if rec.occupied {
-				if !fn(*rec) {
-					rw.release()
-					return
-				}
+	for ri := range c.words {
+		if c.words[ri].Load()&occMask == 0 {
+			continue
+		}
+		var rw row
+		c.acquire(uint64(ri), &rw)
+		for m := rw.word & occMask; m != 0; m &= m - 1 {
+			if !fn(rw.buckets[bits.TrailingZeros64(m)]) {
+				rw.release()
+				return
 			}
 		}
 		rw.release()
 	}
 }
 
-// Occupancy returns the number of live records.
+// Occupancy returns the number of live records: the masks' population
+// count, row by row, with no latch taken and no bucket touched.
 func (c *Cache) Occupancy() int {
 	n := 0
-	c.Snapshot(func(Record) bool { n++; return true })
+	for ri := range c.words {
+		n += bits.OnesCount64(c.words[ri].Load() & occMask)
+	}
 	return n
 }
 

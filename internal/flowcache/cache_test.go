@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"smartwatch/internal/packet"
 	"smartwatch/internal/stats"
@@ -38,6 +39,14 @@ func TestConfigValidate(t *testing.T) {
 		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 5, Rings: 1, RingEntries: 1},  // not divisible
 		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 2, Rings: 0, RingEntries: 1},  // no rings
 		{RowBits: 99, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 2, Rings: 1, RingEntries: 1}, // rows
+		{RowBits: 8, Buckets: 49, PrimaryBuckets: 4, EvictionBuckets: 45, LiteBuckets: 7, Rings: 1, RingEntries: 1}, // row wider than the occupancy mask
+	}
+	widest := Config{RowBits: 2, Buckets: MaxBuckets, PrimaryBuckets: 4, EvictionBuckets: MaxBuckets - 4, LiteBuckets: 6, Rings: 1, RingEntries: 8}
+	if err := widest.Validate(); err != nil {
+		t.Errorf("%d-bucket row rejected: %v", MaxBuckets, err)
+	}
+	if sz := unsafe.Sizeof(New(widest).words[0]); sz != 8 {
+		t.Errorf("per-row metadata is %d bytes, want 8", sz)
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -352,10 +361,10 @@ func TestGeneralToLiteCleanupPreservesRecency(t *testing.T) {
 	// Every surviving record must live inside its lite slice.
 	c.Snapshot(func(r Record) bool {
 		lo, hi := c.liteSlice(r.Hash)
-		rw := &c.rows[c.rowIndex(r.Hash)]
+		rw := c.view(c.rowIndex(r.Hash))
 		found := false
 		for i := lo; i < hi; i++ {
-			if rw.buckets[i].occupied && rw.buckets[i].Key == r.Key {
+			if rw.holds(i) && rw.buckets[i].Key == r.Key {
 				found = true
 			}
 		}

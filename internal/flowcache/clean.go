@@ -1,5 +1,7 @@
 package flowcache
 
+import "math/bits"
+
 // CleanAllRows eagerly reorders every dirty row (the alternative the paper
 // rejects in §3.3: a single CME sweeping the whole table blocks packet
 // processing for up to 14 µs per row, while the lazy per-row cleanup rides
@@ -10,20 +12,27 @@ func (c *Cache) CleanAllRows() int {
 		return 0
 	}
 	n := 0
-	for i := range c.rows {
-		rw := &c.rows[i]
-		rw.acquire()
-		if rw.dirty {
-			evicted := c.cleanRow(rw)
-			rw.dirty = false
-			n++
-			sh := c.stats.shard(uint64(i)) // row index == low hash bits
-			sh.rowCleanups.Add(1)
-			sh.cleanupEvictions.Add(uint64(evicted))
-		}
-		rw.release()
+	for i := range c.words {
+		n += c.cleanIfDirty(i)
 	}
 	return n
+}
+
+// cleanIfDirty runs the Alg.-3 reorder on row i if it is still owed one,
+// counting it like the packet path does; it returns 1 if it cleaned.
+func (c *Cache) cleanIfDirty(i int) int {
+	var rw row
+	c.acquire(uint64(i), &rw)
+	defer rw.release()
+	if rw.word&dirtyBit == 0 {
+		return 0
+	}
+	evicted := c.cleanRow(&rw)
+	rw.word &^= dirtyBit
+	sh := c.stats.shard(uint64(i)) // row index == low hash bits
+	sh.rowCleanups.Add(1)
+	sh.cleanupEvictions.Add(uint64(evicted))
+	return 1
 }
 
 // CleanRowsBounded advances the eager sweep by at most maxRows rows
@@ -42,27 +51,17 @@ func (c *Cache) CleanRowsBounded(maxRows int) int {
 	if c.Mode() != Lite || maxRows <= 0 {
 		return 0
 	}
-	if maxRows > len(c.rows) {
-		maxRows = len(c.rows)
+	if maxRows > len(c.words) {
+		maxRows = len(c.words)
 	}
 	n := 0
 	for scanned := 0; scanned < maxRows; scanned++ {
 		i := c.sweepCursor
 		c.sweepCursor++
-		if c.sweepCursor == len(c.rows) {
+		if c.sweepCursor == len(c.words) {
 			c.sweepCursor = 0
 		}
-		rw := &c.rows[i]
-		rw.acquire()
-		if rw.dirty {
-			evicted := c.cleanRow(rw)
-			rw.dirty = false
-			n++
-			sh := c.stats.shard(uint64(i)) // row index == low hash bits
-			sh.rowCleanups.Add(1)
-			sh.cleanupEvictions.Add(uint64(evicted))
-		}
-		rw.release()
+		n += c.cleanIfDirty(i)
 	}
 	return n
 }
@@ -78,9 +77,9 @@ func (c *Cache) CleanRowsBounded(maxRows int) int {
 // is exactly the quiet long-lived record an LRU reorder would shed.
 // When a slice holds more pinned records than its width b, the overflow
 // is parked in whatever buckets the reorder leaves free elsewhere in the
-// row (it always fits — every record came from this row) and row.parked
-// makes the Lite probe path fall back to a full-row scan until the
-// parked population drains.
+// row (it always fits — every record came from this row) and the row's
+// parked count makes the Lite probe path fall back to a full-row scan until
+// the parked population drains.
 //
 // The reorder goes through one row-sized scratch: a counting sort groups
 // the row's records by Lite slice (bucket order kept within a slice), each
@@ -110,27 +109,23 @@ func (c *Cache) cleanRow(rw *row) int {
 	// Count per slice, turn the counts into start offsets, then move each
 	// record to its slice's next free scratch slot: end[s] finishes one
 	// past slice s's last record, which is where slice s+1 starts.
-	for i := 0; i < B; i++ {
-		if rec := &rw.buckets[i]; rec.occupied {
-			end[int((rec.Hash>>rowBits)%uint64(slices))]++
-		}
+	live := rw.word & occMask
+	for m := live; m != 0; m &= m - 1 {
+		rec := &rw.buckets[bits.TrailingZeros64(m)]
+		end[int((rec.Hash>>rowBits)%uint64(slices))]++
 	}
 	sum := 0
 	for s, n := range end {
 		end[s] = sum
 		sum += n
 	}
-	for i := 0; i < B; i++ {
-		rec := &rw.buckets[i]
-		if !rec.occupied {
-			continue
-		}
+	for m := live; m != 0; m &= m - 1 {
+		rec := &rw.buckets[bits.TrailingZeros64(m)]
 		s := int((rec.Hash >> rowBits) % uint64(slices))
 		recs[end[s]] = *rec
 		end[s]++
-		rec.occupied = false
 	}
-	rw.parked = 0
+	rw.word &^= occMask | parkedMask // every bucket free, nothing parked
 
 	evicted, parked, start := 0, 0, 0
 	for s := 0; s < slices; s++ {
@@ -157,7 +152,8 @@ func (c *Cache) cleanRow(rw *row) int {
 			entries[oldest] = entries[len(entries)-1]
 			entries = entries[:len(entries)-1]
 		}
-		copy(rw.buckets[s*b:], entries[:min(b, len(entries))])
+		kept := copy(rw.buckets[s*b:], entries[:min(b, len(entries))])
+		rw.word |= span(s*b, s*b+kept)
 		if len(entries) > b {
 			// recs[:parked] holds the overflow of earlier slices; it ends
 			// at or before this slice's first record, so the move is
@@ -169,12 +165,9 @@ func (c *Cache) cleanRow(rw *row) int {
 	// Park pinned overflow in the free buckets the reorder left behind.
 	// Capacity argument: the row held at most B records, each slice keeps
 	// at most b in place, so free buckets >= parked.
-	for i, j := 0, 0; j < parked; i++ {
-		if !rw.buckets[i].occupied {
-			rw.buckets[i] = recs[j]
-			j++
-			rw.parked++
-		}
+	for j := 0; j < parked; j++ {
+		rw.put(bits.TrailingZeros64(^rw.word), &recs[j])
+		rw.word += parkedOne
 	}
 	return evicted
 }

@@ -68,10 +68,10 @@ func TestEagerAndLazyCleanupAgree(t *testing.T) {
 	check := func(c *Cache, name string) {
 		c.Snapshot(func(r Record) bool {
 			lo, hi := c.liteSlice(r.Hash)
-			rw := &c.rows[c.rowIndex(r.Hash)]
+			rw := c.view(c.rowIndex(r.Hash))
 			found := false
 			for i := lo; i < hi; i++ {
-				if rw.buckets[i].occupied && rw.buckets[i].Key == r.Key {
+				if rw.holds(i) && rw.buckets[i].Key == r.Key {
 					found = true
 				}
 			}
@@ -149,8 +149,8 @@ func TestCleanRowsBoundedCursorPersists(t *testing.T) {
 	populate(c, 3000, 11)
 	c.SetMode(Lite)
 	dirtyRows := 0
-	for i := range c.rows {
-		if c.rows[i].dirty {
+	for i := range c.words {
+		if c.words[i].Load()&dirtyBit != 0 {
 			dirtyRows++
 		}
 	}

@@ -11,6 +11,14 @@ import (
 // rewrite: one grown slice per Lite slice plus a parked list. It is the
 // oracle for eviction order (what reaches the rings, in which sequence)
 // and final bucket placement.
+// view is row ri as it stands, without the latch: for tests that inspect
+// or stage a row while nothing else runs. Edits to the word stay in the
+// returned value.
+func (c *Cache) view(ri uint64) row {
+	B := uint64(c.cfg.Buckets)
+	return row{slot: &c.words[ri], word: c.words[ri].Load(), buckets: c.store[ri*B : (ri+1)*B]}
+}
+
 func cleanRowRef(c *Cache, rw *row) int {
 	b := c.cfg.LiteBuckets
 	B := c.cfg.Buckets
@@ -19,14 +27,14 @@ func cleanRowRef(c *Cache, rw *row) int {
 	bins := make([][]Record, slices)
 	for i := 0; i < B; i++ {
 		rec := &rw.buckets[i]
-		if !rec.occupied {
+		if !rw.holds(i) {
 			continue
 		}
 		s := int((rec.Hash >> uint(c.cfg.RowBits)) % uint64(slices))
 		bins[s] = append(bins[s], *rec)
-		rec.occupied = false
+		rw.drop(i)
 	}
-	rw.parked = 0
+	rw.word &^= parkedMask
 
 	evicted := 0
 	var parked []Record
@@ -54,17 +62,17 @@ func cleanRowRef(c *Cache, rw *row) int {
 			entries = entries[:b]
 		}
 		lo := s * b
-		for i, rec := range entries {
-			rw.buckets[lo+i] = rec
+		for i := range entries {
+			rw.put(lo+i, &entries[i])
 		}
 	}
 	if len(parked) > 0 {
 		j := 0
 		for i := 0; i < B && j < len(parked); i++ {
-			if !rw.buckets[i].occupied {
-				rw.buckets[i] = parked[j]
+			if !rw.holds(i) {
+				rw.put(i, &parked[j])
 				j++
-				rw.parked++
+				rw.word += parkedOne
 			}
 		}
 	}
@@ -77,22 +85,22 @@ func cleanRowRef(c *Cache, rw *row) int {
 // slice with pinned records alone.
 func randomRow(rng *stats.Rand, rw *row) {
 	pinShare := rng.IntN(4) // 0: none .. 3: three in four
+	rw.word = 0
 	for i := range rw.buckets {
 		rw.buckets[i] = Record{}
 		if rng.IntN(8) == 0 {
 			continue
 		}
 		h := rng.Uint64()
-		rw.buckets[i] = Record{
-			Key:      packet.FlowKey{LoIP: packet.Addr(h), HiIP: packet.Addr(h >> 32), LoPort: uint16(i)},
-			Hash:     h,
-			Pkts:     uint64(i + 1),
-			LastTs:   int64(rng.IntN(6)),
-			Pinned:   rng.IntN(4) < pinShare,
-			occupied: true,
-		}
+		rw.put(i, &Record{
+			Key:    packet.FlowKey{LoIP: packet.Addr(h), HiIP: packet.Addr(h >> 32), LoPort: uint16(i)},
+			Hash:   h,
+			Pkts:   uint64(i + 1),
+			LastTs: int64(rng.IntN(6)),
+			Pinned: rng.IntN(4) < pinShare,
+		})
 	}
-	rw.dirty, rw.parked = true, rng.IntN(3)
+	rw.word |= dirtyBit | uint64(rng.IntN(3))*parkedOne
 }
 
 // TestCleanRowMatchesReference: on random rows — sparse to full, unpinned
@@ -112,18 +120,19 @@ func TestCleanRowMatchesReference(t *testing.T) {
 		rng := stats.NewRand(uint64(g.buckets*100 + g.lite))
 		var parkedRows, evictions int
 		for iter := 0; iter < 2000; iter++ {
-			rwGot, rwWant := &got.rows[iter%len(got.rows)], &want.rows[iter%len(want.rows)]
-			randomRow(rng, rwGot)
+			ri := uint64(iter % len(got.words))
+			rwGot, rwWant := got.view(ri), want.view(ri)
+			randomRow(rng, &rwGot)
 			copy(rwWant.buckets, rwGot.buckets)
-			rwWant.parked = rwGot.parked
+			rwWant.word = rwGot.word
 
-			nGot, nWant := got.cleanRow(rwGot), cleanRowRef(want, rwWant)
-			if nGot != nWant || rwGot.parked != rwWant.parked {
-				t.Fatalf("%+v iter %d: evicted %d parked %d, reference %d / %d", g, iter, nGot, rwGot.parked, nWant, rwWant.parked)
+			nGot, nWant := got.cleanRow(&rwGot), cleanRowRef(want, &rwWant)
+			if nGot != nWant || rwGot.parked() != rwWant.parked() {
+				t.Fatalf("%+v iter %d: evicted %d parked %d, reference %d / %d", g, iter, nGot, rwGot.parked(), nWant, rwWant.parked())
 			}
 			for i := range rwGot.buckets {
 				a, b := rwGot.buckets[i], rwWant.buckets[i]
-				if a.occupied != b.occupied || (a.occupied && a != b) {
+				if rwGot.holds(i) != rwWant.holds(i) || (rwGot.holds(i) && a != b) {
 					t.Fatalf("%+v iter %d: bucket %d = %+v, reference %+v", g, iter, i, a, b)
 				}
 			}
@@ -137,7 +146,7 @@ func TestCleanRowMatchesReference(t *testing.T) {
 				}
 			}
 			evictions += nGot
-			if rwGot.parked > 0 {
+			if rwGot.parked() > 0 {
 				parkedRows++
 			}
 		}
@@ -156,14 +165,16 @@ func TestCleanRowDoesNotAllocate(t *testing.T) {
 	cfg.RingEntries = 1 << 16
 	c := New(cfg)
 	rng := stats.NewRand(3)
-	rw := &c.rows[0]
+	rw := c.view(0)
 	saved := make([]Record, len(rw.buckets))
 	for trial := 0; trial < 50; trial++ {
-		randomRow(rng, rw)
+		randomRow(rng, &rw)
 		copy(saved, rw.buckets)
+		word := rw.word
 		if avg := testing.AllocsPerRun(20, func() {
 			copy(rw.buckets, saved)
-			c.cleanRow(rw)
+			rw.word = word
+			c.cleanRow(&rw)
 		}); avg != 0 {
 			t.Fatalf("trial %d: cleanRow allocates %.1f times per call", trial, avg)
 		}

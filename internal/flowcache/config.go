@@ -70,7 +70,8 @@ func (p Policy) String() string {
 type Config struct {
 	// RowBits sets the number of hash rows (2^RowBits). Paper: 21.
 	RowBits int
-	// Buckets is the total buckets per row (B). Paper: 12.
+	// Buckets is the total buckets per row (B), at most MaxBuckets.
+	// Paper: 12.
 	Buckets int
 	// PrimaryBuckets is the P-buffer width in General mode (x of "(x,y)").
 	// PrimaryBuckets+EvictionBuckets must equal Buckets.
@@ -130,8 +131,9 @@ func (c Config) Validate() error {
 	if c.RowBits < 1 || c.RowBits > 28 {
 		return fmt.Errorf("flowcache: RowBits %d out of range [1,28]", c.RowBits)
 	}
-	if c.Buckets < 1 {
-		return fmt.Errorf("flowcache: Buckets must be positive")
+	if c.Buckets < 1 || c.Buckets > MaxBuckets {
+		// The upper bound is the row word's occupancy mask (row.go).
+		return fmt.Errorf("flowcache: Buckets %d out of range [1,%d]", c.Buckets, MaxBuckets)
 	}
 	if c.PrimaryBuckets < 1 || c.PrimaryBuckets+c.EvictionBuckets != c.Buckets {
 		return fmt.Errorf("flowcache: split (%d,%d) must sum to Buckets %d",

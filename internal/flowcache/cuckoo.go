@@ -15,8 +15,15 @@ import (
 // its own right.
 type Cuckoo struct {
 	cfg     CuckooConfig
-	buckets []Record
+	buckets []cuckooSlot
 	stats   CuckooStats
+}
+
+// cuckooSlot is one table slot: the record and whether it is live (the
+// FlowCache keeps that bit in its row word; a cuckoo table has no rows).
+type cuckooSlot struct {
+	Record
+	occupied bool
 }
 
 // CuckooConfig shapes the table.
@@ -42,7 +49,7 @@ func NewCuckoo(cfg CuckooConfig) *Cuckoo {
 	if cfg.MaxKicks <= 0 {
 		cfg.MaxKicks = 12
 	}
-	return &Cuckoo{cfg: cfg, buckets: make([]Record, 1<<cfg.SlotBits)}
+	return &Cuckoo{cfg: cfg, buckets: make([]cuckooSlot, 1<<cfg.SlotBits)}
 }
 
 func (t *Cuckoo) idx1(hash uint64) uint64 { return hash & uint64(len(t.buckets)-1) }
@@ -71,19 +78,17 @@ func (t *Cuckoo) Process(p *packet.Packet) (*Record, Result) {
 			t.stats.Hits++
 			t.stats.Reads += uint64(res.Reads)
 			t.stats.Writes += uint64(res.Writes)
-			return rec, res
+			return &rec.Record, res
 		}
 	}
 
 	// Miss: insert, kicking residents to their alternate slots.
 	t.stats.Misses++
-	newRec := Record{
+	cur := cuckooSlot{occupied: true, Record: Record{
 		Key: key, Hash: hash,
 		Pkts: 1, Bytes: uint64(p.Size),
 		FirstTs: p.Ts, LastTs: p.Ts,
-		occupied: true,
-	}
-	cur := newRec
+	}}
 	slot := i1
 	var placedAt = -1
 	for kick := 0; kick <= t.cfg.MaxKicks; kick++ {
@@ -99,7 +104,7 @@ func (t *Cuckoo) Process(p *packet.Packet) (*Record, Result) {
 			t.stats.Reads += uint64(res.Reads)
 			t.stats.Writes += uint64(res.Writes)
 			res.Outcome = Miss
-			return &t.buckets[uint64(placedAt)], res
+			return &t.buckets[placedAt].Record, res
 		}
 		// Displace the resident to its alternate slot: one write now, and
 		// the displaced entry continues the chain.
@@ -123,7 +128,7 @@ func (t *Cuckoo) Process(p *packet.Packet) (*Record, Result) {
 	t.stats.Inserts++
 	t.stats.Reads += uint64(res.Reads)
 	t.stats.Writes += uint64(res.Writes)
-	return &t.buckets[uint64(placedAt)], res
+	return &t.buckets[placedAt].Record, res
 }
 
 // Lookup finds a record without updating it.
@@ -132,7 +137,7 @@ func (t *Cuckoo) Lookup(key packet.FlowKey) (Record, bool) {
 	for _, i := range [2]uint64{t.idx1(hash), t.idx2(hash)} {
 		rec := &t.buckets[i]
 		if rec.occupied && rec.Hash == hash && rec.Key == key {
-			return *rec, true
+			return rec.Record, true
 		}
 	}
 	return Record{}, false

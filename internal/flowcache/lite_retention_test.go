@@ -57,9 +57,8 @@ func TestCleanRowParksPinnedOverflow(t *testing.T) {
 	if ev := c.Stats().CleanupEvictions; ev != 0 {
 		t.Fatalf("cleanup evicted %d pinned records", ev)
 	}
-	rw := &c.rows[3]
-	if rw.parked != 2 {
-		t.Fatalf("parked = %d, want 2 (4 pins into a 2-wide slice)", rw.parked)
+	if rw := c.view(3); rw.parked() != 2 {
+		t.Fatalf("parked = %d, want 2 (4 pins into a 2-wide slice)", rw.parked())
 	}
 	// Every pinned flow is still reachable — by Lookup and, critically, by
 	// the Lite-mode datapath (a PHit, not a duplicate-creating Miss).
@@ -107,8 +106,8 @@ func TestUnpinParkedRecordReachesHost(t *testing.T) {
 	if len(ringed) != 2 {
 		t.Fatalf("%d records in rings, want 2", len(ringed))
 	}
-	if c.rows[3].parked != 0 {
-		t.Fatalf("parked = %d after draining, want 0", c.rows[3].parked)
+	if rw := c.view(3); rw.parked() != 0 {
+		t.Fatalf("parked = %d after draining, want 0", rw.parked())
 	}
 }
 

@@ -56,9 +56,10 @@ type ReplacementPolicy interface {
 	Name() string
 	// Victim selects the replacement victim among buckets[lo:hi) for the
 	// given buffer, reporting the number of buckets it inspected (billed
-	// as reads by the cost model). It must return a free slot immediately
-	// when one exists, skip pinned records, and return victim -1 when
-	// every candidate is pinned. It returns values rather than mutating
+	// as reads by the cost model). The cache takes a free slot itself, so
+	// Victim runs only when every bucket in the range holds a record; it
+	// must skip pinned records and return victim -1 when every candidate
+	// is pinned. It returns values rather than mutating
 	// the caller's *Result so the hot path's Result never flows into an
 	// interface call — escape analysis would otherwise heap-allocate it
 	// on EVERY packet, custom policy configured or not.
@@ -226,9 +227,7 @@ func (c *Cache) victimP(rw *row, lo, hi int, res *Result) int {
 		// P is S3-FIFO's small queue: strict insertion order.
 		return c.victimIndex(rw, lo, hi, FIFO, res)
 	default:
-		victim, reads := c.policy.Victim(rw.buckets, lo, hi, BufferP)
-		res.Reads += reads
-		return victim
+		return c.victimCustom(rw, lo, hi, BufferP, res)
 	}
 }
 
@@ -240,10 +239,19 @@ func (c *Cache) victimE(rw *row, lo, hi int, res *Result) int {
 	case kindS3FIFO:
 		return c.victimS3E(rw, lo, hi, res)
 	default:
-		victim, reads := c.policy.Victim(rw.buckets, lo, hi, BufferE)
-		res.Reads += reads
-		return victim
+		return c.victimCustom(rw, lo, hi, BufferE, res)
 	}
+}
+
+// victimCustom serves a free slot like every built-in policy does and
+// otherwise asks the registered policy.
+func (c *Cache) victimCustom(rw *row, lo, hi int, buf Buffer, res *Result) int {
+	if i := rw.freeSlot(lo, hi, res); i >= 0 {
+		return i
+	}
+	victim, reads := c.policy.Victim(rw.buckets, lo, hi, buf)
+	res.Reads += reads
+	return victim
 }
 
 // onHit runs the policy's hit hook. The caller has already checked
@@ -299,13 +307,13 @@ func (c *Cache) demoteToE(victim *Record) bool {
 // the same virtual-time points in every batch/shard configuration, so
 // determinism is preserved.
 func (c *Cache) victimS3E(rw *row, lo, hi int, res *Result) int {
+	if i := rw.freeSlot(lo, hi, res); i >= 0 {
+		return i
+	}
+	res.Reads += hi - lo
 	victim := -1
 	for i := lo; i < hi; i++ {
 		rec := &rw.buckets[i]
-		res.Reads++
-		if !rec.occupied {
-			return i
-		}
 		if rec.Pinned {
 			continue
 		}
@@ -321,7 +329,7 @@ func (c *Cache) victimS3E(rw *row, lo, hi int, res *Result) int {
 	if victim != -1 {
 		for i := lo; i < hi; i++ {
 			rec := &rw.buckets[i]
-			if i != victim && rec.occupied && !rec.Pinned && rec.freq > 0 {
+			if i != victim && !rec.Pinned && rec.freq > 0 {
 				rec.freq--
 			}
 		}

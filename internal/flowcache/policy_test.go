@@ -299,9 +299,6 @@ func (testPolicy) Victim(buckets []Record, lo, hi int, buf Buffer) (int, int) {
 	best, reads := -1, 0
 	for i := lo; i < hi; i++ {
 		reads++
-		if !buckets[i].occupied {
-			return i, reads
-		}
 		if buckets[i].Pinned {
 			continue
 		}

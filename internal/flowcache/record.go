@@ -4,7 +4,9 @@ import "smartwatch/internal/packet"
 
 // Record is one cached flow entry. All fields are guarded by the owning
 // row's latch; Snapshot/Lookup return copies so readers never observe a
-// torn record.
+// torn record. A Record does not say whether its bucket is live: the row
+// word's occupancy mask does (row.go), so the memory of an empty bucket is
+// never read.
 type Record struct {
 	// Key is the canonical session key; both directions update one record.
 	Key packet.FlowKey
@@ -24,8 +26,6 @@ type Record struct {
 	StateTs int64
 	// Pinned records survive eviction; see Cache.Pin.
 	Pinned bool
-	// occupied marks a live entry.
-	occupied bool
 	// freq is the policy-owned access counter (S3-FIFO's 2-bit frequency,
 	// capped at s3fifoMaxFreq). It stays zero under the comparator
 	// policies — only policies that register reuse maintain it.
@@ -34,9 +34,6 @@ type Record struct {
 
 // Freq exposes the policy access counter (diagnostics and policy tests).
 func (r *Record) Freq() uint8 { return r.freq }
-
-// Occupied reports whether the slot holds a live record.
-func (r *Record) Occupied() bool { return r.occupied }
 
 // Stats is the cache's cumulative operation counters, the measurements
 // behind Figs. 4b, 5a and 7b.

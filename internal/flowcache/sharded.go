@@ -159,6 +159,10 @@ func (s *Sharded) ObserveProcessHashed(p *packet.Packet, hash uint64, key packet
 	return s.shards[i].ProcessHashedAcc(p, hash, key, acc)
 }
 
+// Prefetch requests the owning shard's row for the flow hash ahead of its
+// ObserveProcessHashed call (Cache.Prefetch).
+func (s *Sharded) Prefetch(hash uint64) { s.shards[s.shardOf(hash)].Prefetch(hash) }
+
 // FlushAcc folds a batch accumulator into shard 0's counters. Aggregate
 // Stats() sums across shards, so which shard absorbs the flush is
 // unobservable.

@@ -45,7 +45,11 @@ type FlowStore struct {
 	flows map[packet.FlowKey]*flowEntry
 	// dirty lists, each once, the aggregates Ingest changed since the last
 	// flush: an interval flush costs those, not every flow ever seen.
-	dirty   []*flowEntry
+	dirty []*flowEntry
+	// slab is the chunk new entries are carved from: one allocation per
+	// entryChunk flows instead of one per flow. A full chunk is left where
+	// it is (flows and dirty point into it) and a fresh one started.
+	slab    []flowEntry
 	drain   []flowcache.Record // DrainRings scratch
 	cpuNs   float64
 	ingests uint64
@@ -56,6 +60,9 @@ type flowEntry struct {
 	HostRecord
 	dirty bool
 }
+
+// entryChunk is the slab's chunk size in entries (40 KB of them).
+const entryChunk = 512
 
 // NewFlowStore builds a store with the given cost model.
 func NewFlowStore(cost CostModel) *FlowStore {
@@ -71,7 +78,11 @@ func (fs *FlowStore) Ingest(rec flowcache.Record) {
 	fs.cpuNs += fs.cost.RecordNs
 	hr := fs.flows[rec.Key]
 	if hr == nil {
-		hr = &flowEntry{HostRecord: HostRecord{Key: rec.Key, FirstTs: rec.FirstTs, StateTs: rec.StateTs, State: rec.State}}
+		if len(fs.slab) == cap(fs.slab) {
+			fs.slab = make([]flowEntry, 0, entryChunk)
+		}
+		fs.slab = append(fs.slab, flowEntry{HostRecord: HostRecord{Key: rec.Key, FirstTs: rec.FirstTs, StateTs: rec.StateTs, State: rec.State}})
+		hr = &fs.slab[len(fs.slab)-1]
 		fs.flows[rec.Key] = hr
 	}
 	if !hr.dirty {

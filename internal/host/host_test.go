@@ -175,6 +175,42 @@ func TestFlowStoreAggregation(t *testing.T) {
 	}
 }
 
+// TestFlowStoreEntriesAreSlabbed: new flows cost the store at most one
+// allocation per entryChunk of them beyond what its map and dirty list
+// cost any owner (measured on a twin store holding one shared entry), and
+// the entries a full chunk leaves behind stay where flows and dirty point.
+func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
+	const n = 64 * entryChunk
+	var fs, twin *FlowStore
+	got := testing.AllocsPerRun(3, func() {
+		fs = NewFlowStore(DefaultCostModel())
+		for i := 0; i < n; i++ {
+			fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: uint64(i)})
+		}
+	})
+	var shared flowEntry
+	control := testing.AllocsPerRun(3, func() {
+		twin = NewFlowStore(DefaultCostModel())
+		for i := 0; i < n; i++ {
+			twin.flows[hkey(i)] = &shared
+			twin.dirty = append(twin.dirty, &shared)
+		}
+	})
+	if got-control > n/entryChunk {
+		t.Errorf("%d new flows: %.0f allocations, map and dirty list alone %.0f: want at most %d more", n, got, control, n/entryChunk)
+	}
+	seen := 0
+	fs.takeDirty(func(hr HostRecord) {
+		if want, _ := fs.Get(hr.Key); hr != want || hr.Bytes != uint64(seen) || hr.Key != hkey(seen) {
+			t.Fatalf("dirty entry %d = %+v, store holds %+v", seen, hr, want)
+		}
+		seen++
+	})
+	if seen != n || fs.Len() != n {
+		t.Errorf("%d dirty entries, %d flows, want %d", seen, fs.Len(), n)
+	}
+}
+
 func TestFlowStoreDrainRings(t *testing.T) {
 	rings := []*flowcache.Ring{flowcache.NewRing(16), flowcache.NewRing(16)}
 	rings[0].Push(flowcache.Record{Key: hkey(1), Pkts: 3})

@@ -17,6 +17,9 @@ type Tracker struct {
 	// seen[i] is queries[i]'s key set: the per-packet path indexes by
 	// position, only Candidates deals in names.
 	seen []map[packet.Addr]bool
+	// checked / aligned cache alignedWith's answer for one installed set.
+	checked *Query
+	aligned bool
 }
 
 // NewTracker builds a tracker for the installed query set.
@@ -38,12 +41,30 @@ func (t *Tracker) Observe(p *packet.Packet) {
 		if !q.Filter.Match(p) || q.amount(p) == 0 {
 			continue
 		}
-		m := t.seen[i]
-		if len(m) >= t.maxKeys {
-			continue
-		}
-		m[q.key(p)] = true
+		t.note(i, q.key(p))
 	}
+}
+
+// note records key k for query i — Observe's insert, for a caller that has
+// already evaluated the query on the packet.
+func (t *Tracker) note(i int, k packet.Addr) {
+	if m := t.seen[i]; len(m) < t.maxKeys {
+		m[k] = true
+	}
+}
+
+// alignedWith reports whether qs — a switch's installed set — is this
+// tracker's query set position by position, so that query i matching in
+// the switch's loop is query i matching in Observe. The answer is kept per
+// installed set (InstallQueries makes a new slice each time).
+func (t *Tracker) alignedWith(qs []Query) bool {
+	if len(qs) == 0 {
+		return len(t.queries) == 0
+	}
+	if t.checked != &qs[0] {
+		t.checked, t.aligned = &qs[0], slices.Equal(qs, t.queries)
+	}
+	return t.aligned
 }
 
 // Candidates returns the per-query key sets and resets them for the next

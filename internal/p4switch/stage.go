@@ -19,11 +19,15 @@ type SteerStage struct {
 func (s *SteerStage) Name() string { return "steer" }
 
 // Handle implements tier.Stage.
-func (s *SteerStage) Handle(ctx *tier.Context) {
-	if s.Tracker != nil {
-		s.Tracker.Observe(ctx.Pkt)
-	}
-	switch s.SW.Process(ctx.Pkt) {
+func (s *SteerStage) Handle(ctx *tier.Context) { s.apply(ctx, nil) }
+
+// HandleKeyed is Handle for a driver that has filled in ctx.Key (the
+// platform's identity prep, the cluster router): the whitelist is probed
+// with that key instead of canonicalising the tuple a second time.
+func (s *SteerStage) HandleKeyed(ctx *tier.Context) { s.apply(ctx, &ctx.Key) }
+
+func (s *SteerStage) apply(ctx *tier.Context, key *packet.FlowKey) {
+	switch s.SW.process(ctx.Pkt, key, s.Tracker) {
 	case Forward:
 		ctx.Verdict = tier.ForwardDirect
 	case Drop:

@@ -179,8 +179,24 @@ func (s *Switch) Occupancy() float64 {
 // decision. Register state for every installed query is updated regardless
 // of the decision (the queries monitor passively).
 func (s *Switch) Process(p *packet.Packet) Action {
+	return s.process(p, nil, nil)
+}
+
+// process is Process for a caller that may already hold the packet's
+// canonical flow key (key non-nil: the whitelist is probed with it, not
+// with a second canonicalisation) and may want tr to observe the packet
+// (tr non-nil). A tracker built over this switch's installed queries is
+// fed from the register loop below, where each filter has just been
+// evaluated; any other one runs its own pass first, as the blacklist path
+// does: a blacklisted packet is observed before it is dropped.
+func (s *Switch) process(p *packet.Packet, key *packet.FlowKey, tr *Tracker) Action {
+	fused := tr != nil && tr.alignedWith(s.queries)
+	blocked := s.blacklist[p.Tuple.SrcIP]
+	if tr != nil && (blocked || !fused) {
+		tr.Observe(p)
+	}
 	// Blacklist: confirmed attackers are dropped at line rate.
-	if s.blacklist[p.Tuple.SrcIP] {
+	if blocked {
 		s.stats.Dropped++
 		s.stats.BlacklistHits++
 		return Drop
@@ -200,17 +216,28 @@ func (s *Switch) Process(p *packet.Packet) Action {
 		if amt == 0 {
 			continue
 		}
-		slot := packet.HashAddr(q.key(p), uint64(i)+0x9e37) % uint64(len(s.regs[i]))
+		k := q.key(p)
+		if fused {
+			tr.note(i, k)
+		}
+		slot := packet.HashAddr(k, uint64(i)+0x9e37) % uint64(len(s.regs[i]))
 		s.regs[i][slot] += amt
 		s.stats.RegisterOps++
 	}
 
 	// Whitelisted flows bypass steering (the hoverboard shortcut). The
-	// probe canonicalises and hashes the key, so skip it while empty.
-	if len(s.whitelist) != 0 && s.whitelist[p.Key()] {
-		s.stats.Forwarded++
-		s.stats.WhitelistHits++
-		return Forward
+	// probe hashes the key — and canonicalises it first when the caller
+	// brought none — so skip it while the table is empty.
+	if len(s.whitelist) != 0 {
+		if key == nil {
+			k := p.Key()
+			key = &k
+		}
+		if s.whitelist[*key] {
+			s.stats.Forwarded++
+			s.stats.WhitelistHits++
+			return Forward
+		}
 	}
 
 	// Steering: packets of fired subsets go to the sNIC. The rule matches
