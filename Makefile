@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race shards policies cluster lowslow check bench-ab experiments metrics-smoke serve-smoke clean
+.PHONY: all build fmt-check vet test race fuzz-smoke shards policies cluster lowslow check bench-ab experiments metrics-smoke serve-smoke clean
 
 all: check
 
@@ -28,8 +28,10 @@ test:
 # Race-detector pass over the concurrency-bearing packages: the FlowCache
 # latch protocol (and its random-operation test against the pre-row-word
 # oracle, which -short does not skip), the sNIC engine, the platform
-# control loop, the parallel experiment runner, the buffered stream bridge
-# and the SPSC ring under the cluster's ingress lanes. -short skips the
+# control loop, the parallel experiment runner, the buffered stream bridge,
+# the SPSC ring under the cluster's ingress lanes, and the wire side's
+# shared state — the follow reader's close flag, the switch tables, the
+# cluster router's per-vector tallies against a polling reader. -short skips the
 # full-sweep determinism test (covered by `make test`) and shortens, not
 # skips, the sNIC scheduler's ring-vs-heap oracle. The session's
 # concurrency tests then run 20 more times: the concurrent-Close race lost
@@ -38,8 +40,15 @@ test:
 # whole contract of a drive that runs on its callers' goroutines
 # (DESIGN.md §12.1).
 race:
-	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/
+	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/ ./internal/pcap/ ./internal/p4switch/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
+
+# Ten seconds of each native fuzz target (DESIGN.md §21): the pcap record
+# walker against a whole-slice reference parser, and the frame decoder. A
+# crasher lands under the package's testdata/fuzz/ and is committed as a seed.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeInto -fuzztime 10s ./internal/packet/
 
 # Shard-determinism gate (DESIGN.md §8.4, §9, §12): the sharded FlowCache,
 # the tier pipeline, the event bus, the batched datapath and the session
@@ -86,7 +95,7 @@ lowslow:
 
 # The last step is the detector chain's 0-allocs guard (DESIGN.md §18):
 # the LowSlow / Chain micros off the SYN path must report 0 allocs/op.
-check: fmt-check vet build test race
+check: fmt-check vet build test race fuzz-smoke
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain' -benchtime 10x ./internal/detect/
 
 # Same-box A/B of the repo's benchmark (benchmark/, BENCHMARK.json): the

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"smartwatch/internal/core"
@@ -360,6 +362,61 @@ func TestClusterMatchesSinglePlatformDetectors(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestClusterTalliesPublishedPerVector: the router counts each vector in
+// plain fields and publishes per vector, so between vectors Ingested is
+// exact, a reader polling it while Ingest runs (the -serve status
+// endpoint) sees it grow without ever passing what has been offered, and
+// at the end every offered packet is accounted to one verdict or one lane.
+func TestClusterTalliesPublishedPerVector(t *testing.T) {
+	r := New(oracleAConfig(2, 1, 64))
+	defer r.Close()
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var offered atomic.Uint64 // raised before the vector goes in
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for last := uint64(0); ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got := r.Ingested()
+			if got < last || got > offered.Load() {
+				t.Errorf("Ingested went %d -> %d with %d offered", last, got, offered.Load())
+				return
+			}
+			last = got
+			runtime.Gosched()
+		}
+	}()
+	for b := range packet.BufferedBatches(mixedStream(), 100) {
+		want := offered.Add(uint64(len(b)))
+		if err := r.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Ingested(); got != want {
+			t.Fatalf("Ingested = %d after %d packets went in", got, want)
+		}
+	}
+	close(stop)
+	<-done
+	rep, err := r.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Steer
+	sum := st.Direct + st.Dropped
+	for _, n := range st.PerWorker {
+		sum += n
+	}
+	if st.Offered != offered.Load() || sum != st.Offered || st.Direct == 0 || st.Dropped == 0 {
+		t.Errorf("offered %d: report %+v accounts for %d", offered.Load(), st, sum)
 	}
 }
 

@@ -70,8 +70,7 @@ func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
 	for j := range batch {
 		c := ctxs[j]
 		c.Reset(&batch[j])
-		c.Key = batch[j].Key()
-		c.Hash = c.Key.Hash()
+		c.Hash = batch[j].Tuple.Identity(&c.Key)
 	}
 }
 

@@ -199,8 +199,7 @@ func (d *LowSlow) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (
 	if rec != nil {
 		k, h = rec.Key, rec.Hash
 	} else {
-		k = p.Key()
-		h = k.Hash()
+		h = p.Tuple.Identity(&k)
 	}
 	f := d.flows.get(h, k)
 

@@ -97,8 +97,7 @@ func (c *Cache) ProcessBatch(pkts []packet.Packet) {
 			n = batchChunk
 		}
 		for i := 0; i < n; i++ {
-			keys[i] = pkts[i].Key()
-			hashes[i] = keys[i].Hash()
+			hashes[i] = pkts[i].Tuple.Identity(&keys[i])
 		}
 		for i := 0; i < n; i++ {
 			res := Result{}

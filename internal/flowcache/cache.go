@@ -194,8 +194,8 @@ func (c *Cache) Prefetch(hash uint64) {
 // State through the pointer is safe only for single-goroutine drivers (the
 // DES); concurrent users go through UpdateState.
 func (c *Cache) Process(p *packet.Packet) (*Record, Result) {
-	key := p.Key()
-	hash := key.Hash() // == p.Hash(); canonicalise once
+	var key packet.FlowKey
+	hash := p.Tuple.Identity(&key) // == p.Hash(); canonicalise once
 	res := Result{}
 	rec := c.processHashed(p, hash, key, &res)
 	c.applyStats(hash, &res)
@@ -228,8 +228,8 @@ func (c *Cache) ProcessHashedAcc(p *packet.Packet, hash uint64, key packet.FlowK
 // ProcessAcc is ProcessHashedAcc with the hash/key computed here — the
 // per-packet entry point for drivers that batch only the stat flush.
 func (c *Cache) ProcessAcc(p *packet.Packet, acc *BatchAcc) (*Record, Result) {
-	key := p.Key()
-	return c.ProcessHashedAcc(p, key.Hash(), key, acc)
+	var key packet.FlowKey
+	return c.ProcessHashedAcc(p, p.Tuple.Identity(&key), key, acc)
 }
 
 // processHashed is the Fig.-4a update proper: everything Process does

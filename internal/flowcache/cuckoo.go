@@ -63,8 +63,8 @@ func (t *Cuckoo) idx2(hash uint64) uint64 {
 // than MaxKicks evicts the displaced record (returned to the caller's
 // accounting as an eviction).
 func (t *Cuckoo) Process(p *packet.Packet) (*Record, Result) {
-	hash := p.Hash()
-	key := p.Key()
+	var key packet.FlowKey
+	hash := p.Tuple.Identity(&key)
 	res := Result{}
 
 	i1, i2 := t.idx1(hash), t.idx2(hash)

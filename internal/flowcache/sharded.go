@@ -130,8 +130,8 @@ func (s *Sharded) ShardOf(hash uint64) int { return s.shardOf(hash) }
 // The hash computed for shard selection is reused by the shard (each
 // packet is canonicalised and hashed exactly once).
 func (s *Sharded) Process(p *packet.Packet) (*Record, Result) {
-	key := p.Key()
-	hash := key.Hash()
+	var key packet.FlowKey
+	hash := p.Tuple.Identity(&key)
 	return s.shards[s.shardOf(hash)].ProcessHashed(p, hash, key)
 }
 
@@ -141,8 +141,8 @@ func (s *Sharded) Process(p *packet.Packet) (*Record, Result) {
 // Observe-then-Process order exactly; the shard-selection hash is reused
 // by the shard so the packet is hashed once, not twice.
 func (s *Sharded) ObserveProcess(p *packet.Packet) (*Record, Result) {
-	key := p.Key()
-	hash := key.Hash()
+	var key packet.FlowKey
+	hash := p.Tuple.Identity(&key)
 	i := s.shardOf(hash)
 	s.ctls[i].Observe(p.Ts, 1)
 	return s.shards[i].ProcessHashed(p, hash, key)

@@ -86,27 +86,13 @@ type Predicate struct {
 	MinSize uint16
 }
 
-// Match evaluates the predicate.
+// Match evaluates the predicate: one expression, so that it inlines into
+// the per-query loops.
 func (pr Predicate) Match(p *packet.Packet) bool {
-	if pr.Proto != 0 && p.Tuple.Proto != pr.Proto {
-		return false
-	}
-	if pr.DstPort != 0 && p.Tuple.DstPort != pr.DstPort {
-		return false
-	}
-	if pr.ServicePort != 0 && p.Tuple.DstPort != pr.ServicePort && p.Tuple.SrcPort != pr.ServicePort {
-		return false
-	}
-	if pr.FlagsSet != 0 && !p.Flags.Has(pr.FlagsSet) {
-		return false
-	}
-	if pr.FlagsClear != 0 && p.Flags&pr.FlagsClear != 0 {
-		return false
-	}
-	if pr.MinSize != 0 && p.Size < pr.MinSize {
-		return false
-	}
-	return true
+	return (pr.Proto == 0 || p.Tuple.Proto == pr.Proto) &&
+		(pr.DstPort == 0 || p.Tuple.DstPort == pr.DstPort) &&
+		(pr.ServicePort == 0 || p.Tuple.DstPort == pr.ServicePort || p.Tuple.SrcPort == pr.ServicePort) &&
+		p.Flags.Has(pr.FlagsSet) && p.Flags&pr.FlagsClear == 0 && p.Size >= pr.MinSize
 }
 
 // Query is one aggregate-traffic query (the Sonata interface the paper
@@ -149,7 +135,7 @@ func (q Query) validate() error {
 }
 
 // key extracts the query's (masked) key from a packet.
-func (q Query) key(p *packet.Packet) packet.Addr {
+func (q *Query) key(p *packet.Packet) packet.Addr {
 	switch q.Key {
 	case KeySrcIP:
 		return p.Tuple.SrcIP.Prefix(q.PrefixBits)
@@ -159,7 +145,7 @@ func (q Query) key(p *packet.Packet) packet.Addr {
 }
 
 // amount is the register increment for the packet.
-func (q Query) amount(p *packet.Packet) uint64 {
+func (q *Query) amount(p *packet.Packet) uint64 {
 	switch q.Reduce {
 	case CountSYN:
 		if p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK) {

@@ -21,13 +21,14 @@ func (s *SteerStage) Name() string { return "steer" }
 // Handle implements tier.Stage.
 func (s *SteerStage) Handle(ctx *tier.Context) { s.apply(ctx, nil) }
 
-// HandleKeyed is Handle for a driver that has filled in ctx.Key (the
-// platform's identity prep, the cluster router): the whitelist is probed
-// with that key instead of canonicalising the tuple a second time.
+// HandleKeyed is Handle for a driver that has filled in ctx.Key and
+// ctx.Hash (the platform's identity prep, the cluster router): the
+// whitelist is probed with them instead of canonicalising and hashing the
+// tuple a second time.
 func (s *SteerStage) HandleKeyed(ctx *tier.Context) { s.apply(ctx, &ctx.Key) }
 
 func (s *SteerStage) apply(ctx *tier.Context, key *packet.FlowKey) {
-	switch s.SW.process(ctx.Pkt, key, s.Tracker) {
+	switch s.SW.process(ctx.Pkt, key, ctx.Hash, s.Tracker) {
 	case Forward:
 		ctx.Verdict = tier.ForwardDirect
 	case Drop:

@@ -30,7 +30,9 @@ func sortedCandidates(tr *Tracker) map[string][]packet.Addr {
 // HandleKeyed give every packet the verdict the observe-then-process pair
 // gives it and leave the same switch counters and tracker candidates —
 // with a tracker built over the installed set (fed from the query loop),
-// with one built over another set (its own pass), and across a re-install.
+// with one built over another set (its own pass), and across a re-install,
+// an Unsteer between two closes and a whitelist that outgrows its table
+// twice.
 func TestSteerStageMatchesTwoPass(t *testing.T) {
 	installed := []Query{
 		sshQuery(),
@@ -70,7 +72,7 @@ func TestSteerStageMatchesTwoPass(t *testing.T) {
 				}
 				ctx.Reset(&p)
 				if tc.keyed {
-					ctx.Key = p.Key()
+					ctx.Hash = p.Tuple.Identity(&ctx.Key)
 					stage.HandleKeyed(&ctx)
 				} else {
 					stage.Handle(&ctx)
@@ -99,10 +101,30 @@ func TestSteerStageMatchesTwoPass(t *testing.T) {
 					if g, w := got.CloseInterval(trGot), want.CloseInterval(trWant); g != w {
 						t.Fatalf("interval at %d: steered %d subsets, two-pass %d", i, g, w)
 					}
+				case i == 5000:
+					// Between two closes: a fired subset is reclassified.
+					n := got.SteerCount()
+					got.Unsteer("ssh-conns", packet.Addr(0xc0a90000))
+					want.Unsteer("ssh-conns", packet.Addr(0xc0a90000))
+					if got.SteerCount() != n-1 || want.SteerCount() != n-1 {
+						t.Fatalf("Unsteer left %d / %d entries of %d", got.SteerCount(), want.SteerCount(), n)
+					}
 				case i%97 == 0:
 					_ = got.Whitelist(p.Key())
 					_ = want.Whitelist(p.Key())
+					// Whitelisting a present key again changes nothing.
+					n := got.WhitelistCount()
+					_ = got.Whitelist(p.Key())
+					if got.WhitelistCount() != n || want.WhitelistCount() != n {
+						t.Fatalf("whitelist holds %d / %d flows, want %d", got.WhitelistCount(), want.WhitelistCount(), n)
+					}
 				}
+			}
+			if len(got.whitelist.slots) < 4*8 {
+				t.Errorf("whitelist has %d slots: the stream must take it across two resizes", len(got.whitelist.slots))
+			}
+			if g, w := got.ControlPlaneEntries(), want.ControlPlaneEntries(); !slices.Equal(g, w) {
+				t.Errorf("tables differ:\n%v\ntwo-pass:\n%v", g, w)
 			}
 			if got.Stats() != want.Stats() {
 				t.Errorf("stats %+v, two-pass %+v", got.Stats(), want.Stats())

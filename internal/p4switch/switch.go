@@ -60,12 +60,12 @@ type Switch struct {
 	// packets are mirrored to the sNIC, by query name: entries outlive a
 	// re-programmed query set. steerOf[i] is steer[queries[i].Name], so the
 	// per-packet path indexes instead of hashing the name.
-	steer   map[string]map[packet.Addr]bool
-	steerOf []map[packet.Addr]bool
+	steer   map[string]*set[packet.Addr]
+	steerOf []*set[packet.Addr]
 	// whitelist short-circuits benign flows past steering.
-	whitelist map[packet.FlowKey]bool
+	whitelist set[packet.FlowKey]
 	// blacklist drops confirmed attackers at line rate.
-	blacklist map[packet.Addr]bool
+	blacklist set[packet.Addr]
 	stats     SwitchStats
 }
 
@@ -84,9 +84,9 @@ func New(cfg Config) *Switch {
 	}
 	return &Switch{
 		cfg:       cfg,
-		steer:     map[string]map[packet.Addr]bool{},
-		whitelist: map[packet.FlowKey]bool{},
-		blacklist: map[packet.Addr]bool{},
+		steer:     map[string]*set[packet.Addr]{},
+		whitelist: set[packet.FlowKey]{hash: packet.FlowKey.Hash},
+		blacklist: set[packet.Addr]{hash: addrHash},
 	}
 }
 
@@ -141,9 +141,9 @@ func (s *Switch) InstallQueries(queries []Query) error {
 }
 
 // bindSteer re-derives steerOf after the query set or the set of steer
-// maps changed.
+// tables changed.
 func (s *Switch) bindSteer() {
-	s.steerOf = make([]map[packet.Addr]bool, len(s.queries))
+	s.steerOf = make([]*set[packet.Addr], len(s.queries))
 	for i := range s.queries {
 		s.steerOf[i] = s.steer[s.queries[i].Name]
 	}
@@ -153,11 +153,7 @@ func (s *Switch) bindSteer() {
 func (s *Switch) Queries() []Query { return append([]Query(nil), s.queries...) }
 
 func (s *Switch) tableBytes() int {
-	n := len(s.whitelist)*whitelistEntryBytes + len(s.blacklist)*steerEntryBytes
-	for _, keys := range s.steer {
-		n += len(keys) * steerEntryBytes
-	}
-	return n
+	return s.whitelist.n*whitelistEntryBytes + (s.blacklist.n+s.SteerCount())*steerEntryBytes
 }
 
 // SRAMBytesUsed reports monitoring-state SRAM occupancy (registers +
@@ -179,19 +175,19 @@ func (s *Switch) Occupancy() float64 {
 // decision. Register state for every installed query is updated regardless
 // of the decision (the queries monitor passively).
 func (s *Switch) Process(p *packet.Packet) Action {
-	return s.process(p, nil, nil)
+	return s.process(p, nil, 0, nil)
 }
 
-// process is Process for a caller that may already hold the packet's
-// canonical flow key (key non-nil: the whitelist is probed with it, not
-// with a second canonicalisation) and may want tr to observe the packet
-// (tr non-nil). A tracker built over this switch's installed queries is
-// fed from the register loop below, where each filter has just been
-// evaluated; any other one runs its own pass first, as the blacklist path
-// does: a blacklisted packet is observed before it is dropped.
-func (s *Switch) process(p *packet.Packet, key *packet.FlowKey, tr *Tracker) Action {
+// process is Process for a caller that may already hold the packet's flow
+// identity (key non-nil, hash its Hash: the whitelist is probed with them,
+// not with a second canonicalisation) and may want tr to observe the
+// packet (tr non-nil). A tracker built over this switch's installed
+// queries is fed from the register loop below, where each filter has just
+// been evaluated; any other one runs its own pass first, as the blacklist
+// path does: a blacklisted packet is observed before it is dropped.
+func (s *Switch) process(p *packet.Packet, key *packet.FlowKey, hash uint64, tr *Tracker) Action {
 	fused := tr != nil && tr.alignedWith(s.queries)
-	blocked := s.blacklist[p.Tuple.SrcIP]
+	blocked := s.blacklist.has(&p.Tuple.SrcIP, addrHash(p.Tuple.SrcIP))
 	if tr != nil && (blocked || !fused) {
 		tr.Observe(p)
 	}
@@ -225,15 +221,15 @@ func (s *Switch) process(p *packet.Packet, key *packet.FlowKey, tr *Tracker) Act
 		s.stats.RegisterOps++
 	}
 
-	// Whitelisted flows bypass steering (the hoverboard shortcut). The
-	// probe hashes the key — and canonicalises it first when the caller
-	// brought none — so skip it while the table is empty.
-	if len(s.whitelist) != 0 {
+	// Whitelisted flows bypass steering (the hoverboard shortcut). A
+	// caller that brought no identity has it derived here, so skip that
+	// while the table is empty.
+	if s.whitelist.n != 0 {
 		if key == nil {
-			k := p.Key()
-			key = &k
+			var k packet.FlowKey
+			key, hash = &k, p.Tuple.Identity(&k)
 		}
-		if s.whitelist[*key] {
+		if s.whitelist.has(key, hash) {
 			s.stats.Forwarded++
 			s.stats.WhitelistHits++
 			return Forward
@@ -246,7 +242,7 @@ func (s *Switch) process(p *packet.Packet, key *packet.FlowKey, tr *Tracker) Act
 	for i := range s.queries {
 		q := &s.queries[i]
 		keys := s.steerOf[i]
-		if len(keys) == 0 || matched&(1<<uint(i)) == 0 {
+		if keys.len() == 0 || matched&(1<<uint(i)) == 0 {
 			continue
 		}
 		var fwd, rev packet.Addr
@@ -255,7 +251,7 @@ func (s *Switch) process(p *packet.Packet, key *packet.FlowKey, tr *Tracker) Act
 		} else {
 			fwd, rev = p.Tuple.DstIP.Prefix(q.PrefixBits), p.Tuple.SrcIP.Prefix(q.PrefixBits)
 		}
-		if keys[fwd] || keys[rev] {
+		if keys.has(&fwd, addrHash(fwd)) || keys.has(&rev, addrHash(rev)) {
 			s.stats.Steered++
 			return ToSNIC
 		}
@@ -310,24 +306,26 @@ func (s *Switch) Steer(fk FiredKey) error {
 	}
 	m := s.steer[fk.Query]
 	if m == nil {
-		m = map[packet.Addr]bool{}
+		m = &set[packet.Addr]{hash: addrHash}
 		s.steer[fk.Query] = m
 		s.bindSteer()
 	}
-	m[fk.Key] = true
+	m.add(fk.Key)
 	return nil
 }
 
 // Unsteer removes a mirror entry (subset reclassified as benign).
 func (s *Switch) Unsteer(query string, key packet.Addr) {
-	delete(s.steer[query], key)
+	if m := s.steer[query]; m != nil {
+		m.del(key)
+	}
 }
 
 // SteerCount returns the installed mirror-entry count.
 func (s *Switch) SteerCount() int {
 	n := 0
 	for _, m := range s.steer {
-		n += len(m)
+		n += m.n
 	}
 	return n
 }
@@ -336,34 +334,31 @@ func (s *Switch) SteerCount() int {
 // bypass sNIC steering from now on. It fails when the table is full or
 // SRAM is exhausted.
 func (s *Switch) Whitelist(k packet.FlowKey) error {
-	if len(s.whitelist) >= s.cfg.MaxWhitelist {
+	if s.whitelist.n >= s.cfg.MaxWhitelist {
 		return fmt.Errorf("p4switch: whitelist full (%d entries)", s.cfg.MaxWhitelist)
 	}
 	if s.SRAMBytesUsed()+whitelistEntryBytes > s.cfg.SRAMBytes {
 		return fmt.Errorf("p4switch: SRAM exhausted installing whitelist entry")
 	}
-	s.whitelist[k] = true
+	s.whitelist.add(k)
 	return nil
 }
 
 // WhitelistCount returns the number of whitelisted flows.
-func (s *Switch) WhitelistCount() int { return len(s.whitelist) }
+func (s *Switch) WhitelistCount() int { return s.whitelist.n }
 
 // Blacklist installs a drop rule for the source address.
-func (s *Switch) Blacklist(a packet.Addr) { s.blacklist[a] = true }
+func (s *Switch) Blacklist(a packet.Addr) { s.blacklist.add(a) }
 
 // Blacklisted reports whether the address is blocked.
-func (s *Switch) Blacklisted(a packet.Addr) bool { return s.blacklist[a] }
+func (s *Switch) Blacklisted(a packet.Addr) bool { return s.blacklist.has(&a, addrHash(a)) }
 
 // WhitelistEntries lists the installed benign-flow keys in a
 // deterministic order (canonical key fields ascending) — the control
 // API's table dump. O(n log n); intended for operator queries, not the
 // datapath.
 func (s *Switch) WhitelistEntries() []packet.FlowKey {
-	out := make([]packet.FlowKey, 0, len(s.whitelist))
-	for k := range s.whitelist {
-		out = append(out, k)
-	}
+	out := s.whitelist.keys()
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.LoIP != b.LoIP {
@@ -386,10 +381,7 @@ func (s *Switch) WhitelistEntries() []packet.FlowKey {
 // BlacklistEntries lists the blocked source addresses in ascending order
 // (deterministic control-API dump).
 func (s *Switch) BlacklistEntries() []packet.Addr {
-	out := make([]packet.Addr, 0, len(s.blacklist))
-	for a := range s.blacklist {
-		out = append(out, a)
-	}
+	out := s.blacklist.keys()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

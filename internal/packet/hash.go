@@ -19,9 +19,13 @@ func mix64(x uint64) uint64 {
 
 // SymmetricHash returns the 64-bit symmetric flow hash of the tuple. Both
 // directions of a session hash to the same value.
-func (t FiveTuple) SymmetricHash() uint64 { return t.Canonical().Hash() }
+func (t FiveTuple) SymmetricHash() uint64 {
+	var k FlowKey
+	return t.Identity(&k)
+}
 
-// Hash returns the 64-bit hash of the canonical flow key.
+// Hash returns the 64-bit hash of the canonical flow key (the value
+// FiveTuple.Identity computes without going through the key).
 func (k FlowKey) Hash() uint64 {
 	h := mix64(uint64(k.LoIP)<<32 | uint64(k.HiIP))
 	h = mix64(h ^ (uint64(k.LoPort)<<32 | uint64(k.HiPort)<<16 | uint64(k.Proto)))

@@ -21,7 +21,7 @@ const (
 	udpHdrLen      = 8
 	metaMagic      = 0x53574d31 // "SWM1": SmartWatch metadata TLV marker
 	metaBlockLen   = 4 + 8 + 8 + 1
-	maxDecodedSize = 64 * 1024
+	maxDecodedSize = 1<<16 - 1 // Packet.Size is 16 bits: longer frames saturate
 )
 
 // EncodeOptions controls packet serialization.
@@ -146,28 +146,35 @@ func Encode(buf []byte, p *Packet, opt EncodeOptions) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses an Ethernet/IPv4/{TCP,UDP} frame into a Packet. ts is the
-// capture timestamp (virtual ns). origLen is the original wire length as
-// recorded by the capture (frames may be truncated/snapped); it becomes
-// Packet.Size. Unknown or non-IPv4 frames return ErrNotIPv4; short buffers
-// return ErrTruncated.
-func Decode(b []byte, ts int64, origLen int) (Packet, error) {
-	var p Packet
-	p.Ts = ts
-	if origLen <= 0 || origLen > maxDecodedSize {
+// Decode parses an Ethernet/IPv4/{TCP,UDP} frame into a Packet; see
+// DecodeInto.
+func Decode(b []byte, ts int64, origLen int) (p Packet, err error) {
+	err = DecodeInto(&p, b, ts, origLen)
+	return p, err
+}
+
+// DecodeInto parses an Ethernet/IPv4/{TCP,UDP} frame into *p, overwriting
+// every field, and does not retain b. ts is the capture timestamp (virtual
+// ns). origLen is the original wire length as recorded by the capture
+// (frames may be truncated/snapped); it becomes Packet.Size, saturated at
+// 65535 (GRO/TSO captures record longer frames), or len(b) when the
+// capture recorded none. Unknown or non-IPv4 frames return ErrNotIPv4;
+// short buffers return ErrTruncated.
+func DecodeInto(p *Packet, b []byte, ts int64, origLen int) error {
+	if origLen <= 0 {
 		origLen = len(b)
 	}
-	p.Size = uint16(min(origLen, maxDecodedSize))
+	*p = Packet{Ts: ts, Size: uint16(min(origLen, maxDecodedSize))}
 	if len(b) < etherHdrLen+ipv4HdrLen {
-		return p, ErrTruncated
+		return ErrTruncated
 	}
 	if binary.BigEndian.Uint16(b[12:14]) != etherTypeIPv4 {
-		return p, ErrNotIPv4
+		return ErrNotIPv4
 	}
 	ip := b[etherHdrLen:]
 	ihl := int(ip[0]&0x0f) * 4
 	if ip[0]>>4 != 4 || ihl < ipv4HdrLen || len(ip) < ihl {
-		return p, ErrTruncated
+		return ErrTruncated
 	}
 	p.Tuple.Proto = Proto(ip[9])
 	p.Tuple.SrcIP = Addr(binary.BigEndian.Uint32(ip[12:16]))
@@ -179,7 +186,7 @@ func Decode(b []byte, ts int64, origLen int) (Packet, error) {
 	switch p.Tuple.Proto {
 	case ProtoTCP:
 		if len(l4) < tcpHdrLen {
-			return p, ErrTruncated
+			return ErrTruncated
 		}
 		p.Tuple.SrcPort = binary.BigEndian.Uint16(l4[0:2])
 		p.Tuple.DstPort = binary.BigEndian.Uint16(l4[2:4])
@@ -188,7 +195,7 @@ func Decode(b []byte, ts int64, origLen int) (Packet, error) {
 		p.Flags = TCPFlags(l4[13])
 		dataOff := int(l4[12]>>4) * 4
 		if dataOff < tcpHdrLen || dataOff > len(l4) {
-			return p, ErrTruncated
+			return ErrTruncated
 		}
 		if ipTotal >= ihl+dataOff {
 			p.PayloadLen = uint16(ipTotal - ihl - dataOff)
@@ -196,7 +203,7 @@ func Decode(b []byte, ts int64, origLen int) (Packet, error) {
 		payload = l4[dataOff:]
 	case ProtoUDP:
 		if len(l4) < udpHdrLen {
-			return p, ErrTruncated
+			return ErrTruncated
 		}
 		p.Tuple.SrcPort = binary.BigEndian.Uint16(l4[0:2])
 		p.Tuple.DstPort = binary.BigEndian.Uint16(l4[2:4])
@@ -208,7 +215,7 @@ func Decode(b []byte, ts int64, origLen int) (Packet, error) {
 	default:
 		// Other protocols (ICMP...) carry no port info; the five-tuple is
 		// the address pair plus protocol.
-		return p, nil
+		return nil
 	}
 
 	if len(payload) >= metaBlockLen && binary.BigEndian.Uint32(payload[0:4]) == metaMagic {
@@ -216,7 +223,7 @@ func Decode(b []byte, ts int64, origLen int) (Packet, error) {
 		p.App.PayloadSig = binary.BigEndian.Uint64(payload[12:20])
 		p.App.AuthOutcome = AuthOutcome(payload[20])
 	}
-	return p, nil
+	return nil
 }
 
 // ipChecksum computes the RFC 791 header checksum.

@@ -111,6 +111,30 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestDecodeSizeSaturates: Packet.Size is 16 bits, and the frames a GRO /
+// TSO capture records above that must count as the largest size, not wrap
+// to 0 (65 536) or fall back to the snapped length (anything longer).
+func TestDecodeSizeSaturates(t *testing.T) {
+	p := samplePacket()
+	frame, err := Encode(nil, &p, EncodeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapped := frame[:60]
+	for _, tc := range []struct {
+		origLen int
+		want    uint16
+	}{{65535, 65535}, {65536, 65535}, {65537, 65535}, {70000, 65535}, {0, 60}, {-1, 60}} {
+		got, err := Decode(snapped, 0, tc.origLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Size != tc.want {
+			t.Errorf("origLen %d: Size %d, want %d", tc.origLen, got.Size, tc.want)
+		}
+	}
+}
+
 func TestEncodeRejectsUnknownProto(t *testing.T) {
 	p := Packet{Tuple: FiveTuple{Proto: ProtoICMP}}
 	if _, err := Encode(nil, &p, EncodeOptions{}); err == nil {

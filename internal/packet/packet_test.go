@@ -124,6 +124,44 @@ func TestCanonicalProperties(t *testing.T) {
 	}
 }
 
+// TestIdentity: Identity's key is the smaller-endpoint-first key written
+// out with a branch (how Canonical read before it went through Identity),
+// its return value is that key's Hash, and the reversed tuple gives both
+// again — over random tuples of every protocol, equal endpoints, and equal
+// addresses that differ in port only. Canonical, Key and SymmetricHash
+// are the same values.
+func TestIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 250000; i++ {
+		tu := FiveTuple{
+			SrcIP: Addr(rng.Uint32()), DstIP: Addr(rng.Uint32()),
+			SrcPort: uint16(rng.Uint32()), DstPort: uint16(rng.Uint32()), Proto: Proto(i),
+		}
+		switch i % 5 {
+		case 1:
+			tu.DstIP = tu.SrcIP
+		case 2:
+			tu.DstIP, tu.DstPort = tu.SrcIP, tu.SrcPort
+		case 3:
+			tu.DstIP, tu.DstPort = tu.SrcIP, tu.SrcPort+1
+		}
+		want := FlowKey{LoIP: tu.DstIP, HiIP: tu.SrcIP, LoPort: tu.DstPort, HiPort: tu.SrcPort, Proto: tu.Proto}
+		if uint64(tu.SrcIP)<<16|uint64(tu.SrcPort) <= uint64(tu.DstIP)<<16|uint64(tu.DstPort) {
+			want = FlowKey{LoIP: tu.SrcIP, HiIP: tu.DstIP, LoPort: tu.SrcPort, HiPort: tu.DstPort, Proto: tu.Proto}
+		}
+		rev := tu.Reverse()
+		got, gotRev := FlowKey{LoIP: 1, HiIP: 2, LoPort: 3, HiPort: 4, Proto: 5}, FlowKey{}
+		h, hRev := tu.Identity(&got), rev.Identity(&gotRev)
+		if got != want || gotRev != want || h != want.Hash() || hRev != h {
+			t.Fatalf("%v: Identity = %v / %#x, reversed %v / %#x, want %v / %#x", tu, got, h, gotRev, hRev, want, want.Hash())
+		}
+		p := Packet{Tuple: tu}
+		if tu.Canonical() != want || p.Key() != want || tu.SymmetricHash() != h || p.Hash() != h {
+			t.Fatalf("%v: Canonical / Key / SymmetricHash / Hash disagree with Identity", tu)
+		}
+	}
+}
+
 // Property: distinct flow keys rarely collide under the 64-bit hash, and the
 // hash has decent avalanche (flipping one port bit changes ~half the output
 // bits on average).

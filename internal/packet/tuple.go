@@ -101,14 +101,27 @@ type FlowKey struct {
 	Proto  Proto
 }
 
-// Canonical returns the direction-independent FlowKey for the tuple.
-func (t FiveTuple) Canonical() FlowKey {
+// Identity writes the tuple's direction-independent FlowKey to *k and
+// returns that key's Hash, both from the same two registers: the endpoints
+// packed as ip<<16|port are ordered with min/max (conditional moves — the
+// direction of a packet is a coin flip no branch predictor learns), and
+// nothing is read back from *k. Both directions of a session produce the
+// same key and hash.
+func (t *FiveTuple) Identity(k *FlowKey) uint64 {
 	a := uint64(t.SrcIP)<<16 | uint64(t.SrcPort)
 	b := uint64(t.DstIP)<<16 | uint64(t.DstPort)
-	if a <= b {
-		return FlowKey{LoIP: t.SrcIP, HiIP: t.DstIP, LoPort: t.SrcPort, HiPort: t.DstPort, Proto: t.Proto}
-	}
-	return FlowKey{LoIP: t.DstIP, HiIP: t.SrcIP, LoPort: t.DstPort, HiPort: t.SrcPort, Proto: t.Proto}
+	lo, hi := min(a, b), max(a, b)
+	k.LoIP, k.LoPort = Addr(lo>>16), uint16(lo)
+	k.HiIP, k.HiPort = Addr(hi>>16), uint16(hi)
+	k.Proto = t.Proto
+	h := mix64(lo>>16<<32 | hi>>16)
+	return mix64(h ^ (lo&0xffff<<32 | hi&0xffff<<16 | uint64(t.Proto)))
+}
+
+// Canonical returns the direction-independent FlowKey for the tuple.
+func (t FiveTuple) Canonical() (k FlowKey) {
+	t.Identity(&k)
+	return k
 }
 
 // Forward reports whether the tuple's Src endpoint is the canonical Lo

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"smartwatch/internal/packet"
 )
@@ -123,121 +124,180 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-// Reader parses a pcap stream into packets.
+// Reader parses a pcap stream into packets. It is the package's one record
+// walker: a byte window buf[lo:hi] over the input that it refills itself,
+// with record headers parsed and frames decoded in place. lo <= hi always,
+// and a record is consumed (lo advanced) only once its header and body are
+// both resident — so a source that stops mid-record and resumes later (the
+// FollowSource's polling reader) loses nothing.
 type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
+	src      io.Reader
+	buf      []byte
+	lo, hi   int
+	opened   bool
+	swapped  bool // file byte order is big-endian
 	nano     bool
 	snapLen  int
-	buf      []byte
+	maxFrame int
 	count    int64
 	skipped  int64
-	maxFrame int
-	// hdr is the record-header scratch: a local would escape through
-	// io.ReadFull and cost one heap allocation per record.
-	hdr [pktHdrLen]byte
 }
 
-// fileHeader is the decoded global pcap header, shared by Reader and
-// FollowSource.
-type fileHeader struct {
-	order   binary.ByteOrder
-	nano    bool
-	snapLen int
-}
-
-// parseFileHeader decodes the 24-byte global header: magic (both variants,
-// both byte orders), snap length, link type.
-func parseFileHeader(hdr []byte) (fileHeader, error) {
-	var fh fileHeader
-	magicLE := binary.LittleEndian.Uint32(hdr[0:4])
-	magicBE := binary.BigEndian.Uint32(hdr[0:4])
-	switch {
-	case magicLE == magicMicro:
-		fh.order = binary.LittleEndian
-	case magicLE == magicNano:
-		fh.order, fh.nano = binary.LittleEndian, true
-	case magicBE == magicMicro:
-		fh.order = binary.BigEndian
-	case magicBE == magicNano:
-		fh.order, fh.nano = binary.BigEndian, true
-	default:
-		return fh, ErrBadMagic
-	}
-	fh.snapLen = int(fh.order.Uint32(hdr[16:20]))
-	if link := fh.order.Uint32(hdr[20:24]); link != linkEthernet {
-		return fh, fmt.Errorf("pcap: unsupported link type %d", link)
-	}
-	return fh, nil
-}
-
-// recordTs converts a record header's (sec, frac) pair to virtual
-// nanoseconds under the file's timestamp resolution.
-func (fh fileHeader) recordTs(sec, frac int64) int64 {
-	ts := sec * 1e9
-	if fh.nano {
-		return ts + frac
-	}
-	return ts + frac*1e3
-}
+const (
+	// windowLen is the read window; it grows only for a frame that does
+	// not fit, and never beyond maxFrame plus a record header.
+	windowLen = 1 << 16
+	// defaultMaxFrame rejects implausible capture lengths before any
+	// growth: a corrupt length field must error, not allocate or stall.
+	defaultMaxFrame = 1 << 18
+	// maxEmptyReads is how many consecutive (0, nil) reads fill tolerates.
+	maxEmptyReads = 100
+)
 
 // NewReader validates the file header and returns a Reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [fileHdrLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("pcap: reading file header: %w", err)
-	}
-	fh, err := parseFileHeader(hdr[:])
-	if err != nil {
+	rd := &Reader{src: r, maxFrame: defaultMaxFrame}
+	if err := rd.open(); err != nil {
 		return nil, err
 	}
-	return &Reader{r: br, maxFrame: 1 << 18, order: fh.order, nano: fh.nano, snapLen: fh.snapLen}, nil
+	return rd, nil
+}
+
+// open consumes the 24-byte global header: magic (both variants, both byte
+// orders, resolved here once), snap length, link type.
+func (r *Reader) open() error {
+	if r.buf == nil {
+		r.buf = make([]byte, windowLen)
+	}
+	if err := r.fill(fileHdrLen); err != nil {
+		return fmt.Errorf("pcap: reading file header: %w", err)
+	}
+	hdr := r.buf[r.lo : r.lo+fileHdrLen]
+	magic := binary.LittleEndian.Uint32(hdr[0:4])
+	r.swapped = magic == bits.ReverseBytes32(magicMicro) || magic == bits.ReverseBytes32(magicNano)
+	switch r.u32(hdr[0:4]) {
+	case magicMicro:
+	case magicNano:
+		r.nano = true
+	default:
+		return ErrBadMagic
+	}
+	r.snapLen = int(r.u32(hdr[16:20]))
+	if link := r.u32(hdr[20:24]); link != linkEthernet {
+		return fmt.Errorf("pcap: unsupported link type %d", link)
+	}
+	r.lo += fileHdrLen
+	r.opened = true
+	return nil
+}
+
+// u32 reads a header field in the file's byte order.
+func (r *Reader) u32(b []byte) uint32 {
+	v := binary.LittleEndian.Uint32(b)
+	if r.swapped {
+		v = bits.ReverseBytes32(v)
+	}
+	return v
+}
+
+// fill makes at least n unconsumed bytes resident, sliding the tail of the
+// window down and growing it only when n does not fit. A source that ends
+// first is io.EOF with nothing resident — a record boundary — and
+// io.ErrUnexpectedEOF otherwise; any other error is the source's own.
+func (r *Reader) fill(n int) error {
+	if r.lo > 0 {
+		r.hi = copy(r.buf, r.buf[r.lo:r.hi])
+		r.lo = 0
+	}
+	if n > len(r.buf) {
+		r.buf = append(make([]byte, 0, n), r.buf[:r.hi]...)[:n]
+	}
+	for empty := 0; r.hi < n; {
+		m, err := r.src.Read(r.buf[r.hi:])
+		r.hi += m
+		switch {
+		case r.hi >= n: // an error that came with the last bytes comes again
+		case err == io.EOF && r.hi > 0:
+			return io.ErrUnexpectedEOF
+		case err != nil:
+			return err
+		case m > 0:
+			empty = 0
+		default:
+			if empty++; empty >= maxEmptyReads {
+				return io.ErrNoProgress
+			}
+		}
+	}
+	return nil
 }
 
 // SnapLen returns the file's declared snap length.
 func (r *Reader) SnapLen() int { return r.snapLen }
 
-// Next returns the next decodable packet. Frames the packet codec cannot
-// parse (non-IPv4, truncated below the L4 header) are counted in Skipped
-// and passed over. io.EOF signals a clean end of file.
-func (r *Reader) Next() (packet.Packet, error) {
+// next decodes the next decodable packet into *p, passing over (and
+// counting) frames the codec cannot parse. io.EOF, returned bare, means
+// the input ended on a record boundary.
+func (r *Reader) next(p *packet.Packet) error {
 	for {
-		hdr := r.hdr[:]
-		if _, err := io.ReadFull(r.r, hdr); err != nil {
-			if err == io.EOF {
-				return packet.Packet{}, io.EOF
+		if r.hi-r.lo < pktHdrLen {
+			if err := r.fill(pktHdrLen); err != nil {
+				if err == io.EOF {
+					return io.EOF
+				}
+				return fmt.Errorf("pcap: reading record header: %w", err)
 			}
-			return packet.Packet{}, fmt.Errorf("pcap: reading record header: %w", err)
 		}
-		sec := int64(r.order.Uint32(hdr[0:4]))
-		frac := int64(r.order.Uint32(hdr[4:8]))
-		capLen := int(r.order.Uint32(hdr[8:12]))
-		origLen := int(r.order.Uint32(hdr[12:16]))
-		if capLen < 0 || capLen > r.maxFrame {
-			return packet.Packet{}, fmt.Errorf("pcap: implausible capture length %d", capLen)
-		}
-		ts := sec * 1e9
-		if r.nano {
+		hdr := r.buf[r.lo : r.lo+pktHdrLen]
+		ts := int64(r.u32(hdr[0:4])) * 1e9
+		if frac := int64(r.u32(hdr[4:8])); r.nano {
 			ts += frac
 		} else {
 			ts += frac * 1e3
 		}
-		if cap(r.buf) < capLen {
-			r.buf = make([]byte, capLen)
+		capLen := int(r.u32(hdr[8:12]))
+		origLen := int(r.u32(hdr[12:16]))
+		if capLen < 0 || capLen > r.maxFrame {
+			return fmt.Errorf("pcap: implausible capture length %d", capLen)
 		}
-		r.buf = r.buf[:capLen]
-		if _, err := io.ReadFull(r.r, r.buf); err != nil {
-			return packet.Packet{}, fmt.Errorf("pcap: reading %d-byte frame: %w", capLen, err)
+		end := r.lo + pktHdrLen + capLen
+		if end > r.hi {
+			if err := r.fill(pktHdrLen + capLen); err != nil {
+				return fmt.Errorf("pcap: reading %d-byte frame: %w", capLen, err)
+			}
+			end = pktHdrLen + capLen
 		}
-		p, err := packet.Decode(r.buf, ts, origLen)
-		if err != nil {
+		frame := r.buf[end-capLen : end]
+		r.lo = end
+		if packet.DecodeInto(p, frame, ts, origLen) != nil {
 			r.skipped++
 			continue
 		}
 		r.count++
-		return p, nil
+		return nil
 	}
+}
+
+// Next returns the next decodable packet. Frames the packet codec cannot
+// parse (non-IPv4, truncated below the L4 header) are counted in Skipped
+// and passed over. io.EOF signals a clean end of file.
+func (r *Reader) Next() (packet.Packet, error) {
+	var p packet.Packet
+	if err := r.next(&p); err != nil {
+		return packet.Packet{}, err
+	}
+	return p, nil
+}
+
+// NextBatch decodes up to len(dst) packets into dst and returns how many;
+// a non-nil error (io.EOF on a clean end of file) may come with n > 0.
+func (r *Reader) NextBatch(dst []packet.Packet) (int, error) {
+	for i := range dst {
+		if err := r.next(&dst[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(dst), nil
 }
 
 // Count returns the number of packets successfully decoded so far.

@@ -8,7 +8,6 @@ package pcap
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -49,13 +48,12 @@ func (fs *FileSource) Reader() *Reader { return fs.r }
 // Stream yields every decodable packet in the file.
 func (fs *FileSource) Stream() packet.Stream {
 	return func(yield func(packet.Packet) bool) {
+		var p packet.Packet
 		for {
-			p, err := fs.r.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				fs.err = err
+			if err := fs.r.next(&p); err != nil {
+				if err != io.EOF {
+					fs.err = err
+				}
 				return
 			}
 			if !yield(p) {
@@ -80,30 +78,21 @@ type FollowConfig struct {
 	// new complete record. Zero follows forever (until Close).
 	Idle time.Duration
 	// MaxFrame rejects implausible capture lengths (default 1<<18, same
-	// as Reader) — a corrupt length field must error, not stall the tail
-	// forever waiting for 4 GB that will never arrive.
+	// as Reader).
 	MaxFrame int
 }
 
-// FollowSource tails a growing pcap stream. It consumes bytes only in
-// units of complete records: a record header, or a body, that has not
-// fully landed yet stays unconsumed in the accumulation buffer until the
-// writer finishes it (robustness_test.go's truncation corpus is the
-// negative space this is built against). The zero moment for each wait is
-// a short real-time poll; virtual packet time is unaffected.
+// FollowSource tails a growing pcap stream: a Reader whose source polls
+// instead of ending. The Reader consumes bytes only in units of complete
+// records, so a record header, or a body, that has not fully landed yet
+// stays unconsumed in its window until the writer finishes it
+// (robustness_test.go's truncation corpus is the negative space this is
+// built against). Each wait is a short real-time poll; virtual packet
+// time is unaffected.
 type FollowSource struct {
-	r   io.Reader
+	r   Reader
 	cfg FollowConfig
-	fh  fileHeader
-
-	// buf[lo:hi] is buffered-but-unconsumed input.
-	buf    []byte
-	lo, hi int
-
-	hdrDone bool
-	count   int64
-	skipped int64
-	err     error
+	err error
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -117,9 +106,11 @@ func Follow(r io.Reader, cfg FollowConfig, closeFn func() error) *FollowSource {
 		cfg.Poll = 25 * time.Millisecond
 	}
 	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = 1 << 18
+		cfg.MaxFrame = defaultMaxFrame
 	}
-	return &FollowSource{r: r, cfg: cfg, closeFn: closeFn}
+	fs := &FollowSource{cfg: cfg, closeFn: closeFn}
+	fs.r = Reader{src: &pollReader{fs: fs, r: r}, maxFrame: cfg.MaxFrame}
+	return fs
 }
 
 // FollowFile opens path for tailing.
@@ -133,116 +124,65 @@ func FollowFile(path string, cfg FollowConfig) (*FollowSource, error) {
 
 // Count returns packets decoded so far; Skipped the undecodable frames
 // passed over.
-func (fs *FollowSource) Count() int64   { return fs.count }
-func (fs *FollowSource) Skipped() int64 { return fs.skipped }
+func (fs *FollowSource) Count() int64   { return fs.r.count }
+func (fs *FollowSource) Skipped() int64 { return fs.r.skipped }
 
-// fill reads more input into the buffer. It returns false when the
-// underlying reader is at its current end (io.EOF) without new bytes.
-func (fs *FollowSource) fill() (bool, error) {
-	if fs.lo > 0 {
-		// Slide the unconsumed tail down; the buffer never grows beyond
-		// one record plus read-ahead.
-		fs.hi = copy(fs.buf, fs.buf[fs.lo:fs.hi])
-		fs.lo = 0
-	}
-	if fs.hi == len(fs.buf) {
-		grow := 1 << 16
-		if len(fs.buf) == 0 {
-			grow = fileHdrLen + 1<<16
-		}
-		fs.buf = append(fs.buf, make([]byte, grow)...)
-	}
-	n, err := fs.r.Read(fs.buf[fs.hi:len(fs.buf)])
-	fs.hi += n
-	if err != nil && err != io.EOF {
-		return n > 0, err
-	}
-	return n > 0, nil
+// pollReader is the FollowSource's refill policy: the current end of the
+// underlying input is "not yet", not EOF. Read blocks (polling) until new
+// bytes arrive, and ends the input with io.EOF once the source is closed
+// or with ErrIdleTimeout once the idle budget runs out.
+type pollReader struct {
+	fs *FollowSource
+	r  io.Reader
 }
 
-// waitMore blocks (polling) until the underlying reader yields new bytes,
-// the idle budget runs out, or the source is closed. Returns false when
-// the stream should end.
-func (fs *FollowSource) waitMore() bool {
-	var idle time.Duration
-	for {
-		if fs.closed.Load() {
-			return false
+func (pr *pollReader) Read(b []byte) (int, error) {
+	for idle := time.Duration(0); ; idle += pr.fs.cfg.Poll {
+		if pr.fs.closed.Load() {
+			return 0, io.EOF
 		}
-		got, err := fs.fill()
-		if err != nil {
-			fs.err = err
-			return false
+		n, err := pr.r.Read(b)
+		if n > 0 || (err != nil && err != io.EOF) {
+			return n, err
 		}
-		if got {
-			return true
+		if pr.fs.cfg.Idle > 0 && idle >= pr.fs.cfg.Idle {
+			return 0, ErrIdleTimeout
 		}
-		if fs.cfg.Idle > 0 && idle >= fs.cfg.Idle {
-			fs.err = ErrIdleTimeout
-			return false
-		}
-		time.Sleep(fs.cfg.Poll)
-		idle += fs.cfg.Poll
+		time.Sleep(pr.fs.cfg.Poll)
 	}
-}
-
-// need blocks until at least n unconsumed bytes are buffered. False means
-// the stream ends (closed, idle timeout, or read failure).
-func (fs *FollowSource) need(n int) bool {
-	for fs.hi-fs.lo < n {
-		if !fs.waitMore() {
-			return false
-		}
-	}
-	return true
 }
 
 // Stream yields packets as their records complete, blocking on the tail.
 func (fs *FollowSource) Stream() packet.Stream {
 	return func(yield func(packet.Packet) bool) {
-		if !fs.hdrDone {
-			if !fs.need(fileHdrLen) {
+		if !fs.r.opened {
+			if err := fs.r.open(); err != nil {
+				fs.end(err)
 				return
 			}
-			fh, err := parseFileHeader(fs.buf[fs.lo : fs.lo+fileHdrLen])
-			if err != nil {
-				fs.err = err
-				return
-			}
-			fs.fh = fh
-			fs.lo += fileHdrLen
-			fs.hdrDone = true
 		}
+		var p packet.Packet
 		for {
-			// A record is consumed only once header AND body are complete;
-			// until then lo stays put and the tail bytes wait in buf.
-			if !fs.need(pktHdrLen) {
+			if err := fs.r.next(&p); err != nil {
+				fs.end(err)
 				return
 			}
-			hdr := fs.buf[fs.lo : fs.lo+pktHdrLen]
-			sec := int64(fs.fh.order.Uint32(hdr[0:4]))
-			frac := int64(fs.fh.order.Uint32(hdr[4:8]))
-			capLen := int(fs.fh.order.Uint32(hdr[8:12]))
-			origLen := int(fs.fh.order.Uint32(hdr[12:16]))
-			if capLen < 0 || capLen > fs.cfg.MaxFrame {
-				fs.err = fmt.Errorf("pcap: implausible capture length %d", capLen)
-				return
-			}
-			if !fs.need(pktHdrLen + capLen) {
-				return
-			}
-			frame := fs.buf[fs.lo+pktHdrLen : fs.lo+pktHdrLen+capLen]
-			fs.lo += pktHdrLen + capLen
-			p, err := packet.Decode(frame, fs.fh.recordTs(sec, frac), origLen)
-			if err != nil {
-				fs.skipped++
-				continue
-			}
-			fs.count++
 			if !yield(p) {
 				return
 			}
 		}
+	}
+}
+
+// end records why the stream stopped. The poll reader ends the input only
+// on Close, so an end-of-input error — on a record boundary or inside a
+// record the writer never finished — is a clean stop.
+func (fs *FollowSource) end(err error) {
+	switch {
+	case errors.Is(err, ErrIdleTimeout):
+		fs.err = ErrIdleTimeout
+	case !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF):
+		fs.err = err
 	}
 }
 
