@@ -44,11 +44,13 @@ race:
 	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 
 # Ten seconds of each native fuzz target (DESIGN.md §21): the pcap record
-# walker against a whole-slice reference parser, and the frame decoder. A
-# crasher lands under the package's testdata/fuzz/ and is committed as a seed.
+# walker against a whole-slice reference parser, the frame decoder, and the
+# address parser behind every flag and control-API address. A crasher lands
+# under the package's testdata/fuzz/ and is committed as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInto -fuzztime 10s ./internal/packet/
+	$(GO) test -run '^$$' -fuzz FuzzParseAddr -fuzztime 10s ./internal/packet/
 
 # Shard-determinism gate (DESIGN.md §8.4, §9, §12): the sharded FlowCache,
 # the tier pipeline, the event bus, the batched datapath and the session

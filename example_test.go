@@ -34,11 +34,11 @@ func ExampleNewFlowCache() {
 		},
 		Size: 64,
 	}
-	rec, _ := fc.Process(&p)
+	fc.Process(&p)
 	fc.Pin(p.Key()) // survive eviction until the auth outcome is known
 	reverse := p.Reverse()
-	rec, _ = fc.Process(&reverse) // both directions share one record
-	fmt.Printf("pkts=%d pinned=%v mode=%v\n", rec.Pkts, rec.Pinned, fc.Mode())
+	rec, res := fc.Process(&reverse) // both directions share one record
+	fmt.Printf("pkts=%d pinned=%v mode=%v\n", rec.Pkts, res.Pinned, fc.Mode())
 	// Output: pkts=2 pinned=true mode=general
 }
 

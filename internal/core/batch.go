@@ -93,7 +93,10 @@ func (pl *Platform) consume(batch []packet.Packet) {
 		// sub-batch below the next timer so nothing can fire inside it —
 		// interval flushes and detector ticks observe exactly the state a
 		// chunk of one would show them.
-		pl.maybeTick(batch[lo].Ts)
+		// (Not a head behind the clock: ingest counts those, once each.)
+		if ts := batch[lo].Ts; ts >= pl.clock {
+			pl.maybeTick(ts)
+		}
 		bound := min(pl.nextTick, pl.nextInterval)
 		hi := lo + 1
 		for hi < len(batch) && batch[hi].Ts < bound {

@@ -38,8 +38,8 @@ func TestWhitelistEventGolden(t *testing.T) {
 		if got := pl.Switch().WhitelistCount(); got != 1 {
 			t.Errorf("%s: whitelist count = %d, want 1", name, got)
 		}
-		rec, ok := pl.Cache().Lookup(k)
-		if !ok || rec.Pinned {
+		_, pinned, ok := pl.Cache().Lookup(k)
+		if !ok || pinned {
 			t.Errorf("%s: record still pinned after whitelist (ok=%v)", name, ok)
 		}
 	}
@@ -79,8 +79,8 @@ func TestUnpinEvent(t *testing.T) {
 	k := wlKey()
 	seedRecord(pl, k)
 	pl.Unpin(k)
-	rec, ok := pl.Cache().Lookup(k)
-	if !ok || rec.Pinned {
+	_, pinned, ok := pl.Cache().Lookup(k)
+	if !ok || pinned {
 		t.Errorf("unpin event did not release the record (ok=%v)", ok)
 	}
 	if got := pl.Bus().Stats().PublishedFor(tier.KindUnpin); got != 1 {

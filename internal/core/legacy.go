@@ -55,6 +55,7 @@ func (pl *Platform) legacyHandler(p *packet.Packet, ctx snic.Ctx) snic.Cost {
 		pl.ports.Deliver(p)
 		pl.counts.toHost.Add(1)
 	}
+	ctx.Pinned = res.Pinned
 	r := pl.detectors.OnPacket(p, rec, ctx)
 	cost := snic.Cost{Reads: res.Reads, Writes: res.Writes, ExtraCycles: r.ExtraCycles}
 	k := p.Key()

@@ -11,7 +11,6 @@ package core
 import (
 	"fmt"
 
-	"smartwatch/internal/host"
 	"smartwatch/internal/obs"
 	"smartwatch/internal/tier"
 )
@@ -24,8 +23,9 @@ var metricKinds = []tier.Kind{
 }
 
 // wheelOwner is implemented by detectors that own a host timing wheel
-// (detect.ForgedRST); the collector surfaces their pending-entry depth.
-type wheelOwner interface{ Wheel() *host.TimingWheel }
+// (detect.ForgedRST, detect.LowSlow), whatever its payload type; the
+// collector surfaces their pending-entry depth.
+type wheelOwner interface{ WheelDepth() int }
 
 // instrumentMetrics wires Config.Metrics through the platform: per-stage
 // pipeline instruments, the pull collector, and the per-interval snapshot
@@ -66,6 +66,8 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 	s.SetCounter("packets.to_host", counts.ToHost)
 	s.SetCounter("packets.blocked", counts.Blocked)
 	s.SetCounter("packets.intervals", counts.Intervals)
+	s.SetCounter("core.time_jumps", pl.counts.timeJumps.Load())
+	s.SetCounter("core.time_regressions", pl.counts.timeRegressions.Load())
 
 	// FlowCache: aggregate stats, occupancy/pinning, per-ring depth/drops,
 	// mode churn and residency.
@@ -143,7 +145,7 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 	wheelDepth, haveWheel := 0, false
 	for _, d := range pl.cfg.Detectors {
 		if wo, ok := d.(wheelOwner); ok {
-			wheelDepth += wo.Wheel().Len()
+			wheelDepth += wo.WheelDepth()
 			haveWheel = true
 		}
 	}

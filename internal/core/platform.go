@@ -24,6 +24,7 @@ package core
 
 import (
 	"io"
+	"math"
 	"sync/atomic"
 
 	"smartwatch/internal/container"
@@ -142,9 +143,9 @@ type Platform struct {
 	cur      *tier.Context
 	batchAcc flowcache.BatchAcc
 
-	nextInterval int64
-	nextTick     int64
-	counts       atomicCounts
+	// clock is the latest timestamp maybeTick was offered.
+	clock, nextInterval, nextTick int64
+	counts                        atomicCounts
 
 	// metrics / emitter implement the observability layer (nil when
 	// Config.Metrics is unset); engine is the platform's sNIC simulator,
@@ -185,6 +186,8 @@ type Counts struct {
 type atomicCounts struct {
 	total, forwardedDirect, droppedAtSwitch atomic.Uint64
 	toSNIC, toHost, blocked, intervals      atomic.Uint64
+	// Hostile time (maybeTick); metrics only, not part of Counts.
+	timeJumps, timeRegressions atomic.Uint64
 }
 
 func (c *atomicCounts) snapshot() Counts {
@@ -286,22 +289,19 @@ func New(cfg Config) *Platform {
 // pin; an interval steers at the switch before the host flushes.
 func (pl *Platform) wireBus() {
 	if pl.sw != nil {
-		pl.bus.Subscribe(tier.KindWhitelist, "switch-program", func(e tier.Event) {
-			_ = pl.sw.Whitelist(e.(tier.WhitelistEvent).Key) // a full table only costs the fast path
+		pl.bus.SubscribeFlat(tier.KindWhitelist, "switch-program", func(k packet.FlowKey, _ packet.Addr) {
+			_ = pl.sw.Whitelist(k) // a full table only costs the fast path
 		})
-		pl.bus.Subscribe(tier.KindBlacklist, "switch-program", func(e tier.Event) {
-			pl.sw.Blacklist(e.(tier.BlacklistEvent).Addr)
+		pl.bus.SubscribeFlat(tier.KindBlacklist, "switch-program", func(_ packet.FlowKey, a packet.Addr) {
+			pl.sw.Blacklist(a)
 		})
 		pl.bus.Subscribe(tier.KindInterval, "switch-steer", func(e tier.Event) {
 			pl.sw.CloseInterval(pl.tracker)
 		})
 	}
-	pl.bus.Subscribe(tier.KindWhitelist, "cache-unpin", func(e tier.Event) {
-		pl.cache.Unpin(e.(tier.WhitelistEvent).Key)
-	})
-	pl.bus.Subscribe(tier.KindUnpin, "cache-unpin", func(e tier.Event) {
-		pl.cache.Unpin(e.(tier.UnpinEvent).Key)
-	})
+	unpin := func(k packet.FlowKey, _ packet.Addr) { pl.cache.Unpin(k) }
+	pl.bus.SubscribeFlat(tier.KindWhitelist, "cache-unpin", unpin)
+	pl.bus.SubscribeFlat(tier.KindUnpin, "cache-unpin", unpin)
 	pl.bus.Subscribe(tier.KindInterval, "host-flush", func(e tier.Event) {
 		pl.flusher.OnInterval(e.(tier.IntervalEvent).Ts)
 	})
@@ -362,7 +362,7 @@ func (pl *Platform) Unpin(k packet.FlowKey) {
 		pl.cache.Unpin(k)
 		return
 	}
-	pl.bus.Publish(tier.UnpinEvent{Key: k, Origin: "hooks"})
+	pl.bus.PublishFlat(tier.KindUnpin, k, 0, "hooks")
 }
 
 // Whitelist implements detect.Hooks: benign flows bypass steering at the
@@ -372,7 +372,7 @@ func (pl *Platform) Whitelist(k packet.FlowKey) {
 		pl.legacyWhitelist(k)
 		return
 	}
-	pl.bus.Publish(tier.WhitelistEvent{Key: k, Origin: "hooks"})
+	pl.bus.PublishFlat(tier.KindWhitelist, k, 0, "hooks")
 }
 
 // Blacklist implements detect.Hooks.
@@ -381,7 +381,7 @@ func (pl *Platform) Blacklist(a packet.Addr) {
 		pl.legacyBlacklist(a)
 		return
 	}
-	pl.bus.Publish(tier.BlacklistEvent{Addr: a, Origin: "hooks"})
+	pl.bus.PublishFlat(tier.KindBlacklist, packet.FlowKey{}, a, "hooks")
 }
 
 // -------------------------------------------------------------------------
@@ -396,8 +396,34 @@ func (pl *Platform) Blacklist(a packet.Addr) {
 // the single-platform drive on final-flush timestamps.
 func (pl *Platform) AdvanceClock(ts int64) { pl.maybeTick(ts) }
 
-// maybeTick runs timer work due at or before ts.
+// maxCatchUp is how many periods of a timer tick walks one by one.
+const maxCatchUp = 1 << 16
+
+// maybeTick runs timer work due at or before ts; the test is all a packet
+// of an ordered capture pays.
 func (pl *Platform) maybeTick(ts int64) {
+	if ts < pl.clock || ts >= pl.nextTick || ts >= pl.nextInterval {
+		pl.tick(ts)
+		return
+	}
+	pl.clock = ts
+}
+
+// tick is maybeTick's slow path and the Session -> Platform hostile-time
+// contract (the engine, the interval stamps and the wheel have their own):
+// a timestamp behind the clock runs nothing (core.time_regressions); one
+// more than maxCatchUp ticks or intervals ahead — a corrupt capture record
+// — runs that timer once, at its last boundary at or before ts, not once
+// per period of the gap (core.time_jumps), and timers carry on from there.
+func (pl *Platform) tick(ts int64) {
+	if ts < pl.clock {
+		pl.counts.timeRegressions.Add(1)
+		return
+	}
+	// One period short of the end of time, so next + period exists.
+	ts = min(ts, math.MaxInt64-max(pl.cfg.TickNs, pl.cfg.IntervalNs))
+	pl.clock = ts
+	pl.counts.timeJumps.Add(skipAhead(ts, &pl.nextTick, pl.cfg.TickNs) | skipAhead(ts, &pl.nextInterval, pl.cfg.IntervalNs))
 	for ts >= pl.nextTick {
 		pl.detectors.Tick(pl.nextTick)
 		pl.alerts = append(pl.alerts, pl.detectors.Drain()...)
@@ -407,6 +433,16 @@ func (pl *Platform) maybeTick(ts int64) {
 		pl.endInterval(pl.nextInterval)
 		pl.nextInterval += pl.cfg.IntervalNs
 	}
+}
+
+// skipAhead moves *next to its last boundary at or before ts when that is
+// more than maxCatchUp periods on, and returns 1 if it did, else 0.
+func skipAhead(ts int64, next *int64, period int64) uint64 {
+	if ts < *next || (ts-*next)/period <= maxCatchUp {
+		return 0
+	}
+	*next += (ts - *next) / period * period
+	return 1
 }
 
 // endInterval is the control-loop heartbeat. On the tier pipeline it is
@@ -484,6 +520,7 @@ func (s *datapathStage) Handle(ctx *tier.Context) {
 		ctx.Punted = true
 		pl.hostStage.Deliver(ctx)
 	}
+	ctx.SNIC.FlowHash, ctx.SNIC.Pinned = ctx.Hash, res.Pinned
 	r := pl.detectors.OnPacket(p, rec, ctx.SNIC)
 	ctx.Cost = snic.Cost{Reads: res.Reads, Writes: res.Writes, ExtraCycles: r.ExtraCycles}
 	if r.Pin {

@@ -114,8 +114,8 @@ func TestPlatformHooks(t *testing.T) {
 	if pl.Switch().WhitelistCount() != 1 {
 		t.Error("whitelist hook did not reach the switch")
 	}
-	rec, ok := pl.Cache().Lookup(k)
-	if !ok || rec.Pinned {
+	_, pinned, ok := pl.Cache().Lookup(k)
+	if !ok || pinned {
 		t.Error("whitelist hook did not unpin")
 	}
 	pl.Blacklist(packet.Addr(9))

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
@@ -16,6 +18,7 @@ import (
 	"smartwatch/internal/p4switch"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/snic"
+	"smartwatch/internal/stats"
 	"smartwatch/internal/tier"
 	"smartwatch/internal/trace"
 )
@@ -810,5 +813,91 @@ func TestSessionStepDoesNotAllocate(t *testing.T) {
 		if rep.SNIC.Processed != rep.Counts.Total || rep.Cache.Misses > 120 {
 			t.Errorf("%s: %d of %d packets processed on the sNIC, %d FlowCache misses: not the steady state", name, rep.SNIC.Processed, rep.Counts.Total, rep.Cache.Misses)
 		}
+	}
+}
+
+// hostileCapture is the arrival pattern snic's TestEngineHostileTime feeds
+// the engine — duplicates, small steps, backwards steps, a zero, a negative
+// and one far-future timestamp (a corrupt record: ~292 years on) with a
+// return from it — as packets of a few hundred flows.
+func hostileCapture() []packet.Packet {
+	rng := stats.NewRand(99)
+	var pkts []packet.Packet
+	add := func(ts int64) {
+		n := len(pkts)
+		pkts = append(pkts, packet.Packet{Ts: ts, Size: 64, Tuple: packet.FiveTuple{
+			SrcIP: packet.Addr(0x0a000001 + n%300), DstIP: 0x0a800001, SrcPort: uint16(1024 + n%300), DstPort: 443, Proto: packet.ProtoTCP}})
+	}
+	ts := int64(50_000)
+	for i := 0; i < 60_000; i++ {
+		switch {
+		case i%1000 < 300: // duplicates
+		case i%1000 < 320: // backwards, up to 2 µs
+			ts -= rng.Int64N(2_000)
+		case i == 20_500 || i == 20_501: // zero and negative
+			add(int64(20_500 - i))
+			continue
+		case i == 40_700:
+			add(math.MaxInt64 - 1)
+			continue
+		default:
+			ts += rng.Int64N(200)
+		}
+		add(ts)
+	}
+	return pkts
+}
+
+// TestSessionHostileTime: Session -> Platform has a hostile-time contract
+// like the engine's, the interval stamps' and the wheel's. One far-future
+// timestamp used to cost maybeTick 2^63 / TickNs iterations inside
+// Session.Ingest; now every drive geometry finishes the capture, runs the
+// timers once at the jump, counts it in core.time_jumps and every
+// timestamp behind the clock in core.time_regressions — the same numbers
+// at every batch size and on the legacy pipeline — while a gap of a few
+// hundred ticks is still walked tick by tick.
+func TestSessionHostileTime(t *testing.T) {
+	pkts := hostileCapture()
+	var wantRegress uint64
+	clock := int64(math.MinInt64)
+	for i := range pkts {
+		if pkts[i].Ts < clock {
+			wantRegress++
+		}
+		clock = max(clock, pkts[i].Ts)
+	}
+	type outcome struct {
+		counts           Counts
+		jumps, regresses uint64
+	}
+	var first outcome
+	for i, cfg := range []Config{{BatchSize: 1}, {BatchSize: 64}, {BatchSize: 64, Shards: 4}, {LegacyPipeline: true}} {
+		cfg.TickNs, cfg.IntervalNs = 1e3, 1e4
+		pl := New(cfg)
+		done := make(chan Report, 1)
+		go func() { done <- sessionIngest(t, pl, pkts, 500) }()
+		var rep Report
+		select {
+		case rep = <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("%+v: still ticking toward a far-future timestamp after 60 s", cfg)
+		}
+		got := outcome{rep.Counts, pl.counts.timeJumps.Load(), pl.counts.timeRegressions.Load()}
+		if got.counts.Total != uint64(len(pkts)) || got.jumps != 1 || got.regresses != wantRegress {
+			t.Errorf("%+v: %d of %d packets, %d jumps (want 1), %d regressions (want %d)",
+				cfg, got.counts.Total, len(pkts), got.jumps, got.regresses, wantRegress)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("%+v: %+v, per-packet tier drive %+v", cfg, got, first)
+		}
+	}
+
+	// 300 intervals of silence is a gap, not a jump: every one closes.
+	pl := New(Config{TickNs: 1e3, IntervalNs: 1e4})
+	rep := sessionIngest(t, pl, []packet.Packet{{Ts: 5, Size: 64}, {Ts: 5 + 300e4, Size: 64}}, 1)
+	if rep.Counts.Intervals < 300 || pl.counts.timeJumps.Load() != 0 {
+		t.Errorf("a 300-interval gap closed %d intervals with %d jumps", rep.Counts.Intervals, pl.counts.timeJumps.Load())
 	}
 }

@@ -17,6 +17,7 @@ const benchFlows = 1 << 17
 type benchFlow struct {
 	tuple packet.FiveTuple
 	rec   flowcache.Record
+	hash  uint64 // carried to the detector as the platform carries it
 }
 
 func newBenchFlows() []benchFlow {
@@ -27,7 +28,7 @@ func newBenchFlows() []benchFlow {
 			SrcPort: uint16(1024 + i%60000), DstPort: 8080, Proto: packet.ProtoTCP,
 		}
 		k := t.Canonical()
-		flows[i] = benchFlow{tuple: t, rec: flowcache.Record{Key: k, Hash: k.Hash()}}
+		flows[i] = benchFlow{tuple: t, rec: flowcache.Record{Key: k}, hash: k.Hash()}
 	}
 	return flows
 }
@@ -42,7 +43,7 @@ func (f *benchFlow) open(det Detector, ts int64) {
 		if i == 1 {
 			p = p.Reverse()
 		}
-		det.OnPacket(&p, &f.rec, snic.Ctx{})
+		det.OnPacket(&p, &f.rec, snic.Ctx{FlowHash: f.hash})
 	}
 }
 
@@ -62,7 +63,7 @@ func BenchmarkLowSlowOnPacket(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			f := &flows[scatter(i)&^(step-1)]
 			*p = packet.Packet{Ts: int64(1e6 + i), Tuple: f.tuple, Flags: packet.FlagACK, Size: 200, PayloadLen: 146}
-			benchSink = det.OnPacket(p, &f.rec, snic.Ctx{})
+			benchSink = det.OnPacket(p, &f.rec, snic.Ctx{FlowHash: f.hash})
 		}
 	}
 	// The map-backed oracle runs the same cases: the before of DESIGN.md §18.
@@ -103,8 +104,8 @@ func BenchmarkLowSlowOnPacket(b *testing.B) {
 			t.SrcPort, t.DstPort = uint16(i), uint16(i>>16) // a new flow each lap
 			p := packet.Packet{Ts: int64(i), Tuple: t, Flags: packet.FlagSYN, Size: 64}
 			k := t.Canonical()
-			*rec = flowcache.Record{Key: k, Hash: k.Hash()}
-			benchSink = det.OnPacket(&p, rec, snic.Ctx{})
+			*rec = flowcache.Record{Key: k}
+			benchSink = det.OnPacket(&p, rec, snic.Ctx{FlowHash: k.Hash()})
 			if i%1024 == 0 {
 				det.Tick(int64(i))
 			}
@@ -146,7 +147,7 @@ func BenchmarkChainOnPacket(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f := &flows[scatter(i)]
 				*p = packet.Packet{Ts: int64(1e6 + i), Tuple: f.tuple, Flags: packet.FlagACK, Size: 200, PayloadLen: 146}
-				benchSink = ch.OnPacket(p, &f.rec, snic.Ctx{})
+				benchSink = ch.OnPacket(p, &f.rec, snic.Ctx{FlowHash: f.hash})
 			}
 		})
 	}

@@ -223,7 +223,7 @@ func synTo(ts int64, src, dst packet.Addr, dport uint16) (*packet.Packet, *flowc
 		Tuple: packet.FiveTuple{SrcIP: src, DstIP: dst, SrcPort: 50000, DstPort: dport, Proto: packet.ProtoTCP},
 	}
 	k := p.Key()
-	return p, &flowcache.Record{Key: k, Hash: k.Hash()}
+	return p, &flowcache.Record{Key: k}
 }
 
 // Two sources cross their thresholds in the same Tick. The alerts — their

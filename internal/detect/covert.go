@@ -90,7 +90,7 @@ func (d *CovertTiming) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx sni
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *CovertTiming) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *CovertTiming) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
 	k := p.Key()
 	cf := d.flows[k]
 	if cf == nil {
@@ -101,7 +101,7 @@ func (d *CovertTiming) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.C
 		cf = d.flows[k]
 	}
 	var v verdict
-	if rec != nil && !rec.Pinned {
+	if rec != nil && !ctx.Pinned {
 		v = vPin // programmed flows must not be evicted (§5.2.1)
 	}
 	if cf.hasLast {

@@ -71,7 +71,7 @@ func (d *Fingerprint) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *Fingerprint) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *Fingerprint) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
 	k := p.Key()
 	f := d.flows[k]
 	if f == nil {
@@ -82,7 +82,7 @@ func (d *Fingerprint) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ct
 		f = d.flows[k]
 	}
 	var v verdict
-	if rec != nil && !rec.Pinned {
+	if rec != nil && !ctx.Pinned {
 		v = vPin
 	}
 	f.hist.Add(float64(p.Size))

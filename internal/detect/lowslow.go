@@ -33,15 +33,15 @@ import (
 // across batch sizes and shard counts.
 //
 // The per-flow accumulators live in lsTable, keyed by the canonical
-// session key and probed with the hash the FlowCache lookup already
-// produced (Record.Hash, which caches Record.Key.Hash()). The state does
-// not live in the record: a flow is tracked from its SYN whether or not
-// it has a record (punts, denied pins) and across evict-then-reinsert.
+// session key and probed with the hash the platform already carries for
+// the packet (snic.Ctx.FlowHash). The state does not live in the record: a
+// flow is tracked from its SYN whether or not it has a record (punts,
+// denied pins) and across evict-then-reinsert.
 type LowSlow struct {
 	alertBuf
 	cfg   LowSlowConfig
 	hooks Hooks
-	wheel *host.TimingWheel
+	wheel *host.TimingWheel[packet.FlowKey]
 	flows *lsTable
 	// exhaust groups idle-established flows by (victim, source /24).
 	exhaust map[lsGroup]*lsGroupState
@@ -157,7 +157,7 @@ func NewLowSlow(cfg LowSlowConfig) *LowSlow {
 	return &LowSlow{
 		cfg:     cfg,
 		hooks:   cfg.Hooks,
-		wheel:   host.NewTimingWheel(cfg.WheelSlots, cfg.WheelTickNs),
+		wheel:   host.NewTimingWheel[packet.FlowKey](cfg.WheelSlots, cfg.WheelTickNs),
 		flows:   newLSTable(),
 		exhaust: make(map[lsGroup]*lsGroupState),
 	}
@@ -177,7 +177,10 @@ func (d *LowSlow) SetHooks(h Hooks) {
 func (d *LowSlow) Name() string { return "lowslow" }
 
 // Wheel exposes the idle-deadline wheel (cost reporting, tests).
-func (d *LowSlow) Wheel() *host.TimingWheel { return d.wheel }
+func (d *LowSlow) Wheel() *host.TimingWheel[packet.FlowKey] { return d.wheel }
+
+// WheelDepth is the number of pending idle deadlines (metrics).
+func (d *LowSlow) WheelDepth() int { return d.wheel.Len() }
 
 func block24(a packet.Addr) packet.Addr { return a &^ 0xff }
 
@@ -186,18 +189,16 @@ func (d *LowSlow) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *LowSlow) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *LowSlow) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
 	if !p.IsTCP() {
 		return 0, 0
 	}
-	// The FlowCache lookup that produced rec already canonicalised and
-	// hashed this packet; only a punt (no record) pays for it again.
-	var (
-		k packet.FlowKey
-		h uint64
-	)
-	if rec != nil {
-		k, h = rec.Key, rec.Hash
+	// The platform's drive already canonicalised and hashed this packet; a
+	// punt (no record) or a driver that carries no hash (0) pays again.
+	var k packet.FlowKey
+	h := ctx.FlowHash
+	if rec != nil && h != 0 {
+		k = rec.Key
 	} else {
 		h = p.Tuple.Identity(&k)
 	}
@@ -268,7 +269,7 @@ func (d *LowSlow) Tick(now int64) {
 	for _, e := range d.wheel.Advance(now) {
 		d.Expiries++
 		// The wheel entry was scheduled under the flow's hash.
-		k, h := e.Payload.(packet.FlowKey), e.Key
+		k, h := e.Payload, e.Key
 		f := d.flows.get(h, k)
 		if f == nil {
 			continue

@@ -23,7 +23,7 @@ type mapLowSlow struct {
 	alertBuf
 	cfg   LowSlowConfig
 	hooks Hooks
-	wheel *host.TimingWheel
+	wheel *host.TimingWheel[packet.FlowKey]
 	flows map[packet.FlowKey]*mapLSFlow
 	// exhaust groups idle-established flows by (victim, source /24).
 	exhaust map[lsGroup]*lsGroupState
@@ -56,7 +56,7 @@ func newMapLowSlow(cfg LowSlowConfig) *mapLowSlow {
 	return &mapLowSlow{
 		cfg:     cfg,
 		hooks:   cfg.Hooks,
-		wheel:   host.NewTimingWheel(cfg.WheelSlots, cfg.WheelTickNs),
+		wheel:   host.NewTimingWheel[packet.FlowKey](cfg.WheelSlots, cfg.WheelTickNs),
 		flows:   make(map[packet.FlowKey]*mapLSFlow),
 		exhaust: make(map[lsGroup]*lsGroupState),
 	}
@@ -76,7 +76,7 @@ func (d *mapLowSlow) SetHooks(h Hooks) {
 func (d *mapLowSlow) Name() string { return "lowslow" }
 
 // Wheel exposes the idle-deadline wheel (cost reporting, tests).
-func (d *mapLowSlow) Wheel() *host.TimingWheel { return d.wheel }
+func (d *mapLowSlow) Wheel() *host.TimingWheel[packet.FlowKey] { return d.wheel }
 
 // OnPacket implements Detector.
 func (d *mapLowSlow) OnPacket(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) Reaction {
@@ -154,7 +154,7 @@ func (d *mapLowSlow) Tick(now int64) {
 	}
 	for _, e := range d.wheel.Advance(now) {
 		d.Expiries++
-		k := e.Payload.(packet.FlowKey)
+		k := e.Payload
 		f := d.flows[k]
 		if f == nil {
 			continue

@@ -4,7 +4,7 @@ import "smartwatch/internal/packet"
 
 // lsTable is LowSlow's flow table: open addressing with linear probing,
 // lsFlow stored inline in the slot, probed with the flow hash the platform
-// already computed for the FlowCache (Record.Hash). A tracked packet costs
+// already computed for the FlowCache (snic.Ctx.FlowHash). A tracked packet costs
 // one index computation and normally one cache line, where the Go map it
 // replaced cost a hash of the 13-byte key, a control-word group, a key
 // slot and the *lsFlow heap object behind it (DESIGN.md §18).

@@ -19,7 +19,7 @@ type ForgedRST struct {
 	alertBuf
 	cfg   ForgedRSTConfig
 	hooks Hooks
-	wheel *host.TimingWheel
+	wheel *host.TimingWheel[rstEntry]
 	bloom *host.Bloom
 	// stats for Fig. 8b
 	BloomFastPath uint64 // RSTs admitted without a wheel scan
@@ -75,7 +75,7 @@ func NewForgedRST(cfg ForgedRSTConfig) *ForgedRST {
 	return &ForgedRST{
 		cfg:   cfg,
 		hooks: cfg.Hooks,
-		wheel: host.NewTimingWheel(cfg.WheelSlots, cfg.WheelTickNs),
+		wheel: host.NewTimingWheel[rstEntry](cfg.WheelSlots, cfg.WheelTickNs),
 		bloom: host.NewBloom(cfg.BloomN, cfg.BloomFP),
 	}
 }
@@ -105,7 +105,7 @@ func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 			// Possible duplicate: scan the wheel to confirm (Fig. 8b slow
 			// path). A live buffered RST for the session = duplicate RST.
 			d.WheelScans++
-			dups := d.wheel.Scan(func(key uint64, _ interface{}) bool { return key == k.Hash() })
+			dups := d.wheel.Scan(func(key uint64, _ rstEntry) bool { return key == k.Hash() })
 			if len(dups) > 0 {
 				d.Duplicates++
 				d.emit(Alert{
@@ -148,11 +148,13 @@ func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 // their destinations.
 func (d *ForgedRST) Tick(now int64) {
 	for _, e := range d.wheel.Advance(now) {
-		entry := e.Payload.(rstEntry)
 		d.Released++
-		d.hooks.Unpin(entry.key)
+		d.hooks.Unpin(e.Payload.key)
 	}
 }
 
 // Wheel exposes the underlying timing wheel (scan-cost reporting).
-func (d *ForgedRST) Wheel() *host.TimingWheel { return d.wheel }
+func (d *ForgedRST) Wheel() *host.TimingWheel[rstEntry] { return d.wheel }
+
+// WheelDepth is the number of RSTs held (metrics).
+func (d *ForgedRST) WheelDepth() int { return d.wheel.Len() }

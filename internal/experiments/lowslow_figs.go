@@ -236,7 +236,7 @@ func LowSlowSuite(scale float64) *Table {
 		})
 		lost := 0
 		for k := range pinned {
-			if _, ok := cache.Lookup(k); !ok {
+			if _, _, ok := cache.Lookup(k); !ok {
 				lost++
 			}
 		}

@@ -110,8 +110,8 @@ func driverDetect(mk func() detect.Detector, entity func(a detect.Alert) packet.
 				det.Tick(next)
 				next += tickNs
 			}
-			rec, _ := cache.Process(&p)
-			r := det.OnPacket(&p, rec, snic.Ctx{})
+			rec, res := cache.Process(&p)
+			r := det.OnPacket(&p, rec, snic.Ctx{Pinned: res.Pinned})
 			if r.Pin {
 				cache.Pin(p.Key())
 			}

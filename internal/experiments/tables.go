@@ -92,7 +92,7 @@ func Table2Resources(scale float64) *Table {
 			prof.CyclesPerRead*float64(res.Reads) + prof.CyclesPerWrite*float64(res.Writes)
 		total++
 		for _, m := range dets {
-			r := m.OnPacket(&p, rec, snic.Ctx{})
+			r := m.OnPacket(&p, rec, snic.Ctx{Pinned: res.Pinned})
 			if r.Pin {
 				cache.Pin(p.Key())
 			}

@@ -27,12 +27,12 @@ import (
 // *hardware* cost model (atomic add for updates, latch+swap for inserts)
 // via the Reads/Writes counts each call reports.
 //
-// The latch is the top bit of the row's word (row.go), which also carries
-// the row's dirty flag, parked count and occupancy mask. Bucket memory is
-// read and written only by the latch holder; the word itself is only ever
-// accessed atomically, so a reader that has not latched may still load it
-// — Snapshot does, to pass over rows whose mask is empty, and Prefetch
-// names addresses without loading from them at all.
+// The latch is the top bit of the row header's word (row.go), which also
+// carries the row's dirty flag, parked count and occupancy mask. Bucket
+// memory is read and written only by the latch holder; the word and the pin
+// mask are only ever accessed atomically, so a reader that has not latched
+// may still load them — Snapshot does, to pass over rows whose mask is
+// empty, and Prefetch names addresses without loading from them at all.
 type Cache struct {
 	cfg Config
 	// kind / policyP / policyE / policy are the resolved replacement
@@ -43,9 +43,10 @@ type Cache struct {
 	policyP, policyE Policy
 	policy           ReplacementPolicy
 	mode             atomic.Uint32
-	// words[i] is row i's word (row.go); its buckets are
-	// store[i*B : (i+1)*B], one contiguous table like the sNIC allocation.
-	words []atomic.Uint64
+	// rows[i] is row i's header (row.go); its buckets are
+	// store[i*B : (i+1)*B], one contiguous table like the sNIC allocation,
+	// one 64-byte-aligned cache line a record.
+	rows  []rowHdr
 	store []Record
 	rings []*Ring
 	stats statCounters
@@ -100,26 +101,29 @@ func (s *statShard) finish(res *Result) {
 // the datapath would take two page faults per table page — the probe's read
 // maps the shared zero page, the insert's write then copies it — inside the
 // time the packet is charged for (DESIGN.md §17). The process's resident set
-// therefore includes the whole configured table (Rows x Buckets x 80 B)
-// from construction, whether or not traffic ever fills it.
+// therefore includes the whole configured table (Rows x Buckets x 64 B,
+// plus 32 B a row) from construction, whether or not traffic ever fills it.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg}
 	c.kind, c.policyP, c.policyE, c.policy = resolvePolicy(cfg)
-	c.words = make([]atomic.Uint64, cfg.Rows())
-	for i := range c.words {
-		c.words[i].Store(0)
+	c.rows = make([]rowHdr, cfg.Rows())
+	for i := range c.rows {
+		c.rows[i].word.Store(0)
 	}
 	c.store = make([]Record, cfg.Rows()*cfg.Buckets) // contiguous, like the sNIC allocation
-	// Whole records per page, rounded down, so no page falls between two
-	// stores; the last record covers the tail.
-	step := max(1, os.Getpagesize()/int(unsafe.Sizeof(Record{})))
-	for i := 0; i < len(c.store); i += step {
-		c.store[i].Pinned = false
+	// The allocator's size classes put both on a multiple of the element; a
+	// record across two lines would cost every probe a second miss: checked.
+	if uintptr(unsafe.Pointer(&c.store[0]))%recordSize != 0 || uintptr(unsafe.Pointer(&c.rows[0]))%unsafe.Sizeof(rowHdr{}) != 0 {
+		panic("flowcache: table is not cache-line aligned")
 	}
-	c.store[len(c.store)-1].Pinned = false
+	// A store a page apart, and one to the last record for the tail.
+	for i := 0; i < len(c.store); i += os.Getpagesize() / recordSize {
+		c.store[i].StateTs = 0
+	}
+	c.store[len(c.store)-1].StateTs = 0
 	c.rings = make([]*Ring, cfg.Rings)
 	for i := range c.rings {
 		c.rings[i] = NewRing(cfg.RingEntries)
@@ -144,8 +148,8 @@ func (c *Cache) Mode() Mode { return Mode(c.mode.Load()) }
 // record still sitting outside its slice and inserts a duplicate.
 func (c *Cache) SetMode(m Mode) {
 	if m == Lite && c.Mode() != Lite {
-		for i := range c.words {
-			markDirty(&c.words[i])
+		for i := range c.rows {
+			markDirty(&c.rows[i].word)
 		}
 	}
 	c.mode.Store(uint32(m))
@@ -170,22 +174,20 @@ func (c *Cache) liteSlice(hash uint64) (int, int) {
 }
 
 // Prefetch requests the memory Process will read first for a flow with
-// this hash — the row's word and the two cache lines that hold the first
-// bucket of the slice the current mode probes — without reading any of it.
+// this hash — the row's header and the cache line that is the first bucket
+// of the slice the current mode probes — without reading any of it.
 // A driver that knows a vector of hashes ahead of time calls it for the
 // whole vector before processing the first packet, so the misses overlap
 // instead of queueing behind one another. It changes no state and is safe
 // against concurrent Process calls (see prefetcht0).
 func (c *Cache) Prefetch(hash uint64) {
 	ri := c.rowIndex(hash)
-	prefetcht0(unsafe.Pointer(&c.words[ri]))
+	prefetcht0(unsafe.Pointer(&c.rows[ri]))
 	lo := 0
 	if c.Mode() == Lite {
 		lo, _ = c.liteSlice(hash)
 	}
-	first := unsafe.Pointer(&c.store[ri*uint64(c.cfg.Buckets)+uint64(lo)])
-	prefetcht0(first)
-	prefetcht0(unsafe.Add(first, 64)) // a Record is 80 B: still inside it
+	prefetcht0(unsafe.Pointer(&c.store[ri*uint64(c.cfg.Buckets)+uint64(lo)]))
 }
 
 // Process runs the full FlowCache update for one packet and returns the
@@ -262,38 +264,24 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 		pEnd = hi // single buffer: the whole slice is "P"
 	}
 
-	if idx := rw.find(hash, key, lo, hi); idx >= 0 {
-		rec := &rw.buckets[idx]
+	if idx := rw.find(key, lo, hi); idx >= 0 {
 		res.Reads += idx - lo + 1
-		if idx < pEnd {
-			rec.update(p)
+		res.Outcome = PHit
+		if idx >= pEnd {
+			// E hit: under the paper's policies, swap with P's victim, then
+			// update; lazy-promotion policies (s3fifo) record the reuse and
+			// leave the record in place.
+			res.Outcome = EHit
 			if c.kind != kindBuffers {
-				c.onHit(rec, BufferP)
+				c.onHit(&rw, idx, BufferE)
 			}
-			res.Outcome = PHit
-			res.Writes++
-			rw.release()
-			return rec
-		}
-		// E hit: under the paper's policies, swap with P's victim, then
-		// update; lazy-promotion policies (s3fifo) record the reuse and
-		// leave the record in place.
-		if c.kind != kindBuffers {
-			c.onHit(rec, BufferE)
-			if !c.promoteOnEHit() {
-				rec.update(p)
-				res.Outcome = EHit
-				res.Writes++
-				rw.release()
-				return rec
+			if c.promoteOnEHit() {
+				idx = c.promote(&rw, idx, lo, pEnd, res)
 			}
+		} else if c.kind != kindBuffers {
+			c.onHit(&rw, idx, BufferP)
 		}
-		rec = c.promote(&rw, idx, lo, pEnd, res)
-		rec.update(p)
-		res.Outcome = EHit
-		res.Writes++
-		rw.release()
-		return rec
+		return c.hit(&rw, idx, p, res)
 	}
 
 	// Lite slice missed, but cleanRow parked pinned overflow outside the
@@ -302,19 +290,16 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 	// state would go dark (the Lite-mode state-loss bug).
 	res.Reads += hi - lo
 	if mode == Lite && rw.parked() > 0 {
-		if rec := c.probeOutside(&rw, hash, key, lo, hi, res); rec != nil {
-			rec.update(p)
+		if idx := c.probeOutside(&rw, key, lo, hi, res); idx >= 0 {
 			if c.kind != kindBuffers {
-				c.onHit(rec, BufferP)
+				c.onHit(&rw, idx, BufferP)
 			}
 			res.Outcome = PHit
-			res.Writes++
-			rw.release()
-			return rec
+			return c.hit(&rw, idx, p, res)
 		}
 	}
 
-	rec := c.insert(&rw, hash, key, p, lo, pEnd, hi, res)
+	rec := c.insert(&rw, key, p, lo, pEnd, hi, res)
 	if rec == nil {
 		if c.fb.track {
 			c.fb.punts.Add(1)
@@ -324,6 +309,17 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 		return nil
 	}
 	res.Outcome = Miss
+	rw.release()
+	return rec
+}
+
+// hit applies the packet to the record in bucket idx (the hardware's
+// atomic-add path) and ends the call.
+func (c *Cache) hit(rw *row, idx int, p *packet.Packet, res *Result) *Record {
+	rec := &rw.buckets[idx]
+	rec.update(p)
+	res.Writes++
+	res.Pinned = rw.pinned(idx)
 	rw.release()
 	return rec
 }
@@ -360,22 +356,23 @@ func (c *Cache) applyStats(hash uint64, res *Result) {
 	sh.finish(res)
 }
 
-// probeOutside scans the row's buckets OUTSIDE [lo,hi) for the key — the
-// Lite-mode fallback that keeps cleanRow-parked records reachable. Reads
-// are billed like any probe — every bucket up to the hit, empty ones
-// included — the fallback only runs while the row's parked count > 0.
-func (c *Cache) probeOutside(rw *row, hash uint64, key packet.FlowKey, lo, hi int, res *Result) *Record {
+// probeOutside scans the row's buckets OUTSIDE [lo,hi) for the key and
+// returns its bucket or -1 — the Lite-mode fallback that keeps
+// cleanRow-parked records reachable. Reads are billed like any probe —
+// every bucket up to the hit, empty ones included — the fallback only runs
+// while the row's parked count > 0.
+func (c *Cache) probeOutside(rw *row, key packet.FlowKey, lo, hi int, res *Result) int {
 	B := len(rw.buckets)
-	if i := rw.find(hash, key, 0, lo); i >= 0 {
+	if i := rw.find(key, 0, lo); i >= 0 {
 		res.Reads += i + 1
-		return &rw.buckets[i]
+		return i
 	}
-	if i := rw.find(hash, key, hi, B); i >= 0 {
+	if i := rw.find(key, hi, B); i >= 0 {
 		res.Reads += i + 1 - (hi - lo)
-		return &rw.buckets[i]
+		return i
 	}
 	res.Reads += B - (hi - lo)
-	return nil
+	return -1
 }
 
 // update applies one packet to the record (the hardware's atomic-add path).
@@ -394,16 +391,13 @@ func (c *Cache) victimIndex(rw *row, lo, hi int, policy Policy, res *Result) int
 	}
 	res.Reads += hi - lo
 	victim := -1
-	for i := lo; i < hi; i++ {
-		rec := &rw.buckets[i]
-		if rec.Pinned {
-			continue
-		}
+	for m := span(lo, hi) &^ rw.hdr.pins.Load(); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		if victim == -1 {
 			victim = i
 			continue
 		}
-		v := &rw.buckets[victim]
+		rec, v := &rw.buckets[i], &rw.buckets[victim]
 		switch policy {
 		case LRU:
 			if rec.LastTs < v.LastTs {
@@ -423,30 +417,30 @@ func (c *Cache) victimIndex(rw *row, lo, hi int, policy Policy, res *Result) int
 }
 
 // promote swaps an E-buffer hit into the Primary buffer (Fig. 4a "E hit")
-// and returns the record's new location.
-func (c *Cache) promote(rw *row, eIdx, pLo, pEnd int, res *Result) *Record {
+// and returns the record's new bucket.
+func (c *Cache) promote(rw *row, eIdx, pLo, pEnd int, res *Result) int {
 	pIdx := c.victimP(rw, pLo, pEnd, res)
 	if pIdx == -1 || pIdx == eIdx {
 		// Whole P pinned (or degenerate layout): keep the record in place.
-		return &rw.buckets[eIdx]
+		return eIdx
 	}
 	a, b := &rw.buckets[pIdx], &rw.buckets[eIdx]
 	if rw.holds(pIdx) {
 		*a, *b = *b, *a
 	} else {
-		rw.put(pIdx, b)
-		rw.drop(eIdx)
+		*a = *b
 	}
+	rw.swapLanes(pIdx, eIdx)
 	res.Writes += 2
-	return a
+	return pIdx
 }
 
 // insert creates a new record for the missing flow, cascading evictions
 // P -> E -> ring as Fig. 4a's "Miss" arrow shows. nil means every
 // candidate was pinned and the packet must be punted to the host.
-func (c *Cache) insert(rw *row, hash uint64, key packet.FlowKey, p *packet.Packet, lo, pEnd, hi int, res *Result) *Record {
+func (c *Cache) insert(rw *row, key packet.FlowKey, p *packet.Packet, lo, pEnd, hi int, res *Result) *Record {
 	newRec := Record{
-		Key: key, Hash: hash,
+		Key:  key,
 		Pkts: 1, Bytes: uint64(p.Size),
 		FirstTs: p.Ts, LastTs: p.Ts,
 	}
@@ -489,8 +483,7 @@ func (c *Cache) insert(rw *row, hash uint64, key packet.FlowKey, p *packet.Packe
 	}
 
 	if rw.holds(pIdx) {
-		pVictim := &rw.buckets[pIdx]
-		if pEnd < hi && c.demoteToE(pVictim) {
+		if pEnd < hi && c.demoteToE(rw, pIdx) {
 			// Demote P's victim into E, evicting E's victim to a ring.
 			eIdx := c.victimE(rw, pEnd, hi, res)
 			if eIdx == -1 {
@@ -498,7 +491,8 @@ func (c *Cache) insert(rw *row, hash uint64, key packet.FlowKey, p *packet.Packe
 				c.evictOccupied(rw, pIdx, res)
 			} else {
 				c.evictOccupied(rw, eIdx, res)
-				rw.put(eIdx, pVictim)
+				rw.buckets[eIdx] = rw.buckets[pIdx]
+				rw.swapLanes(pIdx, eIdx) // eIdx is free: the bits move
 				res.Writes++
 			}
 		} else {
@@ -533,12 +527,15 @@ func (c *Cache) evictOccupied(rw *row, idx int, res *Result) {
 }
 
 // remove takes the record at idx out of the table and delivers it to its
-// ring.
+// ring. This is where a resident record's hash is needed again (ring and
+// counter-shard selection, the parked count): two multiplies, off the hit
+// path, instead of eight bytes in every record.
 func (c *Cache) remove(rw *row, idx int) {
-	out := rw.buckets[idx]
+	out, pinned := &rw.buckets[idx], rw.pinned(idx)
+	hash := out.Key.Hash()
 	rw.drop(idx)
-	c.noteRemoval(rw, out.Hash, idx)
-	c.pushRing(out)
+	c.noteRemoval(rw, hash, idx)
+	c.pushRing(out, hash, pinned)
 }
 
 // agePins strips the pin from occupied candidates in [lo,hi) whose LastTs
@@ -546,16 +543,19 @@ func (c *Cache) remove(rw *row, idx int) {
 // (also accumulated into res.PinAged for stat accounting). Called only
 // when victim selection starved, so it never costs the unstarved path.
 func (c *Cache) agePins(rw *row, lo, hi int, now int64, res *Result) int {
-	aged := 0
 	res.Reads += hi - lo
-	for m := rw.mask(lo, hi); m != 0; m &= m - 1 {
-		rec := &rw.buckets[bits.TrailingZeros64(m)]
-		if rec.Pinned && now-rec.LastTs >= c.cfg.PinAgeNs {
-			rec.Pinned = false
-			aged++
-			if c.fb.track {
-				c.fb.pinned.Add(-1)
-			}
+	pins := rw.hdr.pins.Load()
+	var stale uint64
+	for m := pins & span(lo, hi); m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); now-rw.buckets[i].LastTs >= c.cfg.PinAgeNs {
+			stale |= 1 << uint(i)
+		}
+	}
+	aged := bits.OnesCount64(stale)
+	if aged > 0 {
+		rw.hdr.pins.Store(pins &^ stale)
+		if c.fb.track {
+			c.fb.pinned.Add(-int64(aged))
 		}
 	}
 	res.PinAged += aged
@@ -567,11 +567,8 @@ func (c *Cache) agePins(rw *row, lo, hi int, now int64, res *Result) int {
 func (c *Cache) stalestPinned(rw *row, lo, hi int, res *Result) int {
 	victim := -1
 	res.Reads += hi - lo
-	for m := rw.mask(lo, hi); m != 0; m &= m - 1 {
+	for m := rw.hdr.pins.Load() & span(lo, hi); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if !rw.buckets[i].Pinned {
-			continue
-		}
 		if victim == -1 || rw.buckets[i].LastTs < rw.buckets[victim].LastTs {
 			victim = i
 		}
@@ -599,32 +596,31 @@ func (c *Cache) noteRemoval(rw *row, hash uint64, idx int) {
 // table (insert cascades, forced Evicts, Alg.-3 cleanups), which is what
 // makes the feedback occupancy counter exact: +1 at the two insert
 // sites, -1 here.
-func (c *Cache) pushRing(out Record) {
-	ring := c.rings[out.Hash%uint64(len(c.rings))]
-	sh := c.stats.shard(out.Hash)
-	if !ring.Push(out) {
+func (c *Cache) pushRing(out *Record, hash uint64, pinned bool) {
+	ring := c.rings[hash%uint64(len(c.rings))]
+	sh := c.stats.shard(hash)
+	if !ring.Push(*out) {
 		sh.ringDrops.Add(1)
 	}
 	sh.evictions.Add(1)
 	if c.fb.track {
 		c.fb.occupied.Add(-1)
-		if out.Pinned {
+		if pinned {
 			c.fb.pinned.Add(-1)
 		}
 	}
 }
 
-// Lookup finds a record without updating it. The record is returned by
-// value to keep readers race-free.
-func (c *Cache) Lookup(key packet.FlowKey) (Record, bool) {
-	hash := key.Hash()
+// Lookup finds a record without updating it and reports whether it is
+// pinned. The record is returned by value to keep readers race-free.
+func (c *Cache) Lookup(key packet.FlowKey) (rec Record, pinned, ok bool) {
 	var rw row
-	c.acquire(c.rowIndex(hash), &rw)
+	c.acquire(c.rowIndex(key.Hash()), &rw)
 	defer rw.release()
-	if i := rw.find(hash, key, 0, len(rw.buckets)); i >= 0 {
-		return rw.buckets[i], true
+	if i := rw.find(key, 0, len(rw.buckets)); i >= 0 {
+		return rw.buckets[i], rw.pinned(i), true
 	}
-	return Record{}, false
+	return Record{}, false, false
 }
 
 // Pin marks the flow's record as unevictable (per-packet state tracking
@@ -640,13 +636,13 @@ func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 	var rw row
 	c.acquire(c.rowIndex(hash), &rw)
 	defer rw.release()
-	i := rw.find(hash, key, 0, len(rw.buckets))
+	i := rw.find(key, 0, len(rw.buckets))
 	if i < 0 {
 		return false
 	}
-	rec := &rw.buckets[i]
+	pins, bit := rw.hdr.pins.Load(), uint64(1)<<uint(i)
 	switch {
-	case v && !rec.Pinned:
+	case v && pins&bit == 0:
 		// Pin-budget admission (adaptive controller feedback loop):
 		// refuse new pins once the live pinned population reaches the
 		// budget; 0 means unlimited — the seed behaviour. The slot is
@@ -658,9 +654,9 @@ func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 		if c.fb.track && !c.fb.reservePin() {
 			return false
 		}
-		rec.Pinned = true
-	case !v && rec.Pinned:
-		rec.Pinned = false
+		rw.hdr.pins.Store(pins | bit)
+	case !v && pins&bit != 0:
+		rw.hdr.pins.Store(pins &^ bit)
 		if c.fb.track {
 			c.fb.pinned.Add(-1)
 		}
@@ -679,28 +675,17 @@ func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 
 // UpdateState runs fn on the flow's record under the row latch, for
 // detectors that must mutate State/StateTs race-free. It reports whether
-// the flow was present.
+// the flow was present. The pin is not in the record, so fn cannot flip it
+// behind the pin budget's back: that is Pin / Unpin's job.
 func (c *Cache) UpdateState(key packet.FlowKey, fn func(*Record)) bool {
-	hash := key.Hash()
 	var rw row
-	c.acquire(c.rowIndex(hash), &rw)
+	c.acquire(c.rowIndex(key.Hash()), &rw)
 	defer rw.release()
-	i := rw.find(hash, key, 0, len(rw.buckets))
+	i := rw.find(key, 0, len(rw.buckets))
 	if i < 0 {
 		return false
 	}
-	rec := &rw.buckets[i]
-	// Track pin transitions regardless of which caller (Pin, Unpin, or a
-	// detector's fn) flips the bit.
-	was := rec.Pinned
-	fn(rec)
-	if c.fb.track && rec.Pinned != was {
-		if rec.Pinned {
-			c.fb.pinned.Add(1)
-		} else {
-			c.fb.pinned.Add(-1)
-		}
-	}
+	fn(&rw.buckets[i])
 	return true
 }
 
@@ -708,11 +693,10 @@ func (c *Cache) UpdateState(key packet.FlowKey, fn func(*Record)) bool {
 // ring, reporting whether it was present. The control loop uses this when
 // a flow is reclassified (e.g. whitelisted) and its sNIC state can go.
 func (c *Cache) Evict(key packet.FlowKey) bool {
-	hash := key.Hash()
 	var rw row
-	c.acquire(c.rowIndex(hash), &rw)
+	c.acquire(c.rowIndex(key.Hash()), &rw)
 	defer rw.release()
-	i := rw.find(hash, key, 0, len(rw.buckets))
+	i := rw.find(key, 0, len(rw.buckets))
 	if i < 0 {
 		return false
 	}
@@ -727,8 +711,8 @@ func (c *Cache) Evict(key packet.FlowKey) bool {
 // buckets: it held nothing at that instant, which is all a walk that
 // latches one row at a time ever promised.
 func (c *Cache) Snapshot(fn func(Record) bool) {
-	for ri := range c.words {
-		if c.words[ri].Load()&occMask == 0 {
+	for ri := range c.rows {
+		if c.rows[ri].word.Load()&occMask == 0 {
 			continue
 		}
 		var rw row
@@ -743,13 +727,9 @@ func (c *Cache) Snapshot(fn func(Record) bool) {
 	}
 }
 
-// Occupancy returns the number of live records: the masks' population
-// count, row by row, with no latch taken and no bucket touched.
+// Occupancy returns the number of live records (see OccupancyStats).
 func (c *Cache) Occupancy() int {
-	n := 0
-	for ri := range c.words {
-		n += bits.OnesCount64(c.words[ri].Load() & occMask)
-	}
+	n, _ := c.OccupancyStats()
 	return n
 }
 

@@ -45,8 +45,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := widest.Validate(); err != nil {
 		t.Errorf("%d-bucket row rejected: %v", MaxBuckets, err)
 	}
-	if sz := unsafe.Sizeof(New(widest).words[0]); sz != 8 {
-		t.Errorf("per-row metadata is %d bytes, want 8", sz)
+	if sz := unsafe.Sizeof(New(widest).rows[0]); sz != 32 {
+		t.Errorf("per-row metadata is %d bytes, want 32", sz)
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -172,10 +172,10 @@ func TestLRUPolicyKeepsHotFlows(t *testing.T) {
 	ins := pkts[12]
 	ins.Ts = 600
 	c.Process(&ins)
-	if _, ok := c.Lookup(pkts[0].Key()); !ok {
+	if _, _, ok := c.Lookup(pkts[0].Key()); !ok {
 		t.Error("hot flow evicted under LRU")
 	}
-	if _, ok := c.Lookup(pkts[1].Key()); ok {
+	if _, _, ok := c.Lookup(pkts[1].Key()); ok {
 		t.Error("cold flow survived under LRU")
 	}
 }
@@ -201,7 +201,7 @@ func TestLPCPolicyKeepsBigFlows(t *testing.T) {
 	ins := pkts[12]
 	ins.Ts = 1000
 	c.Process(&ins)
-	if _, ok := c.Lookup(pkts[3].Key()); !ok {
+	if _, _, ok := c.Lookup(pkts[3].Key()); !ok {
 		t.Error("big flow evicted under LPC")
 	}
 }
@@ -223,7 +223,7 @@ func TestFIFOPolicy(t *testing.T) {
 	ins := pkts[12]
 	ins.Ts = 1000
 	c.Process(&ins)
-	if _, ok := c.Lookup(pkts[0].Key()); ok {
+	if _, _, ok := c.Lookup(pkts[0].Key()); ok {
 		t.Error("FIFO must evict earliest-inserted regardless of recency")
 	}
 }
@@ -252,7 +252,7 @@ func TestPinPreventsEviction(t *testing.T) {
 	if res.Outcome != Miss {
 		t.Fatalf("after unpin: %v", res.Outcome)
 	}
-	if _, ok := c.Lookup(pkts[0].Key()); ok {
+	if _, _, ok := c.Lookup(pkts[0].Key()); ok {
 		t.Error("unpinned flow should have been the victim")
 	}
 }
@@ -276,7 +276,7 @@ func TestUpdateStateAndLookup(t *testing.T) {
 	if !ok {
 		t.Fatal("UpdateState missed")
 	}
-	rec, ok := c.Lookup(p.Key())
+	rec, _, ok := c.Lookup(p.Key())
 	if !ok || rec.State != 0xbeef || rec.StateTs != 42 {
 		t.Errorf("state = %+v", rec)
 	}
@@ -293,7 +293,7 @@ func TestEvict(t *testing.T) {
 	if !c.Evict(p.Key()) {
 		t.Fatal("evict failed")
 	}
-	if _, ok := c.Lookup(p.Key()); ok {
+	if _, _, ok := c.Lookup(p.Key()); ok {
 		t.Error("record still present after Evict")
 	}
 	if c.Evict(p.Key()) {
@@ -360,8 +360,8 @@ func TestGeneralToLiteCleanupPreservesRecency(t *testing.T) {
 	}
 	// Every surviving record must live inside its lite slice.
 	c.Snapshot(func(r Record) bool {
-		lo, hi := c.liteSlice(r.Hash)
-		rw := c.view(c.rowIndex(r.Hash))
+		lo, hi := c.liteSlice(r.Key.Hash())
+		rw := c.view(c.rowIndex(r.Key.Hash()))
 		found := false
 		for i := lo; i < hi; i++ {
 			if rw.holds(i) && rw.buckets[i].Key == r.Key {
@@ -670,5 +670,41 @@ func BenchmarkProcessChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := pkt(rng.IntN(1_000_000), int64(i))
 		c.Process(&p)
+	}
+}
+
+// TestOneFlowOneCacheLine: a record is exactly one cache line and lies on
+// one, and a row header is half a line and never straddles two — so the two
+// addresses Prefetch names, the header of the row the hash selects and the
+// first bucket Process will probe, are two lines and all of both, in
+// General mode and in Lite (DESIGN.md §22).
+func TestOneFlowOneCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(Record{}); sz != 64 {
+		t.Fatalf("Record is %d bytes, want 64", sz)
+	}
+	for _, rowBits := range []int{1, 4, 9, 14} {
+		c := New(DefaultConfig(rowBits))
+		if a := uintptr(unsafe.Pointer(&c.store[0])); a%64 != 0 {
+			t.Errorf("RowBits %d: table base %#x is not 64-byte aligned", rowBits, a)
+		}
+		if a := uintptr(unsafe.Pointer(&c.rows[0])); a%32 != 0 || unsafe.Sizeof(c.rows[0]) != 32 {
+			t.Errorf("RowBits %d: header base %#x, size %d: want 32-byte aligned halves of a line", rowBits, a, unsafe.Sizeof(c.rows[0]))
+		}
+		for _, mode := range []Mode{General, Lite} {
+			c.SetMode(mode)
+			for i := 0; i < 200; i++ {
+				p := pkt(i, 1)
+				hash := p.Hash()
+				c.Prefetch(hash)
+				lo := 0
+				if mode == Lite {
+					lo, _ = c.liteSlice(hash)
+				}
+				rw := c.view(c.rowIndex(hash))
+				if a, h := uintptr(unsafe.Pointer(&rw.buckets[lo])), uintptr(unsafe.Pointer(rw.hdr)); a%64 != 0 || h%64 > 32 {
+					t.Fatalf("RowBits %d %v: first bucket %#x or header %#x spans two lines", rowBits, mode, a, h)
+				}
+			}
+		}
 	}
 }

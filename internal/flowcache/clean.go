@@ -12,7 +12,7 @@ func (c *Cache) CleanAllRows() int {
 		return 0
 	}
 	n := 0
-	for i := range c.words {
+	for i := range c.rows {
 		n += c.cleanIfDirty(i)
 	}
 	return n
@@ -51,14 +51,14 @@ func (c *Cache) CleanRowsBounded(maxRows int) int {
 	if c.Mode() != Lite || maxRows <= 0 {
 		return 0
 	}
-	if maxRows > len(c.words) {
-		maxRows = len(c.words)
+	if maxRows > len(c.rows) {
+		maxRows = len(c.rows)
 	}
 	n := 0
 	for scanned := 0; scanned < maxRows; scanned++ {
 		i := c.sweepCursor
 		c.sweepCursor++
-		if c.sweepCursor == len(c.words) {
+		if c.sweepCursor == len(c.rows) {
 			c.sweepCursor = 0
 		}
 		n += c.cleanIfDirty(i)
@@ -81,38 +81,42 @@ func (c *Cache) CleanRowsBounded(maxRows int) int {
 // parked count makes the Lite probe path fall back to a full-row scan until
 // the parked population drains.
 //
-// The reorder goes through one row-sized scratch: a counting sort groups
-// the row's records by Lite slice (bucket order kept within a slice), each
-// slice is trimmed and written back in place, and pinned overflow is
-// compacted toward the front of the same scratch until every slice is
-// placed. Rows of up to cleanRowStack buckets — every shipped geometry is
-// 12 — never touch the heap.
+// The reorder works on a copy of the row — its records and its header
+// lanes as they stood — and a row-sized list of bucket numbers: a counting
+// sort groups the live buckets by the Lite slice their key's hash selects
+// (recomputed here: a mode switch, not a probe; bucket order kept within a
+// slice), each slice is trimmed and written back to its place with its pin
+// and frequency bits, and pinned overflow is compacted toward the front of
+// the list until every slice is placed. Rows of up to cleanRowStack buckets
+// — every shipped geometry is 12 — never touch the heap.
 //
 // It returns the number of records evicted during the reorder. The caller
 // holds the row latch.
 func (c *Cache) cleanRow(rw *row) int {
-	b := c.cfg.LiteBuckets
-	B := c.cfg.Buckets
-	slices := B / b
-	rowBits := uint(c.cfg.RowBits)
+	b, B := c.cfg.LiteBuckets, c.cfg.Buckets
+	slices, rowBits := B/b, uint(c.cfg.RowBits)
 
 	var (
-		recBuf [cleanRowStack]Record
-		endBuf [cleanRowStack]int
+		oldBuf           [cleanRowStack]Record
+		srcBuf, sliceBuf [cleanRowStack]uint8
+		endBuf           [cleanRowStack]int
 	)
-	recs, end := recBuf[:], endBuf[:]
+	old, src, sliceOf, end := oldBuf[:], srcBuf[:], sliceBuf[:], endBuf[:]
 	if B > cleanRowStack {
-		recs, end = make([]Record, B), make([]int, slices)
+		old, src, sliceOf, end = make([]Record, B), make([]uint8, B), make([]uint8, B), make([]int, slices)
 	}
 	end = end[:slices]
 
-	// Count per slice, turn the counts into start offsets, then move each
-	// record to its slice's next free scratch slot: end[s] finishes one
-	// past slice s's last record, which is where slice s+1 starts.
-	live := rw.word & occMask
+	// Count per slice, turn the counts into start offsets, then list each
+	// bucket at its slice's next free place: end[s] finishes one past slice
+	// s's last bucket, which is where slice s+1 starts.
+	h := rw.hdr
+	live, pins, f0, f1 := rw.word&occMask, h.pins.Load(), h.f0, h.f1
 	for m := live; m != 0; m &= m - 1 {
-		rec := &rw.buckets[bits.TrailingZeros64(m)]
-		end[int((rec.Hash>>rowBits)%uint64(slices))]++
+		i := bits.TrailingZeros64(m)
+		old[i] = rw.buckets[i]
+		sliceOf[i] = uint8((old[i].Key.Hash() >> rowBits) % uint64(slices))
+		end[sliceOf[i]]++
 	}
 	sum := 0
 	for s, n := range end {
@@ -120,55 +124,66 @@ func (c *Cache) cleanRow(rw *row) int {
 		sum += n
 	}
 	for m := live; m != 0; m &= m - 1 {
-		rec := &rw.buckets[bits.TrailingZeros64(m)]
-		s := int((rec.Hash >> rowBits) % uint64(slices))
-		recs[end[s]] = *rec
-		end[s]++
+		i := bits.TrailingZeros64(m)
+		src[end[sliceOf[i]]] = uint8(i)
+		end[sliceOf[i]]++
 	}
 	rw.word &^= occMask | parkedMask // every bucket free, nothing parked
+	var newPins uint64
+	h.f0, h.f1 = 0, 0
+	// land writes the record that sat in bucket from, and its bits, to to.
+	land := func(from uint8, to int) {
+		rw.put(to, &old[from])
+		newPins |= pins >> from & 1 << uint(to)
+		h.f0 |= f0 >> from & 1 << uint(to)
+		h.f1 |= f1 >> from & 1 << uint(to)
+	}
 
 	evicted, parked, start := 0, 0, 0
 	for s := 0; s < slices; s++ {
-		entries := recs[start:end[s]]
+		entries := src[start:end[s]]
 		start = end[s]
 		// Evict the oldest UNPINNED records until the slice fits — the
 		// GetOldest loop of Alg. 3. If only pinned records remain and the
 		// slice still overflows, the overflow parks instead of evicting.
 		for len(entries) > b {
 			oldest := -1
-			for i := range entries {
-				if entries[i].Pinned {
+			for i, e := range entries {
+				if pins>>e&1 != 0 {
 					continue
 				}
-				if oldest == -1 || entries[i].LastTs < entries[oldest].LastTs {
+				if oldest == -1 || old[e].LastTs < old[entries[oldest]].LastTs {
 					oldest = i
 				}
 			}
 			if oldest == -1 {
 				break // all pinned: park the overflow below
 			}
-			c.pushRing(entries[oldest])
+			out := &old[entries[oldest]]
+			c.pushRing(out, out.Key.Hash(), false)
 			evicted++
 			entries[oldest] = entries[len(entries)-1]
 			entries = entries[:len(entries)-1]
 		}
-		kept := copy(rw.buckets[s*b:], entries[:min(b, len(entries))])
-		rw.word |= span(s*b, s*b+kept)
+		for j, e := range entries[:min(b, len(entries))] {
+			land(e, s*b+j)
+		}
 		if len(entries) > b {
-			// recs[:parked] holds the overflow of earlier slices; it ends
-			// at or before this slice's first record, so the move is
-			// toward the front and never over a record still to be read.
-			parked += copy(recs[parked:], entries[b:])
+			// src[:parked] holds the overflow of earlier slices; it ends
+			// at or before this slice's first bucket, so the move is
+			// toward the front and never over one still to be read.
+			parked += copy(src[parked:], entries[b:])
 		}
 	}
 
 	// Park pinned overflow in the free buckets the reorder left behind.
 	// Capacity argument: the row held at most B records, each slice keeps
 	// at most b in place, so free buckets >= parked.
-	for j := 0; j < parked; j++ {
-		rw.put(bits.TrailingZeros64(^rw.word), &recs[j])
+	for _, e := range src[:parked] {
+		land(e, bits.TrailingZeros64(^rw.word))
 		rw.word += parkedOne
 	}
+	h.pins.Store(newPins)
 	return evicted
 }
 

@@ -67,8 +67,8 @@ func TestEagerAndLazyCleanupAgree(t *testing.T) {
 	// Both must leave every record inside its Lite slice.
 	check := func(c *Cache, name string) {
 		c.Snapshot(func(r Record) bool {
-			lo, hi := c.liteSlice(r.Hash)
-			rw := c.view(c.rowIndex(r.Hash))
+			lo, hi := c.liteSlice(r.Key.Hash())
+			rw := c.view(c.rowIndex(r.Key.Hash()))
 			found := false
 			for i := lo; i < hi; i++ {
 				if rw.holds(i) && rw.buckets[i].Key == r.Key {
@@ -149,8 +149,8 @@ func TestCleanRowsBoundedCursorPersists(t *testing.T) {
 	populate(c, 3000, 11)
 	c.SetMode(Lite)
 	dirtyRows := 0
-	for i := range c.words {
-		if c.words[i].Load()&dirtyBit != 0 {
+	for i := range c.rows {
+		if c.rows[i].word.Load()&dirtyBit != 0 {
 			dirtyRows++
 		}
 	}

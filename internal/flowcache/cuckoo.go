@@ -19,10 +19,11 @@ type Cuckoo struct {
 	stats   CuckooStats
 }
 
-// cuckooSlot is one table slot: the record and whether it is live (the
-// FlowCache keeps that bit in its row word; a cuckoo table has no rows).
+// cuckooSlot is one table slot: the record, its key's hash (a kick needs the
+// resident's other slot) and whether it is live (a cuckoo table has no rows).
 type cuckooSlot struct {
 	Record
+	hash     uint64
 	occupied bool
 }
 
@@ -71,7 +72,7 @@ func (t *Cuckoo) Process(p *packet.Packet) (*Record, Result) {
 	for _, i := range [2]uint64{i1, i2} {
 		rec := &t.buckets[i]
 		res.Reads++
-		if rec.occupied && rec.Hash == hash && rec.Key == key {
+		if rec.occupied && rec.hash == hash && rec.Key == key {
 			rec.update(p)
 			res.Outcome = PHit
 			res.Writes++
@@ -84,8 +85,8 @@ func (t *Cuckoo) Process(p *packet.Packet) (*Record, Result) {
 
 	// Miss: insert, kicking residents to their alternate slots.
 	t.stats.Misses++
-	cur := cuckooSlot{occupied: true, Record: Record{
-		Key: key, Hash: hash,
+	cur := cuckooSlot{occupied: true, hash: hash, Record: Record{
+		Key:  key,
 		Pkts: 1, Bytes: uint64(p.Size),
 		FirstTs: p.Ts, LastTs: p.Ts,
 	}}
@@ -115,10 +116,10 @@ func (t *Cuckoo) Process(p *packet.Packet) (*Record, Result) {
 			placedAt = int(slot)
 		}
 		cur = victim
-		if alt := t.idx1(cur.Hash); alt != slot {
+		if alt := t.idx1(cur.hash); alt != slot {
 			slot = alt
 		} else {
-			slot = t.idx2(cur.Hash)
+			slot = t.idx2(cur.hash)
 		}
 	}
 	// Chain exhausted: the final displaced record is evicted.
@@ -136,7 +137,7 @@ func (t *Cuckoo) Lookup(key packet.FlowKey) (Record, bool) {
 	hash := key.Hash()
 	for _, i := range [2]uint64{t.idx1(hash), t.idx2(hash)} {
 		rec := &t.buckets[i]
-		if rec.occupied && rec.Hash == hash && rec.Key == key {
+		if rec.occupied && rec.hash == hash && rec.Key == key {
 			return rec.Record, true
 		}
 	}

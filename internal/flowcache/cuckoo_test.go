@@ -64,7 +64,7 @@ func TestCuckooInvariants(t *testing.T) {
 				continue
 			}
 			seen[rec.Key]++
-			if u := uint64(i); u != c.idx1(rec.Hash) && u != c.idx2(rec.Hash) {
+			if u := uint64(i); u != c.idx1(rec.hash) && u != c.idx2(rec.hash) {
 				return false // record stranded outside its two homes
 			}
 		}

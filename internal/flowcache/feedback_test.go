@@ -51,18 +51,17 @@ func TestFeedbackPinnedTracking(t *testing.T) {
 	for _, k := range keys[:10] {
 		c.Unpin(k)
 	}
-	// UpdateState-driven transitions both ways.
-	c.UpdateState(keys[60], func(r *Record) { r.Pinned = true })
-	c.UpdateState(keys[10], func(r *Record) { r.Pinned = false })
+	// One more transition each way, then a walk of the table.
+	c.Pin(keys[60])
+	c.Unpin(keys[10])
 	walk := int64(0)
-	c.Snapshot(func(r Record) bool {
-		if r.Pinned {
+	c.walk(func(_ Record, pinned bool, _ uint8) {
+		if pinned {
 			walk++
 		}
-		return true
 	})
-	if c.LivePinned() != walk {
-		t.Errorf("LivePinned = %d, walk = %d", c.LivePinned(), walk)
+	if c.LivePinned() != walk || walk != 40 {
+		t.Errorf("LivePinned = %d, walk = %d, want 40", c.LivePinned(), walk)
 	}
 	// Force-evict a pinned record: counter must drop with it.
 	if !c.Pin(keys[61]) {

@@ -9,14 +9,15 @@ import (
 // returns the first broken structural invariant, or nil:
 //
 //   - the mask marks no bucket beyond the row's width, and every marked
-//     bucket's record carries its key's hash and hashes to this row;
+//     bucket's key hashes to this row;
+//   - only a live bucket has a pin or frequency bit set;
 //   - no key sits in two buckets of a row;
 //   - in Lite mode a row that has had its Alg.-3 reorder keeps at most
 //     `parked` records outside their own Lite slice — the count never
 //     under-counts, so the probe's fall-back never stops short of one;
 //   - the counters reconcile: Stats().Inserts is the live records plus
 //     Stats().Evictions, and, with the feedback counters on, LiveRecords
-//     is the masks' population and LivePinned the pinned records walked.
+//     is the masks' population and LivePinned the pin masks'.
 //
 // The per-row checks hold at any time. The sums compare a walk with
 // counters, so they are only meaningful on a quiescent cache: no Process in
@@ -24,7 +25,7 @@ import (
 func (c *Cache) CheckInvariants() error {
 	var live, pinned int64
 	lite := c.Mode() == Lite
-	for ri := range c.words {
+	for ri := range c.rows {
 		var rw row
 		c.acquire(uint64(ri), &rw)
 		n, p, err := c.checkRow(&rw, uint64(ri), lite)
@@ -55,25 +56,28 @@ func (c *Cache) checkRow(rw *row, ri uint64, lite bool) (live, pinned int, err e
 	if mask>>uint(c.cfg.Buckets) != 0 {
 		return 0, 0, fmt.Errorf("mask %#x marks buckets beyond %d", mask, c.cfg.Buckets)
 	}
+	h := rw.hdr
+	pins := h.pins.Load()
+	if stray := (pins | h.f0 | h.f1) &^ mask; stray != 0 {
+		return 0, 0, fmt.Errorf("free buckets %#x carry pin / frequency bits (pins %#x, freq %#x %#x)", stray, pins, h.f1, h.f0)
+	}
 	outside := 0
 	for m := mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		rec := &rw.buckets[i]
-		if rec.Hash != rec.Key.Hash() || c.rowIndex(rec.Hash) != ri {
-			return 0, 0, fmt.Errorf("bucket %d: %v with hash %#x does not belong here", i, rec.Key, rec.Hash)
+		key := rw.buckets[i].Key
+		hash := key.Hash()
+		if c.rowIndex(hash) != ri {
+			return 0, 0, fmt.Errorf("bucket %d: %v with hash %#x does not belong here", i, key, hash)
 		}
-		if j := rw.find(rec.Hash, rec.Key, 0, i); j >= 0 {
-			return 0, 0, fmt.Errorf("%v in buckets %d and %d", rec.Key, j, i)
+		if j := rw.find(key, 0, i); j >= 0 {
+			return 0, 0, fmt.Errorf("%v in buckets %d and %d", key, j, i)
 		}
-		if lo, hi := c.liteSlice(rec.Hash); i < lo || i >= hi {
+		if lo, hi := c.liteSlice(hash); i < lo || i >= hi {
 			outside++
-		}
-		if rec.Pinned {
-			pinned++
 		}
 	}
 	if lite && rw.word&dirtyBit == 0 && rw.parked() < outside {
 		return 0, 0, fmt.Errorf("%d records outside their Lite slice, parked says %d", outside, rw.parked())
 	}
-	return bits.OnesCount64(mask), pinned, nil
+	return bits.OnesCount64(mask), bits.OnesCount64(pins), nil
 }

@@ -1,5 +1,7 @@
 package flowcache
 
+import "math/bits"
+
 // RingStat is one eviction ring's observable state: current depth and
 // cumulative overflow drops. The drops here are the per-ring breakdown of
 // Stats().RingDrops (the aggregate stays authoritative — both count every
@@ -41,17 +43,14 @@ func (s *Sharded) RingDropTotal() uint64 {
 	return n
 }
 
-// OccupancyStats counts live and pinned records in one Snapshot walk —
-// cheaper than separate Occupancy + pin scans when both are wanted (the
-// metrics collector samples them every interval).
+// OccupancyStats counts live and pinned records: the population of each
+// row's occupancy and pin masks, with no latch taken and no bucket touched
+// (the metrics collector samples them every interval).
 func (c *Cache) OccupancyStats() (occupied, pinned int) {
-	c.Snapshot(func(r Record) bool {
-		occupied++
-		if r.Pinned {
-			pinned++
-		}
-		return true
-	})
+	for ri := range c.rows {
+		occupied += bits.OnesCount64(c.rows[ri].word.Load() & occMask)
+		pinned += bits.OnesCount64(c.rows[ri].pins.Load())
+	}
 	return occupied, pinned
 }
 

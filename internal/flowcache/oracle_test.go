@@ -3,11 +3,13 @@ package flowcache
 import "smartwatch/internal/packet"
 
 // refCache is the FlowCache as it stood before the row word (DESIGN.md
-// §20): a header per row with its own dirty / parked fields and a bucket
-// slice, and a per-record occupied flag that every scan reads. It is the
-// oracle of TestRandomOpsMatchOracle — same algorithms, statement for
-// statement, minus what a single-goroutine reference does not need (the
-// latch, the sharded atomics, the feedback counters, custom policies).
+// §20) and the 64-byte record (§22): a header per row with its own dirty /
+// parked fields and a bucket slice, and beside each record its own cached
+// hash, pin, access counter and occupied flag, which every scan reads and
+// every move carries by copying the whole bucket. It is the oracle of
+// TestRandomOpsMatchOracle — same algorithms, statement for statement,
+// minus what a single-goroutine reference does not need (the latch, the
+// sharded atomics, the feedback counters, custom policies).
 type refCache struct {
 	cfg              Config
 	kind             policyKind
@@ -17,6 +19,27 @@ type refCache struct {
 	rings            []*Ring
 	stats            Stats
 	sweepCursor      int
+	// ev counts the moves that carry a record's bits from bucket to bucket
+	// (randomOps wants each reached often, not just once).
+	ev refEvents
+}
+
+type refEvents struct {
+	swaps        int // E hit exchanged with P's victim
+	demotes      int // P's victim moved into E
+	parkCleans   int // cleanRow that parked pinned overflow
+	ageSweeps    int // agePins that stripped at least one pin
+	starves      int // starvation evictions of a pinned record
+	reusedPinned int // new record into a bucket a pinned one last held
+}
+
+func (e *refEvents) add(o refEvents) {
+	e.swaps += o.swaps
+	e.demotes += o.demotes
+	e.parkCleans += o.parkCleans
+	e.ageSweeps += o.ageSweeps
+	e.starves += o.starves
+	e.reusedPinned += o.reusedPinned
 }
 
 type refRow struct {
@@ -27,6 +50,9 @@ type refRow struct {
 
 type refRecord struct {
 	Record
+	Hash     uint64
+	Pinned   bool
+	freq     uint8
 	occupied bool
 }
 
@@ -92,6 +118,7 @@ func (c *refCache) Process(p *packet.Packet) (*Record, Result) {
 	if rec == nil {
 		return nil, res
 	}
+	res.Pinned = rec.Pinned
 	return &rec.Record, res
 }
 
@@ -223,12 +250,13 @@ func (c *refCache) promote(rw *refRow, eIdx, pLo, pEnd int, res *Result) *refRec
 	a, b := &rw.buckets[pIdx], &rw.buckets[eIdx]
 	*a, *b = *b, *a
 	res.Writes += 2
+	c.ev.swaps++
 	return a
 }
 
 func (c *refCache) insert(rw *refRow, hash uint64, key packet.FlowKey, p *packet.Packet, lo, pEnd, hi int, res *Result) *refRecord {
-	newRec := refRecord{occupied: true, Record: Record{
-		Key: key, Hash: hash,
+	newRec := refRecord{occupied: true, Hash: hash, Record: Record{
+		Key:  key,
 		Pkts: 1, Bytes: uint64(p.Size),
 		FirstTs: p.Ts, LastTs: p.Ts,
 	}}
@@ -248,18 +276,15 @@ func (c *refCache) insert(rw *refRow, hash uint64, key packet.FlowKey, p *packet
 			}
 			if eIdx != -1 {
 				c.evictOccupied(rw, eIdx, res)
-				rw.buckets[eIdx] = newRec
-				res.Writes++
-				return &rw.buckets[eIdx]
+				return c.place(rw, eIdx, newRec, res)
 			}
 		}
 		if c.cfg.PinStarveEvict {
 			if sIdx := c.stalestPinned(rw, lo, hi, res); sIdx != -1 {
 				c.evictOccupied(rw, sIdx, res)
 				res.StarveEvicted = true
-				rw.buckets[sIdx] = newRec
-				res.Writes++
-				return &rw.buckets[sIdx]
+				c.ev.starves++
+				return c.place(rw, sIdx, newRec, res)
 			}
 		}
 		return nil
@@ -274,14 +299,24 @@ func (c *refCache) insert(rw *refRow, hash uint64, key packet.FlowKey, p *packet
 				c.evictOccupied(rw, eIdx, res)
 				rw.buckets[eIdx] = *pVictim
 				res.Writes++
+				c.ev.demotes++
 			}
 		} else {
 			c.evictOccupied(rw, pIdx, res)
 		}
 	}
-	rw.buckets[pIdx] = newRec
+	return c.place(rw, pIdx, newRec, res)
+}
+
+// place writes the new flow's record over whatever the bucket last held. A
+// freed bucket keeps its last record's bytes here, stale pin included.
+func (c *refCache) place(rw *refRow, idx int, newRec refRecord, res *Result) *refRecord {
+	if rw.buckets[idx].Pinned {
+		c.ev.reusedPinned++
+	}
+	rw.buckets[idx] = newRec
 	res.Writes++
-	return &rw.buckets[pIdx]
+	return &rw.buckets[idx]
 }
 
 func (c *refCache) evictOccupied(rw *refRow, idx int, res *Result) {
@@ -306,6 +341,9 @@ func (c *refCache) agePins(rw *refRow, lo, hi int, now int64, res *Result) int {
 			rec.Pinned = false
 			aged++
 		}
+	}
+	if aged > 0 {
+		c.ev.ageSweeps++
 	}
 	res.PinAged += aged
 	return aged
@@ -498,6 +536,9 @@ func (c *refCache) cleanRow(rw *refRow) int {
 			j++
 			rw.parked++
 		}
+	}
+	if parked > 0 {
+		c.ev.parkCleans++
 	}
 	return evicted
 }

@@ -125,11 +125,10 @@ func TestPinBudgetBoundaryRace(t *testing.T) {
 
 	// The live counter must equal a ground-truth walk of the table.
 	walked := int64(0)
-	c.Snapshot(func(r Record) bool {
-		if r.Pinned {
+	c.walk(func(_ Record, pinned bool, _ uint8) {
+		if pinned {
 			walked++
 		}
-		return true
 	})
 	if got := c.LivePinned(); got != walked {
 		t.Fatalf("LivePinned = %d but table walk found %d pinned records", got, walked)
@@ -139,18 +138,28 @@ func TestPinBudgetBoundaryRace(t *testing.T) {
 	}
 }
 
-// UpdateState-driven pin flips (the detector fn path) bypass the budget
-// by design but must keep the live counter in step.
-func TestUpdateStatePinTransitionCounting(t *testing.T) {
+// The pin is in the row header, not the record, so a detector's
+// UpdateState fn cannot flip it behind the budget's back: whatever fn
+// writes, the pin and the live counter stay where Pin / Unpin left them.
+func TestUpdateStatePinUntouched(t *testing.T) {
 	c := New(contendedConfig())
 	c.enableFeedback()
 	k := pinKey(c, 1, 1)
-	c.UpdateState(k, func(r *Record) { r.Pinned = true })
-	if got := c.LivePinned(); got != 1 {
-		t.Fatalf("LivePinned = %d, want 1", got)
-	}
-	c.UpdateState(k, func(r *Record) { r.Pinned = false })
-	if got := c.LivePinned(); got != 0 {
-		t.Fatalf("LivePinned = %d, want 0", got)
+	for _, want := range []bool{false, true, false} {
+		if want {
+			c.Pin(k)
+		} else {
+			c.Unpin(k)
+		}
+		if !c.UpdateState(k, func(r *Record) { *r = Record{Key: r.Key, State: ^uint64(0), StateTs: -1} }) {
+			t.Fatal("UpdateState missed")
+		}
+		rec, pinned, ok := c.Lookup(k)
+		if !ok || pinned != want || rec.State != ^uint64(0) {
+			t.Fatalf("after UpdateState: pinned %v (want %v), record %+v", pinned, want, rec)
+		}
+		if got, w := c.LivePinned(), map[bool]int64{true: 1}[want]; got != w {
+			t.Fatalf("LivePinned = %d, want %d", got, w)
+		}
 	}
 }

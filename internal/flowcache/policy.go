@@ -2,6 +2,7 @@ package flowcache
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -58,12 +59,13 @@ type ReplacementPolicy interface {
 	// given buffer, reporting the number of buckets it inspected (billed
 	// as reads by the cost model). The cache takes a free slot itself, so
 	// Victim runs only when every bucket in the range holds a record; it
-	// must skip pinned records and return victim -1 when every candidate
-	// is pinned. It returns values rather than mutating
+	// must skip pinned records — bit i of pinned set means buckets[i] is —
+	// and return victim -1 when every candidate is pinned. It returns
+	// values rather than mutating
 	// the caller's *Result so the hot path's Result never flows into an
 	// interface call — escape analysis would otherwise heap-allocate it
 	// on EVERY packet, custom policy configured or not.
-	Victim(buckets []Record, lo, hi int, buf Buffer) (victim, reads int)
+	Victim(buckets []Record, pinned uint64, lo, hi int, buf Buffer) (victim, reads int)
 	// OnHit observes a hit on rec (P or E buffer) under the row latch —
 	// the place to maintain recency/frequency state beyond the LastTs
 	// and Pkts fields the cache already updates.
@@ -249,7 +251,7 @@ func (c *Cache) victimCustom(rw *row, lo, hi int, buf Buffer, res *Result) int {
 	if i := rw.freeSlot(lo, hi, res); i >= 0 {
 		return i
 	}
-	victim, reads := c.policy.Victim(rw.buckets, lo, hi, buf)
+	victim, reads := c.policy.Victim(rw.buckets, rw.hdr.pins.Load(), lo, hi, buf)
 	res.Reads += reads
 	return victim
 }
@@ -257,14 +259,17 @@ func (c *Cache) victimCustom(rw *row, lo, hi int, buf Buffer, res *Result) int {
 // onHit runs the policy's hit hook. The caller has already checked
 // c.kind != kindBuffers, so the seed path never reaches here — the hit
 // path stays byte-identical to the pre-policy cache.
-func (c *Cache) onHit(rec *Record, buf Buffer) {
+func (c *Cache) onHit(rw *row, idx int, buf Buffer) {
 	if c.kind == kindS3FIFO {
-		if rec.freq < s3fifoMaxFreq {
-			rec.freq++
+		// freq++ across the two planes, saturating at s3fifoMaxFreq (both
+		// bits set): f0 toggles, f1 takes its carry.
+		if h, bit := rw.hdr, uint64(1)<<uint(idx); h.f0&h.f1&bit == 0 {
+			h.f1 ^= h.f0 & bit
+			h.f0 ^= bit
 		}
 		return
 	}
-	c.policy.OnHit(rec, buf)
+	c.policy.OnHit(&rw.buckets[idx], buf)
 }
 
 // promoteOnEHit reports whether an E hit swaps into P under the active
@@ -284,7 +289,7 @@ func (c *Cache) promoteOnEHit() bool {
 
 // demoteToE reports whether P's eviction victim cascades into E under
 // the active policy.
-func (c *Cache) demoteToE(victim *Record) bool {
+func (c *Cache) demoteToE(rw *row, idx int) bool {
 	switch c.kind {
 	case kindBuffers:
 		return true
@@ -292,9 +297,9 @@ func (c *Cache) demoteToE(victim *Record) bool {
 		// Quick demotion: a flow that never re-hit while in P is a one-hit
 		// wonder (scan/flood junk in traffic terms); evicting it straight
 		// to the ring keeps E for flows with demonstrated reuse.
-		return victim.freq > 0
+		return (rw.hdr.f0|rw.hdr.f1)>>uint(idx)&1 != 0
 	default:
-		return c.policy.DemoteToE(victim)
+		return c.policy.DemoteToE(&rw.buckets[idx])
 	}
 }
 
@@ -311,28 +316,23 @@ func (c *Cache) victimS3E(rw *row, lo, hi int, res *Result) int {
 		return i
 	}
 	res.Reads += hi - lo
-	victim := -1
-	for i := lo; i < hi; i++ {
-		rec := &rw.buckets[i]
-		if rec.Pinned {
-			continue
-		}
-		if victim == -1 {
-			victim = i
-			continue
-		}
-		v := &rw.buckets[victim]
-		if rec.freq < v.freq || (rec.freq == v.freq && rec.FirstTs < v.FirstTs) {
-			victim = i
+	h := rw.hdr
+	cand := span(lo, hi) &^ h.pins.Load()
+	if cand == 0 {
+		return -1
+	}
+	victim, vf := -1, uint64(0)
+	for m := cand; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		f := h.f1>>uint(i)&1<<1 | h.f0>>uint(i)&1
+		if victim == -1 || f < vf || (f == vf && rw.buckets[i].FirstTs < rw.buckets[victim].FirstTs) {
+			victim, vf = i, f
 		}
 	}
-	if victim != -1 {
-		for i := lo; i < hi; i++ {
-			rec := &rw.buckets[i]
-			if i != victim && !rec.Pinned && rec.freq > 0 {
-				rec.freq--
-			}
-		}
-	}
+	// freq-- on every surviving candidate that has any: f0 toggles, f1
+	// gives the borrow where f0 was clear.
+	aged := cand &^ (1 << uint(victim)) & (h.f0 | h.f1)
+	h.f1 ^= aged &^ h.f0
+	h.f0 ^= aged
 	return victim
 }

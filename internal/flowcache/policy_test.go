@@ -21,14 +21,13 @@ func stateSig(c *Cache) uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	c.Snapshot(func(r Record) bool {
-		w(r.Hash)
+	c.walk(func(r Record, _ bool, freq uint8) {
+		w(r.Key.Hash())
 		w(r.Pkts)
 		w(r.Bytes)
 		w(uint64(r.FirstTs))
 		w(uint64(r.LastTs))
-		w(uint64(r.Freq()))
-		return true
+		w(uint64(freq))
 	})
 	st := c.Stats()
 	for _, v := range []uint64{st.PHits, st.EHits, st.Misses, st.Inserts,
@@ -121,13 +120,14 @@ func TestS3FIFOFreqSaturates(t *testing.T) {
 		q.Ts = int64(i + 1)
 		c.Process(&q)
 	}
-	rec, ok := c.Lookup(p.Key())
-	if !ok {
+	if _, _, ok := c.Lookup(p.Key()); !ok {
 		t.Fatal("flow not cached")
 	}
-	if rec.Freq() != s3fifoMaxFreq {
-		t.Errorf("freq = %d after 10 hits, want saturation at %d", rec.Freq(), s3fifoMaxFreq)
-	}
+	c.walk(func(_ Record, _ bool, freq uint8) {
+		if freq != s3fifoMaxFreq {
+			t.Errorf("freq = %d after 10 hits, want saturation at %d", freq, s3fifoMaxFreq)
+		}
+	})
 }
 
 func TestS3FIFOLazyPromotion(t *testing.T) {
@@ -220,7 +220,7 @@ func TestS3FIFOQuickDemotion(t *testing.T) {
 	if got := c.Stats().Evictions; got != before+1 {
 		t.Errorf("evictions = %d, want %d (freq-0 victim must bypass E)", got, before+1)
 	}
-	if _, ok := c.Lookup(flows[0].Key()); ok {
+	if _, _, ok := c.Lookup(flows[0].Key()); ok {
 		t.Error("freq-0 victim still resident; want quick demotion to ring")
 	}
 
@@ -243,7 +243,7 @@ func TestS3FIFOQuickDemotion(t *testing.T) {
 	if got := c2.Stats().Evictions; got != before {
 		t.Errorf("evictions = %d, want %d (freq>0 victim must demote to E)", got, before)
 	}
-	if _, ok := c2.Lookup(flows[0].Key()); !ok {
+	if _, _, ok := c2.Lookup(flows[0].Key()); !ok {
 		t.Error("freq>0 victim evicted; want demotion to E")
 	}
 }
@@ -295,11 +295,11 @@ func TestRegisterPolicy(t *testing.T) {
 type testPolicy struct{}
 
 func (testPolicy) Name() string { return "test-custom" }
-func (testPolicy) Victim(buckets []Record, lo, hi int, buf Buffer) (int, int) {
+func (testPolicy) Victim(buckets []Record, pinned uint64, lo, hi int, buf Buffer) (int, int) {
 	best, reads := -1, 0
 	for i := lo; i < hi; i++ {
 		reads++
-		if buckets[i].Pinned {
+		if pinned>>uint(i)&1 != 0 {
 			continue
 		}
 		if best < 0 || buckets[i].FirstTs < buckets[best].FirstTs {

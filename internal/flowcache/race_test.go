@@ -270,3 +270,87 @@ func TestRingConcurrentPushDrainDrops(t *testing.T) {
 		t.Errorf("drained %d + tail %d != accepted %d", drained, tail, accepted)
 	}
 }
+
+// TestHeaderReadersUnlatched: Occupancy and OccupancyStats load the row
+// headers' words and pin masks without the latch while Process, Pin, Unpin,
+// Evict and mode flips rewrite them under it — race-free because both are
+// atomics — and, once the writers are done, report exactly what a latched
+// walk of the table counts.
+func TestHeaderReadersUnlatched(t *testing.T) {
+	cfg := contendedConfig()
+	cfg.PinStarveEvict = true
+	c := New(cfg)
+	c.EnableFeedback()
+	keyOf := func(fl int) packet.FlowKey {
+		return packet.FiveTuple{SrcIP: packet.Addr(fl + 1), DstIP: packet.Addr(fl + 5), SrcPort: uint16(fl), DstPort: 80, Proto: packet.ProtoTCP}.Canonical()
+	}
+	var writers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		writers.Add(1)
+		go func(seed uint64) {
+			defer writers.Done()
+			rng := stats.NewRand(seed + 31)
+			for i := 0; i < 20_000; i++ {
+				k := keyOf(rng.IntN(600))
+				switch rng.IntN(8) {
+				case 0:
+					c.Pin(k)
+				case 1:
+					c.Unpin(k)
+				case 2:
+					c.Evict(k)
+				case 3:
+					if i%500 == 0 {
+						c.SetMode(Mode(rng.IntN(2)))
+					}
+				default:
+					p := packet.Packet{Ts: int64(i), Tuple: k.Tuple(), Size: 64}
+					c.Process(&p)
+				}
+			}
+		}(uint64(g))
+	}
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			occ, pinned := c.OccupancyStats()
+			if n := c.Config().Entries(); occ > n || pinned > n || c.Occupancy() > n {
+				t.Errorf("OccupancyStats %d / %d on a %d-bucket table", occ, pinned, n)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	writers.Wait()
+	close(done)
+	reader.Wait()
+
+	var live, pins int
+	for ri := range c.rows {
+		var rw row
+		c.acquire(uint64(ri), &rw)
+		for i := range rw.buckets {
+			if rw.holds(i) {
+				live++
+				if rw.pinned(i) {
+					pins++
+				}
+			}
+		}
+		rw.release()
+	}
+	if occ, pinned := c.OccupancyStats(); occ != live || pinned != pins || c.Occupancy() != live || c.LivePinned() != int64(pins) || pins == 0 {
+		t.Errorf("OccupancyStats %d / %d, Occupancy %d, LivePinned %d; a latched walk counts %d records, %d pinned (want some)",
+			occ, pinned, c.Occupancy(), c.LivePinned(), live, pins)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

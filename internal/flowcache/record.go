@@ -1,17 +1,20 @@
 package flowcache
 
-import "smartwatch/internal/packet"
+import (
+	"unsafe"
 
-// Record is one cached flow entry. All fields are guarded by the owning
-// row's latch; Snapshot/Lookup return copies so readers never observe a
-// torn record. A Record does not say whether its bucket is live: the row
-// word's occupancy mask does (row.go), so the memory of an empty bucket is
-// never read.
+	"smartwatch/internal/packet"
+)
+
+// Record is one cached flow entry: 64 bytes, one aligned cache line of the
+// table (DESIGN.md §22). All fields are guarded by the owning row's latch;
+// Snapshot/Lookup return copies so readers never observe a torn record.
+// What is per bucket but not per flow — live, pinned, the policy's access
+// frequency — is in the row header (row.go), so an empty bucket's memory is
+// never read; a flow's hash is Key.Hash(), recomputed off the probe path.
 type Record struct {
 	// Key is the canonical session key; both directions update one record.
 	Key packet.FlowKey
-	// Hash caches Key.Hash() so probes compare 8 bytes before 13.
-	Hash uint64
 	// Pkts and Bytes count everything seen for the flow since insertion.
 	Pkts  uint64
 	Bytes uint64
@@ -24,16 +27,13 @@ type Record struct {
 	State uint64
 	// StateTs is a detector-owned timestamp (e.g. last RST arrival).
 	StateTs int64
-	// Pinned records survive eviction; see Cache.Pin.
-	Pinned bool
-	// freq is the policy-owned access counter (S3-FIFO's 2-bit frequency,
-	// capped at s3fifoMaxFreq). It stays zero under the comparator
-	// policies — only policies that register reuse maintain it.
-	freq uint8
 }
 
-// Freq exposes the policy access counter (diagnostics and policy tests).
-func (r *Record) Freq() uint8 { return r.freq }
+// recordSize is the table's stride. Neither array length below may be
+// negative, so the package compiles only while Record is exactly that.
+const recordSize = 64
+
+var _, _ = [unsafe.Sizeof(Record{}) - recordSize]struct{}{}, [recordSize - unsafe.Sizeof(Record{})]struct{}{}
 
 // Stats is the cache's cumulative operation counters, the measurements
 // behind Figs. 4b, 5a and 7b.
@@ -172,9 +172,11 @@ type Result struct {
 	// the batch path's accumulator depends on every counter except the
 	// ring-occupancy pair being derivable from the Result alone.
 	CleanupEvicted int
+	// Pinned reports whether the returned record's bucket was pinned when
+	// the call finished (the bit lives in the row header, not the record).
 	// StarveEvicted is set when the insert displaced a pinned record via
 	// the pin-starvation escape valve (Config.PinStarveEvict).
-	StarveEvicted bool
+	Pinned, StarveEvicted bool
 	// PinAged is the number of pins stripped by the aging path
 	// (Config.PinAgeNs) while this insert was starving.
 	PinAged int

@@ -168,8 +168,8 @@ func (s *Sharded) Prefetch(hash uint64) { s.shards[s.shardOf(hash)].Prefetch(has
 // unobservable.
 func (s *Sharded) FlushAcc(acc *BatchAcc) { s.shards[0].FlushAcc(acc) }
 
-// Lookup copies the record for key, if cached.
-func (s *Sharded) Lookup(key packet.FlowKey) (Record, bool) {
+// Lookup copies the record for key, if cached, and reports its pin.
+func (s *Sharded) Lookup(key packet.FlowKey) (rec Record, pinned, ok bool) {
 	return s.shards[s.shardOf(key.Hash())].Lookup(key)
 }
 

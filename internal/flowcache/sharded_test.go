@@ -41,6 +41,7 @@ func shardTrace(n int) []packet.Packet {
 // drained ring contents. Byte-equal dumps mean byte-equal behaviour.
 type cacheLike interface {
 	Snapshot(func(Record) bool)
+	Lookup(packet.FlowKey) (Record, bool, bool)
 	Stats() Stats
 	Mode() Mode
 	Occupancy() int
@@ -49,11 +50,13 @@ type cacheLike interface {
 
 func dumpState(c cacheLike) string {
 	var b strings.Builder
-	c.Snapshot(func(r Record) bool {
+	var recs []Record // Lookup latches the row Snapshot is holding
+	c.Snapshot(func(r Record) bool { recs = append(recs, r); return true })
+	for _, r := range recs {
+		_, pinned, _ := c.Lookup(r.Key)
 		fmt.Fprintf(&b, "rec %s pkts=%d bytes=%d first=%d last=%d state=%d pinned=%v\n",
-			r.Key.String(), r.Pkts, r.Bytes, r.FirstTs, r.LastTs, r.State, r.Pinned)
-		return true
-	})
+			r.Key.String(), r.Pkts, r.Bytes, r.FirstTs, r.LastTs, r.State, pinned)
+	}
 	fmt.Fprintf(&b, "stats %+v\n", c.Stats())
 	fmt.Fprintf(&b, "mode=%v occ=%d\n", c.Mode(), c.Occupancy())
 	for i, ring := range c.Rings() {
@@ -138,7 +141,7 @@ func TestShardedRouting(t *testing.T) {
 		if got := s.ShardOf(k.Hash()); got != s.ShardOf(p.Hash()) {
 			t.Fatalf("flow %d: key hash routes to %d, packet hash to %d", i, got, s.ShardOf(p.Hash()))
 		}
-		rec, ok := s.Lookup(k)
+		rec, _, ok := s.Lookup(k)
 		if !ok || rec.Pkts != 1 {
 			t.Fatalf("flow %d not found after Process (ok=%v rec=%+v)", i, ok, rec)
 		}

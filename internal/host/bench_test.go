@@ -9,7 +9,7 @@ import (
 )
 
 func BenchmarkTimingWheelScheduleAdvance(b *testing.B) {
-	w := NewTimingWheel(256, 1e6)
+	w := NewTimingWheel[int](256, 1e6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ts := int64(i) * 1000

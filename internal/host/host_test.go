@@ -53,7 +53,7 @@ func TestBloomDegenerateParams(t *testing.T) {
 }
 
 func TestTimingWheelExpiry(t *testing.T) {
-	w := NewTimingWheel(16, 100) // 1.6 µs horizon
+	w := NewTimingWheel[string](16, 100) // 1.6 µs horizon
 	w.Schedule(1, 250, "a")
 	w.Schedule(2, 950, "b")
 	out := w.Advance(300)
@@ -70,8 +70,8 @@ func TestTimingWheelExpiry(t *testing.T) {
 }
 
 func TestTimingWheelMultiRound(t *testing.T) {
-	w := NewTimingWheel(4, 100) // 400 ns/revolution
-	w.Schedule(1, 950, "far")   // needs 2+ revolutions
+	w := NewTimingWheel[string](4, 100) // 400 ns/revolution
+	w.Schedule(1, 950, "far")           // needs 2+ revolutions
 	if out := w.Advance(800); len(out) != 0 {
 		t.Fatalf("fired early: %+v", out)
 	}
@@ -82,11 +82,11 @@ func TestTimingWheelMultiRound(t *testing.T) {
 }
 
 func TestTimingWheelCancelAndScan(t *testing.T) {
-	w := NewTimingWheel(8, 100)
+	w := NewTimingWheel[string](8, 100)
 	w.Schedule(42, 500, "x")
 	w.Schedule(42, 700, "y")
 	w.Schedule(7, 600, "z")
-	found := w.Scan(func(k uint64, _ interface{}) bool { return k == 42 })
+	found := w.Scan(func(k uint64, _ string) bool { return k == 42 })
 	if len(found) != 2 {
 		t.Fatalf("scan found %d", len(found))
 	}
@@ -103,7 +103,7 @@ func TestTimingWheelCancelAndScan(t *testing.T) {
 }
 
 func TestTimingWheelPastDeadline(t *testing.T) {
-	w := NewTimingWheel(8, 100)
+	w := NewTimingWheel[string](8, 100)
 	w.Advance(1000)
 	w.Schedule(1, 50, "past") // already expired
 	out := w.Advance(1100)
@@ -117,7 +117,7 @@ func TestTimingWheelPastDeadline(t *testing.T) {
 func TestTimingWheelConservationProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRand(seed)
-		w := NewTimingWheel(8+rng.IntN(24), int64(50+rng.IntN(200)))
+		w := NewTimingWheel[int](8+rng.IntN(24), int64(50+rng.IntN(200)))
 		n := 200
 		deadlines := map[uint64]int64{}
 		for i := 0; i < n; i++ {

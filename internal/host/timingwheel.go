@@ -6,10 +6,11 @@ package host
 // the timer expires, or discarded early if a race with genuine data proves
 // the RST forged.
 //
-// Entries carry an opaque payload and a caller-chosen 64-bit key for
+// Entries carry a payload of the owner's type P inline (an interface{} cost
+// a heap object per Schedule) and a caller-chosen 64-bit key for
 // cancellation and scanning. Time is virtual nanoseconds.
-type TimingWheel struct {
-	slots  []wheelSlot
+type TimingWheel[P any] struct {
+	slots  []wheelSlot[P]
 	tickNs int64
 	now    int64 // start of current tick
 	cursor int
@@ -17,45 +18,47 @@ type TimingWheel struct {
 	scans  uint64 // entries examined by Scan (the cost Fig. 8b measures)
 	// regressions counts Advance calls that asked for a time before now.
 	regressions uint64
+	// expired is Advance's result, reused from call to call.
+	expired []Expired[P]
 }
 
-type wheelSlot struct {
-	entries []wheelEntry
+type wheelSlot[P any] struct {
+	entries []wheelEntry[P]
 }
 
-type wheelEntry struct {
+type wheelEntry[P any] struct {
 	key      uint64
 	deadline int64
 	rounds   int // full wheel revolutions remaining
-	payload  interface{}
+	payload  P
 	dead     bool
 }
 
 // Expired is one released entry.
-type Expired struct {
+type Expired[P any] struct {
 	Key      uint64
 	Deadline int64
-	Payload  interface{}
+	Payload  P
 }
 
 // NewTimingWheel builds a wheel of the given slot count and tick length.
 // The horizon per revolution is slots*tickNs; longer deadlines ride
 // multiple rounds.
-func NewTimingWheel(slots int, tickNs int64) *TimingWheel {
+func NewTimingWheel[P any](slots int, tickNs int64) *TimingWheel[P] {
 	if slots < 2 || tickNs <= 0 {
 		panic("host: timing wheel needs >=2 slots and a positive tick")
 	}
-	return &TimingWheel{slots: make([]wheelSlot, slots), tickNs: tickNs}
+	return &TimingWheel[P]{slots: make([]wheelSlot[P], slots), tickNs: tickNs}
 }
 
 // Len returns the number of live entries.
-func (w *TimingWheel) Len() int { return w.size }
+func (w *TimingWheel[P]) Len() int { return w.size }
 
 // Schedule buffers a payload until deadline (virtual ns). Deadlines in the
 // past (or at/before the current tick start) expire on the next Advance.
 // Deadlines beyond one revolution ride the rounds counter — they are never
 // silently misplaced, and never fire before an Advance that reaches them.
-func (w *TimingWheel) Schedule(key uint64, deadline int64, payload interface{}) error {
+func (w *TimingWheel[P]) Schedule(key uint64, deadline int64, payload P) error {
 	if deadline < w.now {
 		deadline = w.now
 	}
@@ -70,7 +73,7 @@ func (w *TimingWheel) Schedule(key uint64, deadline int64, payload interface{}) 
 	}
 	slot := (w.cursor + int(ticksAhead)) % len(w.slots)
 	rounds := int(ticksAhead) / len(w.slots)
-	w.slots[slot].entries = append(w.slots[slot].entries, wheelEntry{
+	w.slots[slot].entries = append(w.slots[slot].entries, wheelEntry[P]{
 		key: key, deadline: deadline, rounds: rounds, payload: payload,
 	})
 	w.size++
@@ -79,7 +82,7 @@ func (w *TimingWheel) Schedule(key uint64, deadline int64, payload interface{}) 
 
 // Cancel removes (lazily) all live entries with the key, returning how
 // many were cancelled.
-func (w *TimingWheel) Cancel(key uint64) int {
+func (w *TimingWheel[P]) Cancel(key uint64) int {
 	n := 0
 	for si := range w.slots {
 		for i := range w.slots[si].entries {
@@ -96,8 +99,8 @@ func (w *TimingWheel) Cancel(key uint64) int {
 
 // Scan visits every live entry (the wheel scan whose cost the Bloom filter
 // avoids) and returns those for which pred is true.
-func (w *TimingWheel) Scan(pred func(key uint64, payload interface{}) bool) []Expired {
-	var out []Expired
+func (w *TimingWheel[P]) Scan(pred func(key uint64, payload P) bool) []Expired[P] {
+	var out []Expired[P]
 	for si := range w.slots {
 		for i := range w.slots[si].entries {
 			e := &w.slots[si].entries[i]
@@ -106,7 +109,7 @@ func (w *TimingWheel) Scan(pred func(key uint64, payload interface{}) bool) []Ex
 			}
 			w.scans++
 			if pred(e.key, e.payload) {
-				out = append(out, Expired{Key: e.key, Deadline: e.deadline, Payload: e.payload})
+				out = append(out, Expired[P]{Key: e.key, Deadline: e.deadline, Payload: e.payload})
 			}
 		}
 	}
@@ -114,7 +117,7 @@ func (w *TimingWheel) Scan(pred func(key uint64, payload interface{}) bool) []Ex
 }
 
 // ScanCost returns the cumulative entries examined by Scan.
-func (w *TimingWheel) ScanCost() uint64 { return w.scans }
+func (w *TimingWheel[P]) ScanCost() uint64 { return w.scans }
 
 // Advance moves virtual time forward to now, returning entries whose
 // deadlines expired, in slot order. Time never moves backwards: an Advance
@@ -122,12 +125,14 @@ func (w *TimingWheel) ScanCost() uint64 { return w.scans }
 // with out-of-order timestamps — releases nothing, leaves the wheel where
 // it is and is counted in Regressions. This is the wheel's whole
 // hostile-time contract; its users carry no guard of their own.
-func (w *TimingWheel) Advance(now int64) []Expired {
+// The result is the wheel's own buffer, valid until the next Advance (the
+// owner may Schedule while ranging over it).
+func (w *TimingWheel[P]) Advance(now int64) []Expired[P] {
 	if now < w.now {
 		w.regressions++
 		return nil
 	}
-	var out []Expired
+	out := w.expired[:0]
 	for now-w.now >= w.tickNs {
 		if w.size == 0 {
 			// Nothing left to release: cross the remaining ticks in one
@@ -147,7 +152,7 @@ func (w *TimingWheel) Advance(now int64) []Expired {
 				e.rounds--
 				kept = append(kept, e)
 			default:
-				out = append(out, Expired{Key: e.key, Deadline: e.deadline, Payload: e.payload})
+				out = append(out, Expired[P]{Key: e.key, Deadline: e.deadline, Payload: e.payload})
 				w.size--
 			}
 		}
@@ -155,12 +160,13 @@ func (w *TimingWheel) Advance(now int64) []Expired {
 		w.now += w.tickNs
 		w.cursor = (w.cursor + 1) % len(w.slots)
 	}
+	w.expired = out
 	return out
 }
 
 // Now returns the wheel's current virtual time (start of tick).
-func (w *TimingWheel) Now() int64 { return w.now }
+func (w *TimingWheel[P]) Now() int64 { return w.now }
 
 // Regressions returns how many Advance calls were refused for asking the
 // wheel to move backwards.
-func (w *TimingWheel) Regressions() uint64 { return w.regressions }
+func (w *TimingWheel[P]) Regressions() uint64 { return w.regressions }

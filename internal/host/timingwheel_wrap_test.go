@@ -44,7 +44,7 @@ func TestTimingWheelWraparoundTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewTimingWheel(tc.slots, tc.tick)
+			w := NewTimingWheel[string](tc.slots, tc.tick)
 			if tc.preAdvance > 0 {
 				w.Advance(tc.preAdvance)
 			}
@@ -79,7 +79,7 @@ func TestTimingWheelMultiRevolutionSweep(t *testing.T) {
 		tick  = int64(100)
 		n     = 200
 	)
-	w := NewTimingWheel(slots, tick)
+	w := NewTimingWheel[int](slots, tick)
 	deadlines := make(map[uint64]int64, n)
 	for i := 0; i < n; i++ {
 		// Deadlines spread over ~6 revolutions, hitting boundaries often.
@@ -120,7 +120,7 @@ func TestTimingWheelMultiRevolutionSweep(t *testing.T) {
 // far future releases what is due and costs no more than that, and a
 // deadline already in the past fires on the next tick.
 func TestTimingWheelHostileTime(t *testing.T) {
-	w := NewTimingWheel(8, 100)
+	w := NewTimingWheel[string](8, 100)
 	if out := w.Advance(0); len(out) != 0 || w.Now() != 0 {
 		t.Fatalf("Advance(0) on a new wheel: %v, now %d", out, w.Now())
 	}
@@ -178,7 +178,7 @@ func TestTimingWheelHostileTime(t *testing.T) {
 	}
 
 	// The cursor a jump lands on is the one walking would have reached.
-	walked, jumped := NewTimingWheel(8, 100), NewTimingWheel(8, 100)
+	walked, jumped := NewTimingWheel[any](8, 100), NewTimingWheel[any](8, 100)
 	for now := int64(0); now <= 12345; now += 100 {
 		walked.Schedule(9, now, nil) // keeps the walker non-empty: no jump
 		walked.Advance(now)
@@ -187,7 +187,7 @@ func TestTimingWheelHostileTime(t *testing.T) {
 	jumped.Advance(12345)
 	walked.Schedule(7, 12700, "x")
 	jumped.Schedule(7, 12700, "x")
-	for _, w := range []*TimingWheel{walked, jumped} {
+	for _, w := range []*TimingWheel[any]{walked, jumped} {
 		if out := w.Advance(12600); len(out) != 0 {
 			t.Fatalf("released %v before its deadline", out)
 		}

@@ -16,7 +16,7 @@ type Tracker struct {
 	queries []Query
 	// seen[i] is queries[i]'s key set: the per-packet path indexes by
 	// position, only Candidates deals in names.
-	seen []map[packet.Addr]bool
+	seen []set[packet.Addr]
 	// checked / aligned cache alignedWith's answer for one installed set.
 	checked *Query
 	aligned bool
@@ -27,9 +27,9 @@ func NewTracker(queries []Query, maxKeys int) *Tracker {
 	if maxKeys <= 0 {
 		maxKeys = 1 << 20
 	}
-	t := &Tracker{maxKeys: maxKeys, queries: queries, seen: make([]map[packet.Addr]bool, len(queries))}
+	t := &Tracker{maxKeys: maxKeys, queries: queries, seen: make([]set[packet.Addr], len(queries))}
 	for i := range t.seen {
-		t.seen[i] = map[packet.Addr]bool{}
+		t.seen[i].hash = addrHash
 	}
 	return t
 }
@@ -48,8 +48,8 @@ func (t *Tracker) Observe(p *packet.Packet) {
 // note records key k for query i — Observe's insert, for a caller that has
 // already evaluated the query on the packet.
 func (t *Tracker) note(i int, k packet.Addr) {
-	if m := t.seen[i]; len(m) < t.maxKeys {
-		m[k] = true
+	if s := &t.seen[i]; s.n < t.maxKeys {
+		s.add(k)
 	}
 }
 
@@ -67,18 +67,17 @@ func (t *Tracker) alignedWith(qs []Query) bool {
 	return t.aligned
 }
 
-// Candidates returns the per-query key sets and resets them for the next
-// interval.
+// Candidates returns the per-query key sets, each in address order, and
+// resets them for the next interval.
 func (t *Tracker) Candidates() map[string][]packet.Addr {
 	out := make(map[string][]packet.Addr, len(t.seen))
-	for i, m := range t.seen {
+	for i := range t.seen {
 		name := t.queries[i].Name
-		keys := slices.Grow(out[name], len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		out[name] = keys
-		t.seen[i] = map[packet.Addr]bool{}
+		out[name] = append(out[name], t.seen[i].keys()...)
+		t.seen[i] = set[packet.Addr]{hash: addrHash}
+	}
+	for _, keys := range out {
+		slices.Sort(keys)
 	}
 	return out
 }

@@ -142,7 +142,7 @@ func TestSteerStageMatchesTwoPass(t *testing.T) {
 func (t *Tracker) seenFrom(c map[string][]packet.Addr) {
 	for i, q := range t.queries {
 		for _, k := range c[q.Name] {
-			t.seen[i][k] = true
+			t.seen[i].add(k)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package packet_test
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"smartwatch/internal/packet"
@@ -77,6 +78,44 @@ func FuzzDecodeInto(f *testing.F) {
 		}
 		if r.Skipped() != wantSkipped || r.Count() != 1-wantSkipped {
 			t.Fatalf("decode error %v, reader counted %d packets and %d skipped", errZero, r.Count(), r.Skipped())
+		}
+	})
+}
+
+// FuzzParseAddr: whatever the string, ParseAddr never panics; a string it
+// accepts is four dot-separated runs of digits, and the address it returns
+// prints (Addr.String) as that string without its octets' leading zeros
+// and parses back to itself. Seeded with TestAddrRoundTrip's cases.
+func FuzzParseAddr(f *testing.F) {
+	for _, s := range []string{
+		"0.0.0.0", "10.1.2.3", "192.168.255.1", "255.255.255.255",
+		"", "1.2.3", "1.2.3.4.5", "256.1.1.1", "a.b.c.d", "01.2.3.004", "+1.2.3.4", "1.2.3.4 ", "1..2.3", "1_0.0.0.1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		a, err := packet.ParseAddr(s)
+		if err != nil {
+			return
+		}
+		octets := strings.Split(s, ".")
+		if len(octets) != 4 {
+			t.Fatalf("ParseAddr(%q) accepted %d fields", s, len(octets))
+		}
+		for i, o := range octets {
+			if o == "" || strings.Trim(o, "0123456789") != "" {
+				t.Fatalf("ParseAddr(%q) accepted the field %q", s, o)
+			}
+			if o = strings.TrimLeft(o, "0"); o == "" {
+				o = "0"
+			}
+			octets[i] = o
+		}
+		if got := a.String(); got != strings.Join(octets, ".") {
+			t.Fatalf("ParseAddr(%q) = %s", s, got)
+		}
+		if b, err := packet.ParseAddr(a.String()); err != nil || b != a {
+			t.Fatalf("%q parsed to %s, which parses to %v (%v)", s, a, b, err)
 		}
 	})
 }

@@ -24,6 +24,11 @@ type Ctx struct {
 	// picked it up — the "current timestamp minus MAC ingress timestamp"
 	// the microburst detector thresholds on.
 	QueueDelayNs float64
+	// FlowHash is the packet's FlowKey.Hash if the driver carries it (0: a
+	// detector that wants it computes it); Pinned, whether its FlowCache
+	// record is pinned. Filled in by the handler, not by the engine.
+	FlowHash uint64
+	Pinned   bool
 }
 
 // Handler is the application logic the simulator charges for: it sees

@@ -136,6 +136,7 @@ type Handler func(Event)
 type subscriber struct {
 	name string
 	fn   Handler
+	flat func(packet.FlowKey, packet.Addr) // set instead of fn by SubscribeFlat
 }
 
 // BusStats counts bus traffic.
@@ -198,21 +199,55 @@ func NewBus() *Bus { return &Bus{} }
 // Subscribers run in subscription order. It panics on an unknown kind or
 // nil handler (programmer errors).
 func (b *Bus) Subscribe(k Kind, name string, fn Handler) {
+	b.subscribe(k, subscriber{name: name, fn: fn})
+}
+
+// SubscribeFlat is Subscribe — same order, same counters — for a handler
+// that wants only a whitelist's or unpin's key or a blacklist's address
+// (the other argument is zero), as plain values. See PublishFlat.
+func (b *Bus) SubscribeFlat(k Kind, name string, fn func(key packet.FlowKey, addr packet.Addr)) {
+	b.subscribe(k, subscriber{name: name, flat: fn})
+}
+
+func (b *Bus) subscribe(k Kind, s subscriber) {
 	if k >= kindCount {
 		panic(fmt.Sprintf("tier: subscribe to unknown kind %d", k))
 	}
-	if fn == nil {
-		panic("tier: nil handler for " + name)
+	if s.fn == nil && s.flat == nil {
+		panic("tier: nil handler for " + s.name)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.subs[k] = append(b.subs[k], subscriber{name: name, fn: fn})
+	b.subs[k] = append(b.subs[k], s)
 }
 
 // Publish delivers e to every subscriber of its kind, in subscription
 // order, before returning.
 func (b *Bus) Publish(e Event) {
-	k := e.Kind()
+	var key packet.FlowKey
+	var addr packet.Addr
+	switch ev := e.(type) { // what the kind's flat subscribers are handed
+	case WhitelistEvent:
+		key = ev.Key
+	case UnpinEvent:
+		key = ev.Key
+	case BlacklistEvent:
+		addr = ev.Addr
+	}
+	b.publish(e.Kind(), e, key, addr, "")
+}
+
+// PublishFlat is Publish of the WhitelistEvent / UnpinEvent{key, origin} or
+// BlacklistEvent{addr, origin} k names, without the heap object an interface
+// value costs: the event is built only if the kind has a Handler subscribed.
+func (b *Bus) PublishFlat(k Kind, key packet.FlowKey, addr packet.Addr, origin string) {
+	if k != KindWhitelist && k != KindUnpin && k != KindBlacklist {
+		panic(fmt.Sprintf("tier: %v is not a flat kind", k))
+	}
+	b.publish(k, nil, key, addr, origin)
+}
+
+func (b *Bus) publish(k Kind, e Event, key packet.FlowKey, addr packet.Addr, origin string) {
 	if k >= kindCount {
 		panic(fmt.Sprintf("tier: publish of unknown kind %d", k))
 	}
@@ -220,12 +255,22 @@ func (b *Bus) Publish(e Event) {
 	defer b.mu.Unlock()
 	b.published[k].Add(1)
 	for _, s := range b.subs[k] {
-		b.deliver(s, e)
+		if e == nil && s.flat == nil {
+			switch k {
+			case KindWhitelist:
+				e = WhitelistEvent{Key: key, Origin: origin}
+			case KindUnpin:
+				e = UnpinEvent{Key: key, Origin: origin}
+			default:
+				e = BlacklistEvent{Addr: addr, Origin: origin}
+			}
+		}
+		b.deliver(s, e, key, addr)
 	}
 }
 
 // deliver runs one subscriber with panic isolation.
-func (b *Bus) deliver(s subscriber, e Event) {
+func (b *Bus) deliver(s subscriber, e Event, key packet.FlowKey, addr packet.Addr) {
 	defer func() {
 		if r := recover(); r != nil {
 			b.panics.Add(1)
@@ -233,7 +278,11 @@ func (b *Bus) deliver(s subscriber, e Event) {
 			b.lastPanic.Store(&msg)
 		}
 	}()
-	s.fn(e)
+	if s.flat != nil {
+		s.flat(key, addr)
+	} else {
+		s.fn(e)
+	}
 	b.delivered.Add(1)
 }
 

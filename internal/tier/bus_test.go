@@ -141,3 +141,58 @@ func TestBusSubscribeValidation(t *testing.T) {
 	mustPanic("nil handler", func() { b.Subscribe(KindWhitelist, "x", nil) })
 	mustPanic("bad kind", func() { b.Subscribe(Kind(200), "x", func(Event) {}) })
 }
+
+// TestBusFlatAndBoxedAgree: a kind's flat subscribers and Handlers share
+// one subscription order, both publish forms reach both with the same
+// values and the same counters, and a flat publish to flat subscribers
+// alone builds no event (no heap object per control event).
+func TestBusFlatAndBoxedAgree(t *testing.T) {
+	key, addr := packet.FlowKey{LoIP: 1, HiIP: 2, LoPort: 3, HiPort: 4, Proto: packet.ProtoTCP}, packet.Addr(9)
+	events := []Event{
+		WhitelistEvent{Key: key, Origin: "o"}, UnpinEvent{Key: key, Origin: "o"}, BlacklistEvent{Addr: addr, Origin: "o"},
+	}
+	run := func(flat bool) ([]string, BusStats) {
+		b := NewBus()
+		var log []string
+		for _, e := range events {
+			k := e.Kind()
+			b.SubscribeFlat(k, "flat-1", func(fk packet.FlowKey, a packet.Addr) { log = append(log, fmt.Sprint("flat-1 ", k, fk, a)) })
+			b.Subscribe(k, "boxed", func(got Event) { log = append(log, fmt.Sprintf("boxed %#v", got)) })
+			b.SubscribeFlat(k, "flat-2", func(fk packet.FlowKey, a packet.Addr) { log = append(log, fmt.Sprint("flat-2 ", k, fk, a)) })
+		}
+		for _, e := range events {
+			switch ev := e.(type) {
+			case BlacklistEvent:
+				if flat {
+					b.PublishFlat(KindBlacklist, packet.FlowKey{}, ev.Addr, ev.Origin)
+					continue
+				}
+			case WhitelistEvent, UnpinEvent:
+				if flat {
+					b.PublishFlat(e.Kind(), key, 0, "o")
+					continue
+				}
+			}
+			b.Publish(e)
+		}
+		return log, b.Stats()
+	}
+	boxedLog, boxedStats := run(false)
+	flatLog, flatStats := run(true)
+	if len(boxedLog) != 9 || fmt.Sprint(boxedLog) != fmt.Sprint(flatLog) || boxedStats != flatStats {
+		t.Errorf("Publish delivered\n%v %+v\nPublishFlat delivered\n%v %+v", boxedLog, boxedStats, flatLog, flatStats)
+	}
+
+	b := NewBus()
+	unpins := 0
+	b.SubscribeFlat(KindUnpin, "count", func(packet.FlowKey, packet.Addr) { unpins++ })
+	if n := testing.AllocsPerRun(100, func() { b.PublishFlat(KindUnpin, key, 0, "hooks") }); n != 0 || unpins != 101 {
+		t.Errorf("flat publish to flat subscribers: %v allocs per event, %d delivered (want 0, 101)", n, unpins)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("PublishFlat of an interval did not panic")
+		}
+	}()
+	b.PublishFlat(KindInterval, key, 0, "")
+}
