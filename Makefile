@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race fuzz-smoke shards policies cluster lowslow check bench-ab experiments metrics-smoke serve-smoke clean
+.PHONY: all build fmt-check vet test race fuzz-smoke cluster lowslow check bench-ab experiments metrics-smoke serve-smoke clean
 
 all: check
 
@@ -27,20 +27,23 @@ test:
 
 # Race-detector pass over the concurrency-bearing packages: the FlowCache
 # latch protocol (and its random-operation test against the pre-row-word
-# oracle, which -short does not skip), the sNIC engine, the platform
-# control loop, the parallel experiment runner, the buffered stream bridge,
+# oracle, the shard / policy / adaptive-controller determinism suites, none
+# of which -short skips), the sNIC engine, the platform control loop, the
+# event bus, the parallel experiment runner, the buffered stream bridge,
 # the SPSC ring under the cluster's ingress lanes, and the wire side's
 # shared state — the follow reader's close flag, the switch tables, the
-# cluster router's per-vector tallies against a polling reader. -short skips the
-# full-sweep determinism test (covered by `make test`) and shortens, not
-# skips, the sNIC scheduler's ring-vs-heap oracle. The session's
-# concurrency tests then run 20 more times: the concurrent-Close race lost
+# cluster router's per-vector tallies against a polling reader. -short
+# shortens, not skips, the sNIC scheduler's ring-vs-heap oracle; the three
+# platform sweeps it does skip (every batch size x shard count, chunked
+# ingest, segmented runs: DESIGN.md §9, §12) run on the second line. The
+# session's concurrency tests then run 20 more times: the concurrent-Close race lost
 # about one run in eight before Session.Close decided under the session
 # mutex, and Ingest / Exec / Snapshot / Close from four goroutines is the
 # whole contract of a drive that runs on its callers' goroutines
 # (DESIGN.md §12.1).
 race:
-	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/ ./internal/pcap/ ./internal/p4switch/ ./internal/cluster/
+	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/ ./internal/pcap/ ./internal/p4switch/ ./internal/cluster/
+	$(GO) test -race -run 'TestBatchedDriveMatchesPerPacket|TestChunkedIngestMatchesRun|TestSegmentedRunMatchesOneShot' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 
 # Ten seconds of each native fuzz target (DESIGN.md §21): the pcap record
@@ -51,25 +54,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInto -fuzztime 10s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzParseAddr -fuzztime 10s ./internal/packet/
-
-# Shard-determinism gate (DESIGN.md §8.4, §9, §12): the sharded FlowCache,
-# the tier pipeline, the event bus, the batched datapath and the session
-# lifecycle under the race detector — the tiered platform must match
-# legacy, every batch size and shard count must be byte-identical to the
-# per-packet drive, and the session
-# control plane must be race-free against a live ingest.
-shards:
-	$(GO) vet ./...
-	$(GO) test -race -run 'Shard|Bus|Pipeline|Event|TierPipeline|AtomicCounts|Batch|Session' ./internal/flowcache/ ./internal/tier/ ./internal/core/
-
-# Replacement-policy / adaptive-controller gate (DESIGN.md §11): golden
-# LRU-LPC extraction, policy divergence + determinism, controller
-# hysteresis/feedback tables and the adaptive determinism suite under
-# the race detector, then the policies experiment table at reduced scale.
-policies:
-	$(GO) vet ./...
-	$(GO) test -race -run 'Policy|S3FIFO|Controller|Adaptive|Feedback|CleanRowsBounded' ./internal/flowcache/
-	$(GO) run ./cmd/experiments -scale 0.1 policies
 
 # Cluster gate (DESIGN.md §14): the full cluster runner suite under the
 # race detector — the two-oracle determinism sweep (parallel drive
@@ -95,10 +79,12 @@ lowslow:
 		./internal/trace/ ./internal/detect/ ./internal/host/ ./internal/flowcache/ ./internal/core/
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
-# The last step is the detector chain's 0-allocs guard (DESIGN.md §18):
-# the LowSlow / Chain micros off the SYN path must report 0 allocs/op.
+# After the gates: the detector chain's 0-allocs guard (DESIGN.md §18: the
+# LowSlow / Chain micros off the SYN path must report 0 allocs/op), then
+# the replacement-policy study table at reduced scale (DESIGN.md §11).
 check: fmt-check vet build test race fuzz-smoke
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain' -benchtime 10x ./internal/detect/
+	$(GO) run ./cmd/experiments -scale 0.1 policies
 
 # Same-box A/B of the repo's benchmark (benchmark/, BENCHMARK.json): the
 # base commit against the working tree as alternating pairs, both result

@@ -14,12 +14,14 @@ import (
 	"expvar"
 	"flag"
 	"fmt"
+	"io"
 	"math/bits"
 	"net"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 
 	"smartwatch/internal/cluster"
@@ -100,7 +102,6 @@ func main() {
 	if *workers < 1 || *workers&(*workers-1) != 0 {
 		fatal(fmt.Errorf("-workers must be a power of two, got %d", *workers))
 	}
-	cfg.Workers = *workers
 	if err := checkGeometry(cfg.Cache, *shards, *workers); err != nil {
 		fatal(err)
 	}
@@ -329,7 +330,7 @@ func buildSource(in string, follow bool, gen string, repeat int, rate float64, m
 // printReport renders the end-of-run summary (both batch and daemon
 // modes).
 func printReport(pl *core.Platform, rep core.Report, verbose bool) {
-	printReportCore(pl.Cache().Shard(0).PolicyName(), len(pl.KV().Intervals()), rep, verbose)
+	printReportCore(os.Stdout, pl.Cache().Shard(0).PolicyName(), len(pl.KV().Intervals()), rep, verbose)
 }
 
 // printClusterReport renders the merged view plus the cluster fan-out
@@ -341,7 +342,7 @@ func printClusterReport(cl *cluster.Runner, rep cluster.Report, verbose bool) {
 	for _, wpl := range workers {
 		kvIntervals += len(wpl.KV().Intervals())
 	}
-	printReportCore(workers[0].Cache().Shard(0).PolicyName(), kvIntervals, rep.Merged, verbose)
+	printReportCore(os.Stdout, workers[0].Cache().Shard(0).PolicyName(), kvIntervals, rep.Merged, verbose)
 	fmt.Printf("cluster: workers=%d policy=%s imbalance=%.2f resteers=%d folds=%d folded-events=%d merge=%.2f ms\n",
 		len(workers), rep.Steer.Policy, rep.Steer.Imbalance, rep.Steer.Resteers,
 		rep.Steer.Folds, rep.Steer.FoldedEvents, float64(rep.MergeNs)/1e6)
@@ -351,30 +352,36 @@ func printClusterReport(cl *cluster.Runner, rep cluster.Report, verbose bool) {
 	}
 }
 
-func printReportCore(policy string, kvIntervals int, rep core.Report, verbose bool) {
-	fmt.Printf("packets: total=%d forwarded-direct=%d to-snic=%d to-host=%d blocked=%d dropped-at-switch=%d\n",
+func printReportCore(w io.Writer, policy string, kvIntervals int, rep core.Report, verbose bool) {
+	fmt.Fprintf(w, "packets: total=%d forwarded-direct=%d to-snic=%d to-host=%d blocked=%d dropped-at-switch=%d\n",
 		rep.Counts.Total, rep.Counts.ForwardedDirect, rep.Counts.ToSNIC,
 		rep.Counts.ToHost, rep.Counts.Blocked, rep.Counts.DroppedAtSwitch)
-	fmt.Printf("flowcache: policy=%s processed=%d hit-rate=%.3f evictions=%d ring-drops=%d host-punts=%d mode-switchovers=%d\n",
+	fmt.Fprintf(w, "flowcache: policy=%s processed=%d hit-rate=%.3f evictions=%d ring-drops=%d host-punts=%d mode-switchovers=%d\n",
 		policy, rep.Cache.Processed(), rep.Cache.HitRate(),
 		rep.Cache.Evictions, rep.Cache.RingDrops, rep.Cache.HostPunts, rep.Switchovers)
-	fmt.Printf("snic: achieved=%.2f Mpps p50-latency=%.0f ns p99=%.0f ns loss=%.4f\n",
+	fmt.Fprintf(w, "snic: achieved=%.2f Mpps p50-latency=%.0f ns p99=%.0f ns loss=%.4f\n",
 		rep.SNIC.AchievedMpps, rep.SNIC.Latency.Percentile(50), rep.SNIC.Latency.Percentile(99), rep.SNIC.LossRate())
-	fmt.Printf("host: cpu=%.2f ms flow-log-intervals=%d\n", rep.HostCPUNs/1e6, kvIntervals)
+	fmt.Fprintf(w, "host: cpu=%.2f ms flow-log-intervals=%d\n", rep.HostCPUNs/1e6, kvIntervals)
 	if rep.SwitchStats.Intervals > 0 {
-		fmt.Printf("switch: steered=%d whitelist-hits=%d blacklist-drops=%d\n",
+		fmt.Fprintf(w, "switch: steered=%d whitelist-hits=%d blacklist-drops=%d\n",
 			rep.SwitchStats.Steered, rep.SwitchStats.WhitelistHits, rep.SwitchStats.BlacklistHits)
 	}
-	fmt.Printf("alerts: %d\n", len(rep.Alerts))
+	fmt.Fprintf(w, "alerts: %d\n", len(rep.Alerts))
 	byDet := map[string]int{}
 	for _, a := range rep.Alerts {
 		byDet[a.Detector]++
 		if verbose {
-			fmt.Println("  ", a)
+			fmt.Fprintln(w, "  ", a)
 		}
 	}
-	for name, n := range byDet {
-		fmt.Printf("  %-20s %d\n", name, n)
+	// In name order: a map ranges in a different order every run.
+	names := make([]string, 0, len(byDet))
+	for name := range byDet {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(w, "  %-20s %d\n", name, byDet[name])
 	}
 }
 

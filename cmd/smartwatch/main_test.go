@@ -1,11 +1,40 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"smartwatch/internal/core"
+	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
+	"smartwatch/internal/stats"
 )
+
+// TestReportAlertSummaryOrder: the per-detector alert summary is printed in
+// name order, so two runs over the same capture print the same bytes. It
+// used to range over the tally map: with two detectors, half of all
+// renderings came out swapped.
+func TestReportAlertSummaryOrder(t *testing.T) {
+	rep := core.Report{Alerts: []detect.Alert{
+		{Detector: "ssh-bruteforce"}, {Detector: "portscan"}, {Detector: "ssh-bruteforce"},
+	}}
+	rep.SNIC.Latency = stats.NewQuantiles(0)
+	render := func() string {
+		var b bytes.Buffer
+		printReportCore(&b, "lru-lpc", 3, rep, false)
+		return b.String()
+	}
+	first := render()
+	if !strings.HasSuffix(first, "alerts: 3\n  portscan             1\n  ssh-bruteforce       2\n") {
+		t.Errorf("alert summary not in name order:\n%s", first)
+	}
+	for i := 0; i < 16; i++ {
+		if again := render(); again != first {
+			t.Fatalf("rendering %d differs from the first:\n%s\nfirst:\n%s", i+2, again, first)
+		}
+	}
+}
 
 // TestCheckShards: every -shards / -workers / -rowbits geometry that
 // flowcache.NewShardedOffset would panic on is an error here, and the

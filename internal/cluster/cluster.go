@@ -405,7 +405,6 @@ func (r *Runner) workerConfig(i int) core.Config {
 	wc.EnableSwitch = false
 	wc.Switch = p4switch.Config{}
 	wc.Queries = nil
-	wc.Workers = 0
 	wc.Metrics = nil
 	wc.MetricsWriter = nil
 	if r.cfg.Worker.Metrics != nil || r.cfg.Metrics != nil {

@@ -19,11 +19,11 @@
 //     Each steered packet is stepped through the engine to completion
 //     before the next one is steered.
 //
-// What does batch: the ingest tier (one counter fold per sub-batch via
-// tier.BatchStage), flow-identity pre-computation (one canonicalisation
-// + hash per packet, reused by steer-side bookkeeping and the FlowCache)
-// and FlowCache stat accounting (plain accumulator, one atomic flush per
-// sub-batch).
+// What does batch: ingest accounting (one counter fold per sub-batch),
+// flow-identity pre-computation (one canonicalisation + hash per packet,
+// reused by the steer stage and the FlowCache), the FlowCache row
+// prefetch, and FlowCache stat accounting (plain accumulator, one atomic
+// flush per sub-batch).
 package core
 
 import (
@@ -32,19 +32,13 @@ import (
 )
 
 // ingestVector runs one ingested vector to completion on the caller's
-// goroutine. The tier drive re-chunks it to exact BatchSize boundaries
+// goroutine. The drive re-chunks it to exact BatchSize boundaries
 // (every chunk holds exactly BatchSize packets except the drive's last, so
 // results do not depend on how the caller cut its vectors): aligned input
 // — the common case, since the one-shot Run wrapper ingests in multiples
 // of BatchSize — is consumed in place, stragglers wait in the carry for
 // the next vector or endDrive. b is not retained.
 func (pl *Platform) ingestVector(b []packet.Packet) {
-	if pl.cfg.LegacyPipeline {
-		for i := range b {
-			pl.legacyStep(&b[i])
-		}
-		return
-	}
 	size := pl.cfg.BatchSize
 	if len(pl.carry) > 0 {
 		n := min(size-len(pl.carry), len(b))
@@ -66,9 +60,9 @@ func (pl *Platform) ingestVector(b []packet.Packet) {
 // prepIdentity fills ctxs[0:len(batch)] with each packet's flow identity
 // — context reset, canonical key, flow hash. It touches only the context
 // vector and reads only the packets.
-func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
+func prepIdentity(batch []packet.Packet, ctxs []tier.Context) {
 	for j := range batch {
-		c := ctxs[j]
+		c := &ctxs[j]
 		c.Reset(&batch[j])
 		c.Hash = batch[j].Tuple.Identity(&c.Key)
 	}
@@ -76,24 +70,25 @@ func prepIdentity(batch []packet.Packet, ctxs []*tier.Context) {
 
 // consume runs one chunk (at most BatchSize packets) through the platform:
 // identity prep for the whole chunk, then timer-split sub-batches of
-// vectored ingest, per-packet steer and one engine.Step per steered
+// ingest accounting, per-packet steer and one engine.Step per steered
 // packet. The engine calls tierHandler synchronously inside Step, so each
-// packet is fully processed — FlowCache, detectors, reactions — before
-// the next one is steered.
+// packet is fully processed — FlowCache, detectors, reactions, host
+// delivery — before the next one is steered.
 func (pl *Platform) consume(batch []packet.Packet) {
 	ctxs := pl.ctxs[:len(batch)]
 	prepIdentity(batch, ctxs)
 	// The chunk's table rows, requested a vector ahead of their probes so
 	// up to BatchSize misses are in flight at once instead of one per Step.
-	for _, c := range ctxs {
-		pl.cache.Prefetch(c.Hash)
+	for i := range ctxs {
+		pl.cache.Prefetch(ctxs[i].Hash)
 	}
 	for lo := 0; lo < len(batch); {
 		// Fire timers due at the sub-batch head FIRST, then bound the
 		// sub-batch below the next timer so nothing can fire inside it —
 		// interval flushes and detector ticks observe exactly the state a
 		// chunk of one would show them.
-		// (Not a head behind the clock: ingest counts those, once each.)
+		// (Not a head behind the clock: the loop below counts those, once
+		// each.)
 		if ts := batch[lo].Ts; ts >= pl.clock {
 			pl.maybeTick(ts)
 		}
@@ -103,38 +98,22 @@ func (pl *Platform) consume(batch []packet.Packet) {
 			hi++
 		}
 		sub := batch[lo:hi]
-		cs := ctxs[lo:hi]
 
-		if pl.steer == nil {
-			// Wire pipeline is ingest-only: run it as one vector through
-			// the tier batch API (which observes metrics itself).
-			pl.wire.ProcessBatch(cs)
-		} else {
-			pl.ingest.ProcessBatch(cs)
-			if pl.metrics != nil {
-				// Ingest ran outside the pipeline walk, so observe it
-				// here (stage 0 of the wire pipeline).
-				for _, c := range cs {
-					pl.wire.ObserveStage(0, c)
-				}
-			}
-		}
-
-		// Verdict counters fold once per sub-batch: nothing reads them
-		// until the next timer, so deferring the atomic adds commutes.
+		// The packet counters fold once per sub-batch: their only tick-path
+		// reader is the interval metrics snapshot, and no timer can fire
+		// before the sub-batch ends, so it sees them as a chunk of one
+		// leaves them (tick, then count).
 		var direct, dropped uint64
 		for j := range sub {
-			c := cs[j]
+			// Ingest: inside a sub-batch the tick only advances the clock
+			// or counts a timestamp behind it.
+			pl.maybeTick(sub[j].Ts)
+			c := &ctxs[lo+j]
 			if pl.steer != nil {
 				// Steer per-packet: the sNIC processing of the previous
 				// packet (inside the last Step) may have programmed the
 				// switch tables this decision reads.
 				pl.steer.HandleKeyed(c)
-				if pl.metrics != nil {
-					// Stage 1 of the wire pipeline, run outside the
-					// pipeline walk.
-					pl.wire.ObserveStage(1, c)
-				}
 				if c.Verdict == tier.ForwardDirect {
 					direct++
 					continue
@@ -149,6 +128,7 @@ func (pl *Platform) consume(batch []packet.Packet) {
 		}
 		// Fold before the next maybeTick: interval observers must see
 		// aggregate stats exactly as a chunk of one leaves them.
+		pl.counts.total.Add(uint64(len(sub)))
 		if direct|dropped != 0 {
 			pl.counts.forwardedDirect.Add(direct)
 			pl.counts.droppedAtSwitch.Add(dropped)

@@ -28,7 +28,7 @@ func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 		t.Skip("full-platform sweep; covered per-component in -short runs")
 	}
 	for _, shards := range []int{1, 4} {
-		base := New(fullConfig(false, shards))
+		base := New(fullConfig(shards))
 		baseRep := base.Run(mixedStream())
 		want := canonicalDump(base, baseRep) + kvDump(base)
 
@@ -44,7 +44,7 @@ func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 		}
 
 		for _, batch := range []int{7, 64, 256} {
-			cfg := fullConfig(false, shards)
+			cfg := fullConfig(shards)
 			cfg.BatchSize = batch
 			if got := runDump(cfg); got != want {
 				t.Errorf("shards=%d batch=%d diverged from per-packet drive:\n%s",
@@ -54,27 +54,28 @@ func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 	}
 }
 
-// TestBatchedDriveMatchesLegacyOracle pins the batch path against the
-// pre-tier monolithic wiring at shards=1 — the strongest oracle in the
-// repo: per-packet legacy handler vs vectored tier drive.
-func TestBatchedDriveMatchesLegacyOracle(t *testing.T) {
-	want := runDump(fullConfig(true, 1))
-
-	cfg := fullConfig(false, 1)
-	cfg.BatchSize = 64
-	if got := runDump(cfg); got != want {
-		t.Errorf("batched drive diverged from legacy oracle:\n%s", firstDiffLine(want, got))
+// TestBatchedDriveMatchesGolden pins the batch path against the pre-tier
+// monolithic wiring at shards=1 — the strongest oracle in the repo:
+// per-packet direct-call handler vs vectored drive, at a batch size that
+// does not divide a sub-batch evenly and one larger than most.
+func TestBatchedDriveMatchesGolden(t *testing.T) {
+	want := golden(t, "legacy_switch.golden")
+	for _, batch := range []int{7, 256} {
+		cfg := fullConfig(1)
+		cfg.BatchSize = batch
+		if got := runDump(cfg); got != want {
+			t.Errorf("batch=%d: batched drive diverged from legacy golden:\n%s", batch, firstDiffLine(want, got))
+		}
 	}
 }
 
-// TestBatchedDriveNoSwitch covers the ingest-only wire pipeline, where
-// the whole vector runs through tier.Pipeline.ProcessBatch.
+// TestBatchedDriveNoSwitch covers the drive without a steer stage.
 func TestBatchedDriveNoSwitch(t *testing.T) {
-	base := Config{IntervalNs: 20e6, Detectors: detectorSet()}
-	want := runDump(base)
+	want := runDump(noSwitchConfig())
 
 	for _, batch := range []int{7, 256} {
-		cfg := Config{IntervalNs: 20e6, Detectors: detectorSet(), BatchSize: batch}
+		cfg := noSwitchConfig()
+		cfg.BatchSize = batch
 		if got := runDump(cfg); got != want {
 			t.Errorf("no-switch batch=%d diverged:\n%s", batch, firstDiffLine(want, got))
 		}
@@ -111,7 +112,7 @@ func TestBatchedDriveOddTail(t *testing.T) {
 // original per-packet drive (the batched filter never engages).
 func TestBatchSizeOneIsPerPacketDrive(t *testing.T) {
 	for _, b := range []int{0, 1} {
-		cfg := fullConfig(false, 1)
+		cfg := fullConfig(1)
 		cfg.BatchSize = b
 		pl := New(cfg)
 		if pl.cfg.BatchSize != 1 {

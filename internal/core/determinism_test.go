@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -34,20 +35,41 @@ func detectorSet() []detect.Detector {
 	}
 }
 
-func fullConfig(legacy bool, shards int) Config {
+func fullConfig(shards int) Config {
 	return Config{
-		EnableSwitch:   true,
-		Queries:        sshQueries(),
-		IntervalNs:     20e6,
-		Detectors:      detectorSet(),
-		Shards:         shards,
-		LegacyPipeline: legacy,
+		EnableSwitch: true,
+		Queries:      sshQueries(),
+		IntervalNs:   20e6,
+		Detectors:    detectorSet(),
+		Shards:       shards,
 	}
 }
 
+// noSwitchConfig is the standalone deployment (no P4 switch) of the
+// determinism workload. Detectors are stateful: every call builds a fresh
+// set.
+func noSwitchConfig() Config {
+	return Config{IntervalNs: 20e6, Detectors: detectorSet()}
+}
+
+// golden reads testdata/<name>. The legacy_* files are what the direct-call
+// drive this package kept behind a Config flag until PR 23 (legacy.go)
+// produced at its last commit — canonicalDump + kvDump unless the test
+// that reads one says otherwise. They were generated once, before that
+// drive was deleted, and are the oracle it used to be (DESIGN.md §8.1).
+func golden(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 // canonicalDump flattens everything externally observable about a run —
-// Report fields (except Events, which the legacy path never populates),
-// alert sequence and the whole flow log — into one comparable string.
+// Report fields (except Events, which the legacy drive never populated)
+// and the alert sequence; kvDump adds the whole flow log — into one
+// comparable string.
 func canonicalDump(pl *Platform, rep Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "counts %+v\n", rep.Counts)
@@ -81,44 +103,37 @@ func kvDump(pl *Platform) string {
 	return b.String()
 }
 
-// TestTierPipelineMatchesLegacy is the PR's acceptance gate: at Shards=1
-// the tier pipeline (stages + event bus) must reproduce the monolithic
-// wiring byte-for-byte — report, alert sequence and flow log.
-func TestTierPipelineMatchesLegacy(t *testing.T) {
-	legacy := New(fullConfig(true, 1))
-	legacyRep := legacy.Run(mixedStream())
-
-	tiered := New(fullConfig(false, 1))
-	tieredRep := tiered.Run(mixedStream())
-
-	wantDump := canonicalDump(legacy, legacyRep) + kvDump(legacy)
-	gotDump := canonicalDump(tiered, tieredRep) + kvDump(tiered)
-	if gotDump != wantDump {
-		t.Errorf("tier pipeline diverged from legacy:\n%s", firstDiffLine(wantDump, gotDump))
-	}
-	// The tiered run must actually have used the bus.
-	if tieredRep.Events.PublishedFor(tier.KindInterval) == 0 {
-		t.Error("tiered run published no interval events; bus is not wired")
-	}
-	if legacyRep.Events.Delivered != 0 {
-		t.Error("legacy run touched the bus")
+// TestTierDriveMatchesGolden is the tier refactor's acceptance gate, kept:
+// at Shards=1 the drive (direct stage calls + event bus) must reproduce
+// the monolithic direct-call wiring byte-for-byte — report, alert sequence
+// and flow log — at a chunk of one and at 64.
+func TestTierDriveMatchesGolden(t *testing.T) {
+	want := golden(t, "legacy_switch.golden")
+	for _, batch := range []int{1, 64} {
+		cfg := fullConfig(1)
+		cfg.BatchSize = batch
+		pl := New(cfg)
+		rep := pl.Run(mixedStream())
+		if got := canonicalDump(pl, rep) + kvDump(pl); got != want {
+			t.Errorf("batch=%d: drive diverged from legacy golden:\n%s", batch, firstDiffLine(want, got))
+		}
+		// The run must actually have used the bus.
+		if rep.Events.PublishedFor(tier.KindInterval) == 0 {
+			t.Errorf("batch=%d: run published no interval events; bus is not wired", batch)
+		}
 	}
 }
 
-// TestTierPipelineNoSwitchMatchesLegacy covers the standalone deployment
-// (no P4 switch): only ingest + datapath + host stages run.
-func TestTierPipelineNoSwitchMatchesLegacy(t *testing.T) {
-	// Detectors are stateful: each platform gets its own fresh set.
-	legacy := New(Config{IntervalNs: 20e6, Detectors: detectorSet(), LegacyPipeline: true})
-	legacyRep := legacy.Run(mixedStream())
-
-	tiered := New(Config{IntervalNs: 20e6, Detectors: detectorSet()})
-	tieredRep := tiered.Run(mixedStream())
-
-	wantDump := canonicalDump(legacy, legacyRep) + kvDump(legacy)
-	gotDump := canonicalDump(tiered, tieredRep) + kvDump(tiered)
-	if gotDump != wantDump {
-		t.Errorf("no-switch tier pipeline diverged from legacy:\n%s", firstDiffLine(wantDump, gotDump))
+// TestTierDriveNoSwitchMatchesGolden covers the standalone deployment (no
+// P4 switch): ingest accounting and the sNIC tier only.
+func TestTierDriveNoSwitchMatchesGolden(t *testing.T) {
+	want := golden(t, "legacy_noswitch.golden")
+	for _, batch := range []int{1, 64} {
+		cfg := noSwitchConfig()
+		cfg.BatchSize = batch
+		if got := runDump(cfg); got != want {
+			t.Errorf("batch=%d: no-switch drive diverged from legacy golden:\n%s", batch, firstDiffLine(want, got))
+		}
 	}
 }
 
@@ -127,7 +142,7 @@ func TestTierPipelineNoSwitchMatchesLegacy(t *testing.T) {
 // and the detectors must still catch the attack.
 func TestShardedPlatformDetectorSuite(t *testing.T) {
 	det := detect.NewBruteForce(detect.BruteForceConfig{Service: 22, Psi: 3})
-	cfg := fullConfig(false, 4)
+	cfg := fullConfig(4)
 	cfg.Detectors = []detect.Detector{det}
 	pl := New(cfg)
 	if n := pl.Cache().NumShards(); n != 4 {

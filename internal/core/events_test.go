@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"smartwatch/internal/detect"
@@ -22,36 +24,32 @@ func seedRecord(pl *Platform, k packet.FlowKey) {
 	pl.Cache().Pin(k)
 }
 
+// checkEventsGolden fails unless line is one of legacy_events.golden's: the
+// end states the direct-call Whitelist / Blacklist left.
+func checkEventsGolden(t *testing.T, line string) {
+	t.Helper()
+	if want := golden(t, "legacy_events.golden"); !strings.Contains(want, line+"\n") {
+		t.Errorf("end state %q is not the direct-call one:\n%s", line, want)
+	}
+}
+
 // TestWhitelistEventGolden: PR-1's whitelist behaviour — switch entry
 // installed, cache record unpinned, in that order — must reproduce when
 // the request travels the bus instead of direct calls.
 func TestWhitelistEventGolden(t *testing.T) {
-	legacy := New(Config{EnableSwitch: true, Queries: sshQueries(), LegacyPipeline: true})
-	tiered := New(Config{EnableSwitch: true, Queries: sshQueries()})
+	pl := New(Config{EnableSwitch: true, Queries: sshQueries()})
 	k := wlKey()
-	for _, pl := range []*Platform{legacy, tiered} {
-		seedRecord(pl, k)
-		pl.Whitelist(k)
-	}
+	seedRecord(pl, k)
+	pl.Whitelist(k)
 
-	for name, pl := range map[string]*Platform{"legacy": legacy, "tiered": tiered} {
-		if got := pl.Switch().WhitelistCount(); got != 1 {
-			t.Errorf("%s: whitelist count = %d, want 1", name, got)
-		}
-		_, pinned, ok := pl.Cache().Lookup(k)
-		if !ok || pinned {
-			t.Errorf("%s: record still pinned after whitelist (ok=%v)", name, ok)
-		}
+	_, pinned, ok := pl.Cache().Lookup(k)
+	checkEventsGolden(t, fmt.Sprintf("whitelist: switch_entries=%d resident=%v pinned=%v", pl.Switch().WhitelistCount(), ok, pinned))
+	// The request used the bus, and with the right fanout.
+	if got := pl.Bus().Stats().PublishedFor(tier.KindWhitelist); got != 1 {
+		t.Errorf("whitelist events = %d, want 1", got)
 	}
-	// Only the tiered platform used the bus, and with the right fanout.
-	if got := tiered.Bus().Stats().PublishedFor(tier.KindWhitelist); got != 1 {
-		t.Errorf("tiered whitelist events = %d, want 1", got)
-	}
-	if got := legacy.Bus().Stats().Delivered; got != 0 {
-		t.Errorf("legacy platform delivered %d bus events, want 0", got)
-	}
-	// Delivery order is the legacy call order: switch first, then unpin.
-	subs := tiered.Bus().Subscribers(tier.KindWhitelist)
+	// Delivery order is the direct-call order: switch first, then unpin.
+	subs := pl.Bus().Subscribers(tier.KindWhitelist)
 	if len(subs) != 2 || subs[0] != "switch-program" || subs[1] != "cache-unpin" {
 		t.Errorf("whitelist subscriber order = %v", subs)
 	}
@@ -60,16 +58,12 @@ func TestWhitelistEventGolden(t *testing.T) {
 // TestBlacklistEventGolden: blacklist via the bus installs the same
 // switch drop rule as the direct call.
 func TestBlacklistEventGolden(t *testing.T) {
-	legacy := New(Config{EnableSwitch: true, Queries: sshQueries(), LegacyPipeline: true})
-	tiered := New(Config{EnableSwitch: true, Queries: sshQueries()})
+	pl := New(Config{EnableSwitch: true, Queries: sshQueries()})
 	a := packet.MustParseAddr("203.0.113.9")
-	legacy.Blacklist(a)
-	tiered.Blacklist(a)
-	if !legacy.Switch().Blacklisted(a) || !tiered.Switch().Blacklisted(a) {
-		t.Error("blacklist did not reach the switch on both paths")
-	}
-	if got := tiered.Bus().Stats().PublishedFor(tier.KindBlacklist); got != 1 {
-		t.Errorf("tiered blacklist events = %d, want 1", got)
+	pl.Blacklist(a)
+	checkEventsGolden(t, fmt.Sprintf("blacklist: blacklisted=%v", pl.Switch().Blacklisted(a)))
+	if got := pl.Bus().Stats().PublishedFor(tier.KindBlacklist); got != 1 {
+		t.Errorf("blacklist events = %d, want 1", got)
 	}
 }
 
@@ -124,13 +118,13 @@ func TestDetectorReactionsBecomeEvents(t *testing.T) {
 			Proto: packet.ProtoTCP},
 		Size: 64,
 	}
-	// Drive the sNIC-side pipeline directly, on a context prepped as the
-	// wire side leaves it: with the switch enabled the wire side would
-	// fast-path this unsteered packet, and the point here is the datapath
-	// stage's event publication.
+	// Drive the sNIC tier directly, on a context prepped as consume leaves
+	// it: with the switch enabled the wire side would fast-path this
+	// unsteered packet, and the point here is tierHandler's event
+	// publication.
 	pkts := []packet.Packet{p}
 	prepIdentity(pkts, pl.ctxs)
-	pl.cur = pl.ctxs[0]
+	pl.cur = &pl.ctxs[0]
 	pl.tierHandler(&pkts[0], snic.Ctx{})
 	if !pl.Switch().Blacklisted(src) {
 		t.Error("detector blacklist reaction never reached the switch")

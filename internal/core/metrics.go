@@ -1,11 +1,11 @@
 // Metrics assembly (DESIGN.md §10): with Config.Metrics set, the platform
-// instruments both tier pipelines, registers a collector that pulls every
-// tier's occupancy/drop/depth series at snapshot time, and emits one
-// JSON-lines snapshot per monitoring interval to Config.MetricsWriter.
-// Snapshots are stamped with the closing interval's virtual timestamp, so
-// runs over the same trace emit byte-identical lines for the deterministic
-// series (see DESIGN.md §10 for which series are deterministic across
-// shard/batch settings).
+// registers the sNIC queue-delay histogram (the one series pushed per
+// packet) and a collector that pulls every tier's traffic, occupancy, drop
+// and depth series at snapshot time, and emits one JSON-lines snapshot per
+// monitoring interval to Config.MetricsWriter. Snapshots are stamped with
+// the closing interval's virtual timestamp, so runs over the same trace
+// emit byte-identical lines for the deterministic series (see DESIGN.md
+// §10 for which series are deterministic across shard/batch settings).
 package core
 
 import (
@@ -27,14 +27,16 @@ var metricKinds = []tier.Kind{
 // collector surfaces their pending-entry depth.
 type wheelOwner interface{ WheelDepth() int }
 
-// instrumentMetrics wires Config.Metrics through the platform: per-stage
-// pipeline instruments, the pull collector, and the per-interval snapshot
-// emit. Called from New; requires the tier pipelines (not LegacyPipeline).
+// queueDelayBounds buckets the tier.<wire|nic>.queue_delay_ns histograms.
+var queueDelayBounds = obs.ExpBounds(100, 4, 10)
+
+// instrumentMetrics wires Config.Metrics through the platform: the pushed
+// histogram, the pull collector, and the per-interval snapshot emit.
+// Called from New.
 func (pl *Platform) instrumentMetrics() {
 	reg := pl.cfg.Metrics
 	pl.metrics = reg
-	pl.wire.Instrument(reg, "wire")
-	pl.nic.Instrument(reg, "nic")
+	pl.nicQueueDelay = reg.Histogram("tier.nic.queue_delay_ns", queueDelayBounds)
 	reg.AddCollector(pl.collectMetrics)
 	pl.emitter = obs.NewEmitter(reg, pl.cfg.MetricsWriter)
 	// Subscribed after wireBus, so the snapshot sees the host flush (and
@@ -68,6 +70,23 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 	s.SetCounter("packets.intervals", counts.Intervals)
 	s.SetCounter("core.time_jumps", pl.counts.timeJumps.Load())
 	s.SetCounter("core.time_regressions", pl.counts.timeRegressions.Load())
+
+	// Per-stage traffic (DESIGN.md §10.2), each already a platform count:
+	// ingest sees every packet and passes it on with no wait, the steer
+	// verdicts are the three packet fates, and both sNIC-side stages see
+	// each packet the engine hands tierHandler — the observations of the
+	// queue-delay histogram, which unlike snic.processed is not reset by
+	// the next drive.
+	setStage(s, "tier.wire.ingest", counts.Total, 0, 0)
+	wireDelay := obs.HistogramValue{Bounds: queueDelayBounds, Buckets: make([]uint64, len(queueDelayBounds)+1), Count: counts.Total}
+	wireDelay.Buckets[0] = counts.Total
+	s.Histograms["tier.wire.queue_delay_ns"] = wireDelay
+	if pl.sw != nil {
+		setStage(s, "tier.wire.steer", counts.ToSNIC, counts.ForwardedDirect, counts.DroppedAtSwitch)
+	}
+	handled := s.Histograms["tier.nic.queue_delay_ns"].Count
+	setStage(s, "tier.nic.datapath", handled, 0, 0)
+	setStage(s, "tier.nic.host", handled, 0, 0)
 
 	// FlowCache: aggregate stats, occupancy/pinning, per-ring depth/drops,
 	// mode churn and residency.
@@ -160,6 +179,15 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 	}
 	s.SetCounter("bus.delivered", bst.Delivered)
 	s.SetCounter("bus.panics", bst.Panics)
+}
+
+// setStage writes one stage's tier.<side>.<stage>.{packets,verdict.*}
+// series from how many packets left it with each verdict.
+func setStage(s *obs.Snapshot, base string, cont, direct, dropped uint64) {
+	s.SetCounter(base+".packets", cont+direct+dropped)
+	s.SetCounter(base+".verdict."+tier.Continue.String(), cont)
+	s.SetCounter(base+".verdict."+tier.ForwardDirect.String(), direct)
+	s.SetCounter(base+".verdict."+tier.DropAtSwitch.String(), dropped)
 }
 
 // Metrics exposes the platform's registry (nil when metrics are disabled).

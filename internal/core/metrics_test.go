@@ -71,7 +71,7 @@ func TestRingOverflowSurfacesEndToEnd(t *testing.T) {
 // JSON-lines plus the final snapshot.
 func runWithMetrics(shards, batch int) ([]byte, *obs.Snapshot) {
 	var buf bytes.Buffer
-	cfg := fullConfig(false, shards)
+	cfg := fullConfig(shards)
 	cfg.BatchSize = batch
 	cfg.Metrics = obs.NewRegistry()
 	cfg.MetricsWriter = &buf
@@ -154,10 +154,37 @@ func TestMetricsSnapshotsDeterministic(t *testing.T) {
 	}
 }
 
+// TestTierMetricsMatchGolden pins every tier.<wire|nic>.* series of the
+// final snapshot — names and values, the two histograms included — to what
+// the per-stage pipeline instruments pushed at the last commit that had
+// them (tier_metrics.golden), with and without the switch, at a chunk of
+// one and at 64.
+func TestTierMetricsMatchGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, sw := range []bool{true, false} {
+		for _, batch := range []int{1, 64} {
+			cfg := noSwitchConfig()
+			if sw {
+				cfg = fullConfig(1)
+			}
+			cfg.BatchSize = batch
+			cfg.Metrics = obs.NewRegistry()
+			rep := New(cfg).Run(mixedStream())
+			fmt.Fprintf(&got, "switch=%v batch=%d ", sw, batch)
+			if err := rep.Metrics.Filter("tier.").Encode(&got); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := golden(t, "tier_metrics.golden"); got.String() != want {
+		t.Errorf("tier.* series diverged from golden:\n%s", firstDiffLine(want, got.String()))
+	}
+}
+
 // TestMetricsDisabledReportHasNoTree: the nil-registry run must leave
 // Report.Metrics nil and behave identically to an unconfigured platform.
 func TestMetricsDisabledReportHasNoTree(t *testing.T) {
-	pl := New(fullConfig(false, 1))
+	pl := New(fullConfig(1))
 	rep := pl.Run(mixedStream())
 	if rep.Metrics != nil {
 		t.Error("Report.Metrics non-nil with metrics disabled")
@@ -171,7 +198,7 @@ func TestMetricsDisabledReportHasNoTree(t *testing.T) {
 // authoritative Report fields.
 func TestMetricsMatchReport(t *testing.T) {
 	reg := obs.NewRegistry()
-	cfg := fullConfig(false, 1)
+	cfg := fullConfig(1)
 	cfg.Metrics = reg
 	pl := New(cfg)
 	rep := pl.Run(mixedStream())
@@ -198,7 +225,7 @@ func TestMetricsMatchReport(t *testing.T) {
 	if got := m.Counter("bus.published.interval"); got != rep.Events.PublishedFor(tier.KindInterval) {
 		t.Errorf("bus.published.interval = %d, want %d", got, rep.Events.PublishedFor(tier.KindInterval))
 	}
-	// Pipeline instruments must have seen the wire traffic.
+	// The per-stage series must have seen the traffic.
 	if got := m.Counter("tier.wire.ingest.packets"); got != rep.Counts.Total {
 		t.Errorf("tier.wire.ingest.packets = %d, want %d", got, rep.Counts.Total)
 	}

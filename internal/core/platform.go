@@ -5,21 +5,18 @@
 // detector verdicts -> whitelist/blacklist, arrival rate -> FlowCache mode
 // switchovers).
 //
-// Since the tier refactor (DESIGN.md §8) the assembly is explicit: each
-// packet travels a tier.Pipeline (ingest → steer on the wire side,
-// datapath → host inside the sNIC simulation) and every cross-tier
-// control action is a typed event on a tier.Bus — the switch and the host
-// subscribe to the kinds they serve instead of being called directly from
-// detector code. Config.LegacyPipeline keeps the old monolithic wiring
-// (legacy.go) alive as a determinism oracle: at Shards=1 both paths must
-// produce byte-identical reports, which TestTierPipelineMatchesLegacy
-// checks.
+// The packet path is said once (DESIGN.md §8): consume (batch.go) counts
+// the packet, runs the timers due before it and steers it at the switch;
+// a steered packet is stepped through the sNIC engine, which calls
+// tierHandler — FlowCache, detectors, reactions, host NF delivery. Every
+// cross-tier control action is a typed event on a tier.Bus: the switch and
+// the host subscribe to the kinds they serve instead of being called from
+// detector code.
 //
 // The drive is a push (DESIGN.md §12.1, §19): beginDrive opens the sNIC
 // engine, ingestVector runs one caller-supplied packet vector to
-// completion — wire stages, engine.Step, sNIC stages, detectors — and
-// endDrive performs the final flush. All three run on the goroutine of
-// whoever called Session.Start / Ingest / Drain.
+// completion and endDrive performs the final flush. All three run on the
+// goroutine of whoever called Session.Start / Ingest / Drain.
 package core
 
 import (
@@ -48,13 +45,6 @@ type Config struct {
 	// (power of two; 0 or 1 means unsharded). Total capacity is invariant:
 	// each shard gets RowBits-log2(Shards) row bits.
 	Shards int
-	// Workers is the cluster width this config is meant to drive (power of
-	// two; 0 or 1 means a single platform). The Platform itself ignores it
-	// — one Platform is always one worker — but cmd/smartwatch and the
-	// cluster runner (internal/cluster) read it to decide whether to build
-	// a cluster.Runner of this many workers in front of one shared switch
-	// tier.
-	Workers int
 	// ShardHashOffsetBits shifts the FlowCache's shard-selection bits this
 	// many positions down from the top of the flow hash. Zero for a
 	// standalone platform. The cluster runner sets it to log2(Workers) on
@@ -85,23 +75,16 @@ type Config struct {
 	Detectors []detect.Detector
 	// KVLog optionally persists interval flushes (see host.NewKVStore).
 	KVLog *host.KVStore
-	// LegacyPipeline routes packets through the pre-tier monolithic
-	// handler instead of the stage pipeline. It exists as a determinism
-	// oracle for tests and will be removed once the pipeline has soaked.
-	LegacyPipeline bool
 	// BatchSize drains ingest in vectors of this many packets (DESIGN.md
 	// §9): the drive pre-computes flow hashes per vector, amortises the
 	// platform counters and FlowCache stat updates across it, and splits
 	// it at every timer boundary so batching never reorders control-plane
 	// work relative to a vector of one — reports stay byte-identical.
-	// 0 or 1 is a vector of one packet; LegacyPipeline ignores it (the
-	// oracle stays exactly as it was).
+	// 0 or 1 is a vector of one packet.
 	BatchSize int
 	// Metrics, when set, instruments every tier into this registry and
 	// snapshots it at each interval close (DESIGN.md §10). nil disables
 	// metrics entirely — the hot paths then pay only nil-check branches.
-	// Requires the tier pipeline (ignored under LegacyPipeline, which
-	// bypasses the bus the emitter rides on).
 	Metrics *obs.Registry
 	// MetricsWriter, when set alongside Metrics, receives one JSON-lines
 	// snapshot per monitoring interval plus the final end-of-run snapshot.
@@ -121,24 +104,17 @@ type Platform struct {
 	detectors *detect.Chain
 	alerts    []detect.Alert
 
-	hostStage *host.Stage
-	flusher   *host.Flusher
-	wire      *tier.Pipeline
-	nic       *tier.Pipeline
-	// ingest / steer are the wire pipeline's stages, kept individually so
-	// the batched drive can vector the ingest while keeping steer
-	// per-packet (steering reads tables that nic-side detector events
-	// rewrite mid-stream; see batch.go).
-	ingest *ingestStage
-	steer  *p4switch.SteerStage
+	flusher *host.Flusher
+	// steer is the switch tier's per-packet step (nil without a switch).
+	steer *p4switch.SteerStage
 
 	// The drive's vector state (batch.go): ctxs is the context vector of
 	// the chunk being consumed, BatchSize long and reused for every chunk;
 	// carry holds ingested packets that have not filled a chunk yet; cur is
-	// the context of the packet inside engine.Step, which tierHandler
-	// carries on into the sNIC-side pipeline. batchAcc absorbs FlowCache
+	// the context of the packet inside engine.Step, whose flow identity
+	// tierHandler probes the FlowCache with. batchAcc absorbs FlowCache
 	// stat deltas between sub-batch flushes.
-	ctxs     []*tier.Context
+	ctxs     []tier.Context
 	carry    []packet.Packet
 	cur      *tier.Context
 	batchAcc flowcache.BatchAcc
@@ -147,14 +123,16 @@ type Platform struct {
 	clock, nextInterval, nextTick int64
 	counts                        atomicCounts
 
-	// metrics / emitter implement the observability layer (nil when
-	// Config.Metrics is unset); engine is the platform's sNIC simulator,
-	// constructed once in New so thread-scheduler and dispatch state persist
-	// across drives (segmented runs equal one-shot runs) and so the
-	// metrics collector can sample live datapath counters at any time.
-	metrics *obs.Registry
-	emitter *obs.Emitter
-	engine  *snic.Engine
+	// metrics / emitter / nicQueueDelay implement the observability layer
+	// (nil when Config.Metrics is unset); engine is the platform's sNIC
+	// simulator, constructed once in New so thread-scheduler and dispatch
+	// state persist across drives (segmented runs equal one-shot runs) and
+	// so the metrics collector can sample live datapath counters at any
+	// time.
+	metrics       *obs.Registry
+	emitter       *obs.Emitter
+	nicQueueDelay *obs.Histogram
+	engine        *snic.Engine
 
 	// session / sessionBusy track the at-most-one live streaming session
 	// (session.go); Run is itself a session internally.
@@ -233,10 +211,9 @@ func New(cfg Config) *Platform {
 	pl.detectors = detect.NewChain(cfg.Detectors...)
 	// Detectors that drive Tick-time control-loop actions (timer unpins,
 	// blacklists) receive the platform as their Hooks — it implements
-	// detect.Hooks against the FlowCache and the switch, through the bus
-	// on the tiered pipeline and directly on the legacy one. Standalone
-	// harnesses that drive detectors without a platform keep whatever
-	// hooks their config installed.
+	// detect.Hooks against the FlowCache and the switch, through the bus.
+	// Standalone harnesses that drive detectors without a platform keep
+	// whatever hooks their config installed.
 	for _, d := range cfg.Detectors {
 		if hd, ok := d.(interface{ SetHooks(detect.Hooks) }); ok {
 			hd.SetHooks(pl)
@@ -253,40 +230,29 @@ func New(cfg Config) *Platform {
 			}
 		}
 		pl.tracker = p4switch.NewTracker(cfg.Queries, 0)
+		pl.steer = &p4switch.SteerStage{SW: pl.sw, Tracker: pl.tracker}
 	}
-	pl.hostStage = &host.Stage{Ports: pl.ports}
 	pl.flusher = &host.Flusher{Store: pl.store, Ports: pl.ports, KV: pl.kv, Rings: pl.cache.Rings()}
 	pl.nextInterval = cfg.IntervalNs
 	pl.nextTick = cfg.TickNs
-	handler := pl.tierHandler
-	if cfg.LegacyPipeline {
-		handler = pl.legacyHandler
-	}
 	// The engine lives as long as the platform: sequential drives continue
 	// from its thread-scheduler/dispatch state exactly as they continue from the
 	// FlowCache, so a trace split across segments reproduces the one-shot
 	// drive (TestSegmentedRunMatchesOneShot).
-	pl.engine = snic.New(cfg.SNIC, handler)
-	if !cfg.LegacyPipeline {
-		pl.wireBus()
-		pl.buildPipelines()
-		store := make([]tier.Context, cfg.BatchSize)
-		pl.ctxs = make([]*tier.Context, cfg.BatchSize)
-		for i := range pl.ctxs {
-			pl.ctxs[i] = &store[i]
-		}
-		pl.carry = make([]packet.Packet, 0, cfg.BatchSize)
-		if cfg.Metrics != nil {
-			pl.instrumentMetrics()
-		}
+	pl.engine = snic.New(cfg.SNIC, pl.tierHandler)
+	pl.wireBus()
+	pl.ctxs = make([]tier.Context, cfg.BatchSize)
+	pl.carry = make([]packet.Packet, 0, cfg.BatchSize)
+	if cfg.Metrics != nil {
+		pl.instrumentMetrics()
 	}
 	return pl
 }
 
 // wireBus subscribes the tiers to the control-plane kinds they serve.
-// Subscription order is delivery order, and it reproduces the legacy
-// call order exactly: whitelist programs the switch before releasing the
-// pin; an interval steers at the switch before the host flushes.
+// Subscription order is delivery order: whitelist programs the switch
+// before releasing the pin; an interval steers at the switch before the
+// host flushes.
 func (pl *Platform) wireBus() {
 	if pl.sw != nil {
 		pl.bus.SubscribeFlat(tier.KindWhitelist, "switch-program", func(k packet.FlowKey, _ packet.Addr) {
@@ -309,17 +275,6 @@ func (pl *Platform) wireBus() {
 	pl.cache.OnModeSwitch = func(shard int, m flowcache.Mode, rate float64, ts int64) {
 		pl.bus.Publish(tier.ModeSwitchEvent{Shard: shard, Mode: m, Rate: rate, Ts: ts})
 	}
-}
-
-// buildPipelines assembles the wire-side and sNIC-side stage chains.
-func (pl *Platform) buildPipelines() {
-	pl.ingest = &ingestStage{pl}
-	pl.wire = tier.NewPipeline(pl.ingest)
-	if pl.sw != nil {
-		pl.steer = &p4switch.SteerStage{SW: pl.sw, Tracker: pl.tracker}
-		pl.wire = tier.NewPipeline(pl.ingest, pl.steer)
-	}
-	pl.nic = tier.NewPipeline(&datapathStage{pl}, pl.hostStage)
 }
 
 // Bus exposes the control-plane event bus (tests, observability).
@@ -345,42 +300,21 @@ func (pl *Platform) Ports() *host.Ports { return pl.ports }
 // Shards=1).
 func (pl *Platform) Controller() *flowcache.Controller { return pl.cache.Controller() }
 
-// PipelineNames reports the assembled stage order (empty under
-// LegacyPipeline) — wire side first, then the sNIC side.
-func (pl *Platform) PipelineNames() []string {
-	if pl.wire == nil {
-		return nil
-	}
-	return append(pl.wire.Names(), pl.nic.Names()...)
-}
-
 // Hooks implementation for detectors -------------------------------------
 
 // Unpin implements detect.Hooks.
 func (pl *Platform) Unpin(k packet.FlowKey) {
-	if pl.cfg.LegacyPipeline {
-		pl.cache.Unpin(k)
-		return
-	}
 	pl.bus.PublishFlat(tier.KindUnpin, k, 0, "hooks")
 }
 
 // Whitelist implements detect.Hooks: benign flows bypass steering at the
 // switch and release their sNIC pin.
 func (pl *Platform) Whitelist(k packet.FlowKey) {
-	if pl.cfg.LegacyPipeline {
-		pl.legacyWhitelist(k)
-		return
-	}
 	pl.bus.PublishFlat(tier.KindWhitelist, k, 0, "hooks")
 }
 
 // Blacklist implements detect.Hooks.
 func (pl *Platform) Blacklist(a packet.Addr) {
-	if pl.cfg.LegacyPipeline {
-		pl.legacyBlacklist(a)
-		return
-	}
 	pl.bus.PublishFlat(tier.KindBlacklist, packet.FlowKey{}, a, "hooks")
 }
 
@@ -445,19 +379,11 @@ func skipAhead(ts int64, next *int64, period int64) uint64 {
 	return 1
 }
 
-// endInterval is the control-loop heartbeat. On the tier pipeline it is
-// one published event; the switch (steer fired subsets) and the host
-// (drain rings, advance NF timers, flush the flow log) subscribe in that
-// order.
+// endInterval is the control-loop heartbeat: one published event; the
+// switch (steer fired subsets) and the host (drain rings, advance NF
+// timers, flush the flow log) subscribe in that order.
 func (pl *Platform) endInterval(ts int64) {
 	seq := pl.counts.intervals.Add(1)
-	if pl.cfg.LegacyPipeline {
-		pl.legacyEndInterval(ts)
-		if pl.session != nil {
-			pl.session.captureSnapshot(ts, seq)
-		}
-		return
-	}
 	pl.bus.Publish(tier.IntervalEvent{Ts: ts, Seq: seq})
 	// Capture the session's live delta snapshot after every interval
 	// subscriber (switch steer, host flush, metrics emit) has run. Pure
@@ -468,61 +394,26 @@ func (pl *Platform) endInterval(ts int64) {
 	}
 }
 
-// ingestStage opens the wire-side pipeline: platform accounting and
-// timer work due before this packet.
-type ingestStage struct{ pl *Platform }
-
-func (s *ingestStage) Name() string { return "ingest" }
-
-func (s *ingestStage) Handle(ctx *tier.Context) {
-	// Tick BEFORE counting: an interval closing at this packet's timestamp
-	// must snapshot the counts exactly as the batched drive leaves them
-	// (it ticks at the sub-batch head, before folding the vector's total),
-	// keeping interval metric snapshots byte-identical across batch sizes.
-	// Nothing inside the tick path reads the counter, so the swap changes
-	// no other observable.
-	s.pl.maybeTick(ctx.Pkt.Ts)
-	s.pl.counts.total.Add(1)
-}
-
-// ProcessBatch implements tier.BatchStage: timers run per packet as
-// Handle would, then one atomic add covers the whole vector. When the
-// batched drive calls this it has already ticked at the vector's first
-// timestamp and split the vector below the next timer boundary, making
-// the tick loop all no-ops; the deferred fold is then invisible (the only
-// tick-path reader of the counter is the interval metrics snapshot, and
-// no tick can fire inside a pre-split vector).
-func (s *ingestStage) ProcessBatch(ctxs []*tier.Context) {
-	for _, c := range ctxs {
-		s.pl.maybeTick(c.Pkt.Ts)
-	}
-	s.pl.counts.total.Add(uint64(len(ctxs)))
-}
-
-// datapathStage is the sNIC tier: FlowCache update (with per-shard rate
-// observation), detector fan-out, reaction application. Control-plane
-// reactions (whitelist, blacklist) leave as bus events; datapath-local
-// ones (pin, unpin) act directly on the cache.
-type datapathStage struct{ pl *Platform }
-
-func (s *datapathStage) Name() string { return "datapath" }
-
-func (s *datapathStage) Handle(ctx *tier.Context) {
-	pl := s.pl
-	p := ctx.Pkt
-	// Hash and key were computed for the whole chunk (prepIdentity); stat
-	// deltas accumulate in batchAcc, flushed per sub-batch.
-	k := ctx.Key
-	rec, res := pl.cache.ObserveProcessHashed(p, ctx.Hash, k, &pl.batchAcc)
-	ctx.Rec, ctx.Res = rec, res
+// tierHandler is the sNIC tier, called by the engine inside Step: FlowCache
+// update (with per-shard rate observation), detector fan-out, reactions,
+// host NF delivery. Control-plane reactions (whitelist, blacklist) leave
+// as bus events; datapath-local ones (pin, unpin) act directly on the
+// cache. The flow identity is the one consume prepped for the whole chunk
+// (pl.cur); stat deltas accumulate in batchAcc, flushed per sub-batch.
+func (pl *Platform) tierHandler(p *packet.Packet, sctx snic.Ctx) snic.Cost {
+	pl.nicQueueDelay.Observe(sctx.QueueDelayNs)
+	hash, k := pl.cur.Hash, pl.cur.Key
+	rec, res := pl.cache.ObserveProcessHashed(p, hash, k, &pl.batchAcc)
+	// SR-IOV deliveries of this packet: a punted packet a detector also
+	// forwards is delivered twice, as on the hardware.
+	var toHost uint64
 	if rec == nil && res.Outcome == flowcache.HostPunt {
 		// No sNIC record possible: the host takes the packet whole.
-		ctx.Punted = true
-		pl.hostStage.Deliver(ctx)
+		pl.ports.Deliver(p)
+		toHost++
 	}
-	ctx.SNIC.FlowHash, ctx.SNIC.Pinned = ctx.Hash, res.Pinned
-	r := pl.detectors.OnPacket(p, rec, ctx.SNIC)
-	ctx.Cost = snic.Cost{Reads: res.Reads, Writes: res.Writes, ExtraCycles: r.ExtraCycles}
+	sctx.FlowHash, sctx.Pinned = hash, res.Pinned
+	r := pl.detectors.OnPacket(p, rec, sctx)
 	if r.Pin {
 		pl.cache.Pin(k)
 	}
@@ -536,30 +427,16 @@ func (s *datapathStage) Handle(ctx *tier.Context) {
 		pl.bus.Publish(tier.BlacklistEvent{Addr: p.Tuple.SrcIP, Origin: "detector"})
 	}
 	if r.ToHost {
-		ctx.ToHost = true
+		pl.ports.Deliver(p)
+		toHost++
+	}
+	if toHost > 0 {
+		pl.counts.toHost.Add(toHost)
 	}
 	if r.DropPacket {
-		ctx.Cost.Drop = true
-	}
-}
-
-// tierHandler adapts the sNIC-side pipeline to the simulator's handler
-// contract, folding the context back into platform counters. The packet's
-// context is the one the wire side prepped and steered (pl.cur, set by
-// consume just before engine.Step): a packet that reaches the sNIC left
-// the wire stages with only its flow identity filled in, so the sNIC
-// stages carry on in it instead of resetting a second one.
-func (pl *Platform) tierHandler(_ *packet.Packet, sctx snic.Ctx) snic.Cost {
-	ctx := pl.cur
-	ctx.SNIC = sctx
-	pl.nic.Process(ctx)
-	if ctx.HostDeliveries > 0 {
-		pl.counts.toHost.Add(uint64(ctx.HostDeliveries))
-	}
-	if ctx.Cost.Drop {
 		pl.counts.blocked.Add(1)
 	}
-	return ctx.Cost
+	return snic.Cost{Reads: res.Reads, Writes: res.Writes, ExtraCycles: r.ExtraCycles, Drop: r.DropPacket}
 }
 
 // Report is a full platform run summary.
@@ -574,8 +451,7 @@ type Report struct {
 	HostCPUNs float64
 	// Switchovers counts FlowCache mode flips (summed across shards).
 	Switchovers uint64
-	// Events summarises control-plane bus traffic (zero under
-	// LegacyPipeline, which bypasses the bus).
+	// Events summarises control-plane bus traffic.
 	Events tier.BusStats
 	// Rings is the per-ring eviction-ring breakdown (depth at run end +
 	// cumulative overflow drops); Cache.RingDrops is its drop total.

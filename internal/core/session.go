@@ -3,8 +3,8 @@
 // IPS the paper describes. A Session owns one pass of a Platform's run
 // loop and splits it into explicit phases:
 //
-//	Start   — open the drive (the already constructed engine and
-//	          pipelines begin a fresh report). Starts no goroutine.
+//	Start   — open the drive (the already constructed engine begins a
+//	          fresh report). Starts no goroutine.
 //	Ingest  — run one packet vector through the platform, to completion,
 //	          on the caller's goroutine. When the call returns the caller
 //	          may recycle the slice (packet.BufferedBatches feeds it
@@ -243,7 +243,7 @@ func (s *Session) IngestStream(src packet.Stream, chunk int) error {
 // Exec runs fn under the session lock, between ingest vectors (or
 // immediately when ingestion is idle), and returns after fn completes.
 // This is the operator plane's safe point: no packet is in flight anywhere
-// in the pipeline while fn runs, so fn may publish bus events, reprogram
+// on the packet path while fn runs, so fn may publish bus events, reprogram
 // the switch, or read any platform state without additional locking. fn
 // must not call back into the session's Ingest, Exec, Drain or Close.
 func (s *Session) Exec(fn func(*Platform)) error {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -63,7 +64,7 @@ func TestChunkedIngestMatchesRun(t *testing.T) {
 		for _, batch := range []int{1, 64} {
 			mk := func() (*Platform, *bytes.Buffer) {
 				var buf bytes.Buffer
-				cfg := fullConfig(false, shards)
+				cfg := fullConfig(shards)
 				cfg.BatchSize = batch
 				cfg.Metrics = obs.NewRegistry()
 				cfg.MetricsWriter = &buf
@@ -131,7 +132,7 @@ func TestSegmentedRunMatchesOneShot(t *testing.T) {
 		lat float64
 	}
 	mk := func(sink *[]obsPoint) *Platform {
-		cfg := fullConfig(false, 1)
+		cfg := fullConfig(1)
 		cfg.SNIC = snic.DefaultConfig()
 		cfg.SNIC.Observer = func(p *packet.Packet, latencyNs float64) {
 			*sink = append(*sink, obsPoint{p.Ts, latencyNs})
@@ -310,7 +311,7 @@ func TestSessionLifecycle(t *testing.T) {
 // the drive goroutine and may publish bus events — the operator plane's
 // whitelist install path.
 func TestSessionExecSafePoint(t *testing.T) {
-	cfg := fullConfig(false, 1)
+	cfg := fullConfig(1)
 	pl := New(cfg)
 	ses := pl.NewSession()
 	if err := ses.Start(); err != nil {
@@ -472,43 +473,47 @@ func (w *brokenLog) Write(p []byte) (int, error) {
 }
 
 // A failing flow-log writer must not be swallowed: the drive completes,
-// the Report is whole, and Drain / Run hand the failure back — on the tier
-// pipeline and the legacy wiring alike.
+// the Report is whole — the one the legacy wiring gave for a healthy log
+// (legacy_flowlog.golden: canonicalDump only, the flow log of this tiny
+// table is every flow in every interval) — and Drain / Run hand the failure
+// back.
 func TestFlowLogWriteFailureSurfaces(t *testing.T) {
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 5, Flows: 300, PacketRate: 1e6, Duration: 2e8})
 	pkts := packet.Collect(w.Stream())
-	for _, legacy := range []bool{false, true} {
-		cfg := Config{IntervalNs: 20e6, LegacyPipeline: legacy}
-		cfg.Cache = flowcache.DefaultConfig(4) // tiny table: every interval evicts into the log
-		healthy := New(cfg).Run(packet.StreamOf(pkts))
-		if healthy.FlowLogErr != nil {
-			t.Fatalf("legacy=%v: healthy run reported %v", legacy, healthy.FlowLogErr)
-		}
+	cfg := Config{IntervalNs: 20e6}
+	cfg.Cache = flowcache.DefaultConfig(4) // tiny table: every interval evicts into the log
+	pl := New(cfg)
+	healthy := pl.Run(packet.StreamOf(pkts))
+	if healthy.FlowLogErr != nil {
+		t.Fatalf("healthy run reported %v", healthy.FlowLogErr)
+	}
+	want := golden(t, "legacy_flowlog.golden")
 
-		cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
-		pl := New(cfg)
-		ses := pl.NewSession()
-		if err := ses.Start(); err != nil {
-			t.Fatal(err)
+	cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
+	pl = New(cfg)
+	ses := pl.NewSession()
+	if err := ses.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ses.Ingest(pkts); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ses.Drain()
+	if !errors.Is(err, errBrokenLog) {
+		t.Fatalf("Drain error = %v, want it to wrap %v", err, errBrokenLog)
+	}
+	for name, r := range map[string]Report{"healthy": healthy, "failing": rep} {
+		if got := canonicalDump(pl, r); got != want {
+			t.Errorf("%s log: report diverged from legacy golden:\n%s", name, firstDiffLine(want, got))
 		}
-		if err := ses.Ingest(pkts); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := ses.Drain()
-		if !errors.Is(err, errBrokenLog) {
-			t.Fatalf("legacy=%v: Drain error = %v, want it to wrap %v", legacy, err, errBrokenLog)
-		}
-		if rep.Counts != healthy.Counts || rep.Cache != healthy.Cache {
-			t.Errorf("legacy=%v: report changed by the log failure:\n got %+v\nwant %+v", legacy, rep.Counts, healthy.Counts)
-		}
-		if _, again := ses.Drain(); !errors.Is(again, errBrokenLog) {
-			t.Errorf("legacy=%v: second Drain error = %v", legacy, again)
-		}
+	}
+	if _, again := ses.Drain(); !errors.Is(again, errBrokenLog) {
+		t.Errorf("second Drain error = %v", again)
+	}
 
-		cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
-		if rep := New(cfg).Run(packet.StreamOf(pkts)); !errors.Is(rep.FlowLogErr, errBrokenLog) {
-			t.Errorf("legacy=%v: Run's FlowLogErr = %v", legacy, rep.FlowLogErr)
-		}
+	cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
+	if rep := New(cfg).Run(packet.StreamOf(pkts)); !errors.Is(rep.FlowLogErr, errBrokenLog) {
+		t.Errorf("Run's FlowLogErr = %v", rep.FlowLogErr)
 	}
 }
 
@@ -547,21 +552,23 @@ func steerEstablished(t *testing.T, ses *Session) {
 	}
 }
 
-// pushConfigs are the three shapes of the one drive: the vectored tier
-// pipeline, the legacy oracle wiring and a chunk of one.
+// pushConfigs are the two shapes of the one drive: 64-packet chunks and a
+// chunk of one.
 func pushConfigs() map[string]Config {
-	tierCfg := fullConfig(false, 1)
-	tierCfg.BatchSize = 64
-	return map[string]Config{"tier": tierCfg, "legacy": fullConfig(true, 1), "batch1": fullConfig(false, 1)}
+	batch64 := fullConfig(1)
+	batch64.BatchSize = 64
+	return map[string]Config{"batch64": batch64, "batch1": fullConfig(1)}
 }
 
 // TestSessionStartsNoGoroutine: the session drives the platform on its
 // caller's goroutine — Start, Ingest, Exec and Drain leave the process's
 // goroutine count where it was, at four shards as at one — and the
-// platform refuses to Close under a live session.
+// platform refuses to Close under a live session. At one shard the drive
+// ends where the legacy wiring ended the same session.
 func TestSessionStartsNoGoroutine(t *testing.T) {
+	want := golden(t, "legacy_session.golden")
 	cfgs := pushConfigs()
-	shards4 := fullConfig(false, 4)
+	shards4 := fullConfig(4)
 	shards4.BatchSize = 64
 	cfgs["shards4"] = shards4
 	for name, cfg := range cfgs {
@@ -600,6 +607,9 @@ func TestSessionStartsNoGoroutine(t *testing.T) {
 		check("after Drain")
 		if rep.Counts.Total != uint64(len(vec)) || rep.Counts.ToSNIC != rep.Counts.Total || rep.SNIC.Processed != rep.Counts.ToSNIC {
 			t.Errorf("%s: report %+v / snic %d+%d after %d packets", name, rep.Counts, rep.SNIC.Processed, rep.SNIC.Dropped, len(vec))
+		}
+		if got := canonicalDump(pl, rep) + kvDump(pl); name != "shards4" && got != want {
+			t.Errorf("%s: session diverged from legacy golden:\n%s", name, firstDiffLine(want, got))
 		}
 		if err := ses.Close(); err != nil {
 			t.Fatal(err)
@@ -690,7 +700,7 @@ func TestSessionPanicSurfacesOnCaller(t *testing.T) {
 // Close get ErrSessionClosed; the report accounts for exactly the vectors
 // whose Ingest succeeded; no Exec closure ever sees a vector half done.
 func TestSessionIngestExecCloseRace(t *testing.T) {
-	cfg := fullConfig(false, 2)
+	cfg := fullConfig(2)
 	cfg.BatchSize = 64
 	cfg.IntervalNs = 1e6
 	pl := New(cfg)
@@ -780,8 +790,8 @@ func TestSessionIngestExecCloseRace(t *testing.T) {
 // TestSessionStepDoesNotAllocate: off the SYN path a steady-state vector
 // costs no allocation from Ingest to the FlowCache and back — no closure
 // for the recover guard, no boxed packet on the way into the engine, no
-// context vector — on the tier pipeline (switch, detector, 64-packet
-// chunks and a chunk of one) and on the legacy wiring.
+// context vector — with the switch and a detector in the path, at
+// 64-packet chunks and a chunk of one.
 func TestSessionStepDoesNotAllocate(t *testing.T) {
 	for name, cfg := range pushConfigs() {
 		cfg.IntervalNs = 1e15 // no interval close inside the measured vectors
@@ -854,8 +864,9 @@ func hostileCapture() []packet.Packet {
 // Session.Ingest; now every drive geometry finishes the capture, runs the
 // timers once at the jump, counts it in core.time_jumps and every
 // timestamp behind the clock in core.time_regressions — the same numbers
-// at every batch size and on the legacy pipeline — while a gap of a few
-// hundred ticks is still walked tick by tick.
+// at every batch size, the ones the legacy wiring counted
+// (legacy_hostile_time.golden) — while a gap of a few hundred ticks is
+// still walked tick by tick.
 func TestSessionHostileTime(t *testing.T) {
 	pkts := hostileCapture()
 	var wantRegress uint64
@@ -866,12 +877,8 @@ func TestSessionHostileTime(t *testing.T) {
 		}
 		clock = max(clock, pkts[i].Ts)
 	}
-	type outcome struct {
-		counts           Counts
-		jumps, regresses uint64
-	}
-	var first outcome
-	for i, cfg := range []Config{{BatchSize: 1}, {BatchSize: 64}, {BatchSize: 64, Shards: 4}, {LegacyPipeline: true}} {
+	want := golden(t, "legacy_hostile_time.golden")
+	for _, cfg := range []Config{{BatchSize: 1}, {BatchSize: 64}, {BatchSize: 64, Shards: 4}} {
 		cfg.TickNs, cfg.IntervalNs = 1e3, 1e4
 		pl := New(cfg)
 		done := make(chan Report, 1)
@@ -882,15 +889,13 @@ func TestSessionHostileTime(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("%+v: still ticking toward a far-future timestamp after 60 s", cfg)
 		}
-		got := outcome{rep.Counts, pl.counts.timeJumps.Load(), pl.counts.timeRegressions.Load()}
-		if got.counts.Total != uint64(len(pkts)) || got.jumps != 1 || got.regresses != wantRegress {
+		jumps, regresses := pl.counts.timeJumps.Load(), pl.counts.timeRegressions.Load()
+		if rep.Counts.Total != uint64(len(pkts)) || jumps != 1 || regresses != wantRegress {
 			t.Errorf("%+v: %d of %d packets, %d jumps (want 1), %d regressions (want %d)",
-				cfg, got.counts.Total, len(pkts), got.jumps, got.regresses, wantRegress)
+				cfg, rep.Counts.Total, len(pkts), jumps, regresses, wantRegress)
 		}
-		if i == 0 {
-			first = got
-		} else if got != first {
-			t.Errorf("%+v: %+v, per-packet tier drive %+v", cfg, got, first)
+		if got := fmt.Sprintf("counts %+v\njumps %d regressions %d\n", rep.Counts, jumps, regresses); got != want {
+			t.Errorf("%+v: diverged from legacy golden:\n%s", cfg, firstDiffLine(want, got))
 		}
 	}
 

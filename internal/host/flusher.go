@@ -4,32 +4,7 @@ import (
 	"fmt"
 
 	"smartwatch/internal/flowcache"
-	"smartwatch/internal/tier"
 )
-
-// Stage adapts the host tier to the tier pipeline: packets a detector
-// forwarded (ctx.ToHost) are delivered to their SR-IOV NF port.
-type Stage struct {
-	Ports *Ports
-}
-
-// Name implements tier.Stage.
-func (s *Stage) Name() string { return "host" }
-
-// Handle implements tier.Stage.
-func (s *Stage) Handle(ctx *tier.Context) {
-	if ctx.ToHost {
-		s.Deliver(ctx)
-	}
-}
-
-// Deliver hands the packet to the host NF ports, recording the delivery
-// on the context. The datapath stage calls it directly for host punts,
-// which on the hardware bypass the verdict machinery entirely.
-func (s *Stage) Deliver(ctx *tier.Context) {
-	s.Ports.Deliver(ctx.Pkt)
-	ctx.HostDeliveries++
-}
 
 // Flusher is the host tier's interval worker, driven by
 // tier.KindInterval events: drain the sNIC eviction rings into the flow
@@ -75,9 +50,9 @@ func (f *Flusher) Err() error {
 	return fmt.Errorf("host: %d flow-log flush(es) failed, first: %w", f.flushErrs, f.flushErr)
 }
 
-// Flush persists the store's changes under ts. The drive cannot stop for
+// flush persists the store's changes under ts. The drive cannot stop for
 // a failing log writer mid-interval, so a failure is kept for Err.
-func (f *Flusher) Flush(ts int64) {
+func (f *Flusher) flush(ts int64) {
 	if err := f.KV.FlushInterval(ts, f.Store); err != nil {
 		f.flushErrs++
 		if f.flushErr == nil {
@@ -86,13 +61,13 @@ func (f *Flusher) Flush(ts int64) {
 	}
 }
 
-// OnInterval runs the per-interval host work in the legacy order: rings,
-// NF timers, flow-log flush.
+// OnInterval runs the per-interval host work: rings, NF timers, flow-log
+// flush, in that order.
 func (f *Flusher) OnInterval(ts int64) {
 	f.drained += uint64(f.Store.DrainRings(f.Rings))
 	f.flushes++
 	f.Ports.Tick(ts)
-	f.Flush(ts)
+	f.flush(ts)
 }
 
 // FinalFlush is the lossless end-of-run export: drain the rings, ingest
@@ -105,5 +80,5 @@ func (f *Flusher) FinalFlush(ts int64, snapshot func(func(flowcache.Record) bool
 		f.Store.Ingest(r)
 		return true
 	})
-	f.Flush(ts)
+	f.flush(ts)
 }

@@ -5,20 +5,17 @@ import (
 	"smartwatch/internal/tier"
 )
 
-// SteerStage adapts the switch tier to the tier pipeline: it observes the
-// packet for query refinement and applies the switch's forwarding
-// decision (whitelist fast path, blacklist drop, steer-to-sNIC) as a
-// pipeline verdict.
+// SteerStage is the switch tier's per-packet step: it observes the packet
+// for query refinement and leaves the switch's forwarding decision
+// (whitelist fast path, blacklist drop, steer-to-sNIC) in the context's
+// Verdict.
 type SteerStage struct {
 	SW *Switch
 	// Tracker feeds EndInterval's refinement candidates; optional.
 	Tracker *Tracker
 }
 
-// Name implements tier.Stage.
-func (s *SteerStage) Name() string { return "steer" }
-
-// Handle implements tier.Stage.
+// Handle steers one packet, canonicalising and hashing its tuple itself.
 func (s *SteerStage) Handle(ctx *tier.Context) { s.apply(ctx, nil) }
 
 // HandleKeyed is Handle for a driver that has filled in ctx.Key and

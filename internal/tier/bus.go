@@ -171,7 +171,7 @@ func (s BusStats) PublishedFor(k Kind) uint64 {
 
 // Bus is the typed control-plane event bus. Publish is synchronous and
 // ordered: subscribers of the event's kind run immediately, in
-// subscription order, before Publish returns — so the tier pipeline stays
+// subscription order, before Publish returns — so the packet path stays
 // deterministic and the bus adds no queue to reason about. A panicking
 // subscriber is isolated: the panic is recovered, counted, and the
 // remaining subscribers still receive the event.

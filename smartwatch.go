@@ -258,7 +258,7 @@ type ControllerState = flowcache.ControllerState
 // Observability ---------------------------------------------------------------
 
 // MetricsRegistry is the platform's metrics tree (DESIGN.md §10). Set one
-// on Config.Metrics to enable instrumentation: per-stage pipeline
+// on Config.Metrics to enable instrumentation: per-stage
 // counters, FlowCache occupancy/drop series, sNIC utilisation, host flush
 // depth. With Config.MetricsWriter also set, one canonical JSON snapshot
 // line is emitted per monitoring interval.
