@@ -31,9 +31,10 @@ test:
 # of which -short skips), the sNIC engine, the platform control loop, the
 # event bus, the parallel experiment runner, the buffered stream bridge,
 # the SPSC ring under the cluster's ingress lanes, and the wire side's
-# shared state — the follow reader's close flag, the switch tables, the
-# cluster router's per-vector tallies against a polling reader. -short
-# shortens, not skips, the sNIC scheduler's ring-vs-heap oracle; the three
+# shared state — the follow reader's close flag, the switch tables. The
+# cluster runner is not here: its whole suite runs under -race in `make
+# cluster`, and no test of it consults -short. -short shortens, not
+# skips, the sNIC scheduler's ring-vs-heap oracle; the three
 # platform sweeps it does skip (every batch size x shard count, chunked
 # ingest, segmented runs: DESIGN.md §9, §12) run on the second line. The
 # session's concurrency tests then run 20 more times: the concurrent-Close race lost
@@ -42,7 +43,7 @@ test:
 # whole contract of a drive that runs on its callers' goroutines
 # (DESIGN.md §12.1).
 race:
-	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/ ./internal/pcap/ ./internal/p4switch/ ./internal/cluster/
+	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/ ./internal/pcap/ ./internal/p4switch/
 	$(GO) test -race -run 'TestBatchedDriveMatchesPerPacket|TestChunkedIngestMatchesRun|TestSegmentedRunMatchesOneShot' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 
@@ -59,12 +60,15 @@ fuzz-smoke:
 # race detector — the two-oracle determinism sweep (parallel drive
 # byte-identical to the sequential reference, integer surface equal to
 # the single-platform partition twin), hazard-asserted schedules,
-# failure injection (worker crash, stall, load-policy route-around) and
-# the merged-report/metrics contract. The oracle sweep replays whole
-# clusters many times; allow a generous timeout on slow boxes.
+# failure injection (worker crash, stall, load-policy route-around), the
+# fold-delay contract and the merged-report/metrics contract. The oracle
+# sweep replays whole clusters many times; allow a generous timeout on
+# slow boxes. Then ten more runs of the one test in which the router's
+# goroutine and the feeders append to a lane's tagged event list at once.
 cluster:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./internal/cluster/
+	$(GO) test -race -count=10 -run TestOperatorWhitelistWhileFeedersRun ./internal/cluster/
 
 # Low-and-slow gate (DESIGN.md §15, §18): the injector/detector suite,
 # the flow-table model test and the map-backed LowSlow oracle, the
@@ -111,7 +115,8 @@ metrics-smoke:
 # Daemon smoke (DESIGN.md §12.3): start `smartwatch -serve` tailing a
 # fixture pcap, drive the control API (pause/resume, whitelist/blacklist,
 # snapshot, live /metrics), SIGTERM, then assert a clean drain and a
-# valid metrics stream via cmd/metricscheck.
+# valid metrics stream via cmd/metricscheck; then the same daemon with
+# -workers 2, asked for status and snapshot before its runner has started.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

@@ -343,12 +343,12 @@ func printClusterReport(cl *cluster.Runner, rep cluster.Report, verbose bool) {
 		kvIntervals += len(wpl.KV().Intervals())
 	}
 	printReportCore(os.Stdout, workers[0].Cache().Shard(0).PolicyName(), kvIntervals, rep.Merged, verbose)
-	fmt.Printf("cluster: workers=%d policy=%s imbalance=%.2f resteers=%d folds=%d folded-events=%d merge=%.2f ms\n",
+	fmt.Printf("cluster: workers=%d policy=%s imbalance=%.2f resteers=%d folds=%d folded-events=%d sync-wait=%.2f ms merge=%.2f ms\n",
 		len(workers), rep.Steer.Policy, rep.Steer.Imbalance, rep.Steer.Resteers,
-		rep.Steer.Folds, rep.Steer.FoldedEvents, float64(rep.MergeNs)/1e6)
+		rep.Steer.Folds, rep.Steer.FoldedEvents, float64(rep.Steer.SyncWaitNs)/1e6, float64(rep.MergeNs)/1e6)
 	for i, ing := range rep.Ingress {
-		fmt.Printf("  worker %d: steered=%d ring-hwm=%d stalls=%d batches=%d\n",
-			i, rep.Steer.PerWorker[i], ing.RingHWM, ing.Stalls, ing.Batches)
+		fmt.Printf("  worker %d: steered=%d ring-hwm=%d stalls=%d wait=%.2f ms batches=%d\n",
+			i, rep.Steer.PerWorker[i], ing.RingHWM, ing.Stalls, float64(ing.WaitNs)/1e6, ing.Batches)
 	}
 }
 

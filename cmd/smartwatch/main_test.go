@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"smartwatch/internal/cluster"
 	"smartwatch/internal/core"
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
@@ -98,6 +101,22 @@ func TestCheckGeometry(t *testing.T) {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestClusterDaemonAnswersBeforeStart: main registers the control API and
+// opens the listener before daemon.run starts the cluster runner, so
+// /control/status and /control/snapshot must answer for an idle runner.
+func TestClusterDaemonAnswersBeforeStart(t *testing.T) {
+	cl := buildCluster(core.Config{EnableSwitch: true}, 2, cluster.SteerHash, "ssh")
+	defer cl.Close()
+	d := newClusterDaemon(cl, nil, 512)
+	for name, h := range map[string]http.HandlerFunc{"status": d.handleStatus, "snapshot": d.handleSnapshot} {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodGet, "/control/"+name, nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"workers"`) {
+			t.Errorf("%s before Start: %d %s", name, rec.Code, rec.Body.String())
 		}
 	}
 }

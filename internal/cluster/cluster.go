@@ -32,10 +32,20 @@
 //     W independent engines sum floats in a different order than one.
 //
 // Control-plane feedback (whitelist/blacklist events from worker
-// detectors) is folded into the shared switch at deterministic epochs:
-// every SyncPackets offered packets, at every interval boundary, and at
-// drain. Each fold barriers the ingress rings first, so the folded event
-// set is a pure function of the offered-packet prefix.
+// detectors) is folded into the shared switch at deterministic points, one
+// epoch behind the packets that raised it. An epoch closes every
+// SyncPackets packets steered to a lane (packets the switch forwarded or
+// dropped itself do not count). The close hands every partial buffer over
+// and then waits only for the buffers issued before the PREVIOUS close —
+// which the feeders have had a whole epoch to finish — and folds exactly
+// the events those buffers raised: each captured event carries the ordinal
+// of the lane buffer whose Ingest published it. Feedback therefore reaches
+// the shared switch between one and two epochs after the packet that
+// raised it, the lanes are never emptied to apply it, and the folded set
+// is still a pure function of the offered-packet prefix; the sequential
+// reference applies the identical delay. Interval boundaries and Drain
+// wait for everything issued and fold everything captured. Without a
+// shared switch there is nothing to fold and no epoch closes.
 package cluster
 
 import (
@@ -152,8 +162,9 @@ type Config struct {
 	// the buffer onto the worker's ring.
 	QueueBatch int
 	// SyncPackets is the control-fold epoch (default 4096): every this
-	// many offered packets the router barriers the rings and folds
-	// pending worker whitelist/blacklist events into the shared switch.
+	// many packets steered to a lane the router closes an epoch, folding
+	// into the shared switch the worker whitelist/blacklist events raised
+	// by the buffers issued before the previous close (package doc).
 	SyncPackets int
 	// StallTimeout bounds how long the router waits on a full ingress
 	// ring before declaring the worker stalled (0 = wait forever, which
@@ -202,11 +213,13 @@ func (s State) String() string {
 }
 
 // ctlEvent is one captured worker control event awaiting a fold into the
-// shared switch.
+// shared switch. buf is the ordinal (from 1) of the lane buffer whose
+// Ingest published it.
 type ctlEvent struct {
 	kind tier.Kind
 	key  packet.FlowKey
 	addr packet.Addr
+	buf  uint64
 }
 
 // worker is one platform lane: its session, its ingress rings, its
@@ -224,8 +237,10 @@ type worker struct {
 	buf  []packet.Packet // router-side: the buffer currently being filled
 
 	// issued is router-local; completed is the feeder's progress. Their
-	// equality is the fold/drain barrier.
+	// equality is the interval/drain barrier. mark is issued as of the last
+	// epoch close: completed reaching it is all the next close waits for.
 	issued    uint64
+	mark      uint64
 	completed atomic.Uint64
 
 	sleeping atomic.Bool
@@ -244,6 +259,7 @@ type worker struct {
 	pkts    atomic.Uint64
 	hwm     atomic.Int64
 	stalls  atomic.Uint64
+	waitNs  atomic.Int64
 	batches atomic.Uint64
 	wakeups atomic.Uint64
 
@@ -254,19 +270,32 @@ type worker struct {
 	events []ctlEvent
 }
 
-// addEvent captures one control event for the next fold.
+// addEvent captures one control event, tagged with the buffer being
+// ingested: completed counts the buffers already finished and moves only
+// after Ingest returns, so inside buffer k's Ingest it reads k-1. An event
+// the router publishes through Session.Exec (Runner.Whitelist, Drain's
+// clock alignment) runs under the same session lock between two buffers
+// and takes the ordinal of the next one; the first is already installed at
+// the switch and the second is folded by Drain's full barrier, so when its
+// tag comes due changes nothing. Handlers run under the session lock, so
+// tags never decrease along events.
 func (w *worker) addEvent(e ctlEvent) {
+	e.buf = w.completed.Load() + 1
 	w.evMu.Lock()
 	w.events = append(w.events, e)
 	w.evMu.Unlock()
 }
 
-// takeEvents drains the captured events in arrival order.
-func (w *worker) takeEvents() []ctlEvent {
+// takeEvents removes the events of buffers 1..upTo, in arrival order.
+func (w *worker) takeEvents(upTo uint64) []ctlEvent {
 	w.evMu.Lock()
-	evs := w.events
-	w.events = nil
-	w.evMu.Unlock()
+	defer w.evMu.Unlock()
+	n := 0
+	for n < len(w.events) && w.events[n].buf <= upTo {
+		n++
+	}
+	evs := w.events[:n:n]
+	w.events = w.events[n:]
 	return evs
 }
 
@@ -320,6 +349,9 @@ type Runner struct {
 	folds    atomic.Uint64
 	foldedEv atomic.Uint64
 	mergeNs  atomic.Int64
+	// syncWaitNs is the time the router spent blocked at epoch closes,
+	// interval closes and the drain barrier.
+	syncWaitNs atomic.Int64
 
 	final Report
 }
@@ -376,6 +408,9 @@ func New(cfg Config) *Runner {
 	for i := range r.workers {
 		w := &worker{id: i, wake: make(chan struct{}, 1), done: make(chan struct{})}
 		w.pl = core.New(r.workerConfig(i))
+		// Idle until Start, and never replaced: Snapshots and Close read it
+		// at any point of the lifecycle without the runner lock.
+		w.ses = w.pl.NewSession()
 		if r.sw != nil {
 			// Capture detector feedback for the epoch fold. The handlers
 			// run inside Publish, on the goroutine that called the worker
@@ -499,7 +534,8 @@ func (r *Runner) BusStats() tier.BusStats {
 }
 
 // Snapshots returns each worker's latest interval-boundary snapshot, in
-// lane order (entries are nil before a worker's first interval close).
+// lane order (entries are nil before a worker's first interval close, so
+// all of them before Start).
 func (r *Runner) Snapshots() []*core.IntervalSnapshot {
 	out := make([]*core.IntervalSnapshot, len(r.workers))
 	for i, w := range r.workers {
@@ -517,7 +553,6 @@ func (r *Runner) Start() error {
 		return ErrRunnerState
 	}
 	for _, w := range r.workers {
-		w.ses = w.pl.NewSession()
 		if err := w.ses.Start(); err != nil {
 			return err
 		}
@@ -621,11 +656,11 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 	defer r.publish()
 	for i := range batch {
 		p := &batch[i]
-		// Interval heartbeat for the shared switch: fold pending feedback,
-		// then close, exactly where the single platform's ingest stage
-		// fires its interval event — before this packet is steered.
+		// Interval heartbeat for the shared switch: fold all pending
+		// feedback, then close, exactly where the single platform's ingest
+		// stage fires its interval event — before this packet is steered.
 		for p.Ts >= r.nextInterval {
-			if err := r.syncLocked(); err != nil {
+			if err := r.syncLocked(true); err != nil {
 				return err
 			}
 			if r.sw != nil {
@@ -669,9 +704,12 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 			}
 		}
 
+		if r.sw == nil {
+			continue // nothing to fold into: no epochs
+		}
 		r.sinceSync++
 		if r.sinceSync >= r.cfg.SyncPackets {
-			if err := r.syncLocked(); err != nil {
+			if err := r.syncLocked(false); err != nil {
 				return err
 			}
 		}
@@ -728,7 +766,7 @@ func (r *Runner) dispatch(w *worker) error {
 func (r *Runner) push(target *worker, buf []packet.Packet, owner *worker) error {
 	if !target.in.TryPush(buf) {
 		target.stalls.Add(1)
-		if !r.await(func() bool { return target.in.TryPush(buf) }, r.stallDeadline()) {
+		if !r.timedAwait(&target.waitNs, func() bool { return target.in.TryPush(buf) }, r.stallDeadline()) {
 			if r.cfg.Steer == SteerLoad {
 				alt := r.workers[(target.id+1)&(r.w-1)]
 				if alt != target && alt != owner {
@@ -766,7 +804,7 @@ func (r *Runner) popFree(w *worker) []packet.Packet {
 	b, ok := w.free.TryPop()
 	if !ok {
 		w.stalls.Add(1)
-		if !r.await(func() bool { b, ok = w.free.TryPop(); return ok }, r.stallDeadline()) {
+		if !r.timedAwait(&w.waitNs, func() bool { b, ok = w.free.TryPop(); return ok }, r.stallDeadline()) {
 			return make([]packet.Packet, 0, r.cfg.QueueBatch)
 		}
 	}
@@ -820,11 +858,24 @@ func (r *Runner) await(cond func() bool, deadline time.Time) bool {
 	}
 }
 
-// syncLocked is one control epoch: flush every partial buffer, barrier
-// the rings, then fold captured worker feedback into the shared switch.
-// The folded event set is a pure function of the offered-packet prefix,
-// which is what keeps parallel and sequential drives byte-identical.
-func (r *Runner) syncLocked() error {
+// timedAwait is await with the time it blocked added to ns. Only the slow
+// paths come here, so the fast path never reads the clock.
+func (r *Runner) timedAwait(ns *atomic.Int64, cond func() bool, deadline time.Time) bool {
+	start := time.Now()
+	ok := r.await(cond, deadline)
+	ns.Add(int64(time.Since(start)))
+	return ok
+}
+
+// syncLocked closes one control epoch: flush every partial buffer, wait
+// until each lane has completed what had been issued by the previous close
+// (full: everything issued — interval boundaries and Drain), fold the
+// feedback those buffers raised into the shared switch, and move the
+// marks. Which buffers exist at a close, and so the folded event set, is a
+// pure function of the offered-packet prefix; that keeps parallel and
+// sequential drives byte-identical, and the sequential drive, whose
+// buffers are all complete already, folds by the same marks.
+func (r *Runner) syncLocked(full bool) error {
 	r.publish()
 	for _, w := range r.workers {
 		if len(w.buf) > 0 {
@@ -833,12 +884,21 @@ func (r *Runner) syncLocked() error {
 			}
 		}
 	}
-	if !r.cfg.Sequential {
-		if err := r.barrier(); err != nil {
-			return err
+	for _, w := range r.workers {
+		if full {
+			w.mark = w.issued
+		}
+		if w.completed.Load() < w.mark {
+			r.timedAwait(&r.syncWaitNs, func() bool { return w.completed.Load() >= w.mark }, time.Time{})
 		}
 	}
-	r.fold()
+	if err := r.checkFailures(); err != nil {
+		return err
+	}
+	r.fold(full)
+	for _, w := range r.workers {
+		w.mark = w.issued
+	}
 	r.sinceSync = 0
 	return nil
 }
@@ -858,14 +918,19 @@ func (r *Runner) publish() {
 	}
 }
 
-// fold applies captured worker control events to the shared switch, in
-// worker-lane order, each lane's events in arrival order.
-func (r *Runner) fold() {
+// fold applies to the shared switch the control events captured from each
+// lane's buffers up to its mark (all: every captured event), in worker-lane
+// order, each lane's events in arrival order.
+func (r *Runner) fold(all bool) {
 	if r.sw == nil {
 		return
 	}
 	for _, w := range r.workers {
-		for _, e := range w.takeEvents() {
+		upTo := w.mark
+		if all {
+			upTo = ^uint64(0)
+		}
+		for _, e := range w.takeEvents(upTo) {
 			switch e.kind {
 			case tier.KindWhitelist:
 				_ = r.sw.Whitelist(e.key) // full table only costs the fast path
@@ -876,18 +941,6 @@ func (r *Runner) fold() {
 		}
 	}
 	r.folds.Add(1)
-}
-
-// barrier waits until every feeder has drained everything the router
-// issued, spin-then-park like the flowcache pool's router, then surfaces
-// any worker failure.
-func (r *Runner) barrier() error {
-	for _, w := range r.workers {
-		if w.completed.Load() != w.issued {
-			r.await(func() bool { return w.completed.Load() == w.issued }, time.Time{})
-		}
-	}
-	return r.checkFailures()
 }
 
 // checkFailures surfaces the lowest-lane worker failure as the run error.
@@ -963,7 +1016,7 @@ func (r *Runner) Drain() (Report, error) {
 	}
 	r.state = StateDraining
 
-	if err := r.syncLocked(); err != nil {
+	if err := r.syncLocked(true); err != nil {
 		return Report{}, err
 	}
 	if r.sw != nil {
@@ -987,7 +1040,7 @@ func (r *Runner) Drain() (Report, error) {
 	}
 	// Detector Drain inside the worker tail may have published feedback;
 	// fold it so the switch's final tables are complete.
-	r.fold()
+	r.fold(true)
 	r.teardownLocked(-1)
 	if werr != nil {
 		return Report{}, r.failRun(werr)
@@ -1086,12 +1139,14 @@ func (r *Runner) collect(s *obs.Snapshot) {
 	s.SetCounter("cluster.steer.resteers", r.resteers.Load())
 	s.SetCounter("cluster.sync.folds", r.folds.Load())
 	s.SetCounter("cluster.sync.events", r.foldedEv.Load())
+	s.SetCounter("cluster.sync.wait_ns", uint64(r.syncWaitNs.Load()))
 	s.SetGauge("cluster.workers", float64(r.w))
 	s.SetGauge("cluster.merge.ns", float64(r.mergeNs.Load()))
 	for _, w := range r.workers {
 		p := fmt.Sprintf("cluster.worker.%d.", w.id)
 		s.SetCounter(p+"packets", w.pkts.Load())
 		s.SetCounter(p+"ingress.stalls", w.stalls.Load())
+		s.SetCounter(p+"ingress.wait_ns", uint64(w.waitNs.Load()))
 		s.SetCounter(p+"ingress.batches", w.batches.Load())
 		s.SetCounter(p+"ingress.wakeups", w.wakeups.Load())
 		s.SetGauge(p+"ingress.hwm", float64(w.hwm.Load()))

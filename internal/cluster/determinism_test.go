@@ -175,14 +175,25 @@ func oracleAConfig(workers, shards, batch int) Config {
 // drive must be byte-identical — floats, latency quantiles, per-lane
 // reports, per-lane flow logs — to the sequential reference drive of the
 // same topology, across a Workers × Shards × BatchSize sweep, on traffic
-// that exercises the blacklist/whitelist fold hazards.
+// that exercises the blacklist/whitelist fold hazards. The last row closes
+// an epoch every 64 steered packets with 256-packet handoff buffers, so
+// lanes see epochs in which they were issued nothing and every buffer is a
+// partial one.
 func TestClusterParallelMatchesSequential(t *testing.T) {
 	for _, w := range []int{1, 2, 4} {
-		for _, sc := range []struct{ shards, batch int }{{1, 1}, {2, 64}, {1, 256}} {
+		for _, sc := range []struct{ shards, batch, sync, queue int }{
+			{1, 1, 0, 0}, {2, 64, 0, 0}, {1, 256, 0, 0}, {1, 64, 64, 256},
+		} {
 			name := fmt.Sprintf("w%d_s%d_b%d", w, sc.shards, sc.batch)
+			if sc.sync > 0 {
+				name += fmt.Sprintf("_sync%d_q%d", sc.sync, sc.queue)
+			}
 			t.Run(name, func(t *testing.T) {
 				run := func(sequential bool) (Report, string) {
 					cfg := oracleAConfig(w, sc.shards, sc.batch)
+					if sc.sync > 0 {
+						cfg.SyncPackets, cfg.QueueBatch = sc.sync, sc.queue
+					}
 					cfg.Sequential = sequential
 					r := New(cfg)
 					rep, err := r.Run(mixedStream())
@@ -442,6 +453,12 @@ func TestClusterMetricsTree(t *testing.T) {
 	for _, name := range []string{"worker.0.packets.total", "worker.1.packets.total"} {
 		if snap.Counter(name) == 0 {
 			t.Errorf("missing grafted worker series %s", name)
+		}
+	}
+	// Where the router waited: present, whatever the scheduler made of them.
+	for _, name := range []string{"cluster.sync.wait_ns", "cluster.worker.0.ingress.wait_ns", "cluster.worker.1.ingress.wait_ns"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("missing router wait series %s", name)
 		}
 	}
 }

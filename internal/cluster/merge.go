@@ -4,8 +4,8 @@
 // contract: oracle A holds it byte-identical between parallel and
 // sequential drives, and oracle B holds its integer surface equal to the
 // single-platform partition twin. Scheduling-dependent series (ingress
-// stalls, ring high-water marks, merge wall time) live in the cluster-
-// specific sections and are documented as outside both oracles.
+// stalls, ring high-water marks, router wait and merge wall time) live in
+// the cluster-specific sections and are documented as outside both oracles.
 package cluster
 
 import (
@@ -36,6 +36,10 @@ type SteerStats struct {
 	// Folds / FoldedEvents count control epochs and the worker feedback
 	// events applied to the shared switch across them.
 	Folds, FoldedEvents uint64
+	// SyncWaitNs is the wall time the router spent blocked at epoch closes,
+	// interval closes and the drain barrier (scheduling-dependent; outside
+	// both oracles, like Ingress).
+	SyncWaitNs int64
 }
 
 // IngressStats is one worker lane's queue observability (scheduling-
@@ -43,8 +47,10 @@ type SteerStats struct {
 type IngressStats struct {
 	// RingHWM is the deepest the ingress ring has been, in batches.
 	RingHWM int64
-	// Stalls counts router waits on a full ring or an empty free list.
+	// Stalls counts router waits on a full ring or an empty free list;
+	// WaitNs is the wall time they blocked it for.
 	Stalls uint64
+	WaitNs int64
 	// Batches counts buffer handoffs; Wakeups counts parked-feeder wakes.
 	Batches, Wakeups uint64
 }
@@ -135,6 +141,7 @@ func (r *Runner) merge(reps []core.Report) Report {
 			Resteers:     r.resteers.Load(),
 			Folds:        r.folds.Load(),
 			FoldedEvents: r.foldedEv.Load(),
+			SyncWaitNs:   r.syncWaitNs.Load(),
 		},
 	}
 	var steered, maxLane uint64
@@ -148,6 +155,7 @@ func (r *Runner) merge(reps []core.Report) Report {
 		out.Ingress = append(out.Ingress, IngressStats{
 			RingHWM: w.hwm.Load(),
 			Stalls:  w.stalls.Load(),
+			WaitNs:  w.waitNs.Load(),
 			Batches: w.batches.Load(),
 			Wakeups: w.wakeups.Load(),
 		})

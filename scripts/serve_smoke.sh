@@ -5,7 +5,10 @@
 # resume, whitelist, blacklist, snapshot) plus the live /metrics
 # endpoint, then sends SIGTERM and asserts a clean drain: exit code 0,
 # a final report on stdout, and a valid per-interval metrics stream via
-# cmd/metricscheck.
+# cmd/metricscheck. A second leg runs the daemon with -workers 2 and asks
+# for /control/status and /control/snapshot the moment the listener answers
+# — it is opened before the cluster runner is started, so both must answer
+# for an idle runner — and again after the first interval.
 set -eu
 
 GO=${GO:-go}
@@ -19,6 +22,21 @@ fail() {
     [ -f "$TMP/stderr.log" ] && sed 's/^/  daemon: /' "$TMP/stderr.log" >&2
     exit 1
 }
+
+# wait_for TRIES PAUSE WHAT CMD...: poll CMD until it succeeds.
+wait_for() {
+    tries=$1 pause=$2 what=$3
+    shift 3
+    i=0
+    until "$@" 2>/dev/null; do
+        i=$((i + 1))
+        kill -0 "$PID" 2>/dev/null || fail "daemon died waiting for $what"
+        [ "$i" -lt "$tries" ] || fail "no $what after $tries tries"
+        sleep "$pause"
+    done
+}
+
+has_snapshot() { curl -sf "$BASE/control/snapshot" | grep -q '"seq"'; }
 
 cleanup() {
     [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
@@ -41,13 +59,7 @@ PID=$!
 
 # Wait until the control API is up and the fixture has been ingested far
 # enough to close at least one interval (snapshot seq appears).
-i=0
-until curl -sf "$BASE/control/snapshot" 2>/dev/null | grep -q '"seq"'; do
-    i=$((i + 1))
-    [ "$i" -ge 100 ] || kill -0 "$PID" 2>/dev/null || fail "daemon died during startup"
-    [ "$i" -lt 100 ] || fail "no interval snapshot after 20s"
-    sleep 0.2
-done
+wait_for 100 0.2 "interval snapshot" has_snapshot
 
 echo "serve-smoke: control API checks"
 curl -sf "$BASE/control/status" | grep -q '"state": "running"' \
@@ -85,5 +97,24 @@ echo "serve-smoke: validating metrics stream"
 "$TMP/metricscheck" -min-snapshots 2 \
     -require packets.total,flowcache.occupancy,snic.processed,host.flush.count \
     <"$TMP/metrics.jsonl" || fail "metricscheck rejected the stream"
+
+echo "serve-smoke: cluster leg (-workers 2)"
+"$TMP/smartwatch" -serve -follow -in "$TMP/fixture.pcap" -switch -workers 2 \
+    -expvar "127.0.0.1:$PORT" >"$TMP/stdout.log" 2>"$TMP/stderr.log" &
+PID=$!
+wait_for 200 0.05 "cluster control API" curl -sf -o "$TMP/status.json" "$BASE/control/status"
+grep -q '"workers": 2' "$TMP/status.json" || fail "first cluster status malformed"
+curl -sf "$BASE/control/snapshot" | grep -q '"workers"' \
+    || fail "cluster snapshot failed right after the listener came up"
+wait_for 100 0.2 "cluster interval snapshot" has_snapshot
+curl -sf "$BASE/control/status" | grep -q '"intervals"' \
+    || fail "cluster status shows no interval after the first close"
+kill -TERM "$PID"
+rc=0
+wait "$PID" || rc=$?
+PID=
+[ "$rc" -eq 0 ] || fail "cluster daemon exited $rc after SIGTERM"
+grep -q '^cluster: workers=2' "$TMP/stdout.log" \
+    || fail "no cluster report on stdout"
 
 echo "serve-smoke: OK"
