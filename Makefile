@@ -113,10 +113,12 @@ metrics-smoke:
 	rm -f $(SMOKE_PCAP)
 
 # Daemon smoke (DESIGN.md §12.3): start `smartwatch -serve` tailing a
-# fixture pcap, drive the control API (pause/resume, whitelist/blacklist,
-# snapshot, live /metrics), SIGTERM, then assert a clean drain and a
-# valid metrics stream via cmd/metricscheck; then the same daemon with
-# -workers 2, asked for status and snapshot before its runner has started.
+# fixture pcap, ask for status and snapshot before its engine has started,
+# drive the control API (pause/resume, whitelist/blacklist, snapshot, live
+# /metrics), drain, and assert a clean exit with a report — one assertion
+# body over three legs: one platform with -switch (plus a metricscheck of
+# its stream), -workers 2, and one platform without a switch, whose
+# operator blacklist must get a 409.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

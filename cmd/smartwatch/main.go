@@ -1,7 +1,9 @@
-// Command smartwatch runs the full monitoring platform over a pcap trace
-// (e.g. one produced by tracegen) and prints the detection report: alerts,
-// traffic split across the three tiers, FlowCache statistics, and the
-// flow-log summary.
+// Command smartwatch runs the full monitoring platform — one platform, or
+// -workers platforms behind one shared switch — over a pcap trace (e.g.
+// one produced by tracegen), a growing pcap or the synthetic generator,
+// and prints the detection report: alerts, traffic split across the three
+// tiers, FlowCache statistics, and the flow-log summary. -serve adds the
+// operator control API (serve.go).
 //
 // Example:
 //
@@ -33,6 +35,7 @@ import (
 	"smartwatch/internal/p4switch"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/pcap"
+	"smartwatch/internal/tier"
 	"smartwatch/internal/trace"
 )
 
@@ -52,10 +55,10 @@ func main() {
 		emitP4      = flag.String("emit-p4", "", "write the switch query set as a P4-16 program to this file (requires -switch)")
 		metricsOut  = flag.String("metrics", "", "emit a JSON-lines metrics snapshot each interval to this file (- for stdout)")
 		expvarAddr  = flag.String("expvar", "", "serve live metrics over HTTP at this address (/debug/vars, /metrics, /debug/pprof), updated at every interval close during the run; in batch mode the server keeps running after the run until interrupted")
-		serve       = flag.Bool("serve", false, "daemon mode: stream from the source through a lifecycle session, expose the /control API on the -expvar server, drain gracefully on SIGTERM")
-		follow      = flag.Bool("follow", false, "tail -in as a growing pcap (tolerates partial trailing records; -serve)")
+		serve       = flag.Bool("serve", false, "daemon mode: expose the /control API on the -expvar server (default 127.0.0.1:9090) while the run streams; POST /control/drain drains it")
+		follow      = flag.Bool("follow", false, "tail -in as a growing pcap (tolerates partial trailing records)")
 		gen         = flag.String("gen", "", "synthetic source instead of -in: caida2015|caida2016|caida2018|caida2019|dc")
-		genRepeat   = flag.Int("gen-repeat", -1, "generator laps, timestamps shifted per lap (-1 = until drained; -serve)")
+		genRepeat   = flag.Int("gen-repeat", -1, "generator laps, timestamps shifted per lap (-1 = until drained)")
 		genRate     = flag.Float64("gen-rate", 0, "wall-clock pacing for -gen in packets/sec (0 = as fast as consumed)")
 		genMax      = flag.Int64("gen-max", 0, "stop the generator after this many packets (0 = unbounded)")
 		kvRetention = flag.Int("kv-retention", 0, "keep at most N flow-log intervals resident (0 = unbounded; -serve defaults to 64 to bound the heap)")
@@ -120,118 +123,124 @@ func main() {
 		}
 		cfg.MetricsWriter = metricsFile
 	}
+	src, err := buildSource(*in, *follow, *gen, *genRepeat, *genRate, *genMax)
+	if err != nil {
+		fatal(err)
+	}
 
-	if *serve {
-		// Daemon mode: build the source, bound the in-memory flow log,
-		// mount the control API next to the expvar/metrics endpoints, and
-		// stream until drained.
-		if *kvRetention == 0 {
-			*kvRetention = 64
+	// One engine either way: a session over one platform, or a runner
+	// fanning out to -workers platforms behind one shared switch.
+	var (
+		e   engine
+		cl  *cluster.Runner
+		pls []*core.Platform
+		sw  *p4switch.Switch
+	)
+	if *workers > 1 {
+		cl = buildCluster(cfg, *workers, steerPolicy, *detectors)
+		e, pls, sw = cl, cl.Workers(), cl.Switch()
+	} else {
+		pl := core.New(cfg)
+		e, pls, sw = pl.NewSession(), []*core.Platform{pl}, pl.Switch()
+	}
+	if *serve && *kvRetention == 0 {
+		*kvRetention = 64 // bound the daemon's heap
+	}
+	if *kvRetention > 0 {
+		for _, pl := range pls {
+			pl.KV().SetRetention(*kvRetention)
 		}
-		addr := *expvarAddr
+	}
+	chunk := 512
+	if cfg.BatchSize > 1 {
+		chunk = ((chunk + cfg.BatchSize - 1) / cfg.BatchSize) * cfg.BatchSize
+	}
+	d := newDaemon(e, src, chunk)
+
+	addr := *expvarAddr
+	if *serve {
 		if addr == "" {
 			addr = "127.0.0.1:9090"
 		}
-		src, err := buildSource(*in, *follow, *gen, *genRepeat, *genRate, *genMax)
-		if err != nil {
-			fatal(err)
-		}
-		chunk := 512
-		if cfg.BatchSize > 1 {
-			chunk = ((chunk + cfg.BatchSize - 1) / cfg.BatchSize) * cfg.BatchSize
-		}
-		if *workers > 1 {
-			cl := buildCluster(cfg, *workers, steerPolicy, *detectors)
-			for _, wpl := range cl.Workers() {
-				wpl.KV().SetRetention(*kvRetention)
-			}
-			d := newClusterDaemon(cl, src, chunk)
-			d.registerControlAPI()
-			if err := serveExpvar(addr, cfg.Metrics); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "smartwatch: serving control API at http://%s/control/status (SIGTERM to drain)\n", addr)
-			if _, err := d.run(); err != nil {
-				fatal(err)
-			}
-			printClusterReport(cl, d.clRep, *verbose)
-			finishClusterOutputs(cl, d.clRep, *ipfixOut, *emitP4, metricsFile, *metricsOut)
-			return
-		}
-		pl := core.New(cfg)
-		pl.KV().SetRetention(*kvRetention)
-		d := newDaemon(pl, src, chunk)
 		d.registerControlAPI()
+	}
+	if addr != "" {
 		if err := serveExpvar(addr, cfg.Metrics); err != nil {
 			fatal(err)
 		}
+	}
+	if *serve {
 		fmt.Fprintf(os.Stderr, "smartwatch: serving control API at http://%s/control/status (SIGTERM to drain)\n", addr)
-		rep, err := d.run()
-		if err != nil {
-			fatal(err)
-		}
-		printReport(pl, rep, *verbose)
-		finishOutputs(pl, *ipfixOut, *emitP4, metricsFile, *metricsOut)
-		return
+	}
+	rep, err := d.run()
+	if err != nil {
+		fatal(err)
 	}
 
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
+	kvIntervals := 0
+	for _, pl := range pls {
+		kvIntervals += len(pl.KV().Intervals())
 	}
-	defer f.Close()
-	r, err := pcap.NewReader(f)
-	if err != nil {
-		fatal(err)
-	}
-	if *expvarAddr != "" {
-		if err := serveExpvar(*expvarAddr, cfg.Metrics); err != nil {
-			fatal(err)
+	printReport(os.Stdout, pls[0].Cache().Shard(0).PolicyName(), kvIntervals, rep, *verbose)
+	if cl != nil {
+		// Drain on a drained runner returns its cached report. Workers carry
+		// no per-interval metrics writer, so -metrics gets one final merged
+		// snapshot.
+		crep, _ := cl.Drain()
+		fmt.Printf("cluster: workers=%d policy=%s imbalance=%.2f resteers=%d folds=%d folded-events=%d sync-wait=%.2f ms merge=%.2f ms\n",
+			len(pls), crep.Steer.Policy, crep.Steer.Imbalance, crep.Steer.Resteers,
+			crep.Steer.Folds, crep.Steer.FoldedEvents, float64(crep.Steer.SyncWaitNs)/1e6, float64(crep.MergeNs)/1e6)
+		for i, ing := range crep.Ingress {
+			fmt.Printf("  worker %d: steered=%d ring-hwm=%d stalls=%d wait=%.2f ms batches=%d\n",
+				i, crep.Steer.PerWorker[i], ing.RingHWM, ing.Stalls, float64(ing.WaitNs)/1e6, ing.Batches)
 		}
-	}
-	if *workers > 1 {
-		// Cluster mode: one shared steering tier fanning out to N platform
-		// workers. Runner.Run buffers the stream itself (recycled vectors),
-		// so the raw pcap stream goes in undecorated.
-		cl := buildCluster(cfg, *workers, steerPolicy, *detectors)
-		if *kvRetention > 0 {
-			for _, wpl := range cl.Workers() {
-				wpl.KV().SetRetention(*kvRetention)
+		if cfg.MetricsWriter != nil && crep.Merged.Metrics != nil {
+			if err := json.NewEncoder(cfg.MetricsWriter).Encode(crep.Merged.Metrics); err != nil {
+				fatal(fmt.Errorf("metrics emit: %w", err))
 			}
 		}
-		crep, err := cl.Run(pcap.ReadStream(r))
-		if err != nil {
+	}
+	if fs, ok := src.(*pcap.FileSource); ok && fs.Reader().Skipped() > 0 {
+		fmt.Fprintf(os.Stderr, "note: %d undecodable frames skipped\n", fs.Reader().Skipped())
+	}
+	finishOutputs(pls, sw, *ipfixOut, *emitP4)
+	if metricsFile != nil {
+		if err := metricsFile.Close(); err != nil {
 			fatal(err)
 		}
-		if err := cl.Close(); err != nil {
-			fatal(err)
-		}
-		printClusterReport(cl, crep, *verbose)
-		if skipped := r.Skipped(); skipped > 0 {
-			fmt.Fprintf(os.Stderr, "note: %d undecodable frames skipped\n", skipped)
-		}
-		finishClusterOutputs(cl, crep, *ipfixOut, *emitP4, metricsFile, *metricsOut)
+		fmt.Fprintf(os.Stderr, "metrics snapshots written to %s\n", *metricsOut)
+	}
+	if !*serve {
 		lingerExpvar(*expvarAddr)
-		return
 	}
-
-	pl := core.New(cfg)
-	if *kvRetention > 0 {
-		pl.KV().SetRetention(*kvRetention)
-	}
-
-	// Buffered moves pcap decoding to its own goroutine so trace reading
-	// overlaps platform replay (order-preserving, batched handoff).
-	rep := pl.Run(packet.Buffered(pcap.ReadStream(r), 512))
-
-	printReport(pl, rep, *verbose)
-	if skipped := r.Skipped(); skipped > 0 {
-		fmt.Fprintf(os.Stderr, "note: %d undecodable frames skipped\n", skipped)
-	}
-
-	finishOutputs(pl, *ipfixOut, *emitP4, metricsFile, *metricsOut)
-	lingerExpvar(*expvarAddr)
 }
+
+// engine is what the CLI drives: a session over one platform or a cluster
+// runner, each satisfying it as it is.
+type engine interface {
+	Start() error
+	Ingest([]packet.Packet) error
+	// Close drains a running engine: final interval close, lossless
+	// flow-log flush, final metrics.
+	Close() error
+	// Report is the final report, once drained.
+	Report() (core.Report, bool)
+	State() core.SessionState
+	Ingested() uint64
+	BusStats() tier.BusStats
+	// Snapshots holds each lane's latest interval snapshot (one lane for a
+	// session; nil entries before a lane's first close).
+	Snapshots() []*core.IntervalSnapshot
+	Whitelist(packet.FlowKey) error
+	Blacklist(packet.Addr) error
+	WhitelistEntries() []packet.FlowKey
+	BlacklistEntries() []packet.Addr
+}
+
+var (
+	_ engine = (*core.Session)(nil)
+	_ engine = (*cluster.Runner)(nil)
+)
 
 // checkGeometry rejects a table core.New would panic on: a FlowCache
 // layout its own Validate refuses (-rowbits out of range, a row wider than
@@ -298,8 +307,8 @@ func buildCluster(cfg core.Config, workers int, policy cluster.SteerPolicy, dete
 	})
 }
 
-// buildSource assembles the daemon's packet source: whole-file pcap,
-// growing-pcap tail, or the synthetic generator.
+// buildSource assembles the packet source: whole-file pcap, growing-pcap
+// tail, or the synthetic generator.
 func buildSource(in string, follow bool, gen string, repeat int, rate float64, maxPkts int64) (packet.Source, error) {
 	if gen != "" {
 		var wl *trace.Workload
@@ -327,32 +336,10 @@ func buildSource(in string, follow bool, gen string, repeat int, rate float64, m
 	return pcap.OpenFile(in)
 }
 
-// printReport renders the end-of-run summary (both batch and daemon
-// modes).
-func printReport(pl *core.Platform, rep core.Report, verbose bool) {
-	printReportCore(os.Stdout, pl.Cache().Shard(0).PolicyName(), len(pl.KV().Intervals()), rep, verbose)
-}
-
-// printClusterReport renders the merged view plus the cluster fan-out
-// line (workers share one policy; flow-log intervals are summed across
-// the per-worker KV stores).
-func printClusterReport(cl *cluster.Runner, rep cluster.Report, verbose bool) {
-	workers := cl.Workers()
-	kvIntervals := 0
-	for _, wpl := range workers {
-		kvIntervals += len(wpl.KV().Intervals())
-	}
-	printReportCore(os.Stdout, workers[0].Cache().Shard(0).PolicyName(), kvIntervals, rep.Merged, verbose)
-	fmt.Printf("cluster: workers=%d policy=%s imbalance=%.2f resteers=%d folds=%d folded-events=%d sync-wait=%.2f ms merge=%.2f ms\n",
-		len(workers), rep.Steer.Policy, rep.Steer.Imbalance, rep.Steer.Resteers,
-		rep.Steer.Folds, rep.Steer.FoldedEvents, float64(rep.Steer.SyncWaitNs)/1e6, float64(rep.MergeNs)/1e6)
-	for i, ing := range rep.Ingress {
-		fmt.Printf("  worker %d: steered=%d ring-hwm=%d stalls=%d wait=%.2f ms batches=%d\n",
-			i, rep.Steer.PerWorker[i], ing.RingHWM, ing.Stalls, float64(ing.WaitNs)/1e6, ing.Batches)
-	}
-}
-
-func printReportCore(w io.Writer, policy string, kvIntervals int, rep core.Report, verbose bool) {
+// printReport renders the end-of-run summary: the report (a cluster's
+// merged one), the replacement policy (every worker shares one) and the
+// flow-log intervals summed over the platforms' KV stores.
+func printReport(w io.Writer, policy string, kvIntervals int, rep core.Report, verbose bool) {
 	fmt.Fprintf(w, "packets: total=%d forwarded-direct=%d to-snic=%d to-host=%d blocked=%d dropped-at-switch=%d\n",
 		rep.Counts.Total, rep.Counts.ForwardedDirect, rep.Counts.ToSNIC,
 		rep.Counts.ToHost, rep.Counts.Blocked, rep.Counts.DroppedAtSwitch)
@@ -385,51 +372,18 @@ func printReportCore(w io.Writer, policy string, kvIntervals int, rep core.Repor
 	}
 }
 
-// finishOutputs writes the optional export artifacts and closes the
-// metrics file, failing hard on any error so CI catches broken runs.
-func finishOutputs(pl *core.Platform, ipfixOut, emitP4 string, metricsFile *os.File, metricsOut string) {
+// finishOutputs writes the optional export artifacts, failing hard on any
+// error so CI catches broken runs. The IPFIX export walks every platform's
+// flow log through one exporter (lane order, one template set).
+func finishOutputs(pls []*core.Platform, sw *p4switch.Switch, ipfixOut, emitP4 string) {
 	if ipfixOut != "" {
 		out, err := os.Create(ipfixOut)
 		if err != nil {
 			fatal(err)
 		}
 		exp := host.NewIPFIXExporter(out, 1)
-		if err := exp.ExportKV(pl.KV()); err != nil {
-			fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "flow log exported as IPFIX to %s\n", ipfixOut)
-	}
-	if emitP4 != "" {
-		writeP4(pl.Switch(), emitP4)
-	}
-	if err := pl.MetricsErr(); err != nil {
-		fatal(fmt.Errorf("metrics emit: %w", err))
-	}
-	if metricsFile != nil {
-		if err := metricsFile.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "metrics snapshots written to %s\n", metricsOut)
-	}
-}
-
-// finishClusterOutputs is finishOutputs for cluster mode: the IPFIX
-// export walks every worker's flow log through one exporter (lane order,
-// one template set), -emit-p4 reads the shared switch, and -metrics gets
-// a single final merged snapshot — per-interval writers belong to
-// individual platforms, which the cluster strips from its workers.
-func finishClusterOutputs(cl *cluster.Runner, rep cluster.Report, ipfixOut, emitP4 string, metricsFile *os.File, metricsOut string) {
-	if ipfixOut != "" {
-		out, err := os.Create(ipfixOut)
-		if err != nil {
-			fatal(err)
-		}
-		exp := host.NewIPFIXExporter(out, 1)
-		for _, wpl := range cl.Workers() {
-			if err := exp.ExportKV(wpl.KV()); err != nil {
+		for _, pl := range pls {
+			if err := exp.ExportKV(pl.KV()); err != nil {
 				fatal(err)
 			}
 		}
@@ -439,32 +393,17 @@ func finishClusterOutputs(cl *cluster.Runner, rep cluster.Report, ipfixOut, emit
 		fmt.Fprintf(os.Stderr, "flow log exported as IPFIX to %s\n", ipfixOut)
 	}
 	if emitP4 != "" {
-		writeP4(cl.Switch(), emitP4)
+		writeP4(sw, emitP4)
 	}
-	if rep.Merged.Metrics != nil {
-		var w *os.File
-		switch {
-		case metricsFile != nil:
-			w = metricsFile
-		case metricsOut == "-":
-			w = os.Stdout
+	for _, pl := range pls {
+		if err := pl.MetricsErr(); err != nil {
+			fatal(fmt.Errorf("metrics emit: %w", err))
 		}
-		if w != nil {
-			if err := json.NewEncoder(w).Encode(rep.Merged.Metrics); err != nil {
-				fatal(fmt.Errorf("metrics emit: %w", err))
-			}
-		}
-	}
-	if metricsFile != nil {
-		if err := metricsFile.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "final merged metrics snapshot written to %s\n", metricsOut)
 	}
 }
 
 // writeP4 renders the switch query set plus its end-of-run control-plane
-// entries (shared between single-platform and cluster runs).
+// entries.
 func writeP4(sw *p4switch.Switch, path string) {
 	if sw == nil {
 		fatal(fmt.Errorf("-emit-p4 requires -switch"))

@@ -1,11 +1,12 @@
-// Daemon mode (DESIGN.md §12): -serve turns the batch replayer into a
-// long-running service. Packets stream from a packet.Source (whole-file
-// pcap, a tailed growing pcap, or the synthetic generator) through a
-// core.Session; an HTTP control API layered on the -expvar endpoint gives
-// the operator pause/resume, whitelist/blacklist query+update over the
-// tier bus, live interval snapshots, and graceful drain. SIGTERM (or
-// POST /control/drain) flushes the flow log, emits the final metrics
-// snapshot, and exits cleanly.
+// The drive and the operator plane (DESIGN.md §12.3). Every run, batch or
+// -serve, streams packets from a packet.Source (whole-file pcap, a tailed
+// growing pcap, or the synthetic generator) through one engine — a
+// single-platform session or a cluster runner — with a pause gate between
+// vectors. -serve layers an HTTP control API on the -expvar endpoint:
+// pause/resume, whitelist/blacklist query+update, live interval snapshots,
+// and graceful drain. SIGINT/SIGTERM (or POST /control/drain) stops the
+// source, flushes the flow log, emits the final metrics snapshot, and
+// returns the report.
 package main
 
 import (
@@ -18,19 +19,14 @@ import (
 	"sync"
 	"syscall"
 
-	"smartwatch/internal/cluster"
 	"smartwatch/internal/core"
 	"smartwatch/internal/packet"
-	"smartwatch/internal/tier"
 )
 
-// daemon owns the serve-mode lifecycle: one source, one engine (a
-// single-platform session or a cluster runner — exactly one of ses/cl is
-// set), the pause gate and the drain protocol.
+// daemon owns the run's lifecycle: one source, one engine, the pause gate
+// and the drain protocol.
 type daemon struct {
-	pl  *core.Platform
-	ses *core.Session
-	cl  *cluster.Runner
+	e   engine
 	src packet.Source
 
 	chunk int
@@ -44,27 +40,12 @@ type daemon struct {
 
 	drainOnce sync.Once
 	drained   chan struct{}
-	rep       core.Report
-	clRep     cluster.Report
 	drainErr  error
 }
 
-func newDaemon(pl *core.Platform, src packet.Source, chunk int) *daemon {
+func newDaemon(e engine, src packet.Source, chunk int) *daemon {
 	d := &daemon{
-		pl: pl, src: src, chunk: chunk,
-		ingestDone: make(chan struct{}),
-		drained:    make(chan struct{}),
-	}
-	d.pauseC = sync.NewCond(&d.pauseMu)
-	d.ses = pl.NewSession()
-	return d
-}
-
-// newClusterDaemon is the -workers > 1 variant: same lifecycle, with the
-// cluster runner standing in for the session.
-func newClusterDaemon(cl *cluster.Runner, src packet.Source, chunk int) *daemon {
-	d := &daemon{
-		cl: cl, src: src, chunk: chunk,
+		e: e, src: src, chunk: chunk,
 		ingestDone: make(chan struct{}),
 		drained:    make(chan struct{}),
 	}
@@ -72,17 +53,11 @@ func newClusterDaemon(cl *cluster.Runner, src packet.Source, chunk int) *daemon 
 	return d
 }
 
-// run starts the session and ingest loop, blocks until a drain completes
-// (SIGTERM, /control/drain, or source exhaustion), and returns the final
-// report.
+// run starts the engine and the ingest loop, blocks until a drain
+// completes (SIGINT/SIGTERM, /control/drain, or source exhaustion), and
+// returns the final report. A drive failure is the error.
 func (d *daemon) run() (core.Report, error) {
-	var err error
-	if d.cl != nil {
-		err = d.cl.Start()
-	} else {
-		err = d.ses.Start()
-	}
-	if err != nil {
+	if err := d.e.Start(); err != nil {
 		return core.Report{}, err
 	}
 	go d.ingestLoop()
@@ -90,13 +65,16 @@ func (d *daemon) run() (core.Report, error) {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		s := <-sig
-		fmt.Fprintf(os.Stderr, "smartwatch: %v — draining\n", s)
-		d.drain()
+		select {
+		case s := <-sig:
+			fmt.Fprintf(os.Stderr, "smartwatch: %v — draining\n", s)
+			d.drain()
+		case <-d.drained:
+		}
 	}()
 
 	// Source exhaustion (file fully replayed, generator budget done) also
-	// ends the daemon — after the ingest loop finishes, drain.
+	// ends the run — after the ingest loop finishes, drain.
 	go func() {
 		<-d.ingestDone
 		d.drain()
@@ -107,15 +85,19 @@ func (d *daemon) run() (core.Report, error) {
 	if d.drainErr != nil {
 		return core.Report{}, d.drainErr
 	}
+	rep, _ := d.e.Report()
 	if d.ingestErr != nil {
-		return d.rep, d.ingestErr
+		return rep, d.ingestErr
 	}
-	return d.rep, d.src.Err()
+	return rep, d.src.Err()
 }
 
-// ingestLoop pulls batches from the source and feeds the session,
+// ingestLoop pulls batches from the source and feeds the engine,
 // honouring the pause gate between batches. Pausing simply stops the
 // pull: backpressure propagates through BufferedBatches to the source.
+// The engine is closed only after this loop has returned, so an Ingest
+// error is a drive failure; a failed session's cause comes back from
+// Close.
 func (d *daemon) ingestLoop() {
 	defer close(d.ingestDone)
 	for b := range packet.BufferedBatches(d.src.Stream(), d.chunk) {
@@ -124,46 +106,23 @@ func (d *daemon) ingestLoop() {
 			d.pauseC.Wait()
 		}
 		d.pauseMu.Unlock()
-		if err := d.ingest(b); err != nil {
-			// A drain that started while we were pulling the next batch
-			// closes the engine under us — that's the clean-shutdown path,
-			// not an error.
-			if err != core.ErrSessionClosed && err != cluster.ErrRunnerState {
-				d.ingestErr = err
-			}
+		if err := d.e.Ingest(b); err != nil {
+			d.ingestErr = err
 			return
 		}
 	}
 }
 
-func (d *daemon) ingest(b []packet.Packet) error {
-	if d.cl != nil {
-		return d.cl.Ingest(b)
-	}
-	return d.ses.Ingest(b)
-}
-
 // drain runs the graceful-shutdown protocol exactly once: stop the
-// source, release the pause gate, wait for the ingest loop, then drain
-// the session (final interval close, lossless flow-log flush, final
+// source, release the pause gate, wait for the ingest loop, then close
+// the engine (final interval close, lossless flow-log flush, final
 // metrics emit).
 func (d *daemon) drain() {
 	d.drainOnce.Do(func() {
 		d.src.Close()
 		d.setPaused(false)
 		<-d.ingestDone
-		if d.cl != nil {
-			d.clRep, d.drainErr = d.cl.Drain()
-			d.rep = d.clRep.Merged
-			// Runner.Drain already tears the feeders and worker sessions
-			// down; Close is the idempotent backstop (and the only teardown
-			// path if the drain itself failed).
-			if err := d.cl.Close(); err != nil && d.drainErr == nil {
-				d.drainErr = err
-			}
-		} else {
-			d.rep, d.drainErr = d.ses.Drain()
-		}
+		d.drainErr = d.e.Close()
 		close(d.drained)
 	})
 }
@@ -201,38 +160,25 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v) //nolint:errcheck // best-effort HTTP write
 }
 
+// handleStatus reports the engine's state; intervals / ts_ns are the
+// most advanced lane's last interval close.
 func (d *daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	if d.cl != nil {
-		status := map[string]any{
-			"state":    d.cl.State().String(),
-			"paused":   d.isPaused(),
-			"ingested": d.cl.Ingested(),
-			"bus":      d.cl.BusStats(),
-			"workers":  len(d.cl.Workers()),
-		}
-		var maxSeq uint64
-		var maxTs int64
-		for _, snap := range d.cl.Snapshots() {
-			if snap != nil && snap.Seq > maxSeq {
-				maxSeq, maxTs = snap.Seq, snap.TsNs
-			}
-		}
-		if maxSeq > 0 {
-			status["intervals"] = maxSeq
-			status["ts_ns"] = maxTs
-		}
-		writeJSON(w, http.StatusOK, status)
-		return
-	}
+	snaps := d.e.Snapshots()
 	status := map[string]any{
-		"state":    d.ses.State().String(),
+		"state":    d.e.State().String(),
 		"paused":   d.isPaused(),
-		"ingested": d.ses.Ingested(),
-		"bus":      d.pl.Bus().Stats(),
+		"ingested": d.e.Ingested(),
+		"bus":      d.e.BusStats(),
+		"workers":  len(snaps),
 	}
-	if snap := d.ses.Snapshot(); snap != nil {
-		status["intervals"] = snap.Seq
-		status["ts_ns"] = snap.TsNs
+	var last *core.IntervalSnapshot
+	for _, snap := range snaps {
+		if snap != nil && (last == nil || snap.Seq > last.Seq) {
+			last = snap
+		}
+	}
+	if last != nil {
+		status["intervals"], status["ts_ns"] = last.Seq, last.TsNs
 	}
 	writeJSON(w, http.StatusOK, status)
 }
@@ -248,116 +194,67 @@ func (d *daemon) handlePause(pause bool) http.HandlerFunc {
 	}
 }
 
-// handleSnapshot serves the latest interval-boundary delta snapshot
-// (per-lane array in cluster mode; lanes that haven't closed an interval
-// yet are null).
+// handleSnapshot serves each lane's latest interval-boundary delta
+// snapshot (null for a lane that has not closed an interval yet).
 func (d *daemon) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	if d.cl != nil {
-		writeJSON(w, http.StatusOK, map[string]any{"workers": d.cl.Snapshots()})
-		return
-	}
-	snap := d.ses.Snapshot()
-	if snap == nil {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "no interval closed yet"})
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, map[string]any{"workers": d.e.Snapshots()})
 }
 
 // handleWhitelist: GET dumps the switch whitelist; POST ?flow=<spec>
-// publishes a WhitelistEvent on the tier bus from inside the session's
-// safe point — the switch programs the entry and the FlowCache releases
-// any pin, exactly as a detector-raised whitelist would.
+// installs an operator whitelist — the switch programs the entry and the
+// FlowCache releases any pin, exactly as a detector-raised whitelist
+// would.
 func (d *daemon) handleWhitelist(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		var entries []string
-		if d.cl != nil {
-			for _, k := range d.cl.WhitelistEntries() {
-				entries = append(entries, k.String())
-			}
-		} else {
-			err := d.ses.Exec(func(pl *core.Platform) {
-				if sw := pl.Switch(); sw != nil {
-					for _, k := range sw.WhitelistEntries() {
-						entries = append(entries, k.String())
-					}
-				}
-			})
-			if err != nil {
-				writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"count": len(entries), "entries": entries})
+		writeEntries(w, d.e.WhitelistEntries())
 	case http.MethodPost:
 		k, err := parseFlowSpec(r.URL.Query().Get("flow"))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		if d.cl != nil {
-			err = d.cl.Whitelist(k)
-		} else {
-			err = d.ses.Exec(func(pl *core.Platform) {
-				pl.Bus().Publish(tier.WhitelistEvent{Key: k, Origin: "control-api"})
-			})
-		}
-		if err != nil {
-			writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"whitelisted": k.String()})
+		writeUpdate(w, d.e.Whitelist(k), "whitelisted", k.String())
 	default:
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET or POST"})
 	}
 }
 
-// handleBlacklist: GET dumps the drop table; POST ?addr=a.b.c.d publishes
-// a BlacklistEvent on the tier bus.
+// handleBlacklist: GET dumps the drop table; POST ?addr=a.b.c.d installs
+// an operator drop rule (409 without a switch tier).
 func (d *daemon) handleBlacklist(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		var entries []string
-		if d.cl != nil {
-			for _, a := range d.cl.BlacklistEntries() {
-				entries = append(entries, a.String())
-			}
-		} else {
-			err := d.ses.Exec(func(pl *core.Platform) {
-				if sw := pl.Switch(); sw != nil {
-					for _, a := range sw.BlacklistEntries() {
-						entries = append(entries, a.String())
-					}
-				}
-			})
-			if err != nil {
-				writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"count": len(entries), "entries": entries})
+		writeEntries(w, d.e.BlacklistEntries())
 	case http.MethodPost:
 		a, err := packet.ParseAddr(r.URL.Query().Get("addr"))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 			return
 		}
-		if d.cl != nil {
-			err = d.cl.Blacklist(a)
-		} else {
-			err = d.ses.Exec(func(pl *core.Platform) {
-				pl.Bus().Publish(tier.BlacklistEvent{Addr: a, Origin: "control-api"})
-			})
-		}
-		if err != nil {
-			writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"blacklisted": a.String()})
+		writeUpdate(w, d.e.Blacklist(a), "blacklisted", a.String())
 	default:
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET or POST"})
 	}
+}
+
+// writeEntries renders a table dump.
+func writeEntries[T fmt.Stringer](w http.ResponseWriter, table []T) {
+	entries := make([]string, len(table))
+	for i, e := range table {
+		entries[i] = e.String()
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"count": len(entries), "entries": entries})
+}
+
+// writeUpdate answers an install: 409 with the engine's refusal, or 200
+// naming what was installed.
+func writeUpdate(w http.ResponseWriter, err error, verb, what string) {
+	if err != nil {
+		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{verb: what})
 }
 
 // handleDrain triggers graceful shutdown and reports when the final

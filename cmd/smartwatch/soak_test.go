@@ -44,7 +44,7 @@ func TestDaemonSoakFlatHeap(t *testing.T) {
 		MetricsWriter: io.Discard,
 	})
 	pl.KV().SetRetention(retention)
-	d := newDaemon(pl, src, 512)
+	d := newDaemon(pl.NewSession(), src, 512)
 
 	type sample struct {
 		ingested  uint64
@@ -55,8 +55,8 @@ func TestDaemonSoakFlatHeap(t *testing.T) {
 	go func() {
 		defer close(done)
 		var next uint64 = 2_000_000
-		for d.ses.State() != core.SessionDone {
-			if ing := d.ses.Ingested(); ing >= next {
+		for d.e.State() != core.SessionDone {
+			if ing := d.e.Ingested(); ing >= next {
 				runtime.GC()
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
@@ -79,8 +79,8 @@ func TestDaemonSoakFlatHeap(t *testing.T) {
 	if rep.Counts.Total != rep.Counts.ToSNIC {
 		t.Errorf("standalone platform must sNIC everything: %+v", rep.Counts)
 	}
-	if d.ses.State() != core.SessionDone {
-		t.Fatalf("session state after drain = %v", d.ses.State())
+	if d.e.State() != core.SessionDone {
+		t.Fatalf("session state after drain = %v", d.e.State())
 	}
 	if rep.Metrics == nil {
 		t.Fatal("no final metrics snapshot after drain")

@@ -182,36 +182,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// State is the runner lifecycle phase.
-type State int32
-
-// Runner lifecycle phases.
-const (
-	StateIdle State = iota
-	StateRunning
-	StateDraining
-	StateDone
-	StateFailed
-)
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case StateIdle:
-		return "idle"
-	case StateRunning:
-		return "running"
-	case StateDraining:
-		return "draining"
-	case StateDone:
-		return "done"
-	case StateFailed:
-		return "failed"
-	default:
-		return "unknown"
-	}
-}
-
 // ctlEvent is one captured worker control event awaiting a fold into the
 // shared switch. buf is the ordinal (from 1) of the lane buffer whose
 // Ingest published it.
@@ -322,7 +292,7 @@ type Runner struct {
 	workers []*worker
 
 	mu    sync.Mutex
-	state State
+	state core.SessionState
 	err   error
 	torn  bool
 
@@ -506,8 +476,10 @@ func (r *Runner) BlacklistEntries() []packet.Addr {
 	return r.sw.BlacklistEntries()
 }
 
-// State reports the runner lifecycle phase.
-func (r *Runner) State() State {
+// State reports the runner lifecycle phase, moving as a session's does: a
+// worker failure makes it SessionFailed, and Drain or Close moves it on to
+// SessionDone (Err keeps the failure).
+func (r *Runner) State() core.SessionState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.state
@@ -549,7 +521,7 @@ func (r *Runner) Snapshots() []*core.IntervalSnapshot {
 func (r *Runner) Start() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.state != StateIdle {
+	if r.state != core.SessionIdle {
 		return ErrRunnerState
 	}
 	for _, w := range r.workers {
@@ -570,7 +542,7 @@ func (r *Runner) Start() error {
 	for _, w := range r.workers {
 		w.buf = make([]packet.Packet, 0, r.cfg.QueueBatch)
 	}
-	r.state = StateRunning
+	r.state = core.SessionRunning
 	return nil
 }
 
@@ -647,8 +619,8 @@ func (r *Runner) feeder(w *worker) {
 func (r *Runner) Ingest(batch []packet.Packet) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.state != StateRunning {
-		if r.state == StateFailed {
+	if r.state != core.SessionRunning {
+		if r.state == core.SessionFailed {
 			return r.err
 		}
 		return ErrRunnerState
@@ -957,7 +929,7 @@ func (r *Runner) checkFailures() error {
 func (r *Runner) failRun(err error) error {
 	if r.err == nil {
 		r.err = err
-		r.state = StateFailed
+		r.state = core.SessionFailed
 	}
 	return r.err
 }
@@ -977,23 +949,30 @@ func (r *Runner) Whitelist(k packet.FlowKey) error {
 		wi = int(k.Hash() >> r.shift)
 	}
 	w := r.workers[wi]
-	if r.state == StateRunning && w.failed.Load() == nil {
-		return w.ses.Exec(func(pl *core.Platform) {
-			pl.Bus().Publish(tier.WhitelistEvent{Key: k, Origin: "control"})
-		})
+	if r.state == core.SessionRunning && w.failed.Load() == nil {
+		return w.ses.Whitelist(k)
 	}
 	return nil
 }
 
-// Blacklist installs a drop rule for the source at the shared switch.
+// Blacklist installs a drop rule for the source at the shared switch
+// (core.ErrNoSwitch without one, as for a session).
 func (r *Runner) Blacklist(a packet.Addr) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.sw == nil {
-		return errors.New("cluster: switch tier disabled")
+		return core.ErrNoSwitch
 	}
 	r.sw.Blacklist(a)
 	return nil
+}
+
+// Report returns the merged report once the runner has drained (zero
+// Report, false before) — the engine-level view of Drain's cached Report.
+func (r *Runner) Report() (core.Report, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.final.Merged, r.state == core.SessionDone
 }
 
 // Drain flushes every partial buffer, folds the final control epoch,
@@ -1006,18 +985,18 @@ func (r *Runner) Drain() (Report, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch r.state {
-	case StateDone:
-		return r.final, nil
-	case StateFailed:
-		return Report{}, r.err
-	case StateRunning:
+	case core.SessionDone:
+		return r.final, r.err
+	case core.SessionFailed:
+		return r.endFailed()
+	case core.SessionRunning:
 	default:
 		return Report{}, ErrRunnerState
 	}
-	r.state = StateDraining
+	r.state = core.SessionDraining
 
-	if err := r.syncLocked(true); err != nil {
-		return Report{}, err
+	if r.syncLocked(true) != nil {
+		return r.endFailed()
 	}
 	if r.sw != nil {
 		r.sw.CloseInterval(r.tracker) // the final interval close, as the
@@ -1043,11 +1022,20 @@ func (r *Runner) Drain() (Report, error) {
 	r.fold(true)
 	r.teardownLocked(-1)
 	if werr != nil {
-		return Report{}, r.failRun(werr)
+		r.failRun(werr)
+		return r.endFailed()
 	}
 	r.final = r.merge(reps)
-	r.state = StateDone
+	r.state = core.SessionDone
 	return r.final, nil
+}
+
+// endFailed tears a failed run down and moves it to SessionDone, keeping
+// its error (mu held): the Failed → Done step a session's Drain takes.
+func (r *Runner) endFailed() (Report, error) {
+	r.teardownLocked(r.stalledLane())
+	r.state = core.SessionDone
+	return Report{}, r.err
 }
 
 // teardownLocked stops the feeders and releases the worker platforms'
@@ -1086,24 +1074,19 @@ func (r *Runner) teardownLocked(skipWorker int) {
 	}
 }
 
-// Close tears the runner down. A cleanly running runner is drained first
-// (the polite SIGTERM path); a failed one skips the lane named in its
-// stall error. Idempotent.
+// Close tears the runner down and leaves it SessionDone. A cleanly running
+// runner is drained first (the polite SIGTERM path); a failed one skips
+// the lane named in its stall error and returns the failure. Idempotent.
 func (r *Runner) Close() error {
 	r.mu.Lock()
-	if r.state == StateRunning {
+	if r.state == core.SessionRunning {
 		r.mu.Unlock()
-		_, err := r.Drain()
+		_, _ = r.Drain() // a drain failure is recorded in r.err
 		r.mu.Lock()
-		defer r.mu.Unlock()
-		r.teardownLocked(r.stalledLane())
-		return err
 	}
 	defer r.mu.Unlock()
 	r.teardownLocked(r.stalledLane())
-	if r.state == StateIdle {
-		r.state = StateDone
-	}
+	r.state = core.SessionDone
 	return r.err
 }
 

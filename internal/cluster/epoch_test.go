@@ -282,7 +282,7 @@ func TestRunnerLifecycleBeforeStart(t *testing.T) {
 		if err := r.Close(); err != nil {
 			t.Errorf("Close of an idle runner = %v", err)
 		}
-		if r.State() != StateDone {
+		if r.State() != core.SessionDone {
 			t.Errorf("state after idle Close = %v, want done", r.State())
 		}
 		if err := r.Start(); err != ErrRunnerState {

@@ -98,11 +98,14 @@ func TestClusterWorkerCrashSurfacesTypedError(t *testing.T) {
 	if !errors.Is(err, core.ErrDriveFailed) {
 		t.Errorf("error %v does not wrap core.ErrDriveFailed", err)
 	}
-	if r.State() != StateFailed {
+	if r.State() != core.SessionFailed {
 		t.Errorf("state = %v, want failed", r.State())
 	}
 	if _, derr := r.Drain(); !errors.Is(derr, core.ErrDriveFailed) {
 		t.Errorf("Drain after failure = %v, want the recorded error", derr)
+	}
+	if r.State() != core.SessionDone {
+		t.Errorf("state after Drain = %v, want done (as a failed session's)", r.State())
 	}
 	if cerr := r.Close(); !errors.Is(cerr, core.ErrDriveFailed) {
 		t.Errorf("Close after failure = %v, want the recorded error", cerr)
@@ -140,6 +143,9 @@ func TestClusterWorkerStallSurfacesTypedError(t *testing.T) {
 	close(gate) // unwedge so teardown can reap the healthy feeder
 	if cerr := r.Close(); !errors.Is(cerr, ErrWorkerStalled) {
 		t.Errorf("Close after stall = %v, want the recorded error", cerr)
+	}
+	if r.State() != core.SessionDone {
+		t.Errorf("state after Close = %v, want done", r.State())
 	}
 }
 

@@ -137,44 +137,6 @@ func TestDetectorReactionsBecomeEvents(t *testing.T) {
 	}
 }
 
-// TestEventHooks: detect.EventHooks publishes instead of calling.
-func TestEventHooks(t *testing.T) {
-	bus := tier.NewBus()
-	var got []string
-	bus.Subscribe(tier.KindWhitelist, "rec", func(e tier.Event) {
-		got = append(got, "wl:"+e.(tier.WhitelistEvent).Origin)
-	})
-	bus.Subscribe(tier.KindBlacklist, "rec", func(e tier.Event) {
-		got = append(got, "bl:"+e.(tier.BlacklistEvent).Origin)
-	})
-	bus.Subscribe(tier.KindUnpin, "rec", func(e tier.Event) {
-		got = append(got, "up:"+e.(tier.UnpinEvent).Origin)
-	})
-	h := detect.EventHooks{Bus: bus, Origin: "test"}
-	h.Whitelist(wlKey())
-	h.Blacklist(1)
-	h.Unpin(wlKey())
-	want := []string{"wl:test", "bl:test", "up:test"}
-	if len(got) != len(want) {
-		t.Fatalf("events = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-	// Default origin.
-	var def string
-	bus2 := tier.NewBus()
-	bus2.Subscribe(tier.KindUnpin, "rec", func(e tier.Event) {
-		def = e.(tier.UnpinEvent).Origin
-	})
-	detect.EventHooks{Bus: bus2}.Unpin(wlKey())
-	if def != "hooks" {
-		t.Errorf("default origin = %q, want hooks", def)
-	}
-}
-
 // TestIntervalEventSequence: interval events carry 1-based sequence
 // numbers matching the interval counter.
 func TestIntervalEventSequence(t *testing.T) {

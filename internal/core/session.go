@@ -36,6 +36,7 @@ import (
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/obs"
 	"smartwatch/internal/packet"
+	"smartwatch/internal/tier"
 )
 
 // ErrSessionClosed is returned by Ingest/Exec once the session's drive has
@@ -57,6 +58,14 @@ var ErrSessionActive = errors.New("core: platform already has an active session"
 // and the cluster runner surfaces it as a typed per-worker failure.
 var ErrDriveFailed = errors.New("core: session drive failed")
 
+// ErrNoSwitch is returned for an operator blacklist on an engine without a
+// switch tier: there is no table to install the drop rule in.
+var ErrNoSwitch = errors.New("core: switch tier disabled")
+
+// operatorOrigin tags the bus events an operator's Whitelist / Blacklist
+// publishes.
+const operatorOrigin = "control"
+
 // SessionState is the lifecycle phase of a Session.
 type SessionState int32
 
@@ -70,6 +79,10 @@ const (
 	SessionDraining
 	// SessionDone: final report delivered; only Snapshot/Report work.
 	SessionDone
+	// SessionFailed: a panic escaped the datapath; the drive takes no more
+	// work and Drain or Close moves it to SessionDone (a cluster runner
+	// whose worker failed does the same).
+	SessionFailed
 )
 
 // String names the state.
@@ -83,6 +96,8 @@ func (s SessionState) String() string {
 		return "draining"
 	case SessionDone:
 		return "done"
+	case SessionFailed:
+		return "failed"
 	default:
 		return "unknown"
 	}
@@ -132,8 +147,9 @@ type Session struct {
 	// state is written under mu; atomic so State never waits for a vector.
 	state atomic.Int32
 	final Report
-	// driveErr records a panic recovered from the datapath; once set the
-	// session accepts no more work and Drain skips the final flush.
+	// driveErr records a panic recovered from the datapath (the state
+	// moves to SessionFailed): the session accepts no more work and Drain
+	// skips the final flush.
 	driveErr error
 
 	snap     atomic.Pointer[IntervalSnapshot]
@@ -175,24 +191,25 @@ func (s *Session) Start() error {
 
 // admit reports whether the session takes datapath work. Called under mu.
 func (s *Session) admit() error {
-	switch {
-	case s.State() == SessionIdle:
+	switch s.State() {
+	case SessionRunning:
+		return nil
+	case SessionIdle:
 		return ErrSessionState
-	case s.State() != SessionRunning || s.driveErr != nil:
-		return ErrSessionClosed
 	}
-	return nil
+	return ErrSessionClosed
 }
 
 // protect runs one step of the drive and reports whether it completed. A
 // panic in it (a crashing detector, a corrupted stage) is recovered into
-// driveErr: the platform may be half-updated, so the session takes no
-// more work, but the caller — a cluster feeder, the -serve ingest loop —
-// gets an error instead of a dead process.
+// driveErr and SessionFailed: the platform may be half-updated, so the
+// session takes no more work, but the caller — a cluster feeder, the
+// smartwatch ingest loop — gets an error instead of a dead process.
 func (s *Session) protect(step func()) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.driveErr = fmt.Errorf("%w: %v", ErrDriveFailed, r)
+			s.state.Store(int32(SessionFailed))
 		}
 	}()
 	step()
@@ -262,6 +279,56 @@ func (s *Session) Exec(fn func(*Platform)) error {
 // before the first interval close). Safe from any goroutine.
 func (s *Session) Snapshot() *IntervalSnapshot { return s.snap.Load() }
 
+// Snapshots is Snapshot as a one-lane list, the shape a cluster runner
+// reports per worker. Safe from any goroutine.
+func (s *Session) Snapshots() []*IntervalSnapshot { return []*IntervalSnapshot{s.Snapshot()} }
+
+// BusStats reports the platform's control-plane bus traffic.
+func (s *Session) BusStats() tier.BusStats { return s.pl.bus.Stats() }
+
+// Whitelist publishes an operator whitelist for k on the bus at the
+// session's safe point: the switch installs the entry and the FlowCache
+// releases any pin, exactly as for a detector-raised whitelist.
+func (s *Session) Whitelist(k packet.FlowKey) error {
+	return s.Exec(func(pl *Platform) {
+		pl.bus.Publish(tier.WhitelistEvent{Key: k, Origin: operatorOrigin})
+	})
+}
+
+// Blacklist publishes an operator drop rule for source a on the bus at
+// the session's safe point. It fails with ErrNoSwitch when the platform
+// has no switch tier to install the rule in.
+func (s *Session) Blacklist(a packet.Addr) error {
+	if s.pl.sw == nil {
+		return ErrNoSwitch
+	}
+	return s.Exec(func(pl *Platform) {
+		pl.bus.Publish(tier.BlacklistEvent{Addr: a, Origin: operatorOrigin})
+	})
+}
+
+// WhitelistEntries reads the switch whitelist between vectors (nil
+// without a switch tier). Works in every lifecycle phase.
+func (s *Session) WhitelistEntries() []packet.FlowKey {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pl.sw == nil {
+		return nil
+	}
+	return s.pl.sw.WhitelistEntries()
+}
+
+// BlacklistEntries reads the switch drop table between vectors (nil
+// without a switch tier). Works in every lifecycle phase.
+func (s *Session) BlacklistEntries() []packet.Addr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pl.sw == nil {
+		return nil
+	}
+	return s.pl.sw.BlacklistEntries()
+}
+
 // Drain closes ingestion, runs the final interval close and the lossless
 // flow-log flush, and returns the final Report — the exact tail sequence
 // of the pre-session one-shot Run. When a flow-log flush failed the Report
@@ -281,9 +348,9 @@ func (s *Session) drain() (Report, error) {
 		return Report{}, ErrSessionState
 	case SessionRunning:
 		s.state.Store(int32(SessionDraining))
-		if s.driveErr == nil {
-			s.protect(func() { s.final = s.pl.endDrive() })
-		}
+		s.protect(func() { s.final = s.pl.endDrive() })
+		fallthrough
+	case SessionFailed:
 		s.state.Store(int32(SessionDone))
 		s.pl.session = nil
 		s.pl.sessionBusy.Store(false)
@@ -315,7 +382,7 @@ func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.State() {
-	case SessionRunning:
+	case SessionRunning, SessionFailed:
 		_, err := s.drain()
 		return err
 	case SessionIdle:

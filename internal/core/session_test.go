@@ -655,6 +655,9 @@ func TestSessionPanicSurfacesOnCaller(t *testing.T) {
 		if err := ses.Ingest(vec[1024:]); err != ErrSessionClosed {
 			t.Fatalf("%s: Ingest that hit the bomb = %v, want ErrSessionClosed", name, err)
 		}
+		if got := ses.State(); got != SessionFailed {
+			t.Errorf("%s: state after the bomb = %v, want failed", name, got)
+		}
 		if err := ses.Ingest(vec[:1]); err != ErrSessionClosed {
 			t.Errorf("%s: Ingest after the bomb = %v, want ErrSessionClosed", name, err)
 		}
@@ -694,8 +697,9 @@ func TestSessionPanicSurfacesOnCaller(t *testing.T) {
 	}
 }
 
-// TestSessionIngestExecCloseRace: Ingest, Exec, Snapshot/State and Close
-// from four goroutines at once, Close landing mid-stream. Run under -race
+// TestSessionIngestExecCloseRace: Ingest, Exec (and the operator
+// Whitelist / Blacklist and table dumps beside it), Snapshot/State and
+// Close from four goroutines at once, Close landing mid-stream. Run under -race
 // (make race runs it 20 times). Every call returns; calls that lose to
 // Close get ErrSessionClosed; the report accounts for exactly the vectors
 // whose Ingest succeeded; no Exec closure ever sees a vector half done.
@@ -753,6 +757,15 @@ func TestSessionIngestExecCloseRace(t *testing.T) {
 				t.Errorf("Exec saw %d packets counted: a vector was in flight", total)
 				return
 			}
+			// Neither touches the traffic: no packet comes from or
+			// belongs to them.
+			for _, err := range []error{ses.Whitelist(wlKey()), ses.Blacklist(packet.MustParseAddr("203.0.113.9"))} {
+				if err != nil && err != ErrSessionClosed {
+					t.Errorf("operator update: %v", err)
+					return
+				}
+			}
+			_, _ = ses.WhitelistEntries(), ses.BlacklistEntries()
 		}
 	}()
 	go func() { // observers
@@ -762,7 +775,7 @@ func TestSessionIngestExecCloseRace(t *testing.T) {
 				t.Error("published snapshot with zero seq")
 				return
 			}
-			_ = ses.Ingested()
+			_, _, _ = ses.Ingested(), ses.BusStats(), ses.Snapshots()
 			runtime.Gosched()
 		}
 	}()

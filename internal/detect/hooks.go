@@ -1,9 +1,6 @@
 package detect
 
-import (
-	"smartwatch/internal/packet"
-	"smartwatch/internal/tier"
-)
+import "smartwatch/internal/packet"
 
 // Hooks lets detectors request control-loop actions outside the packet
 // path (timer-driven unpins, blacklist installs from Tick work). The
@@ -29,35 +26,3 @@ func (NopHooks) Whitelist(packet.FlowKey) {}
 
 // Blacklist implements Hooks.
 func (NopHooks) Blacklist(packet.Addr) {}
-
-// EventHooks publishes hook requests as typed control-plane events
-// instead of calling the tiers directly — the detector neither knows nor
-// cares who programs the switch or releases the pin. The platform
-// subscribes the switch and FlowCache to the matching kinds.
-type EventHooks struct {
-	Bus *tier.Bus
-	// Origin tags published events for diagnostics ("hooks" if empty).
-	Origin string
-}
-
-func (h EventHooks) origin() string {
-	if h.Origin == "" {
-		return "hooks"
-	}
-	return h.Origin
-}
-
-// Unpin implements Hooks.
-func (h EventHooks) Unpin(k packet.FlowKey) {
-	h.Bus.Publish(tier.UnpinEvent{Key: k, Origin: h.origin()})
-}
-
-// Whitelist implements Hooks.
-func (h EventHooks) Whitelist(k packet.FlowKey) {
-	h.Bus.Publish(tier.WhitelistEvent{Key: k, Origin: h.origin()})
-}
-
-// Blacklist implements Hooks.
-func (h EventHooks) Blacklist(a packet.Addr) {
-	h.Bus.Publish(tier.BlacklistEvent{Addr: a, Origin: h.origin()})
-}

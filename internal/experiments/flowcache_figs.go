@@ -8,6 +8,18 @@ import (
 	"smartwatch/internal/stats"
 )
 
+// cacheOnSNIC builds a fresh FlowCache in the given mode on the sNIC DES:
+// each packet's table reads and writes are the cost of its PME step.
+// Callers size cfg.RingEntries and pick the engine's profile in sc.
+func cacheOnSNIC(cfg flowcache.Config, mode flowcache.Mode, sc snic.Config) (*snic.Engine, *flowcache.Cache) {
+	c := flowcache.New(cfg)
+	c.SetMode(mode)
+	return snic.New(sc, func(p *packet.Packet, _ snic.Ctx) snic.Cost {
+		_, res := c.Process(p)
+		return snic.Cost{Reads: res.Reads, Writes: res.Writes}
+	}), c
+}
+
 // cacheRun pushes a stress workload through the DES with one FlowCache
 // layout and returns the engine report plus per-outcome latency samples
 // and the cache itself.
@@ -135,16 +147,12 @@ func Fig6Throughput(scale float64) *Table {
 			func() *snic.Engine {
 				cfg := cfg
 				cfg.RingEntries = 1 << 20
-				c := flowcache.New(cfg)
-				c.SetMode(mode)
 				sc := snic.DefaultConfig()
 				if pmes > 0 {
 					sc.Profile = sc.Profile.WithPMEs(pmes)
 				}
-				return snic.New(sc, func(p *packet.Packet, _ snic.Ctx) snic.Cost {
-					_, res := c.Process(p)
-					return snic.Cost{Reads: res.Reads, Writes: res.Writes}
-				})
+				e, _ := cacheOnSNIC(cfg, mode, sc)
+				return e
 			},
 			func(pps float64) packet.Stream { return retime(stressStream(n, 100_000, 0.3, 6), pps) },
 			5, 60, 0.001)

@@ -33,12 +33,8 @@ func policyPresetRun(year int, policy string, n int) (*flowcache.Cache, snic.Rep
 	// the drop count ranks how much eviction pressure each policy pushes
 	// toward the host on the same stream.
 	cfg.RingEntries = 4096
-	c := flowcache.New(cfg)
+	e, c := cacheOnSNIC(cfg, flowcache.General, snic.DefaultConfig())
 	src := trace.CAIDA(year).Stream()
-	e := snic.New(snic.DefaultConfig(), func(p *packet.Packet, _ snic.Ctx) snic.Cost {
-		_, res := c.Process(p)
-		return snic.Cost{Reads: res.Reads, Writes: res.Writes}
-	})
 	i := 0
 	rep := e.Run(packet.Buffered(func(yield func(packet.Packet) bool) {
 		for p := range src {

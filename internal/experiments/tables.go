@@ -134,14 +134,10 @@ func Table3NICs(scale float64) *Table {
 			func() *snic.Engine {
 				cfg := flowcache.DefaultConfig(12)
 				cfg.RingEntries = 1 << 20
-				c := flowcache.New(cfg)
-				c.SetMode(flowcache.Lite)
 				sc := snic.DefaultConfig()
 				sc.Profile = prof
-				return snic.New(sc, func(p *packet.Packet, _ snic.Ctx) snic.Cost {
-					_, res := c.Process(p)
-					return snic.Cost{Reads: res.Reads, Writes: res.Writes}
-				})
+				e, _ := cacheOnSNIC(cfg, flowcache.Lite, sc)
+				return e
 			},
 			func(pps float64) packet.Stream { return retime(stressStream(n, 100_000, 0.3, 61), pps) },
 			10, 60, 0.001)

@@ -82,12 +82,7 @@ func fig10Run(n int) fig10Result {
 	makeSW := func(mode flowcache.Mode) (*snic.Engine, *flowcache.Cache, *host.FlowStore) {
 		cfg := flowcache.DefaultConfig(12)
 		cfg.RingEntries = 1 << 20
-		c := flowcache.New(cfg)
-		c.SetMode(mode)
-		e := snic.New(snic.DefaultConfig(), func(p *packet.Packet, _ snic.Ctx) snic.Cost {
-			_, res := c.Process(p)
-			return snic.Cost{Reads: res.Reads, Writes: res.Writes}
-		})
+		e, c := cacheOnSNIC(cfg, mode, snic.DefaultConfig())
 		return e, c, host.NewFlowStore(host.DefaultCostModel())
 	}
 	// Memory-matched sketches (1 MB class).
@@ -277,14 +272,10 @@ func Fig11bThroughput(scale float64) *Table {
 			func() *snic.Engine {
 				cfg := flowcache.DefaultConfig(12)
 				cfg.RingEntries = 1 << 20
-				c := flowcache.New(cfg)
-				c.SetMode(mode)
 				sc := snic.DefaultConfig()
 				sc.Profile = sc.Profile.WithPMEs(pmes)
-				return snic.New(sc, func(p *packet.Packet, _ snic.Ctx) snic.Cost {
-					_, res := c.Process(p)
-					return snic.Cost{Reads: res.Reads, Writes: res.Writes}
-				})
+				e, _ := cacheOnSNIC(cfg, mode, sc)
+				return e
 			},
 			func(pps float64) packet.Stream { return retime(stressStream(n, 100_000, 0.3, 41), pps) },
 			5, 60, 0.001)

@@ -23,9 +23,10 @@ var ErrIdleTimeout = errors.New("pcap: follow source idle timeout")
 
 // FileSource replays a whole capture file as a packet.Source.
 type FileSource struct {
-	f   *os.File
-	r   *Reader
-	err error
+	f      *os.File
+	r      *Reader
+	err    error
+	closed atomic.Bool
 }
 
 // OpenFile opens path and validates its pcap header.
@@ -45,13 +46,14 @@ func OpenFile(path string) (*FileSource, error) {
 // Reader exposes the underlying pcap reader (decode/skip counters).
 func (fs *FileSource) Reader() *Reader { return fs.r }
 
-// Stream yields every decodable packet in the file.
+// Stream yields every decodable packet in the file. Close ends it at the
+// next read, cleanly.
 func (fs *FileSource) Stream() packet.Stream {
 	return func(yield func(packet.Packet) bool) {
 		var p packet.Packet
 		for {
 			if err := fs.r.next(&p); err != nil {
-				if err != io.EOF {
+				if err != io.EOF && !fs.closed.Load() {
 					fs.err = err
 				}
 				return
@@ -63,11 +65,14 @@ func (fs *FileSource) Stream() packet.Stream {
 	}
 }
 
-// Err reports a mid-file decode failure (nil after a clean EOF).
+// Err reports a mid-file decode failure (nil after a clean EOF or Close).
 func (fs *FileSource) Err() error { return fs.err }
 
-// Close closes the file.
-func (fs *FileSource) Close() error { return fs.f.Close() }
+// Close closes the file; a Stream still reading it stops without error.
+func (fs *FileSource) Close() error {
+	fs.closed.Store(true)
+	return fs.f.Close()
+}
 
 // FollowConfig tunes a FollowSource.
 type FollowConfig struct {

@@ -64,6 +64,35 @@ func TestFileSourceMatchesReader(t *testing.T) {
 	}
 }
 
+// TestFileSourceCloseStopsCleanly: Close while the stream is still reading
+// (a signal-driven drain) ends the stream at the next refill, and Err
+// stays nil — reading a file closed on purpose is not a decode failure.
+func TestFileSourceCloseStopsCleanly(t *testing.T) {
+	const n = 2000 // several read windows
+	path := filepath.Join(t.TempDir(), "t.pcap")
+	if err := os.WriteFile(path, validCapture(t, n), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := 0
+	for range src.Stream() {
+		if got++; got == 10 {
+			if err := src.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got >= n {
+		t.Errorf("stream yielded all %d packets after Close", got)
+	}
+	if err := src.Err(); err != nil {
+		t.Errorf("Err after Close = %v, want nil", err)
+	}
+}
+
 // chunkedReader hands out its bytes in scripted chunks, returning io.EOF
 // between them like a file whose writer has not caught up — the follow
 // reader must treat every split point (mid-header, mid-body) as "not yet".

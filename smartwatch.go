@@ -80,7 +80,7 @@ func New(cfg Config) *Platform { return core.New(cfg) }
 // thin wrapper over one. Create with Platform.NewSession.
 type Session = core.Session
 
-// SessionState is a session's lifecycle phase.
+// SessionState is a session's, or a cluster runner's, lifecycle phase.
 type SessionState = core.SessionState
 
 // Session lifecycle phases.
@@ -89,6 +89,7 @@ const (
 	SessionRunning  = core.SessionRunning
 	SessionDraining = core.SessionDraining
 	SessionDone     = core.SessionDone
+	SessionFailed   = core.SessionFailed
 )
 
 // IntervalSnapshot is the per-interval delta snapshot a running session
@@ -103,6 +104,8 @@ var (
 	ErrSessionState = core.ErrSessionState
 	// ErrSessionActive: the platform already drives another session.
 	ErrSessionActive = core.ErrSessionActive
+	// ErrNoSwitch: an operator blacklist on an engine without a switch.
+	ErrNoSwitch = core.ErrNoSwitch
 )
 
 // Source is a lifecycle-managed packet feed (Stream/Err/Close): live
@@ -150,9 +153,6 @@ type ClusterRunner = cluster.Runner
 // plus the deterministic fold).
 type ClusterReport = cluster.Report
 
-// ClusterState is the runner lifecycle phase.
-type ClusterState = cluster.State
-
 // SteerPolicy selects how the shared tier routes flows to workers.
 type SteerPolicy = cluster.SteerPolicy
 
@@ -178,8 +178,8 @@ var (
 	// ErrWorkerStalled: a worker's ingress ring stayed full past the
 	// configured stall timeout.
 	ErrWorkerStalled = cluster.ErrWorkerStalled
-	// ErrClusterState: runner call outside its lifecycle phase.
-	ErrClusterState = cluster.ErrRunnerState
+	// ErrRunnerState: runner call outside its lifecycle phase.
+	ErrRunnerState = cluster.ErrRunnerState
 )
 
 // SteerStats summarises the shared steering tier's fan-out.
