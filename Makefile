@@ -30,8 +30,10 @@ test:
 # oracle, the shard / policy / adaptive-controller determinism suites, none
 # of which -short skips), the sNIC engine, the platform control loop, the
 # event bus, the parallel experiment runner, the buffered stream bridge,
-# the SPSC ring under the cluster's ingress lanes, and the wire side's
-# shared state — the follow reader's close flag, the switch tables. The
+# the SPSC ring under the cluster's ingress lanes, the wire side's
+# shared state — the follow reader's close flag, the switch tables — and
+# the host flow log, which -serve handlers read under the KVStore's
+# RWMutex while the drive flushes into it. The
 # cluster runner is not here: its whole suite runs under -race in `make
 # cluster`, and no test of it consults -short. -short shortens, not
 # skips, the sNIC scheduler's ring-vs-heap oracle; the three
@@ -43,7 +45,7 @@ test:
 # whole contract of a drive that runs on its callers' goroutines
 # (DESIGN.md §12.1).
 race:
-	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/ ./internal/pcap/ ./internal/p4switch/
+	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/ ./internal/pcap/ ./internal/p4switch/ ./internal/host/
 	$(GO) test -race -run 'TestBatchedDriveMatchesPerPacket|TestChunkedIngestMatchesRun|TestSegmentedRunMatchesOneShot' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 
@@ -84,10 +86,12 @@ lowslow:
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
 # After the gates: the detector chain's 0-allocs guard (DESIGN.md §18: the
-# LowSlow / Chain micros off the SYN path must report 0 allocs/op), then
+# LowSlow / Chain micros off the SYN path must report 0 allocs/op), one
+# pass of each host benchmark so they keep compiling (DESIGN.md §16), then
 # the replacement-policy study table at reduced scale (DESIGN.md §11).
 check: fmt-check vet build test race fuzz-smoke
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain' -benchtime 10x ./internal/detect/
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/host/
 	$(GO) run ./cmd/experiments -scale 0.1 policies
 
 # Same-box A/B of the repo's benchmark (benchmark/, BENCHMARK.json): the

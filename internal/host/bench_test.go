@@ -1,6 +1,8 @@
 package host
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"smartwatch/internal/flowcache"
@@ -35,6 +37,32 @@ func BenchmarkFlowStoreIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs.Ingest(flowcache.Record{Key: hkey(rng.IntN(100000)), Pkts: 1, Bytes: 64})
+	}
+}
+
+// The end-of-run export at the size of the benchmark's manyflows: 150 k
+// flows the host has never seen, in the row order Cache.Snapshot of a
+// RowBits-18 table delivers them, ingested into a fresh store and flushed
+// into a fresh flow log.
+func BenchmarkFinalFlush(b *testing.B) {
+	const flows, rowMask = 150_000, 1<<18 - 1
+	recs := make([]flowcache.Record, flows)
+	for i := range recs {
+		recs[i] = flowcache.Record{Key: hkey(i), Pkts: 3, Bytes: 192, FirstTs: int64(i), LastTs: int64(i) + 100}
+	}
+	slices.SortStableFunc(recs, func(x, y flowcache.Record) int {
+		return cmp.Compare(x.Key.Hash()&rowMask, y.Key.Hash()&rowMask)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs := NewFlowStore(DefaultCostModel())
+		for _, r := range recs {
+			fs.Ingest(r)
+		}
+		if err := NewKVStore(nil).FlushInterval(1, fs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -37,19 +37,20 @@ type CostModel struct {
 // processing is ~3.5x the sNIC path; record ingest is light.
 func DefaultCostModel() CostModel { return CostModel{RecordNs: 180, PacketNs: 5200} }
 
-// FlowStore is the host's global flow pool: a large hash-backed aggregate
+// FlowStore is the host's global flow pool: a large hash-indexed aggregate
 // of every record the sNIC exported, flushed per measurement interval to
 // the KV flow log.
 type FlowStore struct {
-	cost  CostModel
-	flows map[packet.FlowKey]*flowEntry
+	cost CostModel
+	// chunks hold the entries in first-ingest order, entryChunk to a chunk:
+	// one allocation per entryChunk flows, and an entry never moves (dirty
+	// points into the chunks). Entry id lives at chunks[id/entryChunk].
+	chunks []*[entryChunk]flowEntry
+	// flows indexes the entry ids by flow hash.
+	flows flowIndex
 	// dirty lists, each once, the aggregates Ingest changed since the last
 	// flush: an interval flush costs those, not every flow ever seen.
-	dirty []*flowEntry
-	// slab is the chunk new entries are carved from: one allocation per
-	// entryChunk flows instead of one per flow. A full chunk is left where
-	// it is (flows and dirty point into it) and a fresh one started.
-	slab    []flowEntry
+	dirty   []*flowEntry
 	drain   []flowcache.Record // DrainRings scratch
 	cpuNs   float64
 	ingests uint64
@@ -61,7 +62,7 @@ type flowEntry struct {
 	dirty bool
 }
 
-// entryChunk is the slab's chunk size in entries (40 KB of them).
+// entryChunk is the chunk size in entries (40 KB of them).
 const entryChunk = 512
 
 // NewFlowStore builds a store with the given cost model.
@@ -69,21 +70,37 @@ func NewFlowStore(cost CostModel) *FlowStore {
 	if cost.RecordNs <= 0 {
 		cost = DefaultCostModel()
 	}
-	return &FlowStore{cost: cost, flows: map[packet.FlowKey]*flowEntry{}}
+	return &FlowStore{cost: cost}
+}
+
+// entry returns the entry with the given id.
+func (fs *FlowStore) entry(id int) *flowEntry {
+	return &fs.chunks[id/entryChunk][id%entryChunk]
+}
+
+// lookup returns the entry of flow k, whose hash is h, or nil.
+func (fs *FlowStore) lookup(k packet.FlowKey, h uint64) *flowEntry {
+	id := fs.flows.find(h, func(id int) bool { return fs.entry(id).Key == k })
+	if id < 0 {
+		return nil
+	}
+	return fs.entry(id)
 }
 
 // Ingest merges one exported sNIC record.
 func (fs *FlowStore) Ingest(rec flowcache.Record) {
 	fs.ingests++
 	fs.cpuNs += fs.cost.RecordNs
-	hr := fs.flows[rec.Key]
+	h := rec.Key.Hash()
+	hr := fs.lookup(rec.Key, h)
 	if hr == nil {
-		if len(fs.slab) == cap(fs.slab) {
-			fs.slab = make([]flowEntry, 0, entryChunk)
+		id := fs.flows.n
+		if id%entryChunk == 0 {
+			fs.chunks = append(fs.chunks, new([entryChunk]flowEntry))
 		}
-		fs.slab = append(fs.slab, flowEntry{HostRecord: HostRecord{Key: rec.Key, FirstTs: rec.FirstTs, StateTs: rec.StateTs, State: rec.State}})
-		hr = &fs.slab[len(fs.slab)-1]
-		fs.flows[rec.Key] = hr
+		hr = fs.entry(id)
+		hr.HostRecord = HostRecord{Key: rec.Key, FirstTs: rec.FirstTs, StateTs: rec.StateTs, State: rec.State}
+		fs.flows.add(h, id)
 	}
 	if !hr.dirty {
 		hr.dirty = true
@@ -129,20 +146,20 @@ func (fs *FlowStore) DrainRings(rings []*flowcache.Ring) int {
 
 // Get returns the aggregate for a flow.
 func (fs *FlowStore) Get(k packet.FlowKey) (HostRecord, bool) {
-	hr, ok := fs.flows[k]
-	if !ok {
+	hr := fs.lookup(k, k.Hash())
+	if hr == nil {
 		return HostRecord{}, false
 	}
 	return hr.HostRecord, true
 }
 
 // Len returns the distinct-flow count.
-func (fs *FlowStore) Len() int { return len(fs.flows) }
+func (fs *FlowStore) Len() int { return fs.flows.n }
 
-// Each visits every aggregate.
+// Each visits every aggregate, in first-ingest order.
 func (fs *FlowStore) Each(fn func(HostRecord) bool) {
-	for _, hr := range fs.flows {
-		if !fn(hr.HostRecord) {
+	for id := range fs.flows.n {
+		if !fn(fs.entry(id).HostRecord) {
 			return
 		}
 	}

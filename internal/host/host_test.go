@@ -176,9 +176,10 @@ func TestFlowStoreAggregation(t *testing.T) {
 }
 
 // TestFlowStoreEntriesAreSlabbed: new flows cost the store at most one
-// allocation per entryChunk of them beyond what its map and dirty list
-// cost any owner (measured on a twin store holding one shared entry), and
-// the entries a full chunk leaves behind stay where flows and dirty point.
+// allocation per entryChunk of them beyond what its index, dirty list and
+// chunk directory cost any owner (measured on a twin store whose chunks
+// are all one shared chunk), and the entries a full chunk leaves behind
+// stay where the index and dirty point.
 func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
 	const n = 64 * entryChunk
 	var fs, twin *FlowStore
@@ -188,16 +189,19 @@ func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
 			fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: uint64(i)})
 		}
 	})
-	var shared flowEntry
+	var shared [entryChunk]flowEntry
 	control := testing.AllocsPerRun(3, func() {
 		twin = NewFlowStore(DefaultCostModel())
 		for i := 0; i < n; i++ {
-			twin.flows[hkey(i)] = &shared
-			twin.dirty = append(twin.dirty, &shared)
+			if i%entryChunk == 0 {
+				twin.chunks = append(twin.chunks, &shared)
+			}
+			twin.flows.add(hkey(i).Hash(), i)
+			twin.dirty = append(twin.dirty, &shared[i%entryChunk])
 		}
 	})
 	if got-control > n/entryChunk {
-		t.Errorf("%d new flows: %.0f allocations, map and dirty list alone %.0f: want at most %d more", n, got, control, n/entryChunk)
+		t.Errorf("%d new flows: %.0f allocations, index, dirty list and chunk directory alone %.0f: want at most %d more", n, got, control, n/entryChunk)
 	}
 	seen := 0
 	fs.takeDirty(func(hr HostRecord) {

@@ -36,10 +36,28 @@ type KVStore struct {
 	dropped   uint64
 }
 
-// kvLayer holds the aggregates that changed in one interval.
+// kvLayer holds the aggregates that changed in one interval, in flush
+// order, indexed by flow hash.
 type kvLayer struct {
-	ts    int64
-	delta map[packet.FlowKey]HostRecord
+	ts   int64
+	recs []HostRecord
+	idx  flowIndex
+}
+
+// get returns the position of flow k, whose hash is h, or -1.
+func (l *kvLayer) get(k packet.FlowKey, h uint64) int {
+	return l.idx.find(h, func(pos int) bool { return l.recs[pos].Key == k })
+}
+
+// put overwrites the layer's record of hr's flow, or appends hr.
+func (l *kvLayer) put(hr HostRecord) {
+	h := hr.Key.Hash()
+	if pos := l.get(hr.Key, h); pos >= 0 {
+		l.recs[pos] = hr
+		return
+	}
+	l.idx.add(h, len(l.recs))
+	l.recs = append(l.recs, hr)
 }
 
 // NewKVStore returns an empty store. If aof is non-nil, every flushed
@@ -65,12 +83,14 @@ func (kv *KVStore) FlushInterval(intervalTs int64, fs *FlowStore) error {
 	if intervalTs < top.ts {
 		return fmt.Errorf("host: flush of interval %d behind the newest logged interval %d", intervalTs, top.ts)
 	}
+	// A new interval is sized once for the dirty flows; a re-flush of the
+	// newest one merges into what it holds.
 	if intervalTs > top.ts {
-		kv.layers = append(kv.layers, kvLayer{intervalTs, make(map[packet.FlowKey]HostRecord, len(fs.dirty))})
+		kv.layers = append(kv.layers, kvLayer{intervalTs, make([]HostRecord, 0, len(fs.dirty)), newFlowIndex(len(fs.dirty))})
 		top = &kv.layers[len(kv.layers)-1]
 	}
 	fs.takeDirty(func(hr HostRecord) {
-		top.delta[hr.Key] = hr
+		top.put(hr)
 		kv.writes++
 		if kv.aof != nil {
 			// bufio.Writer keeps its first error and returns it from
@@ -115,12 +135,12 @@ func (kv *KVStore) enforceRetention() {
 	}
 	base := &kv.layers[0]
 	for _, l := range kv.layers[1 : 1+excess] {
-		if len(base.delta) == 0 {
-			base.delta = l.delta
+		if len(base.recs) == 0 {
+			base.recs, base.idx = l.recs, l.idx
 			continue
 		}
-		for k, hr := range l.delta {
-			base.delta[k] = hr
+		for _, hr := range l.recs {
+			base.put(hr)
 		}
 	}
 	kv.dropped += uint64(excess)
@@ -138,9 +158,11 @@ func (kv *KVStore) Get(intervalTs int64, k packet.FlowKey) (HostRecord, bool) {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
 	i, ok := kv.find(intervalTs)
+	h := k.Hash()
 	for ; ok && i >= 0; i-- {
-		if hr, hit := kv.layers[i].delta[k]; hit {
-			return hr, true
+		l := &kv.layers[i]
+		if pos := l.get(k, h); pos >= 0 {
+			return l.recs[pos], true
 		}
 	}
 	return HostRecord{}, false
@@ -158,7 +180,7 @@ func (kv *KVStore) Intervals() []int64 {
 }
 
 // Scan visits every record of the cumulative view as of one interval,
-// each flow once.
+// each flow once: newest layer first, each layer in flush order.
 func (kv *KVStore) Scan(intervalTs int64, fn func(HostRecord) bool) {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
@@ -166,21 +188,23 @@ func (kv *KVStore) Scan(intervalTs int64, fn func(HostRecord) bool) {
 	if !ok {
 		return
 	}
-	// Newest layer first: the first version of a key met is the one in
-	// force, and seen skips its older versions. The oldest non-empty layer
-	// shadows nothing, so a view living in one layer builds no set.
+	// The first version of a key met is the one in force, and seen skips
+	// its older versions. The oldest non-empty layer shadows nothing, so a
+	// view living in one layer builds no set. seen is a map: Scan is off
+	// the drive path, and a flowIndex over a key slice peaked ≈ 3 MB
+	// higher on the benchmark's churn.
 	oldest := 0
-	for oldest < top && len(kv.layers[oldest].delta) == 0 {
+	for oldest < top && len(kv.layers[oldest].recs) == 0 {
 		oldest++
 	}
 	seen := map[packet.FlowKey]struct{}{}
 	for i := top; i >= oldest; i-- {
-		for k, hr := range kv.layers[i].delta {
-			if _, shadowed := seen[k]; shadowed {
+		for _, hr := range kv.layers[i].recs {
+			if _, shadowed := seen[hr.Key]; shadowed {
 				continue
 			}
 			if i > oldest {
-				seen[k] = struct{}{}
+				seen[hr.Key] = struct{}{}
 			}
 			if !fn(hr) {
 				return

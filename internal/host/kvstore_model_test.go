@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"smartwatch/internal/flowcache"
@@ -99,42 +100,87 @@ func checkAgainstOracle(t *testing.T, kv *KVStore, o *snapshotKV, keys, step int
 	}
 }
 
+// indexDoublings counts how often the indexes of layers that survive from
+// before to after grew (each doubling once), by interval timestamp.
+func indexDoublings(before, after map[int64]int) int {
+	n := 0
+	for ts, size := range after {
+		for was := before[ts]; was > 0 && was < size; was *= 2 {
+			n++
+		}
+	}
+	return n
+}
+
+// indexSizes maps each layer's timestamp to its index's slot count.
+func indexSizes(kv *KVStore) map[int64]int {
+	out := map[int64]int{}
+	for _, l := range kv.layers {
+		out[l.ts] = len(l.idx.slots)
+	}
+	return out
+}
+
 // TestKVStoreMatchesSnapshotModel drives random Ingest / FlushInterval
 // (advancing and repeated timestamps) / SetRetention sequences through the
 // delta store and the full-snapshot oracle and diffs the read side after
-// every step that can change it.
+// every step that can change it. The wide case ingests bursts over 4 096
+// flows, so re-flushes of the newest interval and retention folds into
+// the base grow their indexes many times over.
 func TestKVStoreMatchesSnapshotModel(t *testing.T) {
-	const keys = 48
-	for seed := uint64(1); seed <= 20; seed++ {
-		rng := stats.NewRand(seed)
-		kv := NewKVStore(nil)
-		o := &snapshotKV{intervals: map[int64]map[packet.FlowKey]HostRecord{}}
-		fs := NewFlowStore(DefaultCostModel())
-		ts, now := int64(0), int64(0)
-		for step := 0; step < 300; step++ {
-			switch op := rng.IntN(10); {
-			case op < 6:
-				now += 1 + rng.Int64N(50)
-				fs.Ingest(flowcache.Record{
-					Key: hkey(rng.IntN(keys)), Pkts: uint64(1 + rng.IntN(9)), Bytes: uint64(64 + rng.IntN(1400)),
-					FirstTs: now - rng.Int64N(40), LastTs: now, State: rng.Uint64() & 7, StateTs: now - rng.Int64N(3),
-				})
-				continue
-			case op < 9:
-				if ts == 0 || rng.IntN(4) > 0 { // one flush in four re-flushes the newest interval
-					ts += 1 + rng.Int64N(3)
+	for _, tc := range []struct {
+		name                string
+		keys, seeds, steps  int
+		burst, minDoublings int
+	}{
+		{"48flows", 48, 20, 300, 1, 0},
+		{"4096flows", 4096, 6, 50, 700, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doublings := 0
+			for seed := uint64(1); seed <= uint64(tc.seeds); seed++ {
+				rng := stats.NewRand(seed)
+				kv := NewKVStore(nil)
+				o := &snapshotKV{intervals: map[int64]map[packet.FlowKey]HostRecord{}}
+				fs := NewFlowStore(DefaultCostModel())
+				ts, now := int64(0), int64(0)
+				for step := 0; step < tc.steps; step++ {
+					before := indexSizes(kv)
+					switch op := rng.IntN(10); {
+					case op < 6:
+						burst := 1
+						if tc.burst > 1 {
+							burst += rng.IntN(tc.burst)
+						}
+						for range burst {
+							now += 1 + rng.Int64N(50)
+							fs.Ingest(flowcache.Record{
+								Key: hkey(rng.IntN(tc.keys)), Pkts: uint64(1 + rng.IntN(9)), Bytes: uint64(64 + rng.IntN(1400)),
+								FirstTs: now - rng.Int64N(40), LastTs: now, State: rng.Uint64() & 7, StateTs: now - rng.Int64N(3),
+							})
+						}
+						continue
+					case op < 9:
+						if ts == 0 || rng.IntN(4) > 0 { // one flush in four re-flushes the newest interval
+							ts += 1 + rng.Int64N(3)
+						}
+						if err := kv.FlushInterval(ts, fs); err != nil {
+							t.Fatal(err)
+						}
+						o.flush(ts, fs)
+					default:
+						n := rng.IntN(6) // 0 lifts the bound again
+						kv.SetRetention(n)
+						o.setRetention(n)
+					}
+					doublings += indexDoublings(before, indexSizes(kv))
+					checkAgainstOracle(t, kv, o, tc.keys, step)
 				}
-				if err := kv.FlushInterval(ts, fs); err != nil {
-					t.Fatal(err)
-				}
-				o.flush(ts, fs)
-			default:
-				n := rng.IntN(6) // 0 lifts the bound again
-				kv.SetRetention(n)
-				o.setRetention(n)
 			}
-			checkAgainstOracle(t, kv, o, keys, step)
-		}
+			if doublings < tc.minDoublings {
+				t.Errorf("layer indexes doubled %d times across re-flushes and folds, want at least %d", doublings, tc.minDoublings)
+			}
+		})
 	}
 }
 
@@ -194,6 +240,60 @@ func TestKVStoreRejectsBackwardsInterval(t *testing.T) {
 	if _, ok := kv.Get(10, hkey(2)); !ok {
 		t.Error("record of the refused flush lost")
 	}
+}
+
+// A -serve handler reads the flow log while the drive flushes into it:
+// re-flushes grow the newest layer's index and retention folds layers into
+// the base under readers that Scan, Get and list the intervals. Run under
+// -race in `make race`.
+func TestKVStoreReadsDuringFlush(t *testing.T) {
+	const keys = 2048
+	fs := NewFlowStore(DefaultCostModel())
+	kv := NewKVStore(nil)
+	kv.SetRetention(3)
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := range 2 {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ivs := kv.Intervals()
+				if len(ivs) == 0 {
+					continue
+				}
+				ts := ivs[i%len(ivs)]
+				seen := map[packet.FlowKey]bool{}
+				kv.Scan(ts, func(hr HostRecord) bool {
+					if seen[hr.Key] {
+						t.Errorf("reader %d: Scan(%d) visited %v twice", r, ts, hr.Key)
+						return false
+					}
+					seen[hr.Key] = true
+					return true
+				})
+				kv.Get(ts, hkey(i%keys))
+			}
+		}()
+	}
+	for ts := int64(1); ts <= 60; ts++ {
+		for i := range 2 * int(ts) {
+			fs.Ingest(flowcache.Record{Key: hkey((i * int(ts) * 31) % keys), Pkts: 1})
+		}
+		for range 2 { // the second flush of ts re-flushes the newest layer
+			if err := kv.FlushInterval(ts, fs); err != nil {
+				t.Fatal(err)
+			}
+			fs.Ingest(flowcache.Record{Key: hkey(int(ts) * 7 % keys), Pkts: 1})
+		}
+	}
+	close(done)
+	readers.Wait()
 }
 
 // aofRun drives a fixed random session into an AOF-backed store.

@@ -126,22 +126,23 @@ func Encode(buf []byte, p *Packet, opt EncodeOptions) ([]byte, error) {
 		payload = l4[udpHdrLen:]
 	}
 
+	written := l4HdrLen
 	if opt.EmbedMeta && p.App != (AppInfo{}) && len(payload) >= metaBlockLen {
 		binary.BigEndian.PutUint32(payload[0:4], metaMagic)
 		binary.BigEndian.PutUint64(payload[4:12], uint64(p.App.TLSCertExpiry))
 		binary.BigEndian.PutUint64(payload[12:20], p.App.PayloadSig)
 		payload[20] = byte(p.App.AuthOutcome)
+		written += metaBlockLen
 	}
 
-	// L4 checksum over pseudo-header + segment.
-	seg := ip[ipv4HdrLen:ipTotal]
-	var ck uint16
+	// L4 checksum over pseudo-header + segment. Past the header and the
+	// metadata block the segment is zero-fill, which adds nothing to a
+	// one's-complement sum, so only the written bytes are summed.
 	ckOff := 16 // TCP checksum offset
 	if p.Tuple.Proto == ProtoUDP {
 		ckOff = 6
 	}
-	binary.BigEndian.PutUint16(l4[ckOff:ckOff+2], 0)
-	ck = l4Checksum(p.Tuple.SrcIP, p.Tuple.DstIP, p.Tuple.Proto, seg)
+	ck := l4Checksum(p.Tuple.SrcIP, p.Tuple.DstIP, p.Tuple.Proto, ipTotal-ipv4HdrLen, l4[:written])
 	binary.BigEndian.PutUint16(l4[ckOff:ckOff+2], ck)
 	return buf, nil
 }
@@ -231,15 +232,17 @@ func ipChecksum(hdr []byte) uint16 {
 	return finishChecksum(sumBytes(0, hdr))
 }
 
-// l4Checksum computes the TCP/UDP checksum with the IPv4 pseudo-header.
-func l4Checksum(src, dst Addr, proto Proto, seg []byte) uint16 {
+// l4Checksum computes the TCP/UDP checksum with the IPv4 pseudo-header of
+// a segLen-byte segment whose bytes past head are all zero. The checksum
+// field inside head must be zero.
+func l4Checksum(src, dst Addr, proto Proto, segLen int, head []byte) uint16 {
 	var pseudo [12]byte
 	binary.BigEndian.PutUint32(pseudo[0:4], uint32(src))
 	binary.BigEndian.PutUint32(pseudo[4:8], uint32(dst))
 	pseudo[9] = byte(proto)
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(seg)))
+	binary.BigEndian.PutUint16(pseudo[10:12], uint16(segLen))
 	sum := sumBytes(0, pseudo[:])
-	sum = sumBytes(sum, seg)
+	sum = sumBytes(sum, head)
 	ck := finishChecksum(sum)
 	if ck == 0 && proto == ProtoUDP {
 		ck = 0xffff // UDP: zero means "no checksum"
