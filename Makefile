@@ -85,12 +85,15 @@ lowslow:
 		./internal/trace/ ./internal/detect/ ./internal/host/ ./internal/flowcache/ ./internal/core/
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
-# After the gates: the detector chain's 0-allocs guard (DESIGN.md §18: the
-# LowSlow / Chain micros off the SYN path must report 0 allocs/op), one
-# pass of each host benchmark so they keep compiling (DESIGN.md §16), then
-# the replacement-policy study table at reduced scale (DESIGN.md §11).
+# After the gates: a short pass of the detector micros (LowSlow, Chain,
+# PortScan; DESIGN.md §18) and one pass of each host benchmark, so they
+# keep compiling (DESIGN.md §16), then the replacement-policy study table
+# at reduced scale (DESIGN.md §11). The detectors' allocation claims are
+# not read off this output: TestChainOnPacketDoesNotAllocate (0 per packet,
+# OnPacket and Inspect) and TestPerSourceStateDoesNotAllocate (a new
+# source costs map growth only) enforce them in `make test`.
 check: fmt-check vet build test race fuzz-smoke
-	$(GO) test -run '^$$' -bench 'LowSlow|Chain' -benchtime 10x ./internal/detect/
+	$(GO) test -run '^$$' -bench 'LowSlow|Chain|PortScan' -benchtime 10x ./internal/detect/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/host/
 	$(GO) run ./cmd/experiments -scale 0.1 policies
 

@@ -413,30 +413,31 @@ func (pl *Platform) tierHandler(p *packet.Packet, sctx snic.Ctx) snic.Cost {
 		toHost++
 	}
 	sctx.FlowHash, sctx.Pinned = hash, res.Pinned
-	r := pl.detectors.OnPacket(p, rec, sctx)
-	if r.Pin {
+	v, cycles := pl.detectors.Inspect(p, rec, sctx)
+	if v&detect.VPin != 0 {
 		pl.cache.Pin(k)
 	}
-	if r.Unpin {
+	if v&detect.VUnpin != 0 {
 		pl.cache.Unpin(k)
 	}
-	if r.Whitelist {
+	if v&detect.VWhitelist != 0 {
 		pl.bus.Publish(tier.WhitelistEvent{Key: k, Origin: "detector"})
 	}
-	if r.BlacklistSrc {
+	if v&detect.VBlacklistSrc != 0 {
 		pl.bus.Publish(tier.BlacklistEvent{Addr: p.Tuple.SrcIP, Origin: "detector"})
 	}
-	if r.ToHost {
+	if v&detect.VToHost != 0 {
 		pl.ports.Deliver(p)
 		toHost++
 	}
 	if toHost > 0 {
 		pl.counts.toHost.Add(toHost)
 	}
-	if r.DropPacket {
+	drop := v&detect.VDrop != 0
+	if drop {
 		pl.counts.blocked.Add(1)
 	}
-	return snic.Cost{Reads: res.Reads, Writes: res.Writes, ExtraCycles: r.ExtraCycles, Drop: r.DropPacket}
+	return snic.Cost{Reads: res.Reads, Writes: res.Writes, ExtraCycles: cycles, Drop: drop}
 }
 
 // Report is a full platform run summary.

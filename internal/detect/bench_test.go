@@ -113,6 +113,28 @@ func BenchmarkLowSlowOnPacket(b *testing.B) {
 	})
 }
 
+// BenchmarkPortScanNewSources is a scan seen from the sources' side: every
+// op is a source never seen before, whose one probe is answered by a RST —
+// a SYN and a RST through PortScan, and a fresh TRW walk stored by value.
+// Past map growth it allocates nothing (TestPerSourceStateDoesNotAllocate).
+func BenchmarkPortScanNewSources(b *testing.B) {
+	det := NewPortScan(PortScanConfig{})
+	p, rec := new(packet.Packet), new(flowcache.Record)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := packet.FiveTuple{SrcIP: packet.Addr(0x0b000000 + i), DstIP: 0x0a000001, SrcPort: 40000, DstPort: 80, Proto: packet.ProtoTCP}
+		var k packet.FlowKey
+		ctx := snic.Ctx{FlowHash: t.Identity(&k)}
+		*rec = flowcache.Record{Key: k}
+		*p = packet.Packet{Ts: int64(i), Tuple: t, Flags: packet.FlagSYN, Size: 64}
+		det.OnPacket(p, rec, ctx)
+		*p = p.Reverse()
+		p.Flags = packet.FlagRST | packet.FlagACK
+		benchSink = det.OnPacket(p, rec, ctx)
+	}
+}
+
 // BenchmarkChainOnPacket is Chain.OnPacket over the two detector lists
 // the benchmark workloads configure — churn's five (lowslow first) and
 // the default seven — on established flows' data packets.

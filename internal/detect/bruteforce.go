@@ -27,10 +27,22 @@ type BruteForce struct {
 	// detectorCycles is the in-line sNIC cost per observed packet.
 	detectorCycles float64
 	hooks          Hooks
-	fails          map[packet.Addr][]int64
-	flagged        map[packet.Addr]bool
+	sources        map[packet.Addr]bfSource
+	// windows holds every source's failures still inside the window,
+	// oldest first, in psi-1 slots per source: one slice that grows by
+	// doubling, not a slice per source.
+	windows []int64
 	// counters for Table 2 reporting
 	hostPkts, totalPkts uint64
+}
+
+// bfSource is one remote host's state, stored by value: where its window
+// starts in BruteForce.windows, how many of its slots hold a failure, and
+// whether it has been flagged.
+type bfSource struct {
+	at      int
+	n       int32
+	flagged bool
 }
 
 // BruteForceConfig parameterises the detector.
@@ -69,7 +81,7 @@ func NewBruteForce(cfg BruteForceConfig) *BruteForce {
 	return &BruteForce{
 		name: name, service: cfg.Service, psi: cfg.Psi, windowNs: cfg.WindowNs,
 		detectorCycles: 40, hooks: cfg.Hooks,
-		fails: map[packet.Addr][]int64{}, flagged: map[packet.Addr]bool{},
+		sources: map[packet.Addr]bfSource{},
 	}
 }
 
@@ -97,7 +109,7 @@ func (d *BruteForce) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *BruteForce) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *BruteForce) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (Verdict, float64) {
 	if p.Tuple.DstPort != d.service && p.Tuple.SrcPort != d.service {
 		return 0, 0
 	}
@@ -105,12 +117,12 @@ func (d *BruteForce) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx
 	if rec == nil {
 		return 0, d.detectorCycles
 	}
-	var v verdict
+	var v Verdict
 
 	// New connection: pin until the host decides the auth outcome.
 	if rec.State&(stateAuthPending|stateAuthOK|stateAuthFailed) == 0 {
 		rec.State |= stateAuthPending
-		v |= vPin
+		v |= VPin
 	}
 
 	switch p.App.AuthOutcome {
@@ -119,47 +131,62 @@ func (d *BruteForce) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx
 		rec.State |= stateAuthOK
 		// Benign: whitelist at the switch, unpin, stop host processing.
 		// This final packet still transits the host NF.
-		v |= vWhitelist | vUnpin | vToHost
+		v |= VWhitelist | VUnpin | VToHost
 		d.hostPkts++
 	case packet.AuthFailure:
 		rec.State &^= stateAuthPending
 		rec.State |= stateAuthFailed
-		v |= vUnpin | vToHost
+		v |= VUnpin | VToHost
 		d.hostPkts++
 		src := d.remote(p)
 		d.recordFailure(src, d.server(p), p.Ts)
 	default:
 		if rec.State&stateAuthPending != 0 {
 			// Auth phase in progress: Zeek on the host sees these packets.
-			v |= vToHost
+			v |= VToHost
 			d.hostPkts++
 		}
 	}
-	if d.flagged[d.remote(p)] {
-		v |= vBlacklistSrc | vDrop
+	if d.sources[d.remote(p)].flagged {
+		v |= VBlacklistSrc | VDrop
 	}
 	return v, d.detectorCycles
 }
 
+// recordFailure counts one failed login. An unflagged source holds at most
+// psi-1 failures in its window — the psi-th flags it — and a flagged one
+// needs no window, so psi-1 slots per source are all there is.
 func (d *BruteForce) recordFailure(src, server packet.Addr, ts int64) {
-	w := d.fails[src]
+	s, ok := d.sources[src]
+	if s.flagged {
+		return
+	}
+	if !ok {
+		s.at = len(d.windows)
+		for range d.psi - 1 {
+			d.windows = append(d.windows, 0)
+		}
+	}
 	// Slide the window.
+	w := d.windows[s.at : s.at+int(s.n) : s.at+d.psi-1]
 	keep := w[:0]
 	for _, t := range w {
 		if ts-t <= d.windowNs {
 			keep = append(keep, t)
 		}
 	}
-	keep = append(keep, ts)
-	d.fails[src] = keep
-	if len(keep) >= d.psi && !d.flagged[src] {
-		d.flagged[src] = true
+	if n := len(keep) + 1; n >= d.psi {
+		s.flagged = true
 		d.hooks.Blacklist(src)
 		d.emit(Alert{
 			Detector: d.name, Ts: ts, Attacker: src, Victim: server,
-			Info: fmt.Sprintf("%d failed logins within window (psi=%d)", len(keep), d.psi),
+			Info: fmt.Sprintf("%d failed logins within window (psi=%d)", n, d.psi),
 		})
+	} else {
+		keep = append(keep, ts)
 	}
+	s.n = int32(len(keep))
+	d.sources[src] = s
 }
 
 // Tick implements Detector (window upkeep happens lazily on failures).
@@ -176,4 +203,4 @@ func (d *BruteForce) HostShare() float64 {
 
 // Flagged reports whether the source has been classified as a brute
 // forcer.
-func (d *BruteForce) Flagged(a packet.Addr) bool { return d.flagged[a] }
+func (d *BruteForce) Flagged(a packet.Addr) bool { return d.sources[a].flagged }

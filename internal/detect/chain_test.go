@@ -30,20 +30,20 @@ func (f *foreign) Drain() []Alert { return nil }
 // Each flag bit is the Reaction field it is named after, and compress
 // undoes expand.
 func TestVerdictExpandCompress(t *testing.T) {
-	fields := map[verdict]Reaction{
-		vPin:          {Pin: true},
-		vUnpin:        {Unpin: true},
-		vToHost:       {ToHost: true},
-		vWhitelist:    {Whitelist: true},
-		vBlacklistSrc: {BlacklistSrc: true},
-		vDrop:         {DropPacket: true},
+	fields := map[Verdict]Reaction{
+		VPin:          {Pin: true},
+		VUnpin:        {Unpin: true},
+		VToHost:       {ToHost: true},
+		VWhitelist:    {Whitelist: true},
+		VBlacklistSrc: {BlacklistSrc: true},
+		VDrop:         {DropPacket: true},
 	}
 	for v, want := range fields {
 		if got := expand(v, 0); got != want {
 			t.Errorf("expand(%#x) = %+v, want %+v", v, got, want)
 		}
 	}
-	for v := verdict(0); v < 1<<6; v++ {
+	for v := Verdict(0); v < 1<<6; v++ {
 		if gv, gc := compress(expand(v, 12.5)); gv != v || gc != 12.5 {
 			t.Errorf("compress(expand(%#x, 12.5)) = %#x, %v", v, gv, gc)
 		}
@@ -96,7 +96,7 @@ func mixedTrace() []packet.Packet {
 func TestOnPacketMatchesChain(t *testing.T) {
 	pkts := mixedTrace()
 	bare, chained := everyDetector(), everyDetector()
-	var seen verdict
+	var seen Verdict
 	for i := range bare {
 		name := bare[i].Name()
 		t.Run(name, func(t *testing.T) {
@@ -144,8 +144,69 @@ func TestOnPacketMatchesChain(t *testing.T) {
 			}
 		})
 	}
-	if all := vPin | vUnpin | vToHost | vWhitelist | vBlacklistSrc | vDrop; seen != all {
+	if all := VPin | VUnpin | VToHost | VWhitelist | VBlacklistSrc | VDrop; seen != all {
 		t.Errorf("the trace exercised verdict bits %#x, want all of %#x", seen, all)
+	}
+}
+
+// TestChainInspectMatchesOnPacket: Chain.Inspect, the two scalars the
+// platform acts on, carries for every packet of the mixed trace exactly
+// what the detector's public OnPacket answers — for one of every detector
+// type (the nested Chain with its foreign member included) and for all of
+// them in one chain. The Inspect side is handed the identity the way the
+// platform hands it (the record's key, the hash in ctx.FlowHash); the
+// OnPacket side gets no hash and derives both itself.
+func TestChainInspectMatchesOnPacket(t *testing.T) {
+	pkts := mixedTrace()
+	bare, chained := everyDetector(), everyDetector()
+	type pair struct {
+		name    string
+		onPkt   Detector
+		inspect *Chain
+	}
+	pairs := []pair{{"all", NewChain(everyDetector()...), NewChain(everyDetector()...)}}
+	for i := range bare {
+		pairs = append(pairs, pair{bare[i].Name(), bare[i], NewChain(chained[i])})
+	}
+	for _, pc := range pairs {
+		t.Run(pc.name, func(t *testing.T) {
+			ra, rb := newDriver(pc.onPkt), newDriver(pc.inspect)
+			rng := stats.NewRand(5)
+			var seen Verdict
+			next := int64(0)
+			for j := range pkts {
+				p := &pkts[j]
+				for ; p.Ts >= next; next += 10e6 {
+					ra.det.Tick(next)
+					rb.det.Tick(next)
+				}
+				qd := float64(rng.IntN(260)) * 1e3
+				recA, _ := ra.cache.Process(p)
+				recB, _ := rb.cache.Process(p)
+				a := ra.det.OnPacket(p, recA, snic.Ctx{QueueDelayNs: qd})
+				v, cycles := pc.inspect.Inspect(p, recB, snic.Ctx{QueueDelayNs: qd, FlowHash: p.Key().Hash()})
+				if b := expand(v, cycles); a != b {
+					t.Fatalf("packet %d (%v): OnPacket %+v, Inspect %+v", j, p.Tuple, a, b)
+				}
+				seen |= v
+				for _, dr := range []*driver{ra, rb} {
+					if a.Pin {
+						dr.cache.Pin(p.Key())
+					}
+					if a.Unpin || a.Whitelist {
+						dr.cache.Unpin(p.Key())
+					}
+				}
+			}
+			ra.det.Tick(next + 1e9)
+			rb.det.Tick(next + 1e9)
+			if a, b := ra.det.Drain(), rb.det.Drain(); !reflect.DeepEqual(a, b) {
+				t.Errorf("alerts differ: %d from OnPacket, %d from Inspect", len(a), len(b))
+			}
+			if all := VPin | VUnpin | VToHost | VWhitelist | VBlacklistSrc | VDrop; pc.name == "all" && seen != all {
+				t.Errorf("the trace exercised verdict bits %#x, want all of %#x", seen, all)
+			}
+		})
 	}
 }
 
@@ -213,6 +274,20 @@ func TestChainOnPacketDoesNotAllocate(t *testing.T) {
 	empty := NewChain()
 	if n := testing.AllocsPerRun(1000, func() { sink = empty.OnPacket(p, rec, snic.Ctx{}) }); n != 0 {
 		t.Errorf("empty Chain.OnPacket allocates %v times per packet", n)
+	}
+	// Inspect, as the platform calls it: the identity carried in.
+	ctx := snic.Ctx{FlowHash: rec.Key.Hash()}
+	var (
+		v      Verdict
+		cycles float64
+	)
+	for _, c := range []*Chain{ch, empty} {
+		if n := testing.AllocsPerRun(1000, func() { v, cycles = c.Inspect(p, rec, ctx) }); n != 0 {
+			t.Errorf("Chain.Inspect over %d detectors allocates %v times per packet", len(c.Detectors()), n)
+		}
+	}
+	if v, cycles = ch.Inspect(p, rec, ctx); cycles == 0 || v != 0 {
+		t.Errorf("steady packet through Inspect: verdict %#x, %v cycles; want none and some", v, cycles)
 	}
 }
 

@@ -90,8 +90,9 @@ func (d *CovertTiming) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx sni
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *CovertTiming) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
-	k := p.Key()
+func (d *CovertTiming) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
+	var k packet.FlowKey
+	identity(p, rec, ctx, &k)
 	cf := d.flows[k]
 	if cf == nil {
 		if !d.programAll {
@@ -100,9 +101,9 @@ func (d *CovertTiming) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic
 		d.Program(k)
 		cf = d.flows[k]
 	}
-	var v verdict
+	var v Verdict
 	if rec != nil && !ctx.Pinned {
-		v = vPin // programmed flows must not be evicted (§5.2.1)
+		v = VPin // programmed flows must not be evicted (§5.2.1)
 	}
 	if cf.hasLast {
 		cf.hist.Add(float64(p.Ts - cf.lastTs))

@@ -62,56 +62,58 @@ type Reaction struct {
 	ExtraCycles float64
 }
 
-// verdict is a Reaction's six requests as one flag byte. Every detector
+// Verdict is a Reaction's six requests as one flag byte. Every detector
 // in this package decides a packet in a private inspect method that
-// returns (verdict, cycles): two scalars Go returns in registers, where a
-// seven-field Reaction is spilled to the stack by the callee and reloaded
-// by the caller — once per detector per packet (DESIGN.md §18).
-type verdict uint8
+// returns (Verdict, cycles), and Chain.Inspect hands the platform the same
+// two scalars: Go returns them in registers, where a seven-field Reaction
+// is spilled to the stack by the callee and reloaded by the caller
+// (DESIGN.md §18.2).
+type Verdict uint8
 
+// The Verdict bits, one per Reaction flag.
 const (
-	vPin verdict = 1 << iota
-	vUnpin
-	vToHost
-	vWhitelist
-	vBlacklistSrc
-	vDrop
+	VPin Verdict = 1 << iota
+	VUnpin
+	VToHost
+	VWhitelist
+	VBlacklistSrc
+	VDrop
 )
 
 // expand builds the public Reaction from a verdict and its cycle cost.
-func expand(v verdict, cycles float64) Reaction {
+func expand(v Verdict, cycles float64) Reaction {
 	return Reaction{
-		Pin:          v&vPin != 0,
-		Unpin:        v&vUnpin != 0,
-		ToHost:       v&vToHost != 0,
-		Whitelist:    v&vWhitelist != 0,
-		BlacklistSrc: v&vBlacklistSrc != 0,
-		DropPacket:   v&vDrop != 0,
+		Pin:          v&VPin != 0,
+		Unpin:        v&VUnpin != 0,
+		ToHost:       v&VToHost != 0,
+		Whitelist:    v&VWhitelist != 0,
+		BlacklistSrc: v&VBlacklistSrc != 0,
+		DropPacket:   v&VDrop != 0,
 		ExtraCycles:  cycles,
 	}
 }
 
 // compress is expand's inverse, for Detectors implemented outside this
 // package, which Chain can only reach through OnPacket.
-func compress(r Reaction) (verdict, float64) {
-	var v verdict
+func compress(r Reaction) (Verdict, float64) {
+	var v Verdict
 	if r.Pin {
-		v |= vPin
+		v |= VPin
 	}
 	if r.Unpin {
-		v |= vUnpin
+		v |= VUnpin
 	}
 	if r.ToHost {
-		v |= vToHost
+		v |= VToHost
 	}
 	if r.Whitelist {
-		v |= vWhitelist
+		v |= VWhitelist
 	}
 	if r.BlacklistSrc {
-		v |= vBlacklistSrc
+		v |= VBlacklistSrc
 	}
 	if r.DropPacket {
-		v |= vDrop
+		v |= VDrop
 	}
 	return v, r.ExtraCycles
 }
@@ -121,7 +123,20 @@ func compress(r Reaction) (verdict, float64) {
 // The method name is unexported, so no type outside the package can
 // satisfy it.
 type inspector interface {
-	inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (verdict, float64)
+	inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64)
+}
+
+// identity writes the packet's canonical session key to k and returns its
+// hash, as FiveTuple.Identity does. The platform's drive has already
+// derived both for the FlowCache lookup: the key is the record's and the
+// hash rides in ctx.FlowHash. A punt (no record) or a caller that carries
+// no hash (0) derives them here.
+func identity(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx, k *packet.FlowKey) uint64 {
+	if rec != nil && ctx.FlowHash != 0 {
+		*k = rec.Key
+		return ctx.FlowHash
+	}
+	return p.Tuple.Identity(k)
 }
 
 // Detector is one in-line sNIC detector.
@@ -175,27 +190,33 @@ func NewChain(ds ...Detector) *Chain {
 // Name implements Detector.
 func (c *Chain) Name() string { return "chain" }
 
-// OnPacket fans out to every detector. The platform calls it for every
-// packet, configured detectors or none; the empty chain is answered here
-// rather than behind inspect's frame and expand (7 % of a surge pass).
+// OnPacket implements Detector: Inspect as a Reaction.
 func (c *Chain) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) Reaction {
-	if len(c.fast) == 0 {
-		return Reaction{}
+	return expand(c.Inspect(p, rec, ctx))
+}
+
+// Inspect fans out to every detector and returns the merged verdict and
+// cycle cost. The platform calls it for every packet, configured detectors
+// or none, and acts on the bits. It inlines into the caller, so the empty
+// chain is answered there, before inspect's frame (7 % of a surge pass,
+// DESIGN.md §18.4).
+func (c *Chain) Inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (v Verdict, cycles float64) {
+	if len(c.fast) != 0 {
+		v, cycles = c.inspect(p, rec, ctx)
 	}
-	return expand(c.inspect(p, rec, ctx))
+	return v, cycles
 }
 
 // inspect ORs the detectors' verdicts and adds their cycles, in chain
-// order, without leaving registers; the one Reaction is built by the
-// caller at the end.
-func (c *Chain) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
+// order, without leaving registers.
+func (c *Chain) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
 	var (
-		v      verdict
+		v      Verdict
 		cycles float64
 	)
 	for i, in := range c.fast {
 		var (
-			dv verdict
+			dv Verdict
 			dc float64
 		)
 		if in != nil {

@@ -130,6 +130,22 @@ func TestPortScanDetectsScanner(t *testing.T) {
 	if len(hooks.blacklists) == 0 {
 		t.Error("no blacklist request")
 	}
+	// Every later packet from the scanner is dropped; one from a source
+	// that is not flagged is not, even when it shares the scanner's bit in
+	// the flagged-source prefilter.
+	twin := scanner + 1
+	for flagBit(twin) != flagBit(scanner) || det.Flagged(twin) {
+		twin++
+	}
+	for _, c := range []struct {
+		src  packet.Addr
+		drop bool
+	}{{scanner, true}, {twin, false}, {scanner + 1, false}} {
+		p, rec := synTo(20e9, c.src, 0x0a0000fe, 443)
+		if got := det.OnPacket(p, rec, snic.Ctx{}).DropPacket; got != c.drop {
+			t.Errorf("packet from %s (flagged %v): drop %v, want %v", c.src, det.Flagged(c.src), got, c.drop)
+		}
+	}
 }
 
 func TestPortScanSparesBenignClients(t *testing.T) {

@@ -71,8 +71,9 @@ func (d *Fingerprint) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *Fingerprint) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
-	k := p.Key()
+func (d *Fingerprint) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
+	var k packet.FlowKey
+	identity(p, rec, ctx, &k)
 	f := d.flows[k]
 	if f == nil {
 		if !d.programAll {
@@ -81,9 +82,9 @@ func (d *Fingerprint) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.
 		d.Program(k)
 		f = d.flows[k]
 	}
-	var v verdict
+	var v Verdict
 	if rec != nil && !ctx.Pinned {
-		v = vPin
+		v = VPin
 	}
 	f.hist.Add(float64(p.Size))
 	return v, 20

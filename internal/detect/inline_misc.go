@@ -20,10 +20,16 @@ type Incomplete struct {
 	hooks     Hooks
 	pending   map[packet.FlowKey]pendingProbe
 	due       []dueProbe // Tick's scratch
-	counts    map[packet.Addr]int
-	flagged   map[packet.Addr]bool
+	sources   map[packet.Addr]incompleteSource
 	// hostPkts counts SYN records the host examines (Table 2).
 	hostPkts, totalPkts uint64
+}
+
+// incompleteSource is one source's state, stored by value: its expired
+// half-open flows and whether it has been reported.
+type incompleteSource struct {
+	count   int
+	flagged bool
 }
 
 // NewIncomplete builds the detector: sources with at least threshold
@@ -41,8 +47,7 @@ func NewIncomplete(timeoutNs int64, threshold int, hooks Hooks) *Incomplete {
 	return &Incomplete{
 		timeoutNs: timeoutNs, threshold: threshold, hooks: hooks,
 		pending: map[packet.FlowKey]pendingProbe{},
-		counts:  map[packet.Addr]int{},
-		flagged: map[packet.Addr]bool{},
+		sources: map[packet.Addr]incompleteSource{},
 	}
 }
 
@@ -54,26 +59,28 @@ func (d *Incomplete) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *Incomplete) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *Incomplete) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
 	if !p.IsTCP() || rec == nil {
 		return 0, 0
 	}
 	d.totalPkts++
-	k := p.Key()
+	var k packet.FlowKey
+	identity(p, rec, ctx, &k)
 	switch {
 	case p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK):
-		if rec.State&stateSYNSeen == 0 {
+		// Past the bound a SYN is not tracked: no state, no pin, no entry.
+		if rec.State&stateSYNSeen == 0 && len(d.pending) < maxPendingProbes {
 			rec.State |= stateSYNSeen
 			d.pending[k] = pendingProbe{src: p.Tuple.SrcIP, dst: p.Tuple.DstIP, ts: p.Ts}
 			d.hostPkts++ // flow record examined host-side
-			return vPin, 25
+			return VPin, 25
 		}
 	case p.PayloadLen > 0:
 		if rec.State&stateDataSeen == 0 {
 			rec.State |= stateDataSeen
 			if _, ok := d.pending[k]; ok {
 				delete(d.pending, k)
-				return vUnpin, 25
+				return VUnpin, 25
 			}
 		}
 	}
@@ -86,14 +93,16 @@ func (d *Incomplete) Tick(now int64) {
 	d.due = takeDue(d.pending, now, d.timeoutNs, d.due)
 	for _, e := range d.due {
 		d.hooks.Unpin(e.key)
-		d.counts[e.src]++
-		if d.counts[e.src] >= d.threshold && !d.flagged[e.src] {
-			d.flagged[e.src] = true
+		s := d.sources[e.src]
+		s.count++
+		if s.count >= d.threshold && !s.flagged {
+			s.flagged = true
 			d.emit(Alert{
 				Detector: "tcp-incomplete", Ts: now, Attacker: e.src, Victim: e.dst,
-				Info: fmt.Sprintf("%d incomplete flows", d.counts[e.src]),
+				Info: fmt.Sprintf("%d incomplete flows", s.count),
 			})
 		}
+		d.sources[e.src] = s
 	}
 }
 
@@ -139,7 +148,7 @@ func (d *DNSAmplification) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *DNSAmplification) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *DNSAmplification) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
 	if !p.IsUDP() || (p.Tuple.DstPort != 53 && p.Tuple.SrcPort != 53) || rec == nil {
 		return 0, 0
 	}
@@ -157,7 +166,8 @@ func (d *DNSAmplification) inspect(p *packet.Packet, rec *flowcache.Record, _ sn
 		resp = 0xffffffff
 	}
 	rec.State = resp<<32 | req
-	k := p.Key()
+	var k packet.FlowKey
+	identity(p, rec, ctx, &k)
 	// Reflection fires on an extreme response/request ratio; sessions with
 	// no observed request at all (unsolicited large answers) are the
 	// purest reflection signal.
@@ -220,7 +230,7 @@ func (d *Worm) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) R
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *Worm) inspect(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *Worm) inspect(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) (Verdict, float64) {
 	sig := p.App.PayloadSig
 	if sig == 0 {
 		return 0, 0
@@ -286,7 +296,7 @@ func (d *SSLExpiry) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.C
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *SSLExpiry) inspect(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *SSLExpiry) inspect(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) (Verdict, float64) {
 	if p.Tuple.DstPort != 443 && p.Tuple.SrcPort != 443 {
 		return 0, 0
 	}
@@ -304,7 +314,7 @@ func (d *SSLExpiry) inspect(p *packet.Packet, _ *flowcache.Record, _ snic.Ctx) (
 			Info: fmt.Sprintf("certificate expires within horizon (notAfter=%d)", p.App.TLSCertExpiry),
 		})
 	}
-	return vToHost, 30
+	return VToHost, 30
 }
 
 // Tick implements Detector.

@@ -44,7 +44,7 @@ type LowSlow struct {
 	wheel *host.TimingWheel[packet.FlowKey]
 	flows *lsTable
 	// exhaust groups idle-established flows by (victim, source /24).
-	exhaust map[lsGroup]*lsGroupState
+	exhaust map[lsGroup]lsGroupState
 
 	// counters for the experiment harness / bench
 	Pinned    uint64 // flows pinned at SYN
@@ -117,6 +117,7 @@ type lsGroup struct {
 	block  packet.Addr // source /24 base
 }
 
+// lsGroupState is one group's tally, stored by value in LowSlow.exhaust.
 type lsGroupState struct {
 	idle    int // idle-established flows seen from this group
 	alerted bool
@@ -159,7 +160,7 @@ func NewLowSlow(cfg LowSlowConfig) *LowSlow {
 		hooks:   cfg.Hooks,
 		wheel:   host.NewTimingWheel[packet.FlowKey](cfg.WheelSlots, cfg.WheelTickNs),
 		flows:   newLSTable(),
-		exhaust: make(map[lsGroup]*lsGroupState),
+		exhaust: make(map[lsGroup]lsGroupState),
 	}
 }
 
@@ -189,19 +190,12 @@ func (d *LowSlow) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *LowSlow) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
+func (d *LowSlow) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
 	if !p.IsTCP() {
 		return 0, 0
 	}
-	// The platform's drive already canonicalised and hashed this packet; a
-	// punt (no record) or a driver that carries no hash (0) pays again.
 	var k packet.FlowKey
-	h := ctx.FlowHash
-	if rec != nil && h != 0 {
-		k = rec.Key
-	} else {
-		h = p.Tuple.Identity(&k)
-	}
+	h := identity(p, rec, ctx, &k)
 	f := d.flows.get(h, k)
 
 	if p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK) {
@@ -220,7 +214,7 @@ func (d *LowSlow) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx)
 		d.Pinned++
 		// Pin at SYN: the record must survive replacement while the flow
 		// plays dead — that longevity is the detection signal.
-		return vPin, 30
+		return VPin, 30
 	}
 	if f == nil {
 		return 0, 5
@@ -336,10 +330,6 @@ func (d *LowSlow) expireIdle(h uint64, k packet.FlowKey, f *lsFlow, now int64) {
 	client, victim := f.endpoints(k)
 	g := lsGroup{victim: victim, block: block24(client)}
 	gs := d.exhaust[g]
-	if gs == nil {
-		gs = &lsGroupState{}
-		d.exhaust[g] = gs
-	}
 	gs.idle++
 	switch {
 	case gs.alerted:
@@ -364,6 +354,7 @@ func (d *LowSlow) expireIdle(h uint64, k packet.FlowKey, f *lsFlow, now int64) {
 		d.hooks.Unpin(k)
 		d.flows.del(h, k)
 	}
+	d.exhaust[g] = gs
 }
 
 // confirm emits the alert, pushes the control-loop reactions and drops

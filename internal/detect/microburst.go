@@ -61,7 +61,7 @@ func (d *Microburst) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *Microburst) inspect(p *packet.Packet, _ *flowcache.Record, ctx snic.Ctx) (verdict, float64) {
+func (d *Microburst) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
 	switch {
 	case ctx.QueueDelayNs >= d.thresholdNs:
 		if !d.active {
@@ -69,10 +69,12 @@ func (d *Microburst) inspect(p *packet.Packet, _ *flowcache.Record, ctx snic.Ctx
 			d.start = p.Ts
 			d.overflowed = false
 		}
+		var k packet.FlowKey
+		identity(p, rec, ctx, &k)
 		if len(d.l) < d.maxEntries {
-			d.l[p.Key()]++
-		} else if _, ok := d.l[p.Key()]; ok {
-			d.l[p.Key()]++
+			d.l[k]++
+		} else if _, ok := d.l[k]; ok {
+			d.l[k]++
 		} else {
 			d.overflowed = true
 		}

@@ -20,11 +20,32 @@ type PortScan struct {
 	alertBuf
 	cfg     PortScanConfig
 	hooks   Hooks
-	trw     map[packet.Addr]*stats.TRW
-	pending map[packet.FlowKey]pendingProbe
-	due     []dueProbe // Tick's scratch
-	flagged map[packet.Addr]bool
+	trw     stats.TRWTest
+	sources map[packet.Addr]scanSource
+	// flaggedBits has flagBit(a) set for every flagged source a. Every TCP
+	// packet asks whether its source is flagged; the bit answers almost all
+	// of them without probing sources, which holds every source a scan
+	// ever touched (6 % of a backbone pass when every packet probed it).
+	flaggedBits uint64
+	pending     map[packet.FlowKey]pendingProbe
+	due         []dueProbe // Tick's scratch
 }
+
+// flagBit is a's bit in PortScan.flaggedBits: the top six bits of a
+// Fibonacci hash, so neighbouring addresses spread over the word.
+func flagBit(a packet.Addr) uint64 { return 1 << (uint64(a) * 0x9e3779b97f4a7c15 >> 58) }
+
+// scanSource is one remote source's state, stored by value: its TRW walk
+// and whether it has been flagged. 24 bytes, so a new source costs a map
+// slot, not a heap object.
+type scanSource struct {
+	walk    stats.TRWWalk
+	flagged bool
+}
+
+// maxPendingProbes is the default bound on a detector's half-open
+// tracking table (PortScanConfig.MaxPending; Incomplete's fixed bound).
+const maxPendingProbes = 1 << 16
 
 type pendingProbe struct {
 	src packet.Addr
@@ -87,7 +108,8 @@ type PortScanConfig struct {
 	TRW stats.TRWConfig
 	// Hooks receives blacklist requests.
 	Hooks Hooks
-	// MaxPending bounds the half-open tracking table.
+	// MaxPending bounds the half-open tracking table (default 1 << 16). A
+	// SYN past it is not tracked: no record state, no pin, no entry.
 	MaxPending int
 }
 
@@ -103,13 +125,13 @@ func NewPortScan(cfg PortScanConfig) *PortScan {
 		cfg.Hooks = NopHooks{}
 	}
 	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 1 << 16
+		cfg.MaxPending = maxPendingProbes
 	}
 	return &PortScan{
 		cfg: cfg, hooks: cfg.Hooks,
-		trw:     map[packet.Addr]*stats.TRW{},
+		trw:     stats.NewTRWTest(cfg.TRW),
+		sources: map[packet.Addr]scanSource{},
 		pending: map[packet.FlowKey]pendingProbe{},
-		flagged: map[packet.Addr]bool{},
 	}
 }
 
@@ -121,27 +143,28 @@ func (d *PortScan) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ct
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *PortScan) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *PortScan) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
 	if !p.IsTCP() || rec == nil {
 		return 0, 0
 	}
-	var v verdict
-	k := p.Key()
+	var v Verdict
+	var k packet.FlowKey
+	identity(p, rec, ctx, &k)
 	switch {
 	case p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK):
-		if rec.State&(stateSYNSeen|stateOutcomeReported) == 0 {
+		// A probe the pending table has no room for is not tracked at all:
+		// pinned without an entry, nothing would ever unpin it.
+		if rec.State&(stateSYNSeen|stateOutcomeReported) == 0 && len(d.pending) < d.cfg.MaxPending {
 			rec.State |= stateSYNSeen
 			rec.StateTs = p.Ts
 			// Pin until the outcome is determined (§3.2 pinning).
-			v |= vPin
-			if len(d.pending) < d.cfg.MaxPending {
-				d.pending[k] = pendingProbe{src: p.Tuple.SrcIP, dst: p.Tuple.DstIP, ts: p.Ts}
-			}
+			v |= VPin
+			d.pending[k] = pendingProbe{src: p.Tuple.SrcIP, dst: p.Tuple.DstIP, ts: p.Ts}
 		}
 	case p.Flags.Has(packet.FlagSYN | packet.FlagACK):
 		if rec.State&stateSYNSeen != 0 && rec.State&stateOutcomeReported == 0 {
 			rec.State |= stateSYNACKSeen | stateOutcomeReported
-			v |= vUnpin
+			v |= VUnpin
 			if pp, ok := d.pending[k]; ok {
 				d.observe(pp.src, true, p.Ts)
 				delete(d.pending, k)
@@ -151,34 +174,32 @@ func (d *PortScan) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) 
 		// RST answering a probe: failed attempt (closed port).
 		if rec.State&stateSYNSeen != 0 && rec.State&stateOutcomeReported == 0 {
 			rec.State |= stateOutcomeReported
-			v |= vUnpin
+			v |= VUnpin
 			if pp, ok := d.pending[k]; ok {
 				d.observe(pp.src, false, p.Ts)
 				delete(d.pending, k)
 			}
 		}
 	}
-	if d.flagged[p.Tuple.SrcIP] {
-		v |= vDrop
+	if src := p.Tuple.SrcIP; d.flaggedBits&flagBit(src) != 0 && d.sources[src].flagged {
+		v |= VDrop
 	}
 	return v, 30
 }
 
-// observe feeds one indicator variable into the source's TRW.
+// observe feeds one indicator variable into the source's TRW walk.
 func (d *PortScan) observe(src packet.Addr, success bool, ts int64) {
-	t := d.trw[src]
-	if t == nil {
-		t = stats.NewTRW(d.cfg.TRW)
-		d.trw[src] = t
-	}
-	if t.Observe(success) == stats.TRWScanner && !d.flagged[src] {
-		d.flagged[src] = true
+	s := d.sources[src]
+	if d.trw.Observe(&s.walk, success) == stats.TRWScanner && !s.flagged {
+		s.flagged = true
+		d.flaggedBits |= flagBit(src)
 		d.hooks.Blacklist(src)
 		d.emit(Alert{
 			Detector: "portscan", Ts: ts, Attacker: src,
-			Info: fmt.Sprintf("TRW verdict scanner after %d attempts", t.Observations()),
+			Info: fmt.Sprintf("TRW verdict scanner after %d attempts", s.walk.Observations()),
 		})
 	}
+	d.sources[src] = s
 }
 
 // Tick sweeps timed-out probes, oldest first: no response means a failed
@@ -192,12 +213,10 @@ func (d *PortScan) Tick(now int64) {
 }
 
 // Flagged reports whether the source is classified as a scanner.
-func (d *PortScan) Flagged(a packet.Addr) bool { return d.flagged[a] }
+func (d *PortScan) Flagged(a packet.Addr) bool { return d.sources[a].flagged }
 
-// Verdict returns the TRW state for a source (nil if never observed).
+// Verdict returns the TRW state for a source (pending if never observed).
 func (d *PortScan) Verdict(a packet.Addr) stats.TRWVerdict {
-	if t := d.trw[a]; t != nil {
-		return t.Verdict()
-	}
-	return stats.TRWPending
+	s := d.sources[a]
+	return s.walk.Verdict()
 }

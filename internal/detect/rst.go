@@ -83,9 +83,10 @@ func NewForgedRST(cfg ForgedRSTConfig) *ForgedRST {
 // Name implements Detector.
 func (d *ForgedRST) Name() string { return "forged-rst" }
 
-// rstID identifies one (session, seq) reset for uniqueness.
-func rstID(k packet.FlowKey, seq uint32) uint64 {
-	return packet.Hash64(k.Hash() ^ uint64(seq)<<1 ^ 0xf02d)
+// rstID identifies one (session, seq) reset for uniqueness; h is the
+// session key's hash.
+func rstID(h uint64, seq uint32) uint64 {
+	return packet.Hash64(h ^ uint64(seq)<<1 ^ 0xf02d)
 }
 
 // OnPacket implements Detector.
@@ -93,19 +94,20 @@ func (d *ForgedRST) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.C
 	return expand(d.inspect(p, rec, ctx))
 }
 
-func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx) (verdict, float64) {
+func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (Verdict, float64) {
 	if !p.IsTCP() || rec == nil {
 		return 0, 0
 	}
-	k := p.Key()
+	var k packet.FlowKey
+	h := identity(p, rec, ctx, &k)
 	switch {
 	case p.Flags.Has(packet.FlagRST):
-		id := rstID(k, p.Seq)
+		id := rstID(h, p.Seq)
 		if d.cfg.DisableBloom || d.bloom.Contains(id) {
 			// Possible duplicate: scan the wheel to confirm (Fig. 8b slow
 			// path). A live buffered RST for the session = duplicate RST.
 			d.WheelScans++
-			dups := d.wheel.Scan(func(key uint64, _ rstEntry) bool { return key == k.Hash() })
+			dups := d.wheel.Scan(func(key uint64, _ rstEntry) bool { return key == h })
 			if len(dups) > 0 {
 				d.Duplicates++
 				d.emit(Alert{
@@ -113,7 +115,7 @@ func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 					Attacker: p.Tuple.SrcIP, Victim: p.Tuple.DstIP,
 					Info: "duplicate RST while one is buffered",
 				})
-				return vDrop, 80
+				return VDrop, 80
 			}
 		} else {
 			d.BloomFastPath++
@@ -122,14 +124,14 @@ func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 		rec.State |= stateRSTSeen
 		rec.StateTs = p.Ts
 		// Hold the RST: pinned on the sNIC, buffered on the host until T.
-		d.wheel.Schedule(k.Hash(), p.Ts+d.cfg.TNs, rstEntry{pkt: *p, key: k})
-		return vPin | vToHost, 60
+		d.wheel.Schedule(h, p.Ts+d.cfg.TNs, rstEntry{pkt: *p, key: k})
+		return VPin | VToHost, 60
 
 	case p.PayloadLen > 0 && rec.State&stateRSTSeen != 0:
 		// Race: genuine data while an RST is buffered -> the RST was
 		// forged. Discard it and alert.
 		if p.Ts-rec.StateTs <= d.cfg.TNs {
-			if n := d.wheel.Cancel(k.Hash()); n > 0 {
+			if n := d.wheel.Cancel(h); n > 0 {
 				d.Forged += uint64(n)
 				d.emit(Alert{
 					Detector: "forged-rst", Ts: p.Ts, Flow: k,
@@ -138,7 +140,7 @@ func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx)
 				})
 			}
 			rec.State &^= stateRSTSeen
-			return vUnpin, 50
+			return VUnpin, 50
 		}
 	}
 	return 0, 10

@@ -41,6 +41,104 @@ func TestRingStatsSurfaceOverflowDrops(t *testing.T) {
 	}
 }
 
+// A ring's storage starts empty and doubles to its capacity as it fills.
+// Against a FIFO model: order survives every growth, including one with
+// the head wrapped; a push drops exactly when the capacity is held; Len,
+// Drops and RingStats read what they read with the whole capacity
+// allocated up front.
+func TestRingGrowsToCapacity(t *testing.T) {
+	const capacity = 4*ringMinLen + 37 // the last growth stops short of a doubling
+	cfg := smallConfig()
+	cfg.Rings, cfg.RingEntries = 1, capacity
+	c := New(cfg)
+	r := c.rings[0]
+	if r.buf != nil {
+		t.Fatalf("New allocated %d records of ring storage", len(r.buf))
+	}
+	var (
+		model      []uint64 // Pkts of the buffered records, pop order
+		drops      uint64
+		next       uint64
+		grownTo    = map[int]bool{}
+		wrapGrowth bool
+	)
+	push := func(n int) {
+		for range n {
+			wrapped, full := r.head != 0, r.size == len(r.buf)
+			ok := r.Push(Record{Pkts: next})
+			if want := len(model) < capacity; ok != want {
+				t.Fatalf("push %d with %d buffered: ok=%v, want %v", next, len(model), ok, want)
+			}
+			if ok {
+				model = append(model, next)
+				wrapGrowth = wrapGrowth || (wrapped && full)
+			} else {
+				drops++
+			}
+			next++
+			grownTo[len(r.buf)] = true
+		}
+	}
+	drain := func(n int) {
+		got := r.Drain(nil, n)
+		k := min(n, len(model))
+		if n <= 0 {
+			k = len(model)
+		}
+		if len(got) != k {
+			t.Fatalf("drain %d: got %d records, want %d", n, len(got), k)
+		}
+		for i, rec := range got {
+			if rec.Pkts != model[i] {
+				t.Fatalf("drain %d: record %d is %d, want %d", n, i, rec.Pkts, model[i])
+			}
+		}
+		model = model[k:]
+	}
+	check := func(when string) {
+		if r.Len() != len(model) || r.Drops() != drops {
+			t.Fatalf("%s: Len %d Drops %d, want %d and %d", when, r.Len(), r.Drops(), len(model), drops)
+		}
+		if rs := c.RingStats(); rs[0] != (RingStat{Len: len(model), Drops: drops}) {
+			t.Fatalf("%s: RingStats %+v, want {Len:%d Drops:%d}", when, rs[0], len(model), drops)
+		}
+		if len(r.buf) > capacity {
+			t.Fatalf("%s: storage %d records, capacity %d", when, len(r.buf), capacity)
+		}
+	}
+
+	// Fill the first allocation, pop part of it and refill, so the ring is
+	// full with its head wrapped when the next push grows it.
+	push(ringMinLen)
+	drain(100)
+	push(100)
+	check("full at the first allocation, head wrapped")
+	push(1)
+	if !wrapGrowth || len(r.buf) != 2*ringMinLen {
+		t.Fatalf("growth with a wrapped head not exercised: storage %d", len(r.buf))
+	}
+	// To the capacity and past it: every push beyond it is a drop.
+	push(capacity + 50)
+	check("past capacity")
+	// ringMinLen+1 were buffered before the capacity+50 pushes.
+	if len(r.buf) != capacity || drops != ringMinLen+1+50 {
+		t.Fatalf("storage %d, drops %d; want %d and %d", len(r.buf), drops, capacity, ringMinLen+1+50)
+	}
+	// Churn at capacity: wrapped pops and pushes, then empty it.
+	for i := range 40 {
+		drain(97 + i)
+		push(113)
+		check("churn at capacity")
+	}
+	drain(0)
+	check("drained")
+	for _, n := range []int{ringMinLen, 2 * ringMinLen, 4 * ringMinLen, capacity} {
+		if !grownTo[n] {
+			t.Errorf("storage never held %d records: growth is not a doubling to the capacity (saw %v)", n, grownTo)
+		}
+	}
+}
+
 func TestShardedRingStatsAggregate(t *testing.T) {
 	cfg := overflowConfig()
 	s := NewSharded(2, cfg, ControllerConfig{})

@@ -11,7 +11,7 @@ import "math"
 // acceptance threshold.
 
 // TRWVerdict is the state of a sequential test.
-type TRWVerdict int
+type TRWVerdict uint8
 
 // Verdicts.
 const (
@@ -55,57 +55,79 @@ func (c TRWConfig) validate() {
 	}
 }
 
-// TRW is one remote host's sequential test state. The zero value is not
-// usable; create with NewTRW.
-type TRW struct {
-	cfg          TRWConfig
-	logLambda    float64 // running log likelihood ratio
+// TRWTest is the test's constants: its thresholds and the walk's steps,
+// derived once from a TRWConfig and shared by every host it judges.
+type TRWTest struct {
 	upper, lower float64 // log thresholds
 	succUp       float64 // log-likelihood increment on success
 	failUp       float64 // log-likelihood increment on failure
-	observations int
+}
+
+// NewTRWTest derives the test's constants from the configuration.
+func NewTRWTest(cfg TRWConfig) TRWTest {
+	cfg.validate()
+	return TRWTest{
+		upper:  math.Log((1 - cfg.Beta) / cfg.Alpha),
+		lower:  math.Log(cfg.Beta / (1 - cfg.Alpha)),
+		succUp: math.Log(cfg.Theta1 / cfg.Theta0),
+		failUp: math.Log((1 - cfg.Theta1) / (1 - cfg.Theta0)),
+	}
+}
+
+// TRWWalk is one remote host's position in a test: 16 bytes, so a caller
+// can keep one per host by value. The zero value is a walk that has seen
+// nothing.
+type TRWWalk struct {
+	logLambda    float64 // running log likelihood ratio
+	observations uint32  // saturates at 2^32-1
 	verdict      TRWVerdict
+}
+
+// Observe folds one connection-attempt outcome into w and returns its
+// verdict. Once a terminal verdict is reached, further observations are
+// ignored.
+func (t *TRWTest) Observe(w *TRWWalk, success bool) TRWVerdict {
+	if w.verdict != TRWPending {
+		return w.verdict
+	}
+	if w.observations < math.MaxUint32 {
+		w.observations++
+	}
+	if success {
+		w.logLambda += t.succUp
+	} else {
+		w.logLambda += t.failUp
+	}
+	switch {
+	case w.logLambda >= t.upper:
+		w.verdict = TRWScanner
+	case w.logLambda <= t.lower:
+		w.verdict = TRWBenign
+	}
+	return w.verdict
+}
+
+// Verdict returns the walk's current verdict.
+func (w *TRWWalk) Verdict() TRWVerdict { return w.verdict }
+
+// Observations returns how many outcomes have been folded in.
+func (w *TRWWalk) Observations() int { return int(w.observations) }
+
+// LogLambda exposes the walk position, useful for diagnostics.
+func (w *TRWWalk) LogLambda() float64 { return w.logLambda }
+
+// TRW is one remote host's sequential test: a TRWTest with the one walk it
+// judges. The zero value is not usable; create with NewTRW.
+type TRW struct {
+	test TRWTest
+	TRWWalk
 }
 
 // NewTRW starts a sequential test with the given configuration.
 func NewTRW(cfg TRWConfig) *TRW {
-	cfg.validate()
-	t := &TRW{
-		cfg:   cfg,
-		upper: math.Log((1 - cfg.Beta) / cfg.Alpha),
-		lower: math.Log(cfg.Beta / (1 - cfg.Alpha)),
-	}
-	t.succUp = math.Log(cfg.Theta1 / cfg.Theta0)
-	t.failUp = math.Log((1 - cfg.Theta1) / (1 - cfg.Theta0))
-	return t
+	return &TRW{test: NewTRWTest(cfg)}
 }
 
 // Observe folds one connection-attempt outcome in and returns the verdict.
 // Once a terminal verdict is reached, further observations are ignored.
-func (t *TRW) Observe(success bool) TRWVerdict {
-	if t.verdict != TRWPending {
-		return t.verdict
-	}
-	t.observations++
-	if success {
-		t.logLambda += t.succUp
-	} else {
-		t.logLambda += t.failUp
-	}
-	switch {
-	case t.logLambda >= t.upper:
-		t.verdict = TRWScanner
-	case t.logLambda <= t.lower:
-		t.verdict = TRWBenign
-	}
-	return t.verdict
-}
-
-// Verdict returns the current verdict.
-func (t *TRW) Verdict() TRWVerdict { return t.verdict }
-
-// Observations returns how many outcomes have been folded in.
-func (t *TRW) Observations() int { return t.observations }
-
-// LogLambda exposes the walk position, useful for diagnostics.
-func (t *TRW) LogLambda() float64 { return t.logLambda }
+func (t *TRW) Observe(success bool) TRWVerdict { return t.test.Observe(&t.TRWWalk, success) }
