@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race fuzz-smoke cluster lowslow check bench-ab experiments metrics-smoke serve-smoke clean
+.PHONY: all build fmt-check vet test race fuzz-smoke cluster lowslow check loc bench-ab experiments metrics-smoke serve-smoke clean
 
 all: check
 
@@ -27,8 +27,8 @@ test:
 
 # Race-detector pass over the concurrency-bearing packages: the FlowCache
 # latch protocol (and its random-operation test against the pre-row-word
-# oracle, the shard / policy / adaptive-controller determinism suites, none
-# of which -short skips), the sNIC engine, the platform control loop, the
+# oracle, the shard / policy determinism suites, none of which -short
+# skips), the sNIC engine, the platform control loop, the
 # event bus, the parallel experiment runner, the buffered stream bridge,
 # the SPSC ring under the cluster's ingress lanes, the wire side's
 # shared state — the follow reader's close flag, the switch tables — and
@@ -62,10 +62,9 @@ fuzz-smoke:
 # race detector — the two-oracle determinism sweep (parallel drive
 # byte-identical to the sequential reference, integer surface equal to
 # the single-platform partition twin), hazard-asserted schedules,
-# failure injection (worker crash, stall, load-policy route-around), the
-# fold-delay contract and the merged-report/metrics contract. The oracle
-# sweep replays whole clusters many times; allow a generous timeout on
-# slow boxes. Then ten more runs of the one test in which the router's
+# failure injection (worker crash, stall), the fold-delay contract and
+# the merged-report/metrics contract. The oracle sweep replays whole
+# clusters many times; allow a generous timeout on slow boxes. Then ten more runs of the one test in which the router's
 # goroutine and the feeders append to a lane's tagged event list at once.
 cluster:
 	$(GO) vet ./...
@@ -92,10 +91,15 @@ lowslow:
 # not read off this output: TestChainOnPacketDoesNotAllocate (0 per packet,
 # OnPacket and Inspect) and TestPerSourceStateDoesNotAllocate (a new
 # source costs map growth only) enforce them in `make test`.
-check: fmt-check vet build test race fuzz-smoke
+check: fmt-check vet build test race fuzz-smoke loc
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain|PortScan' -benchtime 10x ./internal/detect/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/host/
 	$(GO) run ./cmd/experiments -scale 0.1 policies
+
+# The repo's size: non-test Go lines outside benchmark/, the figure each
+# CHANGES.md entry quotes.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)"
 
 # Same-box A/B of the repo's benchmark (benchmark/, BENCHMARK.json): the
 # base commit against the working tree as alternating pairs, both result

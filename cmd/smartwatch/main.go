@@ -49,7 +49,6 @@ func main() {
 		shards      = flag.Int("shards", 1, "FlowCache shards (power of two; capacity is split, not multiplied)")
 		batch       = flag.Int("batch", 1, "ingest batch size (vectors of this many packets; byte-identical results at every size)")
 		policy      = flag.String("policy", "", "FlowCache replacement policy: lru-lpc (default), lru, s3fifo")
-		adaptive    = flag.Bool("adaptive", false, "self-tuning mode controllers (metrics-driven threshold + pin-budget feedback)")
 		verbose     = flag.Bool("v", false, "print every alert")
 		ipfixOut    = flag.String("ipfix", "", "export the flow log as IPFIX to this file")
 		emitP4      = flag.String("emit-p4", "", "write the switch query set as a P4-16 program to this file (requires -switch)")
@@ -63,7 +62,6 @@ func main() {
 		genMax      = flag.Int64("gen-max", 0, "stop the generator after this many packets (0 = unbounded)")
 		kvRetention = flag.Int("kv-retention", 0, "keep at most N flow-log intervals resident (0 = unbounded; -serve defaults to 64 to bound the heap)")
 		workers     = flag.Int("workers", 1, "parallel platform workers behind one shared steering tier (power of two; cache capacity is split, not multiplied)")
-		steer       = flag.String("steer", "hash", "cluster steering policy: hash (deterministic consistent hashing) or load (ring-successor load spill; not reproducible)")
 	)
 	flag.Parse()
 	if *in == "" && *gen == "" {
@@ -90,17 +88,9 @@ func main() {
 			fatal(err) // unknown -policy names fail here with the known list
 		}
 	}
-	if *adaptive {
-		cfg.Controller = flowcache.DefaultControllerConfig()
-		cfg.Controller.Adaptive.Enabled = true
-	}
 	if *useSwitch {
 		cfg.EnableSwitch = true
 		cfg.Queries = defaultQueries()
-	}
-	steerPolicy, err := cluster.ParseSteerPolicy(*steer)
-	if err != nil {
-		fatal(err)
 	}
 	if *workers < 1 || *workers&(*workers-1) != 0 {
 		fatal(fmt.Errorf("-workers must be a power of two, got %d", *workers))
@@ -137,7 +127,7 @@ func main() {
 		sw  *p4switch.Switch
 	)
 	if *workers > 1 {
-		cl = buildCluster(cfg, *workers, steerPolicy, *detectors)
+		cl = buildCluster(cfg, *workers, *detectors)
 		e, pls, sw = cl, cl.Workers(), cl.Switch()
 	} else {
 		pl := core.New(cfg)
@@ -187,9 +177,9 @@ func main() {
 		// no per-interval metrics writer, so -metrics gets one final merged
 		// snapshot.
 		crep, _ := cl.Drain()
-		fmt.Printf("cluster: workers=%d policy=%s imbalance=%.2f resteers=%d folds=%d folded-events=%d sync-wait=%.2f ms merge=%.2f ms\n",
-			len(pls), crep.Steer.Policy, crep.Steer.Imbalance, crep.Steer.Resteers,
-			crep.Steer.Folds, crep.Steer.FoldedEvents, float64(crep.Steer.SyncWaitNs)/1e6, float64(crep.MergeNs)/1e6)
+		fmt.Printf("cluster: workers=%d policy=%s imbalance=%.2f folds=%d folded-events=%d sync-wait=%.2f ms merge=%.2f ms\n",
+			len(pls), crep.Steer.Policy, crep.Steer.Imbalance, crep.Steer.Folds, crep.Steer.FoldedEvents,
+			float64(crep.Steer.SyncWaitNs)/1e6, float64(crep.MergeNs)/1e6)
 		for i, ing := range crep.Ingress {
 			fmt.Printf("  worker %d: steered=%d ring-hwm=%d stalls=%d wait=%.2f ms batches=%d\n",
 				i, crep.Steer.PerWorker[i], ing.RingHWM, ing.Stalls, float64(ing.WaitNs)/1e6, ing.Batches)
@@ -289,7 +279,7 @@ func lingerExpvar(addr string) {
 // config: the template keeps the switch fields (the runner lifts them
 // into the shared steering tier) but hands detectors over as a factory —
 // each worker needs its own instances.
-func buildCluster(cfg core.Config, workers int, policy cluster.SteerPolicy, detectorList string) *cluster.Runner {
+func buildCluster(cfg core.Config, workers int, detectorList string) *cluster.Runner {
 	wc := cfg
 	wc.Detectors = nil
 	return cluster.New(cluster.Config{
@@ -302,7 +292,6 @@ func buildCluster(cfg core.Config, workers int, policy cluster.SteerPolicy, dete
 			}
 			return d
 		},
-		Steer:   policy,
 		Metrics: cfg.Metrics,
 	})
 }
@@ -424,19 +413,8 @@ func writeP4(sw *p4switch.Switch, path string) {
 // net/http/pprof import wires /debug/pprof. Snapshots are read via the
 // registry's lock-free cache, so serving never perturbs the datapath.
 func serveExpvar(addr string, reg *obs.Registry) error {
-	last := func() any {
-		if s := reg.LastSnapshot(); s != nil {
-			return s
-		}
-		return struct{}{} // no interval closed yet
-	}
-	expvar.Publish("smartwatch", expvar.Func(last))
-	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(last()) //nolint:errcheck // best-effort HTTP write
-	})
+	expvar.Publish("smartwatch", expvar.Func(func() any { return lastSnapshot(reg) }))
+	http.HandleFunc("/metrics", metricsHandler(reg))
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -447,6 +425,22 @@ func serveExpvar(addr string, reg *obs.Registry) error {
 		}
 	}()
 	return nil
+}
+
+// metricsHandler serves the registry's latest snapshot as one JSON object.
+func metricsHandler(reg *obs.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, lastSnapshot(reg))
+	}
+}
+
+// lastSnapshot is the registry's latest snapshot, or an empty object
+// before the first interval close.
+func lastSnapshot(reg *obs.Registry) any {
+	if s := reg.LastSnapshot(); s != nil {
+		return s
+	}
+	return struct{}{}
 }
 
 func buildDetectors(list string) ([]detect.Detector, error) {

@@ -14,6 +14,7 @@ import (
 	"smartwatch/internal/core"
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
+	"smartwatch/internal/obs"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/snic"
 	"smartwatch/internal/stats"
@@ -112,8 +113,9 @@ func TestCheckGeometry(t *testing.T) {
 }
 
 // engineKinds builds each engine the CLI drives: a session over one
-// platform, and a two-worker cluster runner. dets (nil for none) makes one
-// fresh detector set per platform.
+// platform, and a two-worker cluster runner whose registry is the
+// template's, as buildCluster wires it. dets (nil for none) makes one fresh
+// detector set per platform.
 var engineKinds = []struct {
 	name  string
 	lanes int // the worker count /control/status reports
@@ -126,7 +128,7 @@ var engineKinds = []struct {
 		return core.New(cfg).NewSession()
 	}},
 	{"workers2", 2, func(cfg core.Config, dets func() []detect.Detector) engine {
-		return cluster.New(cluster.Config{Workers: 2, Worker: cfg, Detectors: dets})
+		return cluster.New(cluster.Config{Workers: 2, Worker: cfg, Detectors: dets, Metrics: cfg.Metrics})
 	}},
 }
 
@@ -214,6 +216,38 @@ func TestRunDrainsBudgetedSource(t *testing.T) {
 		}
 		if got := e.State(); got != core.SessionDone {
 			t.Errorf("%s: state after run = %v, want done", k.name, got)
+		}
+	}
+}
+
+// TestMetricsLiveMidRun: /metrics serves a snapshot with series in it
+// while the drive is still running, on either engine. A cluster's registry
+// used to be snapshotted only at the merge, so `-serve -workers N` served
+// {} until the drain.
+func TestMetricsLiveMidRun(t *testing.T) {
+	for _, k := range engineKinds {
+		reg := obs.NewRegistry()
+		e := k.new(core.Config{IntervalNs: 1e6, Metrics: reg}, nil)
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		src := trace.NewSource(trace.SourceConfig{Workload: trace.CAIDA(2019).Config(), Repeat: -1, MaxPackets: 20_000})
+		for b := range packet.BufferedBatches(src.Stream(), 512) {
+			if err := e.Ingest(b); err != nil {
+				t.Fatalf("%s: ingest: %v", k.name, err)
+			}
+		}
+		rec := httptest.NewRecorder()
+		metricsHandler(reg)(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var snap obs.Snapshot
+		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+			t.Fatalf("%s: /metrics: %v: %s", k.name, err, rec.Body.String())
+		}
+		if len(snap.Counters) == 0 || snap.TsNs == 0 {
+			t.Errorf("%s: /metrics before the drain = %s, want a snapshot with series", k.name, rec.Body.String())
+		}
+		if err := e.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", k.name, err)
 		}
 	}
 }

@@ -93,37 +93,13 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 // SteerPolicy selects how the router maps a flow hash to a worker.
 type SteerPolicy int
 
-const (
-	// SteerHash is pure consistent hashing: worker = top log2(Workers)
-	// bits of the flow hash. Deterministic; the only policy the
-	// determinism oracles cover.
-	SteerHash SteerPolicy = iota
-	// SteerLoad considers the hash owner and its ring successor and picks
-	// whichever has the shallower ingress queue. Load-adaptive and
-	// schedule-dependent — flow affinity (and so per-flow detector state)
-	// may split across two workers, and runs are NOT reproducible.
-	// Excluded from the determinism oracles by construction.
-	SteerLoad
-)
+// SteerHash is pure consistent hashing: worker = top log2(Workers) bits of
+// the flow hash. Deterministic, so the determinism oracles cover it; it is
+// the only policy.
+const SteerHash SteerPolicy = 0
 
-// String names the policy ("hash", "load").
-func (p SteerPolicy) String() string {
-	if p == SteerLoad {
-		return "load"
-	}
-	return "hash"
-}
-
-// ParseSteerPolicy is String's inverse (the -steer flag).
-func ParseSteerPolicy(s string) (SteerPolicy, error) {
-	switch s {
-	case "hash", "":
-		return SteerHash, nil
-	case "load":
-		return SteerLoad, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown steer policy %q (want hash or load)", s)
-}
+// String names the policy ("hash").
+func (SteerPolicy) String() string { return "hash" }
 
 // queueDepth is the number of ingress batch buffers in circulation per
 // worker (one filling at the router, up to two queued, one draining at
@@ -168,9 +144,8 @@ type Config struct {
 	SyncPackets int
 	// StallTimeout bounds how long the router waits on a full ingress
 	// ring before declaring the worker stalled (0 = wait forever, which
-	// keeps the drive fully deterministic). Under SteerHash a stall
-	// surfaces as a WorkerError; under SteerLoad the batch is re-steered
-	// to the ring successor first.
+	// keeps the drive fully deterministic). A stall surfaces as a
+	// WorkerError.
 	StallTimeout time.Duration
 	// Sequential switches the runner into its reference mode: no feeder
 	// goroutines, every batch fed synchronously on the caller's
@@ -315,7 +290,6 @@ type Runner struct {
 	offered  atomic.Uint64
 	direct   atomic.Uint64
 	dropped  atomic.Uint64
-	resteers atomic.Uint64
 	folds    atomic.Uint64
 	foldedEv atomic.Uint64
 	mergeNs  atomic.Int64
@@ -638,6 +612,9 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 			if r.sw != nil {
 				r.sw.CloseInterval(r.tracker)
 			}
+			// Live observers (-serve's /metrics) read the registry's last
+			// snapshot; without this one they would see none until the merge.
+			r.cfg.Metrics.Snapshot(r.nextInterval)
 			r.nextInterval += r.intervalNs
 		}
 		r.maxTs = p.Ts
@@ -663,9 +640,6 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 		wi := 0
 		if r.lgW > 0 {
 			wi = int(hash >> r.shift)
-			if r.cfg.Steer == SteerLoad {
-				wi = r.leastLoaded(wi)
-			}
 		}
 		w := r.workers[wi]
 		w.buf = append(w.buf, *p)
@@ -689,29 +663,6 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 	return nil
 }
 
-// leastLoaded picks between the hash owner and its ring successor by
-// ingress depth (queued batches plus the partial buffer). Ties keep the
-// owner, preserving affinity when load is balanced.
-//
-// A saturated lane (full ring + held batch, empty buffer) shows depth
-// (queueDepth+1)·QueueBatch, while the router — which resumes steering
-// only after popFree's completion rendezvous — can never observe a live
-// lane deeper than queueDepth·QueueBatch + (QueueBatch-1): one packet
-// less. A wedged worker is therefore routed around entirely once
-// saturated; the stall re-steer in push only fires for dispatches that
-// bypass this choice (partial-buffer flushes) or when every candidate
-// lane is saturated at once.
-func (r *Runner) leastLoaded(owner int) int {
-	alt := (owner + 1) & (r.w - 1)
-	wo, wa := r.workers[owner], r.workers[alt]
-	lo := int(wo.issued-wo.completed.Load())*r.cfg.QueueBatch + len(wo.buf)
-	la := int(wa.issued-wa.completed.Load())*r.cfg.QueueBatch + len(wa.buf)
-	if la < lo {
-		return alt
-	}
-	return owner
-}
-
 // dispatch hands worker w's current buffer over: synchronously in
 // sequential mode, onto the ingress ring otherwise.
 func (r *Runner) dispatch(w *worker) error {
@@ -727,40 +678,32 @@ func (r *Runner) dispatch(w *worker) error {
 		w.batches.Add(1)
 		return r.checkFailures()
 	}
-	return r.push(w, w.buf, w)
+	return r.push(w)
 }
 
-// push queues buf onto target's ingress ring, stalling (spin-then-park,
-// see await) while the ring is full. A stall past StallTimeout either
-// re-steers the buffer to the ring successor (SteerLoad) or fails the run
-// (SteerHash). owner is the worker whose buffer slot gets the recycled
-// replacement.
-func (r *Runner) push(target *worker, buf []packet.Packet, owner *worker) error {
-	if !target.in.TryPush(buf) {
-		target.stalls.Add(1)
-		if !r.timedAwait(&target.waitNs, func() bool { return target.in.TryPush(buf) }, r.stallDeadline()) {
-			if r.cfg.Steer == SteerLoad {
-				alt := r.workers[(target.id+1)&(r.w-1)]
-				if alt != target && alt != owner {
-					r.resteers.Add(1)
-					return r.push(alt, buf, owner)
-				}
-			}
-			return r.failRun(&WorkerError{Worker: target.id, Err: ErrWorkerStalled})
+// push queues w's current buffer onto its ingress ring, stalling
+// (spin-then-park, see await) while the ring is full, and takes a recycled
+// buffer in its place. A stall past StallTimeout fails the run.
+func (r *Runner) push(w *worker) error {
+	buf := w.buf
+	if !w.in.TryPush(buf) {
+		w.stalls.Add(1)
+		if !r.timedAwait(&w.waitNs, func() bool { return w.in.TryPush(buf) }, r.stallDeadline()) {
+			return r.failRun(&WorkerError{Worker: w.id, Err: ErrWorkerStalled})
 		}
 	}
-	target.issued++
-	target.batches.Add(1)
-	if d := int64(target.issued - target.completed.Load()); d > target.hwm.Load() {
-		target.hwm.Store(d)
+	w.issued++
+	w.batches.Add(1)
+	if d := int64(w.issued - w.completed.Load()); d > w.hwm.Load() {
+		w.hwm.Store(d)
 	}
-	if target.sleeping.Load() {
+	if w.sleeping.Load() {
 		select {
-		case target.wake <- struct{}{}:
+		case w.wake <- struct{}{}:
 		default:
 		}
 	}
-	owner.buf = r.popFree(owner)
+	w.buf = r.popFree(w)
 	return r.checkFailures()
 }
 
@@ -770,8 +713,7 @@ func (r *Runner) push(target *worker, buf []packet.Packet, owner *worker) error 
 // StallTimeout configured the wait is bounded and starvation allocates a
 // replacement buffer instead of deadlocking the router. The allocation
 // is bounded too: the wedged lane's ring is full by then, so its next
-// dispatch takes the typed-error (hash) or divert (load) path rather
-// than coming back here.
+// dispatch takes the typed-error path rather than coming back here.
 func (r *Runner) popFree(w *worker) []packet.Packet {
 	b, ok := w.free.TryPop()
 	if !ok {
@@ -1119,7 +1061,6 @@ func (r *Runner) collect(s *obs.Snapshot) {
 	s.SetCounter("cluster.steer.offered", r.offered.Load())
 	s.SetCounter("cluster.steer.direct", r.direct.Load())
 	s.SetCounter("cluster.steer.dropped", r.dropped.Load())
-	s.SetCounter("cluster.steer.resteers", r.resteers.Load())
 	s.SetCounter("cluster.sync.folds", r.folds.Load())
 	s.SetCounter("cluster.sync.events", r.foldedEv.Load())
 	s.SetCounter("cluster.sync.wait_ns", uint64(r.syncWaitNs.Load()))

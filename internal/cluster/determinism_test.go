@@ -85,9 +85,9 @@ func clusterDump(rep Report) string {
 		}
 	}
 	dumpCore("merged", &rep.Merged)
-	fmt.Fprintf(&b, "steer policy=%s offered=%d direct=%d dropped=%d per=%v imb=%v resteers=%d folds=%d foldedev=%d\n",
+	fmt.Fprintf(&b, "steer policy=%s offered=%d direct=%d dropped=%d per=%v imb=%v folds=%d foldedev=%d\n",
 		rep.Steer.Policy, rep.Steer.Offered, rep.Steer.Direct, rep.Steer.Dropped,
-		rep.Steer.PerWorker, rep.Steer.Imbalance, rep.Steer.Resteers, rep.Steer.Folds, rep.Steer.FoldedEvents)
+		rep.Steer.PerWorker, rep.Steer.Imbalance, rep.Steer.Folds, rep.Steer.FoldedEvents)
 	for i := range rep.Workers {
 		dumpCore(fmt.Sprintf("w%d", i), &rep.Workers[i])
 	}

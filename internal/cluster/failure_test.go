@@ -112,10 +112,11 @@ func TestClusterWorkerCrashSurfacesTypedError(t *testing.T) {
 	}
 }
 
-// TestClusterWorkerStallSurfacesTypedError: under the hash policy a
-// wedged drive keeps receiving its hash share until its ring fills; the
-// router must then turn the stall into ErrWorkerStalled after
-// StallTimeout instead of deadlocking.
+// TestClusterWorkerStallSurfacesTypedError: a wedged drive keeps
+// receiving its hash share until its ring fills; the router must then turn
+// the stall into ErrWorkerStalled after StallTimeout instead of
+// deadlocking. On the way, popFree finds the wedged lane's free list
+// starved and must mint a replacement buffer rather than wait forever.
 func TestClusterWorkerStallSurfacesTypedError(t *testing.T) {
 	gate := make(chan struct{})
 	var wedged atomic.Bool
@@ -146,167 +147,6 @@ func TestClusterWorkerStallSurfacesTypedError(t *testing.T) {
 	}
 	if r.State() != core.SessionDone {
 		t.Errorf("state after Close = %v, want done", r.State())
-	}
-}
-
-// TestClusterLoadSteerRoutesAroundWedgedWorker: the same single-lane
-// wedge that kills a hash-policy run (see the stall test above) must NOT
-// kill a load-policy run. Once the wedged lane saturates, its depth
-// ((queueDepth+1)·QueueBatch) permanently exceeds anything the router
-// can observe on a live lane, so leastLoaded diverts its entire hash
-// share to the successor and the run completes with no error, no stall
-// re-steer, and no packet loss.
-func TestClusterLoadSteerRoutesAroundWedgedWorker(t *testing.T) {
-	gate := make(chan struct{})
-	var wedged atomic.Bool
-	r := New(Config{
-		Workers: 2,
-		Worker:  core.Config{IntervalNs: 1e15, BatchSize: 64},
-		Detectors: func() []detect.Detector {
-			return []detect.Detector{&stallDetector{gate: gate, wedged: &wedged}}
-		},
-		Steer:        SteerLoad,
-		QueueBatch:   128,
-		SyncPackets:  1 << 30,
-		StallTimeout: 20 * time.Millisecond,
-	})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var offered uint64
-	n := 0
-	for b := range packet.BufferedBatches(failureStream(), 256) {
-		if err := r.Ingest(b); err != nil {
-			t.Fatalf("ingest under load steer failed: %v", err)
-		}
-		offered += uint64(len(b))
-		if n++; n >= 120 { // ~30k packets, far past lane saturation
-			break
-		}
-	}
-	close(gate) // release the wedged lane so the drain barrier completes
-	rep, err := r.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Merged.Counts.Total != offered {
-		t.Errorf("merged total %d, want %d offered", rep.Merged.Counts.Total, offered)
-	}
-	var steered, processed uint64
-	for _, c := range rep.Steer.PerWorker {
-		steered += c
-	}
-	for i := range rep.Workers {
-		processed += rep.Workers[i].Counts.Total
-	}
-	if steered != offered {
-		t.Errorf("steered %d, want %d", steered, offered)
-	}
-	if processed != offered {
-		t.Errorf("workers processed %d, want %d (no packet may vanish)", processed, offered)
-	}
-	// The wedged lane froze at exactly its saturation depth; everything
-	// else landed on the live lane via leastLoaded, not via stall
-	// diversion.
-	if rep.Steer.Resteers != 0 {
-		t.Errorf("resteers = %d, want 0 (diversion should happen at steering time)", rep.Steer.Resteers)
-	}
-	// The wedged lane can hold at most its saturation depth (full ring +
-	// held batch + one partial buffer); everything beyond that must have
-	// been diverted at steering time.
-	sat := uint64((queueDepth+1)*128) + 127
-	if got := min64(rep.Steer.PerWorker); got > sat {
-		t.Errorf("wedged lane received %d packets, want <= saturation depth %d", got, sat)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func min64(xs []uint64) uint64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// TestClusterPushResteersOnFullRing is the white-box mechanism test for
-// the stall re-steer: force a dispatch onto a saturated ring (something
-// leastLoaded avoids organically — see its comment) and assert the
-// buffer diverts to the ring successor after StallTimeout with every
-// packet intact. Also exercises popFree's starvation escape: the wedged
-// lane's free list is empty, so the router must mint replacement buffers
-// instead of deadlocking.
-func TestClusterPushResteersOnFullRing(t *testing.T) {
-	gate := make(chan struct{})
-	var wedged atomic.Bool
-	r := New(Config{
-		Workers: 2,
-		Worker:  core.Config{IntervalNs: 1e15, BatchSize: 64},
-		Detectors: func() []detect.Detector {
-			return []detect.Detector{&stallDetector{gate: gate, wedged: &wedged}}
-		},
-		Steer:        SteerLoad,
-		QueueBatch:   128,
-		SyncPackets:  1 << 30,
-		StallTimeout: 10 * time.Millisecond,
-	})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var pkts []packet.Packet
-	for b := range packet.BufferedBatches(failureStream(), 128) {
-		pkts = append(pkts, b...)
-		if len(pkts) >= 6*128 {
-			break
-		}
-	}
-
-	r.mu.Lock()
-	w0 := r.workers[0]
-	// Saturate lane 0: the feeder pops the first batch and wedges on its
-	// first packet; four more fill the ring. The fifth popFree finds the
-	// free list starved (the wedged feeder recycles nothing) and must
-	// time out into a fresh allocation rather than spin forever.
-	for i := 0; i < queueDepth+1; i++ {
-		w0.buf = append(w0.buf, pkts[i*128:(i+1)*128]...)
-		if err := r.dispatch(w0); err != nil {
-			r.mu.Unlock()
-			t.Fatalf("saturating dispatch %d failed: %v", i, err)
-		}
-	}
-	// The forced dispatch: lane 0's ring is full and its feeder wedged,
-	// so this must stall out and divert to lane 1 — no error, no loss.
-	w0.buf = append(w0.buf, pkts[5*128:6*128]...)
-	err := r.dispatch(w0)
-	r.mu.Unlock()
-	if err != nil {
-		t.Fatalf("dispatch onto full ring = %v, want re-steer", err)
-	}
-	if got := r.resteers.Load(); got != 1 {
-		t.Errorf("resteers = %d, want 1", got)
-	}
-
-	close(gate)
-	rep, derr := r.Drain()
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	var processed uint64
-	for i := range rep.Workers {
-		processed += rep.Workers[i].Counts.Total
-	}
-	if processed != 6*128 {
-		t.Errorf("workers processed %d, want %d (diverted batch must not vanish)", processed, 6*128)
-	}
-	if rep.Workers[1].Counts.Total < 128 {
-		t.Errorf("successor lane processed %d, want >= the diverted 128", rep.Workers[1].Counts.Total)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 
 // SteerStats summarises the shared steering tier's fan-out.
 type SteerStats struct {
-	// Policy names the routing policy ("hash", "load").
+	// Policy names the routing policy ("hash").
 	Policy string
 	// Offered counts packets presented to the cluster; Direct and
 	// Dropped are the shared switch's fast-path and blacklist verdicts.
@@ -31,8 +31,6 @@ type SteerStats struct {
 	// Imbalance is max(PerWorker)/mean(PerWorker) — 1.0 is a perfect
 	// spread (0 when nothing was steered).
 	Imbalance float64
-	// Resteers counts load-policy stall diversions (always 0 under hash).
-	Resteers uint64
 	// Folds / FoldedEvents count control epochs and the worker feedback
 	// events applied to the shared switch across them.
 	Folds, FoldedEvents uint64
@@ -138,7 +136,6 @@ func (r *Runner) merge(reps []core.Report) Report {
 			Offered:      r.offered.Load(),
 			Direct:       r.direct.Load(),
 			Dropped:      r.dropped.Load(),
-			Resteers:     r.resteers.Load(),
 			Folds:        r.folds.Load(),
 			FoldedEvents: r.foldedEv.Load(),
 			SyncWaitNs:   r.syncWaitNs.Load(),

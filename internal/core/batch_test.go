@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"smartwatch/internal/packet"
@@ -22,7 +23,8 @@ func runDump(cfg Config) string {
 // drive byte for byte — report, alert sequence and flow log — on the
 // full platform (switch + detectors + intervals). The stream length
 // (~800k packets) does not divide any of the batch sizes, so every run
-// exercises an odd tail.
+// exercises an odd tail. Every drained platform's FlowCache must also pass
+// its structural invariants, shard by shard.
 func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-platform sweep; covered per-component in -short runs")
@@ -31,6 +33,7 @@ func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 		base := New(fullConfig(shards))
 		baseRep := base.Run(mixedStream())
 		want := canonicalDump(base, baseRep) + kvDump(base)
+		checkCache(t, base, fmt.Sprintf("shards=%d per-packet", shards))
 
 		// The trace must actually exercise the mid-batch control-feedback
 		// hazard: detector blacklists rewrite switch tables between two
@@ -46,10 +49,12 @@ func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 		for _, batch := range []int{7, 64, 256} {
 			cfg := fullConfig(shards)
 			cfg.BatchSize = batch
-			if got := runDump(cfg); got != want {
+			pl := New(cfg)
+			if got := canonicalDump(pl, pl.Run(mixedStream())) + kvDump(pl); got != want {
 				t.Errorf("shards=%d batch=%d diverged from per-packet drive:\n%s",
 					shards, batch, firstDiffLine(want, got))
 			}
+			checkCache(t, pl, fmt.Sprintf("shards=%d batch=%d", shards, batch))
 		}
 	}
 }

@@ -176,6 +176,16 @@ func TestShardedPlatformDetectorSuite(t *testing.T) {
 	if len(rep.Alerts) == 0 {
 		t.Error("no alerts raised")
 	}
+	checkCache(t, pl, "shards=4")
+}
+
+// checkCache runs the FlowCache's structural invariants over every shard
+// of a drained platform.
+func checkCache(t *testing.T, pl *Platform, what string) {
+	t.Helper()
+	if err := pl.Cache().CheckInvariants(); err != nil {
+		t.Errorf("%s: %v", what, err)
+	}
 }
 
 // TestShardedPlatformCountsShards: shard counts normalise (0 -> 1) and

@@ -115,30 +115,6 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 	s.SetGauge("flowcache.mode_residency.general_ns", float64(g))
 	s.SetGauge("flowcache.mode_residency.lite_ns", float64(l))
 
-	// Adaptive controller state (only when the feedback loop is on): the
-	// tuned thresholds and knobs per shard controller, plus the live
-	// feedback counters the loop consumes. ControllerState reads are
-	// lock-protected, so this is safe even from a live expvar observer.
-	for i := 0; i < pl.cache.NumShards(); i++ {
-		cs := pl.cache.ShardController(i).State()
-		if !cs.Adaptive {
-			break
-		}
-		pfx := fmt.Sprintf("flowcache.ctl.%02d.", i)
-		s.SetGauge(pfx+"eta_high_eff", cs.EtaHighEff)
-		s.SetGauge(pfx+"eta_low_eff", cs.EtaLowEff)
-		s.SetGauge(pfx+"scale", cs.Scale)
-		s.SetGauge(pfx+"gap", cs.Gap)
-		s.SetGauge(pfx+"pin_scale", cs.PinScale)
-		s.SetGauge(pfx+"pin_budget", float64(cs.PinBudget))
-		s.SetCounter(pfx+"retunes", cs.Retunes)
-		sh := pl.cache.Shard(i)
-		s.SetGauge(pfx+"live_records", float64(sh.LiveRecords()))
-		s.SetGauge(pfx+"live_pinned", float64(sh.LivePinned()))
-		s.SetCounter(pfx+"punts", sh.Punts())
-		s.SetCounter(pfx+"pin_refused", sh.PinRefused())
-	}
-
 	// sNIC datapath: input-buffer loss and engine occupancy.
 	if pl.engine != nil {
 		processed, dropped, busyNs := pl.engine.LiveCounts()

@@ -35,13 +35,11 @@ import (
 // empty, and Prefetch names addresses without loading from them at all.
 type Cache struct {
 	cfg Config
-	// kind / policyP / policyE / policy are the resolved replacement
-	// policy (see policy.go): the hot path switches on kind, the
-	// comparator pair serves kindBuffers, and the interface instance is
-	// consulted only for kindCustom.
+	// kind / policyP / policyE are the resolved replacement policy (see
+	// policy.go): the hot path switches on kind, and the comparator pair
+	// serves kindBuffers.
 	kind             policyKind
 	policyP, policyE Policy
-	policy           ReplacementPolicy
 	mode             atomic.Uint32
 	// rows[i] is row i's header (row.go); its buckets are
 	// store[i*B : (i+1)*B], one contiguous table like the sNIC allocation,
@@ -108,7 +106,7 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg}
-	c.kind, c.policyP, c.policyE, c.policy = resolvePolicy(cfg)
+	c.kind, c.policyP, c.policyE = resolvePolicy(cfg)
 	c.rows = make([]rowHdr, cfg.Rows())
 	for i := range c.rows {
 		c.rows[i].word.Store(0)
@@ -272,14 +270,14 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 			// update; lazy-promotion policies (s3fifo) record the reuse and
 			// leave the record in place.
 			res.Outcome = EHit
-			if c.kind != kindBuffers {
-				c.onHit(&rw, idx, BufferE)
+			if c.kind == kindS3FIFO {
+				c.onHit(&rw, idx)
 			}
 			if c.promoteOnEHit() {
 				idx = c.promote(&rw, idx, lo, pEnd, res)
 			}
-		} else if c.kind != kindBuffers {
-			c.onHit(&rw, idx, BufferP)
+		} else if c.kind == kindS3FIFO {
+			c.onHit(&rw, idx)
 		}
 		return c.hit(&rw, idx, p, res)
 	}
@@ -291,8 +289,8 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 	res.Reads += hi - lo
 	if mode == Lite && rw.parked() > 0 {
 		if idx := c.probeOutside(&rw, key, lo, hi, res); idx >= 0 {
-			if c.kind != kindBuffers {
-				c.onHit(&rw, idx, BufferP)
+			if c.kind == kindS3FIFO {
+				c.onHit(&rw, idx)
 			}
 			res.Outcome = PHit
 			return c.hit(&rw, idx, p, res)
@@ -301,9 +299,6 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 
 	rec := c.insert(&rw, key, p, lo, pEnd, hi, res)
 	if rec == nil {
-		if c.fb.track {
-			c.fb.punts.Add(1)
-		}
 		res.Outcome = HostPunt
 		rw.release()
 		return nil
@@ -509,9 +504,6 @@ func (c *Cache) insert(rw *row, key packet.FlowKey, p *packet.Packet, lo, pEnd, 
 func (c *Cache) place(rw *row, idx int, rec *Record, res *Result) *Record {
 	rw.put(idx, rec)
 	res.Writes++
-	if c.fb.track {
-		c.fb.occupied.Add(1)
-	}
 	return &rw.buckets[idx]
 }
 
@@ -594,8 +586,7 @@ func (c *Cache) noteRemoval(rw *row, hash uint64, idx int) {
 // pushRing delivers an evicted record to its ring, counting overflow
 // drops. It is the single choke point through which records leave the
 // table (insert cascades, forced Evicts, Alg.-3 cleanups), which is what
-// makes the feedback occupancy counter exact: +1 at the two insert
-// sites, -1 here.
+// keeps the live pinned counter exact.
 func (c *Cache) pushRing(out *Record, hash uint64, pinned bool) {
 	ring := c.rings[hash%uint64(len(c.rings))]
 	sh := c.stats.shard(hash)
@@ -603,11 +594,8 @@ func (c *Cache) pushRing(out *Record, hash uint64, pinned bool) {
 		sh.ringDrops.Add(1)
 	}
 	sh.evictions.Add(1)
-	if c.fb.track {
-		c.fb.occupied.Add(-1)
-		if pinned {
-			c.fb.pinned.Add(-1)
-		}
+	if pinned && c.fb.track {
+		c.fb.pinned.Add(-1)
 	}
 }
 
@@ -643,14 +631,13 @@ func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 	pins, bit := rw.hdr.pins.Load(), uint64(1)<<uint(i)
 	switch {
 	case v && pins&bit == 0:
-		// Pin-budget admission (adaptive controller feedback loop):
-		// refuse new pins once the live pinned population reaches the
-		// budget; 0 means unlimited — the seed behaviour. The slot is
-		// reserved with a CAS so concurrent pins on different rows
-		// cannot both pass a load/compare and overshoot the budget,
-		// and a refused pin never touches the counter — closing the
-		// over-refuse/double-count window the old compensating-add
-		// scheme had under the parallel shard drive.
+		// Pin-budget admission: refuse new pins once the live pinned
+		// population reaches the budget; 0 means unlimited — the seed
+		// behaviour. The slot is reserved with a CAS so concurrent pins
+		// on different rows cannot both pass a load/compare and
+		// overshoot the budget, and a refused pin never touches the
+		// counter — closing the over-refuse/double-count window the old
+		// compensating-add scheme had under the parallel shard drive.
 		if c.fb.track && !c.fb.reservePin() {
 			return false
 		}

@@ -86,9 +86,9 @@ type Config struct {
 	// empty; named policies override them.
 	PolicyP, PolicyE Policy
 	// Policy selects a named replacement policy: "lru-lpc" (the paper's
-	// hybrid, identical to the default comparator pair), "lru",
-	// "s3fifo", or any name registered via RegisterPolicy. Empty keeps
-	// the PolicyP/PolicyE comparator pair — the seed behaviour.
+	// hybrid, identical to the default comparator pair), "lru" or
+	// "s3fifo". Empty keeps the PolicyP/PolicyE comparator pair — the
+	// seed behaviour.
 	Policy string
 	// Rings is the number of eviction ring buffers. Paper: 8.
 	Rings int

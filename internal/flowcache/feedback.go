@@ -2,32 +2,24 @@ package flowcache
 
 import "sync/atomic"
 
-// feedback is the cache-side half of the adaptive controller's loop
-// (DESIGN.md §11.3): a handful of live counters the controller samples
-// at virtual-time window boundaries. They are maintained on the direct
-// path — never deferred through a BatchAcc — so their value at any
-// packet boundary is identical across batch sizes and across the
-// sequential/parallel shard drives; that is what makes the adaptive
-// controller's decisions byte-reproducible.
+// feedback is the cache's live pin accounting: the pinned population and
+// the budget that caps it. The counters are maintained on the direct path —
+// never deferred through a BatchAcc — so their value at any packet boundary
+// is identical across batch sizes and across the sequential/parallel shard
+// drives.
 //
 // All updates are gated on track (a plain bool written once, before
-// processing starts, by Controller attachment) so the default
-// non-adaptive hot path pays a single predicted-not-taken branch per
-// miss/evict and nothing per hit.
+// processing starts, by EnableFeedback) so the default hot path pays a
+// single predicted-not-taken branch per pinned eviction and nothing per
+// hit.
 type feedback struct {
 	track bool
-	// occupied is the live record count: +1 per insert, -1 per record
-	// pushed to a ring (pushRing is the only way records leave).
-	occupied atomic.Int64
 	// pinned is the live pinned-record count, maintained on every pin
 	// transition under the row latch.
 	pinned atomic.Int64
-	// punts counts HostPunt outcomes (all candidates pinned) — the pin
-	// starvation signal.
-	punts atomic.Uint64
 	// pinBudget caps the live pinned population when > 0; Pin refuses
-	// (and counts pinRefused) beyond it. The adaptive controller tunes
-	// this; 0 (the default) disables enforcement.
+	// (and counts pinRefused) beyond it. 0 (the default) disables
+	// enforcement.
 	pinBudget atomic.Int64
 	// pinRefused counts pins denied by the budget.
 	pinRefused atomic.Uint64
@@ -53,37 +45,15 @@ func (f *feedback) reservePin() bool {
 	}
 }
 
-// enableFeedback turns the feedback counters on. It must be called
-// before the first Process — the gate is an unsynchronised bool, and
-// counters enabled mid-stream would start from a stale occupancy.
-// Controller attachment with an adaptive config calls this.
-func (c *Cache) enableFeedback() { c.fb.track = true }
-
-// EnableFeedback turns the live feedback counters on for standalone
-// harnesses (experiments, benchmarks) that want pin budgets or live
-// occupancy without attaching an adaptive controller. Like the internal
-// path, it must be called before the first Process.
-func (c *Cache) EnableFeedback() { c.enableFeedback() }
-
-// FeedbackEnabled reports whether the live feedback counters are active.
-func (c *Cache) FeedbackEnabled() bool { return c.fb.track }
-
-// LiveRecords returns the feedback occupancy counter — an exact live
-// record count when feedback is enabled, 0 otherwise (use Occupancy for
-// a walk-based count in that case).
-func (c *Cache) LiveRecords() int64 { return c.fb.occupied.Load() }
+// EnableFeedback turns the live pin counters on, for harnesses that want a
+// pin budget (SetPinBudget). It must be called before the first Process:
+// the gate is an unsynchronised bool, and counters enabled mid-stream would
+// start from a stale pinned population.
+func (c *Cache) EnableFeedback() { c.fb.track = true }
 
 // LivePinned returns the live pinned-record count (feedback-enabled
 // caches only).
 func (c *Cache) LivePinned() int64 { return c.fb.pinned.Load() }
-
-// Punts returns the direct-path host-punt count (feedback-enabled
-// caches only; Stats().HostPunts is the authoritative aggregate but is
-// deferred through batch accumulators mid-vector).
-func (c *Cache) Punts() uint64 { return c.fb.punts.Load() }
-
-// PinBudget returns the current pin-admission budget (0 = unlimited).
-func (c *Cache) PinBudget() int64 { return c.fb.pinBudget.Load() }
 
 // SetPinBudget caps the live pinned population: once LivePinned reaches
 // n, Pin refuses new pins until records unpin or evict. n <= 0 removes
@@ -98,16 +68,3 @@ func (c *Cache) SetPinBudget(n int64) {
 
 // PinRefused counts pins denied by the budget.
 func (c *Cache) PinRefused() uint64 { return c.fb.pinRefused.Load() }
-
-// directRingDrops sums ring-overflow drops straight from the rings —
-// like the feedback counters, ring drops are counted at push time and
-// never deferred, so this read is batch-size-invariant. (The stat-shard
-// ringDrops counter holds the same total; reading the rings avoids
-// touching the 8 stat shards the hot path is writing.)
-func (c *Cache) directRingDrops() uint64 {
-	var n uint64
-	for _, r := range c.rings {
-		n += r.Drops()
-	}
-	return n
-}

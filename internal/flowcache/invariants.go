@@ -16,13 +16,39 @@ import (
 //     `parked` records outside their own Lite slice — the count never
 //     under-counts, so the probe's fall-back never stops short of one;
 //   - the counters reconcile: Stats().Inserts is the live records plus
-//     Stats().Evictions, and, with the feedback counters on, LiveRecords
-//     is the masks' population and LivePinned the pin masks'.
+//     Stats().Evictions, and, with the feedback counters on, LivePinned
+//     is the pin masks' population.
 //
 // The per-row checks hold at any time. The sums compare a walk with
 // counters, so they are only meaningful on a quiescent cache: no Process in
 // flight and every BatchAcc flushed.
 func (c *Cache) CheckInvariants() error {
+	live, err := c.checkTable()
+	if err != nil {
+		return err
+	}
+	return checkInserts(c.Stats(), live)
+}
+
+// CheckInvariants is Cache.CheckInvariants on every shard, with the
+// inserts sum taken over the whole cache: Sharded.FlushAcc lands a batch's
+// stat deltas in shard 0, so under the batched drive only the aggregate
+// Stats reconcile with the walk.
+func (s *Sharded) CheckInvariants() error {
+	var live int64
+	for i, c := range s.shards {
+		n, err := c.checkTable()
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		live += n
+	}
+	return checkInserts(s.Stats(), live)
+}
+
+// checkTable checks every row and the live pinned counter, returning the
+// live record count.
+func (c *Cache) checkTable() (int64, error) {
 	var live, pinned int64
 	lite := c.Mode() == Lite
 	for ri := range c.rows {
@@ -31,21 +57,21 @@ func (c *Cache) CheckInvariants() error {
 		n, p, err := c.checkRow(&rw, uint64(ri), lite)
 		rw.release()
 		if err != nil {
-			return fmt.Errorf("flowcache: row %d: %w", ri, err)
+			return 0, fmt.Errorf("flowcache: row %d: %w", ri, err)
 		}
 		live += int64(n)
 		pinned += int64(p)
 	}
-	if st := c.Stats(); st.Inserts != uint64(live)+st.Evictions {
-		return fmt.Errorf("flowcache: %d inserts, but %d live records + %d evictions", st.Inserts, live, st.Evictions)
+	if got := c.LivePinned(); c.fb.track && got != pinned {
+		return 0, fmt.Errorf("flowcache: LivePinned %d, table holds %d pins", got, pinned)
 	}
-	if c.fb.track {
-		if got := c.LiveRecords(); got != live {
-			return fmt.Errorf("flowcache: LiveRecords %d, masks hold %d", got, live)
-		}
-		if got := c.LivePinned(); got != pinned {
-			return fmt.Errorf("flowcache: LivePinned %d, table holds %d pins", got, pinned)
-		}
+	return live, nil
+}
+
+// checkInserts reconciles the insert counter with a walk's live records.
+func checkInserts(st Stats, live int64) error {
+	if st.Inserts != uint64(live)+st.Evictions {
+		return fmt.Errorf("flowcache: %d inserts, but %d live records + %d evictions", st.Inserts, live, st.Evictions)
 	}
 	return nil
 }

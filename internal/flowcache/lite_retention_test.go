@@ -236,7 +236,7 @@ func TestPinAgeReclaimsStalePins(t *testing.T) {
 	cfg := DefaultConfig(4)
 	cfg.PinAgeNs = 1_000_000
 	c := New(cfg)
-	c.enableFeedback()
+	c.EnableFeedback()
 	pkts := keysInRow(c, 2, cfg.Buckets)
 	for i := range pkts {
 		c.Process(&pkts[i]) // all LastTs <= Buckets

@@ -58,7 +58,7 @@ type refRecord struct {
 
 func newRefCache(cfg Config) *refCache {
 	c := &refCache{cfg: cfg}
-	c.kind, c.policyP, c.policyE, _ = resolvePolicy(cfg)
+	c.kind, c.policyP, c.policyE = resolvePolicy(cfg)
 	c.rows = make([]refRow, cfg.Rows())
 	for i := range c.rows {
 		c.rows[i].buckets = make([]refRecord, cfg.Buckets)

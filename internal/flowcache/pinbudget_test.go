@@ -26,7 +26,7 @@ func pinKey(c *Cache, i int, ts int64) packet.FlowKey {
 // refused, and the live counter never exceeds B — sequentially first.
 func TestPinBudgetExactAtBoundary(t *testing.T) {
 	c := New(contendedConfig())
-	c.enableFeedback()
+	c.EnableFeedback()
 	const budget = 16
 	c.SetPinBudget(budget)
 
@@ -83,7 +83,7 @@ func TestPinBudgetBoundaryRace(t *testing.T) {
 		flows      = 64
 	)
 	c := New(contendedConfig())
-	c.enableFeedback()
+	c.EnableFeedback()
 	c.SetPinBudget(budget)
 
 	keys := make([]packet.FlowKey, flows)
@@ -143,7 +143,7 @@ func TestPinBudgetBoundaryRace(t *testing.T) {
 // writes, the pin and the live counter stay where Pin / Unpin left them.
 func TestUpdateStatePinUntouched(t *testing.T) {
 	c := New(contendedConfig())
-	c.enableFeedback()
+	c.EnableFeedback()
 	k := pinKey(c, 1, 1)
 	for _, want := range []bool{false, true, false} {
 		if want {

@@ -248,70 +248,6 @@ func TestS3FIFOQuickDemotion(t *testing.T) {
 	}
 }
 
-func TestRegisterPolicy(t *testing.T) {
-	RegisterPolicy("test-custom", func(cfg Config) ReplacementPolicy {
-		return testPolicy{}
-	})
-	cfg := smallConfig()
-	cfg.Policy = "test-custom"
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("registered policy rejected: %v", err)
-	}
-	c := New(cfg)
-	if c.PolicyName() != "test-custom" {
-		t.Errorf("PolicyName = %q", c.PolicyName())
-	}
-	for _, p := range policyStream(20_000) {
-		q := p
-		c.Process(&q)
-	}
-	if c.Stats().Processed() != 20_000 {
-		t.Errorf("processed = %d", c.Stats().Processed())
-	}
-	found := false
-	for _, n := range KnownPolicies() {
-		if n == "test-custom" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("KnownPolicies() = %v missing test-custom", KnownPolicies())
-	}
-	// Duplicate and builtin-shadowing registrations must panic.
-	for _, name := range []string{"test-custom", PolicyNameLRU} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("RegisterPolicy(%q) twice did not panic", name)
-				}
-			}()
-			RegisterPolicy(name, func(cfg Config) ReplacementPolicy { return testPolicy{} })
-		}()
-	}
-}
-
-// testPolicy is a trivial FIFO-ish custom policy exercising the
-// interface dispatch path.
-type testPolicy struct{}
-
-func (testPolicy) Name() string { return "test-custom" }
-func (testPolicy) Victim(buckets []Record, pinned uint64, lo, hi int, buf Buffer) (int, int) {
-	best, reads := -1, 0
-	for i := lo; i < hi; i++ {
-		reads++
-		if pinned>>uint(i)&1 != 0 {
-			continue
-		}
-		if best < 0 || buckets[i].FirstTs < buckets[best].FirstTs {
-			best = i
-		}
-	}
-	return best, reads
-}
-func (testPolicy) OnHit(rec *Record, buf Buffer) {}
-func (testPolicy) PromoteOnEHit() bool           { return true }
-func (testPolicy) DemoteToE(victim *Record) bool { return true }
-
 func TestConfigValidatePolicyNames(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Policy = "no-such-policy"

@@ -4,8 +4,8 @@
 # alive after the fixture is consumed) and runs one assertion body: status
 # and snapshot the moment the listener answers (it is opened before the
 # engine is started), then after the first interval close pause/resume,
-# the whitelist and blacklist round trips, the snapshot delta and (one
-# platform) the live /metrics endpoint, then a drain (SIGTERM or POST /control/drain) that
+# the whitelist and blacklist round trips, the snapshot delta and the live
+# /metrics endpoint, then a drain (SIGTERM or POST /control/drain) that
 # must exit 0 with a final report on stdout. Legs: one platform with the
 # switch (its per-interval metrics stream is then validated by
 # cmd/metricscheck), a two-worker cluster, and one platform without a
@@ -52,14 +52,14 @@ echo "serve-smoke: generating fixture pcap"
 "$TMP/tracegen" -out "$TMP/fixture.pcap" -preset caida2018 \
     -attack ssh-bruteforce -duration 300ms
 
-# leg NAME LANES SWITCH LIVE DRAIN ARGS...: run one daemon with ARGS and
+# leg NAME LANES SWITCH SERIES DRAIN ARGS...: run one daemon with ARGS and
 # assert on it. LANES is the worker count /control/status must report
-# (1 for one platform); SWITCH is 1 when ARGS enable the switch tier; LIVE
-# is 1 when /metrics must carry a snapshot mid-run (a cluster's registry
-# takes its one snapshot at drain); DRAIN is term (SIGTERM) or api (POST
+# (1 for one platform); SWITCH is 1 when ARGS enable the switch tier;
+# SERIES is a metric /metrics must carry mid-run (a cluster's registry holds
+# the cluster.* series); DRAIN is term (SIGTERM) or api (POST
 # /control/drain).
 leg() {
-    name=$1 lanes=$2 switch=$3 live=$4 drain=$5
+    name=$1 lanes=$2 switch=$3 series=$4 drain=$5
     shift 5
     echo "serve-smoke: $name leg on $BASE"
     "$TMP/smartwatch" -serve -follow -in "$TMP/fixture.pcap" \
@@ -105,8 +105,8 @@ leg() {
         || fail "$name: snapshot missing interval delta"
     # The metrics endpoint serves live DURING the drive.
     curl -sf -o "$TMP/metrics.json" "$BASE/metrics" || fail "$name: /metrics down"
-    [ "$live" = 0 ] || grep -q 'packets.total' "$TMP/metrics.json" \
-        || fail "$name: /metrics not live during the drive"
+    grep -qF "\"$series\"" "$TMP/metrics.json" \
+        || fail "$name: /metrics carries no $series during the drive"
 
     echo "serve-smoke: $name: drain ($drain)"
     if [ "$drain" = term ]; then
@@ -123,16 +123,16 @@ leg() {
         || fail "$name: no final report on stdout"
 }
 
-leg platform 1 1 1 term -switch -metrics "$TMP/metrics.jsonl"
+leg platform 1 1 packets.total term -switch -metrics "$TMP/metrics.jsonl"
 echo "serve-smoke: validating metrics stream"
 "$TMP/metricscheck" -min-snapshots 2 \
     -require packets.total,flowcache.occupancy,snic.processed,host.flush.count \
     <"$TMP/metrics.jsonl" || fail "metricscheck rejected the stream"
 
-leg cluster 2 1 0 api -switch -workers 2
+leg cluster 2 1 cluster.steer.offered api -switch -workers 2
 grep -q '^cluster: workers=2' "$TMP/stdout.log" \
     || fail "no cluster report on stdout"
 
-leg no-switch 1 0 1 term
+leg no-switch 1 0 packets.total term
 
 echo "serve-smoke: OK"

@@ -156,16 +156,8 @@ type ClusterReport = cluster.Report
 // SteerPolicy selects how the shared tier routes flows to workers.
 type SteerPolicy = cluster.SteerPolicy
 
-// Steering policies.
-const (
-	// SteerHash: deterministic consistent hashing on the flow key.
-	SteerHash = cluster.SteerHash
-	// SteerLoad: hash ownership with least-loaded spill (not reproducible).
-	SteerLoad = cluster.SteerLoad
-)
-
-// ParseSteerPolicy parses "hash" or "load".
-func ParseSteerPolicy(s string) (SteerPolicy, error) { return cluster.ParseSteerPolicy(s) }
+// SteerHash is deterministic consistent hashing on the flow key.
+const SteerHash = cluster.SteerHash
 
 // NewCluster assembles a cluster runner.
 func NewCluster(cfg ClusterConfig) *ClusterRunner { return cluster.New(cfg) }
@@ -229,31 +221,13 @@ func NewShardedFlowCache(shards int, cfg FlowCacheConfig, ctl FlowCacheControlle
 	return flowcache.NewSharded(shards, cfg, ctl)
 }
 
-// Replacement policies (DESIGN.md §11): FlowCacheConfig.Policy selects a
-// built-in by name; RegisterReplacementPolicy installs an out-of-tree one.
+// Replacement policies (DESIGN.md §11): FlowCacheConfig.Policy selects one
+// by name.
 const (
 	PolicyNameLRULPC = flowcache.PolicyNameLRULPC // seed pair: LRU in P, LPC in E (default)
 	PolicyNameLRU    = flowcache.PolicyNameLRU    // LRU in both buffers
 	PolicyNameS3FIFO = flowcache.PolicyNameS3FIFO // S3-FIFO adaptation: quick demotion + freq aging
 )
-
-// ReplacementPolicy picks eviction victims inside one row segment; see
-// flowcache.RegisterPolicy for the contract.
-type ReplacementPolicy = flowcache.ReplacementPolicy
-
-// RegisterReplacementPolicy installs a custom policy under name, usable
-// from FlowCacheConfig.Policy. Panics on duplicate or built-in names.
-func RegisterReplacementPolicy(name string, factory func(FlowCacheConfig) ReplacementPolicy) {
-	flowcache.RegisterPolicy(name, factory)
-}
-
-// AdaptiveControllerConfig enables the self-tuning feedback loop on the
-// mode controllers (FlowCacheControllerConfig.Adaptive, DESIGN.md §11.3).
-type AdaptiveControllerConfig = flowcache.AdaptiveConfig
-
-// ControllerState is a controller's live tuning state (effective
-// thresholds, scale/gap/pin knobs) as exported per shard in metrics.
-type ControllerState = flowcache.ControllerState
 
 // Observability ---------------------------------------------------------------
 
