@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race fuzz-smoke cluster lowslow check loc bench-ab experiments metrics-smoke serve-smoke clean
+.PHONY: all build fmt-check vet test race fuzz-smoke cluster lowslow check loc bench-ab experiments experiments-check metrics-smoke serve-smoke clean
 
 all: check
 
@@ -111,6 +111,14 @@ bench-ab:
 # Full-scale regeneration of every table/figure (EXPERIMENTS.md sizes).
 experiments:
 	$(GO) run ./cmd/experiments all > experiments_full.txt
+
+# The same regeneration, diffed against the committed experiments_full.txt:
+# fails on any changed byte. The detection figures drive core.Session
+# (DESIGN.md §7.1), so this guards the platform's drive as well as the
+# components. A PR that means to move a row regenerates the file with
+# `make experiments` and gives a reason per changed row.
+experiments-check:
+	@out="$$(mktemp)"; $(GO) run ./cmd/experiments all > "$$out" && diff -u experiments_full.txt "$$out"; rc=$$?; rm -f "$$out"; exit $$rc
 
 # Observability smoke (DESIGN.md §10): replay a small generated trace with
 # -metrics -, then validate the JSON-lines snapshot stream end-to-end —

@@ -141,21 +141,17 @@ func ClusterScaling(scale float64) *Table {
 		}
 
 		// The single-platform twin: same total capacity, sharded W ways.
-		single := core.New(core.Config{
+		single, srep := drive{cfg: core.Config{
 			IntervalNs: 100e6, BatchSize: 64, Shards: w,
 			Cache: flowcache.DefaultConfig(12),
 			SNIC:  clusterNoDropSNIC(),
-		})
-		srep := single.Run(clusterPresetStream(n))
+		}}.run(clusterPresetStream(n))
 		twinIdentical := "no"
 		if rep.Merged.Counts == srep.Counts && rep.Merged.Cache == srep.Cache &&
 			rep.Merged.SNIC.Processed == srep.SNIC.Processed &&
 			fmt.Sprintf("%+v", rep.Merged.Rings) == fmt.Sprintf("%+v", srep.Rings) &&
 			clusterKVSig([]*core.Platform{single}) == parKV {
 			twinIdentical = "yes"
-		}
-		if err := single.Close(); err != nil {
-			panic(err)
 		}
 
 		var maxLane uint64

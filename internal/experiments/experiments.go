@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the
 // SmartWatch paper's evaluation (§5). Each Fig*/Table* function runs the
-// corresponding workload through the simulated platform and returns a
-// Table whose rows mirror the series the paper plots; cmd/experiments
-// prints them.
+// corresponding workload and returns a Table whose rows mirror the series
+// the paper plots; cmd/experiments prints them. A figure that scores
+// detection or runs the whole path drives core.Session through one runner
+// (drive); a figure that characterises one component — the FlowCache on
+// the sNIC DES, the switch, a sketch — builds that component alone.
 //
 // The Scale knob shrinks workload sizes proportionally (virtual time makes
 // rates exact regardless); Scale 1 is the default used for EXPERIMENTS.md,

@@ -15,9 +15,9 @@ type Exp struct {
 }
 
 // Registry returns every experiment in canonical (sorted-ID) order — the
-// order `cmd/experiments all` emits. Each entry builds its own
-// core.Platform and draws from its own seeded PRNG, so entries are safe to
-// run concurrently.
+// order `cmd/experiments all` emits. Each entry builds its own platforms or
+// components and seeds its own PRNGs, sharing no state with another, so
+// entries are safe to run concurrently.
 func Registry() []Exp {
 	exps := []Exp{
 		{"fig2", Fig2SwitchState},
@@ -71,7 +71,7 @@ type Result struct {
 // results exist (streaming, not a final barrier). parallel < 1 selects
 // GOMAXPROCS. emit is never called concurrently.
 //
-// Determinism: every experiment owns its platform and PRNG state, so the
+// Determinism: every experiment owns its platforms and PRNG state, so the
 // tables it returns depend only on (ID, scale) — concurrency changes
 // wall-clock time, never results. Elapsed is the per-experiment compute
 // time and naturally varies run to run.

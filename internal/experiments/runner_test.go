@@ -29,6 +29,7 @@ func render(t *testing.T, scale float64, parallel int) []byte {
 // `all` output is byte-identical between a sequential run and a maximally
 // parallel run. Parallelism may change wall-clock time, never results.
 func TestRunAllDeterministic(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
@@ -54,6 +55,7 @@ func TestRunAllDeterministic(t *testing.T) {
 // matches input order even when early experiments finish last, and emit is
 // never invoked concurrently.
 func TestRunAllOrderAndCompleteness(t *testing.T) {
+	t.Parallel()
 	const n = 16
 	var calls [n]atomic.Int32
 	exps := make([]Exp, n)
@@ -93,6 +95,7 @@ func TestRunAllOrderAndCompleteness(t *testing.T) {
 // TestRegistryComplete pins the registry against the experiment set: every
 // ID is unique and sorted, and lookups hit.
 func TestRegistryComplete(t *testing.T) {
+	t.Parallel()
 	reg := Registry()
 	if len(reg) != 22 {
 		t.Fatalf("registry has %d experiments, want 22", len(reg))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"smartwatch/internal/core"
 	"smartwatch/internal/p4switch"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/pcap"
@@ -180,14 +181,16 @@ func Fig3Scaling(scale float64) *Table {
 	return t
 }
 
-// fig3Fractions measures the steered and host-processed fractions on the
-// CAIDA 2018 preset with the standard query set.
+// fractions is Fig. 3's traffic split.
 type fractions struct {
 	steeredShare      float64
 	hostShareSteered  float64
 	hostShareNoSwitch float64
 }
 
+// fig3Fractions measures the steered fraction on the CAIDA 2018 preset
+// behind the switch with the SSH query installed; the host shares are
+// calibrated constants.
 func fig3Fractions(scale float64) fractions {
 	cfg := trace.CAIDA(2018).Config()
 	cfg.Duration = int64(1e8 * math.Max(scale, 0.05))
@@ -197,34 +200,13 @@ func fig3Fractions(scale float64) fractions {
 		Seed: 3, Attackers: 4, AttemptsPerAttacker: 8, AttemptGap: 5e6,
 		Target: packet.MustParseAddr("10.1.0.22"), LegitClients: 6, LegitDataPackets: 60,
 	})
-	sw := p4switch.New(p4switch.DefaultConfig())
-	q := p4switch.Query{
+	_, rep := drive{cfg: core.Config{EnableSwitch: true, IntervalNs: cfg.Duration / 4, Queries: []p4switch.Query{{
 		Name: "ssh", Filter: p4switch.Predicate{Proto: packet.ProtoTCP, DstPort: trace.PortSSH},
 		Key: p4switch.KeyDstIP, PrefixBits: 16, Reduce: p4switch.CountSYN, Threshold: 3, Slots: 1 << 12,
-	}
-	if err := sw.InstallQueries([]p4switch.Query{q}); err != nil {
-		panic(err)
-	}
-	tr := p4switch.NewTracker(sw.Queries(), 0)
-	var total, steered float64
-	interval := cfg.Duration / 4
-	next := interval
-	for p := range pcap.Merge(background.Stream(), attack.Stream()) {
-		if p.Ts >= next {
-			for _, fk := range sw.EndInterval(tr.Candidates()) {
-				_ = sw.Steer(fk)
-			}
-			next += interval
-		}
-		tr.Observe(&p)
-		total++
-		if sw.Process(&p) == p4switch.ToSNIC {
-			steered++
-		}
-	}
+	}}}}.run(pcap.Merge(background.Stream(), attack.Stream()))
 	fr := fractions{hostShareSteered: 0.16, hostShareNoSwitch: 0.03}
-	if total > 0 {
-		fr.steeredShare = steered / total
+	if rep.Counts.Total > 0 {
+		fr.steeredShare = float64(rep.Counts.ToSNIC) / float64(rep.Counts.Total)
 	}
 	if fr.steeredShare <= 0 {
 		fr.steeredShare = 0.05

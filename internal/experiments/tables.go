@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"smartwatch/internal/core"
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
@@ -12,7 +13,8 @@ import (
 )
 
 // metered wraps a detector and accounts its sNIC cycles and host punts for
-// Table 2.
+// Table 2. To the platform it is a detector from outside package detect,
+// which the chain drives through OnPacket.
 type metered struct {
 	detect.Detector
 	cycles float64
@@ -73,34 +75,15 @@ func Table2Resources(scale float64) *Table {
 		{Detector: detect.NewCovertTiming(detect.CovertTimingConfig{BenignIPDs: covertRef.BenignIPDSample(2000)})},
 	}
 
-	cfg := flowcache.DefaultConfig(12)
-	cfg.RingEntries = 1 << 20
-	cache := flowcache.New(cfg)
-	prof := snic.Netronome()
-	var flowCacheCycles float64
-	var total uint64
-	nextTick := int64(0)
-	for p := range mixed {
-		for p.Ts >= nextTick {
-			for _, m := range dets {
-				m.Tick(nextTick)
-			}
-			nextTick += 50e6
-		}
-		rec, res := cache.Process(&p)
-		flowCacheCycles += prof.BaseCycles +
-			prof.CyclesPerRead*float64(res.Reads) + prof.CyclesPerWrite*float64(res.Writes)
-		total++
-		for _, m := range dets {
-			r := m.OnPacket(&p, rec, snic.Ctx{Pinned: res.Pinned})
-			if r.Pin {
-				cache.Pin(p.Key())
-			}
-			if r.Unpin || r.Whitelist {
-				cache.Unpin(p.Key())
-			}
-		}
+	chain := make([]detect.Detector, len(dets))
+	for i, m := range dets {
+		chain[i] = m
 	}
+	_, rep := drive{cfg: core.Config{Cache: detectCache(12), TickNs: 50e6, Detectors: chain}}.run(mixed)
+	prof := snic.Netronome()
+	flowCacheCycles := prof.BaseCycles*float64(rep.SNIC.Processed) +
+		prof.CyclesPerRead*float64(rep.Cache.Reads) + prof.CyclesPerWrite*float64(rep.Cache.Writes)
+	total := rep.Counts.Total
 
 	totalCycles := flowCacheCycles
 	for _, m := range dets {

@@ -159,7 +159,10 @@ func fig10Run(n int) fig10Result {
 // culprit flows captured per burst as the queueing-delay classification
 // threshold sweeps 200–2000 µs, for several burst widths. The egress link
 // is modelled as a FIFO queue at a fixed drain rate; the detector logs
-// flows only while the measured delay exceeds the threshold.
+// flows only while the measured delay exceeds the threshold. This is the
+// one detection figure that feeds its detector by hand: the queue is a
+// model of the egress port, which the platform does not have, and the
+// detector reads it with no FlowCache record.
 func Fig11aMicroburst(scale float64) *Table {
 	t := &Table{
 		ID: "fig11a", Title: "Microburst culprit-flow capture vs classification threshold",
