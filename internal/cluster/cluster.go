@@ -208,7 +208,7 @@ type worker struct {
 	batches atomic.Uint64
 	wakeups atomic.Uint64
 
-	// evMu guards events: appended by bus subscribers inside the worker
+	// evMu guards events: appended by bus observers inside the worker
 	// session's Ingest (on the feeder goroutine), drained by the router at
 	// each fold.
 	evMu   sync.Mutex

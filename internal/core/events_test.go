@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
 
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
+	"smartwatch/internal/obs"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/snic"
 	"smartwatch/internal/tier"
@@ -33,9 +35,9 @@ func checkEventsGolden(t *testing.T, line string) {
 	}
 }
 
-// TestWhitelistEventGolden: PR-1's whitelist behaviour — switch entry
-// installed, cache record unpinned, in that order — must reproduce when
-// the request travels the bus instead of direct calls.
+// TestWhitelistEventGolden: the whitelist hook leaves the end state the
+// first direct-call Whitelist left — switch entry installed, cache record
+// unpinned — and publishes one event.
 func TestWhitelistEventGolden(t *testing.T) {
 	pl := New(Config{EnableSwitch: true, Queries: sshQueries()})
 	k := wlKey()
@@ -44,19 +46,13 @@ func TestWhitelistEventGolden(t *testing.T) {
 
 	_, pinned, ok := pl.Cache().Lookup(k)
 	checkEventsGolden(t, fmt.Sprintf("whitelist: switch_entries=%d resident=%v pinned=%v", pl.Switch().WhitelistCount(), ok, pinned))
-	// The request used the bus, and with the right fanout.
 	if got := pl.Bus().Stats().PublishedFor(tier.KindWhitelist); got != 1 {
 		t.Errorf("whitelist events = %d, want 1", got)
 	}
-	// Delivery order is the direct-call order: switch first, then unpin.
-	subs := pl.Bus().Subscribers(tier.KindWhitelist)
-	if len(subs) != 2 || subs[0] != "switch-program" || subs[1] != "cache-unpin" {
-		t.Errorf("whitelist subscriber order = %v", subs)
-	}
 }
 
-// TestBlacklistEventGolden: blacklist via the bus installs the same
-// switch drop rule as the direct call.
+// TestBlacklistEventGolden: the blacklist hook installs the same switch
+// drop rule as the first direct call.
 func TestBlacklistEventGolden(t *testing.T) {
 	pl := New(Config{EnableSwitch: true, Queries: sshQueries()})
 	a := packet.MustParseAddr("203.0.113.9")
@@ -67,7 +63,8 @@ func TestBlacklistEventGolden(t *testing.T) {
 	}
 }
 
-// TestUnpinEvent: the hook-driven unpin travels the bus too.
+// TestUnpinEvent: the hook-driven unpin releases the pin and publishes
+// one event.
 func TestUnpinEvent(t *testing.T) {
 	pl := New(Config{})
 	k := wlKey()
@@ -99,8 +96,17 @@ func (d *scriptedDetector) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx
 func (d *scriptedDetector) Tick(int64)            {}
 func (d *scriptedDetector) Drain() []detect.Alert { return nil }
 
-// TestDetectorReactionsBecomeEvents: in-datapath detector verdicts leave
-// the sNIC tier as bus events tagged with their origin.
+// handle runs p through the sNIC tier alone, on a context prepped as
+// consume leaves it.
+func handle(pl *Platform, p packet.Packet) {
+	pkts := []packet.Packet{p}
+	prepIdentity(pkts, pl.ctxs)
+	pl.cur = &pl.ctxs[0]
+	pl.tierHandler(&pkts[0], snic.Ctx{})
+}
+
+// TestDetectorReactionsBecomeEvents: in-datapath detector verdicts reach
+// the switch and are published tagged with their origin.
 func TestDetectorReactionsBecomeEvents(t *testing.T) {
 	det := &scriptedDetector{react: detect.Reaction{Whitelist: true, BlacklistSrc: true}}
 	pl := New(Config{
@@ -120,12 +126,8 @@ func TestDetectorReactionsBecomeEvents(t *testing.T) {
 	}
 	// Drive the sNIC tier directly, on a context prepped as consume leaves
 	// it: with the switch enabled the wire side would fast-path this
-	// unsteered packet, and the point here is tierHandler's event
-	// publication.
-	pkts := []packet.Packet{p}
-	prepIdentity(pkts, pl.ctxs)
-	pl.cur = &pl.ctxs[0]
-	pl.tierHandler(&pkts[0], snic.Ctx{})
+	// unsteered packet, and the point here is tierHandler's reactions.
+	handle(pl, p)
 	if !pl.Switch().Blacklisted(src) {
 		t.Error("detector blacklist reaction never reached the switch")
 	}
@@ -165,5 +167,123 @@ func TestIntervalEventSequence(t *testing.T) {
 	}
 	if rep.Counts.Intervals != uint64(len(seqs)) {
 		t.Errorf("Counts.Intervals = %d, events = %d", rep.Counts.Intervals, len(seqs))
+	}
+}
+
+// TestObserversSeeReactionsApplied is the observer contract: for every
+// kind and every origin — a detector verdict, a detector's hook, an
+// operator's Session call — an observer runs after the platform applied
+// the reaction (switch entry installed, pin released, host flush done,
+// metrics line written) and sees who asked.
+func TestObserversSeeReactionsApplied(t *testing.T) {
+	k := wlKey()
+	src := k.Tuple().SrcIP
+	detector := func(pl *Platform, _ *Session) { handle(pl, packet.Packet{Ts: 1, Tuple: k.Tuple(), Size: 64}) }
+	operator := func(fn func(*Session) error) func(*Platform, *Session) {
+		return func(_ *Platform, ses *Session) {
+			if err := fn(ses); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		name, origin string
+		kind         tier.Kind
+		react        detect.Reaction
+		act          func(*Platform, *Session)
+	}{
+		{"whitelist/detector", "detector", tier.KindWhitelist, detect.Reaction{Whitelist: true}, detector},
+		{"whitelist/hooks", "hooks", tier.KindWhitelist, detect.Reaction{}, func(pl *Platform, _ *Session) { pl.Whitelist(k) }},
+		{"whitelist/operator", operatorOrigin, tier.KindWhitelist, detect.Reaction{}, operator(func(s *Session) error { return s.Whitelist(k) })},
+		{"blacklist/detector", "detector", tier.KindBlacklist, detect.Reaction{BlacklistSrc: true}, detector},
+		{"blacklist/hooks", "hooks", tier.KindBlacklist, detect.Reaction{}, func(pl *Platform, _ *Session) { pl.Blacklist(src) }},
+		{"blacklist/operator", operatorOrigin, tier.KindBlacklist, detect.Reaction{}, operator(func(s *Session) error { return s.Blacklist(src) })},
+		{"unpin/hooks", "hooks", tier.KindUnpin, detect.Reaction{}, func(pl *Platform, _ *Session) { pl.Unpin(k) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			pl := New(Config{EnableSwitch: true, Queries: sshQueries(),
+				Detectors: []detect.Detector{&scriptedDetector{react: c.react}}})
+			ses := pl.NewSession()
+			if err := ses.Start(); err != nil {
+				t.Fatal(err)
+			}
+			seedRecord(pl, k)
+			var seen []string
+			pl.Bus().Subscribe(c.kind, "test-observer", func(e tier.Event) {
+				_, pinned, _ := pl.Cache().Lookup(k)
+				switch ev := e.(type) {
+				case tier.WhitelistEvent:
+					seen = append(seen, fmt.Sprintf("%s entries=%d pinned=%v", ev.Origin, pl.Switch().WhitelistCount(), pinned))
+				case tier.BlacklistEvent:
+					seen = append(seen, fmt.Sprintf("%s blacklisted=%v", ev.Origin, pl.Switch().Blacklisted(ev.Addr)))
+				case tier.UnpinEvent:
+					seen = append(seen, fmt.Sprintf("%s pinned=%v", ev.Origin, pinned))
+				}
+			})
+			c.act(pl, ses)
+			want := map[tier.Kind]string{
+				tier.KindWhitelist: c.origin + " entries=1 pinned=false",
+				tier.KindBlacklist: c.origin + " blacklisted=true",
+				tier.KindUnpin:     c.origin + " pinned=false",
+			}[c.kind]
+			if len(seen) != 1 || seen[0] != want {
+				t.Errorf("observer saw %q, want [%s]", seen, want)
+			}
+		})
+	}
+
+	t.Run("interval", func(t *testing.T) {
+		var lines bytes.Buffer
+		pl := New(Config{EnableSwitch: true, Queries: sshQueries(), IntervalNs: 10e6,
+			Metrics: obs.NewRegistry(), MetricsWriter: &lines})
+		var seen []string
+		pl.Bus().Subscribe(tier.KindInterval, "test-observer", func(e tier.Event) {
+			seen = append(seen, fmt.Sprintf("seq=%d steered=%d flushed=%d lines=%d", e.(tier.IntervalEvent).Seq,
+				pl.Switch().Stats().Intervals, pl.flusher.Stats().Flushes, strings.Count(lines.String(), "\n")))
+		})
+		pl.AdvanceClock(20e6)
+		if want := "[seq=1 steered=1 flushed=1 lines=1 seq=2 steered=2 flushed=2 lines=2]"; fmt.Sprint(seen) != want {
+			t.Errorf("observer saw %v, want %s", seen, want)
+		}
+	})
+}
+
+// TestEventsCountedWithoutObservers: with nothing subscribed, every kind
+// is still counted as published, and Delivered counts the reactions the
+// platform applied — switch entry and unpin for a whitelist, the drop rule
+// for a blacklist, the unpin, the switch steer and host flush for an
+// interval, nothing for a mode flip.
+func TestEventsCountedWithoutObservers(t *testing.T) {
+	pl := New(Config{EnableSwitch: true, Queries: sshQueries(), IntervalNs: 10e6})
+	k := wlKey()
+	pl.Whitelist(k)
+	pl.Blacklist(k.Tuple().SrcIP)
+	pl.Unpin(k)
+	pl.AdvanceClock(10e6)
+	pl.Cache().OnModeSwitch(0, flowcache.Lite, 0, 0)
+
+	st := pl.Bus().Stats()
+	for kind := tier.KindWhitelist; kind <= tier.KindModeSwitch; kind++ {
+		if got := st.PublishedFor(kind); got != 1 {
+			t.Errorf("published %v = %d, want 1", kind, got)
+		}
+	}
+	if st.Delivered != 2+1+1+2 || st.Panics != 0 {
+		t.Errorf("delivered = %d, panics = %d; want 6 reactions, 0", st.Delivered, st.Panics)
+	}
+}
+
+// TestUnobservedUnpinDoesNotAllocate: a control action with no observer
+// of its kind builds no event value (DESIGN.md §22.6).
+func TestUnobservedUnpinDoesNotAllocate(t *testing.T) {
+	pl := New(Config{})
+	k := wlKey()
+	seedRecord(pl, k)
+	if n := testing.AllocsPerRun(100, func() { pl.Unpin(k) }); n != 0 {
+		t.Errorf("Platform.Unpin: %v allocs, want 0", n)
+	}
+	if got := pl.Bus().Stats().PublishedFor(tier.KindUnpin); got != 101 {
+		t.Errorf("unpin events = %d, want 101", got)
 	}
 }

@@ -15,13 +15,6 @@ import (
 	"smartwatch/internal/tier"
 )
 
-// metricKinds are the bus kinds surfaced as bus.published.* counters —
-// kept in sync with the tier package's closed event taxonomy.
-var metricKinds = []tier.Kind{
-	tier.KindWhitelist, tier.KindBlacklist, tier.KindUnpin,
-	tier.KindInterval, tier.KindModeSwitch,
-}
-
 // wheelOwner is implemented by detectors that own a host timing wheel
 // (detect.ForgedRST, detect.LowSlow), whatever its payload type; the
 // collector surfaces their pending-entry depth.
@@ -39,8 +32,8 @@ func (pl *Platform) instrumentMetrics() {
 	pl.nicQueueDelay = reg.Histogram("tier.nic.queue_delay_ns", queueDelayBounds)
 	reg.AddCollector(pl.collectMetrics)
 	pl.emitter = obs.NewEmitter(reg, pl.cfg.MetricsWriter)
-	// Subscribed after wireBus, so the snapshot sees the host flush (and
-	// every other interval subscriber) already applied for this interval.
+	// An interval observer: it runs after endInterval's switch steer and
+	// host flush, so the snapshot sees both applied for this interval.
 	pl.bus.Subscribe(tier.KindInterval, "metrics-emit", func(e tier.Event) {
 		ts := e.(tier.IntervalEvent).Ts
 		if pl.cfg.MetricsWriter != nil {
@@ -148,10 +141,10 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 		s.SetGauge("host.timing_wheel.depth", float64(wheelDepth))
 	}
 
-	// Control plane: bus traffic per kind.
+	// Control plane: events per kind, reactions and observers delivered.
 	bst := pl.bus.Stats()
-	for _, k := range metricKinds {
-		s.SetCounter("bus.published."+k.String(), bst.PublishedFor(k))
+	for k, n := range bst.Published {
+		s.SetCounter("bus.published."+tier.Kind(k).String(), n)
 	}
 	s.SetCounter("bus.delivered", bst.Delivered)
 	s.SetCounter("bus.panics", bst.Panics)

@@ -8,10 +8,11 @@
 // The packet path is said once (DESIGN.md §8): consume (batch.go) counts
 // the packet, runs the timers due before it and steers it at the switch;
 // a steered packet is stepped through the sNIC engine, which calls
-// tierHandler — FlowCache, detectors, reactions, host NF delivery. Every
-// cross-tier control action is a typed event on a tier.Bus: the switch and
-// the host subscribe to the kinds they serve instead of being called from
-// detector code.
+// tierHandler — FlowCache, detectors, reactions, host NF delivery. The
+// control loop is four methods here too: whitelist, blacklist, unpin and
+// endInterval apply their edges by direct calls (DESIGN.md §8.2) and then
+// publish the typed event on a tier.Bus, the observer list metrics, the
+// cluster uplink, tests and the benchmark attach to.
 //
 // The drive is a push (DESIGN.md §12.1, §19): beginDrive opens the sNIC
 // engine, ingestVector runs one caller-supplied packet vector to
@@ -211,7 +212,7 @@ func New(cfg Config) *Platform {
 	pl.detectors = detect.NewChain(cfg.Detectors...)
 	// Detectors that drive Tick-time control-loop actions (timer unpins,
 	// blacklists) receive the platform as their Hooks — it implements
-	// detect.Hooks against the FlowCache and the switch, through the bus.
+	// detect.Hooks against the FlowCache and the switch.
 	// Standalone harnesses that drive detectors without a platform keep
 	// whatever hooks their config installed.
 	for _, d := range cfg.Detectors {
@@ -240,7 +241,10 @@ func New(cfg Config) *Platform {
 	// FlowCache, so a trace split across segments reproduces the one-shot
 	// drive (TestSegmentedRunMatchesOneShot).
 	pl.engine = snic.New(cfg.SNIC, pl.tierHandler)
-	pl.wireBus()
+	// Mode flips surface as events (observability; nothing reacts).
+	pl.cache.OnModeSwitch = func(shard int, m flowcache.Mode, rate float64, ts int64) {
+		tier.Publish(pl.bus, tier.ModeSwitchEvent{Shard: shard, Mode: m, Rate: rate, Ts: ts}, 0)
+	}
 	pl.ctxs = make([]tier.Context, cfg.BatchSize)
 	pl.carry = make([]packet.Packet, 0, cfg.BatchSize)
 	if cfg.Metrics != nil {
@@ -249,35 +253,8 @@ func New(cfg Config) *Platform {
 	return pl
 }
 
-// wireBus subscribes the tiers to the control-plane kinds they serve.
-// Subscription order is delivery order: whitelist programs the switch
-// before releasing the pin; an interval steers at the switch before the
-// host flushes.
-func (pl *Platform) wireBus() {
-	if pl.sw != nil {
-		pl.bus.SubscribeFlat(tier.KindWhitelist, "switch-program", func(k packet.FlowKey, _ packet.Addr) {
-			_ = pl.sw.Whitelist(k) // a full table only costs the fast path
-		})
-		pl.bus.SubscribeFlat(tier.KindBlacklist, "switch-program", func(_ packet.FlowKey, a packet.Addr) {
-			pl.sw.Blacklist(a)
-		})
-		pl.bus.Subscribe(tier.KindInterval, "switch-steer", func(e tier.Event) {
-			pl.sw.CloseInterval(pl.tracker)
-		})
-	}
-	unpin := func(k packet.FlowKey, _ packet.Addr) { pl.cache.Unpin(k) }
-	pl.bus.SubscribeFlat(tier.KindWhitelist, "cache-unpin", unpin)
-	pl.bus.SubscribeFlat(tier.KindUnpin, "cache-unpin", unpin)
-	pl.bus.Subscribe(tier.KindInterval, "host-flush", func(e tier.Event) {
-		pl.flusher.OnInterval(e.(tier.IntervalEvent).Ts)
-	})
-	// Mode flips surface as events too (observability; nothing reacts yet).
-	pl.cache.OnModeSwitch = func(shard int, m flowcache.Mode, rate float64, ts int64) {
-		pl.bus.Publish(tier.ModeSwitchEvent{Shard: shard, Mode: m, Rate: rate, Ts: ts})
-	}
-}
-
-// Bus exposes the control-plane event bus (tests, observability).
+// Bus exposes the control-plane observer list (metrics, the cluster
+// uplink, tests, the benchmark).
 func (pl *Platform) Bus() *tier.Bus { return pl.bus }
 
 // Cache exposes the (sharded) FlowCache; at Shards=1 it behaves exactly
@@ -300,23 +277,51 @@ func (pl *Platform) Ports() *host.Ports { return pl.ports }
 // Shards=1).
 func (pl *Platform) Controller() *flowcache.Controller { return pl.cache.Controller() }
 
-// Hooks implementation for detectors -------------------------------------
+// Control actions ---------------------------------------------------------
+//
+// Each applies its edges in order, then publishes the event with the
+// number of edges applied (BusStats.Delivered). tierHandler's verdicts,
+// the detect.Hooks methods and the operator's Session calls all land here;
+// endInterval is the fourth action.
+
+// whitelist installs a switch fast-path entry for k, when there is a
+// switch (a full table only costs the fast path), then releases k's pin.
+func (pl *Platform) whitelist(k packet.FlowKey, origin string) {
+	applied := uint64(1)
+	if pl.sw != nil {
+		_ = pl.sw.Whitelist(k)
+		applied++
+	}
+	pl.cache.Unpin(k)
+	tier.Publish(pl.bus, tier.WhitelistEvent{Key: k, Origin: origin}, applied)
+}
+
+// blacklist installs a switch drop rule for source a, when there is a
+// switch.
+func (pl *Platform) blacklist(a packet.Addr, origin string) {
+	var applied uint64
+	if pl.sw != nil {
+		pl.sw.Blacklist(a)
+		applied++
+	}
+	tier.Publish(pl.bus, tier.BlacklistEvent{Addr: a, Origin: origin}, applied)
+}
+
+// unpin releases k's pin.
+func (pl *Platform) unpin(k packet.FlowKey, origin string) {
+	pl.cache.Unpin(k)
+	tier.Publish(pl.bus, tier.UnpinEvent{Key: k, Origin: origin}, 1)
+}
 
 // Unpin implements detect.Hooks.
-func (pl *Platform) Unpin(k packet.FlowKey) {
-	pl.bus.PublishFlat(tier.KindUnpin, k, 0, "hooks")
-}
+func (pl *Platform) Unpin(k packet.FlowKey) { pl.unpin(k, "hooks") }
 
 // Whitelist implements detect.Hooks: benign flows bypass steering at the
 // switch and release their sNIC pin.
-func (pl *Platform) Whitelist(k packet.FlowKey) {
-	pl.bus.PublishFlat(tier.KindWhitelist, k, 0, "hooks")
-}
+func (pl *Platform) Whitelist(k packet.FlowKey) { pl.whitelist(k, "hooks") }
 
 // Blacklist implements detect.Hooks.
-func (pl *Platform) Blacklist(a packet.Addr) {
-	pl.bus.PublishFlat(tier.KindBlacklist, packet.FlowKey{}, a, "hooks")
-}
+func (pl *Platform) Blacklist(a packet.Addr) { pl.blacklist(a, "hooks") }
 
 // -------------------------------------------------------------------------
 
@@ -379,16 +384,23 @@ func skipAhead(ts int64, next *int64, period int64) uint64 {
 	return 1
 }
 
-// endInterval is the control-loop heartbeat: one published event; the
-// switch (steer fired subsets) and the host (drain rings, advance NF
-// timers, flush the flow log) subscribe in that order.
+// endInterval is the control-loop heartbeat: the switch steers fired
+// subsets, the host drains rings, advances NF timers and flushes the flow
+// log, in that order; then the event goes to its observers (the metrics
+// emit first).
 func (pl *Platform) endInterval(ts int64) {
 	seq := pl.counts.intervals.Add(1)
-	pl.bus.Publish(tier.IntervalEvent{Ts: ts, Seq: seq})
-	// Capture the session's live delta snapshot after every interval
-	// subscriber (switch steer, host flush, metrics emit) has run. Pure
-	// read + atomic publish: no observable state changes, so the one-shot
-	// Run wrapper stays byte-identical.
+	applied := uint64(1)
+	if pl.sw != nil {
+		pl.sw.CloseInterval(pl.tracker)
+		applied++
+	}
+	pl.flusher.OnInterval(ts)
+	tier.Publish(pl.bus, tier.IntervalEvent{Ts: ts, Seq: seq}, applied)
+	// Capture the session's live delta snapshot after the interval's
+	// reactions and observers (switch steer, host flush, metrics emit)
+	// have run. Pure read + atomic publish: no observable state changes,
+	// so the one-shot Run wrapper stays byte-identical.
 	if pl.session != nil {
 		pl.session.captureSnapshot(ts, seq)
 	}
@@ -396,9 +408,9 @@ func (pl *Platform) endInterval(ts int64) {
 
 // tierHandler is the sNIC tier, called by the engine inside Step: FlowCache
 // update (with per-shard rate observation), detector fan-out, reactions,
-// host NF delivery. Control-plane reactions (whitelist, blacklist) leave
-// as bus events; datapath-local ones (pin, unpin) act directly on the
-// cache. The flow identity is the one consume prepped for the whole chunk
+// host NF delivery. Control-plane reactions (whitelist, blacklist) run as
+// control actions, which publish their event; datapath-local ones (pin,
+// unpin) act directly on the cache. The flow identity is the one consume prepped for the whole chunk
 // (pl.cur); stat deltas accumulate in batchAcc, flushed per sub-batch.
 func (pl *Platform) tierHandler(p *packet.Packet, sctx snic.Ctx) snic.Cost {
 	pl.nicQueueDelay.Observe(sctx.QueueDelayNs)
@@ -421,10 +433,10 @@ func (pl *Platform) tierHandler(p *packet.Packet, sctx snic.Ctx) snic.Cost {
 		pl.cache.Unpin(k)
 	}
 	if v&detect.VWhitelist != 0 {
-		pl.bus.Publish(tier.WhitelistEvent{Key: k, Origin: "detector"})
+		pl.whitelist(k, "detector")
 	}
 	if v&detect.VBlacklistSrc != 0 {
-		pl.bus.Publish(tier.BlacklistEvent{Addr: p.Tuple.SrcIP, Origin: "detector"})
+		pl.blacklist(p.Tuple.SrcIP, "detector")
 	}
 	if v&detect.VToHost != 0 {
 		pl.ports.Deliver(p)
@@ -452,7 +464,7 @@ type Report struct {
 	HostCPUNs float64
 	// Switchovers counts FlowCache mode flips (summed across shards).
 	Switchovers uint64
-	// Events summarises control-plane bus traffic.
+	// Events summarises control-plane events and their delivery.
 	Events tier.BusStats
 	// Rings is the per-ring eviction-ring breakdown (depth at run end +
 	// cumulative overflow drops); Cache.RingDrops is its drop total.

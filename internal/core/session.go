@@ -62,7 +62,7 @@ var ErrDriveFailed = errors.New("core: session drive failed")
 // switch tier: there is no table to install the drop rule in.
 var ErrNoSwitch = errors.New("core: switch tier disabled")
 
-// operatorOrigin tags the bus events an operator's Whitelist / Blacklist
+// operatorOrigin tags the events an operator's Whitelist / Blacklist
 // publishes.
 const operatorOrigin = "control"
 
@@ -260,7 +260,7 @@ func (s *Session) IngestStream(src packet.Stream, chunk int) error {
 // Exec runs fn under the session lock, between ingest vectors (or
 // immediately when ingestion is idle), and returns after fn completes.
 // This is the operator plane's safe point: no packet is in flight anywhere
-// on the packet path while fn runs, so fn may publish bus events, reprogram
+// on the packet path while fn runs, so fn may run control actions, reprogram
 // the switch, or read any platform state without additional locking. fn
 // must not call back into the session's Ingest, Exec, Drain or Close.
 func (s *Session) Exec(fn func(*Platform)) error {
@@ -283,28 +283,24 @@ func (s *Session) Snapshot() *IntervalSnapshot { return s.snap.Load() }
 // reports per worker. Safe from any goroutine.
 func (s *Session) Snapshots() []*IntervalSnapshot { return []*IntervalSnapshot{s.Snapshot()} }
 
-// BusStats reports the platform's control-plane bus traffic.
+// BusStats reports the platform's control-plane events and their delivery.
 func (s *Session) BusStats() tier.BusStats { return s.pl.bus.Stats() }
 
-// Whitelist publishes an operator whitelist for k on the bus at the
-// session's safe point: the switch installs the entry and the FlowCache
-// releases any pin, exactly as for a detector-raised whitelist.
+// Whitelist runs an operator whitelist for k at the session's safe point:
+// the switch installs the entry and the FlowCache releases any pin,
+// exactly as for a detector-raised whitelist.
 func (s *Session) Whitelist(k packet.FlowKey) error {
-	return s.Exec(func(pl *Platform) {
-		pl.bus.Publish(tier.WhitelistEvent{Key: k, Origin: operatorOrigin})
-	})
+	return s.Exec(func(pl *Platform) { pl.whitelist(k, operatorOrigin) })
 }
 
-// Blacklist publishes an operator drop rule for source a on the bus at
-// the session's safe point. It fails with ErrNoSwitch when the platform
-// has no switch tier to install the rule in.
+// Blacklist runs an operator drop rule for source a at the session's safe
+// point. It fails with ErrNoSwitch when the platform has no switch tier to
+// install the rule in.
 func (s *Session) Blacklist(a packet.Addr) error {
 	if s.pl.sw == nil {
 		return ErrNoSwitch
 	}
-	return s.Exec(func(pl *Platform) {
-		pl.bus.Publish(tier.BlacklistEvent{Addr: a, Origin: operatorOrigin})
-	})
+	return s.Exec(func(pl *Platform) { pl.blacklist(a, operatorOrigin) })
 }
 
 // WhitelistEntries reads the switch whitelist between vectors (nil
@@ -392,8 +388,8 @@ func (s *Session) Close() error {
 }
 
 // captureSnapshot records the interval-boundary delta; called from
-// endInterval (so under mu) after every interval subscriber (host flush,
-// metrics emit) has run.
+// endInterval (so under mu) after the interval's reactions and observers
+// (host flush, metrics emit) have run.
 func (s *Session) captureSnapshot(ts int64, seq uint64) {
 	counts := s.pl.counts.snapshot()
 	cache := s.pl.cache.Stats()

@@ -308,7 +308,7 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 // TestSessionExecSafePoint: control closures run at packet boundaries on
-// the drive goroutine and may publish bus events — the operator plane's
+// the drive goroutine and may run control actions — the operator plane's
 // whitelist install path.
 func TestSessionExecSafePoint(t *testing.T) {
 	cfg := fullConfig(1)
@@ -323,7 +323,7 @@ func TestSessionExecSafePoint(t *testing.T) {
 		Proto: packet.ProtoTCP,
 	}.Canonical()
 	if err := ses.Exec(func(pl *Platform) {
-		pl.Bus().Publish(tier.WhitelistEvent{Key: key, Origin: "test"})
+		pl.Whitelist(key)
 	}); err != nil {
 		t.Fatal(err)
 	}

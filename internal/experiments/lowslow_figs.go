@@ -64,8 +64,8 @@ func LowSlowSuite(scale float64) *Table {
 		// The detector's blacklists, as the platform publishes them.
 		implicated := map[packet.Addr]bool{}
 		_, rep := drive{cfg: lsConfig(10), tailNs: 4e9, setup: func(pl *core.Platform) {
-			pl.Bus().SubscribeFlat(tier.KindBlacklist, "lowslow-score", func(_ packet.FlowKey, a packet.Addr) {
-				implicated[a] = true
+			pl.Bus().Subscribe(tier.KindBlacklist, "lowslow-score", func(e tier.Event) {
+				implicated[e.(tier.BlacklistEvent).Addr] = true
 			})
 		}}.run(pcap.Merge(bg(41+uint64(i)), q.inj.Stream()))
 
@@ -153,9 +153,12 @@ func LowSlowSuite(scale float64) *Table {
 		pl, rep := drive{cfg: cfg, tailNs: 4e9, every: 4000,
 			setup: func(pl *core.Platform) {
 				pl.Cache().Shard(0).EnableFeedback()
-				release := func(k packet.FlowKey, _ packet.Addr) { delete(ledger.pinned, k) }
-				pl.Bus().SubscribeFlat(tier.KindUnpin, "pin-ledger", release)
-				pl.Bus().SubscribeFlat(tier.KindWhitelist, "pin-ledger", release)
+				pl.Bus().Subscribe(tier.KindUnpin, "pin-ledger", func(e tier.Event) {
+					delete(ledger.pinned, e.(tier.UnpinEvent).Key)
+				})
+				pl.Bus().Subscribe(tier.KindWhitelist, "pin-ledger", func(e tier.Event) {
+					delete(ledger.pinned, e.(tier.WhitelistEvent).Key)
+				})
 			},
 			between: func(pl *core.Platform) {
 				pl.Cache().SetMode([2]flowcache.Mode{flowcache.Lite, flowcache.General}[flips%2])

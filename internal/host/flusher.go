@@ -6,9 +6,9 @@ import (
 	"smartwatch/internal/flowcache"
 )
 
-// Flusher is the host tier's interval worker, driven by
-// tier.KindInterval events: drain the sNIC eviction rings into the flow
-// store, advance the NF timers, persist the interval to the flow log.
+// Flusher is the host tier's interval worker, called at each interval
+// close after the switch steers: drain the sNIC eviction rings into the
+// flow store, advance the NF timers, persist the interval to the flow log.
 type Flusher struct {
 	Store *FlowStore
 	Ports *Ports
@@ -35,8 +35,8 @@ type FlusherStats struct {
 }
 
 // Stats returns the cumulative flusher counters. Call from the interval
-// goroutine (the bus delivers events synchronously, so collectors running
-// on interval close see a settled value).
+// goroutine (the flush runs synchronously in the interval close, so
+// collectors running there see a settled value).
 func (f *Flusher) Stats() FlusherStats {
 	return FlusherStats{Flushes: f.flushes, Drained: f.drained}
 }

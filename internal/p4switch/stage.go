@@ -37,8 +37,8 @@ func (s *SteerStage) apply(ctx *tier.Context, key *packet.FlowKey) {
 // query epoch against the tracker's refinement candidates and steer every
 // fired subset until SRAM runs out (at which point coarser queries are
 // needed — same stop rule as the inline control loop had). It returns the
-// number of subsets steered. The platform invokes it from the
-// tier.KindInterval bus subscription.
+// number of subsets steered. The platform calls it at each interval
+// close, before the host flush.
 func (s *Switch) CloseInterval(tr *Tracker) int {
 	var candidates map[string][]packet.Addr
 	if tr != nil {

@@ -1,11 +1,12 @@
 // Package tier holds what the SmartWatch tiers share: the per-packet
 // Context the switch tier steers on, the Verdict it leaves there, and the
-// control-plane Bus. The packet path itself is four direct calls in
-// internal/core (ingest accounting, steer, FlowCache + detectors, host NF
-// delivery; DESIGN.md §8); cross-tier control actions (detector verdicts,
-// interval flushes, mode switchovers, whitelist/blacklist installs) travel
-// as typed events on the Bus instead of struct-to-struct calls, so a tier
-// subscribes to the kinds it serves and anything can observe them.
+// control-plane Bus. The packet path is four direct calls in internal/core
+// (ingest accounting, steer, FlowCache + detectors, host NF delivery;
+// DESIGN.md §8), and so are the control actions (whitelist, blacklist,
+// unpin, interval close). Once the platform has applied one, it publishes
+// the typed event on the Bus, whose observers — metrics, the cluster
+// uplink, tests, the benchmark — see every control action without being
+// wired into it.
 //
 // The package knows nothing about internal/core or internal/detect: the
 // dependency arrows all point here, never back out.

@@ -247,8 +247,10 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // Control-plane events --------------------------------------------------------
 
-// EventBus is the typed control-plane bus tying the tiers together;
-// Platform.Bus exposes the platform's own (see internal/tier).
+// EventBus is the control plane's observer list: the platform applies a
+// whitelist, blacklist, unpin or interval close itself, then hands the
+// event to the observers subscribed to its kind. Platform.Bus exposes the
+// platform's own (see internal/tier).
 type EventBus = tier.Bus
 
 // Event is one typed control-plane message.
@@ -256,9 +258,9 @@ type Event = tier.Event
 
 // Control-plane event types.
 type (
-	// WhitelistEvent requests a benign-flow install at the switch.
+	// WhitelistEvent reports a benign-flow install at the switch.
 	WhitelistEvent = tier.WhitelistEvent
-	// BlacklistEvent requests a source drop rule at the switch.
+	// BlacklistEvent reports a source drop rule at the switch.
 	BlacklistEvent = tier.BlacklistEvent
 	// IntervalEvent marks the close of one monitoring interval.
 	IntervalEvent = tier.IntervalEvent
