@@ -32,29 +32,16 @@ import (
 )
 
 // ingestVector runs one ingested vector to completion on the caller's
-// goroutine. The drive re-chunks it to exact BatchSize boundaries
-// (every chunk holds exactly BatchSize packets except the drive's last, so
-// results do not depend on how the caller cut its vectors): aligned input
-// — the common case, since the one-shot Run wrapper ingests in multiples
-// of BatchSize — is consumed in place, stragglers wait in the carry for
-// the next vector or endDrive. b is not retained.
+// goroutine, in place, in chunks of BatchSize packets (the last may be
+// short). Batching is result-neutral, so how the caller cut its vectors
+// does not matter, and every ingested packet has been processed when
+// ingestVector returns. b is not retained.
 func (pl *Platform) ingestVector(b []packet.Packet) {
-	size := pl.cfg.BatchSize
-	if len(pl.carry) > 0 {
-		n := min(size-len(pl.carry), len(b))
-		pl.carry = append(pl.carry, b[:n]...)
+	for len(b) > 0 {
+		n := min(pl.cfg.BatchSize, len(b))
+		pl.consume(b[:n])
 		b = b[n:]
-		if len(pl.carry) < size {
-			return
-		}
-		pl.consume(pl.carry)
-		pl.carry = pl.carry[:0]
 	}
-	for len(b) >= size {
-		pl.consume(b[:size])
-		b = b[size:]
-	}
-	pl.carry = append(pl.carry, b...)
 }
 
 // prepIdentity fills ctxs[0:len(batch)] with each packet's flow identity

@@ -14,7 +14,7 @@
 // publish the typed event on a tier.Bus, the observer list metrics, the
 // cluster uplink, tests and the benchmark attach to.
 //
-// The drive is a push (DESIGN.md §12.1, §19): beginDrive opens the sNIC
+// The drive is a push (DESIGN.md §12.1, §19): Session.Start opens the sNIC
 // engine, ingestVector runs one caller-supplied packet vector to
 // completion and endDrive performs the final flush. All three run on the
 // goroutine of whoever called Session.Start / Ingest / Drain.
@@ -111,12 +111,10 @@ type Platform struct {
 
 	// The drive's vector state (batch.go): ctxs is the context vector of
 	// the chunk being consumed, BatchSize long and reused for every chunk;
-	// carry holds ingested packets that have not filled a chunk yet; cur is
-	// the context of the packet inside engine.Step, whose flow identity
+	// cur is the context of the packet inside engine.Step, whose flow identity
 	// tierHandler probes the FlowCache with. batchAcc absorbs FlowCache
 	// stat deltas between sub-batch flushes.
 	ctxs     []tier.Context
-	carry    []packet.Packet
 	cur      *tier.Context
 	batchAcc flowcache.BatchAcc
 
@@ -246,7 +244,6 @@ func New(cfg Config) *Platform {
 		tier.Publish(pl.bus, tier.ModeSwitchEvent{Shard: shard, Mode: m, Rate: rate, Ts: ts}, 0)
 	}
 	pl.ctxs = make([]tier.Context, cfg.BatchSize)
-	pl.carry = make([]packet.Packet, 0, cfg.BatchSize)
 	if cfg.Metrics != nil {
 		pl.instrumentMetrics()
 	}
@@ -511,22 +508,9 @@ func (pl *Platform) Run(s packet.Stream) Report {
 	return rep
 }
 
-// beginDrive opens a drive: a fresh sNIC report over the engine's
-// persistent scheduler state, and an empty carry (a drive that failed
-// mid-vector may have left stragglers behind).
-func (pl *Platform) beginDrive() {
-	pl.engine.Begin()
-	pl.carry = pl.carry[:0]
-}
-
-// endDrive closes the drive: the stragglers still in the carry, then the
-// end-of-drive tail (final interval close, lossless flow-log flush, report
-// assembly).
+// endDrive closes the drive: final interval close, lossless flow-log
+// flush, report assembly.
 func (pl *Platform) endDrive() Report {
-	if len(pl.carry) > 0 {
-		pl.consume(pl.carry)
-		pl.carry = pl.carry[:0]
-	}
 	rep := pl.engine.End()
 	// Final interval close, then the lossless flow-log flush: every record
 	// still resident in the FlowCache is exported exactly once, so evicted

@@ -184,7 +184,7 @@ func (s *Session) Start() error {
 		return ErrSessionActive
 	}
 	s.pl.session = s
-	s.pl.beginDrive()
+	s.pl.engine.Begin()
 	s.state.Store(int32(SessionRunning))
 	return nil
 }
@@ -238,16 +238,10 @@ func (s *Session) Ingest(batch []packet.Packet) error {
 }
 
 // IngestStream drains a whole stream through Ingest in vectors of chunk
-// packets (the one-shot Run wrapper; chunk < 1 selects a default that is a
-// multiple of the configured BatchSize).
+// packets (the one-shot Run wrapper; chunk < 1 selects 512).
 func (s *Session) IngestStream(src packet.Stream, chunk int) error {
 	if chunk < 1 {
 		chunk = 512
-		if bs := s.pl.cfg.BatchSize; bs > 1 {
-			// Round up to a BatchSize multiple so the drive consumes every
-			// vector in place without ever copying into its carry.
-			chunk = ((chunk + bs - 1) / bs) * bs
-		}
 	}
 	for b := range packet.BufferedBatches(src, chunk) {
 		if err := s.Ingest(b); err != nil {

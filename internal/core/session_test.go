@@ -53,8 +53,8 @@ func sessionIngest(t *testing.T, pl *Platform, pkts []packet.Packet, chunk int) 
 // through Run and as N Ingest chunks through a Session must produce
 // byte-identical final Reports, flow logs and metrics snapshot streams at
 // every BatchSize × Shards combination. Chunk sizes are chosen to be
-// misaligned with every batch size so the re-chunker's carry path is
-// exercised, plus chunk=1 (one Ingest round-trip per packet).
+// misaligned with every batch size so vectors end in short chunks, plus
+// chunk=1 (one Ingest round-trip per packet).
 func TestChunkedIngestMatchesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-platform sweep; session lifecycle covered by -short tests")
@@ -352,6 +352,32 @@ func TestSessionExecSafePoint(t *testing.T) {
 	}
 	if rep.Events.PublishedFor(tier.KindWhitelist) == 0 {
 		t.Error("whitelist publish not accounted on the bus")
+	}
+}
+
+// TestExecSeesEveryIngestedPacket: an Exec after an Ingest runs after
+// every packet of that Ingest, also when the vector does not divide into
+// BatchSize chunks — the cluster's pre-drain AdvanceClock relies on it.
+func TestExecSeesEveryIngestedPacket(t *testing.T) {
+	pl := New(Config{BatchSize: 64})
+	ses := pl.NewSession()
+	if err := ses.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pkts := make([]packet.Packet, 100)
+	for i := range pkts {
+		pkts[i] = packet.Packet{Ts: int64(i) * 1e3, Size: 64,
+			Tuple: packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP}}
+	}
+	if err := ses.Ingest(pkts); err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	if err := ses.Exec(func(pl *Platform) { total = pl.counts.snapshot().Total }); err != nil {
+		t.Fatal(err)
+	}
+	if total != 100 {
+		t.Errorf("Counts.Total inside Exec = %d, want 100", total)
 	}
 }
 

@@ -14,11 +14,6 @@ import (
 // whitelists and blacklists, detector ticks, interval flushes). A figure is
 // the Config, the stream and what it reads afterwards from the Report, the
 // platform (switch, host flow store, FlowCache) and the detectors it built.
-//
-// A figure that sets between or tailNs keeps BatchSize at 1 (run panics
-// otherwise): a batched drive holds up to BatchSize-1 ingested packets in
-// its carry until the next vector or the drain, so an Exec would land
-// before them.
 type drive struct {
 	cfg core.Config
 	// setup runs on the platform before its first packet: attach a host
@@ -37,9 +32,6 @@ type drive struct {
 // drive, or a FlowCache that fails CheckInvariants afterwards, fails the
 // figure.
 func (d drive) run(s packet.Stream) (*core.Platform, core.Report) {
-	if d.cfg.BatchSize > 1 && (d.between != nil || d.tailNs > 0) {
-		panic("experiments: drive: an Exec under BatchSize > 1 would run before carried packets")
-	}
 	pl := core.New(d.cfg)
 	if d.setup != nil {
 		d.setup(pl)
