@@ -1,12 +1,5 @@
 package flowcache
 
-import "smartwatch/internal/packet"
-
-// batchChunk is the pre-hash vector width of ProcessBatch: large enough
-// to amortise the loop bookkeeping, small enough that the hash/key
-// scratch arrays live on the stack.
-const batchChunk = 64
-
 // BatchAcc accumulates the stat-counter deltas of a vector of Process
 // calls in plain (non-atomic) fields, so a batch pays one set of atomic
 // adds instead of one per packet. Only counters derivable from the
@@ -75,36 +68,4 @@ func (c *Cache) FlushAcc(acc *BatchAcc) {
 	sh.reads.Add(acc.Reads)
 	sh.writes.Add(acc.Writes)
 	*acc = BatchAcc{}
-}
-
-// ProcessBatch runs the Fig.-4a update over a vector of packets,
-// amortising the per-packet costs Process cannot avoid: the canonical
-// key and flow hash are pre-computed for a whole chunk before any row is
-// touched (hash work hoisted out of the table-walk loop), and the stat
-// counters take one set of atomic adds per batch instead of one per
-// packet. Packets are processed strictly in slice order, so the table
-// state after ProcessBatch(pkts) is byte-identical to a Process loop
-// over the same slice.
-func (c *Cache) ProcessBatch(pkts []packet.Packet) {
-	var (
-		acc    BatchAcc
-		hashes [batchChunk]uint64
-		keys   [batchChunk]packet.FlowKey
-	)
-	for len(pkts) > 0 {
-		n := len(pkts)
-		if n > batchChunk {
-			n = batchChunk
-		}
-		for i := 0; i < n; i++ {
-			hashes[i] = pkts[i].Tuple.Identity(&keys[i])
-		}
-		for i := 0; i < n; i++ {
-			res := Result{}
-			c.processHashed(&pkts[i], hashes[i], keys[i], &res)
-			acc.add(&res)
-		}
-		pkts = pkts[n:]
-	}
-	c.FlushAcc(&acc)
 }

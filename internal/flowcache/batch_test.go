@@ -49,11 +49,13 @@ func (s *batchScript) apply(c *Cache, i int, p *packet.Packet) {
 	}
 }
 
-// TestProcessBatchMatchesProcess: feeding the same trace through
-// ProcessBatch in vectors of every shape — including vectors that split
-// mid-chunk and an odd tail — must leave the cache byte-identical to the
-// per-packet Process loop: records, stats, mode, ring contents.
-func TestProcessBatchMatchesProcess(t *testing.T) {
+// TestProcessHashedAccMatchesProcess: the accumulator path the platform's
+// drive takes (ProcessHashedAcc with a caller-computed identity, one
+// FlushAcc per vector) must leave the cache byte-identical to the
+// per-packet Process loop — records, stats, mode, ring contents — for
+// every vector size, including vectors that do not divide the trace, and
+// with the script's mode flips and pin waves landing inside vectors.
+func TestProcessHashedAccMatchesProcess(t *testing.T) {
 	const n = 40_000
 	trace, script := scriptedTrace(n)
 
@@ -69,97 +71,25 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 			st.HostPunts, st.RowCleanups, st.EHits)
 	}
 
-	for _, vec := range []int{1, 7, 64, 100, 256, n} {
+	for _, vec := range []int{1, 7, 64, 777, n} {
 		got := New(smallConfig())
-		for lo := 0; lo < n; {
-			hi := lo + vec
-			if hi > n {
-				hi = n
+		var acc BatchAcc
+		for i := range trace {
+			script.apply(got, i, &trace[i])
+			p := &trace[i]
+			key := p.Key()
+			rec, res := got.ProcessHashedAcc(p, key.Hash(), key, &acc)
+			if res.Outcome == HostPunt && rec != nil {
+				t.Fatalf("packet %d: HostPunt returned a record", i)
 			}
-			// Script events land between vectors here; a second pass below
-			// covers events landing inside a vector.
-			canBatch := true
-			for i := lo; i < hi; i++ {
-				if _, ok := script.modeAt[i]; ok {
-					canBatch = i == lo
-				}
-				if _, ok := script.pinAt[i]; ok {
-					canBatch = false
-				}
+			if (i+1)%vec == 0 {
+				got.FlushAcc(&acc)
 			}
-			if canBatch {
-				script.apply(got, lo, &trace[lo])
-				got.ProcessBatch(trace[lo:hi])
-			} else {
-				for i := lo; i < hi; i++ {
-					script.apply(got, i, &trace[i])
-					got.ProcessBatch(trace[i : i+1])
-				}
-			}
-			lo = hi
 		}
+		got.FlushAcc(&acc)
 		if gotDump := dumpState(plainAdapter{got}); gotDump != want {
 			t.Errorf("vector=%d diverged from per-packet Process:\n%s", vec, firstDiff(want, gotDump))
 		}
-	}
-}
-
-// TestProcessAccMatchesProcess: the accumulator path (ProcessAcc +
-// FlushAcc) must produce identical state and stats to Process, with the
-// flush allowed at any point.
-func TestProcessAccMatchesProcess(t *testing.T) {
-	const n = 40_000
-	trace, script := scriptedTrace(n)
-
-	ref := New(smallConfig())
-	for i := range trace {
-		script.apply(ref, i, &trace[i])
-		ref.Process(&trace[i])
-	}
-	want := dumpState(plainAdapter{ref})
-
-	got := New(smallConfig())
-	var acc BatchAcc
-	for i := range trace {
-		script.apply(got, i, &trace[i])
-		rec, res := got.ProcessAcc(&trace[i], &acc)
-		if res.Outcome == HostPunt && rec != nil {
-			t.Fatalf("packet %d: HostPunt returned a record", i)
-		}
-		if i%777 == 0 {
-			got.FlushAcc(&acc) // flushes at odd points must not matter
-		}
-	}
-	got.FlushAcc(&acc)
-	if gotDump := dumpState(plainAdapter{got}); gotDump != want {
-		t.Errorf("ProcessAcc diverged from Process:\n%s", firstDiff(want, gotDump))
-	}
-}
-
-// TestProcessHashedAccRejectsNothing: ProcessHashedAcc with a
-// caller-computed hash/key is the same call as ProcessAcc.
-func TestProcessHashedAccMatchesProcessAcc(t *testing.T) {
-	trace := shardTrace(20_000)
-
-	a := New(smallConfig())
-	var accA BatchAcc
-	for i := range trace {
-		a.ProcessAcc(&trace[i], &accA)
-	}
-	a.FlushAcc(&accA)
-
-	b := New(smallConfig())
-	var accB BatchAcc
-	for i := range trace {
-		p := &trace[i]
-		key := p.Key()
-		b.ProcessHashedAcc(p, key.Hash(), key, &accB)
-	}
-	b.FlushAcc(&accB)
-
-	wantDump, gotDump := dumpState(plainAdapter{a}), dumpState(plainAdapter{b})
-	if wantDump != gotDump {
-		t.Errorf("hashed path diverged:\n%s", firstDiff(wantDump, gotDump))
 	}
 }
 
@@ -244,19 +174,23 @@ func TestObserveProcessHashedMatchesObserveProcess(t *testing.T) {
 	}
 }
 
-// BenchmarkProcessBatch measures the vectored hot path on the paper's
-// (4,8) layout: hashes pre-computed per 64-packet vector and stat
-// counters flushed once per vector. One op is one packet, so it compares
-// directly with BenchmarkProcessHit/Churn. Must be 0 allocs/op.
-func BenchmarkProcessBatch(b *testing.B) {
+// BenchmarkProcessHashedAcc measures the drive's hot path on the paper's
+// (4,8) layout: identity computed per packet, stat counters flushed once
+// per 64-packet vector. One op is one packet, so it compares directly with
+// BenchmarkProcessHit/Churn. Must be 0 allocs/op.
+func BenchmarkProcessHashedAcc(b *testing.B) {
 	c := New(DefaultConfig(10))
 	pkts := shardTrace(1 << 16)
+	var acc BatchAcc
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; {
-		off := i & (len(pkts) - 1)
-		n := min(64, len(pkts)-off, b.N-i)
-		c.ProcessBatch(pkts[off : off+n])
-		i += n
+	for i := 0; i < b.N; i++ {
+		p := &pkts[i&(len(pkts)-1)]
+		var key packet.FlowKey
+		c.ProcessHashedAcc(p, p.Tuple.Identity(&key), key, &acc)
+		if i%64 == 63 {
+			c.FlushAcc(&acc)
+		}
 	}
+	c.FlushAcc(&acc)
 }

@@ -49,9 +49,6 @@ type Cache struct {
 	rings []*Ring
 	stats statCounters
 	fb    feedback
-	// sweepCursor is CleanRowsBounded's persistent position (clean.go).
-	// Single-caller discipline: the maintenance tick owns it.
-	sweepCursor int
 }
 
 // statShards is the number of counter shards. Shards are selected by the
@@ -214,7 +211,7 @@ func (c *Cache) ProcessHashed(p *packet.Packet, hash uint64, key packet.FlowKey)
 }
 
 // ProcessHashedAcc is Process with the hash/key computed by the caller
-// (the batch paths pre-hash whole vectors) and the stat-counter updates
+// (the platform's drive pre-hashes whole vectors) and the stat-counter updates
 // deferred into acc instead of hitting the atomic shards per packet. The
 // caller owns acc and must eventually fold it back with Cache.FlushAcc —
 // until then Stats() under-reports, so flush before any observer reads.
@@ -223,13 +220,6 @@ func (c *Cache) ProcessHashedAcc(p *packet.Packet, hash uint64, key packet.FlowK
 	rec := c.processHashed(p, hash, key, &res)
 	acc.add(&res)
 	return rec, res
-}
-
-// ProcessAcc is ProcessHashedAcc with the hash/key computed here — the
-// per-packet entry point for drivers that batch only the stat flush.
-func (c *Cache) ProcessAcc(p *packet.Packet, acc *BatchAcc) (*Record, Result) {
-	var key packet.FlowKey
-	return c.ProcessHashedAcc(p, p.Tuple.Identity(&key), key, acc)
 }
 
 // processHashed is the Fig.-4a update proper: everything Process does

@@ -35,37 +35,6 @@ func (c *Cache) cleanIfDirty(i int) int {
 	return 1
 }
 
-// CleanRowsBounded advances the eager sweep by at most maxRows rows
-// (maxRows <= 0 cleans nothing) from a persistent cursor that wraps at
-// the end of the table, so a maintenance tick can amortise the
-// CleanAllRows cost across calls without ever blocking the datapath for
-// a full O(rows) scan. Each dirty row it visits gets exactly the same
-// Alg.-3 reorder — and therefore the same eviction order — that
-// CleanAllRows or the lazy packet-path cleanup would apply; only the
-// schedule differs. Repeated calls eventually cover every row.
-//
-// The cursor is owned by the caller's goroutine (one maintenance tick);
-// rows are still latched individually, so the datapath may run
-// concurrently. Returns the number of rows cleaned this call.
-func (c *Cache) CleanRowsBounded(maxRows int) int {
-	if c.Mode() != Lite || maxRows <= 0 {
-		return 0
-	}
-	if maxRows > len(c.rows) {
-		maxRows = len(c.rows)
-	}
-	n := 0
-	for scanned := 0; scanned < maxRows; scanned++ {
-		i := c.sweepCursor
-		c.sweepCursor++
-		if c.sweepCursor == len(c.rows) {
-			c.sweepCursor = 0
-		}
-		n += c.cleanIfDirty(i)
-	}
-	return n
-}
-
 // cleanRow implements Algorithm 3 of the paper: when the cache has
 // switched General -> Lite, each row's records must be reordered so every
 // record sits inside the Lite-mode slice its hash selects (Alg. 1). The

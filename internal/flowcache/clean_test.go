@@ -85,84 +85,6 @@ func TestEagerAndLazyCleanupAgree(t *testing.T) {
 	check(eager, "eager")
 }
 
-// TestCleanRowsBoundedMatchesEager: the bounded sweep is CleanAllRows
-// paid in maxRows-sized instalments — same rows, same Alg.-3 reorder,
-// same eviction order, proven by comparing end-state signatures and the
-// full drained eviction sequences record by record.
-func TestCleanRowsBoundedMatchesEager(t *testing.T) {
-	mk := func() *Cache {
-		c := New(smallConfig())
-		populate(c, 3000, 7)
-		c.SetMode(Lite)
-		return c
-	}
-	eager := mk()
-	cleanedEager := eager.CleanAllRows()
-
-	bounded := mk()
-	cleanedBounded, calls := 0, 0
-	for scanned := 0; scanned < bounded.cfg.Rows(); scanned += 17 {
-		n := bounded.CleanRowsBounded(17)
-		if n > 17 {
-			t.Fatalf("CleanRowsBounded(17) cleaned %d rows", n)
-		}
-		cleanedBounded += n
-		calls++
-	}
-	if calls < 2 {
-		t.Fatal("sweep finished in one call; cap not exercised")
-	}
-	if cleanedBounded != cleanedEager {
-		t.Errorf("bounded sweep cleaned %d rows, eager %d", cleanedBounded, cleanedEager)
-	}
-	if se, sb := stateSig(eager), stateSig(bounded); se != sb {
-		t.Errorf("end states differ: eager %#x, bounded %#x", se, sb)
-	}
-	// Eviction ORDER must match, ring by ring.
-	er, br := eager.Rings(), bounded.Rings()
-	for i := range er {
-		e := er[i].Drain(nil, er[i].Len())
-		b := br[i].Drain(nil, br[i].Len())
-		if len(e) != len(b) {
-			t.Fatalf("ring %d: %d vs %d evictions", i, len(e), len(b))
-		}
-		for j := range e {
-			if e[j].Key != b[j].Key {
-				t.Fatalf("ring %d entry %d: eviction order diverged (%v vs %v)", i, j, e[j].Key, b[j].Key)
-			}
-		}
-	}
-	// After full coverage the table is clean: another pass is a no-op,
-	// and the cursor keeps wrapping harmlessly.
-	if bounded.CleanRowsBounded(1<<20) != 0 {
-		t.Error("rows left dirty after full bounded coverage")
-	}
-	if bounded.CleanRowsBounded(0) != 0 {
-		t.Error("maxRows<=0 must clean nothing")
-	}
-}
-
-// TestCleanRowsBoundedCursorPersists: consecutive small calls make
-// progress instead of rescanning the same prefix.
-func TestCleanRowsBoundedCursorPersists(t *testing.T) {
-	c := New(smallConfig())
-	populate(c, 3000, 11)
-	c.SetMode(Lite)
-	dirtyRows := 0
-	for i := range c.rows {
-		if c.rows[i].word.Load()&dirtyBit != 0 {
-			dirtyRows++
-		}
-	}
-	total := 0
-	for i := 0; i < c.cfg.Rows(); i++ {
-		total += c.CleanRowsBounded(1)
-	}
-	if total != dirtyRows {
-		t.Errorf("one-row calls cleaned %d of %d dirty rows; cursor not persisting", total, dirtyRows)
-	}
-}
-
 // The lazy-vs-eager switchover ablation (DESIGN.md §5): eager sweeping
 // pays the whole reordering bill at once; lazy amortizes it over the
 // packets that would touch those rows anyway.

@@ -18,7 +18,6 @@ type refCache struct {
 	rows             []refRow
 	rings            []*Ring
 	stats            Stats
-	sweepCursor      int
 	// ev counts the moves that carry a record's bits from bucket to bucket
 	// (randomOps wants each reached often, not just once).
 	ev refEvents
@@ -447,32 +446,6 @@ func (c *refCache) Snapshot(fn func(Record) bool) {
 			}
 		}
 	}
-}
-
-func (c *refCache) CleanRowsBounded(maxRows int) int {
-	if c.mode != Lite || maxRows <= 0 {
-		return 0
-	}
-	if maxRows > len(c.rows) {
-		maxRows = len(c.rows)
-	}
-	n := 0
-	for scanned := 0; scanned < maxRows; scanned++ {
-		i := c.sweepCursor
-		c.sweepCursor++
-		if c.sweepCursor == len(c.rows) {
-			c.sweepCursor = 0
-		}
-		rw := &c.rows[i]
-		if rw.dirty {
-			evicted := c.cleanRow(rw)
-			rw.dirty = false
-			n++
-			c.stats.RowCleanups++
-			c.stats.CleanupEvictions += uint64(evicted)
-		}
-	}
-	return n
 }
 
 func (c *refCache) cleanRow(rw *refRow) int {

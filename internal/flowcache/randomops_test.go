@@ -10,7 +10,7 @@ import (
 
 // TestRandomOpsMatchOracle drives the cache and the pre-row-word reference
 // (oracle_test.go) with one random sequence of every mutating operation —
-// Process, Pin, Unpin, Evict, UpdateState, SetMode, CleanRowsBounded — on a
+// Process, Pin, Unpin, Evict, UpdateState, SetMode — on a
 // 16-row table small enough that rows fill, pins saturate slices, records
 // park and rings overflow. Every return value, every Result (outcome, the
 // billed Reads / Writes, the pin), the ring contents at every drain, the
@@ -128,7 +128,7 @@ func randomOps(t *testing.T, cfg Config, shards, ops int, seed uint64) refEvents
 	for op := 0; op < ops; op++ {
 		ts += int64(rng.IntN(40))
 		switch r := rng.IntN(1000); {
-		case r < 732:
+		case r < 761:
 			p := pkt(flow(), ts)
 			if rng.IntN(2) == 0 {
 				p.Tuple = p.Tuple.Reverse()
@@ -153,44 +153,38 @@ func randomOps(t *testing.T, cfg Config, shards, ops int, seed uint64) refEvents
 			if k := p.Key(); rng.IntN(8) == 0 && front.Pin(k) != wantOf(k).setPinned(k, true) {
 				t.Fatalf("op %d: Pin %v after Process differs from the reference", op, k)
 			}
-		case r < 822:
+		case r < 851:
 			k := pkt(flow(), 0).Tuple.Canonical()
 			if g, w := front.Pin(k), wantOf(k).setPinned(k, true); g != w {
 				t.Fatalf("op %d: Pin %v = %v, reference %v", op, k, g, w)
 			}
-		case r < 872:
+		case r < 901:
 			k := pkt(flow(), 0).Tuple.Canonical()
 			if g, w := front.Unpin(k), wantOf(k).setPinned(k, false); g != w {
 				t.Fatalf("op %d: Unpin %v = %v, reference %v", op, k, g, w)
 			}
-		case r < 902:
+		case r < 931:
 			k := pkt(flow(), 0).Tuple.Canonical()
 			if g, w := front.Evict(k), wantOf(k).Evict(k); g != w {
 				t.Fatalf("op %d: Evict %v = %v, reference %v", op, k, g, w)
 			}
-		case r < 952:
+		case r < 981:
 			k := pkt(flow(), 0).Tuple.Canonical()
 			state := rng.Uint64()
 			fn := func(rec *Record) { rec.State, rec.StateTs = state, ts }
 			if g, w := front.UpdateState(k, fn), wantOf(k).UpdateState(k, fn); g != w {
 				t.Fatalf("op %d: UpdateState %v = %v, reference %v", op, k, g, w)
 			}
-		case r < 967:
+		case r < 996:
 			m := Mode(rng.IntN(2))
 			front.SetMode(m)
 			for _, w := range wants {
 				w.SetMode(m)
 			}
-		case r < 992:
-			n := rng.IntN(6)
-			for i, got := range gots {
-				if g, w := got.CleanRowsBounded(n), wants[i].CleanRowsBounded(n); g != w {
-					t.Fatalf("op %d: shard %d CleanRowsBounded(%d) = %d, reference %d", op, i, n, g, w)
-				}
-			}
 		default:
 			// The host's drain: what reached the rings, and what a full
-			// ring refused, must match record for record.
+			// ring refused, must match record for record. Rare (4 in 1 000
+			// operations), so the rings overflow between drains.
 			ringGot, ringWant = ringGot[:0], ringWant[:0]
 			for s, got := range gots {
 				for i := range got.rings {
