@@ -29,7 +29,7 @@ test:
 # latch protocol (and its random-operation test against the pre-row-word
 # oracle, the shard / policy determinism suites, none of which -short
 # skips), the sNIC engine, the platform control loop, the
-# event bus, the parallel experiment runner, the buffered stream bridge,
+# event observer list, the parallel experiment runner, the buffered stream bridge,
 # the SPSC ring under the cluster's ingress lanes, the wire side's
 # shared state — the follow reader's close flag, the switch tables — and
 # the host flow log, which -serve handlers read under the KVStore's
