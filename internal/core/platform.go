@@ -111,9 +111,9 @@ type Platform struct {
 
 	// The drive's vector state (batch.go): ctxs is the context vector of
 	// the chunk being consumed, BatchSize long and reused for every chunk;
-	// cur is the context of the packet inside engine.Step, whose flow identity
-	// tierHandler probes the FlowCache with. batchAcc absorbs FlowCache
-	// stat deltas between sub-batch flushes.
+	// cur is the context of the packet inside engine.Step, whose flow
+	// identity tierHandler probes the FlowCache with. batchAcc absorbs
+	// FlowCache stat deltas between sub-batch flushes.
 	ctxs     []tier.Context
 	cur      *tier.Context
 	batchAcc flowcache.BatchAcc
@@ -407,8 +407,9 @@ func (pl *Platform) endInterval(ts int64) {
 // update (with per-shard rate observation), detector fan-out, reactions,
 // host NF delivery. Control-plane reactions (whitelist, blacklist) run as
 // control actions, which publish their event; datapath-local ones (pin,
-// unpin) act directly on the cache. The flow identity is the one consume prepped for the whole chunk
-// (pl.cur); stat deltas accumulate in batchAcc, flushed per sub-batch.
+// unpin) act directly on the cache. The flow identity is the one consume
+// prepped for the whole chunk (pl.cur); stat deltas accumulate in
+// batchAcc, flushed per sub-batch.
 func (pl *Platform) tierHandler(p *packet.Packet, sctx snic.Ctx) snic.Cost {
 	pl.nicQueueDelay.Observe(sctx.QueueDelayNs)
 	hash, k := pl.cur.Hash, pl.cur.Key
