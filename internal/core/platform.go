@@ -9,7 +9,7 @@
 // the packet, runs the timers due before it and steers it at the switch;
 // a steered packet is stepped through the sNIC engine, which calls
 // tierHandler — FlowCache, detectors, reactions, host NF delivery. The
-// control loop is four methods here too: whitelist, blacklist, unpin and
+// control loop is four methods here too: whitelist, blacklist, Unpin and
 // endInterval apply their edges by direct calls (DESIGN.md §8.2) and then
 // publish the typed event on a tier.Bus, the observer list metrics, the
 // cluster uplink, tests and the benchmark attach to.
@@ -304,14 +304,12 @@ func (pl *Platform) blacklist(a packet.Addr, origin string) {
 	tier.Publish(pl.bus, tier.BlacklistEvent{Addr: a, Origin: origin}, applied)
 }
 
-// unpin releases k's pin.
-func (pl *Platform) unpin(k packet.FlowKey, origin string) {
+// Unpin implements detect.Hooks: it releases k's pin (only a detector's
+// hook unpins through an event; a verdict unpins in tierHandler).
+func (pl *Platform) Unpin(k packet.FlowKey) {
 	pl.cache.Unpin(k)
-	tier.Publish(pl.bus, tier.UnpinEvent{Key: k, Origin: origin}, 1)
+	tier.Publish(pl.bus, tier.UnpinEvent{Key: k, Origin: "hooks"}, 1)
 }
-
-// Unpin implements detect.Hooks.
-func (pl *Platform) Unpin(k packet.FlowKey) { pl.unpin(k, "hooks") }
 
 // Whitelist implements detect.Hooks: benign flows bypass steering at the
 // switch and release their sNIC pin.

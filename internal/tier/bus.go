@@ -113,11 +113,6 @@ func (ModeSwitchEvent) Kind() Kind { return KindModeSwitch }
 // Handler consumes one event.
 type Handler func(Event)
 
-type subscriber struct {
-	name string
-	fn   Handler
-}
-
 // BusStats counts bus traffic.
 type BusStats struct {
 	// Published counts events offered per kind.
@@ -162,7 +157,7 @@ func (s BusStats) PublishedFor(k Kind) uint64 {
 // uncontended in practice).
 type Bus struct {
 	mu   sync.Mutex
-	subs [int(kindCount)][]subscriber
+	subs [int(kindCount)][]Handler
 	// The traffic counters are atomics, NOT guarded by mu: observers
 	// (e.g. the interval metrics emit) may call Stats from inside a
 	// delivery, while Publish still holds mu — a mutex-guarded read there
@@ -175,9 +170,9 @@ type Bus struct {
 // NewBus returns an empty bus.
 func NewBus() *Bus { return &Bus{} }
 
-// Subscribe registers fn as an observer of events of kind k under a
-// diagnostic name. Observers run in subscription order. It panics on an
-// unknown kind or nil handler (programmer errors).
+// Subscribe registers fn as an observer of events of kind k. Observers run
+// in subscription order. It panics on an unknown kind or a nil handler
+// (programmer errors); name labels that panic.
 func (b *Bus) Subscribe(k Kind, name string, fn Handler) {
 	if k >= kindCount {
 		panic(fmt.Sprintf("tier: subscribe to unknown kind %d", k))
@@ -187,7 +182,7 @@ func (b *Bus) Subscribe(k Kind, name string, fn Handler) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.subs[k] = append(b.subs[k], subscriber{name: name, fn: fn})
+	b.subs[k] = append(b.subs[k], fn)
 }
 
 // Publish counts e as published and its applied reactions as delivered,
@@ -204,19 +199,19 @@ func Publish[E Event](b *Bus, e E, applied uint64) {
 		return
 	}
 	var ev Event = e
-	for _, s := range b.subs[k] {
-		b.deliver(s, ev)
+	for _, fn := range b.subs[k] {
+		b.deliver(fn, ev)
 	}
 }
 
 // deliver runs one observer with panic isolation.
-func (b *Bus) deliver(s subscriber, e Event) {
+func (b *Bus) deliver(fn Handler, e Event) {
 	defer func() {
 		if recover() != nil {
 			b.panics.Add(1)
 		}
 	}()
-	s.fn(e)
+	fn(e)
 	b.delivered.Add(1)
 }
 
