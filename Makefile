@@ -50,13 +50,15 @@ race:
 	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 
 # Ten seconds of each native fuzz target (DESIGN.md §21): the pcap record
-# walker against a whole-slice reference parser, the frame decoder, and the
-# address parser behind every flag and control-API address. A crasher lands
-# under the package's testdata/fuzz/ and is committed as a seed.
+# walker against a whole-slice reference parser, the frame decoder, the
+# address parser behind every flag and control-API address, and the
+# compiled switch against its per-query reference pipeline. A crasher
+# lands under the package's testdata/fuzz/ and is committed as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInto -fuzztime 10s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzParseAddr -fuzztime 10s ./internal/packet/
+	$(GO) test -run '^$$' -fuzz FuzzSwitchMatchesReference -fuzztime 10s ./internal/p4switch/
 
 # Cluster gate (DESIGN.md §14): the full cluster runner suite under the
 # race detector — the two-oracle determinism sweep (parallel drive
@@ -85,14 +87,17 @@ lowslow:
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
 # After the gates: a short pass of the detector micros (LowSlow, Chain,
-# PortScan; DESIGN.md §18) and one pass of each host benchmark, so they
-# keep compiling (DESIGN.md §16), then the replacement-policy study table
-# at reduced scale (DESIGN.md §11). The detectors' allocation claims are
+# PortScan; DESIGN.md §18) and of the switch's per-packet micro (DESIGN.md
+# §21.3), and one pass of each host benchmark, so they keep compiling
+# (DESIGN.md §16), then the replacement-policy study table at reduced
+# scale (DESIGN.md §11). The detectors' allocation claims are
 # not read off this output: TestChainOnPacketDoesNotAllocate (0 per packet,
 # OnPacket and Inspect) and TestPerSourceStateDoesNotAllocate (a new
-# source costs map growth only) enforce them in `make test`.
+# source costs map growth only) enforce them in `make test`, as
+# TestSwitchProcessDoesNotAllocate does the switch's.
 check: fmt-check vet build test race fuzz-smoke loc
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain|PortScan' -benchtime 10x ./internal/detect/
+	$(GO) test -run '^$$' -bench 'Switch' -benchtime 10x ./internal/p4switch/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/host/
 	$(GO) run ./cmd/experiments -scale 0.1 policies
 

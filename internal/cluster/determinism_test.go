@@ -462,3 +462,14 @@ func TestClusterMetricsTree(t *testing.T) {
 		}
 	}
 }
+
+// TestNewRejectsDuplicateQueryNames: the router's switch refuses two
+// queries of one name, and New panics on it as core.New does.
+func TestNewRejectsDuplicateQueryNames(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted two queries named ssh-conns")
+		}
+	}()
+	New(Config{Workers: 2, Worker: core.Config{EnableSwitch: true, Queries: append(sshQueries(), sshQueries()...)}})
+}

@@ -10,10 +10,11 @@
 //     exactly where a chunk of one fires it: each chunk is split into
 //     sub-batches at the next timer boundary, with the boundary recomputed
 //     after the tick that opens each sub-batch.
-//   - Steering stays per-packet, interleaved with sNIC processing:
-//     detector reactions publish blacklist/whitelist events that rewrite
-//     the switch tables mid-stream, so pre-steering a chunk would let a
-//     later packet see a stale table.
+//   - The switch's classification is pure and valid for one sub-batch:
+//     queries and steer entries change only in CloseInterval, at a
+//     sub-batch head. Application stays per-packet, interleaved with sNIC
+//     processing: detector reactions rewrite the whitelist and blacklist
+//     mid-stream.
 //   - The sNIC side stays per-packet too: the DES charges packet i+1's
 //     queueing against packet i's cost, and detectors read live records.
 //     Each steered packet is stepped through the engine to completion
@@ -21,9 +22,10 @@
 //
 // What does batch: ingest accounting (one counter fold per sub-batch),
 // flow-identity pre-computation (one canonicalisation + hash per packet,
-// reused by the steer stage and the FlowCache), the FlowCache row
-// prefetch, and FlowCache stat accounting (plain accumulator, one atomic
-// flush per sub-batch).
+// reused by the steer stage and the FlowCache), switch classification,
+// the FlowCache row prefetch — with a switch, only for the packets the
+// classification steers — and FlowCache stat accounting (plain
+// accumulator, one atomic flush per sub-batch).
 package core
 
 import (
@@ -57,17 +59,19 @@ func prepIdentity(batch []packet.Packet, ctxs []tier.Context) {
 
 // consume runs one chunk (at most BatchSize packets) through the platform:
 // identity prep for the whole chunk, then timer-split sub-batches of
-// ingest accounting, per-packet steer and one engine.Step per steered
-// packet. The engine calls tierHandler synchronously inside Step, so each
-// packet is fully processed — FlowCache, detectors, reactions, host
-// delivery — before the next one is steered.
+// ingest accounting, classification, per-packet steer and one engine.Step
+// per steered packet. The engine calls tierHandler synchronously inside
+// Step, so each packet is fully processed — FlowCache, detectors,
+// reactions, host delivery — before the next one is steered.
 func (pl *Platform) consume(batch []packet.Packet) {
 	ctxs := pl.ctxs[:len(batch)]
 	prepIdentity(batch, ctxs)
-	// The chunk's table rows, requested a vector ahead of their probes so
-	// up to BatchSize misses are in flight at once instead of one per Step.
-	for i := range ctxs {
-		pl.cache.Prefetch(ctxs[i].Hash)
+	// The table rows, requested ahead of their probes so that many misses
+	// are in flight at once: without a switch, the whole chunk's.
+	if pl.steer == nil {
+		for i := range ctxs {
+			pl.cache.Prefetch(ctxs[i].Hash)
+		}
 	}
 	for lo := 0; lo < len(batch); {
 		// Fire timers due at the sub-batch head FIRST, then bound the
@@ -85,6 +89,17 @@ func (pl *Platform) consume(batch []packet.Packet) {
 			hi++
 		}
 		sub := batch[lo:hi]
+		if pl.steer != nil {
+			// Classes hold to the sub-batch's end; only packets they steer
+			// can reach the FlowCache.
+			for j := range sub {
+				c := pl.steer.Classify(&sub[j])
+				pl.classes[lo+j] = c
+				if c.Steered() {
+					pl.cache.Prefetch(ctxs[lo+j].Hash)
+				}
+			}
+		}
 
 		// The packet counters fold once per sub-batch: their only tick-path
 		// reader is the interval metrics snapshot, and no timer can fire
@@ -97,10 +112,10 @@ func (pl *Platform) consume(batch []packet.Packet) {
 			pl.maybeTick(sub[j].Ts)
 			c := &ctxs[lo+j]
 			if pl.steer != nil {
-				// Steer per-packet: the sNIC processing of the previous
-				// packet (inside the last Step) may have programmed the
-				// switch tables this decision reads.
-				pl.steer.HandleKeyed(c)
+				// Apply per-packet: the sNIC processing of the previous
+				// packet (inside the last Step) may have whitelisted or
+				// blacklisted this one.
+				pl.steer.Apply(c, pl.classes[lo+j])
 				if c.Verdict == tier.ForwardDirect {
 					direct++
 					continue

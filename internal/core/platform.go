@@ -112,10 +112,12 @@ type Platform struct {
 	// The drive's vector state (batch.go): ctxs is the context vector of
 	// the chunk being consumed, BatchSize long and reused for every chunk;
 	// cur is the context of the packet inside engine.Step, whose flow
-	// identity tierHandler probes the FlowCache with. batchAcc absorbs
+	// identity tierHandler probes the FlowCache with; classes, the
+	// switch's classes of the chunk (with a switch). batchAcc absorbs
 	// FlowCache stat deltas between sub-batch flushes.
 	ctxs     []tier.Context
 	cur      *tier.Context
+	classes  []p4switch.Class
 	batchAcc flowcache.BatchAcc
 
 	// clock is the latest timestamp maybeTick was offered.
@@ -244,6 +246,9 @@ func New(cfg Config) *Platform {
 		tier.Publish(pl.bus, tier.ModeSwitchEvent{Shard: shard, Mode: m, Rate: rate, Ts: ts}, 0)
 	}
 	pl.ctxs = make([]tier.Context, cfg.BatchSize)
+	if pl.steer != nil {
+		pl.classes = make([]p4switch.Class, cfg.BatchSize)
+	}
 	if cfg.Metrics != nil {
 		pl.instrumentMetrics()
 	}

@@ -230,3 +230,14 @@ func TestRingOverflowAccountedNotSilent(t *testing.T) {
 		t.Errorf("shortfall %d smaller than %d dropped records?", missing, rep.Cache.RingDrops)
 	}
 }
+
+// TestNewRejectsDuplicateQueryNames: a query set the switch refuses —
+// here two queries of one name — panics in New like any other.
+func TestNewRejectsDuplicateQueryNames(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted two queries named ssh-conns")
+		}
+	}()
+	New(Config{EnableSwitch: true, Queries: append(sshQueries(), sshQueries()...)})
+}

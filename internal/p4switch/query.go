@@ -7,8 +7,13 @@
 // The model captures exactly what the paper uses the switch for: coarse
 // per-prefix aggregation in hash-indexed registers (collisions and all),
 // threshold checks at interval boundaries, and the resulting
-// steer/whitelist control loop. Per-packet work is a constant small number
-// of register operations, reflecting the hardware's line-rate constraint.
+// steer/whitelist control loop. As on the hardware, the control plane
+// compiles the queries and steer entries into per-field match tables
+// (stages.go), so a packet costs a few lookups whatever the number of
+// queries, plus one register update per query it counts in. The packet
+// path is a pure classify, valid until the next InstallQueries, Steer or
+// Unsteer, and an apply that reads the blacklist and whitelist and
+// updates registers, tracker and stats.
 package p4switch
 
 import (
@@ -87,7 +92,8 @@ type Predicate struct {
 }
 
 // Match evaluates the predicate: one expression, so that it inlines into
-// the per-query loops.
+// Tracker.Observe and the compiled residual check. It is the definition
+// the compiled stages are built from.
 func (pr Predicate) Match(p *packet.Packet) bool {
 	return (pr.Proto == 0 || p.Tuple.Proto == pr.Proto) &&
 		(pr.DstPort == 0 || p.Tuple.DstPort == pr.DstPort) &&

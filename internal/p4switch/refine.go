@@ -17,9 +17,6 @@ type Tracker struct {
 	// seen[i] is queries[i]'s key set: the per-packet path indexes by
 	// position, only Candidates deals in names.
 	seen []set[packet.Addr]
-	// checked / aligned cache alignedWith's answer for one installed set.
-	checked *Query
-	aligned bool
 }
 
 // NewTracker builds a tracker for the installed query set.
@@ -54,18 +51,9 @@ func (t *Tracker) note(i int, k packet.Addr) {
 }
 
 // alignedWith reports whether qs — a switch's installed set — is this
-// tracker's query set position by position, so that query i matching in
-// the switch's loop is query i matching in Observe. The answer is kept per
-// installed set (InstallQueries makes a new slice each time).
-func (t *Tracker) alignedWith(qs []Query) bool {
-	if len(qs) == 0 {
-		return len(t.queries) == 0
-	}
-	if t.checked != &qs[0] {
-		t.checked, t.aligned = &qs[0], slices.Equal(qs, t.queries)
-	}
-	return t.aligned
-}
+// tracker's query set position by position, so that query i counting in
+// the switch's register loop is query i counting in Observe.
+func (t *Tracker) alignedWith(qs []Query) bool { return slices.Equal(qs, t.queries) }
 
 // Candidates returns the per-query key sets, each in address order, and
 // resets them for the next interval.

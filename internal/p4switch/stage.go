@@ -16,16 +16,28 @@ type SteerStage struct {
 }
 
 // Handle steers one packet, canonicalising and hashing its tuple itself.
-func (s *SteerStage) Handle(ctx *tier.Context) { s.apply(ctx, nil) }
+func (s *SteerStage) Handle(ctx *tier.Context) {
+	setVerdict(ctx, s.SW.process(ctx.Pkt, nil, 0, s.Tracker))
+}
 
 // HandleKeyed is Handle for a driver that has filled in ctx.Key and
 // ctx.Hash (the platform's identity prep, the cluster router): the
 // whitelist is probed with them instead of canonicalising and hashing the
 // tuple a second time.
-func (s *SteerStage) HandleKeyed(ctx *tier.Context) { s.apply(ctx, &ctx.Key) }
+func (s *SteerStage) HandleKeyed(ctx *tier.Context) { s.Apply(ctx, s.Classify(ctx.Pkt)) }
 
-func (s *SteerStage) apply(ctx *tier.Context, key *packet.FlowKey) {
-	switch s.SW.process(ctx.Pkt, key, ctx.Hash, s.Tracker) {
+// Classify is the side-effect-free half of HandleKeyed. A driver may
+// classify packets ahead of applying them as long as no InstallQueries,
+// Steer or Unsteer runs in between.
+func (s *SteerStage) Classify(p *packet.Packet) Class { return s.SW.classify(p) }
+
+// Apply is the rest of HandleKeyed, for a packet Classify has classified.
+func (s *SteerStage) Apply(ctx *tier.Context, c Class) {
+	setVerdict(ctx, s.SW.apply(ctx.Pkt, &ctx.Key, ctx.Hash, s.Tracker, c))
+}
+
+func setVerdict(ctx *tier.Context, a Action) {
+	switch a {
 	case Forward:
 		ctx.Verdict = tier.ForwardDirect
 	case Drop:

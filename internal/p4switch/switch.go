@@ -2,6 +2,7 @@ package p4switch
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"smartwatch/internal/packet"
@@ -58,10 +59,16 @@ type Switch struct {
 	regs    [][]uint64 // [query][slot]
 	// steer holds per-query sets of fired (masked) keys whose subsequent
 	// packets are mirrored to the sNIC, by query name: entries outlive a
-	// re-programmed query set. steerOf[i] is steer[queries[i].Name], so the
-	// per-packet path indexes instead of hashing the name.
-	steer   map[string]*set[packet.Addr]
-	steerOf []*set[packet.Addr]
+	// re-programmed query set. They are the control plane's copy (SRAM
+	// accounting, dumps); packets probe st.steer, compiled from them.
+	steer map[string]*set[packet.Addr]
+	// st is compiled from queries and steer; stale marks it for a rebuild.
+	st    stages
+	stale bool
+	// bound is the last tracker apply fed; fused is whether it was built
+	// over the installed set, decided once per tracker and install.
+	bound *Tracker
+	fused bool
 	// whitelist short-circuits benign flows past steering.
 	whitelist set[packet.FlowKey]
 	// blacklist drops confirmed attackers at line rate.
@@ -122,10 +129,16 @@ func (s *Switch) InstallQueries(queries []Query) error {
 		return fmt.Errorf("p4switch: %d queries, at most %d can be installed", len(queries), maxQueries)
 	}
 	bytes := 0
+	names := make(map[string]bool, len(queries))
 	for _, q := range queries {
 		if err := q.validate(); err != nil {
 			return err
 		}
+		// Steer entries and tracker candidates are kept by name.
+		if names[q.Name] {
+			return fmt.Errorf("p4switch: two queries named %q", q.Name)
+		}
+		names[q.Name] = true
 		bytes += q.Slots * bytesPerSlot
 	}
 	if total := bytes + s.tableBytes(); total > s.cfg.SRAMBytes {
@@ -136,17 +149,8 @@ func (s *Switch) InstallQueries(queries []Query) error {
 	for i, q := range queries {
 		s.regs[i] = make([]uint64, q.Slots)
 	}
-	s.bindSteer()
+	s.stale, s.bound = true, nil
 	return nil
-}
-
-// bindSteer re-derives steerOf after the query set or the set of steer
-// tables changed.
-func (s *Switch) bindSteer() {
-	s.steerOf = make([]*set[packet.Addr], len(s.queries))
-	for i := range s.queries {
-		s.steerOf[i] = s.steer[s.queries[i].Name]
-	}
 }
 
 // Queries returns the installed query set.
@@ -181,43 +185,45 @@ func (s *Switch) Process(p *packet.Packet) Action {
 // process is Process for a caller that may already hold the packet's flow
 // identity (key non-nil, hash its Hash: the whitelist is probed with them,
 // not with a second canonicalisation) and may want tr to observe the
-// packet (tr non-nil). A tracker built over this switch's installed
-// queries is fed from the register loop below, where each filter has just
-// been evaluated; any other one runs its own pass first, as the blacklist
-// path does: a blacklisted packet is observed before it is dropped.
+// packet (tr non-nil).
 func (s *Switch) process(p *packet.Packet, key *packet.FlowKey, hash uint64, tr *Tracker) Action {
-	fused := tr != nil && tr.alignedWith(s.queries)
-	blocked := s.blacklist.has(&p.Tuple.SrcIP, addrHash(p.Tuple.SrcIP))
-	if tr != nil && (blocked || !fused) {
-		tr.Observe(p)
+	return s.apply(p, key, hash, tr, s.classify(p))
+}
+
+// apply is the effectful half of process, for a packet classified under
+// the current stages: blacklist, register updates, whitelist (both tables
+// are read per packet: detector reactions rewrite them between packets),
+// then the class's verdict. A tracker built over the installed queries is
+// fed from the register loop; any other one, and every tracker for a
+// blacklisted packet, runs its own pass.
+func (s *Switch) apply(p *packet.Packet, key *packet.FlowKey, hash uint64, tr *Tracker, c Class) Action {
+	if tr != nil && tr != s.bound {
+		s.bound, s.fused = tr, tr.alignedWith(s.queries)
 	}
+	fused := tr != nil && s.fused
 	// Blacklist: confirmed attackers are dropped at line rate.
-	if blocked {
+	if s.blacklist.has(&p.Tuple.SrcIP, addrHash(p.Tuple.SrcIP)) {
+		if tr != nil {
+			tr.Observe(p)
+		}
 		s.stats.Dropped++
 		s.stats.BlacklistHits++
 		return Drop
 	}
+	if tr != nil && !fused {
+		tr.Observe(p)
+	}
 
-	// Query register updates (constant work per query). Each filter is
-	// evaluated once per packet: matched bit i carries query i's outcome
-	// to the steering tables below.
-	var matched uint64
-	for i := range s.queries {
+	// Register updates, one per counted query in query order.
+	for m := c.count; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		q := &s.queries[i]
-		if !q.Filter.Match(p) {
-			continue
-		}
-		matched |= 1 << uint(i)
-		amt := q.amount(p)
-		if amt == 0 {
-			continue
-		}
 		k := q.key(p)
 		if fused {
 			tr.note(i, k)
 		}
 		slot := packet.HashAddr(k, uint64(i)+0x9e37) % uint64(len(s.regs[i]))
-		s.regs[i][slot] += amt
+		s.regs[i][slot] += q.amount(p)
 		s.stats.RegisterOps++
 	}
 
@@ -236,27 +242,11 @@ func (s *Switch) process(p *packet.Packet, key *packet.FlowKey, hash uint64, tr 
 		}
 	}
 
-	// Steering: packets of fired subsets go to the sNIC. The rule matches
-	// both directions of the subset (mirror rules are installed for the
-	// key field and its reverse) so responses transit the sNIC too.
-	for i := range s.queries {
-		q := &s.queries[i]
-		keys := s.steerOf[i]
-		if keys.len() == 0 || matched&(1<<uint(i)) == 0 {
-			continue
-		}
-		var fwd, rev packet.Addr
-		if q.Key == KeySrcIP {
-			fwd, rev = p.Tuple.SrcIP.Prefix(q.PrefixBits), p.Tuple.DstIP.Prefix(q.PrefixBits)
-		} else {
-			fwd, rev = p.Tuple.DstIP.Prefix(q.PrefixBits), p.Tuple.SrcIP.Prefix(q.PrefixBits)
-		}
-		if keys.has(&fwd, addrHash(fwd)) || keys.has(&rev, addrHash(rev)) {
-			s.stats.Steered++
-			return ToSNIC
-		}
+	// Steering: packets of fired subsets go to the sNIC.
+	if c.steer {
+		s.stats.Steered++
+		return ToSNIC
 	}
-
 	s.stats.Forwarded++
 	return Forward
 }
@@ -299,25 +289,30 @@ func (s *Switch) EndInterval(candidates map[string][]packet.Addr) []FiredKey {
 }
 
 // Steer installs mirror entries so subsequent packets of the fired subset
-// go to the sNIC. It fails when SRAM is exhausted.
+// go to the sNIC. An entry already installed is left as it is; a new one
+// fails when SRAM is exhausted.
 func (s *Switch) Steer(fk FiredKey) error {
+	m := s.steer[fk.Query]
+	if m.has(&fk.Key, addrHash(fk.Key)) {
+		return nil
+	}
 	if s.SRAMBytesUsed()+steerEntryBytes > s.cfg.SRAMBytes {
 		return fmt.Errorf("p4switch: SRAM exhausted installing steer entry")
 	}
-	m := s.steer[fk.Query]
 	if m == nil {
 		m = &set[packet.Addr]{hash: addrHash}
 		s.steer[fk.Query] = m
-		s.bindSteer()
 	}
 	m.add(fk.Key)
+	s.stale = true
 	return nil
 }
 
 // Unsteer removes a mirror entry (subset reclassified as benign).
 func (s *Switch) Unsteer(query string, key packet.Addr) {
-	if m := s.steer[query]; m != nil {
+	if m := s.steer[query]; m.has(&key, addrHash(key)) {
 		m.del(key)
+		s.stale = true
 	}
 }
 

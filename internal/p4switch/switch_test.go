@@ -2,9 +2,11 @@ package p4switch
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"smartwatch/internal/packet"
+	"smartwatch/internal/tier"
 )
 
 func synPkt(src, dst string, dport uint16) packet.Packet {
@@ -374,5 +376,76 @@ func TestTrackerBounded(t *testing.T) {
 	// Reset after Candidates.
 	if len(tr.Candidates()[q.Name]) != 0 {
 		t.Error("tracker not reset")
+	}
+}
+
+// TestInstallQueriesRejectsDuplicateNames: registers are kept per
+// position but steer entries and tracker candidates per name, so two
+// queries of one name would each close their interval on the other's
+// candidates too — a SYN to 10.1.0.1 and a RST from 20.2.0.1 fired both
+// prefixes under both queries. The set is refused; renamed apart, each
+// query fires its own key once.
+func TestInstallQueriesRejectsDuplicateNames(t *testing.T) {
+	syn := Query{Name: "x", Filter: Predicate{Proto: packet.ProtoTCP}, Key: KeyDstIP, PrefixBits: 16, Reduce: CountSYN, Threshold: 1, Slots: 1}
+	rst := Query{Name: "x", Filter: Predicate{Proto: packet.ProtoTCP}, Key: KeySrcIP, PrefixBits: 16, Reduce: CountRST, Threshold: 1, Slots: 1}
+	sw := New(DefaultConfig())
+	if err := sw.InstallQueries([]Query{syn, rst}); err == nil {
+		t.Fatal("two queries named x installed")
+	}
+	if len(sw.Queries()) != 0 {
+		t.Fatalf("a refused set left %d queries installed", len(sw.Queries()))
+	}
+	rst.Name = "y"
+	if err := sw.InstallQueries([]Query{syn, rst}); err != nil {
+		t.Fatal(err)
+	}
+	stage := &SteerStage{SW: sw, Tracker: NewTracker(sw.Queries(), 0)}
+	s, r := synPkt("30.3.0.1", "10.1.0.1", 22), synPkt("20.2.0.1", "40.4.0.1", 22)
+	r.Flags = packet.FlagRST
+	var ctx tier.Context
+	for _, p := range []*packet.Packet{&s, &r} {
+		ctx.Reset(p)
+		stage.Handle(&ctx)
+	}
+	want := []FiredKey{
+		{Query: "x", Key: packet.MustParseAddr("10.1.0.0"), PrefixBits: 16, Value: 1},
+		{Query: "y", Key: packet.MustParseAddr("20.2.0.0"), PrefixBits: 16, Value: 1},
+	}
+	if got := sw.EndInterval(stage.Tracker.Candidates()); !reflect.DeepEqual(got, want) {
+		t.Errorf("fired %+v, want %+v", got, want)
+	}
+}
+
+// TestResteerAtFullSRAM: steering a key that is already installed adds
+// nothing, so it succeeds even when SRAM has no room for a new entry —
+// and an interval close that re-fires it does not stop there.
+func TestResteerAtFullSRAM(t *testing.T) {
+	q := sshQuery()
+	q.Slots = 16
+	cfg := DefaultConfig()
+	cfg.SRAMBytes = q.Slots*bytesPerSlot + steerEntryBytes
+	sw := New(cfg)
+	if err := sw.InstallQueries([]Query{q}); err != nil {
+		t.Fatal(err)
+	}
+	fk := FiredKey{Query: q.Name, Key: packet.MustParseAddr("10.1.0.0"), PrefixBits: 16}
+	if err := sw.Steer(fk); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Steer(fk); err != nil {
+		t.Errorf("re-steering an installed key at full SRAM: %v", err)
+	}
+	if err := sw.Steer(FiredKey{Query: q.Name, Key: packet.MustParseAddr("10.2.0.0"), PrefixBits: 16}); err == nil {
+		t.Error("a new entry past the SRAM budget was accepted")
+	}
+	tr := NewTracker(sw.Queries(), 0)
+	for i := range 5 {
+		p := synPkt("9.9.9.9", "10.1.0.7", 22)
+		p.Tuple.SrcPort += uint16(i)
+		tr.Observe(&p)
+		sw.Process(&p)
+	}
+	if n := sw.CloseInterval(tr); n != 1 || sw.SteerCount() != 1 {
+		t.Errorf("close re-firing the installed key steered %d subsets, %d entries; want 1, 1", n, sw.SteerCount())
 	}
 }
