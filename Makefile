@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race fuzz-smoke cluster lowslow check loc bench-ab experiments experiments-check metrics-smoke serve-smoke clean
+.PHONY: all build fmt-check vet test race fuzz-smoke cluster lowslow check loc reach bench-ab experiments experiments-check metrics-smoke serve-smoke clean
 
 all: check
 
@@ -36,7 +36,7 @@ test:
 # RWMutex while the drive flushes into it. The
 # cluster runner is not here: its whole suite runs under -race in `make
 # cluster`, and no test of it consults -short. -short shortens, not
-# skips, the sNIC scheduler's ring-vs-heap oracle; the three
+# skips, the sNIC scheduler's ring-vs-scan oracle; the three
 # platform sweeps it does skip (every batch size x shard count, chunked
 # ingest, segmented runs: DESIGN.md §9, §12) run on the second line. The
 # session's concurrency tests then run 20 more times: the concurrent-Close race lost
@@ -105,6 +105,14 @@ check: fmt-check vet build test race fuzz-smoke loc
 # CHANGES.md entry quotes.
 loc:
 	@echo "non-test Go lines outside benchmark/: $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)"
+
+# Which functions no product surface runs (DESIGN.md §9.3): every entry
+# point built with coverage over the module and run as a user or the
+# benchmark runs it, the counters merged, and every 0 % function checked
+# against scripts/unreached.txt. Fails on an unlisted one. Not in `check`:
+# ~2 min on 2 vCPUs.
+reach:
+	GO="$(GO)" sh scripts/reach.sh
 
 # Same-box A/B of the repo's benchmark (benchmark/, BENCHMARK.json): the
 # base commit against the working tree as alternating pairs, both result

@@ -69,6 +69,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := checkFlags(*rowBits, *intervalMs, *batch, *genMax, *kvRetention); err != nil {
+		fatal(err)
+	}
 	dets, err := buildDetectors(*detectors)
 	if err != nil {
 		fatal(err)
@@ -78,9 +81,7 @@ func main() {
 		Detectors:  dets,
 		Shards:     *shards,
 		BatchSize:  *batch,
-	}
-	if *rowBits > 0 {
-		cfg.Cache = flowcache.DefaultConfig(*rowBits)
+		Cache:      flowcache.DefaultConfig(*rowBits),
 	}
 	if *policy != "" {
 		cfg.Cache.Policy = *policy
@@ -231,6 +232,26 @@ var (
 	_ engine = (*core.Session)(nil)
 	_ engine = (*cluster.Runner)(nil)
 )
+
+// checkFlags rejects a numeric flag outside its range. Left alone, each
+// would run on a different value without a word: a table, interval or
+// batch size below 1 falls back to core's default, a negative -gen-max
+// means unbounded and a negative -kv-retention skips the -serve default.
+func checkFlags(rowBits, intervalMs, batch int, genMax int64, kvRetention int) error {
+	switch {
+	case rowBits < 1:
+		return fmt.Errorf("-rowbits must be >= 1, got %d", rowBits)
+	case intervalMs < 1:
+		return fmt.Errorf("-interval must be >= 1 (virtual ms), got %d", intervalMs)
+	case batch < 1:
+		return fmt.Errorf("-batch must be >= 1, got %d", batch)
+	case genMax < 0:
+		return fmt.Errorf("-gen-max must be >= 0 (0 = unbounded), got %d", genMax)
+	case kvRetention < 0:
+		return fmt.Errorf("-kv-retention must be >= 0 (0 = unbounded), got %d", kvRetention)
+	}
+	return nil
+}
 
 // checkGeometry rejects a table core.New would panic on: a FlowCache
 // layout its own Validate refuses (-rowbits out of range, a row wider than

@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"smartwatch/internal/cluster"
 	"smartwatch/internal/core"
@@ -108,6 +112,29 @@ func TestCheckGeometry(t *testing.T) {
 			t.Errorf("%s: unexpected error %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestOutOfRangeFlagsFail: a numeric flag below its range is an error,
+// not a silent run on another value (a table, interval or batch below 1
+// used to run on core's defaults, a negative -gen-max unbounded, a
+// negative -kv-retention past the -serve bound). Each case re-executes the
+// test binary as the CLI and must exit 1 naming the flag.
+func TestOutOfRangeFlagsFail(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-rowbits", "0"}, {"-rowbits", "-1"}, {"-interval", "0"}, {"-interval", "-5"},
+		{"-batch", "0"}, {"-batch", "-1"}, {"-gen-max", "-1"}, {"-kv-retention", "-1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-gen", "caida2019", "-gen-max", "1000", tc.flag, tc.value)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		want := "smartwatch: " + tc.flag + " must be"
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(string(out), want) {
+			t.Errorf("%s %s: exit %v, output %q; want exit 1 and %q", tc.flag, tc.value, err, out, want)
 		}
 	}
 }

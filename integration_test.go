@@ -46,15 +46,11 @@ func TestEndToEndPcapPlatformFlowLog(t *testing.T) {
 	}
 
 	// 3. Read it back and run the platform with an AOF-backed flow log.
-	in, err := os.Open(path)
+	src, err := pcap.OpenFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer in.Close()
-	r, err := pcap.NewReader(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer src.Close()
 	var aof bytes.Buffer
 	det := smartwatch.NewBruteForceDetector(smartwatch.BruteForceDetectorConfig{Service: 22, Psi: 3})
 	pl := smartwatch.New(smartwatch.Config{
@@ -69,7 +65,7 @@ func TestEndToEndPcapPlatformFlowLog(t *testing.T) {
 		Detectors:  []smartwatch.Detector{det},
 		KVLog:      smartwatch.NewFlowLog(&aof),
 	})
-	rep := pl.Run(pcap.ReadStream(r))
+	rep := pl.Run(src.Stream())
 
 	if rep.Counts.Total != uint64(written) {
 		t.Errorf("platform saw %d packets, wrote %d", rep.Counts.Total, written)

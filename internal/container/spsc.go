@@ -1,3 +1,5 @@
+// Package container holds the single-producer/single-consumer ring the
+// cluster runner's ingress lanes are built on (DESIGN.md §13.1).
 package container
 
 import "sync/atomic"

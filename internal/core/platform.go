@@ -23,9 +23,9 @@ package core
 import (
 	"io"
 	"math"
+	"sort"
 	"sync/atomic"
 
-	"smartwatch/internal/container"
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/host"
@@ -274,10 +274,6 @@ func (pl *Platform) KV() *host.KVStore { return pl.kv }
 
 // Ports exposes the host NF ports for attaching functions.
 func (pl *Platform) Ports() *host.Ports { return pl.ports }
-
-// Controller exposes shard 0's mode controller (THE controller at
-// Shards=1).
-func (pl *Platform) Controller() *flowcache.Controller { return pl.cache.Controller() }
 
 // Control actions ---------------------------------------------------------
 //
@@ -563,50 +559,27 @@ func (pl *Platform) Close() error {
 	return nil
 }
 
-// Alerts returns everything raised so far.
-func (pl *Platform) Alerts() []detect.Alert { return pl.alerts }
-
 // WhitelistTopK installs switch whitelist entries for the K heaviest
 // unflagged flows currently resident in the FlowCache — the hoverboard
 // heuristic of §3.1 (Fig. 2's x-axis knob). It returns how many entries
-// were installed.
-//
-// Selection is a streaming size-k min-heap (container.Heap) over the
-// cache snapshot: O(n log k) versus the pre-PR-1 O(k·n) partial selection
-// sort. The heap key is (packet count, -snapshot order): the root is the
-// weakest candidate — fewest packets, latest snapshot position among
-// equals — and a newcomer replaces it only when strictly stronger.
-// Entries install in descending packet count (ties: earlier snapshot
-// order first), identical to the previous behaviour.
+// were installed. It sorts a copy of the resident set: entries install in
+// descending packet count, and among equal counts earlier in the cache
+// snapshot first.
 func (pl *Platform) WhitelistTopK(k int, isMalicious func(packet.FlowKey) bool) int {
 	if pl.sw == nil || k <= 0 {
 		return 0
 	}
-	var h container.Heap[uint64, int, packet.FlowKey]
-	h.Grow(k)
-	ord := 0
+	var ranked []flowcache.Record
 	pl.cache.Snapshot(func(r flowcache.Record) bool {
-		if isMalicious != nil && isMalicious(r.Key) {
-			return true
-		}
-		it := container.Item[uint64, int, packet.FlowKey]{Pri: r.Pkts, Tie: -ord, Val: r.Key}
-		ord++
-		if h.Len() < k {
-			h.Push(it)
-		} else if h.Root().Less(it) {
-			*h.Root() = it
-			h.FixRoot()
+		if isMalicious == nil || !isMalicious(r.Key) {
+			ranked = append(ranked, r)
 		}
 		return true
 	})
-	// PopMin drains weakest-first; install in reverse, strongest-first.
-	ranked := make([]packet.FlowKey, h.Len())
-	for i := len(ranked) - 1; i >= 0; i-- {
-		ranked[i] = h.PopMin().Val
-	}
+	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Pkts > ranked[j].Pkts })
 	installed := 0
-	for _, key := range ranked {
-		if err := pl.sw.Whitelist(key); err != nil {
+	for _, r := range ranked[:min(k, len(ranked))] {
+		if err := pl.sw.Whitelist(r.Key); err != nil {
 			break
 		}
 		installed++

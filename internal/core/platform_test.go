@@ -154,7 +154,7 @@ func TestPlatformModeSwitchUnderLoad(t *testing.T) {
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 4, Flows: 5000, PacketRate: 35e6, Duration: 3e7})
 	rep := pl.Run(w.Stream())
 	if rep.Switchovers == 0 {
-		t.Errorf("no mode switchovers at 35 Mpps (rate=%.1f)", pl.Controller().Rate())
+		t.Error("no mode switchovers at 35 Mpps")
 	}
 	if pl.Cache().Mode() != flowcache.Lite {
 		t.Errorf("mode = %v at sustained 35 Mpps, want lite", pl.Cache().Mode())

@@ -283,7 +283,7 @@ func TestChainOnPacketDoesNotAllocate(t *testing.T) {
 	)
 	for _, c := range []*Chain{ch, empty} {
 		if n := testing.AllocsPerRun(1000, func() { v, cycles = c.Inspect(p, rec, ctx) }); n != 0 {
-			t.Errorf("Chain.Inspect over %d detectors allocates %v times per packet", len(c.Detectors()), n)
+			t.Errorf("Chain.Inspect over %d detectors allocates %v times per packet", len(c.detectors), n)
 		}
 	}
 	if v, cycles = ch.Inspect(p, rec, ctx); cycles == 0 || v != 0 {

@@ -3,8 +3,8 @@
 // forged RST, DNS amplification, microbursts, worms, covert timing
 // channels, website fingerprinting, certificate expiry), the Zeek-style
 // host-assisted brute-force detectors (SSH, FTP, Kerberos), and the
-// offline flow-log analytics (heavy hitters, heavy changes, cardinality,
-// flow-size estimation, Slowloris).
+// offline flow-log analytics (heavy hitters, cardinality, flow-size
+// estimation, Slowloris).
 //
 // Every in-line detector implements Detector: it observes packets together
 // with their FlowCache records, requests reactions (pinning, host punts,
@@ -245,9 +245,6 @@ func (c *Chain) Drain() []Alert {
 	}
 	return out
 }
-
-// Detectors exposes the chained detectors.
-func (c *Chain) Detectors() []Detector { return c.detectors }
 
 // Flow-state bit assignments shared by the TCP-tracking detectors. The
 // FlowCache Record.State field is a detector-owned bitfield; these bits

@@ -10,9 +10,10 @@ import (
 )
 
 // Offline analytics over the lossless flow log (§4, Table 2's first row):
-// heavy hitters, heavy changes, cardinality estimation, flow-size
-// distribution and Slowloris all run on the host against the exported
-// aggregates — they cost the sNIC nothing beyond baseline flow logging.
+// heavy hitters, cardinality estimation, flow-size distribution and
+// Slowloris run on the host against the exported aggregates — they cost
+// the sNIC nothing beyond baseline flow logging. Heavy changes are Fig
+// 10's sketch.HeavyChangeError over the same flow store.
 
 // HeavyHittersOffline returns flows with at least threshold packets in
 // the store, largest first.
@@ -25,32 +26,6 @@ func HeavyHittersOffline(fs *host.FlowStore, threshold uint64) []sketch.HeavyHit
 		return true
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
-}
-
-// HeavyChangesOffline compares two logged intervals (prevTs before curTs)
-// and returns flows whose packet count changed by at least threshold. The
-// flow log is cumulative, so every flow of prevTs is still in curTs: a
-// stalled flow shows a change of 0, a new one counts from 0.
-func HeavyChangesOffline(kv *host.KVStore, prevTs, curTs int64, threshold uint64) []packet.FlowKey {
-	prev := map[packet.FlowKey]uint64{}
-	kv.Scan(prevTs, func(hr host.HostRecord) bool {
-		prev[hr.Key] = hr.Pkts
-		return true
-	})
-	diff := func(a, b uint64) uint64 {
-		if a > b {
-			return a - b
-		}
-		return b - a
-	}
-	var out []packet.FlowKey
-	kv.Scan(curTs, func(hr host.HostRecord) bool {
-		if diff(hr.Pkts, prev[hr.Key]) >= threshold {
-			out = append(out, hr.Key)
-		}
-		return true
-	})
 	return out
 }
 

@@ -40,41 +40,6 @@ func TestHeavyHittersOffline(t *testing.T) {
 	}
 }
 
-// One host store evolving across two intervals, as the platform drives it:
-// the log is cumulative, so a stalled flow stays in the later view with a
-// change of zero instead of "disappearing".
-func TestHeavyChangesOffline(t *testing.T) {
-	kv := host.NewKVStore(nil)
-	fs := storeWith(
-		flowcache.Record{Key: okey(1), Pkts: 100},
-		flowcache.Record{Key: okey(2), Pkts: 100},
-		flowcache.Record{Key: okey(4), Pkts: 500},
-	)
-	if err := kv.FlushInterval(1, fs); err != nil {
-		t.Fatal(err)
-	}
-	fs.Ingest(flowcache.Record{Key: okey(1), Pkts: 5})   // stable
-	fs.Ingest(flowcache.Record{Key: okey(2), Pkts: 800}) // surge
-	fs.Ingest(flowcache.Record{Key: okey(3), Pkts: 400}) // new
-	// okey(4) stalls: no export this interval.
-	if err := kv.FlushInterval(2, fs); err != nil {
-		t.Fatal(err)
-	}
-	if hr, ok := kv.Get(2, okey(4)); !ok || hr.Pkts != 500 {
-		t.Fatalf("stalled flow in the later interval = %+v %v, want its last value", hr, ok)
-	}
-	changes := HeavyChangesOffline(kv, 1, 2, 200)
-	want := map[packet.FlowKey]bool{okey(2): true, okey(3): true}
-	if len(changes) != len(want) {
-		t.Fatalf("changes = %v", changes)
-	}
-	for _, k := range changes {
-		if !want[k] {
-			t.Errorf("unexpected change %v", k)
-		}
-	}
-}
-
 func TestCardinalityOffline(t *testing.T) {
 	var recs []flowcache.Record
 	for i := 0; i < 5000; i++ {
@@ -134,7 +99,7 @@ func TestChainFansOutAndMerges(t *testing.T) {
 	a := NewBruteForce(BruteForceConfig{Service: 22, Psi: 1, Hooks: hooks})
 	b := NewWorm(1, 0)
 	ch := NewChain(a, b)
-	if ch.Name() != "chain" || len(ch.Detectors()) != 2 {
+	if ch.Name() != "chain" || len(ch.detectors) != 2 {
 		t.Fatalf("chain malformed")
 	}
 	// A packet that triggers both: SSH failure with a worm signature.

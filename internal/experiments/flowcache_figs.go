@@ -52,7 +52,7 @@ func runCache(cfg flowcache.Config, mode flowcache.Mode, pkts, flows int, rateMp
 	// Buffered runs trace synthesis on its own goroutine so workload
 	// generation overlaps DES replay; ordering (and thus every modelled
 	// figure) is unchanged.
-	out.rep = e.Run(packet.Buffered(retime(stressStream(pkts, flows, 0.3, seed), rateMpps*1e6), 1024))
+	out.rep = e.Run(packet.Buffered(snic.RetimeUniform(stressStream(pkts, flows, 0.3, seed), rateMpps*1e6), 1024))
 	return out
 }
 
@@ -154,7 +154,7 @@ func Fig6Throughput(scale float64) *Table {
 				e, _ := cacheOnSNIC(cfg, mode, sc)
 				return e
 			},
-			func(pps float64) packet.Stream { return retime(stressStream(n, 100_000, 0.3, 6), pps) },
+			func(pps float64) packet.Stream { return snic.RetimeUniform(stressStream(n, 100_000, 0.3, 6), pps) },
 			5, 60, 0.001)
 	}
 	// 6a: memory sweep via row bits.
@@ -223,7 +223,7 @@ func Fig7HostOverhead(scale float64) *Table {
 			cfg.RingEntries = mode.rents
 			c := flowcache.New(cfg)
 			c.SetMode(mode.m)
-			for p := range retime(stressStream(n, 100_000, 0.3, 7), 30e6) {
+			for p := range snic.RetimeUniform(stressStream(n, 100_000, 0.3, 7), 30e6) {
 				c.Process(&p)
 			}
 			fs := host.NewFlowStore(host.DefaultCostModel())

@@ -122,7 +122,7 @@ func Table3NICs(scale float64) *Table {
 				e, _ := cacheOnSNIC(cfg, flowcache.Lite, sc)
 				return e
 			},
-			func(pps float64) packet.Stream { return retime(stressStream(n, 100_000, 0.3, 61), pps) },
+			func(pps float64) packet.Stream { return snic.RetimeUniform(stressStream(n, 100_000, 0.3, 61), pps) },
 			10, 60, 0.001)
 		t.AddRow(prof.Name, d(prof.PMEs), f2(prof.ClockHz/1e9), f2(capMpps))
 	}

@@ -90,7 +90,7 @@ func fig10Run(n int) fig10Result {
 	mv := sketch.NewMVSketch(1<<13, 2)
 
 	interval := func(seed uint64) (truth sketch.Exact, est map[string]sketch.FlowCounter) {
-		stream := func() packet.Stream { return retime(stressStream(n, 60_000, 0.25, seed), 43e6) }
+		stream := func() packet.Stream { return snic.RetimeUniform(stressStream(n, 60_000, 0.25, seed), 43e6) }
 		truth = sketch.CountExact(stream())
 		for p := range stream() {
 			k := p.Key()
@@ -280,7 +280,7 @@ func Fig11bThroughput(scale float64) *Table {
 				e, _ := cacheOnSNIC(cfg, mode, sc)
 				return e
 			},
-			func(pps float64) packet.Stream { return retime(stressStream(n, 100_000, 0.3, 41), pps) },
+			func(pps float64) packet.Stream { return snic.RetimeUniform(stressStream(n, 100_000, 0.3, 41), pps) },
 			5, 60, 0.001)
 	}
 	pmes := []int{72, 74, 76, 78, 80}

@@ -45,18 +45,3 @@ func stressStream(n, flows int, churn float64, seed uint64) packet.Stream {
 		}
 	}
 }
-
-// retime re-times a stream to a constant rate (pps).
-func retime(s packet.Stream, pps float64) packet.Stream {
-	gap := 1e9 / pps
-	return func(yield func(packet.Packet) bool) {
-		i := 0
-		for p := range s {
-			p.Ts = int64(float64(i) * gap)
-			i++
-			if !yield(p) {
-				return
-			}
-		}
-	}
-}

@@ -173,8 +173,5 @@ func (ctl *Controller) notify(m Mode, rate float64, ts int64) {
 	}
 }
 
-// Rate returns the smoothed arrival rate (pps).
-func (ctl *Controller) Rate() float64 { return ctl.meter.Rate() }
-
 // Switchovers returns how many mode flips have occurred.
 func (ctl *Controller) Switchovers() uint64 { return ctl.switchovers }

@@ -34,15 +34,6 @@ func (s *Sharded) RingStats() []RingStat {
 	return out
 }
 
-// RingDropTotal sums overflow drops across all rings.
-func (s *Sharded) RingDropTotal() uint64 {
-	var n uint64
-	for _, st := range s.RingStats() {
-		n += st.Drops
-	}
-	return n
-}
-
 // OccupancyStats counts live and pinned records: the population of each
 // row's occupancy and pin masks, with no latch taken and no bucket touched
 // (the metrics collector samples them every interval).

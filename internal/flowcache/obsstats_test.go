@@ -161,9 +161,6 @@ func TestShardedRingStatsAggregate(t *testing.T) {
 	if sum == 0 {
 		t.Fatal("expected overflow drops across shards")
 	}
-	if got := s.RingDropTotal(); got != sum {
-		t.Fatalf("RingDropTotal = %d, want %d", got, sum)
-	}
 	if agg := s.Stats().RingDrops; agg != sum {
 		t.Fatalf("Stats().RingDrops = %d, want %d", agg, sum)
 	}

@@ -110,15 +110,8 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // Shard returns shard i's cache (for tests and diagnostics).
 func (s *Sharded) Shard(i int) *Cache { return s.shards[i] }
 
-// Controller returns shard 0's controller — the rate view callers of the
-// unsharded API expect (at n=1 it is THE controller).
-func (s *Sharded) Controller() *Controller { return s.ctls[0] }
-
 // ShardController returns shard i's controller.
 func (s *Sharded) ShardController(i int) *Controller { return s.ctls[i] }
-
-// Config returns the base (unsharded) configuration.
-func (s *Sharded) Config() Config { return s.base }
 
 func (s *Sharded) shardOf(hash uint64) int { return int(hash << s.preshift >> s.shift) }
 

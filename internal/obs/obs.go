@@ -26,7 +26,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -167,25 +166,4 @@ func (r *Registry) LastSnapshot() *Snapshot {
 		return nil
 	}
 	return r.last.Load()
-}
-
-// Names lists every registered instrument name, sorted (diagnostics).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	for name := range r.gauges {
-		out = append(out, name)
-	}
-	for name := range r.hists {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -112,36 +112,6 @@ func (s *Snapshot) AddPrefixed(prefix string, o *Snapshot) {
 	}
 }
 
-// Delta returns a snapshot holding the counter increments since prev
-// (absent-in-prev series keep their full value; counters never regress,
-// so the subtraction is safe). Gauges and histograms are point-in-time
-// readings, not accumulations, and are carried over unchanged. A nil prev
-// returns a copy of s — the first interval's delta is the interval itself.
-func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
-	if s == nil {
-		return nil
-	}
-	out := &Snapshot{
-		TsNs:       s.TsNs,
-		Counters:   make(map[string]uint64, len(s.Counters)),
-		Gauges:     make(map[string]float64, len(s.Gauges)),
-		Histograms: make(map[string]HistogramValue, len(s.Histograms)),
-	}
-	for name, v := range s.Counters {
-		if prev != nil {
-			v -= prev.Counters[name]
-		}
-		out.Counters[name] = v
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v
-	}
-	for name, v := range s.Histograms {
-		out.Histograms[name] = v
-	}
-	return out
-}
-
 // DecodeSnapshot parses one JSON snapshot line (the inverse of Encode).
 func DecodeSnapshot(line []byte) (*Snapshot, error) {
 	var s Snapshot
@@ -192,14 +162,6 @@ func (e *Emitter) Emit(tsNs int64) {
 		return
 	}
 	e.n++
-}
-
-// Count reports how many snapshot lines were written.
-func (e *Emitter) Count() int {
-	if e == nil {
-		return 0
-	}
-	return e.n
 }
 
 // Err returns the first write error, if any.

@@ -38,14 +38,6 @@ func (k FlowKey) HashSeed(seed uint64) uint64 {
 	return mix64(k.Hash() ^ mix64(seed))
 }
 
-// DirectionalHash hashes the tuple as-is (no canonicalisation). Switch
-// queries that key on (srcIP,dstIP) pairs or on a single field use this.
-func (t FiveTuple) DirectionalHash() uint64 {
-	h := mix64(uint64(t.SrcIP)<<32 | uint64(t.DstIP))
-	h = mix64(h ^ (uint64(t.SrcPort)<<32 | uint64(t.DstPort)<<16 | uint64(t.Proto)))
-	return h
-}
-
 // HashAddr hashes a single address with a seed; used for prefix-keyed
 // switch registers and sketch rows.
 func HashAddr(a Addr, seed uint64) uint64 {

@@ -21,12 +21,6 @@ import (
 // packet.Stream.
 type Stream = packet.Stream
 
-// Slice adapts an in-memory trace to a Stream.
-func Slice(pkts []packet.Packet) Stream { return packet.StreamOf(pkts) }
-
-// Collect drains a stream into a slice (tests, small traces).
-func Collect(s Stream) []packet.Packet { return packet.Collect(s) }
-
 // Shift returns a stream with offsetNs added to every timestamp.
 func Shift(s Stream, offsetNs int64) Stream {
 	return func(yield func(packet.Packet) bool) {
@@ -49,29 +43,6 @@ func Truncate(s Stream, maxBytes uint16) Stream {
 			if p.Size > maxBytes {
 				p.Size = maxBytes
 			}
-			if !yield(p) {
-				return
-			}
-		}
-	}
-}
-
-// Speedup divides all inter-arrival gaps by factor (>1 accelerates), the
-// operation behind the paper's "speedup the CAIDA 2018 trace to emulate
-// different packet arrival rates" experiment (Fig. 3) and the 10x Wisconsin
-// replay (Fig. 11a).
-func Speedup(s Stream, factor float64) Stream {
-	if factor <= 0 {
-		panic("pcap: Speedup factor must be positive")
-	}
-	return func(yield func(packet.Packet) bool) {
-		first := true
-		var t0 int64
-		for p := range s {
-			if first {
-				t0, first = p.Ts, false
-			}
-			p.Ts = t0 + int64(float64(p.Ts-t0)/factor)
 			if !yield(p) {
 				return
 			}
@@ -146,21 +117,4 @@ func WriteStream(w *Writer, s Stream) error {
 		}
 	}
 	return w.Flush()
-}
-
-// ReadStream adapts a Reader to a Stream. Read errors terminate the stream;
-// check Reader.Err-style state via Count/Skipped if exactness matters, or
-// use Next directly for error handling.
-func ReadStream(r *Reader) Stream {
-	return func(yield func(packet.Packet) bool) {
-		for {
-			p, err := r.Next()
-			if err != nil {
-				return
-			}
-			if !yield(p) {
-				return
-			}
-		}
-	}
 }

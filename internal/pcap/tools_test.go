@@ -24,7 +24,7 @@ func timestamps(pkts []packet.Packet) []int64 {
 }
 
 func TestShift(t *testing.T) {
-	got := Collect(Shift(Slice(seq(10, 20, 30)), 5))
+	got := packet.Collect(Shift(packet.StreamOf(seq(10, 20, 30)), 5))
 	want := []int64{15, 25, 35}
 	for i, ts := range timestamps(got) {
 		if ts != want[i] {
@@ -37,7 +37,7 @@ func TestTruncate(t *testing.T) {
 	pkts := seq(1, 2)
 	pkts[0].Size = 1500
 	pkts[1].Size = 40
-	got := Collect(Truncate(Slice(pkts), 64))
+	got := packet.Collect(Truncate(packet.StreamOf(pkts), 64))
 	if got[0].Size != 64 {
 		t.Errorf("large packet Size = %d, want 64", got[0].Size)
 	}
@@ -49,27 +49,11 @@ func TestTruncate(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	got := Collect(Speedup(Slice(seq(1000, 2000, 3000)), 2))
-	want := []int64{1000, 1500, 2000}
-	for i, ts := range timestamps(got) {
-		if ts != want[i] {
-			t.Errorf("ts[%d] = %d, want %d", i, ts, want[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Speedup(0) must panic")
-		}
-	}()
-	Speedup(Slice(nil), 0)
-}
-
 func TestMergeOrdering(t *testing.T) {
-	a := Slice(seq(1, 4, 7))
-	b := Slice(seq(2, 5, 8))
-	c := Slice(seq(3, 6, 9))
-	got := timestamps(Collect(Merge(a, b, c)))
+	a := packet.StreamOf(seq(1, 4, 7))
+	b := packet.StreamOf(seq(2, 5, 8))
+	c := packet.StreamOf(seq(3, 6, 9))
+	got := timestamps(packet.Collect(Merge(a, b, c)))
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
 			t.Fatalf("merge out of order at %d: %v", i, got)
@@ -81,11 +65,11 @@ func TestMergeOrdering(t *testing.T) {
 }
 
 func TestMergeWithEmptyStreams(t *testing.T) {
-	got := Collect(Merge(Slice(nil), Slice(seq(5)), Slice(nil)))
+	got := packet.Collect(Merge(packet.StreamOf(nil), packet.StreamOf(seq(5)), packet.StreamOf(nil)))
 	if len(got) != 1 || got[0].Ts != 5 {
 		t.Errorf("got %v", timestamps(got))
 	}
-	if got := Collect(Merge()); got != nil {
+	if got := packet.Collect(Merge()); got != nil {
 		t.Errorf("empty merge should be empty")
 	}
 }
@@ -93,7 +77,7 @@ func TestMergeWithEmptyStreams(t *testing.T) {
 func TestMergeEarlyStop(t *testing.T) {
 	// Consuming only part of a merged stream must not hang or panic (pull
 	// iterators must be stopped).
-	m := Merge(Slice(seq(1, 2, 3)), Slice(seq(4, 5, 6)))
+	m := Merge(packet.StreamOf(seq(1, 2, 3)), packet.StreamOf(seq(4, 5, 6)))
 	n := 0
 	for range m {
 		n++
@@ -110,8 +94,8 @@ func TestWriteReadStreamPipeline(t *testing.T) {
 	// End-to-end: generate, shift, merge, truncate, write to file, read
 	// back, confirm ordering and lengths — the exact preparation pipeline
 	// used for evaluation traces.
-	background := Slice(seq(0, 1000, 2000, 3000))
-	attack := Shift(Slice(seq(0, 500)), 1500) // lands at 1500, 2000
+	background := packet.StreamOf(seq(0, 1000, 2000, 3000))
+	attack := Shift(packet.StreamOf(seq(0, 500)), 1500) // lands at 1500, 2000
 	merged := Truncate(Merge(background, attack), 64)
 
 	var buf bytes.Buffer
@@ -123,7 +107,10 @@ func TestWriteReadStreamPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Collect(ReadStream(r))
+	got, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 6 {
 		t.Fatalf("got %d packets, want 6", len(got))
 	}

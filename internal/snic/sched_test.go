@@ -4,33 +4,41 @@ import (
 	"math"
 	"testing"
 
-	"smartwatch/internal/container"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/stats"
 )
 
-// heapSched is the thread scheduler the engine used before the sorted
-// ring: container.Heap keyed (free, pme), dispatching by Root/FixRoot. It
-// lives on only here, as the oracle the ring must match step for step.
-type heapSched struct {
-	h container.Heap[float64, int, struct{}]
+// scanSched is the order the engine's scheduler must keep, stated as
+// plainly as it can be: a slice of threads, where the next to dispatch is
+// the least (free, pme) found by a scan and rearm sets that thread's free
+// time. It is the same order the heap the engine used before the sorted
+// ring dispatched in, and the oracle the ring must match step for step.
+type scanSched struct {
+	threads []thread
+	next    int // index of the thread earliest last returned
 }
 
-func newHeapSched(pmes, threadsPerPME int) *heapSched {
-	items := make([]container.Item[float64, int, struct{}], 0, pmes*threadsPerPME)
+func newScanSched(pmes, threadsPerPME int) *scanSched {
+	s := &scanSched{}
 	for pme := 0; pme < pmes; pme++ {
 		for t := 0; t < threadsPerPME; t++ {
-			items = append(items, container.Item[float64, int, struct{}]{Tie: pme})
+			s.threads = append(s.threads, thread{pme: pme})
 		}
 	}
-	s := &heapSched{}
-	s.h.Init(items)
 	return s
 }
 
-func (s *heapSched) earliest() thread { r := s.h.Root(); return thread{free: r.Pri, pme: r.Tie} }
+func (s *scanSched) earliest() thread {
+	s.next = 0
+	for i, th := range s.threads {
+		if best := s.threads[s.next]; th.free < best.free || (th.free == best.free && th.pme < best.pme) {
+			s.next = i
+		}
+	}
+	return s.threads[s.next]
+}
 
-func (s *heapSched) rearm(free float64) { s.h.Root().Pri = free; s.h.FixRoot() }
+func (s *scanSched) rearm(free float64) { s.threads[s.next].free = free }
 
 // schedRegimes are the service/arrival shapes the ring must survive. gap
 // and service return virtual nanoseconds for step i.
@@ -61,11 +69,11 @@ var schedRegimes = []struct {
 		func(rng *stats.Rand, i int) float64 { return rng.Pareto(200, 1.1) }},
 }
 
-// TestThreadRingMatchesHeap drives the ring and the heap with the same
-// seeded arrivals and service times and requires the same (pme, start) at
-// every step: over a million steps across all three NIC profiles, a
-// single-PME profile and a single-thread one. -short runs a tenth of the
-// steps so the race build still exercises every regime.
+// TestThreadRingMatchesHeap drives the ring and scanSched (the heap's
+// order) with the same seeded arrivals and service times and requires the
+// same (pme, start) at every step: over a million steps across all three
+// NIC profiles, a single-PME profile and a single-thread one. -short runs
+// a tenth of the steps so the race build still exercises every regime.
 func TestThreadRingMatchesHeap(t *testing.T) {
 	profiles := []Profile{Netronome(), BlueField(), LiquidIO(), Netronome().WithPMEs(1)}
 	single := Netronome().WithPMEs(1)
@@ -80,19 +88,19 @@ func TestThreadRingMatchesHeap(t *testing.T) {
 	for pi, prof := range profiles {
 		for ri, reg := range schedRegimes {
 			ring := newThreadRing(prof.PMEs, prof.ThreadsPerPME)
-			heap := newHeapSched(prof.PMEs, prof.ThreadsPerPME)
+			scan := newScanSched(prof.PMEs, prof.ThreadsPerPME)
 			rng := stats.NewRand(uint64(1 + pi*16 + ri))
 			now := 0.0
 			for i := 0; i < steps; i++ {
 				now += reg.gap(rng, i)
-				got, want := ring.earliest(), heap.earliest()
+				got, want := ring.earliest(), scan.earliest()
 				if got != want {
-					t.Fatalf("%s x%d/%s step %d: ring picked (pme %d, free %v), heap (pme %d, free %v)",
+					t.Fatalf("%s x%d/%s step %d: ring picked (pme %d, free %v), scan (pme %d, free %v)",
 						prof.Name, prof.PMEs, reg.name, i, got.pme, got.free, want.pme, want.free)
 				}
 				end := math.Max(now, got.free) + reg.service(rng, i)
 				ring.rearm(end)
-				heap.rearm(end)
+				scan.rearm(end)
 			}
 			total += steps
 			// The ring must still be sorted and hold every thread.
@@ -110,13 +118,13 @@ func TestThreadRingMatchesHeap(t *testing.T) {
 	}
 }
 
-// oracleRun is Engine.Run as it was with the heap scheduler, reduced to
-// what the comparison needs: the same dispatch, drop and cost arithmetic,
-// recording each processed packet's (queue delay, latency) instead of
-// building quantiles.
+// oracleRun is Engine.Run as it was with the heap scheduler, its order
+// kept by scanSched, reduced to what the comparison needs: the same
+// dispatch, drop and cost arithmetic, recording each processed packet's
+// (queue delay, latency) instead of building quantiles.
 func oracleRun(cfg Config, handler Handler, pkts []packet.Packet) (rep Report, perPkt [][2]float64) {
 	prof := cfg.Profile
-	threads := newHeapSched(prof.PMEs, prof.ThreadsPerPME)
+	threads := newScanSched(prof.PMEs, prof.ThreadsPerPME)
 	engineFree := make([]float64, prof.PMEs)
 	nsPerCycle := 1e9 / prof.ClockHz
 	baseNs, readCostNs, writeCostNs := prof.BaseCycles*nsPerCycle, prof.CyclesPerRead*nsPerCycle, prof.CyclesPerWrite*nsPerCycle
@@ -187,7 +195,7 @@ func hostileArrivals() []packet.Packet {
 // TestEngineHostileTime feeds Engine.Run arrival timestamps a capture can
 // really contain — duplicates, backwards steps, zero, negative, a
 // far-future jump and a return from it — and requires no panic, every
-// offered packet accounted for, and per-packet agreement with the heap
+// offered packet accounted for, and per-packet agreement with the scan
 // oracle. The model's defined behaviour for the far-future packet is that
 // it is processed and drags the front end's clock with it, so every later
 // packet waits past the input buffer and drops.

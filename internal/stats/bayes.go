@@ -56,9 +56,6 @@ func (nb *NaiveBayes) Train(class string, counts []uint64) error {
 	return nil
 }
 
-// Classes returns the trained class labels in training order.
-func (nb *NaiveBayes) Classes() []string { return nb.classes }
-
 // Classify scores an observed feature-count vector and returns the
 // max-posterior class with its log score. It returns an error when
 // untrained or on shape mismatch.

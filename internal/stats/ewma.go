@@ -1,8 +1,8 @@
 // Package stats provides the statistical machinery SmartWatch's detectors
 // and control loops are built on: exponential moving averages (the
-// FlowCache mode-switch controller), running summaries and quantiles
-// (latency profiles), two-sample Kolmogorov–Smirnov tests (covert timing
-// channel detection), Threshold Random Walk sequential hypothesis testing
+// FlowCache mode-switch controller), quantiles (latency profiles), the
+// two-sample Kolmogorov–Smirnov statistic (covert timing channel
+// detection), Threshold Random Walk sequential hypothesis testing
 // (port-scan detection, Jung et al. 2004), a multinomial naive Bayes
 // classifier (website fingerprinting), and the random-variate generators
 // the synthetic trace workloads draw from.
@@ -39,12 +39,6 @@ func (e *EWMA) Update(x float64) float64 {
 
 // Value returns the current average (zero before any update).
 func (e *EWMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one observation has been folded in.
-func (e *EWMA) Primed() bool { return e.primed }
-
-// Reset clears the average.
-func (e *EWMA) Reset() { e.value, e.primed = 0, false }
 
 // RateMeter measures an event rate (events/second) over fixed windows and
 // smooths the per-window rates with an EWMA. The FlowCache CME uses one to

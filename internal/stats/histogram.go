@@ -50,14 +50,6 @@ func (h *Histogram) AddN(x float64, n uint64) {
 // Total returns the number of recorded observations.
 func (h *Histogram) Total() uint64 { return h.total }
 
-// Reset zeroes all bins.
-func (h *Histogram) Reset() {
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
-	h.total = 0
-}
-
 // Clone returns a deep copy.
 func (h *Histogram) Clone() *Histogram {
 	c := *h

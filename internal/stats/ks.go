@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// Two-sample Kolmogorov–Smirnov test. The covert-timing-channel detector
+// Two-sample Kolmogorov–Smirnov statistic. The covert-timing-channel detector
 // (paper §5.2.1) compares the inter-packet-delay distribution of a
 // suspicious flow against a known-good distribution learned from training
 // traffic; a large KS statistic flags modulation.
@@ -33,43 +33,4 @@ func KSStat(a, b []float64) float64 {
 		}
 	}
 	return d
-}
-
-// KSPValue returns the asymptotic p-value for a two-sample KS statistic d
-// with sample sizes n and m, using the Kolmogorov distribution
-// Q(lambda) = 2*sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2).
-func KSPValue(d float64, n, m int) float64 {
-	if n <= 0 || m <= 0 || d <= 0 {
-		return 1
-	}
-	ne := float64(n) * float64(m) / float64(n+m)
-	lambda := (math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d
-	sum := 0.0
-	for k := 1; k <= 100; k++ {
-		term := math.Exp(-2 * float64(k*k) * lambda * lambda)
-		if k%2 == 1 {
-			sum += term
-		} else {
-			sum -= term
-		}
-		if term < 1e-12 {
-			break
-		}
-	}
-	p := 2 * sum
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
-// KSTest runs the two-sample test and reports whether the null hypothesis
-// (same distribution) is rejected at significance level alpha.
-func KSTest(a, b []float64, alpha float64) (stat, p float64, reject bool) {
-	stat = KSStat(a, b)
-	p = KSPValue(stat, len(a), len(b))
-	return stat, p, p < alpha
 }

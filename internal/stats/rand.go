@@ -98,9 +98,6 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, rng: rng}
 }
 
-// N returns the support size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample returns a rank in [0,n); rank 0 is the most probable.
 func (z *Zipf) Sample() int {
 	u := z.rng.Float64()
@@ -114,12 +111,4 @@ func (z *Zipf) Sample() int {
 		}
 	}
 	return lo
-}
-
-// Shuffle permutes the first n elements via swap using Fisher–Yates.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		swap(i, j)
-	}
 }

@@ -8,9 +8,6 @@ import (
 
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.75)
-	if e.Primed() {
-		t.Error("fresh EWMA should be unprimed")
-	}
 	if got := e.Update(10); got != 10 {
 		t.Errorf("first update = %g, want 10 (seed)", got)
 	}
@@ -18,10 +15,6 @@ func TestEWMA(t *testing.T) {
 	want := 0.75*20 + 0.25*10
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("second update = %g, want %g", got, want)
-	}
-	e.Reset()
-	if e.Primed() || e.Value() != 0 {
-		t.Error("Reset failed")
 	}
 }
 
@@ -53,26 +46,6 @@ func TestRateMeter(t *testing.T) {
 	m.Observe(5e9, 1)
 	if got := m.Rate(); got > 1.1 {
 		t.Errorf("rate after idle gap = %g, want ~0-1", got)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
-	}
-	if math.Abs(s.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %g, want 5", s.Mean())
-	}
-	// Sample variance of this classic dataset is 32/7.
-	if math.Abs(s.Var()-32.0/7) > 1e-12 {
-		t.Errorf("Var = %g, want %g", s.Var(), 32.0/7)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %g/%g", s.Min(), s.Max())
 	}
 }
 
@@ -123,19 +96,22 @@ func TestRandDeterminism(t *testing.T) {
 
 func TestRandDistributions(t *testing.T) {
 	r := NewRand(42)
-	var s Summary
-	for i := 0; i < 20000; i++ {
-		s.Add(r.Exp(5))
+	// meanStd returns the sample mean and standard deviation of n draws.
+	meanStd := func(n int, draw func() float64) (mean, std float64) {
+		var sum, sq float64
+		for i := 0; i < n; i++ {
+			x := draw()
+			sum += x
+			sq += x * x
+		}
+		mean = sum / float64(n)
+		return mean, math.Sqrt((sq - float64(n)*mean*mean) / float64(n-1))
 	}
-	if math.Abs(s.Mean()-5) > 0.2 {
-		t.Errorf("Exp mean = %g, want ~5", s.Mean())
+	if mean, _ := meanStd(20000, func() float64 { return r.Exp(5) }); math.Abs(mean-5) > 0.2 {
+		t.Errorf("Exp mean = %g, want ~5", mean)
 	}
-	s = Summary{}
-	for i := 0; i < 20000; i++ {
-		s.Add(r.Normal(10, 2))
-	}
-	if math.Abs(s.Mean()-10) > 0.1 || math.Abs(s.Std()-2) > 0.1 {
-		t.Errorf("Normal = (%g, %g), want (10, 2)", s.Mean(), s.Std())
+	if mean, std := meanStd(20000, func() float64 { return r.Normal(10, 2) }); math.Abs(mean-10) > 0.1 || math.Abs(std-2) > 0.1 {
+		t.Errorf("Normal = (%g, %g), want (10, 2)", mean, std)
 	}
 	for i := 0; i < 1000; i++ {
 		if v := r.Pareto(64, 1.2); v < 64 {
@@ -219,9 +195,8 @@ func TestKSSameDistribution(t *testing.T) {
 		a[i] = r.Normal(0, 1)
 		b[i] = r.Normal(0, 1)
 	}
-	_, p, reject := KSTest(a, b, 0.01)
-	if reject {
-		t.Errorf("same-distribution samples rejected, p=%g", p)
+	if d := KSStat(a, b); d > 0.1 {
+		t.Errorf("same-distribution samples: D=%g, want <= 0.1", d)
 	}
 }
 
@@ -233,21 +208,17 @@ func TestKSDifferentDistribution(t *testing.T) {
 		a[i] = r.Normal(0, 1)
 		b[i] = r.Normal(2, 1)
 	}
-	stat, p, reject := KSTest(a, b, 0.01)
-	if !reject {
-		t.Errorf("shifted distribution not rejected: D=%g p=%g", stat, p)
+	if d := KSStat(a, b); d < 0.5 {
+		t.Errorf("distribution shifted by 2 sigma: D=%g, want >= 0.5", d)
 	}
 }
 
 func TestKSEdgeCases(t *testing.T) {
-	if KSStat(nil, []float64{1}) != 0 {
+	if KSStat(nil, []float64{1}) != 0 || KSStat([]float64{1}, nil) != 0 {
 		t.Error("empty sample KS should be 0")
 	}
-	if p := KSPValue(0, 10, 10); p != 1 {
-		t.Errorf("KSPValue(0) = %g, want 1", p)
-	}
-	if p := KSPValue(0.9, 100, 100); p > 1e-6 {
-		t.Errorf("large D p-value = %g, want ~0", p)
+	if d := KSStat([]float64{1, 2}, []float64{3, 4}); d != 1 {
+		t.Errorf("disjoint samples KS = %g, want 1", d)
 	}
 }
 
@@ -267,25 +238,27 @@ func TestKSStatHist(t *testing.T) {
 }
 
 func TestTRWScanner(t *testing.T) {
-	trw := NewTRW(DefaultTRWConfig())
+	trw := NewTRWTest(DefaultTRWConfig())
+	var w TRWWalk
 	v := TRWPending
 	for i := 0; i < 50 && v == TRWPending; i++ {
-		v = trw.Observe(false) // all failures
+		v = trw.Observe(&w, false) // all failures
 	}
 	if v != TRWScanner {
 		t.Errorf("all-failure host verdict = %v, want scanner", v)
 	}
 	// Terminal verdicts are sticky.
-	if trw.Observe(true) != TRWScanner {
+	if trw.Observe(&w, true) != TRWScanner {
 		t.Error("verdict must be sticky")
 	}
 }
 
 func TestTRWBenign(t *testing.T) {
-	trw := NewTRW(DefaultTRWConfig())
+	trw := NewTRWTest(DefaultTRWConfig())
+	var w TRWWalk
 	v := TRWPending
 	for i := 0; i < 50 && v == TRWPending; i++ {
-		v = trw.Observe(true)
+		v = trw.Observe(&w, true)
 	}
 	if v != TRWBenign {
 		t.Errorf("all-success host verdict = %v, want benign", v)
@@ -305,16 +278,11 @@ func TestTRWMonotonicity(t *testing.T) {
 		if cfg.Theta1 >= cfg.Theta0 {
 			return true // skip invalid draw
 		}
-		a := NewTRW(cfg)
-		before := a.LogLambda()
-		a.Observe(false)
-		if a.LogLambda() <= before {
-			return false
-		}
-		b := NewTRW(cfg)
-		before = b.LogLambda()
-		b.Observe(true)
-		return b.LogLambda() < before
+		trw := NewTRWTest(cfg)
+		var a, b TRWWalk
+		trw.Observe(&a, false)
+		trw.Observe(&b, true)
+		return a.logLambda > 0 && b.logLambda < 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -5,56 +5,6 @@ import (
 	"sort"
 )
 
-// Summary accumulates a running mean and variance using Welford's
-// algorithm, plus min/max. It is the workhorse for latency and throughput
-// reporting in the experiment harnesses.
-type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation in.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the observation count.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the running mean (zero with no observations).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Var returns the sample variance.
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min returns the smallest observation.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Summary) Max() float64 { return s.max }
-
 // Quantiles collects observations and answers exact quantile queries. For
 // the trace volumes the simulators produce this is bounded by reservoir
 // sampling above maxSamples entries, which keeps quantile error negligible

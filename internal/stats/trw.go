@@ -112,22 +112,3 @@ func (w *TRWWalk) Verdict() TRWVerdict { return w.verdict }
 
 // Observations returns how many outcomes have been folded in.
 func (w *TRWWalk) Observations() int { return int(w.observations) }
-
-// LogLambda exposes the walk position, useful for diagnostics.
-func (w *TRWWalk) LogLambda() float64 { return w.logLambda }
-
-// TRW is one remote host's sequential test: a TRWTest with the one walk it
-// judges. The zero value is not usable; create with NewTRW.
-type TRW struct {
-	test TRWTest
-	TRWWalk
-}
-
-// NewTRW starts a sequential test with the given configuration.
-func NewTRW(cfg TRWConfig) *TRW {
-	return &TRW{test: NewTRWTest(cfg)}
-}
-
-// Observe folds one connection-attempt outcome in and returns the verdict.
-// Once a terminal verdict is reached, further observations are ignored.
-func (t *TRW) Observe(success bool) TRWVerdict { return t.test.Observe(&t.TRWWalk, success) }
