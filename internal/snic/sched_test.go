@@ -8,11 +8,11 @@ import (
 	"smartwatch/internal/stats"
 )
 
-// scanSched is the order the engine's scheduler must keep, stated as
-// plainly as it can be: a slice of threads, where the next to dispatch is
-// the least (free, pme) found by a scan and rearm sets that thread's free
-// time. It is the same order the heap the engine used before the sorted
-// ring dispatched in, and the oracle the ring must match step for step.
+// scanSched states the scheduler's order as plainly as it can be: a
+// slice of threads, where the next to dispatch is the least (free, pme)
+// found by a scan and rearm sets that thread's free time. The heap the
+// engine used before the sorted ring kept this order; the scan is the
+// oracle the ring must match step for step.
 type scanSched struct {
 	threads []thread
 	next    int // index of the thread earliest last returned
