@@ -30,8 +30,7 @@ test:
 # oracle, the shard / policy determinism suites, none of which -short
 # skips), the sNIC engine, the platform control loop, the
 # event observer list, the parallel experiment runner, the buffered stream bridge,
-# the SPSC ring under the cluster's ingress lanes, the wire side's
-# shared state — the follow reader's close flag, the switch tables — and
+# the wire side's shared state — the follow reader's close flag, the switch tables — and
 # the host flow log, which -serve handlers read under the KVStore's
 # RWMutex while the drive flushes into it. The
 # cluster runner is not here: its whole suite runs under -race in `make
@@ -45,7 +44,7 @@ test:
 # whole contract of a drive that runs on its callers' goroutines
 # (DESIGN.md §12.1).
 race:
-	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/container/ ./internal/pcap/ ./internal/p4switch/ ./internal/host/
+	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/pcap/ ./internal/p4switch/ ./internal/host/
 	$(GO) test -race -run 'TestBatchedDriveMatchesPerPacket|TestChunkedIngestMatchesRun|TestSegmentedRunMatchesOneShot' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 

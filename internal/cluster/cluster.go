@@ -52,12 +52,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"smartwatch/internal/container"
 	"smartwatch/internal/core"
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
@@ -68,7 +66,7 @@ import (
 )
 
 // ErrWorkerStalled is wrapped by the WorkerError the runner returns when
-// a worker's ingress ring stays full past StallTimeout.
+// a worker's ingress channel stays full past StallTimeout.
 var ErrWorkerStalled = errors.New("cluster: worker ingress stalled")
 
 // ErrRunnerState is returned for lifecycle misuse (Ingest before Start,
@@ -101,14 +99,11 @@ const SteerHash SteerPolicy = 0
 // String names the policy ("hash").
 func (SteerPolicy) String() string { return "hash" }
 
-// queueDepth is the number of ingress batch buffers in circulation per
-// worker (one filling at the router, up to two queued, one draining at
-// the feeder). Power of two: it sizes the SPSC rings exactly.
+// queueDepth is the capacity of each worker's in and free channels: how
+// many full buffers may wait for its feeder, and how many recycled ones
+// the router can take back without waiting. Four is the depth of the
+// lock-free rings these channels replaced, so backpressure is unchanged.
 const queueDepth = 4
-
-// spinPasses matches the flowcache pool's parking protocol: yield-and-
-// recheck passes before committing to a wake channel.
-const spinPasses = 8
 
 // Config assembles a cluster runner.
 type Config struct {
@@ -135,7 +130,7 @@ type Config struct {
 	Steer SteerPolicy
 	// QueueBatch is the ingress handoff granularity in packets (default
 	// 512): the router accumulates this many per worker before pushing
-	// the buffer onto the worker's ring.
+	// the buffer onto the worker's ingress channel.
 	QueueBatch int
 	// SyncPackets is the control-fold epoch (default 4096): every this
 	// many packets steered to a lane the router closes an epoch, folding
@@ -143,7 +138,7 @@ type Config struct {
 	// by the buffers issued before the previous close (package doc).
 	SyncPackets int
 	// StallTimeout bounds how long the router waits on a full ingress
-	// ring before declaring the worker stalled (0 = wait forever, which
+	// channel before declaring the worker stalled (0 = wait forever, which
 	// keeps the drive fully deterministic). A stall surfaces as a
 	// WorkerError.
 	StallTimeout time.Duration
@@ -167,30 +162,29 @@ type ctlEvent struct {
 	buf  uint64
 }
 
-// worker is one platform lane: its session, its ingress rings, its
+// worker is one platform lane: its session, its ingress channels, its
 // feeder, and its captured control events.
 type worker struct {
 	id  int
 	pl  *core.Platform
 	ses *core.Session
 
-	// in carries full packet buffers router→feeder; free recycles
-	// drained buffers back. SPSC: the router is the only producer, the
-	// feeder the only consumer (and vice versa for free).
-	in   *container.SPSC[[]packet.Packet]
-	free *container.SPSC[[]packet.Packet]
+	// in carries full packet buffers router→feeder, and teardown closes it
+	// to end the feeder; free recycles drained buffers back.
+	in   chan []packet.Packet
+	free chan []packet.Packet
 	buf  []packet.Packet // router-side: the buffer currently being filled
 
 	// issued is router-local; completed is the feeder's progress. Their
 	// equality is the interval/drain barrier. mark is issued as of the last
 	// epoch close: completed reaching it is all the next close waits for.
+	// The feeder signals progress after every buffer it completes; a
+	// barrier re-checks completed after each signal.
 	issued    uint64
 	mark      uint64
 	completed atomic.Uint64
-
-	sleeping atomic.Bool
-	wake     chan struct{}
-	done     chan struct{}
+	progress  chan struct{}
+	done      chan struct{}
 
 	// failed records the first worker-session error (set once by the
 	// feeder, or by the sequential dispatch). The feeder keeps draining
@@ -271,12 +265,6 @@ type Runner struct {
 	err   error
 	torn  bool
 
-	stop atomic.Bool
-	// Router parking for every wait on a feeder — full ring, empty free
-	// ring, fold/drain barrier (mirrors the flowcache pool's protocol).
-	routerWaiting atomic.Bool
-	routerWake    chan struct{}
-
 	intervalNs   int64
 	nextInterval int64
 	maxTs        int64
@@ -327,7 +315,6 @@ func New(cfg Config) *Runner {
 		cfg:        cfg,
 		w:          cfg.Workers,
 		lgW:        uint(bits.TrailingZeros(uint(cfg.Workers))),
-		routerWake: make(chan struct{}, 1),
 		intervalNs: cfg.Worker.IntervalNs,
 	}
 	r.shift = 64 - r.lgW
@@ -350,7 +337,7 @@ func New(cfg Config) *Runner {
 
 	r.workers = make([]*worker, r.w)
 	for i := range r.workers {
-		w := &worker{id: i, wake: make(chan struct{}, 1), done: make(chan struct{})}
+		w := &worker{id: i, done: make(chan struct{})}
 		w.pl = core.New(r.workerConfig(i))
 		// Idle until Start, and never replaced: Snapshots and Close read it
 		// at any point of the lifecycle without the runner lock.
@@ -505,10 +492,11 @@ func (r *Runner) Start() error {
 	}
 	if !r.cfg.Sequential {
 		for _, w := range r.workers {
-			w.in = container.NewSPSC[[]packet.Packet](queueDepth)
-			w.free = container.NewSPSC[[]packet.Packet](queueDepth)
+			w.in = make(chan []packet.Packet, queueDepth)
+			w.free = make(chan []packet.Packet, queueDepth)
+			w.progress = make(chan struct{}, 1)
 			for j := 0; j < queueDepth; j++ {
-				w.free.TryPush(make([]packet.Packet, 0, r.cfg.QueueBatch))
+				w.free <- make([]packet.Packet, 0, r.cfg.QueueBatch)
 			}
 			go r.feeder(w)
 		}
@@ -520,45 +508,26 @@ func (r *Runner) Start() error {
 	return nil
 }
 
-// feeder is one worker's persistent ingress consumer: it pops full
-// buffers from the ring, runs them through the worker session (Ingest
-// processes the whole vector on this goroutine before it returns),
-// recycles the buffer and bumps the completion counter.
-// After a worker failure it keeps popping and recycling WITHOUT feeding,
-// so the router's barriers and buffer circulation never wedge on a dead
-// lane.
+// feeder is one worker's persistent ingress consumer: it receives full
+// buffers until teardown closes in, runs each through the worker session
+// (Ingest processes the whole vector on this goroutine before it
+// returns), recycles the buffer, bumps the completion counter and signals
+// progress. After a worker failure it keeps receiving and recycling
+// WITHOUT feeding, so the router's barriers and buffer circulation never
+// wedge on a dead lane.
 func (r *Runner) feeder(w *worker) {
 	defer close(w.done)
 	for {
-		b, ok := w.in.TryPop()
+		var b []packet.Packet
+		var ok bool
+		select {
+		case b, ok = <-w.in:
+		default:
+			w.wakeups.Add(1)
+			b, ok = <-w.in
+		}
 		if !ok {
-			if r.stop.Load() {
-				return
-			}
-			parked := false
-			for pass := 0; pass < spinPasses; pass++ {
-				runtime.Gosched()
-				if b, ok = w.in.TryPop(); ok {
-					break
-				}
-				if r.stop.Load() {
-					return
-				}
-			}
-			if !ok {
-				w.sleeping.Store(true)
-				if b, ok = w.in.TryPop(); !ok && !r.stop.Load() {
-					<-w.wake
-					parked = true
-				}
-				w.sleeping.Store(false)
-				if !ok {
-					if parked {
-						w.wakeups.Add(1)
-					}
-					continue
-				}
-			}
+			return
 		}
 		if w.failed.Load() == nil {
 			if err := w.ses.Ingest(b); err != nil {
@@ -571,16 +540,17 @@ func (r *Runner) feeder(w *worker) {
 				w.fail(err)
 			}
 		}
-		// Capacity matches the steady-state circulation; a full ring only
+		// Capacity matches the steady-state circulation; a full channel only
 		// happens when popFree starvation minted an extra buffer, and then
 		// dropping the surplus here restores the original census.
-		w.free.TryPush(b[:0])
+		select {
+		case w.free <- b[:0]:
+		default:
+		}
 		w.completed.Add(1)
-		if r.routerWaiting.Load() {
-			select {
-			case r.routerWake <- struct{}{}:
-			default:
-			}
+		select {
+		case w.progress <- struct{}{}:
+		default: // a signal is pending already
 		}
 	}
 }
@@ -664,7 +634,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 }
 
 // dispatch hands worker w's current buffer over: synchronously in
-// sequential mode, onto the ingress ring otherwise.
+// sequential mode, onto the ingress channel otherwise.
 func (r *Runner) dispatch(w *worker) error {
 	if r.cfg.Sequential {
 		if w.failed.Load() == nil {
@@ -681,14 +651,20 @@ func (r *Runner) dispatch(w *worker) error {
 	return r.push(w)
 }
 
-// push queues w's current buffer onto its ingress ring, stalling
-// (spin-then-park, see await) while the ring is full, and takes a recycled
-// buffer in its place. A stall past StallTimeout fails the run.
+// push queues w's current buffer onto its ingress channel, blocking
+// while the channel is full, and takes a recycled buffer in its place. A
+// stall past StallTimeout fails the run.
 func (r *Runner) push(w *worker) error {
-	buf := w.buf
-	if !w.in.TryPush(buf) {
+	select {
+	case w.in <- w.buf:
+	default:
 		w.stalls.Add(1)
-		if !r.timedAwait(&w.waitNs, func() bool { return w.in.TryPush(buf) }, r.stallDeadline()) {
+		start := time.Now()
+		select {
+		case w.in <- w.buf:
+			addSince(&w.waitNs, start)
+		case <-r.stallTimeout():
+			addSince(&w.waitNs, start)
 			return r.failRun(&WorkerError{Worker: w.id, Err: ErrWorkerStalled})
 		}
 	}
@@ -697,88 +673,49 @@ func (r *Runner) push(w *worker) error {
 	if d := int64(w.issued - w.completed.Load()); d > w.hwm.Load() {
 		w.hwm.Store(d)
 	}
-	if w.sleeping.Load() {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
 	w.buf = r.popFree(w)
 	return r.checkFailures()
 }
 
-// popFree takes a recycled buffer from the owner's free ring, stalling
+// popFree takes a recycled buffer from the owner's free channel, blocking
 // until the feeder returns one. A failed feeder still recycles, but a
 // WEDGED one (alive, blocked mid-Ingest) does not — so with a
 // StallTimeout configured the wait is bounded and starvation allocates a
 // replacement buffer instead of deadlocking the router. The allocation
-// is bounded too: the wedged lane's ring is full by then, so its next
-// dispatch takes the typed-error path rather than coming back here.
+// is bounded too: the wedged lane's in channel is full by then, so its
+// next dispatch takes the typed-error path rather than coming back here.
 func (r *Runner) popFree(w *worker) []packet.Packet {
-	b, ok := w.free.TryPop()
-	if !ok {
-		w.stalls.Add(1)
-		if !r.timedAwait(&w.waitNs, func() bool { b, ok = w.free.TryPop(); return ok }, r.stallDeadline()) {
-			return make([]packet.Packet, 0, r.cfg.QueueBatch)
-		}
+	select {
+	case b := <-w.free:
+		return b
+	default:
 	}
-	return b
+	w.stalls.Add(1)
+	defer addSince(&w.waitNs, time.Now())
+	select {
+	case b := <-w.free:
+		return b
+	case <-r.stallTimeout():
+		return make([]packet.Packet, 0, r.cfg.QueueBatch)
+	}
 }
 
-// stallDeadline is when a stall starting now gives up (zero = never).
-func (r *Runner) stallDeadline() time.Time {
+// stallTimeout is the deadline case of a router wait on a lane: a channel
+// that fires after StallTimeout, or nil — never ready — without one. The
+// router blocks rather than yield-spins because spinning keeps its P:
+// with no P to spare, the worker it waits for sits queued behind the
+// other one (DESIGN.md §14.2).
+func (r *Runner) stallTimeout() <-chan time.Time {
 	if r.cfg.StallTimeout > 0 {
-		return time.Now().Add(r.cfg.StallTimeout)
+		return time.After(r.cfg.StallTimeout)
 	}
-	return time.Time{}
+	return nil
 }
 
-// await blocks the router until cond holds: spinPasses yield-and-recheck
-// passes, then parked on routerWake, which a feeder signals after every
-// batch it completes. (Ring space frees a little earlier, at the feeder's
-// pop, but the push that wanted it needs that batch's recycled buffer
-// next anyway.) The router parks rather than yield-spins because spinning
-// keeps its P: with no P to spare, the worker it waits for sits queued
-// behind the other one, the wait lasts as long as the scheduler's
-// placement makes it, and the cycles burnt are taken from the very work
-// being waited for. Past a non-zero deadline await gives up and reports
-// false — a wedged feeder never signals.
-func (r *Runner) await(cond func() bool, deadline time.Time) bool {
-	for pass := 0; pass < spinPasses; pass++ {
-		runtime.Gosched()
-		if cond() {
-			return true
-		}
-	}
-	var expired <-chan time.Time
-	if !deadline.IsZero() {
-		t := time.NewTimer(time.Until(deadline))
-		defer t.Stop()
-		expired = t.C
-	}
-	for {
-		r.routerWaiting.Store(true)
-		if cond() {
-			r.routerWaiting.Store(false)
-			return true
-		}
-		select {
-		case <-r.routerWake: // possibly stale: cond is rechecked
-			r.routerWaiting.Store(false)
-		case <-expired:
-			r.routerWaiting.Store(false)
-			return cond()
-		}
-	}
-}
-
-// timedAwait is await with the time it blocked added to ns. Only the slow
-// paths come here, so the fast path never reads the clock.
-func (r *Runner) timedAwait(ns *atomic.Int64, cond func() bool, deadline time.Time) bool {
-	start := time.Now()
-	ok := r.await(cond, deadline)
+// addSince adds the time since start to ns. Only the slow paths call it,
+// so the fast path never reads the clock.
+func addSince(ns *atomic.Int64, start time.Time) {
 	ns.Add(int64(time.Since(start)))
-	return ok
 }
 
 // syncLocked closes one control epoch: flush every partial buffer, wait
@@ -803,7 +740,11 @@ func (r *Runner) syncLocked(full bool) error {
 			w.mark = w.issued
 		}
 		if w.completed.Load() < w.mark {
-			r.timedAwait(&r.syncWaitNs, func() bool { return w.completed.Load() >= w.mark }, time.Time{})
+			start := time.Now()
+			for w.completed.Load() < w.mark {
+				<-w.progress
+			}
+			addSince(&r.syncWaitNs, start)
 		}
 	}
 	if err := r.checkFailures(); err != nil {
@@ -980,37 +921,28 @@ func (r *Runner) endFailed() (Report, error) {
 	return Report{}, r.err
 }
 
-// teardownLocked stops the feeders and releases the worker platforms'
-// background goroutines. skipWorker (-1 for none) names a lane whose
-// feeder may be wedged inside a stalled session — it is not waited for
-// (it exits on its own once the stall clears; a permanently stalled
-// engine needs a process restart, and the runner's job is only to
-// surface the typed error without wedging the router).
+// teardownLocked closes every in channel, which ends the feeders, then
+// waits for each feeder and closes its worker session. skipWorker (-1 for
+// none) names a lane whose feeder may be wedged inside a stalled session
+// — it is not waited for (it exits on its own once the stall clears; a
+// permanently stalled engine needs a process restart, and the runner's
+// job is only to surface the typed error without wedging the router).
 func (r *Runner) teardownLocked(skipWorker int) {
 	if r.torn {
 		return
 	}
 	r.torn = true
-	r.stop.Store(true)
-	if !r.cfg.Sequential {
-		for _, w := range r.workers {
-			select {
-			case w.wake <- struct{}{}:
-			default:
-			}
-		}
-		for _, w := range r.workers {
-			if w.id == skipWorker {
-				continue
-			}
-			if w.in != nil {
-				<-w.done
-			}
+	for _, w := range r.workers {
+		if w.in != nil { // nil in sequential mode and before Start
+			close(w.in)
 		}
 	}
 	for _, w := range r.workers {
 		if w.id == skipWorker {
 			continue
+		}
+		if w.in != nil {
+			<-w.done
 		}
 		_ = w.ses.Close()
 	}

@@ -431,6 +431,57 @@ func TestClusterTalliesPublishedPerVector(t *testing.T) {
 	}
 }
 
+// TestClusterIngestDoesNotAllocate: once every flow is resident and every
+// buffer in circulation, a two-worker Ingest — steering, the handoff to
+// both feeders, epoch closes and the feeders' drives — allocates nothing.
+// The switch steers every destination /16 of the vector to the workers;
+// the vector is re-timed forward on each run and no interval closes.
+func TestClusterIngestDoesNotAllocate(t *testing.T) {
+	r := New(Config{
+		Workers: 2,
+		Worker: core.Config{
+			EnableSwitch: true,
+			Queries: []p4switch.Query{{
+				Name: "all", Key: p4switch.KeyDstIP, PrefixBits: 16,
+				Reduce: p4switch.CountPackets, Threshold: 1, Slots: 64,
+			}},
+			IntervalNs: 1e15, BatchSize: 64,
+		},
+		Detectors:   detectorFactory(),
+		QueueBatch:  64,
+		SyncPackets: 1024,
+	})
+	defer r.Close()
+	var pkts []packet.Packet
+	for p := range mixedStream() {
+		fk := p4switch.FiredKey{Query: "all", Key: p.Tuple.DstIP.Prefix(16), PrefixBits: 16}
+		if err := r.Switch().Steer(fk); err != nil {
+			t.Fatal(err)
+		}
+		if pkts = append(pkts, p); len(pkts) == 8192 {
+			break
+		}
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	span := pkts[len(pkts)-1].Ts - pkts[0].Ts + 1
+	ingest := func() {
+		if err := r.Ingest(pkts); err != nil {
+			t.Fatal(err)
+		}
+		for i := range pkts {
+			pkts[i].Ts += span
+		}
+	}
+	for i := 0; i < 4; i++ {
+		ingest()
+	}
+	if n := testing.AllocsPerRun(20, ingest); n != 0 {
+		t.Errorf("Ingest allocates %v times a vector of %d packets", n, len(pkts))
+	}
+}
+
 // TestClusterMetricsTree checks the merged metric tree: the runner's
 // cluster.* series plus each worker's tree under "worker.N.".
 func TestClusterMetricsTree(t *testing.T) {

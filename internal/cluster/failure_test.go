@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -113,7 +114,7 @@ func TestClusterWorkerCrashSurfacesTypedError(t *testing.T) {
 }
 
 // TestClusterWorkerStallSurfacesTypedError: a wedged drive keeps
-// receiving its hash share until its ring fills; the router must then turn
+// receiving its hash share until its in channel fills; the router must then turn
 // the stall into ErrWorkerStalled after StallTimeout instead of
 // deadlocking. On the way, popFree finds the wedged lane's free list
 // starved and must mint a replacement buffer rather than wait forever.
@@ -150,44 +151,81 @@ func TestClusterWorkerStallSurfacesTypedError(t *testing.T) {
 	}
 }
 
-// TestAwaitParksUntilSignalledOrDeadline pins the router's one wait
-// primitive: it parks (no busy loop) until a feeder-style signal makes
-// the condition true, tolerates a stale wake token, and with a deadline
-// gives up once nothing signals.
-func TestAwaitParksUntilSignalledOrDeadline(t *testing.T) {
-	r := New(Config{Workers: 2, Worker: core.Config{IntervalNs: 1e15}})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
+// TestRunnerReleasesFeeders: however a parallel run ends — a clean
+// Drain, Close on a running runner, a worker crash, a stall once the
+// wedged worker is released — its feeder goroutines exit. Teardown ends
+// a feeder by closing its in channel; without that, teardown waits on
+// the healthy feeders forever.
+func TestRunnerReleasesFeeders(t *testing.T) {
+	healthy := Config{
+		Workers:     2,
+		Worker:      core.Config{IntervalNs: 50e6, BatchSize: 64},
+		QueueBatch:  128,
+		SyncPackets: 512,
 	}
-	defer r.Close()
-
-	var done atomic.Bool
-	var polls int
-	r.routerWake <- struct{}{} // stale token from an earlier wait
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		done.Store(true)
-		if r.routerWaiting.Load() { // the feeder's completion signal
-			r.routerWake <- struct{}{}
+	crash := healthy
+	crash.Detectors = func() []detect.Detector {
+		return []detect.Detector{&crashDetector{after: 500}}
+	}
+	gate := make(chan struct{})
+	var wedged atomic.Bool
+	stall := healthy
+	stall.Worker.IntervalNs = 1e15
+	stall.SyncPackets = 1 << 30
+	stall.StallTimeout = 20 * time.Millisecond
+	stall.Detectors = func() []detect.Detector {
+		return []detect.Detector{&stallDetector{gate: gate, wedged: &wedged}}
+	}
+	feed := func(t *testing.T, r *Runner) {
+		n := 0
+		for b := range packet.BufferedBatches(failureStream(), 256) {
+			if err := r.Ingest(b); err != nil {
+				t.Fatal(err)
+			}
+			if n += len(b); n >= 20000 {
+				return
+			}
 		}
-	}()
-	if !r.await(func() bool { polls++; return done.Load() }, time.Time{}) {
-		t.Fatal("await without a deadline reported failure")
 	}
-	// spinPasses polls, one per park attempt (stale token, real wake) and
-	// the final recheck — not one per scheduler yield for 20 ms.
-	if polls > spinPasses+4 {
-		t.Errorf("condition polled %d times: await spun instead of parking", polls)
+	fail := func(t *testing.T, r *Runner) {
+		var we *WorkerError
+		if err := feedUntilError(t, r, 1<<22); !errors.As(err, &we) {
+			t.Fatalf("error is %v, want *WorkerError", err)
+		}
 	}
-
-	start := time.Now()
-	if r.await(func() bool { return false }, start.Add(10*time.Millisecond)) {
-		t.Error("await reported success for a condition that never held")
-	}
-	if d := time.Since(start); d < 10*time.Millisecond || d > 2*time.Second {
-		t.Errorf("await gave up after %v, want about the 10ms deadline", d)
-	}
-	if r.routerWaiting.Load() {
-		t.Error("routerWaiting left set after await returned")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		feed func(*testing.T, *Runner)
+		end  func(*Runner)
+	}{
+		{"drain", healthy, feed, func(r *Runner) { r.Drain() }},
+		{"close-running", healthy, feed, func(r *Runner) { r.Close() }},
+		{"crash", crash, fail, func(r *Runner) { r.Drain() }},
+		{"stall", stall, fail, func(r *Runner) { r.Close(); close(gate) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			r := New(tc.cfg)
+			if err := r.Start(); err != nil {
+				t.Fatal(err)
+			}
+			tc.feed(t, r)
+			ended := make(chan struct{})
+			go func() { defer close(ended); tc.end(r) }()
+			deadline := time.After(30 * time.Second)
+			select {
+			case <-ended:
+			case <-deadline:
+				t.Fatal("teardown did not return")
+			}
+			for runtime.NumGoroutine() > before {
+				select {
+				case <-deadline:
+					t.Fatalf("%d goroutines after teardown, %d before New", runtime.NumGoroutine(), before)
+				case <-time.After(time.Millisecond):
+				}
+			}
+		})
 	}
 }

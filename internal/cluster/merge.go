@@ -4,7 +4,7 @@
 // contract: oracle A holds it byte-identical between parallel and
 // sequential drives, and oracle B holds its integer surface equal to the
 // single-platform partition twin. Scheduling-dependent series (ingress
-// stalls, ring high-water marks, router wait and merge wall time) live in
+// stalls, ingress high-water marks, router wait and merge wall time) live in
 // the cluster-specific sections and are documented as outside both oracles.
 package cluster
 
@@ -43,13 +43,14 @@ type SteerStats struct {
 // IngressStats is one worker lane's queue observability (scheduling-
 // dependent; excluded from the determinism oracles).
 type IngressStats struct {
-	// RingHWM is the deepest the ingress ring has been, in batches.
+	// RingHWM is the deepest the ingress queue has been, in batches.
 	RingHWM int64
-	// Stalls counts router waits on a full ring or an empty free list;
+	// Stalls counts router waits on a full in or an empty free channel;
 	// WaitNs is the wall time they blocked it for.
 	Stalls uint64
 	WaitNs int64
-	// Batches counts buffer handoffs; Wakeups counts parked-feeder wakes.
+	// Batches counts buffer handoffs; Wakeups counts the feeder's
+	// receives that found in empty.
 	Batches, Wakeups uint64
 }
 

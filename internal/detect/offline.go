@@ -6,55 +6,13 @@ import (
 
 	"smartwatch/internal/host"
 	"smartwatch/internal/packet"
-	"smartwatch/internal/sketch"
 )
 
-// Offline analytics over the lossless flow log (§4, Table 2's first row):
-// heavy hitters, cardinality estimation, flow-size distribution and
-// Slowloris run on the host against the exported aggregates — they cost
-// the sNIC nothing beyond baseline flow logging. Heavy changes are Fig
-// 10's sketch.HeavyChangeError over the same flow store.
-
-// HeavyHittersOffline returns flows with at least threshold packets in
-// the store, largest first.
-func HeavyHittersOffline(fs *host.FlowStore, threshold uint64) []sketch.HeavyHitter {
-	var out []sketch.HeavyHitter
-	fs.Each(func(hr host.HostRecord) bool {
-		if hr.Pkts >= threshold {
-			out = append(out, sketch.HeavyHitter{Key: hr.Key, Count: hr.Pkts})
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Count > out[j].Count })
-	return out
-}
-
-// CardinalityOffline returns the exact distinct-flow count of the store
-// (SmartWatch's flow log is lossless, so no estimation is needed) next to
-// a HyperLogLog estimate for comparison with sketch-based platforms.
-func CardinalityOffline(fs *host.FlowStore) (exact int, estimated float64) {
-	hll := sketch.NewHLL(14)
-	fs.Each(func(hr host.HostRecord) bool {
-		hll.Add(hr.Key.Hash())
-		return true
-	})
-	return fs.Len(), hll.Estimate()
-}
-
-// FlowSizeDistOffline returns the per-decade flow-size histogram of the
-// store.
-func FlowSizeDistOffline(fs *host.FlowStore, decades int) []int {
-	out := make([]int, decades)
-	fs.Each(func(hr host.HostRecord) bool {
-		d := 0
-		for v := hr.Pkts; v >= 10 && d < decades-1; v /= 10 {
-			d++
-		}
-		out[d]++
-		return true
-	})
-	return out
-}
+// Offline analytics over the lossless flow log (§4, Table 2's first row)
+// run on the host against the exported aggregates and cost the sNIC
+// nothing beyond baseline flow logging. Heavy hitters, heavy changes and
+// the flow-size distribution are Fig 10's, scored over the flow store;
+// the log is lossless, so cardinality is the store's Len.
 
 // SlowlorisOffline is the fine-grained Slowloris detector of §2.1.2: per
 // destination it counts long-lived, low-volume connections ("stalling"

@@ -25,48 +25,6 @@ func okey(i int) packet.FlowKey {
 	}.Canonical()
 }
 
-func TestHeavyHittersOffline(t *testing.T) {
-	fs := storeWith(
-		flowcache.Record{Key: okey(1), Pkts: 1000},
-		flowcache.Record{Key: okey(2), Pkts: 50},
-		flowcache.Record{Key: okey(3), Pkts: 500},
-	)
-	hh := HeavyHittersOffline(fs, 100)
-	if len(hh) != 2 {
-		t.Fatalf("hh = %+v", hh)
-	}
-	if hh[0].Count != 1000 || hh[1].Count != 500 {
-		t.Errorf("not sorted descending: %+v", hh)
-	}
-}
-
-func TestCardinalityOffline(t *testing.T) {
-	var recs []flowcache.Record
-	for i := 0; i < 5000; i++ {
-		recs = append(recs, flowcache.Record{Key: okey(i), Pkts: 1})
-	}
-	fs := storeWith(recs...)
-	exact, est := CardinalityOffline(fs)
-	if exact != 5000 {
-		t.Fatalf("exact = %d", exact)
-	}
-	if est < 4500 || est > 5500 {
-		t.Errorf("HLL estimate %.0f for 5000 flows", est)
-	}
-}
-
-func TestFlowSizeDistOffline(t *testing.T) {
-	fs := storeWith(
-		flowcache.Record{Key: okey(1), Pkts: 5},
-		flowcache.Record{Key: okey(2), Pkts: 50},
-		flowcache.Record{Key: okey(3), Pkts: 50000},
-	)
-	dist := FlowSizeDistOffline(fs, 5)
-	if dist[0] != 1 || dist[1] != 1 || dist[4] != 1 {
-		t.Errorf("dist = %v", dist)
-	}
-}
-
 func TestSlowlorisOffline(t *testing.T) {
 	server := packet.MustParseAddr("10.1.0.80")
 	attacker := packet.MustParseAddr("203.0.113.99")

@@ -47,14 +47,12 @@ func (a *BatchAcc) add(res *Result) {
 }
 
 // FlushAcc folds the accumulated deltas into the cache's atomic counters
-// and resets acc. Shard choice is unobservable — Stats() sums across
-// shards — so everything lands in one shard; with one flusher goroutine
-// per cache (the batch drivers' structure) there is no contention.
+// and resets acc.
 func (c *Cache) FlushAcc(acc *BatchAcc) {
 	if *acc == (BatchAcc{}) {
 		return
 	}
-	sh := &c.stats[0]
+	sh := &c.stats
 	sh.pHits.Add(acc.PHits)
 	sh.eHits.Add(acc.EHits)
 	sh.misses.Add(acc.Misses)

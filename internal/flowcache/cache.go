@@ -51,40 +51,15 @@ type Cache struct {
 	fb    feedback
 }
 
-// statShards is the number of counter shards. Shards are selected by the
-// same low hash bits that select the row, so concurrent Process calls on
-// different rows update different shards; it is a power of two so the
-// selection is a single mask.
-const statShards = 8
-
-// statShard mirrors Stats with atomically updated fields. The trailing pad
-// rounds the struct to 128 bytes (two cache lines) so neighbouring shards
-// never share a line — without it every Add from every goroutine contends
-// on the same few lines (false sharing), which serialises the otherwise
-// independent hot counters.
-type statShard struct {
+// statCounters mirrors Stats with atomically updated fields: Stats may be
+// read while a drive updates them.
+type statCounters struct {
 	pHits, eHits, misses, inserts   atomic.Uint64
 	evictions, ringDrops, hostPunts atomic.Uint64
 	pinDenied, rowCleanups          atomic.Uint64
 	cleanupEvictions                atomic.Uint64
 	starveEvictions, pinAgeExpired  atomic.Uint64
 	reads, writes                   atomic.Uint64
-	_                               [16]byte
-}
-
-// statCounters is the sharded counter set; Stats() sums across shards.
-type statCounters [statShards]statShard
-
-// shard selects the counter shard for a flow hash (or row index — both
-// work, only distribution matters).
-func (s *statCounters) shard(hash uint64) *statShard {
-	return &s[hash&(statShards-1)]
-}
-
-// finish folds a Result's memory-operation counts into the shard.
-func (s *statShard) finish(res *Result) {
-	s.reads.Add(uint64(res.Reads))
-	s.writes.Add(uint64(res.Writes))
 }
 
 // New builds a cache from cfg. It panics on invalid configuration (these
@@ -195,7 +170,7 @@ func (c *Cache) Process(p *packet.Packet) (*Record, Result) {
 	hash := p.Tuple.Identity(&key) // == p.Hash(); canonicalise once
 	res := Result{}
 	rec := c.processHashed(p, hash, key, &res)
-	c.applyStats(hash, &res)
+	c.applyStats(&res)
 	return rec, res
 }
 
@@ -206,13 +181,13 @@ func (c *Cache) Process(p *packet.Packet) (*Record, Result) {
 func (c *Cache) ProcessHashed(p *packet.Packet, hash uint64, key packet.FlowKey) (*Record, Result) {
 	res := Result{}
 	rec := c.processHashed(p, hash, key, &res)
-	c.applyStats(hash, &res)
+	c.applyStats(&res)
 	return rec, res
 }
 
 // ProcessHashedAcc is Process with the hash/key computed by the caller
 // (the platform's drive pre-hashes whole vectors) and the stat-counter updates
-// deferred into acc instead of hitting the atomic shards per packet. The
+// deferred into acc instead of hitting the atomic counters per packet. The
 // caller owns acc and must eventually fold it back with Cache.FlushAcc —
 // until then Stats() under-reports, so flush before any observer reads.
 func (c *Cache) ProcessHashedAcc(p *packet.Packet, hash uint64, key packet.FlowKey, acc *BatchAcc) (*Record, Result) {
@@ -309,13 +284,13 @@ func (c *Cache) hit(rw *row, idx int, p *packet.Packet, res *Result) *Record {
 	return rec
 }
 
-// applyStats folds one Result into the atomic counter shards — the
+// applyStats folds one Result into the atomic counters — the
 // per-packet accounting twin of BatchAcc.add. Every counter is derived
 // from the Result: inserts ⇔ Miss (each miss creates exactly one record)
 // and pinDenied ⇔ HostPunt (each punt is exactly one refused insert), so
 // the atomic-op count per call matches the pre-refactor inline updates.
-func (c *Cache) applyStats(hash uint64, res *Result) {
-	sh := c.stats.shard(hash)
+func (c *Cache) applyStats(res *Result) {
+	sh := &c.stats
 	switch res.Outcome {
 	case PHit:
 		sh.pHits.Add(1)
@@ -338,7 +313,8 @@ func (c *Cache) applyStats(hash uint64, res *Result) {
 	if res.PinAged > 0 {
 		sh.pinAgeExpired.Add(uint64(res.PinAged))
 	}
-	sh.finish(res)
+	sh.reads.Add(uint64(res.Reads))
+	sh.writes.Add(uint64(res.Writes))
 }
 
 // probeOutside scans the row's buckets OUTSIDE [lo,hi) for the key and
@@ -579,11 +555,10 @@ func (c *Cache) noteRemoval(rw *row, hash uint64, idx int) {
 // keeps the live pinned counter exact.
 func (c *Cache) pushRing(out *Record, hash uint64, pinned bool) {
 	ring := c.rings[hash%uint64(len(c.rings))]
-	sh := c.stats.shard(hash)
 	if !ring.Push(*out) {
-		sh.ringDrops.Add(1)
+		c.stats.ringDrops.Add(1)
 	}
-	sh.evictions.Add(1)
+	c.stats.evictions.Add(1)
 	if pinned && c.fb.track {
 		c.fb.pinned.Add(-1)
 	}
@@ -710,28 +685,25 @@ func (c *Cache) Occupancy() int {
 	return n
 }
 
-// Stats returns a snapshot of the cumulative counters, summed across the
-// shards. Each shard is read atomically but the sum is not a single atomic
-// snapshot — same as the pre-sharded counters, where independent fields
-// could already be observed mid-update.
+// Stats returns a snapshot of the cumulative counters. Each field is read
+// atomically, but not all of them at one instant: a concurrent update may
+// show in some fields and not yet in others.
 func (c *Cache) Stats() Stats {
-	var out Stats
-	for i := range c.stats {
-		sh := &c.stats[i]
-		out.PHits += sh.pHits.Load()
-		out.EHits += sh.eHits.Load()
-		out.Misses += sh.misses.Load()
-		out.Inserts += sh.inserts.Load()
-		out.Evictions += sh.evictions.Load()
-		out.RingDrops += sh.ringDrops.Load()
-		out.HostPunts += sh.hostPunts.Load()
-		out.PinDenied += sh.pinDenied.Load()
-		out.RowCleanups += sh.rowCleanups.Load()
-		out.CleanupEvictions += sh.cleanupEvictions.Load()
-		out.StarveEvictions += sh.starveEvictions.Load()
-		out.PinAgeExpired += sh.pinAgeExpired.Load()
-		out.Reads += sh.reads.Load()
-		out.Writes += sh.writes.Load()
+	sh := &c.stats
+	return Stats{
+		PHits:            sh.pHits.Load(),
+		EHits:            sh.eHits.Load(),
+		Misses:           sh.misses.Load(),
+		Inserts:          sh.inserts.Load(),
+		Evictions:        sh.evictions.Load(),
+		RingDrops:        sh.ringDrops.Load(),
+		HostPunts:        sh.hostPunts.Load(),
+		PinDenied:        sh.pinDenied.Load(),
+		RowCleanups:      sh.rowCleanups.Load(),
+		CleanupEvictions: sh.cleanupEvictions.Load(),
+		StarveEvictions:  sh.starveEvictions.Load(),
+		PinAgeExpired:    sh.pinAgeExpired.Load(),
+		Reads:            sh.reads.Load(),
+		Writes:           sh.writes.Load(),
 	}
-	return out
 }

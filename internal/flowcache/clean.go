@@ -29,9 +29,8 @@ func (c *Cache) cleanIfDirty(i int) int {
 	}
 	evicted := c.cleanRow(&rw)
 	rw.word &^= dirtyBit
-	sh := c.stats.shard(uint64(i)) // row index == low hash bits
-	sh.rowCleanups.Add(1)
-	sh.cleanupEvictions.Add(uint64(evicted))
+	c.stats.rowCleanups.Add(1)
+	c.stats.cleanupEvictions.Add(uint64(evicted))
 	return 1
 }
 

@@ -1,8 +1,8 @@
 // Package sketch implements the approximate flow-measurement baselines the
 // SmartWatch paper compares against: Count-Min, Elastic Sketch (SIGCOMM
-// '18), MV-Sketch (INFOCOM '19), NitroSketch (SIGCOMM '19) and a
-// HyperLogLog cardinality estimator — plus the heavy-hitter, heavy-change
-// and flow-size-distribution estimators built on them (Fig. 10, Fig. 11b).
+// '18), MV-Sketch (INFOCOM '19) and NitroSketch (SIGCOMM '19) — plus the
+// heavy-hitter, heavy-change and flow-size-distribution estimators built
+// on them (Fig. 10, Fig. 11b).
 //
 // Every sketch tracks an operation profile (hash computations, memory reads
 // and writes per update) so the simulators can convert algorithmic cost

@@ -155,42 +155,6 @@ func TestNitroSamplesFewerOps(t *testing.T) {
 	}
 }
 
-func TestHLLAccuracy(t *testing.T) {
-	h := NewHLL(12)
-	n := 50000
-	for i := 0; i < n; i++ {
-		h.Add(packet.Hash64(uint64(i) + 12345))
-	}
-	est := h.Estimate()
-	if est < float64(n)*0.9 || est > float64(n)*1.1 {
-		t.Errorf("HLL estimate %.0f for true %d", est, n)
-	}
-}
-
-func TestHLLSmallRange(t *testing.T) {
-	h := NewHLL(10)
-	for i := 0; i < 30; i++ {
-		h.Add(packet.Hash64(uint64(i) * 7))
-	}
-	est := h.Estimate()
-	if est < 20 || est > 45 {
-		t.Errorf("small-range estimate %.0f for true 30", est)
-	}
-}
-
-func TestHLLMerge(t *testing.T) {
-	a, b := NewHLL(10), NewHLL(10)
-	for i := 0; i < 1000; i++ {
-		a.Add(packet.Hash64(uint64(i)))
-		b.Add(packet.Hash64(uint64(i + 500))) // 50% overlap
-	}
-	a.Merge(b)
-	est := a.Estimate()
-	if est < 1200 || est > 1800 {
-		t.Errorf("merged estimate %.0f for true 1500", est)
-	}
-}
-
 func TestExactHelpers(t *testing.T) {
 	e := Exact{key(1): 100, key(2): 5, key(3): 200}
 	if e.Total() != 305 {

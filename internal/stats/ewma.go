@@ -18,14 +18,6 @@ type EWMA struct {
 	primed bool
 }
 
-// NewEWMA returns an EWMA with the given smoothing factor in (0,1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
 // Update folds one observation in and returns the new average. The first
 // observation seeds the average directly.
 func (e *EWMA) Update(x float64) float64 {
@@ -51,9 +43,12 @@ type RateMeter struct {
 	hasWindow bool
 }
 
-// NewRateMeter returns a meter with the given smoothing factor and window
-// size in virtual nanoseconds.
+// NewRateMeter returns a meter with the given smoothing factor in (0,1]
+// and window size in virtual nanoseconds.
 func NewRateMeter(alpha float64, windowNs int64) *RateMeter {
+	if alpha <= 0 || alpha > 1 {
+		panic("stats: EWMA alpha must be in (0,1]")
+	}
 	if windowNs <= 0 {
 		panic("stats: RateMeter window must be positive")
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.75)
+	e := &EWMA{alpha: 0.75}
 	if got := e.Update(10); got != 10 {
 		t.Errorf("first update = %g, want 10 (seed)", got)
 	}
@@ -23,10 +23,10 @@ func TestEWMAPanicsOnBadAlpha(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewEWMA(%g) should panic", a)
+					t.Errorf("NewRateMeter(%g, 1e9) should panic", a)
 				}
 			}()
-			NewEWMA(a)
+			NewRateMeter(a, 1e9)
 		}()
 	}
 }
