@@ -101,8 +101,8 @@ func (SteerPolicy) String() string { return "hash" }
 
 // queueDepth is the capacity of each worker's in and free channels: how
 // many full buffers may wait for its feeder, and how many recycled ones
-// the router can take back without waiting. Four is the depth of the
-// lock-free rings these channels replaced, so backpressure is unchanged.
+// the router can take back without waiting. Four keeps the router at most
+// a few buffers ahead of each feeder: the backpressure fanout2 measures.
 const queueDepth = 4
 
 // Config assembles a cluster runner.
