@@ -37,18 +37,18 @@ test:
 # cluster`, and no test of it consults -short. -short shortens, not
 # skips, the sNIC scheduler's ring-vs-scan oracle; the three
 # platform sweeps it does skip (every batch size x shard count, chunked
-# ingest, segmented runs: DESIGN.md §9, §12) run on the second line. The
+# ingest, segmented runs: DESIGN.md §7.1, §13) run on the second line. The
 # session's concurrency tests then run 20 more times: the concurrent-Close race lost
 # about one run in eight before Session.Close decided under the session
 # mutex, and Ingest / Exec / Snapshot / Close from four goroutines is the
 # whole contract of a drive that runs on its callers' goroutines
-# (DESIGN.md §12.1).
+# (DESIGN.md §13.1).
 race:
 	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/pcap/ ./internal/p4switch/ ./internal/host/
 	$(GO) test -race -run 'TestBatchedDriveMatchesPerPacket|TestChunkedIngestMatchesRun|TestSegmentedRunMatchesOneShot' ./internal/core/
 	$(GO) test -race -count=20 -run 'TestSessionConcurrentClose|TestSessionIngestExecCloseRace' ./internal/core/
 
-# Ten seconds of each native fuzz target (DESIGN.md §21): the pcap record
+# Ten seconds of each native fuzz target (DESIGN.md §16.2): the pcap record
 # walker against a whole-slice reference parser, the frame decoder, the
 # address parser behind every flag and control-API address, and the
 # compiled switch against its per-query reference pipeline. A crasher
@@ -72,7 +72,7 @@ cluster:
 	$(GO) test -race -timeout 45m ./internal/cluster/
 	$(GO) test -race -count=10 -run TestOperatorWhitelistWhileFeedersRun ./internal/cluster/
 
-# Low-and-slow gate (DESIGN.md §15, §18): the injector/detector suite,
+# Low-and-slow gate (DESIGN.md §9.4, §11): the injector/detector suite,
 # the flow-table model test and the map-backed LowSlow oracle, the
 # timing-wheel wraparound and hostile-time audit, the pin-budget boundary
 # race, the Lite-mode pinned-retention oracles and the platform
@@ -86,10 +86,10 @@ lowslow:
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
 # After the gates: a short pass of the detector micros (LowSlow, Chain,
-# PortScan; DESIGN.md §18) and of the switch's per-packet micro (DESIGN.md
-# §21.3), and one pass of each host benchmark, so they keep compiling
-# (DESIGN.md §16), then the replacement-policy study table at reduced
-# scale (DESIGN.md §11). The detectors' allocation claims are
+# PortScan; DESIGN.md §11) and of the switch's per-packet micro (DESIGN.md
+# §8.4), and one pass of each host benchmark, so they keep compiling
+# (DESIGN.md §12), then the replacement-policy study table at reduced
+# scale (DESIGN.md §9.3). The detectors' allocation claims are
 # not read off this output: TestChainOnPacketDoesNotAllocate (0 per packet,
 # OnPacket and Inspect) and TestPerSourceStateDoesNotAllocate (a new
 # source costs map growth only) enforce them in `make test`, as
@@ -105,7 +105,7 @@ check: fmt-check vet build test race fuzz-smoke loc
 loc:
 	@echo "non-test Go lines outside benchmark/: $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)"
 
-# Which functions no product surface runs (DESIGN.md §9.3): every entry
+# Which functions no product surface runs (DESIGN.md §16.4): every entry
 # point built with coverage over the module and run as a user or the
 # benchmark runs it, the counters merged, and every 0 % function checked
 # against scripts/unreached.txt. Fails on an unlisted one. Not in `check`:
@@ -126,13 +126,13 @@ experiments:
 
 # The same regeneration, diffed against the committed experiments_full.txt:
 # fails on any changed byte. The detection figures drive core.Session
-# (DESIGN.md §7.1), so this guards the platform's drive as well as the
+# (DESIGN.md §16.3), so this guards the platform's drive as well as the
 # components. A PR that means to move a row regenerates the file with
 # `make experiments` and gives a reason per changed row.
 experiments-check:
 	@out="$$(mktemp)"; $(GO) run ./cmd/experiments all > "$$out" && diff -u experiments_full.txt "$$out"; rc=$$?; rm -f "$$out"; exit $$rc
 
-# Observability smoke (DESIGN.md §10): replay a small generated trace with
+# Observability smoke (DESIGN.md §15): replay a small generated trace with
 # -metrics -, then validate the JSON-lines snapshot stream end-to-end —
 # parses, virtual time and counters monotonic, key series non-zero.
 SMOKE_PCAP ?= /tmp/smartwatch-metrics-smoke.pcap
@@ -143,7 +143,7 @@ metrics-smoke:
 			-require packets.total,flowcache.occupancy,snic.processed,host.flush.count
 	rm -f $(SMOKE_PCAP)
 
-# Daemon smoke (DESIGN.md §12.3): start `smartwatch -serve` tailing a
+# Daemon smoke (DESIGN.md §13.3): start `smartwatch -serve` tailing a
 # fixture pcap, ask for status and snapshot before its engine has started,
 # drive the control API (pause/resume, whitelist/blacklist, snapshot, live
 # /metrics), drain, and assert a clean exit with a report — one assertion

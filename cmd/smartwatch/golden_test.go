@@ -67,7 +67,7 @@ func writeFixture(t *testing.T, path string) {
 // the same capture:
 //   - stdout: the cluster fan-out line's sync-wait and merge times, each
 //     worker line's ring high-water, stalls and feeder wait (DESIGN.md
-//     §14.5) — they count scheduling, not traffic;
+//     §14.4) — they count scheduling, not traffic;
 //   - metrics: the same readings as series — cluster.sync.wait_ns,
 //     cluster.merge.ns and each lane's ingress hwm, stalls, wait_ns and
 //     wakeups;
@@ -92,19 +92,17 @@ type goldenRun struct {
 }
 
 var goldenRuns = []goldenRun{
-	{"single_batch1", []string{"-batch", "1"}},
-	{"single_batch64", []string{"-batch", "64"}},
-	{"workers2_batch1", []string{"-workers", "2", "-batch", "1"}},
-	{"workers2_batch64", []string{"-workers", "2", "-batch", "64"}},
+	{"single", nil},
+	{"workers2", []string{"-workers", "2"}},
 }
 
 // TestCLIGolden replays the batch drive against outputs recorded from the
 // CLI before it was rebuilt over one engine interface: stdout, the
 // -metrics stream, and the SHA-256 of the -ipfix and -emit-p4 files, for
-// one platform and a two-worker cluster at batch sizes 1 and 64.
+// one platform and a two-worker cluster.
 func TestCLIGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("re-executes the CLI four times over a 40 k-packet capture")
+		t.Skip("re-executes the CLI twice over a 40 k-packet capture")
 	}
 	dir := t.TempDir()
 	in := filepath.Join(dir, "fixture.pcap")

@@ -47,7 +47,6 @@ func main() {
 		intervalMs  = flag.Int("interval", 100, "monitoring interval (virtual ms)")
 		rowBits     = flag.Int("rowbits", 14, "FlowCache rows = 2^rowbits (x12 buckets)")
 		shards      = flag.Int("shards", 1, "FlowCache shards (power of two; capacity is split, not multiplied)")
-		batch       = flag.Int("batch", 1, "ingest batch size (vectors of this many packets; byte-identical results at every size)")
 		policy      = flag.String("policy", "", "FlowCache replacement policy: lru-lpc (default), lru, s3fifo")
 		verbose     = flag.Bool("v", false, "print every alert")
 		ipfixOut    = flag.String("ipfix", "", "export the flow log as IPFIX to this file")
@@ -69,8 +68,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := checkFlags(*rowBits, *intervalMs, *batch, *genMax, *kvRetention); err != nil {
+	if err := checkFlags(*rowBits, *intervalMs, *genMax, *kvRetention); err != nil {
 		fatal(err)
+	}
+	if *emitP4 != "" && !*useSwitch {
+		fatal(fmt.Errorf("-emit-p4 requires -switch"))
 	}
 	dets, err := buildDetectors(*detectors)
 	if err != nil {
@@ -80,7 +82,7 @@ func main() {
 		IntervalNs: int64(*intervalMs) * 1e6,
 		Detectors:  dets,
 		Shards:     *shards,
-		BatchSize:  *batch,
+		BatchSize:  64,
 		Cache:      flowcache.DefaultConfig(*rowBits),
 	}
 	if *policy != "" {
@@ -114,6 +116,9 @@ func main() {
 		}
 		cfg.MetricsWriter = metricsFile
 	}
+	// The export files are created before the drive, so a bad path fails
+	// the run before it starts rather than after the report.
+	ipfixFile, p4File := createOutput(*ipfixOut), createOutput(*emitP4)
 	src, err := buildSource(*in, *follow, *gen, *genRepeat, *genRate, *genMax)
 	if err != nil {
 		fatal(err)
@@ -142,11 +147,7 @@ func main() {
 			pl.KV().SetRetention(*kvRetention)
 		}
 	}
-	chunk := 512
-	if cfg.BatchSize > 1 {
-		chunk = ((chunk + cfg.BatchSize - 1) / cfg.BatchSize) * cfg.BatchSize
-	}
-	d := newDaemon(e, src, chunk)
+	d := newDaemon(e, src, 512)
 
 	addr := *expvarAddr
 	if *serve {
@@ -194,7 +195,7 @@ func main() {
 	if fs, ok := src.(*pcap.FileSource); ok && fs.Reader().Skipped() > 0 {
 		fmt.Fprintf(os.Stderr, "note: %d undecodable frames skipped\n", fs.Reader().Skipped())
 	}
-	finishOutputs(pls, sw, *ipfixOut, *emitP4)
+	finishOutputs(pls, sw, ipfixFile, p4File)
 	if metricsFile != nil {
 		if err := metricsFile.Close(); err != nil {
 			fatal(err)
@@ -234,17 +235,15 @@ var (
 )
 
 // checkFlags rejects a numeric flag outside its range. Left alone, each
-// would run on a different value without a word: a table, interval or
-// batch size below 1 falls back to core's default, a negative -gen-max
-// means unbounded and a negative -kv-retention skips the -serve default.
-func checkFlags(rowBits, intervalMs, batch int, genMax int64, kvRetention int) error {
+// would run on a different value without a word: a table or interval
+// below 1 falls back to core's default, a negative -gen-max means
+// unbounded and a negative -kv-retention skips the -serve default.
+func checkFlags(rowBits, intervalMs int, genMax int64, kvRetention int) error {
 	switch {
 	case rowBits < 1:
 		return fmt.Errorf("-rowbits must be >= 1, got %d", rowBits)
 	case intervalMs < 1:
 		return fmt.Errorf("-interval must be >= 1 (virtual ms), got %d", intervalMs)
-	case batch < 1:
-		return fmt.Errorf("-batch must be >= 1, got %d", batch)
 	case genMax < 0:
 		return fmt.Errorf("-gen-max must be >= 0 (0 = unbounded), got %d", genMax)
 	case kvRetention < 0:
@@ -382,28 +381,38 @@ func printReport(w io.Writer, policy string, kvIntervals int, rep core.Report, v
 	}
 }
 
-// finishOutputs writes the optional export artifacts, failing hard on any
-// error so CI catches broken runs. The IPFIX export walks every platform's
-// flow log through one exporter (lane order, one template set).
-func finishOutputs(pls []*core.Platform, sw *p4switch.Switch, ipfixOut, emitP4 string) {
-	if ipfixOut != "" {
-		out, err := os.Create(ipfixOut)
-		if err != nil {
-			fatal(err)
-		}
-		exp := host.NewIPFIXExporter(out, 1)
+// createOutput creates an export file named by a flag, or returns nil
+// when the flag is empty.
+func createOutput(path string) *os.File {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	return f
+}
+
+// finishOutputs writes the optional export artifacts into the files
+// created before the drive, failing hard on any error so CI catches broken
+// runs. The IPFIX export walks every platform's flow log through one
+// exporter (lane order, one template set).
+func finishOutputs(pls []*core.Platform, sw *p4switch.Switch, ipfixOut, p4Out *os.File) {
+	if ipfixOut != nil {
+		exp := host.NewIPFIXExporter(ipfixOut, 1)
 		for _, pl := range pls {
 			if err := exp.ExportKV(pl.KV()); err != nil {
 				fatal(err)
 			}
 		}
-		if err := out.Close(); err != nil {
+		if err := ipfixOut.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "flow log exported as IPFIX to %s\n", ipfixOut)
+		fmt.Fprintf(os.Stderr, "flow log exported as IPFIX to %s\n", ipfixOut.Name())
 	}
-	if emitP4 != "" {
-		writeP4(sw, emitP4)
+	if p4Out != nil {
+		writeP4(sw, p4Out)
 	}
 	for _, pl := range pls {
 		if err := pl.MetricsErr(); err != nil {
@@ -413,19 +422,19 @@ func finishOutputs(pls []*core.Platform, sw *p4switch.Switch, ipfixOut, emitP4 s
 }
 
 // writeP4 renders the switch query set plus its end-of-run control-plane
-// entries.
-func writeP4(sw *p4switch.Switch, path string) {
-	if sw == nil {
-		fatal(fmt.Errorf("-emit-p4 requires -switch"))
-	}
+// entries. main has already refused -emit-p4 without -switch.
+func writeP4(sw *p4switch.Switch, out *os.File) {
 	src := sw.EmitP4("smartwatch") + "\n// Control-plane entries at end of run:\n"
 	for _, e := range sw.ControlPlaneEntries() {
 		src += "// " + e + "\n"
 	}
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+	if _, err := out.WriteString(src); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "P4 program written to %s\n", path)
+	if err := out.Close(); err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "P4 program written to %s\n", out.Name())
 }
 
 // serveExpvar starts the live metrics endpoint: /debug/vars carries the

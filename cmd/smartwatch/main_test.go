@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -116,25 +117,34 @@ func TestCheckGeometry(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeFlagsFail: a numeric flag below its range is an error,
-// not a silent run on another value (a table, interval or batch below 1
-// used to run on core's defaults, a negative -gen-max unbounded, a
-// negative -kv-retention past the -serve bound). Each case re-executes the
-// test binary as the CLI and must exit 1 naming the flag.
+// TestOutOfRangeFlagsFail: a numeric flag below its range is an error, not
+// a silent run on another value, and an output flag that cannot be
+// honoured fails before the drive, not after the report. Each case
+// re-executes the test binary as the CLI and must exit 1 with only the
+// error on its output.
 func TestOutOfRangeFlagsFail(t *testing.T) {
-	for _, tc := range []struct{ flag, value string }{
-		{"-rowbits", "0"}, {"-rowbits", "-1"}, {"-interval", "0"}, {"-interval", "-5"},
-		{"-batch", "0"}, {"-batch", "-1"}, {"-gen-max", "-1"}, {"-kv-retention", "-1"},
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing")
+	for _, tc := range []struct {
+		args []string
+		want string // output prefix after "smartwatch: "
+	}{
+		{[]string{"-rowbits", "0"}, "-rowbits must be"}, {[]string{"-rowbits", "-1"}, "-rowbits must be"},
+		{[]string{"-interval", "0"}, "-interval must be"}, {[]string{"-interval", "-5"}, "-interval must be"},
+		{[]string{"-gen-max", "-1"}, "-gen-max must be"}, {[]string{"-kv-retention", "-1"}, "-kv-retention must be"},
+		{[]string{"-emit-p4", filepath.Join(dir, "q.p4")}, "-emit-p4 requires -switch"},
+		{[]string{"-ipfix", filepath.Join(missing, "f.ipfix")}, "open " + missing},
+		{[]string{"-switch", "-emit-p4", filepath.Join(missing, "q.p4")}, "open " + missing},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		cmd := exec.CommandContext(ctx, os.Args[0], "-gen", "caida2019", "-gen-max", "1000", tc.flag, tc.value)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-gen", "caida2019", "-gen-max", "1000"}, tc.args...)...)
 		cmd.Env = append(os.Environ(), runMainEnv+"=1")
 		out, err := cmd.CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
-		want := "smartwatch: " + tc.flag + " must be"
+		want := "smartwatch: " + tc.want
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(string(out), want) {
-			t.Errorf("%s %s: exit %v, output %q; want exit 1 and %q", tc.flag, tc.value, err, out, want)
+			t.Errorf("%v: exit %v, output %q; want exit 1 and %q", tc.args, err, out, want)
 		}
 	}
 }

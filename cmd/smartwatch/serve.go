@@ -1,4 +1,4 @@
-// The drive and the operator plane (DESIGN.md §12.3). Every run, batch or
+// The drive and the operator plane (DESIGN.md §13.3). Every run, batch or
 // -serve, streams packets from a packet.Source (whole-file pcap, a tailed
 // growing pcap, or the synthetic generator) through one engine — a
 // single-platform session or a cluster runner — with a pause gate between

@@ -1,4 +1,4 @@
-// Vectored drive (DESIGN.md §9): ingest is consumed in chunks of
+// Vectored drive (DESIGN.md §7.1): ingest is consumed in chunks of
 // Config.BatchSize packets (a chunk of one when BatchSize ≤ 1),
 // amortising per-packet dispatch without changing a single observable
 // byte. The invariant the whole file is built around: batching may only

@@ -56,7 +56,7 @@ func noSwitchConfig() Config {
 // drive this package kept behind a Config flag until PR 23 (legacy.go)
 // produced at its last commit — canonicalDump + kvDump unless the test
 // that reads one says otherwise. They were generated once, before that
-// drive was deleted, and are the oracle it used to be (DESIGN.md §8.1).
+// drive was deleted, and are the oracle it used to be (DESIGN.md §16.3).
 func golden(t *testing.T, name string) string {
 	t.Helper()
 	b, err := os.ReadFile("testdata/" + name)

@@ -275,7 +275,7 @@ func TestEventsCountedWithoutObservers(t *testing.T) {
 }
 
 // TestUnobservedUnpinDoesNotAllocate: a control action with no observer
-// of its kind builds no event value (DESIGN.md §22.6).
+// of its kind builds no event value (DESIGN.md §7.3).
 func TestUnobservedUnpinDoesNotAllocate(t *testing.T) {
 	pl := New(Config{})
 	k := wlKey()

@@ -1,11 +1,11 @@
-// Metrics assembly (DESIGN.md §10): with Config.Metrics set, the platform
+// Metrics assembly (DESIGN.md §15): with Config.Metrics set, the platform
 // registers the sNIC queue-delay histogram (the one series pushed per
 // packet) and a collector that pulls every tier's traffic, occupancy, drop
 // and depth series at snapshot time, and emits one JSON-lines snapshot per
 // monitoring interval to Config.MetricsWriter. Snapshots are stamped with
 // the closing interval's virtual timestamp, so runs over the same trace
 // emit byte-identical lines for the deterministic series (see DESIGN.md
-// §10 for which series are deterministic across shard/batch settings).
+// §15.3 for which series are deterministic across shard/batch settings).
 package core
 
 import (
@@ -64,7 +64,7 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 	s.SetCounter("core.time_jumps", pl.counts.timeJumps.Load())
 	s.SetCounter("core.time_regressions", pl.counts.timeRegressions.Load())
 
-	// Per-stage traffic (DESIGN.md §10.2), each already a platform count:
+	// Per-stage traffic (DESIGN.md §15.2), each already a platform count:
 	// ingest sees every packet and passes it on with no wait, the steer
 	// verdicts are the three packet fates, and both sNIC-side stages see
 	// each packet the engine hands tierHandler — the observations of the

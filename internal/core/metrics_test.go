@@ -80,7 +80,7 @@ func runWithMetrics(shards, batch int) ([]byte, *obs.Snapshot) {
 	return buf.Bytes(), rep.Metrics
 }
 
-// deterministicSubset names the series DESIGN.md §10 guarantees identical
+// deterministicSubset names the series DESIGN.md §15.3 guarantees identical
 // across shard counts: platform packet fates, FlowCache occupancy/pinning
 // and ring-drop totals. (Geometry-dependent series — reads, evictions,
 // per-ring breakdowns, sNIC timing — legitimately vary with shards.)
@@ -91,8 +91,8 @@ var deterministicSubset = []string{
 	"flowcache.ring_drops",
 }
 
-// TestMetricsSnapshotsDeterministic checks the §10 determinism contract:
-// full snapshots are byte-identical across batch sizes at fixed shards,
+// TestMetricsSnapshotsDeterministic checks the determinism contract of
+// DESIGN.md §15.3: full snapshots are byte-identical across batch sizes at fixed shards,
 // and the documented deterministic subset is byte-identical across shard
 // counts too.
 func TestMetricsSnapshotsDeterministic(t *testing.T) {

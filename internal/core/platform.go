@@ -5,16 +5,16 @@
 // detector verdicts -> whitelist/blacklist, arrival rate -> FlowCache mode
 // switchovers).
 //
-// The packet path is said once (DESIGN.md §8): consume (batch.go) counts
+// The packet path is said once (DESIGN.md §7): consume (batch.go) counts
 // the packet, runs the timers due before it and steers it at the switch;
 // a steered packet is stepped through the sNIC engine, which calls
 // tierHandler — FlowCache, detectors, reactions, host NF delivery. The
 // control loop is four methods here too: whitelist, blacklist, Unpin and
-// endInterval apply their edges by direct calls (DESIGN.md §8.2) and then
+// endInterval apply their edges by direct calls (DESIGN.md §7.3) and then
 // publish the typed event on a tier.Bus, the observer list metrics, the
 // cluster uplink, tests and the benchmark attach to.
 //
-// The drive is a push (DESIGN.md §12.1, §19): Session.Start opens the sNIC
+// The drive is a push (DESIGN.md §13.1): Session.Start opens the sNIC
 // engine, ingestVector runs one caller-supplied packet vector to
 // completion and endDrive performs the final flush. All three run on the
 // goroutine of whoever called Session.Start / Ingest / Drain.
@@ -23,7 +23,6 @@ package core
 import (
 	"io"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"smartwatch/internal/detect"
@@ -77,14 +76,14 @@ type Config struct {
 	// KVLog optionally persists interval flushes (see host.NewKVStore).
 	KVLog *host.KVStore
 	// BatchSize drains ingest in vectors of this many packets (DESIGN.md
-	// §9): the drive pre-computes flow hashes per vector, amortises the
+	// §7.1): the drive pre-computes flow hashes per vector, amortises the
 	// platform counters and FlowCache stat updates across it, and splits
 	// it at every timer boundary so batching never reorders control-plane
 	// work relative to a vector of one — reports stay byte-identical.
 	// 0 or 1 is a vector of one packet.
 	BatchSize int
 	// Metrics, when set, instruments every tier into this registry and
-	// snapshots it at each interval close (DESIGN.md §10). nil disables
+	// snapshots it at each interval close (DESIGN.md §15). nil disables
 	// metrics entirely — the hot paths then pay only nil-check branches.
 	Metrics *obs.Registry
 	// MetricsWriter, when set alongside Metrics, receives one JSON-lines
@@ -486,7 +485,7 @@ type Report struct {
 // timestamp; per-interval analytics are exact, and the final flush of a
 // monitoring session is the authoritative lossless aggregate.
 //
-// Since the session refactor (DESIGN.md §12) Run is a thin wrapper over a
+// Since the session refactor (DESIGN.md §13) Run is a thin wrapper over a
 // Session: it starts one, feeds the stream through Ingest in recycled
 // vectors, and drains. With no Exec calls in flight this is byte-identical
 // to the pre-session drive — the determinism suite holds it to that.
@@ -557,32 +556,4 @@ func (pl *Platform) Close() error {
 		return ErrSessionActive
 	}
 	return nil
-}
-
-// WhitelistTopK installs switch whitelist entries for the K heaviest
-// unflagged flows currently resident in the FlowCache — the hoverboard
-// heuristic of §3.1 (Fig. 2's x-axis knob). It returns how many entries
-// were installed. It sorts a copy of the resident set: entries install in
-// descending packet count, and among equal counts earlier in the cache
-// snapshot first.
-func (pl *Platform) WhitelistTopK(k int, isMalicious func(packet.FlowKey) bool) int {
-	if pl.sw == nil || k <= 0 {
-		return 0
-	}
-	var ranked []flowcache.Record
-	pl.cache.Snapshot(func(r flowcache.Record) bool {
-		if isMalicious == nil || !isMalicious(r.Key) {
-			ranked = append(ranked, r)
-		}
-		return true
-	})
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].Pkts > ranked[j].Pkts })
-	installed := 0
-	for _, r := range ranked[:min(k, len(ranked))] {
-		if err := pl.sw.Whitelist(r.Key); err != nil {
-			break
-		}
-		installed++
-	}
-	return installed
 }

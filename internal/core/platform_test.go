@@ -124,26 +124,6 @@ func TestPlatformHooks(t *testing.T) {
 	}
 }
 
-func TestWhitelistTopK(t *testing.T) {
-	pl := New(Config{EnableSwitch: true, Queries: sshQueries()})
-	// Insert flows with varying weights.
-	for i := 0; i < 20; i++ {
-		tuple := packet.FiveTuple{SrcIP: packet.Addr(i + 1), DstIP: 99, SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP}
-		for j := 0; j <= i; j++ {
-			p := packet.Packet{Ts: int64(j), Tuple: tuple, Size: 100}
-			pl.Cache().Process(&p)
-		}
-	}
-	bad := packet.FiveTuple{SrcIP: 19 + 1, DstIP: 99, SrcPort: 19, DstPort: 80, Proto: packet.ProtoTCP}.Canonical()
-	n := pl.WhitelistTopK(5, func(k packet.FlowKey) bool { return k == bad })
-	if n != 5 {
-		t.Fatalf("installed %d, want 5", n)
-	}
-	if pl.Switch().WhitelistCount() != 5 {
-		t.Errorf("switch whitelist = %d", pl.Switch().WhitelistCount())
-	}
-}
-
 func TestPlatformModeSwitchUnderLoad(t *testing.T) {
 	cfg := Config{
 		IntervalNs: 10e6,

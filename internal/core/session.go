@@ -1,4 +1,4 @@
-// Session is the lifecycle-managed streaming drive (DESIGN.md §12): the
+// Session is the lifecycle-managed streaming drive (DESIGN.md §13.1): the
 // conversion of the one-shot batch harness into the continuously running
 // IPS the paper describes. A Session owns one pass of a Platform's run
 // loop and splits it into explicit phases:

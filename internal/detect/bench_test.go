@@ -66,7 +66,7 @@ func BenchmarkLowSlowOnPacket(b *testing.B) {
 			benchSink = det.OnPacket(p, &f.rec, snic.Ctx{FlowHash: f.hash})
 		}
 	}
-	// The map-backed oracle runs the same cases: the before of DESIGN.md §18.
+	// The map-backed oracle runs the same cases: the before of DESIGN.md §11.2.
 	detectors := []struct {
 		suffix string
 		build  func() Detector

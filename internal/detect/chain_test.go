@@ -261,7 +261,7 @@ func steadyChain(t testing.TB) (*Chain, *packet.Packet, *flowcache.Record) {
 
 // The chain runs on every packet of every workload, detectors or none: a
 // Reaction handed down by pointer escaped through the interface call and
-// cost an allocation per packet in a prototype (DESIGN.md §18.4).
+// cost an allocation per packet in a prototype (DESIGN.md §17).
 func TestChainOnPacketDoesNotAllocate(t *testing.T) {
 	ch, p, rec := steadyChain(t)
 	var sink Reaction

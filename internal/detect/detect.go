@@ -67,7 +67,7 @@ type Reaction struct {
 // returns (Verdict, cycles), and Chain.Inspect hands the platform the same
 // two scalars: Go returns them in registers, where a seven-field Reaction
 // is spilled to the stack by the callee and reloaded by the caller
-// (DESIGN.md §18.2).
+// (DESIGN.md §11.1).
 type Verdict uint8
 
 // The Verdict bits, one per Reaction flag.
@@ -199,7 +199,7 @@ func (c *Chain) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) 
 // cycle cost. The platform calls it for every packet, configured detectors
 // or none, and acts on the bits. It inlines into the caller, so the empty
 // chain is answered there, before inspect's frame (7 % of a surge pass,
-// DESIGN.md §18.4).
+// DESIGN.md §17).
 func (c *Chain) Inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) (v Verdict, cycles float64) {
 	if len(c.fast) != 0 {
 		v, cycles = c.inspect(p, rec, ctx)

@@ -9,7 +9,7 @@ import (
 	"smartwatch/internal/snic"
 )
 
-// LowSlow is the online low-and-slow detector (DESIGN.md §15.1): the
+// LowSlow is the online low-and-slow detector (DESIGN.md §11.3): the
 // in-line replacement for the post-hoc SlowlorisOffline analytic. It
 // exploits exactly the two mechanisms the attacks target — every new TCP
 // session is pinned in the FlowCache so its record survives replacement

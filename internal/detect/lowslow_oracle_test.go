@@ -14,7 +14,7 @@ import (
 )
 
 // mapLowSlow is the LowSlow detector as it stood before its flow state
-// moved into lsTable (DESIGN.md §18): flows in a Go map of *mapLSFlow,
+// moved into lsTable (DESIGN.md §11.2): flows in a Go map of *mapLSFlow,
 // probed with a freshly computed key hash, 64-bit counters, and its own
 // stale-Tick guard. Kept verbatim, test-only, as the oracle
 // TestLowSlowMatchesMapOracle diffs the live detector against — the way

@@ -7,7 +7,7 @@ import "smartwatch/internal/packet"
 // already computed for the FlowCache (snic.Ctx.FlowHash). A tracked packet costs
 // one index computation and normally one cache line, where the Go map it
 // replaced cost a hash of the 13-byte key, a control-word group, a key
-// slot and the *lsFlow heap object behind it (DESIGN.md §18).
+// slot and the *lsFlow heap object behind it (DESIGN.md §11.2).
 //
 // It is an exact map: the slot holds the full key, deletion shifts the
 // rest of the probe run back (no tombstones, so a miss stops at the first

@@ -9,7 +9,7 @@ import (
 )
 
 // The slot is the table's memory and its cache footprint: 104 bytes grown
-// at half load cost churn +13 % peak RSS in a prototype (DESIGN.md §18.4).
+// at half load cost churn +13 % peak RSS in a prototype (DESIGN.md §17).
 // Keep it at one line.
 func TestLowSlowTableSlotSize(t *testing.T) {
 	if got := unsafe.Sizeof(lsSlot{}); got > 64 {

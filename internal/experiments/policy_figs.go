@@ -9,7 +9,7 @@ import (
 	"smartwatch/internal/trace"
 )
 
-// The replacement-policy study (DESIGN.md §11.3): the built-in policies
+// The replacement-policy study (DESIGN.md §9.3): the built-in policies
 // of internal/flowcache evaluated head-to-head on the CAIDA-year presets,
 // with the table deliberately undersized against each preset's live-flow
 // population (DefaultConfig(8) = 3,072 entries vs 20k–65k flows) so

@@ -70,7 +70,7 @@ type statCounters struct {
 // array and to every row word. A large make is otherwise lazily mapped, and
 // the datapath would take two page faults per table page — the probe's read
 // maps the shared zero page, the insert's write then copies it — inside the
-// time the packet is charged for (DESIGN.md §17). The process's resident set
+// time the packet is charged for (DESIGN.md §9.5). The process's resident set
 // therefore includes the whole configured table (Rows x Buckets x 64 B,
 // plus 32 B a row) from construction, whether or not traffic ever fills it.
 func New(cfg Config) *Cache {

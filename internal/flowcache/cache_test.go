@@ -677,7 +677,7 @@ func BenchmarkProcessChurn(b *testing.B) {
 // one, and a row header is half a line and never straddles two — so the two
 // addresses Prefetch names, the header of the row the hash selects and the
 // first bucket Process will probe, are two lines and all of both, in
-// General mode and in Lite (DESIGN.md §22).
+// General mode and in Lite (DESIGN.md §9.1).
 func TestOneFlowOneCacheLine(t *testing.T) {
 	if sz := unsafe.Sizeof(Record{}); sz != 64 {
 		t.Fatalf("Record is %d bytes, want 64", sz)

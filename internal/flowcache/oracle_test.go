@@ -2,8 +2,8 @@ package flowcache
 
 import "smartwatch/internal/packet"
 
-// refCache is the FlowCache as it stood before the row word (DESIGN.md
-// §20) and the 64-byte record (§22): a header per row with its own dirty /
+// refCache is the FlowCache as it stood before the row header and the
+// 64-byte record (DESIGN.md §9.1): a header per row with its own dirty /
 // parked fields and a bucket slice, and beside each record its own cached
 // hash, pin, access counter and occupied flag, which every scan reads and
 // every move carries by copying the whole bucket. It is the oracle of

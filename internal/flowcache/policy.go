@@ -2,11 +2,11 @@ package flowcache
 
 import "math/bits"
 
-// The replacement policies (DESIGN.md §11): the paper's LRU-LPC hybrid is
+// The replacement policies (DESIGN.md §9.3): the paper's LRU-LPC hybrid is
 // the default, and the alternatives are selectable by name through
 // Config.Policy. Every policy is built in.
 //
-// Hot-path neutrality (DESIGN.md §11.2): the per-packet path never makes
+// Hot-path neutrality (DESIGN.md §9.3): the per-packet path never makes
 // an interface call. Cache resolves the configured policy once, at New,
 // into a small policyKind enum, and the victim/hit/demote hooks switch on
 // that enum — the compiler sees a branch on a byte that is hot in cache,

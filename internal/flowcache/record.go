@@ -7,7 +7,7 @@ import (
 )
 
 // Record is one cached flow entry: 64 bytes, one aligned cache line of the
-// table (DESIGN.md §22). All fields are guarded by the owning row's latch;
+// table (DESIGN.md §9.1). All fields are guarded by the owning row's latch;
 // Snapshot/Lookup return copies so readers never observe a torn record.
 // What is per bucket but not per flow — live, pinned, the policy's access
 // frequency — is in the row header (row.go), so an empty bucket's memory is

@@ -11,7 +11,7 @@ import "sync"
 // allocated by the first Push and doubles, up to the capacity, as the
 // ring fills. A cache's eight 64 Ki-record rings are 32 MB, a ring holds
 // only what is evicted between two drains, and a make of the whole
-// capacity out of reused heap zeroes all of it (DESIGN.md §17.2).
+// capacity out of reused heap zeroes all of it (DESIGN.md §9.5).
 type Ring struct {
 	mu       sync.Mutex
 	buf      []Record

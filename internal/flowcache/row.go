@@ -7,7 +7,7 @@ import (
 	"smartwatch/internal/packet"
 )
 
-// The row header (DESIGN.md §20.1, §22): everything the cache keeps per
+// The row header (DESIGN.md §9.1): everything the cache keeps per
 // bucket that is not the flow's own, 32 bytes a row. word:
 //
 //	63     latch   test-and-set row latch (Alg. 2)

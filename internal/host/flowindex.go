@@ -21,7 +21,7 @@ const minIndexSlots = 16
 // bit of h. Neither end of the raw hash is free to home on. Records reach
 // the host in FlowCache row order, which is low-bit order; and every flow
 // of one cluster worker, or of one shard, shares the hash's top bits
-// (DESIGN.md §16).
+// (DESIGN.md §12).
 func remix(h uint64) uint64 { return h * 0x9e3779b97f4a7c15 }
 
 // newFlowIndex returns an index sized to hold n positions without growing

@@ -1,28 +1,28 @@
 // Package obs is SmartWatch's observability layer: a metrics registry of
-// sharded counters, gauges and fixed-bucket histograms, plus a periodic
-// snapshot emitter (DESIGN.md §10). It exists so the quantities the
-// paper's evaluation hinges on — per-tier packet fates, FlowCache
-// occupancy and eviction-ring drops, mode-switch churn, sNIC input-buffer
-// loss — are visible at runtime instead of only in the end-of-run report.
+// fixed-bucket histograms and pull collectors, plus a periodic snapshot
+// emitter (DESIGN.md §15). It exists so the quantities the paper's
+// evaluation hinges on — per-tier packet fates, FlowCache occupancy and
+// eviction-ring drops, mode-switch churn, sNIC input-buffer loss — are
+// visible at runtime instead of only in the end-of-run report.
 //
 // Two properties shape every API here:
 //
-//   - Branch-cheap when disabled. Every instrument method is nil-safe:
-//     a nil *Registry hands out nil instruments, and a nil instrument's
-//     Add/Set/Observe is a single predictable branch — no atomic
-//     operations, no allocations, no map lookups on the hot path
-//     (BenchmarkDisabledInstruments proves zero cost).
+//   - Branch-cheap when disabled. Every method is nil-safe: a nil
+//     *Registry hands out nil histograms, and a nil histogram's Observe is
+//     a single predictable branch — no atomic operations, no allocations,
+//     no map lookups on the hot path (TestDisabledZeroAlloc).
 //
 //   - Deterministic when enabled. Snapshots are virtual-time stamped and
 //     marshal to canonical JSON (sorted keys), so two runs that perform
 //     the same virtual-time work emit byte-identical snapshot lines.
 //     Which series are deterministic across shard/batch settings is part
-//     of each metric's contract, documented in DESIGN.md §10.
+//     of each metric's contract, documented in DESIGN.md §15.3.
 //
-// Instruments are created up front (at wiring time) and retained by the
-// instrumented component; name lookup never happens per packet. Counters
-// are cumulative, gauges are last-write-wins instantaneous values, and
-// histograms count observations into fixed buckets chosen at creation.
+// Counters and gauges are not instruments: every one is a count a
+// component already keeps, written into the snapshot by a collector at
+// snapshot time (Snapshot.SetCounter / SetGauge). The one series recorded
+// per packet is a histogram, created at wiring time and retained by its
+// component; name lookup never happens per packet.
 package obs
 
 import (
@@ -30,14 +30,12 @@ import (
 	"sync/atomic"
 )
 
-// Registry owns a process's instruments and the collectors that enrich
+// Registry owns a process's histograms and the collectors that enrich
 // snapshots with pull-based series. The zero value is not usable; a nil
 // *Registry is the documented "metrics disabled" state and every method
 // tolerates it.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	collectors []Collector
 	// last caches the most recent snapshot for observers on other
@@ -54,43 +52,7 @@ type Collector func(*Snapshot)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-	}
-}
-
-// Counter returns (creating on first use) the named counter. A nil
-// registry returns a nil counter, whose methods are no-ops.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating on first use) the named gauge. A nil registry
-// returns a nil gauge, whose methods are no-ops.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return &Registry{hists: map[string]*Histogram{}}
 }
 
 // Histogram returns (creating on first use) the named histogram with the
@@ -124,7 +86,7 @@ func (r *Registry) AddCollector(fn Collector) {
 	r.collectors = append(r.collectors, fn)
 }
 
-// Snapshot materialises every instrument plus all collector series into
+// Snapshot materialises every histogram plus all collector series into
 // one virtual-time-stamped snapshot, and caches it for LastSnapshot. It
 // must run on the goroutine that owns the pull-based state (the platform
 // driver); concurrent observers use LastSnapshot. A nil registry returns
@@ -140,12 +102,6 @@ func (r *Registry) Snapshot(tsNs int64) *Snapshot {
 		Histograms: map[string]HistogramValue{},
 	}
 	r.mu.Lock()
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Value()
 	}

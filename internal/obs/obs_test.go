@@ -2,53 +2,8 @@ package obs
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 )
-
-func TestCounterShardedSum(t *testing.T) {
-	var c Counter
-	c.Add(3)
-	c.AddShard(1, 4)
-	c.AddShard(17, 5) // wraps onto shard 1
-	if got := c.Value(); got != 12 {
-		t.Fatalf("Value() = %d, want 12", got)
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	const workers, per = 8, 10000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				c.AddShard(w, 1)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := c.Value(); got != workers*per {
-		t.Fatalf("Value() = %d, want %d", got, workers*per)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	if g.Value() != 0 {
-		t.Fatalf("zero gauge reads %v", g.Value())
-	}
-	g.Set(3.25)
-	if g.Value() != 3.25 {
-		t.Fatalf("Value() = %v, want 3.25", g.Value())
-	}
-	g.Set(-1)
-	if g.Value() != -1 {
-		t.Fatalf("Value() = %v, want -1", g.Value())
-	}
-}
 
 func TestHistogramBuckets(t *testing.T) {
 	h := newHistogram([]float64{10, 100, 1000})
@@ -84,15 +39,16 @@ func TestExpBounds(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	// Every call on a nil registry / nil instrument must be a no-op.
 	var r *Registry
-	c := r.Counter("x")
-	g := r.Gauge("y")
 	h := r.Histogram("z", []float64{1})
-	c.Add(1)
-	c.AddShard(3, 1)
-	g.Set(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Value().Count != 0 {
-		t.Fatal("nil instruments must read zero")
+	if h.Value().Count != 0 {
+		t.Fatal("a nil histogram must read zero")
+	}
+	var s *Snapshot
+	s.SetCounter("x", 1)
+	s.SetGauge("y", 1)
+	if s.Counter("x") != 0 || s.Gauge("y") != 0 || s.Filter("x") != nil {
+		t.Fatal("a nil snapshot must read zero")
 	}
 	r.AddCollector(func(*Snapshot) { t.Fatal("collector ran on nil registry") })
 	if r.Snapshot(0) != nil || r.LastSnapshot() != nil {
@@ -107,12 +63,6 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryReturnsSameInstrument(t *testing.T) {
 	r := NewRegistry()
-	if r.Counter("a") != r.Counter("a") {
-		t.Fatal("Counter not memoised")
-	}
-	if r.Gauge("b") != r.Gauge("b") {
-		t.Fatal("Gauge not memoised")
-	}
 	if r.Histogram("c", []float64{1, 2}) != r.Histogram("c", []float64{9}) {
 		t.Fatal("Histogram not memoised")
 	}
@@ -120,9 +70,8 @@ func TestRegistryReturnsSameInstrument(t *testing.T) {
 
 func TestSnapshotAndCollector(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("pkts").Add(7)
-	r.Gauge("occ").Set(0.5)
 	r.Histogram("lat", []float64{100}).Observe(42)
+	r.AddCollector(func(s *Snapshot) { s.SetCounter("pkts", 7); s.SetGauge("occ", 0.5) })
 	r.AddCollector(func(s *Snapshot) {
 		s.SetCounter("pulled.count", 11)
 		s.SetGauge("pulled.depth", 3)
@@ -147,9 +96,11 @@ func TestSnapshotAndCollector(t *testing.T) {
 
 func TestSnapshotFilter(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("flowcache.reads").Add(1)
-	r.Counter("host.flushes").Add(2)
-	r.Gauge("flowcache.occupancy").Set(0.1)
+	r.AddCollector(func(s *Snapshot) {
+		s.SetCounter("flowcache.reads", 1)
+		s.SetCounter("host.flushes", 2)
+		s.SetGauge("flowcache.occupancy", 0.1)
+	})
 	s := r.Snapshot(0).Filter("flowcache.")
 	if len(s.Counters) != 1 || s.Counter("flowcache.reads") != 1 {
 		t.Fatalf("filtered counters: %+v", s.Counters)
@@ -162,10 +113,12 @@ func TestSnapshotFilter(t *testing.T) {
 func TestEncodeCanonical(t *testing.T) {
 	build := func() []byte {
 		r := NewRegistry()
-		r.Counter("b").Add(2)
-		r.Counter("a").Add(1)
-		r.Gauge("z").Set(9)
-		r.Gauge("m").Set(-3.5)
+		r.AddCollector(func(s *Snapshot) {
+			s.SetCounter("b", 2)
+			s.SetCounter("a", 1)
+			s.SetGauge("z", 9)
+			s.SetGauge("m", -3.5)
+		})
 		r.Histogram("h", []float64{1, 10}).Observe(4)
 		var buf bytes.Buffer
 		if err := r.Snapshot(123).Encode(&buf); err != nil {
@@ -184,11 +137,12 @@ func TestEncodeCanonical(t *testing.T) {
 
 func TestEmitter(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("n").Add(1)
+	h := r.Histogram("n", []float64{1})
+	h.Observe(0)
 	var buf bytes.Buffer
 	e := NewEmitter(r, &buf)
 	e.Emit(100)
-	r.Counter("n").Add(1)
+	h.Observe(0)
 	e.Emit(200)
 	if e.Err() != nil {
 		t.Fatal(e.Err())
@@ -218,36 +172,6 @@ func TestEmitterStickyError(t *testing.T) {
 	}
 }
 
-// BenchmarkDisabledInstruments proves the disabled path (nil registry ⇒
-// nil instruments) costs only predictable branches: zero allocations and
-// ~sub-ns per call.
-func BenchmarkDisabledInstruments(b *testing.B) {
-	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", []float64{1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Add(1)
-		c.AddShard(i, 1)
-		g.Set(1)
-		h.Observe(1)
-	}
-}
-
-// BenchmarkEnabledCounter measures the enabled hot path: one atomic add,
-// zero allocations.
-func BenchmarkEnabledCounter(b *testing.B) {
-	r := NewRegistry()
-	c := r.Counter("c")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.AddShard(i, 1)
-	}
-}
-
 func BenchmarkEnabledHistogram(b *testing.B) {
 	r := NewRegistry()
 	h := r.Histogram("h", ExpBounds(100, 4, 8))
@@ -260,10 +184,10 @@ func BenchmarkEnabledHistogram(b *testing.B) {
 
 func TestDisabledZeroAlloc(t *testing.T) {
 	var r *Registry
-	c := r.Counter("c")
+	h := r.Histogram("h", []float64{1})
 	allocs := testing.AllocsPerRun(100, func() {
-		c.Add(1)
-		r.Counter("again").Add(1)
+		h.Observe(1)
+		r.Histogram("again", nil).Observe(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocates: %v allocs/op", allocs)

@@ -1,7 +1,7 @@
 package packet
 
 // Source is a packet supply with a lifecycle — the streaming twin of
-// Stream (DESIGN.md §12). A Stream is pure pull: once its iterator
+// Stream (DESIGN.md §13.2). A Stream is pure pull: once its iterator
 // returns, nothing remains to ask. Live supplies (a growing pcap file, a
 // rate-controlled generator, eventually a socket) additionally need (a) an
 // error channel out-of-band from the packet sequence, because a tail

@@ -1,4 +1,4 @@
-// Packet sources (DESIGN.md §12): the pcap-backed implementations of
+// Packet sources (DESIGN.md §13.2): the pcap-backed implementations of
 // packet.Source feeding the streaming session. FileSource is today's
 // whole-file replay path with lifecycle bolted on; FollowSource tails a
 // capture that is still being written — it parses only complete records,

@@ -104,7 +104,7 @@ type thread struct {
 // threads. Threads with equal (free, pme) are interchangeable, so any
 // structure that yields the (free, pme) minimum selects the same thread:
 // the order is fully deterministic and independent of history
-// (DESIGN.md §17).
+// (DESIGN.md §10).
 type threadRing struct {
 	slots []thread
 	head  int // slot of the earliest-free thread, always < len(slots)

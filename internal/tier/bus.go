@@ -12,7 +12,7 @@ import (
 // Kind classifies a control-plane event.
 type Kind uint8
 
-// Event kinds — the control-plane taxonomy (DESIGN.md §8.2).
+// Event kinds — the control-plane taxonomy (DESIGN.md §7.3).
 const (
 	// KindWhitelist: a flow was judged benign; the switch fast-paths it
 	// and the datapath has released its pinned record.
@@ -145,7 +145,7 @@ func (s BusStats) PublishedFor(k Kind) uint64 {
 }
 
 // Bus is the control plane's observer list. The platform applies its own
-// reactions to an event by direct calls (DESIGN.md §8.2) and then
+// reactions to an event by direct calls (DESIGN.md §7.3) and then
 // publishes it: the bus counts it and hands it to the observers of its
 // kind — the metrics emit, the cluster uplink, tests, the benchmark's
 // tracer — synchronously, in subscription order, before Publish returns.

@@ -2,7 +2,7 @@
 // Context the switch tier steers on, the Verdict it leaves there, and the
 // control-plane Bus. The packet path is four direct calls in internal/core
 // (ingest accounting, steer, FlowCache + detectors, host NF delivery;
-// DESIGN.md §8), and so are the control actions (whitelist, blacklist,
+// DESIGN.md §7.2), and so are the control actions (whitelist, blacklist,
 // unpin, interval close). Once the platform has applied one, it publishes
 // the typed event on the Bus, whose observers — metrics, the cluster
 // uplink, tests, the benchmark — see every control action without being

@@ -4,7 +4,7 @@ import (
 	"smartwatch/internal/packet"
 )
 
-// Low-and-slow attack suite (DESIGN.md §15; PAPER.md §2.1.2). These
+// Low-and-slow attack suite (DESIGN.md §11.3; PAPER.md §2.1.2). These
 // injectors stress exactly the two mechanisms SmartWatch's accuracy story
 // leans on: pinned flow records that must survive P/E replacement, and
 // Lite mode's narrowed probe slice that silently sheds long-lived quiet

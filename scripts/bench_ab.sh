@@ -1,5 +1,5 @@
 #!/bin/sh
-# bench-ab: same-box A/B of the repo's benchmark (DESIGN.md §9.4).
+# bench-ab: same-box A/B of the repo's benchmark (DESIGN.md §16.4).
 # Builds ./benchmark from a base commit (a `git archive` in a temp dir)
 # and from the working tree, then runs them as alternating pairs — A B,
 # B A, … — so drift on the box lands on both sides alike. Prints pair

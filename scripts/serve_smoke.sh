@@ -1,5 +1,5 @@
 #!/bin/sh
-# serve-smoke (DESIGN.md §12.3): end-to-end gate for the -serve daemon.
+# serve-smoke (DESIGN.md §13.3): end-to-end gate for the -serve daemon.
 # Every leg starts the daemon tailing a fixture pcap (-follow keeps it
 # alive after the fixture is consumed) and runs one assertion body: status
 # and snapshot the moment the listener answers (it is opened before the

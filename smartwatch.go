@@ -73,7 +73,7 @@ type Report = core.Report
 // New assembles a platform.
 func New(cfg Config) *Platform { return core.New(cfg) }
 
-// Streaming sessions & sources (DESIGN.md §12) -------------------------------
+// Streaming sessions & sources (DESIGN.md §13) -------------------------------
 
 // Session is a lifecycle-managed streaming drive over a platform:
 // Start / Ingest / Exec / Snapshot / Drain / Close. Platform.Run is a
@@ -221,7 +221,7 @@ func NewShardedFlowCache(shards int, cfg FlowCacheConfig, ctl FlowCacheControlle
 	return flowcache.NewSharded(shards, cfg, ctl)
 }
 
-// Replacement policies (DESIGN.md §11): FlowCacheConfig.Policy selects one
+// Replacement policies (DESIGN.md §9.3): FlowCacheConfig.Policy selects one
 // by name.
 const (
 	PolicyNameLRULPC = flowcache.PolicyNameLRULPC // seed pair: LRU in P, LPC in E (default)
@@ -231,11 +231,12 @@ const (
 
 // Observability ---------------------------------------------------------------
 
-// MetricsRegistry is the platform's metrics tree (DESIGN.md §10). Set one
-// on Config.Metrics to enable instrumentation: per-stage
-// counters, FlowCache occupancy/drop series, sNIC utilisation, host flush
-// depth. With Config.MetricsWriter also set, one canonical JSON snapshot
-// line is emitted per monitoring interval.
+// MetricsRegistry is the platform's metrics tree (DESIGN.md §15). Set one
+// on Config.Metrics to enable instrumentation: the platform's collectors
+// write per-stage counts, FlowCache occupancy/drop series, sNIC
+// utilisation and host flush depth into each snapshot. With
+// Config.MetricsWriter also set, one canonical JSON snapshot line is
+// emitted per monitoring interval.
 type MetricsRegistry = obs.Registry
 
 // MetricsSnapshot is one virtual-time-stamped materialisation of the tree
