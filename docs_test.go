@@ -31,8 +31,11 @@ func TestNoRoadmapItemPointers(t *testing.T) {
 }
 
 var (
-	resolvedDocs  = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
-	historicDocs  = map[string]bool{"CHANGES.md": true, "ISSUE.md": true}
+	resolvedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
+	// Top-level Markdown files whose § pointers are checked. The others —
+	// CHANGES.md, history, and notes on one change or on the paper — quote
+	// the numbering of their day.
+	pointerDocs   = map[string]bool{"DESIGN.md": true, "README.md": true, "EXPERIMENTS.md": true, "ROADMAP.md": true}
 	designMaxLine = 1000
 	designHeading = regexp.MustCompile(`(?m)^#{2,3} (\d+(?:\.\d+)?)\.? `)
 	// "DESIGN.md §N", "DESIGN.md §N.M, §K", "DESIGN.md §N.M–N.K", also
@@ -47,12 +50,12 @@ var (
 )
 
 // TestDocsResolve: every DESIGN.md § pointer in the tree names a heading of
-// it (CHANGES.md, history, and ISSUE.md, one change's work order, quote
-// the numbering of their day); every repo path and every `X.Name` — X a
-// package or a type declared in the tree, test files included — that
-// resolvedDocs put in backticks names something that exists; DESIGN.md
-// stays within designMaxLine lines. A lower-case name after a package
-// (`core.time_jumps`) is a metric series and is not checked.
+// it (top-level Markdown outside pointerDocs is not checked); every repo
+// path and every `X.Name` — X a package or a type declared in the tree,
+// test files included — that resolvedDocs put in backticks names something
+// that exists; DESIGN.md stays within designMaxLine lines. A lower-case
+// name after a package (`core.time_jumps`) is a metric series and is not
+// checked.
 func TestDocsResolve(t *testing.T) {
 	files := treeFiles(t)
 	pkgs, types := treeDecls(t, files)
@@ -65,7 +68,7 @@ func TestDocsResolve(t *testing.T) {
 		headings[m[1]] = true
 	}
 	for _, path := range files {
-		if historicDocs[path] || !(fileExt[strings.TrimPrefix(filepath.Ext(path), ".")] || path == "Makefile") {
+		if filepath.Ext(path) == ".md" && !strings.Contains(path, "/") && !pointerDocs[path] || !(fileExt[strings.TrimPrefix(filepath.Ext(path), ".")] || path == "Makefile") {
 			continue
 		}
 		b := readFile(t, path)
