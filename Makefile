@@ -66,11 +66,13 @@ fuzz-smoke:
 # failure injection (worker crash, stall), the fold-delay contract and
 # the merged-report/metrics contract. The oracle sweep replays whole
 # clusters many times; allow a generous timeout on slow boxes. Then ten more runs of the one test in which the router's
-# goroutine and the feeders append to a lane's tagged event list at once.
+# goroutine and the feeders append to a lane's tagged event list at once,
+# and of the operator plane's calls racing Ingest and Close at one and two
+# workers.
 cluster:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./internal/cluster/
-	$(GO) test -race -count=10 -run TestOperatorWhitelistWhileFeedersRun ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestOperatorWhitelistWhileFeedersRun|TestRunnerOperatorPlaneRace' ./internal/cluster/
 
 # Low-and-slow gate (DESIGN.md §9.4, §11): the injector/detector suite,
 # the flow-table model test and the map-backed LowSlow oracle, the

@@ -97,7 +97,7 @@ var goldenRuns = []goldenRun{
 }
 
 // TestCLIGolden replays the batch drive against outputs recorded from the
-// CLI before it was rebuilt over one engine interface: stdout, the
+// CLI before its one-platform and cluster paths became one drive: stdout, the
 // -metrics stream, and the SHA-256 of the -ipfix and -emit-p4 files, for
 // one platform and a two-worker cluster.
 func TestCLIGolden(t *testing.T) {
@@ -195,7 +195,7 @@ func TestIPFIXExportIsDeterministic(t *testing.T) {
 		for i := range files {
 			out := filepath.Join(dir, fmt.Sprintf("%s-%d.ipfix", k.name, i))
 			runCLI(t, "-in", in, "-switch", "-interval", "10", "-detectors", "ssh,portscan,rst,incomplete",
-				"-workers", strconv.Itoa(k.lanes), "-ipfix", out)
+				"-workers", strconv.Itoa(k.workers), "-ipfix", out)
 			b, err := os.ReadFile(out)
 			if err != nil {
 				t.Fatal(err)

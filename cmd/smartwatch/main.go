@@ -35,7 +35,6 @@ import (
 	"smartwatch/internal/p4switch"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/pcap"
-	"smartwatch/internal/tier"
 	"smartwatch/internal/trace"
 )
 
@@ -74,13 +73,12 @@ func main() {
 	if *emitP4 != "" && !*useSwitch {
 		fatal(fmt.Errorf("-emit-p4 requires -switch"))
 	}
-	dets, err := buildDetectors(*detectors)
+	dets, err := parseDetectors(*detectors)
 	if err != nil {
 		fatal(err)
 	}
 	cfg := core.Config{
 		IntervalNs: int64(*intervalMs) * 1e6,
-		Detectors:  dets,
 		Shards:     *shards,
 		BatchSize:  64,
 		Cache:      flowcache.DefaultConfig(*rowBits),
@@ -124,21 +122,10 @@ func main() {
 		fatal(err)
 	}
 
-	// One engine either way: a session over one platform, or a runner
-	// fanning out to -workers platforms behind one shared switch.
-	var (
-		e   engine
-		cl  *cluster.Runner
-		pls []*core.Platform
-		sw  *p4switch.Switch
-	)
-	if *workers > 1 {
-		cl = buildCluster(cfg, *workers, *detectors)
-		e, pls, sw = cl, cl.Workers(), cl.Switch()
-	} else {
-		pl := core.New(cfg)
-		e, pls, sw = pl.NewSession(), []*core.Platform{pl}, pl.Switch()
-	}
+	// One engine: a runner over -workers platforms, which at one worker is
+	// that platform driven on the ingest loop's goroutine.
+	cl := buildCluster(cfg, *workers, dets)
+	pls := cl.Workers()
 	if *serve && *kvRetention == 0 {
 		*kvRetention = 64 // bound the daemon's heap
 	}
@@ -147,7 +134,7 @@ func main() {
 			pl.KV().SetRetention(*kvRetention)
 		}
 	}
-	d := newDaemon(e, src, 512)
+	d := newDaemon(cl, src, 512)
 
 	addr := *expvarAddr
 	if *serve {
@@ -174,10 +161,10 @@ func main() {
 		kvIntervals += len(pl.KV().Intervals())
 	}
 	printReport(os.Stdout, pls[0].Cache().Shard(0).PolicyName(), kvIntervals, rep, *verbose)
-	if cl != nil {
-		// Drain on a drained runner returns its cached report. Workers carry
-		// no per-interval metrics writer, so -metrics gets one final merged
-		// snapshot.
+	if len(pls) > 1 {
+		// Drain on a drained runner returns its cached report. Workers of a
+		// wider rack carry no per-interval metrics writer, so -metrics gets
+		// one final merged snapshot.
 		crep, _ := cl.Drain()
 		fmt.Printf("cluster: workers=%d policy=%s imbalance=%.2f folds=%d folded-events=%d sync-wait=%.2f ms merge=%.2f ms\n",
 			len(pls), crep.Steer.Policy, crep.Steer.Imbalance, crep.Steer.Folds, crep.Steer.FoldedEvents,
@@ -195,7 +182,7 @@ func main() {
 	if fs, ok := src.(*pcap.FileSource); ok && fs.Reader().Skipped() > 0 {
 		fmt.Fprintf(os.Stderr, "note: %d undecodable frames skipped\n", fs.Reader().Skipped())
 	}
-	finishOutputs(pls, sw, ipfixFile, p4File)
+	finishOutputs(pls, cl.Switch(), ipfixFile, p4File)
 	if metricsFile != nil {
 		if err := metricsFile.Close(); err != nil {
 			fatal(err)
@@ -206,33 +193,6 @@ func main() {
 		lingerExpvar(*expvarAddr)
 	}
 }
-
-// engine is what the CLI drives: a session over one platform or a cluster
-// runner, each satisfying it as it is.
-type engine interface {
-	Start() error
-	Ingest([]packet.Packet) error
-	// Close drains a running engine: final interval close, lossless
-	// flow-log flush, final metrics.
-	Close() error
-	// Report is the final report, once drained.
-	Report() (core.Report, bool)
-	State() core.SessionState
-	Ingested() uint64
-	BusStats() tier.BusStats
-	// Snapshots holds each lane's latest interval snapshot (one lane for a
-	// session; nil entries before a lane's first close).
-	Snapshots() []*core.IntervalSnapshot
-	Whitelist(packet.FlowKey) error
-	Blacklist(packet.Addr) error
-	WhitelistEntries() []packet.FlowKey
-	BlacklistEntries() []packet.Addr
-}
-
-var (
-	_ engine = (*core.Session)(nil)
-	_ engine = (*cluster.Runner)(nil)
-)
 
 // checkFlags rejects a numeric flag outside its range. Left alone, each
 // would run on a different value without a word: a table or interval
@@ -295,22 +255,20 @@ func lingerExpvar(addr string) {
 	<-ch
 }
 
-// buildCluster assembles the cluster runner from the single-platform
-// config: the template keeps the switch fields (the runner lifts them
-// into the shared steering tier) but hands detectors over as a factory —
-// each worker needs its own instances.
-func buildCluster(cfg core.Config, workers int, detectorList string) *cluster.Runner {
-	wc := cfg
-	wc.Detectors = nil
+// buildCluster assembles the runner from the platform config, which keeps
+// the switch fields (one worker runs them itself; more lift them into the
+// shared steering tier). Detectors come only from the parsed -detectors
+// constructors: each worker builds its own instances.
+func buildCluster(cfg core.Config, workers int, dets []func() detect.Detector) *cluster.Runner {
 	return cluster.New(cluster.Config{
 		Workers: workers,
-		Worker:  wc,
+		Worker:  cfg,
 		Detectors: func() []detect.Detector {
-			d, err := buildDetectors(detectorList)
-			if err != nil {
-				fatal(err) // already validated at startup; unreachable
+			out := make([]detect.Detector, len(dets))
+			for i, mk := range dets {
+				out[i] = mk()
 			}
-			return d
+			return out
 		},
 		Metrics: cfg.Metrics,
 	})
@@ -473,36 +431,39 @@ func lastSnapshot(reg *obs.Registry) any {
 	return struct{}{}
 }
 
-func buildDetectors(list string) ([]detect.Detector, error) {
-	var out []detect.Detector
+// detectorCtors builds each -detectors name's detector.
+var detectorCtors = map[string]func() detect.Detector{
+	"ssh":        bruteForce(trace.PortSSH),
+	"ftp":        bruteForce(trace.PortFTP),
+	"kerberos":   bruteForce(trace.PortKerberos),
+	"portscan":   func() detect.Detector { return detect.NewPortScan(detect.PortScanConfig{}) },
+	"rst":        func() detect.Detector { return detect.NewForgedRST(detect.ForgedRSTConfig{}) },
+	"incomplete": func() detect.Detector { return detect.NewIncomplete(0, 0, nil) },
+	"dns":        func() detect.Detector { return detect.NewDNSAmplification(0, 0) },
+	"worm":       func() detect.Detector { return detect.NewWorm(0, 0) },
+	"ssl":        func() detect.Detector { return detect.NewSSLExpiry(0) },
+	"microburst": func() detect.Detector { return detect.NewMicroburst(0, 0) },
+	"lowslow":    func() detect.Detector { return detect.NewLowSlow(detect.LowSlowConfig{}) },
+}
+
+// bruteForce builds a brute-force detector guarding one service port.
+func bruteForce(service uint16) func() detect.Detector {
+	return func() detect.Detector { return detect.NewBruteForce(detect.BruteForceConfig{Service: service}) }
+}
+
+// parseDetectors resolves the -detectors list to its constructors, in list
+// order.
+func parseDetectors(list string) ([]func() detect.Detector, error) {
+	var out []func() detect.Detector
 	for _, name := range strings.Split(list, ",") {
-		switch strings.TrimSpace(name) {
-		case "":
-		case "ssh":
-			out = append(out, detect.NewBruteForce(detect.BruteForceConfig{Service: trace.PortSSH}))
-		case "ftp":
-			out = append(out, detect.NewBruteForce(detect.BruteForceConfig{Service: trace.PortFTP}))
-		case "kerberos":
-			out = append(out, detect.NewBruteForce(detect.BruteForceConfig{Service: trace.PortKerberos}))
-		case "portscan":
-			out = append(out, detect.NewPortScan(detect.PortScanConfig{}))
-		case "rst":
-			out = append(out, detect.NewForgedRST(detect.ForgedRSTConfig{}))
-		case "incomplete":
-			out = append(out, detect.NewIncomplete(0, 0, nil))
-		case "dns":
-			out = append(out, detect.NewDNSAmplification(0, 0))
-		case "worm":
-			out = append(out, detect.NewWorm(0, 0))
-		case "ssl":
-			out = append(out, detect.NewSSLExpiry(0))
-		case "microburst":
-			out = append(out, detect.NewMicroburst(0, 0))
-		case "lowslow":
-			out = append(out, detect.NewLowSlow(detect.LowSlowConfig{}))
-		default:
+		if name = strings.TrimSpace(name); name == "" {
+			continue
+		}
+		mk, ok := detectorCtors[name]
+		if !ok {
 			return nil, fmt.Errorf("unknown detector %q", name)
 		}
+		out = append(out, mk)
 	}
 	return out, nil
 }

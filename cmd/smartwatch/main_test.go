@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"smartwatch/internal/cluster"
 	"smartwatch/internal/core"
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
@@ -135,6 +134,7 @@ func TestOutOfRangeFlagsFail(t *testing.T) {
 		{[]string{"-emit-p4", filepath.Join(dir, "q.p4")}, "-emit-p4 requires -switch"},
 		{[]string{"-ipfix", filepath.Join(missing, "f.ipfix")}, "open " + missing},
 		{[]string{"-switch", "-emit-p4", filepath.Join(missing, "q.p4")}, "open " + missing},
+		{[]string{"-detectors", "bogus"}, "unknown detector"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-gen", "caida2019", "-gen-max", "1000"}, tc.args...)...)
@@ -149,25 +149,12 @@ func TestOutOfRangeFlagsFail(t *testing.T) {
 	}
 }
 
-// engineKinds builds each engine the CLI drives: a session over one
-// platform, and a two-worker cluster runner whose registry is the
-// template's, as buildCluster wires it. dets (nil for none) makes one fresh
-// detector set per platform.
+// engineKinds are the runner widths (and /control/status lane counts) the
+// tests build with buildCluster; one worker is one platform's session.
 var engineKinds = []struct {
-	name  string
-	lanes int // the worker count /control/status reports
-	new   func(cfg core.Config, dets func() []detect.Detector) engine
-}{
-	{"session", 1, func(cfg core.Config, dets func() []detect.Detector) engine {
-		if dets != nil {
-			cfg.Detectors = dets()
-		}
-		return core.New(cfg).NewSession()
-	}},
-	{"workers2", 2, func(cfg core.Config, dets func() []detect.Detector) engine {
-		return cluster.New(cluster.Config{Workers: 2, Worker: cfg, Detectors: dets, Metrics: cfg.Metrics})
-	}},
-}
+	name    string
+	workers int
+}{{"session", 1}, {"workers2", 2}}
 
 // TestDaemonAnswersBeforeStart: main registers the control API and opens
 // the listener before daemon.run starts the engine, so /control/status and
@@ -175,7 +162,7 @@ var engineKinds = []struct {
 // status must already count the engine's lanes.
 func TestDaemonAnswersBeforeStart(t *testing.T) {
 	for _, k := range engineKinds {
-		e := k.new(core.Config{EnableSwitch: true}, nil)
+		e := buildCluster(core.Config{EnableSwitch: true}, k.workers, nil)
 		d := newDaemon(e, nil, 512)
 		for name, h := range map[string]http.HandlerFunc{"status": d.handleStatus, "snapshot": d.handleSnapshot} {
 			rec := httptest.NewRecorder()
@@ -183,7 +170,7 @@ func TestDaemonAnswersBeforeStart(t *testing.T) {
 			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"workers"`) {
 				t.Errorf("%s: %s before Start: %d %s", k.name, name, rec.Code, rec.Body.String())
 			}
-			if want := fmt.Sprintf(`"workers": %d`, k.lanes); name == "status" && !strings.Contains(rec.Body.String(), want) {
+			if want := fmt.Sprintf(`"workers": %d`, k.workers); name == "status" && !strings.Contains(rec.Body.String(), want) {
 				t.Errorf("%s: status before Start %s, want %s", k.name, rec.Body.String(), want)
 			}
 		}
@@ -201,7 +188,7 @@ func TestControlBlacklistNeedsSwitch(t *testing.T) {
 	for _, k := range engineKinds {
 		for _, withSwitch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/switch=%v", k.name, withSwitch), func(t *testing.T) {
-				e := k.new(core.Config{EnableSwitch: withSwitch}, nil)
+				e := buildCluster(core.Config{EnableSwitch: withSwitch}, k.workers, nil)
 				if err := e.Start(); err != nil {
 					t.Fatal(err)
 				}
@@ -242,7 +229,7 @@ func TestControlBlacklistNeedsSwitch(t *testing.T) {
 func TestRunDrainsBudgetedSource(t *testing.T) {
 	const budget = 20_000
 	for _, k := range engineKinds {
-		e := k.new(core.Config{IntervalNs: 10e6, EnableSwitch: true, Queries: defaultQueries(), BatchSize: 64}, nil)
+		e := buildCluster(core.Config{IntervalNs: 10e6, EnableSwitch: true, Queries: defaultQueries(), BatchSize: 64}, k.workers, nil)
 		src := trace.NewSource(trace.SourceConfig{Workload: trace.CAIDA(2019).Config(), Repeat: -1, MaxPackets: budget})
 		rep, err := newDaemon(e, src, 512).run()
 		if err != nil {
@@ -264,7 +251,7 @@ func TestRunDrainsBudgetedSource(t *testing.T) {
 func TestMetricsLiveMidRun(t *testing.T) {
 	for _, k := range engineKinds {
 		reg := obs.NewRegistry()
-		e := k.new(core.Config{IntervalNs: 1e6, Metrics: reg}, nil)
+		e := buildCluster(core.Config{IntervalNs: 1e6, Metrics: reg}, k.workers, nil)
 		if err := e.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +295,7 @@ func (d *bomb) Drain() []detect.Alert { return nil }
 // a poller waiting for SessionDone ends on a failed run too.
 func TestRunReportsDriveFailure(t *testing.T) {
 	for _, k := range engineKinds {
-		e := k.new(core.Config{IntervalNs: 10e6}, func() []detect.Detector { return []detect.Detector{&bomb{after: 1000}} })
+		e := buildCluster(core.Config{IntervalNs: 10e6}, k.workers, []func() detect.Detector{func() detect.Detector { return &bomb{after: 1000} }})
 		src := trace.NewSource(trace.SourceConfig{Workload: trace.CAIDA(2019).Config(), Repeat: -1, MaxPackets: 20_000})
 		_, err := newDaemon(e, src, 512).run()
 		if !errors.Is(err, core.ErrDriveFailed) || !strings.Contains(err.Error(), "boom") {

@@ -1,8 +1,7 @@
 // The drive and the operator plane (DESIGN.md §13.3). Every run, batch or
 // -serve, streams packets from a packet.Source (whole-file pcap, a tailed
-// growing pcap, or the synthetic generator) through one engine — a
-// single-platform session or a cluster runner — with a pause gate between
-// vectors. -serve layers an HTTP control API on the -expvar endpoint:
+// growing pcap, or the synthetic generator) through one cluster runner —
+// at one worker, the platform itself — with a pause gate between vectors. -serve layers an HTTP control API on the -expvar endpoint:
 // pause/resume, whitelist/blacklist query+update, live interval snapshots,
 // and graceful drain. SIGINT/SIGTERM (or POST /control/drain) stops the
 // source, flushes the flow log, emits the final metrics snapshot, and
@@ -19,14 +18,15 @@ import (
 	"sync"
 	"syscall"
 
+	"smartwatch/internal/cluster"
 	"smartwatch/internal/core"
 	"smartwatch/internal/packet"
 )
 
-// daemon owns the run's lifecycle: one source, one engine, the pause gate
+// daemon owns the run's lifecycle: one source, one runner, the pause gate
 // and the drain protocol.
 type daemon struct {
-	e   engine
+	e   *cluster.Runner
 	src packet.Source
 
 	chunk int
@@ -43,7 +43,7 @@ type daemon struct {
 	drainErr  error
 }
 
-func newDaemon(e engine, src packet.Source, chunk int) *daemon {
+func newDaemon(e *cluster.Runner, src packet.Source, chunk int) *daemon {
 	d := &daemon{
 		e: e, src: src, chunk: chunk,
 		ingestDone: make(chan struct{}),

@@ -12,7 +12,7 @@ import (
 )
 
 // TestDaemonSoakFlatHeap is the ISSUE 7 soak gate: ≥10M generated packets
-// through the -serve daemon path (source → pause gate → session → engine)
+// through the -serve daemon path (source → pause gate → runner → session)
 // with a flat heap and a clean source-exhaustion drain. The KV retention
 // cap is what keeps the heap flat across the run's ~80 interval flushes;
 // the test asserts both the cap and the ceiling.
@@ -36,15 +36,16 @@ func TestDaemonSoakFlatHeap(t *testing.T) {
 		Repeat:     -1, // until MaxPackets
 		MaxPackets: soakPackets,
 	})
-	pl := core.New(core.Config{
+	cl := buildCluster(core.Config{
 		IntervalNs:    20e6,
 		Shards:        4,
 		BatchSize:     64,
 		Metrics:       obs.NewRegistry(),
 		MetricsWriter: io.Discard,
-	})
+	}, 1, nil)
+	pl := cl.Workers()[0]
 	pl.KV().SetRetention(retention)
-	d := newDaemon(pl.NewSession(), src, 512)
+	d := newDaemon(cl, src, 512)
 
 	type sample struct {
 		ingested  uint64

@@ -8,6 +8,12 @@
 // cluster adds no hashing — and the per-worker reports fold back into one
 // merged cluster report at drain.
 //
+// A rack of one is the platform itself. With one worker New lifts no
+// switch, captures no feedback, starts no feeder, keeps no interval
+// heartbeat and merges nothing: the worker runs the template as given,
+// and the router hands it its buffers on the caller's goroutine. The rest
+// of this comment is about more than one worker.
+//
 // Determinism is the package's contract, and it is two-sided:
 //
 //   - Parallel ≡ sequential (oracle A): a parallel cluster drive is
@@ -51,6 +57,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -108,18 +115,19 @@ const queueDepth = 4
 // Config assembles a cluster runner.
 type Config struct {
 	// Workers is the cluster width (power of two; 0 or 1 means one
-	// worker, which behaves exactly like the plain Platform it wraps).
+	// worker, which is the plain Platform it wraps).
 	Workers int
-	// Worker is the per-worker platform template. The switch tier fields
-	// (EnableSwitch, Switch, Queries) configure the cluster's single
-	// shared switch and are stripped from the workers; Metrics/
-	// MetricsWriter likewise belong to the cluster (each worker gets its
-	// own private registry when set, merged under "worker.N." at drain).
-	// At Workers > 1 the runner re-derives the capacity split: worker
-	// RowBits = RowBits - log2(Workers) and worker eta thresholds divide
-	// by Workers, so total cache capacity and switchover behaviour match
-	// a single Workers·Shards-way sharded platform. At Workers == 1 the
-	// template is used verbatim.
+	// Worker is the per-worker platform template. At Workers == 1 it is
+	// used verbatim (bar Detectors, which come from the factory when one
+	// is set). At Workers > 1 the switch tier fields (EnableSwitch,
+	// Switch, Queries) configure the cluster's single shared switch and
+	// are stripped from the workers; Metrics/MetricsWriter likewise
+	// belong to the cluster (each worker gets its own private registry
+	// when set, merged under "worker.N." at drain); and the runner
+	// re-derives the capacity split: worker RowBits = RowBits -
+	// log2(Workers) and worker eta thresholds divide by Workers, so total
+	// cache capacity and switchover behaviour match a single
+	// Workers·Shards-way sharded platform.
 	Worker core.Config
 	// Detectors builds one fresh detector set per worker. Required when
 	// Workers > 1 and detectors are wanted: live detect.Detector
@@ -145,10 +153,11 @@ type Config struct {
 	// Sequential switches the runner into its reference mode: no feeder
 	// goroutines, every batch fed synchronously on the caller's
 	// goroutine. The parallel drive must be byte-identical to this —
-	// oracle A in the package doc.
+	// oracle A in the package doc. One worker always runs this way.
 	Sequential bool
-	// Metrics, when set, receives the runner's cluster.* series and, at
-	// drain, every worker's final metric tree under "worker.N.".
+	// Metrics, when set at Workers > 1, receives the runner's cluster.*
+	// series and, at drain, every worker's final metric tree under
+	// "worker.N.". One worker reports into Worker.Metrics itself.
 	Metrics *obs.Registry
 }
 
@@ -238,6 +247,24 @@ func (w *worker) takeEvents(upTo uint64) []ctlEvent {
 	return evs
 }
 
+// ingest runs one buffer through the worker's session unless the lane has
+// failed already. A drive failure is recorded with its cause: the Ingest
+// that hit it returns ErrSessionClosed, and the session's Drain returns
+// the panic.
+func (w *worker) ingest(b []packet.Packet) {
+	if w.failed.Load() != nil {
+		return
+	}
+	if err := w.ses.Ingest(b); err != nil {
+		if errors.Is(err, core.ErrSessionClosed) {
+			if _, derr := w.ses.Drain(); derr != nil {
+				err = derr
+			}
+		}
+		w.fail(err)
+	}
+}
+
 // fail records the worker's first error.
 func (w *worker) fail(err error) {
 	e := err
@@ -249,10 +276,14 @@ func (w *worker) fail(err error) {
 // -serve control plane calls Whitelist/Blacklist/Drain concurrently with
 // the ingest loop); packet fan-out itself runs on the caller's goroutine.
 type Runner struct {
-	cfg     Config
-	w       int // worker count
-	lgW     uint
-	shift   uint // 64 - lgW; hash >> shift is the owning worker (0 at w=1)
+	cfg   Config
+	w     int // worker count
+	lgW   uint
+	shift uint // 64 - lgW; hash >> shift is the owning worker (0 at w=1)
+	// sw is the switch the runner answers for: the shared one at w > 1,
+	// the worker's own at w == 1 (nil without a switch tier). steer and
+	// tracker exist only for a shared switch, which the router steers
+	// with and folds worker feedback into.
 	sw      *p4switch.Switch
 	tracker *p4switch.Tracker
 	steer   *p4switch.SteerStage
@@ -319,6 +350,23 @@ func New(cfg Config) *Runner {
 	}
 	r.shift = 64 - r.lgW
 	r.nextInterval = r.intervalNs
+	r.workers = make([]*worker, r.w)
+	for i := range r.workers {
+		w := &worker{id: i, done: make(chan struct{})}
+		w.pl = core.New(r.workerConfig(i))
+		// Idle until Start, and never replaced: Snapshots and Close read it
+		// at any point of the lifecycle without the runner lock.
+		w.ses = w.pl.NewSession()
+		r.workers[i] = w
+	}
+	if r.w == 1 {
+		// A rack of one is its worker: it steers with its own switch and
+		// closes its own intervals, driven on the caller's goroutine.
+		r.sw = r.workers[0].pl.Switch()
+		r.nextInterval = math.MaxInt64 // no heartbeat
+		r.cfg.Sequential = true        // no feeder
+		return r
+	}
 
 	if cfg.Worker.EnableSwitch {
 		swCfg := cfg.Worker.Switch
@@ -333,16 +381,7 @@ func New(cfg Config) *Runner {
 		}
 		r.tracker = p4switch.NewTracker(cfg.Worker.Queries, 0)
 		r.steer = &p4switch.SteerStage{SW: r.sw, Tracker: r.tracker}
-	}
-
-	r.workers = make([]*worker, r.w)
-	for i := range r.workers {
-		w := &worker{id: i, done: make(chan struct{})}
-		w.pl = core.New(r.workerConfig(i))
-		// Idle until Start, and never replaced: Snapshots and Close read it
-		// at any point of the lifecycle without the runner lock.
-		w.ses = w.pl.NewSession()
-		if r.sw != nil {
+		for _, w := range r.workers {
 			// Capture detector feedback for the epoch fold. The handlers
 			// run inside Publish, on the goroutine that called the worker
 			// session's Ingest (its feeder).
@@ -353,9 +392,7 @@ func New(cfg Config) *Runner {
 				w.addEvent(ctlEvent{kind: tier.KindBlacklist, addr: e.(tier.BlacklistEvent).Addr})
 			})
 		}
-		r.workers[i] = w
 	}
-
 	if cfg.Metrics != nil {
 		cfg.Metrics.AddCollector(r.collect)
 	}
@@ -363,11 +400,18 @@ func New(cfg Config) *Runner {
 }
 
 // workerConfig derives worker i's platform config from the template. At
-// Workers == 1 the template passes through untouched (a 1-worker cluster
-// is byte-compatible with a plain Platform); at Workers > 1 the capacity
-// and switchover split re-derives the single-platform partition.
+// Workers == 1 the template passes through untouched but for the
+// factory's detectors (a 1-worker cluster is a plain Platform); at
+// Workers > 1 the switch and the registry move to the cluster, and the
+// capacity and switchover split re-derives the single-platform partition.
 func (r *Runner) workerConfig(i int) core.Config {
 	wc := r.cfg.Worker
+	if r.cfg.Detectors != nil {
+		wc.Detectors = r.cfg.Detectors()
+	}
+	if r.w == 1 {
+		return wc
+	}
 	wc.EnableSwitch = false
 	wc.Switch = p4switch.Config{}
 	wc.Queries = nil
@@ -375,12 +419,6 @@ func (r *Runner) workerConfig(i int) core.Config {
 	wc.MetricsWriter = nil
 	if r.cfg.Worker.Metrics != nil || r.cfg.Metrics != nil {
 		wc.Metrics = obs.NewRegistry()
-	}
-	if r.cfg.Detectors != nil {
-		wc.Detectors = r.cfg.Detectors()
-	}
-	if r.w == 1 {
-		return wc
 	}
 	// Capacity split: each worker gets 1/W of the rows; worker-internal
 	// shard selection moves log2(W) bits down so (worker, shard) together
@@ -411,12 +449,13 @@ func (r *Runner) Workers() []*core.Platform {
 	return out
 }
 
-// Switch exposes the shared switch tier (nil when disabled).
+// Switch exposes the switch tier: the shared one, or the one worker's own
+// (nil when disabled).
 func (r *Runner) Switch() *p4switch.Switch { return r.sw }
 
-// WhitelistEntries reads the shared switch's whitelist under the runner
-// lock (the -serve control plane's GET path; the router mutates the
-// switch during Ingest, so direct reads would race).
+// WhitelistEntries reads the switch's whitelist under the runner lock (the
+// -serve control plane's GET path; the router mutates the shared switch,
+// and drives the one worker, during Ingest, so direct reads would race).
 func (r *Runner) WhitelistEntries() []packet.FlowKey {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -426,8 +465,7 @@ func (r *Runner) WhitelistEntries() []packet.FlowKey {
 	return r.sw.WhitelistEntries()
 }
 
-// BlacklistEntries reads the shared switch's drop table under the runner
-// lock.
+// BlacklistEntries reads the switch's drop table under the runner lock.
 func (r *Runner) BlacklistEntries() []packet.Addr {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -529,17 +567,7 @@ func (r *Runner) feeder(w *worker) {
 		if !ok {
 			return
 		}
-		if w.failed.Load() == nil {
-			if err := w.ses.Ingest(b); err != nil {
-				if errors.Is(err, core.ErrSessionClosed) {
-					// The drive died; surface the underlying cause.
-					if _, derr := w.ses.Drain(); derr != nil {
-						err = derr
-					}
-				}
-				w.fail(err)
-			}
-		}
+		w.ingest(b)
 		// Capacity matches the steady-state circulation; a full channel only
 		// happens when popFree starvation minted an extra buffer, and then
 		// dropping the surplus here restores the original census.
@@ -579,7 +607,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 			if err := r.syncLocked(true); err != nil {
 				return err
 			}
-			if r.sw != nil {
+			if r.steer != nil {
 				r.sw.CloseInterval(r.tracker)
 			}
 			// Live observers (-serve's /metrics) read the registry's last
@@ -596,7 +624,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 		hash := p.Tuple.Identity(&ctx.Key)
 		if r.steer != nil {
 			ctx.Pkt, ctx.Hash, ctx.Verdict = p, hash, tier.Continue
-			r.steer.HandleKeyed(ctx)
+			r.steer.Apply(ctx, r.steer.Classify(p))
 			switch ctx.Verdict {
 			case tier.ForwardDirect:
 				r.nDirect++
@@ -607,11 +635,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 			}
 		}
 
-		wi := 0
-		if r.lgW > 0 {
-			wi = int(hash >> r.shift)
-		}
-		w := r.workers[wi]
+		w := r.workers[hash>>r.shift]
 		w.buf = append(w.buf, *p)
 		w.routed++
 		if len(w.buf) == r.cfg.QueueBatch {
@@ -620,7 +644,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 			}
 		}
 
-		if r.sw == nil {
+		if r.steer == nil {
 			continue // nothing to fold into: no epochs
 		}
 		r.sinceSync++
@@ -637,11 +661,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 // sequential mode, onto the ingress channel otherwise.
 func (r *Runner) dispatch(w *worker) error {
 	if r.cfg.Sequential {
-		if w.failed.Load() == nil {
-			if err := w.ses.Ingest(w.buf); err != nil {
-				w.fail(err)
-			}
-		}
+		w.ingest(w.buf)
 		w.buf = w.buf[:0]
 		w.issued++
 		w.completed.Add(1)
@@ -777,7 +797,7 @@ func (r *Runner) publish() {
 // lane's buffers up to its mark (all: every captured event), in worker-lane
 // order, each lane's events in arrival order.
 func (r *Runner) fold(all bool) {
-	if r.sw == nil {
+	if r.steer == nil {
 		return
 	}
 	for _, w := range r.workers {
@@ -817,41 +837,39 @@ func (r *Runner) failRun(err error) error {
 	return r.err
 }
 
-// Whitelist installs a benign-flow entry at the shared switch and
-// releases the owning worker's pinned record — the -serve operator path.
+// Whitelist installs a benign-flow entry at the shared switch and has the
+// owning worker release its pinned record (one worker does both, as a
+// session does) — the -serve operator path.
 func (r *Runner) Whitelist(k packet.FlowKey) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sw != nil {
+	if r.steer != nil {
 		if err := r.sw.Whitelist(k); err != nil {
 			return err
 		}
 	}
-	wi := 0
-	if r.lgW > 0 {
-		wi = int(k.Hash() >> r.shift)
-	}
-	w := r.workers[wi]
+	w := r.workers[k.Hash()>>r.shift]
 	if r.state == core.SessionRunning && w.failed.Load() == nil {
 		return w.ses.Whitelist(k)
 	}
 	return nil
 }
 
-// Blacklist installs a drop rule for the source at the shared switch
-// (core.ErrNoSwitch without one, as for a session).
+// Blacklist installs a drop rule for the source at the shared switch.
+// Without one it is the session's: one worker's installs at its own
+// switch, and a worker without a switch refuses with core.ErrNoSwitch.
 func (r *Runner) Blacklist(a packet.Addr) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sw == nil {
-		return core.ErrNoSwitch
+	if r.steer == nil {
+		return r.workers[0].ses.Blacklist(a)
 	}
 	r.sw.Blacklist(a)
 	return nil
 }
 
 // Report returns the merged report once the runner has drained (zero
-// Report, false before) — the engine-level view of Drain's cached Report.
+// Report, false before) — the daemon's view of Drain's cached Report.
 func (r *Runner) Report() (core.Report, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -881,7 +899,7 @@ func (r *Runner) Drain() (Report, error) {
 	if r.syncLocked(true) != nil {
 		return r.endFailed()
 	}
-	if r.sw != nil {
+	if r.steer != nil {
 		r.sw.CloseInterval(r.tracker) // the final interval close, as the
 		// single platform's end-of-drive maybeTick fires it
 	}
@@ -908,7 +926,7 @@ func (r *Runner) Drain() (Report, error) {
 		r.failRun(werr)
 		return r.endFailed()
 	}
-	r.final = r.merge(reps)
+	r.final = r.report(reps)
 	r.state = core.SessionDone
 	return r.final, nil
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -180,7 +181,7 @@ func oracleAConfig(workers, shards, batch int) Config {
 // lanes see epochs in which they were issued nothing and every buffer is a
 // partial one.
 func TestClusterParallelMatchesSequential(t *testing.T) {
-	for _, w := range []int{1, 2, 4} {
+	for _, w := range []int{2, 4} {
 		for _, sc := range []struct{ shards, batch, sync, queue int }{
 			{1, 1, 0, 0}, {2, 64, 0, 0}, {1, 256, 0, 0}, {1, 64, 64, 256},
 		} {
@@ -225,6 +226,60 @@ func TestClusterParallelMatchesSequential(t *testing.T) {
 				}
 				if rep.Steer.FoldedEvents == 0 {
 					t.Error("no events folded into the shared switch")
+				}
+			})
+		}
+	}
+}
+
+// TestOneWorkerRunnerIsThePlatform: with one worker the runner adds
+// nothing around it — the worker runs the template's switch, queries,
+// registry and metrics writer with the factory's detectors, on the
+// caller's goroutine — so its report (floats and quantiles included),
+// alerts, flow log and metrics stream are byte-identical to core.New
+// driven through a session, detector feedback reaching the switch on the
+// next packet.
+func TestOneWorkerRunnerIsThePlatform(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, batch := range []int{1, 64} {
+			t.Run(fmt.Sprintf("s%d_b%d", shards, batch), func(t *testing.T) {
+				template := func(metrics *bytes.Buffer) core.Config {
+					return core.Config{
+						EnableSwitch: true, Queries: sshQueries(), IntervalNs: 20e6,
+						Shards: shards, BatchSize: batch, SNIC: noDropSNIC(),
+						Metrics: obs.NewRegistry(), MetricsWriter: metrics,
+					}
+				}
+				var wantMetrics, gotMetrics bytes.Buffer
+				cfg := template(&wantMetrics)
+				cfg.Detectors = detectorFactory()()
+				single := core.New(cfg)
+				srep := single.Run(mixedStream())
+
+				wc := template(&gotMetrics)
+				r := New(Config{Workers: 1, Worker: wc, Detectors: detectorFactory(), Metrics: wc.Metrics})
+				crep, err := r.Run(mixedStream())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Only the merged report: a platform has no steering tallies.
+				want, got := clusterDump(Report{Merged: srep}), clusterDump(Report{Merged: crep.Merged})
+				if got != want {
+					t.Errorf("report diverged from the platform:\n%s", firstDiff(want, got))
+				}
+				if srep.SwitchStats.BlacklistHits == 0 || len(srep.Alerts) == 0 {
+					t.Errorf("no blacklist drops (%d) or no alerts (%d); feedback not exercised",
+						srep.SwitchStats.BlacklistHits, len(srep.Alerts))
+				}
+				if gotKV, wantKV := unionKVDump(r.Workers()), unionKVDump([]*core.Platform{single}); gotKV != wantKV {
+					t.Errorf("flow log diverged:\n%s", firstDiff(wantKV, gotKV))
+				}
+				if wantMetrics.Len() == 0 || gotMetrics.String() != wantMetrics.String() {
+					t.Errorf("metrics stream diverged (%d bytes, platform %d):\n%s",
+						gotMetrics.Len(), wantMetrics.Len(), firstDiff(wantMetrics.String(), gotMetrics.String()))
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"smartwatch/internal/core"
@@ -238,6 +242,48 @@ func TestOperatorWhitelistWhileFeedersRun(t *testing.T) {
 	// (a second, idempotent install) by Drain at the latest.
 	if rep.Steer.FoldedEvents < uint64(len(installed)) {
 		t.Errorf("folded %d events, want at least the %d operator installs", rep.Steer.FoldedEvents, len(installed))
+	}
+}
+
+// TestRunnerOperatorPlaneRace: the -serve operator plane — Whitelist,
+// Blacklist, the table dumps, Snapshots, Ingested, BusStats — from two
+// goroutines while Ingest runs, at one worker (Ingest drives its session)
+// and at two (feeders run). Run under -race -count=10 (make cluster). The
+// close half of the race is core's TestSessionIngestExecCloseRace.
+func TestRunnerOperatorPlaneRace(t *testing.T) {
+	wl := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}.Canonical()
+	for _, w := range []int{1, 2} {
+		r := New(oracleAConfig(w, 1, 64))
+		if err := r.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		poll := func(call func()) {
+			defer wg.Done()
+			for ; !stop.Load(); runtime.Gosched() {
+				call()
+			}
+		}
+		wg.Add(2)
+		go poll(func() {
+			_, _ = r.WhitelistEntries(), r.BlacklistEntries()
+			if err := errors.Join(r.Whitelist(wl), r.Blacklist(packet.MustParseAddr("192.0.2.9"))); err != nil {
+				t.Errorf("w%d: operator call while Ingest runs: %v", w, err)
+			}
+		})
+		go poll(func() { _, _, _ = r.Snapshots(), r.Ingested(), r.BusStats() })
+		for b := range packet.BufferedBatches(packet.Limit(mixedStream(), 100_000), 256) {
+			if err := r.Ingest(b); err != nil {
+				t.Errorf("w%d: %v", w, err)
+				break
+			}
+		}
+		stop.Store(true)
+		wg.Wait()
+		if rep, err := r.Drain(); err != nil || rep.Merged.Counts.Total != 100_000 {
+			t.Errorf("w%d: Drain = %v with %d of 100000 packets", w, err, rep.Merged.Counts.Total)
+		}
 	}
 }
 

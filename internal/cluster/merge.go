@@ -58,7 +58,8 @@ type IngressStats struct {
 // fold (see merge rules below); Workers keeps each lane's raw report for
 // per-worker analysis.
 type Report struct {
-	// Merged folds the worker reports into one platform-shaped view:
+	// Merged is the one worker's report at Workers == 1. At Workers > 1 it
+	// folds the worker reports into one platform-shaped view:
 	//   - Counts: Total/ForwardedDirect/DroppedAtSwitch from the shared
 	//     steering tier, ToSNIC/ToHost/Blocked summed across workers,
 	//     Intervals the lane maximum (equal after the drain alignment).
@@ -80,16 +81,62 @@ type Report struct {
 	Merged core.Report
 	// Workers are the raw per-lane reports, lane-major.
 	Workers []core.Report
-	// Steer summarises the fan-out; Ingress the per-lane queues.
+	// Steer summarises the fan-out; Ingress the per-lane queues. One
+	// worker's router steers nothing: every offered packet is its lane's,
+	// and the switch's verdicts are in Merged.
 	Steer   SteerStats
 	Ingress []IngressStats
 	// MergeNs is the wall time the merge itself took.
 	MergeNs int64
 }
 
-// merge folds the worker reports (mu held, workers drained and idle).
-func (r *Runner) merge(reps []core.Report) Report {
+// report assembles the run's Report from the drained worker reports (mu
+// held, workers drained and idle): the router's fan-out tallies, and
+// Merged, which is the one worker's report or the merge of several.
+func (r *Runner) report(reps []core.Report) Report {
 	start := time.Now()
+	out := Report{
+		Merged:  reps[0],
+		Workers: reps,
+		Steer: SteerStats{
+			Policy:       r.cfg.Steer.String(),
+			Offered:      r.offered.Load(),
+			Direct:       r.direct.Load(),
+			Dropped:      r.dropped.Load(),
+			Folds:        r.folds.Load(),
+			FoldedEvents: r.foldedEv.Load(),
+			SyncWaitNs:   r.syncWaitNs.Load(),
+		},
+	}
+	var steered, maxLane uint64
+	for _, w := range r.workers {
+		n := w.pkts.Load()
+		out.Steer.PerWorker = append(out.Steer.PerWorker, n)
+		steered += n
+		if n > maxLane {
+			maxLane = n
+		}
+		out.Ingress = append(out.Ingress, IngressStats{
+			RingHWM: w.hwm.Load(),
+			Stalls:  w.stalls.Load(),
+			WaitNs:  w.waitNs.Load(),
+			Batches: w.batches.Load(),
+			Wakeups: w.wakeups.Load(),
+		})
+	}
+	if steered > 0 {
+		out.Steer.Imbalance = float64(maxLane) * float64(r.w) / float64(steered)
+	}
+	if r.w > 1 {
+		out.Merged = r.merge(reps)
+	}
+	out.MergeNs = time.Since(start).Nanoseconds()
+	r.mergeNs.Store(out.MergeNs)
+	return out
+}
+
+// merge folds several worker reports into one.
+func (r *Runner) merge(reps []core.Report) core.Report {
 	var m core.Report
 	m.Counts.Total = r.offered.Load()
 	m.Counts.ForwardedDirect = r.direct.Load()
@@ -129,39 +176,6 @@ func (r *Runner) merge(reps []core.Report) Report {
 		m.SwitchStats = r.sw.Stats()
 	}
 
-	out := Report{
-		Merged:  m,
-		Workers: reps,
-		Steer: SteerStats{
-			Policy:       r.cfg.Steer.String(),
-			Offered:      r.offered.Load(),
-			Direct:       r.direct.Load(),
-			Dropped:      r.dropped.Load(),
-			Folds:        r.folds.Load(),
-			FoldedEvents: r.foldedEv.Load(),
-			SyncWaitNs:   r.syncWaitNs.Load(),
-		},
-	}
-	var steered, maxLane uint64
-	for _, w := range r.workers {
-		n := w.pkts.Load()
-		out.Steer.PerWorker = append(out.Steer.PerWorker, n)
-		steered += n
-		if n > maxLane {
-			maxLane = n
-		}
-		out.Ingress = append(out.Ingress, IngressStats{
-			RingHWM: w.hwm.Load(),
-			Stalls:  w.stalls.Load(),
-			WaitNs:  w.waitNs.Load(),
-			Batches: w.batches.Load(),
-			Wakeups: w.wakeups.Load(),
-		})
-	}
-	if steered > 0 {
-		out.Steer.Imbalance = float64(maxLane) * float64(r.w) / float64(steered)
-	}
-
 	// Metric trees: the cluster registry's own series (including the
 	// cluster.* collector) stamped at the final flush timestamp, with
 	// each worker's final tree grafted under "worker.N.".
@@ -170,12 +184,9 @@ func (r *Runner) merge(reps []core.Report) Report {
 		for i := range reps {
 			snap.AddPrefixed("worker."+strconv.Itoa(i)+".", reps[i].Metrics)
 		}
-		out.Merged.Metrics = snap
+		m.Metrics = snap
 	}
-
-	out.MergeNs = time.Since(start).Nanoseconds()
-	r.mergeNs.Store(out.MergeNs)
-	return out
+	return m
 }
 
 // mergeAlerts interleaves the lanes' alert streams in timestamp order,

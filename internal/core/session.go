@@ -36,7 +36,6 @@ import (
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/obs"
 	"smartwatch/internal/packet"
-	"smartwatch/internal/tier"
 )
 
 // ErrSessionClosed is returned by Ingest/Exec once the session's drive has
@@ -77,7 +76,8 @@ const (
 	SessionRunning
 	// SessionDraining: ingestion closed, final flush in progress.
 	SessionDraining
-	// SessionDone: final report delivered; only Snapshot/Report work.
+	// SessionDone: final report delivered; only Snapshot and Drain (which
+	// returns the report again) work.
 	SessionDone
 	// SessionFailed: a panic escaped the datapath; the drive takes no more
 	// work and Drain or Close moves it to SessionDone (a cluster runner
@@ -152,8 +152,7 @@ type Session struct {
 	// skips the final flush.
 	driveErr error
 
-	snap     atomic.Pointer[IntervalSnapshot]
-	ingested atomic.Uint64
+	snap atomic.Pointer[IntervalSnapshot]
 
 	// previous-interval baselines for delta computation (under mu).
 	prevCounts Counts
@@ -168,9 +167,6 @@ func (pl *Platform) NewSession() *Session { return &Session{pl: pl} }
 // State reports the session's lifecycle phase. Safe from any goroutine,
 // including inside an Exec closure.
 func (s *Session) State() SessionState { return SessionState(s.state.Load()) }
-
-// Ingested reports the total packets offered via Ingest so far.
-func (s *Session) Ingested() uint64 { return s.ingested.Load() }
 
 // Start opens the drive. It fails if the session was already started or
 // the platform has another active session.
@@ -233,7 +229,6 @@ func (s *Session) Ingest(batch []packet.Packet) error {
 	if !s.protect(func() { s.pl.ingestVector(batch) }) {
 		return ErrSessionClosed
 	}
-	s.ingested.Add(uint64(len(batch)))
 	return nil
 }
 
@@ -273,13 +268,6 @@ func (s *Session) Exec(fn func(*Platform)) error {
 // before the first interval close). Safe from any goroutine.
 func (s *Session) Snapshot() *IntervalSnapshot { return s.snap.Load() }
 
-// Snapshots is Snapshot as a one-lane list, the shape a cluster runner
-// reports per worker. Safe from any goroutine.
-func (s *Session) Snapshots() []*IntervalSnapshot { return []*IntervalSnapshot{s.Snapshot()} }
-
-// BusStats reports the platform's control-plane events and their delivery.
-func (s *Session) BusStats() tier.BusStats { return s.pl.bus.Stats() }
-
 // Whitelist runs an operator whitelist for k at the session's safe point:
 // the switch installs the entry and the FlowCache releases any pin,
 // exactly as for a detector-raised whitelist.
@@ -295,28 +283,6 @@ func (s *Session) Blacklist(a packet.Addr) error {
 		return ErrNoSwitch
 	}
 	return s.Exec(func(pl *Platform) { pl.blacklist(a, operatorOrigin) })
-}
-
-// WhitelistEntries reads the switch whitelist between vectors (nil
-// without a switch tier). Works in every lifecycle phase.
-func (s *Session) WhitelistEntries() []packet.FlowKey {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pl.sw == nil {
-		return nil
-	}
-	return s.pl.sw.WhitelistEntries()
-}
-
-// BlacklistEntries reads the switch drop table between vectors (nil
-// without a switch tier). Works in every lifecycle phase.
-func (s *Session) BlacklistEntries() []packet.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pl.sw == nil {
-		return nil
-	}
-	return s.pl.sw.BlacklistEntries()
 }
 
 // Drain closes ingestion, runs the final interval close and the lossless
@@ -349,16 +315,6 @@ func (s *Session) drain() (Report, error) {
 		return s.final, s.driveErr
 	}
 	return s.final, s.final.FlowLogErr
-}
-
-// Report returns the final report after Drain (zero Report, false before).
-func (s *Session) Report() (Report, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.State() != SessionDone {
-		return Report{}, false
-	}
-	return s.final, true
 }
 
 // Close tears the session down. A running session is drained first (the

@@ -68,15 +68,15 @@ func steerFixture(tb testing.TB) (*SteerStage, []tier.Context) {
 	return &SteerStage{SW: sw, Tracker: NewTracker(sw.Queries(), 0)}, ctxs
 }
 
-// BenchmarkSwitchProcess: one op is one packet through HandleKeyed, the
-// call the platform's drive and the cluster router make.
+// BenchmarkSwitchProcess: one op is one packet through Classify then
+// Apply, the calls the platform's drive and the cluster router make.
 func BenchmarkSwitchProcess(b *testing.B) {
 	stage, ctxs := steerFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := &ctxs[i&(len(ctxs)-1)]
 		c.Verdict = tier.Continue
-		stage.HandleKeyed(c)
+		stage.Apply(c, stage.Classify(c.Pkt))
 	}
 }
 
@@ -87,7 +87,7 @@ func TestSwitchProcessDoesNotAllocate(t *testing.T) {
 	pass := func() {
 		for i := range ctxs {
 			ctxs[i].Verdict = tier.Continue
-			stage.HandleKeyed(&ctxs[i])
+			stage.Apply(&ctxs[i], stage.Classify(ctxs[i].Pkt))
 			stage.Handle(&ctxs[i])
 		}
 	}

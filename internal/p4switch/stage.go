@@ -20,18 +20,15 @@ func (s *SteerStage) Handle(ctx *tier.Context) {
 	setVerdict(ctx, s.SW.process(ctx.Pkt, nil, 0, s.Tracker))
 }
 
-// HandleKeyed is Handle for a driver that has filled in ctx.Key and
-// ctx.Hash (the platform's identity prep, the cluster router): the
-// whitelist is probed with them instead of canonicalising and hashing the
-// tuple a second time.
-func (s *SteerStage) HandleKeyed(ctx *tier.Context) { s.Apply(ctx, s.Classify(ctx.Pkt)) }
-
-// Classify is the side-effect-free half of HandleKeyed. A driver may
-// classify packets ahead of applying them as long as no InstallQueries,
-// Steer or Unsteer runs in between.
+// Classify is the side-effect-free half of steering a packet. A driver
+// may classify packets ahead of applying them as long as no
+// InstallQueries, Steer or Unsteer runs in between.
 func (s *SteerStage) Classify(p *packet.Packet) Class { return s.SW.classify(p) }
 
-// Apply is the rest of HandleKeyed, for a packet Classify has classified.
+// Apply is the rest of steering a packet Classify has classified: Handle
+// for a driver that has filled in ctx.Key and ctx.Hash (the platform's
+// identity prep, the cluster router), so the whitelist is probed with them
+// instead of canonicalising and hashing the tuple a second time.
 func (s *SteerStage) Apply(ctx *tier.Context, c Class) {
 	setVerdict(ctx, s.SW.apply(ctx.Pkt, &ctx.Key, ctx.Hash, s.Tracker, c))
 }

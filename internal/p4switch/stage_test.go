@@ -27,7 +27,7 @@ func sortedCandidates(tr *Tracker) map[string][]packet.Addr {
 
 // TestSteerStageMatchesTwoPass: on a random stream with blacklisted
 // sources, whitelisted flows, fired subsets and interval closes, Handle and
-// HandleKeyed give every packet the verdict the observe-then-process pair
+// Classify-then-Apply give every packet the verdict the observe-then-process pair
 // gives it and leave the same switch counters and tracker candidates —
 // with a tracker built over the installed set (fed from the query loop),
 // with one built over another set (its own pass), and across a re-install,
@@ -73,7 +73,7 @@ func TestSteerStageMatchesTwoPass(t *testing.T) {
 				ctx.Reset(&p)
 				if tc.keyed {
 					ctx.Hash = p.Tuple.Identity(&ctx.Key)
-					stage.HandleKeyed(&ctx)
+					stage.Apply(&ctx, stage.Classify(&p))
 				} else {
 					stage.Handle(&ctx)
 				}
