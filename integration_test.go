@@ -65,7 +65,10 @@ func TestEndToEndPcapPlatformFlowLog(t *testing.T) {
 		Detectors:  []smartwatch.Detector{det},
 		KVLog:      smartwatch.NewFlowLog(&aof),
 	})
-	rep := pl.Run(src.Stream())
+	rep, err := pl.Run(src.Stream())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if rep.Counts.Total != uint64(written) {
 		t.Errorf("platform saw %d packets, wrote %d", rep.Counts.Total, written)

@@ -254,7 +254,10 @@ func TestOneWorkerRunnerIsThePlatform(t *testing.T) {
 				cfg := template(&wantMetrics)
 				cfg.Detectors = detectorFactory()()
 				single := core.New(cfg)
-				srep := single.Run(mixedStream())
+				srep, err := single.Run(mixedStream())
+				if err != nil {
+					t.Fatal(err)
+				}
 
 				wc := template(&gotMetrics)
 				r := New(Config{Workers: 1, Worker: wc, Detectors: detectorFactory(), Metrics: wc.Metrics})
@@ -299,7 +302,10 @@ func TestClusterMatchesSinglePlatformSteering(t *testing.T) {
 				EnableSwitch: true, Queries: sshQueries(), IntervalNs: 20e6,
 				Shards: total, BatchSize: 64, SNIC: noDropSNIC(),
 			})
-			srep := single.Run(mixedStream())
+			srep, err := single.Run(mixedStream())
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			r := New(Config{
 				Workers: c.w,
@@ -387,7 +393,10 @@ func TestClusterMatchesSinglePlatformDetectors(t *testing.T) {
 				IntervalNs: 20e6, Shards: c.w * c.shards, BatchSize: 64,
 				SNIC: noDropSNIC(), Detectors: factory(),
 			})
-			srep := single.Run(stream())
+			srep, err := single.Run(stream())
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			r := New(Config{
 				Workers: c.w,
@@ -552,12 +561,12 @@ func TestClusterMetricsTree(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no merged metrics snapshot")
 	}
-	if snap.Counter("cluster.steer.offered") != rep.Steer.Offered {
+	if snap.Counters["cluster.steer.offered"] != rep.Steer.Offered {
 		t.Errorf("cluster.steer.offered = %d, want %d",
-			snap.Counter("cluster.steer.offered"), rep.Steer.Offered)
+			snap.Counters["cluster.steer.offered"], rep.Steer.Offered)
 	}
 	for _, name := range []string{"worker.0.packets.total", "worker.1.packets.total"} {
-		if snap.Counter(name) == 0 {
+		if snap.Counters[name] == 0 {
 			t.Errorf("missing grafted worker series %s", name)
 		}
 	}

@@ -273,9 +273,14 @@ func TestRunnerOperatorPlaneRace(t *testing.T) {
 			}
 		})
 		go poll(func() { _, _, _ = r.Snapshots(), r.Ingested(), r.BusStats() })
-		for b := range packet.BufferedBatches(packet.Limit(mixedStream(), 100_000), 256) {
+		ingested := 0
+		for b := range packet.BufferedBatches(mixedStream(), 256) {
+			b = b[:min(len(b), 100_000-ingested)]
 			if err := r.Ingest(b); err != nil {
 				t.Errorf("w%d: %v", w, err)
+				break
+			}
+			if ingested += len(b); ingested == 100_000 {
 				break
 			}
 		}

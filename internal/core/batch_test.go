@@ -12,9 +12,10 @@ import (
 // runDump runs a fresh platform over the standard mixed workload and
 // flattens everything observable — report, alerts, flow log — into one
 // string.
-func runDump(cfg Config) string {
+func runDump(t testing.TB, cfg Config) string {
+	t.Helper()
 	pl := New(cfg)
-	rep := pl.Run(mixedStream())
+	rep := mustRun(t, pl, mixedStream())
 	return canonicalDump(pl, rep) + kvDump(pl)
 }
 
@@ -31,7 +32,7 @@ func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4} {
 		base := New(fullConfig(shards))
-		baseRep := base.Run(mixedStream())
+		baseRep := mustRun(t, base, mixedStream())
 		want := canonicalDump(base, baseRep) + kvDump(base)
 		checkCache(t, base, fmt.Sprintf("shards=%d per-packet", shards))
 
@@ -50,7 +51,7 @@ func TestBatchedDriveMatchesPerPacket(t *testing.T) {
 			cfg := fullConfig(shards)
 			cfg.BatchSize = batch
 			pl := New(cfg)
-			if got := canonicalDump(pl, pl.Run(mixedStream())) + kvDump(pl); got != want {
+			if got := canonicalDump(pl, mustRun(t, pl, mixedStream())) + kvDump(pl); got != want {
 				t.Errorf("shards=%d batch=%d diverged from per-packet drive:\n%s",
 					shards, batch, firstDiffLine(want, got))
 			}
@@ -68,7 +69,7 @@ func TestBatchedDriveMatchesGolden(t *testing.T) {
 	for _, batch := range []int{7, 256} {
 		cfg := fullConfig(1)
 		cfg.BatchSize = batch
-		if got := runDump(cfg); got != want {
+		if got := runDump(t, cfg); got != want {
 			t.Errorf("batch=%d: batched drive diverged from legacy golden:\n%s", batch, firstDiffLine(want, got))
 		}
 	}
@@ -76,12 +77,12 @@ func TestBatchedDriveMatchesGolden(t *testing.T) {
 
 // TestBatchedDriveNoSwitch covers the drive without a steer stage.
 func TestBatchedDriveNoSwitch(t *testing.T) {
-	want := runDump(noSwitchConfig())
+	want := runDump(t, noSwitchConfig())
 
 	for _, batch := range []int{7, 256} {
 		cfg := noSwitchConfig()
 		cfg.BatchSize = batch
-		if got := runDump(cfg); got != want {
+		if got := runDump(t, cfg); got != want {
 			t.Errorf("no-switch batch=%d diverged:\n%s", batch, firstDiffLine(want, got))
 		}
 	}
@@ -94,18 +95,25 @@ func TestBatchedDriveNoSwitch(t *testing.T) {
 func TestBatchedDriveOddTail(t *testing.T) {
 	mk := func(n int) packet.Stream {
 		w := trace.NewWorkload(trace.WorkloadConfig{Seed: 7, Flows: 50, PacketRate: 1e6, Duration: 1e9})
-		return packet.Limit(w.Stream(), int64(n))
+		var pkts []packet.Packet
+		for p := range w.Stream() {
+			if len(pkts) == n {
+				break
+			}
+			pkts = append(pkts, p)
+		}
+		return packet.StreamOf(pkts)
 	}
 	for _, n := range []int{1, 63, 64, 65, 1000} {
 		ref := New(Config{IntervalNs: 50e6, Detectors: detectorSet()})
-		refRep := ref.Run(mk(n))
+		refRep := mustRun(t, ref, mk(n))
 		want := canonicalDump(ref, refRep) + kvDump(ref)
 		if refRep.Counts.Total != uint64(n) {
 			t.Fatalf("n=%d: reference saw %d packets", n, refRep.Counts.Total)
 		}
 
 		pl := New(Config{IntervalNs: 50e6, Detectors: detectorSet(), BatchSize: 64})
-		rep := pl.Run(mk(n))
+		rep := mustRun(t, pl, mk(n))
 		got := canonicalDump(pl, rep) + kvDump(pl)
 		if got != want {
 			t.Errorf("n=%d diverged on odd tail:\n%s", n, firstDiffLine(want, got))

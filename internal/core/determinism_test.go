@@ -15,6 +15,16 @@ import (
 	"smartwatch/internal/trace"
 )
 
+// mustRun is pl.Run that fails the test on a drive error.
+func mustRun(t testing.TB, pl *Platform, s packet.Stream) Report {
+	t.Helper()
+	rep, err := pl.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // mixedStream builds the standard determinism workload: Zipf background
 // plus an SSH brute-force attack, regenerated identically from seeds for
 // every platform under comparison.
@@ -113,7 +123,7 @@ func TestTierDriveMatchesGolden(t *testing.T) {
 		cfg := fullConfig(1)
 		cfg.BatchSize = batch
 		pl := New(cfg)
-		rep := pl.Run(mixedStream())
+		rep := mustRun(t, pl, mixedStream())
 		if got := canonicalDump(pl, rep) + kvDump(pl); got != want {
 			t.Errorf("batch=%d: drive diverged from legacy golden:\n%s", batch, firstDiffLine(want, got))
 		}
@@ -131,7 +141,7 @@ func TestTierDriveNoSwitchMatchesGolden(t *testing.T) {
 	for _, batch := range []int{1, 64} {
 		cfg := noSwitchConfig()
 		cfg.BatchSize = batch
-		if got := runDump(cfg); got != want {
+		if got := runDump(t, cfg); got != want {
 			t.Errorf("batch=%d: no-switch drive diverged from legacy golden:\n%s", batch, firstDiffLine(want, got))
 		}
 	}
@@ -145,8 +155,8 @@ func TestShardedPlatformDetectorSuite(t *testing.T) {
 	cfg := fullConfig(4)
 	cfg.Detectors = []detect.Detector{det}
 	pl := New(cfg)
-	if n := pl.Cache().NumShards(); n != 4 {
-		t.Fatalf("NumShards = %d, want 4", n)
+	if n := len(pl.Cache().Rings()) / len(pl.Cache().Shard(0).Rings()); n != 4 {
+		t.Fatalf("shards = %d, want 4", n)
 	}
 	background := trace.NewWorkload(trace.WorkloadConfig{
 		Seed: 11, Flows: 600, PacketRate: 2e6, Duration: 4e8, UDPFraction: 0.1,
@@ -155,7 +165,7 @@ func TestShardedPlatformDetectorSuite(t *testing.T) {
 		Seed: 12, Attackers: 3, AttemptsPerAttacker: 8, AttemptGap: 20e6,
 		Target: packet.MustParseAddr("10.1.0.22"),
 	})
-	rep := pl.Run(pcap.Merge(background.Stream(), attack.Stream()))
+	rep := mustRun(t, pl, pcap.Merge(background.Stream(), attack.Stream()))
 
 	c := rep.Counts
 	if c.Total != c.ForwardedDirect+c.DroppedAtSwitch+c.ToSNIC {
@@ -194,13 +204,13 @@ func TestShardedPlatformCountsShards(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 8} {
 		pl := New(Config{IntervalNs: 50e6, Shards: n})
 		w := trace.NewWorkload(trace.WorkloadConfig{Seed: 5, Flows: 200, PacketRate: 1e6, Duration: 2e8})
-		rep := pl.Run(w.Stream())
+		rep := mustRun(t, pl, w.Stream())
 		want := n
 		if want <= 0 {
 			want = 1
 		}
-		if got := pl.Cache().NumShards(); got != want {
-			t.Errorf("Shards=%d: NumShards = %d, want %d", n, got, want)
+		if got := len(pl.Cache().Rings()) / len(pl.Cache().Shard(0).Rings()); got != want {
+			t.Errorf("Shards=%d: %d shards, want %d", n, got, want)
 		}
 		if rep.Counts.ToSNIC != rep.Counts.Total {
 			t.Errorf("Shards=%d: standalone platform must sNIC everything: %+v", n, rep.Counts)

@@ -22,7 +22,7 @@ func wlKey() packet.FlowKey {
 // target.
 func seedRecord(pl *Platform, k packet.FlowKey) {
 	p := packet.Packet{Tuple: k.Tuple(), Size: 64}
-	pl.Cache().Process(&p)
+	pl.Cache().ObserveProcess(&p)
 	pl.Cache().Pin(k)
 }
 
@@ -156,7 +156,7 @@ func TestIntervalEventSequence(t *testing.T) {
 			Size: 64,
 		})
 	}
-	rep := pl.Run(packet.StreamOf(pkts))
+	rep := mustRun(t, pl, packet.StreamOf(pkts))
 	if len(seqs) == 0 {
 		t.Fatal("no interval events")
 	}

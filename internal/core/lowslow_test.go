@@ -43,7 +43,7 @@ func lowslowDetectors() []detect.Detector {
 // attack shapes against a live background.
 func TestPlatformDetectsLowSlowSuite(t *testing.T) {
 	pl := New(Config{IntervalNs: 20e6, Detectors: lowslowDetectors()})
-	rep := pl.Run(lowslowStream())
+	rep := mustRun(t, pl, lowslowStream())
 
 	labels := map[string]int{}
 	for _, a := range rep.Alerts {
@@ -77,7 +77,7 @@ func TestLowSlowBlacklistReachesSwitch(t *testing.T) {
 	exhaust := trace.ConnExhaust(trace.ConnExhaustConfig{
 		Seed: 24, Connections: 400, ConnGap: 5e6,
 	})
-	rep := pl.Run(exhaust.Stream())
+	rep := mustRun(t, pl, exhaust.Stream())
 
 	found := false
 	for _, a := range rep.Alerts {
@@ -106,7 +106,7 @@ func TestLowSlowDeterminismAcrossBatch(t *testing.T) {
 			Detectors:  lowslowDetectors(),
 		}
 		ref := New(base)
-		refDump := canonicalDump(ref, ref.Run(lowslowStream())) + kvDump(ref)
+		refDump := canonicalDump(ref, mustRun(t, ref, lowslowStream())) + kvDump(ref)
 		if !strings.Contains(refDump, "alert[") {
 			t.Fatalf("shards=%d: reference run raised no alerts — oracle is vacuous", shards)
 		}
@@ -116,7 +116,7 @@ func TestLowSlowDeterminismAcrossBatch(t *testing.T) {
 			cfg.BatchSize = batch
 			cfg.Detectors = lowslowDetectors() // detectors are stateful: fresh per run
 			pl := New(cfg)
-			dump := canonicalDump(pl, pl.Run(lowslowStream())) + kvDump(pl)
+			dump := canonicalDump(pl, mustRun(t, pl, lowslowStream())) + kvDump(pl)
 			if dump != refDump {
 				t.Errorf("shards=%d batch=%d diverged:\n%s", shards, batch, firstDiffLine(refDump, dump))
 			}

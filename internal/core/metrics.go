@@ -159,9 +159,6 @@ func setStage(s *obs.Snapshot, base string, cont, direct, dropped uint64) {
 	s.SetCounter(base+".verdict."+tier.DropAtSwitch.String(), dropped)
 }
 
-// Metrics exposes the platform's registry (nil when metrics are disabled).
-func (pl *Platform) Metrics() *obs.Registry { return pl.metrics }
-
 // MetricsErr reports the first snapshot-emit write error, if any.
 func (pl *Platform) MetricsErr() error {
 	if pl.emitter == nil {

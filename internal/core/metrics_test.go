@@ -28,7 +28,7 @@ func TestRingOverflowSurfacesEndToEnd(t *testing.T) {
 	// 4000 flows hammering a 192-record cache: evictions far outrun the
 	// 2×4-entry rings between interval drains.
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 3, Flows: 4000, PacketRate: 2e6, Duration: 2e8})
-	rep := pl.Run(w.Stream())
+	rep := mustRun(t, pl, w.Stream())
 
 	if rep.Cache.Evictions == 0 {
 		t.Fatal("workload produced no evictions; test is vacuous")
@@ -49,12 +49,12 @@ func TestRingOverflowSurfacesEndToEnd(t *testing.T) {
 	if rep.Metrics == nil {
 		t.Fatal("Report.Metrics nil with Config.Metrics set")
 	}
-	if got := rep.Metrics.Counter("flowcache.ring_drops"); got != rep.Cache.RingDrops {
+	if got := rep.Metrics.Counters["flowcache.ring_drops"]; got != rep.Cache.RingDrops {
 		t.Errorf("metrics flowcache.ring_drops = %d, want %d", got, rep.Cache.RingDrops)
 	}
 	var metricPerRing uint64
 	for i := range rep.Rings {
-		metricPerRing += rep.Metrics.Counter(fmt.Sprintf("flowcache.ring.%03d.drops", i))
+		metricPerRing += rep.Metrics.Counters[fmt.Sprintf("flowcache.ring.%03d.drops", i)]
 	}
 	if metricPerRing != rep.Cache.RingDrops {
 		t.Errorf("metrics per-ring drops %d, want %d", metricPerRing, rep.Cache.RingDrops)
@@ -69,14 +69,15 @@ func TestRingOverflowSurfacesEndToEnd(t *testing.T) {
 // runWithMetrics runs the standard determinism workload with metrics
 // enabled at the given shard/batch setting and returns the emitted
 // JSON-lines plus the final snapshot.
-func runWithMetrics(shards, batch int) ([]byte, *obs.Snapshot) {
+func runWithMetrics(t testing.TB, shards, batch int) ([]byte, *obs.Snapshot) {
+	t.Helper()
 	var buf bytes.Buffer
 	cfg := fullConfig(shards)
 	cfg.BatchSize = batch
 	cfg.Metrics = obs.NewRegistry()
 	cfg.MetricsWriter = &buf
 	pl := New(cfg)
-	rep := pl.Run(mixedStream())
+	rep := mustRun(t, pl, mixedStream())
 	return buf.Bytes(), rep.Metrics
 }
 
@@ -104,7 +105,7 @@ func TestMetricsSnapshotsDeterministic(t *testing.T) {
 	var runs []run
 	for _, shards := range []int{1, 4} {
 		for _, batch := range []int{1, 64} {
-			lines, final := runWithMetrics(shards, batch)
+			lines, final := runWithMetrics(t, shards, batch)
 			if final == nil {
 				t.Fatalf("shards=%d batch=%d: nil final snapshot", shards, batch)
 			}
@@ -169,7 +170,7 @@ func TestTierMetricsMatchGolden(t *testing.T) {
 			}
 			cfg.BatchSize = batch
 			cfg.Metrics = obs.NewRegistry()
-			rep := New(cfg).Run(mixedStream())
+			rep := mustRun(t, New(cfg), mixedStream())
 			fmt.Fprintf(&got, "switch=%v batch=%d ", sw, batch)
 			if err := rep.Metrics.Filter("tier.").Encode(&got); err != nil {
 				t.Fatal(err)
@@ -185,11 +186,11 @@ func TestTierMetricsMatchGolden(t *testing.T) {
 // Report.Metrics nil and behave identically to an unconfigured platform.
 func TestMetricsDisabledReportHasNoTree(t *testing.T) {
 	pl := New(fullConfig(1))
-	rep := pl.Run(mixedStream())
+	rep := mustRun(t, pl, mixedStream())
 	if rep.Metrics != nil {
 		t.Error("Report.Metrics non-nil with metrics disabled")
 	}
-	if pl.Metrics() != nil || pl.MetricsErr() != nil {
+	if pl.metrics != nil || pl.MetricsErr() != nil {
 		t.Error("accessors must be nil/clean with metrics disabled")
 	}
 }
@@ -201,35 +202,35 @@ func TestMetricsMatchReport(t *testing.T) {
 	cfg := fullConfig(1)
 	cfg.Metrics = reg
 	pl := New(cfg)
-	rep := pl.Run(mixedStream())
+	rep := mustRun(t, pl, mixedStream())
 	m := rep.Metrics
 
-	if got := m.Counter("packets.total"); got != rep.Counts.Total {
+	if got := m.Counters["packets.total"]; got != rep.Counts.Total {
 		t.Errorf("packets.total = %d, want %d", got, rep.Counts.Total)
 	}
-	if got := m.Counter("packets.to_snic"); got != rep.Counts.ToSNIC {
+	if got := m.Counters["packets.to_snic"]; got != rep.Counts.ToSNIC {
 		t.Errorf("packets.to_snic = %d, want %d", got, rep.Counts.ToSNIC)
 	}
-	if got := m.Counter("flowcache.p_hits"); got != rep.Cache.PHits {
+	if got := m.Counters["flowcache.p_hits"]; got != rep.Cache.PHits {
 		t.Errorf("flowcache.p_hits = %d, want %d", got, rep.Cache.PHits)
 	}
-	if got := m.Counter("snic.processed"); got != rep.SNIC.Processed {
+	if got := m.Counters["snic.processed"]; got != rep.SNIC.Processed {
 		t.Errorf("snic.processed = %d, want %d", got, rep.SNIC.Processed)
 	}
-	if got := m.Counter("snic.dropped"); got != rep.SNIC.Dropped {
+	if got := m.Counters["snic.dropped"]; got != rep.SNIC.Dropped {
 		t.Errorf("snic.dropped = %d, want %d", got, rep.SNIC.Dropped)
 	}
-	if got := m.Counter("host.flush.count"); got != rep.Host.Flushes {
+	if got := m.Counters["host.flush.count"]; got != rep.Host.Flushes {
 		t.Errorf("host.flush.count = %d, want %d", got, rep.Host.Flushes)
 	}
-	if got := m.Counter("bus.published.interval"); got != rep.Events.PublishedFor(tier.KindInterval) {
+	if got := m.Counters["bus.published.interval"]; got != rep.Events.PublishedFor(tier.KindInterval) {
 		t.Errorf("bus.published.interval = %d, want %d", got, rep.Events.PublishedFor(tier.KindInterval))
 	}
 	// The per-stage series must have seen the traffic.
-	if got := m.Counter("tier.wire.ingest.packets"); got != rep.Counts.Total {
+	if got := m.Counters["tier.wire.ingest.packets"]; got != rep.Counts.Total {
 		t.Errorf("tier.wire.ingest.packets = %d, want %d", got, rep.Counts.Total)
 	}
-	if got := m.Counter("tier.nic.datapath.packets"); got != rep.SNIC.Processed {
+	if got := m.Counters["tier.nic.datapath.packets"]; got != rep.SNIC.Processed {
 		t.Errorf("tier.nic.datapath.packets = %d, want %d", got, rep.SNIC.Processed)
 	}
 }

@@ -490,21 +490,24 @@ type Report struct {
 // vectors, and drains. With no Exec calls in flight this is byte-identical
 // to the pre-session drive — the determinism suite holds it to that.
 //
-// Run panics only when the drive itself failed. A flow-log write failure
-// comes back in Report.FlowLogErr.
-func (pl *Platform) Run(s packet.Stream) Report {
+// Run returns an error when the drive could not start (another session
+// is live on the platform: ErrSessionActive) or failed. A flow-log write
+// failure is not one: it comes back in Report.FlowLogErr with a nil error.
+func (pl *Platform) Run(s packet.Stream) (Report, error) {
 	ses := pl.NewSession()
 	if err := ses.Start(); err != nil {
-		panic(err)
+		return Report{}, err
 	}
 	if err := ses.IngestStream(s, 0); err != nil {
-		panic(err)
+		// The drive failed: Drain releases the platform and names the cause.
+		_, err = ses.Drain()
+		return Report{}, err
 	}
 	rep, err := ses.Drain()
 	if err != nil && rep.FlowLogErr == nil {
-		panic(err)
+		return rep, err
 	}
-	return rep
+	return rep, nil
 }
 
 // endDrive closes the drive: final interval close, lossless flow-log

@@ -24,7 +24,7 @@ func sshQueries() []p4switch.Query {
 func TestPlatformStandaloneRunsAllTraffic(t *testing.T) {
 	pl := New(Config{IntervalNs: 50e6})
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 1, Flows: 200, PacketRate: 1e6, Duration: 2e8})
-	rep := pl.Run(w.Stream())
+	rep := mustRun(t, pl, w.Stream())
 	if rep.Counts.Total == 0 {
 		t.Fatal("no packets")
 	}
@@ -57,7 +57,7 @@ func TestPlatformSwitchSteersOnlySuspicious(t *testing.T) {
 		Target: packet.MustParseAddr("10.1.0.22"),
 	})
 	mixed := pcap.Merge(background.Stream(), attack.Stream())
-	rep := pl.Run(mixed)
+	rep := mustRun(t, pl, mixed)
 
 	if rep.Counts.ForwardedDirect == 0 {
 		t.Fatal("switch never fast-pathed benign traffic")
@@ -96,7 +96,7 @@ func TestPlatformBlacklistDropsAtSwitch(t *testing.T) {
 			Size: 64,
 		})
 	}
-	rep := pl.Run(packet.StreamOf(pkts))
+	rep := mustRun(t, pl, packet.StreamOf(pkts))
 	if rep.Counts.DroppedAtSwitch != 10 {
 		t.Errorf("dropped = %d, want 10", rep.Counts.DroppedAtSwitch)
 	}
@@ -108,7 +108,7 @@ func TestPlatformHooks(t *testing.T) {
 	// Insert a record so pin/unpin have a target.
 	p := k.Tuple()
 	pk := packet.Packet{Tuple: p, Size: 64}
-	pl.Cache().Process(&pk)
+	pl.Cache().ObserveProcess(&pk)
 	pl.Cache().Pin(k)
 	pl.Whitelist(k)
 	if pl.Switch().WhitelistCount() != 1 {
@@ -132,20 +132,20 @@ func TestPlatformModeSwitchUnderLoad(t *testing.T) {
 	pl := New(cfg)
 	// 35 Mpps offered: must trigger Lite mode.
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 4, Flows: 5000, PacketRate: 35e6, Duration: 3e7})
-	rep := pl.Run(w.Stream())
+	rep := mustRun(t, pl, w.Stream())
 	if rep.Switchovers == 0 {
 		t.Error("no mode switchovers at 35 Mpps")
 	}
-	if pl.Cache().Mode() != flowcache.Lite {
-		t.Errorf("mode = %v at sustained 35 Mpps, want lite", pl.Cache().Mode())
+	if m := pl.Cache().Shard(0).Mode(); m != flowcache.Lite {
+		t.Errorf("mode = %v at sustained 35 Mpps, want lite", m)
 	}
 }
 
 func TestPlatformSequentialRuns(t *testing.T) {
 	pl := New(Config{IntervalNs: 10e6})
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 5, Flows: 100, PacketRate: 1e6, Duration: 5e7})
-	r1 := pl.Run(w.Stream())
-	r2 := pl.Run(pcap.Shift(w.Stream(), 5e7))
+	r1 := mustRun(t, pl, w.Stream())
+	r2 := mustRun(t, pl, pcap.Shift(w.Stream(), 5e7))
 	if r2.Counts.Total != 2*r1.Counts.Total {
 		t.Errorf("state must persist across runs: %d then %d", r1.Counts.Total, r2.Counts.Total)
 	}
@@ -158,7 +158,7 @@ func TestPlatformSequentialRuns(t *testing.T) {
 func TestLosslessFlowLogging(t *testing.T) {
 	pl := New(Config{IntervalNs: 25e6})
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 8, Flows: 800, PacketRate: 2e6, Duration: 3e8})
-	rep := pl.Run(w.Stream())
+	rep := mustRun(t, pl, w.Stream())
 	if rep.SNIC.Dropped != 0 {
 		t.Fatalf("datapath dropped %d packets at this offered rate", rep.SNIC.Dropped)
 	}
@@ -189,7 +189,7 @@ func TestRingOverflowAccountedNotSilent(t *testing.T) {
 	cfg.Cache.Rings, cfg.Cache.RingEntries = 1, 8 // nearly no buffering
 	pl := New(cfg)
 	w := trace.NewWorkload(trace.WorkloadConfig{Seed: 9, Flows: 5000, PacketRate: 2e6, Duration: 3e8})
-	rep := pl.Run(w.Stream())
+	rep := mustRun(t, pl, w.Stream())
 	if rep.Cache.RingDrops == 0 {
 		t.Fatal("tiny rings under churn must overflow")
 	}

@@ -71,7 +71,7 @@ func TestChunkedIngestMatchesRun(t *testing.T) {
 				return New(cfg), &buf
 			}
 			base, baseBuf := mk()
-			baseRep := base.Run(mixedStream())
+			baseRep := mustRun(t, base, mixedStream())
 			want := canonicalDump(base, baseRep) + kvDump(base)
 
 			for _, chunk := range []int{1, 509, 4096} {
@@ -142,7 +142,7 @@ func TestSegmentedRunMatchesOneShot(t *testing.T) {
 
 	var oneTrace []obsPoint
 	one := mk(&oneTrace)
-	oneRep := one.Run(packet.StreamOf(pkts))
+	oneRep := mustRun(t, one, packet.StreamOf(pkts))
 
 	var segTrace []obsPoint
 	seg := mk(&segTrace)
@@ -156,7 +156,7 @@ func TestSegmentedRunMatchesOneShot(t *testing.T) {
 		if len(s) == 0 {
 			t.Fatalf("segment %d empty; split boundaries outside trace span", i)
 		}
-		lastRep = seg.Run(packet.StreamOf(s))
+		lastRep = mustRun(t, seg, packet.StreamOf(s))
 		segProcessed += lastRep.SNIC.Processed
 		segDropped += lastRep.SNIC.Dropped
 	}
@@ -493,7 +493,7 @@ func TestFlowLogWriteFailureSurfaces(t *testing.T) {
 	cfg := Config{IntervalNs: 20e6}
 	cfg.Cache = flowcache.DefaultConfig(4) // tiny table: every interval evicts into the log
 	pl := New(cfg)
-	healthy := pl.Run(packet.StreamOf(pkts))
+	healthy := mustRun(t, pl, packet.StreamOf(pkts))
 	if healthy.FlowLogErr != nil {
 		t.Fatalf("healthy run reported %v", healthy.FlowLogErr)
 	}
@@ -522,7 +522,7 @@ func TestFlowLogWriteFailureSurfaces(t *testing.T) {
 	}
 
 	cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
-	if rep := New(cfg).Run(packet.StreamOf(pkts)); !errors.Is(rep.FlowLogErr, errBrokenLog) {
+	if rep := mustRun(t, New(cfg), packet.StreamOf(pkts)); !errors.Is(rep.FlowLogErr, errBrokenLog) {
 		t.Errorf("Run's FlowLogErr = %v", rep.FlowLogErr)
 	}
 }
@@ -647,8 +647,9 @@ func (d *bomb) Drain() []detect.Alert { return nil }
 // takes down neither the process nor the caller. The Ingest that hit it
 // and every later Ingest/Exec return ErrSessionClosed, Drain (and a second
 // Drain, and Close) return the panic wrapped in ErrDriveFailed, nothing
-// blocks, and the platform is free for a new session afterwards. A panic
-// inside an Exec closure is handled the same way.
+// blocks, and the platform is free for a new session afterwards. Run over
+// the same bomb returns that error. A panic inside an Exec closure is
+// handled the same way.
 func TestSessionPanicSurfacesOnCaller(t *testing.T) {
 	vec := establishedVector(2048, 100, 1e6)
 	for name, cfg := range pushConfigs() {
@@ -688,6 +689,10 @@ func TestSessionPanicSurfacesOnCaller(t *testing.T) {
 		next := pl.NewSession()
 		if err := next.Start(); err != nil {
 			t.Errorf("%s: platform not released by the failed session: %v", name, err)
+		}
+		cfg.Detectors = []detect.Detector{&bomb{after: 1500}}
+		if _, err := New(cfg).Run(packet.StreamOf(vec)); !errors.Is(err, ErrDriveFailed) {
+			t.Errorf("%s: Run over the bomb = %v, want ErrDriveFailed", name, err)
 		}
 	}
 
@@ -910,5 +915,21 @@ func TestSessionHostileTime(t *testing.T) {
 	rep := sessionIngest(t, pl, []packet.Packet{{Ts: 5, Size: 64}, {Ts: 5 + 300e4, Size: 64}}, 1)
 	if rep.Counts.Intervals < 300 || pl.counts.timeJumps.Load() != 0 {
 		t.Errorf("a 300-interval gap closed %d intervals with %d jumps", rep.Counts.Intervals, pl.counts.timeJumps.Load())
+	}
+}
+
+// TestRunUnderLiveSession: Run on a platform a session is driving returns
+// ErrSessionActive, not a panic, and leaves that session running.
+func TestRunUnderLiveSession(t *testing.T) {
+	pl := New(Config{IntervalNs: 20e6})
+	ses := pl.NewSession()
+	if err := ses.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Run(smallWorkload()); !errors.Is(err, ErrSessionActive) {
+		t.Errorf("Run under a live session = %v, want ErrSessionActive", err)
+	}
+	if _, err := ses.Drain(); err != nil {
+		t.Errorf("the live session after the refused Run: %v", err)
 	}
 }

@@ -37,8 +37,12 @@ type Alert struct {
 	Info string
 }
 
-// String renders the alert.
+// String renders the alert. A flow-level alert, which names no endpoint,
+// is rendered with its flow.
 func (a Alert) String() string {
+	if a.Attacker == 0 && a.Victim == 0 {
+		return fmt.Sprintf("[%s] t=%dns flow=%s %s", a.Detector, a.Ts, a.Flow, a.Info)
+	}
 	return fmt.Sprintf("[%s] t=%dns attacker=%s victim=%s %s", a.Detector, a.Ts, a.Attacker, a.Victim, a.Info)
 }
 

@@ -125,7 +125,7 @@ func TestPortScanDetectsScanner(t *testing.T) {
 
 	scanner := inj.Truth().Attackers[0]
 	if !det.Flagged(scanner) {
-		t.Fatalf("scanner %s not flagged (verdict=%v)", scanner, det.Verdict(scanner))
+		t.Fatalf("scanner %s not flagged", scanner)
 	}
 	if len(hooks.blacklists) == 0 {
 		t.Error("no blacklist request")
@@ -500,6 +500,21 @@ func TestMapWalkingTicksEmitInKeyOrder(t *testing.T) {
 		}
 		if second := run(); !reflect.DeepEqual(first, second) {
 			t.Errorf("%s: two identical runs emitted different alert sequences", name)
+		}
+	}
+}
+
+// TestAlertString: an alert names its endpoints; a flow-level alert, which
+// sets neither, names its flow.
+func TestAlertString(t *testing.T) {
+	flow := packet.FiveTuple{SrcIP: 2, DstIP: 1, SrcPort: 443, DstPort: 5000, Proto: packet.ProtoTCP}.Canonical()
+	for a, want := range map[Alert]string{
+		{Detector: "ssh", Ts: 7, Attacker: 5, Victim: 22, Info: "3 failed"}:      "[ssh] t=7ns attacker=0.0.0.5 victim=0.0.0.22 3 failed",
+		{Detector: "portscan", Ts: 8, Attacker: 66, Flow: flow, Info: "scanner"}: "[portscan] t=8ns attacker=0.0.0.66 victim=0.0.0.0 scanner",
+		{Detector: "covert-timing", Ts: 9, Flow: flow, Info: "KS"}:               "[covert-timing] t=9ns flow=0.0.0.1:5000 <> 0.0.0.2:443 tcp KS",
+	} {
+		if got := a.String(); got != want {
+			t.Errorf("got %q, want %q", got, want)
 		}
 	}
 }

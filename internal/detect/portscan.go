@@ -214,9 +214,3 @@ func (d *PortScan) Tick(now int64) {
 
 // Flagged reports whether the source is classified as a scanner.
 func (d *PortScan) Flagged(a packet.Addr) bool { return d.sources[a].flagged }
-
-// Verdict returns the TRW state for a source (pending if never observed).
-func (d *PortScan) Verdict(a packet.Addr) stats.TRWVerdict {
-	s := d.sources[a]
-	return s.walk.Verdict()
-}

@@ -102,11 +102,11 @@ func TestSymmetricDirectionsShareRecord(t *testing.T) {
 func fillRow(t *testing.T, c *Cache, n int) []packet.Packet {
 	t.Helper()
 	anchor := pkt(0, 0)
-	targetRow := c.rowIndex(anchor.Hash())
+	targetRow := c.rowIndex(anchor.Key().Hash())
 	var out []packet.Packet
 	for i := 1; len(out) < n && i < 2_000_000; i++ {
 		p := pkt(i, int64(len(out)+1))
-		if c.rowIndex(p.Hash()) == targetRow {
+		if c.rowIndex(p.Key().Hash()) == targetRow {
 			out = append(out, p)
 		}
 	}
@@ -694,7 +694,7 @@ func TestOneFlowOneCacheLine(t *testing.T) {
 			c.SetMode(mode)
 			for i := 0; i < 200; i++ {
 				p := pkt(i, 1)
-				hash := p.Hash()
+				hash := p.Key().Hash()
 				c.Prefetch(hash)
 				lo := 0
 				if mode == Lite {

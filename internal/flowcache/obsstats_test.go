@@ -143,8 +143,7 @@ func TestShardedRingStatsAggregate(t *testing.T) {
 	cfg := overflowConfig()
 	s := NewSharded(2, cfg, ControllerConfig{})
 	// Push every shard's rows past capacity via per-shard forced evictions.
-	for si := 0; si < s.NumShards(); si++ {
-		c := s.Shard(si)
+	for _, c := range s.shards {
 		pkts := fillRow(t, c, 18)
 		for i := range pkts {
 			c.Process(&pkts[i])
@@ -217,7 +216,7 @@ func TestControllerModeResidency(t *testing.T) {
 func TestShardedModeResidencySums(t *testing.T) {
 	s := NewSharded(2, smallConfig(), ControllerConfig{Alpha: 1, WindowNs: 1e6, EtaHigh: 1e12, EtaLow: 1})
 	for si := 0; si < 2; si++ {
-		ctl := s.ShardController(si)
+		ctl := s.ctls[si]
 		ctl.Observe(0, 1)
 		ctl.Observe(4_000_000, 1)
 	}

@@ -83,7 +83,7 @@ func TestShardedRandomOpsMatchOracle(t *testing.T) {
 }
 
 // opTarget is what randomOps drives: a Cache, or a Sharded in front of
-// several.
+// several (shardedOps).
 type opTarget interface {
 	Process(*packet.Packet) (*Record, Result)
 	Pin(packet.FlowKey) bool
@@ -91,6 +91,19 @@ type opTarget interface {
 	Evict(packet.FlowKey) bool
 	UpdateState(packet.FlowKey, func(*Record)) bool
 	SetMode(Mode)
+}
+
+// shardedOps drives a Sharded: Pin, Unpin and SetMode through its own
+// routing, and the operations it has no method for through its shard
+// selection to the owning shard's Cache.
+type shardedOps struct{ *Sharded }
+
+func (s shardedOps) owner(k packet.FlowKey) *Cache { return s.shards[s.shardOf(k.Hash())] }
+
+func (s shardedOps) Process(p *packet.Packet) (*Record, Result) { return s.owner(p.Key()).Process(p) }
+func (s shardedOps) Evict(k packet.FlowKey) bool                { return s.owner(k).Evict(k) }
+func (s shardedOps) UpdateState(k packet.FlowKey, fn func(*Record)) bool {
+	return s.owner(k).UpdateState(k, fn)
 }
 
 func randomOps(t *testing.T, cfg Config, shards, ops int, seed uint64) refEvents {
@@ -106,7 +119,7 @@ func randomOps(t *testing.T, cfg Config, shards, ops int, seed uint64) refEvents
 		front, gots = c, []*Cache{c}
 	} else {
 		s := NewSharded(shards, cfg, ControllerConfig{})
-		front, shardOf = s, s.ShardOf
+		front, shardOf = shardedOps{s}, s.shardOf
 		for i := 0; i < shards; i++ {
 			gots = append(gots, s.Shard(i))
 		}
@@ -145,8 +158,8 @@ func randomOps(t *testing.T, cfg Config, shards, ops int, seed uint64) refEvents
 			if resG.RowCleaned {
 				cleaned++
 			}
-			got := gots[shardOf(p.Hash())]
-			if lo, hi := got.liteSlice(p.Hash()); got.Mode() == Lite && resG.Outcome == PHit && resG.Reads > hi-lo {
+			got := gots[shardOf(p.Key().Hash())]
+			if lo, hi := got.liteSlice(p.Key().Hash()); got.Mode() == Lite && resG.Outcome == PHit && resG.Reads > hi-lo {
 				parkedHits++
 			}
 			// A detector's pin-at-SYN: the flow just seen, pinned at once.

@@ -104,29 +104,10 @@ func NewShardedOffset(n, offsetBits int, cfg Config, ctlCfg ControllerConfig) *S
 	return s
 }
 
-// NumShards returns the shard count.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
 // Shard returns shard i's cache (for tests and diagnostics).
 func (s *Sharded) Shard(i int) *Cache { return s.shards[i] }
 
-// ShardController returns shard i's controller.
-func (s *Sharded) ShardController(i int) *Controller { return s.ctls[i] }
-
 func (s *Sharded) shardOf(hash uint64) int { return int(hash << s.preshift >> s.shift) }
-
-// ShardOf reports which shard owns the flow hash.
-func (s *Sharded) ShardOf(hash uint64) int { return s.shardOf(hash) }
-
-// Process runs the packet through its owning shard WITHOUT touching the
-// rate controller — the raw datapath operation, matching Cache.Process.
-// The hash computed for shard selection is reused by the shard (each
-// packet is canonicalised and hashed exactly once).
-func (s *Sharded) Process(p *packet.Packet) (*Record, Result) {
-	var key packet.FlowKey
-	hash := p.Tuple.Identity(&key)
-	return s.shards[s.shardOf(hash)].ProcessHashed(p, hash, key)
-}
 
 // ObserveProcess is the per-packet datapath step the platform runs: the
 // owning shard's controller observes the arrival (possibly flipping that
@@ -175,20 +156,6 @@ func (s *Sharded) Pin(key packet.FlowKey) bool {
 func (s *Sharded) Unpin(key packet.FlowKey) bool {
 	return s.shards[s.shardOf(key.Hash())].Unpin(key)
 }
-
-// UpdateState runs fn on the flow's record under its row latch.
-func (s *Sharded) UpdateState(key packet.FlowKey, fn func(*Record)) bool {
-	return s.shards[s.shardOf(key.Hash())].UpdateState(key, fn)
-}
-
-// Evict force-removes the flow's record, pushing it to an eviction ring.
-func (s *Sharded) Evict(key packet.FlowKey) bool {
-	return s.shards[s.shardOf(key.Hash())].Evict(key)
-}
-
-// Mode returns shard 0's mode (the aggregate view callers of the
-// unsharded API expect; shards flip independently).
-func (s *Sharded) Mode() Mode { return s.shards[0].Mode() }
 
 // SetMode forces every shard into mode m.
 func (s *Sharded) SetMode(m Mode) {

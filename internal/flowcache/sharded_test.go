@@ -37,15 +37,27 @@ func shardTrace(n int) []packet.Packet {
 }
 
 // dumpState canonicalises everything observable about a cache-like into
-// one string: snapshot records in walk order, summed stats, mode and
-// drained ring contents. Byte-equal dumps mean byte-equal behaviour.
+// one string: snapshot records in walk order, summed stats, every shard's
+// mode and drained ring contents. Byte-equal dumps mean byte-equal
+// behaviour.
 type cacheLike interface {
 	Snapshot(func(Record) bool)
 	Lookup(packet.FlowKey) (Record, bool, bool)
 	Stats() Stats
-	Mode() Mode
 	Occupancy() int
 	Rings() []*Ring
+}
+
+// modes lists a cache-like's per-shard modes; a bare Cache has one.
+func modes(c cacheLike) []Mode {
+	if s, ok := c.(*Sharded); ok {
+		var ms []Mode
+		for _, sh := range s.shards {
+			ms = append(ms, sh.Mode())
+		}
+		return ms
+	}
+	return []Mode{c.(plainAdapter).Mode()}
 }
 
 func dumpState(c cacheLike) string {
@@ -58,7 +70,7 @@ func dumpState(c cacheLike) string {
 			r.Key.String(), r.Pkts, r.Bytes, r.FirstTs, r.LastTs, r.State, pinned)
 	}
 	fmt.Fprintf(&b, "stats %+v\n", c.Stats())
-	fmt.Fprintf(&b, "mode=%v occ=%d\n", c.Mode(), c.Occupancy())
+	fmt.Fprintf(&b, "mode=%v occ=%d\n", modes(c), c.Occupancy())
 	for i, ring := range c.Rings() {
 		for _, r := range ring.Drain(nil, 1<<20) {
 			fmt.Fprintf(&b, "ring[%d] %s pkts=%d\n", i, r.Key.String(), r.Pkts)
@@ -121,8 +133,8 @@ func TestShardedCapacityInvariant(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		s := NewSharded(n, cfg, ControllerConfig{})
 		total := 0
-		for i := 0; i < s.NumShards(); i++ {
-			total += s.Shard(i).Config().Entries()
+		for _, sh := range s.shards {
+			total += sh.Config().Entries()
 		}
 		if total != base {
 			t.Errorf("%d shards hold %d entries, want %d", n, total, base)
@@ -136,11 +148,8 @@ func TestShardedRouting(t *testing.T) {
 	s := NewSharded(4, smallConfig(), ControllerConfig{})
 	for i := 0; i < 512; i++ {
 		p := pkt(i, int64(i+1))
-		s.Process(&p)
+		s.ObserveProcess(&p)
 		k := p.Key()
-		if got := s.ShardOf(k.Hash()); got != s.ShardOf(p.Hash()) {
-			t.Fatalf("flow %d: key hash routes to %d, packet hash to %d", i, got, s.ShardOf(p.Hash()))
-		}
 		rec, _, ok := s.Lookup(k)
 		if !ok || rec.Pkts != 1 {
 			t.Fatalf("flow %d not found after Process (ok=%v rec=%+v)", i, ok, rec)
@@ -151,11 +160,6 @@ func TestShardedRouting(t *testing.T) {
 	}
 	if occ := s.Occupancy(); occ != 512 {
 		t.Errorf("occupancy = %d, want 512", occ)
-	}
-	// Eviction by key routes too.
-	p := pkt(0, 1)
-	if !s.Evict(p.Key()) {
-		t.Error("Evict missed routed record")
 	}
 }
 
@@ -170,10 +174,10 @@ func TestShardedModeSwitchCallback(t *testing.T) {
 		s.ObserveProcess(&trace[i])
 	}
 	var total uint64
-	for i := 0; i < s.NumShards(); i++ {
-		if flips[i] != s.ShardController(i).Switchovers() {
+	for i, ctl := range s.ctls {
+		if flips[i] != ctl.Switchovers() {
 			t.Errorf("shard %d: callback saw %d flips, controller counted %d",
-				i, flips[i], s.ShardController(i).Switchovers())
+				i, flips[i], ctl.Switchovers())
 		}
 		total += flips[i]
 	}

@@ -81,8 +81,5 @@ func (b *Bloom) Reset() {
 	b.adds = 0
 }
 
-// MemoryBytes returns the bit-array footprint.
-func (b *Bloom) MemoryBytes() int { return len(b.bits) * 8 }
-
 // Adds returns the insert count since the last reset.
 func (b *Bloom) Adds() uint64 { return b.adds }

@@ -35,22 +35,6 @@ func (s *Snapshot) SetGauge(name string, v float64) {
 	s.Gauges[name] = v
 }
 
-// Counter returns the named counter series (0 when absent).
-func (s *Snapshot) Counter(name string) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.Counters[name]
-}
-
-// Gauge returns the named gauge series (0 when absent).
-func (s *Snapshot) Gauge(name string) float64 {
-	if s == nil {
-		return 0
-	}
-	return s.Gauges[name]
-}
-
 // Filter returns a copy holding only the series whose names start with one
 // of the given prefixes — used by the determinism tests to compare the
 // documented deterministic subset across shard counts.

@@ -170,11 +170,6 @@ func (s *Switch) SRAMBytesUsed() int {
 	return n
 }
 
-// Occupancy is SRAMBytesUsed over the budget.
-func (s *Switch) Occupancy() float64 {
-	return float64(s.SRAMBytesUsed()) / float64(s.cfg.SRAMBytes)
-}
-
 // Process runs one packet through the pipeline and returns the forwarding
 // decision. Register state for every installed query is updated regardless
 // of the decision (the queries monitor passively).

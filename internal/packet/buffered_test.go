@@ -37,7 +37,7 @@ func TestBufferedEmptyStream(t *testing.T) {
 }
 
 func TestBufferedDefaultBatch(t *testing.T) {
-	if n := Count(Buffered(seqStream(700), 0)); n != 700 {
+	if n := len(Collect(Buffered(seqStream(700), 0))); n != 700 {
 		t.Fatalf("got %d packets, want 700", n)
 	}
 }
@@ -142,8 +142,8 @@ func TestBufferedBatchesEarlyStop(t *testing.T) {
 	t.Errorf("goroutines grew from %d to %d: producer leak", before, runtime.NumGoroutine())
 }
 
-// TestBufferedInfiniteSourceEarlyStop exercises the Limit-style pattern
-// against a source that never ends on its own.
+// TestBufferedInfiniteSourceEarlyStop: a consumer that stops early ends a
+// source that never ends on its own.
 func TestBufferedInfiniteSourceEarlyStop(t *testing.T) {
 	infinite := func(yield func(Packet) bool) {
 		for i := 0; ; i++ {
@@ -152,7 +152,12 @@ func TestBufferedInfiniteSourceEarlyStop(t *testing.T) {
 			}
 		}
 	}
-	got := Collect(Limit(Buffered(infinite, 32), 1000))
+	var got []Packet
+	for p := range Buffered(infinite, 32) {
+		if got = append(got, p); len(got) == 1000 {
+			break
+		}
+	}
 	if len(got) != 1000 {
 		t.Fatalf("got %d packets, want 1000", len(got))
 	}

@@ -40,9 +40,6 @@ func FuzzDecodeInto(f *testing.F) {
 		if errZero != errPoisoned || zero != poisoned {
 			t.Fatalf("decode depends on the destination: %+v (%v) into zero, %+v (%v) into poisoned", zero, errZero, poisoned, errPoisoned)
 		}
-		if got, gotErr := packet.Decode(frame, ts, origLen); got != zero || gotErr != errZero {
-			t.Fatalf("Decode = %+v (%v), DecodeInto %+v (%v)", got, gotErr, zero, errZero)
-		}
 		wantSize := origLen
 		if origLen <= 0 {
 			wantSize = len(frame)

@@ -147,13 +147,6 @@ func Encode(buf []byte, p *Packet, opt EncodeOptions) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses an Ethernet/IPv4/{TCP,UDP} frame into a Packet; see
-// DecodeInto.
-func Decode(b []byte, ts int64, origLen int) (p Packet, err error) {
-	err = DecodeInto(&p, b, ts, origLen)
-	return p, err
-}
-
 // DecodeInto parses an Ethernet/IPv4/{TCP,UDP} frame into *p, overwriting
 // every field, and does not retain b. ts is the capture timestamp (virtual
 // ns). origLen is the original wire length as recorded by the capture

@@ -18,6 +18,12 @@ func samplePacket() Packet {
 	}
 }
 
+// decode is DecodeInto into a fresh Packet.
+func decode(b []byte, ts int64, origLen int) (p Packet, err error) {
+	err = DecodeInto(&p, b, ts, origLen)
+	return p, err
+}
+
 func TestEncodeDecodeTCP(t *testing.T) {
 	p := samplePacket()
 	buf, err := Encode(nil, &p, EncodeOptions{})
@@ -27,7 +33,7 @@ func TestEncodeDecodeTCP(t *testing.T) {
 	if len(buf) != int(p.Size) {
 		t.Fatalf("encoded %d bytes, want %d", len(buf), p.Size)
 	}
-	got, err := Decode(buf, p.Ts, len(buf))
+	got, err := decode(buf, p.Ts, len(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +58,7 @@ func TestEncodeDecodeUDP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(buf, 1, len(buf))
+	got, err := decode(buf, 1, len(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +74,7 @@ func TestEncodeMetaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(buf, p.Ts, len(buf))
+	got, err := decode(buf, p.Ts, len(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +92,7 @@ func TestEncodeMetaGrowsShortPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(buf, 0, len(buf))
+	got, err := decode(buf, 0, len(buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +102,17 @@ func TestEncodeMetaGrowsShortPayload(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(make([]byte, 10), 0, 10); err != ErrTruncated {
+	if _, err := decode(make([]byte, 10), 0, 10); err != ErrTruncated {
 		t.Errorf("short frame: err = %v, want ErrTruncated", err)
 	}
 	frame := make([]byte, 60)
 	binary.BigEndian.PutUint16(frame[12:14], 0x86dd) // IPv6
-	if _, err := Decode(frame, 0, 60); err != ErrNotIPv4 {
+	if _, err := decode(frame, 0, 60); err != ErrNotIPv4 {
 		t.Errorf("IPv6 frame: err = %v, want ErrNotIPv4", err)
 	}
 	p := samplePacket()
 	buf, _ := Encode(nil, &p, EncodeOptions{})
-	if _, err := Decode(buf[:etherHdrLen+ipv4HdrLen+4], 0, 0); err != ErrTruncated {
+	if _, err := decode(buf[:etherHdrLen+ipv4HdrLen+4], 0, 0); err != ErrTruncated {
 		t.Errorf("truncated TCP header: err = %v, want ErrTruncated", err)
 	}
 }
@@ -125,7 +131,7 @@ func TestDecodeSizeSaturates(t *testing.T) {
 		origLen int
 		want    uint16
 	}{{65535, 65535}, {65536, 65535}, {65537, 65535}, {70000, 65535}, {0, 60}, {-1, 60}} {
-		got, err := Decode(snapped, 0, tc.origLen)
+		got, err := decode(snapped, 0, tc.origLen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +177,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Decode(buf, 99, len(buf))
+		got, err := decode(buf, 99, len(buf))
 		if err != nil {
 			return false
 		}
@@ -213,7 +219,7 @@ func BenchmarkDecode(b *testing.B) {
 	buf, _ := Encode(nil, &p, EncodeOptions{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Decode(buf, 0, len(buf)); err != nil {
+		if _, err := decode(buf, 0, len(buf)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -144,6 +144,3 @@ func (p Packet) Reverse() Packet {
 // packet. Both directions of a session map to the same Key, which is what
 // the FlowCache and all session-level detectors index on.
 func (p *Packet) Key() FlowKey { return p.Tuple.Canonical() }
-
-// Hash returns the symmetric 64-bit flow hash of the packet's five-tuple.
-func (p *Packet) Hash() uint64 { return p.Tuple.SymmetricHash() }

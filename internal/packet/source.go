@@ -23,14 +23,3 @@ type Source interface {
 	Err() error
 	Close() error
 }
-
-// sliceSource adapts an in-memory stream to the Source contract.
-type sliceSource struct{ s Stream }
-
-func (ss *sliceSource) Stream() Stream { return ss.s }
-func (ss *sliceSource) Err() error     { return nil }
-func (ss *sliceSource) Close() error   { return nil }
-
-// SourceOf wraps an already-built Stream as an always-clean Source
-// (in-memory traces, tests).
-func SourceOf(s Stream) Source { return &sliceSource{s: s} }

@@ -28,28 +28,3 @@ func Collect(s Stream) []Packet {
 	}
 	return out
 }
-
-// Count consumes a stream and returns its length.
-func Count(s Stream) int64 {
-	var n int64
-	for range s {
-		n++
-	}
-	return n
-}
-
-// Limit passes through at most n packets.
-func Limit(s Stream, n int64) Stream {
-	return func(yield func(Packet) bool) {
-		var seen int64
-		for p := range s {
-			if seen >= n {
-				return
-			}
-			seen++
-			if !yield(p) {
-				return
-			}
-		}
-	}
-}

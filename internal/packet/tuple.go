@@ -124,15 +124,6 @@ func (t FiveTuple) Canonical() (k FlowKey) {
 	return k
 }
 
-// Forward reports whether the tuple's Src endpoint is the canonical Lo
-// endpoint, i.e. whether a packet with this tuple travels in the session's
-// canonical "forward" direction.
-func (t FiveTuple) Forward() bool {
-	a := uint64(t.SrcIP)<<16 | uint64(t.SrcPort)
-	b := uint64(t.DstIP)<<16 | uint64(t.DstPort)
-	return a <= b
-}
-
 // Tuple reconstructs the forward-direction FiveTuple from the key.
 func (k FlowKey) Tuple() FiveTuple {
 	return FiveTuple{SrcIP: k.LoIP, DstIP: k.HiIP, SrcPort: k.LoPort, DstPort: k.HiPort, Proto: k.Proto}

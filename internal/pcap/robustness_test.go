@@ -82,7 +82,8 @@ func TestDecodeNeverPanicsOnRandomFrames(t *testing.T) {
 		if len(frame) >= 14 && seed%2 == 0 {
 			binary.BigEndian.PutUint16(frame[12:14], 0x0800)
 		}
-		_, _ = packet.Decode(frame, 0, len(frame))
+		var p packet.Packet
+		_ = packet.DecodeInto(&p, frame, 0, len(frame))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -11,10 +11,9 @@ import (
 // the paper uses to build its evaluation traces:
 //
 //	Shift     — editcap -t: move every timestamp by a fixed offset
-//	Truncate  — tcprewrite: cap wire/capture length (64 B stress traces)
 //	Merge     — mergecap: k-way merge of traces by timestamp
 //
-// All three operate on packet streams (iter.Seq) so multi-gigapacket traces
+// Both operate on packet streams (iter.Seq) so multi-gigapacket traces
 // never need to be resident in memory.
 
 // Stream is a sequence of packets in non-decreasing timestamp order; see
@@ -26,23 +25,6 @@ func Shift(s Stream, offsetNs int64) Stream {
 	return func(yield func(packet.Packet) bool) {
 		for p := range s {
 			p.Ts += offsetNs
-			if !yield(p) {
-				return
-			}
-		}
-	}
-}
-
-// Truncate caps every packet's Size at maxBytes without touching headers or
-// payload accounting, mirroring how the paper truncates CAIDA packets to
-// 64 B for stress tests: the flow key and per-packet costs shrink to the
-// truncated size while PayloadLen keeps the logical length.
-func Truncate(s Stream, maxBytes uint16) Stream {
-	return func(yield func(packet.Packet) bool) {
-		for p := range s {
-			if p.Size > maxBytes {
-				p.Size = maxBytes
-			}
 			if !yield(p) {
 				return
 			}

@@ -33,22 +33,6 @@ func TestShift(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	pkts := seq(1, 2)
-	pkts[0].Size = 1500
-	pkts[1].Size = 40
-	got := packet.Collect(Truncate(packet.StreamOf(pkts), 64))
-	if got[0].Size != 64 {
-		t.Errorf("large packet Size = %d, want 64", got[0].Size)
-	}
-	if got[1].Size != 40 {
-		t.Errorf("small packet Size = %d, want 40 (untouched)", got[1].Size)
-	}
-	if got[0].PayloadLen != pkts[0].PayloadLen {
-		t.Errorf("PayloadLen must survive truncation")
-	}
-}
-
 func TestMergeOrdering(t *testing.T) {
 	a := packet.StreamOf(seq(1, 4, 7))
 	b := packet.StreamOf(seq(2, 5, 8))
@@ -91,12 +75,12 @@ func TestMergeEarlyStop(t *testing.T) {
 }
 
 func TestWriteReadStreamPipeline(t *testing.T) {
-	// End-to-end: generate, shift, merge, truncate, write to file, read
-	// back, confirm ordering and lengths — the exact preparation pipeline
-	// used for evaluation traces.
+	// End-to-end: generate, shift, merge, write to file, read back,
+	// confirm ordering — the exact preparation pipeline used for
+	// evaluation traces.
 	background := packet.StreamOf(seq(0, 1000, 2000, 3000))
 	attack := Shift(packet.StreamOf(seq(0, 500)), 1500) // lands at 1500, 2000
-	merged := Truncate(Merge(background, attack), 64)
+	merged := Merge(background, attack)
 
 	var buf bytes.Buffer
 	w := NewWriter(&buf, WriterConfig{SnapLen: 96})
@@ -117,11 +101,6 @@ func TestWriteReadStreamPipeline(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i].Ts < got[i-1].Ts {
 			t.Fatalf("pipeline broke ordering: %v", timestamps(got))
-		}
-	}
-	for i := range got {
-		if got[i].Size > 64 {
-			t.Errorf("packet %d size %d > 64", i, got[i].Size)
 		}
 	}
 }

@@ -80,7 +80,8 @@ func refParse(raw []byte, maxFrame int) (parsed, error) {
 			out.err = fmt.Sprintf("pcap: reading %d-byte frame: unexpected EOF", capLen)
 			break
 		}
-		if p, err := packet.Decode(b[pktHdrLen:pktHdrLen+capLen], ts, origLen); err != nil {
+		var p packet.Packet
+		if err := packet.DecodeInto(&p, b[pktHdrLen:pktHdrLen+capLen], ts, origLen); err != nil {
 			out.skipped++
 		} else {
 			out.pkts = append(out.pkts, p)

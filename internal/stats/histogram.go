@@ -110,7 +110,10 @@ func (h *Histogram) String() string {
 
 // KSStatHist computes the two-sample Kolmogorov–Smirnov statistic between
 // two histograms with identical shapes: the maximum absolute difference of
-// their CDFs. It panics if the shapes differ.
+// their CDFs. It panics if the shapes differ. The covert-timing-channel
+// detector (paper §5.2.1) compares a suspicious flow's inter-packet-delay
+// histogram against a known-good one learned from training traffic; a
+// large statistic flags modulation.
 func KSStatHist(a, b *Histogram) float64 {
 	if len(a.Counts) != len(b.Counts) || a.Min != b.Min || a.Max != b.Max {
 		panic("stats: KS over mismatched histograms")

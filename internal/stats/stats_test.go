@@ -187,38 +187,35 @@ func TestHistogramQuantize(t *testing.T) {
 	}
 }
 
-func TestKSSameDistribution(t *testing.T) {
+// normalHists bins n draws of N(0,1) and of N(shift,1) into two
+// histograms of 0.05-wide bins over [-6, 8).
+func normalHists(n int, shift float64) (a, b *Histogram) {
 	r := NewRand(3)
-	a := make([]float64, 500)
-	b := make([]float64, 500)
-	for i := range a {
-		a[i] = r.Normal(0, 1)
-		b[i] = r.Normal(0, 1)
+	a, b = NewHistogram(-6, 8, 280), NewHistogram(-6, 8, 280)
+	for i := 0; i < n; i++ {
+		a.Add(r.Normal(0, 1))
+		b.Add(r.Normal(shift, 1))
 	}
-	if d := KSStat(a, b); d > 0.1 {
+	return a, b
+}
+
+func TestKSSameDistribution(t *testing.T) {
+	if d := KSStatHist(normalHists(500, 0)); d > 0.1 {
 		t.Errorf("same-distribution samples: D=%g, want <= 0.1", d)
 	}
 }
 
 func TestKSDifferentDistribution(t *testing.T) {
-	r := NewRand(3)
-	a := make([]float64, 500)
-	b := make([]float64, 500)
-	for i := range a {
-		a[i] = r.Normal(0, 1)
-		b[i] = r.Normal(2, 1)
-	}
-	if d := KSStat(a, b); d < 0.5 {
+	if d := KSStatHist(normalHists(500, 2)); d < 0.5 {
 		t.Errorf("distribution shifted by 2 sigma: D=%g, want >= 0.5", d)
 	}
 }
 
 func TestKSEdgeCases(t *testing.T) {
-	if KSStat(nil, []float64{1}) != 0 || KSStat([]float64{1}, nil) != 0 {
+	empty, one := NewHistogram(0, 10, 10), NewHistogram(0, 10, 10)
+	one.Add(1)
+	if KSStatHist(empty, one) != 0 || KSStatHist(one, empty) != 0 {
 		t.Error("empty sample KS should be 0")
-	}
-	if d := KSStat([]float64{1, 2}, []float64{3, 4}); d != 1 {
-		t.Errorf("disjoint samples KS = %g, want 1", d)
 	}
 }
 
@@ -331,19 +328,6 @@ func TestNaiveBayesHist(t *testing.T) {
 	got, _, err := nb.ClassifyHist(obs)
 	if err != nil || got != "low" {
 		t.Errorf("ClassifyHist = %q, %v", got, err)
-	}
-}
-
-func BenchmarkKSStat(b *testing.B) {
-	r := NewRand(1)
-	x := make([]float64, 500)
-	y := make([]float64, 500)
-	for i := range x {
-		x[i], y[i] = r.Normal(0, 1), r.Normal(0.5, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		KSStat(x, y)
 	}
 }
 

@@ -107,8 +107,5 @@ func (t *TRWTest) Observe(w *TRWWalk, success bool) TRWVerdict {
 	return w.verdict
 }
 
-// Verdict returns the walk's current verdict.
-func (w *TRWWalk) Verdict() TRWVerdict { return w.verdict }
-
 // Observations returns how many outcomes have been folded in.
 func (w *TRWWalk) Observations() int { return int(w.observations) }

@@ -39,8 +39,10 @@ type WorkloadConfig struct {
 	// ZipfS is the skew of packets across flows (higher = heavier
 	// elephants). CAIDA-like traffic sits near 1.1–1.3.
 	ZipfS float64
-	// PacketRate is the average packet arrival rate in packets/second of
-	// virtual time.
+	// PacketRate is the average rate, per second of virtual time, at
+	// which a flow fires: a mouse fires one packet, an elephant a
+	// back-to-back train of mean MeanBurst packets. The packet rate is
+	// therefore above PacketRate, by how many fires land on elephants.
 	PacketRate float64
 	// Duration is the trace length in virtual nanoseconds.
 	Duration int64

@@ -46,7 +46,7 @@ func TestWorkloadRateApproximation(t *testing.T) {
 	// 1 Mpps for 0.1 s of virtual time should give ~100k packets (bursts
 	// add some inflation; accept a broad band).
 	w := NewWorkload(WorkloadConfig{Seed: 5, Flows: 1000, PacketRate: 1e6, Duration: 1e8})
-	n := packet.Count(w.Stream())
+	n := len(packet.Collect(w.Stream()))
 	if n < 60000 || n > 400000 {
 		t.Errorf("packet count %d outside plausible band for 1 Mpps x 0.1 s", n)
 	}
@@ -111,12 +111,12 @@ func TestWorkloadTCPHandshakes(t *testing.T) {
 
 func TestCAIDAPresetsDiffer(t *testing.T) {
 	years := []int{2015, 2016, 2018, 2019}
-	counts := map[int]int64{}
+	counts := map[int]int{}
 	for _, y := range years {
 		w := CAIDA(y)
 		cfg := w.Config()
 		cfg.Duration = 2e7
-		counts[y] = packet.Count(NewWorkload(cfg).Stream())
+		counts[y] = len(packet.Collect(NewWorkload(cfg).Stream()))
 	}
 	// Later years are configured with higher rates, so packet counts
 	// should broadly increase.

@@ -98,16 +98,8 @@ func readUnreached(t *testing.T) map[string]bool {
 }
 
 // judged reports whether reach holds a 0 % function in file to the list:
-// benchmark/ and examples/ run the product but are not part of it, and
-// smartwatch.go's exports are the public API.
-func judged(file, key string) bool {
-	if strings.HasPrefix(file, "benchmark/") || strings.HasPrefix(file, "examples/") {
-		return false
-	}
-	name := key[strings.LastIndexByte(key, ' ')+1:]
-	name = name[strings.LastIndexByte(name, '.')+1:]
-	return file != "smartwatch.go" || !ast.IsExported(name)
-}
+// benchmark/ runs the product but is not part of it.
+func judged(file string) bool { return !strings.HasPrefix(file, "benchmark/") }
 
 // TestUnreachedListResolves: every entry of the list names a function of
 // the non-test tree that reach judges, and says why it stays. Deleting a
@@ -133,8 +125,8 @@ func TestUnreachedListResolves(t *testing.T) {
 		switch {
 		case !have[key]:
 			t.Errorf("%s: %s names no function", unreachedList, key)
-		case !judged(file, key):
-			t.Errorf("%s: %s is not judged by reach (benchmark/, examples/ or a smartwatch.go export)", unreachedList, key)
+		case !judged(file):
+			t.Errorf("%s: %s is not judged by reach (benchmark/)", unreachedList, key)
 		}
 	}
 }
@@ -184,7 +176,7 @@ func TestReach(t *testing.T) {
 			}
 			continue
 		}
-		if !judged(file, key) {
+		if !judged(file) {
 			continue
 		}
 		zero = append(zero, key)

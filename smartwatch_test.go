@@ -33,8 +33,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		})
 	}
 	mixed := smartwatch.MergeStreams(background.Stream(), smartwatch.StreamOf(probes))
-	rep := pl.Run(smartwatch.TruncateStream(mixed, 64))
-
+	rep, err := pl.Run(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Counts.Total == 0 || rep.Cache.Processed() == 0 {
 		t.Fatalf("platform processed nothing: %+v", rep.Counts)
 	}
@@ -61,16 +63,6 @@ func TestPublicFlowCacheStandalone(t *testing.T) {
 	}
 }
 
-func TestSNICProfilesExposed(t *testing.T) {
-	for _, p := range []smartwatch.SNICProfile{
-		smartwatch.NetronomeProfile(), smartwatch.BlueFieldProfile(), smartwatch.LiquidIOProfile(),
-	} {
-		if p.ClockHz <= 0 || p.PMEs <= 0 {
-			t.Errorf("profile %s malformed", p.Name)
-		}
-	}
-}
-
 func TestPublicFingerprintDetector(t *testing.T) {
 	const bins = 16
 	training := map[string][]uint64{
@@ -83,18 +75,21 @@ func TestPublicFingerprintDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.ProgramAll()
 	// A flow whose packets sit in bin 2 must classify as "a".
 	tuple := smartwatch.FiveTuple{
 		SrcIP: smartwatch.MustParseAddr("1.1.1.1"), DstIP: smartwatch.MustParseAddr("2.2.2.2"),
 		SrcPort: 1, DstPort: 443, Proto: 6,
 	}
+	det.Program(tuple.Canonical())
 	var pkts []smartwatch.Packet
 	for i := 0; i < 10; i++ {
 		pkts = append(pkts, smartwatch.Packet{Ts: int64(i) * 1e6, Tuple: tuple, Size: 250})
 	}
 	pl := smartwatch.New(smartwatch.Config{IntervalNs: 2e6, Detectors: []smartwatch.Detector{det}})
-	rep := pl.Run(smartwatch.StreamOf(pkts))
+	rep, err := pl.Run(smartwatch.StreamOf(pkts))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := det.Classifications()[tuple.Canonical()]; got != "a" {
 		t.Errorf("classified as %q, want a", got)
 	}
