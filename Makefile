@@ -50,12 +50,14 @@ race:
 
 # Ten seconds of each native fuzz target (DESIGN.md §16.2): the pcap record
 # walker against a whole-slice reference parser, the frame decoder, the
-# address parser behind every flag and control-API address, and the
-# compiled switch against its per-query reference pipeline. A crasher
-# lands under the package's testdata/fuzz/ and is committed as a seed.
+# wide checksum sum against the 16-bit loop, the address parser behind
+# every flag and control-API address, and the compiled switch against its
+# per-query reference pipeline. A crasher lands under the package's
+# testdata/fuzz/ and is committed as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInto -fuzztime 10s ./internal/packet/
+	$(GO) test -run '^$$' -fuzz FuzzChecksum -fuzztime 10s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzParseAddr -fuzztime 10s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzSwitchMatchesReference -fuzztime 10s ./internal/p4switch/
 

@@ -3,6 +3,7 @@ package packet_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func FuzzDecodeInto(f *testing.F) {
 		Tuple: packet.FiveTuple{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 4242, DstPort: 443, Proto: packet.ProtoTCP},
 		Size:  90, PayloadLen: 30, Flags: packet.FlagSYN, Seq: 7, App: packet.AppInfo{PayloadSig: 9},
 	}
-	frame, err := packet.Encode(nil, &p, packet.EncodeOptions{EmbedMeta: true})
+	frame, _, err := packet.Encode(nil, &p, packet.EncodeOptions{EmbedMeta: true}, math.MaxInt)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Wire codec: a minimal Ethernet/IPv4/TCP/UDP serializer and decoder in the
@@ -43,39 +44,52 @@ var ErrTruncated = errors.New("packet: truncated")
 // ErrNotIPv4 is returned for frames whose EtherType is not IPv4.
 var ErrNotIPv4 = errors.New("packet: not an IPv4 frame")
 
-// WireLen returns the on-wire frame length Encode will produce for p.
-// Packet.Size is honoured when it is large enough to hold all headers plus
-// PayloadLen (the usual case for trace-generated packets); otherwise the
-// minimum length is used.
-func WireLen(p *Packet, opt EncodeOptions) int {
-	l4 := udpHdrLen
+// frameLens returns the L4 header and IP payload lengths Encode writes for
+// p — PayloadLen, grown to hold the metadata block when one is embedded —
+// and the frame's wire length: Packet.Size when that is large enough to
+// hold all headers plus the payload (the usual case for trace-generated
+// packets), the minimum length otherwise.
+func frameLens(p *Packet, opt EncodeOptions) (l4Hdr, payload, total int) {
+	l4Hdr = udpHdrLen
 	if p.Tuple.Proto == ProtoTCP {
-		l4 = tcpHdrLen
+		l4Hdr = tcpHdrLen
 	}
-	payload := int(p.PayloadLen)
-	if opt.EmbedMeta && p.App != (AppInfo{}) && payload < metaBlockLen {
-		payload = metaBlockLen
+	payload = int(p.PayloadLen)
+	if embedsMeta(p, opt) {
+		payload = max(payload, metaBlockLen)
 	}
-	n := etherHdrLen + ipv4HdrLen + l4 + payload
-	if int(p.Size) > n {
-		n = int(p.Size)
-	}
-	return n
+	return l4Hdr, payload, max(etherHdrLen+ipv4HdrLen+l4Hdr+payload, int(p.Size))
 }
 
-// Encode serializes p as an Ethernet/IPv4/{TCP,UDP} frame appended to buf
-// and returns the extended slice. The IPv4 header checksum is computed;
-// TCP/UDP checksums are computed over the synthetic payload.
-func Encode(buf []byte, p *Packet, opt EncodeOptions) ([]byte, error) {
+func embedsMeta(p *Packet, opt EncodeOptions) bool {
+	return opt.EmbedMeta && p.App != (AppInfo{})
+}
+
+// Encodable returns the error Encode would return for p, or nil: only TCP
+// and UDP packets have a wire form.
+func Encodable(p *Packet) error {
 	switch p.Tuple.Proto {
 	case ProtoTCP, ProtoUDP:
-	default:
-		return buf, fmt.Errorf("packet: cannot encode protocol %s", p.Tuple.Proto)
+		return nil
 	}
-	total := WireLen(p, opt)
-	off := len(buf)
-	buf = append(buf, make([]byte, total)...)
-	b := buf[off:]
+	return fmt.Errorf("packet: cannot encode protocol %s", p.Tuple.Proto)
+}
+
+// Encode serializes p as an Ethernet/IPv4/{TCP,UDP} frame, appends at most
+// limit bytes of it to buf — a capture's snap length; the frame is never
+// built past it — and returns the extended slice and the frame's full
+// wire length. The IPv4 header checksum is computed; TCP/UDP
+// checksums are computed over the synthetic payload.
+func Encode(buf []byte, p *Packet, opt EncodeOptions, limit int) ([]byte, int, error) {
+	if err := Encodable(p); err != nil {
+		return buf, 0, err
+	}
+	l4HdrLen, payloadLen, total := frameLens(p, opt)
+
+	// Every non-zero byte of a frame lies in its headers and metadata
+	// block; they are built here and the rest of the frame is zero-fill.
+	var hdr [etherHdrLen + ipv4HdrLen + tcpHdrLen + metaBlockLen]byte
+	b := hdr[:]
 
 	// Ethernet.
 	copy(b[0:6], opt.DstMAC[:])
@@ -85,49 +99,35 @@ func Encode(buf []byte, p *Packet, opt EncodeOptions) ([]byte, error) {
 	// IPv4. Bytes beyond the IP total length (frame padding up to
 	// Packet.Size) are an Ethernet trailer and not covered by IP.
 	ip := b[etherHdrLen:]
-	l4HdrLen := tcpHdrLen
-	if p.Tuple.Proto == ProtoUDP {
-		l4HdrLen = udpHdrLen
-	}
-	payloadLen := int(p.PayloadLen)
-	if opt.EmbedMeta && p.App != (AppInfo{}) && payloadLen < metaBlockLen {
-		payloadLen = metaBlockLen
-	}
 	ipTotal := ipv4HdrLen + l4HdrLen + payloadLen
 	ip[0] = 0x45 // version 4, IHL 5
-	ip[1] = 0
 	binary.BigEndian.PutUint16(ip[2:4], uint16(ipTotal))
-	binary.BigEndian.PutUint16(ip[4:6], 0) // identification
 	binary.BigEndian.PutUint16(ip[6:8], 0x4000)
 	ip[8] = 64 // TTL
 	ip[9] = byte(p.Tuple.Proto)
 	binary.BigEndian.PutUint32(ip[12:16], uint32(p.Tuple.SrcIP))
 	binary.BigEndian.PutUint32(ip[16:20], uint32(p.Tuple.DstIP))
-	binary.BigEndian.PutUint16(ip[10:12], 0)
 	binary.BigEndian.PutUint16(ip[10:12], ipChecksum(ip[:ipv4HdrLen]))
 
 	// L4.
 	l4 := ip[ipv4HdrLen:]
-	var payload []byte
-	switch p.Tuple.Proto {
-	case ProtoTCP:
-		binary.BigEndian.PutUint16(l4[0:2], p.Tuple.SrcPort)
-		binary.BigEndian.PutUint16(l4[2:4], p.Tuple.DstPort)
+	ckOff := 16 // TCP checksum offset
+	binary.BigEndian.PutUint16(l4[0:2], p.Tuple.SrcPort)
+	binary.BigEndian.PutUint16(l4[2:4], p.Tuple.DstPort)
+	if p.Tuple.Proto == ProtoTCP {
 		binary.BigEndian.PutUint32(l4[4:8], p.Seq)
 		binary.BigEndian.PutUint32(l4[8:12], p.Ack)
 		l4[12] = 5 << 4 // data offset
 		l4[13] = byte(p.Flags)
 		binary.BigEndian.PutUint16(l4[14:16], 65535) // window
-		payload = l4[tcpHdrLen:]
-	case ProtoUDP:
-		binary.BigEndian.PutUint16(l4[0:2], p.Tuple.SrcPort)
-		binary.BigEndian.PutUint16(l4[2:4], p.Tuple.DstPort)
+	} else {
 		binary.BigEndian.PutUint16(l4[4:6], uint16(ipTotal-ipv4HdrLen))
-		payload = l4[udpHdrLen:]
+		ckOff = 6
 	}
 
 	written := l4HdrLen
-	if opt.EmbedMeta && p.App != (AppInfo{}) && len(payload) >= metaBlockLen {
+	if embedsMeta(p, opt) {
+		payload := l4[l4HdrLen:]
 		binary.BigEndian.PutUint32(payload[0:4], metaMagic)
 		binary.BigEndian.PutUint64(payload[4:12], uint64(p.App.TLSCertExpiry))
 		binary.BigEndian.PutUint64(payload[12:20], p.App.PayloadSig)
@@ -138,13 +138,15 @@ func Encode(buf []byte, p *Packet, opt EncodeOptions) ([]byte, error) {
 	// L4 checksum over pseudo-header + segment. Past the header and the
 	// metadata block the segment is zero-fill, which adds nothing to a
 	// one's-complement sum, so only the written bytes are summed.
-	ckOff := 16 // TCP checksum offset
-	if p.Tuple.Proto == ProtoUDP {
-		ckOff = 6
-	}
 	ck := l4Checksum(p.Tuple.SrcIP, p.Tuple.DstIP, p.Tuple.Proto, ipTotal-ipv4HdrLen, l4[:written])
 	binary.BigEndian.PutUint16(l4[ckOff:ckOff+2], ck)
-	return buf, nil
+
+	n := min(total, limit)
+	off := len(buf)
+	buf = slices.Grow(buf, n)[:off+n]
+	built := copy(buf[off:], hdr[:etherHdrLen+ipv4HdrLen+written])
+	clear(buf[off+built:])
+	return buf, total, nil
 }
 
 // DecodeInto parses an Ethernet/IPv4/{TCP,UDP} frame into *p, overwriting
@@ -229,13 +231,11 @@ func ipChecksum(hdr []byte) uint16 {
 // a segLen-byte segment whose bytes past head are all zero. The checksum
 // field inside head must be zero.
 func l4Checksum(src, dst Addr, proto Proto, segLen int, head []byte) uint16 {
-	var pseudo [12]byte
-	binary.BigEndian.PutUint32(pseudo[0:4], uint32(src))
-	binary.BigEndian.PutUint32(pseudo[4:8], uint32(dst))
-	pseudo[9] = byte(proto)
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(segLen))
-	sum := sumBytes(0, pseudo[:])
-	sum = sumBytes(sum, head)
+	// The pseudo-header's 16-bit words — addresses, zero|protocol, length —
+	// summed from the fields.
+	pseudo := uint32(src>>16) + uint32(src&0xffff) + uint32(dst>>16) + uint32(dst&0xffff) +
+		uint32(proto) + uint32(uint16(segLen))
+	sum := sumBytes(pseudo, head)
 	ck := finishChecksum(sum)
 	if ck == 0 && proto == ProtoUDP {
 		ck = 0xffff // UDP: zero means "no checksum"
@@ -243,15 +243,26 @@ func l4Checksum(src, dst Addr, proto Proto, segLen int, head []byte) uint16 {
 	return ck
 }
 
+// sumBytes adds b, as big-endian 16-bit words (an odd last byte padded
+// with zero), to the one's-complement partial sum. It adds 32-bit words,
+// two per 8-byte step, into 64 bits and folds the total back to 32: since
+// 2^16 ≡ 1 (mod 2^16-1), any grouping of the words into wider ones sums
+// to the same checksum (RFC 1071 §2(B)), and the total is zero only when
+// every byte is.
 func sumBytes(sum uint32, b []byte) uint32 {
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[:2]))
-		b = b[2:]
+	s := uint64(sum)
+	for ; len(b) >= 8; b = b[8:] {
+		v := binary.BigEndian.Uint64(b)
+		s += v>>32 + v&0xffffffff
+	}
+	for ; len(b) >= 2; b = b[2:] {
+		s += uint64(binary.BigEndian.Uint16(b))
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		s += uint64(b[0]) << 8
 	}
-	return sum
+	s = s&0xffffffff + s>>32
+	return uint32(s&0xffffffff + s>>32)
 }
 
 func finishChecksum(sum uint32) uint16 {

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -26,7 +27,7 @@ func decode(b []byte, ts int64, origLen int) (p Packet, err error) {
 
 func TestEncodeDecodeTCP(t *testing.T) {
 	p := samplePacket()
-	buf, err := Encode(nil, &p, EncodeOptions{})
+	buf, _, err := Encode(nil, &p, EncodeOptions{}, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestEncodeDecodeUDP(t *testing.T) {
 		Tuple: FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 5353, DstPort: 53, Proto: ProtoUDP},
 		Size:  90, PayloadLen: 48,
 	}
-	buf, err := Encode(nil, &p, EncodeOptions{})
+	buf, _, err := Encode(nil, &p, EncodeOptions{}, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestEncodeDecodeUDP(t *testing.T) {
 func TestEncodeMetaRoundTrip(t *testing.T) {
 	p := samplePacket()
 	p.App = AppInfo{TLSCertExpiry: 42, PayloadSig: 0xdeadbeef, AuthOutcome: AuthFailure}
-	buf, err := Encode(nil, &p, EncodeOptions{EmbedMeta: true})
+	buf, _, err := Encode(nil, &p, EncodeOptions{EmbedMeta: true}, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestEncodeMetaGrowsShortPayload(t *testing.T) {
 	p.PayloadLen = 0
 	p.Size = 0
 	p.App = AppInfo{AuthOutcome: AuthSuccess}
-	buf, err := Encode(nil, &p, EncodeOptions{EmbedMeta: true})
+	buf, _, err := Encode(nil, &p, EncodeOptions{EmbedMeta: true}, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("IPv6 frame: err = %v, want ErrNotIPv4", err)
 	}
 	p := samplePacket()
-	buf, _ := Encode(nil, &p, EncodeOptions{})
+	buf, _, _ := Encode(nil, &p, EncodeOptions{}, math.MaxInt)
 	if _, err := decode(buf[:etherHdrLen+ipv4HdrLen+4], 0, 0); err != ErrTruncated {
 		t.Errorf("truncated TCP header: err = %v, want ErrTruncated", err)
 	}
@@ -122,7 +123,7 @@ func TestDecodeErrors(t *testing.T) {
 // to 0 (65 536) or fall back to the snapped length (anything longer).
 func TestDecodeSizeSaturates(t *testing.T) {
 	p := samplePacket()
-	frame, err := Encode(nil, &p, EncodeOptions{})
+	frame, _, err := Encode(nil, &p, EncodeOptions{}, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,20 +144,92 @@ func TestDecodeSizeSaturates(t *testing.T) {
 
 func TestEncodeRejectsUnknownProto(t *testing.T) {
 	p := Packet{Tuple: FiveTuple{Proto: ProtoICMP}}
-	if _, err := Encode(nil, &p, EncodeOptions{}); err == nil {
+	if _, _, err := Encode(nil, &p, EncodeOptions{}, math.MaxInt); err == nil {
 		t.Error("expected error encoding ICMP")
 	}
 }
 
 func TestIPChecksumValid(t *testing.T) {
 	p := samplePacket()
-	buf, _ := Encode(nil, &p, EncodeOptions{})
+	buf, _, _ := Encode(nil, &p, EncodeOptions{}, math.MaxInt)
 	ip := buf[etherHdrLen : etherHdrLen+ipv4HdrLen]
 	// A correct header checksums to zero when summed including the checksum
 	// field.
 	if got := finishChecksum(sumBytes(0, ip)); got != 0 {
 		t.Errorf("IP header checksum invalid: residual %#x", got)
 	}
+}
+
+// TestEncodeLimitIsPrefix: a capture limit appends exactly the prefix of
+// the whole frame, after whatever buf held, and the wire length does not
+// depend on it.
+func TestEncodeLimitIsPrefix(t *testing.T) {
+	udp := samplePacket()
+	udp.Tuple.Proto = ProtoUDP
+	meta := samplePacket()
+	meta.PayloadLen = 3
+	meta.App = AppInfo{AuthOutcome: AuthFailure, PayloadSig: 0xfeed}
+	for _, p := range []Packet{samplePacket(), udp, meta} {
+		opt := EncodeOptions{EmbedMeta: true, SrcMAC: [6]byte{1, 2, 3, 4, 5, 6}}
+		whole, wire, err := Encode(nil, &p, opt, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire != len(whole) || wire != int(p.Size) { // Size holds every header and the payload
+			t.Fatalf("wire length %d, frame %d bytes, want Size %d", wire, len(whole), p.Size)
+		}
+		for _, limit := range []int{0, 1, 14, 34, 53, 54, 64, 75, 96, wire - 1, wire} {
+			got, gotWire, err := Encode([]byte("rec:"), &p, opt, limit)
+			if err != nil || gotWire != wire {
+				t.Fatalf("limit %d: wire %d, err %v", limit, gotWire, err)
+			}
+			if want := append([]byte("rec:"), whole[:min(limit, wire)]...); string(got) != string(want) {
+				t.Errorf("%s limit %d: appended % x, want % x", p.Tuple.Proto, limit, got, want)
+			}
+		}
+	}
+}
+
+// sum16 is the one-word-per-step RFC 1071 sum sumBytes replaced, kept as
+// its reference; a 64-bit total cannot overflow on any fuzz input.
+func sum16(sum uint64, b []byte) uint64 {
+	for ; len(b) >= 2; b = b[2:] {
+		sum += uint64(binary.BigEndian.Uint16(b))
+	}
+	if len(b) == 1 {
+		sum += uint64(b[0]) << 8
+	}
+	return sum
+}
+
+// FuzzChecksum: the 8-bytes-a-step sumBytes gives the reference's checksum
+// over b cut into three chained partial sums, odd lengths and odd cuts
+// included, and over an all-0xff input of the same length — whose sum is
+// 0xffff's multiple that must finish as 0, where all-zero finishes as
+// 0xffff.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte{}, uint16(0), uint16(0))
+	f.Add([]byte{0x45, 0, 0, 0x54, 0, 0, 0x40, 0, 0x40, 6, 0, 0, 10, 1, 2, 3, 192, 168, 0, 9}, uint16(12), uint16(5))
+	f.Add(make([]byte, 75), uint16(3), uint16(8))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint16(1), uint16(2))
+	f.Fuzz(func(t *testing.T, b []byte, cut1, cut2 uint16) {
+		i := int(cut1) % (len(b) + 1)
+		j := i + int(cut2)%(len(b)-i+1)
+		ff := make([]byte, len(b))
+		for k := range ff {
+			ff[k] = 0xff
+		}
+		for _, in := range [][]byte{b, ff} {
+			wide := finishChecksum(sumBytes(sumBytes(sumBytes(0, in[:i]), in[i:j]), in[j:]))
+			ref := sum16(sum16(sum16(0, in[:i]), in[i:j]), in[j:])
+			for ref>>16 != 0 {
+				ref = ref&0xffff + ref>>16
+			}
+			if wide != ^uint16(ref) {
+				t.Fatalf("% x cut at %d, %d: checksum %#04x, reference %#04x", in, i, j, wide, ^uint16(ref))
+			}
+		}
+	})
 }
 
 // Property: any TCP/UDP packet round-trips through Encode/Decode with its
@@ -173,7 +246,7 @@ func TestEncodeDecodeProperty(t *testing.T) {
 			Flags: TCPFlags(flags), Seq: seq, Ack: ack,
 			PayloadLen: payload % 1400,
 		}
-		buf, err := Encode(nil, &p, EncodeOptions{})
+		buf, _, err := Encode(nil, &p, EncodeOptions{}, math.MaxInt)
 		if err != nil {
 			return false
 		}
@@ -210,13 +283,13 @@ func BenchmarkEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = buf[:0]
-		buf, _ = Encode(buf, &p, EncodeOptions{})
+		buf, _, _ = Encode(buf, &p, EncodeOptions{}, math.MaxInt)
 	}
 }
 
 func BenchmarkDecode(b *testing.B) {
 	p := samplePacket()
-	buf, _ := Encode(nil, &p, EncodeOptions{})
+	buf, _, _ := Encode(nil, &p, EncodeOptions{}, math.MaxInt)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := decode(buf, 0, len(buf)); err != nil {

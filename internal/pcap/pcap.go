@@ -15,7 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"smartwatch/internal/packet"
 )
@@ -35,15 +37,43 @@ const (
 // ErrBadMagic is returned for files that do not start with a pcap magic.
 var ErrBadMagic = errors.New("pcap: bad magic number")
 
-// Writer serializes packets to a pcap stream.
+// Writer serializes packets to a pcap stream. WritePacket only checks a
+// packet and copies it into a batch; the frames are built on an encoder
+// goroutine, which appends each record — its header, then only the
+// captured prefix of the frame — straight into the output buffer. The
+// first WritePacket starts that goroutine and Flush ends it, so a Writer
+// that is never flushed loses its buffered bytes and leaves its goroutine
+// parked. A Writer is not safe for concurrent use.
 type Writer struct {
-	w       *bufio.Writer
+	w       *bufio.Writer // the encoder's while it runs, like started
 	snapLen int
+	reserve int // room a record may need in w: header plus captured frame
 	opts    packet.EncodeOptions
-	buf     []byte
-	started bool
+	started bool // file header written
 	count   int64
+	err     error // first encoder or flush error, returned from then on
+
+	batch  []packet.Packet      // filled by WritePacket
+	full   chan []packet.Packet // batches to encode; nil while no encoder runs
+	free   chan []packet.Packet // encoded batches back to WritePacket
+	done   chan error           // the encoder's first error, as it exits
+	failed atomic.Bool          // the encoder has hit an error
 }
+
+const (
+	// writerBatch is how many packets WritePacket copies per handoff to the
+	// encoder. A handoff can wake a parked goroutine, which costs
+	// microseconds on a small VM: on backbone's 3 M-packet capture (2
+	// vCPUs) 1 024 packets per handoff wrote 14 % faster than 256.
+	writerBatch = 1024
+	// writerDepth is the number of batches in flight, as in
+	// packet.BufferedBatches: one being filled, one being encoded and two
+	// queued, so neither side stalls on a momentary speed mismatch.
+	writerDepth = 4
+	// maxWireLen exceeds any frame packet.Encode builds (headers plus a
+	// 16-bit payload): no record needs more than pktHdrLen+maxWireLen.
+	maxWireLen = 1 << 17
+)
 
 // WriterConfig configures a Writer.
 type WriterConfig struct {
@@ -60,7 +90,11 @@ func NewWriter(w io.Writer, cfg WriterConfig) *Writer {
 	if cfg.SnapLen <= 0 {
 		cfg.SnapLen = DefaultSnapLen
 	}
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16), snapLen: cfg.SnapLen, opts: cfg.Encode}
+	reserve := pktHdrLen + min(cfg.SnapLen, maxWireLen)
+	// Twice the largest record, so a buffer that must be flushed to fit
+	// the next record holds at least half its size.
+	size := max(1<<16, 2*reserve)
+	return &Writer{w: bufio.NewWriterSize(w, size), snapLen: cfg.SnapLen, reserve: reserve, opts: cfg.Encode}
 }
 
 func (w *Writer) writeHeader() error {
@@ -75,53 +109,129 @@ func (w *Writer) writeHeader() error {
 	return err
 }
 
-// WritePacket serializes p and appends one capture record.
+// WritePacket appends one capture record for p. A packet without a wire
+// form (packet.Encodable) or whose timestamp a record header cannot hold
+// (before 0 or past 2^32 s) is refused before anything is written. An
+// I/O error surfaces at a later WritePacket or at Flush, and every call
+// returns it from then on.
 func (w *Writer) WritePacket(p *packet.Packet) error {
-	if !w.started {
-		if err := w.writeHeader(); err != nil {
-			return err
-		}
-		w.started = true
+	if w.err == nil && w.failed.Load() {
+		w.stop()
 	}
-	w.buf = w.buf[:0]
-	frame, err := packet.Encode(w.buf, p, w.opts)
-	if err != nil {
+	if w.err != nil {
+		return w.err
+	}
+	if err := packet.Encodable(p); err != nil {
 		return err
 	}
-	w.buf = frame
-	origLen := len(frame)
-	capLen := origLen
-	if capLen > w.snapLen {
-		capLen = w.snapLen
+	if p.Ts < 0 || p.Ts/1e9 > math.MaxUint32 {
+		return fmt.Errorf("pcap: timestamp %d ns is outside a record header's 0 to 2^32 s", p.Ts)
 	}
-	var hdr [pktHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(p.Ts/1e9))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(p.Ts%1e9))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(capLen))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(origLen))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
+	if w.full == nil {
+		w.start()
 	}
-	if _, err := w.w.Write(frame[:capLen]); err != nil {
-		return err
-	}
+	w.batch = append(w.batch, *p)
 	w.count++
+	if len(w.batch) == cap(w.batch) {
+		w.full <- w.batch
+		w.batch = (<-w.free)[:0]
+	}
 	return nil
 }
 
-// Count returns the number of packets written.
-func (w *Writer) Count() int64 { return w.count }
+// start launches the encoder, allocating the batches on the first call.
+func (w *Writer) start() {
+	if w.free == nil {
+		store := make([]packet.Packet, writerDepth*writerBatch)
+		w.free = make(chan []packet.Packet, writerDepth)
+		for i := 1; i < writerDepth; i++ {
+			w.free <- store[i*writerBatch : i*writerBatch : (i+1)*writerBatch]
+		}
+		w.batch = store[:0:writerBatch]
+		w.done = make(chan error, 1)
+	}
+	w.full = make(chan []packet.Packet, writerDepth)
+	go w.encode(w.full)
+}
 
-// Flush writes buffered data through. An empty capture still gets a valid
-// file header.
-func (w *Writer) Flush() error {
+// stop hands the encoder the partial batch, waits for it to exit and
+// keeps its error.
+func (w *Writer) stop() {
+	if len(w.batch) > 0 {
+		w.full <- w.batch
+		w.batch = (<-w.free)[:0]
+	}
+	close(w.full)
+	w.full = nil
+	w.err = <-w.done
+}
+
+// encode is the encoder goroutine. It returns every batch to free, after
+// an error too, so WritePacket never waits on a failed encoder.
+func (w *Writer) encode(full <-chan []packet.Packet) {
+	var err error
+	for b := range full {
+		if err == nil {
+			if err = w.encodeBatch(b); err != nil {
+				w.failed.Store(true)
+			}
+		}
+		w.free <- b
+	}
+	w.done <- err
+}
+
+func (w *Writer) encodeBatch(b []packet.Packet) error {
 	if !w.started {
 		if err := w.writeHeader(); err != nil {
 			return err
 		}
 		w.started = true
 	}
-	return w.w.Flush()
+	for i := range b {
+		if w.w.Available() < w.reserve {
+			if err := w.w.Flush(); err != nil {
+				return err
+			}
+		}
+		rec, origLen, err := packet.Encode(w.w.AvailableBuffer()[:pktHdrLen], &b[i], w.opts, w.snapLen)
+		if err != nil {
+			return err
+		}
+		ts := b[i].Ts
+		binary.LittleEndian.PutUint32(rec[0:4], uint32(ts/1e9))
+		binary.LittleEndian.PutUint32(rec[4:8], uint32(ts%1e9))
+		binary.LittleEndian.PutUint32(rec[8:12], uint32(len(rec)-pktHdrLen))
+		binary.LittleEndian.PutUint32(rec[12:16], uint32(origLen))
+		if _, err := w.w.Write(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Count returns the number of packets accepted by WritePacket.
+func (w *Writer) Count() int64 { return w.count }
+
+// Flush encodes every accepted packet, ends the encoder goroutine and
+// writes the buffered bytes through, returning the first error. An empty
+// capture still gets a valid file header. WritePacket may follow: the
+// file goes on with more records.
+func (w *Writer) Flush() error {
+	if w.full != nil {
+		w.stop()
+	}
+	if w.err != nil {
+		return w.err
+	}
+	if !w.started {
+		if err := w.writeHeader(); err != nil {
+			return err
+		}
+		w.started = true
+	}
+	w.err = w.w.Flush()
+	return w.err
 }
 
 // Reader parses a pcap stream into packets. It is the package's one record

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"smartwatch/internal/packet"
 )
@@ -126,7 +129,7 @@ func TestReaderMicrosecondMagic(t *testing.T) {
 	buf.Write(hdr)
 
 	p := mkPkt(0, 777, 100)
-	frame, err := packet.Encode(nil, &p, packet.EncodeOptions{})
+	frame, _, err := packet.Encode(nil, &p, packet.EncodeOptions{}, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +230,160 @@ func TestWriterPropagatesIOErrors(t *testing.T) {
 	}
 	if lastErr == nil {
 		t.Fatal("write failures must surface, not vanish in buffering")
+	}
+}
+
+// TestWriterIOErrorSurfacesWithoutFlush: a failing destination is seen by
+// a later WritePacket, not only by Flush, and Flush returns it too.
+func TestWriterIOErrorSurfacesWithoutFlush(t *testing.T) {
+	w := NewWriter(&failAfterWriter{n: 100}, WriterConfig{})
+	var err error
+	for i := 0; i < 100_000 && err == nil; i++ {
+		p := mkPkt(int64(i), uint16(i+1), 1400)
+		err = w.WritePacket(&p)
+	}
+	if err == nil {
+		t.Fatal("100 000 writes to a destination that fails after 100 bytes all succeeded")
+	}
+	if ferr := w.Flush(); ferr != err {
+		t.Errorf("Flush returned %v, want the write error %v", ferr, err)
+	}
+}
+
+// TestWriterRefusesUnwritablePackets: a packet with no wire form, or with
+// a timestamp a record header cannot hold, errors before anything is
+// queued: the writer goes on, and the file holds only the packets around
+// it, the extreme timestamps a header can hold read back exactly.
+func TestWriterRefusesUnwritablePackets(t *testing.T) {
+	icmp := mkPkt(5, 1, 100)
+	icmp.Tuple.Proto = packet.ProtoICMP
+	var refused []packet.Packet
+	for _, ts := range []int64{-1, -1.5e9, (math.MaxUint32 + 1) * 1e9} {
+		refused = append(refused, mkPkt(ts, 2, 100))
+	}
+	refused = append(refused, icmp)
+	lo, hi := mkPkt(0, 3, 100), mkPkt(math.MaxUint32*1e9+999_999_999, 4, 100)
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf, WriterConfig{})
+	for i := range refused {
+		if err := w.WritePacket(&refused[i]); err == nil {
+			t.Errorf("ts %d, %s: accepted", refused[i].Ts, refused[i].Tuple.Proto)
+		}
+	}
+	if w.Count() != 0 || w.full != nil {
+		t.Fatalf("refused packets counted (%d) or started the encoder", w.Count())
+	}
+	for _, p := range []packet.Packet{lo, refused[0], hi} {
+		w.WritePacket(&p)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != 2 || len(got) != 2 || got[0].Ts != lo.Ts || got[1].Ts != hi.Ts {
+		t.Fatalf("count %d, read %+v; want the packets at %d and %d", w.Count(), got, lo.Ts, hi.Ts)
+	}
+}
+
+// TestWriterEncoderLifecycle: Flush ends the encoder goroutine the first
+// WritePacket started, and a WritePacket after Flush starts another: a
+// capture written in two flushed parts is byte for byte the capture
+// written at once.
+func TestWriterEncoderLifecycle(t *testing.T) {
+	pkts := make([]packet.Packet, 3*writerBatch+7)
+	for i := range pkts {
+		pkts[i] = mkPkt(int64(i)*1000, uint16(i+1), uint16(60+i%1400))
+	}
+	write := func(w *Writer, ps []packet.Packet) {
+		for i := range ps {
+			if err := w.WritePacket(&ps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var whole bytes.Buffer
+	write(NewWriter(&whole, WriterConfig{SnapLen: 96}), pkts)
+
+	before := runtime.NumGoroutine()
+	var parts bytes.Buffer
+	w := NewWriter(&parts, WriterConfig{SnapLen: 96})
+	for _, part := range [][]packet.Packet{pkts[:writerBatch+3], pkts[writerBatch+3:]} {
+		write(w, part)
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Flush, %d before the first WritePacket", runtime.NumGoroutine(), before)
+			}
+			runtime.Gosched()
+		}
+	}
+	if w.Count() != int64(len(pkts)) || !bytes.Equal(parts.Bytes(), whole.Bytes()) {
+		t.Errorf("two flushed parts: %d packets, %d bytes; at once: %d packets, %d bytes",
+			w.Count(), parts.Len(), len(pkts), whole.Len())
+	}
+}
+
+// TestWriteStreamStopsAtRefusal: a packet the Writer refuses ends
+// WriteStream with that error, the encoder ended and the packets before
+// it written out.
+func TestWriteStreamStopsAtRefusal(t *testing.T) {
+	pkts := make([]packet.Packet, writerBatch+9)
+	for i := range pkts {
+		pkts[i] = mkPkt(int64(i), uint16(i+1), 100)
+	}
+	pkts[len(pkts)-1].Ts = -1
+	before := runtime.NumGoroutine()
+	var buf bytes.Buffer
+	if err := WriteStream(NewWriter(&buf, WriterConfig{}), packet.StreamOf(pkts)); err == nil {
+		t.Fatal("a negative timestamp was written")
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after WriteStream, %d before", runtime.NumGoroutine(), before)
+		}
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.ReadAll(); err != nil || len(got) != len(pkts)-1 {
+		t.Fatalf("read back %d packets (%v), want %d", len(got), err, len(pkts)-1)
+	}
+}
+
+// WritePacket runs once per packet of every synthetic capture; in steady
+// state, encoder included, it must not allocate.
+func TestWritePacketDoesNotAllocate(t *testing.T) {
+	w := NewWriter(io.Discard, WriterConfig{SnapLen: 96, Encode: packet.EncodeOptions{EmbedMeta: true}})
+	p := mkPkt(0, 1, 1400)
+	p.App.PayloadSig = 42
+	for i := 0; i < 2*writerDepth*writerBatch; i++ {
+		if err := w.WritePacket(&p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(10*writerBatch, func() {
+		p.Ts += 1000
+		if err := w.WritePacket(&p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("WritePacket allocates %v times per packet, want 0", allocs)
 	}
 }
 

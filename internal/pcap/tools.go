@@ -91,10 +91,13 @@ func Merge(streams ...Stream) Stream {
 	}
 }
 
-// WriteStream writes a whole stream through a Writer and flushes.
+// WriteStream writes a whole stream through a Writer and flushes. A
+// packet the Writer refuses stops it with that error, the packets before
+// it flushed.
 func WriteStream(w *Writer, s Stream) error {
 	for p := range s {
 		if err := w.WritePacket(&p); err != nil {
+			_ = w.Flush() // ends the encoder; the refusal is the error to report
 			return err
 		}
 	}

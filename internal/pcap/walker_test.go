@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -214,7 +215,7 @@ func testFrames(t testing.TB, n int) [][]byte {
 		if i%4 == 2 {
 			p.App.PayloadSig = uint64(i) + 1
 		}
-		f, err := packet.Encode(nil, &p, packet.EncodeOptions{EmbedMeta: true})
+		f, _, err := packet.Encode(nil, &p, packet.EncodeOptions{EmbedMeta: true}, math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}

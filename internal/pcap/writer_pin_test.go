@@ -26,10 +26,12 @@ func pinStream() Stream {
 }
 
 // TestWriterBytesPinned: the files the writer produces from a fixed stream
-// hash to what the encoder wrote when its L4 checksum still summed every
-// zero byte of the synthetic payload, at the benchmark's 96-byte snap with
-// metadata and at full snap without. Every full-snap frame's TCP/UDP
-// checksum also verifies over its whole segment.
+// hash to recorded values: at the benchmark's 96-byte snap with metadata
+// and at full snap without, as written when the L4 checksum still summed
+// every zero byte of the synthetic payload, and at the paper's 64-byte
+// stress-trace snap without, as written when WritePacket still encoded on
+// the caller's goroutine. Every full-snap frame's TCP/UDP checksum also
+// verifies over its whole segment.
 func TestWriterBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -39,6 +41,7 @@ func TestWriterBytesPinned(t *testing.T) {
 		{"snap96-meta", WriterConfig{SnapLen: 96, Encode: packet.EncodeOptions{EmbedMeta: true}},
 			"fbcc8dc19e5863583ddb2dc709837a5b876a5321383e1178b95041e2de16c8de"},
 		{"full", WriterConfig{}, "e358b2e044eb844f48f2c36e27379f1d1b32d080d909c3d35fbee6fe57ca0ca3"},
+		{"snap64", WriterConfig{SnapLen: 64}, "7969121eb97941dafb4dd24757ae0a470537ae5b4b85b17334bfcf9de5be6a43"},
 	} {
 		var buf bytes.Buffer
 		w := NewWriter(&buf, tc.cfg)

@@ -73,11 +73,14 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 }
 
 // Zipf samples ranks in [0,n) with probability proportional to
-// 1/(rank+1)^s using inverse-CDF over a precomputed table. Build one with
-// NewZipf; sampling is O(log n).
+// 1/(rank+1)^s by inverse CDF over a precomputed table, found by indexed
+// search (Chen & Asau): a guide table of one int32 per rank narrows each
+// draw's bisection to the ranks between two guide entries. Build one with
+// NewZipf.
 type Zipf struct {
-	cdf []float64
-	rng *Rand
+	cdf   []float64
+	guide []int32 // guide[j]: the first rank r with int(cdf[r]*n) >= j; n+1 entries
+	rng   *Rand
 }
 
 // NewZipf precomputes a Zipf(n, s) sampler. n must be positive and s >= 0
@@ -95,15 +98,30 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, rng: rng}
+	// cdf[n-1] is exactly 1, so every j up to n gets a rank.
+	guide := make([]int32, n+1)
+	j := 0
+	for r, c := range cdf {
+		for k := int(c * float64(n)); j <= k; j++ {
+			guide[j] = int32(r)
+		}
+	}
+	return &Zipf{cdf: cdf, guide: guide, rng: rng}
 }
 
 // Sample returns a rank in [0,n); rank 0 is the most probable.
-func (z *Zipf) Sample() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
+func (z *Zipf) Sample() int { return z.rank(z.rng.Float64()) }
+
+// rank returns the first rank whose CDF is at least u, for u in [0,1).
+// With j = int(u*n), the answer lies in [guide[j], guide[j+1]] exactly:
+// x -> int(x*n) is monotone in floating point too, so a rank r with
+// int(cdf[r]*n) < j has cdf[r] < u, and one with int(cdf[r]*n) > j has
+// cdf[r] > u.
+func (z *Zipf) rank(u float64) int {
+	j := int(u * float64(len(z.cdf)))
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		if z.cdf[mid] < u {
 			lo = mid + 1
 		} else {

@@ -137,6 +137,59 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// bisectRank is the plain inverse-CDF bisection the guide table narrows:
+// the first rank whose CDF is at least u.
+func bisectRank(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesBisection: the guided search returns exactly the
+// bisection's rank for random draws, Sample consumes one Float64 per draw,
+// and both agree at and beside every guide boundary j/n and every guided
+// rank's CDF value, where rounding in u*n would show.
+func TestZipfGuideMatchesBisection(t *testing.T) {
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 50_000
+	}
+	for _, n := range []int{1, 2, 3, 4062, 1 << 16, 1 << 20} {
+		for _, s := range []float64{0, 1.05, 1.25, 1.4} {
+			z := NewZipf(NewRand(uint64(n)), n, s)
+			ref := NewRand(uint64(n))
+			for i := 0; i < draws; i++ {
+				u := ref.Float64()
+				if got, want := z.Sample(), bisectRank(z.cdf, u); got != want {
+					t.Fatalf("n=%d s=%g: draw %d (u=%v) gave rank %d, bisection %d", n, s, i, u, got, want)
+				}
+			}
+			check := func(u float64) {
+				if u < 0 || u >= 1 {
+					return
+				}
+				if got, want := z.rank(u), bisectRank(z.cdf, u); got != want {
+					t.Fatalf("n=%d s=%g: u=%v gave rank %d, bisection %d", n, s, u, got, want)
+				}
+			}
+			for j, r := range z.guide {
+				for _, x := range []float64{float64(j) / float64(n), z.cdf[r]} {
+					check(math.Nextafter(x, 0))
+					check(x)
+					check(math.Nextafter(x, 1))
+				}
+			}
+		}
+	}
+}
+
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 100, 10)
 	h.Add(5)
@@ -331,9 +384,23 @@ func TestNaiveBayesHist(t *testing.T) {
 	}
 }
 
+// BenchmarkZipfSample draws from the 2^20-flow population of the
+// benchmark's manyflows workload; BenchmarkZipfBisection is the same draw
+// by plain bisection, for comparison.
 func BenchmarkZipfSample(b *testing.B) {
-	z := NewZipf(NewRand(1), 100000, 1.2)
+	z := NewZipf(NewRand(1), 1<<20, 1.05)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		z.Sample()
+		sinkRank = z.Sample()
 	}
 }
+
+func BenchmarkZipfBisection(b *testing.B) {
+	z := NewZipf(NewRand(1), 1<<20, 1.05)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRank = bisectRank(z.cdf, z.rng.Float64())
+	}
+}
+
+var sinkRank int
