@@ -65,7 +65,7 @@ fuzz-smoke:
 # race detector — the two-oracle determinism sweep (parallel drive
 # byte-identical to the sequential reference, integer surface equal to
 # the single-platform partition twin), hazard-asserted schedules,
-# failure injection (worker crash, stall), the fold-delay contract and
+# failure injection (a worker crash), the fold-delay contract and
 # the merged-report/metrics contract. The oracle sweep replays whole
 # clusters many times; allow a generous timeout on slow boxes. Then ten more runs of the one test in which the router's
 # goroutine and the feeders append to a lane's tagged event list at once,

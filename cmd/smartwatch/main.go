@@ -84,9 +84,8 @@ func main() {
 		Cache:      flowcache.DefaultConfig(*rowBits),
 	}
 	if *policy != "" {
-		cfg.Cache.Policy = *policy
-		if err := cfg.Cache.Validate(); err != nil {
-			fatal(err) // unknown -policy names fail here with the known list
+		if cfg.Cache.PolicyP, cfg.Cache.PolicyE, err = flowcache.ParsePolicy(*policy); err != nil {
+			fatal(err) // the error lists the known policies
 		}
 	}
 	if *useSwitch {
@@ -160,7 +159,7 @@ func main() {
 	for _, pl := range pls {
 		kvIntervals += len(pl.KV().Intervals())
 	}
-	printReport(os.Stdout, pls[0].Cache().Shard(0).PolicyName(), kvIntervals, rep, *verbose)
+	printReport(os.Stdout, flowcache.PolicyName(cfg.Cache.PolicyP, cfg.Cache.PolicyE), kvIntervals, rep, *verbose)
 	if len(pls) > 1 {
 		// Drain on a drained runner returns its cached report. Workers of a
 		// wider rack carry no per-interval metrics writer, so -metrics gets
@@ -270,7 +269,6 @@ func buildCluster(cfg core.Config, workers int, dets []func() detect.Detector) *
 			}
 			return out
 		},
-		Metrics: cfg.Metrics,
 	})
 }
 

@@ -135,6 +135,7 @@ func TestOutOfRangeFlagsFail(t *testing.T) {
 		{[]string{"-ipfix", filepath.Join(missing, "f.ipfix")}, "open " + missing},
 		{[]string{"-switch", "-emit-p4", filepath.Join(missing, "q.p4")}, "open " + missing},
 		{[]string{"-detectors", "bogus"}, "unknown detector"},
+		{[]string{"-policy", "bogus"}, `flowcache: unknown policy "bogus"; known policies: lru, lru-lpc, s3fifo`},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-gen", "caida2019", "-gen-max", "1000"}, tc.args...)...)

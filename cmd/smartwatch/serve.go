@@ -85,11 +85,12 @@ func (d *daemon) run() (core.Report, error) {
 	if d.drainErr != nil {
 		return core.Report{}, d.drainErr
 	}
-	rep, _ := d.e.Report()
+	// Drain on a drained runner returns its cached report.
+	crep, _ := d.e.Drain()
 	if d.ingestErr != nil {
-		return rep, d.ingestErr
+		return crep.Merged, d.ingestErr
 	}
-	return rep, d.src.Err()
+	return crep.Merged, d.src.Err()
 }
 
 // ingestLoop pulls batches from the source and feeds the engine,

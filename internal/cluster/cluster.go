@@ -72,18 +72,10 @@ import (
 	"smartwatch/internal/tier"
 )
 
-// ErrWorkerStalled is wrapped by the WorkerError the runner returns when
-// a worker's ingress channel stays full past StallTimeout.
-var ErrWorkerStalled = errors.New("cluster: worker ingress stalled")
-
-// ErrRunnerState is returned for lifecycle misuse (Ingest before Start,
-// Start twice, Drain on a failed runner's report, ...).
-var ErrRunnerState = errors.New("cluster: runner in wrong state")
-
-// WorkerError is the typed failure the runner surfaces when one worker
-// stalls or its drive crashes. Unwrap exposes the cause: ErrWorkerStalled
-// for a stall, the worker session's error (wrapping core.ErrDriveFailed)
-// for a crash.
+// WorkerError is the typed failure the runner surfaces when one worker's
+// drive crashes. Unwrap exposes the cause: the worker session's error,
+// wrapping core.ErrDriveFailed. Lifecycle misuse (Ingest before Start,
+// Start twice, ...) is core.ErrSessionState, as for a session.
 type WorkerError struct {
 	Worker int
 	Err    error
@@ -106,10 +98,11 @@ const SteerHash SteerPolicy = 0
 // String names the policy ("hash").
 func (SteerPolicy) String() string { return "hash" }
 
-// queueDepth is the capacity of each worker's in and free channels: how
-// many full buffers may wait for its feeder, and how many recycled ones
-// the router can take back without waiting. Four keeps the router at most
-// a few buffers ahead of each feeder: the backpressure fanout2 measures.
+// queueDepth is the capacity of each worker's in channel: how many full
+// buffers may wait for its feeder. Four keeps the router at most a few
+// buffers ahead of each feeder: the backpressure fanout2 measures. A lane
+// circulates queueDepth+1 buffers (the router fills one), and free holds
+// them all, so the feeder's recycle never blocks.
 const queueDepth = 4
 
 // Config assembles a cluster runner.
@@ -122,8 +115,9 @@ type Config struct {
 	// is set). At Workers > 1 the switch tier fields (EnableSwitch,
 	// Switch, Queries) configure the cluster's single shared switch and
 	// are stripped from the workers; Metrics/MetricsWriter likewise
-	// belong to the cluster (each worker gets its own private registry
-	// when set, merged under "worker.N." at drain); and the runner
+	// belong to the cluster (Metrics receives the runner's cluster.*
+	// series, and each worker gets its own private registry, merged under
+	// "worker.N." at drain); and the runner
 	// re-derives the capacity split: worker RowBits = RowBits -
 	// log2(Workers) and worker eta thresholds divide by Workers, so total
 	// cache capacity and switchover behaviour match a single
@@ -145,20 +139,11 @@ type Config struct {
 	// into the shared switch the worker whitelist/blacklist events raised
 	// by the buffers issued before the previous close (package doc).
 	SyncPackets int
-	// StallTimeout bounds how long the router waits on a full ingress
-	// channel before declaring the worker stalled (0 = wait forever, which
-	// keeps the drive fully deterministic). A stall surfaces as a
-	// WorkerError.
-	StallTimeout time.Duration
 	// Sequential switches the runner into its reference mode: no feeder
 	// goroutines, every batch fed synchronously on the caller's
 	// goroutine. The parallel drive must be byte-identical to this —
 	// oracle A in the package doc. One worker always runs this way.
 	Sequential bool
-	// Metrics, when set at Workers > 1, receives the runner's cluster.*
-	// series and, at drain, every worker's final metric tree under
-	// "worker.N.". One worker reports into Worker.Metrics itself.
-	Metrics *obs.Registry
 }
 
 // ctlEvent is one captured worker control event awaiting a fold into the
@@ -393,9 +378,7 @@ func New(cfg Config) *Runner {
 			})
 		}
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.AddCollector(r.collect)
-	}
+	cfg.Worker.Metrics.AddCollector(r.collect)
 	return r
 }
 
@@ -417,7 +400,7 @@ func (r *Runner) workerConfig(i int) core.Config {
 	wc.Queries = nil
 	wc.Metrics = nil
 	wc.MetricsWriter = nil
-	if r.cfg.Worker.Metrics != nil || r.cfg.Metrics != nil {
+	if r.cfg.Worker.Metrics != nil {
 		wc.Metrics = obs.NewRegistry()
 	}
 	// Capacity split: each worker gets 1/W of the rows; worker-internal
@@ -477,18 +460,11 @@ func (r *Runner) BlacklistEntries() []packet.Addr {
 
 // State reports the runner lifecycle phase, moving as a session's does: a
 // worker failure makes it SessionFailed, and Drain or Close moves it on to
-// SessionDone (Err keeps the failure).
+// SessionDone (both return the failure).
 func (r *Runner) State() core.SessionState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.state
-}
-
-// Err returns the first worker failure (nil while healthy).
-func (r *Runner) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
 }
 
 // Ingested reports the packets offered so far. Lock-free (the -serve
@@ -521,7 +497,7 @@ func (r *Runner) Start() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.state != core.SessionIdle {
-		return ErrRunnerState
+		return core.ErrSessionState
 	}
 	for _, w := range r.workers {
 		if err := w.ses.Start(); err != nil {
@@ -531,7 +507,7 @@ func (r *Runner) Start() error {
 	if !r.cfg.Sequential {
 		for _, w := range r.workers {
 			w.in = make(chan []packet.Packet, queueDepth)
-			w.free = make(chan []packet.Packet, queueDepth)
+			w.free = make(chan []packet.Packet, queueDepth+1)
 			w.progress = make(chan struct{}, 1)
 			for j := 0; j < queueDepth; j++ {
 				w.free <- make([]packet.Packet, 0, r.cfg.QueueBatch)
@@ -568,13 +544,7 @@ func (r *Runner) feeder(w *worker) {
 			return
 		}
 		w.ingest(b)
-		// Capacity matches the steady-state circulation; a full channel only
-		// happens when popFree starvation minted an extra buffer, and then
-		// dropping the surplus here restores the original census.
-		select {
-		case w.free <- b[:0]:
-		default:
-		}
+		w.free <- b[:0]
 		w.completed.Add(1)
 		select {
 		case w.progress <- struct{}{}:
@@ -595,7 +565,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 		if r.state == core.SessionFailed {
 			return r.err
 		}
-		return ErrRunnerState
+		return core.ErrSessionState
 	}
 	defer r.publish()
 	for i := range batch {
@@ -612,7 +582,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 			}
 			// Live observers (-serve's /metrics) read the registry's last
 			// snapshot; without this one they would see none until the merge.
-			r.cfg.Metrics.Snapshot(r.nextInterval)
+			r.cfg.Worker.Metrics.Snapshot(r.nextInterval)
 			r.nextInterval += r.intervalNs
 		}
 		r.maxTs = p.Ts
@@ -671,65 +641,36 @@ func (r *Runner) dispatch(w *worker) error {
 	return r.push(w)
 }
 
-// push queues w's current buffer onto its ingress channel, blocking
-// while the channel is full, and takes a recycled buffer in its place. A
-// stall past StallTimeout fails the run.
+// push queues w's current buffer onto its ingress channel and takes a
+// recycled buffer in its place. Each step tries without blocking first;
+// otherwise it counts a stall and times the blocking operation. The router
+// blocks rather than yield-spins because spinning keeps its P: with no P to
+// spare, the worker it waits for sits queued behind the other one
+// (DESIGN.md §14.2). A failed feeder still receives and recycles, so
+// neither wait outlives a dead lane.
 func (r *Runner) push(w *worker) error {
 	select {
 	case w.in <- w.buf:
 	default:
 		w.stalls.Add(1)
 		start := time.Now()
-		select {
-		case w.in <- w.buf:
-			addSince(&w.waitNs, start)
-		case <-r.stallTimeout():
-			addSince(&w.waitNs, start)
-			return r.failRun(&WorkerError{Worker: w.id, Err: ErrWorkerStalled})
-		}
+		w.in <- w.buf
+		addSince(&w.waitNs, start)
 	}
 	w.issued++
 	w.batches.Add(1)
 	if d := int64(w.issued - w.completed.Load()); d > w.hwm.Load() {
 		w.hwm.Store(d)
 	}
-	w.buf = r.popFree(w)
-	return r.checkFailures()
-}
-
-// popFree takes a recycled buffer from the owner's free channel, blocking
-// until the feeder returns one. A failed feeder still recycles, but a
-// WEDGED one (alive, blocked mid-Ingest) does not — so with a
-// StallTimeout configured the wait is bounded and starvation allocates a
-// replacement buffer instead of deadlocking the router. The allocation
-// is bounded too: the wedged lane's in channel is full by then, so its
-// next dispatch takes the typed-error path rather than coming back here.
-func (r *Runner) popFree(w *worker) []packet.Packet {
 	select {
-	case b := <-w.free:
-		return b
+	case w.buf = <-w.free:
 	default:
+		w.stalls.Add(1)
+		start := time.Now()
+		w.buf = <-w.free
+		addSince(&w.waitNs, start)
 	}
-	w.stalls.Add(1)
-	defer addSince(&w.waitNs, time.Now())
-	select {
-	case b := <-w.free:
-		return b
-	case <-r.stallTimeout():
-		return make([]packet.Packet, 0, r.cfg.QueueBatch)
-	}
-}
-
-// stallTimeout is the deadline case of a router wait on a lane: a channel
-// that fires after StallTimeout, or nil — never ready — without one. The
-// router blocks rather than yield-spins because spinning keeps its P:
-// with no P to spare, the worker it waits for sits queued behind the
-// other one (DESIGN.md §14.2).
-func (r *Runner) stallTimeout() <-chan time.Time {
-	if r.cfg.StallTimeout > 0 {
-		return time.After(r.cfg.StallTimeout)
-	}
-	return nil
+	return r.checkFailures()
 }
 
 // addSince adds the time since start to ns. Only the slow paths call it,
@@ -838,17 +779,20 @@ func (r *Runner) failRun(err error) error {
 }
 
 // Whitelist installs a benign-flow entry at the shared switch and has the
-// owning worker release its pinned record (one worker does both, as a
-// session does) — the -serve operator path.
+// owning worker release its pinned record — the -serve operator path. The
+// switch install holds outside the drive; the release runs only while the
+// drive does. Without a shared switch it is the owning session's, which
+// does both and refuses outside its drive, as Blacklist's does.
 func (r *Runner) Whitelist(k packet.FlowKey) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.steer != nil {
-		if err := r.sw.Whitelist(k); err != nil {
-			return err
-		}
-	}
 	w := r.workers[k.Hash()>>r.shift]
+	if r.steer == nil {
+		return w.ses.Whitelist(k)
+	}
+	if err := r.sw.Whitelist(k); err != nil {
+		return err
+	}
 	if r.state == core.SessionRunning && w.failed.Load() == nil {
 		return w.ses.Whitelist(k)
 	}
@@ -868,14 +812,6 @@ func (r *Runner) Blacklist(a packet.Addr) error {
 	return nil
 }
 
-// Report returns the merged report once the runner has drained (zero
-// Report, false before) — the daemon's view of Drain's cached Report.
-func (r *Runner) Report() (core.Report, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.final.Merged, r.state == core.SessionDone
-}
-
 // Drain flushes every partial buffer, folds the final control epoch,
 // closes the shared switch's last interval, aligns every worker's virtual
 // clock to the global maximum timestamp, drains the workers and merges
@@ -892,7 +828,7 @@ func (r *Runner) Drain() (Report, error) {
 		return r.endFailed()
 	case core.SessionRunning:
 	default:
-		return Report{}, ErrRunnerState
+		return Report{}, core.ErrSessionState
 	}
 	r.state = core.SessionDraining
 
@@ -921,7 +857,7 @@ func (r *Runner) Drain() (Report, error) {
 	// Detector Drain inside the worker tail may have published feedback;
 	// fold it so the switch's final tables are complete.
 	r.fold(true)
-	r.teardownLocked(-1)
+	r.teardownLocked()
 	if werr != nil {
 		r.failRun(werr)
 		return r.endFailed()
@@ -934,18 +870,14 @@ func (r *Runner) Drain() (Report, error) {
 // endFailed tears a failed run down and moves it to SessionDone, keeping
 // its error (mu held): the Failed → Done step a session's Drain takes.
 func (r *Runner) endFailed() (Report, error) {
-	r.teardownLocked(r.stalledLane())
+	r.teardownLocked()
 	r.state = core.SessionDone
 	return Report{}, r.err
 }
 
 // teardownLocked closes every in channel, which ends the feeders, then
-// waits for each feeder and closes its worker session. skipWorker (-1 for
-// none) names a lane whose feeder may be wedged inside a stalled session
-// — it is not waited for (it exits on its own once the stall clears; a
-// permanently stalled engine needs a process restart, and the runner's
-// job is only to surface the typed error without wedging the router).
-func (r *Runner) teardownLocked(skipWorker int) {
+// waits for each feeder and closes its worker session.
+func (r *Runner) teardownLocked() {
 	if r.torn {
 		return
 	}
@@ -956,9 +888,6 @@ func (r *Runner) teardownLocked(skipWorker int) {
 		}
 	}
 	for _, w := range r.workers {
-		if w.id == skipWorker {
-			continue
-		}
 		if w.in != nil {
 			<-w.done
 		}
@@ -967,8 +896,8 @@ func (r *Runner) teardownLocked(skipWorker int) {
 }
 
 // Close tears the runner down and leaves it SessionDone. A cleanly running
-// runner is drained first (the polite SIGTERM path); a failed one skips
-// the lane named in its stall error and returns the failure. Idempotent.
+// runner is drained first (the polite SIGTERM path); a failed one returns
+// the failure. Idempotent.
 func (r *Runner) Close() error {
 	r.mu.Lock()
 	if r.state == core.SessionRunning {
@@ -977,19 +906,9 @@ func (r *Runner) Close() error {
 		r.mu.Lock()
 	}
 	defer r.mu.Unlock()
-	r.teardownLocked(r.stalledLane())
+	r.teardownLocked()
 	r.state = core.SessionDone
 	return r.err
-}
-
-// stalledLane extracts the stalled worker's lane from the run error (-1
-// when the failure was not a stall).
-func (r *Runner) stalledLane() int {
-	var we *WorkerError
-	if errors.As(r.err, &we) && errors.Is(we.Err, ErrWorkerStalled) {
-		return we.Worker
-	}
-	return -1
 }
 
 // Run is the one-shot convenience: Start, feed the stream in recycled

@@ -260,7 +260,7 @@ func TestOneWorkerRunnerIsThePlatform(t *testing.T) {
 				}
 
 				wc := template(&gotMetrics)
-				r := New(Config{Workers: 1, Worker: wc, Detectors: detectorFactory(), Metrics: wc.Metrics})
+				r := New(Config{Workers: 1, Worker: wc, Detectors: detectorFactory()})
 				crep, err := r.Run(mixedStream())
 				if err != nil {
 					t.Fatal(err)
@@ -547,10 +547,11 @@ func TestClusterIngestDoesNotAllocate(t *testing.T) {
 }
 
 // TestClusterMetricsTree checks the merged metric tree: the runner's
-// cluster.* series plus each worker's tree under "worker.N.".
+// cluster.* series plus each worker's tree under "worker.N.", all from the
+// one registry the template carries.
 func TestClusterMetricsTree(t *testing.T) {
 	cfg := oracleAConfig(2, 1, 64)
-	cfg.Metrics = obs.NewRegistry()
+	cfg.Worker.Metrics = obs.NewRegistry()
 	r := New(cfg)
 	rep, err := r.Run(mixedStream())
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -292,6 +293,56 @@ func TestRunnerOperatorPlaneRace(t *testing.T) {
 	}
 }
 
+// TestRunnerOperatorCallsOutsideDrive: before Start and after Drain, one
+// worker's operator calls are its session's, so both refuse as a session
+// does and install nothing; a wider rack installs both at the shared
+// switch, which outlives the drive.
+func TestRunnerOperatorCallsOutsideDrive(t *testing.T) {
+	wl := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}.Canonical()
+	bl := packet.MustParseAddr("192.0.2.9")
+	for _, w := range []int{1, 2} {
+		for _, phase := range []struct {
+			name    string
+			prepare func(*Runner) error
+			refusal error // one worker's; nil where the install holds
+		}{
+			{"idle", func(*Runner) error { return nil }, core.ErrSessionState},
+			{"drained", func(r *Runner) error {
+				if err := r.Start(); err != nil {
+					return err
+				}
+				_, err := r.Drain()
+				return err
+			}, core.ErrSessionClosed},
+		} {
+			t.Run(fmt.Sprintf("w%d_%s", w, phase.name), func(t *testing.T) {
+				r := New(oracleAConfig(w, 1, 64))
+				defer r.Close()
+				if err := phase.prepare(r); err != nil {
+					t.Fatal(err)
+				}
+				want := phase.refusal
+				if w > 1 {
+					want = nil
+				}
+				if err := r.Whitelist(wl); !errors.Is(err, want) {
+					t.Errorf("Whitelist = %v, want %v", err, want)
+				}
+				if err := r.Blacklist(bl); !errors.Is(err, want) {
+					t.Errorf("Blacklist = %v, want %v", err, want)
+				}
+				installed := want == nil
+				if got := slices.Contains(r.WhitelistEntries(), wl); got != installed {
+					t.Errorf("whitelist holds the entry: %v, want %v", got, installed)
+				}
+				if got := slices.Contains(r.BlacklistEntries(), bl); got != installed {
+					t.Errorf("blacklist holds the entry: %v, want %v", got, installed)
+				}
+			})
+		}
+	}
+}
+
 // TestSwitchlessClusterClosesNoEpochs: with no shared switch there is
 // nothing to fold, so buffers are handed over when full (and at interval
 // boundaries and Drain), not flushed half empty every SyncPackets packets.
@@ -336,8 +387,8 @@ func TestRunnerLifecycleBeforeStart(t *testing.T) {
 		if r.State() != core.SessionDone {
 			t.Errorf("state after idle Close = %v, want done", r.State())
 		}
-		if err := r.Start(); err != ErrRunnerState {
-			t.Errorf("Start after Close = %v, want ErrRunnerState", err)
+		if err := r.Start(); err != core.ErrSessionState {
+			t.Errorf("Start after Close = %v, want core.ErrSessionState", err)
 		}
 		if err := r.Close(); err != nil {
 			t.Errorf("second Close = %v", err)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,26 +31,6 @@ func (d *crashDetector) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx sn
 func (d *crashDetector) Tick(int64)            {}
 func (d *crashDetector) Drain() []detect.Alert { return nil }
 
-// stallDetector wedges its worker's drive: the first instance (across
-// the whole cluster) to see a packet parks on the shared gate until the
-// test closes it. Other lanes run at full speed.
-type stallDetector struct {
-	gate    chan struct{}
-	wedged  *atomic.Bool
-	blocked bool
-}
-
-func (d *stallDetector) Name() string { return "stall-injector" }
-func (d *stallDetector) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx) detect.Reaction {
-	if !d.blocked && d.wedged.CompareAndSwap(false, true) {
-		d.blocked = true // this lane took the wedge; block exactly once
-		<-d.gate
-	}
-	return detect.Reaction{}
-}
-func (d *stallDetector) Tick(int64)            {}
-func (d *stallDetector) Drain() []detect.Alert { return nil }
-
 func failureStream() packet.Stream {
 	return trace.NewWorkload(trace.WorkloadConfig{
 		Seed: 31, Flows: 200, PacketRate: 1e6, Duration: 1e15, // effectively unbounded
@@ -73,6 +52,16 @@ func feedUntilError(t *testing.T, r *Runner, budget int) error {
 		}
 	}
 	return nil
+}
+
+// keyOnLane returns a flow key that r steers to the given lane.
+func keyOnLane(r *Runner, lane int) packet.FlowKey {
+	for port := uint16(1); ; port++ {
+		k := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: port, DstPort: 4, Proto: packet.ProtoTCP}.Canonical()
+		if int(k.Hash()>>r.shift) == lane {
+			return k
+		}
+	}
 }
 
 // TestClusterWorkerCrashSurfacesTypedError: a drive panic on one lane
@@ -102,8 +91,18 @@ func TestClusterWorkerCrashSurfacesTypedError(t *testing.T) {
 	if r.State() != core.SessionFailed {
 		t.Errorf("state = %v, want failed", r.State())
 	}
+	// Without a shared switch a whitelist is the owning session's call:
+	// the crashed lane's refuses, and after Drain every lane's does.
+	if err := r.Whitelist(keyOnLane(r, we.Worker)); !errors.Is(err, core.ErrSessionClosed) {
+		t.Errorf("Whitelist on the failed lane = %v, want %v", err, core.ErrSessionClosed)
+	}
 	if _, derr := r.Drain(); !errors.Is(derr, core.ErrDriveFailed) {
 		t.Errorf("Drain after failure = %v, want the recorded error", derr)
+	}
+	for lane := range r.workers {
+		if err := r.Whitelist(keyOnLane(r, lane)); !errors.Is(err, core.ErrSessionClosed) {
+			t.Errorf("Whitelist on lane %d after Drain = %v, want %v", lane, err, core.ErrSessionClosed)
+		}
 	}
 	if r.State() != core.SessionDone {
 		t.Errorf("state after Drain = %v, want done (as a failed session's)", r.State())
@@ -113,47 +112,9 @@ func TestClusterWorkerCrashSurfacesTypedError(t *testing.T) {
 	}
 }
 
-// TestClusterWorkerStallSurfacesTypedError: a wedged drive keeps
-// receiving its hash share until its in channel fills; the router must then turn
-// the stall into ErrWorkerStalled after StallTimeout instead of
-// deadlocking. On the way, popFree finds the wedged lane's free list
-// starved and must mint a replacement buffer rather than wait forever.
-func TestClusterWorkerStallSurfacesTypedError(t *testing.T) {
-	gate := make(chan struct{})
-	var wedged atomic.Bool
-	r := New(Config{
-		Workers: 2,
-		Worker:  core.Config{IntervalNs: 1e15, BatchSize: 64},
-		Detectors: func() []detect.Detector {
-			return []detect.Detector{&stallDetector{gate: gate, wedged: &wedged}}
-		},
-		QueueBatch:   128,
-		SyncPackets:  1 << 30, // no folds: a fold barrier would (correctly) wait forever
-		StallTimeout: 20 * time.Millisecond,
-	})
-	if err := r.Start(); err != nil {
-		t.Fatal(err)
-	}
-	err := feedUntilError(t, r, 1<<22)
-	var we *WorkerError
-	if !errors.As(err, &we) {
-		t.Fatalf("error is %v, want *WorkerError", err)
-	}
-	if !errors.Is(err, ErrWorkerStalled) {
-		t.Errorf("error %v does not wrap ErrWorkerStalled", err)
-	}
-	close(gate) // unwedge so teardown can reap the healthy feeder
-	if cerr := r.Close(); !errors.Is(cerr, ErrWorkerStalled) {
-		t.Errorf("Close after stall = %v, want the recorded error", cerr)
-	}
-	if r.State() != core.SessionDone {
-		t.Errorf("state after Close = %v, want done", r.State())
-	}
-}
-
 // TestRunnerReleasesFeeders: however a parallel run ends — a clean
-// Drain, Close on a running runner, a worker crash, a stall once the
-// wedged worker is released — its feeder goroutines exit. Teardown ends
+// Drain, Close on a running runner, a worker crash — its feeder
+// goroutines exit. Teardown ends
 // a feeder by closing its in channel; without that, teardown waits on
 // the healthy feeders forever.
 func TestRunnerReleasesFeeders(t *testing.T) {
@@ -166,15 +127,6 @@ func TestRunnerReleasesFeeders(t *testing.T) {
 	crash := healthy
 	crash.Detectors = func() []detect.Detector {
 		return []detect.Detector{&crashDetector{after: 500}}
-	}
-	gate := make(chan struct{})
-	var wedged atomic.Bool
-	stall := healthy
-	stall.Worker.IntervalNs = 1e15
-	stall.SyncPackets = 1 << 30
-	stall.StallTimeout = 20 * time.Millisecond
-	stall.Detectors = func() []detect.Detector {
-		return []detect.Detector{&stallDetector{gate: gate, wedged: &wedged}}
 	}
 	feed := func(t *testing.T, r *Runner) {
 		n := 0
@@ -202,7 +154,6 @@ func TestRunnerReleasesFeeders(t *testing.T) {
 		{"drain", healthy, feed, func(r *Runner) { r.Drain() }},
 		{"close-running", healthy, feed, func(r *Runner) { r.Close() }},
 		{"crash", crash, fail, func(r *Runner) { r.Drain() }},
-		{"stall", stall, fail, func(r *Runner) { r.Close(); close(gate) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()

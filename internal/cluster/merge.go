@@ -179,8 +179,8 @@ func (r *Runner) merge(reps []core.Report) core.Report {
 	// Metric trees: the cluster registry's own series (including the
 	// cluster.* collector) stamped at the final flush timestamp, with
 	// each worker's final tree grafted under "worker.N.".
-	if r.cfg.Metrics != nil {
-		snap := r.cfg.Metrics.Snapshot(r.nextInterval)
+	if reg := r.cfg.Worker.Metrics; reg != nil {
+		snap := reg.Snapshot(r.nextInterval)
 		for i := range reps {
 			snap.AddPrefixed("worker."+strconv.Itoa(i)+".", reps[i].Metrics)
 		}

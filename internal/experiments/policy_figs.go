@@ -28,7 +28,10 @@ import (
 // DES with the named replacement policy.
 func policyPresetRun(year int, policy string, n int) (*flowcache.Cache, snic.Report) {
 	cfg := flowcache.DefaultConfig(8)
-	cfg.Policy = policy
+	var err error
+	if cfg.PolicyP, cfg.PolicyE, err = flowcache.ParsePolicy(policy); err != nil {
+		panic(err)
+	}
 	// Rings sized so a host that never drains overflows partway through:
 	// the drop count ranks how much eviction pressure each policy pushes
 	// toward the host on the same stream.

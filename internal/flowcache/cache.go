@@ -35,9 +35,8 @@ import (
 // empty, and Prefetch names addresses without loading from them at all.
 type Cache struct {
 	cfg Config
-	// kind / policyP / policyE are the resolved replacement policy (see
-	// policy.go): the hot path switches on kind, and the comparator pair
-	// serves kindBuffers.
+	// kind / policyP / policyE are the replacement policy (see policy.go):
+	// the hot path switches on kind, derived from policyE.
 	kind             policyKind
 	policyP, policyE Policy
 	mode             atomic.Uint32
@@ -78,7 +77,10 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg}
-	c.kind, c.policyP, c.policyE = resolvePolicy(cfg)
+	c.policyP, c.policyE = cfg.PolicyP, cfg.PolicyE
+	if cfg.PolicyE == S3FIFO {
+		c.kind = kindS3FIFO
+	}
 	c.rows = make([]rowHdr, cfg.Rows())
 	for i := range c.rows {
 		c.rows[i].word.Store(0)

@@ -13,10 +13,7 @@
 // cycles from the operation counts each call reports.
 package flowcache
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Mode selects the active bucket layout (paper §3.3).
 type Mode uint32
@@ -42,7 +39,8 @@ func (m Mode) String() string {
 // Policy is a replacement policy for one buffer.
 type Policy uint8
 
-// Replacement policies evaluated in Fig. 5.
+// Replacement policies: the three evaluated in Fig. 5, and S3-FIFO's main
+// queue.
 const (
 	// LRU evicts the least-recently-updated record.
 	LRU Policy = iota
@@ -50,6 +48,9 @@ const (
 	LPC
 	// FIFO evicts the record inserted earliest.
 	FIFO
+	// S3FIFO is an E-buffer policy only: it runs the whole S3-FIFO variant
+	// (policy.go), whose P is a FIFO.
+	S3FIFO
 )
 
 // String names the policy.
@@ -59,6 +60,8 @@ func (p Policy) String() string {
 		return "lpc"
 	case FIFO:
 		return "fifo"
+	case S3FIFO:
+		return "s3fifo"
 	default:
 		return "lru"
 	}
@@ -81,15 +84,10 @@ type Config struct {
 	EvictionBuckets int
 	// LiteBuckets is the slice width b probed in Lite mode. Paper: 2.
 	LiteBuckets int
-	// PolicyP / PolicyE are the per-buffer replacement comparators
-	// (paper's winner: LRU in P, LPC in E). They apply when Policy is
-	// empty; named policies override them.
+	// PolicyP / PolicyE are the per-buffer replacement policies (paper's
+	// winner: LRU in P, LPC in E). ParsePolicy maps a policy name to the
+	// pair; S3FIFO is valid in E only, and only beside FIFO in P.
 	PolicyP, PolicyE Policy
-	// Policy selects a named replacement policy: "lru-lpc" (the paper's
-	// hybrid, identical to the default comparator pair), "lru" or
-	// "s3fifo". Empty keeps the PolicyP/PolicyE comparator pair — the
-	// seed behaviour.
-	Policy string
 	// Rings is the number of eviction ring buffers. Paper: 8.
 	Rings int
 	// RingEntries is the capacity of each ring. Paper: 64K.
@@ -153,12 +151,8 @@ func (c Config) Validate() error {
 	if c.PinAgeNs < 0 {
 		return fmt.Errorf("flowcache: PinAgeNs %d must be >= 0", c.PinAgeNs)
 	}
-	if c.PolicyP > FIFO || c.PolicyE > FIFO {
-		return fmt.Errorf("flowcache: unknown comparator policy (%d,%d); valid: lru=0 lpc=1 fifo=2", c.PolicyP, c.PolicyE)
-	}
-	if !validPolicyName(c.Policy) {
-		return fmt.Errorf("flowcache: unknown policy %q; known policies: %s",
-			c.Policy, strings.Join(KnownPolicies(), ", "))
+	if c.PolicyP > FIFO || c.PolicyE > S3FIFO || (c.PolicyE == S3FIFO && c.PolicyP != FIFO) {
+		return fmt.Errorf("flowcache: invalid policy pair (%d,%d); P takes lru=0 lpc=1 fifo=2, E also s3fifo=3 (with fifo in P)", c.PolicyP, c.PolicyE)
 	}
 	return nil
 }

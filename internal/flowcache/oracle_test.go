@@ -57,7 +57,10 @@ type refRecord struct {
 
 func newRefCache(cfg Config) *refCache {
 	c := &refCache{cfg: cfg}
-	c.kind, c.policyP, c.policyE = resolvePolicy(cfg)
+	c.policyP, c.policyE = cfg.PolicyP, cfg.PolicyE
+	if cfg.PolicyE == S3FIFO {
+		c.kind = kindS3FIFO
+	}
 	c.rows = make([]refRow, cfg.Rows())
 	for i := range c.rows {
 		c.rows[i].buckets = make([]refRecord, cfg.Buckets)
@@ -517,9 +520,6 @@ func (c *refCache) cleanRow(rw *refRow) int {
 }
 
 func (c *refCache) victimP(rw *refRow, lo, hi int, res *Result) int {
-	if c.kind == kindS3FIFO {
-		return c.victimIndex(rw, lo, hi, FIFO, res)
-	}
 	return c.victimIndex(rw, lo, hi, c.policyP, res)
 }
 

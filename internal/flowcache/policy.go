@@ -1,28 +1,33 @@
 package flowcache
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+	"strings"
+)
 
 // The replacement policies (DESIGN.md §9.3): the paper's LRU-LPC hybrid is
 // the default, and the alternatives are selectable by name through
-// Config.Policy. Every policy is built in.
+// ParsePolicy, which maps a name to the Config.PolicyP / PolicyE pair.
+// Every policy is built in.
 //
 // Hot-path neutrality (DESIGN.md §9.3): the per-packet path never makes
-// an interface call. Cache resolves the configured policy once, at New,
-// into a small policyKind enum, and the victim/hit/demote hooks switch on
-// that enum — the compiler sees a branch on a byte that is hot in cache,
-// not a virtual dispatch. The probe/update hit path is shared by every
-// policy and unchanged from the seed; a new policy is one more arm here.
+// an interface call. Cache derives a small policyKind enum from PolicyE
+// once, at New, and the victim/hit/demote hooks switch on that enum — the
+// compiler sees a branch on a byte that is hot in cache, not a virtual
+// dispatch. The probe/update hit path is shared by every policy and
+// unchanged from the seed; a new policy is one more arm here.
 
 // policyKind selects the victim / hit / demote behaviour the hot path
 // switches on.
 type policyKind uint8
 
 const (
-	// kindBuffers runs the seed comparator pair from Config.PolicyP /
-	// Config.PolicyE — "lru-lpc" and "lru" both resolve here, as does an
-	// empty Config.Policy (full backward compatibility).
+	// kindBuffers runs the comparator pair from Config.PolicyP / PolicyE
+	// ("lru-lpc", "lru" and the Fig. 5 pairs).
 	kindBuffers policyKind = iota
-	// kindS3FIFO runs the correlation-aware S3-FIFO variant.
+	// kindS3FIFO runs the correlation-aware S3-FIFO variant (PolicyE ==
+	// S3FIFO).
 	kindS3FIFO
 )
 
@@ -46,58 +51,44 @@ const (
 )
 
 // KnownPolicies lists every selectable policy name, sorted — the
-// vocabulary Validate accepts for Config.Policy (plus "").
+// vocabulary ParsePolicy accepts.
 func KnownPolicies() []string {
 	return []string{PolicyNameLRU, PolicyNameLRULPC, PolicyNameS3FIFO}
 }
 
-// validPolicyName reports whether name selects a known policy ("" means
-// "derive from PolicyP/PolicyE", always valid).
-func validPolicyName(name string) bool {
+// ParsePolicy maps a policy name to its (PolicyP, PolicyE) pair.
+func ParsePolicy(name string) (p, e Policy, err error) {
 	switch name {
-	case "", PolicyNameLRULPC, PolicyNameLRU, PolicyNameS3FIFO:
-		return true
-	}
-	return false
-}
-
-// resolvePolicy maps a validated Config to the devirtualisation kind and
-// the effective per-buffer comparators (meaningful for kindBuffers).
-func resolvePolicy(cfg Config) (policyKind, Policy, Policy) {
-	switch cfg.Policy {
 	case PolicyNameLRULPC:
-		return kindBuffers, LRU, LPC
+		return LRU, LPC, nil
 	case PolicyNameLRU:
-		return kindBuffers, LRU, LRU
+		return LRU, LRU, nil
 	case PolicyNameS3FIFO:
-		return kindS3FIFO, FIFO, FIFO
+		return FIFO, S3FIFO, nil
 	}
-	// Seed behaviour: honour the comparator pair as configured.
-	return kindBuffers, cfg.PolicyP, cfg.PolicyE
+	return 0, 0, fmt.Errorf("flowcache: unknown policy %q; known policies: %s",
+		name, strings.Join(KnownPolicies(), ", "))
 }
 
-// PolicyName reports the effective replacement policy name: the
-// configured Config.Policy, or — when unset — the canonical name of the
-// comparator pair ("lru-lpc" for the seed default LRU/LPC, otherwise a
-// "p/q" description like "fifo/fifo").
-func (c *Cache) PolicyName() string {
-	if c.cfg.Policy != "" {
-		return c.cfg.Policy
-	}
-	if c.policyP == LRU && c.policyE == LPC {
+// PolicyName names a (PolicyP, PolicyE) pair: the name ParsePolicy maps to
+// it, otherwise a "p/e" description like "fifo/fifo".
+func PolicyName(p, e Policy) string {
+	switch {
+	case p == LRU && e == LPC:
 		return PolicyNameLRULPC
+	case p == LRU && e == LRU:
+		return PolicyNameLRU
+	case p == FIFO && e == S3FIFO:
+		return PolicyNameS3FIFO
 	}
-	return c.policyP.String() + "/" + c.policyE.String()
+	return p.String() + "/" + e.String()
 }
 
 // victimP selects the replacement victim for the Primary buffer (or the
 // whole candidate slice in Lite mode) — the devirtualised policy
-// dispatch point of the insert path.
+// dispatch point of the insert path. Under s3fifo P is the small queue,
+// a FIFO.
 func (c *Cache) victimP(rw *row, lo, hi int, res *Result) int {
-	if c.kind == kindS3FIFO {
-		// P is S3-FIFO's small queue: strict insertion order.
-		return c.victimIndex(rw, lo, hi, FIFO, res)
-	}
 	return c.victimIndex(rw, lo, hi, c.policyP, res)
 }
 

@@ -51,9 +51,19 @@ func policyStream(n int) []packet.Packet {
 	return pkts
 }
 
-func runPolicy(name string) *Cache {
+// mustParsePolicy is ParsePolicy for a name the test knows is built in.
+func mustParsePolicy(t testing.TB, name string) (p, e Policy) {
+	t.Helper()
+	p, e, err := ParsePolicy(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, e
+}
+
+func runPolicy(p, e Policy) *Cache {
 	cfg := smallConfig()
-	cfg.Policy = name
+	cfg.PolicyP, cfg.PolicyE = p, e
 	c := New(cfg)
 	for _, p := range policyStream(50_000) {
 		q := p
@@ -63,43 +73,39 @@ func runPolicy(name string) *Cache {
 }
 
 // policyGoldenSig pins the end-state signature of the seed replacement
-// path (empty Policy, LRU/LPC comparators) on the fixed policyStream,
-// computed from the pre-refactor cache (commit 05d57be's Process path)
-// on the identical stream. The extracted "lru-lpc" policy must
-// reproduce it byte-for-byte; any refactor that shifts a single
-// eviction decision changes this constant and must be treated as a
-// behaviour change, not re-pinned casually.
+// path (the LRU/LPC comparators) on the fixed policyStream, computed from
+// the pre-refactor cache (commit 05d57be's Process path) on the identical
+// stream. The default pair, "lru-lpc", must reproduce it byte-for-byte;
+// any refactor that shifts a single eviction decision changes this
+// constant and must be treated as a behaviour change, not re-pinned
+// casually.
 const policyGoldenSig uint64 = 0xfe302f722078bc72
 
 func TestPolicyLRULPCGolden(t *testing.T) {
-	seed := runPolicy("")
-	if got := stateSig(seed); got != policyGoldenSig {
-		t.Errorf("seed (empty policy) signature = %#x, want %#x", got, policyGoldenSig)
+	cfg := smallConfig()
+	if got := stateSig(runPolicy(cfg.PolicyP, cfg.PolicyE)); got != policyGoldenSig {
+		t.Errorf("default pair signature = %#x, want %#x", got, policyGoldenSig)
 	}
-	named := runPolicy(PolicyNameLRULPC)
-	if got := stateSig(named); got != policyGoldenSig {
-		t.Errorf("lru-lpc signature = %#x, want %#x (must be byte-identical to seed)", got, policyGoldenSig)
-	}
-	if seed.PolicyName() != PolicyNameLRULPC || named.PolicyName() != PolicyNameLRULPC {
-		t.Errorf("policy names = %q/%q, want %q", seed.PolicyName(), named.PolicyName(), PolicyNameLRULPC)
+	if got := PolicyName(cfg.PolicyP, cfg.PolicyE); got != PolicyNameLRULPC {
+		t.Errorf("default pair is named %q, want %q", got, PolicyNameLRULPC)
 	}
 }
 
 func TestPolicyVariantsDiverge(t *testing.T) {
 	// Sanity on the dispatch: the alternative policies must actually make
 	// different replacement decisions on the same stream.
-	base := stateSig(runPolicy(PolicyNameLRULPC))
-	for _, name := range []string{PolicyNameLRU, PolicyNameS3FIFO} {
-		if got := stateSig(runPolicy(name)); got == base {
-			t.Errorf("policy %q end state identical to lru-lpc — dispatch not taking effect", name)
+	base := stateSig(runPolicy(LRU, LPC))
+	for _, pair := range [][2]Policy{{LRU, LRU}, {FIFO, S3FIFO}} {
+		if got := stateSig(runPolicy(pair[0], pair[1])); got == base {
+			t.Errorf("policy %q end state identical to lru-lpc — dispatch not taking effect", PolicyName(pair[0], pair[1]))
 		}
 	}
 }
 
 func TestPolicyDeterminism(t *testing.T) {
-	for _, name := range []string{"", PolicyNameLRU, PolicyNameS3FIFO} {
-		if stateSig(runPolicy(name)) != stateSig(runPolicy(name)) {
-			t.Errorf("policy %q not deterministic across runs", name)
+	for _, pair := range [][2]Policy{{LRU, LPC}, {LRU, LRU}, {FIFO, S3FIFO}} {
+		if stateSig(runPolicy(pair[0], pair[1])) != stateSig(runPolicy(pair[0], pair[1])) {
+			t.Errorf("policy %q not deterministic across runs", PolicyName(pair[0], pair[1]))
 		}
 	}
 }
@@ -108,7 +114,7 @@ func TestPolicyDeterminism(t *testing.T) {
 func s3Config() Config {
 	cfg := DefaultConfig(1) // 2 rows x 12 buckets
 	cfg.RingEntries = 4096
-	cfg.Policy = PolicyNameS3FIFO
+	cfg.PolicyP, cfg.PolicyE = FIFO, S3FIFO
 	return cfg
 }
 
@@ -140,9 +146,9 @@ func TestS3FIFOLazyPromotion(t *testing.T) {
 	// freq 1 / fresh LastTs), then insert a 5th — the P victim is the
 	// first-inserted flow under both FIFO (oldest FirstTs) and LRU
 	// (oldest re-hit), and freq 1 demotes it into E either way.
-	run := func(policy string) (first, second Outcome) {
+	run := func(p, e Policy) (first, second Outcome) {
 		cfg := smallConfig()
-		cfg.Policy = policy
+		cfg.PolicyP, cfg.PolicyE = p, e
 		c := New(cfg)
 		flows := collideRow(t, c, 5)
 		ts := int64(0)
@@ -170,11 +176,11 @@ func TestS3FIFOLazyPromotion(t *testing.T) {
 		_, r2 := c.Process(&p2)
 		return r1.Outcome, r2.Outcome
 	}
-	f, s := run(PolicyNameLRULPC)
+	f, s := run(LRU, LPC)
 	if f != EHit || s != PHit {
 		t.Fatalf("lru-lpc: outcomes %v,%v, want e-hit then p-hit (promotion)", f, s)
 	}
-	f, s = run(PolicyNameS3FIFO)
+	f, s = run(FIFO, S3FIFO)
 	if f != EHit || s != EHit {
 		t.Errorf("s3fifo: outcomes %v,%v, want e-hit twice (lazy promotion)", f, s)
 	}
@@ -203,7 +209,7 @@ func TestS3FIFOQuickDemotion(t *testing.T) {
 	// A P victim with freq 0 (inserted, never re-hit) bypasses E and goes
 	// straight to a ring; a victim with freq > 0 is demoted to E instead.
 	cfg := smallConfig()
-	cfg.Policy = PolicyNameS3FIFO
+	cfg.PolicyP, cfg.PolicyE = FIFO, S3FIFO
 	c := New(cfg)
 	flows := collideRow(t, c, 5)
 	for i := 0; i < 4; i++ { // P full, all freq 0
@@ -248,26 +254,38 @@ func TestS3FIFOQuickDemotion(t *testing.T) {
 	}
 }
 
+// TestConfigValidatePolicyNames: every known name parses to a pair Validate
+// accepts and PolicyName names back; an unknown name is an error that lists
+// the known ones, and Validate refuses S3FIFO in P, S3FIFO in E beside
+// anything but FIFO in P, and out-of-range values.
 func TestConfigValidatePolicyNames(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Policy = "no-such-policy"
-	err := cfg.Validate()
+	for _, name := range KnownPolicies() {
+		p, e, err := ParsePolicy(name)
+		if err != nil {
+			t.Errorf("builtin policy %q rejected: %v", name, err)
+			continue
+		}
+		if got := PolicyName(p, e); got != name {
+			t.Errorf("PolicyName(ParsePolicy(%q)) = %q", name, got)
+		}
+		cfg := smallConfig()
+		cfg.PolicyP, cfg.PolicyE = p, e
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("policy %q: Validate = %v", name, err)
+		}
+	}
+	_, _, err := ParsePolicy("no-such-policy")
 	if err == nil {
 		t.Fatal("unknown policy name accepted")
 	}
 	if !strings.Contains(err.Error(), "no-such-policy") || !strings.Contains(err.Error(), PolicyNameS3FIFO) {
 		t.Errorf("error %q should name the bad policy and list known ones", err)
 	}
-	cfg = smallConfig()
-	cfg.PolicyP = Policy(9)
-	if cfg.Validate() == nil {
-		t.Error("out-of-range comparator accepted")
-	}
-	for _, name := range []string{"", PolicyNameLRULPC, PolicyNameLRU, PolicyNameS3FIFO} {
+	for _, pair := range [][2]Policy{{S3FIFO, S3FIFO}, {S3FIFO, LPC}, {LRU, S3FIFO}, {LPC, S3FIFO}, {Policy(9), LPC}, {LRU, Policy(9)}} {
 		cfg := smallConfig()
-		cfg.Policy = name
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("builtin policy %q rejected: %v", name, err)
+		cfg.PolicyP, cfg.PolicyE = pair[0], pair[1]
+		if cfg.Validate() == nil {
+			t.Errorf("policy pair %v accepted", pair)
 		}
 	}
 }

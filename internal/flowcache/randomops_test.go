@@ -43,7 +43,8 @@ func TestRandomOpsMatchOracle(t *testing.T) {
 		}{{"punt", false, 0}, {"starve", true, 0}, {"age", false, 4000}, {"starve+age", true, 4000}} {
 			t.Run(policy+"/"+valve.name, func(t *testing.T) {
 				cfg := DefaultConfig(4)
-				cfg.Policy, cfg.PinStarveEvict, cfg.PinAgeNs = policy, valve.starve, valve.ageNs
+				cfg.PolicyP, cfg.PolicyE = mustParsePolicy(t, policy)
+				cfg.PinStarveEvict, cfg.PinAgeNs = valve.starve, valve.ageNs
 				cfg.Rings, cfg.RingEntries = 2, 32
 				ev.add(randomOps(t, cfg, 1, opsPerConfig, uint64(len(policy))*31+uint64(valve.ageNs)+uint64(len(valve.name))))
 				ran++
@@ -75,7 +76,8 @@ func TestShardedRandomOpsMatchOracle(t *testing.T) {
 	for _, shards := range []int{2, 4} {
 		for _, policy := range []string{PolicyNameLRULPC, PolicyNameS3FIFO} {
 			cfg := DefaultConfig(5)
-			cfg.Policy, cfg.PinStarveEvict, cfg.PinAgeNs = policy, true, 4000
+			cfg.PolicyP, cfg.PolicyE = mustParsePolicy(t, policy)
+			cfg.PinStarveEvict, cfg.PinAgeNs = true, 4000
 			cfg.Rings, cfg.RingEntries = 2, 32
 			randomOps(t, cfg, shards, 36_000, uint64(shards)*7+uint64(len(policy)))
 		}
