@@ -35,14 +35,14 @@ func checkEventsGolden(t *testing.T, line string) {
 	}
 }
 
-// TestWhitelistEventGolden: the whitelist hook leaves the end state the
+// TestWhitelistEventGolden: the whitelist action leaves the end state the
 // first direct-call Whitelist left — switch entry installed, cache record
 // unpinned — and publishes one event.
 func TestWhitelistEventGolden(t *testing.T) {
 	pl := New(Config{EnableSwitch: true, Queries: sshQueries()})
 	k := wlKey()
 	seedRecord(pl, k)
-	pl.Whitelist(k)
+	pl.whitelist(k, operatorOrigin)
 
 	_, pinned, ok := pl.Cache().Lookup(k)
 	checkEventsGolden(t, fmt.Sprintf("whitelist: switch_entries=%d resident=%v pinned=%v", pl.Switch().WhitelistCount(), ok, pinned))
@@ -193,7 +193,6 @@ func TestObserversSeeReactionsApplied(t *testing.T) {
 		act          func(*Platform, *Session)
 	}{
 		{"whitelist/detector", "detector", tier.KindWhitelist, detect.Reaction{Whitelist: true}, detector},
-		{"whitelist/hooks", "hooks", tier.KindWhitelist, detect.Reaction{}, func(pl *Platform, _ *Session) { pl.Whitelist(k) }},
 		{"whitelist/operator", operatorOrigin, tier.KindWhitelist, detect.Reaction{}, operator(func(s *Session) error { return s.Whitelist(k) })},
 		{"blacklist/detector", "detector", tier.KindBlacklist, detect.Reaction{BlacklistSrc: true}, detector},
 		{"blacklist/hooks", "hooks", tier.KindBlacklist, detect.Reaction{}, func(pl *Platform, _ *Session) { pl.Blacklist(src) }},
@@ -257,7 +256,7 @@ func TestObserversSeeReactionsApplied(t *testing.T) {
 func TestEventsCountedWithoutObservers(t *testing.T) {
 	pl := New(Config{EnableSwitch: true, Queries: sshQueries(), IntervalNs: 10e6})
 	k := wlKey()
-	pl.Whitelist(k)
+	pl.whitelist(k, operatorOrigin)
 	pl.Blacklist(k.Tuple().SrcIP)
 	pl.Unpin(k)
 	pl.AdvanceClock(10e6)

@@ -209,11 +209,10 @@ func New(cfg Config) *Platform {
 	}
 	pl.ports = host.NewPorts(pl.store)
 	pl.detectors = detect.NewChain(cfg.Detectors...)
-	// Detectors that drive Tick-time control-loop actions (timer unpins,
-	// blacklists) receive the platform as their Hooks — it implements
-	// detect.Hooks against the FlowCache and the switch.
-	// Standalone harnesses that drive detectors without a platform keep
-	// whatever hooks their config installed.
+	// The one place a detector gets its hooks: every detector with a
+	// SetHooks method (ForgedRST, PortScan, Incomplete, LowSlow, and the
+	// wrappers that forward it) acts on the platform from Tick work. At
+	// W > 1 each cluster worker's platform runs this for its own detectors.
 	for _, d := range cfg.Detectors {
 		if hd, ok := d.(interface{ SetHooks(detect.Hooks) }); ok {
 			hd.SetHooks(pl)
@@ -310,10 +309,6 @@ func (pl *Platform) Unpin(k packet.FlowKey) {
 	pl.cache.Unpin(k)
 	tier.Publish(pl.bus, tier.UnpinEvent{Key: k, Origin: "hooks"}, 1)
 }
-
-// Whitelist implements detect.Hooks: benign flows bypass steering at the
-// switch and release their sNIC pin.
-func (pl *Platform) Whitelist(k packet.FlowKey) { pl.whitelist(k, "hooks") }
 
 // Blacklist implements detect.Hooks.
 func (pl *Platform) Blacklist(a packet.Addr) { pl.blacklist(a, "hooks") }

@@ -110,13 +110,10 @@ func TestPlatformHooks(t *testing.T) {
 	pk := packet.Packet{Tuple: p, Size: 64}
 	pl.Cache().ObserveProcess(&pk)
 	pl.Cache().Pin(k)
-	pl.Whitelist(k)
-	if pl.Switch().WhitelistCount() != 1 {
-		t.Error("whitelist hook did not reach the switch")
-	}
+	pl.Unpin(k)
 	_, pinned, ok := pl.Cache().Lookup(k)
 	if !ok || pinned {
-		t.Error("whitelist hook did not unpin")
+		t.Error("unpin hook did not unpin")
 	}
 	pl.Blacklist(packet.Addr(9))
 	if !pl.Switch().Blacklisted(packet.Addr(9)) {

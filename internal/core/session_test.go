@@ -311,7 +311,7 @@ func TestSessionExecSafePoint(t *testing.T) {
 		Proto: packet.ProtoTCP,
 	}.Canonical()
 	if err := ses.Exec(func(pl *Platform) {
-		pl.Whitelist(key)
+		pl.whitelist(key, operatorOrigin)
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ type BruteForce struct {
 	windowNs int64
 	// detectorCycles is the in-line sNIC cost per observed packet.
 	detectorCycles float64
-	hooks          Hooks
 	sources        map[packet.Addr]bfSource
 	// windows holds every source's failures still inside the window,
 	// oldest first, in psi-1 slots per source: one slice that grows by
@@ -53,8 +52,6 @@ type BruteForceConfig struct {
 	Psi int
 	// WindowNs is the counting window (default 30 virtual minutes).
 	WindowNs int64
-	// Hooks receives whitelist/blacklist requests (NopHooks if nil).
-	Hooks Hooks
 }
 
 // NewBruteForce builds the detector.
@@ -68,9 +65,6 @@ func NewBruteForce(cfg BruteForceConfig) *BruteForce {
 	if cfg.WindowNs <= 0 {
 		cfg.WindowNs = 30 * 60 * 1e9
 	}
-	if cfg.Hooks == nil {
-		cfg.Hooks = NopHooks{}
-	}
 	name := "ssh-bruteforce"
 	switch cfg.Service {
 	case 21:
@@ -80,8 +74,8 @@ func NewBruteForce(cfg BruteForceConfig) *BruteForce {
 	}
 	return &BruteForce{
 		name: name, service: cfg.Service, psi: cfg.Psi, windowNs: cfg.WindowNs,
-		detectorCycles: 40, hooks: cfg.Hooks,
-		sources: map[packet.Addr]bfSource{},
+		detectorCycles: 40,
+		sources:        map[packet.Addr]bfSource{},
 	}
 }
 
@@ -177,7 +171,6 @@ func (d *BruteForce) recordFailure(src, server packet.Addr, ts int64) {
 	}
 	if n := len(keep) + 1; n >= d.psi {
 		s.flagged = true
-		d.hooks.Blacklist(src)
 		d.emit(Alert{
 			Detector: d.name, Ts: ts, Attacker: src, Victim: server,
 			Info: fmt.Sprintf("%d failed logins within window (psi=%d)", n, d.psi),

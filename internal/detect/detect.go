@@ -10,7 +10,10 @@
 // with their FlowCache records, requests reactions (pinning, host punts,
 // whitelisting, blacklisting), and emits Alerts. The platform in
 // internal/core interprets the reactions against the cache, the host NFs
-// and the switch control loop.
+// and the switch control loop. The detectors that act outside the packet
+// path — ForgedRST, PortScan, Incomplete and LowSlow unpin, PortScan and
+// LowSlow blacklist from Tick work — take the platform as their Hooks
+// through SetHooks; core.New is the only caller.
 package detect
 
 import (

@@ -20,12 +20,14 @@ type driver struct {
 	// toHost counts packets the detector punted to the host tier.
 	toHost uint64
 	total  uint64
+	// blacklisted holds every source a verdict asked to blacklist.
+	blacklisted map[packet.Addr]bool
 }
 
 func newDriver(det Detector) *driver {
 	cfg := flowcache.DefaultConfig(10)
 	cfg.RingEntries = 1 << 18
-	return &driver{cache: flowcache.New(cfg), det: det}
+	return &driver{cache: flowcache.New(cfg), det: det, blacklisted: map[packet.Addr]bool{}}
 }
 
 func (dr *driver) run(s packet.Stream, tickNs int64) {
@@ -50,6 +52,9 @@ func (dr *driver) run(s packet.Stream, tickNs int64) {
 		if r.Unpin || r.Whitelist {
 			dr.cache.Unpin(k)
 		}
+		if r.BlacklistSrc {
+			dr.blacklisted[p.Tuple.SrcIP] = true
+		}
 		nextTick = max(nextTick, p.Ts)
 	}
 	dr.det.Tick(nextTick + tickNs)
@@ -58,13 +63,11 @@ func (dr *driver) run(s packet.Stream, tickNs int64) {
 // hookRecorder captures hook calls.
 type hookRecorder struct {
 	unpins     []packet.FlowKey
-	whitelists []packet.FlowKey
 	blacklists []packet.Addr
 }
 
-func (h *hookRecorder) Unpin(k packet.FlowKey)     { h.unpins = append(h.unpins, k) }
-func (h *hookRecorder) Whitelist(k packet.FlowKey) { h.whitelists = append(h.whitelists, k) }
-func (h *hookRecorder) Blacklist(a packet.Addr)    { h.blacklists = append(h.blacklists, a) }
+func (h *hookRecorder) Unpin(k packet.FlowKey)  { h.unpins = append(h.unpins, k) }
+func (h *hookRecorder) Blacklist(a packet.Addr) { h.blacklists = append(h.blacklists, a) }
 
 func attackerSet(t trace.GroundTruth) map[packet.Addr]bool {
 	m := map[packet.Addr]bool{}
@@ -75,8 +78,7 @@ func attackerSet(t trace.GroundTruth) map[packet.Addr]bool {
 }
 
 func TestBruteForceDetectsSSHGuessers(t *testing.T) {
-	hooks := &hookRecorder{}
-	det := NewBruteForce(BruteForceConfig{Service: 22, Psi: 3, Hooks: hooks})
+	det := NewBruteForce(BruteForceConfig{Service: 22, Psi: 3})
 	inj := trace.BruteForce(trace.BruteForceConfig{Seed: 1, Attackers: 4, AttemptsPerAttacker: 5, LegitClients: 5, LegitDataPackets: 200})
 	dr := newDriver(det)
 	dr.run(inj.Stream(), 100e6)
@@ -94,9 +96,11 @@ func TestBruteForceDetectsSSHGuessers(t *testing.T) {
 		if !found[atk] {
 			t.Errorf("missed attacker %s", atk)
 		}
-	}
-	if len(hooks.blacklists) != len(truth) {
-		t.Errorf("blacklists = %d, want %d", len(hooks.blacklists), len(truth))
+		// The blacklist rides the flagging packet's verdict; BruteForce
+		// has no hooks.
+		if !dr.blacklisted[atk] {
+			t.Errorf("attacker %s never blacklisted", atk)
+		}
 	}
 	// Legit clients' bulk data must not go to the host: once whitelisted
 	// after auth success, their packets stay on the sNIC (Fig. 8a's win).
@@ -118,7 +122,8 @@ func TestBruteForceIgnoresOtherTraffic(t *testing.T) {
 
 func TestPortScanDetectsScanner(t *testing.T) {
 	hooks := &hookRecorder{}
-	det := NewPortScan(PortScanConfig{ResponseTimeoutNs: 1e9, Hooks: hooks})
+	det := NewPortScan(PortScanConfig{ResponseTimeoutNs: 1e9})
+	det.SetHooks(hooks)
 	inj := trace.PortScan(trace.PortScanConfig{Seed: 2, Targets: 8, PortsPerTarget: 10, ScanDelay: 5e6, OpenFraction: 0.05, SilentFraction: 0.3})
 	dr := newDriver(det)
 	dr.run(inj.Stream(), 100e6)
@@ -194,7 +199,8 @@ func TestForgedRSTDetection(t *testing.T) {
 
 func TestForgedRSTReleasesGenuine(t *testing.T) {
 	hooks := &hookRecorder{}
-	det := NewForgedRST(ForgedRSTConfig{TNs: 1e9, Hooks: hooks})
+	det := NewForgedRST(ForgedRSTConfig{TNs: 1e9})
+	det.SetHooks(hooks)
 	inj := trace.ForgedRST(trace.ForgedRSTConfig{Seed: 4, Sessions: 20, ForgedFraction: 0}) // all genuine
 	dr := newDriver(det)
 	dr.run(inj.Stream(), 100e6)

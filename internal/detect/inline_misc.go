@@ -15,9 +15,9 @@ import (
 // flows are reported.
 type Incomplete struct {
 	alertBuf
+	hooked
 	timeoutNs int64
 	threshold int
-	hooks     Hooks
 	pending   map[packet.FlowKey]pendingProbe
 	due       []dueProbe // Tick's scratch
 	sources   map[packet.Addr]incompleteSource
@@ -33,19 +33,18 @@ type incompleteSource struct {
 }
 
 // NewIncomplete builds the detector: sources with at least threshold
-// incomplete flows (SYN, then no data for timeoutNs) are reported.
-func NewIncomplete(timeoutNs int64, threshold int, hooks Hooks) *Incomplete {
+// incomplete flows (SYN, then no data for timeoutNs) are reported. The
+// third argument is ignored: hooks come from SetHooks, which core.New
+// calls with the platform.
+func NewIncomplete(timeoutNs int64, threshold int, _ Hooks) *Incomplete {
 	if timeoutNs <= 0 {
 		timeoutNs = 5e9
 	}
 	if threshold <= 0 {
 		threshold = 10
 	}
-	if hooks == nil {
-		hooks = NopHooks{}
-	}
 	return &Incomplete{
-		timeoutNs: timeoutNs, threshold: threshold, hooks: hooks,
+		timeoutNs: timeoutNs, threshold: threshold,
 		pending: map[packet.FlowKey]pendingProbe{},
 		sources: map[packet.Addr]incompleteSource{},
 	}
@@ -92,7 +91,7 @@ func (d *Incomplete) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.C
 func (d *Incomplete) Tick(now int64) {
 	d.due = takeDue(d.pending, now, d.timeoutNs, d.due)
 	for _, e := range d.due {
-		d.hooks.Unpin(e.key)
+		d.unpin(e.key)
 		s := d.sources[e.src]
 		s.count++
 		if s.count >= d.threshold && !s.flagged {

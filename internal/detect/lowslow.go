@@ -39,8 +39,8 @@ import (
 // denied pins) and across evict-then-reinsert.
 type LowSlow struct {
 	alertBuf
+	hooked
 	cfg   LowSlowConfig
-	hooks Hooks
 	wheel *host.TimingWheel[packet.FlowKey]
 	flows *lsTable
 	// exhaust groups idle-established flows by (victim, source /24).
@@ -73,8 +73,6 @@ type LowSlowConfig struct {
 	// WheelSlots / WheelTickNs size the idle-deadline timing wheel.
 	WheelSlots  int
 	WheelTickNs int64
-	// Hooks receives unpin/blacklist requests from Tick work.
-	Hooks Hooks
 }
 
 // lsFlow is the per-flow accumulator, keyed by canonical session key. It
@@ -146,9 +144,6 @@ func (cfg LowSlowConfig) withDefaults() LowSlowConfig {
 	if cfg.WheelTickNs <= 0 {
 		cfg.WheelTickNs = cfg.IdleNs / int64(cfg.WheelSlots/8)
 	}
-	if cfg.Hooks == nil {
-		cfg.Hooks = NopHooks{}
-	}
 	return cfg
 }
 
@@ -157,20 +152,9 @@ func NewLowSlow(cfg LowSlowConfig) *LowSlow {
 	cfg = cfg.withDefaults()
 	return &LowSlow{
 		cfg:     cfg,
-		hooks:   cfg.Hooks,
 		wheel:   host.NewTimingWheel[packet.FlowKey](cfg.WheelSlots, cfg.WheelTickNs),
 		flows:   newLSTable(),
 		exhaust: make(map[lsGroup]lsGroupState),
-	}
-}
-
-// SetHooks rewires the detector's control-loop hooks. The platform calls
-// this during construction so Tick-driven unpins and blacklists reach the
-// FlowCache and the switch without the caller having to thread the
-// platform into the detector config.
-func (d *LowSlow) SetHooks(h Hooks) {
-	if h != nil {
-		d.hooks = h
 	}
 }
 
@@ -278,7 +262,7 @@ func (d *LowSlow) Tick(now int64) {
 		if !f.established {
 			// Half-open and idle: not this detector's attack (a SYN flood
 			// trips volumetric counters instead). Release the pin.
-			d.hooks.Unpin(k)
+			d.unpin(k)
 			d.flows.del(h, k)
 			continue
 		}
@@ -344,14 +328,14 @@ func (d *LowSlow) expireIdle(h uint64, k packet.FlowKey, f *lsFlow, now int64) {
 			Attacker: g.block, Victim: g.victim, Flow: k,
 			Info: "sustained sub-threshold connection accretion from /24",
 		})
-		d.hooks.Blacklist(client)
-		d.hooks.Unpin(k)
+		d.blacklist(client)
+		d.unpin(k)
 		d.flows.del(h, k)
 	default:
 		// Below threshold: release the pin (the flow stays observable via
 		// its record if it wakes) but keep the accumulator out of the
 		// table — an idle benign flow must not hold budget forever.
-		d.hooks.Unpin(k)
+		d.unpin(k)
 		d.flows.del(h, k)
 	}
 	d.exhaust[g] = gs
@@ -367,7 +351,7 @@ func (d *LowSlow) confirm(h uint64, k packet.FlowKey, f *lsFlow, now int64, labe
 		Attacker: client, Victim: victim, Flow: k,
 		Info: info,
 	})
-	d.hooks.Blacklist(client)
-	d.hooks.Unpin(k)
+	d.blacklist(client)
+	d.unpin(k)
 	d.flows.del(h, k)
 }

@@ -21,8 +21,8 @@ import (
 // snapshotKV (PR 13) and the thread heap (PR 14) were kept.
 type mapLowSlow struct {
 	alertBuf
+	hooked
 	cfg   LowSlowConfig
-	hooks Hooks
 	wheel *host.TimingWheel[packet.FlowKey]
 	flows map[packet.FlowKey]*mapLSFlow
 	// exhaust groups idle-established flows by (victim, source /24).
@@ -55,20 +55,9 @@ func newMapLowSlow(cfg LowSlowConfig) *mapLowSlow {
 	cfg = cfg.withDefaults()
 	return &mapLowSlow{
 		cfg:     cfg,
-		hooks:   cfg.Hooks,
 		wheel:   host.NewTimingWheel[packet.FlowKey](cfg.WheelSlots, cfg.WheelTickNs),
 		flows:   make(map[packet.FlowKey]*mapLSFlow),
 		exhaust: make(map[lsGroup]*lsGroupState),
-	}
-}
-
-// SetHooks rewires the detector's control-loop hooks. The platform calls
-// this during construction so Tick-driven unpins and blacklists reach the
-// FlowCache and the switch without the caller having to thread the
-// platform into the detector config.
-func (d *mapLowSlow) SetHooks(h Hooks) {
-	if h != nil {
-		d.hooks = h
 	}
 }
 
@@ -169,7 +158,7 @@ func (d *mapLowSlow) Tick(now int64) {
 		if !f.established {
 			// Half-open and idle: not this detector's attack (a SYN flood
 			// trips volumetric counters instead). Release the pin.
-			d.hooks.Unpin(k)
+			d.unpin(k)
 			delete(d.flows, k)
 			continue
 		}
@@ -237,14 +226,14 @@ func (d *mapLowSlow) expireIdle(k packet.FlowKey, f *mapLSFlow, now int64) {
 			Attacker: g.block, Victim: g.victim, Flow: k,
 			Info: "sustained sub-threshold connection accretion from /24",
 		})
-		d.hooks.Blacklist(f.client)
-		d.hooks.Unpin(k)
+		d.blacklist(f.client)
+		d.unpin(k)
 		delete(d.flows, k)
 	default:
 		// Below threshold: release the pin (the flow stays observable via
 		// its record if it wakes) but keep the accumulator out of the
 		// table — an idle benign flow must not hold budget forever.
-		d.hooks.Unpin(k)
+		d.unpin(k)
 		delete(d.flows, k)
 	}
 }
@@ -258,8 +247,8 @@ func (d *mapLowSlow) confirm(k packet.FlowKey, f *mapLSFlow, now int64, label, i
 		Attacker: f.client, Victim: f.victim, Flow: k,
 		Info: info,
 	})
-	d.hooks.Blacklist(f.client)
-	d.hooks.Unpin(k)
+	d.blacklist(f.client)
+	d.unpin(k)
 	delete(d.flows, k)
 }
 
@@ -269,15 +258,14 @@ func (d *mapLowSlow) confirm(k packet.FlowKey, f *mapLSFlow, now int64, label, i
 type lsRig struct {
 	cache *flowcache.Cache
 	det   Detector
-	calls []string // ordered Unpin / Blacklist / Whitelist hook calls
+	calls []string // ordered Unpin / Blacklist hook calls
 }
 
 func (r *lsRig) Unpin(k packet.FlowKey) {
 	r.calls = append(r.calls, "unpin "+k.String())
 	r.cache.Unpin(k)
 }
-func (r *lsRig) Whitelist(k packet.FlowKey) { r.calls = append(r.calls, "whitelist "+k.String()) }
-func (r *lsRig) Blacklist(a packet.Addr)    { r.calls = append(r.calls, "blacklist "+a.String()) }
+func (r *lsRig) Blacklist(a packet.Addr) { r.calls = append(r.calls, "blacklist "+a.String()) }
 
 func (r *lsRig) onPacket(p *packet.Packet) (Reaction, flowcache.Result) {
 	rec, res := r.cache.Process(p)

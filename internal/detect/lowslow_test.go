@@ -3,6 +3,8 @@ package detect
 import (
 	"testing"
 
+	"smartwatch/internal/packet"
+	"smartwatch/internal/snic"
 	"smartwatch/internal/trace"
 )
 
@@ -76,7 +78,8 @@ func TestLowSlowDetectsSlowRead(t *testing.T) {
 func TestLowSlowDetectsConnExhaust(t *testing.T) {
 	inj := trace.ConnExhaust(trace.ConnExhaustConfig{Seed: 3, Connections: 120, ConnGap: 10e6})
 	hooks := &hookRecorder{}
-	det := NewLowSlow(LowSlowConfig{IdleNs: 200e6, ExhaustThreshold: 16, Hooks: hooks})
+	det := NewLowSlow(LowSlowConfig{IdleNs: 200e6, ExhaustThreshold: 16})
+	det.SetHooks(hooks)
 	dr := newDriver(det)
 	dr.run(inj.Stream(), 50e6)
 	tailTicks(det, 2e9, 5e9, 100e6)
@@ -121,15 +124,23 @@ func TestLowSlowQuietOnBenignTraffic(t *testing.T) {
 	}
 }
 
+// SetHooks rewires the hooks Tick work acts on, and nil leaves a detector
+// that acts on nothing: an unanswered SYN's expiry unpins into the
+// recorder while it is set and into nowhere once it is cleared.
 func TestLowSlowSetHooks(t *testing.T) {
-	det := NewLowSlow(LowSlowConfig{})
+	det := NewLowSlow(LowSlowConfig{IdleNs: 200e6})
+	expire := func(i int) {
+		ts := int64(i) * 10e9
+		p, r := synTo(ts+1, packet.Addr(0xc6000001+i), 0x0a000001, 80)
+		det.OnPacket(p, r, snic.Ctx{})
+		det.Tick(ts + 5e9)
+	}
 	rec := &hookRecorder{}
 	det.SetHooks(rec)
-	if det.hooks != Hooks(rec) {
-		t.Fatal("SetHooks did not rewire")
-	}
+	expire(0)
 	det.SetHooks(nil)
-	if det.hooks != Hooks(rec) {
-		t.Fatal("SetHooks(nil) must keep existing hooks")
+	expire(1)
+	if len(rec.unpins) != 1 {
+		t.Fatalf("recorder saw %d unpins, want 1: the expiry after SetHooks(nil) must reach nothing", len(rec.unpins))
 	}
 }

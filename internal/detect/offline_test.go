@@ -53,8 +53,7 @@ func TestSlowlorisOffline(t *testing.T) {
 }
 
 func TestChainFansOutAndMerges(t *testing.T) {
-	hooks := &hookRecorder{}
-	a := NewBruteForce(BruteForceConfig{Service: 22, Psi: 1, Hooks: hooks})
+	a := NewBruteForce(BruteForceConfig{Service: 22, Psi: 1})
 	b := NewWorm(1, 0)
 	ch := NewChain(a, b)
 	if ch.Name() != "chain" || len(ch.detectors) != 2 {
@@ -89,13 +88,6 @@ func TestChainFansOutAndMerges(t *testing.T) {
 	if len(alerts) != 2 {
 		t.Fatalf("alerts from chain = %v", dets)
 	}
-}
-
-func TestNopHooks(t *testing.T) {
-	var h NopHooks
-	h.Unpin(okey(1))
-	h.Whitelist(okey(1))
-	h.Blacklist(packet.Addr(1)) // must not panic
 }
 
 func TestOutcomeAndVerdictStrings(t *testing.T) {

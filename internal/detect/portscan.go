@@ -18,8 +18,8 @@ import (
 // to the host — only flow records.
 type PortScan struct {
 	alertBuf
+	hooked
 	cfg     PortScanConfig
-	hooks   Hooks
 	trw     stats.TRWTest
 	sources map[packet.Addr]scanSource
 	// flaggedBits has flagBit(a) set for every flagged source a. Every TCP
@@ -43,8 +43,8 @@ type scanSource struct {
 	flagged bool
 }
 
-// maxPendingProbes is the default bound on a detector's half-open
-// tracking table (PortScanConfig.MaxPending; Incomplete's fixed bound).
+// maxPendingProbes bounds PortScan's and Incomplete's half-open tracking
+// tables. A SYN past it is not tracked: no record state, no pin, no entry.
 const maxPendingProbes = 1 << 16
 
 type pendingProbe struct {
@@ -106,11 +106,6 @@ type PortScanConfig struct {
 	ResponseTimeoutNs int64
 	// TRW is the sequential-test operating point.
 	TRW stats.TRWConfig
-	// Hooks receives blacklist requests.
-	Hooks Hooks
-	// MaxPending bounds the half-open tracking table (default 1 << 16). A
-	// SYN past it is not tracked: no record state, no pin, no entry.
-	MaxPending int
 }
 
 // NewPortScan builds the detector.
@@ -121,14 +116,8 @@ func NewPortScan(cfg PortScanConfig) *PortScan {
 	if cfg.TRW == (stats.TRWConfig{}) {
 		cfg.TRW = stats.DefaultTRWConfig()
 	}
-	if cfg.Hooks == nil {
-		cfg.Hooks = NopHooks{}
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = maxPendingProbes
-	}
 	return &PortScan{
-		cfg: cfg, hooks: cfg.Hooks,
+		cfg:     cfg,
 		trw:     stats.NewTRWTest(cfg.TRW),
 		sources: map[packet.Addr]scanSource{},
 		pending: map[packet.FlowKey]pendingProbe{},
@@ -154,7 +143,7 @@ func (d *PortScan) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx
 	case p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK):
 		// A probe the pending table has no room for is not tracked at all:
 		// pinned without an entry, nothing would ever unpin it.
-		if rec.State&(stateSYNSeen|stateOutcomeReported) == 0 && len(d.pending) < d.cfg.MaxPending {
+		if rec.State&(stateSYNSeen|stateOutcomeReported) == 0 && len(d.pending) < maxPendingProbes {
 			rec.State |= stateSYNSeen
 			rec.StateTs = p.Ts
 			// Pin until the outcome is determined (§3.2 pinning).
@@ -193,7 +182,7 @@ func (d *PortScan) observe(src packet.Addr, success bool, ts int64) {
 	if d.trw.Observe(&s.walk, success) == stats.TRWScanner && !s.flagged {
 		s.flagged = true
 		d.flaggedBits |= flagBit(src)
-		d.hooks.Blacklist(src)
+		d.blacklist(src)
 		d.emit(Alert{
 			Detector: "portscan", Ts: ts, Attacker: src,
 			Info: fmt.Sprintf("TRW verdict scanner after %d attempts", s.walk.Observations()),
@@ -207,7 +196,7 @@ func (d *PortScan) observe(src packet.Addr, success bool, ts int64) {
 func (d *PortScan) Tick(now int64) {
 	d.due = takeDue(d.pending, now, d.cfg.ResponseTimeoutNs, d.due)
 	for _, e := range d.due {
-		d.hooks.Unpin(e.key)
+		d.unpin(e.key)
 		d.observe(e.src, false, now)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // RSTs are themselves an attack indicator.
 type ForgedRST struct {
 	alertBuf
+	hooked
 	cfg   ForgedRSTConfig
-	hooks Hooks
 	wheel *host.TimingWheel[rstEntry]
 	bloom *host.Bloom
 	// stats for Fig. 8b
@@ -42,8 +42,6 @@ type ForgedRSTConfig struct {
 	// DisableBloom forces every RST through the timing-wheel scan — the
 	// ablation of Fig. 8b's 411 ns fast path.
 	DisableBloom bool
-	// Hooks receives unpin requests when held RSTs resolve.
-	Hooks Hooks
 }
 
 // rstEntry is the buffered packet.
@@ -69,12 +67,8 @@ func NewForgedRST(cfg ForgedRSTConfig) *ForgedRST {
 	if cfg.BloomFP <= 0 {
 		cfg.BloomFP = 0.01
 	}
-	if cfg.Hooks == nil {
-		cfg.Hooks = NopHooks{}
-	}
 	return &ForgedRST{
 		cfg:   cfg,
-		hooks: cfg.Hooks,
 		wheel: host.NewTimingWheel[rstEntry](cfg.WheelSlots, cfg.WheelTickNs),
 		bloom: host.NewBloom(cfg.BloomN, cfg.BloomFP),
 	}
@@ -147,11 +141,11 @@ func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ct
 }
 
 // Tick advances the wheel: expired RSTs were genuine and are released to
-// their destinations.
+// their destinations and their pins released.
 func (d *ForgedRST) Tick(now int64) {
 	for _, e := range d.wheel.Advance(now) {
 		d.Released++
-		d.hooks.Unpin(e.Payload.key)
+		d.unpin(e.Payload.key)
 	}
 }
 

@@ -163,19 +163,21 @@ func TestScanSourceSize(t *testing.T) {
 // only an expiring entry unpins a silent probe.
 func TestPortScanDoesNotPinUntrackedSYN(t *testing.T) {
 	hooks := &hookRecorder{}
-	det := NewPortScan(PortScanConfig{MaxPending: 1, ResponseTimeoutNs: 1e9, Hooks: hooks})
+	det := NewPortScan(PortScanConfig{ResponseTimeoutNs: 1e9})
+	det.SetHooks(hooks)
+	const syns = maxPendingProbes + 100
 	pins := 0
-	for i := range 3 {
-		p, rec := synTo(int64(1000+i), 0xc6336401, packet.Addr(0x0a000100+i), 80)
+	for i := range syns {
+		p, rec := synTo(int64(1000+i), 0xc6336401, packet.Addr(0x0a000000+i), 80)
 		if det.OnPacket(p, rec, snic.Ctx{}).Pin {
 			pins++
 		}
-		if i > 0 && rec.State != 0 {
-			t.Errorf("SYN %d past the bound set record state %#x", i, rec.State)
+		if i >= maxPendingProbes && rec.State != 0 {
+			t.Fatalf("SYN %d past the bound set record state %#x", i, rec.State)
 		}
 	}
-	if len(det.pending) != 1 {
-		t.Errorf("pending holds %d probes, bound 1", len(det.pending))
+	if len(det.pending) != maxPendingProbes || pins != maxPendingProbes {
+		t.Fatalf("%d SYNs: %d pending, %d pinned; want %d each", syns, len(det.pending), pins, maxPendingProbes)
 	}
 	det.Tick(10e9)
 	if pins != len(hooks.unpins) {
@@ -183,11 +185,12 @@ func TestPortScanDoesNotPinUntrackedSYN(t *testing.T) {
 	}
 }
 
-// Incomplete bounds its pending table at the PortScan default, and a SYN
-// past it is neither pinned nor recorded.
+// Incomplete bounds its pending table as PortScan does, and a SYN past
+// it is neither pinned nor recorded.
 func TestIncompleteBoundsPending(t *testing.T) {
 	hooks := &hookRecorder{}
-	det := NewIncomplete(1e9, 0, hooks)
+	det := NewIncomplete(1e9, 0, nil)
+	det.SetHooks(hooks)
 	const syns = maxPendingProbes + 100
 	pins := 0
 	for i := range syns {

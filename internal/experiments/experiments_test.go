@@ -5,6 +5,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"smartwatch/internal/core"
+	"smartwatch/internal/detect"
+	"smartwatch/internal/trace"
 )
 
 // testScale keeps the per-experiment runtime in unit-test territory; the
@@ -417,6 +421,26 @@ func TestTable2Shape(t *testing.T) {
 	}
 	if totalHost > 16 {
 		t.Errorf("total host-processed %v%%, paper bound <16%%", totalHost)
+	}
+}
+
+// TestMeteredForwardsHooks: Table 2 wraps every detector in metered, and
+// a wrapped ForgedRST still takes the platform's hooks, so the pin of each
+// RST it releases as genuine is released with it.
+func TestMeteredForwardsHooks(t *testing.T) {
+	t.Parallel()
+	rst := detect.NewForgedRST(detect.ForgedRSTConfig{TNs: 1e9})
+	inj := trace.ForgedRST(trace.ForgedRSTConfig{Seed: 4, Sessions: 20, ForgedFraction: 0})
+	d := drive{
+		cfg:    core.Config{Cache: detectCache(12), TickNs: 50e6, Detectors: []detect.Detector{&metered{Detector: rst}}},
+		tailNs: 10e9,
+	}
+	pl, _ := d.run(inj.Stream())
+	if rst.Released != 20 {
+		t.Fatalf("released %d RSTs, want the 20 genuine ones", rst.Released)
+	}
+	if _, pinned := pl.Cache().OccupancyStats(); pinned != 0 {
+		t.Errorf("%d records still pinned after every held RST was released", pinned)
 	}
 }
 

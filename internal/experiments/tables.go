@@ -14,7 +14,8 @@ import (
 
 // metered wraps a detector and accounts its sNIC cycles and host punts for
 // Table 2. To the platform it is a detector from outside package detect,
-// which the chain drives through OnPacket.
+// which the chain drives through OnPacket; it forwards SetHooks, so the
+// wrapped detector's Tick work still reaches the platform.
 type metered struct {
 	detect.Detector
 	cycles float64
@@ -33,6 +34,14 @@ func (m *metered) OnPacket(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx
 		m.toHost++
 	}
 	return r
+}
+
+// SetHooks hands the platform's hooks on to the wrapped detector, when it
+// takes them.
+func (m *metered) SetHooks(h detect.Hooks) {
+	if hd, ok := m.Detector.(interface{ SetHooks(detect.Hooks) }); ok {
+		hd.SetHooks(h)
+	}
 }
 
 // Table2Resources reproduces Table 2: with all fifteen detectors running
