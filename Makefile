@@ -40,9 +40,9 @@ test:
 # ingest, segmented runs: DESIGN.md §7.1, §13) run on the second line. The
 # session's concurrency tests then run 20 more times: the concurrent-Close race lost
 # about one run in eight before Session.Close decided under the session
-# mutex, and Ingest / Exec / Snapshot / Close from four goroutines is the
-# whole contract of a drive that runs on its callers' goroutines
-# (DESIGN.md §13.1).
+# mutex, and Ingest / Exec / Close with a State and LastSnapshot poll from
+# four goroutines is the whole contract of a drive that runs on its
+# callers' goroutines (DESIGN.md §13.1).
 race:
 	$(GO) test -race -short ./internal/flowcache/ ./internal/snic/ ./internal/tier/ ./internal/core/ ./internal/experiments/ ./internal/packet/ ./internal/pcap/ ./internal/p4switch/ ./internal/host/
 	$(GO) test -race -run 'TestBatchedDriveMatchesPerPacket|TestChunkedIngestMatchesRun|TestSegmentedRunMatchesOneShot' ./internal/core/
@@ -69,12 +69,13 @@ fuzz-smoke:
 # the merged-report/metrics contract. The oracle sweep replays whole
 # clusters many times; allow a generous timeout on slow boxes. Then ten more runs of the one test in which the router's
 # goroutine and the feeders append to a lane's tagged event list at once,
-# and of the operator plane's calls racing Ingest and Close at one and two
-# workers.
+# of the operator plane's calls racing Ingest and Close at one and two
+# workers, and of a metrics reader encoding the registry's last snapshot
+# while Drain merges.
 cluster:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 45m ./internal/cluster/
-	$(GO) test -race -count=10 -run 'TestOperatorWhitelistWhileFeedersRun|TestRunnerOperatorPlaneRace' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestOperatorWhitelistWhileFeedersRun|TestRunnerOperatorPlaneRace|TestMergeSnapshotPublishedWhole' ./internal/cluster/
 
 # Low-and-slow gate (DESIGN.md §9.4, §11): the injector/detector suite,
 # the flow-table model test and the map-backed LowSlow oracle, the

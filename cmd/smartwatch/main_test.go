@@ -11,6 +11,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -245,10 +247,12 @@ func TestRunDrainsBudgetedSource(t *testing.T) {
 	}
 }
 
-// TestMetricsLiveMidRun: /metrics serves a snapshot with series in it
-// while the drive is still running, on either engine. A cluster's registry
-// used to be snapshotted only at the merge, so `-serve -workers N` served
-// {} until the drain.
+// TestMetricsLiveMidRun: while the drive is still running, on either
+// engine, /metrics serves a snapshot with series in it, /control/snapshot
+// serves each lane's registry snapshot — at one worker the very object
+// /metrics serves — and /control/status's intervals is the most advanced
+// lane's packets.intervals. A cluster's registry used to be snapshotted
+// only at the merge, so `-serve -workers N` served {} until the drain.
 func TestMetricsLiveMidRun(t *testing.T) {
 	for _, k := range engineKinds {
 		reg := obs.NewRegistry()
@@ -262,14 +266,52 @@ func TestMetricsLiveMidRun(t *testing.T) {
 				t.Fatalf("%s: ingest: %v", k.name, err)
 			}
 		}
-		rec := httptest.NewRecorder()
-		metricsHandler(reg)(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-		var snap obs.Snapshot
-		if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-			t.Fatalf("%s: /metrics: %v: %s", k.name, err, rec.Body.String())
+		d := newDaemon(e, nil, 512)
+		get := func(h http.HandlerFunc, path string, v any) {
+			rec := httptest.NewRecorder()
+			h(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+				t.Fatalf("%s: %s: %v: %s", k.name, path, err, rec.Body.String())
+			}
 		}
-		if len(snap.Counters) == 0 || snap.TsNs == 0 {
-			t.Errorf("%s: /metrics before the drain = %s, want a snapshot with series", k.name, rec.Body.String())
+		var metrics obs.Snapshot
+		get(metricsHandler(reg), "/metrics", &metrics)
+		if len(metrics.Counters) == 0 || metrics.TsNs == 0 {
+			t.Errorf("%s: /metrics before the drain = %+v, want a snapshot with series", k.name, metrics)
+		}
+		// Feeders may still be closing intervals: read the routes between
+		// two equal Snapshots() so they describe exactly those snapshots.
+		var lanes struct{ Workers []*obs.Snapshot }
+		var status struct{ Intervals uint64 }
+		var snaps []*obs.Snapshot
+		for stable := false; !stable; {
+			snaps = e.Snapshots()
+			get(d.handleSnapshot, "/control/snapshot", &lanes)
+			get(d.handleStatus, "/control/status", &status)
+			stable = slices.Equal(snaps, e.Snapshots())
+		}
+		if len(lanes.Workers) != k.workers {
+			t.Fatalf("%s: %d lanes, want %d", k.name, len(lanes.Workers), k.workers)
+		}
+		var maxIntervals uint64
+		for i, snap := range snaps {
+			if snap == nil || snap != e.Workers()[i].LastSnapshot() {
+				t.Fatalf("%s: lane %d is %v, not its worker's registry snapshot", k.name, i, snap)
+			}
+			var want obs.Snapshot
+			if b, err := json.Marshal(snap); err != nil || json.Unmarshal(b, &want) != nil {
+				t.Fatalf("%s: lane %d does not round-trip: %v", k.name, i, err)
+			}
+			if !reflect.DeepEqual(lanes.Workers[i], &want) {
+				t.Errorf("%s: /control/snapshot lane %d = %+v, want %+v", k.name, i, lanes.Workers[i], want)
+			}
+			maxIntervals = max(maxIntervals, snap.Counters["packets.intervals"])
+		}
+		if k.workers == 1 && (snaps[0] != reg.LastSnapshot() || !reflect.DeepEqual(lanes.Workers[0], &metrics)) {
+			t.Errorf("%s: lane 0 is not the snapshot /metrics serves", k.name)
+		}
+		if maxIntervals == 0 || status.Intervals != maxIntervals {
+			t.Errorf("%s: status intervals = %d, want the lanes' maximum packets.intervals %d", k.name, status.Intervals, maxIntervals)
 		}
 		if err := e.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", k.name, err)

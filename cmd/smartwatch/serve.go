@@ -1,9 +1,10 @@
 // The drive and the operator plane (DESIGN.md §13.3). Every run, batch or
 // -serve, streams packets from a packet.Source (whole-file pcap, a tailed
 // growing pcap, or the synthetic generator) through one cluster runner —
-// at one worker, the platform itself — with a pause gate between vectors. -serve layers an HTTP control API on the -expvar endpoint:
-// pause/resume, whitelist/blacklist query+update, live interval snapshots,
-// and graceful drain. SIGINT/SIGTERM (or POST /control/drain) stops the
+// at one worker, the platform itself — with a pause gate between vectors.
+// -serve layers an HTTP control API on the -expvar endpoint: pause/resume,
+// whitelist/blacklist query+update, each lane's live metrics snapshot, and
+// graceful drain. SIGINT/SIGTERM (or POST /control/drain) stops the
 // source, flushes the flow log, emits the final metrics snapshot, and
 // returns the report.
 package main
@@ -20,6 +21,7 @@ import (
 
 	"smartwatch/internal/cluster"
 	"smartwatch/internal/core"
+	"smartwatch/internal/obs"
 	"smartwatch/internal/packet"
 )
 
@@ -162,7 +164,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // handleStatus reports the engine's state; intervals / ts_ns are the
-// most advanced lane's last interval close.
+// most advanced lane's packets.intervals counter and snapshot time.
 func (d *daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	snaps := d.e.Snapshots()
 	status := map[string]any{
@@ -172,14 +174,14 @@ func (d *daemon) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		"bus":      d.e.BusStats(),
 		"workers":  len(snaps),
 	}
-	var last *core.IntervalSnapshot
+	var last *obs.Snapshot
 	for _, snap := range snaps {
-		if snap != nil && (last == nil || snap.Seq > last.Seq) {
+		if snap != nil && (last == nil || snap.Counters["packets.intervals"] > last.Counters["packets.intervals"]) {
 			last = snap
 		}
 	}
 	if last != nil {
-		status["intervals"], status["ts_ns"] = last.Seq, last.TsNs
+		status["intervals"], status["ts_ns"] = last.Counters["packets.intervals"], last.TsNs
 	}
 	writeJSON(w, http.StatusOK, status)
 }
@@ -195,8 +197,9 @@ func (d *daemon) handlePause(pause bool) http.HandlerFunc {
 	}
 }
 
-// handleSnapshot serves each lane's latest interval-boundary delta
-// snapshot (null for a lane that has not closed an interval yet).
+// handleSnapshot serves each lane's latest metrics snapshot (null for a
+// lane that has not closed an interval yet). At one worker its one entry
+// is the snapshot /metrics serves.
 func (d *daemon) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"workers": d.e.Snapshots()})
 }

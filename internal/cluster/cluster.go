@@ -301,6 +301,11 @@ type Runner struct {
 	// interval closes and the drain barrier.
 	syncWaitNs atomic.Int64
 
+	// drained holds the worker reports while merge snapshots the registry,
+	// so collect grafts their trees before the snapshot is published (mu
+	// held; nil otherwise).
+	drained []core.Report
+
 	final Report
 }
 
@@ -339,8 +344,8 @@ func New(cfg Config) *Runner {
 	for i := range r.workers {
 		w := &worker{id: i, done: make(chan struct{})}
 		w.pl = core.New(r.workerConfig(i))
-		// Idle until Start, and never replaced: Snapshots and Close read it
-		// at any point of the lifecycle without the runner lock.
+		// Idle until Start, and never replaced: Close reads it at any
+		// point of the lifecycle without the runner lock.
 		w.ses = w.pl.NewSession()
 		r.workers[i] = w
 	}
@@ -480,13 +485,14 @@ func (r *Runner) BusStats() tier.BusStats {
 	return s
 }
 
-// Snapshots returns each worker's latest interval-boundary snapshot, in
-// lane order (entries are nil before a worker's first interval close, so
-// all of them before Start).
-func (r *Runner) Snapshots() []*core.IntervalSnapshot {
-	out := make([]*core.IntervalSnapshot, len(r.workers))
+// Snapshots returns each worker's latest metrics snapshot, in lane order
+// (entries are nil before a worker's first interval close, so all of them
+// before Start, and all of them when Worker.Metrics is unset). At one
+// worker its one entry is the registry's own last snapshot. Lock-free.
+func (r *Runner) Snapshots() []*obs.Snapshot {
+	out := make([]*obs.Snapshot, len(r.workers))
 	for i, w := range r.workers {
-		out[i] = w.ses.Snapshot()
+		out[i] = w.pl.LastSnapshot()
 	}
 	return out
 }
@@ -925,8 +931,14 @@ func (r *Runner) Run(s packet.Stream) (Report, error) {
 	return r.Drain()
 }
 
-// collect is the runner's obs collector: the cluster.* series.
+// collect is the runner's obs collector: the cluster.* series, and in the
+// merge's final snapshot each drained worker's tree under "worker.N.".
+// It runs inside Registry.Snapshot, before the snapshot is published, so
+// no reader of LastSnapshot sees a map being written.
 func (r *Runner) collect(s *obs.Snapshot) {
+	for i := range r.drained {
+		s.AddPrefixed(fmt.Sprintf("worker.%d.", i), r.drained[i].Metrics)
+	}
 	s.SetCounter("cluster.steer.offered", r.offered.Load())
 	s.SetCounter("cluster.steer.direct", r.direct.Load())
 	s.SetCounter("cluster.steer.dropped", r.dropped.Load())

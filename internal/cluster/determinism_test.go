@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -576,6 +577,45 @@ func TestClusterMetricsTree(t *testing.T) {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Errorf("missing router wait series %s", name)
 		}
+	}
+}
+
+// TestMergeSnapshotPublishedWhole: a /metrics or expvar reader encodes
+// the cluster registry's LastSnapshot while Drain merges. The merge used to
+// publish the final snapshot and only then graft the worker trees into its
+// maps: a concurrent map write under the reader's iteration, which -race
+// reports and the runtime may kill the process for. No snapshot is
+// written after Registry.Snapshot returns it. Run under -race -count=10
+// (make cluster).
+func TestMergeSnapshotPublishedWhole(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := New(Config{Workers: 2, Worker: core.Config{IntervalNs: 20e6, Metrics: reg}, QueueBatch: 64})
+	defer r.Close()
+	var stop atomic.Bool
+	defer stop.Store(true)
+	done := make(chan struct{})
+	go func() { // the HTTP reader
+		defer close(done)
+		for !stop.Load() {
+			s := reg.LastSnapshot()
+			if _, err := json.Marshal(s); err != nil {
+				t.Error(err)
+				return
+			}
+			if s != nil && s.Counters["worker.1.packets.total"] > 0 {
+				return // the merged snapshot, read whole
+			}
+			runtime.Gosched()
+		}
+	}()
+	src := trace.NewWorkload(trace.WorkloadConfig{Seed: 11, Flows: 200, PacketRate: 1e6, Duration: 1e8})
+	rep, err := r.Run(src.Stream())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if last := reg.LastSnapshot(); last != rep.Merged.Metrics || last.Counters["worker.0.packets.total"] == 0 {
+		t.Errorf("last published snapshot is not the merged tree: %p vs %p", last, rep.Merged.Metrics)
 	}
 }
 

@@ -10,7 +10,6 @@ package cluster
 
 import (
 	"sort"
-	"strconv"
 	"time"
 
 	"smartwatch/internal/core"
@@ -178,14 +177,10 @@ func (r *Runner) merge(reps []core.Report) core.Report {
 
 	// Metric trees: the cluster registry's own series (including the
 	// cluster.* collector) stamped at the final flush timestamp, with
-	// each worker's final tree grafted under "worker.N.".
-	if reg := r.cfg.Worker.Metrics; reg != nil {
-		snap := reg.Snapshot(r.nextInterval)
-		for i := range reps {
-			snap.AddPrefixed("worker."+strconv.Itoa(i)+".", reps[i].Metrics)
-		}
-		m.Metrics = snap
-	}
+	// each worker's final tree grafted under "worker.N." by collect.
+	r.drained = reps
+	m.Metrics = r.cfg.Worker.Metrics.Snapshot(r.nextInterval)
+	r.drained = nil
 	return m
 }
 

@@ -166,3 +166,9 @@ func (pl *Platform) MetricsErr() error {
 	}
 	return pl.emitter.Err()
 }
+
+// LastSnapshot returns the registry's most recent snapshot: the one taken
+// at the latest interval close, or the final one after a drain (nil before
+// the first close, or when Config.Metrics is unset). Safe from any
+// goroutine; a published snapshot is never written again.
+func (pl *Platform) LastSnapshot() *obs.Snapshot { return pl.metrics.LastSnapshot() }

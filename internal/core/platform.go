@@ -134,9 +134,8 @@ type Platform struct {
 	nicQueueDelay *obs.Histogram
 	engine        *snic.Engine
 
-	// session / sessionBusy track the at-most-one live streaming session
+	// sessionBusy guards the at-most-one live streaming session
 	// (session.go); Run is itself a session internally.
-	session     *Session
 	sessionBusy atomic.Bool
 }
 
@@ -387,13 +386,6 @@ func (pl *Platform) endInterval(ts int64) {
 	}
 	pl.flusher.OnInterval(ts)
 	tier.Publish(pl.bus, tier.IntervalEvent{Ts: ts, Seq: seq}, applied)
-	// Capture the session's live delta snapshot after the interval's
-	// reactions and observers (switch steer, host flush, metrics emit)
-	// have run. Pure read + atomic publish: no observable state changes,
-	// so the one-shot Run wrapper stays byte-identical.
-	if pl.session != nil {
-		pl.session.captureSnapshot(ts, seq)
-	}
 }
 
 // tierHandler is the sNIC tier, called by the engine inside Step: FlowCache
@@ -482,8 +474,9 @@ type Report struct {
 //
 // Since the session refactor (DESIGN.md §13) Run is a thin wrapper over a
 // Session: it starts one, feeds the stream through Ingest in recycled
-// vectors, and drains. With no Exec calls in flight this is byte-identical
-// to the pre-session drive — the determinism suite holds it to that.
+// 512-packet vectors, and drains. With no Exec calls in flight this is
+// byte-identical to the pre-session drive — the determinism suite holds it
+// to that.
 //
 // Run returns an error when the drive could not start (another session
 // is live on the platform: ErrSessionActive) or failed. A flow-log write
@@ -493,10 +486,12 @@ func (pl *Platform) Run(s packet.Stream) (Report, error) {
 	if err := ses.Start(); err != nil {
 		return Report{}, err
 	}
-	if err := ses.IngestStream(s, 0); err != nil {
-		// The drive failed: Drain releases the platform and names the cause.
-		_, err = ses.Drain()
-		return Report{}, err
+	for b := range packet.BufferedBatches(s, 512) {
+		if err := ses.Ingest(b); err != nil {
+			// The drive failed: Drain releases the platform and names the cause.
+			_, err = ses.Drain()
+			return Report{}, err
+		}
 	}
 	rep, err := ses.Drain()
 	if err != nil && rep.FlowLogErr == nil {

@@ -5,9 +5,11 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
+	"smartwatch/internal/obs"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/stats"
 )
@@ -70,12 +72,13 @@ func burstTrace(n int) []packet.Packet {
 
 // TestSessionConcurrentClose: the -serve double-drain shape — several
 // Session.Close calls (SIGTERM plus /control/drain plus a deferred
-// cleanup) racing each other and the embedder's Platform.Close. One Close
-// drains under the session mutex and the rest see a done session;
+// cleanup) racing each other, the embedder's Platform.Close and a
+// /control/status poll of State and the registry's LastSnapshot. One
+// Close drains under the session mutex and the rest see a done session;
 // Platform.Close either refuses (the drain is still running) or finds the
-// platform idle. Run under -race.
+// platform idle; the poll reads only published snapshots. Run under -race.
 func TestSessionConcurrentClose(t *testing.T) {
-	pl := New(Config{Shards: 2, IntervalNs: 50e6, BatchSize: 64})
+	pl := New(Config{Shards: 2, IntervalNs: 50e6, BatchSize: 64, Metrics: obs.NewRegistry()})
 	pkts := burstTrace(4_096)
 	for iter := 0; iter < 50; iter++ {
 		ses := pl.NewSession()
@@ -95,11 +98,21 @@ func TestSessionConcurrentClose(t *testing.T) {
 				}
 			}()
 		}
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			if err := pl.Close(); err != nil && !errors.Is(err, ErrSessionActive) {
 				t.Errorf("Platform.Close: %v", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for ses.State() != SessionDone {
+				if s := pl.LastSnapshot(); s != nil && len(s.Counters) == 0 {
+					t.Error("published snapshot with no series")
+					return
+				}
+				runtime.Gosched()
 			}
 		}()
 		wg.Wait()

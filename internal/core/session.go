@@ -9,9 +9,6 @@
 //	          on the caller's goroutine. When the call returns the caller
 //	          may recycle the slice (packet.BufferedBatches feeds it
 //	          directly); backpressure is the call itself.
-//	Snapshot — read the latest interval-boundary report delta (captured
-//	          at every interval close; lock-free for observers on any
-//	          goroutine).
 //	Drain   — run the final interval close and the lossless flow-log
 //	          flush, and return the end-of-session Report — exactly the
 //	          tail the old one-shot Run performed.
@@ -33,8 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"smartwatch/internal/flowcache"
-	"smartwatch/internal/obs"
 	"smartwatch/internal/packet"
 )
 
@@ -76,8 +71,8 @@ const (
 	SessionRunning
 	// SessionDraining: ingestion closed, final flush in progress.
 	SessionDraining
-	// SessionDone: final report delivered; only Snapshot and Drain (which
-	// returns the report again) work.
+	// SessionDone: final report delivered; Drain returns it again, and
+	// Ingest / Exec get ErrSessionClosed.
 	SessionDone
 	// SessionFailed: a panic escaped the datapath; the drive takes no more
 	// work and Drain or Close moves it to SessionDone (a cluster runner
@@ -103,36 +98,6 @@ func (s SessionState) String() string {
 	}
 }
 
-// IntervalSnapshot is the per-interval report delta the drive captures at
-// every interval close — the live operator view of a running session.
-// Cumulative fields cover the whole session so far; the *Delta twins cover
-// just the interval that closed. Metrics is the observability registry's
-// snapshot for the same interval (nil when metrics are disabled).
-type IntervalSnapshot struct {
-	// Seq counts interval closes from 1; TsNs is the close timestamp.
-	Seq  uint64 `json:"seq"`
-	TsNs int64  `json:"ts_ns"`
-
-	Counts      Counts `json:"counts"`
-	CountsDelta Counts `json:"counts_delta"`
-
-	Cache      flowcache.Stats `json:"cache"`
-	CacheDelta flowcache.Stats `json:"cache_delta"`
-
-	// Alerts / AlertsDelta count detector alerts raised.
-	Alerts      int `json:"alerts"`
-	AlertsDelta int `json:"alerts_delta"`
-
-	// Switchovers counts FlowCache mode flips across all shards.
-	Switchovers uint64 `json:"switchovers"`
-
-	// SNICProcessed / SNICDropped are the engine's live datapath totals.
-	SNICProcessed uint64 `json:"snic_processed"`
-	SNICDropped   uint64 `json:"snic_dropped"`
-
-	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-}
-
 // Session is one lifecycle-managed streaming pass over a Platform. Create
 // with Platform.NewSession; a Platform runs at most one session at a time
 // (sequential sessions continue from the platform's accumulated state,
@@ -151,13 +116,6 @@ type Session struct {
 	// moves to SessionFailed): the session accepts no more work and Drain
 	// skips the final flush.
 	driveErr error
-
-	snap atomic.Pointer[IntervalSnapshot]
-
-	// previous-interval baselines for delta computation (under mu).
-	prevCounts Counts
-	prevCache  flowcache.Stats
-	prevAlerts int
 }
 
 // NewSession returns an idle session over the platform. Call Start to
@@ -179,7 +137,6 @@ func (s *Session) Start() error {
 	if !s.pl.sessionBusy.CompareAndSwap(false, true) {
 		return ErrSessionActive
 	}
-	s.pl.session = s
 	s.pl.engine.Begin()
 	s.state.Store(int32(SessionRunning))
 	return nil
@@ -232,20 +189,6 @@ func (s *Session) Ingest(batch []packet.Packet) error {
 	return nil
 }
 
-// IngestStream drains a whole stream through Ingest in vectors of chunk
-// packets (the one-shot Run wrapper; chunk < 1 selects 512).
-func (s *Session) IngestStream(src packet.Stream, chunk int) error {
-	if chunk < 1 {
-		chunk = 512
-	}
-	for b := range packet.BufferedBatches(src, chunk) {
-		if err := s.Ingest(b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Exec runs fn under the session lock, between ingest vectors (or
 // immediately when ingestion is idle), and returns after fn completes.
 // This is the operator plane's safe point: no packet is in flight anywhere
@@ -263,10 +206,6 @@ func (s *Session) Exec(fn func(*Platform)) error {
 	}
 	return nil
 }
-
-// Snapshot returns the most recent interval-boundary delta snapshot (nil
-// before the first interval close). Safe from any goroutine.
-func (s *Session) Snapshot() *IntervalSnapshot { return s.snap.Load() }
 
 // Whitelist runs an operator whitelist for k at the session's safe point:
 // the switch installs the entry and the FlowCache releases any pin,
@@ -308,7 +247,6 @@ func (s *Session) drain() (Report, error) {
 		fallthrough
 	case SessionFailed:
 		s.state.Store(int32(SessionDone))
-		s.pl.session = nil
 		s.pl.sessionBusy.Store(false)
 	}
 	if s.driveErr != nil {
@@ -335,39 +273,4 @@ func (s *Session) Close() error {
 		s.state.Store(int32(SessionDone))
 	}
 	return nil
-}
-
-// captureSnapshot records the interval-boundary delta; called from
-// endInterval (so under mu) after the interval's reactions and observers
-// (host flush, metrics emit) have run.
-func (s *Session) captureSnapshot(ts int64, seq uint64) {
-	counts := s.pl.counts.snapshot()
-	cache := s.pl.cache.Stats()
-	alerts := len(s.pl.alerts)
-	snap := &IntervalSnapshot{
-		Seq: seq, TsNs: ts,
-		Counts: counts, CountsDelta: counts.Sub(s.prevCounts),
-		Cache: cache, CacheDelta: cache.Sub(s.prevCache),
-		Alerts: alerts, AlertsDelta: alerts - s.prevAlerts,
-		Switchovers: s.pl.cache.Switchovers(),
-	}
-	snap.SNICProcessed, snap.SNICDropped, _ = s.pl.engine.LiveCounts()
-	if s.pl.metrics != nil {
-		snap.Metrics = s.pl.metrics.LastSnapshot()
-	}
-	s.prevCounts, s.prevCache, s.prevAlerts = counts, cache, alerts
-	s.snap.Store(snap)
-}
-
-// Sub returns the field-wise difference c - prev (interval deltas).
-func (c Counts) Sub(prev Counts) Counts {
-	return Counts{
-		Total:           c.Total - prev.Total,
-		ForwardedDirect: c.ForwardedDirect - prev.ForwardedDirect,
-		DroppedAtSwitch: c.DroppedAtSwitch - prev.DroppedAtSwitch,
-		ToSNIC:          c.ToSNIC - prev.ToSNIC,
-		ToHost:          c.ToHost - prev.ToHost,
-		Blocked:         c.Blocked - prev.Blocked,
-		Intervals:       c.Intervals - prev.Intervals,
-	}
 }

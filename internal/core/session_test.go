@@ -201,7 +201,7 @@ func smallWorkload() packet.Stream {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	pl := New(Config{IntervalNs: 20e6})
+	pl := New(Config{IntervalNs: 20e6, Metrics: obs.NewRegistry()})
 	ses := pl.NewSession()
 
 	if got := ses.State(); got != SessionIdle {
@@ -232,21 +232,18 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("concurrent session Start = %v, want ErrSessionActive", err)
 	}
 
-	if snap := ses.Snapshot(); snap != nil {
-		t.Fatalf("Snapshot before any interval close = %+v, want nil", snap)
+	if snap := pl.LastSnapshot(); snap != nil {
+		t.Fatalf("LastSnapshot before any interval close = %+v, want nil", snap)
 	}
-	if err := ses.IngestStream(smallWorkload(), 0); err != nil {
+	if err := ses.Ingest(packet.Collect(smallWorkload())); err != nil {
 		t.Fatal(err)
 	}
-	snap := ses.Snapshot()
-	if snap == nil || snap.Seq == 0 {
+	snap := pl.LastSnapshot()
+	if snap == nil || snap.Counters["packets.intervals"] == 0 {
 		t.Fatalf("no interval snapshot after a 5-interval trace: %+v", snap)
 	}
 	if snap.TsNs%20e6 != 0 {
 		t.Errorf("snapshot ts %d not an interval boundary", snap.TsNs)
-	}
-	if snap.Counts.Total < snap.CountsDelta.Total {
-		t.Errorf("cumulative %d < delta %d", snap.Counts.Total, snap.CountsDelta.Total)
 	}
 
 	rep, err := ses.Drain()
@@ -257,9 +254,9 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("state after Drain = %v", got)
 	}
 	// The drain tail closes the final interval; the snapshot reflects it.
-	final := ses.Snapshot()
-	if final == nil || final.Seq < snap.Seq {
-		t.Errorf("final snapshot seq %v regressed from %d", final, snap.Seq)
+	final := pl.LastSnapshot()
+	if final == nil || final.Counters["packets.intervals"] < snap.Counters["packets.intervals"] {
+		t.Errorf("final snapshot %v regressed from %d intervals", final, snap.Counters["packets.intervals"])
 	}
 	// Drain on a done session returns the cached report.
 	if rep3, err := ses.Drain(); err != nil || rep3.Counts != rep.Counts {
@@ -331,7 +328,7 @@ func TestSessionExecSafePoint(t *testing.T) {
 		t.Fatalf("whitelist entry %v not installed via Exec; entries=%v", key, entries)
 	}
 	// The whitelisted flow now takes the switch fast path.
-	if err := ses.IngestStream(smallWorkload(), 0); err != nil {
+	if err := ses.Ingest(packet.Collect(smallWorkload())); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := ses.Drain()
@@ -370,11 +367,11 @@ func TestExecSeesEveryIngestedPacket(t *testing.T) {
 }
 
 // TestSessionConcurrentObservers pins the advertised concurrency
-// contract under the race detector: Snapshot/State from any goroutine,
-// Exec interleaved with a live ingest, then a drain racing a straggler
-// Ingest.
+// contract under the race detector: State and the registry's
+// LastSnapshot from any goroutine, Exec interleaved with a live ingest,
+// then a drain racing a straggler Ingest.
 func TestSessionConcurrentObservers(t *testing.T) {
-	pl := New(Config{IntervalNs: 10e6, Shards: 2, BatchSize: 16})
+	pl := New(Config{IntervalNs: 10e6, Shards: 2, BatchSize: 16, Metrics: obs.NewRegistry()})
 	ses := pl.NewSession()
 	if err := ses.Start(); err != nil {
 		t.Fatal(err)
@@ -393,8 +390,8 @@ func TestSessionConcurrentObservers(t *testing.T) {
 			default:
 			}
 			_ = ses.State()
-			if s := ses.Snapshot(); s != nil && s.Seq == 0 {
-				t.Error("published snapshot with zero seq")
+			if s := pl.LastSnapshot(); s != nil && s.Counters["packets.intervals"] == 0 {
+				t.Error("published snapshot before any interval close")
 			}
 		}
 	}()
@@ -443,29 +440,6 @@ func TestSessionConcurrentObservers(t *testing.T) {
 	// Stragglers against the drained session fail cleanly, never hang.
 	if err := ses.Ingest(pkts[:1]); err != ErrSessionClosed {
 		t.Errorf("straggler Ingest = %v, want ErrSessionClosed", err)
-	}
-}
-
-// TestSessionIngestStreamChunkAlignment: the default chunk rounds up to a
-// BatchSize multiple so the batched drive's re-chunker subslices without
-// copying; behaviour (not just performance) must be identical either way.
-func TestSessionIngestStreamChunkAlignment(t *testing.T) {
-	for _, chunk := range []int{0, 100} { // 0 = default (BatchSize-aligned), 100 = misaligned
-		pl := New(Config{IntervalNs: 20e6, BatchSize: 96})
-		ses := pl.NewSession()
-		if err := ses.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := ses.IngestStream(smallWorkload(), chunk); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := ses.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Counts.Total != rep.Counts.ToSNIC || rep.Counts.Total == 0 {
-			t.Errorf("chunk=%d: counts %+v", chunk, rep.Counts)
-		}
 	}
 }
 
@@ -709,8 +683,8 @@ func TestSessionPanicSurfacesOnCaller(t *testing.T) {
 	}
 }
 
-// TestSessionIngestExecCloseRace: Ingest, Exec, Snapshot/State and Close
-// from four goroutines at once, Close landing mid-stream. Run under -race
+// TestSessionIngestExecCloseRace: Ingest, Exec, State with the registry's
+// LastSnapshot, and Close from four goroutines at once, Close landing mid-stream. Run under -race
 // (make race runs it 20 times). Every call returns; calls that lose to
 // Close get ErrSessionClosed; the report accounts for exactly the vectors
 // whose Ingest succeeded; no Exec closure ever sees a vector half done.
@@ -718,6 +692,7 @@ func TestSessionIngestExecCloseRace(t *testing.T) {
 	cfg := fullConfig(2)
 	cfg.BatchSize = 64
 	cfg.IntervalNs = 1e6
+	cfg.Metrics = obs.NewRegistry()
 	pl := New(cfg)
 	ses := pl.NewSession()
 	if err := ses.Start(); err != nil {
@@ -773,8 +748,8 @@ func TestSessionIngestExecCloseRace(t *testing.T) {
 	go func() { // observers
 		defer wg.Done()
 		for ses.State() != SessionDone {
-			if s := ses.Snapshot(); s != nil && s.Seq == 0 {
-				t.Error("published snapshot with zero seq")
+			if s := pl.LastSnapshot(); s != nil && s.Counters["packets.intervals"] == 0 {
+				t.Error("published snapshot before any interval close")
 				return
 			}
 			runtime.Gosched()

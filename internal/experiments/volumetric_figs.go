@@ -64,10 +64,6 @@ type swCounter struct {
 	fs *host.FlowStore
 }
 
-func (s swCounter) Update(packet.FlowKey, uint64) {}
-func (s swCounter) Ops() sketch.OpProfile         { return sketch.OpProfile{} }
-func (s swCounter) MemoryBytes() int              { return 0 }
-func (s swCounter) Reset()                        {}
 func (s swCounter) Estimate(k packet.FlowKey) uint64 {
 	hr, ok := s.fs.Get(k)
 	if !ok {
@@ -291,7 +287,11 @@ func Fig11bThroughput(scale float64) *Table {
 	// Host platforms: per-update op cost against a host-core budget;
 	// independent of PMEs (flat lines). Costs per update measured from the
 	// sketch op profiles: each hash+read+write ~ 12 ns of host pipeline.
-	hostMpps := func(fc sketch.FlowCounter) float64 {
+	type hostSketch interface {
+		Update(packet.FlowKey, uint64)
+		Ops() sketch.OpProfile
+	}
+	hostMpps := func(fc hostSketch) float64 {
 		rng := stats.NewRand(5)
 		z := stats.NewZipf(rng, 10_000, 1.2)
 		for i := 0; i < 50_000; i++ {

@@ -69,31 +69,9 @@ type Stats struct {
 	Reads, Writes uint64
 }
 
-// Sub returns the field-wise difference s - prev. Cumulative counters
-// only ever grow, so subtracting an earlier snapshot yields the interval
-// delta (the live operator view of core.Session snapshots).
-func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		PHits:            s.PHits - prev.PHits,
-		EHits:            s.EHits - prev.EHits,
-		Misses:           s.Misses - prev.Misses,
-		Inserts:          s.Inserts - prev.Inserts,
-		Evictions:        s.Evictions - prev.Evictions,
-		RingDrops:        s.RingDrops - prev.RingDrops,
-		HostPunts:        s.HostPunts - prev.HostPunts,
-		PinDenied:        s.PinDenied - prev.PinDenied,
-		RowCleanups:      s.RowCleanups - prev.RowCleanups,
-		CleanupEvictions: s.CleanupEvictions - prev.CleanupEvictions,
-		StarveEvictions:  s.StarveEvictions - prev.StarveEvictions,
-		PinAgeExpired:    s.PinAgeExpired - prev.PinAgeExpired,
-		Reads:            s.Reads - prev.Reads,
-		Writes:           s.Writes - prev.Writes,
-	}
-}
-
 // Add returns the field-wise sum s + o — the merge operation the cluster
-// runner uses to fold per-worker cache counters into one aggregate (the
-// dual of Sub; Sharded.Stats applies the same fold across shards).
+// runner uses to fold per-worker cache counters into one aggregate
+// (Sharded.Stats applies the same fold across shards).
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		PHits:            s.PHits + o.PHits,

@@ -52,14 +52,3 @@ func (cm *CountMin) Estimate(k packet.FlowKey) uint64 {
 
 // Ops returns the cumulative operation profile.
 func (cm *CountMin) Ops() OpProfile { return cm.profile }
-
-// MemoryBytes returns the counter array footprint.
-func (cm *CountMin) MemoryBytes() int { return cm.w * cm.d * 8 }
-
-// Reset zeroes all counters.
-func (cm *CountMin) Reset() {
-	for i := range cm.rows {
-		clear(cm.rows[i])
-	}
-	cm.profile = OpProfile{}
-}

@@ -95,28 +95,5 @@ func (e *Elastic) Estimate(k packet.FlowKey) uint64 {
 	return est + uint64(e.light[e.lightIdx(k)])
 }
 
-// HeavyHitters enumerates heavy-part residents above the threshold.
-func (e *Elastic) HeavyHitters(threshold uint64) []HeavyHitter {
-	var out []HeavyHitter
-	for i := range e.heavy {
-		b := &e.heavy[i]
-		if b.occupied && e.Estimate(b.key) >= threshold {
-			out = append(out, HeavyHitter{Key: b.key, Count: e.Estimate(b.key)})
-		}
-	}
-	return out
-}
-
 // Ops returns the cumulative operation profile.
 func (e *Elastic) Ops() OpProfile { return e.profile }
-
-// MemoryBytes returns the combined heavy+light footprint (heavy buckets
-// are 13 B key + 8 B counters ~ 24 B packed).
-func (e *Elastic) MemoryBytes() int { return len(e.heavy)*24 + len(e.light) }
-
-// Reset clears both parts.
-func (e *Elastic) Reset() {
-	clear(e.heavy)
-	clear(e.light)
-	e.profile = OpProfile{}
-}

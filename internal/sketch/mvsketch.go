@@ -5,12 +5,11 @@ import "smartwatch/internal/packet"
 // MVSketch implements the invertible majority-vote sketch of Tang, Huang &
 // Lee (INFOCOM '19). Each bucket keeps a total count V, a candidate heavy
 // key K and the candidate's vote margin C, updated with the Boyer–Moore
-// majority rule; heavy flows can be enumerated directly from the buckets.
+// majority rule.
 type MVSketch struct {
 	buckets [][]mvBucket
 	w, d    int
 	seeds   []uint64
-	profile OpProfile
 }
 
 type mvBucket struct {
@@ -35,12 +34,8 @@ func NewMVSketch(w, d int) *MVSketch {
 
 // Update applies the majority-vote rule in every row.
 func (mv *MVSketch) Update(k packet.FlowKey, n uint64) {
-	mv.profile.Updates++
 	for i := 0; i < mv.d; i++ {
 		b := &mv.buckets[i][k.HashSeed(mv.seeds[i])%uint64(mv.w)]
-		mv.profile.Hashes++
-		mv.profile.MemReads++
-		mv.profile.MemWrites++
 		b.total += n
 		switch {
 		case !b.occupied:
@@ -77,38 +72,4 @@ func (mv *MVSketch) Estimate(k packet.FlowKey) uint64 {
 		}
 	}
 	return est
-}
-
-// HeavyHitters enumerates candidate keys whose estimate crosses the
-// threshold (deduplicated across rows).
-func (mv *MVSketch) HeavyHitters(threshold uint64) []HeavyHitter {
-	seen := map[packet.FlowKey]bool{}
-	var out []HeavyHitter
-	for i := 0; i < mv.d; i++ {
-		for j := range mv.buckets[i] {
-			b := &mv.buckets[i][j]
-			if !b.occupied || seen[b.candidate] {
-				continue
-			}
-			if est := mv.Estimate(b.candidate); est >= threshold {
-				seen[b.candidate] = true
-				out = append(out, HeavyHitter{Key: b.candidate, Count: est})
-			}
-		}
-	}
-	return out
-}
-
-// Ops returns the cumulative operation profile.
-func (mv *MVSketch) Ops() OpProfile { return mv.profile }
-
-// MemoryBytes returns the bucket array footprint (~32 B per bucket).
-func (mv *MVSketch) MemoryBytes() int { return mv.w * mv.d * 32 }
-
-// Reset clears all buckets.
-func (mv *MVSketch) Reset() {
-	for i := range mv.buckets {
-		clear(mv.buckets[i])
-	}
-	mv.profile = OpProfile{}
 }

@@ -85,15 +85,3 @@ func (n *Nitro) Estimate(k packet.FlowKey) uint64 {
 
 // Ops returns the cumulative operation profile.
 func (n *Nitro) Ops() OpProfile { return n.profile }
-
-// MemoryBytes returns the counter footprint.
-func (n *Nitro) MemoryBytes() int { return n.w * n.d * 8 }
-
-// Reset clears counters and skip state.
-func (n *Nitro) Reset() {
-	for i := range n.rows {
-		clear(n.rows[i])
-		n.skip[i] = n.geometric()
-	}
-	n.profile = OpProfile{}
-}

@@ -4,10 +4,11 @@
 // heavy-hitter, heavy-change and flow-size-distribution estimators built
 // on them (Fig. 10, Fig. 11b).
 //
-// Every sketch tracks an operation profile (hash computations, memory reads
-// and writes per update) so the simulators can convert algorithmic cost
-// into the per-packet cycle budgets that determine throughput: the paper's
-// Fig. 11b ranks platforms almost entirely by memory operations per packet.
+// The sketches Fig. 11b ranks (Count-Min, Elastic, Nitro) track an
+// operation profile (hash computations, memory reads and writes per
+// update) so the simulators can convert algorithmic cost into the
+// per-packet cycle budgets that determine throughput: the paper's Fig. 11b
+// ranks platforms almost entirely by memory operations per packet.
 package sketch
 
 import "smartwatch/internal/packet"
@@ -30,30 +31,15 @@ func (o OpProfile) PerUpdate() (h, r, w float64) {
 	return float64(o.Hashes) / n, float64(o.MemReads) / n, float64(o.MemWrites) / n
 }
 
-// FlowCounter is the point-query interface all sketches share.
+// FlowCounter is the point query the scoring helpers evaluate: any
+// sketch, or SmartWatch's lossless flow log.
 type FlowCounter interface {
-	// Update adds n to the key's counter.
-	Update(k packet.FlowKey, n uint64)
 	// Estimate returns the (approximate) count for the key.
 	Estimate(k packet.FlowKey) uint64
-	// Ops returns the cumulative operation profile.
-	Ops() OpProfile
-	// MemoryBytes returns the structure's fixed memory footprint.
-	MemoryBytes() int
-	// Reset clears all counters (new measurement interval).
-	Reset()
 }
 
 // HeavyHitter is one reported heavy flow.
 type HeavyHitter struct {
 	Key   packet.FlowKey
 	Count uint64
-}
-
-// Invertible is implemented by sketches that can enumerate their heavy
-// flows without an external key list (Elastic, MV-Sketch).
-type Invertible interface {
-	FlowCounter
-	// HeavyHitters returns flows with estimated count >= threshold.
-	HeavyHitters(threshold uint64) []HeavyHitter
 }

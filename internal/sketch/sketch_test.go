@@ -15,8 +15,8 @@ func key(i int) packet.FlowKey {
 	}.Canonical()
 }
 
-// zipfWorkload returns per-key exact counts and feeds the counter.
-func zipfWorkload(t *testing.T, fc FlowCounter, flows, packets int) Exact {
+// zipfWorkload returns per-key exact counts and feeds the sketch.
+func zipfWorkload(t *testing.T, fc interface{ Update(packet.FlowKey, uint64) }, flows, packets int) Exact {
 	t.Helper()
 	rng := stats.NewRand(99)
 	z := stats.NewZipf(rng, flows, 1.2)
@@ -58,10 +58,6 @@ func TestCountMinOps(t *testing.T) {
 	if h != 5 || r != 5 || w != 5 {
 		t.Errorf("per-update ops = %g/%g/%g, want 5/5/5", h, r, w)
 	}
-	cm.Reset()
-	if cm.Estimate(key(1)) != 0 || cm.Ops().Updates != 0 {
-		t.Error("Reset incomplete")
-	}
 }
 
 func TestElasticHeavyAccuracy(t *testing.T) {
@@ -80,24 +76,6 @@ func TestElasticHeavyAccuracy(t *testing.T) {
 	}
 }
 
-func TestElasticInvertible(t *testing.T) {
-	e := NewElastic(1024, 1<<14)
-	k := key(7)
-	e.Update(k, 5000)
-	found := false
-	for _, h := range e.HeavyHitters(1000) {
-		if h.Key == k {
-			found = true
-			if h.Count != 5000 {
-				t.Errorf("count = %d", h.Count)
-			}
-		}
-	}
-	if !found {
-		t.Error("heavy flow not enumerated")
-	}
-}
-
 func TestElasticCheaperThanCountMin(t *testing.T) {
 	e := NewElastic(1024, 1<<14)
 	cm := NewCountMin(1024, 4)
@@ -110,29 +88,6 @@ func TestElasticCheaperThanCountMin(t *testing.T) {
 	}
 }
 
-func TestMVSketchMajority(t *testing.T) {
-	mv := NewMVSketch(2048, 3)
-	truth := zipfWorkload(t, mv, 5000, 200000)
-	hh := truth.HeavyHitters(2000)
-	if len(hh) == 0 {
-		t.Skip("no heavy hitters")
-	}
-	got := mv.HeavyHitters(2000)
-	found := map[packet.FlowKey]bool{}
-	for _, h := range got {
-		found[h.Key] = true
-	}
-	misses := 0
-	for _, h := range hh {
-		if !found[h.Key] {
-			misses++
-		}
-	}
-	if misses > len(hh)/4 {
-		t.Errorf("MV-Sketch missed %d/%d heavy hitters", misses, len(hh))
-	}
-}
-
 func TestNitroSamplesFewerOps(t *testing.T) {
 	n := NewNitro(4096, 4, 0.05)
 	zipfWorkload(t, n, 2000, 100000)
@@ -142,12 +97,10 @@ func TestNitroSamplesFewerOps(t *testing.T) {
 		t.Errorf("Nitro hashes/update = %.2f, want ~0.2", h)
 	}
 	// Large flows should still be estimated in the right ballpark.
-	truth := Exact{}
-	n.Reset()
+	n = NewNitro(4096, 4, 0.05)
 	k := key(3)
 	for i := 0; i < 100000; i++ {
 		n.Update(k, 1)
-		truth[k]++
 	}
 	est := float64(n.Estimate(k))
 	if est < 50000 || est > 200000 {

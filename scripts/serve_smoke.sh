@@ -4,9 +4,9 @@
 # alive after the fixture is consumed) and runs one assertion body: status
 # and snapshot the moment the listener answers (it is opened before the
 # engine is started), then after the first interval close pause/resume,
-# the whitelist and blacklist round trips, the snapshot delta and the live
-# /metrics endpoint, then a drain (SIGTERM or POST /control/drain) that
-# must exit 0 with a final report on stdout. Legs: one platform with the
+# the whitelist and blacklist round trips, a metrics snapshot per lane and
+# the live /metrics endpoint, then a drain (SIGTERM or POST
+# /control/drain) that must exit 0 with a final report on stdout. Legs: one platform with the
 # switch (its per-interval metrics stream is then validated by
 # cmd/metricscheck), a two-worker cluster, and one platform without a
 # switch, where an operator blacklist must be refused with 409.
@@ -37,7 +37,14 @@ wait_for() {
     done
 }
 
-has_snapshot() { curl -sf "$BASE/control/snapshot" | grep -q '"seq"'; }
+has_snapshot() { curl -sf "$BASE/control/snapshot" | grep -q '"ts_ns"'; }
+
+# lane_snapshots LANES: every lane's /control/snapshot entry is a metrics
+# snapshot (one "packets.intervals" series a lane; a lane that has not
+# closed an interval yet is null).
+lane_snapshots() {
+    [ "$(curl -sf "$BASE/control/snapshot" | grep -c '"packets.intervals"')" = "$1" ]
+}
 
 cleanup() {
     [ -n "$PID" ] && kill "$PID" 2>/dev/null || true
@@ -73,7 +80,7 @@ leg() {
         || fail "$name: snapshot failed right after the listener came up"
 
     # Wait until the fixture has been ingested far enough to close at
-    # least one interval (a snapshot seq appears).
+    # least one interval (a lane's snapshot appears).
     wait_for 100 0.2 "$name interval snapshot" has_snapshot
     curl -sf "$BASE/control/status" | grep -q '"state": "running"' \
         || fail "$name: status not running"
@@ -101,8 +108,7 @@ leg() {
         curl -sf "$BASE/control/blacklist" | grep -q '"count": 0' \
             || fail "$name: refused blacklist entry in dump"
     fi
-    curl -sf "$BASE/control/snapshot" | grep -q '"counts_delta"' \
-        || fail "$name: snapshot missing interval delta"
+    wait_for 100 0.2 "$name snapshot on each of $lanes lane(s)" lane_snapshots "$lanes"
     # The metrics endpoint serves live DURING the drive.
     curl -sf -o "$TMP/metrics.json" "$BASE/metrics" || fail "$name: /metrics down"
     grep -qF "\"$series\"" "$TMP/metrics.json" \
