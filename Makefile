@@ -79,15 +79,15 @@ cluster:
 
 # Low-and-slow gate (DESIGN.md §9.4, §11): the injector/detector suite,
 # the flow-table model test and the map-backed LowSlow oracle, the
-# timing-wheel wraparound and hostile-time audit, the pin-budget boundary
-# race, the Lite-mode pinned-retention oracles and the platform
-# determinism sweep with the wheel-backed detector in the loop, and the
-# pin releases the other Tick-driven detectors make through the platform's
-# hooks (DESIGN.md §7.3) — all under the race detector — then the lowslow
+# timing-wheel wraparound and hostile-time audit, the starvation valve,
+# the Lite-mode pinned-retention oracles and the platform determinism
+# sweep with the wheel-backed detector in the loop, and the pin releases
+# the Tick-driven detectors make through the platform's hooks
+# (DESIGN.md §7.3) — all under the race detector — then the lowslow
 # experiment table at reduced scale.
 lowslow:
 	$(GO) vet ./...
-	$(GO) test -race -run 'LowSlow|SlowRead|SlowPost|ConnExhaust|TimingWheel|PinBudget|PinStarve|PinAge|CleanRowParks|UnpinParked|ModeChurn|UpdateStatePin|TickHooks|ForgedRSTReleases|UntrackedSYN|IncompleteBoundsPending' \
+	$(GO) test -race -run 'LowSlow|SlowRead|SlowPost|ConnExhaust|TimingWheel|PinStarve|CleanRowParks|UnpinParked|ModeChurn|UpdateStatePin|TickHooks|ForgedRSTReleases|UntrackedSYN|IncompleteBoundsPending' \
 		./internal/trace/ ./internal/detect/ ./internal/host/ ./internal/flowcache/ ./internal/core/
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 

@@ -28,11 +28,8 @@ func hookStream() packet.Stream {
 }
 
 // hookRows are the detector sets TestTickHooksReachThePlatform runs: each
-// of the three detectors whose hooks used to come from their config alone,
-// then all four Tick-driven detectors (the CLI's order, LowSlow last).
-// LowSlow is not a row of its own: a flow it pinned that closes before its
-// idle deadline stays pinned (DESIGN.md §11.5). Here ForgedRST and
-// PortScan release those records.
+// of the four Tick-driven detectors alone, then all four together (the
+// CLI's order, LowSlow last).
 var hookRows = []struct {
 	name    string
 	dets    func() []detect.Detector
@@ -45,6 +42,7 @@ var hookRows = []struct {
 		return []detect.Detector{detect.NewPortScan(detect.PortScanConfig{ResponseTimeoutNs: 1e9})}
 	}, true},
 	{"incomplete", func() []detect.Detector { return []detect.Detector{detect.NewIncomplete(1e9, 5, nil)} }, false},
+	{"lowslow", func() []detect.Detector { return []detect.Detector{detect.NewLowSlow(detect.LowSlowConfig{})} }, false},
 	{"all four", func() []detect.Detector {
 		return []detect.Detector{
 			detect.NewPortScan(detect.PortScanConfig{ResponseTimeoutNs: 1e9}),

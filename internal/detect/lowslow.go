@@ -25,7 +25,7 @@ import (
 //     one /24 against one victim until the block's idle population
 //     crosses ExhaustThreshold.
 //
-// Confirmed flows are unpinned (releasing the pin budget the attack was
+// Confirmed flows are unpinned (releasing the pins the attack was
 // squatting on) and their sources blacklisted through Hooks, so alerts
 // flow into the same whitelist/blacklist control loop as every other
 // in-line detector. All bookkeeping is driven by packet order and wheel
@@ -255,7 +255,8 @@ func (d *LowSlow) Tick(now int64) {
 		f.scheduled = false
 
 		if f.closed {
-			// Finished flows leave the tracker.
+			// Finished flows leave the tracker and release their pin.
+			d.unpin(k)
 			d.flows.del(h, k)
 			continue
 		}

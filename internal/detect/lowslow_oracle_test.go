@@ -151,7 +151,9 @@ func (d *mapLowSlow) Tick(now int64) {
 		f.scheduled = false
 
 		if f.closed || f.alerted {
-			// Finished (or already confirmed) flows leave the tracker.
+			// Finished (or already confirmed) flows leave the tracker and
+			// release their pin.
+			d.unpin(k)
 			delete(d.flows, k)
 			continue
 		}

@@ -17,7 +17,7 @@ import (
 type drive struct {
 	cfg core.Config
 	// setup runs on the platform before its first packet: attach a host
-	// NF, size the pin budget, observe the bus.
+	// NF, observe the bus.
 	setup func(*core.Platform)
 	// between, when set, runs under Exec after every `every` packets.
 	every   int

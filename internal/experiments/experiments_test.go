@@ -530,18 +530,17 @@ func TestLowSlowShape(t *testing.T) {
 			}
 		}
 	}
-	budgets := 0
-	for _, r := range tb.Rows {
-		if r[mi] != "punts-per-kpkt-seed" {
-			continue
-		}
-		budgets++
-		if seed, hard := cellF(t, r, vi), val(r[si], "punts-per-kpkt-hardened"); hard > seed {
-			t.Errorf("%s: hardened punts %v/kpkt above seed %v", r[si], hard, seed)
-		}
+	if v := val("pin-starvation", "punts-per-kpkt-seed"); v <= 0 {
+		t.Errorf("seed punts %v/kpkt: the starvation run starved nothing", v)
 	}
-	if budgets != 3 {
-		t.Errorf("%d pin budgets, want 3", budgets)
+	if v := val("pin-starvation", "punts-per-kpkt-hardened"); v != 0 {
+		t.Errorf("hardened punts %v/kpkt, want 0.00", v)
+	}
+	if seed, hard := val("pin-starvation", "detect-ms-seed"), val("pin-starvation", "detect-ms-hardened"); seed != hard {
+		t.Errorf("detect-ms seed %v, hardened %v: the valve moved detection", seed, hard)
+	}
+	if v := val("mode-churn", "live-pins-at-end"); v <= 0 {
+		t.Errorf("live-pins-at-end = %v: retention scores nothing", v)
 	}
 	if v := val("mode-churn", "retained-pinned"); v != 1 {
 		t.Errorf("retained-pinned = %v, want 1.00", v)

@@ -36,9 +36,9 @@ func firstAlertMs(alerts []detect.Alert, detector string) float64 {
 // LowSlowSuite evaluates the low-and-slow suite through the platform:
 // (1) online detection quality of the three low-and-slow injectors (plus
 // classic Slowloris through the same online path) against ground truth;
-// (2) punt rate under ConnExhaust pin starvation, before and after the
-// starve-evict + pin-aging fixes, across pin budgets; (3) pinned-state
-// retention through General<->Lite mode churn.
+// (2) punt rate under ConnExhaust pin starvation, without and with the
+// starve-evict valve; (3) pinned-state retention through General<->Lite
+// mode churn.
 func LowSlowSuite(scale float64) *Table {
 	t := &Table{
 		ID: "lowslow", Title: "Low-and-slow attacks: detection quality, pin starvation, mode churn",
@@ -98,21 +98,14 @@ func LowSlowSuite(scale float64) *Table {
 	// ---- 2. Pin starvation under ConnExhaust ------------------------------
 	// A small cache (64 rows) with hundreds of pinned accreting connections
 	// plus background insert pressure: the seed policy punts every insert
-	// that finds its row all-pinned; the hardened policy (starve-evict +
-	// pin aging) keeps the datapath inserting. The background's span scales
-	// with the ConnExhaust connection count, so a reduced scale keeps the
-	// insert pressure per connection.
-	starve := func(budget int64, hardened bool) (puntsPerKpkt float64, firstMs float64, starved uint64) {
+	// that finds its row all-pinned; the hardened policy (starve-evict)
+	// keeps the datapath inserting. The background's span scales with the
+	// ConnExhaust connection count, so a reduced scale keeps the insert
+	// pressure per connection.
+	starve := func(hardened bool) (puntsPerKpkt float64, firstMs float64, starved uint64) {
 		cfg := lsConfig(6)
-		if hardened {
-			cfg.Cache.PinStarveEvict = true
-			cfg.Cache.PinAgeNs = 250e6
-		}
-		_, rep := drive{cfg: cfg, tailNs: 4e9, setup: func(pl *core.Platform) {
-			c := pl.Cache().Shard(0)
-			c.EnableFeedback()
-			c.SetPinBudget(budget)
-		}}.run(pcap.Merge(
+		cfg.Cache.PinStarveEvict = hardened
+		_, rep := drive{cfg: cfg, tailNs: 4e9}.run(pcap.Merge(
 			trace.NewWorkload(trace.WorkloadConfig{
 				Seed: 45, Flows: scaleInt(4000, sc), PacketRate: 1e6, Duration: int64(2e9 * sc),
 			}).Stream(),
@@ -124,35 +117,30 @@ func LowSlowSuite(scale float64) *Table {
 		}
 		return float64(st.HostPunts) / float64(st.Processed()) * 1000, firstAlertMs(rep.Alerts, "conn-exhaust"), st.StarveEvictions
 	}
-	for _, budget := range []int64{128, 512, 0} {
-		name := "pin-budget=" + d(budget)
-		if budget == 0 {
-			name = "pin-budget=unlimited"
-		}
-		seedPunts, seedMs, _ := starve(budget, false)
-		hardPunts, hardMs, starved := starve(budget, true)
-		t.AddRow(name, "punts-per-kpkt-seed", f2(seedPunts))
-		t.AddRow(name, "punts-per-kpkt-hardened", f2(hardPunts))
-		t.AddRow(name, "starve-evictions", d(starved))
-		t.AddRow(name, "detect-ms-seed", f2(seedMs))
-		t.AddRow(name, "detect-ms-hardened", f2(hardMs))
-	}
+	seedPunts, seedMs, _ := starve(false)
+	hardPunts, hardMs, starved := starve(true)
+	t.AddRow("pin-starvation", "punts-per-kpkt-seed", f2(seedPunts))
+	t.AddRow("pin-starvation", "punts-per-kpkt-hardened", f2(hardPunts))
+	t.AddRow("pin-starvation", "starve-evictions", d(starved))
+	t.AddRow("pin-starvation", "detect-ms-seed", f2(seedMs))
+	t.AddRow("pin-starvation", "detect-ms-hardened", f2(hardMs))
 
 	// ---- 3. Mode-switch churn with pinned flows ---------------------------
 	// Flip General<->Lite every 4000 packets while the detector pins
 	// low-and-slow flows: no pinned record may be lost (the Lite retention
 	// fix parks slice overflow instead of evicting it). The rate controller
 	// is parked — its thresholds are out of the traffic's reach — so the
-	// figure's flips are the only ones.
+	// figure's flips are the only ones. No tail runs past the trace: the
+	// idle deadlines it would fire unpin every flow, leaving no live pin
+	// for the retention check to score.
 	{
 		cfg := lsConfig(6)
 		cfg.Controller = flowcache.ControllerConfig{EtaHigh: 1e15, EtaLow: 1}
 		ledger := &pinLedger{Detector: cfg.Detectors[0], pinned: map[packet.FlowKey]bool{}}
 		cfg.Detectors = []detect.Detector{ledger}
 		flips := 0
-		pl, rep := drive{cfg: cfg, tailNs: 4e9, every: 4000,
+		pl, rep := drive{cfg: cfg, every: 4000,
 			setup: func(pl *core.Platform) {
-				pl.Cache().Shard(0).EnableFeedback()
 				pl.Bus().Subscribe(tier.KindUnpin, "pin-ledger", func(e tier.Event) {
 					delete(ledger.pinned, e.(tier.UnpinEvent).Key)
 				})
@@ -191,7 +179,7 @@ func LowSlowSuite(scale float64) *Table {
 	t.Notes = append(t.Notes,
 		"precision/recall score hook-blacklisted sources against injector ground truth;",
 		"punts-per-kpkt: HostPunts per 1000 processed packets on a 64-row cache under",
-		"ConnExhaust pin pressure — the hardened column has PinStarveEvict+PinAgeNs on;",
+		"ConnExhaust pin pressure — the hardened column has PinStarveEvict on;",
 		"retained-pinned must be 1.00: the Lite-mode parking fix keeps every live pinned",
 		"record reachable across General<->Lite churn")
 	return t

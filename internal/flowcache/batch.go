@@ -15,7 +15,7 @@ package flowcache
 type BatchAcc struct {
 	PHits, EHits, Misses, HostPunts uint64
 	RowCleanups, CleanupEvictions   uint64
-	StarveEvictions, PinAgeExpired  uint64
+	StarveEvictions                 uint64
 	Reads, Writes                   uint64
 }
 
@@ -39,9 +39,6 @@ func (a *BatchAcc) add(res *Result) {
 	if res.StarveEvicted {
 		a.StarveEvictions++
 	}
-	if res.PinAged > 0 {
-		a.PinAgeExpired += uint64(res.PinAged)
-	}
 	a.Reads += uint64(res.Reads)
 	a.Writes += uint64(res.Writes)
 }
@@ -62,7 +59,6 @@ func (c *Cache) FlushAcc(acc *BatchAcc) {
 	sh.rowCleanups.Add(acc.RowCleanups)
 	sh.cleanupEvictions.Add(acc.CleanupEvictions)
 	sh.starveEvictions.Add(acc.StarveEvictions)
-	sh.pinAgeExpired.Add(acc.PinAgeExpired)
 	sh.reads.Add(acc.Reads)
 	sh.writes.Add(acc.Writes)
 	*acc = BatchAcc{}

@@ -47,7 +47,6 @@ type Cache struct {
 	store []Record
 	rings []*Ring
 	stats statCounters
-	fb    feedback
 }
 
 // statCounters mirrors Stats with atomically updated fields: Stats may be
@@ -57,7 +56,7 @@ type statCounters struct {
 	evictions, ringDrops, hostPunts atomic.Uint64
 	pinDenied, rowCleanups          atomic.Uint64
 	cleanupEvictions                atomic.Uint64
-	starveEvictions, pinAgeExpired  atomic.Uint64
+	starveEvictions                 atomic.Uint64
 	reads, writes                   atomic.Uint64
 }
 
@@ -312,9 +311,6 @@ func (c *Cache) applyStats(res *Result) {
 	if res.StarveEvicted {
 		sh.starveEvictions.Add(1)
 	}
-	if res.PinAged > 0 {
-		sh.pinAgeExpired.Add(uint64(res.PinAged))
-	}
 	sh.reads.Add(uint64(res.Reads))
 	sh.writes.Add(uint64(res.Writes))
 }
@@ -409,23 +405,10 @@ func (c *Cache) insert(rw *row, key packet.FlowKey, p *packet.Packet, lo, pEnd, 
 	}
 
 	pIdx := c.victimP(rw, lo, pEnd, res)
-	if pIdx == -1 && c.cfg.PinAgeNs > 0 {
-		// Aging path: before giving up on P, reclaim pins that sat idle
-		// past the age bound, then retry victim selection.
-		if c.agePins(rw, lo, pEnd, p.Ts, res) > 0 {
-			pIdx = c.victimP(rw, lo, pEnd, res)
-		}
-	}
 	if pIdx == -1 {
 		// All of P pinned; try to land directly in E.
 		if pEnd < hi {
-			eIdx := c.victimE(rw, pEnd, hi, res)
-			if eIdx == -1 && c.cfg.PinAgeNs > 0 {
-				if c.agePins(rw, pEnd, hi, p.Ts, res) > 0 {
-					eIdx = c.victimE(rw, pEnd, hi, res)
-				}
-			}
-			if eIdx != -1 {
+			if eIdx := c.victimE(rw, pEnd, hi, res); eIdx != -1 {
 				c.evictOccupied(rw, eIdx, res)
 				return c.place(rw, eIdx, &newRec, res)
 			}
@@ -491,35 +474,11 @@ func (c *Cache) evictOccupied(rw *row, idx int, res *Result) {
 // counter-shard selection, the parked count): two multiplies, off the hit
 // path, instead of eight bytes in every record.
 func (c *Cache) remove(rw *row, idx int) {
-	out, pinned := &rw.buckets[idx], rw.pinned(idx)
+	out := &rw.buckets[idx]
 	hash := out.Key.Hash()
 	rw.drop(idx)
 	c.noteRemoval(rw, hash, idx)
-	c.pushRing(out, hash, pinned)
-}
-
-// agePins strips the pin from occupied candidates in [lo,hi) whose LastTs
-// is at least Config.PinAgeNs behind now, returning how many it reclaimed
-// (also accumulated into res.PinAged for stat accounting). Called only
-// when victim selection starved, so it never costs the unstarved path.
-func (c *Cache) agePins(rw *row, lo, hi int, now int64, res *Result) int {
-	res.Reads += hi - lo
-	pins := rw.hdr.pins.Load()
-	var stale uint64
-	for m := pins & span(lo, hi); m != 0; m &= m - 1 {
-		if i := bits.TrailingZeros64(m); now-rw.buckets[i].LastTs >= c.cfg.PinAgeNs {
-			stale |= 1 << uint(i)
-		}
-	}
-	aged := bits.OnesCount64(stale)
-	if aged > 0 {
-		rw.hdr.pins.Store(pins &^ stale)
-		if c.fb.track {
-			c.fb.pinned.Add(-int64(aged))
-		}
-	}
-	res.PinAged += aged
-	return aged
+	c.pushRing(out, hash)
 }
 
 // stalestPinned picks the pinned occupied record with the smallest LastTs
@@ -553,17 +512,13 @@ func (c *Cache) noteRemoval(rw *row, hash uint64, idx int) {
 
 // pushRing delivers an evicted record to its ring, counting overflow
 // drops. It is the single choke point through which records leave the
-// table (insert cascades, forced Evicts, Alg.-3 cleanups), which is what
-// keeps the live pinned counter exact.
-func (c *Cache) pushRing(out *Record, hash uint64, pinned bool) {
+// table (insert cascades, forced Evicts, Alg.-3 cleanups).
+func (c *Cache) pushRing(out *Record, hash uint64) {
 	ring := c.rings[hash%uint64(len(c.rings))]
 	if !ring.Push(*out) {
 		c.stats.ringDrops.Add(1)
 	}
 	c.stats.evictions.Add(1)
-	if pinned && c.fb.track {
-		c.fb.pinned.Add(-1)
-	}
 }
 
 // Lookup finds a record without updating it and reports whether it is
@@ -598,22 +553,9 @@ func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 	pins, bit := rw.hdr.pins.Load(), uint64(1)<<uint(i)
 	switch {
 	case v && pins&bit == 0:
-		// Pin-budget admission: refuse new pins once the live pinned
-		// population reaches the budget; 0 means unlimited — the seed
-		// behaviour. The slot is reserved with a CAS so concurrent pins
-		// on different rows cannot both pass a load/compare and
-		// overshoot the budget, and a refused pin never touches the
-		// counter — closing the over-refuse/double-count window the old
-		// compensating-add scheme had under the parallel shard drive.
-		if c.fb.track && !c.fb.reservePin() {
-			return false
-		}
 		rw.hdr.pins.Store(pins | bit)
 	case !v && pins&bit != 0:
 		rw.hdr.pins.Store(pins &^ bit)
-		if c.fb.track {
-			c.fb.pinned.Add(-1)
-		}
 		if c.Mode() == Lite && rw.parked() > 0 {
 			// An unpinned record parked outside its Lite slice would
 			// become unreachable once the parked survivors drain (the
@@ -629,8 +571,8 @@ func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 
 // UpdateState runs fn on the flow's record under the row latch, for
 // detectors that must mutate State/StateTs race-free. It reports whether
-// the flow was present. The pin is not in the record, so fn cannot flip it
-// behind the pin budget's back: that is Pin / Unpin's job.
+// the flow was present. The pin is not in the record, so fn cannot flip
+// it: that is Pin / Unpin's job.
 func (c *Cache) UpdateState(key packet.FlowKey, fn func(*Record)) bool {
 	var rw row
 	c.acquire(c.rowIndex(key.Hash()), &rw)
@@ -704,7 +646,6 @@ func (c *Cache) Stats() Stats {
 		RowCleanups:      sh.rowCleanups.Load(),
 		CleanupEvictions: sh.cleanupEvictions.Load(),
 		StarveEvictions:  sh.starveEvictions.Load(),
-		PinAgeExpired:    sh.pinAgeExpired.Load(),
 		Reads:            sh.reads.Load(),
 		Writes:           sh.writes.Load(),
 	}

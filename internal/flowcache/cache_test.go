@@ -708,3 +708,42 @@ func TestOneFlowOneCacheLine(t *testing.T) {
 		}
 	}
 }
+
+// pinKey builds a distinct flow and inserts it, returning the key.
+func pinKey(c *Cache, i int, ts int64) packet.FlowKey {
+	p := packet.Packet{
+		Ts: ts,
+		Tuple: packet.FiveTuple{
+			SrcIP: packet.Addr(i + 1), DstIP: packet.Addr(i*13 + 7),
+			SrcPort: uint16(i), DstPort: 443, Proto: packet.ProtoTCP,
+		},
+		Size: 64,
+	}
+	c.Process(&p)
+	return p.Key()
+}
+
+// The pin is in the row header, not the record, so a detector's
+// UpdateState fn cannot flip it: whatever fn writes, the pin stays where
+// Pin / Unpin left it.
+func TestUpdateStatePinUntouched(t *testing.T) {
+	c := New(contendedConfig())
+	k := pinKey(c, 1, 1)
+	for _, want := range []bool{false, true, false} {
+		if want {
+			c.Pin(k)
+		} else {
+			c.Unpin(k)
+		}
+		if !c.UpdateState(k, func(r *Record) { *r = Record{Key: r.Key, State: ^uint64(0), StateTs: -1} }) {
+			t.Fatal("UpdateState missed")
+		}
+		rec, pinned, ok := c.Lookup(k)
+		if !ok || pinned != want || rec.State != ^uint64(0) {
+			t.Fatalf("after UpdateState: pinned %v (want %v), record %+v", pinned, want, rec)
+		}
+		if _, got := c.OccupancyStats(); got != map[bool]int{true: 1}[want] {
+			t.Fatalf("OccupancyStats counts %d pins, want pinned %v", got, want)
+		}
+	}
+}

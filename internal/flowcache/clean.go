@@ -128,7 +128,7 @@ func (c *Cache) cleanRow(rw *row) int {
 				break // all pinned: park the overflow below
 			}
 			out := &old[entries[oldest]]
-			c.pushRing(out, out.Key.Hash(), false)
+			c.pushRing(out, out.Key.Hash())
 			evicted++
 			entries[oldest] = entries[len(entries)-1]
 			entries = entries[:len(entries)-1]

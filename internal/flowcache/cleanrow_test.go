@@ -95,7 +95,7 @@ func cleanRowRef(c *Cache, rw *row) int {
 			if oldest == -1 {
 				break
 			}
-			c.pushRing(&entries[oldest].Record, entries[oldest].Key.Hash(), false)
+			c.pushRing(&entries[oldest].Record, entries[oldest].Key.Hash())
 			evicted++
 			entries[oldest] = entries[len(entries)-1]
 			entries = entries[:len(entries)-1]

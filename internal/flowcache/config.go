@@ -101,14 +101,6 @@ type Config struct {
 	// continues on the host side. Off by default: the seed punts, and the
 	// determinism goldens depend on that unless a config opts in.
 	PinStarveEvict bool
-	// PinAgeNs, when positive, bounds how long an idle record can hold
-	// its pin against the insert path: an insert that finds every
-	// candidate pinned first strips the pin from candidates whose LastTs
-	// is at least PinAgeNs stale (relative to the inserting packet's
-	// timestamp), then retries victim selection. This is the aging path
-	// that keeps ConnExhaust flows from holding pins forever behind the
-	// pinBudget refusal gate. 0 disables aging (seed behaviour).
-	PinAgeNs int64
 }
 
 // DefaultConfig returns the paper's flagship General (4,8) configuration
@@ -147,9 +139,6 @@ func (c Config) Validate() error {
 	}
 	if c.Rings < 1 || c.RingEntries < 1 {
 		return fmt.Errorf("flowcache: need at least one ring with capacity")
-	}
-	if c.PinAgeNs < 0 {
-		return fmt.Errorf("flowcache: PinAgeNs %d must be >= 0", c.PinAgeNs)
 	}
 	if c.PolicyP > FIFO || c.PolicyE > S3FIFO || (c.PolicyE == S3FIFO && c.PolicyP != FIFO) {
 		return fmt.Errorf("flowcache: invalid policy pair (%d,%d); P takes lru=0 lpc=1 fifo=2, E also s3fifo=3 (with fifo in P)", c.PolicyP, c.PolicyE)

@@ -16,8 +16,7 @@ import (
 //     `parked` records outside their own Lite slice — the count never
 //     under-counts, so the probe's fall-back never stops short of one;
 //   - the counters reconcile: Stats().Inserts is the live records plus
-//     Stats().Evictions, and, with the feedback counters on, LivePinned
-//     is the pin masks' population.
+//     Stats().Evictions.
 //
 // The per-row checks hold at any time. The sums compare a walk with
 // counters, so they are only meaningful on a quiescent cache: no Process in
@@ -46,24 +45,19 @@ func (s *Sharded) CheckInvariants() error {
 	return checkInserts(s.Stats(), live)
 }
 
-// checkTable checks every row and the live pinned counter, returning the
-// live record count.
+// checkTable checks every row, returning the live record count.
 func (c *Cache) checkTable() (int64, error) {
-	var live, pinned int64
+	var live int64
 	lite := c.Mode() == Lite
 	for ri := range c.rows {
 		var rw row
 		c.acquire(uint64(ri), &rw)
-		n, p, err := c.checkRow(&rw, uint64(ri), lite)
+		n, err := c.checkRow(&rw, uint64(ri), lite)
 		rw.release()
 		if err != nil {
 			return 0, fmt.Errorf("flowcache: row %d: %w", ri, err)
 		}
 		live += int64(n)
-		pinned += int64(p)
-	}
-	if got := c.LivePinned(); c.fb.track && got != pinned {
-		return 0, fmt.Errorf("flowcache: LivePinned %d, table holds %d pins", got, pinned)
 	}
 	return live, nil
 }
@@ -76,16 +70,16 @@ func checkInserts(st Stats, live int64) error {
 	return nil
 }
 
-// checkRow checks one latched row and returns its live and pinned counts.
-func (c *Cache) checkRow(rw *row, ri uint64, lite bool) (live, pinned int, err error) {
+// checkRow checks one latched row and returns its live count.
+func (c *Cache) checkRow(rw *row, ri uint64, lite bool) (int, error) {
 	mask := rw.word & occMask
 	if mask>>uint(c.cfg.Buckets) != 0 {
-		return 0, 0, fmt.Errorf("mask %#x marks buckets beyond %d", mask, c.cfg.Buckets)
+		return 0, fmt.Errorf("mask %#x marks buckets beyond %d", mask, c.cfg.Buckets)
 	}
 	h := rw.hdr
 	pins := h.pins.Load()
 	if stray := (pins | h.f0 | h.f1) &^ mask; stray != 0 {
-		return 0, 0, fmt.Errorf("free buckets %#x carry pin / frequency bits (pins %#x, freq %#x %#x)", stray, pins, h.f1, h.f0)
+		return 0, fmt.Errorf("free buckets %#x carry pin / frequency bits (pins %#x, freq %#x %#x)", stray, pins, h.f1, h.f0)
 	}
 	outside := 0
 	for m := mask; m != 0; m &= m - 1 {
@@ -93,17 +87,17 @@ func (c *Cache) checkRow(rw *row, ri uint64, lite bool) (live, pinned int, err e
 		key := rw.buckets[i].Key
 		hash := key.Hash()
 		if c.rowIndex(hash) != ri {
-			return 0, 0, fmt.Errorf("bucket %d: %v with hash %#x does not belong here", i, key, hash)
+			return 0, fmt.Errorf("bucket %d: %v with hash %#x does not belong here", i, key, hash)
 		}
 		if j := rw.find(key, 0, i); j >= 0 {
-			return 0, 0, fmt.Errorf("%v in buckets %d and %d", key, j, i)
+			return 0, fmt.Errorf("%v in buckets %d and %d", key, j, i)
 		}
 		if lo, hi := c.liteSlice(hash); i < lo || i >= hi {
 			outside++
 		}
 	}
 	if lite && rw.word&dirtyBit == 0 && rw.parked() < outside {
-		return 0, 0, fmt.Errorf("%d records outside their Lite slice, parked says %d", outside, rw.parked())
+		return 0, fmt.Errorf("%d records outside their Lite slice, parked says %d", outside, rw.parked())
 	}
-	return bits.OnesCount64(mask), bits.OnesCount64(pins), nil
+	return bits.OnesCount64(mask), nil
 }

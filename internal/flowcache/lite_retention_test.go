@@ -228,37 +228,3 @@ func keysInRow(c *Cache, rowIdx, n int) []packet.Packet {
 	}
 	return out
 }
-
-// The aging path: pins whose records idled past PinAgeNs are reclaimed
-// when an insert starves, so ConnExhaust-style flows cannot hold pins
-// forever.
-func TestPinAgeReclaimsStalePins(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.PinAgeNs = 1_000_000
-	c := New(cfg)
-	c.EnableFeedback()
-	pkts := keysInRow(c, 2, cfg.Buckets)
-	for i := range pkts {
-		c.Process(&pkts[i]) // all LastTs <= Buckets
-		if !c.Pin(pkts[i].Key()) {
-			t.Fatalf("pin %d failed", i)
-		}
-	}
-	before := c.LivePinned()
-	extra := keysInRow(c, 2, cfg.Buckets+1)[cfg.Buckets]
-	extra.Ts = 5_000_000 // far past every record's LastTs + PinAgeNs
-	rec, res := c.Process(&extra)
-	if rec == nil || res.Outcome != Miss {
-		t.Fatalf("aged insert failed: outcome %v", res.Outcome)
-	}
-	st := c.Stats()
-	if st.PinAgeExpired == 0 {
-		t.Fatal("no pins aged out")
-	}
-	if st.HostPunts != 0 {
-		t.Fatalf("punted despite aging: %d", st.HostPunts)
-	}
-	if c.LivePinned() >= before {
-		t.Fatalf("LivePinned %d did not drop from %d", c.LivePinned(), before)
-	}
-}

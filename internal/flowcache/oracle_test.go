@@ -9,7 +9,7 @@ import "smartwatch/internal/packet"
 // every move carries by copying the whole bucket. It is the oracle of
 // TestRandomOpsMatchOracle — same algorithms, statement for statement,
 // minus what a single-goroutine reference does not need (the latch, the
-// sharded atomics, the feedback counters, custom policies).
+// sharded atomics, custom policies).
 type refCache struct {
 	cfg              Config
 	kind             policyKind
@@ -27,7 +27,6 @@ type refEvents struct {
 	swaps        int // E hit exchanged with P's victim
 	demotes      int // P's victim moved into E
 	parkCleans   int // cleanRow that parked pinned overflow
-	ageSweeps    int // agePins that stripped at least one pin
 	starves      int // starvation evictions of a pinned record
 	reusedPinned int // new record into a bucket a pinned one last held
 }
@@ -36,7 +35,6 @@ func (e *refEvents) add(o refEvents) {
 	e.swaps += o.swaps
 	e.demotes += o.demotes
 	e.parkCleans += o.parkCleans
-	e.ageSweeps += o.ageSweeps
 	e.starves += o.starves
 	e.reusedPinned += o.reusedPinned
 }
@@ -114,7 +112,6 @@ func (c *refCache) Process(p *packet.Packet) (*Record, Result) {
 	if res.StarveEvicted {
 		c.stats.StarveEvictions++
 	}
-	c.stats.PinAgeExpired += uint64(res.PinAged)
 	c.stats.Reads += uint64(res.Reads)
 	c.stats.Writes += uint64(res.Writes)
 	if rec == nil {
@@ -263,20 +260,9 @@ func (c *refCache) insert(rw *refRow, hash uint64, key packet.FlowKey, p *packet
 		FirstTs: p.Ts, LastTs: p.Ts,
 	}}
 	pIdx := c.victimP(rw, lo, pEnd, res)
-	if pIdx == -1 && c.cfg.PinAgeNs > 0 {
-		if c.agePins(rw, lo, pEnd, p.Ts, res) > 0 {
-			pIdx = c.victimP(rw, lo, pEnd, res)
-		}
-	}
 	if pIdx == -1 {
 		if pEnd < hi {
-			eIdx := c.victimE(rw, pEnd, hi, res)
-			if eIdx == -1 && c.cfg.PinAgeNs > 0 {
-				if c.agePins(rw, pEnd, hi, p.Ts, res) > 0 {
-					eIdx = c.victimE(rw, pEnd, hi, res)
-				}
-			}
-			if eIdx != -1 {
+			if eIdx := c.victimE(rw, pEnd, hi, res); eIdx != -1 {
 				c.evictOccupied(rw, eIdx, res)
 				return c.place(rw, eIdx, newRec, res)
 			}
@@ -332,23 +318,6 @@ func (c *refCache) evictOccupied(rw *refRow, idx int, res *Result) {
 	c.pushRing(out)
 	res.Writes++
 	res.Evicted = true
-}
-
-func (c *refCache) agePins(rw *refRow, lo, hi int, now int64, res *Result) int {
-	aged := 0
-	for i := lo; i < hi; i++ {
-		rec := &rw.buckets[i]
-		res.Reads++
-		if rec.occupied && rec.Pinned && now-rec.LastTs >= c.cfg.PinAgeNs {
-			rec.Pinned = false
-			aged++
-		}
-	}
-	if aged > 0 {
-		c.ev.ageSweeps++
-	}
-	res.PinAged += aged
-	return aged
 }
 
 func (c *refCache) stalestPinned(rw *refRow, lo, hi int, res *Result) int {
@@ -449,6 +418,19 @@ func (c *refCache) Snapshot(fn func(Record) bool) {
 			}
 		}
 	}
+}
+
+// pins counts the live pinned records.
+func (c *refCache) pins() int {
+	n := 0
+	for ri := range c.rows {
+		for _, rec := range c.rows[ri].buckets {
+			if rec.occupied && rec.Pinned {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func (c *refCache) cleanRow(rw *refRow) int {

@@ -280,7 +280,6 @@ func TestHeaderReadersUnlatched(t *testing.T) {
 	cfg := contendedConfig()
 	cfg.PinStarveEvict = true
 	c := New(cfg)
-	c.EnableFeedback()
 	keyOf := func(fl int) packet.FlowKey {
 		return packet.FiveTuple{SrcIP: packet.Addr(fl + 1), DstIP: packet.Addr(fl + 5), SrcPort: uint16(fl), DstPort: 80, Proto: packet.ProtoTCP}.Canonical()
 	}
@@ -346,9 +345,9 @@ func TestHeaderReadersUnlatched(t *testing.T) {
 		}
 		rw.release()
 	}
-	if occ, pinned := c.OccupancyStats(); occ != live || pinned != pins || c.Occupancy() != live || c.LivePinned() != int64(pins) || pins == 0 {
-		t.Errorf("OccupancyStats %d / %d, Occupancy %d, LivePinned %d; a latched walk counts %d records, %d pinned (want some)",
-			occ, pinned, c.Occupancy(), c.LivePinned(), live, pins)
+	if occ, pinned := c.OccupancyStats(); occ != live || pinned != pins || c.Occupancy() != live || pins == 0 {
+		t.Errorf("OccupancyStats %d / %d, Occupancy %d; a latched walk counts %d records, %d pinned (want some)",
+			occ, pinned, c.Occupancy(), live, pins)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Error(err)

@@ -60,10 +60,6 @@ type Stats struct {
 	// would have punted because every candidate was pinned, served
 	// instead by evicting the stalest pin to the rings.
 	StarveEvictions uint64
-	// PinAgeExpired counts pins stripped by the aging path
-	// (Config.PinAgeNs): records whose pin was reclaimed because they
-	// sat idle past the age bound while the insert path was starving.
-	PinAgeExpired uint64
 	// Reads / Writes are abstract memory operations, converted to cycles
 	// by the sNIC simulator (reads yield the thread, writes stall).
 	Reads, Writes uint64
@@ -85,7 +81,6 @@ func (s Stats) Add(o Stats) Stats {
 		RowCleanups:      s.RowCleanups + o.RowCleanups,
 		CleanupEvictions: s.CleanupEvictions + o.CleanupEvictions,
 		StarveEvictions:  s.StarveEvictions + o.StarveEvictions,
-		PinAgeExpired:    s.PinAgeExpired + o.PinAgeExpired,
 		Reads:            s.Reads + o.Reads,
 		Writes:           s.Writes + o.Writes,
 	}
@@ -155,7 +150,4 @@ type Result struct {
 	// StarveEvicted is set when the insert displaced a pinned record via
 	// the pin-starvation escape valve (Config.PinStarveEvict).
 	Pinned, StarveEvicted bool
-	// PinAged is the number of pins stripped by the aging path
-	// (Config.PinAgeNs) while this insert was starving.
-	PinAged int
 }

@@ -209,21 +209,7 @@ func (s *Sharded) Occupancy() int {
 func (s *Sharded) Stats() Stats {
 	var t Stats
 	for _, c := range s.shards {
-		st := c.Stats()
-		t.PHits += st.PHits
-		t.EHits += st.EHits
-		t.Misses += st.Misses
-		t.Inserts += st.Inserts
-		t.Evictions += st.Evictions
-		t.RingDrops += st.RingDrops
-		t.HostPunts += st.HostPunts
-		t.PinDenied += st.PinDenied
-		t.RowCleanups += st.RowCleanups
-		t.CleanupEvictions += st.CleanupEvictions
-		t.StarveEvictions += st.StarveEvictions
-		t.PinAgeExpired += st.PinAgeExpired
-		t.Reads += st.Reads
-		t.Writes += st.Writes
+		t = t.Add(c.Stats())
 	}
 	return t
 }
