@@ -79,7 +79,9 @@ cluster:
 
 # Low-and-slow gate (DESIGN.md §9.4, §11): the injector/detector suite,
 # the flow-table model test and the map-backed LowSlow oracle, the
-# timing-wheel wraparound and hostile-time audit, the starvation valve,
+# timing-wheel wraparound and hostile-time audit, its diff against the
+# slice-per-slot reference wheel and its steady-state allocation test, the
+# flow log's under retention (DESIGN.md §12), the starvation valve,
 # the Lite-mode pinned-retention oracles and the platform determinism
 # sweep with the wheel-backed detector in the loop, and the pin releases
 # the Tick-driven detectors make through the platform's hooks
@@ -87,7 +89,7 @@ cluster:
 # experiment table at reduced scale.
 lowslow:
 	$(GO) vet ./...
-	$(GO) test -race -run 'LowSlow|SlowRead|SlowPost|ConnExhaust|TimingWheel|PinStarve|CleanRowParks|UnpinParked|ModeChurn|UpdateStatePin|TickHooks|ForgedRSTReleases|UntrackedSYN|IncompleteBoundsPending' \
+	$(GO) test -race -run 'LowSlow|SlowRead|SlowPost|ConnExhaust|TimingWheel|PinStarve|CleanRowParks|UnpinParked|ModeChurn|UpdateStatePin|TickHooks|ForgedRSTReleases|UntrackedSYN|IncompleteBoundsPending|KVFlushUnderRetention' \
 		./internal/trace/ ./internal/detect/ ./internal/host/ ./internal/flowcache/ ./internal/core/
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
@@ -95,11 +97,15 @@ lowslow:
 # PortScan; DESIGN.md §11) and of the switch's per-packet micro (DESIGN.md
 # §8.4), and one pass of each host benchmark, so they keep compiling
 # (DESIGN.md §12), then the replacement-policy study table at reduced
-# scale (DESIGN.md §9.3). The detectors' allocation claims are
-# not read off this output: TestChainOnPacketDoesNotAllocate (0 per packet,
-# OnPacket and Inspect) and TestPerSourceStateDoesNotAllocate (a new
-# source costs map growth only) enforce them in `make test`, as
-# TestSwitchProcessDoesNotAllocate does the switch's.
+# scale (DESIGN.md §9.3). The allocation claims are not read off this
+# output: TestChainOnPacketDoesNotAllocate (0 per packet, OnPacket and
+# Inspect) and TestPerSourceStateDoesNotAllocate (a new source costs map
+# growth only) enforce the detectors' in `make test`, as
+# TestSwitchProcessDoesNotAllocate does the switch's, and
+# TestTimingWheelRevolutionDoesNotAllocate (0 per revolution at steady
+# state), TestKVFlushUnderRetentionDoesNotAllocate (0 per interval under
+# retention) and TestFlowStoreEntriesAreSlabbed (one per doubling chunk)
+# the host's.
 check: fmt-check vet build test race fuzz-smoke loc
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain|PortScan' -benchtime 10x ./internal/detect/
 	$(GO) test -run '^$$' -bench 'Switch' -benchtime 10x ./internal/p4switch/

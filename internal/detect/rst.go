@@ -101,8 +101,7 @@ func (d *ForgedRST) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ct
 			// Possible duplicate: scan the wheel to confirm (Fig. 8b slow
 			// path). A live buffered RST for the session = duplicate RST.
 			d.WheelScans++
-			dups := d.wheel.Scan(func(key uint64, _ rstEntry) bool { return key == h })
-			if len(dups) > 0 {
+			if d.wheel.Scan(h) > 0 {
 				d.Duplicates++
 				d.emit(Alert{
 					Detector: "forged-rst", Ts: p.Ts, Flow: k,

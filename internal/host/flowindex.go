@@ -24,19 +24,30 @@ const minIndexSlots = 16
 // (DESIGN.md §12).
 func remix(h uint64) uint64 { return h * 0x9e3779b97f4a7c15 }
 
-// newFlowIndex returns an index sized to hold n positions without growing
-// (none allocated for n = 0: an idle interval's layer stays empty).
-func newFlowIndex(n int) flowIndex {
-	var ix flowIndex
-	if n == 0 {
-		return ix
-	}
+// indexSlots is the slot count of an index sized to hold n positions
+// without growing; it holds half as many.
+func indexSlots(n int) int {
 	size := minIndexSlots
 	for size < 2*n {
 		size *= 2
 	}
-	ix.resize(size)
+	return size
+}
+
+// newFlowIndex returns an index sized to hold n positions without growing
+// (none allocated for n = 0: an idle interval's layer stays empty).
+func newFlowIndex(n int) flowIndex {
+	var ix flowIndex
+	if n > 0 {
+		ix.resize(indexSlots(n))
+	}
 	return ix
+}
+
+// reset empties the index in place, keeping its table.
+func (ix *flowIndex) reset() {
+	clear(ix.slots)
+	ix.n = 0
 }
 
 // find returns the position whose record has hash h and satisfies same,

@@ -90,7 +90,7 @@ func TestFlowIndexLinearInRowOrder(t *testing.T) {
 // The flow log has one order: Each walks the store in first-ingest order,
 // and Scan walks a one-layer view in flush order, which is the same.
 func TestFlowLogOrderIsIngestOrder(t *testing.T) {
-	const n = 3*entryChunk + 7
+	const n = 3*minChunk + 7
 	fs := NewFlowStore(DefaultCostModel())
 	for i := n - 1; i >= 0; i-- {
 		fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1})

@@ -1,6 +1,8 @@
 package host
 
 import (
+	"math/bits"
+
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
 )
@@ -42,10 +44,12 @@ func DefaultCostModel() CostModel { return CostModel{RecordNs: 180, PacketNs: 52
 // the KV flow log.
 type FlowStore struct {
 	cost CostModel
-	// chunks hold the entries in first-ingest order, entryChunk to a chunk:
-	// one allocation per entryChunk flows, and an entry never moves (dirty
-	// points into the chunks). Entry id lives at chunks[id/entryChunk].
-	chunks []*[entryChunk]flowEntry
+	// chunks hold the entries in first-ingest order, an entry never moves
+	// (dirty points into the chunks), and entry id lives where chunkOf
+	// says. Chunks double from minChunk entries to maxChunk and stay there:
+	// a store of n flows costs O(log n + n/maxChunk) allocations and at
+	// most one chunk of slack.
+	chunks [][]flowEntry
 	// flows indexes the entry ids by flow hash.
 	flows flowIndex
 	// dirty lists, each once, the aggregates Ingest changed since the last
@@ -62,8 +66,24 @@ type flowEntry struct {
 	dirty bool
 }
 
-// entryChunk is the chunk size in entries (40 KB of them).
-const entryChunk = 512
+// The chunk sizes in entries: chunk k holds minChunk<<k of them up to
+// maxChunk (40 KB to 640 KB). The doubling chunks end at entry growEnd.
+const (
+	minChunk   = 512
+	chunkSteps = 4 // doublings from minChunk to maxChunk
+	maxChunk   = minChunk << chunkSteps
+	growEnd    = maxChunk - minChunk
+)
+
+// chunkOf returns the chunk holding entry id and the entry's offset in it.
+func chunkOf(id int) (chunk, off int) {
+	if id < growEnd {
+		chunk = bits.Len(uint(id/minChunk+1)) - 1
+		return chunk, id - (minChunk<<chunk - minChunk)
+	}
+	id -= growEnd
+	return chunkSteps + id/maxChunk, id % maxChunk
+}
 
 // NewFlowStore builds a store with the given cost model.
 func NewFlowStore(cost CostModel) *FlowStore {
@@ -75,7 +95,8 @@ func NewFlowStore(cost CostModel) *FlowStore {
 
 // entry returns the entry with the given id.
 func (fs *FlowStore) entry(id int) *flowEntry {
-	return &fs.chunks[id/entryChunk][id%entryChunk]
+	c, off := chunkOf(id)
+	return &fs.chunks[c][off]
 }
 
 // lookup returns the entry of flow k, whose hash is h, or nil.
@@ -95,10 +116,11 @@ func (fs *FlowStore) Ingest(rec flowcache.Record) {
 	hr := fs.lookup(rec.Key, h)
 	if hr == nil {
 		id := fs.flows.n
-		if id%entryChunk == 0 {
-			fs.chunks = append(fs.chunks, new([entryChunk]flowEntry))
+		c, off := chunkOf(id)
+		if off == 0 {
+			fs.chunks = append(fs.chunks, make([]flowEntry, minChunk<<min(c, chunkSteps)))
 		}
-		hr = fs.entry(id)
+		hr = &fs.chunks[c][off]
 		hr.HostRecord = HostRecord{Key: rec.Key, FirstTs: rec.FirstTs, StateTs: rec.StateTs, State: rec.State}
 		fs.flows.add(h, id)
 	}

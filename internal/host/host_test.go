@@ -86,9 +86,8 @@ func TestTimingWheelCancelAndScan(t *testing.T) {
 	w.Schedule(42, 500, "x")
 	w.Schedule(42, 700, "y")
 	w.Schedule(7, 600, "z")
-	found := w.Scan(func(k uint64, _ string) bool { return k == 42 })
-	if len(found) != 2 {
-		t.Fatalf("scan found %d", len(found))
+	if found := w.Scan(42); found != 2 {
+		t.Fatalf("scan found %d", found)
 	}
 	if n := w.Cancel(42); n != 2 {
 		t.Fatalf("cancelled %d", n)
@@ -176,12 +175,19 @@ func TestFlowStoreAggregation(t *testing.T) {
 }
 
 // TestFlowStoreEntriesAreSlabbed: new flows cost the store at most one
-// allocation per entryChunk of them beyond what its index, dirty list and
-// chunk directory cost any owner (measured on a twin store whose chunks
-// are all one shared chunk), and the entries a full chunk leaves behind
-// stay where the index and dirty point.
+// allocation per chunk beyond what its index, dirty list and chunk
+// directory cost any owner (measured on a twin store whose chunks all
+// share one backing array), chunks double from minChunk to maxChunk, and
+// the entries a full chunk leaves behind stay where the index and dirty
+// point.
 func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
-	const n = 64 * entryChunk
+	const n = 64 * minChunk
+	var sizes []int
+	for size, held := minChunk, 0; held < n; size = min(2*size, maxChunk) {
+		sizes = append(sizes, size)
+		held += size
+	}
+	chunks := len(sizes)
 	var fs, twin *FlowStore
 	got := testing.AllocsPerRun(3, func() {
 		fs = NewFlowStore(DefaultCostModel())
@@ -189,19 +195,28 @@ func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
 			fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: uint64(i)})
 		}
 	})
-	var shared [entryChunk]flowEntry
+	shared := make([]flowEntry, maxChunk)
 	control := testing.AllocsPerRun(3, func() {
 		twin = NewFlowStore(DefaultCostModel())
 		for i := 0; i < n; i++ {
-			if i%entryChunk == 0 {
-				twin.chunks = append(twin.chunks, &shared)
+			c, off := chunkOf(i)
+			if off == 0 {
+				twin.chunks = append(twin.chunks, shared[:sizes[c]])
 			}
 			twin.flows.add(hkey(i).Hash(), i)
-			twin.dirty = append(twin.dirty, &shared[i%entryChunk])
+			twin.dirty = append(twin.dirty, &shared[off])
 		}
 	})
-	if got-control > n/entryChunk {
-		t.Errorf("%d new flows: %.0f allocations, index, dirty list and chunk directory alone %.0f: want at most %d more", n, got, control, n/entryChunk)
+	if got-control > float64(chunks) {
+		t.Errorf("%d new flows: %.0f allocations, index, dirty list and chunk directory alone %.0f: want at most %d more", n, got, control, chunks)
+	}
+	if len(fs.chunks) != chunks {
+		t.Fatalf("%d new flows in %d chunks, want %d", n, len(fs.chunks), chunks)
+	}
+	for c, ch := range fs.chunks {
+		if len(ch) != sizes[c] {
+			t.Errorf("chunk %d holds %d entries, want %d", c, len(ch), sizes[c])
+		}
 	}
 	seen := 0
 	fs.takeDirty(func(hr HostRecord) {
@@ -212,6 +227,20 @@ func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
 	})
 	if seen != n || fs.Len() != n {
 		t.Errorf("%d dirty entries, %d flows, want %d", seen, fs.Len(), n)
+	}
+}
+
+// chunkOf's closed form is the layout Ingest fills entry by entry.
+func TestChunkOfIsSequentialLayout(t *testing.T) {
+	c, off, size := 0, 0, minChunk
+	for id := 0; id < growEnd+3*maxChunk+5; id++ {
+		if off == size {
+			c, off, size = c+1, 0, min(2*size, maxChunk)
+		}
+		if gc, goff := chunkOf(id); gc != c || goff != off {
+			t.Fatalf("chunkOf(%d) = (%d, %d), want (%d, %d)", id, gc, goff, c, off)
+		}
+		off++
 	}
 }
 

@@ -34,6 +34,9 @@ type KVStore struct {
 	// persistence, if configured, still holds every record ever flushed.
 	retention int
 	dropped   uint64
+	// spare is the emptied storage of the last layer retention folded
+	// away; the next new interval it fits reuses it.
+	spare kvLayer
 }
 
 // kvLayer holds the aggregates that changed in one interval, in flush
@@ -86,7 +89,7 @@ func (kv *KVStore) FlushInterval(intervalTs int64, fs *FlowStore) error {
 	// A new interval is sized once for the dirty flows; a re-flush of the
 	// newest one merges into what it holds.
 	if intervalTs > top.ts {
-		kv.layers = append(kv.layers, kvLayer{intervalTs, make([]HostRecord, 0, len(fs.dirty)), newFlowIndex(len(fs.dirty))})
+		kv.layers = append(kv.layers, kv.newLayer(intervalTs, len(fs.dirty)))
 		top = &kv.layers[len(kv.layers)-1]
 	}
 	fs.takeDirty(func(hr HostRecord) {
@@ -107,6 +110,27 @@ func (kv *KVStore) FlushInterval(intervalTs int64, fs *FlowStore) error {
 	return nil
 }
 
+// newLayer returns an empty layer for interval ts sized for n records.
+// Without retention it is sized exactly. Under retention it is the spare
+// when that fits, else a fresh layer whose records take the index's whole
+// capacity, so that once folded away it fits the next intervals of a
+// slowly growing dirty set. Caller holds mu.
+func (kv *KVStore) newLayer(ts int64, n int) kvLayer {
+	if n == 0 {
+		return kvLayer{ts: ts}
+	}
+	if kv.retention <= 0 {
+		return kvLayer{ts, make([]HostRecord, 0, n), newFlowIndex(n)}
+	}
+	slots := indexSlots(n)
+	if l := kv.spare; cap(l.recs) >= n && len(l.idx.slots) >= slots {
+		kv.spare = kvLayer{}
+		l.ts = ts
+		return l
+	}
+	return kvLayer{ts, make([]HostRecord, 0, slots/2), newFlowIndex(n)}
+}
+
 // SetRetention bounds how many intervals stay resident in memory (0 =
 // unbounded). The daemon's soak path sets this so an unbounded run keeps a
 // flat heap; the final lossless flush is unaffected (it always lands in
@@ -115,6 +139,9 @@ func (kv *KVStore) SetRetention(n int) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	kv.retention = n
+	if n <= 0 {
+		kv.spare = kvLayer{}
+	}
 	kv.enforceRetention()
 }
 
@@ -127,7 +154,8 @@ func (kv *KVStore) DroppedIntervals() uint64 {
 }
 
 // enforceRetention folds the oldest intervals beyond the cap into the
-// base, oldest first so newer versions overwrite. Caller holds mu.
+// base, oldest first so newer versions overwrite, and keeps the storage of
+// the last one folded as the spare. Caller holds mu.
 func (kv *KVStore) enforceRetention() {
 	excess := len(kv.layers) - 1 - kv.retention
 	if kv.retention <= 0 || excess <= 0 {
@@ -141,6 +169,10 @@ func (kv *KVStore) enforceRetention() {
 		}
 		for _, hr := range l.recs {
 			base.put(hr)
+		}
+		if cap(l.recs) > 0 {
+			l.idx.reset()
+			kv.spare = kvLayer{recs: l.recs[:0], idx: l.idx}
 		}
 	}
 	kv.dropped += uint64(excess)

@@ -112,6 +112,14 @@ func indexDoublings(before, after map[int64]int) int {
 	return n
 }
 
+// recsData returns the backing array of recs, or nil if it has none.
+func recsData(recs []HostRecord) *HostRecord {
+	if cap(recs) == 0 {
+		return nil
+	}
+	return &recs[:1][0]
+}
+
 // indexSizes maps each layer's timestamp to its index's slot count.
 func indexSizes(kv *KVStore) map[int64]int {
 	out := map[int64]int{}
@@ -137,7 +145,7 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 		{"4096flows", 4096, 6, 50, 700, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			doublings := 0
+			doublings, reused := 0, 0
 			for seed := uint64(1); seed <= uint64(tc.seeds); seed++ {
 				rng := stats.NewRand(seed)
 				kv := NewKVStore(nil)
@@ -164,8 +172,12 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 						if ts == 0 || rng.IntN(4) > 0 { // one flush in four re-flushes the newest interval
 							ts += 1 + rng.Int64N(3)
 						}
+						spare := recsData(kv.spare.recs)
 						if err := kv.FlushInterval(ts, fs); err != nil {
 							t.Fatal(err)
+						}
+						if top := kv.layers[len(kv.layers)-1].recs; spare != nil && recsData(top) == spare {
+							reused++
 						}
 						o.flush(ts, fs)
 					default:
@@ -179,6 +191,9 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 			}
 			if doublings < tc.minDoublings {
 				t.Errorf("layer indexes doubled %d times across re-flushes and folds, want at least %d", doublings, tc.minDoublings)
+			}
+			if reused == 0 {
+				t.Error("no interval reused the spare layer retention folded away")
 			}
 		})
 	}

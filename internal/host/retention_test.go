@@ -59,3 +59,35 @@ func TestKVStoreZeroRetentionUnbounded(t *testing.T) {
 		t.Fatalf("unbounded store evicted: %d intervals", len(kv.Intervals()))
 	}
 }
+
+// Under retention the flow log's memory is steady-state: once retention + 1
+// intervals have been flushed, each new interval reuses the storage of the
+// one retention folds away, so flushing a fixed dirty set allocates nothing.
+func TestKVFlushUnderRetentionDoesNotAllocate(t *testing.T) {
+	const retention, dirty = 8, 300
+	kv := NewKVStore(nil)
+	kv.SetRetention(retention)
+	fs := NewFlowStore(CostModel{})
+	ts := int64(0)
+	interval := func() {
+		ts++
+		for i := range dirty {
+			fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: 100, FirstTs: ts, LastTs: ts})
+		}
+		if err := kv.FlushInterval(ts, fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range retention + 1 {
+		interval()
+	}
+	if n := testing.AllocsPerRun(20, interval); n != 0 {
+		t.Errorf("flushing %d dirty flows under retention %d: %.1f allocations per interval, want 0", dirty, retention, n)
+	}
+	if got := kv.Intervals(); len(got) != retention || got[retention-1] != ts {
+		t.Fatalf("resident intervals %v, want the newest %d up to %d", got, retention, ts)
+	}
+	if hr, ok := kv.Get(ts, hkey(dirty-1)); !ok || hr.Pkts != uint64(ts) {
+		t.Fatalf("Get(%d) = %+v %v, want %d pkts", ts, hr, ok, ts)
+	}
+}

@@ -9,8 +9,16 @@ package host
 // Entries carry a payload of the owner's type P inline (an interface{} cost
 // a heap object per Schedule) and a caller-chosen 64-bit key for
 // cancellation and scanning. Time is virtual nanoseconds.
+//
+// A slot's entries live in a chain of fixed-size blocks, contiguous within
+// a block and in schedule order along the chain. The blocks are one
+// wheel-wide slice, and a block a slot empties goes on a wheel-wide free
+// list, so a wheel whose population has stopped growing schedules without
+// allocating.
 type TimingWheel[P any] struct {
-	slots  []wheelSlot[P]
+	slots  []wheelSlot
+	blocks []wheelBlock[P]
+	free   int32 // head of the free-block list, chained through next
 	tickNs int64
 	now    int64 // start of current tick
 	cursor int
@@ -22,8 +30,24 @@ type TimingWheel[P any] struct {
 	expired []Expired[P]
 }
 
-type wheelSlot[P any] struct {
-	entries []wheelEntry[P]
+// noBlock ends a block chain.
+const noBlock = -1
+
+// wheelBlockLen is the entries a block holds.
+const wheelBlockLen = 32
+
+// wheelSlot is the chain of blocks holding one slot's entries: every block
+// but the tail is full.
+type wheelSlot struct {
+	head, tail int32
+}
+
+// wheelBlock holds n entries of one slot; next chains the slot's blocks,
+// or the free list.
+type wheelBlock[P any] struct {
+	next    int32
+	n       int32
+	entries [wheelBlockLen]wheelEntry[P]
 }
 
 type wheelEntry[P any] struct {
@@ -48,11 +72,37 @@ func NewTimingWheel[P any](slots int, tickNs int64) *TimingWheel[P] {
 	if slots < 2 || tickNs <= 0 {
 		panic("host: timing wheel needs >=2 slots and a positive tick")
 	}
-	return &TimingWheel[P]{slots: make([]wheelSlot[P], slots), tickNs: tickNs}
+	w := &TimingWheel[P]{slots: make([]wheelSlot, slots), free: noBlock, tickNs: tickNs}
+	for i := range w.slots {
+		w.slots[i] = wheelSlot{noBlock, noBlock}
+	}
+	return w
 }
 
 // Len returns the number of live entries.
 func (w *TimingWheel[P]) Len() int { return w.size }
+
+// newBlock returns an empty block, from the free list if it has one.
+func (w *TimingWheel[P]) newBlock() int32 {
+	b := w.free
+	if b == noBlock {
+		b = int32(len(w.blocks))
+		w.blocks = append(w.blocks, wheelBlock[P]{})
+	} else {
+		w.free = w.blocks[b].next
+	}
+	w.blocks[b].next, w.blocks[b].n = noBlock, 0
+	return b
+}
+
+// freeChain puts block b and every block after it on the free list.
+func (w *TimingWheel[P]) freeChain(b int32) {
+	for b != noBlock {
+		next := w.blocks[b].next
+		w.blocks[b].next, w.free = w.free, b
+		b = next
+	}
+}
 
 // Schedule buffers a payload until deadline (virtual ns). Deadlines in the
 // past (or at/before the current tick start) expire on the next Advance.
@@ -71,11 +121,21 @@ func (w *TimingWheel[P]) Schedule(key uint64, deadline int64, payload P) error {
 	if ticksAhead < 0 {
 		ticksAhead = 0 // deadline == w.now: fire on the next tick
 	}
-	slot := (w.cursor + int(ticksAhead)) % len(w.slots)
-	rounds := int(ticksAhead) / len(w.slots)
-	w.slots[slot].entries = append(w.slots[slot].entries, wheelEntry[P]{
-		key: key, deadline: deadline, rounds: rounds, payload: payload,
-	})
+	s := &w.slots[(w.cursor+int(ticksAhead))%len(w.slots)]
+	if s.tail == noBlock || w.blocks[s.tail].n == wheelBlockLen {
+		b := w.newBlock()
+		if s.tail == noBlock {
+			s.head = b
+		} else {
+			w.blocks[s.tail].next = b
+		}
+		s.tail = b
+	}
+	blk := &w.blocks[s.tail]
+	blk.entries[blk.n] = wheelEntry[P]{
+		key: key, deadline: deadline, rounds: int(ticksAhead) / len(w.slots), payload: payload,
+	}
+	blk.n++
 	w.size++
 	return nil
 }
@@ -85,12 +145,15 @@ func (w *TimingWheel[P]) Schedule(key uint64, deadline int64, payload P) error {
 func (w *TimingWheel[P]) Cancel(key uint64) int {
 	n := 0
 	for si := range w.slots {
-		for i := range w.slots[si].entries {
-			e := &w.slots[si].entries[i]
-			if !e.dead && e.key == key {
-				e.dead = true
-				w.size--
-				n++
+		for b := w.slots[si].head; b != noBlock; b = w.blocks[b].next {
+			blk := &w.blocks[b]
+			for i := range blk.entries[:blk.n] {
+				e := &blk.entries[i]
+				if !e.dead && e.key == key {
+					e.dead = true
+					w.size--
+					n++
+				}
 			}
 		}
 	}
@@ -98,22 +161,25 @@ func (w *TimingWheel[P]) Cancel(key uint64) int {
 }
 
 // Scan visits every live entry (the wheel scan whose cost the Bloom filter
-// avoids) and returns those for which pred is true.
-func (w *TimingWheel[P]) Scan(pred func(key uint64, payload P) bool) []Expired[P] {
-	var out []Expired[P]
+// avoids) and returns how many carry the key.
+func (w *TimingWheel[P]) Scan(key uint64) int {
+	n := 0
 	for si := range w.slots {
-		for i := range w.slots[si].entries {
-			e := &w.slots[si].entries[i]
-			if e.dead {
-				continue
-			}
-			w.scans++
-			if pred(e.key, e.payload) {
-				out = append(out, Expired[P]{Key: e.key, Deadline: e.deadline, Payload: e.payload})
+		for b := w.slots[si].head; b != noBlock; b = w.blocks[b].next {
+			blk := &w.blocks[b]
+			for i := range blk.entries[:blk.n] {
+				e := &blk.entries[i]
+				if e.dead {
+					continue
+				}
+				w.scans++
+				if e.key == key {
+					n++
+				}
 			}
 		}
 	}
-	return out
+	return n
 }
 
 // ScanCost returns the cumulative entries examined by Scan.
@@ -143,24 +209,50 @@ func (w *TimingWheel[P]) Advance(now int64) []Expired[P] {
 			w.cursor = int((int64(w.cursor) + ticks%n) % n)
 			break
 		}
-		slot := &w.slots[w.cursor]
-		kept := slot.entries[:0]
-		for _, e := range slot.entries {
+		out = w.sweep(&w.slots[w.cursor], out)
+		w.now += w.tickNs
+		w.cursor = (w.cursor + 1) % len(w.slots)
+	}
+	w.expired = out
+	return out
+}
+
+// sweep releases slot s's due entries into out and compacts the ones that
+// ride another round to the front of its chain, in order, freeing the
+// blocks that leaves empty.
+func (w *TimingWheel[P]) sweep(s *wheelSlot, out []Expired[P]) []Expired[P] {
+	if s.head == noBlock {
+		return out
+	}
+	kb, kn := s.head, int32(0) // where the next kept entry goes
+	for b := s.head; b != noBlock; b = w.blocks[b].next {
+		blk := &w.blocks[b]
+		for i := range blk.entries[:blk.n] {
+			e := &blk.entries[i]
 			switch {
 			case e.dead:
 			case e.rounds > 0:
 				e.rounds--
-				kept = append(kept, e)
+				if kn == wheelBlockLen {
+					kb, kn = w.blocks[kb].next, 0
+				}
+				w.blocks[kb].entries[kn] = *e
+				kn++
 			default:
 				out = append(out, Expired[P]{Key: e.key, Deadline: e.deadline, Payload: e.payload})
 				w.size--
 			}
 		}
-		slot.entries = kept
-		w.now += w.tickNs
-		w.cursor = (w.cursor + 1) % len(w.slots)
 	}
-	w.expired = out
+	if kn == 0 {
+		// Only the head can hold no kept entry: the whole slot is free.
+		w.freeChain(s.head)
+		s.head, s.tail = noBlock, noBlock
+		return out
+	}
+	w.freeChain(w.blocks[kb].next)
+	w.blocks[kb].next, w.blocks[kb].n = noBlock, kn
+	s.tail = kb
 	return out
 }
 
