@@ -104,8 +104,10 @@ lowslow:
 # TestSwitchProcessDoesNotAllocate does the switch's, and
 # TestTimingWheelRevolutionDoesNotAllocate (0 per revolution at steady
 # state), TestKVFlushUnderRetentionDoesNotAllocate (0 per interval under
-# retention) and TestFlowStoreEntriesAreSlabbed (one per doubling chunk)
-# the host's.
+# retention), TestFlowStoreEntriesAreSlabbed (one per doubling chunk) and
+# TestFinalFlushReservesOnce (the end-of-run export: its chunks plus a
+# fixed few) the host's, and TestQuantilesGrowsOnceToCap (a small
+# reservoir, then one at its cap) the latency reservoir's.
 check: fmt-check vet build test race fuzz-smoke loc
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain|PortScan' -benchtime 10x ./internal/detect/
 	$(GO) test -run '^$$' -bench 'Switch' -benchtime 10x ./internal/p4switch/

@@ -508,10 +508,11 @@ func (pl *Platform) endDrive() Report {
 	// still resident in the FlowCache is exported exactly once, so evicted
 	// epochs plus the final snapshot account for every processed packet.
 	// (Real deployments export per-interval snapshot deltas; the aggregate
-	// is identical.)
+	// is identical.) The resident count sizes the host's store once; it
+	// reads every row header, as the snapshot walk does.
 	pl.maybeTick(pl.nextInterval)
 	pl.alerts = append(pl.alerts, pl.detectors.Drain()...)
-	pl.flusher.FinalFlush(pl.nextInterval, pl.cache.Snapshot)
+	pl.flusher.FinalFlush(pl.nextInterval, pl.cache.Occupancy(), pl.cache.Snapshot)
 
 	out := Report{
 		Counts: pl.counts.snapshot(), SNIC: rep, Cache: pl.cache.Stats(),

@@ -53,30 +53,52 @@ func (ix *flowIndex) reset() {
 // find returns the position whose record has hash h and satisfies same,
 // or -1.
 func (ix *flowIndex) find(h uint64, same func(pos int) bool) int {
-	if ix.n == 0 {
-		return -1
+	pos, _ := ix.probe(h, same)
+	return pos
+}
+
+// probe walks h's probe path once. It returns the position whose record
+// has hash h and satisfies same, or -1 and the empty slot that ended the
+// walk, where insert puts h (-1 in a table not allocated yet).
+func (ix *flowIndex) probe(h uint64, same func(pos int) bool) (pos, slot int) {
+	if len(ix.slots) == 0 {
+		return -1, -1
 	}
 	g := remix(h)
 	mask := len(ix.slots) - 1
 	for i := int(g >> ix.shift); ; i = (i + 1) & mask {
 		s := ix.slots[i]
 		if s == 0 {
-			return -1
+			return -1, i
 		}
 		if s>>32 == g>>32 && same(int(uint32(s))-1) {
-			return int(uint32(s)) - 1
+			return int(uint32(s)) - 1, i
 		}
 	}
 }
 
-// add records pos under hash h, which must not be indexed yet.
-func (ix *flowIndex) add(h uint64, pos int) {
+// insert records pos under hash h, which must not be indexed yet, in
+// slot: the empty slot probe returned for h, or -1 to find it here. A
+// table that has to grow first finds it again.
+func (ix *flowIndex) insert(h uint64, slot, pos int) {
 	if 2*(ix.n+1) > len(ix.slots) {
 		ix.resize(max(minIndexSlots, 2*len(ix.slots)))
+		slot = -1
 	}
 	g := remix(h)
-	ix.slots[ix.free(g)] = g>>32<<32 | uint64(pos+1)
+	if slot < 0 {
+		slot = ix.free(g)
+	}
+	ix.slots[slot] = g>>32<<32 | uint64(pos+1)
 	ix.n++
+}
+
+// reserve grows the table once so that it holds n positions without
+// growing: the size the doublings of insert would reach at n, no larger.
+func (ix *flowIndex) reserve(n int) {
+	if size := indexSlots(n); size > len(ix.slots) {
+		ix.resize(size)
+	}
 }
 
 // free returns the first empty slot on the probe path of remixed hash g;

@@ -2,6 +2,7 @@ package host
 
 import (
 	"math/bits"
+	"slices"
 
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
@@ -99,30 +100,24 @@ func (fs *FlowStore) entry(id int) *flowEntry {
 	return &fs.chunks[c][off]
 }
 
-// lookup returns the entry of flow k, whose hash is h, or nil.
-func (fs *FlowStore) lookup(k packet.FlowKey, h uint64) *flowEntry {
-	id := fs.flows.find(h, func(id int) bool { return fs.entry(id).Key == k })
-	if id < 0 {
-		return nil
-	}
-	return fs.entry(id)
-}
-
 // Ingest merges one exported sNIC record.
 func (fs *FlowStore) Ingest(rec flowcache.Record) {
 	fs.ingests++
 	fs.cpuNs += fs.cost.RecordNs
 	h := rec.Key.Hash()
-	hr := fs.lookup(rec.Key, h)
-	if hr == nil {
-		id := fs.flows.n
+	id, slot := fs.flows.probe(h, func(id int) bool { return fs.entry(id).Key == rec.Key })
+	var hr *flowEntry
+	if id >= 0 {
+		hr = fs.entry(id)
+	} else {
+		id = fs.flows.n
 		c, off := chunkOf(id)
 		if off == 0 {
 			fs.chunks = append(fs.chunks, make([]flowEntry, minChunk<<min(c, chunkSteps)))
 		}
 		hr = &fs.chunks[c][off]
 		hr.HostRecord = HostRecord{Key: rec.Key, FirstTs: rec.FirstTs, StateTs: rec.StateTs, State: rec.State}
-		fs.flows.add(h, id)
+		fs.flows.insert(h, slot, id)
 	}
 	if !hr.dirty {
 		hr.dirty = true
@@ -140,6 +135,19 @@ func (fs *FlowStore) Ingest(rec flowcache.Record) {
 		hr.State, hr.StateTs = rec.State, rec.StateTs
 	}
 	hr.Exports++
+}
+
+// Reserve makes room for n more flows: the index and the dirty list grow
+// once to hold them, instead of doubling as Ingest meets them. n may
+// overcount (flows already stored, or fewer arriving), so the index can
+// end one doubling larger than growth would leave it. Entries still come
+// in chunks.
+func (fs *FlowStore) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	fs.flows.reserve(fs.flows.n + n)
+	fs.dirty = slices.Grow(fs.dirty, n)
 }
 
 // takeDirty visits every aggregate Ingest changed since the previous call
@@ -168,11 +176,11 @@ func (fs *FlowStore) DrainRings(rings []*flowcache.Ring) int {
 
 // Get returns the aggregate for a flow.
 func (fs *FlowStore) Get(k packet.FlowKey) (HostRecord, bool) {
-	hr := fs.lookup(k, k.Hash())
-	if hr == nil {
+	id := fs.flows.find(k.Hash(), func(id int) bool { return fs.entry(id).Key == k })
+	if id < 0 {
 		return HostRecord{}, false
 	}
-	return hr.HostRecord, true
+	return fs.entry(id).HostRecord, true
 }
 
 // Len returns the distinct-flow count.

@@ -72,10 +72,12 @@ func (f *Flusher) OnInterval(ts int64) {
 
 // FinalFlush is the lossless end-of-run export: drain the rings, ingest
 // every record still resident in the FlowCache via snapshot, and flush
-// under ts. Unlike OnInterval it does not advance NF timers — the run is
-// over.
-func (f *Flusher) FinalFlush(ts int64, snapshot func(func(flowcache.Record) bool)) {
+// under ts. resident is the FlowCache's record count (an overcount does
+// no harm): the store reserves room for that many once, before the walk.
+// Unlike OnInterval it does not advance NF timers — the run is over.
+func (f *Flusher) FinalFlush(ts int64, resident int, snapshot func(func(flowcache.Record) bool)) {
 	f.drained += uint64(f.Store.DrainRings(f.Rings))
+	f.Store.Reserve(resident)
 	snapshot(func(r flowcache.Record) bool {
 		f.Store.Ingest(r)
 		return true

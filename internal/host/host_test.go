@@ -203,7 +203,7 @@ func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
 			if off == 0 {
 				twin.chunks = append(twin.chunks, shared[:sizes[c]])
 			}
-			twin.flows.add(hkey(i).Hash(), i)
+			twin.flows.insert(hkey(i).Hash(), -1, i)
 			twin.dirty = append(twin.dirty, &shared[off])
 		}
 	})
@@ -385,7 +385,7 @@ func TestFlusherKeepsFlushErrors(t *testing.T) {
 		}
 	}
 	fs.Ingest(flowcache.Record{Key: hkey(6), Pkts: 1})
-	f.FinalFlush(6, func(func(flowcache.Record) bool) {})
+	f.FinalFlush(6, 0, func(func(flowcache.Record) bool) {})
 	err := f.Err()
 	if !errors.Is(err, errLogFull) {
 		t.Fatalf("Err = %v, want it to wrap %v", err, errLogFull)

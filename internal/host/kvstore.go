@@ -47,19 +47,15 @@ type kvLayer struct {
 	idx  flowIndex
 }
 
-// get returns the position of flow k, whose hash is h, or -1.
-func (l *kvLayer) get(k packet.FlowKey, h uint64) int {
-	return l.idx.find(h, func(pos int) bool { return l.recs[pos].Key == k })
-}
-
 // put overwrites the layer's record of hr's flow, or appends hr.
 func (l *kvLayer) put(hr HostRecord) {
 	h := hr.Key.Hash()
-	if pos := l.get(hr.Key, h); pos >= 0 {
+	pos, slot := l.idx.probe(h, func(pos int) bool { return l.recs[pos].Key == hr.Key })
+	if pos >= 0 {
 		l.recs[pos] = hr
 		return
 	}
-	l.idx.add(h, len(l.recs))
+	l.idx.insert(h, slot, len(l.recs))
 	l.recs = append(l.recs, hr)
 }
 
@@ -193,7 +189,7 @@ func (kv *KVStore) Get(intervalTs int64, k packet.FlowKey) (HostRecord, bool) {
 	h := k.Hash()
 	for ; ok && i >= 0; i-- {
 		l := &kv.layers[i]
-		if pos := l.get(k, h); pos >= 0 {
+		if pos := l.idx.find(h, func(pos int) bool { return l.recs[pos].Key == k }); pos >= 0 {
 			return l.recs[pos], true
 		}
 	}

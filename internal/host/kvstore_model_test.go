@@ -134,18 +134,21 @@ func indexSizes(kv *KVStore) map[int64]int {
 // delta store and the full-snapshot oracle and diffs the read side after
 // every step that can change it. The wide case ingests bursts over 4 096
 // flows, so re-flushes of the newest interval and retention folds into
-// the base grow their indexes many times over.
+// the base grow their indexes many times over, and fresh intervals take
+// large sets. Every other burst is announced to the store by Reserve
+// first.
 func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
 		keys, seeds, steps  int
 		burst, minDoublings int
+		minFresh            int // records in the largest fresh interval
 	}{
-		{"48flows", 48, 20, 300, 1, 0},
-		{"4096flows", 4096, 6, 50, 700, 8},
+		{"48flows", 48, 20, 300, 1, 0, 2},
+		{"4096flows", 4096, 6, 50, 700, 8, 1000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			doublings, reused := 0, 0
+			doublings, reused, largestFresh := 0, 0, 0
 			for seed := uint64(1); seed <= uint64(tc.seeds); seed++ {
 				rng := stats.NewRand(seed)
 				kv := NewKVStore(nil)
@@ -160,6 +163,9 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 						if tc.burst > 1 {
 							burst += rng.IntN(tc.burst)
 						}
+						if step%2 == 0 {
+							fs.Reserve(burst)
+						}
 						for range burst {
 							now += 1 + rng.Int64N(50)
 							fs.Ingest(flowcache.Record{
@@ -173,6 +179,9 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 							ts += 1 + rng.Int64N(3)
 						}
 						spare := recsData(kv.spare.recs)
+						if ts > kv.layers[len(kv.layers)-1].ts {
+							largestFresh = max(largestFresh, len(fs.dirty))
+						}
 						if err := kv.FlushInterval(ts, fs); err != nil {
 							t.Fatal(err)
 						}
@@ -194,6 +203,9 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 			}
 			if reused == 0 {
 				t.Error("no interval reused the spare layer retention folded away")
+			}
+			if largestFresh < tc.minFresh {
+				t.Errorf("the largest fresh interval took %d records, want at least %d", largestFresh, tc.minFresh)
 			}
 		})
 	}
