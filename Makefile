@@ -81,7 +81,8 @@ cluster:
 # the flow-table model test and the map-backed LowSlow oracle, the
 # timing-wheel wraparound and hostile-time audit, its diff against the
 # slice-per-slot reference wheel and its steady-state allocation test, the
-# flow log's under retention (DESIGN.md §12), the starvation valve,
+# flow log's under retention and under a climbing dirty set (DESIGN.md
+# §12), the starvation valve,
 # the Lite-mode pinned-retention oracles and the platform determinism
 # sweep with the wheel-backed detector in the loop, and the pin releases
 # the Tick-driven detectors make through the platform's hooks
@@ -89,7 +90,7 @@ cluster:
 # experiment table at reduced scale.
 lowslow:
 	$(GO) vet ./...
-	$(GO) test -race -run 'LowSlow|SlowRead|SlowPost|ConnExhaust|TimingWheel|PinStarve|CleanRowParks|UnpinParked|ModeChurn|UpdateStatePin|TickHooks|ForgedRSTReleases|UntrackedSYN|IncompleteBoundsPending|KVFlushUnderRetention' \
+	$(GO) test -race -run 'LowSlow|SlowRead|SlowPost|ConnExhaust|TimingWheel|PinStarve|CleanRowParks|UnpinParked|ModeChurn|UpdateStatePin|TickHooks|ForgedRSTReleases|UntrackedSYN|IncompleteBoundsPending|KVFlushUnderRetention|KVFlushClimbingDirtySet' \
 		./internal/trace/ ./internal/detect/ ./internal/host/ ./internal/flowcache/ ./internal/core/
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
@@ -104,7 +105,9 @@ lowslow:
 # TestSwitchProcessDoesNotAllocate does the switch's, and
 # TestTimingWheelRevolutionDoesNotAllocate (0 per revolution at steady
 # state), TestKVFlushUnderRetentionDoesNotAllocate (0 per interval under
-# retention), TestFlowStoreEntriesAreSlabbed (one per doubling chunk) and
+# retention), TestKVFlushClimbingDirtySetAllocatesLogarithmically (at most
+# 16 over a dirty set climbing to 300 flows), TestKVScanDoesNotAllocate
+# (0 per read), TestFlowStoreEntriesAreSlabbed (one per doubling chunk) and
 # TestFinalFlushReservesOnce (the end-of-run export: its chunks plus a
 # fixed few) the host's, and TestQuantilesGrowsOnceToCap (a small
 # reservoir, then one at its cap) the latency reservoir's.

@@ -34,22 +34,6 @@ func indexSlots(n int) int {
 	return size
 }
 
-// newFlowIndex returns an index sized to hold n positions without growing
-// (none allocated for n = 0: an idle interval's layer stays empty).
-func newFlowIndex(n int) flowIndex {
-	var ix flowIndex
-	if n > 0 {
-		ix.resize(indexSlots(n))
-	}
-	return ix
-}
-
-// reset empties the index in place, keeping its table.
-func (ix *flowIndex) reset() {
-	clear(ix.slots)
-	ix.n = 0
-}
-
 // find returns the position whose record has hash h and satisfies same,
 // or -1.
 func (ix *flowIndex) find(h uint64, same func(pos int) bool) int {

@@ -45,26 +45,29 @@ func DefaultCostModel() CostModel { return CostModel{RecordNs: 180, PacketNs: 52
 // the KV flow log.
 type FlowStore struct {
 	cost CostModel
-	// chunks hold the entries in first-ingest order, an entry never moves
-	// (dirty points into the chunks), and entry id lives where chunkOf
-	// says. Chunks double from minChunk entries to maxChunk and stay there:
-	// a store of n flows costs O(log n + n/maxChunk) allocations and at
-	// most one chunk of slack.
+	// chunks hold the entries in first-ingest order, an entry never moves,
+	// and entry id lives where chunkOf says. Chunks double from minChunk
+	// entries to maxChunk and stay there: a store of n flows costs
+	// O(log n + n/maxChunk) allocations and at most one chunk of slack.
 	chunks [][]flowEntry
 	// flows indexes the entry ids by flow hash.
 	flows flowIndex
-	// dirty lists, each once, the aggregates Ingest changed since the last
-	// flush: an interval flush costs those, not every flow ever seen.
-	dirty   []*flowEntry
+	// dirty lists, each once, the ids of the aggregates Ingest changed
+	// since the last flush: an interval flush costs those, not every flow
+	// ever seen.
+	dirty   []uint32
 	drain   []flowcache.Record // DrainRings scratch
 	cpuNs   float64
 	ingests uint64
 }
 
-// flowEntry is one aggregate plus its membership in the dirty list.
+// flowEntry is one aggregate plus its membership in the dirty list and,
+// in what would be padding, the low 32 bits of the seq of its newest
+// version in the flow log, which only KVStore.FlushInterval writes.
 type flowEntry struct {
 	HostRecord
-	dirty bool
+	dirty  bool
+	logged uint32
 }
 
 // The chunk sizes in entries: chunk k holds minChunk<<k of them up to
@@ -121,7 +124,7 @@ func (fs *FlowStore) Ingest(rec flowcache.Record) {
 	}
 	if !hr.dirty {
 		hr.dirty = true
-		fs.dirty = append(fs.dirty, hr)
+		fs.dirty = append(fs.dirty, uint32(id))
 	}
 	hr.Pkts += rec.Pkts
 	hr.Bytes += rec.Bytes
@@ -150,12 +153,13 @@ func (fs *FlowStore) Reserve(n int) {
 	fs.dirty = slices.Grow(fs.dirty, n)
 }
 
-// takeDirty visits every aggregate Ingest changed since the previous call
-// and empties the set.
-func (fs *FlowStore) takeDirty(fn func(HostRecord)) {
-	for _, e := range fs.dirty {
+// takeDirty visits, with its id, every entry Ingest changed since the
+// previous call and empties the set.
+func (fs *FlowStore) takeDirty(fn func(id uint32, e *flowEntry)) {
+	for _, id := range fs.dirty {
+		e := fs.entry(int(id))
 		e.dirty = false
-		fn(e.HostRecord)
+		fn(id, e)
 	}
 	fs.dirty = fs.dirty[:0]
 }

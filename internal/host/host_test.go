@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
@@ -204,11 +205,15 @@ func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
 				twin.chunks = append(twin.chunks, shared[:sizes[c]])
 			}
 			twin.flows.insert(hkey(i).Hash(), -1, i)
-			twin.dirty = append(twin.dirty, &shared[off])
+			twin.dirty = append(twin.dirty, uint32(i))
 		}
 	})
 	if got-control > float64(chunks) {
 		t.Errorf("%d new flows: %.0f allocations, index, dirty list and chunk directory alone %.0f: want at most %d more", n, got, control, chunks)
+	}
+	// The flow log's handle fills the dirty flag's padding.
+	if size := unsafe.Sizeof(flowEntry{}); size != 80 {
+		t.Errorf("an entry takes %d bytes, want 80", size)
 	}
 	if len(fs.chunks) != chunks {
 		t.Fatalf("%d new flows in %d chunks, want %d", n, len(fs.chunks), chunks)
@@ -219,7 +224,8 @@ func TestFlowStoreEntriesAreSlabbed(t *testing.T) {
 		}
 	}
 	seen := 0
-	fs.takeDirty(func(hr HostRecord) {
+	fs.takeDirty(func(id uint32, e *flowEntry) {
+		hr := e.HostRecord
 		if want, _ := fs.Get(hr.Key); hr != want || hr.Bytes != uint64(seen) || hr.Key != hkey(seen) {
 			t.Fatalf("dirty entry %d = %+v, store holds %+v", seen, hr, want)
 		}
@@ -273,9 +279,8 @@ func TestKVStoreFlushAndScan(t *testing.T) {
 	if got := kv.Intervals(); len(got) != 1 || got[0] != 5_000_000_000 {
 		t.Fatalf("intervals = %v", got)
 	}
-	hr, ok := kv.Get(5_000_000_000, hkey(1))
-	if !ok || hr.Pkts != 7 {
-		t.Errorf("get = %+v %v", hr, ok)
+	if hr, ok := scanMap(t, kv, 5_000_000_000)[hkey(1)]; !ok || hr.Pkts != 7 {
+		t.Errorf("scan holds %+v %v", hr, ok)
 	}
 	n := 0
 	kv.Scan(5_000_000_000, func(HostRecord) bool { n++; return true })

@@ -118,8 +118,9 @@ func (e *IPFIXExporter) ExportInterval(exportTs uint32, records []HostRecord) er
 
 // ExportKV streams every stored interval of the flow log, oldest first.
 func (e *IPFIXExporter) ExportKV(kv *KVStore) error {
+	var recs []HostRecord
 	for _, ts := range kv.Intervals() {
-		var recs []HostRecord
+		recs = recs[:0]
 		kv.Scan(ts, func(hr HostRecord) bool {
 			recs = append(recs, hr)
 			return true

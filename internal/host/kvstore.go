@@ -19,13 +19,34 @@ import (
 // It is an in-memory store with optional append-only persistence, exposing
 // the handful of operations the monitoring pipeline needs. The log is
 // cumulative, but an interval stores only the aggregates that changed in
-// it: the view as of an interval is the newest version of every key at or
-// before it, which Scan and Get resolve newest-first.
+// it: the view as of an interval is the newest version of every flow at or
+// before it, which Scan resolves newest-first.
+//
+// Every version lives in one FIFO arena, numbered by a sequence (seq) that
+// never repeats; an interval is the range of seqs its flushes wrote. A
+// version is keyed by its flow's FlowStore entry id, and the entry holds
+// the low bits of its newest version's seq, so the log keeps no index.
 type KVStore struct {
 	mu sync.RWMutex
-	// layers[1:] are the resident intervals, ascending by ts; layers[0] is
-	// the base under them, every interval retention evicted folded in one.
+	// src is the one FlowStore whose entry ids key the versions.
+	src *FlowStore
+	// layers are the resident intervals, ascending by ts and back to back
+	// in seq: the oldest starts at folded, the newest ends at next.
 	layers []kvLayer
+	// segs[:live] hold the versions from the segment of seq folded up to
+	// at least next, back to back in seq order. A segment never moves;
+	// once all its versions have folded it goes behind them, to segs[live:],
+	// for the next flushes to fill.
+	segs   []segment
+	live   int
+	grow   int   // length of the next new segment, doubling to maxChunk
+	folded int64 // versions below this seq have folded into the base
+	next   int64 // the seq the next version takes
+	// base holds, in fold order, the newest folded version of every flow
+	// retention folded; baseAt maps a flow's entry id to its base
+	// position + 1 (0: none).
+	base   []baseRecord
+	baseAt []uint32
 	aof    *bufio.Writer
 	writes uint64
 	// retention bounds the resident intervals for long-running sessions
@@ -34,35 +55,40 @@ type KVStore struct {
 	// persistence, if configured, still holds every record ever flushed.
 	retention int
 	dropped   uint64
-	// spare is the emptied storage of the last layer retention folded
-	// away; the next new interval it fits reuses it.
-	spare kvLayer
 }
 
-// kvLayer holds the aggregates that changed in one interval, in flush
-// order, indexed by flow hash.
+// kvLayer is one resident interval: the versions with seqs in
+// [first, end), in flush order.
 type kvLayer struct {
-	ts   int64
-	recs []HostRecord
-	idx  flowIndex
+	ts, first, end int64
 }
 
-// put overwrites the layer's record of hr's flow, or appends hr.
-func (l *kvLayer) put(hr HostRecord) {
-	h := hr.Key.Hash()
-	pos, slot := l.idx.probe(h, func(pos int) bool { return l.recs[pos].Key == hr.Key })
-	if pos >= 0 {
-		l.recs[pos] = hr
-		return
-	}
-	l.idx.insert(h, slot, len(l.recs))
-	l.recs = append(l.recs, hr)
+// segment is a run of the arena: vs[i] is the version with seq first + i.
+type segment struct {
+	first int64
+	vs    []version
+}
+
+// version is one logged aggregate of the flow with entry id id. next is
+// the seq distance to the flow's next newer version (0: none yet), which
+// shadows this one in the view as of any interval that holds both; a
+// resident span never nears 2^32 versions.
+type version struct {
+	HostRecord
+	id, next uint32
+}
+
+// baseRecord is a flow's newest folded version; next is the seq of its
+// oldest resident version (MaxInt64: none).
+type baseRecord struct {
+	HostRecord
+	next int64
 }
 
 // NewKVStore returns an empty store. If aof is non-nil, every flushed
 // record is appended to it in a compact binary format (see ReadRecords).
 func NewKVStore(aof io.Writer) *KVStore {
-	kv := &KVStore{layers: []kvLayer{{ts: math.MinInt64}}}
+	kv := &KVStore{}
 	if aof != nil {
 		kv.aof = bufio.NewWriterSize(aof, 1<<16)
 	}
@@ -71,32 +97,38 @@ func NewKVStore(aof io.Writer) *KVStore {
 
 // FlushInterval logs the store's aggregates under the interval's start
 // timestamp. It takes only the records fs ingested since its previous
-// flush, so one FlowStore feeds one KVStore. The log is cumulative:
-// Scan(intervalTs) then visits every flow fs has ever held at its value as
-// of this flush, and a flow without traffic keeps its last value and never
-// leaves. Timestamps must not go backwards; the newest may repeat.
+// flush, so one FlowStore feeds one KVStore (a flush from another is
+// refused). The log is cumulative: Scan(intervalTs) then visits every
+// flow fs has ever held at its value as of this flush, and a flow without
+// traffic keeps its last value and never leaves. Timestamps must not go
+// backwards; the newest may repeat.
 func (kv *KVStore) FlushInterval(intervalTs int64, fs *FlowStore) error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	top := &kv.layers[len(kv.layers)-1]
-	if intervalTs < top.ts {
-		return fmt.Errorf("host: flush of interval %d behind the newest logged interval %d", intervalTs, top.ts)
+	if kv.src != nil && kv.src != fs {
+		return fmt.Errorf("host: flush of interval %d from a second FlowStore into one flow log", intervalTs)
 	}
-	// A new interval is sized once for the dirty flows; a re-flush of the
-	// newest one merges into what it holds.
-	if intervalTs > top.ts {
-		kv.layers = append(kv.layers, kv.newLayer(intervalTs, len(fs.dirty)))
-		top = &kv.layers[len(kv.layers)-1]
+	kv.src = fs
+	n := len(kv.layers)
+	if n > 0 && intervalTs < kv.layers[n-1].ts {
+		return fmt.Errorf("host: flush of interval %d behind the newest logged interval %d", intervalTs, kv.layers[n-1].ts)
 	}
-	fs.takeDirty(func(hr HostRecord) {
-		top.put(hr)
+	if n == 0 || intervalTs > kv.layers[n-1].ts {
+		kv.layers = append(grown(kv.layers, 16), kvLayer{intervalTs, kv.next, kv.next})
+		n++
+	}
+	top := &kv.layers[n-1]
+	kv.makeRoom(len(fs.dirty))
+	fs.takeDirty(func(id uint32, e *flowEntry) {
+		kv.put(top.first, id, e)
 		kv.writes++
 		if kv.aof != nil {
 			// bufio.Writer keeps its first error and returns it from
 			// Flush below; the in-memory log stays complete meanwhile.
-			_ = writeRecord(kv.aof, intervalTs, hr)
+			_ = writeRecord(kv.aof, intervalTs, e.HostRecord)
 		}
 	})
+	top.end = kv.next
 	kv.enforceRetention()
 	if kv.aof != nil {
 		if err := kv.aof.Flush(); err != nil {
@@ -106,25 +138,88 @@ func (kv *KVStore) FlushInterval(intervalTs int64, fs *FlowStore) error {
 	return nil
 }
 
-// newLayer returns an empty layer for interval ts sized for n records.
-// Without retention it is sized exactly. Under retention it is the spare
-// when that fits, else a fresh layer whose records take the index's whole
-// capacity, so that once folded away it fits the next intervals of a
-// slowly growing dirty set. Caller holds mu.
-func (kv *KVStore) newLayer(ts int64, n int) kvLayer {
-	if n == 0 {
-		return kvLayer{ts: ts}
+// put logs entry e's aggregate in the newest interval, which starts at seq
+// top: over its version there, or as a new version linked from the flow's
+// newest resident version or its base record. Caller holds mu and made
+// room.
+func (kv *KVStore) put(top int64, id uint32, e *flowEntry) {
+	// e.logged is the low 32 bits of the flow's newest seq; the resident
+	// seq with those bits is that version if it carries the flow's id, and
+	// otherwise the flow has none resident.
+	var newest *version
+	if s := kv.folded + int64(e.logged-uint32(kv.folded)); s < kv.next {
+		if newest = kv.at(s); newest.id != id {
+			newest = nil
+		} else if s >= top {
+			newest.HostRecord = e.HostRecord
+			return
+		}
 	}
-	if kv.retention <= 0 {
-		return kvLayer{ts, make([]HostRecord, 0, n), newFlowIndex(n)}
+	v := kv.next
+	kv.next++
+	*kv.at(v) = version{HostRecord: e.HostRecord, id: id}
+	if newest != nil {
+		newest.next = uint32(v) - e.logged
+	} else if int(id) < len(kv.baseAt) && kv.baseAt[id] > 0 {
+		kv.base[kv.baseAt[id]-1].next = v
 	}
-	slots := indexSlots(n)
-	if l := kv.spare; cap(l.recs) >= n && len(l.idx.slots) >= slots {
-		kv.spare = kvLayer{}
-		l.ts = ts
-		return l
+	e.logged = uint32(v)
+}
+
+// at returns the version with seq s, resident or in the room past next.
+// Caller holds mu.
+func (kv *KVStore) at(s int64) *version {
+	g := kv.seg(s)
+	return &g.vs[s-g.first]
+}
+
+// run returns the versions with seqs from s up to end that share s's
+// segment. Caller holds mu.
+func (kv *KVStore) run(s, end int64) []version {
+	g := kv.seg(s)
+	return g.vs[s-g.first : min(end-g.first, int64(len(g.vs)))]
+}
+
+// seg returns the live segment holding seq s. Caller holds mu.
+func (kv *KVStore) seg(s int64) *segment {
+	i, ok := slices.BinarySearchFunc(kv.segs[:kv.live], s, func(g segment, s int64) int { return cmp.Compare(g.first, s) })
+	if !ok {
+		i--
 	}
-	return kvLayer{ts, make([]HostRecord, 0, slots/2), newFlowIndex(n)}
+	return &kv.segs[i]
+}
+
+// makeRoom makes n versions fit past next: folded segments first, then one
+// new segment sized for the rest, and no smaller than the next doubling.
+// Caller holds mu.
+func (kv *KVStore) makeRoom(n int) {
+	for {
+		end := kv.next
+		if kv.live > 0 {
+			g := kv.segs[kv.live-1]
+			end = g.first + int64(len(g.vs))
+		}
+		need := n - int(end-kv.next)
+		if need <= 0 {
+			return
+		}
+		if kv.live == len(kv.segs) {
+			kv.grow = min(max(2*kv.grow, minChunk), maxChunk)
+			kv.segs = append(grown(kv.segs, 8), segment{vs: make([]version, max(need, kv.grow))})
+		}
+		kv.segs[kv.live].first = end
+		kv.live++
+	}
+}
+
+// grown returns s with room for one more element: as it is, or doubled
+// to at least floor, so a short list starts with one allocation, not
+// several.
+func grown[T any](s []T, floor int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	return append(make([]T, 0, max(2*len(s), floor)), s...)
 }
 
 // SetRetention bounds how many intervals stay resident in memory (0 =
@@ -135,9 +230,6 @@ func (kv *KVStore) SetRetention(n int) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	kv.retention = n
-	if n <= 0 {
-		kv.spare = kvLayer{}
-	}
 	kv.enforceRetention()
 }
 
@@ -150,93 +242,94 @@ func (kv *KVStore) DroppedIntervals() uint64 {
 }
 
 // enforceRetention folds the oldest intervals beyond the cap into the
-// base, oldest first so newer versions overwrite, and keeps the storage of
-// the last one folded as the spare. Caller holds mu.
+// base, oldest version first so newer ones overwrite, and frees the
+// segments left with no resident version. Caller holds mu.
 func (kv *KVStore) enforceRetention() {
-	excess := len(kv.layers) - 1 - kv.retention
+	excess := len(kv.layers) - kv.retention
 	if kv.retention <= 0 || excess <= 0 {
 		return
 	}
-	base := &kv.layers[0]
-	for _, l := range kv.layers[1 : 1+excess] {
-		if len(base.recs) == 0 {
-			base.recs, base.idx = l.recs, l.idx
-			continue
+	end := kv.layers[excess-1].end
+	for s := kv.folded; s < end; {
+		vs := kv.run(s, end)
+		for i := range vs {
+			kv.fold(s+int64(i), &vs[i])
 		}
-		for _, hr := range l.recs {
-			base.put(hr)
-		}
-		if cap(l.recs) > 0 {
-			l.idx.reset()
-			kv.spare = kvLayer{recs: l.recs[:0], idx: l.idx}
-		}
+		s += int64(len(vs))
 	}
+	kv.folded = end
 	kv.dropped += uint64(excess)
-	kv.layers = slices.Delete(kv.layers, 1, 1+excess)
-}
-
-// find returns the layer of the resident interval ts. Caller holds mu.
-func (kv *KVStore) find(ts int64) (int, bool) {
-	i, ok := slices.BinarySearchFunc(kv.layers, ts, func(l kvLayer, ts int64) int { return cmp.Compare(l.ts, ts) })
-	return i, ok && i > 0
-}
-
-// Get fetches one flow's aggregate as of one interval.
-func (kv *KVStore) Get(intervalTs int64, k packet.FlowKey) (HostRecord, bool) {
-	kv.mu.RLock()
-	defer kv.mu.RUnlock()
-	i, ok := kv.find(intervalTs)
-	h := k.Hash()
-	for ; ok && i >= 0; i-- {
-		l := &kv.layers[i]
-		if pos := l.idx.find(h, func(pos int) bool { return l.recs[pos].Key == k }); pos >= 0 {
-			return l.recs[pos], true
-		}
+	kv.layers = slices.Delete(kv.layers, 0, excess)
+	for kv.live > 1 && kv.segs[1].first <= end {
+		g := kv.segs[0]
+		copy(kv.segs, kv.segs[1:])
+		kv.segs[len(kv.segs)-1] = g
+		kv.live--
 	}
-	return HostRecord{}, false
+}
+
+// fold moves version s into the base: over the flow's base record, or
+// appended as its first. Caller holds mu.
+func (kv *KVStore) fold(s int64, v *version) {
+	r := baseRecord{v.HostRecord, math.MaxInt64}
+	if v.next != 0 {
+		r.next = s + int64(v.next)
+	}
+	if n := int(v.id) + 1; n > len(kv.baseAt) {
+		kv.baseAt = append(kv.baseAt, make([]uint32, max(n, 2*len(kv.baseAt), minChunk)-len(kv.baseAt))...)
+	}
+	if p := kv.baseAt[v.id]; p > 0 {
+		kv.base[p-1] = r
+		return
+	}
+	kv.base = append(grown(kv.base, minChunk), r)
+	kv.baseAt[v.id] = uint32(len(kv.base))
 }
 
 // Intervals lists stored interval timestamps in ascending order.
 func (kv *KVStore) Intervals() []int64 {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	out := make([]int64, 0, len(kv.layers)-1)
-	for _, l := range kv.layers[1:] {
+	out := make([]int64, 0, len(kv.layers))
+	for _, l := range kv.layers {
 		out = append(out, l.ts)
 	}
 	return out
 }
 
 // Scan visits every record of the cumulative view as of one interval,
-// each flow once: newest layer first, each layer in flush order.
+// each flow once: newest interval first, each in flush order, then the
+// base in fold order. A version is in the view unless the flow's next
+// newer one is too, that is, has a seq below the interval's end.
 func (kv *KVStore) Scan(intervalTs int64, fn func(HostRecord) bool) {
 	kv.mu.RLock()
 	defer kv.mu.RUnlock()
-	top, ok := kv.find(intervalTs)
+	top, ok := slices.BinarySearchFunc(kv.layers, intervalTs, func(l kvLayer, ts int64) int { return cmp.Compare(l.ts, ts) })
 	if !ok {
 		return
 	}
-	// The first version of a key met is the one in force, and seen skips
-	// its older versions. The oldest non-empty layer shadows nothing, so a
-	// view living in one layer builds no set. seen is a map: Scan is off
-	// the drive path, and a flowIndex over a key slice peaked ≈ 3 MB
-	// higher on the benchmark's churn.
-	oldest := 0
-	for oldest < top && len(kv.layers[oldest].recs) == 0 {
-		oldest++
+	end := kv.layers[top].end
+	for i := top; i >= 0; i-- {
+		l := kv.layers[i]
+		for s := l.first; s < l.end; {
+			vs := kv.run(s, l.end)
+			for j := range vs {
+				if next := vs[j].next; next != 0 && s+int64(j)+int64(next) < end {
+					continue
+				}
+				if !fn(vs[j].HostRecord) {
+					return
+				}
+			}
+			s += int64(len(vs))
+		}
 	}
-	seen := map[packet.FlowKey]struct{}{}
-	for i := top; i >= oldest; i-- {
-		for _, hr := range kv.layers[i].recs {
-			if _, shadowed := seen[hr.Key]; shadowed {
-				continue
-			}
-			if i > oldest {
-				seen[hr.Key] = struct{}{}
-			}
-			if !fn(hr) {
-				return
-			}
+	for i := range kv.base {
+		if kv.base[i].next < end {
+			continue
+		}
+		if !fn(kv.base[i].HostRecord) {
+			return
 		}
 	}
 }

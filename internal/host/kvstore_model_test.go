@@ -65,7 +65,7 @@ func scanMap(t *testing.T, kv *KVStore, ts int64) map[packet.FlowKey]HostRecord 
 }
 
 // checkAgainstOracle diffs the whole read side of kv against the model.
-func checkAgainstOracle(t *testing.T, kv *KVStore, o *snapshotKV, keys, step int) {
+func checkAgainstOracle(t *testing.T, kv *KVStore, o *snapshotKV, step int) {
 	t.Helper()
 	want := o.timestamps()
 	if got := kv.Intervals(); !reflect.DeepEqual(got, want) {
@@ -79,13 +79,6 @@ func checkAgainstOracle(t *testing.T, kv *KVStore, o *snapshotKV, keys, step int
 		if got := scanMap(t, kv, ts); !reflect.DeepEqual(got, snap) {
 			t.Fatalf("step %d: Scan(%d) = %d records, oracle %d:\n got %v\nwant %v", step, ts, len(got), len(snap), got, snap)
 		}
-		for i := 0; i < keys; i++ {
-			hr, ok := kv.Get(ts, hkey(i))
-			whr, wok := snap[hkey(i)]
-			if ok != wok || hr != whr {
-				t.Fatalf("step %d: Get(%d, key %d) = %+v %v, oracle %+v %v", step, ts, i, hr, ok, whr, wok)
-			}
-		}
 	}
 	// An interval retention evicted (or never logged) reads as empty.
 	gone := int64(-1)
@@ -95,68 +88,77 @@ func checkAgainstOracle(t *testing.T, kv *KVStore, o *snapshotKV, keys, step int
 	if n := len(scanMap(t, kv, gone)); n != 0 {
 		t.Fatalf("step %d: Scan of absent interval %d visited %d records", step, gone, n)
 	}
-	if _, ok := kv.Get(gone, hkey(0)); ok {
-		t.Fatalf("step %d: Get of absent interval %d found a record", step, gone)
-	}
 }
 
-// indexDoublings counts how often the indexes of layers that survive from
-// before to after grew (each doubling once), by interval timestamp.
-func indexDoublings(before, after map[int64]int) int {
-	n := 0
-	for ts, size := range after {
-		for was := before[ts]; was > 0 && was < size; was *= 2 {
-			n++
+// arenaCounts is what one step did to the version arena.
+type arenaCounts struct {
+	recycled    int // folded segments a flush took back
+	overwritten int // versions a re-flush wrote over in place
+	foldedOver  int // versions folded over an older base record
+}
+
+// arenaState is the part of a store's arena a step can change.
+type arenaState struct {
+	free                  map[*version]bool
+	writes                uint64
+	next, folded, baseLen int64
+}
+
+func arenaOf(kv *KVStore) arenaState {
+	st := arenaState{free: map[*version]bool{}, writes: kv.writes, next: kv.next, folded: kv.folded, baseLen: int64(len(kv.base))}
+	for _, g := range kv.segs[kv.live:] {
+		st.free[&g.vs[0]] = true
+	}
+	return st
+}
+
+// countStep adds what the arena went through from before to kv's state.
+func (c *arenaCounts) countStep(before arenaState, kv *KVStore) {
+	for _, g := range kv.segs[:kv.live] {
+		if before.free[&g.vs[0]] {
+			c.recycled++
 		}
 	}
-	return n
-}
-
-// recsData returns the backing array of recs, or nil if it has none.
-func recsData(recs []HostRecord) *HostRecord {
-	if cap(recs) == 0 {
-		return nil
-	}
-	return &recs[:1][0]
-}
-
-// indexSizes maps each layer's timestamp to its index's slot count.
-func indexSizes(kv *KVStore) map[int64]int {
-	out := map[int64]int{}
-	for _, l := range kv.layers {
-		out[l.ts] = len(l.idx.slots)
-	}
-	return out
+	c.overwritten += int(kv.writes-before.writes) - int(kv.next-before.next)
+	c.foldedOver += int(kv.folded-before.folded) - (len(kv.base) - int(before.baseLen))
 }
 
 // TestKVStoreMatchesSnapshotModel drives random Ingest / FlushInterval
 // (advancing and repeated timestamps) / SetRetention sequences through the
 // delta store and the full-snapshot oracle and diffs the read side after
 // every step that can change it. The wide case ingests bursts over 4 096
-// flows, so re-flushes of the newest interval and retention folds into
-// the base grow their indexes many times over, and fresh intervals take
-// large sets. Every other burst is announced to the store by Reserve
-// first.
+// flows, so fresh intervals take large sets. Every other burst is
+// announced to the store by Reserve first. The cases must overwrite
+// versions on re-flushes and fold versions over older base records, and
+// the wide one must refill segments whose versions all folded, or the
+// diff proves nothing of them.
 func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 	for _, tc := range []struct {
-		name                string
-		keys, seeds, steps  int
-		burst, minDoublings int
-		minFresh            int // records in the largest fresh interval
+		name               string
+		keys, seeds, steps int
+		burst              int
+		min                arenaCounts
+		minFresh           int   // records in the largest fresh interval
+		seq                int64 // the seq the store starts at
 	}{
-		{"48flows", 48, 20, 300, 1, 0, 2},
-		{"4096flows", 4096, 6, 50, 700, 8, 1000},
+		{"48flows", 48, 20, 300, 1, arenaCounts{0, 20, 1000}, 2, 0},
+		{"4096flows", 4096, 6, 50, 700, arenaCounts{3, 1000, 5000}, 1000, 0},
+		// Seqs cross 2^32: the 32-bit handles in the entries wrap, and a
+		// flow never logged aliases onto other flows' resident versions.
+		{"4096flows/wrap", 4096, 6, 50, 700, arenaCounts{3, 1000, 5000}, 1000, 1<<32 - 5000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			doublings, reused, largestFresh := 0, 0, 0
+			var got arenaCounts
+			largestFresh, lastSeq := 0, int64(0)
 			for seed := uint64(1); seed <= uint64(tc.seeds); seed++ {
 				rng := stats.NewRand(seed)
 				kv := NewKVStore(nil)
+				kv.folded, kv.next = tc.seq, tc.seq
 				o := &snapshotKV{intervals: map[int64]map[packet.FlowKey]HostRecord{}}
 				fs := NewFlowStore(DefaultCostModel())
 				ts, now := int64(0), int64(0)
 				for step := 0; step < tc.steps; step++ {
-					before := indexSizes(kv)
+					before := arenaOf(kv)
 					switch op := rng.IntN(10); {
 					case op < 6:
 						burst := 1
@@ -178,15 +180,11 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 						if ts == 0 || rng.IntN(4) > 0 { // one flush in four re-flushes the newest interval
 							ts += 1 + rng.Int64N(3)
 						}
-						spare := recsData(kv.spare.recs)
-						if ts > kv.layers[len(kv.layers)-1].ts {
+						if n := len(kv.layers); n == 0 || ts > kv.layers[n-1].ts {
 							largestFresh = max(largestFresh, len(fs.dirty))
 						}
 						if err := kv.FlushInterval(ts, fs); err != nil {
 							t.Fatal(err)
-						}
-						if top := kv.layers[len(kv.layers)-1].recs; spare != nil && recsData(top) == spare {
-							reused++
 						}
 						o.flush(ts, fs)
 					default:
@@ -194,15 +192,17 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 						kv.SetRetention(n)
 						o.setRetention(n)
 					}
-					doublings += indexDoublings(before, indexSizes(kv))
-					checkAgainstOracle(t, kv, o, tc.keys, step)
+					got.countStep(before, kv)
+					checkAgainstOracle(t, kv, o, step)
 				}
+				lastSeq = max(lastSeq, kv.next)
 			}
-			if doublings < tc.minDoublings {
-				t.Errorf("layer indexes doubled %d times across re-flushes and folds, want at least %d", doublings, tc.minDoublings)
+			if got.recycled < tc.min.recycled || got.overwritten < tc.min.overwritten || got.foldedOver < tc.min.foldedOver {
+				t.Errorf("%d segments recycled, %d versions overwritten by re-flushes, %d folded over a base record: want at least %d, %d, %d",
+					got.recycled, got.overwritten, got.foldedOver, tc.min.recycled, tc.min.overwritten, tc.min.foldedOver)
 			}
-			if reused == 0 {
-				t.Error("no interval reused the spare layer retention folded away")
+			if tc.seq > 0 && lastSeq <= 1<<32 {
+				t.Errorf("seqs went from %d up to %d: want past 2^32", tc.seq, lastSeq)
 			}
 			if largestFresh < tc.minFresh {
 				t.Errorf("the largest fresh interval took %d records, want at least %d", largestFresh, tc.minFresh)
@@ -244,8 +244,8 @@ func TestKVStoreFlushWritesOnlyDirtyRecords(t *testing.T) {
 	if n := len(scanMap(t, kv, 3)); n != resident {
 		t.Fatalf("view as of the idle interval holds %d records, want %d", n, resident)
 	}
-	if hr, ok := kv.Get(3, hkey(0)); !ok || hr.Pkts != 3 {
-		t.Fatalf("Get through an idle interval = %+v %v, want 3 pkts", hr, ok)
+	if hr, ok := scanMap(t, kv, 3)[hkey(0)]; !ok || hr.Pkts != 3 {
+		t.Fatalf("Scan through an idle interval holds %+v %v, want 3 pkts", hr, ok)
 	}
 }
 
@@ -264,8 +264,17 @@ func TestKVStoreRejectsBackwardsInterval(t *testing.T) {
 	if err := kv.FlushInterval(10, fs); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := kv.Get(10, hkey(2)); !ok {
+	if _, ok := scanMap(t, kv, 10)[hkey(2)]; !ok {
 		t.Error("record of the refused flush lost")
+	}
+	// Versions are keyed by entry id, which only their own store defines.
+	other := NewFlowStore(DefaultCostModel())
+	other.Ingest(flowcache.Record{Key: hkey(3), Pkts: 1})
+	if err := kv.FlushInterval(11, other); err == nil {
+		t.Fatal("flush from a second flow store accepted")
+	}
+	if len(kv.Intervals()) != 1 || len(other.dirty) != 1 {
+		t.Error("the refused flush changed the log or took the other store's changes")
 	}
 }
 
@@ -304,7 +313,6 @@ func TestKVStoreReadsDuringFlush(t *testing.T) {
 					seen[hr.Key] = true
 					return true
 				})
-				kv.Get(ts, hkey(i%keys))
 			}
 		}()
 	}

@@ -13,15 +13,15 @@ import (
 // TestFinalFlushReservesOnce: a final flush of 150 000 new flows, given
 // their count, allocates the store's entry chunks and its chunk
 // directory's doublings plus a fixed few — the flusher, store and log, the
-// store's one index and one dirty list, the new layer's record slice and
-// index, the log's layer list, the snapshot closure: 10, and one more
-// under -race — and no index or dirty list per doubling.
+// store's one index and one dirty list, the log's one segment for the
+// flush, its segment list and layer list, the snapshot closure: 9, and one
+// more under -race — and no index or dirty list per doubling.
 func TestFinalFlushReservesOnce(t *testing.T) {
 	recs := finalFlushRecords()
 	last, _ := chunkOf(len(recs) - 1)
 	chunks := last + 1
 	directory := bits.Len(uint(chunks-1)) + 1
-	const fixed = 12
+	const fixed = 10
 	var f *Flusher
 	got := testing.AllocsPerRun(2, func() { f = finalFlush(recs) })
 	if want := chunks + directory + fixed; got > float64(want) {

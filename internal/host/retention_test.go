@@ -2,6 +2,7 @@ package host
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"smartwatch/internal/flowcache"
@@ -87,7 +88,75 @@ func TestKVFlushUnderRetentionDoesNotAllocate(t *testing.T) {
 	if got := kv.Intervals(); len(got) != retention || got[retention-1] != ts {
 		t.Fatalf("resident intervals %v, want the newest %d up to %d", got, retention, ts)
 	}
-	if hr, ok := kv.Get(ts, hkey(dirty-1)); !ok || hr.Pkts != uint64(ts) {
-		t.Fatalf("Get(%d) = %+v %v, want %d pkts", ts, hr, ok, ts)
+	if hr, ok := scanMap(t, kv, ts)[hkey(dirty-1)]; !ok || hr.Pkts != uint64(ts) {
+		t.Fatalf("Scan(%d) holds %+v %v, want %d pkts", ts, hr, ok, ts)
+	}
+}
+
+// TestKVFlushClimbingDirtySetAllocatesLogarithmically: a dirty set that
+// climbs from 1 to 300 flows over 80 intervals under retention 8, so every
+// new interval outgrows the ones folding away, costs the flow log a
+// logarithmic number of allocations, not one or two per interval. The
+// mallocs are counted around the whole climb: testing.AllocsPerRun would
+// warm up on it and measure one interval at its top.
+func TestKVFlushClimbingDirtySetAllocatesLogarithmically(t *testing.T) {
+	const retention, intervals, top, budget = 8, 80, 300, 16
+	kv := NewKVStore(nil)
+	kv.SetRetention(retention)
+	fs := NewFlowStore(CostModel{})
+	fs.Reserve(top)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for ts := int64(1); ts <= intervals; ts++ {
+		dirty := 1 + int(ts-1)*(top-1)/(intervals-1)
+		for i := range dirty {
+			fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: 100, FirstTs: ts, LastTs: ts})
+		}
+		if err := kv.FlushInterval(ts, fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > budget {
+		t.Errorf("a dirty set climbing to %d flows over %d intervals under retention %d: %d allocations, want at most %d", top, intervals, retention, n, budget)
+	}
+	if got := scanMap(t, kv, intervals); len(got) != top || got[hkey(0)].Pkts != intervals || got[hkey(top-1)].Pkts != 1 {
+		t.Fatalf("view as of the last interval: %d flows, want %d with flow 0 at %d pkts", len(got), top, intervals)
+	}
+}
+
+// TestKVScanDoesNotAllocate: Scan tells a shadowed version by its link to
+// the flow's next newer one, so reading every resident interval of a log
+// with a base under it builds no set of the flows it has emitted.
+func TestKVScanDoesNotAllocate(t *testing.T) {
+	const retention, flows = 4, 600
+	kv := NewKVStore(nil)
+	kv.SetRetention(retention)
+	fs := NewFlowStore(CostModel{})
+	for ts := int64(1); ts <= 12; ts++ {
+		for i := range flows {
+			if i%int(ts) == 0 {
+				fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: 100, FirstTs: ts, LastTs: ts})
+			}
+		}
+		if err := kv.FlushInterval(ts, fs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ivs := kv.Intervals()
+	if len(ivs) != retention || len(kv.base) != flows {
+		t.Fatalf("%d resident intervals over a base of %d flows, want %d over %d", len(ivs), len(kv.base), retention, flows)
+	}
+	visited := 0
+	count := func(HostRecord) bool { visited++; return true }
+	if n := testing.AllocsPerRun(10, func() {
+		for _, ts := range ivs {
+			kv.Scan(ts, count)
+		}
+	}); n != 0 {
+		t.Errorf("Scan of %d resident intervals: %.1f allocations, want 0", len(ivs), n)
+	}
+	if want := 11 * retention * flows; visited != want {
+		t.Fatalf("Scan visited %d records over 11 passes, want %d", visited, want)
 	}
 }
