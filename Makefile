@@ -31,8 +31,8 @@ test:
 # skips), the sNIC engine, the platform control loop, the
 # event observer list, the parallel experiment runner, the buffered stream bridge,
 # the wire side's shared state — the follow reader's close flag, the switch tables — and
-# the host flow log, which -serve handlers read under the KVStore's
-# RWMutex while the drive flushes into it. The
+# the host flow log, whose readers TestKVStoreReadsDuringFlush runs under
+# the KVStore's RWMutex while a flush writes it. The
 # cluster runner is not here: its whole suite runs under -race in `make
 # cluster`, and no test of it consults -short. -short shortens, not
 # skips, the sNIC scheduler's ring-vs-scan oracle; the three

@@ -91,7 +91,7 @@ func ExampleNewBruteForceDetector() {
 		}},
 		IntervalNs: 50e6,
 		Detectors:  []smartwatch.Detector{sshDet},
-		KVLog:      smartwatch.NewFlowLog(&aof),
+		FlowLogAOF: &aof,
 	})
 
 	background := smartwatch.NewWorkload(smartwatch.WorkloadConfig{

@@ -63,7 +63,7 @@ func TestEndToEndPcapPlatformFlowLog(t *testing.T) {
 		}},
 		IntervalNs: 50e6,
 		Detectors:  []smartwatch.Detector{det},
-		KVLog:      smartwatch.NewFlowLog(&aof),
+		FlowLogAOF: &aof,
 	})
 	rep, err := pl.Run(src.Stream())
 	if err != nil {

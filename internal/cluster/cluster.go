@@ -121,7 +121,8 @@ type Config struct {
 	// re-derives the capacity split: worker RowBits = RowBits -
 	// log2(Workers) and worker eta thresholds divide by Workers, so total
 	// cache capacity and switchover behaviour match a single
-	// Workers·Shards-way sharded platform.
+	// Workers·Shards-way sharded platform. Each worker keeps its own flow
+	// log (Platform.KV), so FlowLogAOF must be unset at Workers > 1.
 	Worker core.Config
 	// Detectors builds one fresh detector set per worker. Required when
 	// Workers > 1 and detectors are wanted: live detect.Detector
@@ -266,13 +267,12 @@ type Runner struct {
 	lgW   uint
 	shift uint // 64 - lgW; hash >> shift is the owning worker (0 at w=1)
 	// sw is the switch the runner answers for: the shared one at w > 1,
-	// the worker's own at w == 1 (nil without a switch tier). steer and
-	// tracker exist only for a shared switch, which the router steers
-	// with and folds worker feedback into.
-	sw      *p4switch.Switch
-	tracker *p4switch.Tracker
-	steer   *p4switch.SteerStage
-	sctx    tier.Context
+	// the worker's own at w == 1 (nil without a switch tier). steer
+	// exists only for a shared switch, which the router steers with and
+	// folds worker feedback into.
+	sw    *p4switch.Switch
+	steer *p4switch.SteerStage
+	sctx  tier.Context
 
 	workers []*worker
 
@@ -310,8 +310,9 @@ type Runner struct {
 }
 
 // New assembles a cluster runner. It panics on structural misconfiguration
-// (non-power-of-two width, shared live detectors, too few row bits for the
-// split) exactly as core.New and flowcache do.
+// (non-power-of-two width, shared live detectors, a shared flow-log
+// writer, too few row bits for the split) exactly as core.New and
+// flowcache do.
 func New(cfg Config) *Runner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -321,6 +322,9 @@ func New(cfg Config) *Runner {
 	}
 	if cfg.Worker.Detectors != nil && cfg.Workers > 1 && cfg.Detectors == nil {
 		panic("cluster: live Worker.Detectors cannot be shared across workers; provide a Detectors factory")
+	}
+	if cfg.Worker.FlowLogAOF != nil && cfg.Workers > 1 {
+		panic("cluster: one Worker.FlowLogAOF cannot take every worker's flow log")
 	}
 	if cfg.QueueBatch <= 0 {
 		cfg.QueueBatch = 512
@@ -359,18 +363,8 @@ func New(cfg Config) *Runner {
 	}
 
 	if cfg.Worker.EnableSwitch {
-		swCfg := cfg.Worker.Switch
-		if swCfg.SRAMBytes == 0 {
-			swCfg = p4switch.DefaultConfig()
-		}
-		r.sw = p4switch.New(swCfg)
-		if len(cfg.Worker.Queries) > 0 {
-			if err := r.sw.InstallQueries(cfg.Worker.Queries); err != nil {
-				panic(err)
-			}
-		}
-		r.tracker = p4switch.NewTracker(cfg.Worker.Queries, 0)
-		r.steer = &p4switch.SteerStage{SW: r.sw, Tracker: r.tracker}
+		r.steer = p4switch.NewSteerStage(cfg.Worker.Switch, cfg.Worker.Queries)
+		r.sw = r.steer.SW
 		for _, w := range r.workers {
 			// Capture detector feedback for the epoch fold. The handlers
 			// run inside Publish, on the goroutine that called the worker
@@ -584,7 +578,7 @@ func (r *Runner) Ingest(batch []packet.Packet) error {
 				return err
 			}
 			if r.steer != nil {
-				r.sw.CloseInterval(r.tracker)
+				r.sw.CloseInterval(r.steer.Tracker)
 			}
 			// Live observers (-serve's /metrics) read the registry's last
 			// snapshot; without this one they would see none until the merge.
@@ -842,7 +836,7 @@ func (r *Runner) Drain() (Report, error) {
 		return r.endFailed()
 	}
 	if r.steer != nil {
-		r.sw.CloseInterval(r.tracker) // the final interval close, as the
+		r.sw.CloseInterval(r.steer.Tracker) // the final interval close, as the
 		// single platform's end-of-drive maybeTick fires it
 	}
 	maxTs := r.maxTs

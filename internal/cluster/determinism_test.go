@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strings"
@@ -628,4 +629,16 @@ func TestNewRejectsDuplicateQueryNames(t *testing.T) {
 		}
 	}()
 	New(Config{Workers: 2, Worker: core.Config{EnableSwitch: true, Queries: append(sshQueries(), sshQueries()...)}})
+}
+
+// TestNewRejectsSharedFlowLogAOF: each worker keeps its own flow log, so
+// one append-only file cannot take them all; New panics on it as it does
+// on shared live detectors.
+func TestNewRejectsSharedFlowLogAOF(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted one Worker.FlowLogAOF for two workers")
+		}
+	}()
+	New(Config{Workers: 2, Worker: core.Config{FlowLogAOF: io.Discard}})
 }

@@ -20,7 +20,7 @@ import (
 // collector surfaces their pending-entry depth.
 type wheelOwner interface{ WheelDepth() int }
 
-// queueDelayBounds buckets the tier.<wire|nic>.queue_delay_ns histograms.
+// queueDelayBounds buckets the tier.nic.queue_delay_ns histogram.
 var queueDelayBounds = obs.ExpBounds(100, 4, 10)
 
 // instrumentMetrics wires Config.Metrics through the platform: the pushed
@@ -64,23 +64,6 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 	s.SetCounter("core.time_jumps", pl.counts.timeJumps.Load())
 	s.SetCounter("core.time_regressions", pl.counts.timeRegressions.Load())
 
-	// Per-stage traffic (DESIGN.md §15.2), each already a platform count:
-	// ingest sees every packet and passes it on with no wait, the steer
-	// verdicts are the three packet fates, and both sNIC-side stages see
-	// each packet the engine hands tierHandler — the observations of the
-	// queue-delay histogram, which unlike snic.processed is not reset by
-	// the next drive.
-	setStage(s, "tier.wire.ingest", counts.Total, 0, 0)
-	wireDelay := obs.HistogramValue{Bounds: queueDelayBounds, Buckets: make([]uint64, len(queueDelayBounds)+1), Count: counts.Total}
-	wireDelay.Buckets[0] = counts.Total
-	s.Histograms["tier.wire.queue_delay_ns"] = wireDelay
-	if pl.sw != nil {
-		setStage(s, "tier.wire.steer", counts.ToSNIC, counts.ForwardedDirect, counts.DroppedAtSwitch)
-	}
-	handled := s.Histograms["tier.nic.queue_delay_ns"].Count
-	setStage(s, "tier.nic.datapath", handled, 0, 0)
-	setStage(s, "tier.nic.host", handled, 0, 0)
-
 	// FlowCache: aggregate stats, occupancy/pinning, per-ring depth/drops,
 	// mode churn and residency.
 	st := pl.cache.Stats()
@@ -121,7 +104,7 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 		}
 	}
 
-	// Host tier: flow store, flow log, flusher, NF timing wheels.
+	// Host tier: flow store, flow log, flusher, detector timing wheels.
 	s.SetGauge("host.store.flows", float64(pl.store.Len()))
 	s.SetCounter("host.store.ingests", pl.store.Ingests())
 	s.SetGauge("host.store.cpu_ns", pl.store.CPUNs())
@@ -148,15 +131,6 @@ func (pl *Platform) collectMetrics(s *obs.Snapshot) {
 	}
 	s.SetCounter("bus.delivered", bst.Delivered)
 	s.SetCounter("bus.panics", bst.Panics)
-}
-
-// setStage writes one stage's tier.<side>.<stage>.{packets,verdict.*}
-// series from how many packets left it with each verdict.
-func setStage(s *obs.Snapshot, base string, cont, direct, dropped uint64) {
-	s.SetCounter(base+".packets", cont+direct+dropped)
-	s.SetCounter(base+".verdict."+tier.Continue.String(), cont)
-	s.SetCounter(base+".verdict."+tier.ForwardDirect.String(), direct)
-	s.SetCounter(base+".verdict."+tier.DropAtSwitch.String(), dropped)
 }
 
 // MetricsErr reports the first snapshot-emit write error, if any.

@@ -73,8 +73,10 @@ type Config struct {
 	HostCost host.CostModel
 	// Detectors are the in-line detectors to run.
 	Detectors []detect.Detector
-	// KVLog optionally persists interval flushes (see host.NewKVStore).
-	KVLog *host.KVStore
+	// FlowLogAOF, when set, is the flow log's append-only file: every
+	// flush appends the records it changed (smartwatch.ReadFlowLog parses
+	// it).
+	FlowLogAOF io.Writer
 	// BatchSize drains ingest in vectors of this many packets (DESIGN.md
 	// §7.1): the drive pre-computes flow hashes per vector, amortises the
 	// platform counters and FlowCache stat updates across it, and splits
@@ -97,7 +99,6 @@ type Platform struct {
 	bus       *tier.Bus
 	cache     *flowcache.Sharded
 	sw        *p4switch.Switch
-	tracker   *p4switch.Tracker
 	store     *host.FlowStore
 	kv        *host.KVStore
 	ports     *host.Ports
@@ -202,10 +203,7 @@ func New(cfg Config) *Platform {
 	pl := &Platform{cfg: cfg, bus: tier.NewBus()}
 	pl.cache = flowcache.NewShardedOffset(cfg.Shards, cfg.ShardHashOffsetBits, cfg.Cache, cfg.Controller)
 	pl.store = host.NewFlowStore(cfg.HostCost)
-	pl.kv = cfg.KVLog
-	if pl.kv == nil {
-		pl.kv = host.NewKVStore(nil)
-	}
+	pl.kv = host.NewKVStore(pl.store, cfg.FlowLogAOF)
 	pl.ports = host.NewPorts(pl.store)
 	pl.detectors = detect.NewChain(cfg.Detectors...)
 	// The one place a detector gets its hooks: every detector with a
@@ -218,19 +216,10 @@ func New(cfg Config) *Platform {
 		}
 	}
 	if cfg.EnableSwitch {
-		if cfg.Switch.SRAMBytes == 0 {
-			cfg.Switch = p4switch.DefaultConfig()
-		}
-		pl.sw = p4switch.New(cfg.Switch)
-		if len(cfg.Queries) > 0 {
-			if err := pl.sw.InstallQueries(cfg.Queries); err != nil {
-				panic(err)
-			}
-		}
-		pl.tracker = p4switch.NewTracker(cfg.Queries, 0)
-		pl.steer = &p4switch.SteerStage{SW: pl.sw, Tracker: pl.tracker}
+		pl.steer = p4switch.NewSteerStage(cfg.Switch, cfg.Queries)
+		pl.sw = pl.steer.SW
 	}
-	pl.flusher = &host.Flusher{Store: pl.store, Ports: pl.ports, KV: pl.kv, Rings: pl.cache.Rings()}
+	pl.flusher = &host.Flusher{KV: pl.kv, Rings: pl.cache.Rings()}
 	pl.nextInterval = cfg.IntervalNs
 	pl.nextTick = cfg.TickNs
 	// The engine lives as long as the platform: sequential drives continue
@@ -269,7 +258,7 @@ func (pl *Platform) Store() *host.FlowStore { return pl.store }
 // KV exposes the flow log.
 func (pl *Platform) KV() *host.KVStore { return pl.kv }
 
-// Ports exposes the host NF ports for attaching functions.
+// Ports exposes the host NF slot for attaching a function.
 func (pl *Platform) Ports() *host.Ports { return pl.ports }
 
 // Control actions ---------------------------------------------------------
@@ -374,14 +363,13 @@ func skipAhead(ts int64, next *int64, period int64) uint64 {
 }
 
 // endInterval is the control-loop heartbeat: the switch steers fired
-// subsets, the host drains rings, advances NF timers and flushes the flow
-// log, in that order; then the event goes to its observers (the metrics
-// emit first).
+// subsets, the host drains rings and flushes the flow log, in that order;
+// then the event goes to its observers (the metrics emit first).
 func (pl *Platform) endInterval(ts int64) {
 	seq := pl.counts.intervals.Add(1)
 	applied := uint64(1)
 	if pl.sw != nil {
-		pl.sw.CloseInterval(pl.tracker)
+		pl.sw.CloseInterval(pl.steer.Tracker)
 		applied++
 	}
 	pl.flusher.OnInterval(ts)
@@ -455,7 +443,7 @@ type Report struct {
 	// Host summarises the host flusher's interval work.
 	Host host.FlusherStats
 	// FlowLogErr is non-nil when a flow-log flush failed (a failing
-	// Config.KVLog writer): the persisted log is incomplete. The drive
+	// Config.FlowLogAOF writer): the persisted log is incomplete. The drive
 	// does not stop for it; the rest of the Report is valid.
 	FlowLogErr error
 	// Metrics is the final metrics snapshot (nil when Config.Metrics is

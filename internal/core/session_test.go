@@ -14,7 +14,6 @@ import (
 
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
-	"smartwatch/internal/host"
 	"smartwatch/internal/obs"
 	"smartwatch/internal/p4switch"
 	"smartwatch/internal/packet"
@@ -473,7 +472,7 @@ func TestFlowLogWriteFailureSurfaces(t *testing.T) {
 	}
 	want := golden(t, "legacy_flowlog.golden")
 
-	cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
+	cfg.FlowLogAOF = &brokenLog{n: 3}
 	pl = New(cfg)
 	ses := pl.NewSession()
 	if err := ses.Start(); err != nil {
@@ -495,7 +494,7 @@ func TestFlowLogWriteFailureSurfaces(t *testing.T) {
 		t.Errorf("second Drain error = %v", again)
 	}
 
-	cfg.KVLog = host.NewKVStore(&brokenLog{n: 3})
+	cfg.FlowLogAOF = &brokenLog{n: 3}
 	if rep := mustRun(t, New(cfg), packet.StreamOf(pkts)); !errors.Is(rep.FlowLogErr, errBrokenLog) {
 		t.Errorf("Run's FlowLogErr = %v", rep.FlowLogErr)
 	}

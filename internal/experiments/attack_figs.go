@@ -39,12 +39,7 @@ func sshClass(p *packet.Packet) int {
 	return 1
 }
 
-func (n *sshSenders) Name() string { return "zeek-ssh" }
-func (n *sshSenders) HandlePacket(p *packet.Packet) host.Verdict {
-	n[sshClass(p)]++
-	return host.Pass
-}
-func (n *sshSenders) Tick(int64) {}
+func (n *sshSenders) HandlePacket(p *packet.Packet) { n[sshClass(p)]++ }
 
 // Fig8aSSHLatency reproduces Fig. 8a: per-packet SSH latency under
 // (1) SmartWatch with a successful authentication (host involvement ends
@@ -67,7 +62,7 @@ func Fig8aSSHLatency(scale float64) *Table {
 		cfg: core.Config{Cache: detectCache(10), Detectors: []detect.Detector{
 			detect.NewBruteForce(detect.BruteForceConfig{Service: 22, Psi: 3}),
 		}},
-		setup: func(pl *core.Platform) { _ = pl.Ports().Attach(0, hosted) },
+		setup: func(pl *core.Platform) { _ = pl.Ports().Attach(hosted) },
 	}.run(packet.StreamOf(pkts))
 	latency := func(class int) float64 { return lm.snicNs + lm.hostNs*hosted[class]/sent[class] }
 	sw, zeek, fail := latency(0), lm.snicNs+lm.hostNs, latency(1)

@@ -60,7 +60,7 @@ func finalFlushRecords() []flowcache.Record {
 // flow log, passing their count as the resident count, as the platform's
 // drive does.
 func finalFlush(recs []flowcache.Record) *Flusher {
-	f := &Flusher{Store: NewFlowStore(DefaultCostModel()), KV: NewKVStore(nil)}
+	f := &Flusher{KV: NewKVStore(NewFlowStore(DefaultCostModel()), nil)}
 	f.FinalFlush(1, len(recs), func(fn func(flowcache.Record) bool) {
 		for _, r := range recs {
 			if !fn(r) {
@@ -87,12 +87,12 @@ func BenchmarkFinalFlush(b *testing.B) {
 func BenchmarkKVFlushInterval(b *testing.B) {
 	const resident, dirty = 100_000, 256
 	fs := NewFlowStore(DefaultCostModel())
-	kv := NewKVStore(nil)
+	kv := NewKVStore(fs, nil)
 	kv.SetRetention(8)
 	for i := 0; i < resident; i++ {
 		fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: 64})
 	}
-	if err := kv.FlushInterval(0, fs); err != nil {
+	if err := kv.FlushInterval(0); err != nil {
 		b.Fatal(err)
 	}
 	rng := stats.NewRand(1)
@@ -102,7 +102,7 @@ func BenchmarkKVFlushInterval(b *testing.B) {
 		for j := 0; j < dirty; j++ {
 			fs.Ingest(flowcache.Record{Key: hkey(rng.IntN(resident)), Pkts: 1, Bytes: 64})
 		}
-		if err := kv.FlushInterval(int64(i+1), fs); err != nil {
+		if err := kv.FlushInterval(int64(i + 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,8 +2,8 @@
 // flow-record pool that aggregates sNIC exports, the Redis-style key-value
 // flow log, the hierarchical timing wheel that buffers suspect TCP RST
 // packets, a Bloom filter accelerating the RST-uniqueness check, and the
-// network-function (NF) framework behind the paper's SR-IOV host
-// processing ports.
+// one network-function (NF) slot behind the paper's SR-IOV host
+// processing port.
 package host
 
 import (

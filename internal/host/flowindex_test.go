@@ -92,8 +92,8 @@ func TestFlowLogOrderIsIngestOrder(t *testing.T) {
 		fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1})
 	}
 	fs.Ingest(flowcache.Record{Key: hkey(n - 1), Pkts: 1}) // a merge keeps the first place
-	kv := NewKVStore(nil)
-	if err := kv.FlushInterval(1, fs); err != nil {
+	kv := NewKVStore(fs, nil)
+	if err := kv.FlushInterval(1); err != nil {
 		t.Fatal(err)
 	}
 	var each, scan []packet.FlowKey

@@ -8,11 +8,10 @@ import (
 
 // Flusher is the host tier's interval worker, called at each interval
 // close after the switch steers: drain the sNIC eviction rings into the
-// flow store, advance the NF timers, persist the interval to the flow log.
+// flow store, then persist the interval to the flow log.
 type Flusher struct {
-	Store *FlowStore
-	Ports *Ports
-	KV    *KVStore
+	// KV is the flow log; the flow store it is bound to takes the drains.
+	KV *KVStore
 	// Rings are the FlowCache eviction rings to drain (shard-major when
 	// the datapath is sharded).
 	Rings []*flowcache.Ring
@@ -53,7 +52,7 @@ func (f *Flusher) Err() error {
 // flush persists the store's changes under ts. The drive cannot stop for
 // a failing log writer mid-interval, so a failure is kept for Err.
 func (f *Flusher) flush(ts int64) {
-	if err := f.KV.FlushInterval(ts, f.Store); err != nil {
+	if err := f.KV.FlushInterval(ts); err != nil {
 		f.flushErrs++
 		if f.flushErr == nil {
 			f.flushErr = err
@@ -61,12 +60,11 @@ func (f *Flusher) flush(ts int64) {
 	}
 }
 
-// OnInterval runs the per-interval host work: rings, NF timers, flow-log
-// flush, in that order.
+// OnInterval runs the per-interval host work: ring drain, then flow-log
+// flush.
 func (f *Flusher) OnInterval(ts int64) {
-	f.drained += uint64(f.Store.DrainRings(f.Rings))
+	f.drained += uint64(f.KV.store.DrainRings(f.Rings))
 	f.flushes++
-	f.Ports.Tick(ts)
 	f.flush(ts)
 }
 
@@ -74,12 +72,12 @@ func (f *Flusher) OnInterval(ts int64) {
 // every record still resident in the FlowCache via snapshot, and flush
 // under ts. resident is the FlowCache's record count (an overcount does
 // no harm): the store reserves room for that many once, before the walk.
-// Unlike OnInterval it does not advance NF timers — the run is over.
 func (f *Flusher) FinalFlush(ts int64, resident int, snapshot func(func(flowcache.Record) bool)) {
-	f.drained += uint64(f.Store.DrainRings(f.Rings))
-	f.Store.Reserve(resident)
+	fs := f.KV.store
+	f.drained += uint64(fs.DrainRings(f.Rings))
+	fs.Reserve(resident)
 	snapshot(func(r flowcache.Record) bool {
-		f.Store.Ingest(r)
+		fs.Ingest(r)
 		return true
 	})
 	f.flush(ts)

@@ -272,8 +272,8 @@ func TestKVStoreFlushAndScan(t *testing.T) {
 	fs := NewFlowStore(DefaultCostModel())
 	fs.Ingest(flowcache.Record{Key: hkey(1), Pkts: 7})
 	fs.Ingest(flowcache.Record{Key: hkey(2), Pkts: 9})
-	kv := NewKVStore(nil)
-	if err := kv.FlushInterval(5_000_000_000, fs); err != nil {
+	kv := NewKVStore(fs, nil)
+	if err := kv.FlushInterval(5_000_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if got := kv.Intervals(); len(got) != 1 || got[0] != 5_000_000_000 {
@@ -291,10 +291,10 @@ func TestKVStoreFlushAndScan(t *testing.T) {
 
 func TestKVStoreAOFRoundTrip(t *testing.T) {
 	var aof bytes.Buffer
-	kv := NewKVStore(&aof)
 	fs := NewFlowStore(DefaultCostModel())
+	kv := NewKVStore(fs, &aof)
 	fs.Ingest(flowcache.Record{Key: hkey(3), Pkts: 11, Bytes: 1100, FirstTs: 1, LastTs: 2, State: 5, StateTs: 9})
-	if err := kv.FlushInterval(42, fs); err != nil {
+	if err := kv.FlushInterval(42); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadRecords(&aof)
@@ -311,56 +311,38 @@ func TestKVStoreAOFRoundTrip(t *testing.T) {
 	}
 }
 
-// fakeNF records calls.
-type fakeNF struct {
-	name    string
-	verdict Verdict
-	pkts    int
-	ticks   int
-}
+// countNF counts the packets it is handed.
+type countNF struct{ pkts int }
 
-func (f *fakeNF) Name() string                        { return f.name }
-func (f *fakeNF) HandlePacket(*packet.Packet) Verdict { f.pkts++; return f.verdict }
-func (f *fakeNF) Tick(int64)                          { f.ticks++ }
+func (n *countNF) HandlePacket(*packet.Packet) { n.pkts++ }
 
-func TestPortsRouting(t *testing.T) {
+// The host has one NF slot: a delivery reaches the attached NF and charges
+// the store PacketNs; with no NF it charges nothing.
+func TestPortsNFSlot(t *testing.T) {
 	fs := NewFlowStore(DefaultCostModel())
 	ps := NewPorts(fs)
-	ssh := &fakeNF{name: "ssh", verdict: Block}
-	all := &fakeNF{name: "all", verdict: Pass}
-	if err := ps.Attach(22, ssh); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Attach(0, all); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Attach(22, &fakeNF{name: "dup"}); err == nil {
-		t.Error("duplicate port accepted")
-	}
-
 	p := packet.Packet{Tuple: packet.FiveTuple{DstPort: 22, Proto: packet.ProtoTCP}}
-	if v := ps.Deliver(&p); v != Block {
-		t.Errorf("verdict = %v", v)
+	ps.Deliver(&p)
+	if fs.CPUNs() != 0 {
+		t.Errorf("delivery with no NF charged %v ns", fs.CPUNs())
 	}
-	rev := packet.Packet{Tuple: packet.FiveTuple{SrcPort: 22, Proto: packet.ProtoTCP}}
-	ps.Deliver(&rev) // reverse direction routes to the same NF
-	other := packet.Packet{Tuple: packet.FiveTuple{DstPort: 9999}}
-	if v := ps.Deliver(&other); v != Pass {
-		t.Errorf("catch-all verdict = %v", v)
+	nf := &countNF{}
+	if err := ps.Attach(nil); err == nil {
+		t.Error("nil NF accepted")
 	}
-	if ssh.pkts != 2 || all.pkts != 1 {
-		t.Errorf("routing counts: ssh=%d all=%d", ssh.pkts, all.pkts)
+	if err := ps.Attach(nf); err != nil {
+		t.Fatal(err)
 	}
-	st := ps.Stats()
-	if st["ssh"].Blocked != 2 || st["ssh"].Packets != 2 {
-		t.Errorf("stats = %+v", st["ssh"])
+	if err := ps.Attach(&countNF{}); err == nil {
+		t.Error("second NF accepted")
 	}
-	if fs.CPUNs() == 0 {
-		t.Error("host CPU not charged for NF packets")
+	ps.Deliver(&p)
+	ps.Deliver(&p)
+	if nf.pkts != 2 {
+		t.Errorf("NF handled %d packets, want 2", nf.pkts)
 	}
-	ps.Tick(100)
-	if ssh.ticks != 1 || all.ticks != 1 {
-		t.Errorf("ticks: ssh=%d all=%d", ssh.ticks, all.ticks)
+	if want := 2 * DefaultCostModel().PacketNs; fs.CPUNs() != want {
+		t.Errorf("host CPU = %v ns, want %v", fs.CPUNs(), want)
 	}
 }
 
@@ -381,7 +363,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 
 func TestFlusherKeepsFlushErrors(t *testing.T) {
 	fs := NewFlowStore(DefaultCostModel())
-	f := &Flusher{Store: fs, Ports: NewPorts(fs), KV: NewKVStore(&failingWriter{n: 3})}
+	f := &Flusher{KV: NewKVStore(fs, &failingWriter{n: 3})}
 	for ts := int64(1); ts <= 5; ts++ {
 		fs.Ingest(flowcache.Record{Key: hkey(int(ts)), Pkts: 1})
 		f.OnInterval(ts)
@@ -404,31 +386,5 @@ func TestFlusherKeepsFlushErrors(t *testing.T) {
 	}
 	if f.Stats() != (FlusherStats{Flushes: 5}) {
 		t.Errorf("stats = %+v", f.Stats())
-	}
-}
-
-// An NF attached on several ports is one function: one tick per interval,
-// in attach order.
-func TestPortsTickOncePerNF(t *testing.T) {
-	ps := NewPorts(nil)
-	a, b := &fakeNF{name: "a"}, &fakeNF{name: "b"}
-	for port, nf := range map[uint16]NF{80: a, 8080: a, 443: b} {
-		if err := ps.Attach(port, nf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ps.Attach(0, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.Attach(0, b); err == nil {
-		t.Error("second catch-all accepted")
-	}
-	ps.Tick(1)
-	ps.Tick(2)
-	if a.ticks != 2 || b.ticks != 2 {
-		t.Errorf("ticks after two intervals: a=%d b=%d, want 2 each", a.ticks, b.ticks)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { ps.Tick(3) }); allocs != 0 {
-		t.Errorf("Tick allocates %v times per interval", allocs)
 	}
 }

@@ -61,14 +61,14 @@ func TestIPFIXTemplateOnlyOnce(t *testing.T) {
 }
 
 func TestIPFIXExportKV(t *testing.T) {
-	kv := NewKVStore(nil)
 	fs := NewFlowStore(DefaultCostModel())
+	kv := NewKVStore(fs, nil)
 	fs.Ingest(flowcache.Record{Key: hkey(1), Pkts: 10, Bytes: 640})
-	if err := kv.FlushInterval(1e9, fs); err != nil {
+	if err := kv.FlushInterval(1e9); err != nil {
 		t.Fatal(err)
 	}
 	fs.Ingest(flowcache.Record{Key: hkey(2), Pkts: 20, Bytes: 1280})
-	if err := kv.FlushInterval(2e9, fs); err != nil {
+	if err := kv.FlushInterval(2e9); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -28,8 +28,9 @@ import (
 // the low bits of its newest version's seq, so the log keeps no index.
 type KVStore struct {
 	mu sync.RWMutex
-	// src is the one FlowStore whose entry ids key the versions.
-	src *FlowStore
+	// store feeds the log: each flush takes its changes, and its entry ids
+	// key the versions.
+	store *FlowStore
 	// layers are the resident intervals, ascending by ts and back to back
 	// in seq: the oldest starts at folded, the newest ends at next.
 	layers []kvLayer
@@ -85,30 +86,27 @@ type baseRecord struct {
 	next int64
 }
 
-// NewKVStore returns an empty store. If aof is non-nil, every flushed
-// record is appended to it in a compact binary format (see ReadRecords).
-func NewKVStore(aof io.Writer) *KVStore {
-	kv := &KVStore{}
+// NewKVStore returns an empty log of fs's flows. If aof is non-nil, every
+// flushed record is appended to it in a compact binary format (see
+// ReadRecords).
+func NewKVStore(fs *FlowStore, aof io.Writer) *KVStore {
+	kv := &KVStore{store: fs}
 	if aof != nil {
 		kv.aof = bufio.NewWriterSize(aof, 1<<16)
 	}
 	return kv
 }
 
-// FlushInterval logs the store's aggregates under the interval's start
-// timestamp. It takes only the records fs ingested since its previous
-// flush, so one FlowStore feeds one KVStore (a flush from another is
-// refused). The log is cumulative: Scan(intervalTs) then visits every
-// flow fs has ever held at its value as of this flush, and a flow without
-// traffic keeps its last value and never leaves. Timestamps must not go
-// backwards; the newest may repeat.
-func (kv *KVStore) FlushInterval(intervalTs int64, fs *FlowStore) error {
+// FlushInterval logs the flow store's aggregates under the interval's
+// start timestamp. It takes only the records the store ingested since its
+// previous flush. The log is cumulative: Scan(intervalTs) then visits
+// every flow the store has ever held at its value as of this flush, and a
+// flow without traffic keeps its last value and never leaves. Timestamps
+// must not go backwards; the newest may repeat.
+func (kv *KVStore) FlushInterval(intervalTs int64) error {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	if kv.src != nil && kv.src != fs {
-		return fmt.Errorf("host: flush of interval %d from a second FlowStore into one flow log", intervalTs)
-	}
-	kv.src = fs
+	fs := kv.store
 	n := len(kv.layers)
 	if n > 0 && intervalTs < kv.layers[n-1].ts {
 		return fmt.Errorf("host: flush of interval %d behind the newest logged interval %d", intervalTs, kv.layers[n-1].ts)

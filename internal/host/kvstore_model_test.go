@@ -152,10 +152,10 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 			largestFresh, lastSeq := 0, int64(0)
 			for seed := uint64(1); seed <= uint64(tc.seeds); seed++ {
 				rng := stats.NewRand(seed)
-				kv := NewKVStore(nil)
+				fs := NewFlowStore(DefaultCostModel())
+				kv := NewKVStore(fs, nil)
 				kv.folded, kv.next = tc.seq, tc.seq
 				o := &snapshotKV{intervals: map[int64]map[packet.FlowKey]HostRecord{}}
-				fs := NewFlowStore(DefaultCostModel())
 				ts, now := int64(0), int64(0)
 				for step := 0; step < tc.steps; step++ {
 					before := arenaOf(kv)
@@ -183,7 +183,7 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 						if n := len(kv.layers); n == 0 || ts > kv.layers[n-1].ts {
 							largestFresh = max(largestFresh, len(fs.dirty))
 						}
-						if err := kv.FlushInterval(ts, fs); err != nil {
+						if err := kv.FlushInterval(ts); err != nil {
 							t.Fatal(err)
 						}
 						o.flush(ts, fs)
@@ -216,14 +216,14 @@ func TestKVStoreMatchesSnapshotModel(t *testing.T) {
 func TestKVStoreFlushWritesOnlyDirtyRecords(t *testing.T) {
 	const resident, touched = 2000, 17
 	fs := NewFlowStore(DefaultCostModel())
-	kv := NewKVStore(nil)
+	kv := NewKVStore(fs, nil)
 	for i := 0; i < resident; i++ {
 		fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1})
 	}
 	flush := func(ts int64) uint64 {
 		t.Helper()
 		before := kv.Writes()
-		if err := kv.FlushInterval(ts, fs); err != nil {
+		if err := kv.FlushInterval(ts); err != nil {
 			t.Fatal(err)
 		}
 		return kv.Writes() - before
@@ -251,41 +251,32 @@ func TestKVStoreFlushWritesOnlyDirtyRecords(t *testing.T) {
 
 func TestKVStoreRejectsBackwardsInterval(t *testing.T) {
 	fs := NewFlowStore(DefaultCostModel())
-	kv := NewKVStore(nil)
+	kv := NewKVStore(fs, nil)
 	fs.Ingest(flowcache.Record{Key: hkey(1), Pkts: 1})
-	if err := kv.FlushInterval(10, fs); err != nil {
+	if err := kv.FlushInterval(10); err != nil {
 		t.Fatal(err)
 	}
 	fs.Ingest(flowcache.Record{Key: hkey(2), Pkts: 1})
-	if err := kv.FlushInterval(9, fs); err == nil {
+	if err := kv.FlushInterval(9); err == nil {
 		t.Fatal("flush behind the newest interval accepted")
 	}
 	// The refused flush kept its changes for the next one.
-	if err := kv.FlushInterval(10, fs); err != nil {
+	if err := kv.FlushInterval(10); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := scanMap(t, kv, 10)[hkey(2)]; !ok {
 		t.Error("record of the refused flush lost")
 	}
-	// Versions are keyed by entry id, which only their own store defines.
-	other := NewFlowStore(DefaultCostModel())
-	other.Ingest(flowcache.Record{Key: hkey(3), Pkts: 1})
-	if err := kv.FlushInterval(11, other); err == nil {
-		t.Fatal("flush from a second flow store accepted")
-	}
-	if len(kv.Intervals()) != 1 || len(other.dirty) != 1 {
-		t.Error("the refused flush changed the log or took the other store's changes")
-	}
 }
 
-// A -serve handler reads the flow log while the drive flushes into it:
-// re-flushes grow the newest layer's index and retention folds layers into
-// the base under readers that Scan, Get and list the intervals. Run under
-// -race in `make race`.
+// Readers Scan the flow log and list its intervals while a flush writes
+// it: re-flushes overwrite the newest interval in place and retention
+// folds intervals into the base under them. Run under -race in `make
+// race`.
 func TestKVStoreReadsDuringFlush(t *testing.T) {
 	const keys = 2048
 	fs := NewFlowStore(DefaultCostModel())
-	kv := NewKVStore(nil)
+	kv := NewKVStore(fs, nil)
 	kv.SetRetention(3)
 	done := make(chan struct{})
 	var readers sync.WaitGroup
@@ -321,7 +312,7 @@ func TestKVStoreReadsDuringFlush(t *testing.T) {
 			fs.Ingest(flowcache.Record{Key: hkey((i * int(ts) * 31) % keys), Pkts: 1})
 		}
 		for range 2 { // the second flush of ts re-flushes the newest layer
-			if err := kv.FlushInterval(ts, fs); err != nil {
+			if err := kv.FlushInterval(ts); err != nil {
 				t.Fatal(err)
 			}
 			fs.Ingest(flowcache.Record{Key: hkey(int(ts) * 7 % keys), Pkts: 1})
@@ -335,22 +326,22 @@ func TestKVStoreReadsDuringFlush(t *testing.T) {
 func aofRun(t *testing.T, retention int) (*KVStore, []byte) {
 	t.Helper()
 	var aof bytes.Buffer
-	kv := NewKVStore(&aof)
-	kv.SetRetention(retention)
 	fs := NewFlowStore(DefaultCostModel())
+	kv := NewKVStore(fs, &aof)
+	kv.SetRetention(retention)
 	rng := stats.NewRand(7)
 	for ts := int64(1); ts <= 40; ts++ {
 		for i := rng.IntN(12); i > 0; i-- {
 			fs.Ingest(flowcache.Record{Key: hkey(rng.IntN(30)), Pkts: 1, Bytes: 100, FirstTs: ts, LastTs: ts})
 		}
 		for range 1 + rng.IntN(2) { // sometimes the same interval twice
-			if err := kv.FlushInterval(ts/2, fs); err != nil {
+			if err := kv.FlushInterval(ts / 2); err != nil {
 				t.Fatal(err)
 			}
 			fs.Ingest(flowcache.Record{Key: hkey(rng.IntN(30)), Pkts: 1, Bytes: 100, FirstTs: ts, LastTs: ts})
 		}
 	}
-	if err := kv.FlushInterval(100, fs); err != nil {
+	if err := kv.FlushInterval(100); err != nil {
 		t.Fatal(err)
 	}
 	return kv, aof.Bytes()

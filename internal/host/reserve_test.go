@@ -28,10 +28,10 @@ func TestFinalFlushReservesOnce(t *testing.T) {
 		t.Errorf("final flush of %d new flows: %.0f allocations, want at most %d (%d chunks, %d directory doublings, %d fixed)",
 			len(recs), got, want, chunks, directory, fixed)
 	}
-	if f.Store.Len() != len(recs) || f.KV.Writes() != uint64(len(recs)) {
-		t.Fatalf("final flush stored %d flows and logged %d, want %d", f.Store.Len(), f.KV.Writes(), len(recs))
+	if f.KV.store.Len() != len(recs) || f.KV.Writes() != uint64(len(recs)) {
+		t.Fatalf("final flush stored %d flows and logged %d, want %d", f.KV.store.Len(), f.KV.Writes(), len(recs))
 	}
-	if got, want := len(f.Store.flows.slots), indexSlots(len(recs)); got != want {
+	if got, want := len(f.KV.store.flows.slots), indexSlots(len(recs)); got != want {
 		t.Errorf("store index holds %d slots, growth would have left %d", got, want)
 	}
 }
@@ -76,9 +76,9 @@ func reserveSession(t *testing.T, reserve bool) hostState {
 	t.Helper()
 	var aof bytes.Buffer
 	fs := NewFlowStore(DefaultCostModel())
-	kv := NewKVStore(&aof)
+	kv := NewKVStore(fs, &aof)
 	kv.SetRetention(3)
-	f := &Flusher{Store: fs, KV: kv}
+	f := &Flusher{KV: kv}
 	rng := stats.NewRand(11)
 	next, ts := 0, int64(0) // next: the first key never ingested
 	burst := func(n int) []int {
@@ -115,7 +115,7 @@ func reserveSession(t *testing.T, reserve bool) hostState {
 		if ts == 0 || rng.IntN(4) > 0 {
 			ts++
 		}
-		if err := kv.FlushInterval(ts, fs); err != nil {
+		if err := kv.FlushInterval(ts); err != nil {
 			t.Fatal(err)
 		}
 	}

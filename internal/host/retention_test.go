@@ -18,12 +18,12 @@ func retKey(i int) packet.FlowKey {
 
 func TestKVStoreRetentionEvictsOldest(t *testing.T) {
 	var aof bytes.Buffer
-	kv := NewKVStore(&aof)
-	kv.SetRetention(3)
 	fs := NewFlowStore(CostModel{})
+	kv := NewKVStore(fs, &aof)
+	kv.SetRetention(3)
 	for i := 0; i < 6; i++ {
 		fs.Ingest(flowcache.Record{Key: retKey(i), Pkts: 1, Bytes: 100, FirstTs: int64(i) * 1000, LastTs: int64(i) * 1000})
-		if err := kv.FlushInterval(int64(i+1)*1e6, fs); err != nil {
+		if err := kv.FlushInterval(int64(i+1) * 1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,11 +48,11 @@ func TestKVStoreRetentionEvictsOldest(t *testing.T) {
 }
 
 func TestKVStoreZeroRetentionUnbounded(t *testing.T) {
-	kv := NewKVStore(nil)
 	fs := NewFlowStore(CostModel{})
+	kv := NewKVStore(fs, nil)
 	for i := 0; i < 10; i++ {
 		fs.Ingest(flowcache.Record{Key: retKey(i), Pkts: 1, Bytes: 100, FirstTs: int64(i) * 1000, LastTs: int64(i) * 1000})
-		if err := kv.FlushInterval(int64(i+1)*1e6, fs); err != nil {
+		if err := kv.FlushInterval(int64(i+1) * 1e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,16 +66,16 @@ func TestKVStoreZeroRetentionUnbounded(t *testing.T) {
 // one retention folds away, so flushing a fixed dirty set allocates nothing.
 func TestKVFlushUnderRetentionDoesNotAllocate(t *testing.T) {
 	const retention, dirty = 8, 300
-	kv := NewKVStore(nil)
-	kv.SetRetention(retention)
 	fs := NewFlowStore(CostModel{})
+	kv := NewKVStore(fs, nil)
+	kv.SetRetention(retention)
 	ts := int64(0)
 	interval := func() {
 		ts++
 		for i := range dirty {
 			fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: 100, FirstTs: ts, LastTs: ts})
 		}
-		if err := kv.FlushInterval(ts, fs); err != nil {
+		if err := kv.FlushInterval(ts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,9 +101,9 @@ func TestKVFlushUnderRetentionDoesNotAllocate(t *testing.T) {
 // warm up on it and measure one interval at its top.
 func TestKVFlushClimbingDirtySetAllocatesLogarithmically(t *testing.T) {
 	const retention, intervals, top, budget = 8, 80, 300, 16
-	kv := NewKVStore(nil)
-	kv.SetRetention(retention)
 	fs := NewFlowStore(CostModel{})
+	kv := NewKVStore(fs, nil)
+	kv.SetRetention(retention)
 	fs.Reserve(top)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -112,7 +112,7 @@ func TestKVFlushClimbingDirtySetAllocatesLogarithmically(t *testing.T) {
 		for i := range dirty {
 			fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: 100, FirstTs: ts, LastTs: ts})
 		}
-		if err := kv.FlushInterval(ts, fs); err != nil {
+		if err := kv.FlushInterval(ts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,16 +130,16 @@ func TestKVFlushClimbingDirtySetAllocatesLogarithmically(t *testing.T) {
 // with a base under it builds no set of the flows it has emitted.
 func TestKVScanDoesNotAllocate(t *testing.T) {
 	const retention, flows = 4, 600
-	kv := NewKVStore(nil)
-	kv.SetRetention(retention)
 	fs := NewFlowStore(CostModel{})
+	kv := NewKVStore(fs, nil)
+	kv.SetRetention(retention)
 	for ts := int64(1); ts <= 12; ts++ {
 		for i := range flows {
 			if i%int(ts) == 0 {
 				fs.Ingest(flowcache.Record{Key: hkey(i), Pkts: 1, Bytes: 100, FirstTs: ts, LastTs: ts})
 			}
 		}
-		if err := kv.FlushInterval(ts, fs); err != nil {
+		if err := kv.FlushInterval(ts); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -15,6 +15,24 @@ type SteerStage struct {
 	Tracker *Tracker
 }
 
+// NewSteerStage assembles a switch tier: a switch sized by cfg
+// (DefaultConfig when cfg.SRAMBytes is 0) with queries installed, and the
+// tracker of their refinement candidates. It panics when the switch
+// refuses the queries, as the platform and cluster constructors do on any
+// structural misconfiguration.
+func NewSteerStage(cfg Config, queries []Query) *SteerStage {
+	if cfg.SRAMBytes == 0 {
+		cfg = DefaultConfig()
+	}
+	sw := New(cfg)
+	if len(queries) > 0 {
+		if err := sw.InstallQueries(queries); err != nil {
+			panic(err)
+		}
+	}
+	return &SteerStage{SW: sw, Tracker: NewTracker(queries, 0)}
+}
+
 // Handle steers one packet, canonicalising and hashing its tuple itself.
 func (s *SteerStage) Handle(ctx *tier.Context) {
 	setVerdict(ctx, s.SW.process(ctx.Pkt, nil, 0, s.Tracker))

@@ -29,18 +29,6 @@ const (
 	DropAtSwitch
 )
 
-// String names the verdict.
-func (v Verdict) String() string {
-	switch v {
-	case ForwardDirect:
-		return "forward-direct"
-	case DropAtSwitch:
-		return "drop-at-switch"
-	default:
-		return "continue"
-	}
-}
-
 // Context is one packet at the switch tier: what the steer stage reads
 // (Pkt, and Hash / Key so the whitelist is probed without canonicalising
 // the tuple a second time) and what it writes (Verdict). Drivers reuse

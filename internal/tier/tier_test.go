@@ -38,13 +38,3 @@ func TestContextResetClearsFlowID(t *testing.T) {
 		t.Errorf("Reset left flow-ID residue: %+v", ctx)
 	}
 }
-
-func TestVerdictStrings(t *testing.T) {
-	for v, want := range map[Verdict]string{
-		Continue: "continue", ForwardDirect: "forward-direct", DropAtSwitch: "drop-at-switch",
-	} {
-		if v.String() != want {
-			t.Errorf("%d.String() = %q, want %q", v, v.String(), want)
-		}
-	}
-}

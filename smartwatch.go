@@ -2,7 +2,9 @@
 // cooperative network-monitoring platform that splits work between a
 // simulated P4 programmable switch (coarse aggregate queries, steering), a
 // simulated SmartNIC running the FlowCache (lossless per-packet flow-state
-// tracking), and a host tier (flow logging, Zeek-style network functions).
+// tracking), and a host tier (a flow store, its flow log — persisted to
+// Config.FlowLogAOF when set — and one slot for a Zeek-style network
+// function).
 //
 // Quick start (ExampleNew):
 //
@@ -79,13 +81,8 @@ const (
 	CountSYN = p4switch.CountSYN
 )
 
-// NewFlowLog returns a host flow log for Config.KVLog; a non-nil aof gets
-// every flushed record appended in a compact binary format that
-// ReadFlowLog parses.
-func NewFlowLog(aof io.Writer) *host.KVStore { return host.NewKVStore(aof) }
-
-// ReadFlowLog parses an append-only flow log back into per-interval
-// records (offline forensics over a previous run). The log holds deltas:
+// ReadFlowLog parses the append-only file a platform's Config.FlowLogAOF
+// received back into per-interval records (offline forensics over a previous run). The log holds deltas:
 // each interval lists the aggregates that changed in it.
 func ReadFlowLog(r io.Reader) (map[int64][]host.HostRecord, error) { return host.ReadRecords(r) }
 
