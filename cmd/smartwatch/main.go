@@ -45,7 +45,6 @@ func main() {
 		detectors   = flag.String("detectors", "ssh,portscan,rst,incomplete,dns,worm,ssl", "comma-separated detectors: ssh,ftp,kerberos,portscan,rst,incomplete,dns,worm,ssl,microburst,lowslow")
 		intervalMs  = flag.Int("interval", 100, "monitoring interval (virtual ms)")
 		rowBits     = flag.Int("rowbits", 14, "FlowCache rows = 2^rowbits (x12 buckets)")
-		shards      = flag.Int("shards", 1, "FlowCache shards (power of two; capacity is split, not multiplied)")
 		policy      = flag.String("policy", "", "FlowCache replacement policy: lru-lpc (default), lru, s3fifo")
 		verbose     = flag.Bool("v", false, "print every alert")
 		ipfixOut    = flag.String("ipfix", "", "export the flow log as IPFIX to this file")
@@ -79,7 +78,6 @@ func main() {
 	}
 	cfg := core.Config{
 		IntervalNs: int64(*intervalMs) * 1e6,
-		Shards:     *shards,
 		BatchSize:  64,
 		Cache:      flowcache.DefaultConfig(*rowBits),
 	}
@@ -95,7 +93,7 @@ func main() {
 	if *workers < 1 || *workers&(*workers-1) != 0 {
 		fatal(fmt.Errorf("-workers must be a power of two, got %d", *workers))
 	}
-	if err := checkGeometry(cfg.Cache, *shards, *workers); err != nil {
+	if err := checkGeometry(cfg.Cache, *workers); err != nil {
 		fatal(err)
 	}
 	var metricsFile *os.File
@@ -211,33 +209,20 @@ func checkFlags(rowBits, intervalMs int, genMax int64, kvRetention int) error {
 	return nil
 }
 
-// checkGeometry rejects a table core.New would panic on: a FlowCache
+// checkGeometry rejects a table the runner would panic on: a FlowCache
 // layout its own Validate refuses (-rowbits out of range, a row wider than
-// the occupancy mask), then a shard split that does not fit it. The zero
-// Config is core.New's default table.
-func checkGeometry(cache flowcache.Config, shards, workers int) error {
-	if cache.RowBits != 0 {
-		if err := cache.Validate(); err != nil {
-			return err
-		}
-	}
-	return checkShards(shards, workers, cache.RowBits)
-}
-
-// checkShards rejects a -shards value core.New would panic on. The shard
-// index is the flow hash's top bits, so the count is a power of two, and
-// each shard needs at least one row bit of the table left once the
-// -workers split has taken log2(workers) of them. workers is already
-// validated; rowBits 0 is core.New's default table.
-func checkShards(shards, workers, rowBits int) error {
-	if shards < 1 || shards&(shards-1) != 0 {
-		return fmt.Errorf("-shards must be a power of two >= 1, got %d", shards)
-	}
+// the occupancy mask), then a -workers split that leaves a worker less
+// than one row bit of it. workers is already validated; the zero Config
+// is core.New's default table.
+func checkGeometry(cache flowcache.Config, workers int) error {
+	rowBits := cache.RowBits
 	if rowBits == 0 {
 		rowBits = 12
+	} else if err := cache.Validate(); err != nil {
+		return err
 	}
-	if left := rowBits - bits.TrailingZeros(uint(workers)) - bits.TrailingZeros(uint(shards)); left < 1 {
-		return fmt.Errorf("-shards %d x -workers %d leave %d of %d row bits per shard (need >= 1): raise -rowbits", shards, workers, left, rowBits)
+	if left := rowBits - bits.TrailingZeros(uint(workers)); left < 1 {
+		return fmt.Errorf("-workers %d leave %d of %d row bits per worker (need >= 1): raise -rowbits", workers, left, rowBits)
 	}
 	return nil
 }

@@ -4,9 +4,11 @@
 // detectors and host tier, each driven by one goroutine — its feeder,
 // which runs the worker's session on its own thread (a session starts no
 // goroutine of its own). Packets fan out by consistent hashing over
-// the canonical flow key — the same hash the workers need anyway, so the
-// cluster adds no hashing — and the per-worker reports fold back into one
-// merged cluster report at drain.
+// the canonical flow key: the router computes FiveTuple.Identity to
+// steer, and each worker derives it again for its own stages, since
+// handing key and hash over would copy more bytes per packet than the
+// second derivation costs (DESIGN.md §17). The per-worker reports fold
+// back into one merged cluster report at drain.
 //
 // A rack of one is the platform itself. With one worker New lifts no
 // switch, captures no feedback, starts no feeder, keeps no interval
@@ -27,12 +29,11 @@
 //     shared switch, interval closes, the drain barrier — happens at
 //     deterministic points in the offered-packet sequence.
 //
-//   - Cluster ≡ single platform (oracle B): with ShardHashOffsetBits the
-//     (worker, worker-shard) pair consumes exactly the top
-//     log2(Workers·Shards) hash bits, so the cluster forms the same flow
-//     islands as one Workers·Shards-way sharded platform and the merged
-//     integer surface (packet counts, FlowCache stats, flow log, alerts,
-//     switch counters) matches it exactly. Full byte-identity against the
+//   - Cluster ≡ single platform (oracle B): each worker runs one FlowCache
+//     and owns the flows whose top log2(Workers) hash bits are its index,
+//     so worker i holds exactly island i of one Workers-way sharded
+//     platform, and the merged integer surface (packet counts, FlowCache
+//     stats, flow log, alerts, switch counters) matches it exactly. Full byte-identity against the
 //     single platform is NOT claimed: detector→switch feedback is folded
 //     in epochs here but takes effect on the very next packet there, and
 //     W independent engines sum floats in a different order than one.
@@ -121,8 +122,10 @@ type Config struct {
 	// re-derives the capacity split: worker RowBits = RowBits -
 	// log2(Workers) and worker eta thresholds divide by Workers, so total
 	// cache capacity and switchover behaviour match a single
-	// Workers·Shards-way sharded platform. Each worker keeps its own flow
-	// log (Platform.KV), so FlowLogAOF must be unset at Workers > 1.
+	// Workers-way sharded platform. The partition is the cluster's: a
+	// worker runs one FlowCache, so Shards must be 0 or 1 at Workers > 1.
+	// Each worker keeps its own flow log (Platform.KV), so FlowLogAOF must
+	// be unset at Workers > 1.
 	Worker core.Config
 	// Detectors builds one fresh detector set per worker. Required when
 	// Workers > 1 and detectors are wanted: live detect.Detector
@@ -310,15 +313,18 @@ type Runner struct {
 }
 
 // New assembles a cluster runner. It panics on structural misconfiguration
-// (non-power-of-two width, shared live detectors, a shared flow-log
-// writer, too few row bits for the split) exactly as core.New and
-// flowcache do.
+// (non-power-of-two width, sharded workers, shared live detectors, a
+// shared flow-log writer, too few row bits for the split) exactly as
+// core.New and flowcache do.
 func New(cfg Config) *Runner {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	if cfg.Workers&(cfg.Workers-1) != 0 {
 		panic(fmt.Sprintf("cluster: Workers must be a power of two, got %d", cfg.Workers))
+	}
+	if cfg.Worker.Shards > 1 && cfg.Workers > 1 {
+		panic(fmt.Sprintf("cluster: a worker runs one FlowCache, got Worker.Shards %d at %d workers", cfg.Worker.Shards, cfg.Workers))
 	}
 	if cfg.Worker.Detectors != nil && cfg.Workers > 1 && cfg.Detectors == nil {
 		panic("cluster: live Worker.Detectors cannot be shared across workers; provide a Detectors factory")
@@ -402,18 +408,19 @@ func (r *Runner) workerConfig(i int) core.Config {
 	if r.cfg.Worker.Metrics != nil {
 		wc.Metrics = obs.NewRegistry()
 	}
-	// Capacity split: each worker gets 1/W of the rows; worker-internal
-	// shard selection moves log2(W) bits down so (worker, shard) together
-	// consume the hash's top bits — the single-platform flow islands.
+	// Capacity split: each worker gets 1/W of the rows, as each shard of
+	// a W-shard platform does.
 	if wc.Cache.RowBits == 0 {
 		wc.Cache = flowcache.DefaultConfig(12)
 	}
-	wc.Cache.RowBits -= int(r.lgW)
-	wc.ShardHashOffsetBits = int(r.lgW)
-	// Switchover split: resolve the controller fully, then pre-divide the
-	// eta thresholds by W; each worker's Sharded divides by its shard
-	// count again, landing on the single platform's per-shard eta/(W·S)
-	// bit-exactly (both divisors are powers of two).
+	rows := wc.Cache.RowBits
+	if wc.Cache.RowBits = rows - int(r.lgW); wc.Cache.RowBits < 1 {
+		// core.New would read RowBits 0 as its default table.
+		panic(fmt.Sprintf("cluster: %d workers leave %d of %d row bits (need >= 1)", r.w, wc.Cache.RowBits, rows))
+	}
+	// Switchover split: resolve the controller fully, then divide the eta
+	// thresholds by W, landing on the W-shard platform's per-shard eta/W
+	// bit-exactly (W is a power of two).
 	ctl := wc.Controller.Normalized()
 	ctl.EtaHigh /= float64(r.w)
 	ctl.EtaLow /= float64(r.w)

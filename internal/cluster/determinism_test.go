@@ -13,6 +13,7 @@ import (
 
 	"smartwatch/internal/core"
 	"smartwatch/internal/detect"
+	"smartwatch/internal/flowcache"
 	"smartwatch/internal/host"
 	"smartwatch/internal/obs"
 	"smartwatch/internal/p4switch"
@@ -158,14 +159,13 @@ func firstDiff(want, got string) string {
 // oracleAConfig is the hazard-rich sweep config: switch + queries +
 // brute-force feedback, so whitelist/blacklist folds actually reprogram
 // the shared switch mid-run.
-func oracleAConfig(workers, shards, batch int) Config {
+func oracleAConfig(workers, batch int) Config {
 	return Config{
 		Workers: workers,
 		Worker: core.Config{
 			EnableSwitch: true,
 			Queries:      sshQueries(),
 			IntervalNs:   20e6,
-			Shards:       shards,
 			BatchSize:    batch,
 		},
 		Detectors:   detectorFactory(),
@@ -177,23 +177,23 @@ func oracleAConfig(workers, shards, batch int) Config {
 // TestClusterParallelMatchesSequential is oracle A: the parallel cluster
 // drive must be byte-identical — floats, latency quantiles, per-lane
 // reports, per-lane flow logs — to the sequential reference drive of the
-// same topology, across a Workers × Shards × BatchSize sweep, on traffic
-// that exercises the blacklist/whitelist fold hazards. The last row closes
-// an epoch every 64 steered packets with 256-packet handoff buffers, so
-// lanes see epochs in which they were issued nothing and every buffer is a
-// partial one.
+// same topology, across a Workers × BatchSize sweep, on traffic that
+// exercises the blacklist/whitelist fold hazards. A worker runs one shard
+// (s1 in the row names). The last row closes an epoch every 64 steered
+// packets with 256-packet handoff buffers, so lanes see epochs in which
+// they were issued nothing and every buffer is a partial one.
 func TestClusterParallelMatchesSequential(t *testing.T) {
 	for _, w := range []int{2, 4} {
-		for _, sc := range []struct{ shards, batch, sync, queue int }{
-			{1, 1, 0, 0}, {2, 64, 0, 0}, {1, 256, 0, 0}, {1, 64, 64, 256},
+		for _, sc := range []struct{ batch, sync, queue int }{
+			{1, 0, 0}, {256, 0, 0}, {64, 64, 256},
 		} {
-			name := fmt.Sprintf("w%d_s%d_b%d", w, sc.shards, sc.batch)
+			name := fmt.Sprintf("w%d_s1_b%d", w, sc.batch)
 			if sc.sync > 0 {
 				name += fmt.Sprintf("_sync%d_q%d", sc.sync, sc.queue)
 			}
 			t.Run(name, func(t *testing.T) {
 				run := func(sequential bool) (Report, string) {
-					cfg := oracleAConfig(w, sc.shards, sc.batch)
+					cfg := oracleAConfig(w, sc.batch)
 					if sc.sync > 0 {
 						cfg.SyncPackets, cfg.QueueBatch = sc.sync, sc.queue
 					}
@@ -295,14 +295,13 @@ func TestOneWorkerRunnerIsThePlatform(t *testing.T) {
 // switch + queries, no detectors (pure steering, no feedback). The
 // merged integer surface — packet counts, full FlowCache stats, switch
 // counters, rings, flow-log union — must equal a single platform sharded
-// Workers·Shards ways.
+// Workers ways. A worker runs one shard (s1 in the row names).
 func TestClusterMatchesSinglePlatformSteering(t *testing.T) {
-	for _, c := range []struct{ w, shards int }{{2, 1}, {2, 2}, {4, 1}} {
-		t.Run(fmt.Sprintf("w%d_s%d", c.w, c.shards), func(t *testing.T) {
-			total := c.w * c.shards
+	for _, w := range []int{2, 4} {
+		t.Run(fmt.Sprintf("w%d_s1", w), func(t *testing.T) {
 			single := core.New(core.Config{
 				EnableSwitch: true, Queries: sshQueries(), IntervalNs: 20e6,
-				Shards: total, BatchSize: 64, SNIC: noDropSNIC(),
+				Shards: w, BatchSize: 64, SNIC: noDropSNIC(),
 			})
 			srep, err := single.Run(mixedStream())
 			if err != nil {
@@ -310,10 +309,10 @@ func TestClusterMatchesSinglePlatformSteering(t *testing.T) {
 			}
 
 			r := New(Config{
-				Workers: c.w,
+				Workers: w,
 				Worker: core.Config{
 					EnableSwitch: true, Queries: sshQueries(), IntervalNs: 20e6,
-					Shards: c.shards, BatchSize: 64, SNIC: noDropSNIC(),
+					BatchSize: 64, SNIC: noDropSNIC(),
 				},
 				QueueBatch: 64, SyncPackets: 2048,
 			})
@@ -389,10 +388,10 @@ func TestClusterMatchesSinglePlatformDetectors(t *testing.T) {
 		return strings.Join(lines, "\n")
 	}
 
-	for _, c := range []struct{ w, shards int }{{2, 1}, {4, 1}} {
-		t.Run(fmt.Sprintf("w%d_s%d", c.w, c.shards), func(t *testing.T) {
+	for _, w := range []int{2, 4} {
+		t.Run(fmt.Sprintf("w%d_s1", w), func(t *testing.T) {
 			single := core.New(core.Config{
-				IntervalNs: 20e6, Shards: c.w * c.shards, BatchSize: 64,
+				IntervalNs: 20e6, Shards: w, BatchSize: 64,
 				SNIC: noDropSNIC(), Detectors: factory(),
 			})
 			srep, err := single.Run(stream())
@@ -401,10 +400,9 @@ func TestClusterMatchesSinglePlatformDetectors(t *testing.T) {
 			}
 
 			r := New(Config{
-				Workers: c.w,
+				Workers: w,
 				Worker: core.Config{
-					IntervalNs: 20e6, Shards: c.shards, BatchSize: 64,
-					SNIC: noDropSNIC(),
+					IntervalNs: 20e6, BatchSize: 64, SNIC: noDropSNIC(),
 				},
 				Detectors:  factory,
 				QueueBatch: 64, SyncPackets: 2048,
@@ -448,7 +446,7 @@ func TestClusterMatchesSinglePlatformDetectors(t *testing.T) {
 // endpoint) sees it grow without ever passing what has been offered, and
 // at the end every offered packet is accounted to one verdict or one lane.
 func TestClusterTalliesPublishedPerVector(t *testing.T) {
-	r := New(oracleAConfig(2, 1, 64))
+	r := New(oracleAConfig(2, 64))
 	defer r.Close()
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
@@ -552,7 +550,7 @@ func TestClusterIngestDoesNotAllocate(t *testing.T) {
 // cluster.* series plus each worker's tree under "worker.N.", all from the
 // one registry the template carries.
 func TestClusterMetricsTree(t *testing.T) {
-	cfg := oracleAConfig(2, 1, 64)
+	cfg := oracleAConfig(2, 64)
 	cfg.Worker.Metrics = obs.NewRegistry()
 	r := New(cfg)
 	rep, err := r.Run(mixedStream())
@@ -641,4 +639,28 @@ func TestNewRejectsSharedFlowLogAOF(t *testing.T) {
 		}
 	}()
 	New(Config{Workers: 2, Worker: core.Config{FlowLogAOF: io.Discard}})
+}
+
+// TestNewRejectsShardedWorkers: partitioning is the cluster's job, so a
+// worker runs one FlowCache; New panics on a sharded worker template
+// instead of splitting each worker's table again.
+func TestNewRejectsShardedWorkers(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted Worker.Shards 2 for two workers")
+		}
+	}()
+	New(Config{Workers: 2, Worker: core.Config{Shards: 2}})
+}
+
+// TestNewRejectsWorkersWithoutRowBits: a split that leaves a worker no
+// row bit panics, where core.New would read the worker's RowBits 0 as
+// its default table.
+func TestNewRejectsWorkersWithoutRowBits(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted RowBits 2 for four workers")
+		}
+	}()
+	New(Config{Workers: 4, Worker: core.Config{Cache: flowcache.DefaultConfig(2)}})
 }

@@ -207,7 +207,7 @@ func TestFullBarrierFoldsEverything(t *testing.T) {
 // feeders publish from theirs; both land in the same tagged event list.
 // Run under -race -count=10 (make cluster).
 func TestOperatorWhitelistWhileFeedersRun(t *testing.T) {
-	r := New(oracleAConfig(2, 1, 64))
+	r := New(oracleAConfig(2, 64))
 	defer r.Close()
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestOperatorWhitelistWhileFeedersRun(t *testing.T) {
 func TestRunnerOperatorPlaneRace(t *testing.T) {
 	wl := packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoTCP}.Canonical()
 	for _, w := range []int{1, 2} {
-		r := New(oracleAConfig(w, 1, 64))
+		r := New(oracleAConfig(w, 64))
 		if err := r.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +316,7 @@ func TestRunnerOperatorCallsOutsideDrive(t *testing.T) {
 			}, core.ErrSessionClosed},
 		} {
 			t.Run(fmt.Sprintf("w%d_%s", w, phase.name), func(t *testing.T) {
-				r := New(oracleAConfig(w, 1, 64))
+				r := New(oracleAConfig(w, 64))
 				defer r.Close()
 				if err := phase.prepare(r); err != nil {
 					t.Fatal(err)
@@ -373,7 +373,7 @@ func TestSwitchlessClusterClosesNoEpochs(t *testing.T) {
 // Start, and a caller that defers Close may never reach Start at all.
 func TestRunnerLifecycleBeforeStart(t *testing.T) {
 	for _, sequential := range []bool{true, false} {
-		cfg := oracleAConfig(2, 1, 64)
+		cfg := oracleAConfig(2, 64)
 		cfg.Sequential = sequential
 		r := New(cfg)
 		for i, snap := range r.Snapshots() {

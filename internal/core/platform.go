@@ -43,17 +43,9 @@ type Config struct {
 	Controller flowcache.ControllerConfig
 	// Shards partitions the FlowCache into independent per-island slices
 	// (power of two; 0 or 1 means unsharded). Total capacity is invariant:
-	// each shard gets RowBits-log2(Shards) row bits.
+	// each shard gets RowBits-log2(Shards) row bits. A cluster worker runs
+	// one shard: cluster.New refuses Shards > 1 at Workers > 1.
 	Shards int
-	// ShardHashOffsetBits shifts the FlowCache's shard-selection bits this
-	// many positions down from the top of the flow hash. Zero for a
-	// standalone platform. The cluster runner sets it to log2(Workers) on
-	// each worker so that (worker index, worker-internal shard index)
-	// together consume exactly the top log2(Workers·Shards) hash bits — the
-	// same flow islands a single Workers·Shards-way sharded platform forms,
-	// which is what makes the cluster's single-platform determinism oracle
-	// exact.
-	ShardHashOffsetBits int
 	// SNIC is the datapath simulation config.
 	SNIC snic.Config
 	// EnableSwitch turns the P4 switch tier on; without it every packet
@@ -201,7 +193,7 @@ func New(cfg Config) *Platform {
 		cfg.BatchSize = 1
 	}
 	pl := &Platform{cfg: cfg, bus: tier.NewBus()}
-	pl.cache = flowcache.NewShardedOffset(cfg.Shards, cfg.ShardHashOffsetBits, cfg.Cache, cfg.Controller)
+	pl.cache = flowcache.NewSharded(cfg.Shards, cfg.Cache, cfg.Controller)
 	pl.store = host.NewFlowStore(cfg.HostCost)
 	pl.kv = host.NewKVStore(pl.store, cfg.FlowLogAOF)
 	pl.ports = host.NewPorts(pl.store)

@@ -74,10 +74,9 @@ func (cfg ControllerConfig) Validate() error {
 
 // Normalized resolves zero/invalid fields to the documented defaults —
 // the values NewController actually runs with. The cluster runner uses it
-// to scale a fully resolved base by the worker count BEFORE each worker's
-// Sharded divides by the shard count again: both divisors are powers of
-// two, so (eta/W)/S is bit-exact equal to the single platform's eta/(W·S)
-// and the per-shard switchover thresholds match across the partition.
+// to divide a fully resolved base by the worker count, which is bit-exact
+// the per-shard eta/W of a single platform sharded W ways, so the
+// switchover thresholds match across the partition.
 func (cfg ControllerConfig) Normalized() ControllerConfig { return cfg.normalized() }
 
 // normalized resolves zero/invalid fields to the documented defaults; the

@@ -29,14 +29,7 @@ type Sharded struct {
 	// shift moves the flow hash's top log2(n) bits down to the shard
 	// index; 64 when n == 1 (Go defines x>>64 == 0 for uint64).
 	shift uint
-	// preshift discards this many of the hash's TOP bits before shard
-	// selection (shard = hash<<preshift>>shift). Zero for a standalone
-	// cache; the cluster runner sets it to log2(Workers) so the worker
-	// index consumes the top bits and the worker-internal shard index
-	// consumes the bits directly below — reproducing exactly the
-	// per-shard flow islands of one Workers×Shards-way sharded cache.
-	preshift uint
-	base     Config
+	base  Config
 
 	// OnModeSwitch, when set, observes every per-shard mode flip, on the
 	// goroutine that drove the packet which caused it.
@@ -48,18 +41,6 @@ type Sharded struct {
 // least one row bit; invalid combinations panic, like New on a bad
 // Config.
 func NewSharded(n int, cfg Config, ctlCfg ControllerConfig) *Sharded {
-	return NewShardedOffset(n, 0, cfg, ctlCfg)
-}
-
-// NewShardedOffset is NewSharded with the shard-selection bits moved
-// offsetBits positions down from the top of the flow hash: shard =
-// (hash << offsetBits) >> (64 − log2(n)). offsetBits = 0 is NewSharded.
-// The cluster runner passes offsetBits = log2(Workers): the worker index
-// takes the top bits, each worker's cache takes the next log2(n) bits,
-// and together they select exactly the shard a single
-// (Workers·n)-sharded cache would — the partition-equivalence the
-// single-platform determinism oracle relies on.
-func NewShardedOffset(n, offsetBits int, cfg Config, ctlCfg ControllerConfig) *Sharded {
 	if n < 1 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("flowcache: shard count %d is not a power of two >= 1", n))
 	}
@@ -67,22 +48,16 @@ func NewShardedOffset(n, offsetBits int, cfg Config, ctlCfg ControllerConfig) *S
 	if cfg.RowBits-lg < 1 {
 		panic(fmt.Sprintf("flowcache: %d shards leave %d row bits (need >= 1)", n, cfg.RowBits-lg))
 	}
-	if offsetBits < 0 || offsetBits+lg > 32 {
-		// The low bits feed the row index and the Lite slice selector;
-		// 32 bits of headroom keeps shard selection well clear of both.
-		panic(fmt.Sprintf("flowcache: shard hash offset %d out of range [0,%d]", offsetBits, 32-lg))
-	}
 	if err := ctlCfg.Validate(); err != nil {
 		// Validate the raw config before normalized() repairs it: the
 		// per-shard NewController only ever sees the resolved values.
 		panic(err)
 	}
 	s := &Sharded{
-		shards:   make([]*Cache, n),
-		ctls:     make([]*Controller, n),
-		shift:    uint(64 - lg),
-		preshift: uint(offsetBits),
-		base:     cfg,
+		shards: make([]*Cache, n),
+		ctls:   make([]*Controller, n),
+		shift:  uint(64 - lg),
+		base:   cfg,
 	}
 	shardCfg := cfg
 	shardCfg.RowBits = cfg.RowBits - lg
@@ -107,7 +82,7 @@ func NewShardedOffset(n, offsetBits int, cfg Config, ctlCfg ControllerConfig) *S
 // Shard returns shard i's cache (for tests and diagnostics).
 func (s *Sharded) Shard(i int) *Cache { return s.shards[i] }
 
-func (s *Sharded) shardOf(hash uint64) int { return int(hash << s.preshift >> s.shift) }
+func (s *Sharded) shardOf(hash uint64) int { return int(hash >> s.shift) }
 
 // ObserveProcess is the per-packet datapath step the platform runs: the
 // owning shard's controller observes the arrival (possibly flipping that

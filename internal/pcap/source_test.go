@@ -131,12 +131,14 @@ func TestFollowSourceToleratesPartialRecordsAtEverySplit(t *testing.T) {
 
 	// Split the byte stream at every offset: header boundary, mid record
 	// header, mid frame — the follow reader must deliver the identical
-	// packet sequence regardless.
+	// packet sequence regardless. Both chunks are fed before the stream
+	// starts, and the idle budget counts polls, not wall time, so one
+	// poll's budget is enough to end each cut with ErrIdleTimeout.
 	for cut := 1; cut < len(raw); cut += 7 {
 		cr := &chunkedReader{}
 		cr.feed(raw[:cut])
 		cr.feed(raw[cut:])
-		fs := Follow(cr, FollowConfig{Poll: time.Millisecond, Idle: 50 * time.Millisecond}, nil)
+		fs := Follow(cr, FollowConfig{Poll: time.Millisecond, Idle: time.Millisecond}, nil)
 		got := packet.Collect(fs.Stream())
 		if fs.Err() != ErrIdleTimeout {
 			t.Fatalf("cut %d: err = %v, want idle timeout after drain", cut, fs.Err())

@@ -42,7 +42,7 @@ step "generated source: every detector under every policy"
 ALL=ssh,ftp,kerberos,portscan,rst,incomplete,dns,worm,ssl,microburst,lowslow
 for policy in lru-lpc lru s3fifo; do
     "$SW" -gen caida2019 -gen-max 20000 -switch -detectors "$ALL" -policy "$policy" \
-        -shards 2 -kv-retention 4 -metrics "$TMP/out/g.jsonl" >/dev/null
+        -kv-retention 4 -metrics "$TMP/out/g.jsonl" >/dev/null
     "$SW" -gen dc -gen-max 20000 -switch -detectors "$ALL" -policy "$policy" \
         -workers 4 -kv-retention 4 >/dev/null
 done
