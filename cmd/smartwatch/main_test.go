@@ -52,11 +52,42 @@ func TestReportAlertSummaryOrder(t *testing.T) {
 	}
 }
 
+// TestCheckShards: every -workers / -rowbits split that leaves a cluster
+// worker's FlowCache no row bit — core.New would read a zero as its
+// default table — is an error here, and the splits the determinism sweeps
+// run are not.
+func TestCheckShards(t *testing.T) {
+	cases := []struct {
+		name             string
+		workers, rowBits int
+		want             string // error substring; "" = valid
+	}{
+		{"default", 1, 14, ""},
+		{"cluster split", 4, 14, ""},
+		{"default table", 2, 0, ""},
+		{"one row bit left", 2, 2, ""},
+		{"no row bits left", 4, 2, "leave 0 of 2 row bits"},
+		{"workers take the rest", 8, 3, "leave 0 of 3 row bits"},
+		{"default table exhausted", 4096, 0, "leave 0 of 12 row bits"},
+	}
+	for _, tc := range cases {
+		cache := flowcache.Config{}
+		if tc.rowBits != 0 {
+			cache = flowcache.DefaultConfig(tc.rowBits)
+		}
+		err := checkGeometry(cache, tc.workers)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestCheckGeometry: a FlowCache layout flowcache.New would panic on —
 // `-rowbits 40` did, with a goroutine dump — is an error naming the field,
-// and so is a -workers split that leaves a worker no row bit, which
-// core.New would read as its default table. The geometries the
-// determinism sweeps run are not errors.
+// and the -workers split check still runs behind a layout that passes.
 func TestCheckGeometry(t *testing.T) {
 	wide := flowcache.DefaultConfig(14)
 	wide.Buckets, wide.EvictionBuckets = 60, 56
@@ -69,17 +100,13 @@ func TestCheckGeometry(t *testing.T) {
 		want    string // error substring; "" = valid
 	}{
 		{"default flag", flowcache.DefaultConfig(14), 1, ""},
-		{"cluster split", flowcache.DefaultConfig(14), 4, ""},
 		{"core's default table", flowcache.Config{}, 2, ""},
 		{"largest table", flowcache.DefaultConfig(28), 1, ""},
 		{"widest row", widest, 1, ""},
-		{"one row bit left", flowcache.DefaultConfig(2), 2, ""},
 		{"rowbits 40", flowcache.DefaultConfig(40), 1, "RowBits 40 out of range"},
 		{"rowbits 29", flowcache.DefaultConfig(29), 2, "RowBits 29 out of range"},
 		{"row wider than the mask", wide, 1, "Buckets 60 out of range"},
-		{"no row bits left", flowcache.DefaultConfig(2), 4, "leave 0 of 2 row bits"},
-		{"workers take the rest", flowcache.DefaultConfig(3), 8, "leave 0 of 3 row bits"},
-		{"default table exhausted", flowcache.Config{}, 4096, "leave 0 of 12 row bits"},
+		{"valid layout, bad split", flowcache.DefaultConfig(2), 4, "leave 0 of 2 row bits"},
 	}
 	for _, tc := range cases {
 		err := checkGeometry(tc.cache, tc.workers)
