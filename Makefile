@@ -51,8 +51,10 @@ race:
 # Ten seconds of each native fuzz target (DESIGN.md §16.2): the pcap record
 # walker against a whole-slice reference parser, the frame decoder, the
 # wide checksum sum against the 16-bit loop, the address parser behind
-# every flag and control-API address, and the compiled switch against its
-# per-query reference pipeline. A crasher lands under the package's
+# every flag and control-API address, the compiled switch against its
+# per-query reference pipeline, and the exact-match table behind the
+# switch's tables and LowSlow's flows (internal/lpmap) against a Go map
+# under forced hash collisions. A crasher lands under the package's
 # testdata/fuzz/ and is committed as a seed.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap/
@@ -60,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChecksum -fuzztime 10s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzParseAddr -fuzztime 10s ./internal/packet/
 	$(GO) test -run '^$$' -fuzz FuzzSwitchMatchesReference -fuzztime 10s ./internal/p4switch/
+	$(GO) test -run '^$$' -fuzz FuzzMapMatchesGoMap -fuzztime 10s ./internal/lpmap/
 
 # Cluster gate (DESIGN.md §14): the full cluster runner suite under the
 # race detector — the two-oracle determinism sweep (parallel drive

@@ -9,8 +9,8 @@ import (
 )
 
 // benchFlows is the flow population of the micro-benchmarks: 128 Ki
-// records (10 MB) and, when all are tracked, a 256 Ki-slot lsTable (18 MB)
-// — past L2 and most of L3, as on the churn workload. Flows are visited
+// records (10 MB) and, when all are tracked, LowSlow's 256 Ki-slot flow
+// table (18 MB) — past L2 and most of L3, as on the churn workload. Flows are visited
 // in a scattered order so neither the records nor the table stream.
 const benchFlows = 1 << 17
 

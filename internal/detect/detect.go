@@ -14,6 +14,9 @@
 // path — ForgedRST, PortScan, Incomplete and LowSlow unpin, PortScan and
 // LowSlow blacklist from Tick work — take the platform as their Hooks
 // through SetHooks; core.New is the only caller.
+//
+// Per-source state sits by value in Go maps; LowSlow's per-flow state
+// sits inline in an lpmap.Map probed with the record's flow hash.
 package detect
 
 import (

@@ -5,6 +5,7 @@ import (
 
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/host"
+	"smartwatch/internal/lpmap"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/snic"
 )
@@ -32,17 +33,18 @@ import (
 // slot order — never map iteration — so alert emission is deterministic
 // across batch sizes and shard counts.
 //
-// The per-flow accumulators live in lsTable, keyed by the canonical
-// session key and probed with the hash the platform already carries for
-// the packet (snic.Ctx.FlowHash). The state does not live in the record: a
-// flow is tracked from its SYN whether or not it has a record (punts,
-// denied pins) and across evict-then-reinsert.
+// The per-flow accumulators live in an lpmap.Map at 3/4 fill, lsFlow
+// inline in a 64-byte slot, keyed by the canonical session key and probed
+// with the hash the platform already carries for the packet
+// (snic.Ctx.FlowHash). The state does not live in the record: a flow is
+// tracked from its SYN whether or not it has a record (punts, denied pins)
+// and across evict-then-reinsert.
 type LowSlow struct {
 	alertBuf
 	hooked
 	cfg   LowSlowConfig
 	wheel *host.TimingWheel[packet.FlowKey]
-	flows *lsTable
+	flows *lpmap.Map[packet.FlowKey, lsFlow]
 	// exhaust groups idle-established flows by (victim, source /24).
 	exhaust map[lsGroup]lsGroupState
 
@@ -76,11 +78,11 @@ type LowSlowConfig struct {
 }
 
 // lsFlow is the per-flow accumulator, keyed by canonical session key. It
-// is stored inline in lsTable's slots, so its size is the table's memory
-// and its 40 bytes are what make a slot one cache line: the endpoints are
-// read off the key (clientIsLo says which is which), and the drip
-// counters are 32-bit and saturate (inc32), which leaves every signature
-// as it was for any flow under 2^31 packets.
+// is stored inline in the flow table's slots, so its size is the table's
+// memory and its 40 bytes are what make a slot one cache line: the
+// endpoints are read off the key (clientIsLo says which is which), and the
+// drip counters are 32-bit and saturate (inc32), which leaves every
+// signature as it was for any flow under 2^31 packets.
 type lsFlow struct {
 	firstTs     int64
 	lastTs      int64
@@ -147,13 +149,18 @@ func (cfg LowSlowConfig) withDefaults() LowSlowConfig {
 	return cfg
 }
 
+// lsFlowsMin sizes the initial flow table (64 slots, 4 KB): small,
+// because every experiment run builds its own detector and most track a
+// few flows.
+const lsFlowsMin = 48
+
 // NewLowSlow builds the detector.
 func NewLowSlow(cfg LowSlowConfig) *LowSlow {
 	cfg = cfg.withDefaults()
 	return &LowSlow{
 		cfg:     cfg,
 		wheel:   host.NewTimingWheel[packet.FlowKey](cfg.WheelSlots, cfg.WheelTickNs),
-		flows:   newLSTable(),
+		flows:   lpmap.New[packet.FlowKey, lsFlow](lpmap.ThreeQuarters, lsFlowsMin),
 		exhaust: make(map[lsGroup]lsGroupState),
 	}
 }
@@ -180,11 +187,11 @@ func (d *LowSlow) inspect(p *packet.Packet, rec *flowcache.Record, ctx snic.Ctx)
 	}
 	var k packet.FlowKey
 	h := identity(p, rec, ctx, &k)
-	f := d.flows.get(h, k)
+	f := d.flows.Get(h, k)
 
 	if p.Flags.Has(packet.FlagSYN) && !p.Flags.Has(packet.FlagACK) {
 		if f == nil {
-			f = d.flows.put(h, k)
+			f = d.flows.Put(h, k)
 			f.clientIsLo = p.Tuple.SrcIP == k.LoIP
 			f.firstTs, f.lastTs = p.Ts, p.Ts
 		}
@@ -248,7 +255,7 @@ func (d *LowSlow) Tick(now int64) {
 		d.Expiries++
 		// The wheel entry was scheduled under the flow's hash.
 		k, h := e.Payload, e.Key
-		f := d.flows.get(h, k)
+		f := d.flows.Get(h, k)
 		if f == nil {
 			continue
 		}
@@ -257,14 +264,14 @@ func (d *LowSlow) Tick(now int64) {
 		if f.closed {
 			// Finished flows leave the tracker and release their pin.
 			d.unpin(k)
-			d.flows.del(h, k)
+			d.flows.Del(h, k)
 			continue
 		}
 		if !f.established {
 			// Half-open and idle: not this detector's attack (a SYN flood
 			// trips volumetric counters instead). Release the pin.
 			d.unpin(k)
-			d.flows.del(h, k)
+			d.flows.Del(h, k)
 			continue
 		}
 
@@ -331,13 +338,13 @@ func (d *LowSlow) expireIdle(h uint64, k packet.FlowKey, f *lsFlow, now int64) {
 		})
 		d.blacklist(client)
 		d.unpin(k)
-		d.flows.del(h, k)
+		d.flows.Del(h, k)
 	default:
 		// Below threshold: release the pin (the flow stays observable via
 		// its record if it wakes) but keep the accumulator out of the
 		// table — an idle benign flow must not hold budget forever.
 		d.unpin(k)
-		d.flows.del(h, k)
+		d.flows.Del(h, k)
 	}
 	d.exhaust[g] = gs
 }
@@ -354,5 +361,5 @@ func (d *LowSlow) confirm(h uint64, k packet.FlowKey, f *lsFlow, now int64, labe
 	})
 	d.blacklist(client)
 	d.unpin(k)
-	d.flows.del(h, k)
+	d.flows.Del(h, k)
 }

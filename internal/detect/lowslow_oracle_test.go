@@ -14,9 +14,9 @@ import (
 )
 
 // mapLowSlow is the LowSlow detector as it stood before its flow state
-// moved into lsTable (DESIGN.md §11.2): flows in a Go map of *mapLSFlow,
-// probed with a freshly computed key hash, 64-bit counters, and its own
-// stale-Tick guard. Kept verbatim, test-only, as the oracle
+// moved into an open-addressed table (DESIGN.md §11.2): flows in a Go
+// map of *mapLSFlow, probed with a freshly computed key hash, 64-bit
+// counters, and its own stale-Tick guard. Kept verbatim, test-only, as the oracle
 // TestLowSlowMatchesMapOracle diffs the live detector against — the way
 // snapshotKV (PR 13) and the thread heap (PR 14) were kept.
 type mapLowSlow struct {
@@ -361,9 +361,9 @@ func TestLowSlowMatchesMapOracle(t *testing.T) {
 					t.Fatalf("%s: counters diverge: table %d/%d/%d, map %d/%d/%d", when,
 						live.Pinned, live.Expiries, live.Confirmed, oracle.Pinned, oracle.Expiries, oracle.Confirmed)
 				}
-				if live.flows.len() != len(oracle.flows) || live.wheel.Len() != oracle.wheel.Len() {
+				if live.flows.Len() != len(oracle.flows) || live.wheel.Len() != oracle.wheel.Len() {
 					t.Fatalf("%s: %d flows / %d wheel entries tracked, map %d / %d", when,
-						live.flows.len(), live.wheel.Len(), len(oracle.flows), oracle.wheel.Len())
+						live.flows.Len(), live.wheel.Len(), len(oracle.flows), oracle.wheel.Len())
 				}
 				a.calls, b.calls = a.calls[:0], b.calls[:0]
 			}
@@ -406,7 +406,7 @@ func TestLowSlowMatchesMapOracle(t *testing.T) {
 
 			// The tracked set itself, flow by flow.
 			for k, of := range oracle.flows {
-				f := live.flows.get(k.Hash(), k)
+				f := live.flows.Get(k.Hash(), k)
 				if f == nil {
 					t.Fatalf("flow %v tracked by the map, not by the table", k)
 				}

@@ -2,11 +2,22 @@ package detect
 
 import (
 	"testing"
+	"unsafe"
 
+	"smartwatch/internal/lpmap"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/snic"
 	"smartwatch/internal/trace"
 )
+
+// The slot is the flow table's memory and its cache footprint: 104 bytes
+// grown at half load cost churn +13 % peak RSS in a prototype (DESIGN.md
+// §17). Keep it at one line.
+func TestLowSlowTableSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(lpmap.Slot[packet.FlowKey, lsFlow]{}); got > 64 {
+		t.Fatalf("the flow table's slot is %d bytes, want <= 64 (tag 8 + key 16 + flow 40)", got)
+	}
+}
 
 // tailTicks drives the detector's clock past the end of the stream so
 // idle deadlines (and their re-armed successors) all expire.

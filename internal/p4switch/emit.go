@@ -188,16 +188,16 @@ func predicateExpr(pr Predicate) string {
 // program.
 func (s *Switch) ControlPlaneEntries() []string {
 	var out []string
-	for _, a := range s.blacklist.keys() {
+	for _, a := range members(&s.blacklist) {
 		out = append(out, fmt.Sprintf("table_add blacklist drop_ %s =>", a))
 	}
-	for _, k := range s.whitelist.keys() {
+	for _, k := range members(&s.whitelist) {
 		t := k.Tuple()
 		out = append(out, fmt.Sprintf("table_add whitelist allow %s %s %d %d %d =>",
 			t.SrcIP, t.DstIP, t.SrcPort, t.DstPort, uint8(t.Proto)))
 	}
 	for qi, q := range s.queries {
-		for _, key := range s.steer[q.Name].keys() {
+		for _, key := range members(s.steer[q.Name]) {
 			out = append(out, fmt.Sprintf("table_add steer_q%d steer_to_snic %s/%d =>", qi, key, q.PrefixBits))
 		}
 	}

@@ -13,7 +13,10 @@
 // queries, plus one register update per query it counts in. The packet
 // path is a pure classify, valid until the next InstallQueries, Steer or
 // Unsteer, and an apply that reads the blacklist and whitelist and
-// updates registers, tracker and stats.
+// updates registers, tracker and stats. Every table — blacklist,
+// whitelist, steer entries, compiled steer tables, the tracker's seen
+// sets — is an lpmap.Map at half fill, probed with the hash the packet
+// carries (addrHash for addresses, FlowKey.Hash for the whitelist).
 package p4switch
 
 import (

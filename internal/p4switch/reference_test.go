@@ -16,7 +16,7 @@ import (
 // classify and apply are held to.
 func (s *Switch) refProcess(p *packet.Packet, key *packet.FlowKey, hash uint64, tr *Tracker) Action {
 	fused := tr != nil && tr.alignedWith(s.queries)
-	blocked := s.blacklist.has(&p.Tuple.SrcIP, addrHash(p.Tuple.SrcIP))
+	blocked := s.blacklist.Get(addrHash(p.Tuple.SrcIP), p.Tuple.SrcIP) != nil
 	if tr != nil && (blocked || !fused) {
 		tr.Observe(p)
 	}
@@ -53,12 +53,12 @@ func (s *Switch) refProcess(p *packet.Packet, key *packet.FlowKey, hash uint64, 
 	// Whitelisted flows bypass steering (the hoverboard shortcut). A
 	// caller that brought no identity has it derived here, so skip that
 	// while the table is empty.
-	if s.whitelist.n != 0 {
+	if s.whitelist.Len() != 0 {
 		if key == nil {
 			var k packet.FlowKey
 			key, hash = &k, p.Tuple.Identity(&k)
 		}
-		if s.whitelist.has(key, hash) {
+		if s.whitelist.Get(hash, *key) != nil {
 			s.stats.Forwarded++
 			s.stats.WhitelistHits++
 			return Forward
@@ -71,7 +71,7 @@ func (s *Switch) refProcess(p *packet.Packet, key *packet.FlowKey, hash uint64, 
 	for i := range s.queries {
 		q := &s.queries[i]
 		keys := s.steer[q.Name]
-		if keys.len() == 0 || matched&(1<<uint(i)) == 0 {
+		if keys.Len() == 0 || matched&(1<<uint(i)) == 0 {
 			continue
 		}
 		var fwd, rev packet.Addr
@@ -80,7 +80,7 @@ func (s *Switch) refProcess(p *packet.Packet, key *packet.FlowKey, hash uint64, 
 		} else {
 			fwd, rev = p.Tuple.DstIP.Prefix(q.PrefixBits), p.Tuple.SrcIP.Prefix(q.PrefixBits)
 		}
-		if keys.has(&fwd, addrHash(fwd)) || keys.has(&rev, addrHash(rev)) {
+		if keys.Get(addrHash(fwd), fwd) != nil || keys.Get(addrHash(rev), rev) != nil {
 			s.stats.Steered++
 			return ToSNIC
 		}

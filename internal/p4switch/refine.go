@@ -3,6 +3,7 @@ package p4switch
 import (
 	"slices"
 
+	"smartwatch/internal/lpmap"
 	"smartwatch/internal/packet"
 )
 
@@ -16,7 +17,7 @@ type Tracker struct {
 	queries []Query
 	// seen[i] is queries[i]'s key set: the per-packet path indexes by
 	// position, only Candidates deals in names.
-	seen []set[packet.Addr]
+	seen []lpmap.Map[packet.Addr, struct{}]
 }
 
 // NewTracker builds a tracker for the installed query set.
@@ -24,11 +25,7 @@ func NewTracker(queries []Query, maxKeys int) *Tracker {
 	if maxKeys <= 0 {
 		maxKeys = 1 << 20
 	}
-	t := &Tracker{maxKeys: maxKeys, queries: queries, seen: make([]set[packet.Addr], len(queries))}
-	for i := range t.seen {
-		t.seen[i].hash = addrHash
-	}
-	return t
+	return &Tracker{maxKeys: maxKeys, queries: queries, seen: make([]lpmap.Map[packet.Addr, struct{}], len(queries))}
 }
 
 // Observe records the packet's masked key for every matching query.
@@ -45,8 +42,8 @@ func (t *Tracker) Observe(p *packet.Packet) {
 // note records key k for query i — Observe's insert, for a caller that has
 // already evaluated the query on the packet.
 func (t *Tracker) note(i int, k packet.Addr) {
-	if s := &t.seen[i]; s.n < t.maxKeys {
-		s.add(k)
+	if s := &t.seen[i]; s.Len() < t.maxKeys {
+		s.Put(addrHash(k), k)
 	}
 }
 
@@ -61,8 +58,8 @@ func (t *Tracker) Candidates() map[string][]packet.Addr {
 	out := make(map[string][]packet.Addr, len(t.seen))
 	for i := range t.seen {
 		name := t.queries[i].Name
-		out[name] = append(out[name], t.seen[i].keys()...)
-		t.seen[i] = set[packet.Addr]{hash: addrHash}
+		out[name] = append(out[name], members(&t.seen[i])...)
+		t.seen[i].Reset(0)
 	}
 	for _, keys := range out {
 		slices.Sort(keys)

@@ -3,6 +3,7 @@ package p4switch
 import (
 	"math/bits"
 
+	"smartwatch/internal/lpmap"
 	"smartwatch/internal/packet"
 )
 
@@ -23,50 +24,19 @@ type stages struct {
 	// part of their filter; restMask is their bits.
 	rest     []residual
 	restMask uint64
-	// steer[b] is prefix length b's steer table; lengths has bit b set
-	// when that table holds an entry of an installed query.
-	steer   [33]steerTable
-	lengths uint64
+	// steer[b] is prefix length b's steer table: a masked address to the
+	// queries that steered it. A rule matches both directions of its
+	// subset, so the key field does not enter: a packet probes with its
+	// source and its destination prefix. steerQueries[b] is the installed
+	// queries with entries there; lengths has bit b set when it is not 0.
+	steer        [33]lpmap.Map[packet.Addr, uint64]
+	steerQueries [33]uint64
+	lengths      uint64
 }
 
 type residual struct {
 	bit  uint64
 	pred Predicate
-}
-
-// steerTable maps a masked address to the queries of one prefix length
-// that steered it. A rule matches both directions of its subset, so the
-// key field does not enter: a packet probes with its source and its
-// destination prefix. Open-addressed like set, but rebuilt rather than
-// edited, so a slot is free exactly when its query bits are zero.
-type steerTable struct {
-	queries uint64 // installed queries with entries here
-	slots   []steerSlot
-}
-
-type steerSlot struct {
-	key     packet.Addr
-	queries uint64
-}
-
-func (t *steerTable) lookup(a packet.Addr) uint64 {
-	mask := uint64(len(t.slots) - 1)
-	for i := addrHash(a) & mask; t.slots[i].queries != 0; i = (i + 1) & mask {
-		if t.slots[i].key == a {
-			return t.slots[i].queries
-		}
-	}
-	return 0
-}
-
-func (t *steerTable) insert(a packet.Addr, bit uint64) {
-	mask := uint64(len(t.slots) - 1)
-	i := addrHash(a) & mask
-	for t.slots[i].queries != 0 && t.slots[i].key != a {
-		i = (i + 1) & mask
-	}
-	t.slots[i].key = a
-	t.slots[i].queries |= bit
 }
 
 // Class is a packet's classification: the queries whose registers it
@@ -102,8 +72,15 @@ func (s *Switch) classify(p *packet.Packet) Class {
 	}
 	for ls := st.lengths; ls != 0; ls &= ls - 1 {
 		b := bits.TrailingZeros64(ls)
-		if t := &st.steer[b]; m&t.queries != 0 &&
-			(t.lookup(p.Tuple.SrcIP.Prefix(b))&m != 0 || t.lookup(p.Tuple.DstIP.Prefix(b))&m != 0) {
+		if m&st.steerQueries[b] == 0 {
+			continue
+		}
+		t, src, dst := &st.steer[b], p.Tuple.SrcIP.Prefix(b), p.Tuple.DstIP.Prefix(b)
+		if q := t.Get(addrHash(src), src); q != nil && *q&m != 0 {
+			c.steer = true
+			break
+		}
+		if q := t.Get(addrHash(dst), dst); q != nil && *q&m != 0 {
 			c.steer = true
 			break
 		}
@@ -147,29 +124,22 @@ func (s *Switch) compile() {
 	// Size each prefix length's table for its entries, then fill it.
 	need := [33]int{}
 	for i := range s.queries {
-		need[s.queries[i].PrefixBits] += s.steer[s.queries[i].Name].len()
+		need[s.queries[i].PrefixBits] += s.steer[s.queries[i].Name].Len()
 	}
-	st.lengths = 0
+	st.lengths, st.steerQueries = 0, [33]uint64{}
 	for b, n := range need {
-		t := &st.steer[b]
-		t.queries = 0
-		if n == 0 {
-			continue
+		if n != 0 {
+			st.steer[b].Reset(n) // in place when the old build fits
+			st.lengths |= 1 << uint(b)
 		}
-		// At most 1/setLoad full; zeroed in place when the old build fits.
-		size := max(8, 1<<bits.Len(uint(n*setLoad-1)))
-		t.slots = append(t.slots[:0], make([]steerSlot, size)...)
-		st.lengths |= 1 << uint(b)
 	}
 	for i := range s.queries {
 		q, bit := &s.queries[i], uint64(1)<<uint(i)
-		if keys := s.steer[q.Name]; keys.len() != 0 {
+		if keys := s.steer[q.Name]; keys.Len() != 0 {
 			t := &st.steer[q.PrefixBits]
-			t.queries |= bit
-			for _, sl := range keys.slots {
-				if sl.used {
-					t.insert(sl.key, bit)
-				}
+			st.steerQueries[q.PrefixBits] |= bit
+			for a := range keys.All() {
+				*t.Put(addrHash(a), a) |= bit
 			}
 		}
 	}

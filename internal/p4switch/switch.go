@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"smartwatch/internal/lpmap"
 	"smartwatch/internal/packet"
 )
 
@@ -61,7 +62,7 @@ type Switch struct {
 	// packets are mirrored to the sNIC, by query name: entries outlive a
 	// re-programmed query set. They are the control plane's copy (SRAM
 	// accounting, dumps); packets probe st.steer, compiled from them.
-	steer map[string]*set[packet.Addr]
+	steer map[string]*lpmap.Map[packet.Addr, struct{}]
 	// st is compiled from queries and steer; stale marks it for a rebuild.
 	st    stages
 	stale bool
@@ -69,10 +70,11 @@ type Switch struct {
 	// over the installed set, decided once per tracker and install.
 	bound *Tracker
 	fused bool
-	// whitelist short-circuits benign flows past steering.
-	whitelist set[packet.FlowKey]
+	// whitelist short-circuits benign flows past steering; it is probed
+	// with FlowKey.Hash, which the tier context carries.
+	whitelist lpmap.Map[packet.FlowKey, struct{}]
 	// blacklist drops confirmed attackers at line rate.
-	blacklist set[packet.Addr]
+	blacklist lpmap.Map[packet.Addr, struct{}]
 	stats     SwitchStats
 }
 
@@ -89,13 +91,13 @@ func New(cfg Config) *Switch {
 	if cfg.SRAMBytes <= 0 || cfg.Stages <= 0 {
 		panic("p4switch: invalid config")
 	}
-	return &Switch{
-		cfg:       cfg,
-		steer:     map[string]*set[packet.Addr]{},
-		whitelist: set[packet.FlowKey]{hash: packet.FlowKey.Hash},
-		blacklist: set[packet.Addr]{hash: addrHash},
-	}
+	return &Switch{cfg: cfg, steer: map[string]*lpmap.Map[packet.Addr, struct{}]{}}
 }
+
+// addrHash is what the address tables are probed with: Fibonacci hashing,
+// whose product's top half is the well-mixed one; the map masks the low
+// bits.
+func addrHash(a packet.Addr) uint64 { return uint64(a) * 0x9e3779b97f4a7c15 >> 32 }
 
 // bytesPerSlot is the register width (a 64-bit counter).
 const bytesPerSlot = 8
@@ -157,7 +159,7 @@ func (s *Switch) InstallQueries(queries []Query) error {
 func (s *Switch) Queries() []Query { return append([]Query(nil), s.queries...) }
 
 func (s *Switch) tableBytes() int {
-	return s.whitelist.n*whitelistEntryBytes + (s.blacklist.n+s.SteerCount())*steerEntryBytes
+	return s.whitelist.Len()*whitelistEntryBytes + (s.blacklist.Len()+s.SteerCount())*steerEntryBytes
 }
 
 // SRAMBytesUsed reports monitoring-state SRAM occupancy (registers +
@@ -197,7 +199,7 @@ func (s *Switch) apply(p *packet.Packet, key *packet.FlowKey, hash uint64, tr *T
 	}
 	fused := tr != nil && s.fused
 	// Blacklist: confirmed attackers are dropped at line rate.
-	if s.blacklist.has(&p.Tuple.SrcIP, addrHash(p.Tuple.SrcIP)) {
+	if s.blacklist.Get(addrHash(p.Tuple.SrcIP), p.Tuple.SrcIP) != nil {
 		if tr != nil {
 			tr.Observe(p)
 		}
@@ -225,12 +227,12 @@ func (s *Switch) apply(p *packet.Packet, key *packet.FlowKey, hash uint64, tr *T
 	// Whitelisted flows bypass steering (the hoverboard shortcut). A
 	// caller that brought no identity has it derived here, so skip that
 	// while the table is empty.
-	if s.whitelist.n != 0 {
+	if s.whitelist.Len() != 0 {
 		if key == nil {
 			var k packet.FlowKey
 			key, hash = &k, p.Tuple.Identity(&k)
 		}
-		if s.whitelist.has(key, hash) {
+		if s.whitelist.Get(hash, *key) != nil {
 			s.stats.Forwarded++
 			s.stats.WhitelistHits++
 			return Forward
@@ -287,26 +289,25 @@ func (s *Switch) EndInterval(candidates map[string][]packet.Addr) []FiredKey {
 // go to the sNIC. An entry already installed is left as it is; a new one
 // fails when SRAM is exhausted.
 func (s *Switch) Steer(fk FiredKey) error {
-	m := s.steer[fk.Query]
-	if m.has(&fk.Key, addrHash(fk.Key)) {
+	m, h := s.steer[fk.Query], addrHash(fk.Key)
+	if m.Get(h, fk.Key) != nil {
 		return nil
 	}
 	if s.SRAMBytesUsed()+steerEntryBytes > s.cfg.SRAMBytes {
 		return fmt.Errorf("p4switch: SRAM exhausted installing steer entry")
 	}
 	if m == nil {
-		m = &set[packet.Addr]{hash: addrHash}
+		m = &lpmap.Map[packet.Addr, struct{}]{}
 		s.steer[fk.Query] = m
 	}
-	m.add(fk.Key)
+	m.Put(h, fk.Key)
 	s.stale = true
 	return nil
 }
 
 // Unsteer removes a mirror entry (subset reclassified as benign).
 func (s *Switch) Unsteer(query string, key packet.Addr) {
-	if m := s.steer[query]; m.has(&key, addrHash(key)) {
-		m.del(key)
+	if s.steer[query].Del(addrHash(key), key) {
 		s.stale = true
 	}
 }
@@ -315,7 +316,7 @@ func (s *Switch) Unsteer(query string, key packet.Addr) {
 func (s *Switch) SteerCount() int {
 	n := 0
 	for _, m := range s.steer {
-		n += m.n
+		n += m.Len()
 	}
 	return n
 }
@@ -324,31 +325,31 @@ func (s *Switch) SteerCount() int {
 // bypass sNIC steering from now on. It fails when the table is full or
 // SRAM is exhausted.
 func (s *Switch) Whitelist(k packet.FlowKey) error {
-	if s.whitelist.n >= s.cfg.MaxWhitelist {
+	if s.whitelist.Len() >= s.cfg.MaxWhitelist {
 		return fmt.Errorf("p4switch: whitelist full (%d entries)", s.cfg.MaxWhitelist)
 	}
 	if s.SRAMBytesUsed()+whitelistEntryBytes > s.cfg.SRAMBytes {
 		return fmt.Errorf("p4switch: SRAM exhausted installing whitelist entry")
 	}
-	s.whitelist.add(k)
+	s.whitelist.Put(k.Hash(), k)
 	return nil
 }
 
 // WhitelistCount returns the number of whitelisted flows.
-func (s *Switch) WhitelistCount() int { return s.whitelist.n }
+func (s *Switch) WhitelistCount() int { return s.whitelist.Len() }
 
 // Blacklist installs a drop rule for the source address.
-func (s *Switch) Blacklist(a packet.Addr) { s.blacklist.add(a) }
+func (s *Switch) Blacklist(a packet.Addr) { s.blacklist.Put(addrHash(a), a) }
 
 // Blacklisted reports whether the address is blocked.
-func (s *Switch) Blacklisted(a packet.Addr) bool { return s.blacklist.has(&a, addrHash(a)) }
+func (s *Switch) Blacklisted(a packet.Addr) bool { return s.blacklist.Get(addrHash(a), a) != nil }
 
 // WhitelistEntries lists the installed benign-flow keys in a
 // deterministic order (canonical key fields ascending) — the control
 // API's table dump. O(n log n); intended for operator queries, not the
 // datapath.
 func (s *Switch) WhitelistEntries() []packet.FlowKey {
-	out := s.whitelist.keys()
+	out := members(&s.whitelist)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.LoIP != b.LoIP {
@@ -371,10 +372,19 @@ func (s *Switch) WhitelistEntries() []packet.FlowKey {
 // BlacklistEntries lists the blocked source addresses in ascending order
 // (deterministic control-API dump).
 func (s *Switch) BlacklistEntries() []packet.Addr {
-	out := s.blacklist.keys()
+	out := members(&s.blacklist)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Stats returns the cumulative decision counters.
 func (s *Switch) Stats() SwitchStats { return s.stats }
+
+// members lists a table's keys in slot order (nil-safe).
+func members[K comparable](m *lpmap.Map[K, struct{}]) []K {
+	out := make([]K, 0, m.Len())
+	for k := range m.All() {
+		out = append(out, k)
+	}
+	return out
+}
