@@ -280,15 +280,20 @@ func TestMetricsLiveMidRun(t *testing.T) {
 		if len(metrics.Counters) == 0 || metrics.TsNs == 0 {
 			t.Errorf("%s: /metrics before the drain = %+v, want a snapshot with series", k.name, metrics)
 		}
-		// Feeders may still be closing intervals: read the routes between
-		// two equal Snapshots() so they describe exactly those snapshots.
+		// Feeders may still be closing intervals: read the routes and each
+		// worker's own snapshot between two equal Snapshots() so they all
+		// describe exactly those snapshots.
 		var lanes struct{ Workers []*obs.Snapshot }
 		var status struct{ Intervals uint64 }
-		var snaps []*obs.Snapshot
+		var snaps, own []*obs.Snapshot
 		for stable := false; !stable; {
 			snaps = e.Snapshots()
 			get(d.handleSnapshot, "/control/snapshot", &lanes)
 			get(d.handleStatus, "/control/status", &status)
+			own = own[:0]
+			for _, w := range e.Workers() {
+				own = append(own, w.LastSnapshot())
+			}
 			stable = slices.Equal(snaps, e.Snapshots())
 		}
 		if len(lanes.Workers) != k.workers {
@@ -296,7 +301,7 @@ func TestMetricsLiveMidRun(t *testing.T) {
 		}
 		var maxIntervals uint64
 		for i, snap := range snaps {
-			if snap == nil || snap != e.Workers()[i].LastSnapshot() {
+			if snap == nil || snap != own[i] {
 				t.Fatalf("%s: lane %d is %v, not its worker's registry snapshot", k.name, i, snap)
 			}
 			var want obs.Snapshot

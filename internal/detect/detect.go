@@ -177,7 +177,7 @@ func (b *alertBuf) sortTick(n int) {
 	if len(tick) < 2 {
 		return
 	}
-	sort.Slice(tick, func(i, j int) bool { return keyLess(tick[i].Flow, tick[j].Flow) })
+	sort.Slice(tick, func(i, j int) bool { return keyCompare(tick[i].Flow, tick[j].Flow) < 0 })
 }
 
 // Chain runs several detectors as one, merging reactions.

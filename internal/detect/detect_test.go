@@ -500,7 +500,7 @@ func TestMapWalkingTicksEmitInKeyOrder(t *testing.T) {
 			t.Fatalf("%s: %d alerts in the deciding tick; the order check needs several", name, len(first))
 		}
 		for i := 1; i < len(first); i++ {
-			if !keyLess(first[i-1].Flow, first[i].Flow) {
+			if keyCompare(first[i-1].Flow, first[i].Flow) >= 0 {
 				t.Fatalf("%s: alert %d (%v) not after alert %d (%v) in key order", name, i, first[i].Flow, i-1, first[i-1].Flow)
 			}
 		}

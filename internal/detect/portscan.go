@@ -1,8 +1,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/packet"
@@ -71,32 +72,16 @@ func takeDue(pending map[packet.FlowKey]pendingProbe, now, timeoutNs int64, buf 
 			delete(pending, k)
 		}
 	}
-	if len(buf) < 2 {
-		return buf // most ticks: nothing to order, and sort.Slice allocates
-	}
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := &buf[i], &buf[j]
-		if a.ts != b.ts {
-			return a.ts < b.ts
-		}
-		return keyLess(a.key, b.key)
+	slices.SortFunc(buf, func(a, b dueProbe) int {
+		return cmp.Or(cmp.Compare(a.ts, b.ts), keyCompare(a.key, b.key))
 	})
 	return buf
 }
 
-// keyLess orders flow keys field by field.
-func keyLess(a, b packet.FlowKey) bool {
-	switch {
-	case a.LoIP != b.LoIP:
-		return a.LoIP < b.LoIP
-	case a.HiIP != b.HiIP:
-		return a.HiIP < b.HiIP
-	case a.LoPort != b.LoPort:
-		return a.LoPort < b.LoPort
-	case a.HiPort != b.HiPort:
-		return a.HiPort < b.HiPort
-	}
-	return a.Proto < b.Proto
+// keyCompare orders flow keys field by field.
+func keyCompare(a, b packet.FlowKey) int {
+	return cmp.Or(cmp.Compare(a.LoIP, b.LoIP), cmp.Compare(a.HiIP, b.HiIP),
+		cmp.Compare(a.LoPort, b.LoPort), cmp.Compare(a.HiPort, b.HiPort), cmp.Compare(a.Proto, b.Proto))
 }
 
 // PortScanConfig parameterises the detector.

@@ -2,7 +2,6 @@ package flowcache
 
 import (
 	"math/bits"
-	"os"
 	"smartwatch/internal/packet"
 	"sync/atomic"
 	"unsafe"
@@ -40,13 +39,28 @@ type Cache struct {
 	kind             policyKind
 	policyP, policyE Policy
 	mode             atomic.Uint32
-	// rows[i] is row i's header (row.go); its buckets are
-	// store[i*B : (i+1)*B], one contiguous table like the sNIC allocation,
-	// one 64-byte-aligned cache line a record.
-	rows  []rowHdr
-	store []Record
-	rings []*Ring
-	stats statCounters
+	// rows[i] is row i's header (row.go). store is one contiguous table
+	// like the sNIC allocation, one 64-byte-aligned cache line a record:
+	// every row's Primary run (P records, row i's at i*P), then every
+	// row's Eviction run (E records, row i's at R*P + i*E). pRuns is the
+	// first Primary run and pStride one run's bytes; row i's Eviction run
+	// starts eOff + i*dStride bytes past where its Primary run's record P
+	// would be (Cache.locate). np is P, kept here rather than read from cfg
+	// so that acquire stays within the inliner's budget.
+	rows    []rowHdr
+	store   []Record
+	pRuns   unsafe.Pointer
+	pStride uint64
+	eOff    uintptr
+	dStride uintptr
+	np      int
+	// mapping is the store's anonymous mapping (store_linux.go), nil
+	// when the Go heap holds it; eBacked is set once the Eviction runs
+	// have been populated, at the first switch to Lite.
+	mapping []byte
+	eBacked atomic.Bool
+	rings   []*Ring
+	stats   statCounters
 }
 
 // statCounters mirrors Stats with atomically updated fields: Stats may be
@@ -63,14 +77,16 @@ type statCounters struct {
 // New builds a cache from cfg. It panics on invalid configuration (these
 // are programmer errors; use cfg.Validate to pre-check user input).
 //
-// The table is physically backed when New returns, as the sNIC's EMEM
-// allocation is at firmware load: New stores to every OS page of the bucket
-// array and to every row word. A large make is otherwise lazily mapped, and
-// the datapath would take two page faults per table page — the probe's read
-// maps the shared zero page, the insert's write then copies it — inside the
-// time the packet is charged for (DESIGN.md §9.5). The process's resident set
-// therefore includes the whole configured table (Rows x Buckets x 64 B,
-// plus 32 B a row) from construction, whether or not traffic ever fills it.
+// The row headers and every row's Primary run are physically backed when
+// New returns, as the sNIC's EMEM allocation is at firmware load, so an
+// insert into a Primary buffer takes no page fault inside the time its
+// packet is charged for (DESIGN.md §9.5). The Eviction runs are
+// backed where the platform allows it lazily (store_linux.go): a page
+// faults once, on the first record written there — a free bucket is never
+// read — and the whole run is populated at the first switch to Lite, which
+// spreads records over every slice (SetMode). A sparse table's resident
+// set is then its headers (32 B a row) and Primary runs (P x 64 B a row),
+// not the configured Rows x Buckets x 64 B.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -84,17 +100,19 @@ func New(cfg Config) *Cache {
 	for i := range c.rows {
 		c.rows[i].word.Store(0)
 	}
-	c.store = make([]Record, cfg.Rows()*cfg.Buckets) // contiguous, like the sNIC allocation
-	// The allocator's size classes put both on a multiple of the element; a
-	// record across two lines would cost every probe a second miss: checked.
+	R, P, E := cfg.Rows(), cfg.PrimaryBuckets, cfg.EvictionBuckets
+	c.newStore(R*cfg.Buckets, R*P)
+	// The allocator's size classes (or the mapping's page) put both on a
+	// multiple of the element; a record across two lines would cost every
+	// probe a second miss: checked.
 	if uintptr(unsafe.Pointer(&c.store[0]))%recordSize != 0 || uintptr(unsafe.Pointer(&c.rows[0]))%unsafe.Sizeof(rowHdr{}) != 0 {
 		panic("flowcache: table is not cache-line aligned")
 	}
-	// A store a page apart, and one to the last record for the tail.
-	for i := 0; i < len(c.store); i += os.Getpagesize() / recordSize {
-		c.store[i].StateTs = 0
-	}
-	c.store[len(c.store)-1].StateTs = 0
+	c.pRuns, c.pStride, c.np = unsafe.Pointer(&c.store[0]), uint64(P*recordSize), P
+	// Row i's Eviction run is at (R*P + i*E)*64, its Primary run at
+	// i*P*64, and bucket P's offset within the row is P*64: the
+	// difference, in wrapping arithmetic when E < P.
+	c.eOff, c.dStride = uintptr((R-1)*P*recordSize), uintptr(E-P)*recordSize
 	c.rings = make([]*Ring, cfg.Rings)
 	for i := range c.rings {
 		c.rings[i] = NewRing(cfg.RingEntries)
@@ -110,7 +128,10 @@ func (c *Cache) Mode() Mode { return Mode(c.mode.Load()) }
 
 // SetMode switches the operating mode. Switching General->Lite marks every
 // row dirty for lazy Alg.-3 cleanup; Lite->General needs no reordering
-// because Lite's candidate buckets are a subset of General's.
+// because Lite's candidate buckets are a subset of General's. The first
+// switch to Lite also backs the Eviction runs in one call
+// (backEvictionRuns): Lite inserts land in every slice, so from then on the
+// table fills across its whole width.
 //
 // Rows are marked dirty BEFORE the mode becomes visible: any processor
 // that observes Lite is then guaranteed to see its row's dirty flag and
@@ -119,6 +140,9 @@ func (c *Cache) Mode() Mode { return Mode(c.mode.Load()) }
 // record still sitting outside its slice and inserts a duplicate.
 func (c *Cache) SetMode(m Mode) {
 	if m == Lite && c.Mode() != Lite {
+		if c.eBacked.CompareAndSwap(false, true) {
+			c.backEvictionRuns()
+		}
 		for i := range c.rows {
 			markDirty(&c.rows[i].word)
 		}
@@ -152,13 +176,14 @@ func (c *Cache) liteSlice(hash uint64) (int, int) {
 // instead of queueing behind one another. It changes no state and is safe
 // against concurrent Process calls (see prefetcht0).
 func (c *Cache) Prefetch(hash uint64) {
-	ri := c.rowIndex(hash)
-	prefetcht0(unsafe.Pointer(&c.rows[ri]))
+	var rw row
+	c.locate(c.rowIndex(hash), &rw)
+	prefetcht0(unsafe.Pointer(rw.hdr))
 	lo := 0
 	if c.Mode() == Lite {
 		lo, _ = c.liteSlice(hash)
 	}
-	prefetcht0(unsafe.Pointer(&c.store[ri*uint64(c.cfg.Buckets)+uint64(lo)]))
+	prefetcht0(unsafe.Pointer(rw.at(lo)))
 }
 
 // Process runs the full FlowCache update for one packet and returns the
@@ -245,7 +270,7 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 		} else if c.kind == kindS3FIFO {
 			c.onHit(&rw, idx)
 		}
-		return c.hit(&rw, idx, p, res)
+		return c.hit(&rw, idx, rw.at(idx), p, res)
 	}
 
 	// Lite slice missed, but cleanRow parked pinned overflow outside the
@@ -259,7 +284,7 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 				c.onHit(&rw, idx)
 			}
 			res.Outcome = PHit
-			return c.hit(&rw, idx, p, res)
+			return c.hit(&rw, idx, rw.at(idx), p, res)
 		}
 	}
 
@@ -274,10 +299,9 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 	return rec
 }
 
-// hit applies the packet to the record in bucket idx (the hardware's
-// atomic-add path) and ends the call.
-func (c *Cache) hit(rw *row, idx int, p *packet.Packet, res *Result) *Record {
-	rec := &rw.buckets[idx]
+// hit applies the packet to rec, the record in bucket idx (the hardware's
+// atomic-add path), and ends the call.
+func (c *Cache) hit(rw *row, idx int, rec *Record, p *packet.Packet, res *Result) *Record {
 	rec.update(p)
 	res.Writes++
 	res.Pinned = rw.pinned(idx)
@@ -321,7 +345,7 @@ func (c *Cache) applyStats(res *Result) {
 // every bucket up to the hit, empty ones included — the fallback only runs
 // while the row's parked count > 0.
 func (c *Cache) probeOutside(rw *row, key packet.FlowKey, lo, hi int, res *Result) int {
-	B := len(rw.buckets)
+	B := c.cfg.Buckets
 	if i := rw.find(key, 0, lo); i >= 0 {
 		res.Reads += i + 1
 		return i
@@ -356,7 +380,7 @@ func (c *Cache) victimIndex(rw *row, lo, hi int, policy Policy, res *Result) int
 			victim = i
 			continue
 		}
-		rec, v := &rw.buckets[i], &rw.buckets[victim]
+		rec, v := rw.at(i), rw.at(victim)
 		switch policy {
 		case LRU:
 			if rec.LastTs < v.LastTs {
@@ -383,7 +407,7 @@ func (c *Cache) promote(rw *row, eIdx, pLo, pEnd int, res *Result) int {
 		// Whole P pinned (or degenerate layout): keep the record in place.
 		return eIdx
 	}
-	a, b := &rw.buckets[pIdx], &rw.buckets[eIdx]
+	a, b := rw.at(pIdx), rw.at(eIdx)
 	if rw.holds(pIdx) {
 		*a, *b = *b, *a
 	} else {
@@ -437,7 +461,7 @@ func (c *Cache) insert(rw *row, key packet.FlowKey, p *packet.Packet, lo, pEnd, 
 				c.evictOccupied(rw, pIdx, res)
 			} else {
 				c.evictOccupied(rw, eIdx, res)
-				rw.buckets[eIdx] = rw.buckets[pIdx]
+				*rw.at(eIdx) = *rw.at(pIdx)
 				rw.swapLanes(pIdx, eIdx) // eIdx is free: the bits move
 				res.Writes++
 			}
@@ -455,7 +479,7 @@ func (c *Cache) insert(rw *row, key packet.FlowKey, p *packet.Packet, lo, pEnd, 
 func (c *Cache) place(rw *row, idx int, rec *Record, res *Result) *Record {
 	rw.put(idx, rec)
 	res.Writes++
-	return &rw.buckets[idx]
+	return rw.at(idx)
 }
 
 // evictOccupied pushes the record at idx to its ring if occupied and marks
@@ -474,7 +498,7 @@ func (c *Cache) evictOccupied(rw *row, idx int, res *Result) {
 // counter-shard selection, the parked count): two multiplies, off the hit
 // path, instead of eight bytes in every record.
 func (c *Cache) remove(rw *row, idx int) {
-	out := &rw.buckets[idx]
+	out := rw.at(idx)
 	hash := out.Key.Hash()
 	rw.drop(idx)
 	c.noteRemoval(rw, hash, idx)
@@ -488,7 +512,7 @@ func (c *Cache) stalestPinned(rw *row, lo, hi int, res *Result) int {
 	res.Reads += hi - lo
 	for m := rw.hdr.pins.Load() & span(lo, hi); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if victim == -1 || rw.buckets[i].LastTs < rw.buckets[victim].LastTs {
+		if victim == -1 || rw.at(i).LastTs < rw.at(victim).LastTs {
 			victim = i
 		}
 	}
@@ -527,8 +551,8 @@ func (c *Cache) Lookup(key packet.FlowKey) (rec Record, pinned, ok bool) {
 	var rw row
 	c.acquire(c.rowIndex(key.Hash()), &rw)
 	defer rw.release()
-	if i := rw.find(key, 0, len(rw.buckets)); i >= 0 {
-		return rw.buckets[i], rw.pinned(i), true
+	if i := rw.find(key, 0, c.cfg.Buckets); i >= 0 {
+		return *rw.at(i), rw.pinned(i), true
 	}
 	return Record{}, false, false
 }
@@ -546,7 +570,7 @@ func (c *Cache) setPinned(key packet.FlowKey, v bool) bool {
 	var rw row
 	c.acquire(c.rowIndex(hash), &rw)
 	defer rw.release()
-	i := rw.find(key, 0, len(rw.buckets))
+	i := rw.find(key, 0, c.cfg.Buckets)
 	if i < 0 {
 		return false
 	}
@@ -577,11 +601,11 @@ func (c *Cache) UpdateState(key packet.FlowKey, fn func(*Record)) bool {
 	var rw row
 	c.acquire(c.rowIndex(key.Hash()), &rw)
 	defer rw.release()
-	i := rw.find(key, 0, len(rw.buckets))
+	i := rw.find(key, 0, c.cfg.Buckets)
 	if i < 0 {
 		return false
 	}
-	fn(&rw.buckets[i])
+	fn(rw.at(i))
 	return true
 }
 
@@ -592,7 +616,7 @@ func (c *Cache) Evict(key packet.FlowKey) bool {
 	var rw row
 	c.acquire(c.rowIndex(key.Hash()), &rw)
 	defer rw.release()
-	i := rw.find(key, 0, len(rw.buckets))
+	i := rw.find(key, 0, c.cfg.Buckets)
 	if i < 0 {
 		return false
 	}
@@ -614,7 +638,7 @@ func (c *Cache) Snapshot(fn func(Record) bool) {
 		var rw row
 		c.acquire(uint64(ri), &rw)
 		for m := rw.word & occMask; m != 0; m &= m - 1 {
-			if !fn(rw.buckets[bits.TrailingZeros64(m)]) {
+			if !fn(*rw.at(bits.TrailingZeros64(m))) {
 				rw.release()
 				return
 			}

@@ -364,7 +364,7 @@ func TestGeneralToLiteCleanupPreservesRecency(t *testing.T) {
 		rw := c.view(c.rowIndex(r.Key.Hash()))
 		found := false
 		for i := lo; i < hi; i++ {
-			if rw.holds(i) && rw.buckets[i].Key == r.Key {
+			if rw.holds(i) && rw.at(i).Key == r.Key {
 				found = true
 			}
 		}
@@ -701,7 +701,7 @@ func TestOneFlowOneCacheLine(t *testing.T) {
 					lo, _ = c.liteSlice(hash)
 				}
 				rw := c.view(c.rowIndex(hash))
-				if a, h := uintptr(unsafe.Pointer(&rw.buckets[lo])), uintptr(unsafe.Pointer(rw.hdr)); a%64 != 0 || h%64 > 32 {
+				if a, h := uintptr(unsafe.Pointer(rw.at(lo))), uintptr(unsafe.Pointer(rw.hdr)); a%64 != 0 || h%64 > 32 {
 					t.Fatalf("RowBits %d %v: first bucket %#x or header %#x spans two lines", rowBits, mode, a, h)
 				}
 			}

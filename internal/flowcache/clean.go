@@ -82,7 +82,7 @@ func (c *Cache) cleanRow(rw *row) int {
 	live, pins, f0, f1 := rw.word&occMask, h.pins.Load(), h.f0, h.f1
 	for m := live; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		old[i] = rw.buckets[i]
+		old[i] = *rw.at(i)
 		sliceOf[i] = uint8((old[i].Key.Hash() >> rowBits) % uint64(slices))
 		end[sliceOf[i]]++
 	}

@@ -71,7 +71,7 @@ func TestEagerAndLazyCleanupAgree(t *testing.T) {
 			rw := c.view(c.rowIndex(r.Key.Hash()))
 			found := false
 			for i := lo; i < hi; i++ {
-				if rw.holds(i) && rw.buckets[i].Key == r.Key {
+				if rw.holds(i) && rw.at(i).Key == r.Key {
 					found = true
 				}
 			}

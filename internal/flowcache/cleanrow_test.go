@@ -15,8 +15,10 @@ import (
 // or stage a row while nothing else runs. Edits to the word stay in the
 // returned value.
 func (c *Cache) view(ri uint64) row {
-	B := uint64(c.cfg.Buckets)
-	return row{hdr: &c.rows[ri], word: c.rows[ri].word.Load(), buckets: c.store[ri*B : (ri+1)*B]}
+	var rw row
+	c.locate(ri, &rw)
+	rw.word = rw.hdr.word.Load()
+	return rw
 }
 
 // lanes is a row's header beside the word — what travels with a record but
@@ -50,9 +52,9 @@ func (r *row) setMeta(i int, pinned bool, freq uint8) {
 func (c *Cache) walk(fn func(r Record, pinned bool, freq uint8)) {
 	for ri := range c.rows {
 		rw := c.view(uint64(ri))
-		for i := range rw.buckets {
+		for i := range c.cfg.Buckets {
 			if rw.holds(i) {
-				fn(rw.buckets[i], rw.pinned(i), rw.freq(i))
+				fn(*rw.at(i), rw.pinned(i), rw.freq(i))
 			}
 		}
 	}
@@ -65,7 +67,7 @@ func cleanRowRef(c *Cache, rw *row) int {
 
 	bins := make([][]refRecord, slices) // a record with its bits beside it (oracle_test.go)
 	for i := 0; i < B; i++ {
-		rec := &rw.buckets[i]
+		rec := rw.at(i)
 		if !rw.holds(i) {
 			continue
 		}
@@ -127,12 +129,12 @@ func cleanRowRef(c *Cache, rw *row) int {
 // first-oldest rule is exercised), random access counters and a random
 // share of pins, sometimes enough to overflow a slice with pinned records
 // alone.
-func randomRow(rng *stats.Rand, rw *row) {
+func randomRow(rng *stats.Rand, rw *row, B int) {
 	pinShare := rng.IntN(4) // 0: none .. 3: three in four
 	rw.word = 0
 	rw.setLanes(lanes{})
-	for i := range rw.buckets {
-		rw.buckets[i] = Record{}
+	for i := range B {
+		*rw.at(i) = Record{}
 		if rng.IntN(8) == 0 {
 			continue
 		}
@@ -148,12 +150,13 @@ func randomRow(rng *stats.Rand, rw *row) {
 }
 
 // TestCleanRowMatchesReference: on random rows — sparse to full, unpinned
-// to pin-saturated, at the shipped 12/2 geometry, a 16/4 one and a
-// 24-bucket row that takes the heap fallback — the single-scratch reorder
-// leaves exactly the buckets, the parked count, the eviction count and the
-// ring sequence the reference does.
+// to pin-saturated, at the shipped 12/2 geometry, a 16/4 one, a 24-bucket
+// row that takes the heap fallback and whose Lite slices straddle the
+// Primary and Eviction runs, and a row with no Eviction buffer — the
+// single-scratch reorder leaves exactly the buckets, the parked count, the
+// eviction count and the ring sequence the reference does.
 func TestCleanRowMatchesReference(t *testing.T) {
-	geoms := []struct{ buckets, primary, lite int }{{12, 8, 2}, {16, 12, 4}, {24, 16, 3}, {12, 8, 12}, {12, 8, 1}}
+	geoms := []struct{ buckets, primary, lite int }{{12, 8, 2}, {16, 12, 4}, {24, 16, 3}, {12, 8, 12}, {12, 8, 1}, {12, 12, 2}}
 	for _, g := range geoms {
 		cfg := DefaultConfig(4)
 		cfg.Buckets, cfg.PrimaryBuckets, cfg.EvictionBuckets, cfg.LiteBuckets = g.buckets, g.primary, g.buckets-g.primary, g.lite
@@ -166,8 +169,10 @@ func TestCleanRowMatchesReference(t *testing.T) {
 		for iter := 0; iter < 2000; iter++ {
 			ri := uint64(iter % len(got.rows))
 			rwGot, rwWant := got.view(ri), want.view(ri)
-			randomRow(rng, &rwGot)
-			copy(rwWant.buckets, rwGot.buckets)
+			randomRow(rng, &rwGot, g.buckets)
+			for i := range g.buckets {
+				*rwWant.at(i) = *rwGot.at(i)
+			}
 			rwWant.word = rwGot.word
 			rwWant.setLanes(rwGot.lanes())
 
@@ -175,8 +180,8 @@ func TestCleanRowMatchesReference(t *testing.T) {
 			if nGot != nWant || rwGot.parked() != rwWant.parked() {
 				t.Fatalf("%+v iter %d: evicted %d parked %d, reference %d / %d", g, iter, nGot, rwGot.parked(), nWant, rwWant.parked())
 			}
-			for i := range rwGot.buckets {
-				a, b := rwGot.buckets[i], rwWant.buckets[i]
+			for i := range g.buckets {
+				a, b := *rwGot.at(i), *rwWant.at(i)
 				if rwGot.holds(i) != rwWant.holds(i) || (rwGot.holds(i) && a != b) {
 					t.Fatalf("%+v iter %d: bucket %d = %+v, reference %+v", g, iter, i, a, b)
 				}
@@ -214,13 +219,17 @@ func TestCleanRowDoesNotAllocate(t *testing.T) {
 	c := New(cfg)
 	rng := stats.NewRand(3)
 	rw := c.view(0)
-	saved := make([]Record, len(rw.buckets))
+	saved := make([]Record, cfg.Buckets)
 	for trial := 0; trial < 50; trial++ {
-		randomRow(rng, &rw)
-		copy(saved, rw.buckets)
+		randomRow(rng, &rw, cfg.Buckets)
+		for i := range saved {
+			saved[i] = *rw.at(i)
+		}
 		word, bits := rw.word, rw.lanes()
 		if avg := testing.AllocsPerRun(20, func() {
-			copy(rw.buckets, saved)
+			for i := range saved {
+				*rw.at(i) = saved[i]
+			}
 			rw.word = word
 			rw.setLanes(bits)
 			c.cleanRow(&rw)

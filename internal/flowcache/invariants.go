@@ -84,7 +84,7 @@ func (c *Cache) checkRow(rw *row, ri uint64, lite bool) (int, error) {
 	outside := 0
 	for m := mask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		key := rw.buckets[i].Key
+		key := rw.at(i).Key
 		hash := key.Hash()
 		if c.rowIndex(hash) != ri {
 			return 0, fmt.Errorf("bucket %d: %v with hash %#x does not belong here", i, key, hash)

@@ -147,7 +147,7 @@ func (c *Cache) victimS3E(rw *row, lo, hi int, res *Result) int {
 	for m := cand; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		f := h.f1>>uint(i)&1<<1 | h.f0>>uint(i)&1
-		if victim == -1 || f < vf || (f == vf && rw.buckets[i].FirstTs < rw.buckets[victim].FirstTs) {
+		if victim == -1 || f < vf || (f == vf && rw.at(i).FirstTs < rw.at(victim).FirstTs) {
 			victim, vf = i, f
 		}
 	}

@@ -335,7 +335,7 @@ func TestHeaderReadersUnlatched(t *testing.T) {
 	for ri := range c.rows {
 		var rw row
 		c.acquire(uint64(ri), &rw)
-		for i := range rw.buckets {
+		for i := range c.cfg.Buckets {
 			if rw.holds(i) {
 				live++
 				if rw.pinned(i) {

@@ -31,7 +31,7 @@ import (
 // earns), a cleanRow permutation that parks, a starvation eviction, and
 // an insert into a bucket a pinned record last held.
 func TestRandomOpsMatchOracle(t *testing.T) {
-	const opsPerConfig = 72_000 // x 7 configs = 504 k operations
+	const opsPerConfig = 72_000 // x 9 configs = 648 k operations
 	for _, policy := range []string{PolicyNameLRULPC, PolicyNameLRU, PolicyNameS3FIFO} {
 		var ev refEvents
 		ran := 0 // a -run filter may select one valve: the sum needs both
@@ -65,6 +65,21 @@ func TestRandomOpsMatchOracle(t *testing.T) {
 		cfg.PinStarveEvict, cfg.Rings, cfg.RingEntries = true, 2, 32
 		randomOps(t, cfg, 1, opsPerConfig, 48)
 	})
+	// Geometries the table's layout — every row's Primary run, then every
+	// row's Eviction run — must not show through: Lite slices that
+	// straddle the two runs, and no Eviction buffer at all (an empty
+	// Eviction run, whose populate at the first Lite switch is a no-op).
+	for _, g := range []struct {
+		name                   string
+		buckets, primary, lite int
+	}{{"straddling slices", 12, 3, 2}, {"no eviction buffer", 12, 12, 2}} {
+		t.Run(g.name, func(t *testing.T) {
+			cfg := DefaultConfig(4)
+			cfg.Buckets, cfg.PrimaryBuckets, cfg.EvictionBuckets, cfg.LiteBuckets = g.buckets, g.primary, g.buckets-g.primary, g.lite
+			cfg.PinStarveEvict, cfg.Rings, cfg.RingEntries = true, 2, 32
+			randomOps(t, cfg, 1, opsPerConfig, uint64(g.primary))
+		})
+	}
 }
 
 // TestShardedRandomOpsMatchOracle is the same drive through Sharded's
@@ -283,9 +298,9 @@ func diffHeader(got *Cache, want *refCache) string {
 				}
 				continue
 			}
-			if !rw.holds(i) || rw.buckets[i] != w.Record || rw.buckets[i].Key.Hash() != w.Hash || rw.pinned(i) != w.Pinned || rw.freq(i) != w.freq {
+			if rec := *rw.at(i); !rw.holds(i) || rec != w.Record || rec.Key.Hash() != w.Hash || rw.pinned(i) != w.Pinned || rw.freq(i) != w.freq {
 				return fmt.Sprintf("row %d bucket %d: live %v %+v pinned %v freq %d, reference %+v pinned %v freq %d",
-					ri, i, rw.holds(i), rw.buckets[i], rw.pinned(i), rw.freq(i), w.Record, w.Pinned, w.freq)
+					ri, i, rw.holds(i), rec, rw.pinned(i), rw.freq(i), w.Record, w.Pinned, w.freq)
 			}
 		}
 	}

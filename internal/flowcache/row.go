@@ -3,6 +3,7 @@ package flowcache
 import (
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"smartwatch/internal/packet"
 )
@@ -24,8 +25,9 @@ import (
 // bucket's other bits are zero: whatever moves or frees a bucket moves or
 // clears its bits with it (swapLanes, drop). Only the latch holder writes;
 // word and pins are atomics because OccupancyStats loads them unlatched.
-// Rows are addressed arithmetically — row r's buckets are
-// store[r*B : (r+1)*B] — so nothing has to be loaded to find them.
+// Rows are addressed arithmetically — row r's Primary run is
+// store[r*P : (r+1)*P], its Eviction run store[R*P + r*E : R*P + (r+1)*E]
+// (Cache.store) — so nothing has to be loaded to find them.
 type rowHdr struct {
 	word   atomic.Uint64
 	pins   atomic.Uint64
@@ -46,13 +48,19 @@ const (
 
 // row is a latched row: its header, the word as acquire found it plus the
 // latch bit — edited in place by the holder and written back by release —
-// and the row's slice of the table. It lives on the holder's stack.
+// and where the row's two runs of the table are. It lives on the holder's
+// stack.
 type row struct {
 	hdr  *rowHdr
 	word uint64
-	// buckets[0:P] is the Primary buffer, buckets[P:B] the Eviction buffer
-	// in General mode; Lite mode probes a b-wide slice (Alg. 1).
-	buckets []Record
+	// Buckets 0..np-1 are the Primary buffer, np..B-1 the Eviction buffer
+	// in General mode; Lite mode probes a b-wide slice (Alg. 1). p is the
+	// row's Primary run, and d is how far bucket i >= np lies past where
+	// record i of p would: bucket i is at p + 64i below np and at
+	// p + 64i + d from np on, in the row's Eviction run (at).
+	p  unsafe.Pointer
+	d  uintptr
+	np int
 }
 
 // acquire takes row ri's latch (the test_and_set of Alg. 2) and fills in
@@ -61,17 +69,33 @@ type row struct {
 // stores and copy it out with 16-byte loads, a store-forwarding stall that
 // cost a resident-table hit 25 ns.)
 func (c *Cache) acquire(ri uint64, rw *row) {
-	B := uint64(c.cfg.Buckets)
-	rw.hdr = &c.rows[ri]
-	rw.buckets = c.store[ri*B : (ri+1)*B : (ri+1)*B]
+	c.locate(ri, rw)
 	slot := &rw.hdr.word
 	for {
+		// w < latchBit: the latch (the top bit) is clear, tested in fewer
+		// inliner nodes than a mask, which keeps acquire inlined.
 		w := slot.Load()
-		if w&latchBit == 0 && slot.CompareAndSwap(w, w|latchBit) {
+		if w < latchBit && slot.CompareAndSwap(w, w|latchBit) {
 			rw.word = w | latchBit
 			return
 		}
 	}
+}
+
+// locate points rw at row ri's header and runs without taking the latch.
+func (c *Cache) locate(ri uint64, rw *row) {
+	rw.hdr = &c.rows[ri]
+	rw.p = unsafe.Add(c.pRuns, ri*c.pStride)
+	rw.d = c.eOff + uintptr(ri)*c.dStride
+	rw.np = c.np
+}
+
+// at returns bucket i's record. The Eviction run's offset is masked in
+// rather than branched to (the mask is all ones from np on), so an access
+// pays no misprediction for which run bucket i is in.
+func (r *row) at(i int) *Record {
+	e := uintptr(int64(r.np-1-i) >> 63)
+	return (*Record)(unsafe.Add(r.p, uintptr(i)*recordSize+r.d&e))
 }
 
 // release publishes the holder's edits to the word and drops the latch.
@@ -97,7 +121,7 @@ func (r *row) mask(lo, hi int) uint64 { return r.word & span(lo, hi) }
 
 // put stores rec in free bucket i and marks it live.
 func (r *row) put(i int, rec *Record) {
-	r.buckets[i] = *rec
+	*r.at(i) = *rec
 	r.word |= 1 << uint(i)
 }
 
@@ -147,12 +171,26 @@ func span(lo, hi int) uint64 { return (1<<uint(hi) - 1) &^ (1<<uint(lo) - 1) }
 
 // find returns the bucket in [lo,hi) holding the flow, or -1. Only live
 // buckets are compared, the key's first eight bytes (both addresses) as
-// one word before the rest.
+// one word before the rest. The Primary run is scanned, then the Eviction
+// run, each from its own base: choosing the base per bucket inside one
+// loop (at) cost a miss-heavy probe its overlapping loads (DESIGN.md §17).
 func (r *row) find(key packet.FlowKey, lo, hi int) int {
+	m := r.mask(lo, hi)
+	pm := m & (1<<uint(r.np) - 1)
+	if i := findIn(r.p, pm, &key); i >= 0 || pm == m {
+		return i
+	}
+	return findIn(unsafe.Add(r.p, r.d), m&^pm, &key)
+}
+
+// findIn returns the bucket among m's whose record, at base + 64i, holds
+// the flow, or -1. (The key comes by pointer: a copy would be stored field
+// by field and loaded whole, a store-forwarding stall on every probe.)
+func findIn(base unsafe.Pointer, m uint64, key *packet.FlowKey) int {
 	kw := uint64(key.LoIP) | uint64(key.HiIP)<<32
-	for m := r.mask(lo, hi); m != 0; m &= m - 1 {
+	for ; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if k := &r.buckets[i].Key; uint64(k.LoIP)|uint64(k.HiIP)<<32 == kw && *k == key {
+		if k := &(*Record)(unsafe.Add(base, i*recordSize)).Key; uint64(k.LoIP)|uint64(k.HiIP)<<32 == kw && *k == *key {
 			return i
 		}
 	}

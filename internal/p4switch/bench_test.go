@@ -100,6 +100,51 @@ func TestSwitchProcessDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestEndIntervalDoesNotAllocate: at steady state an interval close —
+// the default queries, the same candidates (each listed twice, so the
+// duplicate filter drops half) and half of their /16s over the ssh-conns
+// threshold — allocates nothing: the duplicate filter and the fired list
+// are the switch's, reset and reused every interval.
+func TestEndIntervalDoesNotAllocate(t *testing.T) {
+	sw := New(DefaultConfig())
+	if err := sw.InstallQueries(defaultQueries()); err != nil {
+		t.Fatal(err)
+	}
+	var pkts []packet.Packet
+	var cands []packet.Addr
+	for i := 0; i < 64; i++ {
+		dst := packet.Addr(10<<24 | uint32(i)<<16 | 1)
+		cands = append(cands, dst, dst)
+		for j := 0; j < 1+7*(i%2); j++ {
+			pkts = append(pkts, packet.Packet{Size: 64, Flags: packet.FlagSYN, Tuple: packet.FiveTuple{
+				SrcIP: packet.Addr(j + 1), DstIP: dst, SrcPort: 40000, DstPort: 22, Proto: packet.ProtoTCP}})
+		}
+	}
+	candidates := map[string][]packet.Addr{}
+	for _, q := range defaultQueries() {
+		candidates[q.Name] = cands
+	}
+	var fired []FiredKey
+	interval := func() {
+		for i := range pkts {
+			sw.Process(&pkts[i])
+		}
+		fired = sw.EndInterval(candidates)
+	}
+	interval()
+	if n := testing.AllocsPerRun(10, interval); n != 0 {
+		t.Errorf("%v allocations per interval close", n)
+	}
+	if len(fired) != 32 {
+		t.Fatalf("%d keys fired, want the 32 /16s over the ssh-conns threshold", len(fired))
+	}
+	for i, fk := range fired {
+		if want := packet.Addr(10<<24 | uint32(2*i+1)<<16); fk.Query != "ssh-conns" || fk.Key != want || fk.Value != 8 {
+			t.Fatalf("fired[%d] = %+v, want ssh-conns %v with 8", i, fk, want)
+		}
+	}
+}
+
 func BenchmarkEndInterval(b *testing.B) {
 	sw := New(DefaultConfig())
 	q := sshQuery()

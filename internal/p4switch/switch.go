@@ -1,8 +1,10 @@
 package p4switch
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"smartwatch/internal/lpmap"
@@ -76,6 +78,10 @@ type Switch struct {
 	// blacklist drops confirmed attackers at line rate.
 	blacklist lpmap.Map[packet.Addr, struct{}]
 	stats     SwitchStats
+	// seen and fired are EndInterval's: the masked candidates a query has
+	// already looked up, and the keys it returns, reused every interval.
+	seen  lpmap.Map[packet.Addr, struct{}]
+	fired []FiredKey
 }
 
 // SwitchStats counts forwarding decisions and register traffic.
@@ -256,33 +262,33 @@ func (s *Switch) apply(p *packet.Packet, key *packet.FlowKey, hash uint64, tr *T
 // The switch cannot invert a hash, so callers pass the candidate keys seen
 // this interval per query (the control plane learns them from the sNIC /
 // sampled packets in real deployments; the simulator passes the exact
-// candidates).
+// candidates). The returned slice is the switch's own, overwritten by the
+// next EndInterval, so a steady interval close allocates nothing.
 func (s *Switch) EndInterval(candidates map[string][]packet.Addr) []FiredKey {
 	s.stats.Intervals++
-	var fired []FiredKey
+	s.fired = s.fired[:0]
 	for i := range s.queries {
 		q := &s.queries[i]
-		seen := map[packet.Addr]bool{}
-		for _, k := range candidates[q.Name] {
+		cands := candidates[q.Name]
+		s.seen.Reset(len(cands))
+		for _, k := range cands {
 			mk := k.Prefix(q.PrefixBits)
-			if seen[mk] {
+			h := addrHash(mk)
+			if s.seen.Get(h, mk) != nil {
 				continue
 			}
-			seen[mk] = true
+			s.seen.Put(h, mk)
 			slot := packet.HashAddr(mk, uint64(i)+0x9e37) % uint64(len(s.regs[i]))
 			if v := s.regs[i][slot]; v >= q.Threshold {
-				fired = append(fired, FiredKey{Query: q.Name, Key: mk, PrefixBits: q.PrefixBits, Value: v})
+				s.fired = append(s.fired, FiredKey{Query: q.Name, Key: mk, PrefixBits: q.PrefixBits, Value: v})
 			}
 		}
 		clear(s.regs[i])
 	}
-	sort.Slice(fired, func(a, b int) bool {
-		if fired[a].Query != fired[b].Query {
-			return fired[a].Query < fired[b].Query
-		}
-		return fired[a].Key < fired[b].Key
+	slices.SortFunc(s.fired, func(a, b FiredKey) int {
+		return cmp.Or(cmp.Compare(a.Query, b.Query), cmp.Compare(a.Key, b.Key))
 	})
-	return fired
+	return s.fired
 }
 
 // Steer installs mirror entries so subsequent packets of the fired subset
