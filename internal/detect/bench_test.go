@@ -24,7 +24,7 @@ func newBenchFlows() []benchFlow {
 	flows := make([]benchFlow, benchFlows)
 	for i := range flows {
 		t := packet.FiveTuple{
-			SrcIP: packet.Addr(0x0a000000 + i), DstIP: packet.Addr(0xc0a80000 + i%251),
+			SrcIP: packet.Addr(0x0a000000 + i), DstIP: 0xc0a80000 + packet.Addr(i%251),
 			SrcPort: uint16(1024 + i%60000), DstPort: 8080, Proto: packet.ProtoTCP,
 		}
 		k := t.Canonical()

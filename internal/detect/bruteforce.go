@@ -119,7 +119,7 @@ func (d *BruteForce) inspect(p *packet.Packet, rec *flowcache.Record, _ snic.Ctx
 		v |= VPin
 	}
 
-	switch p.App.AuthOutcome {
+	switch p.AuthOutcome {
 	case packet.AuthSuccess:
 		rec.State &^= stateAuthPending
 		rec.State |= stateAuthOK

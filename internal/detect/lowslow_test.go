@@ -142,7 +142,7 @@ func TestLowSlowSetHooks(t *testing.T) {
 	det := NewLowSlow(LowSlowConfig{IdleNs: 200e6})
 	expire := func(i int) {
 		ts := int64(i) * 10e9
-		p, r := synTo(ts+1, packet.Addr(0xc6000001+i), 0x0a000001, 80)
+		p, r := synTo(ts+1, 0xc6000001+packet.Addr(i), 0x0a000001, 80)
 		det.OnPacket(p, r, snic.Ctx{})
 		det.Tick(ts + 5e9)
 	}

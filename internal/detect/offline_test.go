@@ -66,7 +66,8 @@ func TestChainFansOutAndMerges(t *testing.T) {
 			SrcIP: packet.MustParseAddr("203.0.113.1"), DstIP: packet.MustParseAddr("10.0.0.1"),
 			SrcPort: 999, DstPort: 22, Proto: packet.ProtoTCP,
 		},
-		App: packet.AppInfo{AuthOutcome: packet.AuthFailure, PayloadSig: 77},
+		AuthOutcome: packet.AuthFailure,
+		App:         packet.AppInfo{PayloadSig: 77},
 	}
 	rec := &flowcache.Record{}
 	r := ch.OnPacket(&p, rec, snic.Ctx{})

@@ -110,7 +110,7 @@ func TestPerSourceStateDoesNotAllocate(t *testing.T) {
 			return func() {
 				for i := range n {
 					rec, ctx := r.flow(i, int64(r.base+i), 22, packet.FlagACK|packet.FlagPSH)
-					r.p.App.AuthOutcome = packet.AuthFailure
+					r.p.AuthOutcome = packet.AuthFailure
 					det.OnPacket(r.p, rec, ctx)
 				}
 				det.Drain()
@@ -194,7 +194,7 @@ func TestIncompleteBoundsPending(t *testing.T) {
 	const syns = maxPendingProbes + 100
 	pins := 0
 	for i := range syns {
-		p, rec := synTo(int64(1000+i), packet.Addr(0xc6000000+i), 0x0a000001, 80)
+		p, rec := synTo(int64(1000+i), 0xc6000000+packet.Addr(i), 0x0a000001, 80)
 		if det.OnPacket(p, rec, snic.Ctx{}).Pin {
 			pins++
 		}

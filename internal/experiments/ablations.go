@@ -61,7 +61,7 @@ func Ablations(scale float64) *Table {
 		}
 		elephant := map[packet.FlowKey]bool{}
 		for fl := 0; fl < 500; fl++ {
-			tu := packet.FiveTuple{SrcIP: packet.Addr(fl*2654435761 + 17), DstIP: packet.Addr(fl + 3), SrcPort: uint16(fl), DstPort: 443, Proto: packet.ProtoTCP}
+			tu := packet.FiveTuple{SrcIP: packet.Addr(fl)*2654435761 + 17, DstIP: packet.Addr(fl + 3), SrcPort: uint16(fl), DstPort: 443, Proto: packet.ProtoTCP}
 			elephant[tu.Canonical()] = true
 		}
 		exp := 0

@@ -34,7 +34,7 @@ func stressStream(n, flows int, churn float64, seed uint64) packet.Stream {
 			p := packet.Packet{
 				Ts: int64(i),
 				Tuple: packet.FiveTuple{
-					SrcIP: packet.Addr(fl*2654435761 + 17), DstIP: packet.Addr(fl + 3),
+					SrcIP: packet.Addr(fl)*2654435761 + 17, DstIP: packet.Addr(fl + 3),
 					SrcPort: uint16(fl), DstPort: 443, Proto: packet.ProtoTCP,
 				},
 				Size: 64,

@@ -11,8 +11,6 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
-
-	"smartwatch/internal/packet"
 )
 
 func minorFaults(t *testing.T) int64 {
@@ -39,17 +37,19 @@ func residentPages(t *testing.T, recs []Record) int {
 
 // fillFlows picks flows pkt(from), pkt(from+1), … until every cell holds
 // perCell of them, a cell being what cellOf maps a flow's hash to. It
-// returns the packets that fill the cells exactly, and the next unused i.
-func fillFlows(cells, perCell int, from int, cellOf func(hash uint64) int) ([]packet.Packet, int) {
+// returns the i of each flow that fills the cells exactly — an int32, not
+// the packet, so the fill's own memory stays small beside the table's —
+// and the next unused i.
+func fillFlows(cells, perCell int, from int, cellOf func(hash uint64) int) ([]int32, int) {
 	held := make([]int, cells)
-	var out []packet.Packet
+	out := make([]int32, 0, cells*perCell)
 	i := from
 	for left := cells * perCell; left > 0; i++ {
 		p := pkt(i, int64(i))
 		if c := cellOf(p.Key().Hash()); held[c] < perCell {
 			held[c]++
 			left--
-			out = append(out, p)
+			out = append(out, int32(i))
 		}
 	}
 	return out, i
@@ -81,10 +81,11 @@ func TestNewBacksTheTable(t *testing.T) {
 	rest, _ := fillFlows(R, cfg.Buckets-P, next, row)
 	c := New(cfg)
 	eRuns := c.store[R*P:]
-	process := func(c *Cache, pkts []packet.Packet) int64 {
+	process := func(c *Cache, flows []int32) int64 {
 		before := minorFaults(t)
-		for i := range pkts {
-			c.Process(&pkts[i])
+		for _, i := range flows {
+			p := pkt(int(i), int64(i))
+			c.Process(&p)
 		}
 		return minorFaults(t) - before
 	}

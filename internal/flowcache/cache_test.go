@@ -21,7 +21,7 @@ func pkt(i int, ts int64) packet.Packet {
 	return packet.Packet{
 		Ts: ts,
 		Tuple: packet.FiveTuple{
-			SrcIP: packet.Addr(i*2654435761 + 1), DstIP: packet.Addr(i + 7),
+			SrcIP: packet.Addr(i)*2654435761 + 1, DstIP: packet.Addr(i + 7),
 			SrcPort: uint16(i), DstPort: 443, Proto: packet.ProtoTCP,
 		},
 		Size: 100,

@@ -38,7 +38,7 @@ func steerFixture(tb testing.TB) (*SteerStage, []tier.Context) {
 		}
 	}
 	for i := range 8 {
-		sw.Blacklist(packet.Addr(0xc0000200 + i))
+		sw.Blacklist(0xc0000200 + packet.Addr(i))
 	}
 	rng := stats.NewRand(1)
 	addr := func() packet.Addr { return packet.Addr(0x0a000000 | rng.IntN(16)<<16 | rng.IntN(1<<16)) }

@@ -64,7 +64,7 @@ func TestSteerStageMatchesTwoPass(t *testing.T) {
 			for i := 0; i < 20000; i++ {
 				p := packet.Packet{
 					Tuple: packet.FiveTuple{
-						SrcIP: packet.Addr(0x0a000000 + rng.IntN(8)), DstIP: packet.Addr(0xc0a80000 + rng.IntN(4)<<16 + rng.IntN(3)),
+						SrcIP: packet.Addr(0x0a000000 + rng.IntN(8)), DstIP: 0xc0a80000 + packet.Addr(rng.IntN(4)<<16+rng.IntN(3)),
 						SrcPort: uint16(40000 + rng.IntN(4)), DstPort: []uint16{22, 80}[rng.IntN(2)], Proto: packet.ProtoTCP,
 					},
 					Size:  uint16(64 + rng.IntN(2)*400),

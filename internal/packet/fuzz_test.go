@@ -17,7 +17,8 @@ import (
 // original length saturated at 16 bits, and a frame DecodeInto rejects is
 // one the pcap Reader counts as skipped. The committed seeds under
 // testdata/fuzz are valid TCP / UDP / metadata frames, their truncations
-// and the original lengths around 65 536.
+// and the original lengths around 65 536; the seeds added here are a
+// metadata frame, its truncation and an auth-only frame.
 func FuzzDecodeInto(f *testing.F) {
 	p := packet.Packet{
 		Tuple: packet.FiveTuple{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 4242, DstPort: 443, Proto: packet.ProtoTCP},
@@ -29,12 +30,20 @@ func FuzzDecodeInto(f *testing.F) {
 	}
 	f.Add(frame, int64(1), len(frame))
 	f.Add(frame[:40], int64(0), 65536)
+	// An auth-only packet: its metadata block carries nothing but the
+	// outcome byte.
+	p.App, p.AuthOutcome = packet.AppInfo{}, packet.AuthFailure
+	auth, _, err := packet.Encode(nil, &p, packet.EncodeOptions{EmbedMeta: true}, math.MaxInt)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(auth, int64(2), len(auth))
 	f.Fuzz(func(t *testing.T, frame []byte, ts int64, origLen int) {
 		var zero packet.Packet
 		poisoned := packet.Packet{
 			Ts: -1, Tuple: packet.FiveTuple{SrcIP: ^packet.Addr(0), DstIP: 1, SrcPort: 2, DstPort: 3, Proto: 255},
-			Size: 4, PayloadLen: 5, Flags: 0xff, Seq: 6, Ack: 7,
-			App: packet.AppInfo{TLSCertExpiry: 8, PayloadSig: 9, AuthOutcome: packet.AuthFailure},
+			Size: 4, PayloadLen: 5, Flags: 0xff, AuthOutcome: packet.AuthFailure, Seq: 6, Ack: 7,
+			App: packet.AppInfo{TLSCertExpiry: 8, PayloadSig: 9},
 		}
 		errZero := packet.DecodeInto(&zero, frame, ts, origLen)
 		errPoisoned := packet.DecodeInto(&poisoned, frame, ts, origLen)

@@ -27,10 +27,10 @@ const (
 
 // EncodeOptions controls packet serialization.
 type EncodeOptions struct {
-	// EmbedMeta writes the packet's AppInfo as a small TLV at the start of
-	// the payload so synthetic traces round-trip application metadata
-	// through standard pcap files. Decoders that don't know the TLV see it
-	// as opaque payload bytes.
+	// EmbedMeta writes the packet's AppInfo and AuthOutcome as a small TLV
+	// at the start of the payload so synthetic traces round-trip
+	// application metadata through standard pcap files. Decoders that
+	// don't know the TLV see it as opaque payload bytes.
 	EmbedMeta bool
 	// SrcMAC/DstMAC fill the Ethernet header; zero MACs are fine for
 	// synthetic traces.
@@ -62,7 +62,7 @@ func frameLens(p *Packet, opt EncodeOptions) (l4Hdr, payload, total int) {
 }
 
 func embedsMeta(p *Packet, opt EncodeOptions) bool {
-	return opt.EmbedMeta && p.App != (AppInfo{})
+	return opt.EmbedMeta && (p.App != (AppInfo{}) || p.AuthOutcome != AuthNone)
 }
 
 // Encodable returns the error Encode would return for p, or nil: only TCP
@@ -131,7 +131,7 @@ func Encode(buf []byte, p *Packet, opt EncodeOptions, limit int) ([]byte, int, e
 		binary.BigEndian.PutUint32(payload[0:4], metaMagic)
 		binary.BigEndian.PutUint64(payload[4:12], uint64(p.App.TLSCertExpiry))
 		binary.BigEndian.PutUint64(payload[12:20], p.App.PayloadSig)
-		payload[20] = byte(p.App.AuthOutcome)
+		payload[20] = byte(p.AuthOutcome)
 		written += metaBlockLen
 	}
 
@@ -217,7 +217,7 @@ func DecodeInto(p *Packet, b []byte, ts int64, origLen int) error {
 	if len(payload) >= metaBlockLen && binary.BigEndian.Uint32(payload[0:4]) == metaMagic {
 		p.App.TLSCertExpiry = int64(binary.BigEndian.Uint64(payload[4:12]))
 		p.App.PayloadSig = binary.BigEndian.Uint64(payload[12:20])
-		p.App.AuthOutcome = AuthOutcome(payload[20])
+		p.AuthOutcome = AuthOutcome(payload[20])
 	}
 	return nil
 }

@@ -70,7 +70,8 @@ func TestEncodeDecodeUDP(t *testing.T) {
 
 func TestEncodeMetaRoundTrip(t *testing.T) {
 	p := samplePacket()
-	p.App = AppInfo{TLSCertExpiry: 42, PayloadSig: 0xdeadbeef, AuthOutcome: AuthFailure}
+	p.App = AppInfo{TLSCertExpiry: 42, PayloadSig: 0xdeadbeef}
+	p.AuthOutcome = AuthFailure
 	buf, _, err := Encode(nil, &p, EncodeOptions{EmbedMeta: true}, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +80,8 @@ func TestEncodeMetaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.App != p.App {
-		t.Errorf("App = %+v, want %+v", got.App, p.App)
+	if got.App != p.App || got.AuthOutcome != p.AuthOutcome {
+		t.Errorf("App = %+v, AuthOutcome %d, want %+v, %d", got.App, got.AuthOutcome, p.App, p.AuthOutcome)
 	}
 }
 
@@ -88,7 +89,7 @@ func TestEncodeMetaGrowsShortPayload(t *testing.T) {
 	p := samplePacket()
 	p.PayloadLen = 0
 	p.Size = 0
-	p.App = AppInfo{AuthOutcome: AuthSuccess}
+	p.AuthOutcome = AuthSuccess
 	buf, _, err := Encode(nil, &p, EncodeOptions{EmbedMeta: true}, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestEncodeMetaGrowsShortPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.App.AuthOutcome != AuthSuccess {
+	if got.AuthOutcome != AuthSuccess {
 		t.Errorf("AuthOutcome lost for zero-payload packet")
 	}
 }
@@ -168,7 +169,8 @@ func TestEncodeLimitIsPrefix(t *testing.T) {
 	udp.Tuple.Proto = ProtoUDP
 	meta := samplePacket()
 	meta.PayloadLen = 3
-	meta.App = AppInfo{AuthOutcome: AuthFailure, PayloadSig: 0xfeed}
+	meta.App = AppInfo{PayloadSig: 0xfeed}
+	meta.AuthOutcome = AuthFailure
 	for _, p := range []Packet{samplePacket(), udp, meta} {
 		opt := EncodeOptions{EmbedMeta: true, SrcMAC: [6]byte{1, 2, 3, 4, 5, 6}}
 		whole, wire, err := Encode(nil, &p, opt, math.MaxInt)

@@ -5,10 +5,16 @@
 //
 // Packets are value types. The datapath simulators process hundreds of
 // millions of them, so the representation is deliberately flat (no pointers,
-// no maps) and all hot-path operations avoid allocation.
+// no maps) and all hot-path operations avoid allocation. A Packet is 56
+// bytes on every target: every vector, ring and held trace copies it, and
+// its fields are ordered so that only the five-tuple's 3 trailing bytes and
+// 2 after AuthOutcome are padding.
 package packet
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Proto is an IP protocol number. Only the protocols exercised by the
 // SmartWatch evaluation are named; any other value is carried through
@@ -89,10 +95,6 @@ type AppInfo struct {
 	// PayloadSig is a content signature (hash of payload+dstIP) used by the
 	// EarlyBird worm detector; zero if not computed.
 	PayloadSig uint64
-	// AuthOutcome mirrors what a Zeek-style analyzer would infer from an
-	// application handshake. It is set on the packet that completes the
-	// authentication exchange.
-	AuthOutcome AuthOutcome
 }
 
 // AuthOutcome is the inferred result of an application-layer authentication
@@ -121,11 +123,20 @@ type Packet struct {
 	PayloadLen uint16
 	// Flags, Seq, Ack are TCP header fields; zero for non-TCP.
 	Flags TCPFlags
-	Seq   uint32
-	Ack   uint32
+	// AuthOutcome mirrors what a Zeek-style analyzer would infer from an
+	// application handshake. It is set on the packet that completes the
+	// authentication exchange. It is application metadata like App, kept
+	// out of AppInfo because here it fills what would be padding.
+	AuthOutcome AuthOutcome
+	Seq         uint32
+	Ack         uint32
 	// App is optional application metadata (see AppInfo).
 	App AppInfo
 }
+
+// Neither array length below may be negative, so the package compiles
+// only while a Packet is 56 bytes: on 386, where int64 aligns to 4, too.
+var _, _ = [unsafe.Sizeof(Packet{}) - 56]struct{}{}, [56 - unsafe.Sizeof(Packet{})]struct{}{}
 
 // IsTCP reports whether the packet is TCP.
 func (p *Packet) IsTCP() bool { return p.Tuple.Proto == ProtoTCP }

@@ -4,7 +4,17 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestPacketSize: every vector, ring and held trace copies Packets by
+// value, so the layout is pinned. AuthOutcome fills the padding after
+// Flags; 56 bytes holds on targets where int64 aligns to 4 as well as 8.
+func TestPacketSize(t *testing.T) {
+	if size := unsafe.Sizeof(Packet{}); size != 56 {
+		t.Errorf("a Packet takes %d bytes, want 56", size)
+	}
+}
 
 func TestProtoString(t *testing.T) {
 	cases := []struct {

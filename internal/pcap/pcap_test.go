@@ -184,22 +184,48 @@ func TestReaderSkipsNonIPv4(t *testing.T) {
 	}
 }
 
+// TestMetaRoundTripThroughFile: each kind of application metadata — none,
+// an auth outcome alone, a certificate expiry alone, a payload signature
+// alone and all three — survives a Writer and Reader unchanged, so an
+// auth-only packet embeds its metadata block like the others.
 func TestMetaRoundTripThroughFile(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, WriterConfig{Encode: packet.EncodeOptions{EmbedMeta: true}})
-	p := mkPkt(9, 2222, 128)
-	p.App = packet.AppInfo{AuthOutcome: packet.AuthFailure, PayloadSig: 77}
-	if err := w.WritePacket(&p); err != nil {
-		t.Fatal(err)
+	var want []packet.Packet
+	for i, meta := range []struct {
+		auth packet.AuthOutcome
+		app  packet.AppInfo
+	}{
+		{},
+		{auth: packet.AuthFailure},
+		{app: packet.AppInfo{TLSCertExpiry: 5e9}},
+		{app: packet.AppInfo{PayloadSig: 77}},
+		{auth: packet.AuthSuccess, app: packet.AppInfo{TLSCertExpiry: 5e9, PayloadSig: 77}},
+	} {
+		p := mkPkt(int64(i+1)*1000, 2222, 128)
+		p.PayloadLen = 64 // past the metadata block, so Encode does not grow it
+		p.AuthOutcome, p.App = meta.auth, meta.app
+		if err := w.WritePacket(&p); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p)
 	}
 	w.Flush()
-	r, _ := NewReader(&buf)
-	got, err := r.Next()
+	r, err := NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.App != p.App {
-		t.Errorf("App = %+v, want %+v", got.App, p.App)
+	for i, p := range want {
+		got, err := r.Next()
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+		if got != p {
+			t.Errorf("packet %d came back %+v, want %+v", i, got, p)
+		}
+	}
+	if _, err := r.Next(); err != io.EOF {
+		t.Errorf("after %d packets: err %v, want io.EOF", len(want), err)
 	}
 }
 

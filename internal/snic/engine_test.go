@@ -33,7 +33,7 @@ func synthetic(n, flows int, seed uint64) packet.Stream {
 			p := packet.Packet{
 				Ts: int64(i), // re-timed by RetimeUniform
 				Tuple: packet.FiveTuple{
-					SrcIP: packet.Addr(f*2654435761 + 99), DstIP: packet.Addr(f + 13),
+					SrcIP: packet.Addr(f)*2654435761 + 99, DstIP: packet.Addr(f + 13),
 					SrcPort: uint16(f), DstPort: 443, Proto: packet.ProtoTCP,
 				},
 				Size: 64,

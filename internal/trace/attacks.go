@@ -64,6 +64,14 @@ func (b *builder) data(t packet.FiveTuple, ts int64, size uint16, app packet.App
 	return ts
 }
 
+// auth appends the data packet that completes an authentication exchange
+// with the given outcome and returns its timestamp.
+func (b *builder) auth(t packet.FiveTuple, ts int64, size uint16, outcome packet.AuthOutcome) int64 {
+	b.data(t, ts, size, packet.AppInfo{})
+	b.pkts[len(b.pkts)-1].AuthOutcome = outcome
+	return ts
+}
+
 // fin appends a connection teardown packet.
 func (b *builder) fin(t packet.FiveTuple, ts int64) {
 	b.add(packet.Packet{Ts: ts, Tuple: t, Size: 64, Flags: packet.FlagFIN | packet.FlagACK})
@@ -163,7 +171,7 @@ func (a *bruteForce) Stream() packet.Stream {
 			// the failed outcome the host-side Zeek heuristic would infer.
 			end = b.data(t, end+1e6, 120, packet.AppInfo{})
 			end = b.data(t.Reverse(), end+1e6, 200, packet.AppInfo{})
-			end = b.data(t, end+1e6, 96, packet.AppInfo{AuthOutcome: packet.AuthFailure})
+			end = b.auth(t, end+1e6, 96, packet.AuthFailure)
 			b.fin(t, end+1e6)
 			ts += cfg.AttemptGap
 		}
@@ -183,7 +191,7 @@ func (a *bruteForce) Stream() packet.Stream {
 		end := b.handshake(t, ts, rtt)
 		end = b.data(t, end+1e6, 120, packet.AppInfo{})
 		end = b.data(t.Reverse(), end+1e6, 200, packet.AppInfo{})
-		end = b.data(t, end+1e6, 96, packet.AppInfo{AuthOutcome: packet.AuthSuccess})
+		end = b.auth(t, end+1e6, 96, packet.AuthSuccess)
 		for d := 0; d < cfg.LegitDataPackets; d++ {
 			dir := t
 			if d%3 == 0 {

@@ -44,7 +44,7 @@ func TestBruteForceSSH(t *testing.T) {
 		attackerSet[a] = true
 	}
 	for _, p := range pkts {
-		switch p.App.AuthOutcome {
+		switch p.AuthOutcome {
 		case packet.AuthFailure:
 			failures++
 			if !attackerSet[p.Tuple.SrcIP] {
@@ -336,7 +336,7 @@ func TestKerberos(t *testing.T) {
 		if p.Tuple.DstPort != PortKerberos && p.Tuple.SrcPort != PortKerberos {
 			t.Fatalf("non-kerberos packet: %v", p.Tuple)
 		}
-		if p.App.AuthOutcome == packet.AuthFailure {
+		if p.AuthOutcome == packet.AuthFailure {
 			failures++
 		}
 	}

@@ -251,7 +251,7 @@ func (a *kerberos) Stream() packet.Stream {
 			// AS-REP / TGS-REP with a failure outcome: repeated
 			// pre-auth-failed responses characterise brute forcing.
 			b.add(packet.Packet{Ts: ts + 300e3, Tuple: t.Reverse(), Size: 180, PayloadLen: 138,
-				App: packet.AppInfo{AuthOutcome: packet.AuthFailure}})
+				AuthOutcome: packet.AuthFailure})
 			ts += cfg.Gap
 		}
 	}
