@@ -34,9 +34,9 @@ test:
 
 # Race-detector pass over the concurrency-bearing packages: the FlowCache
 # latch protocol (and its random-operation test against the pre-row-word
-# oracle, the shard / policy determinism suites, none of which -short
-# skips) — a race build takes the FlowCache's table from the Go heap, not
-# from a mapping, because the detector shadows only Go memory and would
+# oracle over Fig. 5's four layouts, the shard / layout determinism
+# suites, none of which -short skips) — a race build takes the
+# FlowCache's table from the Go heap, not from a mapping, because the detector shadows only Go memory and would
 # not see a record's accesses otherwise — the sNIC engine, the platform control loop, the
 # event observer list, the parallel experiment runner, the buffered stream bridge,
 # the wire side's shared state — the follow reader's close flag, the switch tables — and
@@ -109,8 +109,7 @@ lowslow:
 # After the gates: a short pass of the detector micros (LowSlow, Chain,
 # PortScan; DESIGN.md §11) and of the switch's per-packet micro (DESIGN.md
 # §8.4), and one pass of each host benchmark, so they keep compiling
-# (DESIGN.md §12), then the replacement-policy study table at reduced
-# scale (DESIGN.md §9.3). The allocation claims are not read off this
+# (DESIGN.md §12). The allocation claims are not read off this
 # output: TestChainOnPacketDoesNotAllocate (0 per packet, OnPacket and
 # Inspect) and TestPerSourceStateDoesNotAllocate (a new source costs map
 # growth only) enforce the detectors' in `make test`, as
@@ -127,7 +126,6 @@ check: fmt-check vet build test race fuzz-smoke loc
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain|PortScan' -benchtime 10x ./internal/detect/
 	$(GO) test -run '^$$' -bench 'Switch' -benchtime 10x ./internal/p4switch/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/host/
-	$(GO) run ./cmd/experiments -scale 0.1 policies
 
 # The repo's size: non-test Go lines outside benchmark/, the figure each
 # CHANGES.md entry quotes.

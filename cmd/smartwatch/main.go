@@ -45,7 +45,6 @@ func main() {
 		detectors   = flag.String("detectors", "ssh,portscan,rst,incomplete,dns,worm,ssl", "comma-separated detectors: ssh,ftp,kerberos,portscan,rst,incomplete,dns,worm,ssl,microburst,lowslow")
 		intervalMs  = flag.Int("interval", 100, "monitoring interval (virtual ms)")
 		rowBits     = flag.Int("rowbits", 14, "FlowCache rows = 2^rowbits (x12 buckets)")
-		policy      = flag.String("policy", "", "FlowCache replacement policy: lru-lpc (default), lru, s3fifo")
 		verbose     = flag.Bool("v", false, "print every alert")
 		ipfixOut    = flag.String("ipfix", "", "export the flow log as IPFIX to this file")
 		emitP4      = flag.String("emit-p4", "", "write the switch query set as a P4-16 program to this file (requires -switch)")
@@ -80,11 +79,6 @@ func main() {
 		IntervalNs: int64(*intervalMs) * 1e6,
 		BatchSize:  64,
 		Cache:      flowcache.DefaultConfig(*rowBits),
-	}
-	if *policy != "" {
-		if cfg.Cache.PolicyP, cfg.Cache.PolicyE, err = flowcache.ParsePolicy(*policy); err != nil {
-			fatal(err) // the error lists the known policies
-		}
 	}
 	if *useSwitch {
 		cfg.EnableSwitch = true
@@ -157,7 +151,7 @@ func main() {
 	for _, pl := range pls {
 		kvIntervals += len(pl.KV().Intervals())
 	}
-	printReport(os.Stdout, flowcache.PolicyName(cfg.Cache.PolicyP, cfg.Cache.PolicyE), kvIntervals, rep, *verbose)
+	printReport(os.Stdout, kvIntervals, rep, *verbose)
 	if len(pls) > 1 {
 		// Drain on a drained runner returns its cached report. Workers of a
 		// wider rack carry no per-interval metrics writer, so -metrics gets
@@ -287,14 +281,14 @@ func buildSource(in string, follow bool, gen string, repeat int, rate float64, m
 }
 
 // printReport renders the end-of-run summary: the report (a cluster's
-// merged one), the replacement policy (every worker shares one) and the
-// flow-log intervals summed over the platforms' KV stores.
-func printReport(w io.Writer, policy string, kvIntervals int, rep core.Report, verbose bool) {
+// merged one) and the flow-log intervals summed over the platforms' KV
+// stores.
+func printReport(w io.Writer, kvIntervals int, rep core.Report, verbose bool) {
 	fmt.Fprintf(w, "packets: total=%d forwarded-direct=%d to-snic=%d to-host=%d blocked=%d dropped-at-switch=%d\n",
 		rep.Counts.Total, rep.Counts.ForwardedDirect, rep.Counts.ToSNIC,
 		rep.Counts.ToHost, rep.Counts.Blocked, rep.Counts.DroppedAtSwitch)
-	fmt.Fprintf(w, "flowcache: policy=%s processed=%d hit-rate=%.3f evictions=%d ring-drops=%d host-punts=%d mode-switchovers=%d\n",
-		policy, rep.Cache.Processed(), rep.Cache.HitRate(),
+	fmt.Fprintf(w, "flowcache: processed=%d hit-rate=%.3f evictions=%d ring-drops=%d host-punts=%d mode-switchovers=%d\n",
+		rep.Cache.Processed(), rep.Cache.HitRate(),
 		rep.Cache.Evictions, rep.Cache.RingDrops, rep.Cache.HostPunts, rep.Switchovers)
 	fmt.Fprintf(w, "snic: achieved=%.2f Mpps p50-latency=%.0f ns p99=%.0f ns loss=%.4f\n",
 		rep.SNIC.AchievedMpps, rep.SNIC.Latency.Percentile(50), rep.SNIC.Latency.Percentile(99), rep.SNIC.LossRate())

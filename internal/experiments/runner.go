@@ -36,7 +36,6 @@ func Registry() []Exp {
 		{"fig11b", Fig11bThroughput},
 		{"cluster", ClusterScaling},
 		{"lowslow", LowSlowSuite},
-		{"policies", PoliciesTable},
 		{"shards", ShardedScaling},
 		{"table2", Table2Resources},
 		{"ablations", Ablations},

@@ -97,8 +97,8 @@ func TestRunAllOrderAndCompleteness(t *testing.T) {
 func TestRegistryComplete(t *testing.T) {
 	t.Parallel()
 	reg := Registry()
-	if len(reg) != 22 {
-		t.Fatalf("registry has %d experiments, want 22", len(reg))
+	if len(reg) != 21 {
+		t.Fatalf("registry has %d experiments, want 21", len(reg))
 	}
 	for i := 1; i < len(reg); i++ {
 		if reg[i-1].ID >= reg[i].ID {

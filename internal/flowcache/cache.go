@@ -33,12 +33,8 @@ import (
 // may still load them — Snapshot does, to pass over rows whose mask is
 // empty, and Prefetch names addresses without loading from them at all.
 type Cache struct {
-	cfg Config
-	// kind / policyP / policyE are the replacement policy (see policy.go):
-	// the hot path switches on kind, derived from policyE.
-	kind             policyKind
-	policyP, policyE Policy
-	mode             atomic.Uint32
+	cfg  Config
+	mode atomic.Uint32
 	// rows[i] is row i's header (row.go). store is one contiguous table
 	// like the sNIC allocation, one 64-byte-aligned cache line a record:
 	// every row's Primary run (P records, row i's at i*P), then every
@@ -85,17 +81,13 @@ type statCounters struct {
 // faults once, on the first record written there — a free bucket is never
 // read — and the whole run is populated at the first switch to Lite, which
 // spreads records over every slice (SetMode). A sparse table's resident
-// set is then its headers (32 B a row) and Primary runs (P x 64 B a row),
+// set is then its headers (16 B a row) and Primary runs (P x 64 B a row),
 // not the configured Rows x Buckets x 64 B.
 func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg}
-	c.policyP, c.policyE = cfg.PolicyP, cfg.PolicyE
-	if cfg.PolicyE == S3FIFO {
-		c.kind = kindS3FIFO
-	}
 	c.rows = make([]rowHdr, cfg.Rows())
 	for i := range c.rows {
 		c.rows[i].word.Store(0)
@@ -257,18 +249,9 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 		res.Reads += idx - lo + 1
 		res.Outcome = PHit
 		if idx >= pEnd {
-			// E hit: under the paper's policies, swap with P's victim, then
-			// update; lazy-promotion policies (s3fifo) record the reuse and
-			// leave the record in place.
+			// E hit: swap with P's victim, then update.
 			res.Outcome = EHit
-			if c.kind == kindS3FIFO {
-				c.onHit(&rw, idx)
-			}
-			if c.promoteOnEHit() {
-				idx = c.promote(&rw, idx, lo, pEnd, res)
-			}
-		} else if c.kind == kindS3FIFO {
-			c.onHit(&rw, idx)
+			idx = c.promote(&rw, idx, lo, pEnd, res)
 		}
 		return c.hit(&rw, idx, rw.at(idx), p, res)
 	}
@@ -280,9 +263,6 @@ func (c *Cache) processHashed(p *packet.Packet, hash uint64, key packet.FlowKey,
 	res.Reads += hi - lo
 	if mode == Lite && rw.parked() > 0 {
 		if idx := c.probeOutside(&rw, key, lo, hi, res); idx >= 0 {
-			if c.kind == kindS3FIFO {
-				c.onHit(&rw, idx)
-			}
 			res.Outcome = PHit
 			return c.hit(&rw, idx, rw.at(idx), p, res)
 		}
@@ -365,9 +345,11 @@ func (r *Record) update(p *packet.Packet) {
 	r.LastTs = p.Ts
 }
 
-// victimIndex picks the replacement victim in [lo,hi) under policy,
-// skipping pinned entries; -1 when every entry is pinned. A free slot wins
-// immediately.
+// victimIndex picks the replacement victim in [lo,hi) under policy —
+// Config.PolicyP for the Primary buffer (and the whole slice in Lite mode),
+// Config.PolicyE for the Eviction buffer — skipping pinned entries; -1 when
+// every entry is pinned. A free slot wins immediately. The policy is a
+// byte the comparison switches on, not an interface call (DESIGN.md §9.3).
 func (c *Cache) victimIndex(rw *row, lo, hi int, policy Policy, res *Result) int {
 	if i := rw.freeSlot(lo, hi, res); i >= 0 {
 		return i
@@ -402,7 +384,7 @@ func (c *Cache) victimIndex(rw *row, lo, hi int, policy Policy, res *Result) int
 // promote swaps an E-buffer hit into the Primary buffer (Fig. 4a "E hit")
 // and returns the record's new bucket.
 func (c *Cache) promote(rw *row, eIdx, pLo, pEnd int, res *Result) int {
-	pIdx := c.victimP(rw, pLo, pEnd, res)
+	pIdx := c.victimIndex(rw, pLo, pEnd, c.cfg.PolicyP, res)
 	if pIdx == -1 || pIdx == eIdx {
 		// Whole P pinned (or degenerate layout): keep the record in place.
 		return eIdx
@@ -428,11 +410,11 @@ func (c *Cache) insert(rw *row, key packet.FlowKey, p *packet.Packet, lo, pEnd, 
 		FirstTs: p.Ts, LastTs: p.Ts,
 	}
 
-	pIdx := c.victimP(rw, lo, pEnd, res)
+	pIdx := c.victimIndex(rw, lo, pEnd, c.cfg.PolicyP, res)
 	if pIdx == -1 {
 		// All of P pinned; try to land directly in E.
 		if pEnd < hi {
-			if eIdx := c.victimE(rw, pEnd, hi, res); eIdx != -1 {
+			if eIdx := c.victimIndex(rw, pEnd, hi, c.cfg.PolicyE, res); eIdx != -1 {
 				c.evictOccupied(rw, eIdx, res)
 				return c.place(rw, eIdx, &newRec, res)
 			}
@@ -453,9 +435,9 @@ func (c *Cache) insert(rw *row, key packet.FlowKey, p *packet.Packet, lo, pEnd, 
 	}
 
 	if rw.holds(pIdx) {
-		if pEnd < hi && c.demoteToE(rw, pIdx) {
+		if pEnd < hi {
 			// Demote P's victim into E, evicting E's victim to a ring.
-			eIdx := c.victimE(rw, pEnd, hi, res)
+			eIdx := c.victimIndex(rw, pEnd, hi, c.cfg.PolicyE, res)
 			if eIdx == -1 {
 				// E fully pinned: evict P's victim straight to the ring.
 				c.evictOccupied(rw, pIdx, res)
@@ -466,8 +448,7 @@ func (c *Cache) insert(rw *row, key packet.FlowKey, p *packet.Packet, lo, pEnd, 
 				res.Writes++
 			}
 		} else {
-			// Single buffer — or a quick-demotion policy declining the
-			// cascade: the victim goes straight to the ring.
+			// Single buffer: the victim goes straight to the ring.
 			c.evictOccupied(rw, pIdx, res)
 		}
 	}

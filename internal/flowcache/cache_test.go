@@ -35,18 +35,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bad := []Config{
 		{},
-		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 4, LiteBuckets: 2, Rings: 1, RingEntries: 1},  // split mismatch
-		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 5, Rings: 1, RingEntries: 1},  // not divisible
-		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 2, Rings: 0, RingEntries: 1},  // no rings
-		{RowBits: 99, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 2, Rings: 1, RingEntries: 1}, // rows
-		{RowBits: 8, Buckets: 49, PrimaryBuckets: 4, EvictionBuckets: 45, LiteBuckets: 7, Rings: 1, RingEntries: 1}, // row wider than the occupancy mask
+		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 4, LiteBuckets: 2, Rings: 1, RingEntries: 1},                    // split mismatch
+		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 5, Rings: 1, RingEntries: 1},                    // not divisible
+		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 2, Rings: 0, RingEntries: 1},                    // no rings
+		{RowBits: 99, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 2, Rings: 1, RingEntries: 1},                   // rows
+		{RowBits: 8, Buckets: 49, PrimaryBuckets: 4, EvictionBuckets: 45, LiteBuckets: 7, Rings: 1, RingEntries: 1},                   // row wider than the occupancy mask
+		{RowBits: 2, Buckets: 12, PrimaryBuckets: 14, EvictionBuckets: -2, LiteBuckets: 2, Rings: 1, RingEntries: 1},                  // negative Eviction buffer
+		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 2, Rings: 1, RingEntries: 1, PolicyP: FIFO + 1}, // no such policy in P
+		{RowBits: 8, Buckets: 12, PrimaryBuckets: 4, EvictionBuckets: 8, LiteBuckets: 2, Rings: 1, RingEntries: 1, PolicyE: FIFO + 1}, // no such policy in E
 	}
 	widest := Config{RowBits: 2, Buckets: MaxBuckets, PrimaryBuckets: 4, EvictionBuckets: MaxBuckets - 4, LiteBuckets: 6, Rings: 1, RingEntries: 8}
 	if err := widest.Validate(); err != nil {
 		t.Errorf("%d-bucket row rejected: %v", MaxBuckets, err)
 	}
-	if sz := unsafe.Sizeof(New(widest).rows[0]); sz != 32 {
-		t.Errorf("per-row metadata is %d bytes, want 32", sz)
+	if sz := unsafe.Sizeof(New(widest).rows[0]); sz != 16 {
+		t.Errorf("per-row metadata is %d bytes, want 16", sz)
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -674,10 +677,10 @@ func BenchmarkProcessChurn(b *testing.B) {
 }
 
 // TestOneFlowOneCacheLine: a record is exactly one cache line and lies on
-// one, and a row header is half a line and never straddles two — so the two
-// addresses Prefetch names, the header of the row the hash selects and the
-// first bucket Process will probe, are two lines and all of both, in
-// General mode and in Lite (DESIGN.md §9.1).
+// one, and a row header is a quarter of a line and never straddles two —
+// so the two addresses Prefetch names, the header of the row the hash
+// selects and the first bucket Process will probe, are two lines and all
+// of both, in General mode and in Lite (DESIGN.md §9.1).
 func TestOneFlowOneCacheLine(t *testing.T) {
 	if sz := unsafe.Sizeof(Record{}); sz != 64 {
 		t.Fatalf("Record is %d bytes, want 64", sz)
@@ -687,8 +690,8 @@ func TestOneFlowOneCacheLine(t *testing.T) {
 		if a := uintptr(unsafe.Pointer(&c.store[0])); a%64 != 0 {
 			t.Errorf("RowBits %d: table base %#x is not 64-byte aligned", rowBits, a)
 		}
-		if a := uintptr(unsafe.Pointer(&c.rows[0])); a%32 != 0 || unsafe.Sizeof(c.rows[0]) != 32 {
-			t.Errorf("RowBits %d: header base %#x, size %d: want 32-byte aligned halves of a line", rowBits, a, unsafe.Sizeof(c.rows[0]))
+		if a := uintptr(unsafe.Pointer(&c.rows[0])); a%16 != 0 || unsafe.Sizeof(c.rows[0]) != 16 {
+			t.Errorf("RowBits %d: header base %#x, size %d: want 16-byte aligned quarters of a line", rowBits, a, unsafe.Sizeof(c.rows[0]))
 		}
 		for _, mode := range []Mode{General, Lite} {
 			c.SetMode(mode)
@@ -701,7 +704,7 @@ func TestOneFlowOneCacheLine(t *testing.T) {
 					lo, _ = c.liteSlice(hash)
 				}
 				rw := c.view(c.rowIndex(hash))
-				if a, h := uintptr(unsafe.Pointer(rw.at(lo))), uintptr(unsafe.Pointer(rw.hdr)); a%64 != 0 || h%64 > 32 {
+				if a, h := uintptr(unsafe.Pointer(rw.at(lo))), uintptr(unsafe.Pointer(rw.hdr)); a%64 != 0 || h%64 > 48 {
 					t.Fatalf("RowBits %d %v: first bucket %#x or header %#x spans two lines", rowBits, mode, a, h)
 				}
 			}

@@ -49,14 +49,14 @@ func (c *Cache) cleanIfDirty(i int) int {
 // parked count makes the Lite probe path fall back to a full-row scan until
 // the parked population drains.
 //
-// The reorder works on a copy of the row — its records and its header
-// lanes as they stood — and a row-sized list of bucket numbers: a counting
+// The reorder works on a copy of the row — its records and its pin mask
+// as they stood — and a row-sized list of bucket numbers: a counting
 // sort groups the live buckets by the Lite slice their key's hash selects
 // (recomputed here: a mode switch, not a probe; bucket order kept within a
 // slice), each slice is trimmed and written back to its place with its pin
-// and frequency bits, and pinned overflow is compacted toward the front of
-// the list until every slice is placed. Rows of up to cleanRowStack buckets
-// — every shipped geometry is 12 — never touch the heap.
+// bits, and pinned overflow is compacted toward the front of the list until
+// every slice is placed. Rows of up to cleanRowStack buckets — every
+// shipped geometry is 12 — never touch the heap.
 //
 // It returns the number of records evicted during the reorder. The caller
 // holds the row latch.
@@ -78,8 +78,7 @@ func (c *Cache) cleanRow(rw *row) int {
 	// Count per slice, turn the counts into start offsets, then list each
 	// bucket at its slice's next free place: end[s] finishes one past slice
 	// s's last bucket, which is where slice s+1 starts.
-	h := rw.hdr
-	live, pins, f0, f1 := rw.word&occMask, h.pins.Load(), h.f0, h.f1
+	live, pins := rw.word&occMask, rw.hdr.pins.Load()
 	for m := live; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		old[i] = *rw.at(i)
@@ -98,13 +97,10 @@ func (c *Cache) cleanRow(rw *row) int {
 	}
 	rw.word &^= occMask | parkedMask // every bucket free, nothing parked
 	var newPins uint64
-	h.f0, h.f1 = 0, 0
-	// land writes the record that sat in bucket from, and its bits, to to.
+	// land writes the record that sat in bucket from, and its pin, to to.
 	land := func(from uint8, to int) {
 		rw.put(to, &old[from])
 		newPins |= pins >> from & 1 << uint(to)
-		h.f0 |= f0 >> from & 1 << uint(to)
-		h.f1 |= f1 >> from & 1 << uint(to)
 	}
 
 	evicted, parked, start := 0, 0, 0
@@ -151,7 +147,7 @@ func (c *Cache) cleanRow(rw *row) int {
 		land(e, bits.TrailingZeros64(^rw.word))
 		rw.word += parkedOne
 	}
-	h.pins.Store(newPins)
+	rw.hdr.pins.Store(newPins)
 	return evicted
 }
 

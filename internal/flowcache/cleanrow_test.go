@@ -7,10 +7,6 @@ import (
 	"smartwatch/internal/stats"
 )
 
-// cleanRowRef is the Alg.-3 reorder as it was before the single-scratch
-// rewrite: one grown slice per Lite slice plus a parked list. It is the
-// oracle for eviction order (what reaches the rings, in which sequence)
-// and final bucket placement.
 // view is row ri as it stands, without the latch: for tests that inspect
 // or stage a row while nothing else runs. Edits to the word stay in the
 // returned value.
@@ -21,45 +17,20 @@ func (c *Cache) view(ri uint64) row {
 	return rw
 }
 
-// lanes is a row's header beside the word — what travels with a record but
-// is not in it — for tests that stage, save or compare it.
-type lanes struct{ pins, f0, f1 uint64 }
-
-func (r *row) lanes() lanes { return lanes{r.hdr.pins.Load(), r.hdr.f0, r.hdr.f1} }
-
-func (r *row) setLanes(l lanes) {
-	r.hdr.pins.Store(l.pins)
-	r.hdr.f0, r.hdr.f1 = l.f0, l.f1
-}
-
-// freq is bucket i's access counter.
-func (r *row) freq(i int) uint8 { return uint8(r.hdr.f1>>uint(i)&1<<1 | r.hdr.f0>>uint(i)&1) }
-
-// setMeta writes bucket i's pin and access counter.
-func (r *row) setMeta(i int, pinned bool, freq uint8) {
-	l, bit := r.lanes(), uint64(1)<<uint(i)
-	l.pins, l.f0, l.f1 = l.pins&^bit, l.f0&^bit, l.f1&^bit
+// setPin writes bucket i's pin bit.
+func (r *row) setPin(i int, pinned bool) {
+	pins, bit := r.hdr.pins.Load(), uint64(1)<<uint(i)
 	if pinned {
-		l.pins |= bit
-	}
-	l.f0 |= uint64(freq&1) << uint(i)
-	l.f1 |= uint64(freq>>1) << uint(i)
-	r.setLanes(l)
-}
-
-// walk visits every live record with its header bits, in Snapshot order,
-// without latching (single-goroutine tests).
-func (c *Cache) walk(fn func(r Record, pinned bool, freq uint8)) {
-	for ri := range c.rows {
-		rw := c.view(uint64(ri))
-		for i := range c.cfg.Buckets {
-			if rw.holds(i) {
-				fn(*rw.at(i), rw.pinned(i), rw.freq(i))
-			}
-		}
+		r.hdr.pins.Store(pins | bit)
+	} else {
+		r.hdr.pins.Store(pins &^ bit)
 	}
 }
 
+// cleanRowRef is the Alg.-3 reorder as it was before the single-scratch
+// rewrite: one grown slice per Lite slice plus a parked list. It is the
+// oracle for eviction order (what reaches the rings, in which sequence)
+// and final bucket placement.
 func cleanRowRef(c *Cache, rw *row) int {
 	b := c.cfg.LiteBuckets
 	B := c.cfg.Buckets
@@ -72,13 +43,13 @@ func cleanRowRef(c *Cache, rw *row) int {
 			continue
 		}
 		s := int((rec.Key.Hash() >> uint(c.cfg.RowBits)) % uint64(slices))
-		bins[s] = append(bins[s], refRecord{Record: *rec, Pinned: rw.pinned(i), freq: rw.freq(i)})
+		bins[s] = append(bins[s], refRecord{Record: *rec, Pinned: rw.pinned(i)})
 		rw.drop(i)
 	}
 	rw.word &^= parkedMask
 	put := func(i int, e *refRecord) {
 		rw.put(i, &e.Record)
-		rw.setMeta(i, e.Pinned, e.freq)
+		rw.setPin(i, e.Pinned)
 	}
 
 	evicted := 0
@@ -126,13 +97,12 @@ func cleanRowRef(c *Cache, rw *row) int {
 
 // randomRow fills rw with a random population: random occupancy, keys
 // whose hashes spread over the Lite slices (with LastTs ties, so the
-// first-oldest rule is exercised), random access counters and a random
-// share of pins, sometimes enough to overflow a slice with pinned records
-// alone.
+// first-oldest rule is exercised) and a random share of pins, sometimes
+// enough to overflow a slice with pinned records alone.
 func randomRow(rng *stats.Rand, rw *row, B int) {
 	pinShare := rng.IntN(4) // 0: none .. 3: three in four
 	rw.word = 0
-	rw.setLanes(lanes{})
+	rw.hdr.pins.Store(0)
 	for i := range B {
 		*rw.at(i) = Record{}
 		if rng.IntN(8) == 0 {
@@ -144,7 +114,7 @@ func randomRow(rng *stats.Rand, rw *row, B int) {
 			Pkts:   uint64(i + 1),
 			LastTs: int64(rng.IntN(6)),
 		})
-		rw.setMeta(i, rng.IntN(4) < pinShare, uint8(rng.IntN(4)))
+		rw.setPin(i, rng.IntN(4) < pinShare)
 	}
 	rw.word |= dirtyBit | uint64(rng.IntN(3))*parkedOne
 }
@@ -174,7 +144,7 @@ func TestCleanRowMatchesReference(t *testing.T) {
 				*rwWant.at(i) = *rwGot.at(i)
 			}
 			rwWant.word = rwGot.word
-			rwWant.setLanes(rwGot.lanes())
+			rwWant.hdr.pins.Store(rwGot.hdr.pins.Load())
 
 			nGot, nWant := got.cleanRow(&rwGot), cleanRowRef(want, &rwWant)
 			if nGot != nWant || rwGot.parked() != rwWant.parked() {
@@ -186,8 +156,8 @@ func TestCleanRowMatchesReference(t *testing.T) {
 					t.Fatalf("%+v iter %d: bucket %d = %+v, reference %+v", g, iter, i, a, b)
 				}
 			}
-			if rwGot.lanes() != rwWant.lanes() {
-				t.Fatalf("%+v iter %d: pin / frequency lanes %#x, reference %#x", g, iter, rwGot.lanes(), rwWant.lanes())
+			if pg, pw := rwGot.hdr.pins.Load(), rwWant.hdr.pins.Load(); pg != pw {
+				t.Fatalf("%+v iter %d: pins %#x, reference %#x", g, iter, pg, pw)
 			}
 			ringGot, ringWant := drainAllRings(got), drainAllRings(want)
 			if len(ringGot) != len(ringWant) {
@@ -225,13 +195,13 @@ func TestCleanRowDoesNotAllocate(t *testing.T) {
 		for i := range saved {
 			saved[i] = *rw.at(i)
 		}
-		word, bits := rw.word, rw.lanes()
+		word, pins := rw.word, rw.hdr.pins.Load()
 		if avg := testing.AllocsPerRun(20, func() {
 			for i := range saved {
 				*rw.at(i) = saved[i]
 			}
 			rw.word = word
-			rw.setLanes(bits)
+			rw.hdr.pins.Store(pins)
 			c.cleanRow(&rw)
 		}); avg != 0 {
 			t.Fatalf("trial %d: cleanRow allocates %.1f times per call", trial, avg)

@@ -39,8 +39,7 @@ func (m Mode) String() string {
 // Policy is a replacement policy for one buffer.
 type Policy uint8
 
-// Replacement policies: the three evaluated in Fig. 5, and S3-FIFO's main
-// queue.
+// Replacement policies: the three evaluated in Fig. 5.
 const (
 	// LRU evicts the least-recently-updated record.
 	LRU Policy = iota
@@ -48,24 +47,7 @@ const (
 	LPC
 	// FIFO evicts the record inserted earliest.
 	FIFO
-	// S3FIFO is an E-buffer policy only: it runs the whole S3-FIFO variant
-	// (policy.go), whose P is a FIFO.
-	S3FIFO
 )
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case LPC:
-		return "lpc"
-	case FIFO:
-		return "fifo"
-	case S3FIFO:
-		return "s3fifo"
-	default:
-		return "lru"
-	}
-}
 
 // Config shapes a Cache. The zero value is unusable; call Validate or use
 // DefaultConfig. The paper's flagship configuration is
@@ -85,8 +67,7 @@ type Config struct {
 	// LiteBuckets is the slice width b probed in Lite mode. Paper: 2.
 	LiteBuckets int
 	// PolicyP / PolicyE are the per-buffer replacement policies (paper's
-	// winner: LRU in P, LPC in E). ParsePolicy maps a policy name to the
-	// pair; S3FIFO is valid in E only, and only beside FIFO in P.
+	// winner: LRU in P, LPC in E).
 	PolicyP, PolicyE Policy
 	// Rings is the number of eviction ring buffers. Paper: 8.
 	Rings int
@@ -125,7 +106,7 @@ func (c Config) Validate() error {
 		// The upper bound is the row word's occupancy mask (row.go).
 		return fmt.Errorf("flowcache: Buckets %d out of range [1,%d]", c.Buckets, MaxBuckets)
 	}
-	if c.PrimaryBuckets < 1 || c.PrimaryBuckets+c.EvictionBuckets != c.Buckets {
+	if c.PrimaryBuckets < 1 || c.EvictionBuckets < 0 || c.PrimaryBuckets+c.EvictionBuckets != c.Buckets {
 		return fmt.Errorf("flowcache: split (%d,%d) must sum to Buckets %d",
 			c.PrimaryBuckets, c.EvictionBuckets, c.Buckets)
 	}
@@ -140,8 +121,8 @@ func (c Config) Validate() error {
 	if c.Rings < 1 || c.RingEntries < 1 {
 		return fmt.Errorf("flowcache: need at least one ring with capacity")
 	}
-	if c.PolicyP > FIFO || c.PolicyE > S3FIFO || (c.PolicyE == S3FIFO && c.PolicyP != FIFO) {
-		return fmt.Errorf("flowcache: invalid policy pair (%d,%d); P takes lru=0 lpc=1 fifo=2, E also s3fifo=3 (with fifo in P)", c.PolicyP, c.PolicyE)
+	if c.PolicyP > FIFO || c.PolicyE > FIFO {
+		return fmt.Errorf("flowcache: invalid policy pair (%d,%d); each takes lru=0 lpc=1 fifo=2", c.PolicyP, c.PolicyE)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@ import (
 //
 //   - the mask marks no bucket beyond the row's width, and every marked
 //     bucket's key hashes to this row;
-//   - only a live bucket has a pin or frequency bit set;
+//   - only a live bucket has a pin bit set;
 //   - no key sits in two buckets of a row;
 //   - in Lite mode a row that has had its Alg.-3 reorder keeps at most
 //     `parked` records outside their own Lite slice — the count never
@@ -76,10 +76,8 @@ func (c *Cache) checkRow(rw *row, ri uint64, lite bool) (int, error) {
 	if mask>>uint(c.cfg.Buckets) != 0 {
 		return 0, fmt.Errorf("mask %#x marks buckets beyond %d", mask, c.cfg.Buckets)
 	}
-	h := rw.hdr
-	pins := h.pins.Load()
-	if stray := (pins | h.f0 | h.f1) &^ mask; stray != 0 {
-		return 0, fmt.Errorf("free buckets %#x carry pin / frequency bits (pins %#x, freq %#x %#x)", stray, pins, h.f1, h.f0)
+	if pins := rw.hdr.pins.Load(); pins&^mask != 0 {
+		return 0, fmt.Errorf("free buckets %#x carry pin bits (pins %#x)", pins&^mask, pins)
 	}
 	outside := 0
 	for m := mask; m != 0; m &= m - 1 {

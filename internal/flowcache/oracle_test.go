@@ -5,19 +5,17 @@ import "smartwatch/internal/packet"
 // refCache is the FlowCache as it stood before the row header and the
 // 64-byte record (DESIGN.md §9.1): a header per row with its own dirty /
 // parked fields and a bucket slice, and beside each record its own cached
-// hash, pin, access counter and occupied flag, which every scan reads and
-// every move carries by copying the whole bucket. It is the oracle of
+// hash, pin and occupied flag, which every scan reads and every move
+// carries by copying the whole bucket. It is the oracle of
 // TestRandomOpsMatchOracle — same algorithms, statement for statement,
 // minus what a single-goroutine reference does not need (the latch, the
-// sharded atomics, custom policies).
+// sharded atomics).
 type refCache struct {
-	cfg              Config
-	kind             policyKind
-	policyP, policyE Policy
-	mode             Mode
-	rows             []refRow
-	rings            []*Ring
-	stats            Stats
+	cfg   Config
+	mode  Mode
+	rows  []refRow
+	rings []*Ring
+	stats Stats
 	// ev counts the moves that carry a record's bits from bucket to bucket
 	// (randomOps wants each reached often, not just once).
 	ev refEvents
@@ -49,16 +47,11 @@ type refRecord struct {
 	Record
 	Hash     uint64
 	Pinned   bool
-	freq     uint8
 	occupied bool
 }
 
 func newRefCache(cfg Config) *refCache {
 	c := &refCache{cfg: cfg}
-	c.policyP, c.policyE = cfg.PolicyP, cfg.PolicyE
-	if cfg.PolicyE == S3FIFO {
-		c.kind = kindS3FIFO
-	}
 	c.rows = make([]refRow, cfg.Rows())
 	for i := range c.rows {
 		c.rows[i].buckets = make([]refRecord, cfg.Buckets)
@@ -140,21 +133,9 @@ func (c *refCache) processHashed(p *packet.Packet, hash uint64, key packet.FlowK
 	if rec, idx := c.probe(rw, hash, key, lo, hi, res); rec != nil {
 		if idx < pEnd {
 			rec.update(p)
-			if c.kind != kindBuffers {
-				c.onHit(rec)
-			}
 			res.Outcome = PHit
 			res.Writes++
 			return rec
-		}
-		if c.kind != kindBuffers {
-			c.onHit(rec)
-			if !c.promoteOnEHit() {
-				rec.update(p)
-				res.Outcome = EHit
-				res.Writes++
-				return rec
-			}
 		}
 		rec = c.promote(rw, idx, lo, pEnd, res)
 		rec.update(p)
@@ -165,9 +146,6 @@ func (c *refCache) processHashed(p *packet.Packet, hash uint64, key packet.FlowK
 	if mode == Lite && rw.parked > 0 {
 		if rec := c.probeOutside(rw, hash, key, lo, hi, res); rec != nil {
 			rec.update(p)
-			if c.kind != kindBuffers {
-				c.onHit(rec)
-			}
 			res.Outcome = PHit
 			res.Writes++
 			return rec
@@ -242,7 +220,7 @@ func (c *refCache) victimIndex(rw *refRow, lo, hi int, policy Policy, res *Resul
 }
 
 func (c *refCache) promote(rw *refRow, eIdx, pLo, pEnd int, res *Result) *refRecord {
-	pIdx := c.victimP(rw, pLo, pEnd, res)
+	pIdx := c.victimIndex(rw, pLo, pEnd, c.cfg.PolicyP, res)
 	if pIdx == -1 || pIdx == eIdx {
 		return &rw.buckets[eIdx]
 	}
@@ -259,10 +237,10 @@ func (c *refCache) insert(rw *refRow, hash uint64, key packet.FlowKey, p *packet
 		Pkts: 1, Bytes: uint64(p.Size),
 		FirstTs: p.Ts, LastTs: p.Ts,
 	}}
-	pIdx := c.victimP(rw, lo, pEnd, res)
+	pIdx := c.victimIndex(rw, lo, pEnd, c.cfg.PolicyP, res)
 	if pIdx == -1 {
 		if pEnd < hi {
-			if eIdx := c.victimE(rw, pEnd, hi, res); eIdx != -1 {
+			if eIdx := c.victimIndex(rw, pEnd, hi, c.cfg.PolicyE, res); eIdx != -1 {
 				c.evictOccupied(rw, eIdx, res)
 				return c.place(rw, eIdx, newRec, res)
 			}
@@ -279,8 +257,8 @@ func (c *refCache) insert(rw *refRow, hash uint64, key packet.FlowKey, p *packet
 	}
 	pVictim := &rw.buckets[pIdx]
 	if pVictim.occupied {
-		if pEnd < hi && c.demoteToE(pVictim) {
-			eIdx := c.victimE(rw, pEnd, hi, res)
+		if pEnd < hi {
+			eIdx := c.victimIndex(rw, pEnd, hi, c.cfg.PolicyE, res)
 			if eIdx == -1 {
 				c.evictOccupied(rw, pIdx, res)
 			} else {
@@ -499,58 +477,4 @@ func (c *refCache) cleanRow(rw *refRow) int {
 		c.ev.parkCleans++
 	}
 	return evicted
-}
-
-func (c *refCache) victimP(rw *refRow, lo, hi int, res *Result) int {
-	return c.victimIndex(rw, lo, hi, c.policyP, res)
-}
-
-func (c *refCache) victimE(rw *refRow, lo, hi int, res *Result) int {
-	if c.kind == kindS3FIFO {
-		return c.victimS3E(rw, lo, hi, res)
-	}
-	return c.victimIndex(rw, lo, hi, c.policyE, res)
-}
-
-func (c *refCache) onHit(rec *refRecord) {
-	if rec.freq < s3fifoMaxFreq {
-		rec.freq++
-	}
-}
-
-func (c *refCache) promoteOnEHit() bool { return c.kind == kindBuffers }
-
-func (c *refCache) demoteToE(victim *refRecord) bool {
-	return c.kind == kindBuffers || victim.freq > 0
-}
-
-func (c *refCache) victimS3E(rw *refRow, lo, hi int, res *Result) int {
-	victim := -1
-	for i := lo; i < hi; i++ {
-		rec := &rw.buckets[i]
-		res.Reads++
-		if !rec.occupied {
-			return i
-		}
-		if rec.Pinned {
-			continue
-		}
-		if victim == -1 {
-			victim = i
-			continue
-		}
-		v := &rw.buckets[victim]
-		if rec.freq < v.freq || (rec.freq == v.freq && rec.FirstTs < v.FirstTs) {
-			victim = i
-		}
-	}
-	if victim != -1 {
-		for i := lo; i < hi; i++ {
-			rec := &rw.buckets[i]
-			if i != victim && rec.occupied && !rec.Pinned && rec.freq > 0 {
-				rec.freq--
-			}
-		}
-	}
-	return victim
 }

@@ -15,8 +15,8 @@ import (
 // park and rings overflow. Every return value, every Result (outcome, the
 // billed Reads / Writes, the pin), the ring contents at every drain, the
 // final Snapshot order and the final Stats must be the reference's; after
-// every operation every row's header — occupancy, pin and frequency lanes,
-// parked count, dirty bit — and every live record's key hash are diffed
+// every operation every row's header — occupancy and pin lanes, parked
+// count, dirty bit — and every live record's key hash are diffed
 // against the fields the reference keeps beside each record (diffHeader);
 // and every 1 000 operations CheckInvariants must hold.
 //
@@ -24,37 +24,36 @@ import (
 // rarely or once), so tables hold idle-but-alive records beside busy ones,
 // which is what the starve-evict valve exists for.
 //
-// The moves that carry a record's header bits from bucket to bucket must
-// each be reached at least 1 000 times under lru-lpc and under s3fifo,
-// summed over a policy's two valves: the E-hit swap (s3fifo never swaps —
-// its counterpart is the P-to-E demotion, which only a non-zero frequency
-// earns), a cleanRow permutation that parks, a starvation eviction, and
-// an insert into a bucket a pinned record last held.
+// Each of Fig. 5's four layouts runs under both valves. The moves that
+// carry a record's header bits from bucket to bucket must each be reached
+// at least 1 000 times per layout, summed over its two valves: a cleanRow
+// permutation that parks, a starvation eviction, an insert into a bucket a
+// pinned record last held and, where the row has an Eviction buffer, the
+// E-hit swap and the P-to-E demotion.
 func TestRandomOpsMatchOracle(t *testing.T) {
-	const opsPerConfig = 72_000 // x 9 configs = 648 k operations
-	for _, policy := range []string{PolicyNameLRULPC, PolicyNameLRU, PolicyNameS3FIFO} {
+	const opsPerConfig = 58_000 // x 11 configs = 638 k operations
+	for i, l := range fig5Layouts {
 		var ev refEvents
 		ran := 0 // a -run filter may select one valve: the sum needs both
 		for _, valve := range []struct {
 			name   string
 			starve bool
 		}{{"punt", false}, {"starve", true}} {
-			t.Run(policy+"/"+valve.name, func(t *testing.T) {
-				cfg := DefaultConfig(4)
-				cfg.PolicyP, cfg.PolicyE = mustParsePolicy(t, policy)
+			t.Run(l.name+"/"+valve.name, func(t *testing.T) {
+				cfg := l.apply(DefaultConfig(4))
 				cfg.PinStarveEvict = valve.starve
 				cfg.Rings, cfg.RingEntries = 2, 32
-				ev.add(randomOps(t, cfg, 1, opsPerConfig, uint64(len(policy))*31+uint64(len(valve.name))))
+				ev.add(randomOps(t, cfg, 1, opsPerConfig, uint64(i)*31+uint64(len(valve.name))))
 				ran++
 			})
 		}
-		moves := ev.swaps
-		if policy == PolicyNameS3FIFO {
-			moves = ev.demotes
+		moves := min(ev.parkCleans, ev.starves, ev.reusedPinned)
+		if l.eviction > 0 {
+			moves = min(moves, ev.swaps, ev.demotes)
 		}
-		t.Logf("%s: %+v", policy, ev)
-		if ran == 2 && min(moves, ev.parkCleans, ev.starves, ev.reusedPinned) < 1000 {
-			t.Errorf("%s: thin coverage of the moves that carry header bits: %+v", policy, ev)
+		t.Logf("%s: %+v", l.name, ev)
+		if ran == 2 && moves < 1000 {
+			t.Errorf("%s: thin coverage of the moves that carry header bits: %+v", l.name, ev)
 		}
 	}
 	// The widest row the mask can describe: its top bit sits against the
@@ -87,12 +86,11 @@ func TestRandomOpsMatchOracle(t *testing.T) {
 // counters must be what a reference fed that island's operations holds.
 func TestShardedRandomOpsMatchOracle(t *testing.T) {
 	for _, shards := range []int{2, 4} {
-		for _, policy := range []string{PolicyNameLRULPC, PolicyNameS3FIFO} {
-			cfg := DefaultConfig(5)
-			cfg.PolicyP, cfg.PolicyE = mustParsePolicy(t, policy)
+		for i, l := range fig5Layouts[2:] { // the two split layouts
+			cfg := l.apply(DefaultConfig(5))
 			cfg.PinStarveEvict = true
 			cfg.Rings, cfg.RingEntries = 2, 32
-			randomOps(t, cfg, shards, 36_000, uint64(shards)*7+uint64(len(policy)))
+			randomOps(t, cfg, shards, 36_000, uint64(shards)*7+uint64(i))
 		}
 	}
 }
@@ -293,14 +291,14 @@ func diffHeader(got *Cache, want *refCache) string {
 		for i := range wr.buckets {
 			w := &wr.buckets[i]
 			if !w.occupied {
-				if rw.holds(i) || rw.pinned(i) || rw.freq(i) != 0 {
-					return fmt.Sprintf("row %d bucket %d is free in the reference: live %v pinned %v freq %d", ri, i, rw.holds(i), rw.pinned(i), rw.freq(i))
+				if rw.holds(i) || rw.pinned(i) {
+					return fmt.Sprintf("row %d bucket %d is free in the reference: live %v pinned %v", ri, i, rw.holds(i), rw.pinned(i))
 				}
 				continue
 			}
-			if rec := *rw.at(i); !rw.holds(i) || rec != w.Record || rec.Key.Hash() != w.Hash || rw.pinned(i) != w.Pinned || rw.freq(i) != w.freq {
-				return fmt.Sprintf("row %d bucket %d: live %v %+v pinned %v freq %d, reference %+v pinned %v freq %d",
-					ri, i, rw.holds(i), rec, rw.pinned(i), rw.freq(i), w.Record, w.Pinned, w.freq)
+			if rec := *rw.at(i); !rw.holds(i) || rec != w.Record || rec.Key.Hash() != w.Hash || rw.pinned(i) != w.Pinned {
+				return fmt.Sprintf("row %d bucket %d: live %v %+v pinned %v, reference %+v pinned %v",
+					ri, i, rw.holds(i), rec, rw.pinned(i), w.Record, w.Pinned)
 			}
 		}
 	}

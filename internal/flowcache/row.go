@@ -9,7 +9,8 @@ import (
 )
 
 // The row header (DESIGN.md §9.1): everything the cache keeps per
-// bucket that is not the flow's own, 32 bytes a row. word:
+// bucket that is not the flow's own, 16 bytes a row, four to a cache
+// line. word:
 //
 //	63     latch   test-and-set row latch (Alg. 2)
 //	62     dirty   row needs the Alg.-3 reorder before a Lite probe
@@ -17,9 +18,7 @@ import (
 //	48–55  parked  pinned records cleanRow parked outside their Lite slice
 //	0–47   mask    bit i set <=> bucket i holds a record
 //
-// pins: bit i set <=> bucket i's record is pinned (see Cache.Pin). f0, f1:
-// the bit planes of the policy-owned access counter (S3-FIFO's 2-bit
-// frequency; zero under the comparator policies): bucket i's is f1_i f0_i.
+// pins: bit i set <=> bucket i's record is pinned (see Cache.Pin).
 //
 // The mask is the only record of which buckets are live, and a free
 // bucket's other bits are zero: whatever moves or frees a bucket moves or
@@ -29,9 +28,8 @@ import (
 // store[r*P : (r+1)*P], its Eviction run store[R*P + r*E : R*P + (r+1)*E]
 // (Cache.store) — so nothing has to be loaded to find them.
 type rowHdr struct {
-	word   atomic.Uint64
-	pins   atomic.Uint64
-	f0, f1 uint64
+	word atomic.Uint64
+	pins atomic.Uint64
 }
 
 const (
@@ -125,29 +123,26 @@ func (r *row) put(i int, rec *Record) {
 	r.word |= 1 << uint(i)
 }
 
-// drop marks bucket i free and clears its pin and frequency bits; its
-// memory keeps the stale record, which nothing reads again.
+// drop marks bucket i free and clears its pin bit; its memory keeps the
+// stale record, which nothing reads again.
 func (r *row) drop(i int) {
-	h, bit := r.hdr, uint64(1)<<uint(i)
+	bit := uint64(1) << uint(i)
 	r.word &^= bit
-	h.f0, h.f1 = h.f0&^bit, h.f1&^bit
-	if p := h.pins.Load(); p&bit != 0 {
-		h.pins.Store(p &^ bit)
+	if p := r.hdr.pins.Load(); p&bit != 0 {
+		r.hdr.pins.Store(p &^ bit)
 	}
 }
 
 // pinned reports whether bucket i's record is pinned.
 func (r *row) pinned(i int) bool { return r.hdr.pins.Load()>>uint(i)&1 != 0 }
 
-// swapLanes exchanges the header bits of buckets i and j — occupancy, pin,
-// frequency — which is how a record's bits follow it to another bucket.
-// Either bucket may be free (all its bits zero): the swap is then a move.
+// swapLanes exchanges the header bits of buckets i and j — occupancy and
+// pin — which is how a record's bits follow it to another bucket. Either
+// bucket may be free (both its bits zero): the swap is then a move.
 func (r *row) swapLanes(i, j int) {
-	h := r.hdr
 	r.word = swapBit(r.word, i, j)
-	h.f0, h.f1 = swapBit(h.f0, i, j), swapBit(h.f1, i, j)
-	if p := h.pins.Load(); p>>uint(i)&1 != p>>uint(j)&1 {
-		h.pins.Store(p ^ (1<<uint(i) | 1<<uint(j)))
+	if p := r.hdr.pins.Load(); p>>uint(i)&1 != p>>uint(j)&1 {
+		r.hdr.pins.Store(p ^ (1<<uint(i) | 1<<uint(j)))
 	}
 }
 

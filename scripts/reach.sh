@@ -2,7 +2,7 @@
 # reach (DESIGN.md §16.4): which functions does no product surface run?
 # Builds every entry point with coverage over the whole module, runs each
 # one the way a user or the benchmark does — the CLI golden configurations,
-# every detector under every policy on a generated source, one capture per
+# every detector on a generated source, one capture per
 # attack, the metrics pipe, the daemon smoke, every experiment by id, the
 # root package's Examples and one pass of each benchmark workload — then
 # merges the counters and prints each function at 0 %. Code under
@@ -38,14 +38,12 @@ for args in "" "-workers 2"; do
         -metrics "$TMP/out/m.jsonl" -ipfix "$TMP/out/f.ipfix" -emit-p4 "$TMP/out/q.p4" $args >/dev/null
 done
 
-step "generated source: every detector under every policy"
+step "generated source: every detector"
 ALL=ssh,ftp,kerberos,portscan,rst,incomplete,dns,worm,ssl,microburst,lowslow
-for policy in lru-lpc lru s3fifo; do
-    "$SW" -gen caida2019 -gen-max 20000 -switch -detectors "$ALL" -policy "$policy" \
-        -kv-retention 4 -metrics "$TMP/out/g.jsonl" >/dev/null
-    "$SW" -gen dc -gen-max 20000 -switch -detectors "$ALL" -policy "$policy" \
-        -workers 4 -kv-retention 4 >/dev/null
-done
+"$SW" -gen caida2019 -gen-max 20000 -switch -detectors "$ALL" \
+    -kv-retention 4 -metrics "$TMP/out/g.jsonl" >/dev/null
+"$SW" -gen dc -gen-max 20000 -switch -detectors "$ALL" \
+    -workers 4 -kv-retention 4 >/dev/null
 
 step "one capture per attack"
 for attack in ssh-bruteforce ftp-bruteforce kerberos portscan forged-rst slowloris \
