@@ -14,7 +14,7 @@ all: check
 # (store_linux.go, store_heap.go). The 386 vet builds everything, tests
 # too, where int is 32 bits and int64 aligns to 4: a constant that
 # overflows int fails it, and so does a Packet that is not 56 bytes
-# there (packet.go).
+# there (packet.go) or a trace flowState that is not 20 (workload.go).
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
@@ -107,12 +107,14 @@ lowslow:
 	$(GO) run ./cmd/experiments -scale 0.25 lowslow
 
 # After the gates: a short pass of the detector micros (LowSlow, Chain,
-# PortScan; DESIGN.md §11) and of the switch's per-packet micro (DESIGN.md
-# §8.4), and one pass of each host benchmark, so they keep compiling
-# (DESIGN.md §12). The allocation claims are not read off this
-# output: TestChainOnPacketDoesNotAllocate (0 per packet, OnPacket and
-# Inspect) and TestPerSourceStateDoesNotAllocate (a new source costs map
-# growth only) enforce the detectors' in `make test`, as
+# PortScan; DESIGN.md §11), of the switch's per-packet micro (DESIGN.md
+# §8.4) and of the trace generator's and Zipf sampler's micros (the
+# generator's B/flow; DESIGN.md §3), and one pass of each host benchmark,
+# so they keep compiling (DESIGN.md §12). The allocation claims are not
+# read off this output: in `make test`, TestWorkloadHeapPerFlow (at most
+# 30 B a flow) enforces the generator's, TestChainOnPacketDoesNotAllocate
+# (0 per packet, OnPacket and Inspect) and TestPerSourceStateDoesNotAllocate
+# (a new source costs map growth only) the detectors', as
 # TestSwitchProcessDoesNotAllocate does the switch's, and
 # TestTimingWheelRevolutionDoesNotAllocate (0 per revolution at steady
 # state), TestKVFlushUnderRetentionDoesNotAllocate (0 per interval under
@@ -126,6 +128,8 @@ check: fmt-check vet build test race fuzz-smoke loc
 	$(GO) test -run '^$$' -bench 'LowSlow|Chain|PortScan' -benchtime 10x ./internal/detect/
 	$(GO) test -run '^$$' -bench 'Switch' -benchtime 10x ./internal/p4switch/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/host/
+	$(GO) test -run '^$$' -bench 'WorkloadGenerate' -benchtime 10x ./internal/trace/
+	$(GO) test -run '^$$' -bench 'ZipfSample' -benchtime 10x ./internal/stats/
 
 # The repo's size: non-test Go lines outside benchmark/, the figure each
 # CHANGES.md entry quotes.

@@ -9,6 +9,7 @@ import (
 	"smartwatch/internal/detect"
 	"smartwatch/internal/flowcache"
 	"smartwatch/internal/obs"
+	"smartwatch/internal/p4switch"
 	"smartwatch/internal/packet"
 	"smartwatch/internal/snic"
 	"smartwatch/internal/tier"
@@ -270,6 +271,25 @@ func TestEventsCountedWithoutObservers(t *testing.T) {
 	}
 	if st.Delivered != 2+1+1+2 || st.Panics != 0 {
 		t.Errorf("delivered = %d, panics = %d; want 6 reactions, 0", st.Delivered, st.Panics)
+	}
+}
+
+// TestRefusedWhitelistNotDelivered: a whitelist the switch refuses (its
+// table is full) delivers only the unpin, not a switch entry.
+func TestRefusedWhitelistNotDelivered(t *testing.T) {
+	sw := p4switch.DefaultConfig()
+	sw.MaxWhitelist = 1
+	pl := New(Config{EnableSwitch: true, Switch: sw, Queries: sshQueries()})
+	k := wlKey()
+	pl.whitelist(k, operatorOrigin)
+	first := pl.Bus().Stats().Delivered
+	other := packet.FiveTuple{SrcIP: 5, DstIP: 6, SrcPort: 7, DstPort: 22, Proto: packet.ProtoTCP}.Canonical()
+	pl.whitelist(other, operatorOrigin)
+	if got := pl.Bus().Stats().Delivered - first; first != 2 || got != 1 {
+		t.Errorf("delivered %d for an installed whitelist, %d for a refused one; want 2, 1", first, got)
+	}
+	if n := pl.Switch().WhitelistCount(); n != 1 {
+		t.Errorf("whitelist holds %d entries, want 1", n)
 	}
 }
 

@@ -261,11 +261,11 @@ func (pl *Platform) Ports() *host.Ports { return pl.ports }
 // endInterval is the fourth action.
 
 // whitelist installs a switch fast-path entry for k, when there is a
-// switch (a full table only costs the fast path), then releases k's pin.
+// switch (a full table only costs the fast path, and delivers no entry),
+// then releases k's pin.
 func (pl *Platform) whitelist(k packet.FlowKey, origin string) {
 	applied := uint64(1)
-	if pl.sw != nil {
-		_ = pl.sw.Whitelist(k)
+	if pl.sw != nil && pl.sw.Whitelist(k) == nil {
 		applied++
 	}
 	pl.cache.Unpin(k)

@@ -74,14 +74,23 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 
 // Zipf samples ranks in [0,n) with probability proportional to
 // 1/(rank+1)^s by inverse CDF over a precomputed table, found by indexed
-// search (Chen & Asau): a guide table of one int32 per rank narrows each
-// draw's bisection to the ranks between two guide entries. Build one with
-// NewZipf.
+// search (Chen & Asau): a guide table of one int32 per zipfGuideRanks ranks
+// starts each draw's scan at most one guide interval short of its rank.
+// Build one with NewZipf.
 type Zipf struct {
-	cdf   []float64
-	guide []int32 // guide[j]: the first rank r with int(cdf[r]*n) >= j; n+1 entries
+	cdf []float64
+	// guide[j]: the first rank r with int(cdf[r]*m) >= j, for j in [0,m]
+	// and m = len(guide)-1 = ceil(n/zipfGuideRanks).
+	guide []int32
 	rng   *Rand
 }
+
+// zipfGuideRanks is the ranks per guide entry: at eight the guide costs
+// half a byte a rank (0.5 MB at 2^20 ranks, beside the CDF's 8 MB). Each
+// guide interval takes 1/m of u, so a draw scans n/(2m) ≈ 4 ranks on
+// average, whatever the skew; a bisection of the interval costs more, in
+// mispredicted branches, than the scan's sequential reads.
+const zipfGuideRanks = 8
 
 // NewZipf precomputes a Zipf(n, s) sampler. n must be positive and s >= 0
 // (s == 0 degenerates to uniform).
@@ -98,11 +107,12 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	// cdf[n-1] is exactly 1, so every j up to n gets a rank.
-	guide := make([]int32, n+1)
+	// cdf[n-1] is exactly 1, so every j up to m gets a rank.
+	m := (n + zipfGuideRanks - 1) / zipfGuideRanks
+	guide := make([]int32, m+1)
 	j := 0
 	for r, c := range cdf {
-		for k := int(c * float64(n)); j <= k; j++ {
+		for k := int(c * float64(m)); j <= k; j++ {
 			guide[j] = int32(r)
 		}
 	}
@@ -113,20 +123,16 @@ func NewZipf(rng *Rand, n int, s float64) *Zipf {
 func (z *Zipf) Sample() int { return z.rank(z.rng.Float64()) }
 
 // rank returns the first rank whose CDF is at least u, for u in [0,1).
-// With j = int(u*n), the answer lies in [guide[j], guide[j+1]] exactly:
-// x -> int(x*n) is monotone in floating point too, so a rank r with
-// int(cdf[r]*n) < j has cdf[r] < u, and one with int(cdf[r]*n) > j has
-// cdf[r] > u.
+// With m = len(guide)-1 and j = int(u*m), the answer lies in
+// [guide[j], guide[j+1]] exactly: x -> int(x*m) is monotone in floating
+// point too, for any m, so a rank r with int(cdf[r]*m) < j has
+// cdf[r] < u, and one with int(cdf[r]*m) > j has cdf[r] > u. The scan
+// up from guide[j] so stops at the rank a bisection would find, at
+// guide[j+1] at the latest.
 func (z *Zipf) rank(u float64) int {
-	j := int(u * float64(len(z.cdf)))
-	lo, hi := int(z.guide[j]), int(z.guide[j+1])
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	r := int(z.guide[int(u*float64(len(z.guide)-1))])
+	for z.cdf[r] < u {
+		r++
 	}
-	return lo
+	return r
 }

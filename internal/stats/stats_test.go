@@ -154,14 +154,15 @@ func bisectRank(cdf []float64, u float64) int {
 
 // TestZipfGuideMatchesBisection: the guided search returns exactly the
 // bisection's rank for random draws, Sample consumes one Float64 per draw,
-// and both agree at and beside every guide boundary j/n and every guided
-// rank's CDF value, where rounding in u*n would show.
+// and both agree at and beside every guide boundary j/m (m the guide's
+// ceil(n/8) intervals; 7, 9 and 4063 are n where n/8 rounds) and every
+// guided rank's CDF value, where rounding in u*m would show.
 func TestZipfGuideMatchesBisection(t *testing.T) {
 	draws := 1_000_000
 	if testing.Short() {
 		draws = 50_000
 	}
-	for _, n := range []int{1, 2, 3, 4062, 1 << 16, 1 << 20} {
+	for _, n := range []int{1, 2, 3, 7, 8, 9, 4062, 4063, 1 << 16, 1 << 20} {
 		for _, s := range []float64{0, 1.05, 1.25, 1.4} {
 			z := NewZipf(NewRand(uint64(n)), n, s)
 			ref := NewRand(uint64(n))
@@ -179,8 +180,12 @@ func TestZipfGuideMatchesBisection(t *testing.T) {
 					t.Fatalf("n=%d s=%g: u=%v gave rank %d, bisection %d", n, s, u, got, want)
 				}
 			}
+			m := len(z.guide) - 1
+			if want := (n + 7) / 8; m != want {
+				t.Fatalf("n=%d: guide has %d intervals, want %d", n, m, want)
+			}
 			for j, r := range z.guide {
-				for _, x := range []float64{float64(j) / float64(n), z.cdf[r]} {
+				for _, x := range []float64{float64(j) / float64(m), z.cdf[r]} {
 					check(math.Nextafter(x, 0))
 					check(x)
 					check(math.Nextafter(x, 1))

@@ -15,6 +15,8 @@
 package trace
 
 import (
+	"unsafe"
+
 	"smartwatch/internal/packet"
 	"smartwatch/internal/stats"
 )
@@ -140,13 +142,34 @@ func WisconsinDC() *Workload {
 	})
 }
 
-// flowState is the compact per-flow generator state.
+// flowState is the compact per-flow generator state: 20 bytes, so a
+// 2^20-flow population costs 20 MiB. The destination is an index into the
+// stream's server table and the protocol one bit (a UDP flow talks DNS);
+// tuple rebuilds the five-tuple. Whether the flow is an elephant is read
+// off its Zipf rank, not stored.
 type flowState struct {
-	tuple packet.FiveTuple
-	phase uint8 // 0 = needs SYN, 1 = needs SYN-ACK, 2 = needs ACK, 3 = established
-	seq   uint32
-	ack   uint32
-	large bool // elephant: biased to large packets
+	srcIP  packet.Addr
+	server uint32 // index into the server table buildFlows returns
+	seq    uint32
+	ack    uint32
+	sport  uint16
+	phase  uint8 // 0 = needs SYN, 1 = needs SYN-ACK, 2 = needs ACK, 3 = established
+	udp    bool
+}
+
+// Neither array length below may be negative, so the package compiles
+// only while a flowState is 20 bytes.
+var _, _ = [unsafe.Sizeof(flowState{}) - 20]struct{}{}, [20 - unsafe.Sizeof(flowState{})]struct{}{}
+
+// tuple is the flow's client-to-server five-tuple; servers[f.server]
+// carries the destination address and service port.
+func (f *flowState) tuple(servers []packet.FiveTuple) packet.FiveTuple {
+	t := servers[f.server]
+	t.SrcIP, t.SrcPort, t.Proto = f.srcIP, f.sport, packet.ProtoTCP
+	if f.udp {
+		t.DstPort, t.Proto = PortDNS, packet.ProtoUDP
+	}
+	return t
 }
 
 // Workload generates a reproducible background packet stream.
@@ -163,8 +186,10 @@ func NewWorkload(cfg WorkloadConfig) *Workload {
 // Config returns the effective (defaulted) configuration.
 func (w *Workload) Config() WorkloadConfig { return w.cfg }
 
-// buildFlows deterministically lays out the flow population.
-func (w *Workload) buildFlows(rng *stats.Rand) []flowState {
+// buildFlows deterministically lays out the flow population: the server
+// table (destination address and service port of each server) and the
+// flows, indexed by Zipf rank.
+func (w *Workload) buildFlows(rng *stats.Rand) ([]packet.FiveTuple, []flowState) {
 	cfg := w.cfg
 	servers := make([]packet.FiveTuple, cfg.Servers)
 	servicePorts := []uint16{PortHTTP, PortHTTPS, PortHTTPS, PortSSH, PortDNS, 8080, 3306}
@@ -177,29 +202,17 @@ func (w *Workload) buildFlows(rng *stats.Rand) []flowState {
 	}
 	flows := make([]flowState, cfg.Flows)
 	for i := range flows {
-		srv := servers[rng.IntN(len(servers))]
-		proto := packet.ProtoTCP
-		dport := srv.DstPort
-		if rng.Float64() < cfg.UDPFraction {
-			proto = packet.ProtoUDP
-			dport = PortDNS
-		}
-		flows[i] = flowState{
-			tuple: packet.FiveTuple{
-				SrcIP:   packet.AddrFrom4(100, byte(rng.IntN(64)), byte(rng.IntN(256)), byte(rng.IntN(256))),
-				DstIP:   srv.DstIP,
-				SrcPort: uint16(20000 + rng.IntN(40000)),
-				DstPort: dport,
-				Proto:   proto,
-			},
-			seq: uint32(rng.Uint64()),
-			ack: uint32(rng.Uint64()),
-			// Zipf rank 0..k-1 are elephants; mark the head of the
-			// population (flows are indexed by Zipf rank).
-			large: i < cfg.Flows/50+1,
-		}
+		// The draws' order is the stream: server, UDP coin, three source
+		// address bytes, source port, seq, ack.
+		f := &flows[i]
+		f.server = uint32(rng.IntN(len(servers)))
+		f.udp = rng.Float64() < cfg.UDPFraction
+		f.srcIP = packet.AddrFrom4(100, byte(rng.IntN(64)), byte(rng.IntN(256)), byte(rng.IntN(256)))
+		f.sport = uint16(20000 + rng.IntN(40000))
+		f.seq = uint32(rng.Uint64())
+		f.ack = uint32(rng.Uint64())
 	}
-	return flows
+	return servers, flows
 }
 
 // Stream returns the lazily generated packet stream. Each call replays the
@@ -208,30 +221,35 @@ func (w *Workload) Stream() packet.Stream {
 	cfg := w.cfg
 	return func(yield func(packet.Packet) bool) {
 		rng := stats.NewRand(cfg.Seed)
-		flows := w.buildFlows(rng)
+		servers, flows := w.buildFlows(rng)
 		zipf := stats.NewZipf(rng, len(flows), cfg.ZipfS)
 		meanGapNs := 1e9 / cfg.PacketRate
+		// Flows are indexed by Zipf rank, and the ranks below elephants
+		// are elephants: biased to large packets and to bursts.
+		elephants := cfg.Flows/50 + 1
 
 		ts := int64(0)
 		for ts < cfg.Duration {
 			fi := zipf.Sample()
 			f := &flows[fi]
+			large := fi < elephants
 			burst := 1
-			if f.large {
+			if large {
 				// Geometric burst with the configured mean.
 				for rng.Float64() < 1-1/cfg.MeanBurst {
 					burst++
 				}
 			}
 			for b := 0; b < burst && ts < cfg.Duration; b++ {
-				p, done := w.nextPacket(rng, f, ts)
+				p := packet.Packet{Ts: ts, Tuple: f.tuple(servers)}
+				done := w.nextPacket(rng, f, &p, large)
 				if !yield(p) {
 					return
 				}
 				if done {
 					// Session reached a natural close; restart it as a new
 					// connection from a fresh ephemeral port.
-					f.tuple.SrcPort = uint16(20000 + rng.IntN(40000))
+					f.sport = uint16(20000 + rng.IntN(40000))
 					f.phase = 0
 				}
 				// Packets inside a burst are back-to-back (tens of ns);
@@ -245,24 +263,26 @@ func (w *Workload) Stream() packet.Stream {
 	}
 }
 
-// nextPacket advances one flow's session state machine and emits its next
-// packet. done reports a completed session (FIN sent).
-func (w *Workload) nextPacket(rng *stats.Rand, f *flowState, ts int64) (packet.Packet, bool) {
+// nextPacket advances one flow's session state machine and fills in p,
+// which arrives with its timestamp and the flow's five-tuple, as the
+// flow's next packet; large marks an elephant. done reports a completed
+// session (FIN sent).
+func (w *Workload) nextPacket(rng *stats.Rand, f *flowState, p *packet.Packet, large bool) (done bool) {
 	cfg := w.cfg
 	size := cfg.SmallSize
-	if f.large && rng.Float64() > cfg.SmallFraction {
+	if large && rng.Float64() > cfg.SmallFraction {
 		size = cfg.LargeSize
-	} else if !f.large && rng.Float64() > 0.85 {
+	} else if !large && rng.Float64() > 0.85 {
 		size = cfg.LargeSize / 2
 	}
-	p := packet.Packet{Ts: ts, Tuple: f.tuple, Size: size}
-	if f.tuple.Proto != packet.ProtoTCP {
+	p.Size = size
+	if f.udp {
 		p.PayloadLen = size - 42
 		// Occasionally reverse direction for DNS-style request/response.
 		if rng.Float64() < 0.45 {
 			p.Tuple = p.Tuple.Reverse()
 		}
-		return p, false
+		return false
 	}
 	switch f.phase {
 	case 0:
@@ -293,8 +313,8 @@ func (w *Workload) nextPacket(rng *stats.Rand, f *flowState, ts int64) (packet.P
 		// heavy-tail property the FlowCache experiments depend on.
 		if rng.Float64() < 0.0003 {
 			p.Flags |= packet.FlagFIN
-			return p, true
+			return true
 		}
 	}
-	return p, false
+	return false
 }

@@ -1,10 +1,95 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"smartwatch/internal/packet"
 )
+
+// manyFlowsConfig is the benchmark's 2^20-flow background population
+// (manyflows and churn draw from it) at seed 1 and manyflows' rate.
+func manyFlowsConfig() WorkloadConfig {
+	return WorkloadConfig{Seed: 1, Flows: 1 << 20, ZipfS: 1.05, PacketRate: 2e6,
+		Duration: 600e9, MeanBurst: 3, UDPFraction: 0.12}
+}
+
+// streamDigest is the SHA-256 over every field of the first n packets of s.
+func streamDigest(s packet.Stream, n int) string {
+	h := sha256.New()
+	var buf []byte
+	i := 0
+	for p := range s {
+		if i == n {
+			break
+		}
+		i++
+		buf = binary.LittleEndian.AppendUint64(buf[:0], uint64(p.Ts))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Tuple.SrcIP))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.Tuple.DstIP))
+		buf = binary.LittleEndian.AppendUint16(buf, p.Tuple.SrcPort)
+		buf = binary.LittleEndian.AppendUint16(buf, p.Tuple.DstPort)
+		buf = append(buf, byte(p.Tuple.Proto), byte(p.Flags), byte(p.AuthOutcome))
+		buf = binary.LittleEndian.AppendUint16(buf, p.Size)
+		buf = binary.LittleEndian.AppendUint16(buf, p.PayloadLen)
+		buf = binary.LittleEndian.AppendUint32(buf, p.Seq)
+		buf = binary.LittleEndian.AppendUint32(buf, p.Ack)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.App.TLSCertExpiry))
+		buf = binary.LittleEndian.AppendUint64(buf, p.App.PayloadSig)
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestWorkloadStreamPinned: the first 200 k packets of every preset and of
+// the benchmark's 2^20-flow population hash to the values recorded before
+// the generator's per-flow state was compacted, so a layout change to the
+// generator cannot move a packet.
+func TestWorkloadStreamPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		w    *Workload
+		want string
+	}{
+		{"caida2015", CAIDA(2015),
+			"83a1f671ba457a98680405568e5efc7092fabbda451622e352d482852fb18ac6"},
+		{"caida2016", CAIDA(2016),
+			"fe9b37688d918428575aa2a0d7aaa2d93aa3714dfbb0846623f897c1bfc65e7e"},
+		{"caida2018", CAIDA(2018),
+			"5dae25c48f821285ab112f035f6bd1a8a6a93df9ca19c571004f0e680b619c96"},
+		{"caida2019", CAIDA(2019),
+			"fdab5713a13b4c49a33afe26ddc62097968b67c4d01fffccc24b1f87a19fc641"},
+		{"wisconsin", WisconsinDC(),
+			"1787d06a6cf577163453ce207d71a0dc7f87354e61a8346f9c68ebd35c649cb8"},
+		{"manyflows", NewWorkload(manyFlowsConfig()),
+			"89db3104cf4506dc3e29c0f591b733aea612f7b05190aebe0197139fe2e31075"},
+	}
+	for _, c := range cases {
+		if got := streamDigest(c.w.Stream(), 200_000); got != c.want {
+			t.Errorf("%s: stream digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestWorkloadHeapPerFlow: a 2^20-flow stream allocates at most 30 bytes a
+// flow before its first packet — the 20-byte flowState, the Zipf CDF's 8
+// and its guide's half — so a generator fits beside a full-size FlowCache.
+func TestWorkloadHeapPerFlow(t *testing.T) {
+	w := NewWorkload(manyFlowsConfig())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range w.Stream() {
+		runtime.ReadMemStats(&after)
+		break
+	}
+	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(w.Config().Flows)
+	if perFlow > 30 {
+		t.Errorf("generator allocated %.1f B a flow before its first packet, want <= 30", perFlow)
+	}
+}
 
 func TestWorkloadDeterminism(t *testing.T) {
 	w := NewWorkload(WorkloadConfig{Seed: 7, Flows: 100, PacketRate: 1e6, Duration: 20e6})
@@ -146,15 +231,22 @@ func TestWorkloadEarlyStop(t *testing.T) {
 	}
 }
 
+// BenchmarkWorkloadGenerate draws packets from the benchmark's 2^20-flow
+// population. B/flow is what the stream allocates before its first packet
+// (the population and its Zipf tables); ns/op is per packet after it.
 func BenchmarkWorkloadGenerate(b *testing.B) {
-	w := NewWorkload(WorkloadConfig{Seed: 1, Flows: 10000, PacketRate: 1e6, Duration: 1e12})
+	w := NewWorkload(manyFlowsConfig())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	n := 0
-	b.ResetTimer()
-	for p := range w.Stream() {
-		_ = p
-		n++
-		if n >= b.N {
+	for range w.Stream() {
+		if n == 0 {
+			runtime.ReadMemStats(&after)
+			b.ResetTimer()
+		}
+		if n++; n > b.N {
 			break
 		}
 	}
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(w.Config().Flows), "B/flow")
 }
